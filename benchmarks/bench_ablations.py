@@ -16,14 +16,14 @@ import pytest
 from repro.core.profiler import AllocationProfiler
 from repro.core.synthesizer import PlanSynthesizer, SynthesizerConfig
 from repro.gpu.device import GIB
-from repro.simulator.runner import generate_trace
+from repro.simulator import ExecutionContext
 from repro.experiments.common import A800_WORKLOADS
 
 
 @pytest.fixture(scope="module")
 def llama_profile():
     config = A800_WORKLOADS["llama2-7b"].preset("R")
-    return AllocationProfiler().profile(generate_trace(config))
+    return AllocationProfiler().profile(ExecutionContext().trace(config))
 
 
 def _report(capsys, label: str, pool_size: int, baseline: int) -> None:

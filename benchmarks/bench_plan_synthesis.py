@@ -17,17 +17,17 @@ from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.experiments.common import A800_WORKLOADS
 from repro.gpu.device import Device, GIB
 from repro.simulator.replay import replay_trace
-from repro.simulator.runner import generate_trace
+from repro.simulator import ExecutionContext
 
 
 @pytest.fixture(scope="module")
 def dense_trace():
-    return generate_trace(A800_WORKLOADS["llama2-7b"].preset("R"))
+    return ExecutionContext().trace(A800_WORKLOADS["llama2-7b"].preset("R"))
 
 
 @pytest.fixture(scope="module")
 def moe_trace():
-    return generate_trace(A800_WORKLOADS["qwen1.5-moe-a2.7b"].preset("R"))
+    return ExecutionContext().trace(A800_WORKLOADS["qwen1.5-moe-a2.7b"].preset("R"))
 
 
 def test_profiler_pairing(benchmark, dense_trace):

@@ -36,7 +36,7 @@ import argparse
 import sys
 
 from repro.experiments import available_experiments, run_experiment
-from repro.experiments.common import configure_execution
+from repro.simulator.execution import ExecutionContext
 from repro.version import __version__
 
 
@@ -474,34 +474,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _context_from_args(args) -> ExecutionContext | None:
+    """The execution context the command's flags describe.
+
+    Reads ``--jobs`` / ``--cache-dir`` / ``--no-cache`` / ``--cache-max-gib``
+    (a flag the command lacks takes its default); prints the one-line error
+    and returns None when a flag is out of range.
+    """
+    max_gib = getattr(args, "cache_max_gib", None)
+    try:
+        if max_gib is not None and max_gib < 0:
+            raise ValueError(f"cache-max-gib must be >= 0, got {max_gib}")
+        return ExecutionContext(
+            cache_dir=None if getattr(args, "no_cache", False) else args.cache_dir,
+            cache_max_bytes=int(max_gib * (1 << 30)) if max_gib is not None else None,
+            jobs=getattr(args, "jobs", 1),
+        )
+    except ValueError as error:
+        print(f"error: --{error}", file=sys.stderr)
+        return None
+
+
 def _cmd_run(args) -> int:
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+    ctx = _context_from_args(args)
+    if ctx is None:
         return 2
-    if args.jobs != 1 or args.cache_dir is not None:
-        configure_execution(jobs=args.jobs, cache_dir=args.cache_dir)
     targets = available_experiments() if args.experiment == "all" else [args.experiment]
     for experiment_id in targets:
-        result = run_experiment(experiment_id, quick=args.quick)
+        result = run_experiment(experiment_id, quick=args.quick, ctx=ctx)
         print(result.to_text())
         print()
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _run_grid_command(args, *, noun: str, spec_hint: str, presets, load, execute) -> int:
+    """The flow ``sweep`` and ``search`` share: validate, run, write, compare.
+
+    ``presets()`` lists preset names, ``load()`` builds the spec and
+    ``execute(spec, ctx, progress)`` runs it; the result must offer
+    ``write``, ``to_text`` and ``as_dict`` (rows in the sweep row schema).
+    """
     from repro.obs import ProgressReporter
-    from repro.sweep import (
-        SweepPointError,
-        SweepResult,
-        available_presets,
-        compare_files,
-        compare_results,
-        load_spec,
-        run_sweep,
-    )
+    from repro.sweep import SweepPointError, SweepResult, compare_files, compare_results
 
     if args.list_presets:
-        for preset in available_presets():
+        for preset in presets():
             print(preset)
         return 0
     if args.compare is not None and len(args.compare) > 2:
@@ -515,7 +532,7 @@ def _cmd_sweep(args) -> int:
         if args.spec is not None:
             print(
                 "error: a spec cannot be combined with two-file --compare "
-                "(the files are compared without running a sweep)",
+                f"(the files are compared without running a {noun})",
                 file=sys.stderr,
             )
             return 2
@@ -528,7 +545,7 @@ def _cmd_sweep(args) -> int:
         print(report.to_text())
         return report.exit_code
     if args.spec is None:
-        print("error: a sweep spec (preset name or JSON file) is required", file=sys.stderr)
+        print(f"error: a {noun} spec ({spec_hint}) is required", file=sys.stderr)
         return 2
     bad_outputs = [o for o in args.output if not o.lower().endswith((".json", ".csv"))]
     if bad_outputs:
@@ -538,11 +555,11 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+    ctx = _context_from_args(args)
+    if ctx is None:
         return 2
     try:
-        spec = load_spec(args.spec)
+        spec = load()
     except (ValueError, FileNotFoundError, TypeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -555,24 +572,9 @@ def _cmd_sweep(args) -> int:
         except (OSError, ValueError) as error:
             print(f"error: cannot load --compare baseline: {error}", file=sys.stderr)
             return 2
-    if args.cache_max_gib is not None and args.cache_max_gib < 0:
-        print(
-            f"error: --cache-max-gib must be >= 0, got {args.cache_max_gib}",
-            file=sys.stderr,
-        )
-        return 2
-    cache_dir = None if args.no_cache else args.cache_dir
-    cache_max_bytes = (
-        int(args.cache_max_gib * (1 << 30)) if args.cache_max_gib is not None else None
-    )
     try:
-        result = run_sweep(
-            spec,
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            reuse_results=not args.fresh,
-            cache_max_bytes=cache_max_bytes,
-            progress=ProgressReporter(0, label="sweep", enabled=not args.no_progress),
+        result = execute(
+            spec, ctx, ProgressReporter(0, label=noun, enabled=not args.no_progress)
         )
     except SweepPointError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -582,122 +584,68 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {output}", file=sys.stderr)
     print(result.to_text(max_rows=args.max_rows if args.max_rows >= 0 else None))
     if baseline is not None:
-        report = compare_results(baseline, result, tolerance_pct=args.tolerance_pct)
+        report = compare_results(baseline, result.as_dict(), tolerance_pct=args.tolerance_pct)
         print()
         print(report.to_text())
         return report.exit_code
     return 0
 
 
+def _cmd_sweep(args) -> int:
+    from repro.sweep import available_presets, load_spec, run_sweep
+
+    return _run_grid_command(
+        args,
+        noun="sweep",
+        spec_hint="preset name or JSON file",
+        presets=available_presets,
+        load=lambda: load_spec(args.spec),
+        execute=lambda spec, ctx, progress: run_sweep(
+            spec,
+            jobs=ctx.jobs,
+            cache_dir=ctx.cache_dir,
+            reuse_results=not args.fresh,
+            cache_max_bytes=ctx.cache_max_bytes,
+            progress=progress,
+        ),
+    )
+
+
 def _cmd_search(args) -> int:
-    from repro.obs import ProgressReporter
     from repro.search import (
         SearchSpec,
         available_search_presets,
         load_search_spec,
         run_search,
     )
-    from repro.sweep import SweepPointError, SweepResult, compare_files, compare_results
 
-    if args.list_presets:
-        for preset in available_search_presets():
-            print(preset)
-        return 0
-    if args.compare is not None and len(args.compare) > 2:
-        print(
-            f"error: --compare takes one or two results files, got {len(args.compare)}",
-            file=sys.stderr,
+    def load():
+        if args.cluster is None:
+            return load_search_spec(args.spec)
+        # Model + cluster form: build a default spec around the model.
+        return SearchSpec(
+            name=f"search-{args.spec}",
+            model=args.spec,
+            cluster=args.cluster,
+            global_batch=args.global_batch,
+            allocators=list(args.allocators),
         )
-        return 2
-    if args.compare is not None and len(args.compare) == 2:
-        # Dual-file mode: diff two saved results files, run nothing.
-        if args.spec is not None:
-            print(
-                "error: a spec cannot be combined with two-file --compare "
-                "(the files are compared without running a search)",
-                file=sys.stderr,
-            )
-            return 2
-        old_path, new_path = args.compare
-        try:
-            report = compare_files(old_path, new_path, tolerance_pct=args.tolerance_pct)
-        except (OSError, ValueError) as error:
-            print(f"error: cannot compare results files: {error}", file=sys.stderr)
-            return 2
-        print(report.to_text())
-        return report.exit_code
-    if args.spec is None:
-        print(
-            "error: a search spec (preset name, JSON file, or model + cluster) is required",
-            file=sys.stderr,
-        )
-        return 2
-    bad_outputs = [o for o in args.output if not o.lower().endswith((".json", ".csv"))]
-    if bad_outputs:
-        print(
-            f"error: unsupported --output extension for {', '.join(bad_outputs)}; "
-            "use .json or .csv",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.cluster is not None:
-            # Model + cluster form: build a default spec around the model.
-            spec = SearchSpec(
-                name=f"search-{args.spec}",
-                model=args.spec,
-                cluster=args.cluster,
-                global_batch=args.global_batch,
-                allocators=list(args.allocators),
-            )
-        else:
-            spec = load_search_spec(args.spec)
-    except (ValueError, FileNotFoundError, TypeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.timing is not None:
-        spec.timing = args.timing
-    baseline = None
-    if args.compare is not None:
-        try:
-            baseline = SweepResult.load(args.compare[0])
-        except (OSError, ValueError) as error:
-            print(f"error: cannot load --compare baseline: {error}", file=sys.stderr)
-            return 2
-    if args.cache_max_gib is not None and args.cache_max_gib < 0:
-        print(
-            f"error: --cache-max-gib must be >= 0, got {args.cache_max_gib}",
-            file=sys.stderr,
-        )
-        return 2
-    cache_dir = None if args.no_cache else args.cache_dir
-    cache_max_bytes = (
-        int(args.cache_max_gib * (1 << 30)) if args.cache_max_gib is not None else None
-    )
-    try:
-        result = run_search(
+
+    return _run_grid_command(
+        args,
+        noun="search",
+        spec_hint="preset name, JSON file, or model + cluster",
+        presets=available_search_presets,
+        load=load,
+        execute=lambda spec, ctx, progress: run_search(
             spec,
-            cache_dir=cache_dir,
+            cache_dir=ctx.cache_dir,
             reuse_results=not args.fresh,
-            cache_max_bytes=cache_max_bytes,
+            cache_max_bytes=ctx.cache_max_bytes,
             exhaustive=args.exhaustive,
-            progress=ProgressReporter(0, label="search", enabled=not args.no_progress),
-        )
-    except SweepPointError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    for output in args.output:
-        result.write(output)
-        print(f"wrote {output}", file=sys.stderr)
-    print(result.to_text(max_rows=args.max_rows if args.max_rows >= 0 else None))
-    if baseline is not None:
-        report = compare_results(
-            baseline, result.as_sweep_result(), tolerance_pct=args.tolerance_pct
-        )
-        print()
-        print(report.to_text())
-        return report.exit_code
-    return 0
+            progress=progress,
+        ),
+    )
 
 
 def _cmd_timeline(args) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.simulator.execution import ExecutionContext
 from repro.workloads.model_config import ModelConfig
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
@@ -22,35 +23,6 @@ FULL_LINEUP = BASELINE_LINEUP + ["stalloc"]
 
 #: Optimization presets on the x-axis of Figures 8 and 13.
 PRESETS = ["Naive", "R", "V", "VR", "ZR", "ZOR"]
-
-
-# ---------------------------------------------------------------------- #
-# Execution settings (parallelism + persistent caching for every experiment)
-# ---------------------------------------------------------------------- #
-_EXECUTION: dict = {"jobs": 1, "cache_dir": None}
-
-
-def configure_execution(*, jobs: int | None = None, cache_dir: str | None = None) -> None:
-    """Set how experiment workloads execute, process-wide.
-
-    ``jobs`` > 1 makes :func:`repro.simulator.runner.run_workload_suite` fan
-    allocators out over worker processes; ``cache_dir`` installs the
-    persistent on-disk trace/plan cache of :mod:`repro.sweep` so repeated
-    experiment runs skip trace generation and plan synthesis.  Passing None
-    for ``cache_dir`` removes an installed cache; passing None for ``jobs``
-    resets to serial.  The CLI's ``--jobs`` / ``--cache-dir`` flags call this.
-    """
-    from repro.simulator import runner
-
-    _EXECUTION["jobs"] = 1 if jobs is None else int(jobs)
-    _EXECUTION["cache_dir"] = str(cache_dir) if cache_dir is not None else None
-    runner.set_default_jobs(_EXECUTION["jobs"])
-    runner.set_persistent_cache(_EXECUTION["cache_dir"])
-
-
-def execution_settings() -> dict:
-    """The currently configured execution settings (jobs, cache_dir)."""
-    return dict(_EXECUTION)
 
 
 @dataclass
@@ -133,8 +105,17 @@ def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
         ) from None
 
 
-def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
-    return get_experiment(experiment_id)(**kwargs)
+def run_experiment(
+    experiment_id: str, *, ctx: ExecutionContext | None = None, **kwargs
+) -> ExperimentResult:
+    """Run one experiment, handing it the execution context its workloads use.
+
+    ``ctx`` carries the worker count and the persistent trace/plan cache (the
+    CLI builds it from ``--jobs`` / ``--cache-dir``); the default is serial
+    with no disk cache.
+    """
+    ctx = ctx if ctx is not None else ExecutionContext()
+    return get_experiment(experiment_id)(ctx=ctx, **kwargs)
 
 
 # ---------------------------------------------------------------------- #

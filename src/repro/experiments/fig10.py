@@ -15,13 +15,14 @@ from repro.experiments.common import (
     efficiency_row,
     register_experiment,
 )
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_workload_suite
 
 MICRO_BATCH_SIZES = [1, 2, 4, 8, 16, 32, 64]
 
 
 @register_experiment("fig10")
-def run(*, quick: bool = False) -> ExperimentResult:
+def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Memory efficiency of Llama2-7B + recomputation over micro-batch sizes."""
     workload = A800_WORKLOADS["llama2-7b"]
     sizes = [1, 4, 16] if quick else MICRO_BATCH_SIZES
@@ -29,7 +30,7 @@ def run(*, quick: bool = False) -> ExperimentResult:
     rows = []
     for micro_batch_size in sizes:
         config = workload.preset("R", micro_batch_size=micro_batch_size)
-        runs = run_workload_suite(config, lineup, device_name=workload.device_name)
+        runs = run_workload_suite(config, lineup, device_name=workload.device_name, ctx=ctx)
         for allocator in lineup:
             rows.append(efficiency_row(f"mbs={micro_batch_size}", allocator, runs[allocator]))
     return ExperimentResult(

@@ -12,6 +12,7 @@ from repro.experiments.common import ExperimentResult, FULL_LINEUP, efficiency_r
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_workload_suite
 
 
@@ -29,14 +30,14 @@ def _colossalai_config(batch_size: int) -> TrainingConfig:
 
 
 @register_experiment("fig11")
-def run(*, quick: bool = False) -> ExperimentResult:
+def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Memory efficiency on Colossal-AI (offload + ZeRO-3) at batch sizes 16 and 128."""
     batch_sizes = [16] if quick else [16, 128]
     lineup = ["torch2.3", "stalloc"] if quick else FULL_LINEUP
     rows = []
     for batch_size in batch_sizes:
         config = _colossalai_config(batch_size)
-        runs = run_workload_suite(config, lineup, device_name="A800-80GB")
+        runs = run_workload_suite(config, lineup, device_name="A800-80GB", ctx=ctx)
         for allocator in lineup:
             rows.append(efficiency_row(f"batch={batch_size}", allocator, runs[allocator]))
     return ExperimentResult(

@@ -10,6 +10,7 @@ and STAlloc against PyTorch 2.3 (matching the paper's normalization).
 from __future__ import annotations
 
 from repro.experiments.common import A800_WORKLOADS, ExperimentResult, register_experiment
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_workload_suite
 from repro.simulator.throughput import GPU_SPECS, ThroughputModel
 
@@ -25,7 +26,7 @@ NORMALIZE_AGAINST = {
 
 
 @register_experiment("fig12")
-def run(*, quick: bool = False) -> ExperimentResult:
+def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Normalized training throughput of every allocator on the three models."""
     model_keys = ["gpt2-345m"] if quick else list(A800_WORKLOADS)
     gpu = GPU_SPECS["A800-80GB"]
@@ -34,7 +35,7 @@ def run(*, quick: bool = False) -> ExperimentResult:
     for model_key in model_keys:
         workload = A800_WORKLOADS[model_key]
         config = workload.preset("R")
-        runs = run_workload_suite(config, LINEUP, device_name=workload.device_name)
+        runs = run_workload_suite(config, LINEUP, device_name=workload.device_name, ctx=ctx)
         tflops = {
             name: model.tflops(config, allocator_overhead_seconds=run_.replay.overhead_seconds)
             for name, run_ in runs.items()

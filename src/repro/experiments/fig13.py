@@ -10,6 +10,7 @@ static-pool space for dynamic requests contributes (§9.4).
 from __future__ import annotations
 
 from repro.experiments.common import A800_WORKLOADS, ExperimentResult, PRESETS, register_experiment
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import STALLOC, STALLOC_NO_REUSE, run_workload_suite
 
 BREAKDOWN_LINEUP = ["torch2.3", STALLOC_NO_REUSE, STALLOC]
@@ -21,14 +22,14 @@ LABELS = {
 
 
 @register_experiment("fig13")
-def run(*, quick: bool = False) -> ExperimentResult:
+def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Memory efficiency of the breakdown variants on the MoE model."""
     workload = A800_WORKLOADS["qwen1.5-moe-a2.7b"]
     presets = ["Naive", "R"] if quick else PRESETS
     rows = []
     for preset in presets:
         config = workload.preset(preset)
-        runs = run_workload_suite(config, BREAKDOWN_LINEUP, device_name=workload.device_name)
+        runs = run_workload_suite(config, BREAKDOWN_LINEUP, device_name=workload.device_name, ctx=ctx)
         for allocator in BREAKDOWN_LINEUP:
             run_ = runs[allocator]
             rows.append(

@@ -12,6 +12,7 @@ from repro.experiments.common import ExperimentResult, register_experiment
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import preset_config
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_workload_suite
 from repro.simulator.throughput import GPU_SPECS, ThroughputModel
 
@@ -27,7 +28,7 @@ CONFIG_POINTS = [
 
 
 @register_experiment("fig1b")
-def run(*, quick: bool = False) -> ExperimentResult:
+def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Reserved memory and throughput of Llama2-7B configurations, with feasibility."""
     model = get_model("llama2-7b")
     parallelism = ParallelismConfig(tensor_parallel=2, pipeline_parallel=4, data_parallel=1)
@@ -42,7 +43,7 @@ def run(*, quick: bool = False) -> ExperimentResult:
             micro_batch_size=micro_batch_size,
             num_microbatches=16,
         )
-        runs = run_workload_suite(config, ["torch2.3", "stalloc"], device_name="A800-80GB")
+        runs = run_workload_suite(config, ["torch2.3", "stalloc"], device_name="A800-80GB", ctx=ctx)
         torch_run, stalloc_run = runs["torch2.3"], runs["stalloc"]
         rows.append(
             {

@@ -9,11 +9,14 @@ enabling virtual pipelining or recomputation -- techniques that *should* help
 from __future__ import annotations
 
 from repro.experiments.common import A800_WORKLOADS, ExperimentResult, register_experiment
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_workload
 
 
 @register_experiment("fig2")
-def run(*, allocator: str = "torch2.3", quick: bool = False) -> ExperimentResult:
+def run(
+    *, allocator: str = "torch2.3", quick: bool = False, ctx: ExecutionContext
+) -> ExperimentResult:
     """Memory efficiency of GPT-2 under no optimization, VPP, and recomputation."""
     workload = A800_WORKLOADS["gpt2-345m"]
     presets = {"N (no optimization)": "Naive", "V (virtual pipeline)": "V", "R (recomputation)": "R"}
@@ -22,7 +25,7 @@ def run(*, allocator: str = "torch2.3", quick: bool = False) -> ExperimentResult
     rows = []
     for label, preset in presets.items():
         config = workload.preset(preset)
-        run_ = run_workload(config, allocator, device_name=workload.device_name)
+        run_ = run_workload(config, allocator, device_name=workload.device_name, ctx=ctx)
         rows.append(
             {
                 "optimization": label,

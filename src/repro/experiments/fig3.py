@@ -13,7 +13,7 @@ import math
 from collections import Counter
 
 from repro.experiments.common import A800_WORKLOADS, ExperimentResult, register_experiment
-from repro.simulator.runner import generate_trace
+from repro.simulator.execution import ExecutionContext
 
 
 def _bucket_label(size: int) -> str:
@@ -30,14 +30,14 @@ def _bucket_label(size: int) -> str:
 
 
 @register_experiment("fig3")
-def run(*, min_size: int = 512, quick: bool = False) -> ExperimentResult:
+def run(*, min_size: int = 512, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Distinct allocation sizes and size histogram for None / R / V configurations."""
     workload = A800_WORKLOADS["llama2-7b"]
     presets = ["Naive", "R", "V"] if not quick else ["Naive", "R"]
     rows = []
     for preset in presets:
         config = workload.preset(preset)
-        trace = generate_trace(config)
+        trace = ctx.trace(config)
         sizes = [size for size in trace.allocation_sizes(min_size=min_size + 1)]
         histogram = Counter(_bucket_label(size) for size in sizes)
         top_buckets = ", ".join(

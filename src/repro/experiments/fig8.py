@@ -17,10 +17,13 @@ from repro.experiments.common import (
     register_experiment,
 )
 from repro.gpu.device import MIB
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_workload_suite
 
 
-def _run_model(model_key: str, experiment_id: str, *, quick: bool) -> ExperimentResult:
+def _run_model(
+    model_key: str, experiment_id: str, *, quick: bool, ctx: ExecutionContext
+) -> ExperimentResult:
     workload = A800_WORKLOADS[model_key]
     presets = ["Naive", "R"] if quick else PRESETS
     lineup = ["torch2.3", "stalloc"] if quick else FULL_LINEUP
@@ -29,7 +32,7 @@ def _run_model(model_key: str, experiment_id: str, *, quick: bool) -> Experiment
     baseline_frag = []
     for preset in presets:
         config = workload.preset(preset)
-        runs = run_workload_suite(config, lineup, device_name=workload.device_name)
+        runs = run_workload_suite(config, lineup, device_name=workload.device_name, ctx=ctx)
         for allocator in lineup:
             run_ = runs[allocator]
             rows.append(efficiency_row(preset, allocator, run_))
@@ -52,25 +55,25 @@ def _run_model(model_key: str, experiment_id: str, *, quick: bool) -> Experiment
 
 
 @register_experiment("fig8a")
-def run_gpt2(*, quick: bool = False) -> ExperimentResult:
+def run_gpt2(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Figure 8(a): GPT-2."""
-    return _run_model("gpt2-345m", "fig8a", quick=quick)
+    return _run_model("gpt2-345m", "fig8a", quick=quick, ctx=ctx)
 
 
 @register_experiment("fig8b")
-def run_llama(*, quick: bool = False) -> ExperimentResult:
+def run_llama(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Figure 8(b): Llama2-7B."""
-    return _run_model("llama2-7b", "fig8b", quick=quick)
+    return _run_model("llama2-7b", "fig8b", quick=quick, ctx=ctx)
 
 
 @register_experiment("fig8c")
-def run_moe(*, quick: bool = False) -> ExperimentResult:
+def run_moe(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Figure 8(c): Qwen1.5-MoE-A2.7B."""
-    return _run_model("qwen1.5-moe-a2.7b", "fig8c", quick=quick)
+    return _run_model("qwen1.5-moe-a2.7b", "fig8c", quick=quick, ctx=ctx)
 
 
 @register_experiment("fig8_gmlake_fraglimit")
-def run_gmlake_fraglimit(*, quick: bool = False) -> ExperimentResult:
+def run_gmlake_fraglimit(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """The MoE GMLake ``fragLimit`` study described alongside Figure 8.
 
     Tuning GMLake's stitching threshold from 512 MiB down to 64 MiB improves
@@ -82,11 +85,10 @@ def run_gmlake_fraglimit(*, quick: bool = False) -> ExperimentResult:
     from repro.allocators.gmlake import GMLakeAllocator, GMLakeConfig
     from repro.gpu.device import Device, GIB
     from repro.simulator.replay import replay_trace
-    from repro.simulator.runner import generate_trace
 
     workload = A800_WORKLOADS["qwen1.5-moe-a2.7b"]
     config = workload.preset("R" if quick else "Naive")
-    trace = generate_trace(config)
+    trace = ctx.trace(config)
     rows = []
     for frag_limit_mib in (512, 256, 64):
         device = Device(name="A800-80GB", capacity=80 * GIB)

@@ -21,6 +21,7 @@ from repro.experiments.common import ExperimentResult, efficiency_row, register_
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import preset_config
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_workload_suite
 
 
@@ -60,7 +61,9 @@ H200_SCALE_POINTS: list[ScalePoint] = [
 H200_LINEUP = ["torch2.6", "torch_es", "stalloc"]
 
 
-def _h200_sweep(experiment_id: str, *, preset: str, quick: bool) -> ExperimentResult:
+def _h200_sweep(
+    experiment_id: str, *, preset: str, quick: bool, ctx: ExecutionContext
+) -> ExperimentResult:
     points = H200_SCALE_POINTS[:4] if quick else H200_SCALE_POINTS
     rows = []
     for point in points:
@@ -73,7 +76,7 @@ def _h200_sweep(experiment_id: str, *, preset: str, quick: bool) -> ExperimentRe
             micro_batch_size=point.micro_batch_size,
             num_microbatches=point.num_microbatches,
         )
-        runs = run_workload_suite(config, H200_LINEUP, device_name="H200-141GB")
+        runs = run_workload_suite(config, H200_LINEUP, device_name="H200-141GB", ctx=ctx)
         label = f"{point.model_name.replace('qwen2.5-', '')}@{point.num_gpus}GPU"
         for allocator in H200_LINEUP:
             rows.append(efficiency_row(label, allocator, runs[allocator]))
@@ -84,7 +87,7 @@ def _h200_sweep(experiment_id: str, *, preset: str, quick: bool) -> ExperimentRe
 
 
 @register_experiment("fig9a")
-def run_amd(*, quick: bool = False) -> ExperimentResult:
+def run_amd(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Figure 9(a): AMD MI210 cluster, recomputation, PyTorch vs STAlloc."""
     jobs = [
         (
@@ -118,7 +121,7 @@ def run_amd(*, quick: bool = False) -> ExperimentResult:
     lineup = ["torch2.3", "stalloc"]
     rows = []
     for label, config in jobs:
-        runs = run_workload_suite(config, lineup, device_name="MI210-64GB")
+        runs = run_workload_suite(config, lineup, device_name="MI210-64GB", ctx=ctx)
         for allocator in lineup:
             rows.append(efficiency_row(label, "torch" if allocator == "torch2.3" else allocator, runs[allocator]))
     return ExperimentResult(
@@ -130,12 +133,12 @@ def run_amd(*, quick: bool = False) -> ExperimentResult:
 
 
 @register_experiment("fig9b")
-def run_h200_recompute(*, quick: bool = False) -> ExperimentResult:
+def run_h200_recompute(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Figure 9(b): H200 scalability with recomputation."""
-    return _h200_sweep("fig9b", preset="R", quick=quick)
+    return _h200_sweep("fig9b", preset="R", quick=quick, ctx=ctx)
 
 
 @register_experiment("fig9c")
-def run_h200_vpp(*, quick: bool = False) -> ExperimentResult:
+def run_h200_vpp(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Figure 9(c): H200 scalability with virtual pipeline."""
-    return _h200_sweep("fig9c", preset="V", quick=quick)
+    return _h200_sweep("fig9c", preset="V", quick=quick, ctx=ctx)

@@ -21,6 +21,7 @@ from repro.experiments.common import (
 )
 from repro.gpu.specs import GPU_SPECS
 from repro.search.bounds import kv_cache_bytes_floor
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_job
 from repro.simulator.throughput import ThroughputModel
 from repro.timeline import simulate_timeline
@@ -44,7 +45,7 @@ def _job_row(preset: str, job) -> dict:
 
 
 @register_experiment("job_table")
-def run_job_table(*, quick: bool = False) -> ExperimentResult:
+def run_job_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Per-rank memory asymmetry of the GPT-2 job across presets."""
     workload = A800_WORKLOADS["gpt2-345m"]
     presets = ["Naive", "R"] if quick else PRESETS
@@ -61,6 +62,7 @@ def run_job_table(*, quick: bool = False) -> ExperimentResult:
                 ranks="all",
                 device_name=workload.device_name,
                 scale=scale,
+                ctx=ctx,
             )
             rows.append(_job_row(preset, job))
             binding_ranks.add(job.binding_rank)
@@ -77,7 +79,7 @@ def run_job_table(*, quick: bool = False) -> ExperimentResult:
 
 
 @register_experiment("ep_table")
-def run_ep_table(*, quick: bool = False) -> ExperimentResult:
+def run_ep_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Expert-parallel rank asymmetry of the MoE job across router imbalance.
 
     At ``moe_imbalance == 0`` the router splits tokens exactly evenly, every
@@ -103,6 +105,7 @@ def run_ep_table(*, quick: bool = False) -> ExperimentResult:
                 ranks="all",
                 device_name=workload.device_name,
                 scale=scale,
+                ctx=ctx,
             )
             peaks = {
                 rank_label(rank): round(run.replay.metrics.peak_allocated_gib, 3)
@@ -135,7 +138,7 @@ def run_ep_table(*, quick: bool = False) -> ExperimentResult:
 
 
 @register_experiment("comm_table")
-def run_comm_table(*, quick: bool = False) -> ExperimentResult:
+def run_comm_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Peak memory vs. router imbalance, with and without all-to-all transients.
 
     The static planner must provision for the load-imbalance-driven memory
@@ -165,6 +168,7 @@ def run_comm_table(*, quick: bool = False) -> ExperimentResult:
                 ranks="all",
                 device_name=workload.device_name,
                 scale=scale,
+                ctx=ctx,
             )
             peaks[comm_factor] = job.peak_allocated_gib
             rows.append(
@@ -193,7 +197,7 @@ def run_comm_table(*, quick: bool = False) -> ExperimentResult:
 
 
 @register_experiment("gen_table")
-def run_gen_table(*, quick: bool = False) -> ExperimentResult:
+def run_gen_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Generation workloads: KV-cache growth vs. decode steps, memory and time.
 
     A generation job is the paper's dynamic-allocation stress case turned up:
@@ -222,6 +226,7 @@ def run_gen_table(*, quick: bool = False) -> ExperimentResult:
             ranks="all",
             device_name=workload.device_name,
             scale=scale,
+            ctx=ctx,
         )
         timeline = simulate_timeline(config, gpu=gpu, scale=scale)
         if baseline_peak is None:
@@ -259,7 +264,7 @@ def run_gen_table(*, quick: bool = False) -> ExperimentResult:
 
 
 @register_experiment("timeline_table")
-def run_timeline_table(*, quick: bool = False) -> ExperimentResult:
+def run_timeline_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Discrete-event iteration time vs. router imbalance and comm factor.
 
     The memory tables above show *where the bytes go*; this table shows *where

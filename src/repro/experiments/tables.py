@@ -15,10 +15,10 @@ from repro.core.profiler import AllocationProfiler
 from repro.core.synthesizer import PlanSynthesizer
 from repro.experiments.common import A800_WORKLOADS, ExperimentResult, PRESETS, register_experiment
 from repro.gpu.device import GIB
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import (
     STALLOC,
     STALLOC_NO_REUSE,
-    generate_trace,
     run_workload_suite,
 )
 from repro.simulator.throughput import GPU_SPECS, ThroughputModel
@@ -65,6 +65,7 @@ def run_table1(
     num_microbatches: int = 8,
     device_capacity_gib: float | None = None,
     quick: bool = False,
+    ctx: ExecutionContext,
 ) -> ExperimentResult:
     """Feasibility and throughput of Qwen2.5-14B configurations on 16 GPUs."""
     configs = _table1_configs(micro_batch_size, num_microbatches)
@@ -79,6 +80,7 @@ def run_table1(
             lineup,
             device_name="H200-141GB",
             device_capacity_gib=device_capacity_gib,
+            ctx=ctx,
         )
         rows.append(
             {
@@ -113,7 +115,7 @@ _NATIVE_DRIVER_CALL_SECONDS = 1e-4
 
 
 @register_experiment("table2")
-def run_table2(*, quick: bool = False) -> ExperimentResult:
+def run_table2(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Profiling and plan-synthesis time for traces of increasing complexity."""
     workloads = [
         ("GPT-2-N", "gpt2-345m", "Naive"),
@@ -133,7 +135,7 @@ def run_table2(*, quick: bool = False) -> ExperimentResult:
     for label, model_key, preset in workloads:
         workload = A800_WORKLOADS[model_key]
         config = workload.preset(preset)
-        trace = generate_trace(config)
+        trace = ctx.trace(config)
         # Profiling cost: the paper's profiler runs `iterations` iterations
         # through the native GPU APIs, paying one driver call per event.
         iteration_seconds = throughput.estimate(config).iteration_seconds
@@ -168,19 +170,19 @@ def run_table2(*, quick: bool = False) -> ExperimentResult:
 # Table 3
 # ---------------------------------------------------------------------- #
 @register_experiment("table3")
-def run_table3(*, quick: bool = False) -> ExperimentResult:
+def run_table3(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Composition of allocation types for Qwen1.5-MoE under each preset."""
     workload = A800_WORKLOADS["qwen1.5-moe-a2.7b"]
     presets = ["Naive", "R"] if quick else PRESETS
     rows = []
     for preset in presets:
         config = workload.preset(preset)
-        trace = generate_trace(config)
+        trace = ctx.trace(config)
         profile = AllocationProfiler().profile(trace)
         peak_total = profile.peak_allocated_bytes()
         static_peak = _peak_bytes(profile.static_requests)
         runs = run_workload_suite(
-            config, [STALLOC_NO_REUSE, STALLOC], device_name=workload.device_name
+            config, [STALLOC_NO_REUSE, STALLOC], device_name=workload.device_name, ctx=ctx
         )
         fallback_without = runs[STALLOC_NO_REUSE].replay.allocator_stats.get("fallback_peak_reserved", 0)
         fallback_with = runs[STALLOC].replay.allocator_stats.get("fallback_peak_reserved", 0)

@@ -15,8 +15,9 @@ instrumentation site through module-level helpers:
   installed tracer's :class:`~repro.obs.metrics.MetricsRegistry`, no-ops when
   disabled.
 
-Cross-process protocol: orchestrators (the sweep engine) call
-:func:`worker_spec` and ship the result to worker processes; each worker
+Cross-process protocol: the one fan-out in the package
+(:meth:`repro.simulator.execution.ExecutionContext.map`) calls
+:func:`worker_spec` and ships the result to worker processes; each worker
 wraps its unit of work in :func:`worker_observation`, which installs a
 buffering tracer and returns a serializable delta (span events + metric
 snapshot).  The parent folds deltas back with :func:`absorb` -- re-emitting

@@ -41,6 +41,7 @@ from repro.obs.tracer import counter as _obs_counter
 from repro.obs.tracer import span as _obs_span
 from repro.search.bounds import memory_lower_bound, throughput_upper_bound
 from repro.search.space import SearchSpec
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import (
     _default_capacity_gib,
     _expand_classes_to_coordinates,
@@ -48,7 +49,6 @@ from repro.simulator.runner import (
     _split_classes_by_capacity,
     resolve_job_ranks,
 )
-from repro.sweep.cache import SweepCache
 from repro.sweep.engine import execute_point
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import SweepPoint
@@ -268,14 +268,11 @@ def search_points(
     candidate count and advanced as candidates are pruned or evaluated.
     """
     started = time.perf_counter()
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    cache = (
-        SweepCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir is not None else None
-    )
+    ctx = ExecutionContext(cache_dir, cache_max_bytes)
     result = SearchResult(
         name=name,
         candidates_total=len(points),
-        cache_dir=cache_dir,
+        cache_dir=ctx.cache_dir,
         exhaustive=exhaustive,
     )
     if progress is not None:
@@ -373,13 +370,7 @@ def search_points(
                 _progress_tick(dominated_total)
                 break
             for point in group:
-                row = execute_point(
-                    point,
-                    cache_dir,
-                    reuse_results=reuse_results,
-                    cache=cache,
-                    cache_max_bytes=cache_max_bytes,
-                )
+                row = execute_point(point, ctx, reuse_results=reuse_results)
                 rows.append(row)
                 result.evaluated += 1
                 _obs_counter("search.evaluated")
@@ -388,9 +379,9 @@ def search_points(
                     best_tps = max(best_tps, row.get("tokens_per_second", 0.0))
 
         result.rows = _rank_rows(rows)
-        if cache is not None:
-            cache.enforce_cap()
-            result.cache_stats = cache.stats.as_dict()
+        if ctx.cache is not None:
+            ctx.cache.enforce_cap()
+            result.cache_stats = ctx.cache.stats.as_dict()
             result.cache_stats["cached_rows"] = sum(
                 1 for row in rows if row.get("cached")
             )

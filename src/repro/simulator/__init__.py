@@ -1,5 +1,6 @@
 """Trace replay, memory metrics, and the timing models (timeline + analytical)."""
 
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.metrics import MemoryMetrics
 from repro.simulator.replay import ReplayResult, replay_trace
 from repro.simulator.runner import (
@@ -13,6 +14,7 @@ from repro.simulator.runner import (
 from repro.simulator.throughput import GPUSpec, ThroughputModel, GPU_SPECS
 
 __all__ = [
+    "ExecutionContext",
     "MemoryMetrics",
     "ReplayResult",
     "replay_trace",

@@ -1,0 +1,173 @@
+"""The execution context: where a unit of work finds its caches and workers.
+
+Every orchestrator in the package -- the experiment runner, the sweep engine,
+the search planner -- runs the same unit of work ("replay this rank's trace
+through this allocator, taking the trace and the plan from a cache if one
+exists") many times.  :class:`ExecutionContext` is the one object that says
+where the on-disk cache is, holds the in-process trace memo, and owns the
+only process pool in ``repro``; it is passed explicitly, so nothing about
+execution lives in module state that a test or a second caller could leak
+into.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+
+from repro.core.stalloc import STAlloc, STAllocConfig
+from repro.obs.tracer import absorb as _obs_absorb
+from repro.obs.tracer import worker_observation, worker_spec
+from repro.workloads.trace import Trace
+from repro.workloads.tracegen import TraceGenerator, config_fingerprint
+from repro.workloads.training import TrainingConfig
+
+
+class _TraceCache:
+    """LRU memo of generated traces keyed by the full config fingerprint.
+
+    The fingerprint covers every field that shapes generation -- unlike
+    ``config.describe()``, which omits e.g. ``seq_length`` and the dtype
+    knobs and would let distinct configs alias each other's traces.  The memo
+    is bounded: a sweep over hundreds of configurations must not retain every
+    trace in RAM for the life of the context (points sharing a configuration
+    are adjacent in expansion order, so a small window captures the reuse).
+    """
+
+    def __init__(self, maxsize: int = 16) -> None:
+        self.maxsize = maxsize
+        self._traces: dict[str, Trace] = {}
+
+    def get(self, key: str, loader) -> Trace:
+        if key in self._traces:
+            self._traces[key] = self._traces.pop(key)  # refresh LRU position
+        else:
+            self._traces[key] = loader()
+            while len(self._traces) > self.maxsize:
+                self._traces.pop(next(iter(self._traces)))
+        return self._traces[key]
+
+
+class ExecutionContext:
+    """How work executes: the disk cache, the trace memo, the worker count.
+
+    ``cache_dir`` names the persistent :class:`~repro.sweep.cache.SweepCache`
+    directory (``None`` = no disk cache), ``cache_max_bytes`` caps it inline
+    (see :meth:`SweepCache.prune`), and ``jobs`` is the number of worker
+    processes :meth:`map` fans out over.  ``ExecutionContext()`` is serial
+    with no disk cache.
+    """
+
+    def __init__(
+        self,
+        cache_dir: str | None = None,
+        cache_max_bytes: int | None = None,
+        jobs: int = 1,
+    ):
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+        if cache_max_bytes is not None and cache_max_bytes < 0:
+            raise ValueError(f"cache_max_bytes must be >= 0, got {cache_max_bytes!r}")
+        self.cache_dir = str(cache_dir) if cache_dir is not None else None
+        self.cache_max_bytes = cache_max_bytes
+        self.jobs = jobs
+        self._cache = None
+        self._traces = _TraceCache()
+
+    @property
+    def cache(self):
+        """The context's :class:`SweepCache`, opened on first use (or None)."""
+        if self._cache is None and self.cache_dir is not None:
+            # Imported lazily: repro.sweep's engine is built on the runner,
+            # which is built on this module.
+            from repro.sweep.cache import SweepCache
+
+            self._cache = SweepCache(self.cache_dir, max_bytes=self.cache_max_bytes)
+        return self._cache
+
+    def trace(
+        self,
+        config: TrainingConfig,
+        *,
+        seed: int = 0,
+        scale: float = 1.0,
+        rank: int = 0,
+        ep_rank: int = 0,
+    ) -> Trace:
+        """Generate (or fetch from cache) one rank's allocation trace.
+
+        Lookup order: the in-process memo, then the on-disk cache (which
+        generates and stores on miss), then plain generation.  Every layer
+        keys on the full config fingerprint *including* both rank
+        coordinates, so per-(pp, ep)-rank traces of one job never alias each
+        other.
+        """
+        key = config_fingerprint(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
+        cache = self.cache
+        if cache is not None:
+            loader = lambda: cache.get_trace(  # noqa: E731
+                config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
+            )
+        else:
+            loader = TraceGenerator(
+                config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
+            ).generate
+        return self._traces.get(key, loader)
+
+    def stalloc(self, trace: Trace, stalloc_config: STAllocConfig) -> STAlloc:
+        """A planned STAlloc for the trace: the plan cache, else the pipeline."""
+        if self.cache is not None:
+            return self.cache.get_stalloc(trace, stalloc_config)
+        return STAlloc.from_trace(trace, stalloc_config)
+
+    def map(self, fn, items):
+        """Yield ``fn(ctx, item)`` for every item, in submission order.
+
+        The only fan-out in the package.  With ``jobs == 1`` or fewer than
+        two items, ``fn`` runs in-process on this context.  Otherwise the
+        items spread over worker processes; each worker calls ``fn`` on its
+        own serial context for the same cache directory (so pools cannot
+        nest), and every result's cache-statistics and observability deltas
+        are folded back into this context before the result is yielded.
+        ``fn`` must be picklable (a module-level function).
+        """
+        items = list(items)
+        if self.jobs == 1 or len(items) < 2:
+            for item in items:
+                yield fn(self, item)
+            return
+        obs_spec = worker_spec()
+        with ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(items)),
+            initializer=_open_worker_context,
+            initargs=(self.cache_dir, self.cache_max_bytes),
+        ) as pool:
+            payloads = [(fn, item, obs_spec) for item in items]
+            for result, stats, delta in pool.map(_call_in_worker, payloads):
+                for name, value in stats.items():
+                    setattr(self.cache.stats, name, getattr(self.cache.stats, name) + value)
+                _obs_absorb(delta)
+                yield result
+
+
+#: The serial context of this pool worker process, opened once by the pool
+#: initializer so the disk cache handle and the trace memo outlive one task
+#: (adjacent sweep points share a configuration).  None outside a worker.
+_WORKER_CONTEXT: ExecutionContext | None = None
+
+
+def _open_worker_context(cache_dir: str | None, cache_max_bytes: int | None) -> None:
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = ExecutionContext(cache_dir, cache_max_bytes)
+
+
+def _call_in_worker(payload: tuple) -> tuple:
+    """Pool entry point: (result, cache-stats delta, obs delta) of one item."""
+    fn, item, obs_spec = payload
+    ctx = _WORKER_CONTEXT
+    cache = ctx.cache
+    before = cache.stats.as_dict() if cache is not None else {}
+    with worker_observation(obs_spec) as observation:
+        result = fn(ctx, item)
+    after = cache.stats.as_dict() if cache is not None else {}
+    stats = {name: after[name] - value for name, value in before.items()}
+    return result, stats, observation.delta

@@ -12,36 +12,33 @@ The experiments in :mod:`repro.experiments` all follow the same recipe:
 4. compute memory-efficiency metrics (and optionally throughput).
 
 This module implements that recipe once, including STAlloc's extra offline
-step (profile + plan synthesis before the replay), plus a small trace cache so
-sweeping five allocators over one configuration only generates the trace once.
+step (profile + plan synthesis before the replay).
 
-The pure per-run path is :func:`run_workload`; :func:`run_workload_suite` is
-the orchestrator on top of it and can fan the allocators out over worker
-processes (``jobs > 1``).  When a persistent cache directory is installed (see
-:func:`set_persistent_cache`, wired up by ``repro.experiments.common`` and the
-CLI), traces and synthesized STAlloc plans are additionally memoised on disk
-through :class:`repro.sweep.cache.SweepCache`, so repeated runs -- and worker
-processes, which cannot see the parent's in-memory cache -- skip regeneration.
+The pure per-run path is :func:`run_workload`; :func:`run_workload_suite` and
+:func:`run_job` are the orchestrators on top of it.  How they execute -- the
+on-disk trace/plan cache, the in-process trace memo (so sweeping five
+allocators over one configuration only generates the trace once), the number
+of worker processes -- is decided by the
+:class:`~repro.simulator.execution.ExecutionContext` they are handed (``ctx``);
+without one they run serially with no disk cache.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dataclass_replace
 
 from repro.allocators.base import Allocator
 from repro.allocators.registry import available_allocators, create_allocator
-from repro.core.stalloc import STAlloc, STAllocConfig
+from repro.core.stalloc import STAllocConfig
 from repro.gpu.device import Device, GIB
 from repro.gpu.errors import OutOfMemoryError
 from repro.obs.tracer import span as _obs_span
+from repro.simulator.execution import ExecutionContext
 from repro.simulator.metrics import MemoryMetrics
 from repro.simulator.replay import ReplayResult, replay_trace
 from repro.simulator.throughput import GPU_SPECS, ThroughputEstimate, ThroughputModel
 from repro.workloads.parallelism import normalize_rank, rank_label
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TraceGenerator, config_fingerprint
 from repro.workloads.training import TrainingConfig
 
 #: Name under which STAlloc appears in experiment tables.
@@ -177,146 +174,6 @@ class WorkloadRun:
         return data
 
 
-class _TraceCache:
-    """LRU memo of generated traces keyed by the full config fingerprint.
-
-    The fingerprint covers every field that shapes generation -- unlike
-    ``config.describe()``, which omits e.g. ``seq_length`` and the dtype
-    knobs and would let distinct configs alias each other's traces.  The memo
-    is bounded: a sweep over hundreds of configurations must not retain every
-    trace in RAM for the life of the process (points sharing a configuration
-    are adjacent in expansion order, so a small window captures the reuse).
-    """
-
-    def __init__(self, maxsize: int = 16) -> None:
-        self.maxsize = maxsize
-        self._traces: dict[str, Trace] = {}
-
-    def get(
-        self,
-        config: TrainingConfig,
-        *,
-        seed: int,
-        scale: float,
-        rank: int = 0,
-        ep_rank: int = 0,
-        loader=None,
-    ) -> Trace:
-        key = config_fingerprint(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
-        if key in self._traces:
-            self._traces[key] = self._traces.pop(key)  # refresh LRU position
-        else:
-            if loader is None:
-                loader = TraceGenerator(
-                    config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
-                ).generate
-            self._traces[key] = loader()
-            while len(self._traces) > self.maxsize:
-                self._traces.pop(next(iter(self._traces)))
-        return self._traces[key]
-
-    def clear(self) -> None:
-        self._traces.clear()
-
-
-_TRACE_CACHE = _TraceCache()
-
-#: Directory of the installed persistent (on-disk) cache, or None.
-_PERSISTENT_CACHE_DIR: str | None = None
-#: Lazily-constructed SweepCache for :data:`_PERSISTENT_CACHE_DIR`.
-_PERSISTENT_CACHE = None
-
-#: Default worker-process count for :func:`run_workload_suite` (1 = serial).
-_DEFAULT_JOBS = 1
-
-#: Sentinel for the ``cache`` parameters below: explicitly disable on-disk
-#: caching for one call, even when a persistent cache is installed globally
-#: (``None`` means "use the installed default").
-NO_CACHE = object()
-
-
-def _resolve_cache(cache):
-    if cache is NO_CACHE:
-        return None
-    return cache if cache is not None else persistent_cache()
-
-
-def clear_trace_cache() -> None:
-    """Drop memoised traces (tests use this to control memory)."""
-    _TRACE_CACHE.clear()
-
-
-def set_persistent_cache(cache) -> None:
-    """Install (or, with None, remove) the on-disk trace/plan cache.
-
-    Accepts a directory path (the cache is constructed lazily) or an existing
-    :class:`repro.sweep.cache.SweepCache` instance (shared, so its hit/miss
-    statistics aggregate across the runner and the caller).
-    """
-    global _PERSISTENT_CACHE_DIR, _PERSISTENT_CACHE
-    if cache is None:
-        _PERSISTENT_CACHE_DIR = None
-        _PERSISTENT_CACHE = None
-    elif isinstance(cache, (str, os.PathLike)):
-        _PERSISTENT_CACHE_DIR = str(cache)
-        _PERSISTENT_CACHE = None
-    else:
-        _PERSISTENT_CACHE_DIR = str(cache.root)
-        _PERSISTENT_CACHE = cache
-
-
-def persistent_cache_dir() -> str | None:
-    """Directory of the installed persistent cache (None when disabled)."""
-    return _PERSISTENT_CACHE_DIR
-
-
-def persistent_cache():
-    """The installed SweepCache instance, constructed on first use (or None)."""
-    global _PERSISTENT_CACHE
-    if _PERSISTENT_CACHE is None and _PERSISTENT_CACHE_DIR is not None:
-        from repro.sweep.cache import SweepCache
-
-        _PERSISTENT_CACHE = SweepCache(_PERSISTENT_CACHE_DIR)
-    return _PERSISTENT_CACHE
-
-
-def set_default_jobs(jobs: int) -> None:
-    """Set the process-parallelism :func:`run_workload_suite` defaults to."""
-    global _DEFAULT_JOBS
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _DEFAULT_JOBS = int(jobs)
-
-
-def generate_trace(
-    config: TrainingConfig,
-    *,
-    seed: int = 0,
-    scale: float = 1.0,
-    rank: int = 0,
-    ep_rank: int = 0,
-    cache=None,
-) -> Trace:
-    """Generate (or fetch from cache) one rank's allocation trace.
-
-    Lookup order: the in-process memo, then the on-disk cache (``cache`` if
-    given, else the installed persistent cache; pass :data:`NO_CACHE` to skip
-    disk entirely) which generates and stores on miss, then plain generation.
-    Every cache layer keys on the full config fingerprint *including* both
-    rank coordinates, so per-(pp, ep)-rank traces of one job never alias
-    each other.
-    """
-    cache = _resolve_cache(cache)
-    loader = None
-    if cache is not None:
-        loader = lambda: cache.get_trace(  # noqa: E731
-            config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
-        )
-    return _TRACE_CACHE.get(
-        config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank, loader=loader
-    )
-
-
 def _default_capacity_gib(device_name: str, device_capacity_gib: float | None) -> float:
     """Device budget in GiB: explicit override, the GPU spec, or 80 GiB."""
     if device_capacity_gib is not None:
@@ -352,24 +209,19 @@ def _build_allocator(
     name: str,
     device: Device,
     trace: Trace,
-    stalloc_overrides: dict | None = None,
-    cache=None,
+    stalloc_overrides: dict | None,
+    ctx: ExecutionContext,
 ) -> tuple[Allocator, dict]:
     """Instantiate an allocator by name, handling STAlloc's offline pipeline.
 
     For the STAlloc variants the offline pipeline (profile + plan synthesis)
-    runs here -- unless the plan cache (``cache`` if given, else the installed
-    persistent cache) already holds a plan for this exact
-    (trace, pipeline-config) pair, in which case the plan is loaded.
+    runs here -- unless the context's plan cache already holds a plan for
+    this exact (trace, pipeline-config) pair, in which case the plan is
+    loaded.
     """
     if name in (STALLOC, STALLOC_NO_REUSE):
         with _obs_span("plan.synthesize", allocator=name):
-            stalloc_config = _stalloc_config(name, stalloc_overrides)
-            cache = _resolve_cache(cache)
-            if cache is not None:
-                stalloc = cache.get_stalloc(trace, stalloc_config)
-            else:
-                stalloc = STAlloc.from_trace(trace, stalloc_config)
+            stalloc = ctx.stalloc(trace, _stalloc_config(name, stalloc_overrides))
             return stalloc.build_runtime_allocator(device), stalloc.planning_report()
     return create_allocator(name, device), {}
 
@@ -388,12 +240,12 @@ def run_workload(
     timing: str = "analytical",
     trace: Trace | None = None,
     stalloc_overrides: dict | None = None,
-    cache=None,
+    ctx: ExecutionContext | None = None,
 ) -> WorkloadRun:
     """Run one configuration through one allocator and collect metrics.
 
-    This is the pure per-run worker: it has no side effects beyond the caches
-    and is what the sweep engine executes in worker processes.  ``rank`` and
+    This is the pure per-run worker: it has no side effects beyond ``ctx``'s
+    caches and is what the sweep engine executes in worker processes.  ``rank`` and
     ``ep_rank`` select the (pipeline, expert-parallel) rank coordinate being
     simulated (rank (0, 0) by default, matching the single-rank behaviour of
     earlier releases; ``rank`` also accepts a ``(pp, ep)`` pair directly).
@@ -402,20 +254,18 @@ def run_workload(
     simulates the whole job, which :func:`run_job` amortises across
     allocators), or ``"timeline"`` for the discrete-event simulator.
     ``stalloc_overrides`` optionally overrides STAllocConfig knobs for the
-    STAlloc variants (ablation sweeps); other allocators ignore it.  ``cache``
-    optionally routes trace/plan lookups through an explicit
-    :class:`repro.sweep.cache.SweepCache` instead of the installed persistent
-    cache.
+    STAlloc variants (ablation sweeps); other allocators ignore it.  ``ctx``
+    supplies the trace memo and the on-disk trace/plan cache (default: a fresh
+    serial context with no disk cache).
     """
+    ctx = ctx if ctx is not None else ExecutionContext()
     validate_timing(timing)
     device_capacity_gib = validate_capacity_gib(device_capacity_gib)
     if not isinstance(rank, int):
         rank, ep_rank = normalize_rank(rank)
     with _obs_span("workload.run", allocator=allocator_name, rank=rank, ep=ep_rank):
         if trace is None:
-            trace = generate_trace(
-                config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank, cache=cache
-            )
+            trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
         gpu = GPU_SPECS.get(device_name)
         capacity_gib = _default_capacity_gib(device_name, device_capacity_gib)
         device = Device(
@@ -423,7 +273,7 @@ def run_workload(
         )
         try:
             allocator, planning_report = _build_allocator(
-                allocator_name, device, trace, stalloc_overrides, cache=cache
+                allocator_name, device, trace, stalloc_overrides, ctx
             )
         except OutOfMemoryError as oom:
             # STAlloc's static-pool reservation can itself exceed a small
@@ -474,18 +324,10 @@ def run_workload(
         )
 
 
-def _suite_worker(payload: tuple) -> tuple[str, WorkloadRun]:
-    """Process-pool entry point: run one allocator of a suite in a worker.
-
-    The worker re-installs the parent's persistent cache (worker processes do
-    not share the parent's module state when spawned) and resolves the trace
-    through it; without a cache the parent ships the trace in the payload, so
-    the trace is generated at most once per suite on every start method.
-    """
-    config, name, kwargs, cache_dir, trace = payload
-    if cache_dir is not None and persistent_cache_dir() != cache_dir:
-        set_persistent_cache(cache_dir)
-    return name, run_workload(config, name, trace=trace, **kwargs)
+def _run_workload_item(ctx: ExecutionContext, item: tuple) -> WorkloadRun:
+    """:meth:`ExecutionContext.map` unit of work: one ``run_workload`` call."""
+    config, allocator_name, kwargs = item
+    return run_workload(config, allocator_name, ctx=ctx, **kwargs)
 
 
 def run_workload_suite(
@@ -500,22 +342,24 @@ def run_workload_suite(
     ep_rank: int = 0,
     with_throughput: bool = False,
     timing: str = "analytical",
-    jobs: int | None = None,
+    ctx: ExecutionContext | None = None,
 ) -> dict[str, WorkloadRun]:
     """Run one configuration through several allocators, sharing the trace.
 
     ``rank``/``ep_rank`` select the simulated rank coordinate (shared by every
     allocator of the suite).  ``timing`` selects the throughput backend (see
-    :func:`run_workload`).  ``jobs`` sets the number of worker processes the
-    allocators fan out over; ``None`` uses the module default (see
-    :func:`set_default_jobs`, configured through
-    ``repro.experiments.common.configure_execution`` / the CLI) and ``1``
-    keeps the serial in-process path.
+    :func:`run_workload`).  The allocators fan out over ``ctx``'s worker
+    processes (``ctx.jobs``; the default context is serial).
     """
-    jobs = _DEFAULT_JOBS if jobs is None else int(jobs)
+    ctx = ctx if ctx is not None else ExecutionContext()
     validate_timing(timing)
     if not isinstance(rank, int):
         rank, ep_rank = normalize_rank(rank)
+    # Generate the trace once up front.  With a disk cache the workers read
+    # it back from there (and a serial run from the memo); without one it
+    # travels in the payload, so the trace is generated at most once per
+    # suite on every multiprocessing start method.
+    trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
     kwargs = dict(
         device_name=device_name,
         device_capacity_gib=device_capacity_gib,
@@ -525,22 +369,10 @@ def run_workload_suite(
         ep_rank=ep_rank,
         with_throughput=with_throughput,
         timing=timing,
+        trace=trace if ctx.cache_dir is None else None,
     )
-    if jobs > 1 and len(allocator_names) > 1:
-        # Generate the trace once up front.  With a persistent cache the
-        # workers read it back from disk; without one it is shipped to them
-        # in the payload (correct on every multiprocessing start method).
-        trace = generate_trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
-        shipped = None if persistent_cache_dir() is not None else trace
-        payloads = [
-            (config, name, kwargs, persistent_cache_dir(), shipped)
-            for name in allocator_names
-        ]
-        workers = min(jobs, len(allocator_names))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return dict(pool.map(_suite_worker, payloads))
-    trace = generate_trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
-    return {name: run_workload(config, name, trace=trace, **kwargs) for name in allocator_names}
+    items = [(config, name, kwargs) for name in allocator_names]
+    return dict(zip(allocator_names, ctx.map(_run_workload_item, items)))
 
 
 # ---------------------------------------------------------------------- #
@@ -954,14 +786,6 @@ class JobRun:
         return data
 
 
-def _job_rank_worker(payload: tuple):
-    """Process-pool entry point: replay one representative rank of a job."""
-    config, allocator_name, rank, kwargs, cache_dir, trace = payload
-    if cache_dir is not None and persistent_cache_dir() != cache_dir:
-        set_persistent_cache(cache_dir)
-    return rank, run_workload(config, allocator_name, rank=rank, trace=trace, **kwargs)
-
-
 def run_job(
     config: TrainingConfig,
     allocator_name: str,
@@ -975,19 +799,19 @@ def run_job(
     with_throughput: bool = True,
     timing: str = "timeline",
     stalloc_overrides: dict | None = None,
-    cache=None,
-    jobs: int | None = None,
     traces: dict | None = None,
     fabric: dict | None = None,
+    ctx: ExecutionContext | None = None,
 ) -> JobRun:
     """Run one whole-job measurement: every requested rank, one allocator.
 
     Ranks are deduplicated into memory-equivalence classes first (see
     :func:`resolve_job_ranks`); each class representative is generated and
-    replayed once -- independently cached by the content-addressed trace/plan
-    cache -- and ``jobs`` > 1 fans the representatives out over the existing
-    worker-pool machinery.  ``traces`` optionally supplies pre-generated
-    traces by rank (the sweep engine ships shared traces to workers this way).
+    replayed once -- independently cached by ``ctx``'s content-addressed
+    trace/plan cache -- and the representatives fan out over ``ctx``'s worker
+    processes (default: a fresh serial context with no disk cache).
+    ``traces`` optionally supplies pre-generated traces by rank (the sweep
+    engine ships shared traces to workers this way).
 
     ``timing`` selects the throughput backend: ``"timeline"`` (the default)
     runs the discrete-event simulator over every (pp, ep) rank's schedule --
@@ -1012,7 +836,7 @@ def run_job(
     2-node cluster prices its all-to-alls hierarchically.  Memory replay is
     fabric-independent; only the throughput backend sees the override.
     """
-    jobs = _DEFAULT_JOBS if jobs is None else int(jobs)
+    ctx = ctx if ctx is not None else ExecutionContext()
     validate_timing(timing)
     device_capacity_gib = validate_capacity_gib(device_capacity_gib)
     with _obs_span("job.run", allocator=allocator_name, timing=timing):
@@ -1044,33 +868,20 @@ def run_job(
             stalloc_overrides=stalloc_overrides,
         )
         traces = traces or {}
-        runs: dict = {}
-        if jobs > 1 and len(representatives) > 1 and cache is None:
-            payloads = [
-                (
-                    config,
-                    allocator_name,
-                    rank,
-                    dict(base_kwargs, device_capacity_gib=capacity),
-                    persistent_cache_dir(),
-                    traces.get(rank),
-                )
-                for rank, capacity in zip(representatives, capacities)
-            ]
-            with ProcessPoolExecutor(max_workers=min(jobs, len(representatives))) as pool:
-                runs.update(dict(pool.map(_job_rank_worker, payloads)))
-        else:
-            for rank, capacity in zip(representatives, capacities):
-                runs[rank] = run_workload(
-                    config,
-                    allocator_name,
+        items = [
+            (
+                config,
+                allocator_name,
+                dict(
+                    base_kwargs,
                     rank=rank,
                     device_capacity_gib=capacity,
                     trace=traces.get(rank),
-                    cache=cache,
-                    **base_kwargs,
-                )
-        class_runs = [runs[rank] for rank in representatives]
+                ),
+            )
+            for rank, capacity in zip(representatives, capacities)
+        ]
+        class_runs = list(ctx.map(_run_workload_item, items))
         # Record the concrete budget every class ran against (the device
         # default when no explicit budget applied), so binding-by-utilization
         # is well-defined whenever any heterogeneity is present.

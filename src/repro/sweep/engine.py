@@ -12,21 +12,19 @@ the analytical throughput estimates (``tflops_per_gpu``,
   the persistent result cache (checked in the parent, so a fully-warm sweep
   never even spawns workers), and cache-missing points still reuse on-disk
   per-rank traces and synthesized plans;
-* **parallel** -- cache-missing points fan out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with ``jobs`` workers;
-  ``jobs=1`` is the serial in-process fallback producing identical results.
+* **parallel** -- cache-missing points fan out over ``jobs`` worker processes
+  through :meth:`repro.simulator.execution.ExecutionContext.map`; ``jobs=1``
+  is the serial in-process fallback producing identical results.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-from repro.obs.tracer import absorb as _obs_absorb
 from repro.obs.tracer import counter as _obs_counter
 from repro.obs.tracer import span as _obs_span
-from repro.obs.tracer import worker_observation, worker_spec
-from repro.simulator.runner import NO_CACHE, generate_trace, resolve_job_ranks, run_job
+from repro.simulator.execution import ExecutionContext
+from repro.simulator.runner import resolve_job_ranks, run_job
 from repro.sweep.cache import SweepCache
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import SweepPoint, SweepSpec
@@ -177,28 +175,24 @@ def point_result_key(cache: SweepCache, point: SweepPoint) -> str:
 
 def execute_point(
     point: SweepPoint,
-    cache_dir: str | None = None,
+    ctx: ExecutionContext | None = None,
     *,
     reuse_results: bool = True,
-    cache: SweepCache | None = None,
     traces: dict | None = None,
-    cache_max_bytes: int | None = None,
 ) -> dict:
     """Run one sweep point (the unit of work executed in worker processes).
 
-    ``cache`` optionally supplies an existing :class:`SweepCache` for
-    ``cache_dir`` (the serial path shares the orchestrator's instance so its
-    hit/miss statistics aggregate); workers construct their own from the dir.
-    ``traces`` optionally supplies pre-generated traces by rank (cache-less
-    parallel sweeps ship shared traces to workers this way).
-    ``cache_max_bytes`` caps a worker-constructed cache (see
-    :meth:`SweepCache.prune`); ignored when ``cache`` is supplied.
+    ``ctx`` supplies the cache the point's row, per-rank traces and
+    synthesized STAlloc plans persist in (default: a fresh serial context
+    with no disk cache, so nothing is cached).  ``traces`` optionally
+    supplies pre-generated traces by rank (cache-less parallel sweeps ship
+    shared traces to workers this way).
     """
+    ctx = ctx if ctx is not None else ExecutionContext()
     started = time.perf_counter()
     fingerprint = config_fingerprint(point.config, seed=point.seed, scale=point.scale)
     with _obs_span("sweep.point", point=point.index, label=point.row_label) as obs_point:
-        if cache is None and cache_dir is not None:
-            cache = SweepCache(cache_dir, max_bytes=cache_max_bytes)
+        cache = ctx.cache
         result_key = None
         if cache is not None:
             result_key = cache.result_key(fingerprint, point.cache_payload())
@@ -208,15 +202,6 @@ def execute_point(
                     obs_point.set(cached=True)
                     _obs_counter("sweep.rows_done")
                     return _as_cached_row(row, point, time.perf_counter() - started)
-
-        # Run the whole job with the cache threaded explicitly so per-rank
-        # traces and synthesized STAlloc plans persist (and their hit/miss
-        # counters land on the stats we report) without touching any
-        # process-global state.  A sweep without a cache dir must really not
-        # cache -- NO_CACHE keeps a globally installed persistent cache from
-        # sneaking back in.  jobs=1: the sweep already parallelises across
-        # points, so ranks stay in-process.
-        point_cache = cache if cache is not None else NO_CACHE
         try:
             job = run_job(
                 point.config,
@@ -230,41 +215,29 @@ def execute_point(
                 with_throughput=True,
                 timing=point.timing,
                 stalloc_overrides=dict(point.stalloc_overrides),
-                cache=point_cache,
-                jobs=1,
                 traces=traces,
                 fabric=dict(point.fabric),
+                ctx=ctx,
             )
         except Exception as error:
             raise SweepPointError(
                 point.row_label, fingerprint, f"{type(error).__name__}: {error}"
             ) from error
         row = _point_row(point, job, time.perf_counter() - started)
-        if cache is not None and result_key is not None:
+        if result_key is not None:
             cache.store_result(result_key, row)
         _obs_counter("sweep.rows_done")
         return row
 
 
-def _execute_point_job(payload: tuple) -> tuple[dict, dict, dict | None]:
-    """ProcessPoolExecutor.map adapter: (row, worker cache stats, obs delta)."""
-    point, cache_dir, reuse_results, traces, cache_max_bytes, obs_spec = payload
-    cache = (
-        SweepCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir is not None else None
-    )
-    with worker_observation(obs_spec) as observation:
-        row = execute_point(
-            point,
-            cache_dir,
-            reuse_results=reuse_results,
-            cache=cache,
-            traces=traces,
-        )
-    return row, cache.stats.as_dict() if cache is not None else {}, observation.delta
+def _execute_pending(ctx: ExecutionContext, item: tuple) -> dict:
+    """:meth:`ExecutionContext.map` unit of work: one cache-missing point."""
+    point, traces = item
+    return execute_point(point, ctx, reuse_results=False, traces=traces)
 
 
 def _prewarm_shared_traces(
-    pending: list[SweepPoint], cache: SweepCache | None
+    pending: list[SweepPoint], ctx: ExecutionContext
 ) -> dict[int, dict]:
     """Generate traces shared by several pending points once, in the parent.
 
@@ -288,25 +261,13 @@ def _prewarm_shared_traces(
     for key, point in firsts.items():
         if seen[key] < 2:
             continue
-        representatives = [cls[0] for cls in resolve_job_ranks(point.config, point.ranks)]
-        if cache is not None:
-            for rank in representatives:
-                pp, ep = normalize_rank(rank)
-                cache.get_trace(
-                    point.config, seed=point.seed, scale=point.scale, rank=pp, ep_rank=ep
-                )
-        else:
-            shipped_by_key[key] = {
-                rank: generate_trace(
-                    point.config,
-                    seed=point.seed,
-                    scale=point.scale,
-                    rank=normalize_rank(rank)[0],
-                    ep_rank=normalize_rank(rank)[1],
-                    cache=NO_CACHE,
-                )
-                for rank in representatives
-            }
+        for cls in resolve_job_ranks(point.config, point.ranks):
+            pp, ep = normalize_rank(cls[0])
+            trace = ctx.trace(
+                point.config, seed=point.seed, scale=point.scale, rank=pp, ep_rank=ep
+            )
+            if ctx.cache is None:
+                shipped_by_key.setdefault(key, {})[cls[0]] = trace
     return {
         index: shipped_by_key[key] for index, key in keys.items() if key in shipped_by_key
     }
@@ -344,9 +305,7 @@ def run_sweep(
     :class:`~repro.obs.progress.ProgressReporter`; the sweep sets its total
     to the expanded point count and advances it once per finished row.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cache_dir = str(cache_dir) if cache_dir is not None else None
+    ctx = ExecutionContext(cache_dir, cache_max_bytes, jobs)
     started = time.perf_counter()
     with _obs_span("sweep.run", spec=spec.name, jobs=jobs) as obs_run:
         points = spec.expand()
@@ -354,11 +313,19 @@ def run_sweep(
         if progress is not None:
             progress.total = len(points)
 
+        cache = ctx.cache
+
+        def _tick() -> None:
+            if progress is not None:
+                info = (
+                    {"cache": _hit_rate_label(cache.stats.as_dict())}
+                    if cache is not None
+                    else {}
+                )
+                progress.update(**info)
+
         rows: dict[int, dict] = {}
         pending: list[SweepPoint] = []
-        cache = (
-            SweepCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir is not None else None
-        )
         if cache is not None and reuse_results:
             # Serve warm rows from the parent so a fully-cached sweep involves
             # no worker processes at all (this makes reruns O(seconds)).
@@ -370,54 +337,21 @@ def run_sweep(
                         row, point, time.perf_counter() - lookup_started
                     )
                     _obs_counter("sweep.rows_done")
-                    if progress is not None:
-                        progress.update(cache=_hit_rate_label(cache.stats.as_dict()))
+                    _tick()
                 else:
                     pending.append(point)
         else:
             pending = list(points)
 
-        worker_stats: list[dict] = []
-        running_stats = cache.stats.as_dict() if cache is not None else {}
-        if pending:
-            if jobs > 1 and len(pending) > 1:
-                shipped = _prewarm_shared_traces(pending, cache)
-                obs_spec = worker_spec()
-                payloads = [
-                    (point, cache_dir, False, shipped.get(point.index), cache_max_bytes, obs_spec)
-                    for point in pending
-                ]
-                with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                    for point, (row, stats, delta) in zip(
-                        pending, pool.map(_execute_point_job, payloads)
-                    ):
-                        rows[point.index] = row
-                        worker_stats.append(stats)
-                        _obs_absorb(delta)
-                        if progress is not None:
-                            for key, value in stats.items():
-                                running_stats[key] = running_stats.get(key, 0) + value
-                            info = (
-                                {"cache": _hit_rate_label(running_stats)}
-                                if cache is not None
-                                else {}
-                            )
-                            progress.update(**info)
-            else:
-                for point in pending:
-                    rows[point.index] = execute_point(
-                        point,
-                        cache_dir,
-                        reuse_results=False,
-                        cache=cache,
-                    )
-                    if progress is not None:
-                        info = (
-                            {"cache": _hit_rate_label(cache.stats.as_dict())}
-                            if cache is not None
-                            else {}
-                        )
-                        progress.update(**info)
+        # Pre-warm only when ctx.map will really fan out: a serial run reuses
+        # traces through the context's memo on its own.
+        shipped = (
+            _prewarm_shared_traces(pending, ctx) if jobs > 1 and len(pending) > 1 else {}
+        )
+        items = [(point, shipped.get(point.index)) for point in pending]
+        for point, row in zip(pending, ctx.map(_execute_pending, items)):
+            rows[point.index] = row
+            _tick()
 
         if cache is not None:
             # Workers enforce the cap after their own stores, but a store in
@@ -427,9 +361,6 @@ def run_sweep(
             cache.enforce_cap()
 
         cache_stats = cache.stats.as_dict() if cache is not None else {}
-        for stats in worker_stats:
-            for key, value in stats.items():
-                cache_stats[key] = cache_stats.get(key, 0) + value
         cache_stats["cached_rows"] = sum(1 for row in rows.values() if row.get("cached"))
         elapsed = time.perf_counter() - started
         if progress is not None:
@@ -439,6 +370,6 @@ def run_sweep(
             rows=[rows[index] for index in sorted(rows)],
             elapsed_seconds=elapsed,
             jobs=jobs,
-            cache_dir=cache_dir,
+            cache_dir=ctx.cache_dir,
             cache_stats=cache_stats,
         )

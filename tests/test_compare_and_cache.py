@@ -16,14 +16,6 @@ from repro.sweep.cache import _RESULT_VERSION_KEY, RESULT_FORMAT_VERSION
 from repro.workloads.tracegen import config_fingerprint
 
 
-@pytest.fixture(autouse=True)
-def _clean_runner_state():
-    yield
-    runner.set_persistent_cache(None)
-    runner.set_default_jobs(1)
-    runner.clear_trace_cache()
-
-
 def _row(**overrides) -> dict:
     row = {
         "point": 0,

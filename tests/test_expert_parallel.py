@@ -8,7 +8,6 @@ import itertools
 
 import pytest
 
-from repro.simulator import runner
 from repro.simulator.runner import (
     resolve_job_ranks,
     run_job,
@@ -25,14 +24,6 @@ from repro.workloads.parallelism import (
 )
 from repro.workloads.tracegen import TraceGenerator, config_fingerprint
 from repro.workloads.training import TrainingConfig
-
-
-@pytest.fixture(autouse=True)
-def _clean_runner_state():
-    yield
-    runner.set_persistent_cache(None)
-    runner.set_default_jobs(1)
-    runner.clear_trace_cache()
 
 
 def _moe_config(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.events import PhaseKind
-from repro.simulator import runner
+from repro.simulator import ExecutionContext
 from repro.simulator.runner import JobRun, resolve_job_ranks, run_job, run_workload
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.engine import point_result_key
@@ -17,14 +17,6 @@ from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.schedule import one_f_one_b, peak_in_flight_microbatches
 from repro.workloads.tracegen import TraceGenerator, config_fingerprint
 from repro.workloads.training import TrainingConfig, preset_config
-
-
-@pytest.fixture(autouse=True)
-def _clean_runner_state():
-    yield
-    runner.set_persistent_cache(None)
-    runner.set_default_jobs(1)
-    runner.clear_trace_cache()
 
 
 def _pp4_config(preset: str = "Naive", *, num_microbatches: int = 4) -> TrainingConfig:
@@ -158,9 +150,9 @@ class TestRankPlumbing:
     def test_run_workload_plumbs_rank(self, tmp_path):
         """Regression: run_workload simulated rank 0 no matter the rank asked."""
         config = _pp4_config("R")
-        runner.set_persistent_cache(str(tmp_path))
-        rank0 = run_workload(config, "torch2.3", scale=0.25, rank=0)
-        rank3 = run_workload(config, "torch2.3", scale=0.25, rank=3)
+        ctx = ExecutionContext(cache_dir=tmp_path)
+        rank0 = run_workload(config, "torch2.3", scale=0.25, rank=0, ctx=ctx)
+        rank3 = run_workload(config, "torch2.3", scale=0.25, rank=3, ctx=ctx)
         assert rank0.rank == 0 and rank3.rank == 3
         assert (
             rank0.replay.metrics.peak_allocated_gib
@@ -238,14 +230,21 @@ class TestRunJob:
         assert job.oom_ranks and all(rank != 0 for rank in job.oom_ranks)
 
     def test_parallel_rank_fanout_matches_serial(self, tmp_path):
-        runner.set_persistent_cache(str(tmp_path / "cache"))
         config = _pp4_config()
-        serial = run_job(config, "torch2.3", ranks="all", scale=0.25, jobs=1)
-        parallel = run_job(config, "torch2.3", ranks="all", scale=0.25, jobs=4)
+        serial = run_job(config, "torch2.3", ranks="all", scale=0.25)
+        # A fresh directory, so every representative's trace is a disk miss
+        # in some worker -- and the parent context must hear about each one
+        # (an explicit cache used to force the fan-out back to serial, and
+        # pool workers' cache statistics never reached the parent).
+        ctx = ExecutionContext(cache_dir=tmp_path / "cache", jobs=4)
+        parallel = run_job(config, "torch2.3", ranks="all", scale=0.25, ctx=ctx)
         assert serial.peak_allocated_gib == pytest.approx(parallel.peak_allocated_gib)
         assert serial.binding_rank == parallel.binding_rank
         for left, right in zip(serial.class_runs, parallel.class_runs):
             assert left.replay.as_dict() == right.replay.as_dict()
+        assert len(parallel.class_runs) == 4
+        assert ctx.cache.stats.trace_misses == 4
+        assert ctx.cache.stats.trace_hits == 0
 
     def test_throughput_estimates_attached(self):
         job = run_job(_pp4_config(), "torch2.3", ranks="all", scale=0.25)

@@ -45,7 +45,7 @@ from repro.obs.tracer import (
     worker_observation,
     worker_spec,
 )
-from repro.simulator import runner
+from repro.simulator import ExecutionContext, run_job, run_workload_suite
 from repro.sweep import SweepCache, SweepPointError, SweepSpec, run_sweep
 from repro.sweep.engine import execute_point
 from repro.workloads.tracegen import config_fingerprint
@@ -53,12 +53,9 @@ from repro.workloads.tracegen import config_fingerprint
 
 @pytest.fixture(autouse=True)
 def _obs_isolation():
-    """No test leaves a tracer installed or runner caches configured."""
+    """No test leaves a tracer installed."""
     yield
     shutdown()
-    runner.set_persistent_cache(None)
-    runner.set_default_jobs(1)
-    runner.clear_trace_cache()
 
 
 class FakeClock:
@@ -592,6 +589,39 @@ class TestSweepIntegration:
 
 
 # ---------------------------------------------------------------------- #
+# Runner fan-out: every pool in the package reports back
+# ---------------------------------------------------------------------- #
+def _suite(ctx):
+    config = _tiny_spec().expand()[0].config
+    run_workload_suite(config, ["torch2.0", "torch2.3", "stalloc"], scale=0.25, ctx=ctx)
+
+
+def _job(ctx):
+    config = _tiny_spec().expand()[0].config  # pp=4: four representatives
+    run_job(config, "stalloc", ranks="all", scale=0.25, ctx=ctx)
+
+
+class TestRunnerFanOut:
+    @pytest.mark.parametrize("work", [_suite, _job])
+    def test_worker_spans_and_metrics_survive_the_pool(self, work, tmp_path):
+        """Regression: only the sweep pool shipped worker observations back,
+        so ``run --jobs N --obs-out`` dropped every worker span and sample."""
+        recorded = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"obs-{jobs}.ndjson"
+            obs.configure(ndjson_path=path)
+            work(ExecutionContext(jobs=jobs))
+            shutdown()
+            spans = [event for event in load_events(path) if event["type"] == "span"]
+            names = sorted(event["name"] for event in spans)
+            samples = summarize_file(path).metrics.histograms["replay.events_per_sec"].count
+            recorded[jobs] = (names, samples, {event["pid"] for event in spans})
+        assert recorded[1][:2] == recorded[2][:2]
+        assert "replay.trace" in recorded[1][0] and recorded[1][1] >= 3
+        assert len(recorded[1][2]) == 1 and len(recorded[2][2]) > 1  # really fanned out
+
+
+# ---------------------------------------------------------------------- #
 # Cache stats
 # ---------------------------------------------------------------------- #
 class TestCacheStats:
@@ -661,7 +691,7 @@ class TestSweepPointError:
         point = _bad_points(1)[0]
         fingerprint = config_fingerprint(point.config, seed=point.seed, scale=point.scale)
         with pytest.raises(SweepPointError) as excinfo:
-            execute_point(point, None)
+            execute_point(point)
         assert excinfo.value.label == point.row_label
         assert excinfo.value.fingerprint == fingerprint
         assert "ValueError" in excinfo.value.cause

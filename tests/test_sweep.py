@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
+import tokenize
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.stalloc import STAllocConfig
-from repro.simulator import runner
+from repro.simulator import ExecutionContext, runner
 from repro.sweep import (
     SweepCache,
     SweepSpec,
@@ -20,15 +23,6 @@ from repro.sweep import (
 )
 from repro.sweep.spec import SWEEP_PRESETS
 from repro.workloads.tracegen import TraceGenerator, config_fingerprint
-
-
-@pytest.fixture(autouse=True)
-def _clean_runner_state():
-    """Keep the runner's process-wide cache settings isolated per test."""
-    yield
-    runner.set_persistent_cache(None)
-    runner.set_default_jobs(1)
-    runner.clear_trace_cache()
 
 
 def _tiny_spec(**overrides) -> SweepSpec:
@@ -233,7 +227,7 @@ class TestSweepEngine:
     def test_reuse_results_false_recomputes_but_reuses_traces_and_plans(self, tmp_path):
         cache_dir = tmp_path / "cache"
         run_sweep(_tiny_spec(), jobs=1, cache_dir=cache_dir)
-        runner.clear_trace_cache()  # drop the in-memory memo; disk must serve traces
+        # Each sweep has its own context (and trace memo): disk must serve traces.
         fresh = run_sweep(_tiny_spec(), jobs=1, cache_dir=cache_dir, reuse_results=False)
         assert fresh.num_cached == 0
         assert fresh.cache_stats["trace_hits"] > 0  # traces were reused from disk
@@ -399,36 +393,114 @@ class TestSweepCli:
 # ---------------------------------------------------------------------- #
 # Retrofit: existing runner/experiments route through the same machinery
 # ---------------------------------------------------------------------- #
+def _listing(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.stat().st_mtime_ns for p in sorted(root.rglob("*"))}
+
+
+#: Names the single-context refactor deleted; none may come back.  Spelled in
+#: pieces so this file itself stays clean under a plain grep for them.
+_DELETED_NAMES = {
+    "_".join(pieces)
+    for pieces in (
+        ("set", "persistent", "cache"),
+        ("persistent", "cache"),
+        ("persistent", "cache", "dir"),
+        ("set", "default", "jobs"),
+        ("clear", "trace", "cache"),
+        ("NO", "CACHE"),
+        ("configure", "execution"),
+        ("execution", "settings"),
+        ("", "suite", "worker"),
+        ("", "job", "rank", "worker"),
+        ("", "execute", "point", "job"),
+    )
+}
+
+
 class TestRunnerIntegration:
     def test_suite_parallel_matches_serial(self, tiny_dense_config, tmp_path):
-        runner.set_persistent_cache(str(tmp_path / "cache"))
-        serial = runner.run_workload_suite(
-            tiny_dense_config, ["torch2.0", "torch2.3", "stalloc"], jobs=1
-        )
-        parallel = runner.run_workload_suite(
-            tiny_dense_config, ["torch2.0", "torch2.3", "stalloc"], jobs=3
-        )
+        lineup = ["torch2.0", "torch2.3", "stalloc"]
+        serial = runner.run_workload_suite(tiny_dense_config, lineup)
+        ctx = ExecutionContext(cache_dir=tmp_path / "cache", jobs=3)
+        parallel = runner.run_workload_suite(tiny_dense_config, lineup, ctx=ctx)
         for name, run in serial.items():
             assert parallel[name].replay.as_dict() == run.replay.as_dict()
+        # One representative, generated once in the parent; the workers' disk
+        # lookups (trace hits, the plan miss) are folded back into the parent.
+        assert ctx.cache.stats.trace_misses == 1
+        assert ctx.cache.stats.trace_hits == len(lineup)
+        assert ctx.cache.stats.plan_misses == 1
 
-    def test_generate_trace_uses_persistent_cache(self, tiny_dense_config, tmp_path):
-        runner.set_persistent_cache(str(tmp_path / "cache"))
-        runner.clear_trace_cache()
-        first = runner.generate_trace(tiny_dense_config, scale=0.25)
+    def test_second_context_is_served_the_trace_from_disk(self, tiny_dense_config, tmp_path):
+        first_ctx = ExecutionContext(cache_dir=tmp_path / "cache")
+        first = first_ctx.trace(tiny_dense_config, scale=0.25)
+        assert first_ctx.trace(tiny_dense_config, scale=0.25) is first  # the memo
         fingerprint = config_fingerprint(tiny_dense_config, seed=0, scale=0.25)
         assert (tmp_path / "cache" / "traces" / f"{fingerprint}.jsonl").exists()
-        runner.clear_trace_cache()  # drop the in-memory memo; disk must serve it
-        second = runner.generate_trace(tiny_dense_config, scale=0.25)
+        second_ctx = ExecutionContext(cache_dir=tmp_path / "cache")
+        second = second_ctx.trace(tiny_dense_config, scale=0.25)
         assert second.digest() == first.digest()
+        assert (first_ctx.cache.stats.trace_misses, first_ctx.cache.stats.trace_hits) == (1, 0)
+        assert (second_ctx.cache.stats.trace_misses, second_ctx.cache.stats.trace_hits) == (0, 1)
 
-    def test_configure_execution_installs_cache_and_jobs(self, tmp_path):
-        from repro.experiments.common import configure_execution, execution_settings
+    def test_context_without_cache_dir_writes_no_file(
+        self, tiny_dense_config, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        ctx = ExecutionContext()
+        assert ctx.cache is None
+        run = runner.run_workload(tiny_dense_config, "stalloc", scale=0.25, ctx=ctx)
+        assert run.success
+        assert list(tmp_path.iterdir()) == []
 
-        configure_execution(jobs=2, cache_dir=str(tmp_path / "cache"))
-        try:
-            assert execution_settings() == {"jobs": 2, "cache_dir": str(tmp_path / "cache")}
-            assert runner.persistent_cache_dir() == str(tmp_path / "cache")
-        finally:
-            configure_execution()
-        assert execution_settings() == {"jobs": 1, "cache_dir": None}
-        assert runner.persistent_cache_dir() is None
+    def test_uncached_sweep_leaves_an_earlier_cache_dir_untouched(self, tmp_path):
+        """Nothing from a cached run may leak into a later cache-less run in
+        the same process (a sentinel used to defend this against the setters)."""
+        cache_dir = tmp_path / "A"
+        cached = run_sweep(_tiny_spec(), jobs=1, cache_dir=cache_dir)
+        before = _listing(cache_dir)
+        assert before
+        uncached = run_sweep(_tiny_spec(), jobs=1)
+        assert _listing(cache_dir) == before
+        assert uncached.cache_dir is None and uncached.num_cached == 0
+        assert _comparable(uncached.rows) == _comparable(cached.rows)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"jobs": 0}, "jobs must be >= 1, got 0"),
+            ({"jobs": -3}, "jobs must be >= 1, got -3"),
+            ({"jobs": True}, "jobs must be >= 1, got True"),
+            ({"jobs": 2.0}, "jobs must be >= 1, got 2.0"),
+            ({"jobs": "4"}, "jobs must be >= 1, got '4'"),
+            ({"cache_max_bytes": -1}, "cache_max_bytes must be >= 0, got -1"),
+        ],
+    )
+    def test_context_validates_its_fields_once(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExecutionContext(**kwargs)
+
+    def test_one_pool_and_no_deleted_names(self):
+        """Structural guard: exactly one process pool in the package, and the
+        process-global execution setters stay deleted everywhere."""
+        root = Path(__file__).resolve().parent.parent
+        files = [
+            path
+            for pattern in ("src/**/*.py", "tests/*.py", "examples/*.py", "benchmarks/bench_*.py")
+            for path in root.glob(pattern)
+        ]
+        pools = 0
+        for path in files:
+            tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+            names = [tok for tok in tokens if tok.type == tokenize.NAME]
+            leaked = {tok.string for tok in names} & _DELETED_NAMES
+            assert not leaked, f"{path}: {sorted(leaked)}"
+            if path.is_relative_to(root / "src"):
+                pools += sum(
+                    1
+                    for tok, nxt in zip(tokens, tokens[1:])
+                    if tok.type == tokenize.NAME
+                    and tok.string == "ProcessPoolExecutor"
+                    and nxt.string == "("
+                )
+        assert pools == 1
