@@ -4,20 +4,50 @@ Plan synthesis must stay cheap (Table 2 reports seconds to a few minutes even
 for 280k-request MoE traces), so these benchmarks time the profiler pairing,
 the static plan synthesis, and the dynamic-reusable-space sweep separately on
 a mid-size trace, plus the runtime replay throughput of the finished plan.
+
+Run as a script it measures what a *cold plan* costs layer by layer -- the
+``trace -> profile -> synthesize -> verify -> store`` path of ROADMAP item
+1(a) -- and keeps the ``BENCH_plan_synthesis.json`` trajectory::
+
+    PYTHONPATH=src python benchmarks/bench_plan_synthesis.py            # print
+    PYTHONPATH=src python benchmarks/bench_plan_synthesis.py \
+        --record benchmarks/BENCH_plan_synthesis.json --note "what changed"
+    PYTHONPATH=src python benchmarks/bench_plan_synthesis.py \
+        --check benchmarks/BENCH_plan_synthesis.json                    # CI
+
+``--check`` gates only what does not depend on the machine: the plan
+self-check may cost at most ``CHECK_MAX_VALIDATE_SHARE`` of the synthesis it
+runs inside (both timed in this process, so load moves them together), and a
+cold ``get_trace`` + ``plan_key`` must serialise the trace exactly once.  The
+recorded seconds are printed next to the measured ones for the reader.
 """
 
 from __future__ import annotations
 
+import argparse
+import datetime
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.core.profiler import AllocationProfiler
-from repro.core.stalloc import STAlloc
+from repro.core.stalloc import STAlloc, STAllocConfig
 from repro.core.synthesizer import PlanSynthesizer
 from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.experiments.common import A800_WORKLOADS
 from repro.gpu.device import Device, GIB
 from repro.simulator.replay import replay_trace
 from repro.simulator import ExecutionContext
+from repro.sweep.cache import SweepCache
+from repro.version import __version__
+from repro.workloads.models import get_model
+from repro.workloads.parallelism import ParallelismConfig
+from repro.workloads.trace import Trace
+from repro.workloads.training import TrainingConfig
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +92,153 @@ def test_runtime_replay(benchmark, dense_trace):
 
     result = benchmark(replay)
     assert result.success
+
+
+# ---------------------------------------------------------------------- #
+# Script mode: the cold-plan cost trajectory (--record / --check)
+# ---------------------------------------------------------------------- #
+#: ``--check`` fails when ``validate_s / synthesize_s`` exceeds this.
+CHECK_MAX_VALIDATE_SHARE = 0.15
+
+
+def _generation_config() -> TrainingConfig:
+    """The ``gen-decode`` shape: sizes never repeat, fusion is retried often."""
+    return TrainingConfig(
+        model=get_model("gpt2-345m"),
+        parallelism=ParallelismConfig(pipeline_parallel=2, data_parallel=2),
+        micro_batch_size=4,
+        num_microbatches=4,
+        workload_kind="generation",
+        decode_steps=16,
+    )
+
+
+PRESETS = {
+    "llama2-7b-R": lambda: A800_WORKLOADS["llama2-7b"].preset("R"),
+    "gpt2-345m-gen16": _generation_config,
+}
+
+
+def _best_seconds(fn, reps: int) -> float:
+    best = float("inf")
+    for _ in range(reps):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _iter_jsonl_calls_per_cold_trace(config: TrainingConfig) -> int:
+    """Serialisations one cold ``get_trace`` + ``plan_key`` performs."""
+    calls = 0
+    real_iter_jsonl = Trace.iter_jsonl
+
+    def counting_iter_jsonl(self):
+        nonlocal calls
+        calls += 1
+        return real_iter_jsonl(self)
+
+    Trace.iter_jsonl = counting_iter_jsonl
+    try:
+        with tempfile.TemporaryDirectory() as root:
+            cache = SweepCache(root)
+            cache.plan_key(cache.get_trace(config), STAllocConfig())
+    finally:
+        Trace.iter_jsonl = real_iter_jsonl
+    return calls
+
+
+def measure_preset(name: str, *, reps: int = 5) -> dict:
+    """Best-of-``reps`` seconds of each layer of one cold plan."""
+    config = PRESETS[name]()
+    trace = ExecutionContext().trace(config)
+    profile = AllocationProfiler().profile(trace)
+    plan = PlanSynthesizer().synthesize(profile)
+
+    def serialize():  # a fresh view each time: the digest memo starts empty
+        view = Trace(
+            columns=trace.columns,
+            metadata=trace.metadata,
+            phases=trace.phases,
+            module_spans=trace.module_spans,
+        )
+        view.dumps()
+        view.digest()
+
+    return {
+        "events": trace.num_events,
+        "decisions": len(plan.static_plan),
+        "fusions": plan.synthesis_info["num_fusions"],
+        "profile_s": round(_best_seconds(lambda: AllocationProfiler().profile(trace), reps), 4),
+        "synthesize_s": round(
+            _best_seconds(lambda: PlanSynthesizer().synthesize(profile), reps), 4
+        ),
+        "validate_s": round(_best_seconds(plan.static_plan.validate, reps), 4),
+        "dumps_digest_s": round(_best_seconds(serialize, reps), 4),
+        "iter_jsonl_calls_per_cold_trace": _iter_jsonl_calls_per_cold_trace(config),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Cold-plan cost, layer by layer.")
+    parser.add_argument("--preset", choices=[*PRESETS, "all"], default="all")
+    parser.add_argument("--reps", type=int, default=5, help="best-of-N per layer")
+    parser.add_argument("--record", type=Path, help="append an entry to this trajectory file")
+    parser.add_argument("--note", default="", help="what changed (stored with --record)")
+    parser.add_argument(
+        "--check",
+        type=Path,
+        help="gate validate_s / synthesize_s <= "
+        f"{CHECK_MAX_VALIDATE_SHARE:g} and one serialisation per cold trace; "
+        "prints the latest recorded entry for comparison",
+    )
+    args = parser.parse_args(argv)
+
+    presets = list(PRESETS) if args.preset == "all" else [args.preset]
+    results = {name: measure_preset(name, reps=args.reps) for name in presets}
+    for name, row in results.items():
+        print(f"== {name}: {row['events']} events, {row['decisions']} decisions ==")
+        for metric in ("profile_s", "synthesize_s", "validate_s", "dumps_digest_s"):
+            print(f"  {metric:16s} {row[metric]:8.4f} s")
+        print(f"  iter_jsonl calls per cold trace: {row['iter_jsonl_calls_per_cold_trace']}")
+
+    if args.record:
+        data = json.loads(args.record.read_text())
+        data["trajectory"].append(
+            {
+                "version": __version__,
+                "recorded": datetime.date.today().isoformat(),
+                "note": args.note,
+                "results": results,
+            }
+        )
+        args.record.write_text(json.dumps(data, indent=1) + "\n")
+        print(f"recorded {__version__} in {args.record}")
+
+    if args.check:
+        latest = json.loads(args.check.read_text())["trajectory"][-1]
+        failed = False
+        for name, row in results.items():
+            share = row["validate_s"] / row["synthesize_s"]
+            recorded = latest["results"].get(name, {})
+            ok = (
+                share <= CHECK_MAX_VALIDATE_SHARE
+                and row["iter_jsonl_calls_per_cold_trace"] == 1
+            )
+            failed = failed or not ok
+            print(
+                f"check {name}: validate/synthesize {share:.3f} "
+                f"(gate {CHECK_MAX_VALIDATE_SHARE:g}), "
+                f"{row['iter_jsonl_calls_per_cold_trace']} serialisation(s) per cold trace; "
+                f"synthesize {row['synthesize_s']}s vs {recorded.get('synthesize_s')}s "
+                f"recorded for {latest['version']} [{'ok' if ok else 'FAIL'}]"
+            )
+        if failed:
+            print("cold-plan check FAILED")
+            return 1
+        print("cold-plan check passed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

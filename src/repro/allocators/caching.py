@@ -142,13 +142,15 @@ class CachingAllocator(Allocator):
         # Free-block index per pool: sorted list of (size, segment_id, offset).
         self._free_index: dict[str, list[tuple[int, int, int]]] = {"small": [], "large": []}
         self._placements: dict[int, tuple[int, int]] = {}  # req_id -> (segment_id, offset)
+        #: Running sum of the live segments' sizes (read on every event).
+        self._reserved_bytes = 0
 
     # ------------------------------------------------------------------ #
     # Reserved-memory accounting
     # ------------------------------------------------------------------ #
     @property
     def reserved_bytes(self) -> int:
-        return sum(segment.size for segment in self._segments.values())
+        return self._reserved_bytes
 
     @property
     def cached_bytes(self) -> int:
@@ -239,6 +241,7 @@ class CachingAllocator(Allocator):
         block = Block(segment_id=segment.segment_id, offset=0, size=segment_size, free=True)
         segment.blocks[0] = block
         self._segments[segment.segment_id] = segment
+        self._reserved_bytes += segment_size
         self._index_insert(pool, block)
         return block
 
@@ -313,6 +316,7 @@ class CachingAllocator(Allocator):
             self.stats.device_free_calls += 1
             released += segment.size
             del self._segments[segment.segment_id]
+            self._reserved_bytes -= segment.size
         return released
 
     def overhead_seconds(self) -> float:

@@ -83,13 +83,15 @@ class ExpandableSegmentsAllocator(Allocator):
         self.vmm = VirtualMemoryManager(device, granule=self.config.granule)
         self._arenas: dict[str, _Arena] = {}
         self._placements: dict[int, tuple[str, int, int]] = {}  # req_id -> (pool, offset, size)
+        #: Running sum of the arenas' mapped bytes (read on every event).
+        self._reserved_bytes = 0
 
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
     @property
     def reserved_bytes(self) -> int:
-        return sum(arena.mapped_bytes for arena in self._arenas.values())
+        return self._reserved_bytes
 
     def arena(self, pool: str) -> _Arena:
         """Return (creating on first use) the arena backing ``pool``."""
@@ -141,6 +143,7 @@ class ExpandableSegmentsAllocator(Allocator):
             self.stats.vmm_ops += 1
             arena.handles[offset] = handle
             arena.mapped.add(offset, offset + self.config.granule)
+            self._reserved_bytes += self.config.granule
             arena.free.add(offset, offset + self.config.granule)
             arena.tail += self.config.granule
 
@@ -172,6 +175,7 @@ class ExpandableSegmentsAllocator(Allocator):
                         self.vmm.release_handle(handle)
                         self.stats.vmm_ops += 2
                         arena.mapped.remove(start, start + self.config.granule)
+                        self._reserved_bytes -= self.config.granule
                         arena.free.remove(start, start + self.config.granule)
                         reclaimed += 1
                     start += self.config.granule

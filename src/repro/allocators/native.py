@@ -31,19 +31,23 @@ class NativeAllocator(Allocator):
         super().__init__()
         self.device = device
         self._allocations: dict[int, PhysicalAllocation] = {}
+        #: Running sum of the live allocations' sizes (read on every event).
+        self._reserved_bytes = 0
 
     @property
     def reserved_bytes(self) -> int:
-        return sum(allocation.size for allocation in self._allocations.values())
+        return self._reserved_bytes
 
     def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
         allocation = self.device.malloc(size)
         self.stats.device_malloc_calls += 1
         self._allocations[req_id] = allocation
+        self._reserved_bytes += allocation.size
         return Placement(pool="device", address=allocation.address, size=allocation.size)
 
     def _do_free(self, req_id: int) -> None:
         allocation = self._allocations.pop(req_id)
+        self._reserved_bytes -= allocation.size
         self.device.free(allocation)
         self.stats.device_free_calls += 1
 
@@ -127,6 +131,7 @@ class NativeAllocator(Allocator):
         device.stats.bytes_allocated_total += int(alloc_sizes.sum())
         device.stats.peak_in_use = max(device.stats.peak_in_use, peak)
         self._allocated_bytes = final_live
+        self._reserved_bytes = final_live  # the survivors' sizes
         self.stats.alloc_calls += num_allocs
         self.stats.free_calls += num_frees
         self.stats.device_malloc_calls += num_allocs

@@ -258,11 +258,19 @@ def fuse_adjacent_groups(
     passes the acceptance test.  Returns the surviving plans and the number of
     fusions performed.  ``max_group_requests`` caps the size of a fused group
     to bound planning time on extreme traces.
+
+    Every accepted fusion restarts the scan, so pairs the TMP test already
+    rejected come up again; local plans are never mutated after packing, which
+    makes a rejection a pure function of the pair, so it is remembered and the
+    pair is packed once.
     """
     if not enable_fusion:
         return list(plans), 0
     working: list[LocalPlan | None] = list(plans)
     fused_count = 0
+    # Keyed by object identity; the value holds both plans so that neither id
+    # can be recycled by a later fused plan while the entry exists.
+    rejected: dict[tuple[int, int], tuple[LocalPlan, LocalPlan]] = {}
     progress = True
     while progress:
         progress = False
@@ -280,8 +288,12 @@ def fuse_adjacent_groups(
                     continue
                 if plan.num_requests + other.num_requests > max_group_requests:
                     continue
+                pair = (id(plan), id(other))
+                if pair in rejected:
+                    continue
                 fused = attempt_fusion(plan, other, strategy=strategy)
                 if fused is None:
+                    rejected[pair] = (plan, other)
                     continue
                 working[index] = fused
                 working[other_index] = None

@@ -16,6 +16,7 @@ Allocator consumes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.core.events import (
@@ -113,31 +114,51 @@ class StaticAllocationPlan:
     def validate(self) -> None:
         """Check the fundamental planning constraint: no spatio-temporal overlap.
 
-        Runs an address-ordered sweep so validation is ``O(n log n + k)`` with
-        ``k`` the number of actually-overlapping address pairs, which is what
-        the tests and the synthesizer's self-check use.
+        No two decisions may overlap in both address range and lifespan, and
+        none may end beyond ``pool_size``.  The check is a *time*-ordered
+        sweep over the alloc/free ticks (frees before allocs at equal time,
+        matching the half-open :meth:`MemoryRequest.overlaps`) that keeps the
+        live decisions in a list sorted by start address.  Invariant: the live
+        set is pairwise disjoint in address space -- it starts empty, and a
+        decision only joins it after the check below passed.  In a disjoint
+        set sorted by start address the end addresses are sorted too, so a
+        new decision overlaps *some* live one iff it overlaps its immediate
+        predecessor or successor: two neighbour checks behind one ``bisect``
+        probe per alloc and one per free, ``O(n log n)`` comparisons however
+        many decisions share an address range over time (a good plan *is*
+        address reuse over time, so a check whose cost grows with the number
+        of address-overlapping pairs is quadratic on real plans).
         """
-        for decision in self.decisions:
+        decisions = self.decisions
+        for decision in decisions:
             if decision.end_address > self.pool_size:
                 raise ValueError(
                     f"decision for request {decision.request.req_id} ends at "
                     f"{decision.end_address}, beyond the pool size {self.pool_size}"
                 )
-        ordered = sorted(self.decisions, key=lambda d: d.address)
-        active: list[AllocationDecision] = []
-        for decision in ordered:
-            still_active = []
-            for other in active:
-                if other.end_address > decision.address:
-                    still_active.append(other)
-                    if decision.conflicts_with(other):
-                        raise ValueError(
-                            "memory stomping: requests "
-                            f"{decision.request.req_id} and {other.request.req_id} overlap "
-                            "in both address range and lifespan"
-                        )
-            active = still_active
-            active.append(decision)
+        ticks = []
+        for index, decision in enumerate(decisions):
+            ticks.append((decision.request.free_time, 0, index))
+            ticks.append((decision.request.alloc_time, 1, index))
+        ticks.sort()
+        live_starts: list[int] = []
+        live: list[AllocationDecision] = []
+        for _, is_alloc, index in ticks:
+            decision = decisions[index]
+            position = bisect_left(live_starts, decision.address)
+            if not is_alloc:
+                del live_starts[position]
+                del live[position]
+                continue
+            for neighbour in live[max(position - 1, 0) : position + 1]:
+                if decision.conflicts_with(neighbour):
+                    raise ValueError(
+                        "memory stomping: requests "
+                        f"{decision.request.req_id} and {neighbour.request.req_id} overlap "
+                        "in both address range and lifespan"
+                    )
+            live_starts.insert(position, decision.address)
+            live.insert(position, decision)
 
     def allocated_time_memory(self) -> int:
         """Numerator of the plan-level time-memory product."""

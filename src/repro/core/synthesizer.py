@@ -20,6 +20,7 @@ from repro.core.homophase import build_homophase_groups, fuse_adjacent_groups
 from repro.core.plan import StaticAllocationPlan, SynthesizedPlan
 from repro.core.planner import GlobalPlannerConfig, build_global_plan, plan_summary
 from repro.core.profiler import ProfileResult
+from repro.obs.tracer import span as _obs_span
 
 
 @dataclass
@@ -66,7 +67,8 @@ class PlanSynthesizer:
         )
         static_plan, layers = build_global_plan(fused_groups, self.config.planner)
         if self.config.validate_plan:
-            static_plan.validate()
+            with _obs_span("plan.validate", decisions=len(static_plan)):
+                static_plan.validate()
 
         # --- Dynamic reusable space (§5.2) ------------------------------ #
         if self.config.enable_dynamic_reuse and dynamic_requests:

@@ -206,6 +206,8 @@ class SweepCache:
         trace = TraceGenerator(
             config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
         ).generate()
+        # dumps() hashes what it renders, so plan_key()'s trace.digest() on
+        # this object is a lookup, not a second serialization.
         text = trace.dumps()
         _atomic_write_text(path, text)
         self._note_store(len(text))

@@ -222,8 +222,10 @@ class Trace:
         traces serialize to the same bytes exactly when their contents are
         equal -- the property :meth:`digest` and the sweep cache rely on.
         Rows are rendered straight from the columns (objects are never
-        materialized), through the same ``json.dumps`` call as always, so the
-        bytes are identical to the object-walking implementation.
+        materialized): every string a row can hold -- module, tag, kind,
+        category -- is JSON-encoded once per distinct value and the integers
+        are formatted in place, which yields the same bytes as
+        ``json.dumps(row, sort_keys=True, separators=(",", ":"))`` per event.
         """
         header = {
             "metadata": asdict(self.metadata),
@@ -232,10 +234,10 @@ class Trace:
         }
         yield json.dumps(header, sort_keys=True, separators=(",", ":"))
         columns = self.columns
-        modules = columns.modules
-        tags = columns.tags
-        kind_values = tuple(kind.value for kind in KINDS)
-        category_values = tuple(category.value for category in CATEGORIES)
+        modules = [json.dumps(module) for module in columns.modules]
+        tags = [json.dumps(tag) for tag in columns.tags]
+        kinds = [json.dumps(kind.value) for kind in KINDS]
+        categories = [json.dumps(category.value) for category in CATEGORIES]
         for kind, req_id, size, time, phase_index, module_index, dyn, category, tag_index in zip(
             columns.kind.tolist(),
             columns.req_id.tolist(),
@@ -247,25 +249,30 @@ class Trace:
             columns.category.tolist(),
             columns.tag_index.tolist(),
         ):
-            yield json.dumps(
-                {
-                    "kind": kind_values[kind],
-                    "req_id": req_id,
-                    "size": size,
-                    "time": time,
-                    "phase": phase_index,
-                    "module": modules[module_index],
-                    "dyn": bool(dyn),
-                    "category": category_values[category],
-                    "tag": tags[tag_index],
-                },
-                sort_keys=True,
-                separators=(",", ":"),
+            yield (
+                f'{{"category":{categories[category]},"dyn":{"true" if dyn else "false"},'
+                f'"kind":{kinds[kind]},"module":{modules[module_index]},'
+                f'"phase":{phase_index},"req_id":{req_id},"size":{size},'
+                f'"tag":{tags[tag_index]},"time":{time}}}'
             )
+
+    def _hashed_lines(self) -> Iterator[str]:
+        """The newline-terminated lines of the serialization, hashed on the way.
+
+        Once exhausted, the SHA-256 of exactly the bytes yielded is the
+        trace's :meth:`digest`; everything that serializes goes through here,
+        so a trace is never rendered a second time only to be hashed.
+        """
+        hasher = hashlib.sha256()
+        for line in self.iter_jsonl():
+            line += "\n"
+            hasher.update(line.encode("utf-8"))
+            yield line
+        self._digest_cache = hasher.hexdigest()
 
     def dumps(self) -> str:
         """Serialize to the JSON-lines format of :meth:`save` as one string."""
-        return "\n".join(self.iter_jsonl()) + "\n"
+        return "".join(self._hashed_lines())
 
     @classmethod
     def _from_lines(cls, lines) -> "Trace":
@@ -321,23 +328,21 @@ class Trace:
 
         Memoised: traces are treated as immutable once generated, and the
         plan cache computes this once per (trace, knob-combination) pair.
+        The memo is also set as a by-product of :meth:`dumps` / :meth:`save`
+        (they hash the bytes they produce), so storing a trace and then
+        keying a plan on it serializes once.  Anything that mutates the
+        columns, phases, module spans or metadata of an existing trace must
+        reset ``_digest_cache`` to ``None``.
         """
-        cached = self._digest_cache
-        if cached is None:
-            hasher = hashlib.sha256()
-            for line in self.iter_jsonl():
-                hasher.update(line.encode("utf-8"))
-                hasher.update(b"\n")
-            cached = hasher.hexdigest()
-            self._digest_cache = cached
-        return cached
+        if self._digest_cache is None:
+            for _ in self._hashed_lines():
+                pass
+        return self._digest_cache
 
     def save(self, path: str | Path) -> None:
         """Write the trace as JSON-lines with a metadata header (streamed)."""
         with Path(path).open("w", encoding="utf-8") as handle:
-            for line in self.iter_jsonl():
-                handle.write(line)
-                handle.write("\n")
+            handle.writelines(self._hashed_lines())
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":

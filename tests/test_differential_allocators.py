@@ -14,6 +14,7 @@ import pytest
 from repro.allocators.registry import available_allocators, create_allocator
 from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent
 from repro.gpu.device import Device, GIB, MIB
+from repro.gpu.errors import OutOfMemoryError
 from repro.simulator.replay import replay_trace
 from repro.simulator.runner import all_known_allocators, run_workload_suite
 from repro.workloads.trace import Trace, TraceMetadata
@@ -236,3 +237,84 @@ class TestReplayOomAccounting:
         data = result.as_dict()
         assert data["failed_allocs"] == 1
         assert data["skipped_frees"] == 1
+
+
+# ---------------------------------------------------------------------- #
+# reserved_bytes is a running counter: it must equal the recomputed sum
+# ---------------------------------------------------------------------- #
+def _recomputed_reserved(allocator) -> int:
+    """Reserved bytes summed from the allocator's own structures."""
+    if hasattr(allocator, "_segments"):  # caching allocator and GMLake
+        return sum(segment.size for segment in allocator.segments())
+    if hasattr(allocator, "_arenas"):  # expandable segments
+        return sum(arena.mapped_bytes for arena in allocator._arenas.values())
+    return sum(allocation.size for allocation in allocator._allocations.values())
+
+
+def _drive(trace: Trace, allocator, *, release_every: int = 0) -> dict:
+    """Apply ``trace`` event by event, checking the counter after each one.
+
+    Failed allocations (and their frees) are skipped like ``replay_trace``
+    does with ``stop_on_oom=False``; ``release_every`` empties the cache of
+    allocators that have one every that many events.
+    """
+    failed: set[int] = set()
+    for position, event in enumerate(trace.events):
+        if event.is_alloc():
+            try:
+                allocator.allocate(event.req_id, event.size)
+            except OutOfMemoryError:
+                failed.add(event.req_id)
+        elif event.req_id not in failed:
+            allocator.free(event.req_id)
+        assert allocator.reserved_bytes == _recomputed_reserved(allocator), position
+        if release_every and position % release_every == 0:
+            if hasattr(allocator, "release_cached_segments"):
+                allocator.release_cached_segments()
+            assert allocator.reserved_bytes == _recomputed_reserved(allocator), position
+    assert allocator.reserved_bytes == allocator.device.in_use
+    return {"failed": len(failed), "device_frees": allocator.device.stats.free_calls}
+
+
+@pytest.mark.parametrize("trace_name", ["recompute_trace", "comm_heavy_trace"])
+@pytest.mark.parametrize("allocator_name", BASELINES)
+class TestReservedCounterMatchesRecomputedSum:
+    def test_after_every_event(self, allocator_name, trace_name, request):
+        trace = _trace_for(trace_name, request)
+        allocator = create_allocator(allocator_name, Device(name="big", capacity=400 * GIB))
+        outcome = _drive(trace, allocator)
+        assert outcome["failed"] == 0
+        assert allocator.stats.peak_reserved >= trace.peak_allocated_bytes()
+
+    def test_across_explicit_cache_releases(self, allocator_name, trace_name, request):
+        trace = _trace_for(trace_name, request)
+        allocator = create_allocator(allocator_name, Device(name="big", capacity=400 * GIB))
+        outcome = _drive(trace, allocator, release_every=97)
+        assert outcome["failed"] == 0
+        if hasattr(allocator, "release_cached_segments"):
+            assert outcome["device_frees"] > 0  # segments really went back
+
+    def test_across_oom_retries(self, allocator_name, trace_name, request):
+        """A device just above the trace's demand: reserving hits the limit,
+        cached memory is handed back and the request retried (or refused)."""
+        trace = _trace_for(trace_name, request)
+        probe = create_allocator(allocator_name, Device(name="big", capacity=400 * GIB))
+        unconstrained = replay_trace(trace, probe).metrics.peak_reserved_bytes
+        demand = trace.peak_allocated_bytes()
+        device = Device(
+            name="tight", capacity=demand + (unconstrained - demand) // 2, reserved_overhead=0
+        )
+        allocator = create_allocator(allocator_name, device)
+        outcome = _drive(trace, allocator)
+        if allocator_name != "native":  # native reserves exactly the demand
+            assert device.stats.failed_mallocs > 0  # the retry path was taken
+        assert allocator.stats.peak_reserved <= device.capacity
+
+
+def test_native_batch_replay_leaves_the_counter_exact(recompute_trace):
+    """The vectorized replay reconstructs the end state, counter included."""
+    allocator = create_allocator("native", Device(name="big", capacity=400 * GIB))
+    assert allocator.batch_replay(recompute_trace) == recompute_trace.num_events
+    assert allocator.live_requests > 0  # weights and optimizer state survive
+    assert allocator.reserved_bytes == _recomputed_reserved(allocator)
+    assert allocator.reserved_bytes == allocator.device.in_use > 0

@@ -578,6 +578,24 @@ class TestSweepIntegration:
         shutdown()
         assert self._comparable(traced.rows) == self._comparable(baseline.rows)
 
+    def test_plan_validation_has_its_own_span(self, tmp_path):
+        """Every synthesis reports its self-check as a ``plan.validate`` child."""
+        path = tmp_path / "obs.ndjson"
+        obs.configure(ndjson_path=path)
+        run_sweep(_tiny_spec(), jobs=1, cache_dir=None)
+        shutdown()
+        summary = summarize_file(path)
+        by_name: dict[str, list] = {}
+        for stat in summary.tree:
+            by_name.setdefault(stat.name, []).append(stat)
+        synthesized = sum(stat.count for stat in by_name["plan.synthesize"])
+        assert synthesized == sum(stat.count for stat in by_name["plan.validate"]) > 0
+        # Only ever directly under the synthesis it belongs to.
+        assert all(stat.path[-2] == "plan.synthesize" for stat in by_name["plan.validate"])
+        spans = [e for e in load_events(path) if e["type"] == "span"]
+        decisions = [e["attrs"]["decisions"] for e in spans if e["name"] == "plan.validate"]
+        assert len(decisions) == synthesized and all(count > 0 for count in decisions)
+
     def test_replay_histogram_recorded(self, tmp_path):
         spec = _tiny_spec(grid={"micro_batch_size": [1]}, allocators=["torch2.3"])
         path = tmp_path / "obs.ndjson"

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.core import plan as plan_module
 from repro.core.dynamic_space import group_temporal_range, homolayer_groups
 from repro.core.events import MemoryRequest, Phase, PhaseKind
 from repro.core.plan import AllocationDecision, StaticAllocationPlan
@@ -287,3 +288,205 @@ class TestValidateDetectsBrokenPlans:
         )
         with pytest.raises(ValueError, match="beyond the pool size"):
             plan.validate()
+
+
+class TestValidateAgreesWithBruteForce:
+    """``validate()`` and the O(n^2) checker above give one verdict, case by case.
+
+    Nothing here comes from ``tracegen``: sizes, lifetimes and addresses are
+    drawn directly, a valid plan is built by first-fit over the drawn
+    lifetimes, and then one corruption is applied to it.
+    """
+
+    CORRUPTIONS = (
+        "none",
+        "shift_into_neighbour",
+        "duplicate_touching",
+        "duplicate_overlapping",
+        "nest_inside",
+        "equal_ticks",
+        "past_pool",
+    )
+
+    _request = staticmethod(TestValidateDetectsBrokenPlans._request)
+
+    @classmethod
+    def _valid_plan(cls, rng: random.Random) -> StaticAllocationPlan:
+        """First-fit placement of random requests: valid by construction."""
+        placed: list[AllocationDecision] = []
+        for req_id in range(rng.randint(2, 40)):
+            alloc_time = rng.randint(0, 60)
+            request = cls._request(
+                req_id, 256 * rng.randint(1, 16), alloc_time, alloc_time + rng.randint(1, 30)
+            )
+            address = 0
+            for other in sorted(placed, key=lambda d: d.address):
+                if not other.request.overlaps(request):
+                    continue
+                if address + request.size <= other.address:
+                    break
+                address = max(address, other.end_address)
+            placed.append(AllocationDecision(request=request, address=address))
+        rng.shuffle(placed)  # the verdict may not depend on decision order
+        slack = rng.choice([0, 0, 512])
+        return StaticAllocationPlan(
+            decisions=placed, pool_size=max(d.end_address for d in placed) + slack
+        )
+
+    @classmethod
+    def _corrupt(cls, plan: StaticAllocationPlan, how: str, rng: random.Random) -> None:
+        decisions = plan.decisions
+        victim = rng.randrange(len(decisions))
+        target = decisions[victim]
+        request = target.request
+        next_id = len(decisions)
+        if how == "none":
+            return
+        if how == "shift_into_neighbour":
+            # Move one decision onto the address range of one live with it.
+            live = [
+                d for d in decisions if d is not target and d.request.overlaps(request)
+            ]
+            if not live:
+                return
+            neighbour = rng.choice(live)
+            shifted = neighbour.address + rng.randrange(neighbour.size)
+            decisions[victim] = AllocationDecision(request=request, address=shifted)
+        elif how == "duplicate_touching":
+            # Same address, lifetime starting on the victim's free tick: legal.
+            twin = cls._request(
+                next_id, request.size, request.free_time, request.free_time + rng.randint(1, 9)
+            )
+            decisions.append(AllocationDecision(request=twin, address=target.address))
+        elif how == "duplicate_overlapping":
+            # Same address, lifetime starting one tick before the free: stomps.
+            twin = cls._request(
+                next_id, request.size, request.free_time - 1, request.free_time + 3
+            )
+            decisions.append(AllocationDecision(request=twin, address=target.address))
+        elif how == "nest_inside":
+            # An interval strictly inside the victim's in space and in time.
+            if request.size < 3 or request.lifespan < 3:
+                return
+            inner = cls._request(
+                next_id, request.size - 2, request.alloc_time + 1, request.free_time - 1
+            )
+            decisions.append(AllocationDecision(request=inner, address=target.address + 1))
+        elif how == "equal_ticks":
+            # Chains on the victim's address that meet it exactly at its alloc
+            # and at its free tick (before .. victim .. after): legal, unless
+            # something else already occupied those bytes at those times.
+            before_start = max(0, request.alloc_time - rng.randint(1, 5))
+            if before_start < request.alloc_time:
+                before = cls._request(
+                    next_id, request.size, before_start, request.alloc_time
+                )
+                decisions.append(AllocationDecision(request=before, address=target.address))
+            after = cls._request(
+                next_id + 1, request.size, request.free_time, request.free_time + 1
+            )
+            decisions.append(AllocationDecision(request=after, address=target.address))
+        elif how == "past_pool":
+            top = max(decisions, key=lambda d: d.end_address)
+            decisions[decisions.index(top)] = AllocationDecision(
+                request=top.request, address=plan.pool_size - top.size + rng.randint(1, 64)
+            )
+        else:  # pragma: no cover - guards the parametrization
+            raise AssertionError(how)
+
+    @staticmethod
+    def _oracle_verdict(plan: StaticAllocationPlan) -> str:
+        """ok / stomping / pool, decided without ``validate``."""
+        if any(d.end_address > plan.pool_size for d in plan.decisions):
+            return "pool"
+        try:
+            assert_no_spatio_temporal_overlap(plan)
+        except AssertionError:
+            return "stomping"
+        return "ok"
+
+    @staticmethod
+    def _validate_verdict(plan: StaticAllocationPlan) -> str:
+        try:
+            plan.validate()
+        except ValueError as error:
+            message = str(error)
+            if "beyond the pool size" in message:
+                return "pool"
+            assert message.startswith("memory stomping: requests "), message
+            return "stomping"
+        return "ok"
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_same_verdict_on_every_case(self, corruption):
+        verdicts = {"ok": 0, "stomping": 0, "pool": 0}
+        for seed in range(60):  # 7 corruptions x 60 seeds = 420 cases
+            rng = random.Random(f"{corruption}/{seed}")
+            plan = self._valid_plan(rng)
+            assert self._oracle_verdict(plan) == "ok"
+            self._corrupt(plan, corruption, rng)
+            expected = self._oracle_verdict(plan)
+            assert self._validate_verdict(plan) == expected, (corruption, seed)
+            verdicts[expected] += 1
+        # Each corruption must actually produce the verdict it is named for.
+        if corruption == "none":
+            assert verdicts == {"ok": 60, "stomping": 0, "pool": 0}
+        elif corruption == "past_pool":
+            assert verdicts == {"ok": 0, "stomping": 0, "pool": 60}
+        elif corruption in ("duplicate_touching", "equal_ticks"):
+            # Touching the victim is legal; a later tenant of the same bytes
+            # may still make the added decision stomp.
+            assert verdicts["ok"] >= 30 and verdicts["pool"] == 0
+        else:  # a shifted decision may also leave the pool, which is reported first
+            assert verdicts["stomping"] >= 30
+
+    def test_reported_pair_really_conflicts(self):
+        """The two request ids named in the message overlap in space and time."""
+        for seed in range(40):
+            rng = random.Random(f"pair/{seed}")
+            plan = self._valid_plan(rng)
+            self._corrupt(plan, "duplicate_overlapping", rng)
+            with pytest.raises(ValueError, match="memory stomping") as caught:
+                plan.validate()
+            words = str(caught.value).split()
+            by_id = plan.by_request_id()
+            first, second = by_id[int(words[3])], by_id[int(words[5])]
+            assert first is not second and first.conflicts_with(second)
+
+    def test_validation_cost_is_n_log_n(self, monkeypatch):
+        """20 000 decisions multiplexed in time over a few addresses.
+
+        Address reuse over time is what a good plan looks like and what made
+        the address-ordered pairwise sweep quadratic.  Probes are counted, not
+        timed: one ``bisect`` per alloc and per free (each at most
+        ``log2(n) + 1`` comparisons) and at most two neighbour checks per
+        decision.
+        """
+        n, lanes = 20_000, 4
+        decisions = [
+            AllocationDecision(
+                request=self._request(i, 1024, i // lanes, i // lanes + 1),
+                address=1024 * (i % lanes),
+            )
+            for i in range(n)
+        ]
+        plan = StaticAllocationPlan(decisions=decisions, pool_size=1024 * lanes)
+        calls = {"bisect": 0, "conflicts": 0}
+        real_bisect = plan_module.bisect_left
+        real_conflicts = AllocationDecision.conflicts_with
+
+        def counting_bisect(*args):
+            calls["bisect"] += 1
+            return real_bisect(*args)
+
+        def counting_conflicts(self, other):
+            calls["conflicts"] += 1
+            return real_conflicts(self, other)
+
+        monkeypatch.setattr(plan_module, "bisect_left", counting_bisect)
+        monkeypatch.setattr(AllocationDecision, "conflicts_with", counting_conflicts)
+        plan.validate()
+        assert calls["bisect"] == 2 * n
+        assert calls["conflicts"] <= 2 * n
+        comparisons = calls["bisect"] * (n.bit_length() + 1) + calls["conflicts"]
+        assert comparisons < 50 * n

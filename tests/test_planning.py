@@ -12,6 +12,7 @@ from repro.core.dynamic_space import (
     homolayer_groups,
     locate_dynamic_reusable_spaces,
 )
+from repro.core import homophase
 from repro.core.events import PhaseKind
 from repro.core.homophase import (
     LocalPlan,
@@ -28,6 +29,10 @@ from repro.core.plan import AllocationDecision, StaticAllocationPlan
 from repro.core.planner import GlobalPlannerConfig, build_global_plan
 from repro.core.profiler import AllocationProfiler
 from repro.core.synthesizer import PlanSynthesizer, SynthesizerConfig
+from repro.workloads.models import get_model
+from repro.workloads.parallelism import ParallelismConfig
+from repro.workloads.tracegen import TraceGenerator
+from repro.workloads.training import TrainingConfig
 from tests.conftest import make_phase, make_request
 
 
@@ -156,6 +161,106 @@ class TestFusion:
         fused = fuse_plans_by_repack(a, b)
         assert fused.phase_span[0].index == 1
         assert fused.phase_span[1].index == 2
+
+
+def _fuse_without_memo(plans, strategy):
+    """The greedy loop with no memory of rejected pairs (the reference)."""
+    working = list(plans)
+    fused_count = 0
+    progress = True
+    while progress:
+        progress = False
+        for index, plan in enumerate(working):
+            if plan is None or plan.phase_span is None:
+                continue
+            for other_index, other in enumerate(working):
+                if other is None or other is plan or other.phase_span is None:
+                    continue
+                if other.phase_span[0].index != plan.phase_span[1].index:
+                    continue
+                fused = attempt_fusion(plan, other, strategy=strategy)
+                if fused is None:
+                    continue
+                working[index] = fused
+                working[other_index] = None
+                fused_count += 1
+                progress = True
+                break
+            if progress:
+                break
+    return [plan for plan in working if plan is not None], fused_count
+
+
+#: Generation shapes (every decode step re-allocates each KV cache one token
+#: larger, so fusion is attempted across many phases): the ``gen-smoke`` sweep
+#: preset and the end-to-end benchmark's ``gen-decode`` workload.
+GENERATION_SHAPES = {
+    "gen-smoke": dict(micro_batch_size=2, num_microbatches=2, scale=0.25),
+    "gen-decode": dict(micro_batch_size=4, num_microbatches=4, scale=1.0),
+}
+
+
+class TestFusionRemembersRejections:
+    @staticmethod
+    def _profile(shape: str):
+        knobs = dict(GENERATION_SHAPES[shape])
+        scale = knobs.pop("scale")
+        config = TrainingConfig(
+            model=get_model("gpt2-345m"),
+            parallelism=ParallelismConfig(pipeline_parallel=2, data_parallel=2),
+            workload_kind="generation",
+            decode_steps=16,
+            **knobs,
+        )
+        trace = TraceGenerator(config, seed=0, scale=scale).generate()
+        return AllocationProfiler().profile(trace)
+
+    @classmethod
+    def _phase_groups(cls, shape: str):
+        return build_homophase_groups(cls._profile(shape).static_requests)
+
+    @pytest.mark.parametrize(
+        "shape, strategy",
+        [("gen-smoke", "repack"), ("gen-smoke", "insertion"), ("gen-decode", "repack")],
+    )
+    def test_same_plans_and_one_attempt_per_pair(self, shape, strategy, monkeypatch):
+        attempts = []
+        keep_alive = []  # ids are only distinct while the objects live
+        real_attempt = homophase.attempt_fusion
+
+        def recording_attempt(a, b, *, strategy):
+            attempts.append((id(a), id(b)))
+            keep_alive.extend((a, b))
+            return real_attempt(a, b, strategy=strategy)
+
+        monkeypatch.setattr(homophase, "attempt_fusion", recording_attempt)
+        monkeypatch.setitem(globals(), "attempt_fusion", recording_attempt)
+        groups = self._phase_groups(shape)
+        expected, expected_count = _fuse_without_memo(groups, strategy)
+        reference_attempts = len(attempts)
+        del attempts[:]
+        fused, count = fuse_adjacent_groups(groups, strategy=strategy)
+
+        assert count == expected_count
+        assert [plan.placed for plan in fused] == [plan.placed for plan in expected]
+        assert [plan.phase_span for plan in fused] == [plan.phase_span for plan in expected]
+        assert len(attempts) == len(set(attempts))
+        if shape == "gen-decode":
+            # Fusions happen here, so the scan restarts and rejected pairs
+            # come up again: the reference re-packs them, the memo does not.
+            assert count > 0
+            assert len(attempts) < reference_attempts
+        else:
+            assert len(attempts) == reference_attempts
+
+    def test_synthesizer_reports_the_reference_fusion_count(self):
+        profile = self._profile("gen-decode")
+        expected, expected_count = _fuse_without_memo(
+            build_homophase_groups(profile.static_requests), "repack"
+        )
+        info = PlanSynthesizer().synthesize(profile).synthesis_info
+        assert info["num_fusions"] == expected_count
+        assert info["num_groups_after_fusion"] == len(expected)
 
 
 class TestMemoryLayers:

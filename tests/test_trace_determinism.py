@@ -8,8 +8,14 @@ cover the stability/sensitivity of :func:`config_fingerprint`.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent
+from repro.core.stalloc import STAllocConfig
+from repro.sweep.cache import SweepCache
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.trace import Trace
@@ -84,6 +90,126 @@ class TestSerializationRoundTrip:
     def test_loads_rejects_empty_input(self):
         with pytest.raises(ValueError):
             Trace.loads("")
+
+
+#: Module and tag names that exercise every JSON string escape: quotes,
+#: backslashes, control characters, non-ASCII (BMP and astral), empty.
+HOSTILE_NAMES = [
+    'layer."0".attn',
+    "back\\slash\\path",
+    "tab\there\nnewline\rreturn\x00nul\x1funit",
+    "ünïcödé-模块-\u2028-\U0001f600",
+    "</script>&amp;\x7f",
+    "",
+]
+
+
+def _hostile_trace() -> Trace:
+    phases = [
+        Phase(index=0, kind=PhaseKind.FORWARD, microbatch=0),
+        Phase(index=1, kind=PhaseKind.BACKWARD, microbatch=0),
+    ]
+    categories = list(TensorCategory)
+    events = []
+    time = 0
+    for req_id, module in enumerate(HOSTILE_NAMES * 2):
+        tag = HOSTILE_NAMES[(req_id + 1) % len(HOSTILE_NAMES)]
+        common = dict(
+            req_id=req_id,
+            size=512 * (req_id + 1),
+            module=module,
+            dyn=req_id % 2 == 1,
+            category=categories[req_id % len(categories)],
+            tag=tag,
+        )
+        events.append(TraceEvent(kind=EventKind.ALLOC, time=time, phase=phases[0], **common))
+        events.append(TraceEvent(kind=EventKind.FREE, time=time + 1, phase=phases[1], **common))
+        time += 2
+    return Trace(events=events, phases=phases, module_spans={HOSTILE_NAMES[0]: (0, time)})
+
+
+def _reference_lines(trace: Trace) -> list[str]:
+    """One ``json.dumps`` per event: the rendering the bytes are defined by."""
+    return [
+        json.dumps(
+            {
+                "kind": event.kind.value,
+                "req_id": event.req_id,
+                "size": event.size,
+                "time": event.time,
+                "phase": event.phase.index,
+                "module": event.module,
+                "dyn": event.dyn,
+                "category": event.category.value,
+                "tag": event.tag,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for event in trace.events
+    ]
+
+
+def _generated(case: str) -> Trace:
+    return TraceGenerator(CONFIG_CASES[case], seed=5, scale=0.5).generate()
+
+
+class TestCanonicalBytes:
+    @pytest.mark.parametrize("build", [_hostile_trace, lambda: _generated("moe")])
+    def test_rows_equal_reference_rendering_line_for_line(self, build):
+        trace = build()
+        lines = trace.dumps().split("\n")
+        assert lines[-1] == ""  # the text ends with a newline
+        assert lines[1:-1] == _reference_lines(trace)
+        assert json.loads(lines[0]).keys() == {"metadata", "module_spans", "phases"}
+
+    def test_hostile_names_survive_a_round_trip(self):
+        trace = _hostile_trace()
+        loaded = Trace.loads(trace.dumps())
+        assert [(e.module, e.tag) for e in loaded.events] == [
+            (e.module, e.tag) for e in trace.events
+        ]
+        assert loaded.dumps() == trace.dumps()
+
+    @pytest.mark.parametrize("build", [_hostile_trace, lambda: _generated("dense")])
+    def test_every_route_to_the_digest_agrees(self, build, tmp_path):
+        expected = hashlib.sha256(build().dumps().encode("utf-8")).hexdigest()
+
+        after_dumps = build()
+        after_dumps.dumps()
+        assert after_dumps._digest_cache == expected  # set by dumps itself
+        assert after_dumps.digest() == expected
+
+        after_save = build()
+        after_save.save(tmp_path / "t.jsonl")
+        assert after_save._digest_cache == expected  # set by save itself
+        assert (tmp_path / "t.jsonl").read_bytes() == build().dumps().encode("utf-8")
+
+        assert build().digest() == expected  # fresh trace: digest serializes
+        assert Trace.loads(build().dumps()).digest() == expected
+        assert Trace.load(tmp_path / "t.jsonl").digest() == expected
+
+
+def test_cold_trace_and_plan_key_serialize_once(tmp_path, monkeypatch):
+    """Storing a trace and keying a plan on it renders the trace one time."""
+    calls = []
+    real_iter_jsonl = Trace.iter_jsonl
+
+    def counting_iter_jsonl(self):
+        calls.append(id(self))
+        return real_iter_jsonl(self)
+
+    monkeypatch.setattr(Trace, "iter_jsonl", counting_iter_jsonl)
+    cache = SweepCache(tmp_path)
+    trace = cache.get_trace(CONFIG_CASES["dense"], seed=5, scale=0.5)
+    key = cache.plan_key(trace, STAllocConfig())
+    assert cache.plan_key(trace, STAllocConfig(enable_fusion=False)) != key
+    assert calls == [id(trace)]
+    assert cache.stats.trace_misses == 1
+    # A trace served from disk has not been rendered yet: exactly one more.
+    loaded = SweepCache(tmp_path).get_trace(CONFIG_CASES["dense"], seed=5, scale=0.5)
+    assert cache.plan_key(loaded, STAllocConfig()) == key
+    assert calls == [id(trace), id(loaded)]
 
 
 class TestSeedSensitivity:
