@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.events import Phase, TensorCategory
 
@@ -32,14 +33,18 @@ class AllocationHints:
     stream: int = 0
 
 
-@dataclass(frozen=True)
-class Placement:
+#: The hints of a request that carries none (immutable, so one is enough).
+_DEFAULT_HINTS = AllocationHints()
+
+
+class Placement(NamedTuple):
     """Where a live request currently resides.
 
     ``pool`` identifies the backing region (e.g. ``"static"``, ``"caching"``,
     ``"segment:3"``); ``address`` is the byte offset inside that pool.  The
     replay simulator uses placements only for consistency checking and
-    reporting -- allocators are the source of truth.
+    reporting -- allocators are the source of truth.  One is built per
+    allocation, so it is the cheapest immutable record Python has.
     """
 
     pool: str
@@ -138,15 +143,20 @@ class Allocator(abc.ABC):
         """
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
-        if req_id in self._live_sizes:
+        live_sizes = self._live_sizes
+        if req_id in live_sizes:
             raise ValueError(f"request {req_id} is already live")
-        hints = hints or AllocationHints()
-        placement = self._do_allocate(req_id, int(size), hints)
-        self.stats.alloc_calls += 1
-        self._live_sizes[req_id] = int(size)
-        self._allocated_bytes += int(size)
-        self.stats.peak_allocated = max(self.stats.peak_allocated, self._allocated_bytes)
-        self.stats.peak_reserved = max(self.stats.peak_reserved, self.reserved_bytes)
+        size = int(size)
+        placement = self._do_allocate(req_id, size, hints or _DEFAULT_HINTS)
+        stats = self.stats
+        stats.alloc_calls += 1
+        live_sizes[req_id] = size
+        allocated = self._allocated_bytes = self._allocated_bytes + size
+        if allocated > stats.peak_allocated:
+            stats.peak_allocated = allocated
+        reserved = self.reserved_bytes
+        if reserved > stats.peak_reserved:
+            stats.peak_reserved = reserved
         return placement
 
     def free(self, req_id: int) -> None:

@@ -97,15 +97,21 @@ def torch23_config() -> CachingAllocatorConfig:
     return CachingAllocatorConfig(max_split_size=512 * MIB, label="torch2.3")
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
-    """A contiguous range inside a segment; either free or backing a request."""
+    """A contiguous range inside a segment; either free or backing a request.
+
+    Blocks tile their segment, so the right neighbour of a block is
+    ``segment.blocks.get(block.end)``; ``prev`` links the left one.  Together
+    they are the doubly-linked block list PyTorch's allocator coalesces over.
+    """
 
     segment_id: int
     offset: int
     size: int
     free: bool = True
     req_id: int | None = None
+    prev: "Block | None" = field(default=None, repr=False, compare=False)
 
     @property
     def end(self) -> int:
@@ -123,6 +129,7 @@ class Segment:
     blocks: dict[int, Block] = field(default_factory=dict)  # keyed by offset
 
     def sorted_blocks(self) -> list[Block]:
+        """Blocks in address order (introspection; no allocator path sorts)."""
         return [self.blocks[offset] for offset in sorted(self.blocks)]
 
     def is_fully_free(self) -> bool:
@@ -141,7 +148,7 @@ class CachingAllocator(Allocator):
         self._segments: dict[int, Segment] = {}
         # Free-block index per pool: sorted list of (size, segment_id, offset).
         self._free_index: dict[str, list[tuple[int, int, int]]] = {"small": [], "large": []}
-        self._placements: dict[int, tuple[int, int]] = {}  # req_id -> (segment_id, offset)
+        self._placements: dict[int, Block] = {}  # req_id -> the block backing it
         #: Running sum of the live segments' sizes (read on every event).
         self._reserved_bytes = 0
 
@@ -181,8 +188,11 @@ class CachingAllocator(Allocator):
         else:  # pragma: no cover - defensive, indicates an index bug
             raise RuntimeError(f"free-block index out of sync for {key}")
 
-    def _find_best_fit(self, pool: str, rounded: int) -> Block | None:
-        """Smallest free block in ``pool`` that fits ``rounded`` bytes.
+    def _take_best_fit(self, pool: str, rounded: int) -> Block | None:
+        """Take the smallest free block in ``pool`` that fits ``rounded`` bytes.
+
+        The block leaves the free index (its position is already known here);
+        ``None`` leaves the index untouched.
 
         When ``max_split_size`` is configured the PyTorch rules for oversize
         blocks apply: requests below the limit never take an oversize block
@@ -201,6 +211,7 @@ class CachingAllocator(Allocator):
                 return None
             if rounded >= limit and size >= rounded + self.config.large_segment_size:
                 return None
+        del index[pos]
         return self._segments[segment_id].blocks[offset]
 
     # ------------------------------------------------------------------ #
@@ -209,21 +220,28 @@ class CachingAllocator(Allocator):
     def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
         rounded = self.config.round_size(size)
         pool = self.config.pool_for(rounded)
-        block = self._find_best_fit(pool, rounded)
+        return self._place(req_id, rounded, pool, self._take_best_fit(pool, rounded))
+
+    def _place(self, req_id: int, rounded: int, pool: str, block: Block | None) -> Placement:
+        """Serve a request from ``block`` (its best fit, taken), or from a new segment."""
         if block is not None:
             self.stats.cache_hits += 1
         else:
             self.stats.cache_misses += 1
             block = self._allocate_segment(pool, rounded)
-        self._index_remove(pool, block)
-        block = self._maybe_split(block, rounded, pool)
+        if block.size > rounded and self.config.should_split(block.size, rounded, pool):
+            self._split(self._segments[block.segment_id], block, rounded)
         block.free = False
         block.req_id = req_id
-        self._placements[req_id] = (block.segment_id, block.offset)
+        self._placements[req_id] = block
         return Placement(pool=f"segment:{block.segment_id}", address=block.offset, size=block.size)
 
     def _allocate_segment(self, pool: str, rounded: int) -> Block:
-        """Request a new segment from the device, releasing caches on OOM."""
+        """Request a new segment from the device, releasing caches on OOM.
+
+        Returns the segment's single free block, not indexed: the caller is
+        about to carve the request out of it.
+        """
         segment_size = self.config.segment_size_for(rounded)
         try:
             device_allocation = self._device_malloc(segment_size)
@@ -242,7 +260,6 @@ class CachingAllocator(Allocator):
         segment.blocks[0] = block
         self._segments[segment.segment_id] = segment
         self._reserved_bytes += segment_size
-        self._index_insert(pool, block)
         return block
 
     def _device_malloc(self, size: int):
@@ -250,52 +267,52 @@ class CachingAllocator(Allocator):
         self.stats.device_malloc_calls += 1
         return allocation
 
-    def _maybe_split(self, block: Block, rounded: int, pool: str) -> Block:
-        """Split ``block`` so the request occupies exactly ``rounded`` bytes."""
-        if block.size > rounded and self.config.should_split(block.size, rounded, pool):
-            segment = self._segments[block.segment_id]
-            remainder = Block(
-                segment_id=block.segment_id,
-                offset=block.offset + rounded,
-                size=block.size - rounded,
-                free=True,
-            )
-            block.size = rounded
-            segment.blocks[remainder.offset] = remainder
-            self._index_insert(pool, remainder)
-            self.stats.splits += 1
-        return block
+    def _split(self, segment: Segment, block: Block, keep: int) -> None:
+        """Shrink ``block`` to ``keep`` bytes; the tail becomes an indexed free block."""
+        remainder = Block(
+            segment_id=block.segment_id,
+            offset=block.offset + keep,
+            size=block.size - keep,
+            free=True,
+            prev=block,
+        )
+        following = segment.blocks.get(block.offset + block.size)
+        if following is not None:
+            following.prev = remainder
+        block.size = keep
+        segment.blocks[remainder.offset] = remainder
+        self._index_insert(segment.pool, remainder)
+        self.stats.splits += 1
 
     # ------------------------------------------------------------------ #
     # Free
     # ------------------------------------------------------------------ #
     def _do_free(self, req_id: int) -> None:
-        segment_id, offset = self._placements.pop(req_id)
-        segment = self._segments[segment_id]
-        block = segment.blocks[offset]
+        block = self._placements.pop(req_id)
         block.free = True
         block.req_id = None
-        self._merge_with_neighbours(segment, block)
+        self._merge_with_neighbours(self._segments[block.segment_id], block)
 
     def _merge_with_neighbours(self, segment: Segment, block: Block) -> None:
         """Coalesce ``block`` with free neighbours, then (re)index it."""
         pool = segment.pool
-        blocks = segment.sorted_blocks()
-        position = blocks.index(block)
-        # Merge the next neighbour first so offsets stay valid.
-        if position + 1 < len(blocks) and blocks[position + 1].free:
-            neighbour = blocks[position + 1]
-            self._index_remove(pool, neighbour)
-            del segment.blocks[neighbour.offset]
-            block.size += neighbour.size
+        blocks = segment.blocks
+        following = blocks.get(block.offset + block.size)
+        if following is not None and following.free:
+            self._index_remove(pool, following)
+            del blocks[following.offset]
+            block.size += following.size
+            following = blocks.get(block.offset + block.size)
             self.stats.merges += 1
-        if position > 0 and blocks[position - 1].free:
-            neighbour = blocks[position - 1]
-            self._index_remove(pool, neighbour)
-            del segment.blocks[block.offset]
-            neighbour.size += block.size
-            block = neighbour
+        previous = block.prev
+        if previous is not None and previous.free:
+            self._index_remove(pool, previous)
+            del blocks[block.offset]
+            previous.size += block.size
+            block = previous
             self.stats.merges += 1
+        if following is not None:
+            following.prev = block
         self._index_insert(pool, block)
 
     # ------------------------------------------------------------------ #

@@ -76,12 +76,16 @@ class GMLakeAllocator(CachingAllocator):
     def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
         rounded = self.config.round_size(size)
         pool = self.config.pool_for(rounded)
-        if pool == "large" and rounded >= self.gmlake_config.min_stitch_request:
-            if self._find_best_fit(pool, rounded) is None:
-                placement = self._try_stitch(req_id, rounded)
-                if placement is not None:
-                    return placement
-        return super()._do_allocate(req_id, size, hints)
+        block = self._take_best_fit(pool, rounded)
+        if (
+            block is None
+            and pool == "large"
+            and rounded >= self.gmlake_config.min_stitch_request
+        ):
+            placement = self._try_stitch(req_id, rounded)
+            if placement is not None:
+                return placement
+        return self._place(req_id, rounded, pool, block)
 
     def _try_stitch(self, req_id: int, rounded: int) -> Placement | None:
         """Assemble ``rounded`` bytes from free blocks >= ``frag_limit``."""
@@ -93,23 +97,13 @@ class GMLakeAllocator(CachingAllocator):
         for block in candidates:
             if remaining <= 0:
                 break
-            pool = self._segments[block.segment_id].pool
-            self._index_remove(pool, block)
+            segment = self._segments[block.segment_id]
+            self._index_remove(segment.pool, block)
             # Stitched pieces are mapped at granule granularity; a partially
             # used block is split so the tail stays reusable.
             take = min(block.size, align_up(remaining, self.gmlake_config.granule))
             if take < block.size and (block.size - take) >= self.config.min_block_size:
-                segment = self._segments[block.segment_id]
-                leftover = Block(
-                    segment_id=block.segment_id,
-                    offset=block.offset + take,
-                    size=block.size - take,
-                    free=True,
-                )
-                block.size = take
-                segment.blocks[leftover.offset] = leftover
-                self._index_insert(pool, leftover)
-                self.stats.splits += 1
+                self._split(segment, block, take)
             block.free = False
             block.req_id = req_id
             pieces.append((block.segment_id, block.offset))

@@ -29,14 +29,11 @@ tell the difference from the old object-walking implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.events import EventKind, Phase, TensorCategory, TraceEvent
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from repro.core.events import EventKind, MemoryRequest, Phase, TensorCategory, TraceEvent
 
 #: Event-kind codes (column ``kind``).
 ALLOC = 0
@@ -260,6 +257,65 @@ class TraceColumns:
                 self.tag_index.tolist(),
             )
         ]
+
+    def to_requests(
+        self, phases: Mapping[int, Phase], *, end_of_trace: int
+    ) -> list[MemoryRequest]:
+        """Paired memory requests of a trace whose :meth:`pairing` is ``ok``.
+
+        Equal to :func:`repro.core.events.pair_events` over the object view
+        (same field for field, same order, same never-freed closing rule),
+        built from the pairing's positions without one event object.
+        """
+        pairing = self.pairing()
+        if not pairing.ok:
+            raise ValueError("trace does not pair simply; use pair_events")
+        if self.num_events == 0:
+            return []
+        req_id = self.req_id.tolist()
+        size = self.size.tolist()
+        time = self.time.tolist()
+        phase_index = self.phase_index.tolist()
+        module_index = self.module_index.tolist()
+        dyn = self.dyn.tolist()
+        category = self.category.tolist()
+        tag_index = self.tag_index.tolist()
+        modules = self.modules
+        tags = self.tags
+        # Each alloc position with where it closes: matched allocs at their
+        # free event; never-freed ones (weights, optimizer state) at the end of
+        # the trace, in the phase of its last event and their own module.
+        free_pos = pairing.free_pos.tolist()
+        survivors = pairing.alloc_pos[pairing.survivor_ordinals].tolist()
+        last = self.time == self.time.max()
+        last_phase = phases[int(self.phase_index[last].max())]
+        alloc_pos = pairing.alloc_pos[pairing.free_alloc_ordinal].tolist() + survivors
+        free_time = [time[f] for f in free_pos]
+        free_time += [max(end_of_trace, time[a] + 1) for a in survivors]
+        free_phase = [phases[phase_index[f]] for f in free_pos]
+        free_phase += [last_phase] * len(survivors)
+        free_module = [modules[module_index[f]] for f in free_pos]
+        free_module += [""] * len(survivors)
+        requests = [
+            MemoryRequest(
+                req_id=req_id[a],
+                size=size[a],
+                alloc_time=time[a],
+                free_time=closes,
+                alloc_phase=phases[phase_index[a]],
+                free_phase=closing_phase,
+                dyn=bool(dyn[a]),
+                alloc_module=modules[module_index[a]],
+                free_module=closing_module or modules[module_index[a]],
+                category=CATEGORIES[category[a]],
+                tag=tags[tag_index[a]],
+            )
+            for a, closes, closing_phase, closing_module in zip(
+                alloc_pos, free_time, free_phase, free_module
+            )
+        ]
+        requests.sort(key=lambda m: (m.alloc_time, m.req_id))
+        return requests
 
     # ------------------------------------------------------------------ #
     # Vectorized analytics

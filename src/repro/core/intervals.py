@@ -133,6 +133,13 @@ class IntervalSet:
         idx = bisect.bisect_right(self._starts, address) - 1
         return idx >= 0 and address < self._ends[idx]
 
+    def length_ending_at(self, end: int) -> int:
+        """Length of the member interval that ends exactly at ``end`` (0 if none)."""
+        idx = bisect.bisect_left(self._ends, end)
+        if idx < len(self._ends) and self._ends[idx] == end:
+            return end - self._starts[idx]
+        return 0
+
     # ------------------------------------------------------------------ #
     # Mutating set operations
     # ------------------------------------------------------------------ #
@@ -191,17 +198,27 @@ class IntervalSet:
         return out
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        """Intersect two sets with a linear merge over their intervals."""
+        """Intersect two sets with a linear merge over their intervals.
+
+        Both inputs are canonical (disjoint, sorted, adjacent members merged),
+        so consecutive output pieces are separated by a gap of one input or
+        the other: they come out sorted and never touch, and are appended as
+        they are found.
+        """
         out = IntervalSet()
-        a = list(zip(self._starts, self._ends))
-        b = list(zip(other._starts, other._ends))
+        a_starts, a_ends = self._starts, self._ends
+        b_starts, b_ends = other._starts, other._ends
+        out_starts, out_ends = out._starts, out._ends
         i = j = 0
-        while i < len(a) and j < len(b):
-            start = max(a[i][0], b[j][0])
-            end = min(a[i][1], b[j][1])
+        a_len, b_len = len(a_starts), len(b_starts)
+        while i < a_len and j < b_len:
+            a_end, b_end = a_ends[i], b_ends[j]
+            start = a_starts[i] if a_starts[i] > b_starts[j] else b_starts[j]
+            end = a_end if a_end < b_end else b_end
             if start < end:
-                out.add(start, end)
-            if a[i][1] < b[j][1]:
+                out_starts.append(start)
+                out_ends.append(end)
+            if a_end < b_end:
                 i += 1
             else:
                 j += 1
@@ -215,24 +232,63 @@ class IntervalSet:
     # ------------------------------------------------------------------ #
     # Allocation-style carving
     # ------------------------------------------------------------------ #
-    def best_fit(self, size: int) -> Interval | None:
-        """Smallest member interval that can hold ``size`` bytes (ties: lowest address)."""
+    def _best_fit_index(self, size: int) -> int:
+        """Index of the smallest member that holds ``size`` bytes, or -1."""
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        best: Interval | None = None
-        for interval in self:
-            if interval.length >= size and (best is None or interval.length < best.length):
-                best = interval
+        best = -1
+        best_length = 0
+        for index, (start, end) in enumerate(zip(self._starts, self._ends)):
+            length = end - start
+            if length >= size and (best < 0 or length < best_length):
+                best = index
+                best_length = length
         return best
+
+    def _first_fit_index(self, size: int) -> int:
+        """Index of the lowest-addressed member that holds ``size`` bytes, or -1."""
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        for index, (start, end) in enumerate(zip(self._starts, self._ends)):
+            if end - start >= size:
+                return index
+        return -1
+
+    def best_fit(self, size: int) -> Interval | None:
+        """Smallest member interval that can hold ``size`` bytes (ties: lowest address)."""
+        index = self._best_fit_index(size)
+        return None if index < 0 else Interval(self._starts[index], self._ends[index])
+
+    def best_fit_within(self, other: "IntervalSet", size: int) -> Interval | None:
+        """``self.intersection(other).best_fit(size)``, without building the intersection.
+
+        The runtime Dynamic Allocator's one operation (Eq. 7): the smallest
+        piece of ``self`` (free space) inside ``other`` (a request's reusable
+        space) that holds ``size`` bytes, ties to the lowest address.
+        """
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        a_starts, a_ends = self._starts, self._ends
+        b_starts, b_ends = other._starts, other._ends
+        i = j = 0
+        a_len, b_len = len(a_starts), len(b_starts)
+        best_start = best_length = -1
+        while i < a_len and j < b_len:
+            a_end, b_end = a_ends[i], b_ends[j]
+            start = a_starts[i] if a_starts[i] > b_starts[j] else b_starts[j]
+            length = (a_end if a_end < b_end else b_end) - start
+            if length >= size and (best_length < 0 or length < best_length):
+                best_start, best_length = start, length
+            if a_end < b_end:
+                i += 1
+            else:
+                j += 1
+        return None if best_length < 0 else Interval(best_start, best_start + best_length)
 
     def first_fit(self, size: int) -> Interval | None:
         """Lowest-addressed member interval that can hold ``size`` bytes."""
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        for interval in self:
-            if interval.length >= size:
-                return interval
-        return None
+        index = self._first_fit_index(size)
+        return None if index < 0 else Interval(self._starts[index], self._ends[index])
 
     def carve(self, size: int, *, policy: str = "best_fit") -> Interval | None:
         """Allocate ``size`` bytes out of the set and return the carved interval.
@@ -240,10 +296,15 @@ class IntervalSet:
         The carved bytes are removed from the set.  Returns ``None`` when no
         member interval is large enough.
         """
-        finder = self.best_fit if policy == "best_fit" else self.first_fit
-        candidate = finder(size)
-        if candidate is None:
+        finder = self._best_fit_index if policy == "best_fit" else self._first_fit_index
+        index = finder(size)
+        if index < 0:
             return None
-        carved = Interval(candidate.start, candidate.start + size)
-        self.remove(carved.start, carved.end)
-        return carved
+        start = self._starts[index]
+        carved_end = start + size
+        if carved_end == self._ends[index]:
+            del self._starts[index]
+            del self._ends[index]
+        else:
+            self._starts[index] = carved_end
+        return Interval(start, carved_end)

@@ -20,22 +20,11 @@ Reserved memory is therefore ``static pool size + fallback reserved bytes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.allocators.base import AllocationHints, Allocator, Placement
 from repro.allocators.caching import CachingAllocator, CachingAllocatorConfig
 from repro.core.intervals import IntervalSet
 from repro.core.plan import SynthesizedPlan
 from repro.gpu.device import Device
-
-
-@dataclass
-class _PoolPlacement:
-    """A live allocation inside the static memory pool."""
-
-    address: int
-    size: int
-    source: str  # "static" or "dynamic"
 
 
 class RuntimeAllocator(Allocator):
@@ -61,7 +50,8 @@ class RuntimeAllocator(Allocator):
         self.stats.device_malloc_calls += 1 if self._pool_allocation else 0
         #: Currently free address intervals of the static pool (``A_a``).
         self._available = IntervalSet.full(0, self._pool_size) if self._pool_size else IntervalSet()
-        self._pool_placements: dict[int, _PoolPlacement] = {}
+        #: Live request id -> the ``[start, end)`` it occupies in the static pool.
+        self._pool_placements: dict[int, tuple[int, int]] = {}
         self.fallback = CachingAllocator(device, fallback_config or CachingAllocatorConfig(label="stalloc-fallback"))
         self._fallback_requests: set[int] = set()
         self.stats.extra.update(
@@ -103,15 +93,17 @@ class RuntimeAllocator(Allocator):
             # The runtime request does not match the profiled plan.
             self.stats.plan_mismatches += 1
             return self._allocate_fallback(req_id, size, hints)
-        if not self._available.contains(decision.address, decision.end_address):
+        address = decision.address
+        end = address + size
+        if not self._available.contains(address, end):
             # The planned range is busy (e.g. an earlier mismatch cascaded);
             # never stomp memory -- fall back instead.
             self.stats.plan_mismatches += 1
             return self._allocate_fallback(req_id, size, hints)
-        self._available.remove(decision.address, decision.end_address)
-        self._pool_placements[req_id] = _PoolPlacement(decision.address, size, "static")
+        self._available.remove(address, end)
+        self._pool_placements[req_id] = (address, end)
         self.stats.extra["static_bytes"] += size
-        return Placement(pool="static", address=decision.address, size=size)
+        return Placement(pool="static", address=address, size=size)
 
     # ------------------------------------------------------------------ #
     # Dynamic Allocator
@@ -135,14 +127,13 @@ class RuntimeAllocator(Allocator):
         if not reusable:
             self.stats.extra["dynamic_fallback_bytes"] += size
             return self._allocate_fallback(req_id, size, hints)
-        candidates = self._available.intersection(reusable)
-        carved = candidates.best_fit(size)
+        carved = self._available.best_fit_within(reusable, size)
         if carved is None:
             self.stats.extra["dynamic_fallback_bytes"] += size
             return self._allocate_fallback(req_id, size, hints)
         address = carved.start
         self._available.remove(address, address + size)
-        self._pool_placements[req_id] = _PoolPlacement(address, size, "dynamic")
+        self._pool_placements[req_id] = (address, address + size)
         self.stats.extra["dynamic_pool_bytes"] += size
         return Placement(pool="static", address=address, size=size)
 
@@ -167,8 +158,7 @@ class RuntimeAllocator(Allocator):
             self._fallback_requests.remove(req_id)
             self.fallback.free(req_id)
             return
-        placement = self._pool_placements.pop(req_id)
-        self._available.add(placement.address, placement.address + placement.size)
+        self._available.add(*self._pool_placements.pop(req_id))
 
     # ------------------------------------------------------------------ #
     # Lifecycle

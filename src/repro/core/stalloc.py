@@ -61,9 +61,9 @@ class STAlloc:
     profile: ProfileResult
     plan: SynthesizedPlan
     config: STAllocConfig = field(default_factory=STAllocConfig)
-    #: Planning report computed before serialization; set on instances loaded
-    #: from a serialized plan, whose (discarded) profile can no longer
-    #: contribute to the report.
+    #: The planning report, once derived.  Instances loaded from a serialized
+    #: plan start with the stored one: their (discarded) profile can no longer
+    #: contribute to it.
     cached_report: dict | None = None
 
     # ------------------------------------------------------------------ #
@@ -106,17 +106,21 @@ class STAlloc:
         return self.plan.pool_size
 
     def planning_report(self) -> dict:
-        """Summary of the offline pipeline: group counts, pool size, timings."""
-        if self.cached_report is not None:
-            return dict(self.cached_report)
-        report = dict(self.plan.synthesis_info)
-        report.update(self.profile.summary())
-        peak = self.profile.peak_allocated_bytes()
-        if self.plan.pool_size:
-            report["plan_overhead_ratio"] = self.plan.pool_size / max(
-                report.get("peak_static_demand_bytes", peak), 1
-            )
-        return report
+        """Summary of the offline pipeline: group counts, pool size, timings.
+
+        Derived once per instance (the cache write and the result row both
+        ask for it); callers get their own copy.
+        """
+        if self.cached_report is None:
+            summary = self.profile.summary()
+            report = dict(self.plan.synthesis_info)
+            report.update(summary)
+            if self.plan.pool_size:
+                report["plan_overhead_ratio"] = self.plan.pool_size / max(
+                    report.get("peak_static_demand_bytes", summary["peak_allocated_bytes"]), 1
+                )
+            self.cached_report = report
+        return dict(self.cached_report)
 
     # ------------------------------------------------------------------ #
     # Serialization (plans are cached on disk by the sweep engine)

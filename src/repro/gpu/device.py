@@ -146,16 +146,20 @@ class Device:
         """
         if size < 0:
             raise ValueError(f"allocation size must be non-negative, got {size}")
-        self.stats.malloc_calls += 1
-        if size > self.free_bytes:
-            self.stats.failed_mallocs += 1
-            raise OutOfMemoryError(size, self.usable_capacity, self._in_use)
+        stats = self.stats
+        stats.malloc_calls += 1
+        in_use = self._in_use
+        usable = self.usable_capacity
+        if size > usable - in_use:
+            stats.failed_mallocs += 1
+            raise OutOfMemoryError(size, usable, in_use)
         address = next(self._next_address) * DRIVER_ALIGNMENT
         allocation = PhysicalAllocation(address=address, size=int(size))
         self._allocations[address] = allocation
-        self._in_use += allocation.size
-        self.stats.bytes_allocated_total += allocation.size
-        self.stats.peak_in_use = max(self.stats.peak_in_use, self._in_use)
+        self._in_use = in_use = in_use + allocation.size
+        stats.bytes_allocated_total += allocation.size
+        if in_use > stats.peak_in_use:
+            stats.peak_in_use = in_use
         return allocation
 
     def free(self, allocation: PhysicalAllocation | int) -> None:

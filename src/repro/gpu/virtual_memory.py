@@ -21,8 +21,9 @@ throughput model can charge for them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpu.device import Device, MIB, PhysicalAllocation, align_up
 from repro.gpu.errors import InvalidAddressError, OutOfMemoryError
@@ -109,8 +110,13 @@ class VirtualMemoryManager:
         self._handle_ids = itertools.count(1)
         self._virtual_cursor = 1 << 40  # virtual addresses live far above physical ones
         self._handles: dict[int, PhysicalHandle] = {}
-        self._mappings: dict[int, VirtualMapping] = {}  # keyed by virtual address
+        self._mappings: dict[int, PhysicalHandle] = {}  # keyed by virtual address
+        #: handle id -> number of virtual addresses it is mapped at.
+        self._map_counts: dict[int, int] = {}
+        #: Reserved ranges in address order (the cursor only moves up) and
+        #: their starts, for the bisect in :meth:`_check_reserved`.
         self._ranges: list[VirtualRange] = []
+        self._range_starts: list[int] = []
 
     # ------------------------------------------------------------------ #
     # Physical handles
@@ -132,7 +138,7 @@ class VirtualMemoryManager:
         """Release a physical granule (``cuMemRelease``)."""
         if handle.handle_id not in self._handles:
             raise InvalidAddressError(f"unknown physical handle {handle.handle_id}")
-        if any(m.handle.handle_id == handle.handle_id for m in self._mappings.values()):
+        if handle.handle_id in self._map_counts:
             raise InvalidAddressError(
                 f"physical handle {handle.handle_id} is still mapped; unmap it first"
             )
@@ -155,27 +161,77 @@ class VirtualMemoryManager:
         # off the end of a range are caught by ``contains`` checks.
         self._virtual_cursor += size + self.granule
         self._ranges.append(vrange)
+        self._range_starts.append(vrange.start)
         self.stats.ranges_reserved += 1
         return vrange
+
+    def _check_mappable(self, virtual_address: int, size: int) -> None:
+        """Raise unless ``[virtual_address, +size)`` is aligned and inside one reserved range."""
+        if virtual_address % self.granule:
+            raise InvalidAddressError(
+                f"virtual address {virtual_address:#x} is not granule-aligned"
+            )
+        index = bisect.bisect_right(self._range_starts, virtual_address) - 1
+        if index < 0 or not self._ranges[index].contains(virtual_address, size):
+            raise InvalidAddressError(
+                f"virtual address {virtual_address:#x} is outside every reserved range"
+            )
 
     def map(self, virtual_address: int, handle: PhysicalHandle) -> VirtualMapping:
         """Map a physical handle at a virtual address (``cuMemMap``)."""
         if handle.handle_id not in self._handles:
             raise InvalidAddressError(f"unknown physical handle {handle.handle_id}")
-        if virtual_address % self.granule:
-            raise InvalidAddressError(
-                f"virtual address {virtual_address:#x} is not granule-aligned"
-            )
-        if not any(r.contains(virtual_address, handle.size) for r in self._ranges):
-            raise InvalidAddressError(
-                f"virtual address {virtual_address:#x} is outside every reserved range"
-            )
+        self._check_mappable(virtual_address, handle.size)
         if virtual_address in self._mappings:
             raise InvalidAddressError(f"virtual address {virtual_address:#x} is already mapped")
-        mapping = VirtualMapping(virtual_address=virtual_address, handle=handle)
-        self._mappings[virtual_address] = mapping
+        self._mappings[virtual_address] = handle
+        self._map_counts[handle.handle_id] = self._map_counts.get(handle.handle_id, 0) + 1
         self.stats.map_calls += 1
-        return mapping
+        return VirtualMapping(virtual_address=virtual_address, handle=handle)
+
+    def map_new_granules(
+        self, virtual_address: int, count: int
+    ) -> tuple[list[PhysicalHandle], OutOfMemoryError | None]:
+        """Create ``count`` granules and map them back to back from ``virtual_address``.
+
+        The run-granular form of ``count`` x (:meth:`create_handle` +
+        :meth:`map`) that a growing segment issues: the target range is
+        validated once for the whole run, and handle ids, device and VMM
+        counters advance exactly as under the per-granule calls.  The run
+        stops at the first granule the device cannot supply; the handles
+        mapped up to there are returned (in address order) together with the
+        device's error, ``None`` when the run completed, so the caller can
+        release memory and ask for the rest or re-raise.
+        """
+        granule = self.granule
+        self._check_mappable(virtual_address, count * granule)
+        malloc = self.device.malloc
+        handles = self._handles
+        mappings = self._mappings
+        map_counts = self._map_counts
+        run: list[PhysicalHandle] = []
+        error = None
+        try:
+            for _ in range(count):
+                if virtual_address in mappings:
+                    raise InvalidAddressError(
+                        f"virtual address {virtual_address:#x} is already mapped"
+                    )
+                try:
+                    backing = malloc(granule)
+                except OutOfMemoryError as oom:
+                    error = oom
+                    break
+                handle = PhysicalHandle(next(self._handle_ids), granule, backing)
+                handles[handle.handle_id] = handle
+                mappings[virtual_address] = handle
+                map_counts[handle.handle_id] = 1
+                run.append(handle)
+                virtual_address += granule
+        finally:
+            self.stats.handles_created += len(run)
+            self.stats.map_calls += len(run)
+        return run, error
 
     def unmap(self, virtual_address: int) -> PhysicalHandle:
         """Unmap the granule at ``virtual_address`` (``cuMemUnmap``).
@@ -183,11 +239,16 @@ class VirtualMemoryManager:
         Returns the handle that was mapped there so callers can either re-map
         it elsewhere (stitching) or release it.
         """
-        mapping = self._mappings.pop(virtual_address, None)
-        if mapping is None:
+        handle = self._mappings.pop(virtual_address, None)
+        if handle is None:
             raise InvalidAddressError(f"virtual address {virtual_address:#x} is not mapped")
+        remaining = self._map_counts[handle.handle_id] - 1
+        if remaining:
+            self._map_counts[handle.handle_id] = remaining
+        else:
+            del self._map_counts[handle.handle_id]
         self.stats.unmap_calls += 1
-        return mapping.handle
+        return handle
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -195,7 +256,7 @@ class VirtualMemoryManager:
     @property
     def mapped_bytes(self) -> int:
         """Total physical bytes currently mapped into virtual space."""
-        return sum(m.handle.size for m in self._mappings.values())
+        return sum(handle.size for handle in self._mappings.values())
 
     @property
     def physical_bytes(self) -> int:
@@ -209,6 +270,7 @@ class VirtualMemoryManager:
     def release_all(self) -> None:
         """Unmap and release everything (teardown helper for experiments)."""
         self._mappings.clear()
+        self._map_counts.clear()
         for handle in list(self._handles.values()):
             del self._handles[handle.handle_id]
             self.device.free(handle.backing)

@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.allocators.base import AllocationHints, Allocator
+from repro.core.columns import ALLOC, CATEGORIES
 from repro.gpu.errors import OutOfMemoryError
 from repro.obs.tracer import is_enabled as _obs_enabled
 from repro.obs.tracer import observe as _obs_observe
@@ -114,34 +115,55 @@ def _replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool) -> R
     oom_at_event: int | None = None
     oom_request_bytes = 0
     failed_requests: set[int] = set()
-    for index, event in enumerate(trace.events):
-        if event.is_alloc():
-            hints = AllocationHints(
-                phase=event.phase,
-                module=event.module,
-                dyn=event.dyn,
-                category=event.category,
-            )
+    # The loop reads plain ints off the columns; the hints an allocator sees
+    # are interned, one object per distinct (phase, module, dyn, category).
+    columns = trace.columns
+    phases = trace.phase_table()
+    modules = columns.modules
+    interned: dict[tuple[int, int, int, int], AllocationHints] = {}
+    allocate = allocator.allocate
+    free = allocator.free
+    for index, (kind, req_id, size, phase_index, module_index, dyn, category) in enumerate(
+        zip(
+            columns.kind.tolist(),
+            columns.req_id.tolist(),
+            columns.size.tolist(),
+            columns.phase_index.tolist(),
+            columns.module_index.tolist(),
+            columns.dyn.tolist(),
+            columns.category.tolist(),
+        )
+    ):
+        if kind == ALLOC:
+            key = (phase_index, module_index, dyn, category)
+            hints = interned.get(key)
+            if hints is None:
+                hints = interned[key] = AllocationHints(
+                    phase=phases[phase_index],
+                    module=modules[module_index],
+                    dyn=bool(dyn),
+                    category=CATEGORIES[category],
+                )
             try:
-                allocator.allocate(event.req_id, event.size, hints)
+                allocate(req_id, size, hints)
             except OutOfMemoryError:
                 if oom_at_event is None:
                     oom_at_event = index
-                    oom_request_bytes = event.size
-                failed_requests.add(event.req_id)
+                    oom_request_bytes = size
+                failed_requests.add(req_id)
                 failed_allocs += 1
                 if stop_on_oom:
                     break
                 continue
         else:
-            if event.req_id in failed_requests:
+            if req_id in failed_requests:
                 # The matching allocation never happened; drop the request
                 # from the failed set so the bookkeeping stays bounded and
                 # a (pathological) re-use of the id is not swallowed too.
-                failed_requests.discard(event.req_id)
+                failed_requests.discard(req_id)
                 skipped_frees += 1
                 continue
-            allocator.free(event.req_id)
+            free(req_id)
         events_replayed += 1
 
     metrics = MemoryMetrics(

@@ -9,10 +9,15 @@ the replay simulator feeds them to allocators.
 Storage is columnar (:class:`repro.core.columns.TraceColumns` -- parallel
 numpy int64 arrays, built once per trace).  The object API is a thin lazy
 view: ``trace.events`` materializes :class:`TraceEvent` objects on first
-access, while analytics, serialization, and replay operate directly on the
-columns.  A trace may be constructed from either representation; whichever
-side is missing is derived lazily and memoised.  Traces are treated as
-immutable once constructed (the digest memo and the sweep cache rely on it).
+access.  Nothing on a run's hot path asks for it: analytics and serialization
+are vectorized over the columns, :func:`repro.simulator.replay.replay_trace`
+walks the columns as plain ints, and :meth:`Trace.to_requests` (the profiler's
+input) pairs allocs with frees through the columns' memoised ``Pairing``.
+Event objects remain for hand-built traces, tests, and the diagnostics of
+:func:`repro.core.events.pair_events` on a trace that does not pair simply.
+A trace may be constructed from either representation; whichever side is
+missing is derived lazily and memoised.  Traces are treated as immutable once
+constructed (the digest memo and the sweep cache rely on it).
 """
 
 from __future__ import annotations
@@ -200,9 +205,30 @@ class Trace:
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #
+    def phase_table(self) -> dict[int, Phase]:
+        """``Phase.index`` -> phase, for readers of the ``phase_index`` column.
+
+        The declared :attr:`phases`, plus -- for a hand-built trace that was
+        given events but no phase list -- the phases its events carry.
+        """
+        table = {phase.index: phase for phase in self.phases}
+        if self._events is not None:
+            for event in self._events:
+                table[event.phase.index] = event.phase
+        return table
+
     def to_requests(self) -> list[MemoryRequest]:
-        """Pair alloc/free events into memory-request events (profiler view)."""
-        return pair_events(self.events, end_of_trace=self.end_time())
+        """Pair alloc/free events into memory-request events (profiler view).
+
+        Built from the columns' memoised alloc/free :class:`Pairing` when the
+        trace pairs simply (every generated trace does), without materializing
+        an event object; anything else -- id reuse, a free before its alloc --
+        goes through :func:`pair_events`, which names what is malformed.
+        """
+        columns = self.columns
+        if not columns.pairing().ok:
+            return pair_events(self.events, end_of_trace=self.end_time())
+        return columns.to_requests(self.phase_table(), end_of_trace=self.end_time())
 
     def static_dynamic_split(self) -> tuple[int, int]:
         """(static bytes, dynamic bytes) of the iteration's allocations."""

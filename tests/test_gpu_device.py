@@ -174,6 +174,86 @@ class TestVirtualMemoryManager:
         with pytest.raises(InvalidAddressError):
             vmm.release_handle(handle)
 
+    def test_handle_mapped_twice_stays_unreleasable_until_both_unmapped(self, device):
+        """Stitching maps one granule at a second address; the O(1) check counts both."""
+        vmm = VirtualMemoryManager(device)
+        vrange = vmm.reserve_range(8 * MIB)
+        handle = vmm.create_handle()
+        vmm.map(vrange.start, handle)
+        vmm.map(vrange.start + vmm.granule, handle)
+        vmm.unmap(vrange.start)
+        with pytest.raises(InvalidAddressError, match="still mapped; unmap it first"):
+            vmm.release_handle(handle)
+        vmm.unmap(vrange.start + vmm.granule)
+        vmm.release_handle(handle)
+        assert device.in_use == 0
+
+    def test_release_does_not_scan_the_mappings(self, device):
+        """Releasing one handle costs the same with 2 or 2000 other granules mapped."""
+        vmm = VirtualMemoryManager(device)
+        vrange = vmm.reserve_range(8 * 1024 * MIB)
+        vmm.map_new_granules(vrange.start, 2000)
+
+        class NoScan(dict):
+            def values(self):
+                raise AssertionError("release_handle walked every mapping")
+
+        vmm._mappings = NoScan(vmm._mappings)
+        loose = vmm.create_handle()
+        vmm.release_handle(loose)
+        mapped = vmm.unmap(vrange.start)
+        vmm.release_handle(mapped)
+        assert vmm.live_handles == 1999
+
+    def test_map_new_granules_equals_the_per_granule_calls(self):
+        def fresh():
+            device = Device(name="pair", capacity=16 * MIB)
+            vmm = VirtualMemoryManager(device)
+            return device, vmm, vmm.reserve_range(64 * MIB)
+
+        device_a, vmm_a, range_a = fresh()
+        handles_a = []
+        for index in range(5):
+            handle = vmm_a.create_handle()
+            vmm_a.map(range_a.start + index * vmm_a.granule, handle)
+            handles_a.append(handle)
+        device_b, vmm_b, range_b = fresh()
+        handles_b, oom = vmm_b.map_new_granules(range_b.start, 5)
+        assert oom is None
+        assert handles_b == handles_a  # same ids, sizes and backing addresses
+        assert vmm_b.stats == vmm_a.stats
+        assert device_b.stats == device_a.stats
+        assert vmm_b.mapped_bytes == vmm_a.mapped_bytes == 5 * vmm_a.granule
+        for index, handle in enumerate(handles_b):
+            assert vmm_b.unmap(range_b.start + index * vmm_b.granule) is handle
+
+    def test_map_new_granules_stops_where_the_device_runs_dry(self):
+        device = Device(name="dry", capacity=6 * MIB)
+        vmm = VirtualMemoryManager(device)
+        vrange = vmm.reserve_range(64 * MIB)
+        handles, oom = vmm.map_new_granules(vrange.start, 5)
+        assert len(handles) == 3 and isinstance(oom, OutOfMemoryError)
+        assert oom.requested == vmm.granule and oom.in_use == 6 * MIB
+        assert (device.stats.malloc_calls, device.stats.failed_mallocs) == (4, 1)
+        assert (vmm.stats.handles_created, vmm.stats.map_calls) == (3, 3)
+        assert vmm.mapped_bytes == device.in_use == 6 * MIB
+
+    def test_map_new_granules_validates_the_whole_run_once(self, device):
+        vmm = VirtualMemoryManager(device)
+        vrange = vmm.reserve_range(8 * MIB)
+        with pytest.raises(InvalidAddressError, match="not granule-aligned"):
+            vmm.map_new_granules(vrange.start + 1, 1)
+        with pytest.raises(InvalidAddressError, match="outside every reserved range"):
+            vmm.map_new_granules(vrange.start, 5)  # one granule past the end
+        with pytest.raises(InvalidAddressError, match="outside every reserved range"):
+            vmm.map_new_granules(vrange.end + vmm.granule, 1)  # in the guard gap
+        assert device.in_use == 0 and vmm.stats.map_calls == 0
+        vmm.map_new_granules(vrange.start + vmm.granule, 1)
+        with pytest.raises(InvalidAddressError, match="already mapped"):
+            vmm.map_new_granules(vrange.start, 2)
+        # The granule mapped before the collision is on the books.
+        assert vmm.stats.handles_created == vmm.stats.map_calls == vmm.live_handles == 2
+
     def test_handle_creation_oom_propagates(self, small_device):
         vmm = VirtualMemoryManager(small_device)
         with pytest.raises(OutOfMemoryError):

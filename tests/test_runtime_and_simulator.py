@@ -124,6 +124,39 @@ class TestRuntimeAllocator:
         assert report["static_pool_bytes"] == stalloc.static_pool_bytes
         assert report["plan_overhead_ratio"] >= 1.0
 
+    def test_planning_report_is_derived_once_per_instance(self, dense_trace, monkeypatch):
+        """The cache write and the result row share one derivation."""
+        from repro.core.profiler import ProfileResult
+
+        calls = {"summary": 0, "peak": 0}
+        summary, peak = ProfileResult.summary, ProfileResult.peak_allocated_bytes
+
+        def counted_summary(self):
+            calls["summary"] += 1
+            return summary(self)
+
+        def counted_peak(self):
+            calls["peak"] += 1
+            return peak(self)
+
+        monkeypatch.setattr(ProfileResult, "summary", counted_summary)
+        monkeypatch.setattr(ProfileResult, "peak_allocated_bytes", counted_peak)
+        stalloc = STAlloc.from_trace(dense_trace)
+        document = stalloc.to_json_dict()
+        report = stalloc.planning_report()
+        assert calls == {"summary": 1, "peak": 1}
+        assert document["report"] == report and document["report"] is not report
+        report["num_requests"] = -1  # callers own their copy
+        assert stalloc.planning_report()["num_requests"] == dense_trace.num_requests
+        # Key for key what a from-scratch derivation gives, in the same order.
+        expected = dict(stalloc.plan.synthesis_info)
+        expected.update(summary(stalloc.profile))
+        expected["plan_overhead_ratio"] = stalloc.plan.pool_size / max(
+            expected["peak_static_demand_bytes"], 1
+        )
+        assert list(stalloc.planning_report().items()) == list(expected.items())
+        assert STAlloc.from_json_dict(document).planning_report() == expected
+
 
 # ---------------------------------------------------------------------- #
 # Metrics / replay
