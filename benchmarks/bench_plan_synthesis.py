@@ -15,11 +15,18 @@ Run as a script it measures what a *cold plan* costs layer by layer -- the
     PYTHONPATH=src python benchmarks/bench_plan_synthesis.py \
         --check benchmarks/BENCH_plan_synthesis.json                    # CI
 
-``--check`` gates only what does not depend on the machine: the plan
-self-check may cost at most ``CHECK_MAX_VALIDATE_SHARE`` of the synthesis it
-runs inside (both timed in this process, so load moves them together), and a
-cold ``get_trace`` + ``plan_key`` must serialise the trace exactly once.  The
-recorded seconds are printed next to the measured ones for the reader.
+Inside ``synthesize_s`` it times the three planning stages on their own --
+``pack_s`` (HomoPhase grouping + one sweep per group), ``fuse_s`` (TMP-guided
+fusion) and ``global_plan_s`` (HomoSize layering + address assignment) -- and
+after it ``store_s`` (serialise + write the plan entry, ``plan_bytes`` long).
+
+``--check`` gates two ratios that do not depend on the machine -- the plan
+self-check may cost at most ``CHECK_MAX_VALIDATE_SHARE`` of the cold plan it
+guards (``profile_s + synthesize_s + store_s``, all timed in this process, so
+load moves them together), and a cold ``get_trace`` + ``plan_key`` must
+serialise the trace exactly once -- and one that does, the way
+``bench_trace_core.py`` gates ``replay_*``: the best ``synthesize_s`` rep may
+not fall below ``SYNTHESIZE_RATIO`` of the latest entry's rate.
 """
 
 from __future__ import annotations
@@ -34,10 +41,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.dynamic_space import locate_dynamic_reusable_spaces
+from repro.core.homophase import build_homophase_groups, fuse_adjacent_groups
+from repro.core.planner import build_global_plan
 from repro.core.profiler import AllocationProfiler
 from repro.core.stalloc import STAlloc, STAllocConfig
 from repro.core.synthesizer import PlanSynthesizer
-from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.experiments.common import A800_WORKLOADS
 from repro.gpu.device import Device, GIB
 from repro.simulator.replay import replay_trace
@@ -97,8 +106,18 @@ def test_runtime_replay(benchmark, dense_trace):
 # ---------------------------------------------------------------------- #
 # Script mode: the cold-plan cost trajectory (--record / --check)
 # ---------------------------------------------------------------------- #
-#: ``--check`` fails when ``validate_s / synthesize_s`` exceeds this.
-CHECK_MAX_VALIDATE_SHARE = 0.15
+#: ``--check`` fails when ``validate_s / (profile_s + synthesize_s + store_s)``
+#: exceeds this.  Measured at 1.11.0: 0.19-0.20 (llama2-7b-R) and 0.11-0.14
+#: (gpt2-345m-gen16) over three runs; the gate is the larger share plus half.
+CHECK_MAX_VALIDATE_SHARE = 0.30
+#: ``--check`` fails when the best ``synthesize_s`` rep plans fewer than this
+#: share of the requests per second the latest trajectory entry did.
+SYNTHESIZE_RATIO = 0.8
+#: The timed layers of one cold plan, in pipeline order.
+LAYERS = (
+    "profile_s", "synthesize_s", "pack_s", "fuse_s", "global_plan_s",
+    "validate_s", "store_s", "dumps_digest_s",
+)
 
 
 def _generation_config() -> TrainingConfig:
@@ -154,6 +173,13 @@ def measure_preset(name: str, *, reps: int = 5) -> dict:
     trace = ExecutionContext().trace(config)
     profile = AllocationProfiler().profile(trace)
     plan = PlanSynthesizer().synthesize(profile)
+    groups = build_homophase_groups(profile.columns)
+    fused, _ = fuse_adjacent_groups(groups)
+    store_dir = tempfile.TemporaryDirectory()
+    entry = Path(store_dir.name) / "plan.json"
+
+    def store():  # a fresh facade each time: the planning report is derived cold
+        STAlloc(profile=profile, plan=plan).save_plan(entry)
 
     def serialize():  # a fresh view each time: the digest memo starts empty
         view = Trace(
@@ -165,18 +191,28 @@ def measure_preset(name: str, *, reps: int = 5) -> dict:
         view.dumps()
         view.digest()
 
-    return {
-        "events": trace.num_events,
-        "decisions": len(plan.static_plan),
-        "fusions": plan.synthesis_info["num_fusions"],
-        "profile_s": round(_best_seconds(lambda: AllocationProfiler().profile(trace), reps), 4),
-        "synthesize_s": round(
-            _best_seconds(lambda: PlanSynthesizer().synthesize(profile), reps), 4
-        ),
-        "validate_s": round(_best_seconds(plan.static_plan.validate, reps), 4),
-        "dumps_digest_s": round(_best_seconds(serialize, reps), 4),
-        "iter_jsonl_calls_per_cold_trace": _iter_jsonl_calls_per_cold_trace(config),
-    }
+    with store_dir:
+        return {
+            "events": trace.num_events,
+            "decisions": len(plan.static_plan),
+            "fusions": plan.synthesis_info["num_fusions"],
+            "profile_s": round(
+                _best_seconds(lambda: AllocationProfiler().profile(trace), reps), 4
+            ),
+            "synthesize_s": round(
+                _best_seconds(lambda: PlanSynthesizer().synthesize(profile), reps), 4
+            ),
+            "pack_s": round(
+                _best_seconds(lambda: build_homophase_groups(profile.columns), reps), 4
+            ),
+            "fuse_s": round(_best_seconds(lambda: fuse_adjacent_groups(groups), reps), 4),
+            "global_plan_s": round(_best_seconds(lambda: build_global_plan(fused), reps), 4),
+            "validate_s": round(_best_seconds(plan.static_plan.validate, reps), 4),
+            "store_s": round(_best_seconds(store, reps), 4),
+            "plan_bytes": entry.stat().st_size,
+            "dumps_digest_s": round(_best_seconds(serialize, reps), 4),
+            "iter_jsonl_calls_per_cold_trace": _iter_jsonl_calls_per_cold_trace(config),
+        }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -188,9 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         type=Path,
-        help="gate validate_s / synthesize_s <= "
-        f"{CHECK_MAX_VALIDATE_SHARE:g} and one serialisation per cold trace; "
-        "prints the latest recorded entry for comparison",
+        help="gate validate_s / (profile_s + synthesize_s + store_s) <= "
+        f"{CHECK_MAX_VALIDATE_SHARE:g}, one serialisation per cold trace, and a best "
+        f"synthesize_s rep >= {SYNTHESIZE_RATIO:g}x the latest entry's requests/s",
     )
     args = parser.parse_args(argv)
 
@@ -198,8 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     results = {name: measure_preset(name, reps=args.reps) for name in presets}
     for name, row in results.items():
         print(f"== {name}: {row['events']} events, {row['decisions']} decisions ==")
-        for metric in ("profile_s", "synthesize_s", "validate_s", "dumps_digest_s"):
+        for metric in LAYERS:
             print(f"  {metric:16s} {row[metric]:8.4f} s")
+        print(f"  plan entry: {row['plan_bytes']} bytes")
         print(f"  iter_jsonl calls per cold trace: {row['iter_jsonl_calls_per_cold_trace']}")
 
     if args.record:
@@ -219,19 +256,22 @@ def main(argv: list[str] | None = None) -> int:
         latest = json.loads(args.check.read_text())["trajectory"][-1]
         failed = False
         for name, row in results.items():
-            share = row["validate_s"] / row["synthesize_s"]
-            recorded = latest["results"].get(name, {})
+            share = row["validate_s"] / (row["profile_s"] + row["synthesize_s"] + row["store_s"])
+            recorded = latest["results"][name]
+            rate = row["decisions"] / row["synthesize_s"]
+            floor = SYNTHESIZE_RATIO * recorded["decisions"] / recorded["synthesize_s"]
             ok = (
                 share <= CHECK_MAX_VALIDATE_SHARE
                 and row["iter_jsonl_calls_per_cold_trace"] == 1
+                and rate >= floor
             )
             failed = failed or not ok
             print(
-                f"check {name}: validate/synthesize {share:.3f} "
+                f"check {name}: validate share of the cold plan {share:.3f} "
                 f"(gate {CHECK_MAX_VALIDATE_SHARE:g}), "
-                f"{row['iter_jsonl_calls_per_cold_trace']} serialisation(s) per cold trace; "
-                f"synthesize {row['synthesize_s']}s vs {recorded.get('synthesize_s')}s "
-                f"recorded for {latest['version']} [{'ok' if ok else 'FAIL'}]"
+                f"{row['iter_jsonl_calls_per_cold_trace']} serialisation(s) per cold trace, "
+                f"synthesize {rate:,.0f} requests/s vs {latest['version']}'s best "
+                f"x {SYNTHESIZE_RATIO:g} = {floor:,.0f} [{'ok' if ok else 'FAIL'}]"
             )
         if failed:
             print("cold-plan check FAILED")

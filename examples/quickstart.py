@@ -41,7 +41,7 @@ def main() -> None:
     report = stalloc.planning_report()
     print(f"Static allocation plan: {stalloc.static_pool_bytes / GIB:.2f} GiB pool, "
           f"{report['num_homophase_groups']} HomoPhase groups, "
-          f"{report['num_fusions']} fusions, planned in {report['synthesis_seconds']:.2f}s")
+          f"{report['num_fusions']} fusions, planned in {report['synthesis_seconds'] * 1e3:.0f} ms")
 
     # 4. Replay the iteration through STAlloc and through PyTorch's caching
     #    allocator, and compare peak memory efficiency E = M_a / M_r.

@@ -29,7 +29,7 @@ tell the difference from the old object-walking implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,6 +127,33 @@ class ColumnBuilder:
             modules=tuple(self._modules),
             tags=tuple(self._tags),
         )
+
+
+class RequestColumns(NamedTuple):
+    """The paired requests of one trace as parallel int lists.
+
+    Row ``i`` is the paper's ``m := (s, t_s, t_e, p_s, p_e, dyn)`` plus the
+    request id, phases by ``Phase.index``; the first four columns are the
+    planner's packing key.  A table read off a trace is sorted by
+    ``(alloc_time, req_id)``; one built from request objects keeps their order.
+    """
+
+    alloc_time: list[int]
+    req_id: list[int]
+    size: list[int]
+    free_time: list[int]
+    alloc_phase: list[int]
+    free_phase: list[int]
+    dyn: list[int]
+
+    @classmethod
+    def from_requests(cls, requests: Iterable[MemoryRequest]) -> "RequestColumns":
+        rows = [
+            (m.alloc_time, m.req_id, m.size, m.free_time,
+             m.alloc_phase.index, m.free_phase.index, int(m.dyn))
+            for m in requests
+        ]
+        return cls(*map(list, zip(*rows))) if rows else cls([], [], [], [], [], [], [])
 
 
 @dataclass(frozen=True)
@@ -258,64 +285,100 @@ class TraceColumns:
             )
         ]
 
+    def _paired(self, end_of_trace: int) -> tuple[np.ndarray, ...]:
+        """``(alloc_pos, free_pos, free_time, free_phase)`` per request.
+
+        One entry per request of a trace whose :meth:`pairing` is ``ok``, in
+        ``(alloc_time, req_id)`` order.  Never-freed requests (weights,
+        optimizer state) have ``free_pos`` -1 and close at the end of the
+        trace, in the phase of its last event.
+        """
+        pairing = self.pairing()
+        if not pairing.ok:
+            raise ValueError("trace does not pair simply; use pair_events")
+        survivors = pairing.alloc_pos[pairing.survivor_ordinals]
+        alloc_pos = np.concatenate((pairing.alloc_pos[pairing.free_alloc_ordinal], survivors))
+        free_pos = np.concatenate((pairing.free_pos, np.full_like(survivors, -1)))
+        free_time = np.concatenate(
+            (self.time[pairing.free_pos], np.maximum(end_of_trace, self.time[survivors] + 1))
+        )
+        last_phase = self.phase_index[self.time == self.time.max()].max() if len(self.time) else 0
+        free_phase = np.concatenate(
+            (self.phase_index[pairing.free_pos], np.full_like(survivors, last_phase))
+        )
+        order = np.lexsort((self.req_id[alloc_pos], self.time[alloc_pos]))
+        return alloc_pos[order], free_pos[order], free_time[order], free_phase[order]
+
+    def request_columns(self, *, end_of_trace: int) -> RequestColumns:
+        """The paired requests as int lists: what the planner reads."""
+        alloc_pos, _, free_time, free_phase = self._paired(end_of_trace)
+        size, alloc_time = self.size[alloc_pos], self.time[alloc_pos]
+        # What MemoryRequest checks per object, over the columns.
+        if (size <= 0).any() or (free_time <= alloc_time).any():
+            raise ValueError("a request needs a positive size and a free_time after its alloc_time")
+        return RequestColumns(
+            alloc_time=alloc_time.tolist(),
+            req_id=self.req_id[alloc_pos].tolist(),
+            size=size.tolist(),
+            free_time=free_time.tolist(),
+            alloc_phase=self.phase_index[alloc_pos].tolist(),
+            free_phase=free_phase.tolist(),
+            dyn=self.dyn[alloc_pos].tolist(),
+        )
+
     def to_requests(
-        self, phases: Mapping[int, Phase], *, end_of_trace: int
+        self, phases: Mapping[int, Phase], *, end_of_trace: int, dynamic_only: bool = False
     ) -> list[MemoryRequest]:
         """Paired memory requests of a trace whose :meth:`pairing` is ``ok``.
 
         Equal to :func:`repro.core.events.pair_events` over the object view
         (same field for field, same order, same never-freed closing rule),
         built from the pairing's positions without one event object.
+        ``dynamic_only`` keeps the ``dyn`` requests (the only ones the plan
+        synthesizer needs as objects, for HomoLayer grouping).
         """
-        pairing = self.pairing()
-        if not pairing.ok:
-            raise ValueError("trace does not pair simply; use pair_events")
-        if self.num_events == 0:
-            return []
-        req_id = self.req_id.tolist()
-        size = self.size.tolist()
-        time = self.time.tolist()
-        phase_index = self.phase_index.tolist()
-        module_index = self.module_index.tolist()
-        dyn = self.dyn.tolist()
-        category = self.category.tolist()
-        tag_index = self.tag_index.tolist()
+        alloc_pos, free_pos, free_time, free_phase = self._paired(end_of_trace)
+        if dynamic_only:
+            keep = self.dyn[alloc_pos] == 1
+            alloc_pos, free_pos = alloc_pos[keep], free_pos[keep]
+            free_time, free_phase = free_time[keep], free_phase[keep]
         modules = self.modules
         tags = self.tags
-        # Each alloc position with where it closes: matched allocs at their
-        # free event; never-freed ones (weights, optimizer state) at the end of
-        # the trace, in the phase of its last event and their own module.
-        free_pos = pairing.free_pos.tolist()
-        survivors = pairing.alloc_pos[pairing.survivor_ordinals].tolist()
-        last = self.time == self.time.max()
-        last_phase = phases[int(self.phase_index[last].max())]
-        alloc_pos = pairing.alloc_pos[pairing.free_alloc_ordinal].tolist() + survivors
-        free_time = [time[f] for f in free_pos]
-        free_time += [max(end_of_trace, time[a] + 1) for a in survivors]
-        free_phase = [phases[phase_index[f]] for f in free_pos]
-        free_phase += [last_phase] * len(survivors)
-        free_module = [modules[module_index[f]] for f in free_pos]
-        free_module += [""] * len(survivors)
-        requests = [
+        # A never-freed request closes in its own module (its free_pos, -1,
+        # reads the last event's module, which the ``where`` discards).
+        alloc_module = self.module_index[alloc_pos]
+        free_module = np.where(free_pos >= 0, self.module_index[free_pos], alloc_module)
+        return [
             MemoryRequest(
-                req_id=req_id[a],
-                size=size[a],
-                alloc_time=time[a],
+                req_id=req_id,
+                size=size,
+                alloc_time=alloc_time,
                 free_time=closes,
-                alloc_phase=phases[phase_index[a]],
-                free_phase=closing_phase,
-                dyn=bool(dyn[a]),
-                alloc_module=modules[module_index[a]],
-                free_module=closing_module or modules[module_index[a]],
-                category=CATEGORIES[category[a]],
-                tag=tags[tag_index[a]],
+                alloc_phase=phases[alloc_phase],
+                free_phase=phases[closing_phase],
+                dyn=bool(dyn),
+                alloc_module=modules[alloc_module],
+                free_module=modules[closing_module] or modules[alloc_module],
+                category=CATEGORIES[category],
+                tag=tags[tag],
             )
-            for a, closes, closing_phase, closing_module in zip(
-                alloc_pos, free_time, free_phase, free_module
+            for (
+                req_id, size, alloc_time, closes, alloc_phase, closing_phase,
+                dyn, alloc_module, closing_module, category, tag,
+            ) in zip(
+                self.req_id[alloc_pos].tolist(),
+                self.size[alloc_pos].tolist(),
+                self.time[alloc_pos].tolist(),
+                free_time.tolist(),
+                self.phase_index[alloc_pos].tolist(),
+                free_phase.tolist(),
+                self.dyn[alloc_pos].tolist(),
+                alloc_module.tolist(),
+                free_module.tolist(),
+                self.category[alloc_pos].tolist(),
+                self.tag_index[alloc_pos].tolist(),
             )
         ]
-        requests.sort(key=lambda m: (m.alloc_time, m.req_id))
-        return requests
 
     # ------------------------------------------------------------------ #
     # Vectorized analytics

@@ -68,14 +68,13 @@ def locate_dynamic_reusable_spaces(
     if not groups:
         return {}
     pool_size = static_plan.pool_size
-    decisions = static_plan.decisions
-    if not decisions or pool_size == 0:
+    if not len(static_plan) or pool_size == 0:
         return {key: IntervalSet() for key in groups}
 
-    alloc_times = np.array([d.request.alloc_time for d in decisions], dtype=np.int64)
-    free_times = np.array([d.request.free_time for d in decisions], dtype=np.int64)
-    addresses = np.array([d.address for d in decisions], dtype=np.int64)
-    ends = np.array([d.end_address for d in decisions], dtype=np.int64)
+    alloc_times = np.array(static_plan.alloc_time, dtype=np.int64)
+    free_times = np.array(static_plan.free_time, dtype=np.int64)
+    addresses = np.array(static_plan.address, dtype=np.int64)
+    ends = addresses + np.array(static_plan.size, dtype=np.int64)
 
     spaces: dict[tuple[str, str], IntervalSet] = {}
     for key, members in groups.items():

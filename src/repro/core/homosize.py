@@ -11,10 +11,15 @@ Algorithm 1 builds the layers greedily: plans are processed in allocation
 order and appended to the layer whose last occupant frees latest but still
 before the plan starts (minimising idle time), or to a brand-new layer when no
 existing layer is free in time.
+
+A layer's occupants never overlap in time, so it keeps their ``[start, end)``
+windows sorted and answers "is this window free?" with one bisect; a plan's
+size and extent are fields fixed when it was packed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -31,17 +36,24 @@ class MemoryLayer:
     end: int = -1
     #: Absolute base address, assigned by the global planner.
     base: int = 0
+    #: The occupants' start and end times, each sorted (occupants are disjoint
+    #: in time, so one order sorts both).
+    _starts: list[int] = field(default_factory=list, repr=False)
+    _ends: list[int] = field(default_factory=list, repr=False)
 
     def can_hold(self, plan: LocalPlan) -> bool:
         """True when ``plan`` fits spatially and does not overlap any occupant."""
         if plan.size > self.size:
             return False
-        return all(
-            not (plan.start_time < item.end_time and item.start_time < plan.end_time)
-            for item in self.items
-        )
+        # The first occupant that ends after the plan starts must start after it ends.
+        slot = bisect_right(self._ends, plan.start_time)
+        return slot == len(self._starts) or self._starts[slot] >= plan.end_time
 
     def append(self, plan: LocalPlan) -> None:
+        """Add an occupant; its window must be free (see :meth:`can_hold`)."""
+        slot = bisect_right(self._ends, plan.start_time)
+        self._starts.insert(slot, plan.start_time)
+        self._ends.insert(slot, plan.end_time)
         self.items.append(plan)
         self.end = max(self.end, plan.end_time)
 

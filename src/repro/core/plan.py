@@ -2,10 +2,11 @@
 
 The Plan Synthesizer's output consists of:
 
-* a :class:`StaticAllocationPlan` -- one :class:`AllocationDecision` per static
-  request, i.e. the profiled request augmented with the start address ``a`` it
-  must be placed at (``d := m + (a)`` in §5.1), together with the total size
-  of the static memory pool those addresses live in;
+* a :class:`StaticAllocationPlan` -- for every static request the start
+  address ``a`` it must be placed at (``d := m + (a)`` in §5.1), held as five
+  parallel int columns (``req_id / size / alloc_time / free_time / address``)
+  together with the total size of the static memory pool those addresses live
+  in; :class:`AllocationDecision` is the per-request view, built on demand;
 * a set of *Dynamic Reusable Spaces* -- for every HomoLayer group of dynamic
   requests, the address intervals of the static pool that remain idle
   throughout that group's temporal range (§5.2).
@@ -18,98 +19,86 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import add
+from typing import Iterable, NamedTuple
 
-from repro.core.events import (
-    MemoryRequest,
-    Phase,
-    TensorCategory,
-    phase_from_dict,
-    phase_to_dict,
-)
 from repro.core.intervals import IntervalSet
 
-
-def _request_to_dict(request: MemoryRequest) -> dict:
-    """Serialize a request, referring to phases by index (see the phase table)."""
-    return {
-        "req_id": request.req_id,
-        "size": request.size,
-        "alloc_time": request.alloc_time,
-        "free_time": request.free_time,
-        "alloc_phase": request.alloc_phase.index,
-        "free_phase": request.free_phase.index,
-        "dyn": request.dyn,
-        "alloc_module": request.alloc_module,
-        "free_module": request.free_module,
-        "category": request.category.value,
-        "tag": request.tag,
-    }
+#: The columns of a static plan, in stored order.
+PLAN_COLUMNS = ("req_id", "size", "alloc_time", "free_time", "address")
 
 
-def _request_from_dict(data: dict, phases: dict[int, Phase]) -> MemoryRequest:
-    return MemoryRequest(
-        req_id=data["req_id"],
-        size=data["size"],
-        alloc_time=data["alloc_time"],
-        free_time=data["free_time"],
-        alloc_phase=phases[data["alloc_phase"]],
-        free_phase=phases[data["free_phase"]],
-        dyn=data["dyn"],
-        alloc_module=data["alloc_module"],
-        free_module=data["free_module"],
-        category=TensorCategory(data["category"]),
-        tag=data["tag"],
-    )
+class AllocationDecision(NamedTuple):
+    """One row of a static plan: a request's planning fields and its address."""
 
-
-@dataclass(frozen=True)
-class AllocationDecision:
-    """A static request together with its planned start address."""
-
-    request: MemoryRequest
+    req_id: int
+    size: int
+    alloc_time: int
+    free_time: int
     address: int
-
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ValueError(f"planned address must be non-negative, got {self.address}")
-
-    @property
-    def size(self) -> int:
-        return self.request.size
 
     @property
     def end_address(self) -> int:
-        return self.address + self.request.size
+        return self.address + self.size
 
     def conflicts_with(self, other: "AllocationDecision") -> bool:
         """True when the two decisions overlap in both space and time."""
-        space_overlap = self.address < other.end_address and other.address < self.end_address
-        return space_overlap and self.request.overlaps(other.request)
+        return (
+            self.address < other.end_address
+            and other.address < self.end_address
+            and self.alloc_time < other.free_time
+            and other.alloc_time < self.free_time
+        )
 
 
 @dataclass
 class StaticAllocationPlan:
     """Planned addresses for every static request of one iteration."""
 
-    decisions: list[AllocationDecision] = field(default_factory=list)
+    req_id: list[int] = field(default_factory=list)
+    size: list[int] = field(default_factory=list)
+    alloc_time: list[int] = field(default_factory=list)
+    free_time: list[int] = field(default_factory=list)
+    address: list[int] = field(default_factory=list)
     pool_size: int = 0
 
     def __post_init__(self) -> None:
-        if self.pool_size == 0 and self.decisions:
-            self.pool_size = max(decision.end_address for decision in self.decisions)
+        if len({len(getattr(self, name)) for name in PLAN_COLUMNS}) != 1:
+            raise ValueError("static plan columns differ in length")
+        if self.address and min(self.address) < 0:
+            raise ValueError("planned addresses must be non-negative")
+        if self.pool_size == 0:
+            self.pool_size = self.peak_planned_bytes()
+
+    @classmethod
+    def from_decisions(
+        cls, decisions: Iterable[AllocationDecision], pool_size: int = 0
+    ) -> "StaticAllocationPlan":
+        columns = [list(column) for column in zip(*decisions)] or [[] for _ in PLAN_COLUMNS]
+        return cls(*columns, pool_size=pool_size)
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple], addresses: list[int], pool_size: int = 0):
+        """From the planner's ``(alloc_time, req_id, size, free_time)`` rows."""
+        alloc_time, req_id, size, free_time = map(list, zip(*rows)) if rows else ([], [], [], [])
+        return cls(req_id, size, alloc_time, free_time, addresses, pool_size)
 
     def __len__(self) -> int:
-        return len(self.decisions)
+        return len(self.req_id)
 
-    def by_request_id(self) -> dict[int, AllocationDecision]:
-        """Index the plan by the profiled request id."""
-        return {decision.request.req_id: decision for decision in self.decisions}
+    @property
+    def decisions(self) -> tuple[AllocationDecision, ...]:
+        """Row view of the columns (built per call; the columns are the plan)."""
+        return tuple(
+            map(
+                AllocationDecision,
+                self.req_id, self.size, self.alloc_time, self.free_time, self.address,
+            )
+        )
 
     def peak_planned_bytes(self) -> int:
         """Highest end address used by any decision (<= ``pool_size``)."""
-        if not self.decisions:
-            return 0
-        return max(decision.end_address for decision in self.decisions)
+        return max(map(add, self.address, self.size), default=0)
 
     def validate(self) -> None:
         """Check the fundamental planning constraint: no spatio-temporal overlap.
@@ -117,82 +106,67 @@ class StaticAllocationPlan:
         No two decisions may overlap in both address range and lifespan, and
         none may end beyond ``pool_size``.  The check is a *time*-ordered
         sweep over the alloc/free ticks (frees before allocs at equal time,
-        matching the half-open :meth:`MemoryRequest.overlaps`) that keeps the
-        live decisions in a list sorted by start address.  Invariant: the live
-        set is pairwise disjoint in address space -- it starts empty, and a
-        decision only joins it after the check below passed.  In a disjoint
+        matching the half-open lifespans) that keeps the live decisions in a
+        list sorted by start address.  Invariant: the live set is pairwise
+        disjoint in address space -- it starts empty, and a decision only
+        joins it after the check below passed.  In a disjoint
         set sorted by start address the end addresses are sorted too, so a
         new decision overlaps *some* live one iff it overlaps its immediate
         predecessor or successor: two neighbour checks behind one ``bisect``
         probe per alloc and one per free, ``O(n log n)`` comparisons however
         many decisions share an address range over time (a good plan *is*
         address reuse over time, so a check whose cost grows with the number
-        of address-overlapping pairs is quadratic on real plans).
+        of address-overlapping pairs is quadratic on real plans).  It reads
+        the int columns only.
         """
-        decisions = self.decisions
-        for decision in decisions:
-            if decision.end_address > self.pool_size:
-                raise ValueError(
-                    f"decision for request {decision.request.req_id} ends at "
-                    f"{decision.end_address}, beyond the pool size {self.pool_size}"
-                )
-        ticks = []
-        for index, decision in enumerate(decisions):
-            ticks.append((decision.request.free_time, 0, index))
-            ticks.append((decision.request.alloc_time, 1, index))
+        req_id, sizes, addresses = self.req_id, self.size, self.address
+        count = len(req_id)
+        ends = list(map(add, addresses, sizes))
+        if max(ends, default=0) > self.pool_size:
+            index = next(i for i in range(count) if ends[i] > self.pool_size)
+            raise ValueError(
+                f"decision for request {req_id[index]} ends at {ends[index]}, "
+                f"beyond the pool size {self.pool_size}"
+            )
+        # One int per tick, ``time * 2n + slot``: row i frees in slot i and
+        # allocates in slot n + i, so frees sort before allocs at equal time.
+        slots = 2 * count
+        ticks = [time * slots + slot for slot, time in enumerate(self.free_time)]
+        ticks += [time * slots + slot for slot, time in enumerate(self.alloc_time, count)]
         ticks.sort()
         live_starts: list[int] = []
-        live: list[AllocationDecision] = []
-        for _, is_alloc, index in ticks:
-            decision = decisions[index]
-            position = bisect_left(live_starts, decision.address)
-            if not is_alloc:
+        live: list[int] = []  # row indices, parallel to live_starts
+        for tick in ticks:
+            index = tick % slots - count
+            address = addresses[index]
+            position = bisect_left(live_starts, address)
+            if index < 0:
                 del live_starts[position]
                 del live[position]
                 continue
-            for neighbour in live[max(position - 1, 0) : position + 1]:
-                if decision.conflicts_with(neighbour):
-                    raise ValueError(
-                        "memory stomping: requests "
-                        f"{decision.request.req_id} and {neighbour.request.req_id} overlap "
-                        "in both address range and lifespan"
-                    )
-            live_starts.insert(position, decision.address)
-            live.insert(position, decision)
-
-    def allocated_time_memory(self) -> int:
-        """Numerator of the plan-level time-memory product."""
-        return sum(decision.request.memory_time() for decision in self.decisions)
+            if position and ends[live[position - 1]] > address:
+                neighbour = live[position - 1]
+            elif position < len(live) and live_starts[position] < ends[index]:
+                neighbour = live[position]
+            else:
+                live_starts.insert(position, address)
+                live.insert(position, index)
+                continue
+            raise ValueError(
+                f"memory stomping: requests {req_id[index]} and {req_id[neighbour]} "
+                "overlap in both address range and lifespan"
+            )
 
     # ------------------------------------------------------------------ #
     # Serialization (used by the sweep engine's persistent plan cache)
     # ------------------------------------------------------------------ #
     def to_json_dict(self) -> dict:
-        """JSON-safe representation (phases deduplicated into a table)."""
-        phases: dict[int, Phase] = {}
-        for decision in self.decisions:
-            for phase in (decision.request.alloc_phase, decision.request.free_phase):
-                phases.setdefault(phase.index, phase)
-        return {
-            "pool_size": self.pool_size,
-            "phases": [phase_to_dict(phases[index]) for index in sorted(phases)],
-            "decisions": [
-                {"address": decision.address, "request": _request_to_dict(decision.request)}
-                for decision in self.decisions
-            ],
-        }
+        """JSON-safe representation: the pool size and the five columns."""
+        return {"pool_size": self.pool_size, **{name: getattr(self, name) for name in PLAN_COLUMNS}}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StaticAllocationPlan":
-        phases = {entry["index"]: phase_from_dict(entry) for entry in data["phases"]}
-        decisions = [
-            AllocationDecision(
-                request=_request_from_dict(entry["request"], phases),
-                address=entry["address"],
-            )
-            for entry in data["decisions"]
-        ]
-        return cls(decisions=decisions, pool_size=data["pool_size"])
+        return cls(*(data[name] for name in PLAN_COLUMNS), pool_size=data["pool_size"])
 
 
 @dataclass
@@ -205,8 +179,13 @@ class SynthesizedPlan:
     #: Profiled dynamic request id -> its HomoLayer-group key, used by the
     #: runtime Request Matcher to route dynamic requests to the right space.
     dynamic_request_groups: dict[int, tuple[str, str]] = field(default_factory=dict)
-    #: Statistics recorded during synthesis (group counts, timings, ...).
+    #: Statistics recorded during synthesis (group counts, pool size, ...):
+    #: a function of the profile and the configuration, like the plan itself.
     synthesis_info: dict = field(default_factory=dict)
+    #: Wall-clock of the synthesis that produced this instance; ``None`` for a
+    #: plan loaded from its stored form, which holds no timing (entries of the
+    #: content-addressed plan cache are byte-identical across writers).
+    synthesis_seconds: float | None = None
 
     @property
     def pool_size(self) -> int:

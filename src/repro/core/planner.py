@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.homophase import LocalPlan
+from repro.core.homophase import LocalPlan, Row
 from repro.core.homosize import MemoryLayer, construct_memory_layers, group_by_size
-from repro.core.plan import AllocationDecision, StaticAllocationPlan
+from repro.core.plan import StaticAllocationPlan
 
 
 @dataclass
@@ -55,17 +55,15 @@ def build_global_plan(
         layers.extend(construct_memory_layers(pending, size))
 
     base = 0
-    decisions: list[AllocationDecision] = []
+    rows: list[Row] = []
+    addresses: list[int] = []
     for layer in layers:
         layer.base = base
         base += layer.size
         for item in layer.items:
-            for placed in item.placed:
-                decisions.append(
-                    AllocationDecision(request=placed.request, address=layer.base + placed.offset)
-                )
-    static_plan = StaticAllocationPlan(decisions=decisions, pool_size=base)
-    return static_plan, layers
+            rows += item.rows
+            addresses += [layer.base + offset for offset in item.offsets]
+    return StaticAllocationPlan.from_rows(rows, addresses, pool_size=base), layers
 
 
 def _insert_into_existing_layer(plan: LocalPlan, layers: list[MemoryLayer]) -> bool:

@@ -10,25 +10,60 @@ micro-batch, module name and the dynamicity flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numpy as np
 
+from repro.core.columns import RequestColumns
 from repro.core.events import MemoryRequest, Phase
 from repro.workloads.trace import Trace
 
 
-@dataclass
 class ProfileResult:
-    """Everything the Plan Synthesizer needs from a profiling run."""
+    """Everything the Plan Synthesizer needs from a profiling run.
 
-    requests: list[MemoryRequest] = field(default_factory=list)
-    module_spans: dict[str, tuple[int, int]] = field(default_factory=dict)
-    phases: list[Phase] = field(default_factory=list)
-    end_time: int = 0
-    metadata: dict = field(default_factory=dict)
+    The requests are held as int :attr:`columns` -- read off the trace's
+    alloc/free pairing, or off the request objects a caller passes -- and that
+    is all planning touches.  ``MemoryRequest`` objects are a view: a profile
+    of a trace builds them when asked (:attr:`requests` for tests and
+    examples, :attr:`dynamic_requests` for HomoLayer grouping).
+    """
+
+    def __init__(
+        self,
+        requests: list[MemoryRequest] | None = None,
+        module_spans: dict[str, tuple[int, int]] | None = None,
+        phases: list[Phase] | None = None,
+        end_time: int = 0,
+        metadata: dict | None = None,
+        *,
+        trace: Trace | None = None,
+    ):
+        # A trace that does not pair simply is profiled through its request
+        # objects: pair_events names what is malformed.
+        if trace is not None and not trace.columns.pairing().ok:
+            requests, trace = trace.to_requests(), None
+        self._trace = trace
+        self._requests = None if trace is not None else list(requests or ())
+        self.columns: RequestColumns = (
+            trace.columns.request_columns(end_of_trace=trace.end_time())
+            if trace is not None
+            else RequestColumns.from_requests(self._requests)
+        )
+        self.module_spans = module_spans if module_spans is not None else {}
+        self.phases = phases if phases is not None else []
+        self.end_time = end_time
+        self.metadata = metadata if metadata is not None else {}
+        self._swept: dict | None = None
 
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
+    @property
+    def requests(self) -> list[MemoryRequest]:
+        """Object view of every request (built once, on first use)."""
+        if self._requests is None:
+            self._requests = self._trace.to_requests()
+        return self._requests
+
     @property
     def static_requests(self) -> list[MemoryRequest]:
         """Requests with deterministic size and lifespan (``M_s``)."""
@@ -37,42 +72,60 @@ class ProfileResult:
     @property
     def dynamic_requests(self) -> list[MemoryRequest]:
         """Requests originating from dynamic (MoE expert) layers (``M_d``)."""
-        return [request for request in self.requests if request.dyn]
+        if self._requests is not None:
+            return [request for request in self._requests if request.dyn]
+        trace = self._trace
+        return trace.columns.to_requests(
+            trace.phase_table(), end_of_trace=trace.end_time(), dynamic_only=True
+        )
 
     @property
     def num_requests(self) -> int:
-        return len(self.requests)
+        return len(self.columns.req_id)
+
+    def _sweep(self) -> dict:
+        """Counts, byte totals and both demand peaks, from one sweep (memoised).
+
+        The alloc/free ticks are ordered by time, frees before allocs at equal
+        time; the static peak is the same sweep with the dynamic requests
+        zeroed out.
+        """
+        if self._swept is None:
+            size = np.asarray(self.columns.size, dtype=np.int64)
+            dynamic = np.asarray(self.columns.dyn, dtype=bool)
+            time = np.asarray(self.columns.alloc_time + self.columns.free_time, dtype=np.int64)
+            delta = np.concatenate((size, -size))
+            order = np.lexsort((delta, time))
+            delta = delta[order]
+            static_delta = np.where(np.concatenate((dynamic, dynamic))[order], 0, delta)
+            dynamic_bytes = int(size[dynamic].sum())
+            self._swept = {
+                "num_requests": len(size),
+                "num_static_requests": int((~dynamic).sum()),
+                "num_dynamic_requests": int(dynamic.sum()),
+                "static_bytes": int(size.sum()) - dynamic_bytes,
+                "dynamic_bytes": dynamic_bytes,
+                "peak_allocated_bytes": int(delta.cumsum().max(initial=0)),
+                "peak_static_bytes": int(static_delta.cumsum().max(initial=0)),
+            }
+        return self._swept
 
     def peak_allocated_bytes(self) -> int:
-        """Theoretical peak demand, from a sweep over the paired requests."""
-        events: list[tuple[int, int]] = []
-        for request in self.requests:
-            events.append((request.alloc_time, request.size))
-            events.append((request.free_time, -request.size))
-        events.sort()
-        live = peak = 0
-        for _, delta in events:
-            live += delta
-            peak = max(peak, live)
-        return peak
+        """Theoretical peak demand of all requests."""
+        return self._sweep()["peak_allocated_bytes"]
+
+    def peak_static_bytes(self) -> int:
+        """Peak demand of the static requests alone: a lower bound for any plan."""
+        return self._sweep()["peak_static_bytes"]
 
     def total_allocated_bytes(self) -> int:
-        return sum(request.size for request in self.requests)
+        return sum(self.columns.size)
 
     def summary(self) -> dict:
         """Compact profiling report (used by Table 2 and the CLI)."""
-        static = self.static_requests
-        dynamic = self.dynamic_requests
-        return {
-            "num_requests": self.num_requests,
-            "num_static_requests": len(static),
-            "num_dynamic_requests": len(dynamic),
-            "static_bytes": sum(r.size for r in static),
-            "dynamic_bytes": sum(r.size for r in dynamic),
-            "peak_allocated_bytes": self.peak_allocated_bytes(),
-            "num_phases": len(self.phases),
-            "num_modules": len(self.module_spans),
-        }
+        report = dict(self._sweep(), num_phases=len(self.phases), num_modules=len(self.module_spans))
+        del report["peak_static_bytes"]  # reported by the synthesizer, as its lower bound
+        return report
 
 
 class AllocationProfiler:
@@ -87,10 +140,9 @@ class AllocationProfiler:
         self.iterations = iterations
 
     def profile(self, trace: Trace) -> ProfileResult:
-        """Pair the trace's events into memory-request events."""
-        requests = trace.to_requests()
+        """Pair the trace's events into memory-request columns."""
         return ProfileResult(
-            requests=requests,
+            trace=trace,
             module_spans=dict(trace.module_spans),
             phases=list(trace.phases),
             end_time=trace.end_time(),

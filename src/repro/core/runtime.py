@@ -44,7 +44,9 @@ class RuntimeAllocator(Allocator):
         self.device = device
         self.plan = plan
         self.enable_dynamic_reuse = enable_dynamic_reuse
-        self._decisions = plan.static_plan.by_request_id()
+        static_plan = plan.static_plan
+        #: Profiled static request id -> its planned ``(address, size)``.
+        self._planned = dict(zip(static_plan.req_id, zip(static_plan.address, static_plan.size)))
         self._pool_size = plan.pool_size
         self._pool_allocation = device.malloc(self._pool_size) if self._pool_size else None
         self.stats.device_malloc_calls += 1 if self._pool_allocation else 0
@@ -88,12 +90,11 @@ class RuntimeAllocator(Allocator):
     # Static Allocator
     # ------------------------------------------------------------------ #
     def _allocate_static(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
-        decision = self._decisions.get(req_id)
-        if decision is None or decision.request.size != size:
+        address, planned_size = self._planned.get(req_id, (0, None))
+        if planned_size != size:
             # The runtime request does not match the profiled plan.
             self.stats.plan_mismatches += 1
             return self._allocate_fallback(req_id, size, hints)
-        address = decision.address
         end = address + size
         if not self._available.contains(address, end):
             # The planned range is busy (e.g. an earlier mismatch cascaded);

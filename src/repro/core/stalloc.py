@@ -28,7 +28,12 @@ from repro.workloads.trace import Trace
 
 #: Version of the serialized-plan format written by :meth:`STAlloc.to_json_dict`.
 #: Bump on incompatible changes so persistent caches discard stale entries.
-PLAN_FORMAT_VERSION = 1
+#: Version 2: the static plan is five int columns (no dict per decision) and
+#: the document holds no wall-clock, so equal inputs serialize to equal bytes.
+PLAN_FORMAT_VERSION = 2
+#: How every entry :meth:`STAlloc.dumps` writes begins: the version is read
+#: off the head of a stored plan without parsing it.
+PLAN_ENTRY_HEAD = f'{{"format_version":{PLAN_FORMAT_VERSION},'
 
 
 @dataclass
@@ -108,8 +113,10 @@ class STAlloc:
     def planning_report(self) -> dict:
         """Summary of the offline pipeline: group counts, pool size, timings.
 
-        Derived once per instance (the cache write and the result row both
-        ask for it); callers get their own copy.
+        The part that is a function of the trace and the configuration is
+        derived once per instance (the cache write and the result row both ask
+        for it); a freshly synthesized instance adds its ``synthesis_seconds``.
+        Callers get their own copy.
         """
         if self.cached_report is None:
             summary = self.profile.summary()
@@ -120,7 +127,10 @@ class STAlloc:
                     report.get("peak_static_demand_bytes", summary["peak_allocated_bytes"]), 1
                 )
             self.cached_report = report
-        return dict(self.cached_report)
+        report = dict(self.cached_report)
+        if self.plan.synthesis_seconds is not None:
+            report["synthesis_seconds"] = self.plan.synthesis_seconds
+        return report
 
     # ------------------------------------------------------------------ #
     # Serialization (plans are cached on disk by the sweep engine)
@@ -128,21 +138,26 @@ class STAlloc:
     def to_json_dict(self) -> dict:
         """JSON-safe snapshot: plan + pipeline config + precomputed report.
 
-        The profiling result itself is not serialized -- the runtime allocator
-        only needs the synthesized plan, and the parts of the profile that
-        feed reporting are captured in the stored planning report.
+        ``format_version`` is the first key, so the head of a stored entry
+        tells which format wrote it.  The profiling result itself is not
+        serialized -- the runtime allocator only needs the synthesized plan,
+        and the parts of the profile that feed reporting are captured in the
+        stored planning report.  Nothing stored depends on when or where the
+        plan was synthesized.
         """
+        report = self.planning_report()
+        report.pop("synthesis_seconds", None)
         return {
             "format_version": PLAN_FORMAT_VERSION,
             "config": asdict(self.config),
             "plan": self.plan.to_json_dict(),
-            "report": self.planning_report(),
+            "report": report,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "STAlloc":
         """Rebuild a planned STAlloc instance from :meth:`to_json_dict` output."""
-        version = data.get("format_version")
+        version = data.get("format_version") if isinstance(data, dict) else None
         if version != PLAN_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported plan format version {version!r} (expected {PLAN_FORMAT_VERSION})"
@@ -154,9 +169,13 @@ class STAlloc:
             cached_report=data["report"],
         )
 
+    def dumps(self) -> str:
+        """The stored form: :meth:`to_json_dict` as one compact JSON document."""
+        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+
     def save_plan(self, path: str | Path) -> None:
         """Write the serialized plan to ``path`` as JSON."""
-        Path(path).write_text(json.dumps(self.to_json_dict()), encoding="utf-8")
+        Path(path).write_text(self.dumps(), encoding="utf-8")
 
     @classmethod
     def load_plan(cls, path: str | Path) -> "STAlloc":

@@ -55,11 +55,9 @@ class PlanSynthesizer:
     def synthesize(self, profile: ProfileResult) -> SynthesizedPlan:
         """Produce the static plan and dynamic reusable spaces for one profile."""
         started = time.perf_counter()
-        static_requests = profile.static_requests
-        dynamic_requests = profile.dynamic_requests
 
         # --- Static allocation planning (§5.1) -------------------------- #
-        phase_groups = build_homophase_groups(static_requests)
+        phase_groups = build_homophase_groups(profile.columns)
         fused_groups, fusion_count = fuse_adjacent_groups(
             phase_groups,
             strategy=self.config.fusion_strategy,
@@ -71,32 +69,31 @@ class PlanSynthesizer:
                 static_plan.validate()
 
         # --- Dynamic reusable space (§5.2) ------------------------------ #
+        dynamic_requests = profile.dynamic_requests
         if self.config.enable_dynamic_reuse and dynamic_requests:
             reusable = locate_dynamic_reusable_spaces(
                 dynamic_requests, static_plan, profile.module_spans
             )
         else:
             reusable = {}
-        group_index = dynamic_request_group_index(dynamic_requests)
 
-        elapsed = time.perf_counter() - started
         info = {
-            "synthesis_seconds": elapsed,
-            "num_static_requests": len(static_requests),
+            "num_static_requests": len(static_plan),
             "num_dynamic_requests": len(dynamic_requests),
             "num_homophase_groups": len(phase_groups),
             "num_groups_after_fusion": len(fused_groups),
             "num_fusions": fusion_count,
             "num_homolayer_groups": len(homolayer_groups(dynamic_requests)),
             "static_pool_bytes": static_plan.pool_size,
-            "peak_static_demand_bytes": _peak_demand(static_requests),
+            "peak_static_demand_bytes": profile.peak_static_bytes(),
             "layers": plan_summary(layers),
         }
         return SynthesizedPlan(
             static_plan=static_plan,
             dynamic_reusable_spaces=reusable,
-            dynamic_request_groups=group_index,
+            dynamic_request_groups=dynamic_request_group_index(dynamic_requests),
             synthesis_info=info,
+            synthesis_seconds=time.perf_counter() - started,
         )
 
     # ------------------------------------------------------------------ #
@@ -105,17 +102,3 @@ class PlanSynthesizer:
     def synthesize_static_only(self, profile: ProfileResult) -> StaticAllocationPlan:
         """Plan only the static requests (used by unit tests and ablations)."""
         return self.synthesize(profile).static_plan
-
-
-def _peak_demand(requests) -> int:
-    """Peak concurrent demand of a request set (lower bound for any plan)."""
-    events: list[tuple[int, int]] = []
-    for request in requests:
-        events.append((request.alloc_time, request.size))
-        events.append((request.free_time, -request.size))
-    events.sort()
-    live = peak = 0
-    for _, delta in events:
-        live += delta
-        peak = max(peak, live)
-    return peak

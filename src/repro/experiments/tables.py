@@ -180,7 +180,7 @@ def run_table3(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResul
         trace = ctx.trace(config)
         profile = AllocationProfiler().profile(trace)
         peak_total = profile.peak_allocated_bytes()
-        static_peak = _peak_bytes(profile.static_requests)
+        static_peak = profile.peak_static_bytes()
         runs = run_workload_suite(
             config, [STALLOC_NO_REUSE, STALLOC], device_name=workload.device_name, ctx=ctx
         )
@@ -204,16 +204,3 @@ def run_table3(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResul
             "that falls back to the caching allocator, most visibly under recomputation (Table 3)."
         ),
     )
-
-
-def _peak_bytes(requests) -> int:
-    events: list[tuple[int, int]] = []
-    for request in requests:
-        events.append((request.alloc_time, request.size))
-        events.append((request.free_time, -request.size))
-    events.sort()
-    live = peak = 0
-    for _, delta in events:
-        live += delta
-        peak = max(peak, live)
-    return peak

@@ -6,13 +6,21 @@ Layout under the cache root (all entries are plain JSON / JSON-lines files)::
     <root>/plans/<trace+knobs-hash>.json       synthesized STAlloc plans
     <root>/results/<point-hash>.json           finished sweep-point rows
 
+A plan entry is one compact JSON document that opens with its
+``format_version`` (so staleness is read off the head of the file) and holds
+the static plan as five parallel int columns -- ``req_id``, ``size``,
+``alloc_time``, ``free_time``, ``address`` -- plus the pool size, the dynamic
+reusable spaces, the synthesis statistics and the planning report; no
+wall-clock is stored.
+
 Traces are keyed by :func:`repro.workloads.tracegen.config_fingerprint` (a
 hash of everything that determines generation, which is deterministic), plans
 by the SHA-256 of the trace content plus the STAlloc pipeline configuration,
 and results by the trace fingerprint plus the sweep point's identity.  Because
-keys are content addresses, concurrent writers racing on the same entry write
-identical bytes; writes go through a temp file + :func:`os.replace` so readers
-never observe a partial entry.
+keys are content addresses and trace and plan entries are functions of their
+key alone, concurrent writers racing on such an entry write identical bytes;
+writes go through a temp file + :func:`os.replace` so readers never observe a
+partial entry.
 
 The cache is safe to delete at any time -- every entry can be regenerated.
 """
@@ -27,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.core.stalloc import PLAN_FORMAT_VERSION, STAlloc, STAllocConfig
+from repro.core.stalloc import PLAN_ENTRY_HEAD, PLAN_FORMAT_VERSION, STAlloc, STAllocConfig
 from repro.obs.tracer import counter as _obs_counter
 from repro.timeline import TIMELINE_VERSION
 from repro.version import __version__
@@ -243,16 +251,16 @@ class SweepCache:
         path = self.plan_path(self.plan_key(trace, stalloc_config))
         if path.exists():
             try:
-                stalloc = STAlloc.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+                stalloc = STAlloc.load_plan(path)
                 self.stats.plan_hits += 1
                 _obs_counter("cache.hit")
                 return stalloc
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-                path.unlink(missing_ok=True)
+            except (ValueError, KeyError, TypeError):
+                path.unlink(missing_ok=True)  # corrupt or older format: regenerate
         self.stats.plan_misses += 1
         _obs_counter("cache.miss")
         stalloc = STAlloc.from_trace(trace, stalloc_config)
-        text = json.dumps(stalloc.to_json_dict())
+        text = stalloc.dumps()
         _atomic_write_text(path, text)
         self._note_store(len(text))
         return stalloc
@@ -346,10 +354,12 @@ class SweepCache:
 
         Keys are opaque content hashes, so staleness is decided from each
         entry's *content*: traces carry the generator version in their
-        metadata header, plans their ``format_version``, and result rows the
-        version :meth:`store_result` embeds.  Unreadable entries count as
-        stale.  Entries keyed by an older version can never be served again
-        (the current keys hash the current versions), so sweeping them only
+        metadata header, plans open with their ``format_version`` (an entry
+        of another version is recognised by its first bytes; a current one is
+        loaded, to prove it readable), and result rows carry the version
+        :meth:`store_result` embeds.  Unreadable entries count as stale.
+        Entries keyed by an older version can never be served again (the
+        current keys hash the current versions), so sweeping them only
         reclaims dead bytes.
         """
         try:
@@ -357,11 +367,15 @@ class SweepCache:
                 with path.open("r", encoding="utf-8") as handle:
                     header = json.loads(handle.readline())
                 return header["metadata"].get("tracegen_version", 0) != TRACEGEN_VERSION
-            payload = json.loads(path.read_text(encoding="utf-8"))
             if path.parent == self.plans_dir:
-                return payload.get("format_version") != PLAN_FORMAT_VERSION
+                with path.open("r", encoding="utf-8") as handle:
+                    if handle.read(len(PLAN_ENTRY_HEAD)) != PLAN_ENTRY_HEAD:
+                        return True  # another format: nothing more to read
+                STAlloc.load_plan(path)  # cut short, ragged columns, ...: raises
+                return False
+            payload = json.loads(path.read_text(encoding="utf-8"))
             return payload.get(_RESULT_VERSION_KEY) != RESULT_FORMAT_VERSION
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
+        except (OSError, ValueError, KeyError, TypeError):
             return True
 
     def prune(self, max_bytes: int | None = None, *, sweep_stale: bool = True) -> dict:

@@ -11,8 +11,10 @@ numpy int64 arrays, built once per trace).  The object API is a thin lazy
 view: ``trace.events`` materializes :class:`TraceEvent` objects on first
 access.  Nothing on a run's hot path asks for it: analytics and serialization
 are vectorized over the columns, :func:`repro.simulator.replay.replay_trace`
-walks the columns as plain ints, and :meth:`Trace.to_requests` (the profiler's
-input) pairs allocs with frees through the columns' memoised ``Pairing``.
+walks the columns as plain ints, and the profiler reads the paired requests
+off the columns' memoised ``Pairing`` as int lists
+(:meth:`TraceColumns.request_columns`; :meth:`Trace.to_requests` is the
+object view of the same pairing).
 Event objects remain for hand-built traces, tests, and the diagnostics of
 :func:`repro.core.events.pair_events` on a trace that does not pair simply.
 A trace may be constructed from either representation; whichever side is

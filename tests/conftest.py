@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.events import MemoryRequest, Phase, PhaseKind
+from repro.core.homophase import LocalPlan, pack_requests
+from repro.core.plan import AllocationDecision
 from repro.gpu.device import Device, GIB, MIB
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
@@ -42,6 +44,19 @@ def make_request(
         dyn=dyn,
         alloc_module=alloc_module,
         free_module=free_module or alloc_module,
+    )
+
+
+def pack(requests, *, phase_span: tuple[int, int] | None = None) -> LocalPlan:
+    """Pack request objects: the planner's sorted int rows, then the sweep."""
+    rows = sorted((m.alloc_time, m.req_id, m.size, m.free_time) for m in requests)
+    return pack_requests(rows, phase_span=phase_span)
+
+
+def decide(request: MemoryRequest, address: int) -> AllocationDecision:
+    """The plan row placing ``request`` at ``address``."""
+    return AllocationDecision(
+        request.req_id, request.size, request.alloc_time, request.free_time, address
     )
 
 

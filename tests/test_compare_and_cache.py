@@ -10,10 +10,11 @@ import time
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.stalloc import PLAN_FORMAT_VERSION, STAllocConfig
 from repro.simulator import runner
 from repro.sweep import SweepCache, SweepResult, compare_results
 from repro.sweep.cache import _RESULT_VERSION_KEY, RESULT_FORMAT_VERSION
-from repro.workloads.tracegen import config_fingerprint
+from repro.workloads.tracegen import TraceGenerator, config_fingerprint
 
 
 def _row(**overrides) -> dict:
@@ -198,6 +199,99 @@ class TestResultsSerialization:
         assert data["tflops_per_gpu"] != round(data["tflops_per_gpu"], 1)
         assert data["tokens_per_second"] == run.tokens_per_second
         assert data["rank"] == 0
+
+
+# ---------------------------------------------------------------------- #
+# Plan entries: a function of their key, and never trusted when damaged
+# ---------------------------------------------------------------------- #
+def _v1_document(document: dict) -> dict:
+    """The entry as format 1 stored it: one dict per decision."""
+    static = document["plan"]["static_plan"]
+    decisions = [
+        {"address": address, "request": {"req_id": req_id, "size": size}}
+        for req_id, size, address in zip(static["req_id"], static["size"], static["address"])
+    ]
+    plan = dict(document["plan"], static_plan={"pool_size": static["pool_size"], "decisions": decisions})
+    return dict(document, format_version=1, plan=plan)
+
+
+def _ragged(document: dict) -> dict:
+    static = dict(document["plan"]["static_plan"])
+    static["address"] = static["address"][:-1]
+    return dict(document, plan=dict(document["plan"], static_plan=static))
+
+
+PLAN_DAMAGE = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "zero-byte": lambda text: "",
+    "v1-format": lambda text: json.dumps(_v1_document(json.loads(text))),
+    "wrong-length-column": lambda text: json.dumps(_ragged(json.loads(text)), separators=(",", ":")),
+    "not-an-object": lambda text: "[]",
+}
+
+
+class TestPlanEntries:
+    @staticmethod
+    def _trace(config):
+        return TraceGenerator(config, seed=0, scale=0.25).generate()
+
+    def test_two_cold_caches_hold_byte_identical_plan_files(self, tmp_path, tiny_moe_config):
+        """Racing writers of one content-addressed key write the same bytes."""
+        files = []
+        for name in ("a", "b"):
+            cache = SweepCache(tmp_path / name)
+            stalloc = cache.get_stalloc(self._trace(tiny_moe_config), STAllocConfig())
+            assert stalloc.planning_report()["synthesis_seconds"] >= 0
+            (path,) = cache.plans_dir.iterdir()
+            files.append((path.name, path.read_bytes()))
+        assert files[0] == files[1]
+        assert b"seconds" not in files[0][1]
+
+    def test_entry_is_columns_behind_a_readable_version(self, tmp_path, tiny_dense_config):
+        cache = SweepCache(tmp_path)
+        stalloc = cache.get_stalloc(self._trace(tiny_dense_config), STAllocConfig())
+        (path,) = cache.plans_dir.iterdir()
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith(f'{{"format_version":{PLAN_FORMAT_VERSION},')
+        static = json.loads(text)["plan"]["static_plan"]
+        assert sorted(static) == ["address", "alloc_time", "free_time", "pool_size", "req_id", "size"]
+        assert static["address"] == stalloc.plan.static_plan.address
+        assert len(text) < 60 * len(stalloc.plan.static_plan)  # was ~250 bytes a decision
+
+    @pytest.mark.parametrize("damage", sorted(PLAN_DAMAGE))
+    def test_damaged_entry_is_regenerated_and_swept_never_raised(
+        self, damage, tmp_path, tiny_dense_config
+    ):
+        cache = SweepCache(tmp_path)
+        trace = self._trace(tiny_dense_config)
+        first = cache.get_stalloc(trace, STAllocConfig())
+        (path,) = cache.plans_dir.iterdir()
+        good = path.read_text(encoding="utf-8")
+        damaged = PLAN_DAMAGE[damage](good)
+
+        # A lookup treats it as a miss and rewrites the entry ...
+        path.write_text(damaged, encoding="utf-8")
+        again = SweepCache(tmp_path)
+        regenerated = again.get_stalloc(trace, STAllocConfig())
+        assert (again.stats.plan_hits, again.stats.plan_misses) == (0, 1)
+        assert regenerated.plan.static_plan == first.plan.static_plan
+        assert path.read_text(encoding="utf-8") == good
+
+        # ... and prune sweeps it as stale, next to a healthy entry it keeps.
+        healthy = cache.plans_dir / "healthy.json"
+        healthy.write_text(good, encoding="utf-8")
+        path.write_text(damaged, encoding="utf-8")
+        report = SweepCache(tmp_path).prune()
+        assert report["stale_removed"] == 1
+        assert not path.exists() and healthy.exists()
+
+    def test_stale_version_is_decided_by_the_head_alone(self, tmp_path, monkeypatch):
+        """An older-format entry is swept without parsing its megabyte of decisions."""
+        cache = SweepCache(tmp_path)
+        old = cache.plans_dir / "old.json"
+        old.write_text('{"format_version": 1, "plan": ' + "x" * 100_000, encoding="utf-8")
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("parsed"))
+        assert cache.prune()["stale_removed"] == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -31,6 +31,7 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.conftest import decide
 
 
 def _dense(**overrides) -> TrainingConfig:
@@ -96,12 +97,12 @@ def assert_no_spatio_temporal_overlap(plan: StaticAllocationPlan) -> None:
         for b in decisions[i + 1 :]:
             if b.address >= a.end_address:
                 break  # sorted by address: no later decision can overlap a
-            if a.request.overlaps(b.request):
+            if a.alloc_time < b.free_time and b.alloc_time < a.free_time:
                 raise AssertionError(
-                    f"requests {a.request.req_id} and {b.request.req_id} overlap in "
+                    f"requests {a.req_id} and {b.req_id} overlap in "
                     f"space ([{a.address}, {a.end_address}) vs [{b.address}, {b.end_address})) "
-                    f"and time ([{a.request.alloc_time}, {a.request.free_time}) vs "
-                    f"[{b.request.alloc_time}, {b.request.free_time}))"
+                    f"and time ([{a.alloc_time}, {a.free_time}) vs "
+                    f"[{b.alloc_time}, {b.free_time}))"
                 )
 
 
@@ -131,7 +132,7 @@ class TestStaticPlanInvariants:
 
     def test_plan_covers_every_static_request_exactly_once(self, case, seed):
         profile, plan = synthesize(case, seed)
-        planned = [d.request.req_id for d in plan.static_plan.decisions]
+        planned = plan.static_plan.req_id
         assert len(planned) == len(set(planned))
         assert set(planned) == {r.req_id for r in profile.static_requests}
 
@@ -156,15 +157,14 @@ class TestDynamicSpaceInvariants:
                 continue
             start, end = group_temporal_range(key, members, profile.module_spans)
             for decision in plan.static_plan.decisions:
-                request = decision.request
-                if request.alloc_time <= end and request.free_time > start:
+                if decision.alloc_time <= end and decision.free_time > start:
                     for interval in spaces:
                         assert not (
                             interval.start < decision.end_address
                             and decision.address < interval.end
                         ), (
                             f"reusable interval [{interval.start}, {interval.end}) of group "
-                            f"{key} overlaps live static request {request.req_id}"
+                            f"{key} overlaps live static request {decision.req_id}"
                         )
 
     def test_every_dynamic_request_is_routed_to_its_group(self, case, seed):
@@ -258,11 +258,8 @@ class TestValidateDetectsBrokenPlans:
         )
 
     def test_rejects_spatio_temporal_overlap(self):
-        plan = StaticAllocationPlan(
-            decisions=[
-                AllocationDecision(request=self._request(0, 1024, 0, 10), address=0),
-                AllocationDecision(request=self._request(1, 1024, 5, 15), address=512),
-            ],
+        plan = StaticAllocationPlan.from_decisions(
+            [decide(self._request(0, 1024, 0, 10), 0), decide(self._request(1, 1024, 5, 15), 512)],
             pool_size=4096,
         )
         with pytest.raises(ValueError, match="memory stomping"):
@@ -271,20 +268,16 @@ class TestValidateDetectsBrokenPlans:
             assert_no_spatio_temporal_overlap(plan)
 
     def test_accepts_time_disjoint_space_overlap(self):
-        plan = StaticAllocationPlan(
-            decisions=[
-                AllocationDecision(request=self._request(0, 1024, 0, 5), address=0),
-                AllocationDecision(request=self._request(1, 1024, 5, 10), address=0),
-            ],
+        plan = StaticAllocationPlan.from_decisions(
+            [decide(self._request(0, 1024, 0, 5), 0), decide(self._request(1, 1024, 5, 10), 0)],
             pool_size=1024,
         )
         plan.validate()
         assert_no_spatio_temporal_overlap(plan)
 
     def test_rejects_decision_beyond_pool(self):
-        plan = StaticAllocationPlan(
-            decisions=[AllocationDecision(request=self._request(0, 2048, 0, 5), address=0)],
-            pool_size=1024,
+        plan = StaticAllocationPlan.from_decisions(
+            [decide(self._request(0, 2048, 0, 5), 0)], pool_size=1024
         )
         with pytest.raises(ValueError, match="beyond the pool size"):
             plan.validate()
@@ -316,83 +309,87 @@ class TestValidateAgreesWithBruteForce:
         placed: list[AllocationDecision] = []
         for req_id in range(rng.randint(2, 40)):
             alloc_time = rng.randint(0, 60)
-            request = cls._request(
-                req_id, 256 * rng.randint(1, 16), alloc_time, alloc_time + rng.randint(1, 30)
-            )
+            free_time = alloc_time + rng.randint(1, 30)
+            size = 256 * rng.randint(1, 16)
             address = 0
             for other in sorted(placed, key=lambda d: d.address):
-                if not other.request.overlaps(request):
+                if not (other.alloc_time < free_time and alloc_time < other.free_time):
                     continue
-                if address + request.size <= other.address:
+                if address + size <= other.address:
                     break
                 address = max(address, other.end_address)
-            placed.append(AllocationDecision(request=request, address=address))
+            placed.append(AllocationDecision(req_id, size, alloc_time, free_time, address))
         rng.shuffle(placed)  # the verdict may not depend on decision order
         slack = rng.choice([0, 0, 512])
-        return StaticAllocationPlan(
-            decisions=placed, pool_size=max(d.end_address for d in placed) + slack
+        return StaticAllocationPlan.from_decisions(
+            placed, pool_size=max(d.end_address for d in placed) + slack
         )
 
     @classmethod
-    def _corrupt(cls, plan: StaticAllocationPlan, how: str, rng: random.Random) -> None:
-        decisions = plan.decisions
+    def _corrupt(
+        cls, plan: StaticAllocationPlan, how: str, rng: random.Random
+    ) -> StaticAllocationPlan:
+        """The plan with one corruption applied to its row view."""
+        decisions = list(plan.decisions)
         victim = rng.randrange(len(decisions))
         target = decisions[victim]
-        request = target.request
+        size, alloc_time, free_time = target.size, target.alloc_time, target.free_time
         next_id = len(decisions)
         if how == "none":
-            return
+            return plan
         if how == "shift_into_neighbour":
             # Move one decision onto the address range of one live with it.
             live = [
-                d for d in decisions if d is not target and d.request.overlaps(request)
+                d
+                for d in decisions
+                if d is not target and d.alloc_time < free_time and alloc_time < d.free_time
             ]
             if not live:
-                return
+                return plan
             neighbour = rng.choice(live)
             shifted = neighbour.address + rng.randrange(neighbour.size)
-            decisions[victim] = AllocationDecision(request=request, address=shifted)
+            decisions[victim] = target._replace(address=shifted)
         elif how == "duplicate_touching":
             # Same address, lifetime starting on the victim's free tick: legal.
-            twin = cls._request(
-                next_id, request.size, request.free_time, request.free_time + rng.randint(1, 9)
+            decisions.append(
+                AllocationDecision(
+                    next_id, size, free_time, free_time + rng.randint(1, 9), target.address
+                )
             )
-            decisions.append(AllocationDecision(request=twin, address=target.address))
         elif how == "duplicate_overlapping":
             # Same address, lifetime starting one tick before the free: stomps.
-            twin = cls._request(
-                next_id, request.size, request.free_time - 1, request.free_time + 3
+            decisions.append(
+                AllocationDecision(next_id, size, free_time - 1, free_time + 3, target.address)
             )
-            decisions.append(AllocationDecision(request=twin, address=target.address))
         elif how == "nest_inside":
             # An interval strictly inside the victim's in space and in time.
-            if request.size < 3 or request.lifespan < 3:
-                return
-            inner = cls._request(
-                next_id, request.size - 2, request.alloc_time + 1, request.free_time - 1
+            if size < 3 or free_time - alloc_time < 3:
+                return plan
+            decisions.append(
+                AllocationDecision(
+                    next_id, size - 2, alloc_time + 1, free_time - 1, target.address + 1
+                )
             )
-            decisions.append(AllocationDecision(request=inner, address=target.address + 1))
         elif how == "equal_ticks":
             # Chains on the victim's address that meet it exactly at its alloc
             # and at its free tick (before .. victim .. after): legal, unless
             # something else already occupied those bytes at those times.
-            before_start = max(0, request.alloc_time - rng.randint(1, 5))
-            if before_start < request.alloc_time:
-                before = cls._request(
-                    next_id, request.size, before_start, request.alloc_time
+            before_start = max(0, alloc_time - rng.randint(1, 5))
+            if before_start < alloc_time:
+                decisions.append(
+                    AllocationDecision(next_id, size, before_start, alloc_time, target.address)
                 )
-                decisions.append(AllocationDecision(request=before, address=target.address))
-            after = cls._request(
-                next_id + 1, request.size, request.free_time, request.free_time + 1
+            decisions.append(
+                AllocationDecision(next_id + 1, size, free_time, free_time + 1, target.address)
             )
-            decisions.append(AllocationDecision(request=after, address=target.address))
         elif how == "past_pool":
             top = max(decisions, key=lambda d: d.end_address)
-            decisions[decisions.index(top)] = AllocationDecision(
-                request=top.request, address=plan.pool_size - top.size + rng.randint(1, 64)
+            decisions[decisions.index(top)] = top._replace(
+                address=plan.pool_size - top.size + rng.randint(1, 64)
             )
         else:  # pragma: no cover - guards the parametrization
             raise AssertionError(how)
+        return StaticAllocationPlan.from_decisions(decisions, pool_size=plan.pool_size)
 
     @staticmethod
     def _oracle_verdict(plan: StaticAllocationPlan) -> str:
@@ -424,7 +421,7 @@ class TestValidateAgreesWithBruteForce:
             rng = random.Random(f"{corruption}/{seed}")
             plan = self._valid_plan(rng)
             assert self._oracle_verdict(plan) == "ok"
-            self._corrupt(plan, corruption, rng)
+            plan = self._corrupt(plan, corruption, rng)
             expected = self._oracle_verdict(plan)
             assert self._validate_verdict(plan) == expected, (corruption, seed)
             verdicts[expected] += 1
@@ -444,12 +441,11 @@ class TestValidateAgreesWithBruteForce:
         """The two request ids named in the message overlap in space and time."""
         for seed in range(40):
             rng = random.Random(f"pair/{seed}")
-            plan = self._valid_plan(rng)
-            self._corrupt(plan, "duplicate_overlapping", rng)
+            plan = self._corrupt(self._valid_plan(rng), "duplicate_overlapping", rng)
             with pytest.raises(ValueError, match="memory stomping") as caught:
                 plan.validate()
             words = str(caught.value).split()
-            by_id = plan.by_request_id()
+            by_id = {decision.req_id: decision for decision in plan.decisions}
             first, second = by_id[int(words[3])], by_id[int(words[5])]
             assert first is not second and first.conflicts_with(second)
 
@@ -459,34 +455,29 @@ class TestValidateAgreesWithBruteForce:
         Address reuse over time is what a good plan looks like and what made
         the address-ordered pairwise sweep quadratic.  Probes are counted, not
         timed: one ``bisect`` per alloc and per free (each at most
-        ``log2(n) + 1`` comparisons) and at most two neighbour checks per
+        ``log2(live) + 1`` comparisons) and at most two neighbour checks per
         decision.
         """
         n, lanes = 20_000, 4
-        decisions = [
-            AllocationDecision(
-                request=self._request(i, 1024, i // lanes, i // lanes + 1),
-                address=1024 * (i % lanes),
-            )
-            for i in range(n)
-        ]
-        plan = StaticAllocationPlan(decisions=decisions, pool_size=1024 * lanes)
-        calls = {"bisect": 0, "conflicts": 0}
+        plan = StaticAllocationPlan.from_decisions(
+            (
+                AllocationDecision(i, 1024, i // lanes, i // lanes + 1, 1024 * (i % lanes))
+                for i in range(n)
+            ),
+            pool_size=1024 * lanes,
+        )
+        probes = []
         real_bisect = plan_module.bisect_left
-        real_conflicts = AllocationDecision.conflicts_with
 
-        def counting_bisect(*args):
-            calls["bisect"] += 1
-            return real_bisect(*args)
-
-        def counting_conflicts(self, other):
-            calls["conflicts"] += 1
-            return real_conflicts(self, other)
+        def counting_bisect(live_starts, address):
+            probes.append(len(live_starts))
+            return real_bisect(live_starts, address)
 
         monkeypatch.setattr(plan_module, "bisect_left", counting_bisect)
-        monkeypatch.setattr(AllocationDecision, "conflicts_with", counting_conflicts)
         plan.validate()
-        assert calls["bisect"] == 2 * n
-        assert calls["conflicts"] <= 2 * n
-        comparisons = calls["bisect"] * (n.bit_length() + 1) + calls["conflicts"]
+        assert len(probes) == 2 * n
+        # The live list never holds more than one decision per lane, so the
+        # neighbour slice behind each probe is at most two entries long.
+        assert max(probes) <= lanes
+        comparisons = sum(length.bit_length() + 1 for length in probes) + 2 * n
         assert comparisons < 50 * n

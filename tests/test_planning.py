@@ -13,19 +13,18 @@ from repro.core.dynamic_space import (
     locate_dynamic_reusable_spaces,
 )
 from repro.core import homophase
+from repro.core.columns import RequestColumns
 from repro.core.events import PhaseKind
 from repro.core.homophase import (
-    LocalPlan,
     attempt_fusion,
     build_homophase_groups,
     fuse_adjacent_groups,
     fuse_plans_by_insertion,
     fuse_plans_by_repack,
-    pack_requests,
     weighted_average_tmp,
 )
 from repro.core.homosize import MemoryLayer, construct_memory_layers, group_by_size
-from repro.core.plan import AllocationDecision, StaticAllocationPlan
+from repro.core.plan import StaticAllocationPlan
 from repro.core.planner import GlobalPlannerConfig, build_global_plan
 from repro.core.profiler import AllocationProfiler
 from repro.core.synthesizer import PlanSynthesizer, SynthesizerConfig
@@ -33,13 +32,13 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
-from tests.conftest import make_phase, make_request
+from tests.conftest import decide, make_phase, make_request, pack
 
 
 class TestPackRequests:
     def test_overlapping_requests_are_stacked(self):
         requests = [make_request(i, 100, 0, 10) for i in range(3)]
-        plan = pack_requests(requests)
+        plan = pack(requests)
         assert plan.size == 300
         plan.validate()
 
@@ -49,7 +48,7 @@ class TestPackRequests:
             make_request(1, 100, 5, 10),
             make_request(2, 100, 10, 15),
         ]
-        plan = pack_requests(requests)
+        plan = pack(requests)
         assert plan.size == 100
         plan.validate()
 
@@ -59,22 +58,22 @@ class TestPackRequests:
             make_request(1, 50, 0, 5),     # short
             make_request(2, 50, 6, 12),    # reuses request 1's space
         ]
-        plan = pack_requests(requests)
+        plan = pack(requests)
         assert plan.size == 150
         plan.validate()
 
     def test_empty_plan(self):
-        plan = pack_requests([])
+        plan = pack([])
         assert plan.size == 0
         assert plan.time_memory_product() == 1.0
 
     def test_tmp_perfect_for_single_request(self):
-        plan = pack_requests([make_request(0, 128, 0, 10)])
+        plan = pack([make_request(0, 128, 0, 10)])
         assert plan.time_memory_product() == pytest.approx(1.0)
 
     def test_tmp_reflects_bubbles(self):
         # Two requests that overlap for only part of their lifespans.
-        plan = pack_requests([make_request(0, 100, 0, 10), make_request(1, 100, 8, 20)])
+        plan = pack([make_request(0, 100, 0, 10), make_request(1, 100, 8, 20)])
         assert plan.time_memory_product() < 1.0
 
 
@@ -87,13 +86,13 @@ class TestHomoPhaseGrouping:
             make_request(1, 10, 1, 101, alloc_phase=f0, free_phase=b0),
             make_request(2, 10, 50, 150, alloc_phase=f1, free_phase=b1),
         ]
-        groups = build_homophase_groups(requests)
+        groups = build_homophase_groups(RequestColumns.from_requests(requests))
         assert len(groups) == 2
         assert {group.num_requests for group in groups} == {1, 2}
 
     def test_group_plans_are_conflict_free(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
-        groups = build_homophase_groups(profile.static_requests)
+        groups = build_homophase_groups(profile.columns)
         for group in groups:
             group.validate()
         assert sum(group.num_requests for group in groups) == len(profile.static_requests)
@@ -103,15 +102,15 @@ class TestFusion:
     def _adjacent_plans(self):
         f0 = make_phase(1, PhaseKind.FORWARD, 0)
         b0 = make_phase(2, PhaseKind.BACKWARD, 0)
-        scoped = pack_requests(
+        scoped = pack(
             [make_request(0, 100, 0, 100, alloc_phase=f0, free_phase=b0),
              make_request(1, 100, 1, 101, alloc_phase=f0, free_phase=b0)],
-            phase_span=(f0, b0),
+            phase_span=(f0.index, b0.index),
         )
-        transient = pack_requests(
+        transient = pack(
             [make_request(2, 80, 110, 120, alloc_phase=b0, free_phase=b0),
              make_request(3, 80, 121, 130, alloc_phase=b0, free_phase=b0)],
-            phase_span=(b0, b0),
+            phase_span=(b0.index, b0.index),
         )
         return scoped, transient
 
@@ -159,8 +158,7 @@ class TestFusion:
     def test_phase_span_merge(self):
         a, b = self._adjacent_plans()
         fused = fuse_plans_by_repack(a, b)
-        assert fused.phase_span[0].index == 1
-        assert fused.phase_span[1].index == 2
+        assert fused.phase_span == (1, 2)
 
 
 def _fuse_without_memo(plans, strategy):
@@ -176,7 +174,7 @@ def _fuse_without_memo(plans, strategy):
             for other_index, other in enumerate(working):
                 if other is None or other is plan or other.phase_span is None:
                     continue
-                if other.phase_span[0].index != plan.phase_span[1].index:
+                if other.phase_span[0] != plan.phase_span[1]:
                     continue
                 fused = attempt_fusion(plan, other, strategy=strategy)
                 if fused is None:
@@ -217,7 +215,7 @@ class TestFusionRemembersRejections:
 
     @classmethod
     def _phase_groups(cls, shape: str):
-        return build_homophase_groups(cls._profile(shape).static_requests)
+        return build_homophase_groups(cls._profile(shape).columns)
 
     @pytest.mark.parametrize(
         "shape, strategy",
@@ -242,7 +240,8 @@ class TestFusionRemembersRejections:
         fused, count = fuse_adjacent_groups(groups, strategy=strategy)
 
         assert count == expected_count
-        assert [plan.placed for plan in fused] == [plan.placed for plan in expected]
+        assert [plan.rows for plan in fused] == [plan.rows for plan in expected]
+        assert [plan.offsets for plan in fused] == [plan.offsets for plan in expected]
         assert [plan.phase_span for plan in fused] == [plan.phase_span for plan in expected]
         assert len(attempts) == len(set(attempts))
         if shape == "gen-decode":
@@ -256,7 +255,7 @@ class TestFusionRemembersRejections:
     def test_synthesizer_reports_the_reference_fusion_count(self):
         profile = self._profile("gen-decode")
         expected, expected_count = _fuse_without_memo(
-            build_homophase_groups(profile.static_requests), "repack"
+            build_homophase_groups(profile.columns), "repack"
         )
         info = PlanSynthesizer().synthesize(profile).synthesis_info
         assert info["num_fusions"] == expected_count
@@ -265,7 +264,7 @@ class TestFusionRemembersRejections:
 
 class TestMemoryLayers:
     def _plan(self, req_id, size, start, end):
-        return pack_requests([make_request(req_id, size, start, end)])
+        return pack([make_request(req_id, size, start, end)])
 
     def test_non_overlapping_plans_share_one_layer(self):
         plans = [self._plan(0, 100, 0, 10), self._plan(1, 100, 10, 20), self._plan(2, 100, 20, 30)]
@@ -314,16 +313,16 @@ class TestMemoryLayers:
 class TestGlobalPlanning:
     def test_decisions_cover_all_requests(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
-        groups = build_homophase_groups(profile.static_requests)
+        groups = build_homophase_groups(profile.columns)
         plan, layers = build_global_plan(groups)
         assert len(plan.decisions) == len(profile.static_requests)
         plan.validate()
 
     def test_gap_insertion_reduces_pool(self):
         # A small plan whose lifetime fits the idle window of a big layer.
-        big_a = pack_requests([make_request(0, 1000, 0, 10)])
-        big_b = pack_requests([make_request(1, 1000, 20, 30)])
-        small = pack_requests([make_request(2, 100, 12, 18)])
+        big_a = pack([make_request(0, 1000, 0, 10)])
+        big_b = pack([make_request(1, 1000, 20, 30)])
+        small = pack([make_request(2, 100, 12, 18)])
         with_insertion, _ = build_global_plan([big_a, big_b, small], GlobalPlannerConfig())
         without_insertion, _ = build_global_plan(
             [big_a, big_b, small], GlobalPlannerConfig(enable_gap_insertion=False)
@@ -333,7 +332,7 @@ class TestGlobalPlanning:
 
     def test_descending_order_never_worse_on_trace(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
-        groups = build_homophase_groups(profile.static_requests)
+        groups = build_homophase_groups(profile.columns)
         descending, _ = build_global_plan(groups, GlobalPlannerConfig(descending_size_order=True))
         ascending, _ = build_global_plan(groups, GlobalPlannerConfig(descending_size_order=False))
         assert descending.pool_size <= ascending.pool_size
@@ -341,23 +340,19 @@ class TestGlobalPlanning:
     def test_plan_validation_detects_conflicts(self):
         request_a = make_request(0, 100, 0, 10)
         request_b = make_request(1, 100, 5, 15)
-        plan = StaticAllocationPlan(
-            decisions=[AllocationDecision(request_a, 0), AllocationDecision(request_b, 50)]
-        )
+        plan = StaticAllocationPlan.from_decisions([decide(request_a, 0), decide(request_b, 50)])
         with pytest.raises(ValueError):
             plan.validate()
 
     def test_plan_validation_accepts_time_disjoint_overlap(self):
         request_a = make_request(0, 100, 0, 10)
         request_b = make_request(1, 100, 10, 20)
-        plan = StaticAllocationPlan(
-            decisions=[AllocationDecision(request_a, 0), AllocationDecision(request_b, 0)]
-        )
+        plan = StaticAllocationPlan.from_decisions([decide(request_a, 0), decide(request_b, 0)])
         plan.validate()
 
     def test_pool_size_bounds_every_decision(self):
         request = make_request(0, 100, 0, 10)
-        plan = StaticAllocationPlan(decisions=[AllocationDecision(request, 50)], pool_size=100)
+        plan = StaticAllocationPlan.from_decisions([decide(request, 50)], pool_size=100)
         with pytest.raises(ValueError):
             plan.validate()
 
@@ -368,8 +363,8 @@ class TestDynamicSpace:
             make_request(0, 100, 0, 10),    # occupies [0, 100) during [0, 10)
             make_request(1, 100, 20, 30),   # occupies [100, 200) during [20, 30)
         ]
-        decisions = [AllocationDecision(requests[0], 0), AllocationDecision(requests[1], 100)]
-        return StaticAllocationPlan(decisions=decisions, pool_size=200)
+        decisions = [decide(requests[0], 0), decide(requests[1], 100)]
+        return StaticAllocationPlan.from_decisions(decisions, pool_size=200)
 
     def test_homolayer_grouping(self):
         dynamic = [
@@ -444,7 +439,7 @@ class TestPlanSynthesizer:
         info = plan.synthesis_info
         assert info["num_static_requests"] == len(profile.static_requests)
         assert info["num_homophase_groups"] > 0
-        assert info["synthesis_seconds"] >= 0
+        assert "synthesis_seconds" not in info and plan.synthesis_seconds >= 0
         assert info["layers"]["num_layers"] >= 1
 
     def test_fusion_improves_or_matches_pool_size(self, dense_trace):
@@ -483,7 +478,7 @@ class TestPlanningProperties:
     @given(random_requests())
     @settings(max_examples=50, deadline=None)
     def test_global_plan_never_stomps_memory(self, requests):
-        groups = build_homophase_groups(requests)
+        groups = build_homophase_groups(RequestColumns.from_requests(requests))
         fused, _ = fuse_adjacent_groups(groups)
         plan, _ = build_global_plan(fused)
         plan.validate()  # raises on any spatio-temporal conflict
@@ -492,7 +487,7 @@ class TestPlanningProperties:
     @given(random_requests())
     @settings(max_examples=50, deadline=None)
     def test_pool_size_at_least_peak_demand(self, requests):
-        groups = build_homophase_groups(requests)
+        groups = build_homophase_groups(RequestColumns.from_requests(requests))
         plan, _ = build_global_plan(groups)
         events = []
         for request in requests:
@@ -508,6 +503,6 @@ class TestPlanningProperties:
     @given(random_requests())
     @settings(max_examples=30, deadline=None)
     def test_pack_requests_is_conflict_free(self, requests):
-        plan = pack_requests(requests)
+        plan = pack(requests)
         plan.validate()
         assert plan.num_requests == len(requests)

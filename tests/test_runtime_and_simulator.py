@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.allocators.base import AllocationHints
@@ -125,26 +127,40 @@ class TestRuntimeAllocator:
         assert report["plan_overhead_ratio"] >= 1.0
 
     def test_planning_report_is_derived_once_per_instance(self, dense_trace, monkeypatch):
-        """The cache write and the result row share one derivation."""
+        """The cache write and the result row share one derivation and one sweep."""
+        import numpy as np
+
+        from repro.core import profiler
         from repro.core.profiler import ProfileResult
 
-        calls = {"summary": 0, "peak": 0}
-        summary, peak = ProfileResult.summary, ProfileResult.peak_allocated_bytes
+        calls = {"summary": 0, "sweeps": 0}
+        summary = ProfileResult.summary
 
         def counted_summary(self):
             calls["summary"] += 1
             return summary(self)
 
-        def counted_peak(self):
-            calls["peak"] += 1
-            return peak(self)
+        class CountingNumpy:
+            """``np`` as the profiler sees it: one ``lexsort`` per demand sweep."""
+
+            def __getattr__(self, name):
+                if name == "lexsort":
+                    calls["sweeps"] += 1
+                return getattr(np, name)
 
         monkeypatch.setattr(ProfileResult, "summary", counted_summary)
-        monkeypatch.setattr(ProfileResult, "peak_allocated_bytes", counted_peak)
+        monkeypatch.setattr(profiler, "np", CountingNumpy())
         stalloc = STAlloc.from_trace(dense_trace)
         document = stalloc.to_json_dict()
         report = stalloc.planning_report()
-        assert calls == {"summary": 1, "peak": 1}
+        # Static and total peak, counts and byte totals: one sort-and-sweep.
+        assert calls == {"summary": 1, "sweeps": 1}
+        assert stalloc.profile.peak_allocated_bytes() == report["peak_allocated_bytes"]
+        assert stalloc.profile.peak_static_bytes() == report["peak_static_demand_bytes"]
+        assert calls["sweeps"] == 1
+        # Only the fresh instance knows how long synthesis took; it is not stored.
+        assert report.pop("synthesis_seconds") == stalloc.plan.synthesis_seconds
+        assert "synthesis_seconds" not in json.dumps(document)
         assert document["report"] == report and document["report"] is not report
         report["num_requests"] = -1  # callers own their copy
         assert stalloc.planning_report()["num_requests"] == dense_trace.num_requests
@@ -154,7 +170,7 @@ class TestRuntimeAllocator:
         expected["plan_overhead_ratio"] = stalloc.plan.pool_size / max(
             expected["peak_static_demand_bytes"], 1
         )
-        assert list(stalloc.planning_report().items()) == list(expected.items())
+        assert list(document["report"].items()) == list(expected.items())
         assert STAlloc.from_json_dict(document).planning_report() == expected
 
 
