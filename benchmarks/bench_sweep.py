@@ -17,24 +17,40 @@ Tracing must stay near-free: the recorded entries measure the overhead on
 the ``job-smoke`` spec at well under 2%; ``--check`` gates at a deliberately
 loose 10% so shared-runner timing noise cannot flake CI while a regression
 to per-span I/O or allocation on the hot path still fails loudly.
+
+The ``cli_startup`` section measures what every command pays before it does
+any work, in fresh children of whichever ``repro`` is on ``PYTHONPATH`` (point
+it at another checkout's ``src/`` to record a "before" entry): the wall of
+``import repro.cli``, of a fully warm ``sweep job-smoke`` and ``search
+search-smoke``, ``import numpy`` for scale, and -- machine-independent -- how
+many ``repro`` modules a warm sweep loaded and whether numpy was among them.
+``--check`` fails when numpy appears on the warm path or the module count
+exceeds the latest entry by more than 5; the walls are recorded, not gated.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import repro
 from repro import obs
 from repro.obs.tracer import shutdown as obs_shutdown
 from repro.sweep import load_spec, run_sweep
 
 #: Regression gate for --check: fail when measured overhead exceeds this.
 CHECK_MAX_OVERHEAD_PCT = 10.0
+#: ... or when a warm sweep loads this many more ``repro`` modules than the
+#: latest recorded entry (a definition-layer module or two may be added; an
+#: execution-layer import drags in a dozen).
+CHECK_MAX_EXTRA_MODULES = 5
 
 
 def test_sweep_quick_grid_cold(benchmark, tmp_path):
@@ -139,6 +155,58 @@ def measure_obs_overhead(
     }
 
 
+# ---------------------------------------------------------------------- #
+# CLI start-up (fresh children of the ``repro`` on PYTHONPATH)
+# ---------------------------------------------------------------------- #
+#: Runs ``main(argv)`` silently, then reports what the process had imported.
+_MODULES_CHILD = """
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(json.loads(sys.argv[1]))
+print(json.dumps([sum(name.split(".")[0] == "repro" for name in sys.modules),
+                  "numpy" in sys.modules]))
+"""
+
+
+def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
+    """Best-of-``reps`` walls of fresh CLI children, plus what a warm sweep imports."""
+    scratch = Path(scratch) if scratch is not None else Path(tempfile.mkdtemp(prefix="bench-cli-"))
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+
+    def best_wall(*argv: str) -> float:
+        walls = []
+        for _ in range(reps):
+            started = time.perf_counter()
+            subprocess.run(
+                [sys.executable, *argv], check=True, env=env, cwd=scratch, capture_output=True
+            )
+            walls.append(time.perf_counter() - started)
+        return round(min(walls), 4)
+
+    sweep = ["sweep", "job-smoke", "--cache-dir", "cache", "--no-progress"]
+    search = ["search", "search-smoke", "--cache-dir", "cache", "--no-progress"]
+    for command in (sweep, search):  # cold runs fill the cache (and __pycache__)
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", *command],
+            check=True, env=env, cwd=scratch, capture_output=True,
+        )
+    probe = subprocess.run(
+        [sys.executable, "-c", _MODULES_CHILD, json.dumps(sweep)],
+        check=True, env=env, cwd=scratch, capture_output=True, text=True,
+    )
+    modules, numpy_loaded = json.loads(probe.stdout.splitlines()[-1])
+    return {
+        "reps": reps,
+        "import_cli_s": best_wall("-c", "import repro.cli"),
+        "warm_sweep_cli_s": best_wall("-m", "repro.cli", *sweep),
+        "warm_search_cli_s": best_wall("-m", "repro.cli", *search),
+        "numpy_import_s": best_wall("-c", "import numpy"),
+        "warm_modules_loaded": modules,
+        "warm_numpy_loaded": numpy_loaded,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--spec", default="job-smoke", help="sweep preset to measure")
@@ -160,13 +228,33 @@ def main(argv: list[str] | None = None) -> int:
         f" ({measured['spans_per_run']} spans/run, median of {measured['rounds']})"
     )
 
+    startup = measure_cli_startup()
+    print(f"== cli start-up (best of {startup['reps']} fresh children) ==")
+    print(
+        f"  import repro.cli {startup['import_cli_s']:.3f}s | warm sweep "
+        f"{startup['warm_sweep_cli_s']:.3f}s | warm search {startup['warm_search_cli_s']:.3f}s"
+        f" | import numpy {startup['numpy_import_s']:.3f}s | warm sweep loaded "
+        f"{startup['warm_modules_loaded']} repro modules, numpy "
+        f"{'loaded' if startup['warm_numpy_loaded'] else 'absent'}"
+    )
+
     if args.json:
-        args.json.write_text(json.dumps(measured, indent=2, sort_keys=True) + "\n")
+        results = {measured["spec"]: measured, "cli_startup": startup}
+        args.json.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.json}")
 
     if args.check:
         data = json.loads(args.check.read_text())
-        recorded = data["trajectory"][-1]["results"].get(measured["spec"])
+        latest = data["trajectory"][-1]["results"]
+        limit = latest["cli_startup"]["warm_modules_loaded"] + CHECK_MAX_EXTRA_MODULES
+        print(
+            f"check cli_startup: warm sweep loaded {startup['warm_modules_loaded']} repro "
+            f"modules (limit {limit}), numpy {'loaded' if startup['warm_numpy_loaded'] else 'absent'}"
+        )
+        if startup["warm_numpy_loaded"] or startup["warm_modules_loaded"] > limit:
+            print("cli start-up smoke FAILED: the warm path imports the execution layer")
+            return 1
+        recorded = latest.get(measured["spec"])
         if recorded is not None:
             print(
                 f"check {measured['spec']}: measured {measured['overhead_pct']:+.2f}% vs "

@@ -20,32 +20,21 @@ interface so the replay simulator and the experiments can treat them
 uniformly.
 """
 
-from repro.allocators.base import AllocationHints, Allocator, AllocatorStats, Placement
-from repro.allocators.caching import (
-    CachingAllocator,
-    CachingAllocatorConfig,
-    torch20_config,
-    torch23_config,
-)
-from repro.allocators.expandable import ExpandableSegmentsAllocator, ExpandableSegmentsConfig
-from repro.allocators.gmlake import GMLakeAllocator, GMLakeConfig
-from repro.allocators.native import NativeAllocator
-from repro.allocators.registry import available_allocators, create_allocator
+from repro._lazy import attach
 
-__all__ = [
-    "Allocator",
-    "AllocatorStats",
-    "AllocationHints",
-    "Placement",
-    "CachingAllocator",
-    "CachingAllocatorConfig",
-    "torch20_config",
-    "torch23_config",
-    "ExpandableSegmentsAllocator",
-    "ExpandableSegmentsConfig",
-    "GMLakeAllocator",
-    "GMLakeConfig",
-    "NativeAllocator",
-    "available_allocators",
-    "create_allocator",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "base": ["AllocationHints", "Allocator", "AllocatorStats", "Placement"],
+        "caching": [
+            "CachingAllocator",
+            "CachingAllocatorConfig",
+            "torch20_config",
+            "torch23_config",
+        ],
+        "expandable": ["ExpandableSegmentsAllocator", "ExpandableSegmentsConfig"],
+        "gmlake": ["GMLakeAllocator", "GMLakeConfig"],
+        "native": ["NativeAllocator"],
+        "registry": ["available_allocators", "create_allocator"],
+    },
+)

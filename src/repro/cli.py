@@ -28,6 +28,15 @@ Usage::
     stalloc-repro sweep quick-grid --obs-out obs.ndjson     # record spans + metrics
     stalloc-repro sweep quick-grid --obs-trace obs-trace.json  # open in ui.perfetto.dev
     stalloc-repro obs summarize obs.ndjson                  # span-tree time breakdown
+
+A command imports what it executes.  This module imports only ``argparse`` and
+the version; each handler imports its own subsystem, and the subsystems import
+the execution layer (numpy, the trace generator, the planner, the allocators,
+the timeline simulator, the experiments, the process pool) at the first cache
+miss or fan-out.  ``--version``, ``sweep --list``, ``sweep --compare a b``,
+``obs summarize``, ``cache prune`` and a ``sweep``/``search`` served entirely
+from the result cache therefore load none of it (README, "Layers and what a
+command imports"; pinned by ``tests/test_import_layers.py``).
 """
 
 from __future__ import annotations
@@ -35,8 +44,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments import available_experiments, run_experiment
-from repro.simulator.execution import ExecutionContext
 from repro.version import __version__
 
 
@@ -474,13 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _context_from_args(args) -> ExecutionContext | None:
-    """The execution context the command's flags describe.
+def _context_from_args(args):
+    """The :class:`ExecutionContext` the command's flags describe.
 
     Reads ``--jobs`` / ``--cache-dir`` / ``--no-cache`` / ``--cache-max-gib``
     (a flag the command lacks takes its default); prints the one-line error
     and returns None when a flag is out of range.
     """
+    from repro.simulator.execution import ExecutionContext
+
     max_gib = getattr(args, "cache_max_gib", None)
     try:
         if max_gib is not None and max_gib < 0:
@@ -495,7 +504,17 @@ def _context_from_args(args) -> ExecutionContext | None:
         return None
 
 
+def _cmd_list(args) -> int:
+    from repro.experiments import available_experiments
+
+    for experiment_id in available_experiments():
+        print(experiment_id)
+    return 0
+
+
 def _cmd_run(args) -> int:
+    from repro.experiments import available_experiments, run_experiment
+
     ctx = _context_from_args(args)
     if ctx is None:
         return 2
@@ -777,9 +796,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for experiment_id in available_experiments():
-            print(experiment_id)
-        return 0
+        return _cmd_list(args)
 
     if args.command == "run":
         return _run_with_obs(_cmd_run, args)

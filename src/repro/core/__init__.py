@@ -19,57 +19,28 @@ This package contains the paper's primary contribution:
   together (profile -> synthesize -> allocate).
 """
 
-from repro.core.events import (
-    EventKind,
-    MemoryRequest,
-    Phase,
-    PhaseKind,
-    TensorCategory,
-    TraceEvent,
+from repro._lazy import attach
+
+# Lazy on purpose: repro.allocators.base imports repro.core.events, and the
+# runtime allocator imports repro.allocators, so an eager import here would be
+# circular -- and would load numpy for anyone who only wants the event model.
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "events": [
+            "EventKind",
+            "MemoryRequest",
+            "Phase",
+            "PhaseKind",
+            "TensorCategory",
+            "TraceEvent",
+        ],
+        "intervals": ["Interval", "IntervalSet"],
+        "plan": ["AllocationDecision", "StaticAllocationPlan", "SynthesizedPlan"],
+        "profiler": ["AllocationProfiler", "ProfileResult"],
+        "synthesizer": ["PlanSynthesizer"],
+        "runtime": ["RuntimeAllocator"],
+        "stalloc": ["STAlloc"],
+        "config": ["STAllocConfig"],
+    },
 )
-from repro.core.intervals import Interval, IntervalSet
-from repro.core.plan import AllocationDecision, StaticAllocationPlan, SynthesizedPlan
-from repro.core.profiler import AllocationProfiler, ProfileResult
-from repro.core.synthesizer import PlanSynthesizer
-
-#: Exports that (transitively) import repro.allocators are loaded lazily:
-#: repro.allocators.base itself imports repro.core.events, so an eager import
-#: here would make ``import repro.allocators`` (or anything that starts from
-#: it, e.g. ``import repro.simulator.replay``) fail with a circular-import
-#: error depending on which package happened to be imported first.
-_LAZY_EXPORTS = {
-    "RuntimeAllocator": ("repro.core.runtime", "RuntimeAllocator"),
-    "STAlloc": ("repro.core.stalloc", "STAlloc"),
-    "STAllocConfig": ("repro.core.stalloc", "STAllocConfig"),
-}
-
-
-def __getattr__(name: str):
-    target = _LAZY_EXPORTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(target[0]), target[1])
-    globals()[name] = value
-    return value
-
-__all__ = [
-    "EventKind",
-    "MemoryRequest",
-    "Phase",
-    "PhaseKind",
-    "TensorCategory",
-    "TraceEvent",
-    "Interval",
-    "IntervalSet",
-    "AllocationDecision",
-    "StaticAllocationPlan",
-    "SynthesizedPlan",
-    "AllocationProfiler",
-    "ProfileResult",
-    "PlanSynthesizer",
-    "RuntimeAllocator",
-    "STAlloc",
-    "STAllocConfig",
-]

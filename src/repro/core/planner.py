@@ -18,22 +18,10 @@ is the sum of the layer sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.config import GlobalPlannerConfig
 from repro.core.homophase import LocalPlan, Row
 from repro.core.homosize import MemoryLayer, construct_memory_layers, group_by_size
 from repro.core.plan import StaticAllocationPlan
-
-
-@dataclass
-class GlobalPlannerConfig:
-    """Policy knobs of the global planner (exposed for ablation benchmarks)."""
-
-    #: Process HomoSize groups from largest to smallest (the paper's order).
-    #: Ascending order is only useful to demonstrate why descending wins.
-    descending_size_order: bool = True
-    #: Allow smaller plans to reuse idle windows of larger layers.
-    enable_gap_insertion: bool = True
 
 
 def build_global_plan(

@@ -19,44 +19,14 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.core.config import STAllocConfig
 from repro.core.plan import SynthesizedPlan
 from repro.core.profiler import AllocationProfiler, ProfileResult
 from repro.core.runtime import RuntimeAllocator
-from repro.core.synthesizer import PlanSynthesizer, SynthesizerConfig
+from repro.core.synthesizer import PlanSynthesizer
 from repro.gpu.device import Device
+from repro.version import PLAN_ENTRY_HEAD, PLAN_FORMAT_VERSION  # noqa: F401
 from repro.workloads.trace import Trace
-
-#: Version of the serialized-plan format written by :meth:`STAlloc.to_json_dict`.
-#: Bump on incompatible changes so persistent caches discard stale entries.
-#: Version 2: the static plan is five int columns (no dict per decision) and
-#: the document holds no wall-clock, so equal inputs serialize to equal bytes.
-PLAN_FORMAT_VERSION = 2
-#: How every entry :meth:`STAlloc.dumps` writes begins: the version is read
-#: off the head of a stored plan without parsing it.
-PLAN_ENTRY_HEAD = f'{{"format_version":{PLAN_FORMAT_VERSION},'
-
-
-@dataclass
-class STAllocConfig:
-    """End-to-end configuration of the STAlloc pipeline."""
-
-    enable_fusion: bool = True
-    fusion_strategy: str = "repack"
-    enable_gap_insertion: bool = True
-    descending_size_order: bool = True
-    enable_dynamic_reuse: bool = True
-    validate_plan: bool = True
-    profiler_iterations: int = 3
-
-    def synthesizer_config(self) -> SynthesizerConfig:
-        return SynthesizerConfig(
-            enable_fusion=self.enable_fusion,
-            fusion_strategy=self.fusion_strategy,
-            enable_gap_insertion=self.enable_gap_insertion,
-            descending_size_order=self.descending_size_order,
-            enable_dynamic_reuse=self.enable_dynamic_reuse,
-            validate_plan=self.validate_plan,
-        )
 
 
 @dataclass

@@ -9,8 +9,8 @@ Space each HomoLayer group of dynamic requests may use at runtime.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
+from repro.core.config import SynthesizerConfig
 from repro.core.dynamic_space import (
     dynamic_request_group_index,
     homolayer_groups,
@@ -18,32 +18,9 @@ from repro.core.dynamic_space import (
 )
 from repro.core.homophase import build_homophase_groups, fuse_adjacent_groups
 from repro.core.plan import StaticAllocationPlan, SynthesizedPlan
-from repro.core.planner import GlobalPlannerConfig, build_global_plan, plan_summary
+from repro.core.planner import build_global_plan, plan_summary
 from repro.core.profiler import ProfileResult
 from repro.obs.tracer import span as _obs_span
-
-
-@dataclass
-class SynthesizerConfig:
-    """Tunable behaviour of the Plan Synthesizer.
-
-    The defaults reproduce the paper's design; the switches exist for the
-    ablation studies (fusion on/off, gap insertion on/off, planning order).
-    """
-
-    enable_fusion: bool = True
-    fusion_strategy: str = "repack"
-    enable_gap_insertion: bool = True
-    descending_size_order: bool = True
-    enable_dynamic_reuse: bool = True
-    validate_plan: bool = True
-    planner: GlobalPlannerConfig = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.planner = GlobalPlannerConfig(
-            descending_size_order=self.descending_size_order,
-            enable_gap_insertion=self.enable_gap_insertion,
-        )
 
 
 class PlanSynthesizer:

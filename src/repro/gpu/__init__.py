@@ -13,46 +13,27 @@ package provides byte-accurate simulations of those interfaces:
   MI210-64GB).
 """
 
-from repro.gpu.device import (
-    Device,
-    DeviceStats,
-    PhysicalAllocation,
-    a800_80gb,
-    device_from_spec,
-    h200_141gb,
-    mi210_64gb,
-)
-from repro.gpu.specs import GPU_SPECS, GPUSpec, get_gpu
-from repro.gpu.errors import (
-    DeviceError,
-    DoubleFreeError,
-    InvalidAddressError,
-    OutOfMemoryError,
-)
-from repro.gpu.virtual_memory import (
-    PhysicalHandle,
-    VirtualMapping,
-    VirtualMemoryManager,
-    VirtualRange,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Device",
-    "DeviceStats",
-    "PhysicalAllocation",
-    "a800_80gb",
-    "device_from_spec",
-    "h200_141gb",
-    "mi210_64gb",
-    "GPUSpec",
-    "GPU_SPECS",
-    "get_gpu",
-    "DeviceError",
-    "OutOfMemoryError",
-    "DoubleFreeError",
-    "InvalidAddressError",
-    "PhysicalHandle",
-    "VirtualRange",
-    "VirtualMapping",
-    "VirtualMemoryManager",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "device": [
+            "Device",
+            "DeviceStats",
+            "PhysicalAllocation",
+            "a800_80gb",
+            "device_from_spec",
+            "h200_141gb",
+            "mi210_64gb",
+        ],
+        "specs": ["GPU_SPECS", "GPUSpec", "get_gpu"],
+        "errors": ["DeviceError", "DoubleFreeError", "InvalidAddressError", "OutOfMemoryError"],
+        "virtual_memory": [
+            "PhysicalHandle",
+            "VirtualMapping",
+            "VirtualMemoryManager",
+            "VirtualRange",
+        ],
+    },
+)

@@ -17,88 +17,52 @@ and later ``stalloc-repro obs summarize obs.ndjson``.
 
 Import layering: instrumented modules deep in the dependency graph (trace
 generation, replay, the caches) import :mod:`repro.obs.tracer` directly, and
-this package eagerly exposes only the dependency-free core (tracer, metrics,
-progress).  The sinks and the summarizer -- whose Chrome-trace support pulls
-in :mod:`repro.timeline` -- load lazily on first attribute access, so
-``import repro.obs`` never re-enters the packages it instruments.
+every export of this package loads on first attribute access, so a run that
+records nothing never imports the sinks or the summarizer.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 import time
 
-from repro.obs.metrics import HistogramStat, MetricsRegistry
-from repro.obs.progress import ProgressReporter
-from repro.obs.tracer import (
-    OBS_FORMAT_VERSION,
-    Span,
-    Tracer,
-    absorb,
-    counter,
-    current_tracer,
-    gauge,
-    install,
-    is_enabled,
-    observe,
-    shutdown,
-    span,
-    worker_observation,
-    worker_spec,
+from repro._lazy import attach
+from repro.version import OBS_FORMAT_VERSION
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "metrics": ["HistogramStat", "MetricsRegistry"],
+        "progress": ["ProgressReporter"],
+        "tracer": [
+            "Span",
+            "Tracer",
+            "absorb",
+            "counter",
+            "current_tracer",
+            "gauge",
+            "install",
+            "is_enabled",
+            "observe",
+            "shutdown",
+            "span",
+            "worker_observation",
+            "worker_spec",
+        ],
+        "sinks": ["BufferSink", "ChromeTraceSink", "NDJSONSink", "meta_event", "validate_event"],
+        "summarize": [
+            "ObsSummary",
+            "PathStat",
+            "load_events",
+            "summarize_events",
+            "summarize_file",
+        ],
+    },
+    eager=("OBS_FORMAT_VERSION", "configure"),
 )
 
-#: Lazily resolved exports (attribute -> defining module); see module docs.
-_LAZY_EXPORTS = {
-    "BufferSink": "repro.obs.sinks",
-    "ChromeTraceSink": "repro.obs.sinks",
-    "NDJSONSink": "repro.obs.sinks",
-    "meta_event": "repro.obs.sinks",
-    "validate_event": "repro.obs.sinks",
-    "ObsSummary": "repro.obs.summarize",
-    "PathStat": "repro.obs.summarize",
-    "load_events": "repro.obs.summarize",
-    "summarize_events": "repro.obs.summarize",
-    "summarize_file": "repro.obs.summarize",
-}
 
-__all__ = [
-    "OBS_FORMAT_VERSION",
-    "HistogramStat",
-    "MetricsRegistry",
-    "ProgressReporter",
-    "Span",
-    "Tracer",
-    "absorb",
-    "configure",
-    "counter",
-    "current_tracer",
-    "gauge",
-    "install",
-    "is_enabled",
-    "observe",
-    "shutdown",
-    "span",
-    "worker_observation",
-    "worker_spec",
-    *sorted(_LAZY_EXPORTS),
-]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: __getattr__ only fires on misses
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
-
-
-def configure(*, ndjson_path=None, chrome_path=None) -> Tracer | None:
+def configure(*, ndjson_path=None, chrome_path=None):
     """Build and install a tracer for the requested outputs.
 
     Returns the installed tracer, or ``None`` (and installs nothing) when
@@ -106,15 +70,16 @@ def configure(*, ndjson_path=None, chrome_path=None) -> Tracer | None:
     ``--obs-trace`` values straight through.  Callers must pair this with
     :func:`shutdown` to flush sinks.
     """
+    if not (ndjson_path or chrome_path):
+        return None
     from repro.obs.sinks import ChromeTraceSink, NDJSONSink
+    from repro.obs.tracer import Tracer, install
 
     sinks = []
     if ndjson_path:
         sinks.append(NDJSONSink(ndjson_path, pid=os.getpid(), started=time.time()))
     if chrome_path:
         sinks.append(ChromeTraceSink(chrome_path))
-    if not sinks:
-        return None
     tracer = Tracer(sinks=sinks)
     install(tracer)
     return tracer

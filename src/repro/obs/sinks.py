@@ -27,7 +27,6 @@ import json
 from pathlib import Path
 from typing import IO
 
-from repro.obs.tracer import OBS_FORMAT_VERSION
 from repro.timeline.chrome import (
     SECONDS_TO_US,
     process_name_event,
@@ -35,7 +34,7 @@ from repro.timeline.chrome import (
     thread_name_event,
     trace_container,
 )
-from repro.version import __version__
+from repro.version import OBS_FORMAT_VERSION, __version__
 
 #: Required fields per event type (field name -> accepted types).  ``attrs``
 #: values are free-form but must be JSON-representable, which the sinks

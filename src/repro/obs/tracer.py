@@ -37,10 +37,7 @@ import os
 import time
 
 from repro.obs.metrics import MetricsRegistry
-
-#: Schema version stamped into every NDJSON meta line; bump whenever the
-#: event shapes in :mod:`repro.obs.sinks` change incompatibly.
-OBS_FORMAT_VERSION = 1
+from repro.version import OBS_FORMAT_VERSION
 
 #: (parent span id, depth) of the innermost open span in this context.
 _CONTEXT: contextvars.ContextVar[tuple[int, int] | None] = contextvars.ContextVar(

@@ -9,35 +9,23 @@ admissible throughput bound while pricing them through the ordinary sweep
 engine (same rows, same cache, same compare gate).
 """
 
-from repro.search.bounds import (
-    memory_lower_bound,
-    persistent_bytes_floor,
-    scoped_layer_bytes_floor,
-    throughput_upper_bound,
-    time_floor_seconds,
-)
-from repro.search.cluster import ClusterSpec
-from repro.search.planner import SEARCH_VERSION, SearchResult, run_search, search_points
-from repro.search.presets import (
-    SEARCH_PRESETS,
-    available_search_presets,
-    load_search_spec,
-)
-from repro.search.space import SearchSpec
+from repro._lazy import attach
+from repro.version import SEARCH_VERSION
 
-__all__ = [
-    "ClusterSpec",
-    "SEARCH_PRESETS",
-    "SEARCH_VERSION",
-    "SearchResult",
-    "SearchSpec",
-    "available_search_presets",
-    "load_search_spec",
-    "memory_lower_bound",
-    "persistent_bytes_floor",
-    "run_search",
-    "scoped_layer_bytes_floor",
-    "search_points",
-    "throughput_upper_bound",
-    "time_floor_seconds",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "bounds": [
+            "memory_lower_bound",
+            "persistent_bytes_floor",
+            "scoped_layer_bytes_floor",
+            "throughput_upper_bound",
+            "time_floor_seconds",
+        ],
+        "cluster": ["ClusterSpec"],
+        "planner": ["SearchResult", "run_search", "search_points"],
+        "presets": ["SEARCH_PRESETS", "available_search_presets", "load_search_spec"],
+        "space": ["SearchSpec"],
+    },
+    eager=("SEARCH_VERSION",),
+)

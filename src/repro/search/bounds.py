@@ -28,13 +28,13 @@ from __future__ import annotations
 from repro.core.events import TensorCategory
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.simulator.throughput import ThroughputModel
+from repro.workloads.fingerprint import DEFAULT_SIZE_JITTER
 from repro.workloads.memory_model import ACT_BYTES, MemoryModel, TensorSpec
-from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
 
 #: The smallest factor the generator's size jitter can shrink an
 #: activation-like tensor by; the floor prices every jitterable tensor at it.
-_MIN_JITTER = min(TraceGenerator.DEFAULT_SIZE_JITTER)
+_MIN_JITTER = min(DEFAULT_SIZE_JITTER)
 
 #: Categories the generator jitters (see ``TraceGenerator._jitter``).
 _JITTERED = (

@@ -41,8 +41,7 @@ from pathlib import Path
 from dataclasses import replace as dataclass_replace
 
 from repro.gpu.specs import GPU_SPECS, GPUSpec, get_gpu
-from repro.simulator.runner import validate_capacity_gib
-from repro.sweep.spec import _validate_budget_map
+from repro.simulator.ranks import validate_budget_map, validate_capacity_gib
 
 #: ``8xA800-80GB`` / ``2x8xA800-80GB@40`` -- optional node count, per-node (or
 #: total) device count, device name, optional GiB.  The gib group is a strict
@@ -81,7 +80,7 @@ class ClusterSpec:
             raise ValueError(f"num_devices must be a positive int, got {self.num_devices!r}")
         validate_capacity_gib(self.device_capacity_gib)
         if self.device_memory_by_rank:
-            _validate_budget_map(dict(self.device_memory_by_rank), "device_memory_by_rank")
+            validate_budget_map(dict(self.device_memory_by_rank), "device_memory_by_rank")
         if not isinstance(self.num_nodes, int) or isinstance(self.num_nodes, bool) \
                 or self.num_nodes < 1:
             raise ValueError(f"num_nodes must be a positive int, got {self.num_nodes!r}")

@@ -42,25 +42,13 @@ from repro.obs.tracer import span as _obs_span
 from repro.search.bounds import memory_lower_bound, throughput_upper_bound
 from repro.search.space import SearchSpec
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import (
-    _default_capacity_gib,
-    _expand_classes_to_coordinates,
-    _normalize_capacity_map,
-    _split_classes_by_capacity,
-    resolve_job_ranks,
-)
+from repro.simulator.ranks import default_capacity_gib, job_rank_classes
 from repro.sweep.engine import execute_point
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import SweepPoint
+from repro.version import SEARCH_VERSION
+from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import normalize_rank, rank_label
-from repro.workloads.tracegen import config_fingerprint
-
-#: Version of the search algorithm + result schema; bump when prune logic or
-#: the SearchResult serialization changes so stale goldens fail loudly.
-#: Version 2: the timeline backend injects per-phase allocator overhead into
-#: phase durations (shifting measured throughput) and the upper bound prices
-#: the timing backend's fabric (fastest tier + collective floor).
-SEARCH_VERSION = 2
 
 
 @dataclass
@@ -194,21 +182,16 @@ def _prune_record(point: SweepPoint, reason: str, **detail) -> dict:
 def _memory_verdict(point: SweepPoint) -> dict | None:
     """Evidence that ``point``'s configuration cannot fit, or None if it might.
 
-    Rebuilds exactly the capacity-refined rank classes ``run_job`` would
-    replay and compares each class's admissible memory lower bound against
-    the budget its replay would run under; any violation proves an OOM for
-    every allocator (the bound undercounts what every allocator must hold).
+    Takes exactly the capacity-refined rank classes ``run_job`` would replay
+    (:func:`~repro.simulator.ranks.job_rank_classes`) and compares each
+    class's admissible memory lower bound against the budget its replay would
+    run under; any violation proves an OOM for every allocator (the bound
+    undercounts what every allocator must hold).
     """
     config = point.config
-    classes = resolve_job_ranks(config, point.ranks)
-    capacity_map = _normalize_capacity_map(dict(point.device_memory_by_rank), config)
-    if any("." in label for label in capacity_map):
-        classes = _expand_classes_to_coordinates(
-            classes, config.parallelism.expert_parallel
-        )
-    default_capacity = _default_capacity_gib(point.device_name, point.device_capacity_gib)
-    for members, capacity in _split_classes_by_capacity(
-        classes, capacity_map, point.device_capacity_gib
+    default_capacity = default_capacity_gib(point.device_name, point.device_capacity_gib)
+    for members, capacity in job_rank_classes(
+        config, point.ranks, dict(point.device_memory_by_rank), point.device_capacity_gib
     ):
         budget_gib = capacity if capacity is not None else default_capacity
         representative = members[0]

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.allocators.registry import available_allocators
 from repro.search.cluster import ClusterSpec
-from repro.simulator.runner import validate_timing
+from repro.simulator.throughput import validate_timing
 from repro.sweep.spec import (
     CONFIG_AXES,
     STALLOC_ALLOCATORS,

@@ -1,30 +1,14 @@
 """Trace replay, memory metrics, and the timing models (timeline + analytical)."""
 
-from repro.simulator.execution import ExecutionContext
-from repro.simulator.metrics import MemoryMetrics
-from repro.simulator.replay import ReplayResult, replay_trace
-from repro.simulator.runner import (
-    VALID_TIMINGS,
-    JobRun,
-    WorkloadRun,
-    run_job,
-    run_workload,
-    run_workload_suite,
-)
-from repro.simulator.throughput import GPUSpec, ThroughputModel, GPU_SPECS
+from repro._lazy import attach
 
-__all__ = [
-    "ExecutionContext",
-    "MemoryMetrics",
-    "ReplayResult",
-    "replay_trace",
-    "VALID_TIMINGS",
-    "JobRun",
-    "WorkloadRun",
-    "run_job",
-    "run_workload",
-    "run_workload_suite",
-    "GPUSpec",
-    "GPU_SPECS",
-    "ThroughputModel",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "execution": ["ExecutionContext"],
+        "metrics": ["MemoryMetrics"],
+        "replay": ["ReplayResult", "replay_trace"],
+        "runner": ["JobRun", "WorkloadRun", "run_job", "run_workload", "run_workload_suite"],
+        "throughput": ["GPU_SPECS", "GPUSpec", "ThroughputModel", "VALID_TIMINGS"],
+    },
+)

@@ -8,18 +8,27 @@ where the on-disk cache is, holds the in-process trace memo, and owns the
 only process pool in ``repro``; it is passed explicitly, so nothing about
 execution lives in module state that a test or a second caller could leak
 into.
+
+Constructing a context imports nothing heavy: the trace generator, the
+planner and the process pool are each imported by the method that first needs
+them (:meth:`~ExecutionContext.trace`, :meth:`~ExecutionContext.stalloc`,
+:meth:`~ExecutionContext.map`), so a run served from the result cache loads
+none of them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
-from repro.core.stalloc import STAlloc, STAllocConfig
+from repro.core.config import STAllocConfig
 from repro.obs.tracer import absorb as _obs_absorb
 from repro.obs.tracer import worker_observation, worker_spec
-from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TraceGenerator, config_fingerprint
+from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.training import TrainingConfig
+
+if TYPE_CHECKING:
+    from repro.core.stalloc import STAlloc
+    from repro.workloads.trace import Trace
 
 
 class _TraceCache:
@@ -77,8 +86,7 @@ class ExecutionContext:
     def cache(self):
         """The context's :class:`SweepCache`, opened on first use (or None)."""
         if self._cache is None and self.cache_dir is not None:
-            # Imported lazily: repro.sweep's engine is built on the runner,
-            # which is built on this module.
+            # Imported lazily: repro.sweep's engine is built on this module.
             from repro.sweep.cache import SweepCache
 
             self._cache = SweepCache(self.cache_dir, max_bytes=self.cache_max_bytes)
@@ -108,6 +116,8 @@ class ExecutionContext:
                 config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
             )
         else:
+            from repro.workloads.tracegen import TraceGenerator
+
             loader = TraceGenerator(
                 config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
             ).generate
@@ -117,6 +127,8 @@ class ExecutionContext:
         """A planned STAlloc for the trace: the plan cache, else the pipeline."""
         if self.cache is not None:
             return self.cache.get_stalloc(trace, stalloc_config)
+        from repro.core.stalloc import STAlloc
+
         return STAlloc.from_trace(trace, stalloc_config)
 
     def map(self, fn, items):
@@ -135,6 +147,8 @@ class ExecutionContext:
             for item in items:
                 yield fn(self, item)
             return
+        from concurrent.futures import ProcessPoolExecutor
+
         obs_spec = worker_spec()
         with ProcessPoolExecutor(
             max_workers=min(self.jobs, len(items)),

@@ -26,6 +26,20 @@ from dataclasses import dataclass
 from repro.gpu.specs import GPU_SPECS, GPUSpec  # noqa: F401
 from repro.workloads.training import TrainingConfig
 
+#: Accepted timing backends: the discrete-event simulator walking the real
+#: per-rank schedules (``"timeline"``, the job-level default) or the legacy
+#: closed-form model (``"analytical"``, kept as a fallback and cross-check).
+VALID_TIMINGS = ("timeline", "analytical")
+
+
+def validate_timing(timing: str) -> str:
+    """Reject unknown timing backends (shared with sweep-spec validation)."""
+    if timing not in VALID_TIMINGS:
+        raise ValueError(
+            f"timing must be one of {', '.join(VALID_TIMINGS)}, got {timing!r}"
+        )
+    return timing
+
 
 @dataclass
 class ThroughputEstimate:

@@ -13,32 +13,17 @@ reports job-level aggregates (binding rank, max/mean peak, throughput).
 ``README.md`` ("Sweeps") for the spec format and cache layout.
 """
 
-from repro.sweep.cache import RESULT_FORMAT_VERSION, CacheStats, SweepCache
-from repro.sweep.compare import CompareReport, compare_files, compare_results
-from repro.sweep.engine import SweepPointError, execute_point, run_sweep
-from repro.sweep.results import SweepResult
-from repro.sweep.spec import (
-    SWEEP_PRESETS,
-    SweepPoint,
-    SweepSpec,
-    available_presets,
-    load_spec,
-)
+from repro._lazy import attach
+from repro.version import RESULT_FORMAT_VERSION
 
-__all__ = [
-    "CacheStats",
-    "CompareReport",
-    "RESULT_FORMAT_VERSION",
-    "SweepCache",
-    "SweepPoint",
-    "SweepPointError",
-    "SweepSpec",
-    "SweepResult",
-    "SWEEP_PRESETS",
-    "available_presets",
-    "compare_files",
-    "compare_results",
-    "execute_point",
-    "load_spec",
-    "run_sweep",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "cache": ["CacheStats", "SweepCache"],
+        "compare": ["CompareReport", "compare_files", "compare_results"],
+        "engine": ["SweepPointError", "execute_point", "run_sweep"],
+        "results": ["SweepResult"],
+        "spec": ["SWEEP_PRESETS", "SweepPoint", "SweepSpec", "available_presets", "load_spec"],
+    },
+    eager=("RESULT_FORMAT_VERSION",),
+)

@@ -34,29 +34,24 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.core.stalloc import PLAN_ENTRY_HEAD, PLAN_FORMAT_VERSION, STAlloc, STAllocConfig
+from repro.core.config import STAllocConfig
 from repro.obs.tracer import counter as _obs_counter
-from repro.timeline import TIMELINE_VERSION
-from repro.version import __version__
-from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TRACEGEN_VERSION, TraceGenerator, config_fingerprint
+from repro.version import (
+    PLAN_ENTRY_HEAD,
+    PLAN_FORMAT_VERSION,
+    RESULT_FORMAT_VERSION,
+    TIMELINE_VERSION,
+    TRACEGEN_VERSION,
+    __version__,
+)
+from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.training import TrainingConfig
 
-#: Bump to invalidate every cached result row (e.g. when row fields change).
-#: Version 2: job-level rows (multi-rank aggregation, binding rank, default
-#: throughput columns) and full-precision float serialization.
-#: Version 3: expert-parallel rank identity (EP coordinates in the point's
-#: rank selection, coordinate-valued binding ranks) and heterogeneous
-#: per-rank device budgets in the point payload.
-#: Version 4: the ``comm_peak_bytes`` column (all-to-all dispatch/combine
-#: transients in the trace) and ``moe_comm_factor`` in the config payload.
-#: Version 5: discrete-event timeline timing -- the ``timing`` identity
-#: column, the ``iteration_seconds``/``comm_seconds``/``bubble_fraction``/
-#: ``mfu`` columns, and ``timing`` in the point payload.
-#: Version 6: generation workloads -- the ``workload_kind`` identity column
-#: and the ``decode_steps``/``kv_peak_bytes``/``decode_seconds`` columns.
-RESULT_FORMAT_VERSION = 6
+if TYPE_CHECKING:
+    from repro.core.stalloc import STAlloc
+    from repro.workloads.trace import Trace
 
 #: Key under which :meth:`SweepCache.store_result` embeds the writer's result
 #: format version inside each stored row (stripped again on load); lets
@@ -102,13 +97,17 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` without readers ever seeing partial content."""
+def _atomic_write_text(path: Path, text: str) -> int:
+    """Write ``text`` to ``path`` without readers ever seeing partial content.
+
+    Returns the number of bytes the entry occupies (its UTF-8 encoding).
+    """
+    data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -116,6 +115,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+    return len(data)
 
 
 class SweepCache:
@@ -197,6 +197,8 @@ class SweepCache:
         traces of one job are cached (and looked up) independently -- a trace
         generated for one coordinate can never satisfy a request for another.
         """
+        from repro.workloads.trace import Trace
+
         fingerprint = config_fingerprint(
             config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
         )
@@ -211,14 +213,14 @@ class SweepCache:
                 path.unlink(missing_ok=True)  # corrupt entry: fall through to regenerate
         self.stats.trace_misses += 1
         _obs_counter("cache.miss")
+        from repro.workloads.tracegen import TraceGenerator
+
         trace = TraceGenerator(
             config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
         ).generate()
         # dumps() hashes what it renders, so plan_key()'s trace.digest() on
         # this object is a lookup, not a second serialization.
-        text = trace.dumps()
-        _atomic_write_text(path, text)
-        self._note_store(len(text))
+        self._note_store(_atomic_write_text(path, trace.dumps()))
         return trace
 
     # ------------------------------------------------------------------ #
@@ -247,6 +249,8 @@ class SweepCache:
 
     def get_stalloc(self, trace: Trace, stalloc_config: STAllocConfig | None = None) -> STAlloc:
         """Load a planned STAlloc for the trace, running the pipeline on miss."""
+        from repro.core.stalloc import STAlloc
+
         stalloc_config = stalloc_config or STAllocConfig()
         path = self.plan_path(self.plan_key(trace, stalloc_config))
         if path.exists():
@@ -260,9 +264,7 @@ class SweepCache:
         self.stats.plan_misses += 1
         _obs_counter("cache.miss")
         stalloc = STAlloc.from_trace(trace, stalloc_config)
-        text = stalloc.dumps()
-        _atomic_write_text(path, text)
-        self._note_store(len(text))
+        self._note_store(_atomic_write_text(path, stalloc.dumps()))
         return stalloc
 
     # ------------------------------------------------------------------ #
@@ -301,8 +303,10 @@ class SweepCache:
             return None
         try:
             row = json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, json.JSONDecodeError):
-            path.unlink(missing_ok=True)
+            if not isinstance(row, dict):
+                raise ValueError(f"result entry is not an object: {type(row).__name__}")
+        except ValueError:
+            path.unlink(missing_ok=True)  # corrupt or foreign entry: recompute
             self.stats.result_misses += 1
             _obs_counter("cache.miss")
             return None
@@ -314,9 +318,7 @@ class SweepCache:
     def store_result(self, key: str, row: dict) -> None:
         stored = dict(row)
         stored[_RESULT_VERSION_KEY] = RESULT_FORMAT_VERSION
-        text = json.dumps(stored)
-        _atomic_write_text(self.result_path(key), text)
-        self._note_store(len(text))
+        self._note_store(_atomic_write_text(self.result_path(key), json.dumps(stored)))
 
     def cache_stats(self) -> dict:
         """This instance's lookup and eviction statistics, as a flat dict.
@@ -371,10 +373,15 @@ class SweepCache:
                 with path.open("r", encoding="utf-8") as handle:
                     if handle.read(len(PLAN_ENTRY_HEAD)) != PLAN_ENTRY_HEAD:
                         return True  # another format: nothing more to read
+                from repro.core.stalloc import STAlloc
+
                 STAlloc.load_plan(path)  # cut short, ragged columns, ...: raises
                 return False
             payload = json.loads(path.read_text(encoding="utf-8"))
-            return payload.get(_RESULT_VERSION_KEY) != RESULT_FORMAT_VERSION
+            return (
+                not isinstance(payload, dict)
+                or payload.get(_RESULT_VERSION_KEY) != RESULT_FORMAT_VERSION
+            )
         except (OSError, ValueError, KeyError, TypeError):
             return True
 

@@ -24,12 +24,12 @@ import time
 from repro.obs.tracer import counter as _obs_counter
 from repro.obs.tracer import span as _obs_span
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import resolve_job_ranks, run_job
+from repro.simulator.ranks import resolve_job_ranks
 from repro.sweep.cache import SweepCache
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import SweepPoint, SweepSpec
+from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import normalize_rank, rank_label
-from repro.workloads.tracegen import config_fingerprint
 
 
 class SweepPointError(RuntimeError):
@@ -202,6 +202,10 @@ def execute_point(
                     obs_point.set(cached=True)
                     _obs_counter("sweep.rows_done")
                     return _as_cached_row(row, point, time.perf_counter() - started)
+        # The first point that misses pays for the execution layer (numpy, the
+        # generator, the planner, the allocators); a warm run never gets here.
+        from repro.simulator.runner import run_job
+
         try:
             job = run_job(
                 point.config,

@@ -4,7 +4,7 @@ A :class:`SweepSpec` describes a grid of workloads to evaluate: a cartesian
 product over :class:`~repro.workloads.training.TrainingConfig` fields (plus
 parallelism degrees, model names, optimization presets, seeds and trace
 scales), crossed with a list of allocators and -- for the STAlloc variants --
-an optional grid of :class:`~repro.core.stalloc.STAllocConfig` ablation knobs.
+an optional grid of :class:`~repro.core.config.STAllocConfig` ablation knobs.
 
 Specs are plain JSON documents so sweeps can be version-controlled and shared::
 
@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from repro.allocators.registry import available_allocators
-from repro.core.stalloc import STAllocConfig
-from repro.simulator.runner import STALLOC, STALLOC_NO_REUSE, validate_timing
+from repro.allocators.registry import STALLOC, STALLOC_NO_REUSE, available_allocators
+from repro.core.config import STAllocConfig
+from repro.simulator.ranks import validate_budget_map
+from repro.simulator.throughput import validate_timing
 from repro.workloads.models import MODEL_REGISTRY, get_model
 from repro.workloads.parallelism import ParallelismConfig, normalize_rank
 from repro.workloads.training import OPTIMIZATION_PRESETS, TrainingConfig, preset_config
@@ -167,35 +168,6 @@ def _valid_rank_entry(rank) -> bool:
     return False
 
 
-def _valid_rank_key(key) -> bool:
-    """A device_memory_by_rank key: int, '2' (stage) or '2.1' (coordinate)."""
-    if isinstance(key, bool):
-        return False
-    if isinstance(key, int):
-        return key >= 0
-    if not isinstance(key, str):
-        return False
-    parts = key.split(".")
-    if len(parts) not in (1, 2):
-        return False
-    return all(part.isdigit() for part in parts)
-
-
-def _validate_budget_map(budgets, context: str) -> None:
-    """Validate one ``{rank label: GiB}`` device-budget mapping."""
-    if not isinstance(budgets, dict):
-        raise ValueError(f"{context} must map rank labels to GiB, got {budgets!r}")
-    for key, value in budgets.items():
-        if not _valid_rank_key(key):
-            raise ValueError(
-                f"{context} key {key!r} is not a rank (expected an int, '2', or '2.1')"
-            )
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ValueError(
-                f"{context}[{key!r}] must be a positive GiB value, got {value!r}"
-            )
-
-
 def _budget_label(budgets: dict | None) -> str:
     """Compact row label of one swept budget map, e.g. ``mem=0:40,1.1:96``."""
     if not budgets:
@@ -302,7 +274,7 @@ class SweepSpec:
                     f"ranks must be 'all' or a list of ints, got {self.ranks!r}"
                 )
         if self.device_memory_by_rank is not None:
-            _validate_budget_map(self.device_memory_by_rank, "device_memory_by_rank")
+            validate_budget_map(self.device_memory_by_rank, "device_memory_by_rank")
         if self.fabric is not None:
             _validate_fabric(self.fabric, "fabric")
         known_allocators = set(available_allocators()) | STALLOC_ALLOCATORS
@@ -324,7 +296,7 @@ class SweepSpec:
                 for index, budgets in enumerate(values):
                     if budgets is None:
                         continue  # null = the uniform device for this cell
-                    _validate_budget_map(
+                    validate_budget_map(
                         budgets, f"grid device_memory_by_rank[{index}]"
                     )
             if axis == "fabric":

@@ -8,25 +8,21 @@ straggler stalls emerge from dependencies instead of closed-form fractions.
 See :mod:`repro.timeline.simulator` for the model.
 """
 
-from repro.timeline.export import chrome_trace_dict, write_chrome_trace
-from repro.timeline.simulator import (
-    TIMELINE_VERSION,
-    RankTimeline,
-    TimelineEvent,
-    TimelineResult,
-    TimelineSimulator,
-    clear_timeline_memo,
-    simulate_timeline,
-)
+from repro._lazy import attach
+from repro.version import TIMELINE_VERSION
 
-__all__ = [
-    "TIMELINE_VERSION",
-    "RankTimeline",
-    "TimelineEvent",
-    "TimelineResult",
-    "TimelineSimulator",
-    "chrome_trace_dict",
-    "clear_timeline_memo",
-    "simulate_timeline",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "export": ["chrome_trace_dict", "write_chrome_trace"],
+        "simulator": [
+            "RankTimeline",
+            "TimelineEvent",
+            "TimelineResult",
+            "TimelineSimulator",
+            "clear_timeline_memo",
+            "simulate_timeline",
+        ],
+    },
+    eager=("TIMELINE_VERSION",),
+)

@@ -70,26 +70,12 @@ from repro.core.events import PhaseKind
 from repro.gpu.specs import GPUSpec, NodeTopology, get_gpu
 from repro.obs.tracer import span as _obs_span
 from repro.simulator.throughput import ThroughputEstimate, ThroughputModel
+from repro.version import TIMELINE_VERSION
+from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.memory_model import ACT_BYTES
 from repro.workloads.moe import ExpertRouter
 from repro.workloads.schedule import PhaseSpec, build_schedule
-from repro.workloads.tracegen import config_fingerprint
 from repro.workloads.training import TrainingConfig
-
-#: Bump whenever the simulator's event stream changes for an unchanged
-#: configuration, so the golden timeline fixtures fail loudly (and get
-#: regenerated) instead of drifting silently.
-#: Version 2: hierarchical network fabric (per-tier all-to-all pricing via
-#: NodeTopology), comm/compute overlap (``comm_overlap_factor``), per-phase
-#: allocator-overhead injection, and ``gpus_per_node`` in the serialized
-#: header.  Degenerate configurations (single-node/equal-tier, zero overlap,
-#: zero overhead) reproduce version-1 event durations bit-exactly.
-#: Version 3: inference and generation workloads -- forward-only pipelines
-#: plus autoregressive ``decode`` events whose duration combines a per-token
-#: compute share with a KV-read memory term priced at the device's HBM
-#: bandwidth.  Training event streams keep their version-2 durations exactly
-#: (only the serialized header's version field rotates the digests).
-TIMELINE_VERSION = 3
 
 #: Event kinds in code order (the ``kind`` column of the record buffers).
 KIND_NAMES = (

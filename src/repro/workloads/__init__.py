@@ -10,30 +10,18 @@ lifespans) and the perturbations introduced by virtual pipelining,
 recomputation, offloading, ZeRO and MoE routing.
 """
 
-from repro.workloads.model_config import ModelConfig
-from repro.workloads.models import MODEL_REGISTRY, get_model
-from repro.workloads.moe import ExpertRouter, balanced_split
-from repro.workloads.parallelism import ParallelismConfig, normalize_rank, rank_label
-from repro.workloads.schedule import PhaseSpec, build_schedule
-from repro.workloads.trace import Trace, TraceMetadata
-from repro.workloads.tracegen import TraceGenerator
-from repro.workloads.training import OPTIMIZATION_PRESETS, TrainingConfig, preset_config
+from repro._lazy import attach
 
-__all__ = [
-    "ModelConfig",
-    "MODEL_REGISTRY",
-    "get_model",
-    "ParallelismConfig",
-    "normalize_rank",
-    "rank_label",
-    "balanced_split",
-    "TrainingConfig",
-    "OPTIMIZATION_PRESETS",
-    "preset_config",
-    "PhaseSpec",
-    "build_schedule",
-    "ExpertRouter",
-    "Trace",
-    "TraceMetadata",
-    "TraceGenerator",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "model_config": ["ModelConfig"],
+        "models": ["MODEL_REGISTRY", "get_model"],
+        "moe": ["ExpertRouter"],
+        "parallelism": ["ParallelismConfig", "balanced_split", "normalize_rank", "rank_label"],
+        "schedule": ["PhaseSpec", "build_schedule"],
+        "trace": ["Trace", "TraceMetadata"],
+        "tracegen": ["TraceGenerator"],
+        "training": ["OPTIMIZATION_PRESETS", "TrainingConfig", "preset_config"],
+    },
+)

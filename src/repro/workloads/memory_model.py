@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.events import TensorCategory
-from repro.workloads.moe import balanced_split
+from repro.workloads.parallelism import balanced_split
 from repro.workloads.training import TrainingConfig
 
 #: bytes per element for activations (bf16).

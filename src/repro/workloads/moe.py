@@ -36,20 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def balanced_split(total: int, bins: int) -> list[int]:
-    """Deterministic balanced partition of ``total`` items into ``bins``.
-
-    Bresenham-style: bin ``i`` receives ``round(total*(i+1)/bins) -
-    round(total*i/bins)`` items, so every bin gets ``total // bins`` or one
-    more, the remainder is spread evenly across the range (not piled onto the
-    first bins, which would skew the first EP rank's slice), and the counts
-    sum to ``total`` exactly.
-    """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    edges = [(total * i) // bins for i in range(bins + 1)]
-    return [edges[i + 1] - edges[i] for i in range(bins)]
+from repro.workloads.parallelism import balanced_split
 
 
 class ExpertRouter:

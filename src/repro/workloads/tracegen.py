@@ -21,94 +21,22 @@ evaluated on.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.core.columns import ALLOC, CATEGORY_CODES, FREE, ColumnBuilder
 from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent
 from repro.obs.tracer import span as _obs_span
+from repro.version import TRACEGEN_VERSION
+from repro.workloads.fingerprint import (  # noqa: F401
+    DEFAULT_ASYNC_FREE_SKEW,
+    DEFAULT_SIZE_JITTER,
+    config_fingerprint,
+)
 from repro.workloads.memory_model import MemoryModel, TensorSpec
 from repro.workloads.moe import ExpertRouter
 from repro.workloads.schedule import PhaseSpec, build_schedule
 from repro.workloads.trace import Trace, TraceMetadata
 from repro.workloads.training import TrainingConfig
-
-
-#: Bump whenever the generator's event stream changes for an unchanged
-#: configuration, so persistent caches keyed by :func:`config_fingerprint`
-#: cannot serve traces produced by an older generator.
-#: Version 2: rank-aware schedules (per-stage 1F1B warm-up), last-stage LM
-#: head / fp32 logits, and rank + generator version in the trace metadata.
-#: Version 3: expert-parallel rank asymmetry -- per-EP-rank router slices,
-#: the exact balanced split at ``moe_imbalance == 0``, and the EP rank in the
-#: trace metadata and fingerprint.
-#: Version 4: expert-parallel all-to-all communication transients (the
-#: ``moe_comm_factor`` dispatch/combine staging buffers), execution-keyed
-#: router draws (the gating decision of one (layer, microbatch) execution no
-#: longer depends on the rank's schedule order), and ``moe_comm_factor`` in
-#: the trace metadata.
-#: Version 5: inference and generation workloads -- forward-only schedules,
-#: per-layer KV caches allocated at prefill and re-allocated larger per decode
-#: step, decode-step transients, and ``workload_kind``/``decode_steps``/
-#: ``max_new_tokens`` in the trace metadata.  Training event streams are
-#: byte-for-byte unchanged from version 4.
-TRACEGEN_VERSION = 5
-
-#: Fingerprints are pure functions of hashable frozen dataclasses, and they
-#: sit on hot paths (every memoised timeline lookup and sweep-cache probe
-#: re-derives one), so they are memoised.  Bounded: cleared wholesale when
-#: full -- a sweep touches far fewer distinct configs than the cap.
-_FINGERPRINT_MEMO: dict[tuple, str] = {}
-_FINGERPRINT_MEMO_MAX = 1024
-
-
-def config_fingerprint(
-    config: TrainingConfig,
-    *,
-    seed: int = 0,
-    scale: float = 1.0,
-    rank: int = 0,
-    ep_rank: int = 0,
-    size_jitter: tuple[float, ...] | None = None,
-    async_free_skew: int | None = None,
-) -> str:
-    """Stable content hash of everything that determines a generated trace.
-
-    Trace generation is deterministic (covered by the determinism regression
-    tests), so this fingerprint is a valid content address for the trace a
-    :class:`TraceGenerator` built from the same inputs would produce.  The
-    sweep cache uses it as the on-disk key for generated traces.  Both rank
-    coordinates are part of the payload, so per-(pp, ep)-rank traces of one
-    job can never alias each other.
-    """
-    jitter = TraceGenerator.DEFAULT_SIZE_JITTER if size_jitter is None else tuple(size_jitter)
-    skew = TraceGenerator.DEFAULT_ASYNC_FREE_SKEW if async_free_skew is None else int(async_free_skew)
-    try:
-        key = (config, int(seed), float(scale), int(rank), int(ep_rank), jitter, skew)
-        cached = _FINGERPRINT_MEMO.get(key)
-    except TypeError:  # unhashable custom config -- compute uncached
-        key = None
-        cached = None
-    if cached is not None:
-        return cached
-    payload = {
-        "tracegen_version": TRACEGEN_VERSION,
-        "config": asdict(config),
-        "seed": int(seed),
-        "scale": float(scale),
-        "rank": int(rank),
-        "ep_rank": int(ep_rank),
-        "size_jitter": [float(f) for f in jitter],
-        "async_free_skew": skew,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    fingerprint = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    if key is not None:
-        if len(_FINGERPRINT_MEMO) >= _FINGERPRINT_MEMO_MAX:
-            _FINGERPRINT_MEMO.clear()
-        _FINGERPRINT_MEMO[key] = fingerprint
-    return fingerprint
 
 
 @dataclass
@@ -136,23 +64,6 @@ class _ScopedSet:
 class TraceGenerator:
     """Generates the allocation trace of one rank for one training iteration."""
 
-    #: Per-micro-batch size variation applied to activation and temporary
-    #: tensors.  Real traces show small size differences between micro-batches
-    #: (sample-dependent padding, fused-kernel workspace choices, alignment of
-    #: intermediate reductions); this is what prevents an online best-fit
-    #: allocator from perfectly recycling freed blocks and is the proximate
-    #: cause of the fragmentation the paper measures.  The jitter cycles over a
-    #: small set of factors so the number of distinct sizes stays in the few
-    #: dozen range the paper reports (Figure 3).
-    DEFAULT_SIZE_JITTER: tuple[float, ...] = (1.0, 0.9, 0.95, 0.85)
-
-    #: Number of layers by which transient frees lag their allocation.  Real
-    #: eager-mode training overlaps kernels, peer-to-peer transfers and
-    #: gradient reduction, so workspace tensors are released a little later
-    #: than strict nesting would suggest; this skew produces the interleaved
-    #: allocate/free pattern of Figure 1(a) that online allocators fragment on.
-    DEFAULT_ASYNC_FREE_SKEW = 2
-
     def __init__(
         self,
         config: TrainingConfig,
@@ -172,11 +83,11 @@ class TraceGenerator:
         self.scale = scale
         self.rank = rank
         self.ep_rank = ep_rank
-        self.size_jitter = self.DEFAULT_SIZE_JITTER if size_jitter is None else tuple(size_jitter)
+        self.size_jitter = DEFAULT_SIZE_JITTER if size_jitter is None else tuple(size_jitter)
         if not self.size_jitter or any(factor <= 0 for factor in self.size_jitter):
             raise ValueError("size_jitter must contain positive factors")
         self.async_free_skew = (
-            self.DEFAULT_ASYNC_FREE_SKEW if async_free_skew is None else int(async_free_skew)
+            DEFAULT_ASYNC_FREE_SKEW if async_free_skew is None else int(async_free_skew)
         )
         if self.async_free_skew < 0:
             raise ValueError("async_free_skew must be non-negative")

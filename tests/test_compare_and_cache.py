@@ -13,7 +13,7 @@ from repro.cli import main as cli_main
 from repro.core.stalloc import PLAN_FORMAT_VERSION, STAllocConfig
 from repro.simulator import runner
 from repro.sweep import SweepCache, SweepResult, compare_results
-from repro.sweep.cache import _RESULT_VERSION_KEY, RESULT_FORMAT_VERSION
+from repro.sweep.cache import _RESULT_VERSION_KEY, RESULT_FORMAT_VERSION, _atomic_write_text
 from repro.workloads.tracegen import TraceGenerator, config_fingerprint
 
 
@@ -328,6 +328,32 @@ class TestCachePrune:
         assert raw[_RESULT_VERSION_KEY] == RESULT_FORMAT_VERSION
         # ... but the version key never leaks into served rows.
         assert cache.load_result(key) == {"status": "ok"}
+
+    @pytest.mark.parametrize("payload", ["null", "[]", "3"])
+    def test_non_object_result_entry_is_a_miss_and_stale(self, payload, tmp_path):
+        """Valid JSON that is not a row (a foreign or rewritten file) never raises."""
+        cache = SweepCache(tmp_path)
+        healthy = cache.result_key("fp", {"allocator": "torch2.3"})
+        cache.store_result(healthy, {"status": "ok"})
+        key = cache.result_key("fp", {"allocator": "native"})
+        path = cache.result_path(key)
+
+        # A lookup treats it as a miss and drops the entry ...
+        path.write_text(payload, encoding="utf-8")
+        assert cache.load_result(key) is None
+        assert (cache.stats.result_hits, cache.stats.result_misses) == (0, 1)
+        assert not path.exists()
+
+        # ... and prune sweeps it as stale, next to a healthy entry it keeps.
+        path.write_text(payload, encoding="utf-8")
+        assert cache.prune()["stale_removed"] == 1
+        assert not path.exists()
+        assert cache.load_result(healthy) == {"status": "ok"}
+
+    def test_stores_are_accounted_in_encoded_bytes(self, tmp_path):
+        """The cap compares against file sizes, so stores count bytes, not characters."""
+        path = tmp_path / "entry.json"
+        assert _atomic_write_text(path, "\u00e9" * 10) == path.stat().st_size == 20
 
     def test_prune_lru_evicts_oldest_first(self, tmp_path):
         cache = SweepCache(tmp_path)

@@ -1,0 +1,314 @@
+"""Import hygiene: a run imports what it executes.
+
+``repro`` is split into a *definition layer* (configs, tables, versions,
+cache keys, spec expansion, bounds, rows, compare, obs) whose modules import
+only the stdlib and each other, and an *execution layer* (numpy, the trace
+generator, the planner, the allocators, replay, the timeline simulator, the
+experiments, the process pool) imported at the first cache miss or fan-out.
+Every case here runs in a fresh interpreter and inspects ``sys.modules``, so
+the checks are structural and machine-independent: no timing is asserted.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "tests" / "fixtures" / "golden_job_smoke_rows.json"
+
+#: What a warm or run-nothing command must never load.
+EXECUTION_LAYER = (
+    "numpy",
+    "concurrent.futures.process",
+    "repro.experiments",
+    "repro.allocators.base",
+    "repro.allocators.caching",
+    "repro.allocators.expandable",
+    "repro.allocators.gmlake",
+    "repro.allocators.native",
+    "repro.core.columns",
+    "repro.core.homophase",
+    "repro.core.profiler",
+    "repro.core.runtime",
+    "repro.core.stalloc",
+    "repro.core.synthesizer",
+    "repro.simulator.replay",
+    "repro.simulator.runner",
+    "repro.timeline.simulator",
+    "repro.workloads.moe",
+    "repro.workloads.trace",
+    "repro.workloads.tracegen",
+)
+
+#: Modules whose top-level imports must stay inside the definition layer.
+DEFINITION_LAYER = (
+    "repro.cli",
+    "repro.allocators.registry",
+    "repro.core.config",
+    "repro.core.events",
+    "repro.core.intervals",
+    "repro.core.plan",
+    "repro.gpu.device",
+    "repro.gpu.specs",
+    "repro.obs.progress",
+    "repro.obs.sinks",
+    "repro.obs.summarize",
+    "repro.obs.tracer",
+    "repro.search.bounds",
+    "repro.search.cluster",
+    "repro.search.planner",
+    "repro.search.presets",
+    "repro.search.space",
+    "repro.simulator.execution",
+    "repro.simulator.metrics",
+    "repro.simulator.ranks",
+    "repro.simulator.throughput",
+    "repro.sweep.cache",
+    "repro.sweep.compare",
+    "repro.sweep.engine",
+    "repro.sweep.results",
+    "repro.sweep.spec",
+    "repro.timeline.chrome",
+    "repro.workloads.fingerprint",
+    "repro.workloads.memory_model",
+    "repro.workloads.models",
+    "repro.workloads.parallelism",
+    "repro.workloads.schedule",
+    "repro.workloads.training",
+)
+
+PACKAGES = (
+    "repro.allocators",
+    "repro.core",
+    "repro.gpu",
+    "repro.obs",
+    "repro.search",
+    "repro.simulator",
+    "repro.sweep",
+    "repro.timeline",
+    "repro.workloads",
+)
+
+#: Names that moved to a leaf module and must stay importable from the module
+#: they describe (benchmarks/e2e/stages.py and the tests import them there).
+LEGACY_NAMES = {
+    "repro.workloads.tracegen": ["TRACEGEN_VERSION", "config_fingerprint"],
+    "repro.workloads.moe": ["balanced_split"],
+    "repro.timeline": ["TIMELINE_VERSION"],
+    "repro.timeline.simulator": ["TIMELINE_VERSION"],
+    "repro.core.stalloc": ["STAllocConfig", "PLAN_FORMAT_VERSION", "PLAN_ENTRY_HEAD"],
+    "repro.core.synthesizer": ["SynthesizerConfig"],
+    "repro.core.planner": ["GlobalPlannerConfig"],
+    "repro.simulator.runner": [
+        "STALLOC",
+        "STALLOC_NO_REUSE",
+        "VALID_TIMINGS",
+        "validate_timing",
+        "validate_capacity_gib",
+        "resolve_job_ranks",
+    ],
+    "repro.search.planner": ["SEARCH_VERSION"],
+    "repro.search": ["SEARCH_VERSION"],
+    "repro.sweep.cache": ["RESULT_FORMAT_VERSION"],
+    "repro.sweep": ["RESULT_FORMAT_VERSION"],
+    "repro.obs.tracer": ["OBS_FORMAT_VERSION"],
+    "repro.obs": ["OBS_FORMAT_VERSION"],
+}
+
+#: Runs ``main(argv)`` silently and reports the exit code and ``sys.modules``.
+CLI_CHILD = """
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(json.loads(sys.argv[1]))
+    except SystemExit as exit:
+        code = exit.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def child(script: str, *args: str, cwd: Path | None = None) -> dict:
+    """Run ``script`` in a fresh interpreter; its last stdout line is JSON."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def cli(argv: list[str], cwd: Path) -> dict:
+    report = child(CLI_CHILD, json.dumps(argv), cwd=cwd)
+    report["repro"] = [name for name in report["modules"] if name.split(".")[0] == "repro"]
+    return report
+
+
+def loaded(report: dict) -> list[str]:
+    return [name for name in EXECUTION_LAYER if name in report["modules"]]
+
+
+def simulated(rows: list[dict]) -> list[dict]:
+    return [
+        {key: value for key, value in row.items() if key not in ("cached", "elapsed_seconds")}
+        for row in rows
+    ]
+
+
+@pytest.fixture(scope="module")
+def filled(tmp_path_factory) -> dict:
+    """A cache directory filled by cold children, plus what they reported."""
+    work = tmp_path_factory.mktemp("layers")
+    sweep = ["sweep", "job-smoke", "--cache-dir", "cache", "--no-progress"]
+    search = ["search", "search-smoke", "--cache-dir", "cache", "--no-progress"]
+    cold = cli(sweep + ["--output", "a.json", "--obs-out", "obs.ndjson"], work)
+    assert cli(search + ["--output", "s.json"], work)["code"] == 0
+    return {"work": work, "sweep": sweep, "search": search, "cold": cold}
+
+
+def test_importing_the_cli_loads_three_modules_and_no_execution_layer():
+    report = child(
+        "import json, sys, repro.cli; print(json.dumps({'modules': sorted(sys.modules)}))"
+    )
+    assert loaded(report) == []
+    assert [name for name in report["modules"] if name.startswith("repro")] == [
+        "repro",
+        "repro.cli",
+        "repro.version",
+    ]
+
+
+def test_definition_layer_modules_import_no_execution_layer():
+    script = (
+        "import importlib, json, sys\n"
+        f"for name in {DEFINITION_LAYER!r}: importlib.import_module(name)\n"
+        "print(json.dumps({'modules': sorted(sys.modules)}))"
+    )
+    assert loaded(child(script)) == []
+
+
+def test_cold_sweep_loads_the_execution_layer_and_reproduces_the_golden_rows(filled):
+    cold = filled["cold"]
+    assert cold["code"] == 0
+    expected = {"numpy", "repro.simulator.runner", "repro.workloads.tracegen", "repro.core.stalloc"}
+    assert expected <= set(cold["modules"])
+    assert "concurrent.futures.process" not in cold["modules"]  # serial: no pool
+    rows = json.loads((filled["work"] / "a.json").read_text(encoding="utf-8"))["rows"]
+    golden = json.loads(FIXTURE.read_text(encoding="utf-8"))["rows"]
+    assert simulated(rows) == golden
+
+
+@pytest.mark.parametrize("command", ["sweep", "search"])
+def test_fully_warm_run_loads_no_execution_layer(filled, command):
+    out = f"warm-{command}.json"
+    report = cli(filled[command] + ["--output", out], filled["work"])
+    assert report["code"] == 0
+    assert loaded(report) == []
+    assert len(report["repro"]) <= (40 if command == "sweep" else 50), report["repro"]
+    document = json.loads((filled["work"] / out).read_text(encoding="utf-8"))
+    assert document["rows"] and all(row["cached"] for row in document["rows"])
+    if command == "sweep":
+        cold_rows = json.loads((filled["work"] / "a.json").read_text(encoding="utf-8"))["rows"]
+        assert simulated(document["rows"]) == simulated(cold_rows)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], 0),
+        (["sweep", "--list"], 0),
+        (["search", "--list"], 0),
+        (["sweep", "--compare", "a.json", "a.json"], 0),
+        (["obs", "summarize", "obs.ndjson"], 0),
+        (["cache", "prune", "--cache-dir", "empty-cache"], 0),
+    ],
+    ids=lambda value: " ".join(value[:2]) if isinstance(value, list) else None,
+)
+def test_commands_that_run_nothing_load_no_execution_layer(filled, argv, code):
+    report = cli(argv, filled["work"])
+    assert report["code"] == code
+    assert loaded(report) == []
+
+
+def test_jobs_two_spawns_no_pool_when_warm_and_changes_no_row_when_cold(filled, tmp_path):
+    warm = cli(filled["sweep"] + ["--jobs", "2"], filled["work"])
+    assert warm["code"] == 0 and loaded(warm) == []
+    assert "multiprocessing" not in warm["modules"]
+
+    argv = ["sweep", "job-smoke", "--cache-dir", "c2", "--no-progress", "--jobs", "2"]
+    cold = cli(argv + ["--output", "jobs2.json"], tmp_path)
+    assert cold["code"] == 0 and "concurrent.futures.process" in cold["modules"]
+    fanned = json.loads((tmp_path / "jobs2.json").read_text(encoding="utf-8"))["rows"]
+    serial = json.loads((filled["work"] / "a.json").read_text(encoding="utf-8"))["rows"]
+    assert json.dumps(simulated(fanned), sort_keys=True) == json.dumps(
+        simulated(serial), sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_exports_resolve_lazily_from_a_fresh_interpreter(package):
+    script = f"""
+import importlib, json, sys
+package = importlib.import_module({package!r})
+before = sorted(name for name in sys.modules if name.startswith({package!r} + "."))
+names = list(package.__all__)
+listed = set(dir(package))
+namespace = {{}}
+exec("from {package} import *", namespace)
+try:
+    package.no_such_name
+    error = None
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps({{
+    "submodules_at_import": before,
+    "names": names,
+    "unlisted": [name for name in names if name not in listed],
+    "unresolved": [name for name in names if name not in namespace],
+    "error": error,
+}}))
+"""
+    report = child(script)
+    # Only repro._lazy and repro.version may load with the package itself.
+    assert report["submodules_at_import"] == []
+    assert report["names"] == sorted(set(report["names"])) and report["names"]
+    assert report["unlisted"] == [] and report["unresolved"] == []
+    assert package in report["error"] and "no_such_name" in report["error"]
+
+
+def test_moved_names_stay_importable_from_the_modules_they_describe():
+    script = f"""
+import importlib, json
+missing = [
+    module + "." + name
+    for module, names in {LEGACY_NAMES!r}.items()
+    for name in names
+    if not hasattr(importlib.import_module(module), name)
+]
+from repro.allocators.registry import available_allocators, register_allocator
+from repro.sweep.spec import SweepSpec
+register_allocator("layer-test", lambda device: None)
+spec = SweepSpec(name="t", allocators=["layer-test", "stalloc"])
+print(json.dumps({{"missing": missing, "registered": "layer-test" in available_allocators(),
+                  "allocators": spec.allocators}}))
+"""
+    report = child(script)
+    assert report == {
+        "missing": [],
+        "registered": True,
+        "allocators": ["layer-test", "stalloc"],
+    }

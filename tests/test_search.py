@@ -26,11 +26,11 @@ from repro.search import (
     throughput_upper_bound,
 )
 from repro.search.planner import _rank_rows
+from repro.simulator.ranks import split_classes_by_capacity
 from repro.simulator.runner import (
     JobRun,
     WorkloadRun,
     _budget_utilization,
-    _split_classes_by_capacity,
     resolve_job_ranks,
     run_job,
     run_workload,
@@ -485,14 +485,14 @@ def test_split_classes_by_capacity_int_ranks():
     """Int-ranked classes with a partial budget map used to hit a TypeError
     (the sort key compared a rank against the empty tuple); the fixed key
     orders budgeted groups first (ascending) with unbudgeted groups trailing."""
-    refined = _split_classes_by_capacity([(0, 1, 2)], {"1": 40.0}, None)
+    refined = split_classes_by_capacity([(0, 1, 2)], {"1": 40.0}, None)
     assert refined == [((1,), 40.0), ((0, 2), None)]
 
-    refined = _split_classes_by_capacity([(0, 1, 2)], {"0": 40.0, "1": 20.0}, None)
+    refined = split_classes_by_capacity([(0, 1, 2)], {"0": 40.0, "1": 20.0}, None)
     assert refined == [((1,), 20.0), ((0,), 40.0), ((2,), None)]
 
     # Tuple-ranked classes follow the same ordering contract.
-    refined = _split_classes_by_capacity(
+    refined = split_classes_by_capacity(
         [((0, 0), (0, 1))], {"0.1": 30.0}, None
     )
     assert refined == [(((0, 1),), 30.0), (((0, 0),), None)]
