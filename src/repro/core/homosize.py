@@ -12,14 +12,18 @@ order and appended to the layer whose last occupant frees latest but still
 before the plan starts (minimising idle time), or to a brand-new layer when no
 existing layer is free in time.
 
-A layer's occupants never overlap in time, so it keeps their ``[start, end)``
-windows sorted and answers "is this window free?" with one bisect; a plan's
-size and extent are fields fixed when it was packed.
+A layer is a rectangle of bytes x time: each occupant holds ``[offset, offset +
+plan.size)`` for ``[start_time, end_time)``.  Same-size plans fill the layer's
+whole height one after another; a smaller plan inserted later may take any byte
+range that is idle through its window, beside other small occupants (Requests
+Insertion, Figure 6).  The layer keeps the windows in which *any* byte is
+occupied disjoint and sorted, so "is the whole height free?" is one bisect;
+only a plan that failed that test everywhere pays for the byte-range search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -32,38 +36,69 @@ class MemoryLayer:
 
     size: int
     items: list[LocalPlan] = field(default_factory=list)
-    #: Free time of the last item appended in time order (Algorithm 1's ``end``).
+    #: Byte offset of each occupant inside the layer, parallel to ``items``.
+    offsets: list[int] = field(default_factory=list)
+    #: Latest free time of any occupant (Algorithm 1's ``end``).
     end: int = -1
     #: Absolute base address, assigned by the global planner.
     base: int = 0
-    #: The occupants' start and end times, each sorted (occupants are disjoint
-    #: in time, so one order sorts both).
+    #: Occupants that share their window with another, side by side in bytes.
+    subrange_insertions: int = 0
+    #: The windows in which any byte of the layer is occupied: disjoint, so one
+    #: order sorts both the starts and the ends.
     _starts: list[int] = field(default_factory=list, repr=False)
     _ends: list[int] = field(default_factory=list, repr=False)
 
-    def can_hold(self, plan: LocalPlan) -> bool:
-        """True when ``plan`` fits spatially and does not overlap any occupant."""
-        if plan.size > self.size:
-            return False
-        # The first occupant that ends after the plan starts must start after it ends.
-        slot = bisect_right(self._ends, plan.start_time)
-        return slot == len(self._starts) or self._starts[slot] >= plan.end_time
+    def find_offset(self, plan: LocalPlan, *, whole_height: bool = True) -> tuple[int, int] | None:
+        """``(slack, offset)`` of where ``plan`` fits through its window, or None.
 
-    def append(self, plan: LocalPlan) -> None:
-        """Add an occupant; its window must be free (see :meth:`can_hold`)."""
-        slot = bisect_right(self._ends, plan.start_time)
-        self._starts.insert(slot, plan.start_time)
-        self._ends.insert(slot, plan.end_time)
+        ``whole_height`` asks for a window in which the layer holds nothing
+        (offset 0, the slack is the layer's spare height): one bisect.  Without
+        it the answer is the tightest byte range that no occupant overlapping
+        the window touches, lowest offset first among equals.
+        """
+        slack = self.size - plan.size
+        if slack < 0:
+            return None
+        start, end = plan.start_time, plan.end_time
+        if whole_height:
+            # The first busy window that ends after the plan starts must start after it ends.
+            slot = bisect_right(self._ends, start)
+            return (slack, 0) if slot == len(self._starts) or self._starts[slot] >= end else None
+        taken = sorted(
+            [
+                (offset, offset + item.size)
+                for item, offset in zip(self.items, self.offsets)
+                if item.start_time < end and start < item.end_time
+            ]
+        )
+        best = None
+        cursor = 0
+        for low, high in (*taken, (self.size, self.size)):
+            spare = low - cursor - plan.size
+            if spare >= 0 and (best is None or spare < best[0]):
+                best = (spare, cursor)
+            cursor = max(cursor, high)
+        return best
+
+    def place(self, plan: LocalPlan, offset: int = 0) -> None:
+        """Add an occupant at an offset :meth:`find_offset` returned for it."""
+        first = bisect_right(self._ends, plan.start_time)
+        last = bisect_left(self._starts, plan.end_time, first)
+        start, end = plan.start_time, plan.end_time
+        if first < last:  # shares its window: the busy windows it overlaps become one
+            self.subrange_insertions += 1
+            start, end = min(start, self._starts[first]), max(end, self._ends[last - 1])
+        self._starts[first:last] = [start]
+        self._ends[first:last] = [end]
         self.items.append(plan)
+        self.offsets.append(offset)
         self.end = max(self.end, plan.end_time)
 
-    def idle_time(self, horizon_start: int, horizon_end: int) -> int:
-        """Total time within the horizon during which the layer holds nothing."""
-        busy = sum(
-            max(0, min(item.end_time, horizon_end) - max(item.start_time, horizon_start))
-            for item in self.items
-        )
-        return max(0, (horizon_end - horizon_start) - busy)
+    def idle_share(self, horizon: int) -> float:
+        """Share of the layer's bytes x ``horizon`` ticks that no occupant holds."""
+        held = sum(item.size * (item.end_time - item.start_time) for item in self.items)
+        return 1 - held / max(self.size * horizon, 1)
 
 
 def group_by_size(plans: list[LocalPlan]) -> dict[int, list[LocalPlan]]:
@@ -83,7 +118,8 @@ def construct_memory_layers(plans: list[LocalPlan], size: int) -> list[MemoryLay
     layer whose current ``end`` is the largest value still smaller than the
     plan's start time.  This minimises intra-layer idle gaps and, because the
     strategy is equivalent to interval-partitioning, uses the minimum possible
-    number of layers.
+    number of layers.  "Free by the plan's start" is asked with the query
+    Requests Insertion uses, so it stays true whatever a layer already holds.
     """
     if any(plan.size > size for plan in plans):
         raise ValueError("a plan is larger than the layer size it is being packed into")
@@ -91,10 +127,10 @@ def construct_memory_layers(plans: list[LocalPlan], size: int) -> list[MemoryLay
     for plan in sorted(plans, key=lambda p: (p.start_time, p.end_time)):
         best: MemoryLayer | None = None
         for layer in layers:
-            if layer.end <= plan.start_time and (best is None or layer.end > best.end):
+            if layer.find_offset(plan) is not None and (best is None or layer.end > best.end):
                 best = layer
         if best is None:
             best = MemoryLayer(size=size)
             layers.append(best)
-        best.append(plan)
+        best.place(plan)
     return layers

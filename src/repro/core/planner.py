@@ -4,13 +4,16 @@ The global planner receives the (possibly fused) HomoPhase local plans,
 groups them by size into HomoSize groups, and lays the groups out in
 *descending* size order:
 
-1. requests of the current size are first slotted into idle time windows of
-   the memory-layers created for larger sizes ("Requests Insertion" in
-   Figure 6) -- smaller plans fit into the unused intervals of larger ones;
+1. a plan of the current size is first slotted into the memory-layers created
+   for larger sizes ("Requests Insertion" in Figure 6): into the tightest layer
+   that holds nothing through the plan's window or, when every layer is busy
+   at some point of it, into the tightest byte range of any layer that no
+   occupant overlapping the window touches -- small plans that live together
+   share an idle tall layer side by side;
 2. whatever cannot be inserted builds new memory-layers via Algorithm 1;
 3. finally every layer receives an absolute base address (layers are simply
    stacked) and each original request's address becomes
-   ``layer.base + plan-relative offset``.
+   ``layer.base + occupant offset + plan-relative offset``.
 
 The output is a :class:`~repro.core.plan.StaticAllocationPlan` whose pool size
 is the sum of the layer sizes.
@@ -48,22 +51,25 @@ def build_global_plan(
     for layer in layers:
         layer.base = base
         base += layer.size
-        for item in layer.items:
+        for item, item_base in zip(layer.items, layer.offsets):
+            item_base += layer.base
             rows += item.rows
-            addresses += [layer.base + offset for offset in item.offsets]
+            addresses += [item_base + offset for offset in item.offsets]
     return StaticAllocationPlan.from_rows(rows, addresses, pool_size=base), layers
 
 
 def _insert_into_existing_layer(plan: LocalPlan, layers: list[MemoryLayer]) -> bool:
-    """Place ``plan`` into the tightest existing layer with a free time window."""
-    best: MemoryLayer | None = None
-    for layer in layers:
-        if layer.can_hold(plan) and (best is None or layer.size < best.size):
-            best = layer
-    if best is None:
-        return False
-    best.append(plan)
-    return True
+    """Requests Insertion: the tightest idle window, else the tightest idle byte range."""
+    for whole_height in (True, False):
+        best: tuple[int, int] | None = None
+        for layer in layers:
+            found = layer.find_offset(plan, whole_height=whole_height)
+            if found is not None and (best is None or found[0] < best[0]):
+                best, target = found, layer
+        if best is not None:
+            target.place(plan, best[1])
+            return True
+    return False
 
 
 def plan_reserved_bytes(layers: list[MemoryLayer]) -> int:
@@ -73,9 +79,15 @@ def plan_reserved_bytes(layers: list[MemoryLayer]) -> int:
 
 def plan_summary(layers: list[MemoryLayer]) -> dict:
     """Small report used in synthesis_info and the ablation benchmarks."""
+    occupants = [item for layer in layers for item in layer.items]
+    horizon = max((item.end_time for item in occupants), default=0) - min(
+        (item.start_time for item in occupants), default=0
+    )
     return {
         "num_layers": len(layers),
         "reserved_bytes": plan_reserved_bytes(layers),
         "layer_sizes": [layer.size for layer in layers],
         "items_per_layer": [len(layer.items) for layer in layers],
+        # Share of each layer's bytes x plan horizon that no occupant holds.
+        "idle_share_per_layer": [round(layer.idle_share(horizon), 4) for layer in layers],
     }

@@ -64,6 +64,7 @@ class PlanSynthesizer:
             "static_pool_bytes": static_plan.pool_size,
             "peak_static_demand_bytes": profile.peak_static_bytes(),
             "layers": plan_summary(layers),
+            "subrange_insertions": sum(layer.subrange_insertions for layer in layers),
         }
         return SynthesizedPlan(
             static_plan=static_plan,

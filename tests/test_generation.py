@@ -391,3 +391,36 @@ def test_native_and_stalloc_agree_on_generation_oom_verdicts(case):
 @pytest.mark.parametrize("case", SLOW_CASES[:40])
 def test_native_and_stalloc_agree_on_generation_oom_verdicts_full_fuzz(case):
     _check_allocator_verdicts_agree(case)
+
+
+# --------------------------------------------------------------------- #
+# Quality floor: what the static plan reserves on generation traces
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("rank", [0, 1])
+@pytest.mark.parametrize("decode_steps", [8, 16])
+def test_gen_decode_plan_reserves_within_a_tenth_of_its_demand(decode_steps, rank):
+    """The end-to-end benchmark's ``gen-decode`` shape, every rank.
+
+    The concurrent per-micro-batch KV plans share the byte range the prefill
+    forwards left idle (sub-layer Requests Insertion); before 1.13.0 each got
+    a layer of its own and the ratios were 1.33-1.44 (fragmentation 25-30%).
+    The last stage is the job's binding rank; the first keeps four ~192 MiB
+    prefill KV layers that idle through the decode steps (ROADMAP item 3).
+    """
+    config = _config("gpt2-345m", pipeline=2, mbs=4, m=4, decode_steps=decode_steps)
+    run = run_workload(config, "stalloc", rank=rank)
+    assert run.replay.success
+    assert run.planning_report["subrange_insertions"] > 0
+    assert run.planning_report["plan_overhead_ratio"] <= 1.10
+    assert 100 * run.fragmentation_ratio <= (9.0, 7.0)[rank]
+
+
+def test_gpt_tiny_generation_pool_is_no_larger_than_before_sub_layer_insertion():
+    from tests.test_golden_traces import _case_configs
+
+    case = _case_configs()["gpt-tiny-generation"]
+    trace = TraceGenerator(
+        case["config"], seed=case["seed"], rank=case["rank"], ep_rank=case["ep_rank"]
+    ).generate()
+    report = run_workload(case["config"], "stalloc", trace=trace).planning_report
+    assert report["static_pool_bytes"] <= 20543488  # the pool at 1.12.0

@@ -6,9 +6,10 @@ rows are drawn directly, with the shapes that stress a time-ordered sweep
 all-sequential groups, frees that land exactly on the next allocation tick).
 
 * ``reference_pack`` / ``reference_can_hold`` are the bodies ``pack_requests``
-  and ``MemoryLayer.can_hold`` had before plans became int columns (a ``live``
-  list rebuilt per request, extents recomputed by rescanning, a linear scan
-  over the occupants); the shipped ones must agree with them row for row.
+  and ``MemoryLayer``'s whole-height query (then ``can_hold``) had before plans
+  became int columns (a ``live`` list rebuilt per request, extents recomputed
+  by rescanning, a linear scan over the occupants); the shipped ones must agree
+  with them row for row.
 * The brute-force overlap checker of ``test_plan_invariants`` runs over the
   column plan the whole pipeline emits for the same rows.
 * The spies pin what the rewrite was for: extents are fields fixed when a plan
@@ -189,9 +190,9 @@ class TestCanHoldAgainstReference:
             length = rng.choice([0, 0, 1, 2, 5, 20])  # zero-length windows included
             probe = self._window(req_id, rng.choice([256, 1024, 2048]), start, start + length)
             expected = reference_can_hold(layer.size, layer.items, probe)
-            assert layer.can_hold(probe) == expected, (seed, req_id)
+            assert (layer.find_offset(probe) is not None) == expected, (seed, req_id)
             if expected and rng.random() < 0.6:
-                layer.append(probe)
+                layer.place(probe)
         assert len(layer.items) > 5
         assert layer._starts == sorted(layer._starts) and layer._ends == sorted(layer._ends)
         assert sorted(zip(layer._starts, layer._ends)) == sorted(
@@ -204,14 +205,14 @@ class TestCanHoldAgainstReference:
 
         layer = MemoryLayer(size=64)
         for index in range(1000):
-            layer.append(self._window(index, 64, 10 * index, 10 * index + 5))
+            layer.place(self._window(index, 64, 10 * index, 10 * index + 5))
         probes = []
         real = homosize.bisect_right
         monkeypatch.setattr(
             homosize, "bisect_right", lambda *args: probes.append(args) or real(*args)
         )
-        assert layer.can_hold(self._window(-1, 64, 4005, 4010))
-        assert not layer.can_hold(self._window(-1, 64, 4004, 4010))
+        assert layer.find_offset(self._window(-1, 64, 4005, 4010)) == (0, 0)
+        assert layer.find_offset(self._window(-1, 64, 4004, 4010)) is None
         assert len(probes) == 2
 
 

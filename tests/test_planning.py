@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from repro.core.homophase import (
 )
 from repro.core.homosize import MemoryLayer, construct_memory_layers, group_by_size
 from repro.core.plan import StaticAllocationPlan
-from repro.core.planner import GlobalPlannerConfig, build_global_plan
+from repro.core.planner import GlobalPlannerConfig, build_global_plan, plan_summary
 from repro.core.profiler import AllocationProfiler
 from repro.core.synthesizer import PlanSynthesizer, SynthesizerConfig
 from repro.workloads.models import get_model
@@ -33,6 +35,8 @@ from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
 from tests.conftest import decide, make_phase, make_request, pack
+from tests.test_plan_invariants import assert_no_spatio_temporal_overlap
+from tests.test_planner_columns import peak_demand
 
 
 class TestPackRequests:
@@ -297,17 +301,36 @@ class TestMemoryLayers:
         assert set(groups) == {100, 50}
         assert len(groups[100]) == 2
 
-    def test_layer_can_hold_checks_time_and_size(self):
+    def test_whole_height_query_checks_time_and_size(self):
         layer = MemoryLayer(size=100)
-        layer.append(self._plan(0, 100, 0, 10))
-        assert layer.can_hold(self._plan(1, 80, 10, 20))
-        assert not layer.can_hold(self._plan(2, 80, 5, 15))
-        assert not layer.can_hold(self._plan(3, 200, 10, 20))
+        layer.place(self._plan(0, 100, 0, 10))
+        assert layer.find_offset(self._plan(1, 80, 10, 20)) == (20, 0)
+        assert layer.find_offset(self._plan(2, 80, 5, 15)) is None
+        assert layer.find_offset(self._plan(3, 200, 10, 20)) is None
 
-    def test_idle_time(self):
+    def test_sub_range_query_takes_the_tightest_idle_bytes(self):
         layer = MemoryLayer(size=100)
-        layer.append(self._plan(0, 100, 0, 10))
-        assert layer.idle_time(0, 20) == 10
+        layer.place(self._plan(0, 30, 0, 10), 0)
+        layer.place(self._plan(1, 20, 5, 15), 50)  # idle through [5, 10): [30, 50) and [70, 100)
+        probe = self._plan(2, 20, 5, 10)
+        assert layer.find_offset(probe) is None
+        assert layer.find_offset(probe, whole_height=False) == (0, 30)
+        assert layer.find_offset(self._plan(3, 25, 5, 10), whole_height=False) == (5, 70)
+        assert layer.find_offset(self._plan(4, 31, 5, 10), whole_height=False) is None
+        # Only occupants that overlap the window count: [10, 15) sees occupant 1 alone.
+        assert layer.find_offset(self._plan(5, 50, 10, 15), whole_height=False) == (0, 0)
+        layer.place(probe, 30)
+        assert layer.subrange_insertions == 2  # occupant 1 and the probe share a window
+        # Later whole-height queries see the sub-range occupants as one busy window.
+        assert layer.find_offset(self._plan(6, 100, 12, 20)) is None
+        assert layer.find_offset(self._plan(7, 100, 15, 20)) == (0, 0)
+
+    def test_idle_share(self):
+        layer = MemoryLayer(size=100)
+        layer.place(self._plan(0, 100, 0, 10))
+        assert layer.idle_share(20) == 0.5
+        layer.place(self._plan(1, 50, 10, 20))
+        assert layer.idle_share(20) == 0.25
 
 
 class TestGlobalPlanning:
@@ -355,6 +378,116 @@ class TestGlobalPlanning:
         plan = StaticAllocationPlan.from_decisions([decide(request, 50)], pool_size=100)
         with pytest.raises(ValueError):
             plan.validate()
+
+
+class TestRequestsInsertionOnArbitraryPlans:
+    """The layered planner on local plans ``tracegen`` never shaped."""
+
+    SIZE_CLASSES = (64, 192, 193, 1024)
+
+    @classmethod
+    def _random_plans(cls, rng: random.Random) -> list:
+        shape = rng.choice(["nested", "staggered", "disjoint", "mixed"])
+        plans = []
+        req_id = 0
+        for index in range(rng.randint(5, 40)):
+            if shape == "nested" or (shape == "mixed" and rng.random() < 0.3):
+                start = index
+                end = 200 - index
+            elif shape == "disjoint":
+                start = 10 * index
+                end = start + rng.randint(1, 10)
+            else:
+                start = rng.randint(0, 150) if shape == "mixed" else 4 * index
+                end = start + rng.randint(1, 60)
+            # A plan is one request, or a few the packer stacks and reuses.
+            requests = []
+            for _ in range(rng.choice([1, 1, 1, 3])):
+                size = rng.choice(cls.SIZE_CLASSES)
+                if rng.random() < 0.15:  # outliers: sizes no other plan shares
+                    size = rng.randint(1, 4096)
+                inner = rng.randint(start, end - 1)
+                requests.append(make_request(req_id, size, inner, rng.randint(inner + 1, end)))
+                req_id += 1
+            plans.append(pack(requests))
+        rng.shuffle(plans)
+        return plans
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_layered_plan_invariants(self, seed):
+        plans = self._random_plans(random.Random(f"insertion/{seed}"))
+        plan, layers = build_global_plan(plans)
+        plan.validate()
+        assert_no_spatio_temporal_overlap(plan)
+        assert sorted(plan.req_id) == sorted(row[1] for item in plans for row in item.rows)
+        assert plan.pool_size == sum(layer.size for layer in layers)
+        peak_live_bytes = peak_demand([row for item in plans for row in item.rows])
+        assert peak_live_bytes <= plan.pool_size <= sum(item.size for item in plans)
+        for layer in layers:
+            occupants = list(zip(layer.items, layer.offsets))
+            for index, (item, offset) in enumerate(occupants):
+                assert 0 <= offset and offset + item.size <= layer.size
+                for other, other_offset in occupants[:index]:
+                    if item.start_time < other.end_time and other.start_time < item.end_time:
+                        assert (
+                            offset + item.size <= other_offset
+                            or other_offset + other.size <= offset
+                        )
+            assert layer.end == max(item.end_time for item in layer.items)
+        assert all(0 <= share < 1 for share in plan_summary(layers)["idle_share_per_layer"])
+        again, _ = build_global_plan(list(plans))
+        assert (again.req_id, again.address) == (plan.req_id, plan.address)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_the_ablation_switch_turns_both_insertion_tests_off(self, seed):
+        plans = self._random_plans(random.Random(f"insertion/{seed}"))
+        plan, layers = build_global_plan(plans, GlobalPlannerConfig(enable_gap_insertion=False))
+        plan.validate()
+        assert not any(offset for layer in layers for offset in layer.offsets)
+        assert not any(layer.subrange_insertions for layer in layers)
+        assert all(item.size == layer.size for layer in layers for item in layer.items)
+
+    def test_some_seed_exercises_every_placement_kind(self):
+        sub_range = whole_height = fresh = 0
+        for seed in range(60):
+            _, layers = build_global_plan(self._random_plans(random.Random(f"insertion/{seed}")))
+            sub_range += sum(layer.subrange_insertions for layer in layers)
+            whole_height += sum(
+                len(layer.items) - 1 - layer.subrange_insertions for layer in layers
+            )
+            fresh += len(layers)
+        assert sub_range > 50 and whole_height > 50 and fresh > 50
+
+    @pytest.mark.parametrize("count", [1, 4, 8])
+    def test_short_plans_share_an_idle_tall_layer_side_by_side(self, count):
+        """Prefill then concurrent KV caches: the shape of a generation trace."""
+        tall = pack([make_request(0, 1600, 0, 100)])
+        short = [pack([make_request(1 + i, 200, 100 + i, 500)]) for i in range(count)]
+        plan, layers = build_global_plan([tall, *short])
+        plan.validate()
+        assert [layer.size for layer in layers] == [1600]
+        assert sorted(layers[0].offsets) == [0, *range(0, 200 * count, 200)]
+        assert layers[0].subrange_insertions == count - 1  # the first takes the idle window
+        # A ninth does not fit beside the eight: it opens a layer of its own.
+        extra = pack([make_request(99, 200, 120, 400)])
+        _, layers = build_global_plan([tall, *short, extra])
+        assert [layer.size for layer in layers] == ([1600, 200] if count == 8 else [1600])
+        # Without Requests Insertion every short plan gets a layer.
+        off, _ = build_global_plan([tall, *short], GlobalPlannerConfig(enable_gap_insertion=False))
+        assert off.pool_size == 1600 + 200 * count
+
+    def test_insertion_prefers_an_idle_window_to_an_idle_byte_range(self):
+        tall = pack([make_request(0, 1000, 0, 10)])
+        early = pack([make_request(1, 300, 0, 4)])  # opens the 300-byte layer
+        long = pack([make_request(2, 250, 5, 50)])  # its only idle window: 50 bytes spare
+        roomy = pack([make_request(3, 50, 20, 30)])  # the tall layer is idle: whole height wins
+        snug = pack([make_request(4, 50, 6, 9)])  # both layers busy: the spare 50 bytes
+        plan, layers = build_global_plan([tall, early, long, roomy, snug])
+        plan.validate()
+        assert [layer.size for layer in layers] == [1000, 300]
+        assert list(zip(layers[0].items, layers[0].offsets)) == [(tall, 0), (roomy, 0)]
+        assert list(zip(layers[1].items, layers[1].offsets)) == [(early, 0), (long, 0), (snug, 250)]
+        assert [layer.subrange_insertions for layer in layers] == [0, 1]
 
 
 class TestDynamicSpace:
