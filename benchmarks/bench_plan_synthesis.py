@@ -21,14 +21,16 @@ fusion) and ``global_plan_s`` (HomoSize layering + address assignment) -- and
 after it ``store_s`` (serialise + write the plan entry, ``plan_bytes`` long).
 
 Next to the timings it records what the plan is worth -- ``pool_overhead_ratio``
-(static pool / peak static demand), ``layers`` and ``subrange_insertions``
-(plans Requests Insertion placed beside another occupant of a layer).
+(static pool / peak static demand), ``layers``, ``subrange_insertions``
+(plans placed beside another occupant of a layer) and ``placement_order``
+(``size``: the paper's layered plan; ``lifetime``: the longest-lifetime-first
+candidate reserved strictly less).
 
 ``--check`` gates what does not depend on the machine -- the plan self-check
 may cost at most ``CHECK_MAX_VALIDATE_SHARE`` of the cold plan it guards
 (``profile_s + synthesize_s + store_s``, all timed in this process, so load
 moves them together), a cold ``get_trace`` + ``plan_key`` must serialise the
-trace exactly once, and the three quality numbers must equal the latest
+trace exactly once, and the four quality values must equal the latest
 entry's -- and what does, the way ``bench_trace_core.py`` gates ``replay_*``:
 the best ``synthesize_s`` and ``global_plan_s`` reps may not fall below
 ``SYNTHESIZE_RATIO`` of the latest entry's rates.
@@ -121,7 +123,7 @@ CHECK_MAX_VALIDATE_SHARE = 0.30
 SYNTHESIZE_RATIO = 0.8
 GATED_RATES = ("synthesize_s", "global_plan_s")
 #: Machine-independent plan quality: ``--check`` compares these exactly.
-QUALITY = ("pool_overhead_ratio", "layers", "subrange_insertions")
+QUALITY = ("pool_overhead_ratio", "layers", "subrange_insertions", "placement_order")
 #: The timed layers of one cold plan, in pipeline order.
 LAYERS = (
     "profile_s", "synthesize_s", "pack_s", "fuse_s", "global_plan_s",
@@ -211,6 +213,7 @@ def measure_preset(name: str, *, reps: int = 5) -> dict:
             ),
             "layers": info["layers"]["num_layers"],
             "subrange_insertions": info["subrange_insertions"],
+            "placement_order": info["placement_order"],
             "profile_s": round(
                 _best_seconds(lambda: AllocationProfiler().profile(trace), reps), 4
             ),

@@ -19,6 +19,10 @@ range that is idle through its window, beside other small occupants (Requests
 Insertion, Figure 6).  The layer keeps the windows in which *any* byte is
 occupied disjoint and sorted, so "is the whole height free?" is one bisect;
 only a plan that failed that test everywhere pays for the byte-range search.
+
+The global planner's longest-lifetime-first candidate is the same rectangle
+with no fixed height: one layer taller than it can ever fill, every plan placed
+by the byte-range search, its size set to the highest byte used at the end.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ class MemoryLayer:
             spare = low - cursor - plan.size
             if spare >= 0 and (best is None or spare < best[0]):
                 best = (spare, cursor)
-            cursor = max(cursor, high)
+            if high > cursor:
+                cursor = high
         return best
 
     def place(self, plan: LocalPlan, offset: int = 0) -> None:
@@ -93,7 +98,8 @@ class MemoryLayer:
         self._ends[first:last] = [end]
         self.items.append(plan)
         self.offsets.append(offset)
-        self.end = max(self.end, plan.end_time)
+        if plan.end_time > self.end:
+            self.end = plan.end_time
 
     def idle_share(self, horizon: int) -> float:
         """Share of the layer's bytes x ``horizon`` ticks that no occupant holds."""

@@ -4,6 +4,13 @@ The synthesizer partitions profiled requests into static and dynamic subsets,
 produces a low-fragmentation :class:`StaticAllocationPlan` for the static
 requests via HomoPhase/HomoSize grouping, then locates the Dynamic Reusable
 Space each HomoLayer group of dynamic requests may use at runtime.
+
+Whether that space will be used is the one fact about the workload the global
+planner is told: with dynamic groups to serve, the idle bytes of the layered
+plan are capacity, so the planner does not trade them for a tighter pool.
+``synthesis_info`` names the candidate that won (``placement_order``: ``size``
+or ``lifetime``) and what the layered plan alone reserves
+(``layered_pool_bytes``).
 """
 
 from __future__ import annotations
@@ -40,14 +47,17 @@ class PlanSynthesizer:
             strategy=self.config.fusion_strategy,
             enable_fusion=self.config.enable_fusion,
         )
-        static_plan, layers = build_global_plan(fused_groups, self.config.planner)
+        dynamic_requests = profile.dynamic_requests
+        reuse_idle_space = bool(self.config.enable_dynamic_reuse and dynamic_requests)
+        static_plan, layers, layered_pool = build_global_plan(
+            fused_groups, self.config.planner, idle_space_reused=reuse_idle_space
+        )
         if self.config.validate_plan:
             with _obs_span("plan.validate", decisions=len(static_plan)):
                 static_plan.validate()
 
         # --- Dynamic reusable space (§5.2) ------------------------------ #
-        dynamic_requests = profile.dynamic_requests
-        if self.config.enable_dynamic_reuse and dynamic_requests:
+        if reuse_idle_space:
             reusable = locate_dynamic_reusable_spaces(
                 dynamic_requests, static_plan, profile.module_spans
             )
@@ -65,6 +75,8 @@ class PlanSynthesizer:
             "peak_static_demand_bytes": profile.peak_static_bytes(),
             "layers": plan_summary(layers),
             "subrange_insertions": sum(layer.subrange_insertions for layer in layers),
+            "placement_order": "lifetime" if static_plan.pool_size < layered_pool else "size",
+            "layered_pool_bytes": layered_pool,
         }
         return SynthesizedPlan(
             static_plan=static_plan,

@@ -169,7 +169,7 @@ class TestPackAgainstReference:
             )
             for strategy in ("repack", "insertion"):
                 fused, _ = fuse_adjacent_groups(build_homophase_groups(columns), strategy=strategy)
-                plan, layers = build_global_plan(fused)
+                plan, layers, _ = build_global_plan(fused)
                 assert sorted(plan.req_id) == sorted(columns.req_id)
                 assert plan.pool_size == sum(layer.size for layer in layers)
                 assert_no_spatio_temporal_overlap(plan)

@@ -337,7 +337,7 @@ class TestGlobalPlanning:
     def test_decisions_cover_all_requests(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
         groups = build_homophase_groups(profile.columns)
-        plan, layers = build_global_plan(groups)
+        plan, layers, _ = build_global_plan(groups)
         assert len(plan.decisions) == len(profile.static_requests)
         plan.validate()
 
@@ -346,8 +346,8 @@ class TestGlobalPlanning:
         big_a = pack([make_request(0, 1000, 0, 10)])
         big_b = pack([make_request(1, 1000, 20, 30)])
         small = pack([make_request(2, 100, 12, 18)])
-        with_insertion, _ = build_global_plan([big_a, big_b, small], GlobalPlannerConfig())
-        without_insertion, _ = build_global_plan(
+        with_insertion, _, _ = build_global_plan([big_a, big_b, small], GlobalPlannerConfig())
+        without_insertion, _, _ = build_global_plan(
             [big_a, big_b, small], GlobalPlannerConfig(enable_gap_insertion=False)
         )
         assert with_insertion.pool_size == 1000
@@ -356,8 +356,8 @@ class TestGlobalPlanning:
     def test_descending_order_never_worse_on_trace(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
         groups = build_homophase_groups(profile.columns)
-        descending, _ = build_global_plan(groups, GlobalPlannerConfig(descending_size_order=True))
-        ascending, _ = build_global_plan(groups, GlobalPlannerConfig(descending_size_order=False))
+        descending = build_global_plan(groups, GlobalPlannerConfig(descending_size_order=True))[0]
+        ascending = build_global_plan(groups, GlobalPlannerConfig(descending_size_order=False))[0]
         assert descending.pool_size <= ascending.pool_size
 
     def test_plan_validation_detects_conflicts(self):
@@ -381,7 +381,11 @@ class TestGlobalPlanning:
 
 
 class TestRequestsInsertionOnArbitraryPlans:
-    """The layered planner on local plans ``tracegen`` never shaped."""
+    """The layered planner on local plans ``tracegen`` never shaped.
+
+    ``idle_space_reused=True`` keeps the longest-lifetime-first candidate (see
+    :class:`TestLongestLivedFirstCandidate`) out of the way.
+    """
 
     SIZE_CLASSES = (64, 192, 193, 1024)
 
@@ -416,7 +420,7 @@ class TestRequestsInsertionOnArbitraryPlans:
     @pytest.mark.parametrize("seed", range(60))
     def test_layered_plan_invariants(self, seed):
         plans = self._random_plans(random.Random(f"insertion/{seed}"))
-        plan, layers = build_global_plan(plans)
+        plan, layers, _ = build_global_plan(plans, idle_space_reused=True)
         plan.validate()
         assert_no_spatio_temporal_overlap(plan)
         assert sorted(plan.req_id) == sorted(row[1] for item in plans for row in item.rows)
@@ -435,13 +439,13 @@ class TestRequestsInsertionOnArbitraryPlans:
                         )
             assert layer.end == max(item.end_time for item in layer.items)
         assert all(0 <= share < 1 for share in plan_summary(layers)["idle_share_per_layer"])
-        again, _ = build_global_plan(list(plans))
+        again, _, _ = build_global_plan(list(plans), idle_space_reused=True)
         assert (again.req_id, again.address) == (plan.req_id, plan.address)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_the_ablation_switch_turns_both_insertion_tests_off(self, seed):
         plans = self._random_plans(random.Random(f"insertion/{seed}"))
-        plan, layers = build_global_plan(plans, GlobalPlannerConfig(enable_gap_insertion=False))
+        plan, layers, _ = build_global_plan(plans, GlobalPlannerConfig(enable_gap_insertion=False))
         plan.validate()
         assert not any(offset for layer in layers for offset in layer.offsets)
         assert not any(layer.subrange_insertions for layer in layers)
@@ -450,7 +454,8 @@ class TestRequestsInsertionOnArbitraryPlans:
     def test_some_seed_exercises_every_placement_kind(self):
         sub_range = whole_height = fresh = 0
         for seed in range(60):
-            _, layers = build_global_plan(self._random_plans(random.Random(f"insertion/{seed}")))
+            plans = self._random_plans(random.Random(f"insertion/{seed}"))
+            _, layers, _ = build_global_plan(plans, idle_space_reused=True)
             sub_range += sum(layer.subrange_insertions for layer in layers)
             whole_height += sum(
                 len(layer.items) - 1 - layer.subrange_insertions for layer in layers
@@ -463,17 +468,18 @@ class TestRequestsInsertionOnArbitraryPlans:
         """Prefill then concurrent KV caches: the shape of a generation trace."""
         tall = pack([make_request(0, 1600, 0, 100)])
         short = [pack([make_request(1 + i, 200, 100 + i, 500)]) for i in range(count)]
-        plan, layers = build_global_plan([tall, *short])
+        plan, layers, _ = build_global_plan([tall, *short])
         plan.validate()
         assert [layer.size for layer in layers] == [1600]
         assert sorted(layers[0].offsets) == [0, *range(0, 200 * count, 200)]
         assert layers[0].subrange_insertions == count - 1  # the first takes the idle window
         # A ninth does not fit beside the eight: it opens a layer of its own.
         extra = pack([make_request(99, 200, 120, 400)])
-        _, layers = build_global_plan([tall, *short, extra])
+        _, layers, _ = build_global_plan([tall, *short, extra])
         assert [layer.size for layer in layers] == ([1600, 200] if count == 8 else [1600])
         # Without Requests Insertion every short plan gets a layer.
-        off, _ = build_global_plan([tall, *short], GlobalPlannerConfig(enable_gap_insertion=False))
+        no_insertion = GlobalPlannerConfig(enable_gap_insertion=False)
+        off, _, _ = build_global_plan([tall, *short], no_insertion)
         assert off.pool_size == 1600 + 200 * count
 
     def test_insertion_prefers_an_idle_window_to_an_idle_byte_range(self):
@@ -482,12 +488,123 @@ class TestRequestsInsertionOnArbitraryPlans:
         long = pack([make_request(2, 250, 5, 50)])  # its only idle window: 50 bytes spare
         roomy = pack([make_request(3, 50, 20, 30)])  # the tall layer is idle: whole height wins
         snug = pack([make_request(4, 50, 6, 9)])  # both layers busy: the spare 50 bytes
-        plan, layers = build_global_plan([tall, early, long, roomy, snug])
+        plan, layers, _ = build_global_plan([tall, early, long, roomy, snug])
         plan.validate()
         assert [layer.size for layer in layers] == [1000, 300]
         assert list(zip(layers[0].items, layers[0].offsets)) == [(tall, 0), (roomy, 0)]
         assert list(zip(layers[1].items, layers[1].offsets)) == [(early, 0), (long, 0), (snug, 250)]
         assert [layer.subrange_insertions for layer in layers] == [0, 1]
+
+
+def _layered_reference(plans, config=None):
+    """``build_global_plan`` as it was while the paper's order was the only candidate."""
+    from repro.core.planner import _insert_into_existing_layer
+
+    config = config or GlobalPlannerConfig()
+    groups = group_by_size(plans)
+    layers = []
+    for size in sorted(groups, reverse=config.descending_size_order):
+        pending = []
+        for plan in sorted(groups[size], key=lambda p: (p.start_time, p.end_time)):
+            if config.enable_gap_insertion and _insert_into_existing_layer(plan, layers):
+                continue
+            pending.append(plan)
+        layers.extend(construct_memory_layers(pending, size))
+    base = 0
+    rows, addresses = [], []
+    for layer in layers:
+        for item, item_base in zip(layer.items, layer.offsets):
+            rows += item.rows
+            addresses += [base + item_base + offset for offset in item.offsets]
+        base += layer.size
+    return StaticAllocationPlan.from_rows(rows, addresses, pool_size=base)
+
+
+def _placements(plan):
+    return plan.req_id, plan.address, plan.pool_size
+
+
+class TestLongestLivedFirstCandidate:
+    """The second candidate: one open layer, longest-lived plans underneath."""
+
+    SEEDS = range(60)
+
+    @staticmethod
+    def _plans(seed):
+        rng = random.Random(f"insertion/{seed}")
+        return TestRequestsInsertionOnArbitraryPlans._random_plans(rng)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_the_smaller_pool_wins_and_a_tie_keeps_the_layered_plan(self, seed):
+        plans = self._plans(seed)
+        plan, layers, layered_pool = build_global_plan(plans)
+        layered = _layered_reference(plans)
+        assert layered_pool == layered.pool_size
+        # Plans are rectangles of bytes x time: no placement beats their peak.
+        rectangles = [(item.start_time, 0, item.size, item.end_time) for item in plans]
+        assert peak_demand(rectangles) <= plan.pool_size <= layered_pool
+        plan.validate()
+        assert_no_spatio_temporal_overlap(plan)
+        assert sorted(plan.req_id) == sorted(row[1] for item in plans for row in item.rows)
+        if plan.pool_size == layered_pool:
+            assert _placements(plan) == _placements(layered)
+        else:
+            (layer,) = layers
+            assert layer.size == plan.pool_size == plan.peak_planned_bytes()
+            assert plan_summary(layers)["num_layers"] == 1
+            assert 0 <= plan_summary(layers)["idle_share_per_layer"][0] < 1
+        again, _, _ = build_global_plan(list(plans))
+        assert _placements(again) == _placements(plan)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "config, reused",
+        [
+            (GlobalPlannerConfig(), True),
+            (GlobalPlannerConfig(enable_gap_insertion=False), False),
+            (GlobalPlannerConfig(descending_size_order=False), False),
+        ],
+        ids=["dynamic-reuse", "no-gap-insertion", "ascending"],
+    )
+    def test_the_guard_and_each_ablation_switch_keep_the_layered_plan(
+        self, seed, config, reused
+    ):
+        plans = self._plans(seed)
+        plan, layers, layered_pool = build_global_plan(plans, config, idle_space_reused=reused)
+        assert _placements(plan) == _placements(_layered_reference(plans, config))
+        assert layered_pool == plan.pool_size == sum(layer.size for layer in layers)
+
+    def test_the_seeds_reach_both_outcomes(self):
+        shrunk = 0
+        for seed in self.SEEDS:
+            plan, _, layered_pool = build_global_plan(self._plans(seed))
+            shrunk += plan.pool_size < layered_pool
+        assert 10 <= shrunk <= len(self.SEEDS) - 10
+
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    def test_tall_plans_sit_on_top_of_the_long_lived_ones_alive_by_then(self, count):
+        """Prefill forwards of shrinking height, each after one more KV plan was born.
+
+        A memory-layer pins every tall plan to offset 0 and the tall plans never
+        shrink by a whole KV plan, so the layered planner stacks every KV plan
+        on top of the tallest one; underneath, they cost what is alive at once.
+        """
+        tall, small, shrink = 1600, 200, 20
+        caches = [pack([make_request(i, small, 10 * i, 1000)]) for i in range(count)]
+        prefills = [
+            pack([make_request(100 + i, tall - shrink * i, 10 * i + 1, 10 * i + 6)])
+            for i in range(count)
+        ]
+        plans = [*prefills, *caches]
+        plan, layers, layered_pool = build_global_plan(plans)
+        plan.validate()
+        assert layered_pool == tall + count * small
+        assert plan.pool_size == peak_demand([row for item in plans for row in item.rows])
+        assert plan.pool_size == tall + small + (count - 1) * (small - shrink)
+        assert sorted(layers[0].offsets[:count]) == [small * i for i in range(count)]
+        # Each prefill starts where the caches alive through it end.
+        by_id = dict(zip(plan.req_id, plan.address))
+        assert [by_id[100 + i] for i in range(count)] == [small * (i + 1) for i in range(count)]
 
 
 class TestDynamicSpace:
@@ -575,6 +692,36 @@ class TestPlanSynthesizer:
         assert "synthesis_seconds" not in info and plan.synthesis_seconds >= 0
         assert info["layers"]["num_layers"] >= 1
 
+    def test_synthesizer_tells_the_planner_when_idle_space_is_reused(
+        self, dense_trace, moe_trace, monkeypatch
+    ):
+        from repro.core import synthesizer
+        from repro.core.stalloc import STAlloc, STAllocConfig
+
+        seen = []
+
+        def recording(plans, config=None, *, idle_space_reused=False):
+            seen.append(idle_space_reused)
+            return build_global_plan(plans, config, idle_space_reused=idle_space_reused)
+
+        monkeypatch.setattr(synthesizer, "build_global_plan", recording)
+        for trace, config in [
+            (moe_trace, STAllocConfig()),
+            (moe_trace, STAllocConfig(enable_dynamic_reuse=False)),
+            (dense_trace, STAllocConfig()),
+        ]:
+            stalloc = STAlloc.from_trace(trace, config)
+            info = stalloc.plan.synthesis_info
+            assert info["layered_pool_bytes"] >= info["static_pool_bytes"]
+            assert info["placement_order"] == (
+                "lifetime" if info["static_pool_bytes"] < info["layered_pool_bytes"] else "size"
+            )
+            for report in (stalloc.planning_report(), stalloc.to_json_dict()["report"]):
+                assert report["placement_order"] == info["placement_order"]
+                assert report["layered_pool_bytes"] == info["layered_pool_bytes"]
+        # Only dynamic groups that will be served from the plan hold the planner back.
+        assert seen == [True, False, False]
+
     def test_fusion_improves_or_matches_pool_size(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
         fused = PlanSynthesizer(SynthesizerConfig(enable_fusion=True)).synthesize(profile)
@@ -613,7 +760,7 @@ class TestPlanningProperties:
     def test_global_plan_never_stomps_memory(self, requests):
         groups = build_homophase_groups(RequestColumns.from_requests(requests))
         fused, _ = fuse_adjacent_groups(groups)
-        plan, _ = build_global_plan(fused)
+        plan, _, _ = build_global_plan(fused)
         plan.validate()  # raises on any spatio-temporal conflict
         assert len(plan.decisions) == len(requests)
 
@@ -621,7 +768,7 @@ class TestPlanningProperties:
     @settings(max_examples=50, deadline=None)
     def test_pool_size_at_least_peak_demand(self, requests):
         groups = build_homophase_groups(RequestColumns.from_requests(requests))
-        plan, _ = build_global_plan(groups)
+        plan, _, _ = build_global_plan(groups)
         events = []
         for request in requests:
             events.append((request.alloc_time, request.size))

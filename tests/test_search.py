@@ -11,10 +11,12 @@ the binding-rank / compare-gate bugfix sweep that rode along.
 from __future__ import annotations
 
 import json
+from dataclasses import replace as dataclass_replace
 
 import pytest
 
 from repro.gpu.device import GIB
+from repro.gpu.specs import get_gpu
 from repro.search import (
     ClusterSpec,
     SearchResult,
@@ -200,49 +202,26 @@ def test_memory_lower_bound_is_admissible(preset):
             )
 
 
-def test_throughput_upper_bound_is_admissible(search_smoke_pair):
-    """No measured throughput ever beats the bound used to prune."""
-    _, exhaustive = search_smoke_pair
-    for row in exhaustive.rows:
-        if row["status"] != "ok":
-            continue
-        config = _config_for_row(row)
-        bound = throughput_upper_bound(config, row["device"])
+@pytest.mark.parametrize("preset", SEARCH_PRESETS)
+def test_throughput_upper_bound_is_admissible(preset_pairs, preset):
+    """No measured throughput ever beats the bound used to prune.
+
+    The bound is asked the way the planner asks it: with the timing backend
+    the row was priced by and the fabric the candidate was timed on.
+    """
+    _, exhaustive = preset_pairs[preset]
+    candidates = {point.index: point for point in load_search_spec(preset).enumerate_candidates()}
+    measured = [row for row in exhaustive.rows if row["status"] == "ok"]
+    assert measured
+    for row in measured:
+        point = candidates[row["point"]]
+        assert (point.config.label, point.timing) == (row["config"], row["timing"])
+        gpu = dataclass_replace(get_gpu(row["device"]), **dict(point.fabric))
+        bound = throughput_upper_bound(point.config, gpu, timing=row["timing"], scale=row["scale"])
         assert row["tokens_per_second"] <= bound * (1.0 + 1e-9), (
-            f"measured {row['tokens_per_second']} beats bound {bound} "
+            f"{preset}: measured {row['tokens_per_second']} beats bound {bound} "
             f"for {row['config']}"
         )
-
-
-def _config_for_row(row: dict) -> TrainingConfig:
-    """Rebuild the TrainingConfig a result row was priced with."""
-    bits = dict(
-        tp=1, pp=1, dp=1, ep=1, vpp=1, mbs=1,
-    )
-    recompute = False
-    for bit in row["config"].split("/"):
-        if bit == "R":
-            recompute = True
-        elif "=" in bit:
-            key, value = bit.split("=")
-            bits[key] = int(value)
-    parallelism = ParallelismConfig(
-        tensor_parallel=bits["tp"],
-        pipeline_parallel=bits["pp"],
-        data_parallel=bits["dp"],
-        expert_parallel=bits["ep"],
-        virtual_pipeline_chunks=bits["vpp"],
-    )
-    spec = load_search_spec(row["model"] if row["model"] in SEARCH_PRESETS else "gpt-tiny")
-    sequences = bits["mbs"] * bits["dp"]
-    return TrainingConfig(
-        model=get_model(row["model"]),
-        parallelism=parallelism,
-        micro_batch_size=bits["mbs"],
-        num_microbatches=spec.global_batch // sequences,
-        recompute=recompute,
-        zero_stage=bits.get("zero", 0),
-    )
 
 
 # --------------------------------------------------------------------- #
