@@ -23,9 +23,12 @@ any work, in fresh children of whichever ``repro`` is on ``PYTHONPATH`` (point
 it at another checkout's ``src/`` to record a "before" entry): the wall of
 ``import repro.cli``, of a fully warm ``sweep job-smoke`` and ``search
 search-smoke``, ``import numpy`` for scale, and -- machine-independent -- how
-many ``repro`` modules a warm sweep loaded and whether numpy was among them.
-``--check`` fails when numpy appears on the warm path or the module count
-exceeds the latest entry by more than 5; the walls are recorded, not gated.
+many ``repro`` modules a warm sweep loaded, whether numpy was among them, and
+whether the cold ``job-smoke`` sweep that filled the cache loaded it (a dense
+run draws no MoE routing, the only thing numpy is imported for).  ``--check``
+fails when numpy appears on the warm or the cold dense path, or the module
+count exceeds the latest entry by more than 5; the walls are recorded, not
+gated.
 """
 
 from __future__ import annotations
@@ -184,18 +187,23 @@ def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
             walls.append(time.perf_counter() - started)
         return round(min(walls), 4)
 
+    def probe(argv: list[str]) -> list:
+        """``[repro modules loaded, numpy loaded]`` of one CLI child."""
+        done = subprocess.run(
+            [sys.executable, "-c", _MODULES_CHILD, json.dumps(argv)],
+            check=True, env=env, cwd=scratch, capture_output=True, text=True,
+        )
+        return json.loads(done.stdout.splitlines()[-1])
+
     sweep = ["sweep", "job-smoke", "--cache-dir", "cache", "--no-progress"]
     search = ["search", "search-smoke", "--cache-dir", "cache", "--no-progress"]
-    for command in (sweep, search):  # cold runs fill the cache (and __pycache__)
-        subprocess.run(
-            [sys.executable, "-m", "repro.cli", *command],
-            check=True, env=env, cwd=scratch, capture_output=True,
-        )
-    probe = subprocess.run(
-        [sys.executable, "-c", _MODULES_CHILD, json.dumps(sweep)],
-        check=True, env=env, cwd=scratch, capture_output=True, text=True,
+    # Cold runs fill the cache (and __pycache__); job-smoke is a dense model.
+    _, cold_numpy_loaded = probe(sweep)
+    subprocess.run(
+        [sys.executable, "-m", "repro.cli", *search],
+        check=True, env=env, cwd=scratch, capture_output=True,
     )
-    modules, numpy_loaded = json.loads(probe.stdout.splitlines()[-1])
+    modules, numpy_loaded = probe(sweep)
     return {
         "reps": reps,
         "import_cli_s": best_wall("-c", "import repro.cli"),
@@ -204,6 +212,7 @@ def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
         "numpy_import_s": best_wall("-c", "import numpy"),
         "warm_modules_loaded": modules,
         "warm_numpy_loaded": numpy_loaded,
+        "cold_dense_numpy_loaded": cold_numpy_loaded,
     }
 
 
@@ -216,7 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         type=Path,
         help="print the latest BENCH_sweep.json entry next to the measurement; "
-        f"fail if measured overhead exceeds {CHECK_MAX_OVERHEAD_PCT:g}%%",
+        f"fail if measured overhead exceeds {CHECK_MAX_OVERHEAD_PCT:g}%% or numpy loads "
+        "on the warm or the cold dense path",
     )
     args = parser.parse_args(argv)
 
@@ -235,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{startup['warm_sweep_cli_s']:.3f}s | warm search {startup['warm_search_cli_s']:.3f}s"
         f" | import numpy {startup['numpy_import_s']:.3f}s | warm sweep loaded "
         f"{startup['warm_modules_loaded']} repro modules, numpy "
-        f"{'loaded' if startup['warm_numpy_loaded'] else 'absent'}"
+        f"{'loaded' if startup['warm_numpy_loaded'] else 'absent'}, cold dense sweep numpy "
+        f"{'loaded' if startup['cold_dense_numpy_loaded'] else 'absent'}"
     )
 
     if args.json:
@@ -250,9 +261,14 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"check cli_startup: warm sweep loaded {startup['warm_modules_loaded']} repro "
             f"modules (limit {limit}), numpy {'loaded' if startup['warm_numpy_loaded'] else 'absent'}"
+            f"; cold dense sweep numpy "
+            f"{'loaded' if startup['cold_dense_numpy_loaded'] else 'absent'}"
         )
         if startup["warm_numpy_loaded"] or startup["warm_modules_loaded"] > limit:
             print("cli start-up smoke FAILED: the warm path imports the execution layer")
+            return 1
+        if startup["cold_dense_numpy_loaded"]:
+            print("cli start-up smoke FAILED: a cold dense sweep imports numpy")
             return 1
         recorded = latest.get(measured["spec"])
         if recorded is not None:

@@ -188,7 +188,7 @@ class Allocator(abc.ABC):
         return self._allocated_bytes / reserved
 
     def batch_replay(self, trace, *, stop_on_oom: bool = True) -> int | None:
-        """Apply a whole trace in one vectorized pass, when possible.
+        """Apply a whole trace in one batched step, when possible.
 
         Returns the number of events applied (``trace.num_events``) after
         mutating this allocator and its device into *exactly* the end state

@@ -56,17 +56,17 @@ class NativeAllocator(Allocator):
         return calls * DRIVER_CALL_SECONDS
 
     # ------------------------------------------------------------------ #
-    # Vectorized batch replay
+    # Batch replay
     # ------------------------------------------------------------------ #
     def batch_replay(self, trace, *, stop_on_oom: bool = True) -> int | None:
-        """Replay a whole trace in one vectorized pass.
+        """Replay a whole trace in one batched step.
 
         The native allocator is exactly batch-replayable: the device enforces
         only capacity (no placement, no size rounding) and hints are ignored,
-        so the event loop's entire effect is determined by the trace's
-        live-bytes curve and alloc/free pairing -- both precomputed on the
-        trace's columns.  The replay succeeds without OOM iff the curve's
-        maximum fits in the device's free bytes; in that case this method
+        so the event loop's entire effect is determined by the trace's peak
+        live bytes and alloc/free pairing -- both memoised on the trace's
+        columns.  The replay succeeds without OOM iff the peak fits in the
+        device's free bytes; in that case this method
         reconstructs the exact end state (live allocations with the addresses
         the sequential driver counter would have assigned, all device and
         allocator counters, both peaks) without executing per-event Python.
@@ -96,39 +96,31 @@ class NativeAllocator(Allocator):
         pairing = columns.pairing()
         if not pairing.ok:
             return None
-        sizes = columns.size
-        alloc_sizes = sizes[pairing.alloc_pos]
-        num_allocs = int(pairing.alloc_pos.shape[0])
-        num_frees = int(pairing.free_pos.shape[0])
-        if num_allocs and int(alloc_sizes.min()) <= 0:
+        num_allocs = len(pairing.alloc_pos)
+        num_frees = pairing.num_frees
+        if num_allocs and pairing.min_alloc_size <= 0:
             return None  # the event loop raises ValueError on these
-        curve = columns.live_bytes()
-        peak = max(0, int(curve.max()))
+        peak = columns.peak_allocated_bytes()
         if peak > device.free_bytes:
             return None  # would OOM: the loop models the failure precisely
-        final_live = int(curve[-1])
 
         # Reconstruct the exact end state of the sequential replay.  The
         # device's address counter hands the i-th malloc the address
         # (DRIVER_ALIGNMENT + i) * DRIVER_ALIGNMENT; surviving allocations
         # keep theirs, and the counter advances past every batched malloc.
-        survivor_req_ids = columns.req_id[pairing.alloc_pos[pairing.survivor_ordinals]]
-        survivor_sizes = alloc_sizes[pairing.survivor_ordinals]
-        for ordinal, req_id, size in zip(
-            pairing.survivor_ordinals.tolist(),
-            survivor_req_ids.tolist(),
-            survivor_sizes.tolist(),
-        ):
+        final_live = 0
+        for ordinal, req_id, size in pairing.survivors:
             address = (DRIVER_ALIGNMENT + ordinal) * DRIVER_ALIGNMENT
             allocation = PhysicalAllocation(address=address, size=size)
             device._allocations[address] = allocation
             self._allocations[req_id] = allocation
             self._live_sizes[req_id] = size
+            final_live += size
         device._next_address = itertools.count(DRIVER_ALIGNMENT + num_allocs)
         device._in_use = final_live
         device.stats.malloc_calls += num_allocs
         device.stats.free_calls += num_frees
-        device.stats.bytes_allocated_total += int(alloc_sizes.sum())
+        device.stats.bytes_allocated_total += pairing.allocated_bytes
         device.stats.peak_in_use = max(device.stats.peak_in_use, peak)
         self._allocated_bytes = final_live
         self._reserved_bytes = final_live  # the survivors' sizes

@@ -23,7 +23,8 @@ from repro._lazy import attach
 
 # Lazy on purpose: repro.allocators.base imports repro.core.events, and the
 # runtime allocator imports repro.allocators, so an eager import here would be
-# circular -- and would load numpy for anyone who only wants the event model.
+# circular -- and would load the execution layer for anyone who only wants the
+# event model.
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {

@@ -3,8 +3,9 @@
 The object event model (:class:`repro.core.events.TraceEvent`) is ergonomic
 but costs one Python object per event -- at production scale (millions of
 events per rank) that makes every analytics pass, replay, and serialization
-walk millions of attribute lookups.  This module stores one trace as parallel
-``numpy`` ``int64`` columns instead:
+walk millions of attribute lookups.  This module stores one trace as nine
+parallel ``int`` lists instead -- the very lists the trace generator (or
+:meth:`repro.workloads.trace.Trace.load`) appended to, kept without a copy:
 
 ``kind``         0 = alloc, 1 = free (:data:`KIND_CODES`)
 ``req_id``       the request id (tensor id)
@@ -17,21 +18,22 @@ walk millions of attribute lookups.  This module stores one trace as parallel
 ``tag_index``    index into the interned :attr:`TraceColumns.tags` table
 
 Strings (module paths, tags) are interned into per-trace tables so the
-columns stay pure ``int64``.  :class:`repro.workloads.trace.Trace` keeps its
+columns stay plain ints.  :class:`repro.workloads.trace.Trace` keeps its
 object API as a thin lazy view over these columns: objects are materialized
 only when someone actually touches ``trace.events``.
 
-Analytics (`live_bytes`, peaks, histograms) are vectorized here and memoised
-per instance; everything returns plain Python ints/lists so callers cannot
-tell the difference from the old object-walking implementations.
+Analytics (peaks, histograms, byte totals) are single passes over the lists,
+and the alloc/free pairing and the peaks are memoised per instance; every
+reader sees plain Python ints and lists.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from itertools import accumulate
+from operator import le, lt
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.events import EventKind, MemoryRequest, Phase, TensorCategory, TraceEvent
 
@@ -52,8 +54,8 @@ KV_CACHE_CODE = CATEGORY_CODES[TensorCategory.KV_CACHE]
 class ColumnBuilder:
     """Append-only accumulator the trace generator emits events into.
 
-    Appends are plain ``list.append`` (cheaper than growing numpy arrays
-    element-wise); :meth:`build` converts to immutable columns once.
+    Appends are plain ``list.append``; :meth:`build` hands the lists to the
+    trace as they are, so nothing may append after it.
     """
 
     __slots__ = (
@@ -115,15 +117,15 @@ class ColumnBuilder:
 
     def build(self) -> "TraceColumns":
         return TraceColumns(
-            kind=np.asarray(self.kind, dtype=np.int64),
-            req_id=np.asarray(self.req_id, dtype=np.int64),
-            size=np.asarray(self.size, dtype=np.int64),
-            time=np.asarray(self.time, dtype=np.int64),
-            phase_index=np.asarray(self.phase_index, dtype=np.int64),
-            module_index=np.asarray(self.module_index, dtype=np.int64),
-            dyn=np.asarray(self.dyn, dtype=np.int64),
-            category=np.asarray(self.category, dtype=np.int64),
-            tag_index=np.asarray(self.tag_index, dtype=np.int64),
+            kind=self.kind,
+            req_id=self.req_id,
+            size=self.size,
+            time=self.time,
+            phase_index=self.phase_index,
+            module_index=self.module_index,
+            dyn=self.dyn,
+            category=self.category,
+            tag_index=self.tag_index,
             modules=tuple(self._modules),
             tags=tuple(self._tags),
         )
@@ -164,46 +166,56 @@ class Pairing:
     freed at most once (after its allocation, with the same size), and every
     free has a matching allocation.  Generator traces always qualify;
     hand-built pathological traces (id reuse, mismatched sizes) fall back to
-    the event-by-event replay loop.
+    the event-by-event replay loop.  A request is numbered by its *alloc
+    ordinal*, the rank of its alloc event among the trace's allocations.
     """
 
     ok: bool
-    #: Event positions of alloc events, in trace order.
-    alloc_pos: np.ndarray
-    #: Event positions of free events, in trace order.
-    free_pos: np.ndarray
-    #: For each free event (in trace order): ordinal of its allocation among
-    #: the alloc events.  Empty when ``ok`` is False.
-    free_alloc_ordinal: np.ndarray
-    #: Ordinals (among alloc events) of allocations never freed.
-    survivor_ordinals: np.ndarray
+    #: Event position of each request's alloc event, by ordinal.
+    alloc_pos: list[int]
+    #: Event position of each request's free event, by ordinal (-1: never freed).
+    free_pos: list[int]
+    num_frees: int = 0
+    #: Sum and minimum of the allocation sizes (0 without allocations).
+    allocated_bytes: int = 0
+    min_alloc_size: int = 0
+    #: ``(ordinal, req_id, size)`` of the requests never freed, by ordinal.
+    survivors: tuple[tuple[int, int, int], ...] = ()
+
+
+#: The pairing of a trace that does not pair simply.
+NOT_SIMPLE = Pairing(ok=False, alloc_pos=[], free_pos=[])
+
+
+def _take(column: list[int], positions: Iterable[int]) -> list[int]:
+    return list(map(column.__getitem__, positions))
 
 
 class TraceColumns:
-    """Immutable parallel int64 columns describing one trace.
+    """Immutable parallel int columns describing one trace.
 
-    Derived quantities (live-bytes curve, pairing) are memoised: the arrays
-    are treated as immutable once built, exactly like :class:`Trace` itself.
+    Derived quantities (peaks, pairing) are memoised: the lists are treated as
+    immutable once built, exactly like :class:`Trace` itself.
     """
 
     __slots__ = (
         "kind", "req_id", "size", "time", "phase_index", "module_index",
         "dyn", "category", "tag_index", "modules", "tags",
-        "_live_cache", "_pairing_cache",
+        "_peaks", "_pairing_cache",
     )
 
     def __init__(
         self,
         *,
-        kind: np.ndarray,
-        req_id: np.ndarray,
-        size: np.ndarray,
-        time: np.ndarray,
-        phase_index: np.ndarray,
-        module_index: np.ndarray,
-        dyn: np.ndarray,
-        category: np.ndarray,
-        tag_index: np.ndarray,
+        kind: list[int],
+        req_id: list[int],
+        size: list[int],
+        time: list[int],
+        phase_index: list[int],
+        module_index: list[int],
+        dyn: list[int],
+        category: list[int],
+        tag_index: list[int],
         modules: tuple[str, ...],
         tags: tuple[str, ...],
     ) -> None:
@@ -218,7 +230,8 @@ class TraceColumns:
         self.tag_index = tag_index
         self.modules = modules
         self.tags = tags
-        self._live_cache: np.ndarray | None = None
+        #: Peak live bytes by category code (``None``: every category).
+        self._peaks: dict[int | None, int] = {}
         self._pairing_cache: Pairing | None = None
 
     # ------------------------------------------------------------------ #
@@ -226,8 +239,6 @@ class TraceColumns:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_events(cls, events: Sequence[TraceEvent]) -> "TraceColumns":
-        # Columnar construction: one comprehension per column beats a
-        # row-at-a-time builder by several times on object-backed traces.
         # ``dict.setdefault(key, len(dict))`` interns in insertion order
         # (the length is evaluated before any insertion happens).
         alloc = EventKind.ALLOC
@@ -235,22 +246,15 @@ class TraceColumns:
         modules: dict[str, int] = {}
         tags: dict[str, int] = {}
         return cls(
-            kind=np.asarray(
-                [ALLOC if e.kind is alloc else FREE for e in events], dtype=np.int64
-            ),
-            req_id=np.asarray([e.req_id for e in events], dtype=np.int64),
-            size=np.asarray([e.size for e in events], dtype=np.int64),
-            time=np.asarray([e.time for e in events], dtype=np.int64),
-            phase_index=np.asarray([e.phase.index for e in events], dtype=np.int64),
-            module_index=np.asarray(
-                [modules.setdefault(e.module, len(modules)) for e in events],
-                dtype=np.int64,
-            ),
-            dyn=np.asarray([1 if e.dyn else 0 for e in events], dtype=np.int64),
-            category=np.asarray([codes[e.category] for e in events], dtype=np.int64),
-            tag_index=np.asarray(
-                [tags.setdefault(e.tag, len(tags)) for e in events], dtype=np.int64
-            ),
+            kind=[ALLOC if e.kind is alloc else FREE for e in events],
+            req_id=[e.req_id for e in events],
+            size=[e.size for e in events],
+            time=[e.time for e in events],
+            phase_index=[e.phase.index for e in events],
+            module_index=[modules.setdefault(e.module, len(modules)) for e in events],
+            dyn=[1 if e.dyn else 0 for e in events],
+            category=[codes[e.category] for e in events],
+            tag_index=[tags.setdefault(e.tag, len(tags)) for e in events],
             modules=tuple(modules),
             tags=tuple(tags),
         )
@@ -273,57 +277,66 @@ class TraceColumns:
                 tag=tags[tag_index],
             )
             for kind, req_id, size, time, phase_index, module_index, dyn, category, tag_index in zip(
-                self.kind.tolist(),
-                self.req_id.tolist(),
-                self.size.tolist(),
-                self.time.tolist(),
-                self.phase_index.tolist(),
-                self.module_index.tolist(),
-                self.dyn.tolist(),
-                self.category.tolist(),
-                self.tag_index.tolist(),
+                self.kind, self.req_id, self.size, self.time, self.phase_index,
+                self.module_index, self.dyn, self.category, self.tag_index,
             )
         ]
 
-    def _paired(self, end_of_trace: int) -> tuple[np.ndarray, ...]:
-        """``(alloc_pos, free_pos, free_time, free_phase)`` per request.
+    def _paired(
+        self, end_of_trace: int, *, dynamic_only: bool = False
+    ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+        """``(alloc_pos, free_pos, alloc_time, free_time, free_phase)`` per request.
 
-        One entry per request of a trace whose :meth:`pairing` is ``ok``, in
-        ``(alloc_time, req_id)`` order.  Never-freed requests (weights,
-        optimizer state) have ``free_pos`` -1 and close at the end of the
-        trace, in the phase of its last event.
+        One entry per request of a trace whose :meth:`pairing` is ``ok`` (per
+        ``dyn`` request with ``dynamic_only``), in ``(alloc_time, req_id)``
+        order: alloc-ordinal order unless the alloc times are not strictly
+        ascending.  Never-freed requests (weights, optimizer state) have
+        ``free_pos`` -1 and close at the end of the trace, in the phase of its
+        last event.
         """
         pairing = self.pairing()
         if not pairing.ok:
             raise ValueError("trace does not pair simply; use pair_events")
-        survivors = pairing.alloc_pos[pairing.survivor_ordinals]
-        alloc_pos = np.concatenate((pairing.alloc_pos[pairing.free_alloc_ordinal], survivors))
-        free_pos = np.concatenate((pairing.free_pos, np.full_like(survivors, -1)))
-        free_time = np.concatenate(
-            (self.time[pairing.free_pos], np.maximum(end_of_trace, self.time[survivors] + 1))
-        )
-        last_phase = self.phase_index[self.time == self.time.max()].max() if len(self.time) else 0
-        free_phase = np.concatenate(
-            (self.phase_index[pairing.free_pos], np.full_like(survivors, last_phase))
-        )
-        order = np.lexsort((self.req_id[alloc_pos], self.time[alloc_pos]))
-        return alloc_pos[order], free_pos[order], free_time[order], free_phase[order]
+        alloc_pos, free_pos = pairing.alloc_pos, pairing.free_pos
+        if dynamic_only:
+            dyn = self.dyn
+            kept = [ordinal for ordinal, pos in enumerate(alloc_pos) if dyn[pos]]
+            alloc_pos, free_pos = _take(alloc_pos, kept), _take(free_pos, kept)
+        time, phase = self.time, self.phase_index
+        alloc_time = _take(time, alloc_pos)
+        if not all(map(lt, alloc_time, alloc_time[1:])):
+            req_id = self.req_id
+            order = sorted(
+                range(len(alloc_pos)), key=lambda i: (alloc_time[i], req_id[alloc_pos[i]])
+            )
+            alloc_pos, free_pos = _take(alloc_pos, order), _take(free_pos, order)
+            alloc_time = _take(alloc_time, order)
+        last_phase = 0
+        if -1 in free_pos:
+            last = max(time)
+            last_phase = max(p for t, p in zip(time, phase) if t == last)
+        free_time = [
+            time[pos] if pos >= 0 else max(end_of_trace, alloc + 1)
+            for alloc, pos in zip(alloc_time, free_pos)
+        ]
+        free_phase = [phase[pos] if pos >= 0 else last_phase for pos in free_pos]
+        return alloc_pos, free_pos, alloc_time, free_time, free_phase
 
     def request_columns(self, *, end_of_trace: int) -> RequestColumns:
         """The paired requests as int lists: what the planner reads."""
-        alloc_pos, _, free_time, free_phase = self._paired(end_of_trace)
-        size, alloc_time = self.size[alloc_pos], self.time[alloc_pos]
+        alloc_pos, _, alloc_time, free_time, free_phase = self._paired(end_of_trace)
+        size = _take(self.size, alloc_pos)
         # What MemoryRequest checks per object, over the columns.
-        if (size <= 0).any() or (free_time <= alloc_time).any():
+        if min(size, default=1) <= 0 or any(map(le, free_time, alloc_time)):
             raise ValueError("a request needs a positive size and a free_time after its alloc_time")
         return RequestColumns(
-            alloc_time=alloc_time.tolist(),
-            req_id=self.req_id[alloc_pos].tolist(),
-            size=size.tolist(),
-            free_time=free_time.tolist(),
-            alloc_phase=self.phase_index[alloc_pos].tolist(),
-            free_phase=free_phase.tolist(),
-            dyn=self.dyn[alloc_pos].tolist(),
+            alloc_time=alloc_time,
+            req_id=_take(self.req_id, alloc_pos),
+            size=size,
+            free_time=free_time,
+            alloc_phase=_take(self.phase_index, alloc_pos),
+            free_phase=free_phase,
+            dyn=_take(self.dyn, alloc_pos),
         )
 
     def to_requests(
@@ -337,17 +350,18 @@ class TraceColumns:
         ``dynamic_only`` keeps the ``dyn`` requests (the only ones the plan
         synthesizer needs as objects, for HomoLayer grouping).
         """
-        alloc_pos, free_pos, free_time, free_phase = self._paired(end_of_trace)
-        if dynamic_only:
-            keep = self.dyn[alloc_pos] == 1
-            alloc_pos, free_pos = alloc_pos[keep], free_pos[keep]
-            free_time, free_phase = free_time[keep], free_phase[keep]
+        alloc_pos, free_pos, alloc_time, free_time, free_phase = self._paired(
+            end_of_trace, dynamic_only=dynamic_only
+        )
         modules = self.modules
         tags = self.tags
-        # A never-freed request closes in its own module (its free_pos, -1,
-        # reads the last event's module, which the ``where`` discards).
-        alloc_module = self.module_index[alloc_pos]
-        free_module = np.where(free_pos >= 0, self.module_index[free_pos], alloc_module)
+        module_index = self.module_index
+        alloc_module = _take(module_index, alloc_pos)
+        # A never-freed request closes in its own module.
+        free_module = [
+            module_index[pos] if pos >= 0 else module
+            for pos, module in zip(free_pos, alloc_module)
+        ]
         return [
             MemoryRequest(
                 req_id=req_id,
@@ -366,105 +380,99 @@ class TraceColumns:
                 req_id, size, alloc_time, closes, alloc_phase, closing_phase,
                 dyn, alloc_module, closing_module, category, tag,
             ) in zip(
-                self.req_id[alloc_pos].tolist(),
-                self.size[alloc_pos].tolist(),
-                self.time[alloc_pos].tolist(),
-                free_time.tolist(),
-                self.phase_index[alloc_pos].tolist(),
-                free_phase.tolist(),
-                self.dyn[alloc_pos].tolist(),
-                alloc_module.tolist(),
-                free_module.tolist(),
-                self.category[alloc_pos].tolist(),
-                self.tag_index[alloc_pos].tolist(),
+                _take(self.req_id, alloc_pos),
+                _take(self.size, alloc_pos),
+                alloc_time,
+                free_time,
+                _take(self.phase_index, alloc_pos),
+                free_phase,
+                _take(self.dyn, alloc_pos),
+                alloc_module,
+                free_module,
+                _take(self.category, alloc_pos),
+                _take(self.tag_index, alloc_pos),
             )
         ]
 
     # ------------------------------------------------------------------ #
-    # Vectorized analytics
+    # Analytics
     # ------------------------------------------------------------------ #
     @property
     def num_events(self) -> int:
-        return int(self.kind.shape[0])
+        return len(self.kind)
 
-    def signed_sizes(self) -> np.ndarray:
-        return np.where(self.kind == ALLOC, self.size, -self.size)
+    def _signed_sizes(self, category: int | None = None) -> Iterator[int]:
+        """``+size`` per alloc and ``-size`` per free (of one category only)."""
+        return (
+            size if kind == ALLOC else -size
+            for kind, size, code in zip(self.kind, self.size, self.category)
+            if category is None or code == category
+        )
 
-    def live_bytes(self) -> np.ndarray:
+    def live_bytes(self) -> list[int]:
         """Running live bytes after each event (the allocation curve)."""
-        if self._live_cache is None:
-            self._live_cache = np.cumsum(self.signed_sizes())
-        return self._live_cache
+        return list(accumulate(self._signed_sizes()))
 
-    def peak_allocated_bytes(self) -> int:
+    def _peak(self, category: int | None = None) -> int:
         # Positive steps only come from allocs, so the prefix maximum is
         # always attained immediately after an alloc -- identical to the
         # object loop that only samples the peak after allocations.
-        if self.num_events == 0:
-            return 0
-        return max(0, int(self.live_bytes().max()))
+        peak = self._peaks.get(category)
+        if peak is None:
+            peak = self._peaks[category] = max(
+                accumulate(self._signed_sizes(category), initial=0)
+            )
+        return peak
+
+    def peak_allocated_bytes(self) -> int:
+        return self._peak()
 
     def comm_peak_bytes(self) -> int:
-        mask = self.category == COMM_BUFFER_CODE
-        if not mask.any():
-            return 0
-        comm = self.signed_sizes()[mask]
-        return max(0, int(np.cumsum(comm).max()))
+        return self._peak(COMM_BUFFER_CODE)
 
     def kv_peak_bytes(self) -> int:
-        mask = self.category == KV_CACHE_CODE
-        if not mask.any():
-            return 0
-        kv = self.signed_sizes()[mask]
-        return max(0, int(np.cumsum(kv).max()))
+        return self._peak(KV_CACHE_CODE)
 
     def total_allocated_bytes(self) -> int:
-        return int(self.size[self.kind == ALLOC].sum())
+        return sum(self.allocation_sizes())
 
     @property
     def num_requests(self) -> int:
-        return int((self.kind == ALLOC).sum())
+        return self.kind.count(ALLOC)
 
     @property
     def num_dynamic_requests(self) -> int:
-        return int(((self.kind == ALLOC) & (self.dyn == 1)).sum())
+        return sum(dyn for kind, dyn in zip(self.kind, self.dyn) if kind == ALLOC)
 
     def allocation_sizes(self, *, min_size: int = 0) -> list[int]:
-        mask = self.kind == ALLOC
-        if min_size:
-            mask &= self.size >= min_size
-        return self.size[mask].tolist()
+        sizes = [size for kind, size in zip(self.kind, self.size) if kind == ALLOC]
+        return [size for size in sizes if size >= min_size] if min_size else sizes
 
     def distinct_sizes(self, *, min_size: int = 512) -> int:
-        mask = (self.kind == ALLOC) & (self.size > min_size)
-        return int(np.unique(self.size[mask]).shape[0])
+        return len({size for size in self.allocation_sizes() if size > min_size})
 
     def size_histogram_items(self, *, min_size: int = 0) -> list[tuple[int, int]]:
-        mask = self.kind == ALLOC
-        if min_size:
-            mask &= self.size >= min_size
-        values, counts = np.unique(self.size[mask], return_counts=True)
-        return list(zip(values.tolist(), counts.tolist()))
+        return sorted(Counter(self.allocation_sizes(min_size=min_size)).items())
 
     def static_dynamic_split(self) -> tuple[int, int]:
-        alloc = self.kind == ALLOC
-        dynamic = int(self.size[alloc & (self.dyn == 1)].sum())
-        static = int(self.size[alloc & (self.dyn == 0)].sum())
+        static = dynamic = 0
+        for kind, size, dyn in zip(self.kind, self.size, self.dyn):
+            if kind == ALLOC:
+                if dyn:
+                    dynamic += size
+                else:
+                    static += size
         return static, dynamic
 
     def category_bytes(self) -> dict[str, int]:
-        alloc = self.kind == ALLOC
-        totals: dict[str, int] = {}
-        present = np.unique(self.category[alloc])
-        for code in present.tolist():
-            total = int(self.size[alloc & (self.category == code)].sum())
-            totals[CATEGORIES[code].value] = total
-        return totals
+        totals: dict[int, int] = {}
+        for kind, size, code in zip(self.kind, self.size, self.category):
+            if kind == ALLOC:
+                totals[code] = totals.get(code, 0) + size
+        return {CATEGORIES[code].value: totals[code] for code in sorted(totals)}
 
     def end_time(self) -> int:
-        if self.num_events == 0:
-            return 0
-        return int(self.time[-1]) + 1
+        return self.time[-1] + 1 if self.time else 0
 
     # ------------------------------------------------------------------ #
     # Alloc/free pairing (batch-replay support)
@@ -476,46 +484,39 @@ class TraceColumns:
         return self._pairing_cache
 
     def _compute_pairing(self) -> Pairing:
-        alloc_pos = np.flatnonzero(self.kind == ALLOC)
-        free_pos = np.flatnonzero(self.kind == FREE)
-        empty = np.empty(0, dtype=np.int64)
-
-        def invalid() -> Pairing:
-            return Pairing(
-                ok=False,
-                alloc_pos=alloc_pos,
-                free_pos=free_pos,
-                free_alloc_ordinal=empty,
-                survivor_ordinals=empty,
-            )
-
-        alloc_ids = self.req_id[alloc_pos]
-        free_ids = self.req_id[free_pos]
-        if np.unique(alloc_ids).shape[0] != alloc_ids.shape[0]:
-            return invalid()
-        if np.unique(free_ids).shape[0] != free_ids.shape[0]:
-            return invalid()
-        order = np.argsort(alloc_ids, kind="stable")
-        sorted_ids = alloc_ids[order]
-        slots = np.searchsorted(sorted_ids, free_ids)
-        if slots.shape[0] and (
-            (slots >= sorted_ids.shape[0]).any()
-            or (sorted_ids[np.minimum(slots, sorted_ids.shape[0] - 1)] != free_ids).any()
-        ):
-            return invalid()
-        free_alloc_ordinal = order[slots] if slots.shape[0] else empty
-        matched_pos = alloc_pos[free_alloc_ordinal]
-        if (free_pos <= matched_pos).any():
-            return invalid()
-        if (self.size[free_pos] != self.size[matched_pos]).any():
-            return invalid()
-        freed = np.zeros(alloc_pos.shape[0], dtype=bool)
-        freed[free_alloc_ordinal] = True
-        survivor_ordinals = np.flatnonzero(~freed)
+        """One pass in trace order, with a dict from request id to alloc ordinal."""
+        sizes = self.size
+        ordinal_of: dict[int, int] = {}
+        alloc_pos: list[int] = []
+        free_pos: list[int] = []
+        for pos, (kind, req_id) in enumerate(zip(self.kind, self.req_id)):
+            if kind == ALLOC:
+                if req_id in ordinal_of:
+                    return NOT_SIMPLE  # allocated twice
+                ordinal_of[req_id] = len(alloc_pos)
+                alloc_pos.append(pos)
+                free_pos.append(-1)
+                continue
+            ordinal = ordinal_of.get(req_id)
+            if (
+                ordinal is None  # freed without (or before) its allocation
+                or free_pos[ordinal] >= 0  # freed twice
+                or sizes[pos] != sizes[alloc_pos[ordinal]]
+            ):
+                return NOT_SIMPLE
+            free_pos[ordinal] = pos
+        alloc_sizes = _take(sizes, alloc_pos)
+        req_ids = self.req_id
         return Pairing(
             ok=True,
             alloc_pos=alloc_pos,
             free_pos=free_pos,
-            free_alloc_ordinal=free_alloc_ordinal,
-            survivor_ordinals=survivor_ordinals,
+            num_frees=len(sizes) - len(alloc_pos),
+            allocated_bytes=sum(alloc_sizes),
+            min_alloc_size=min(alloc_sizes, default=0),
+            survivors=tuple(
+                (ordinal, req_ids[alloc_pos[ordinal]], alloc_sizes[ordinal])
+                for ordinal, pos in enumerate(free_pos)
+                if pos < 0
+            ),
         )

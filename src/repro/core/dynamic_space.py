@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import numpy as np
-
 from repro.core.events import MemoryRequest
 from repro.core.intervals import IntervalSet
 from repro.core.plan import StaticAllocationPlan
@@ -60,9 +58,9 @@ def locate_dynamic_reusable_spaces(
     For a group with temporal range ``T``, the occupied address set ``A_o`` is
     the union of the address ranges of every static decision whose lifespan
     intersects ``T`` (Eq. 4); the reusable space is its complement within the
-    static pool (Eq. 5-6).  The static decisions are scanned with vectorised
-    predicates so the cost is ``O(k * N)`` array operations plus
-    ``O(sum r_i)`` interval insertions, matching the paper's batched sweep.
+    static pool (Eq. 5-6).  The decisions are sorted by address once; each
+    group then walks them in that order and emits the gaps between the ones
+    it overlaps, so the cost is one sort plus ``O(k * N)`` comparisons.
     """
     groups = homolayer_groups(dynamic_requests)
     if not groups:
@@ -71,21 +69,26 @@ def locate_dynamic_reusable_spaces(
     if not len(static_plan) or pool_size == 0:
         return {key: IntervalSet() for key in groups}
 
-    alloc_times = np.array(static_plan.alloc_time, dtype=np.int64)
-    free_times = np.array(static_plan.free_time, dtype=np.int64)
-    addresses = np.array(static_plan.address, dtype=np.int64)
-    ends = addresses + np.array(static_plan.size, dtype=np.int64)
-
+    by_address = sorted(
+        (address, address + size, alloc_time, free_time)
+        for address, size, alloc_time, free_time in zip(
+            static_plan.address, static_plan.size, static_plan.alloc_time, static_plan.free_time
+        )
+        if size > 0
+    )
     spaces: dict[tuple[str, str], IntervalSet] = {}
     for key, members in groups.items():
         start, end = group_temporal_range(key, members, module_spans)
         # A static decision overlaps [start, end] when it is live at any
         # instant of the range (half-open lifespan [alloc, free)).
-        mask = (alloc_times <= end) & (free_times > start)
-        occupied = IntervalSet()
-        for address, end_address in zip(addresses[mask], ends[mask]):
-            occupied.add(int(address), int(end_address))
-        spaces[key] = occupied.complement(0, pool_size)
+        spaces[key] = IntervalSet.gaps(
+            (
+                (address, end_address)
+                for address, end_address, alloc_time, free_time in by_address
+                if alloc_time <= end and free_time > start
+            ),
+            pool_size,
+        )
     return spaces
 
 

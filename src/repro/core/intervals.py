@@ -76,6 +76,28 @@ class IntervalSet:
         out.add(start, end)
         return out
 
+    @classmethod
+    def gaps(cls, spans: Iterable[tuple[int, int]], end: int) -> "IntervalSet":
+        """``[0, end)`` minus the union of ``spans``, given sorted by start.
+
+        One walk: the gaps between the spans come out sorted and never touch.
+        """
+        out = cls()
+        starts, ends = out._starts, out._ends
+        covered = 0
+        for span_start, span_end in spans:
+            if span_start >= end:
+                break
+            if span_start > covered:
+                starts.append(covered)
+                ends.append(span_start)
+            if span_end > covered:
+                covered = span_end
+        if covered < end:
+            starts.append(covered)
+            ends.append(end)
+        return out
+
     def copy(self) -> "IntervalSet":
         out = IntervalSet()
         out._starts = list(self._starts)

@@ -10,7 +10,8 @@ micro-batch, module name and the dynamicity flag.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
+from operator import itemgetter
 
 from repro.core.columns import RequestColumns
 from repro.core.events import MemoryRequest, Phase
@@ -20,7 +21,7 @@ from repro.workloads.trace import Trace
 class ProfileResult:
     """Everything the Plan Synthesizer needs from a profiling run.
 
-    The requests are held as int :attr:`columns` -- read off the trace's
+    The requests are held as int-list :attr:`columns` -- read off the trace's
     alloc/free pairing, or off the request objects a caller passes -- and that
     is all planning touches.  ``MemoryRequest`` objects are a view: a profile
     of a trace builds them when asked (:attr:`requests` for tests and
@@ -91,22 +92,26 @@ class ProfileResult:
         zeroed out.
         """
         if self._swept is None:
-            size = np.asarray(self.columns.size, dtype=np.int64)
-            dynamic = np.asarray(self.columns.dyn, dtype=bool)
-            time = np.asarray(self.columns.alloc_time + self.columns.free_time, dtype=np.int64)
-            delta = np.concatenate((size, -size))
-            order = np.lexsort((delta, time))
-            delta = delta[order]
-            static_delta = np.where(np.concatenate((dynamic, dynamic))[order], 0, delta)
-            dynamic_bytes = int(size[dynamic].sum())
+            columns = self.columns
+            size = columns.size
+            static = [0 if dyn else s for s, dyn in zip(size, columns.dyn)]
+            # (time, delta, static delta) ticks, stably sorted on (time, delta):
+            # a free's delta is negative, so it sorts first at equal time.
+            ticks = [
+                *zip(columns.alloc_time, size, static),
+                *zip(columns.free_time, [-s for s in size], [-s for s in static]),
+            ]
+            ticks.sort(key=itemgetter(0, 1))
+            num_dynamic = sum(columns.dyn)
+            static_bytes = sum(static)
             self._swept = {
                 "num_requests": len(size),
-                "num_static_requests": int((~dynamic).sum()),
-                "num_dynamic_requests": int(dynamic.sum()),
-                "static_bytes": int(size.sum()) - dynamic_bytes,
-                "dynamic_bytes": dynamic_bytes,
-                "peak_allocated_bytes": int(delta.cumsum().max(initial=0)),
-                "peak_static_bytes": int(static_delta.cumsum().max(initial=0)),
+                "num_static_requests": len(size) - num_dynamic,
+                "num_dynamic_requests": num_dynamic,
+                "static_bytes": static_bytes,
+                "dynamic_bytes": sum(size) - static_bytes,
+                "peak_allocated_bytes": max(accumulate(map(itemgetter(1), ticks), initial=0)),
+                "peak_static_bytes": max(accumulate(map(itemgetter(2), ticks), initial=0)),
             }
         return self._swept
 

@@ -78,7 +78,7 @@ def replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool = True
     as skipped (never shown to the allocator), so at the end
     ``events_replayed + events_skipped`` equals the trace's event count.
 
-    Allocators that can apply a whole trace in one vectorized pass (see
+    Allocators that can apply a whole trace in one batched step (see
     :meth:`Allocator.batch_replay`) skip the per-event loop entirely; they
     fall back to it whenever the outcome could differ (OOM, pathological
     pairing, per-event hints), so results are identical either way.
@@ -125,13 +125,13 @@ def _replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool) -> R
     free = allocator.free
     for index, (kind, req_id, size, phase_index, module_index, dyn, category) in enumerate(
         zip(
-            columns.kind.tolist(),
-            columns.req_id.tolist(),
-            columns.size.tolist(),
-            columns.phase_index.tolist(),
-            columns.module_index.tolist(),
-            columns.dyn.tolist(),
-            columns.category.tolist(),
+            columns.kind,
+            columns.req_id,
+            columns.size,
+            columns.phase_index,
+            columns.module_index,
+            columns.dyn,
+            columns.category,
         )
     ):
         if kind == ALLOC:

@@ -7,8 +7,8 @@ The experiments in :mod:`repro.experiments` all follow the same recipe:
    :mod:`repro.core.columns`; traces cached here are shared by reference,
    which is safe because traces are immutable once generated),
 3. replay the trace through one or more allocators on a fresh device
-   (batch-replayable allocators apply the whole trace in one vectorized
-   pass, see :meth:`repro.allocators.base.Allocator.batch_replay`),
+   (batch-replayable allocators apply the whole trace in one batched
+   step, see :meth:`repro.allocators.base.Allocator.batch_replay`),
 4. compute memory-efficiency metrics (and optionally throughput).
 
 This module implements that recipe once, including STAlloc's extra offline

@@ -202,7 +202,7 @@ def execute_point(
                     obs_point.set(cached=True)
                     _obs_counter("sweep.rows_done")
                     return _as_cached_row(row, point, time.perf_counter() - started)
-        # The first point that misses pays for the execution layer (numpy, the
+        # The first point that misses pays for the execution layer (the
         # generator, the planner, the allocators); a warm run never gets here.
         from repro.simulator.runner import run_job
 

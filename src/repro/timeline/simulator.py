@@ -64,8 +64,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.events import PhaseKind
 from repro.gpu.specs import GPUSpec, NodeTopology, get_gpu
 from repro.obs.tracer import span as _obs_span
@@ -145,34 +143,17 @@ class TimelineEvent:
         return self.start + self.duration
 
 
-@dataclass(frozen=True)
-class TimelineColumns:
-    """Structure-of-arrays view of one rank's event stream."""
-
-    kind: "np.ndarray"
-    start: "np.ndarray"
-    duration: "np.ndarray"
-    microbatch: "np.ndarray"
-    chunk: "np.ndarray"
-    layer: "np.ndarray"
-
-    @property
-    def num_events(self) -> int:
-        return int(self.kind.shape[0])
-
-
 class RankTimeline:
     """Event stream and time accounting of one simulated rank coordinate.
 
     The simulator emits events as plain ``(kind_code, start, duration,
-    microbatch, chunk, layer)`` records; :class:`TimelineEvent` objects (and
-    the numpy :attr:`columns` view) are materialized lazily, only when a
-    consumer actually asks for them.
+    microbatch, chunk, layer)`` records; :class:`TimelineEvent` objects are
+    materialized lazily, only when a consumer actually asks for them.
     """
 
     __slots__ = (
         "rank", "compute_seconds", "comm_seconds", "stall_seconds",
-        "finish_seconds", "_events", "_records", "_columns",
+        "finish_seconds", "_events", "_records",
     )
 
     def __init__(
@@ -197,7 +178,6 @@ class RankTimeline:
         self._records: list[tuple] | None = records
         if self._events is None and self._records is None:
             self._events = []
-        self._columns: TimelineColumns | None = None
 
     @property
     def num_events(self) -> int:
@@ -237,36 +217,6 @@ class RankTimeline:
                 for kind, start, duration, microbatch, chunk, layer in self._records
             ]
         return self._events
-
-    @property
-    def columns(self) -> TimelineColumns:
-        """Numpy structure-of-arrays view (built lazily, memoised)."""
-        if self._columns is None:
-            if self._records is not None:
-                rows = self._records
-                kinds = [r[0] for r in rows]
-                starts = [r[1] for r in rows]
-                durations = [r[2] for r in rows]
-                microbatches = [r[3] for r in rows]
-                chunks = [r[4] for r in rows]
-                layers = [r[5] for r in rows]
-            else:
-                code_of = {name: code for code, name in enumerate(KIND_NAMES)}
-                kinds = [code_of[e.kind] for e in self._events]
-                starts = [e.start for e in self._events]
-                durations = [e.duration for e in self._events]
-                microbatches = [e.microbatch for e in self._events]
-                chunks = [e.chunk for e in self._events]
-                layers = [e.layer for e in self._events]
-            self._columns = TimelineColumns(
-                kind=np.asarray(kinds, dtype=np.int64),
-                start=np.asarray(starts, dtype=np.float64),
-                duration=np.asarray(durations, dtype=np.float64),
-                microbatch=np.asarray(microbatches, dtype=np.int64),
-                chunk=np.asarray(chunks, dtype=np.int64),
-                layer=np.asarray(layers, dtype=np.int64),
-            )
-        return self._columns
 
 
 @dataclass

@@ -34,8 +34,6 @@ returns identical counts.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.workloads.parallelism import balanced_split
 
 
@@ -85,20 +83,6 @@ class ExpertRouter:
         start = self.ep_rank * self.num_local_experts
         return slice(start, start + self.num_local_experts)
 
-    def _execution_rng(self, layer: int, microbatch: int) -> np.random.Generator:
-        """RNG of one layer execution, a pure function of (seed, layer, mb).
-
-        Derived through a :class:`numpy.random.SeedSequence` spawn key, so
-        nearby executions get statistically independent streams while any two
-        routers sharing a seed -- regardless of ``ep_rank`` or of the order
-        their schedules visit executions -- derive the identical stream for
-        the identical execution.
-        """
-        sequence = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(int(layer), int(microbatch))
-        )
-        return np.random.default_rng(sequence)
-
     def route_global(
         self, num_tokens: int, *, layer: int = 0, microbatch: int = 0
     ) -> list[int]:
@@ -128,10 +112,21 @@ class ExpertRouter:
         cached = self._draws.get(key)
         if cached is not None:
             return list(cached)
+        # numpy loads at the first routed draw: dense and balanced runs never
+        # pay for it.
+        import numpy as np
+
+        # The RNG of one layer execution is a pure function of (seed, layer,
+        # microbatch), derived through a SeedSequence spawn key: nearby
+        # executions get statistically independent streams, while any two
+        # routers sharing a seed -- whatever their ep_rank or the order their
+        # schedules visit executions -- derive the identical stream.
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=self.seed, spawn_key=(int(layer), int(microbatch)))
+        )
         # Expected load per expert is uniform; the imbalance factor mixes in a
         # random preference vector (a crude but effective stand-in for a real
         # gating network's skew).
-        rng = self._execution_rng(layer, microbatch)
         base = np.full(self.num_experts, 1.0 / self.num_experts)
         preference = rng.dirichlet(np.full(self.num_experts, 2.0))
         probabilities = (1.0 - self.imbalance) * base + self.imbalance * preference

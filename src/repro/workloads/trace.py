@@ -6,12 +6,13 @@ interpret it.  It is the common currency of the repository: the workload
 generator produces traces, the profiler and plan synthesizer consume them, and
 the replay simulator feeds them to allocators.
 
-Storage is columnar (:class:`repro.core.columns.TraceColumns` -- parallel
-numpy int64 arrays, built once per trace).  The object API is a thin lazy
-view: ``trace.events`` materializes :class:`TraceEvent` objects on first
-access.  Nothing on a run's hot path asks for it: analytics and serialization
-are vectorized over the columns, :func:`repro.simulator.replay.replay_trace`
-walks the columns as plain ints, and the profiler reads the paired requests
+Storage is columnar (:class:`repro.core.columns.TraceColumns` -- nine
+parallel int lists, the ones the generator or :meth:`Trace.load` appended
+to).  The object API is a thin lazy view: ``trace.events`` materializes
+:class:`TraceEvent` objects on first access.  Nothing on a run's hot path
+asks for it: analytics and serialization are single passes over the columns,
+:func:`repro.simulator.replay.replay_trace` walks them as they are, and the
+profiler reads the paired requests
 off the columns' memoised ``Pairing`` as int lists
 (:meth:`TraceColumns.request_columns`; :meth:`Trace.to_requests` is the
 object view of the same pairing).
@@ -139,7 +140,7 @@ class Trace:
         )
 
     # ------------------------------------------------------------------ #
-    # Basic statistics (vectorized over the columns)
+    # Basic statistics (computed over the columns)
     # ------------------------------------------------------------------ #
     @property
     def num_events(self) -> int:
@@ -267,15 +268,15 @@ class Trace:
         kinds = [json.dumps(kind.value) for kind in KINDS]
         categories = [json.dumps(category.value) for category in CATEGORIES]
         for kind, req_id, size, time, phase_index, module_index, dyn, category, tag_index in zip(
-            columns.kind.tolist(),
-            columns.req_id.tolist(),
-            columns.size.tolist(),
-            columns.time.tolist(),
-            columns.phase_index.tolist(),
-            columns.module_index.tolist(),
-            columns.dyn.tolist(),
-            columns.category.tolist(),
-            columns.tag_index.tolist(),
+            columns.kind,
+            columns.req_id,
+            columns.size,
+            columns.time,
+            columns.phase_index,
+            columns.module_index,
+            columns.dyn,
+            columns.category,
+            columns.tag_index,
         ):
             yield (
                 f'{{"category":{categories[category]},"dyn":{"true" if dyn else "false"},'

@@ -6,18 +6,19 @@ views must be indistinguishable from the old list-of-objects implementation
 everywhere it is consumed.  This suite locks that down across ~200 randomly
 drawn configurations in four layers:
 
-* **analytics equivalence** -- every vectorized statistic on
+* **analytics equivalence** -- every statistic on
   :class:`TraceColumns` matches a hand-rolled reference loop over the
   materialized ``TraceEvent`` objects;
 * **view round-trips** -- columns -> events -> columns is lossless, and the
   canonical serialization (and therefore the digest) is identical whichever
   side a trace was constructed from;
-* **replay equivalence** -- the native allocator's vectorized
+* **replay equivalence** -- the native allocator's
   ``batch_replay`` leaves allocator and device in exactly the state of the
   event-by-event loop (results, stats, live allocations, addresses, driver
-  counter), and refuses pathological traces the loop handles differently;
+  counter), and refuses pathological traces the loop handles differently,
+  which profile through :func:`pair_events` instead;
 * **timeline equivalence** -- the record-buffer emission of the timeline
-  simulator agrees with its lazy event/column views, its accounted totals,
+  simulator agrees with its lazy event view, its accounted totals,
   and reruns bit-identically (digest-stable).
 
 Configurations are drawn from fixed-seed RNGs, so failures reproduce.
@@ -28,16 +29,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from repro.allocators.native import NativeAllocator
 from repro.core.columns import ALLOC, FREE, KINDS, TraceColumns
-from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent
+from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent, pair_events
 from repro.gpu.device import GIB, Device
 from repro.simulator.replay import replay_trace
 from repro.timeline.simulator import (
-    KIND_NAMES,
     TimelineSimulator,
     clear_timeline_memo,
     simulate_timeline,
@@ -79,7 +78,7 @@ def _generate(config: TrainingConfig, seed: int, ep_rank: int) -> Trace:
 
 
 # ---------------------------------------------------------------------- #
-# Analytics: vectorized columns vs a reference loop over the objects
+# Analytics: columns vs a reference loop over the objects
 # ---------------------------------------------------------------------- #
 def _reference_analytics(events: list[TraceEvent]) -> dict:
     """The old object-walking implementations, kept as the oracle."""
@@ -144,7 +143,7 @@ def test_columnar_analytics_match_reference_loop(draw):
     assert trace.distinct_sizes() == reference["distinct_gt_512"]
     assert trace.end_time() == reference["end_time"]
     # The live-bytes curve itself matches the running sum.
-    running, curve = 0, trace.columns.live_bytes().tolist()
+    running, curve = 0, trace.columns.live_bytes()
     for event, value in zip(trace.events, curve):
         running += event.size if event.kind is EventKind.ALLOC else -event.size
         assert running == value
@@ -159,13 +158,13 @@ def test_view_round_trips_and_digest_stability(draw):
     events = trace.events
     rebuilt = TraceColumns.from_events(events)
     for name in ("kind", "req_id", "size", "time", "phase_index", "dyn", "category"):
-        assert np.array_equal(getattr(rebuilt, name), getattr(trace.columns, name)), name
+        assert getattr(rebuilt, name) == getattr(trace.columns, name), name
     # Interned tables may permute; the decoded strings must not.
-    assert [rebuilt.modules[i] for i in rebuilt.module_index.tolist()] == [
-        trace.columns.modules[i] for i in trace.columns.module_index.tolist()
+    assert [rebuilt.modules[i] for i in rebuilt.module_index] == [
+        trace.columns.modules[i] for i in trace.columns.module_index
     ]
-    assert [rebuilt.tags[i] for i in rebuilt.tag_index.tolist()] == [
-        trace.columns.tags[i] for i in trace.columns.tag_index.tolist()
+    assert [rebuilt.tags[i] for i in rebuilt.tag_index] == [
+        trace.columns.tags[i] for i in trace.columns.tag_index
     ]
 
     # An events-constructed twin serializes byte-identically.
@@ -186,7 +185,7 @@ def test_view_round_trips_and_digest_stability(draw):
 
 
 # ---------------------------------------------------------------------- #
-# Replay: vectorized batch replay vs the event-by-event loop
+# Replay: batch replay vs the event-by-event loop
 # ---------------------------------------------------------------------- #
 def _force_slow(allocator: NativeAllocator) -> NativeAllocator:
     """Disable the fast path so ``replay_trace`` walks every event."""
@@ -295,19 +294,54 @@ def test_batch_replay_declines_non_positive_sizes():
     assert allocator.batch_replay(trace) is None
 
 
+#: One trace per way a pairing stops being simple.
+NOT_SIMPLE_TRACES = {
+    "allocated-twice": [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.ALLOC, 1, 256, 1)],
+    "freed-twice": [
+        _event(EventKind.ALLOC, 1, 256, 0),
+        _event(EventKind.FREE, 1, 256, 1),
+        _event(EventKind.FREE, 1, 256, 2),
+    ],
+    "free-without-alloc": [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.FREE, 2, 256, 1)],
+    "free-before-alloc": [_event(EventKind.FREE, 1, 256, 0), _event(EventKind.ALLOC, 1, 256, 1)],
+    "size-mismatch": [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.FREE, 1, 128, 1)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SIMPLE_TRACES))
+def test_pairing_that_is_not_simple_profiles_through_pair_events(case):
+    events = NOT_SIMPLE_TRACES[case]
+    trace = Trace(events=events, phases=[_phase()])
+    assert not trace.columns.pairing().ok
+    with pytest.raises(ValueError, match="does not pair simply"):
+        trace.columns.request_columns(end_of_trace=trace.end_time())
+    try:
+        expected = pair_events(events, end_of_trace=trace.end_time())
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            trace.to_requests()
+        assert str(raised.value) == str(error)
+    else:
+        assert trace.to_requests() == expected
+
+
 def test_pairing_accepts_generator_traces():
     config, seed, ep_rank = _draw_config(random.Random(4242))
     trace = _generate(config, seed, ep_rank)
     pairing = trace.columns.pairing()
     assert pairing.ok
-    num_allocs = pairing.alloc_pos.shape[0]
-    num_frees = pairing.free_pos.shape[0]
-    assert num_allocs == trace.num_requests
-    assert num_frees + pairing.survivor_ordinals.shape[0] == num_allocs
+    num_allocs = len(pairing.alloc_pos)
+    assert num_allocs == trace.num_requests == len(pairing.free_pos)
+    assert pairing.num_frees + len(pairing.survivors) == num_allocs
+    assert pairing.allocated_bytes == trace.total_allocated_bytes()
+    assert pairing.min_alloc_size == min(trace.allocation_sizes())
+    assert [ordinal for ordinal, _, _ in pairing.survivors] == [
+        ordinal for ordinal, pos in enumerate(pairing.free_pos) if pos < 0
+    ]
 
 
 # ---------------------------------------------------------------------- #
-# Timeline: record buffers vs lazy object/column views
+# Timeline: record buffers vs the lazy object view
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("draw", range(50))
 def test_timeline_records_match_views_and_totals(draw):
@@ -324,11 +358,6 @@ def test_timeline_records_match_views_and_totals(draw):
                 event.microbatch, event.chunk, event.layer,
             )
             assert event.rank == rank.rank
-        columns = rank.columns
-        assert columns.num_events == rank.num_events
-        assert [KIND_NAMES[k] for k in columns.kind.tolist()] == [r[0] for r in records]
-        assert columns.start.tolist() == [r[1] for r in records]
-        assert columns.duration.tolist() == [r[2] for r in records]
         # Accounted totals equal the per-kind sums over the emitted records.
         compute = sum(
             r[2] for r in records

@@ -2,9 +2,11 @@
 
 ``repro`` is split into a *definition layer* (configs, tables, versions,
 cache keys, spec expansion, bounds, rows, compare, obs) whose modules import
-only the stdlib and each other, and an *execution layer* (numpy, the trace
+only the stdlib and each other, and an *execution layer* (the trace
 generator, the planner, the allocators, replay, the timeline simulator, the
 experiments, the process pool) imported at the first cache miss or fan-out.
+numpy is imported by the MoE router's first random draw alone, so a dense
+run never loads it, cold or warm.
 Every case here runs in a fresh interpreter and inspects ``sys.modules``, so
 the checks are structural and machine-independent: no timing is asserted.
 """
@@ -204,12 +206,42 @@ def test_definition_layer_modules_import_no_execution_layer():
 def test_cold_sweep_loads_the_execution_layer_and_reproduces_the_golden_rows(filled):
     cold = filled["cold"]
     assert cold["code"] == 0
-    expected = {"numpy", "repro.simulator.runner", "repro.workloads.tracegen", "repro.core.stalloc"}
+    expected = {"repro.simulator.runner", "repro.workloads.tracegen", "repro.core.stalloc"}
     assert expected <= set(cold["modules"])
+    assert "numpy" not in cold["modules"]  # a dense run draws no routing
     assert "concurrent.futures.process" not in cold["modules"]  # serial: no pool
     rows = json.loads((filled["work"] / "a.json").read_text(encoding="utf-8"))["rows"]
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))["rows"]
     assert simulated(rows) == golden
+
+
+MOE_TINY = {"pipeline_parallel": 2, "data_parallel": 2, "expert_parallel": 2}
+
+
+@pytest.mark.parametrize(
+    "model, parallelism, base, numpy_loaded",
+    [
+        ("moe-tiny", MOE_TINY, {"moe_imbalance": 0.6}, True),
+        ("moe-tiny", MOE_TINY, {"moe_imbalance": 0.0}, False),
+        ("gpt-tiny", {"pipeline_parallel": 2}, {"workload_kind": "generation", "decode_steps": 4}, False),
+    ],
+    ids=["moe-routed", "moe-balanced", "generation"],
+)
+def test_cold_sweep_loads_numpy_only_for_a_routed_draw(
+    tmp_path, model, parallelism, base, numpy_loaded
+):
+    spec = {
+        "name": "numpy-probe",
+        "model": model,
+        "parallelism": parallelism,
+        "base": {"num_microbatches": 2, "micro_batch_size": 1, **base},
+        "allocators": ["torch2.3", "stalloc"],
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    report = cli(["sweep", "spec.json", "--cache-dir", "cache", "--no-progress"], tmp_path)
+    assert report["code"] == 0
+    assert "repro.core.stalloc" in report["modules"]
+    assert ("numpy" in report["modules"]) is numpy_loaded
 
 
 @pytest.mark.parametrize("command", ["sweep", "search"])

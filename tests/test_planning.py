@@ -26,6 +26,7 @@ from repro.core.homophase import (
     weighted_average_tmp,
 )
 from repro.core.homosize import MemoryLayer, construct_memory_layers, group_by_size
+from repro.core.intervals import IntervalSet
 from repro.core.plan import StaticAllocationPlan
 from repro.core.planner import GlobalPlannerConfig, build_global_plan, plan_summary
 from repro.core.profiler import AllocationProfiler
@@ -652,6 +653,45 @@ class TestDynamicSpace:
 
     def test_empty_dynamic_set(self):
         assert locate_dynamic_reusable_spaces([], self._static_plan(), {}) == {}
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_gap_walk_equals_complement_of_the_interval_union(self, seed):
+        """Each group's space is ``[0, pool)`` minus the union of its live decisions.
+
+        The reference is the construction the gap walk replaced: one
+        ``IntervalSet.add`` per live decision, then ``complement``.  The
+        plans are random, so decisions overlap, touch, repeat and run to the
+        end of the pool.
+        """
+        rng = random.Random(seed)
+        count = rng.randrange(1, 80)
+        size = [rng.choice([64, 128, 256, 256, 512]) for _ in range(count)]
+        address = [64 * rng.randrange(40) for _ in range(count)]
+        alloc_time = [rng.randrange(100) for _ in range(count)]
+        free_time = [t + rng.randrange(1, 40) for t in alloc_time]
+        pool_size = max(a + s for a, s in zip(address, size)) + rng.choice([0, 64])
+        plan = StaticAllocationPlan(
+            list(range(count)), size, alloc_time, free_time, address, pool_size
+        )
+        spans = {f"m{i}": (10 * i, 10 * i + rng.randrange(1, 30)) for i in range(12)}
+        dynamic = []
+        for req_id in range(1000, 1000 + rng.randrange(1, 20)):
+            start, end = rng.choice([(0, 1), (40, 45), (0, 150), (99, 140), (200, 210)])
+            dynamic.append(
+                make_request(
+                    req_id, 64, start, end, dyn=True,
+                    alloc_module=rng.choice([*spans, "unseen"]),
+                    free_module=rng.choice([*spans, "unseen"]),
+                )
+            )
+        spaces = locate_dynamic_reusable_spaces(dynamic, plan, spans)
+        for key, members in homolayer_groups(dynamic).items():
+            start, end = group_temporal_range(key, members, spans)
+            occupied = IntervalSet()
+            for a, s, t0, t1 in zip(address, size, alloc_time, free_time):
+                if t0 <= end and t1 > start:
+                    occupied.add(a, a + s)
+            assert spaces[key] == occupied.complement(0, pool_size), key
 
 
 class TestPlanSynthesizer:

@@ -128,28 +128,23 @@ class TestRuntimeAllocator:
 
     def test_planning_report_is_derived_once_per_instance(self, dense_trace, monkeypatch):
         """The cache write and the result row share one derivation and one sweep."""
-        import numpy as np
-
-        from repro.core import profiler
         from repro.core.profiler import ProfileResult
 
         calls = {"summary": 0, "sweeps": 0}
         summary = ProfileResult.summary
+        sweep = ProfileResult._sweep
 
         def counted_summary(self):
             calls["summary"] += 1
             return summary(self)
 
-        class CountingNumpy:
-            """``np`` as the profiler sees it: one ``lexsort`` per demand sweep."""
-
-            def __getattr__(self, name):
-                if name == "lexsort":
-                    calls["sweeps"] += 1
-                return getattr(np, name)
+        def counted_sweep(self):
+            """A call that finds no memo sorts and sweeps the ticks."""
+            calls["sweeps"] += self._swept is None
+            return sweep(self)
 
         monkeypatch.setattr(ProfileResult, "summary", counted_summary)
-        monkeypatch.setattr(profiler, "np", CountingNumpy())
+        monkeypatch.setattr(ProfileResult, "_sweep", counted_sweep)
         stalloc = STAlloc.from_trace(dense_trace)
         document = stalloc.to_json_dict()
         report = stalloc.planning_report()
