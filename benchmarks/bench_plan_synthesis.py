@@ -15,6 +15,10 @@ Run as a script it measures what a *cold plan* costs layer by layer -- the
     PYTHONPATH=src python benchmarks/bench_plan_synthesis.py \
         --check benchmarks/BENCH_plan_synthesis.json                    # CI
 
+It plans three shapes: the paper's dense testbed, a generation shape and an
+MoE shape, whose dynamic half (HomoLayer groups, reusable spaces, the grouped
+request routing) lands in ``synthesize_s`` and ``plan_bytes``.
+
 Inside ``synthesize_s`` it times the three planning stages on their own --
 ``pack_s`` (HomoPhase grouping + one sweep per group), ``fuse_s`` (TMP-guided
 fusion) and ``global_plan_s`` (HomoSize layering + address assignment) -- and
@@ -92,7 +96,7 @@ def test_dynamic_space_location(benchmark, moe_trace):
     static_plan = PlanSynthesizer().synthesize(profile).static_plan
     spaces = benchmark(
         lambda: locate_dynamic_reusable_spaces(
-            profile.dynamic_requests, static_plan, profile.module_spans
+            profile.dynamic_groups, static_plan, profile.module_spans
         )
     )
     assert spaces
@@ -146,6 +150,9 @@ def _generation_config() -> TrainingConfig:
 PRESETS = {
     "llama2-7b-R": lambda: A800_WORKLOADS["llama2-7b"].preset("R"),
     "gpt2-345m-gen16": _generation_config,
+    # The dynamic half: HomoLayer grouping, the §5.2 reusable spaces and the
+    # grouped request routing in the stored entry.
+    "qwen1.5-moe-R": lambda: A800_WORKLOADS["qwen1.5-moe-a2.7b"].preset("R"),
 }
 
 

@@ -20,19 +20,24 @@ The simulation models each pool as a single expandable arena:
 What a replayed event costs here.  Up to 1.9.0 this allocator replayed at
 2.4x the caching allocator's cost per event, none of it policy: best-fit
 built a frozen ``Interval`` per free interval per request, growth spliced
-both interval sets once per 2 MiB granule (two list inserts for what is one
-contiguous run), and every growth walked all of ``arena.free`` to find the
-interval touching the tail.  Now best-fit compares ints, the tail interval is
-one bisect (:meth:`IntervalSet.length_ending_at`), and a growth run is
-committed with one splice per set after
-:meth:`VirtualMemoryManager.map_new_granules` has validated the target range
-once.  What remains per granule is what the model is about: one device
-allocation (capacity check, ``malloc_calls``), one physical handle and one
-mapping entry, so that ``vmm_ops``, ``VmmStats``, ``Device.stats`` and the
-reclaim path see every granule individually -- those counters feed
-:meth:`overhead_seconds` and the paper's throughput comparison.  The free
-search is still linear in the number of free intervals (a handful per arena
-on the paper's workloads).
+both interval sets once per 2 MiB granule, and every growth walked all of
+``arena.free`` to find the interval touching the tail.  Best-fit now compares
+ints and the tail interval is one bisect (:meth:`IntervalSet.length_ending_at`).
+No object is kept per granule: the arena's ``mapped`` and ``free`` interval
+sets are the only record of which granules exist.  A growth
+run is one :meth:`VirtualMemoryManager.map_run` (one range check, one
+:meth:`Device.malloc_run`) and one splice per set; a reclaim unmaps each free
+interval's granule-aligned core as one :meth:`~VirtualMemoryManager.unmap_run`.
+The counters still see every granule individually -- ``vmm_ops``,
+``VmmStats`` and ``Device.stats`` advance per granule, exactly as one driver
+call per granule would -- because they feed :meth:`overhead_seconds` and the
+paper's throughput comparison.  The free search is still linear in the number
+of free intervals (a handful per arena on the paper's workloads).
+
+Each arena reserves ``4 x`` the device capacity of virtual space once, and
+reclaimed virtual space is never mapped again: the tail only moves up.  A
+growth that would run past the end of the range is an
+:class:`OutOfMemoryError`, like any other growth the device cannot back.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from repro.allocators.base import AllocationHints, Allocator, Placement
 from repro.core.intervals import IntervalSet
 from repro.gpu.device import Device, MIB, align_up
 from repro.gpu.errors import OutOfMemoryError
-from repro.gpu.virtual_memory import DEFAULT_GRANULE, PhysicalHandle, VirtualMemoryManager
+from repro.gpu.virtual_memory import DEFAULT_GRANULE, VirtualMemoryManager
 
 #: Requests at or below this size go to the small arena (matches the caching
 #: allocator's small/large split so comparisons are apples-to-apples).
@@ -77,9 +82,9 @@ class _Arena:
 
     pool: str
     virtual_start: int
-    mapped: IntervalSet = field(default_factory=IntervalSet)       # mapped virtual space
-    free: IntervalSet = field(default_factory=IntervalSet)         # mapped and unallocated
-    handles: dict[int, PhysicalHandle] = field(default_factory=dict)  # keyed by virtual offset
+    virtual_size: int  # bytes of reserved virtual range
+    mapped: IntervalSet = field(default_factory=IntervalSet)  # mapped virtual space
+    free: IntervalSet = field(default_factory=IntervalSet)    # mapped and unallocated
     tail: int = 0  # first never-mapped offset (the growth point)
 
     @property
@@ -115,7 +120,7 @@ class ExpandableSegmentsAllocator(Allocator):
         if pool not in self._arenas:
             # Reserve an effectively unbounded virtual range for the arena.
             vrange = self.vmm.reserve_range(4 * self.device.capacity)
-            self._arenas[pool] = _Arena(pool=pool, virtual_start=vrange.start)
+            self._arenas[pool] = _Arena(pool, vrange.start, vrange.size)
         return self._arenas[pool]
 
     # ------------------------------------------------------------------ #
@@ -154,50 +159,55 @@ class ExpandableSegmentsAllocator(Allocator):
         # Free space already touching the tail still counts toward the request.
         tail_free = arena.free.length_ending_at(arena.tail) if count_tail_free else 0
         remaining = align_up(max(rounded - tail_free, 0), granule) // granule
-        while remaining:
-            handles, oom = self.vmm.map_new_granules(
-                arena.virtual_start + arena.tail, remaining
+        if arena.tail + remaining * granule > arena.virtual_size:
+            raise OutOfMemoryError(
+                rounded,
+                self.device.usable_capacity,
+                self.device.in_use,
+                f"out of memory: tried to allocate {rounded} bytes, but the {arena.pool} "
+                f"arena has grown through its {arena.virtual_size}-byte virtual range",
             )
-            self._commit_run(arena, handles)
-            remaining -= len(handles)
+        while remaining:
+            granted, oom = self.vmm.map_run(arena.virtual_start + arena.tail, remaining)
+            self._commit_run(arena, granted)
+            remaining -= granted
             if oom is not None and self._reclaim_free_granules() == 0:
                 raise oom
 
-    def _commit_run(self, arena: _Arena, handles: list[PhysicalHandle]) -> None:
-        """Account a run of granules just mapped at the arena tail: one splice per set."""
-        if not handles:
+    def _commit_run(self, arena: _Arena, count: int) -> None:
+        """Account ``count`` granules just mapped at the arena tail: one splice per set."""
+        if not count:
             return
-        granule = self.config.granule
         start = arena.tail
-        end = start + granule * len(handles)
-        arena.handles.update(zip(range(start, end, granule), handles))
+        end = start + self.config.granule * count
         arena.mapped.add(start, end)
         arena.free.add(start, end)
         arena.tail = end
         self._reserved_bytes += end - start
-        self.stats.vmm_ops += 2 * len(handles)  # one create + one map per granule
+        self.stats.vmm_ops += 2 * count  # one create + one map per granule
 
     def _reclaim_free_granules(self) -> int:
         """Unmap granules that are entirely free and return them to the device.
 
-        Returns the number of granules reclaimed.  Mirrors expandable
-        segments' behaviour of releasing physical memory only under pressure.
+        Each free interval's granule-aligned core is one run.  Returns the
+        number of granules reclaimed.  Mirrors expandable segments' behaviour
+        of releasing physical memory only under pressure.
         """
+        granule = self.config.granule
         reclaimed = 0
         for arena in self._arenas.values():
             for interval in list(arena.free):
-                start = align_up(interval.start, self.config.granule)
-                while start + self.config.granule <= interval.end:
-                    handle = arena.handles.pop(start, None)
-                    if handle is not None:
-                        self.vmm.unmap(arena.virtual_start + start)
-                        self.vmm.release_handle(handle)
-                        self.stats.vmm_ops += 2
-                        arena.mapped.remove(start, start + self.config.granule)
-                        self._reserved_bytes -= self.config.granule
-                        arena.free.remove(start, start + self.config.granule)
-                        reclaimed += 1
-                    start += self.config.granule
+                start = align_up(interval.start, granule)
+                end = interval.end - interval.end % granule
+                if end <= start:
+                    continue
+                count = (end - start) // granule
+                self.vmm.unmap_run(arena.virtual_start + start, count)
+                arena.mapped.remove(start, end)
+                arena.free.remove(start, end)
+                self._reserved_bytes -= end - start
+                self.stats.vmm_ops += 2 * count  # one unmap + one release per granule
+                reclaimed += count
         return reclaimed
 
     # ------------------------------------------------------------------ #

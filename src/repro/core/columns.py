@@ -158,6 +158,37 @@ class RequestColumns(NamedTuple):
         return cls(*map(list, zip(*rows))) if rows else cls([], [], [], [], [], [], [])
 
 
+class HomoLayerGroup(NamedTuple):
+    """One §5.2 HomoLayer group: the dynamic requests sharing ``(l_s, l_e)``."""
+
+    #: ``(alloc module, free module)``; every member's key is this one tuple.
+    key: tuple[str, str]
+    #: Member request ids, in request order.
+    req_ids: list[int]
+    #: Earliest alloc time and latest free time of the members.
+    first_alloc: int
+    last_free: int
+
+
+def group_homolayers(rows: Iterable[tuple[int, int, tuple[str, str], int]]) -> list[HomoLayerGroup]:
+    """Group ``(alloc_time, req_id, key, free_time)`` rows of dynamic requests by key.
+
+    Groups come out in the order their first member appears in ``rows``.
+    """
+    groups: dict[tuple[str, str], list] = {}
+    for alloc_time, req_id, key, free_time in rows:
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [key, [req_id], alloc_time, free_time]
+            continue
+        group[1].append(req_id)
+        if alloc_time < group[2]:
+            group[2] = alloc_time
+        if free_time > group[3]:
+            group[3] = free_time
+    return [HomoLayerGroup(*group) for group in groups.values()]
+
+
 @dataclass(frozen=True)
 class Pairing:
     """Alloc/free pairing of a trace, when it is *simple*.
@@ -283,25 +314,20 @@ class TraceColumns:
         ]
 
     def _paired(
-        self, end_of_trace: int, *, dynamic_only: bool = False
+        self, end_of_trace: int
     ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
         """``(alloc_pos, free_pos, alloc_time, free_time, free_phase)`` per request.
 
-        One entry per request of a trace whose :meth:`pairing` is ``ok`` (per
-        ``dyn`` request with ``dynamic_only``), in ``(alloc_time, req_id)``
-        order: alloc-ordinal order unless the alloc times are not strictly
-        ascending.  Never-freed requests (weights, optimizer state) have
-        ``free_pos`` -1 and close at the end of the trace, in the phase of its
-        last event.
+        One entry per request of a trace whose :meth:`pairing` is ``ok``, in
+        ``(alloc_time, req_id)`` order: alloc-ordinal order unless the alloc
+        times are not strictly ascending.  Never-freed requests (weights,
+        optimizer state) have ``free_pos`` -1 and close at the end of the
+        trace, in the phase of its last event.
         """
         pairing = self.pairing()
         if not pairing.ok:
             raise ValueError("trace does not pair simply; use pair_events")
         alloc_pos, free_pos = pairing.alloc_pos, pairing.free_pos
-        if dynamic_only:
-            dyn = self.dyn
-            kept = [ordinal for ordinal, pos in enumerate(alloc_pos) if dyn[pos]]
-            alloc_pos, free_pos = _take(alloc_pos, kept), _take(free_pos, kept)
         time, phase = self.time, self.phase_index
         alloc_time = _take(time, alloc_pos)
         if not all(map(lt, alloc_time, alloc_time[1:])):
@@ -339,20 +365,47 @@ class TraceColumns:
             dyn=_take(self.dyn, alloc_pos),
         )
 
-    def to_requests(
-        self, phases: Mapping[int, Phase], *, end_of_trace: int, dynamic_only: bool = False
-    ) -> list[MemoryRequest]:
+    def homolayer_groups(self, *, end_of_trace: int) -> list[HomoLayerGroup]:
+        """The HomoLayer groups of the ``dyn`` requests, from one pass over the pairing.
+
+        Equal to :func:`group_homolayers` over the ``dyn`` requests of
+        :meth:`to_requests` -- same keys, members and order, the same
+        never-freed rule (closes at the end of the trace, in its own module)
+        and the same empty-free-module rule (the alloc module) -- without
+        building a request object.
+        """
+        pairing = self.pairing()
+        if not pairing.ok:
+            raise ValueError("trace does not pair simply; use pair_events")
+        time, req_id, dyn = self.time, self.req_id, self.dyn
+        module_index, modules = self.module_index, self.modules
+        keys: dict[tuple[int, int], tuple[str, str]] = {}
+        rows = []
+        for alloc, free in zip(pairing.alloc_pos, pairing.free_pos):
+            if not dyn[alloc]:
+                continue
+            opened, module = time[alloc], module_index[alloc]
+            if free < 0:
+                closes, closing = max(end_of_trace, opened + 1), module
+            else:
+                closes, closing = time[free], module_index[free]
+            key = keys.get((module, closing))
+            if key is None:
+                key = keys[module, closing] = (
+                    modules[module], modules[closing] or modules[module]
+                )
+            rows.append((opened, req_id[alloc], key, closes))
+        rows.sort()  # request order; (alloc_time, req_id) is unique
+        return group_homolayers(rows)
+
+    def to_requests(self, phases: Mapping[int, Phase], *, end_of_trace: int) -> list[MemoryRequest]:
         """Paired memory requests of a trace whose :meth:`pairing` is ``ok``.
 
         Equal to :func:`repro.core.events.pair_events` over the object view
         (same field for field, same order, same never-freed closing rule),
         built from the pairing's positions without one event object.
-        ``dynamic_only`` keeps the ``dyn`` requests (the only ones the plan
-        synthesizer needs as objects, for HomoLayer grouping).
         """
-        alloc_pos, free_pos, alloc_time, free_time, free_phase = self._paired(
-            end_of_trace, dynamic_only=dynamic_only
-        )
+        alloc_pos, free_pos, alloc_time, free_time, free_phase = self._paired(end_of_trace)
         modules = self.modules
         tags = self.tags
         module_index = self.module_index

@@ -199,7 +199,14 @@ class SynthesizedPlan:
     # Serialization (used by the sweep engine's persistent plan cache)
     # ------------------------------------------------------------------ #
     def to_json_dict(self) -> dict:
-        """JSON-safe representation of the full plan (static + dynamic parts)."""
+        """JSON-safe representation of the full plan (static + dynamic parts).
+
+        The request routing is stored grouped, one ``[alloc_module,
+        free_module, [req_id, ...]]`` entry per HomoLayer group.
+        """
+        grouped: dict[tuple[str, str], list[int]] = {}
+        for req_id, group in self.dynamic_request_groups.items():
+            grouped.setdefault(group, []).append(req_id)
         return {
             "static_plan": self.static_plan.to_json_dict(),
             "dynamic_reusable_spaces": [
@@ -211,8 +218,8 @@ class SynthesizedPlan:
                 for (alloc_module, free_module), spaces in self.dynamic_reusable_spaces.items()
             ],
             "dynamic_request_groups": [
-                [req_id, group[0], group[1]]
-                for req_id, group in self.dynamic_request_groups.items()
+                [alloc_module, free_module, req_ids]
+                for (alloc_module, free_module), req_ids in grouped.items()
             ],
             "synthesis_info": self.synthesis_info,
         }
@@ -226,8 +233,10 @@ class SynthesizedPlan:
             for entry in data["dynamic_reusable_spaces"]
         }
         groups = {
-            req_id: (alloc_module, free_module)
-            for req_id, alloc_module, free_module in data["dynamic_request_groups"]
+            req_id: group
+            for alloc_module, free_module, req_ids in data["dynamic_request_groups"]
+            for group in [(alloc_module, free_module)]
+            for req_id in req_ids
         }
         return cls(
             static_plan=StaticAllocationPlan.from_json_dict(data["static_plan"]),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import itemgetter
 
-from repro.core.columns import RequestColumns
+from repro.core.columns import HomoLayerGroup, RequestColumns, group_homolayers
 from repro.core.events import MemoryRequest, Phase
 from repro.workloads.trace import Trace
 
@@ -21,11 +21,12 @@ from repro.workloads.trace import Trace
 class ProfileResult:
     """Everything the Plan Synthesizer needs from a profiling run.
 
-    The requests are held as int-list :attr:`columns` -- read off the trace's
-    alloc/free pairing, or off the request objects a caller passes -- and that
-    is all planning touches.  ``MemoryRequest`` objects are a view: a profile
-    of a trace builds them when asked (:attr:`requests` for tests and
-    examples, :attr:`dynamic_requests` for HomoLayer grouping).
+    The requests are held as int-list :attr:`columns` and the dynamic ones'
+    HomoLayer groups as :attr:`dynamic_groups` -- read off the trace's
+    alloc/free pairing, or off the request objects a caller passes -- and
+    that is all planning touches.  ``MemoryRequest`` objects are a view: a
+    profile of a trace builds them only when asked (:attr:`requests`, for
+    tests and examples).
     """
 
     def __init__(
@@ -54,6 +55,7 @@ class ProfileResult:
         self.end_time = end_time
         self.metadata = metadata if metadata is not None else {}
         self._swept: dict | None = None
+        self._dynamic_groups: list[HomoLayerGroup] | None = None
 
     # ------------------------------------------------------------------ #
     # Views
@@ -71,14 +73,20 @@ class ProfileResult:
         return [request for request in self.requests if not request.dyn]
 
     @property
-    def dynamic_requests(self) -> list[MemoryRequest]:
-        """Requests originating from dynamic (MoE expert) layers (``M_d``)."""
-        if self._requests is not None:
-            return [request for request in self._requests if request.dyn]
-        trace = self._trace
-        return trace.columns.to_requests(
-            trace.phase_table(), end_of_trace=trace.end_time(), dynamic_only=True
-        )
+    def dynamic_groups(self) -> list[HomoLayerGroup]:
+        """HomoLayer groups of the dynamic (MoE expert) requests ``M_d`` (built once)."""
+        if self._dynamic_groups is None:
+            trace = self._trace
+            self._dynamic_groups = (
+                trace.columns.homolayer_groups(end_of_trace=trace.end_time())
+                if trace is not None
+                else group_homolayers(
+                    (m.alloc_time, m.req_id, m.layer_pair, m.free_time)
+                    for m in self._requests
+                    if m.dyn
+                )
+            )
+        return self._dynamic_groups
 
     @property
     def num_requests(self) -> int:

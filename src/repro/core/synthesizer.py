@@ -18,11 +18,7 @@ from __future__ import annotations
 import time
 
 from repro.core.config import SynthesizerConfig
-from repro.core.dynamic_space import (
-    dynamic_request_group_index,
-    homolayer_groups,
-    locate_dynamic_reusable_spaces,
-)
+from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.core.homophase import build_homophase_groups, fuse_adjacent_groups
 from repro.core.plan import StaticAllocationPlan, SynthesizedPlan
 from repro.core.planner import build_global_plan, plan_summary
@@ -47,8 +43,8 @@ class PlanSynthesizer:
             strategy=self.config.fusion_strategy,
             enable_fusion=self.config.enable_fusion,
         )
-        dynamic_requests = profile.dynamic_requests
-        reuse_idle_space = bool(self.config.enable_dynamic_reuse and dynamic_requests)
+        dynamic_groups = profile.dynamic_groups
+        reuse_idle_space = bool(self.config.enable_dynamic_reuse and dynamic_groups)
         static_plan, layers, layered_pool = build_global_plan(
             fused_groups, self.config.planner, idle_space_reused=reuse_idle_space
         )
@@ -59,18 +55,18 @@ class PlanSynthesizer:
         # --- Dynamic reusable space (§5.2) ------------------------------ #
         if reuse_idle_space:
             reusable = locate_dynamic_reusable_spaces(
-                dynamic_requests, static_plan, profile.module_spans
+                dynamic_groups, static_plan, profile.module_spans
             )
         else:
             reusable = {}
 
         info = {
             "num_static_requests": len(static_plan),
-            "num_dynamic_requests": len(dynamic_requests),
+            "num_dynamic_requests": sum(len(group.req_ids) for group in dynamic_groups),
             "num_homophase_groups": len(phase_groups),
             "num_groups_after_fusion": len(fused_groups),
             "num_fusions": fusion_count,
-            "num_homolayer_groups": len(homolayer_groups(dynamic_requests)),
+            "num_homolayer_groups": len(dynamic_groups),
             "static_pool_bytes": static_plan.pool_size,
             "peak_static_demand_bytes": profile.peak_static_bytes(),
             "layers": plan_summary(layers),
@@ -81,7 +77,9 @@ class PlanSynthesizer:
         return SynthesizedPlan(
             static_plan=static_plan,
             dynamic_reusable_spaces=reusable,
-            dynamic_request_groups=dynamic_request_group_index(dynamic_requests),
+            dynamic_request_groups={
+                req_id: group.key for group in dynamic_groups for req_id in group.req_ids
+            },
             synthesis_info=info,
             synthesis_seconds=time.perf_counter() - started,
         )

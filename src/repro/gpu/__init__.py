@@ -29,11 +29,6 @@ __getattr__, __dir__, __all__ = attach(
         ],
         "specs": ["GPU_SPECS", "GPUSpec", "get_gpu"],
         "errors": ["DeviceError", "DoubleFreeError", "InvalidAddressError", "OutOfMemoryError"],
-        "virtual_memory": [
-            "PhysicalHandle",
-            "VirtualMapping",
-            "VirtualMemoryManager",
-            "VirtualRange",
-        ],
+        "virtual_memory": ["VirtualMemoryManager", "VirtualRange"],
     },
 )

@@ -100,6 +100,8 @@ class Device:
                 f"{self.reserved_overhead} vs {self.capacity}"
             )
         self._allocations: dict[int, PhysicalAllocation] = {}
+        #: Live allocations made by :meth:`malloc_run`, which are only counted.
+        self._run_allocations = 0
         self._in_use = 0
         # Physical addresses are handed out monotonically.  Real devices reuse
         # addresses, but the simulation never compares physical addresses
@@ -128,7 +130,7 @@ class Device:
     @property
     def live_allocations(self) -> int:
         """Number of outstanding driver allocations."""
-        return len(self._allocations)
+        return len(self._allocations) + self._run_allocations
 
     def can_allocate(self, size: int) -> bool:
         """Return True when a ``malloc(size)`` would succeed right now."""
@@ -173,15 +175,57 @@ class Device:
             raise DoubleFreeError(f"address {address:#x} is not a live allocation")
         self._in_use -= live.size
 
+    def malloc_run(self, size: int, count: int) -> tuple[int, OutOfMemoryError | None]:
+        """``count`` back-to-back ``malloc(size)`` calls, as one call.
+
+        Every counter, ``in_use``, ``live_allocations`` and the address
+        counter advance exactly as under ``count`` calls to :meth:`malloc`,
+        but no allocation object is kept: the caller (a VMM granule run)
+        knows where its granules are and returns them with :meth:`free_run`.
+        The run stops at the first allocation that does not fit; it returns
+        how many were granted and the error that call raised (``None`` when
+        the run completed).
+        """
+        if size <= 0 or count < 0:
+            raise ValueError(f"a run needs a positive size and a count >= 0, got {size} x {count}")
+        stats = self.stats
+        usable = self.usable_capacity
+        granted = min(count, (usable - self._in_use) // size)
+        if granted:
+            first = next(self._next_address)
+            self._next_address = itertools.count(first + granted)
+            self._run_allocations += granted
+            self._in_use = in_use = self._in_use + granted * size
+            stats.malloc_calls += granted
+            stats.bytes_allocated_total += granted * size
+            if in_use > stats.peak_in_use:
+                stats.peak_in_use = in_use
+        if granted == count:
+            return granted, None
+        stats.malloc_calls += 1
+        stats.failed_mallocs += 1
+        return granted, OutOfMemoryError(size, usable, self._in_use)
+
+    def free_run(self, size: int, count: int) -> None:
+        """Free ``count`` allocations of ``size`` bytes made by :meth:`malloc_run`."""
+        if count > self._run_allocations:
+            raise DoubleFreeError(
+                f"freeing {count} run allocations, {self._run_allocations} are live"
+            )
+        self.stats.free_calls += count
+        self._run_allocations -= count
+        self._in_use -= count * size
+
     def free_all(self) -> None:
         """Release every outstanding allocation (used when tearing down runs)."""
         self._allocations.clear()
+        self._run_allocations = 0
         self._in_use = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Device(name={self.name!r}, capacity={self.capacity}, "
-            f"in_use={self._in_use}, live={len(self._allocations)})"
+            f"in_use={self._in_use}, live={self.live_allocations})"
         )
 
 

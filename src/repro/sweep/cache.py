@@ -10,8 +10,8 @@ A plan entry is one compact JSON document that opens with its
 ``format_version`` (so staleness is read off the head of the file) and holds
 the static plan as five parallel int columns -- ``req_id``, ``size``,
 ``alloc_time``, ``free_time``, ``address`` -- plus the pool size, the dynamic
-reusable spaces, the synthesis statistics and the planning report; no
-wall-clock is stored.
+reusable spaces, the dynamic request ids grouped by HomoLayer group, the
+synthesis statistics and the planning report; no wall-clock is stored.
 
 Traces are keyed by :func:`repro.workloads.tracegen.config_fingerprint` (a
 hash of everything that determines generation, which is deterministic), plans
@@ -34,7 +34,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.config import STAllocConfig
 from repro.obs.tracer import counter as _obs_counter
@@ -97,17 +97,21 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
 
-def _atomic_write_text(path: Path, text: str) -> int:
-    """Write ``text`` to ``path`` without readers ever seeing partial content.
+def _atomic_write(path: Path, chunks: Iterable[str]) -> int:
+    """Write the concatenated ``chunks`` to ``path``; readers never see partial content.
 
-    Returns the number of bytes the entry occupies (its UTF-8 encoding).
+    The chunks are streamed into a temp file in the entry's directory, which
+    replaces the entry only once the last one is written; if producing or
+    writing a chunk raises, the temp file is removed and the entry is left
+    as it was.  Returns the number of bytes the entry occupies (UTF-8).
     """
-    data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
+            handle.flush()
+            size = os.fstat(handle.fileno()).st_size
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -115,7 +119,7 @@ def _atomic_write_text(path: Path, text: str) -> int:
         except OSError:
             pass
         raise
-    return len(data)
+    return size
 
 
 class SweepCache:
@@ -218,9 +222,10 @@ class SweepCache:
         trace = TraceGenerator(
             config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
         ).generate()
-        # dumps() hashes what it renders, so plan_key()'s trace.digest() on
-        # this object is a lookup, not a second serialization.
-        self._note_store(_atomic_write_text(path, trace.dumps()))
+        # Streamed line by line, the route Trace.save takes: the lines are
+        # hashed as they are written, so plan_key()'s trace.digest() on this
+        # object is a lookup, not a second serialization.
+        self._note_store(_atomic_write(path, trace._hashed_lines()))
         return trace
 
     # ------------------------------------------------------------------ #
@@ -264,7 +269,7 @@ class SweepCache:
         self.stats.plan_misses += 1
         _obs_counter("cache.miss")
         stalloc = STAlloc.from_trace(trace, stalloc_config)
-        self._note_store(_atomic_write_text(path, stalloc.dumps()))
+        self._note_store(_atomic_write(path, (stalloc.dumps(),)))
         return stalloc
 
     # ------------------------------------------------------------------ #
@@ -318,7 +323,7 @@ class SweepCache:
     def store_result(self, key: str, row: dict) -> None:
         stored = dict(row)
         stored[_RESULT_VERSION_KEY] = RESULT_FORMAT_VERSION
-        self._note_store(_atomic_write_text(self.result_path(key), json.dumps(stored)))
+        self._note_store(_atomic_write(self.result_path(key), (json.dumps(stored),)))
 
     def cache_stats(self) -> dict:
         """This instance's lookup and eviction statistics, as a flat dict.

@@ -6,7 +6,7 @@ execution-layer module whose output the version describes.  Each constant is
 re-exported from the module it describes.
 """
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 #: Bump whenever the generator's event stream changes for an unchanged
 #: configuration, so persistent caches keyed by ``config_fingerprint``
@@ -47,7 +47,10 @@ TIMELINE_VERSION = 3
 #: Bump on incompatible changes so persistent caches discard stale entries.
 #: Version 2: the static plan is five int columns (no dict per decision) and
 #: the document holds no wall-clock, so equal inputs serialize to equal bytes.
-PLAN_FORMAT_VERSION = 2
+#: Version 3: the dynamic request routing is stored grouped, one
+#: ``[alloc_module, free_module, [req_id, ...]]`` entry per HomoLayer group
+#: instead of one ``[req_id, alloc_module, free_module]`` triple per request.
+PLAN_FORMAT_VERSION = 3
 #: How every entry ``STAlloc.dumps`` writes begins: the version is read off
 #: the head of a stored plan without parsing it.
 PLAN_ENTRY_HEAD = f'{{"format_version":{PLAN_FORMAT_VERSION},'

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,8 @@ from repro.cli import main as cli_main
 from repro.core.stalloc import PLAN_FORMAT_VERSION, STAllocConfig
 from repro.simulator import runner
 from repro.sweep import SweepCache, SweepResult, compare_results
-from repro.sweep.cache import _RESULT_VERSION_KEY, RESULT_FORMAT_VERSION, _atomic_write_text
+from repro.sweep.cache import _RESULT_VERSION_KEY, RESULT_FORMAT_VERSION, _atomic_write
+from repro.workloads.trace import Trace
 from repro.workloads.tracegen import TraceGenerator, config_fingerprint
 
 
@@ -215,6 +217,17 @@ def _v1_document(document: dict) -> dict:
     return dict(document, format_version=1, plan=plan)
 
 
+def _v2_document(document: dict) -> dict:
+    """The entry as format 2 stored it: one ``[req_id, alloc, free]`` triple per request."""
+    triples = [
+        [req_id, alloc_module, free_module]
+        for alloc_module, free_module, req_ids in document["plan"]["dynamic_request_groups"]
+        for req_id in req_ids
+    ]
+    plan = dict(document["plan"], dynamic_request_groups=triples)
+    return dict(document, format_version=2, plan=plan)
+
+
 def _ragged(document: dict) -> dict:
     static = dict(document["plan"]["static_plan"])
     static["address"] = static["address"][:-1]
@@ -225,6 +238,7 @@ PLAN_DAMAGE = {
     "truncated": lambda text: text[: len(text) // 2],
     "zero-byte": lambda text: "",
     "v1-format": lambda text: json.dumps(_v1_document(json.loads(text))),
+    "v2-format": lambda text: json.dumps(_v2_document(json.loads(text)), separators=(",", ":")),
     "wrong-length-column": lambda text: json.dumps(_ragged(json.loads(text)), separators=(",", ":")),
     "not-an-object": lambda text: "[]",
 }
@@ -260,10 +274,10 @@ class TestPlanEntries:
 
     @pytest.mark.parametrize("damage", sorted(PLAN_DAMAGE))
     def test_damaged_entry_is_regenerated_and_swept_never_raised(
-        self, damage, tmp_path, tiny_dense_config
+        self, damage, tmp_path, tiny_moe_config
     ):
         cache = SweepCache(tmp_path)
-        trace = self._trace(tiny_dense_config)
+        trace = self._trace(tiny_moe_config)
         first = cache.get_stalloc(trace, STAllocConfig())
         (path,) = cache.plans_dir.iterdir()
         good = path.read_text(encoding="utf-8")
@@ -292,6 +306,41 @@ class TestPlanEntries:
         old.write_text('{"format_version": 1, "plan": ' + "x" * 100_000, encoding="utf-8")
         monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("parsed"))
         assert cache.prune()["stale_removed"] == 1
+
+
+class TestTraceEntries:
+    def test_a_write_that_fails_mid_stream_leaves_nothing_behind(
+        self, tmp_path, tiny_dense_config, monkeypatch
+    ):
+        real_lines = Trace._hashed_lines
+
+        def failing_lines(self):
+            for index, line in enumerate(real_lines(self)):
+                if index == 50:
+                    raise RuntimeError("generator failed mid-stream")
+                yield line
+
+        monkeypatch.setattr(Trace, "_hashed_lines", failing_lines)
+        cache = SweepCache(tmp_path)
+        noted: list[int] = []
+        monkeypatch.setattr(cache, "_note_store", noted.append)
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            cache.get_trace(tiny_dense_config, seed=0, scale=0.25)
+        assert list(cache.traces_dir.iterdir()) == [] and noted == []
+
+    def test_a_streamed_write_stores_the_canonical_bytes_and_counts_them(
+        self, tmp_path, tiny_dense_config, monkeypatch
+    ):
+        cache = SweepCache(tmp_path)
+        noted: list[int] = []
+        monkeypatch.setattr(cache, "_note_store", noted.append)
+        trace = cache.get_trace(tiny_dense_config, seed=0, scale=0.25)
+        (path,) = cache.traces_dir.iterdir()
+        data = path.read_bytes()
+        assert noted == [len(data)]
+        # The digest memo was left behind by the write itself.
+        assert trace._digest_cache == hashlib.sha256(data).hexdigest()
+        assert data == trace.dumps().encode("utf-8")
 
 
 # ---------------------------------------------------------------------- #
@@ -353,7 +402,7 @@ class TestCachePrune:
     def test_stores_are_accounted_in_encoded_bytes(self, tmp_path):
         """The cap compares against file sizes, so stores count bytes, not characters."""
         path = tmp_path / "entry.json"
-        assert _atomic_write_text(path, "\u00e9" * 10) == path.stat().st_size == 20
+        assert _atomic_write(path, ["\u00e9" * 10]) == path.stat().st_size == 20
 
     def test_prune_lru_evicts_oldest_first(self, tmp_path):
         cache = SweepCache(tmp_path)

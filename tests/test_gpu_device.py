@@ -118,162 +118,134 @@ class TestDevicePresets:
 
 
 class TestVirtualMemoryManager:
-    def test_create_handle_charges_device(self, device):
-        vmm = VirtualMemoryManager(device)
-        vmm.create_handle()
-        assert device.in_use == vmm.granule
-
-    def test_handle_rounding(self, device):
-        vmm = VirtualMemoryManager(device)
-        handle = vmm.create_handle(3 * MIB)
-        assert handle.size == 4 * MIB
-
-    def test_release_handle_returns_memory(self, device):
-        vmm = VirtualMemoryManager(device)
-        handle = vmm.create_handle()
-        vmm.release_handle(handle)
-        assert device.in_use == 0
-
-    def test_release_unknown_handle_raises(self, device):
-        vmm = VirtualMemoryManager(device)
-        handle = vmm.create_handle()
-        vmm.release_handle(handle)
-        with pytest.raises(InvalidAddressError):
-            vmm.release_handle(handle)
-
-    def test_map_unmap_cycle(self, device):
+    def test_map_run_charges_device(self, device):
         vmm = VirtualMemoryManager(device)
         vrange = vmm.reserve_range(8 * MIB)
-        handle = vmm.create_handle()
-        vmm.map(vrange.start, handle)
-        assert vmm.mapped_bytes == vmm.granule
-        returned = vmm.unmap(vrange.start)
-        assert returned is handle
-        assert vmm.mapped_bytes == 0
+        assert vmm.map_run(vrange.start, 1) == (1, None)
+        assert device.in_use == vmm.mapped_bytes == vmm.granule
+
+    def test_reserve_range_rounds_to_granules(self, device):
+        vmm = VirtualMemoryManager(device)
+        assert vmm.reserve_range(3 * MIB).size == 4 * MIB
+
+    def test_map_unmap_cycle_returns_memory(self, device):
+        vmm = VirtualMemoryManager(device)
+        vrange = vmm.reserve_range(16 * MIB)
+        vmm.map_run(vrange.start, 3)
+        assert vmm.mapped_bytes == device.in_use == 3 * vmm.granule
+        vmm.unmap_run(vrange.start + vmm.granule, 2)
+        assert vmm.mapped_bytes == device.in_use == vmm.granule
+        vmm.unmap_run(vrange.start, 1)
+        assert vmm.mapped_bytes == device.in_use == 0
+        assert device.live_allocations == 0
+
+    def test_unmapping_more_than_was_mapped_raises(self, device):
+        vmm = VirtualMemoryManager(device)
+        vrange = vmm.reserve_range(8 * MIB)
+        vmm.map_run(vrange.start, 1)
+        vmm.unmap_run(vrange.start, 1)
+        with pytest.raises(DoubleFreeError):
+            vmm.unmap_run(vrange.start, 1)
 
     def test_map_outside_range_rejected(self, device):
         vmm = VirtualMemoryManager(device)
-        handle = vmm.create_handle()
         with pytest.raises(InvalidAddressError):
-            vmm.map(vmm.granule, handle)
+            vmm.map_run(vmm.granule, 1)
 
-    def test_map_twice_rejected(self, device):
-        vmm = VirtualMemoryManager(device)
-        vrange = vmm.reserve_range(8 * MIB)
-        handle = vmm.create_handle()
-        other = vmm.create_handle()
-        vmm.map(vrange.start, handle)
-        with pytest.raises(InvalidAddressError):
-            vmm.map(vrange.start, other)
-
-    def test_release_mapped_handle_rejected(self, device):
-        vmm = VirtualMemoryManager(device)
-        vrange = vmm.reserve_range(8 * MIB)
-        handle = vmm.create_handle()
-        vmm.map(vrange.start, handle)
-        with pytest.raises(InvalidAddressError):
-            vmm.release_handle(handle)
-
-    def test_handle_mapped_twice_stays_unreleasable_until_both_unmapped(self, device):
-        """Stitching maps one granule at a second address; the O(1) check counts both."""
-        vmm = VirtualMemoryManager(device)
-        vrange = vmm.reserve_range(8 * MIB)
-        handle = vmm.create_handle()
-        vmm.map(vrange.start, handle)
-        vmm.map(vrange.start + vmm.granule, handle)
-        vmm.unmap(vrange.start)
-        with pytest.raises(InvalidAddressError, match="still mapped; unmap it first"):
-            vmm.release_handle(handle)
-        vmm.unmap(vrange.start + vmm.granule)
-        vmm.release_handle(handle)
-        assert device.in_use == 0
-
-    def test_release_does_not_scan_the_mappings(self, device):
-        """Releasing one handle costs the same with 2 or 2000 other granules mapped."""
-        vmm = VirtualMemoryManager(device)
-        vrange = vmm.reserve_range(8 * 1024 * MIB)
-        vmm.map_new_granules(vrange.start, 2000)
-
-        class NoScan(dict):
-            def values(self):
-                raise AssertionError("release_handle walked every mapping")
-
-        vmm._mappings = NoScan(vmm._mappings)
-        loose = vmm.create_handle()
-        vmm.release_handle(loose)
-        mapped = vmm.unmap(vrange.start)
-        vmm.release_handle(mapped)
-        assert vmm.live_handles == 1999
-
-    def test_map_new_granules_equals_the_per_granule_calls(self):
-        def fresh():
-            device = Device(name="pair", capacity=16 * MIB)
-            vmm = VirtualMemoryManager(device)
-            return device, vmm, vmm.reserve_range(64 * MIB)
-
-        device_a, vmm_a, range_a = fresh()
-        handles_a = []
-        for index in range(5):
-            handle = vmm_a.create_handle()
-            vmm_a.map(range_a.start + index * vmm_a.granule, handle)
-            handles_a.append(handle)
-        device_b, vmm_b, range_b = fresh()
-        handles_b, oom = vmm_b.map_new_granules(range_b.start, 5)
-        assert oom is None
-        assert handles_b == handles_a  # same ids, sizes and backing addresses
-        assert vmm_b.stats == vmm_a.stats
-        assert device_b.stats == device_a.stats
-        assert vmm_b.mapped_bytes == vmm_a.mapped_bytes == 5 * vmm_a.granule
-        for index, handle in enumerate(handles_b):
-            assert vmm_b.unmap(range_b.start + index * vmm_b.granule) is handle
-
-    def test_map_new_granules_stops_where_the_device_runs_dry(self):
+    def test_map_run_stops_where_the_device_runs_dry(self):
         device = Device(name="dry", capacity=6 * MIB)
         vmm = VirtualMemoryManager(device)
         vrange = vmm.reserve_range(64 * MIB)
-        handles, oom = vmm.map_new_granules(vrange.start, 5)
-        assert len(handles) == 3 and isinstance(oom, OutOfMemoryError)
+        granted, oom = vmm.map_run(vrange.start, 5)
+        assert granted == 3 and isinstance(oom, OutOfMemoryError)
         assert oom.requested == vmm.granule and oom.in_use == 6 * MIB
         assert (device.stats.malloc_calls, device.stats.failed_mallocs) == (4, 1)
         assert (vmm.stats.handles_created, vmm.stats.map_calls) == (3, 3)
         assert vmm.mapped_bytes == device.in_use == 6 * MIB
 
-    def test_map_new_granules_validates_the_whole_run_once(self, device):
+    def test_map_run_validates_the_whole_run_once(self, device):
         vmm = VirtualMemoryManager(device)
         vrange = vmm.reserve_range(8 * MIB)
         with pytest.raises(InvalidAddressError, match="not granule-aligned"):
-            vmm.map_new_granules(vrange.start + 1, 1)
+            vmm.map_run(vrange.start + 1, 1)
         with pytest.raises(InvalidAddressError, match="outside every reserved range"):
-            vmm.map_new_granules(vrange.start, 5)  # one granule past the end
+            vmm.map_run(vrange.start, 5)  # one granule past the end
         with pytest.raises(InvalidAddressError, match="outside every reserved range"):
-            vmm.map_new_granules(vrange.end + vmm.granule, 1)  # in the guard gap
-        assert device.in_use == 0 and vmm.stats.map_calls == 0
-        vmm.map_new_granules(vrange.start + vmm.granule, 1)
-        with pytest.raises(InvalidAddressError, match="already mapped"):
-            vmm.map_new_granules(vrange.start, 2)
-        # The granule mapped before the collision is on the books.
-        assert vmm.stats.handles_created == vmm.stats.map_calls == vmm.live_handles == 2
+            vmm.map_run(vrange.end + vmm.granule, 1)  # in the guard gap
+        with pytest.raises(InvalidAddressError, match="outside every reserved range"):
+            vmm.unmap_run(vrange.start + vmm.granule, 4)
+        assert device.in_use == 0 and vmm.stats.map_calls == vmm.stats.unmap_calls == 0
 
-    def test_handle_creation_oom_propagates(self, small_device):
+    def test_map_run_past_capacity_reports_the_oom(self, small_device):
         vmm = VirtualMemoryManager(small_device)
-        with pytest.raises(OutOfMemoryError):
-            for _ in range(64):
-                vmm.create_handle()
+        vrange = vmm.reserve_range(256 * MIB)
+        granted, oom = vmm.map_run(vrange.start, 64)
+        assert granted * vmm.granule <= small_device.usable_capacity
+        assert isinstance(oom, OutOfMemoryError)
 
     def test_op_counters(self, device):
         vmm = VirtualMemoryManager(device)
         vrange = vmm.reserve_range(8 * MIB)
-        handle = vmm.create_handle()
-        vmm.map(vrange.start, handle)
-        vmm.unmap(vrange.start)
-        assert vmm.stats.total_ops == 4  # reserve + create + map + unmap
+        vmm.map_run(vrange.start, 1)
+        vmm.unmap_run(vrange.start, 1)
+        # reserve + create + map + unmap + release
+        assert vmm.stats.total_ops == 5
 
-    def test_release_all(self, device):
-        vmm = VirtualMemoryManager(device)
-        vrange = vmm.reserve_range(16 * MIB)
-        for index in range(3):
-            handle = vmm.create_handle()
-            vmm.map(vrange.start + index * vmm.granule, handle)
-        vmm.release_all()
-        assert device.in_use == 0
-        assert vmm.live_handles == 0
+
+#: name -> (device MiB, MiB already held by a plain malloc, granules asked for)
+RUN_CASES = {
+    "fits": (16, 2, 5),
+    "fits-exactly": (12, 2, 5),
+    "cut-short-mid-run": (9, 2, 5),
+    "device-already-full": (4, 4, 3),
+    "empty-run": (8, 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_a_run_of_k_granules_equals_k_per_granule_calls(case):
+    """``map_run`` / ``unmap_run`` (over ``malloc_run`` / ``free_run``) of k
+    granules leave the device exactly as k ``malloc`` / ``free`` calls do, and
+    count one create + map (unmap + release) per granule."""
+    capacity, held, count = RUN_CASES[case]
+    granule = 2 * MIB
+
+    def fresh() -> Device:
+        device = Device(name="run", capacity=capacity * MIB)
+        if held:
+            device.malloc(held * MIB)
+        return device
+
+    oracle = fresh()
+    granules, oracle_oom = [], None
+    for _ in range(count):
+        try:
+            granules.append(oracle.malloc(granule))
+        except OutOfMemoryError as oom:
+            oracle_oom = oom
+            break
+
+    device = fresh()
+    vmm = VirtualMemoryManager(device, granule)
+    vrange = vmm.reserve_range(count * granule)
+    granted, oom = vmm.map_run(vrange.start, count)
+    assert granted == len(granules)
+    assert device.stats == oracle.stats
+    assert (device.in_use, device.live_allocations) == (oracle.in_use, oracle.live_allocations)
+    if oracle_oom is None:
+        assert oom is None
+    else:
+        assert (oom.requested, oom.capacity, oom.in_use) == (
+            oracle_oom.requested, oracle_oom.capacity, oracle_oom.in_use
+        )
+    assert (vmm.stats.handles_created, vmm.stats.map_calls) == (granted, granted)
+
+    for allocation in granules:
+        oracle.free(allocation)
+    vmm.unmap_run(vrange.start, granted)
+    assert device.stats == oracle.stats
+    assert (device.in_use, device.live_allocations) == (oracle.in_use, oracle.live_allocations)
+    assert (vmm.stats.unmap_calls, vmm.stats.handles_released) == (granted, granted)
+    assert vmm.mapped_bytes == 0
+    # The address counter advanced by exactly the granted allocations.
+    assert device.malloc(0).address == oracle.malloc(0).address

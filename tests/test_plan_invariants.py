@@ -21,8 +21,8 @@ import random
 import pytest
 
 from repro.core import plan as plan_module
-from repro.core.dynamic_space import group_temporal_range, homolayer_groups
 from repro.core.events import MemoryRequest, Phase, PhaseKind
+from repro.core.intervals import IntervalSet
 from repro.core.plan import AllocationDecision, StaticAllocationPlan
 from repro.core.profiler import AllocationProfiler, ProfileResult
 from repro.core.stalloc import STAllocConfig
@@ -90,6 +90,42 @@ def synthesize(case: str, seed: int):
     return _SYNTH_CACHE[key]
 
 
+# ---------------------------------------------------------------------- #
+# §5.2 over request objects: the oracle for the columnar HomoLayer groups
+# ---------------------------------------------------------------------- #
+def object_homolayer_groups(requests) -> dict[tuple[str, str], list[MemoryRequest]]:
+    """The dynamic requests by ``(alloc module, free module)``, in request order."""
+    groups: dict[tuple[str, str], list[MemoryRequest]] = {}
+    for request in requests:
+        if request.dyn:
+            groups.setdefault(request.layer_pair, []).append(request)
+    return groups
+
+
+def object_temporal_range(key, members, module_spans) -> tuple[int, int]:
+    """``T(a, b) = [a.start, b.end]``, widened to cover the members themselves."""
+    starts = [member.alloc_time for member in members]
+    ends = [member.free_time for member in members]
+    if key[0] in module_spans:
+        starts.append(module_spans[key[0]][0])
+    if key[1] in module_spans:
+        ends.append(module_spans[key[1]][1])
+    return min(starts), max(ends)
+
+
+def object_reusable_spaces(requests, static_plan, module_spans) -> dict:
+    """Eq. 4-6 by construction: the pool minus every decision live in the range."""
+    spaces = {}
+    for key, members in object_homolayer_groups(requests).items():
+        start, end = object_temporal_range(key, members, module_spans)
+        occupied = IntervalSet()
+        for decision in static_plan.decisions:
+            if decision.size and decision.alloc_time <= end and decision.free_time > start:
+                occupied.add(decision.address, decision.end_address)
+        spaces[key] = occupied.complement(0, static_plan.pool_size)
+    return spaces
+
+
 def assert_no_spatio_temporal_overlap(plan: StaticAllocationPlan) -> None:
     """Independent O(n^2) verifier for the no-memory-stomping property."""
     decisions = sorted(plan.decisions, key=lambda d: d.address)
@@ -150,12 +186,12 @@ class TestDynamicSpaceInvariants:
     def test_reusable_spaces_avoid_live_static_decisions(self, case, seed):
         """No reusable byte may belong to a static request live in the group's range."""
         profile, plan = synthesize(case, seed)
-        groups = homolayer_groups(profile.dynamic_requests)
+        groups = object_homolayer_groups(profile.requests)
         for key, members in groups.items():
             spaces = plan.dynamic_reusable_spaces[key]
             if not spaces:
                 continue
-            start, end = group_temporal_range(key, members, profile.module_spans)
+            start, end = object_temporal_range(key, members, profile.module_spans)
             for decision in plan.static_plan.decisions:
                 if decision.alloc_time <= end and decision.free_time > start:
                     for interval in spaces:
@@ -169,8 +205,8 @@ class TestDynamicSpaceInvariants:
 
     def test_every_dynamic_request_is_routed_to_its_group(self, case, seed):
         profile, plan = synthesize(case, seed)
-        for request in profile.dynamic_requests:
-            assert plan.dynamic_request_groups[request.req_id] == request.layer_pair
+        routed = {r.req_id: r.layer_pair for r in profile.requests if r.dyn}
+        assert plan.dynamic_request_groups == routed
 
 
 ABLATIONS = {

@@ -8,15 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic_space import (
-    dynamic_request_group_index,
-    group_temporal_range,
-    homolayer_groups,
-    locate_dynamic_reusable_spaces,
-)
+from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.core import homophase
-from repro.core.columns import RequestColumns
-from repro.core.events import PhaseKind
+from repro.core.columns import HomoLayerGroup, RequestColumns
+from repro.core.events import EventKind, PhaseKind, TraceEvent, pair_events
 from repro.core.homophase import (
     attempt_fusion,
     build_homophase_groups,
@@ -29,14 +24,21 @@ from repro.core.homosize import MemoryLayer, construct_memory_layers, group_by_s
 from repro.core.intervals import IntervalSet
 from repro.core.plan import StaticAllocationPlan
 from repro.core.planner import GlobalPlannerConfig, build_global_plan, plan_summary
-from repro.core.profiler import AllocationProfiler
+from repro.core.profiler import AllocationProfiler, ProfileResult
 from repro.core.synthesizer import PlanSynthesizer, SynthesizerConfig
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
+from repro.workloads.trace import Trace
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
 from tests.conftest import decide, make_phase, make_request, pack
-from tests.test_plan_invariants import assert_no_spatio_temporal_overlap
+from tests.test_placement_digests import _golden_trace
+from tests.test_plan_invariants import (
+    assert_no_spatio_temporal_overlap,
+    object_homolayer_groups,
+    object_reusable_spaces,
+    object_temporal_range,
+)
 from tests.test_planner_columns import peak_demand
 
 
@@ -608,6 +610,36 @@ class TestLongestLivedFirstCandidate:
         assert [by_id[100 + i] for i in range(count)] == [small * (i + 1) for i in range(count)]
 
 
+def _groups(requests):
+    """The HomoLayer groups of a profile of request objects."""
+    return ProfileResult(requests).dynamic_groups
+
+
+def _hand_built_trace(seed: int) -> Trace:
+    """A seeded stream no generator shaped, with ``dyn`` requests that are
+    never freed, freed in an empty module, or allocated at a shared tick."""
+    rng = random.Random(seed)
+    phases = [make_phase(i, PhaseKind.FORWARD if i < 2 else PhaseKind.BACKWARD) for i in range(4)]
+    modules = ["m0", "m1", "m2", "m3"]
+    events, live, time = [], [], 0
+    for req_id in rng.sample(range(1000), rng.randrange(10, 60)):
+        freeable = [i for i, (_, _, opened) in enumerate(live) if opened < time]
+        if freeable and rng.random() < 0.45:
+            freed, size, _ = live.pop(rng.choice(freeable))
+            events.append(TraceEvent(
+                EventKind.FREE, freed, size, time, rng.choice(phases), rng.choice([*modules, ""]),
+            ))
+        size = rng.choice([64, 128, 256])
+        events.append(TraceEvent(
+            EventKind.ALLOC, req_id, size, time, rng.choice(phases), rng.choice(modules),
+            dyn=rng.random() < 0.6,
+        ))
+        live.append((req_id, size, time))
+        time += rng.choice([0, 1, 1, 2])  # 0: two allocs share a tick
+    spans = {module: (rng.randrange(time + 1), time + rng.randrange(4)) for module in modules[:3]}
+    return Trace(events=events, phases=phases, module_spans=spans)
+
+
 class TestDynamicSpace:
     def _static_plan(self):
         requests = [
@@ -623,14 +655,16 @@ class TestDynamicSpace:
             make_request(11, 64, 3, 6, dyn=True, alloc_module="l0", free_module="l0"),
             make_request(12, 64, 22, 25, dyn=True, alloc_module="l1", free_module="l1"),
         ]
-        groups = homolayer_groups(dynamic)
-        assert set(groups) == {("l0", "l0"), ("l1", "l1")}
-        assert len(groups[("l0", "l0")]) == 2
+        groups = _groups(dynamic)
+        assert groups == [
+            HomoLayerGroup(("l0", "l0"), [10, 11], 2, 6),
+            HomoLayerGroup(("l1", "l1"), [12], 22, 25),
+        ]
 
     def test_reusable_space_excludes_live_statics(self):
         dynamic = [make_request(10, 64, 2, 5, dyn=True, alloc_module="l0", free_module="l0")]
         spaces = locate_dynamic_reusable_spaces(
-            dynamic, self._static_plan(), {"l0": (2, 5)}
+            _groups(dynamic), self._static_plan(), {"l0": (2, 5)}
         )
         space = spaces[("l0", "l0")]
         # Static request 0 is live during [2, 5); request 1 is not.
@@ -639,17 +673,26 @@ class TestDynamicSpace:
 
     def test_reusable_space_full_when_statics_idle(self):
         dynamic = [make_request(10, 64, 12, 18, dyn=True, alloc_module="gap", free_module="gap")]
-        spaces = locate_dynamic_reusable_spaces(dynamic, self._static_plan(), {"gap": (12, 18)})
+        spaces = locate_dynamic_reusable_spaces(
+            _groups(dynamic), self._static_plan(), {"gap": (12, 18)}
+        )
         assert spaces[("gap", "gap")].total == 200
 
-    def test_module_span_fallback_to_members(self):
+    def test_temporal_range_falls_back_to_the_members(self):
+        """An unseen module leaves the members' own [2, 5) as the range; a
+        profiled one widens it to its span."""
         members = [make_request(10, 64, 2, 5, dyn=True, alloc_module="x", free_module="x")]
-        start, end = group_temporal_range(("x", "x"), members, {})
-        assert (start, end) == (2, 5)
+        unseen = locate_dynamic_reusable_spaces(_groups(members), self._static_plan(), {})
+        assert unseen[("x", "x")] == IntervalSet([(100, 200)])
+        widened = locate_dynamic_reusable_spaces(
+            _groups(members), self._static_plan(), {"x": (2, 25)}
+        )
+        assert widened[("x", "x")] == IntervalSet()
 
-    def test_group_index(self):
+    def test_routing_index(self):
         dynamic = [make_request(10, 64, 2, 5, dyn=True, alloc_module="a", free_module="b")]
-        assert dynamic_request_group_index(dynamic) == {10: ("a", "b")}
+        plan = PlanSynthesizer().synthesize(ProfileResult(dynamic))
+        assert plan.dynamic_request_groups == {10: ("a", "b")}
 
     def test_empty_dynamic_set(self):
         assert locate_dynamic_reusable_spaces([], self._static_plan(), {}) == {}
@@ -659,9 +702,9 @@ class TestDynamicSpace:
         """Each group's space is ``[0, pool)`` minus the union of its live decisions.
 
         The reference is the construction the gap walk replaced: one
-        ``IntervalSet.add`` per live decision, then ``complement``.  The
-        plans are random, so decisions overlap, touch, repeat and run to the
-        end of the pool.
+        ``IntervalSet.add`` per live decision, then ``complement``, over the
+        request objects.  The plans are random, so decisions overlap, touch,
+        repeat and run to the end of the pool.
         """
         rng = random.Random(seed)
         count = rng.randrange(1, 80)
@@ -684,14 +727,42 @@ class TestDynamicSpace:
                     free_module=rng.choice([*spans, "unseen"]),
                 )
             )
-        spaces = locate_dynamic_reusable_spaces(dynamic, plan, spans)
-        for key, members in homolayer_groups(dynamic).items():
-            start, end = group_temporal_range(key, members, spans)
-            occupied = IntervalSet()
-            for a, s, t0, t1 in zip(address, size, alloc_time, free_time):
-                if t0 <= end and t1 > start:
-                    occupied.add(a, a + s)
-            assert spaces[key] == occupied.complement(0, pool_size), key
+        spaces = locate_dynamic_reusable_spaces(_groups(dynamic), plan, spans)
+        assert spaces == object_reusable_spaces(dynamic, plan, spans)
+
+
+def _assert_groups_match_the_objects(trace: Trace) -> None:
+    """Columnar groups, routing and spaces equal the object oracle over ``pair_events``."""
+    requests = pair_events(trace.events, end_of_trace=trace.end_time())
+    oracle = object_homolayer_groups(requests)
+    groups = trace.columns.homolayer_groups(end_of_trace=trace.end_time())
+    assert [group.key for group in groups] == list(oracle)
+    for group in groups:
+        members = oracle[group.key]
+        assert group.req_ids == [member.req_id for member in members]
+        # With no module spans, the temporal range is the members' own extremes.
+        assert object_temporal_range(group.key, members, {}) == (
+            group.first_alloc, group.last_free
+        )
+    plan = PlanSynthesizer().synthesize(AllocationProfiler().profile(trace))
+    assert plan.dynamic_request_groups == {r.req_id: r.layer_pair for r in requests if r.dyn}
+    if groups:
+        expected = object_reusable_spaces(requests, plan.static_plan, trace.module_spans)
+        assert list(plan.dynamic_reusable_spaces.items()) == list(expected.items())
+
+
+class TestColumnarHomoLayerGroups:
+    def test_golden_moe_trace(self):
+        trace = _golden_trace("moe-tiny-comm")
+        assert trace.num_dynamic_requests
+        _assert_groups_match_the_objects(trace)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_hand_built_traces(self, seed):
+        trace = _hand_built_trace(seed)
+        requests = pair_events(trace.events, end_of_trace=trace.end_time())
+        assert any(r.dyn for r in requests), "every stream has dynamic requests"
+        _assert_groups_match_the_objects(trace)
 
 
 class TestPlanSynthesizer:

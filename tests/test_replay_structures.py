@@ -120,18 +120,24 @@ class TestBlockListInvariants:
 
 
 def _check_arena_accounting(allocator: ExpandableSegmentsAllocator) -> None:
+    """The interval sets are the only record of the granules: re-derive the rest."""
     granule = allocator.config.granule
     mapped_total = 0
     for arena in allocator._arenas.values():
         for interval in arena.free:
             assert arena.mapped.contains(interval.start, interval.end), "free must lie in mapped"
-        for offset in arena.handles:
-            assert arena.mapped.contains(offset, offset + granule)
-        assert arena.mapped.total == granule * len(arena.handles)
-        assert not arena.mapped or arena.mapped.span.end <= arena.tail
+        for interval in arena.mapped:
+            assert interval.start % granule == interval.end % granule == 0, "whole granules only"
+        assert not arena.mapped or arena.mapped.span.end <= arena.tail <= arena.virtual_size
         mapped_total += arena.mapped.total
     assert mapped_total == allocator.reserved_bytes == allocator.vmm.mapped_bytes
-    assert allocator.vmm.physical_bytes == allocator.device.in_use
+    assert mapped_total == allocator.device.in_use
+    assert allocator.device.live_allocations == mapped_total // granule
+    stats = allocator.vmm.stats
+    assert stats.handles_created - stats.handles_released == mapped_total // granule
+    assert allocator.stats.vmm_ops == (
+        stats.handles_created + stats.map_calls + stats.unmap_calls + stats.handles_released
+    )
     live = sum(size for _, _, size in allocator._placements.values())
     free = sum(arena.free.total for arena in allocator._arenas.values())
     assert live + free == mapped_total
@@ -139,17 +145,34 @@ def _check_arena_accounting(allocator: ExpandableSegmentsAllocator) -> None:
 
 class TestExpandableArenaInvariants:
     @pytest.mark.parametrize("seed", range(3))
-    def test_free_within_mapped_and_reserved_matches_handles(self, seed):
-        # Short on purpose: reclaimed virtual space is never mapped again, so
-        # under sustained pressure the tail walks off the arena's reserved
-        # range (4x capacity) -- a known limitation of the model, see ROADMAP.
+    def test_free_within_mapped_and_reserved_matches_granules(self, seed):
         allocator = ExpandableSegmentsAllocator(Device(name="inv", capacity=448 * MIB))
         _drive(allocator, seed, 800, _check_arena_accounting)
         assert allocator.vmm.stats.handles_released > 0, "the stream must force a reclaim"
-        stats = allocator.vmm.stats
-        assert allocator.stats.vmm_ops == (
-            stats.handles_created + stats.map_calls + stats.unmap_calls + stats.handles_released
-        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_an_arena_out_of_virtual_range_is_an_oom(self, seed):
+        """Reclaimed virtual space is never mapped again, so under sustained
+        pressure the tail reaches the end of the arena's reserved range (4x
+        capacity).  That is an OOM like any other growth that cannot be backed,
+        never an address error, and the books stay straight through it."""
+        allocator = ExpandableSegmentsAllocator(Device(name="inv", capacity=448 * MIB))
+        out_of_range: list[int] = []
+        inner = allocator.allocate
+
+        def allocate(req_id, size, hints=None):
+            try:
+                return inner(req_id, size, hints)
+            except OutOfMemoryError as oom:
+                if "virtual range" in str(oom):
+                    out_of_range.append(req_id)
+                raise
+
+        allocator.allocate = allocate
+        failed = _drive(allocator, seed, 2000, _check_arena_accounting)
+        assert failed >= len(out_of_range)
+        if seed < 2:  # these two streams walk the large arena's tail to the end
+            assert out_of_range
 
     def test_reclaim_mid_run_sees_the_granules_mapped_so_far(self):
         """The granules of a growth run are committed before a reclaim runs.

@@ -32,7 +32,8 @@ class TestProfiler:
     def test_profile_counts(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
         assert profile.num_requests == dense_trace.num_requests
-        assert len(profile.dynamic_requests) == dense_trace.num_dynamic_requests
+        grouped = sum(len(group.req_ids) for group in profile.dynamic_groups)
+        assert grouped == dense_trace.num_dynamic_requests
         assert profile.peak_allocated_bytes() == dense_trace.peak_allocated_bytes()
 
     def test_summary_fields(self, moe_trace):
