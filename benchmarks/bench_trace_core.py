@@ -16,10 +16,11 @@ It measures four hot layers at three scales and reports events/sec:
                       of the paper's comparison, driven event by event from
                       the columns.  On the MoE preset the STAlloc replay must
                       serve dynamic requests from the pool (checked).
-* ``timeline``     -- ``simulate_timeline`` with the result memo cleared each
-                      rep (steady state: the compiled-plan cache stays warm,
-                      exactly like a sweep evaluating many points of one
-                      geometry).
+* ``timeline``     -- ``simulate_timeline`` each rep (steady state: the cached
+                      dataflow order stays warm, exactly like a sweep
+                      evaluating many points of one geometry).
+* ``timeline_tiered`` -- the same on a 2-node tiered fabric with half the
+                      all-to-all hidden under expert compute.
 * ``gen_trace_build`` / ``gen_replay_native`` / ``gen_timeline`` -- the same
                       build, replay, and timeline layers on a *generation*
                       variant of the preset (prefill + 64 decode steps with
@@ -39,9 +40,10 @@ Usage::
 ``--check`` compares against the most recent trajectory entry in
 ``BENCH_trace_core.json`` and fails (exit 1) when
 
-* a ``replay_*`` column's best rep falls below 0.8x the recorded best rep
-  (best-of-k is steady enough for a ratio gate; the 3x floor let
-  ``replay_caching`` stand still for seven releases), or
+* a ``replay_*`` or timeline column's best rep falls below 0.8x the
+  recorded best rep (best-of-k is steady enough for a ratio gate; the 3x
+  floor let ``replay_caching`` stand still for seven releases and gpt-tiny
+  ``timeline`` slide from 1.76M to 1.00M ev/s), or
 * any other column's mean rate drops more than 3x below the recorded one --
   loose enough for CI noise, tight enough to catch an accidental return to
   object-per-event hot paths.
@@ -62,7 +64,7 @@ from repro.core.stalloc import STAlloc
 from repro.gpu.device import GIB, Device
 from repro.gpu.specs import get_gpu
 from repro.simulator.replay import replay_trace
-from repro.timeline.simulator import clear_timeline_memo, simulate_timeline
+from repro.timeline.simulator import simulate_timeline
 from repro.version import __version__
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
@@ -71,8 +73,11 @@ from repro.workloads.training import TrainingConfig
 
 #: Regression gate for --check: fail when measured < recorded / 3.
 CHECK_RATIO = 3.0
-#: Tighter gate for the ``replay_*`` columns: best rep >= 0.8x the recorded best.
-REPLAY_RATIO = 0.8
+#: Tighter gate for the ``replay_*`` and timeline columns: best rep >= 0.8x
+#: the recorded best.
+BEST_RATIO = 0.8
+#: Columns gated on their best rep (besides every ``replay_*`` column).
+TIMELINE_COLUMNS = frozenset(("timeline", "timeline_tiered", "gen_timeline"))
 
 #: Benchmark configurations.  "job-smoke" mirrors the sweep preset of the same
 #: name (gpt2-345m, pp=4 dp=2, mbs=4, m=4, scale 0.5); the tiny ones match the
@@ -192,7 +197,6 @@ def bench_preset(preset: str) -> dict:
             raise RuntimeError(f"{preset}: the STAlloc replay never took the dynamic path")
 
     def run_timeline():
-        clear_timeline_memo()
         simulate_timeline(config, seed=0, scale=scale)
 
     # Hierarchical pricing: a 2-node tiered fabric plus partial overlap takes
@@ -206,7 +210,6 @@ def bench_preset(preset: str) -> dict:
     tiered_config = config.with_(comm_overlap_factor=0.5)
 
     def run_timeline_tiered():
-        clear_timeline_memo()
         simulate_timeline(tiered_config, gpu=tiered_gpu, seed=0, scale=scale)
 
     # Generation twin of the preset: prefill plus 64 decode steps, so the
@@ -226,16 +229,12 @@ def bench_preset(preset: str) -> dict:
             raise RuntimeError("replay OOM in benchmark (gen/native)")
 
     def run_gen_timeline():
-        clear_timeline_memo()
         simulate_timeline(gen_config, seed=0, scale=scale)
 
-    clear_timeline_memo()
     timeline_events = simulate_timeline(config, seed=0, scale=scale).num_events
-    clear_timeline_memo()
     tiered_events = simulate_timeline(
         tiered_config, gpu=tiered_gpu, seed=0, scale=scale
     ).num_events
-    clear_timeline_memo()
     gen_timeline_events = simulate_timeline(gen_config, seed=0, scale=scale).num_events
 
     results = {
@@ -269,8 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         type=Path,
         help="compare against the latest BENCH_trace_core.json entry; fail if a "
-        f"replay_* column's best rep is below {REPLAY_RATIO:g}x the recorded one or "
-        f"any other metric is >{CHECK_RATIO:g}x below the recorded floor",
+        f"replay_* or timeline column's best rep is below {BEST_RATIO:g}x the "
+        f"recorded one or any other metric is >{CHECK_RATIO:g}x below the recorded floor",
     )
     parser.add_argument("--record", type=Path, help="append an entry to this trajectory file")
     parser.add_argument("--note", default="", help="what changed (stored with --record)")
@@ -313,10 +312,10 @@ def main(argv: list[str] | None = None) -> int:
                 recorded = floor.get(metric)
                 if recorded is None:
                     continue
-                if metric.startswith("replay_"):
+                if metric.startswith("replay_") or metric in TIMELINE_COLUMNS:
                     measured = row["best_events_per_sec"]
-                    bound = recorded["best_events_per_sec"] * REPLAY_RATIO
-                    rule = f"best {recorded['best_events_per_sec']:,d} x {REPLAY_RATIO:g}"
+                    bound = recorded["best_events_per_sec"] * BEST_RATIO
+                    rule = f"best {recorded['best_events_per_sec']:,d} x {BEST_RATIO:g}"
                 else:
                     measured = row["events_per_sec"]
                     bound = recorded["events_per_sec"] / CHECK_RATIO

@@ -614,12 +614,17 @@ def _run_grid_command(args, *, noun: str, spec_hint: str, presets, load, execute
 def _cmd_sweep(args) -> int:
     from repro.sweep import available_presets, load_spec, run_sweep
 
+    def load():
+        spec = load_spec(args.spec)
+        spec.expand()  # builds every point's config: a bad field exits 2 up front
+        return spec
+
     return _run_grid_command(
         args,
         noun="sweep",
         spec_hint="preset name or JSON file",
         presets=available_presets,
-        load=lambda: load_spec(args.spec),
+        load=load,
         execute=lambda spec, ctx, progress: run_sweep(
             spec,
             jobs=ctx.jobs,

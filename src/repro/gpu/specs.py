@@ -18,6 +18,7 @@ timeline can price each participant's tier mix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -51,17 +52,13 @@ class GPUSpec:
     hbm_gbytes_per_sec: float = 2000.0
 
     def __post_init__(self) -> None:
-        if self.a2a_gbytes_per_sec <= 0:
-            raise ValueError(
-                f"a2a_gbytes_per_sec must be positive, got {self.a2a_gbytes_per_sec}"
-            )
-        if self.hbm_gbytes_per_sec <= 0:
-            raise ValueError(
-                f"hbm_gbytes_per_sec must be positive, got {self.hbm_gbytes_per_sec}"
-            )
-        for field_name in ("intra_node_gbytes_per_sec", "inter_node_gbytes_per_sec"):
+        # ``0 < x < inf`` also rejects NaN, which every comparison fails.
+        for field_name in (
+            "a2a_gbytes_per_sec", "hbm_gbytes_per_sec",
+            "intra_node_gbytes_per_sec", "inter_node_gbytes_per_sec",
+        ):
             value = getattr(self, field_name)
-            if value is not None and value <= 0:
+            if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{field_name} must be positive, got {value}")
         if not isinstance(self.gpus_per_node, int) or isinstance(self.gpus_per_node, bool) \
                 or self.gpus_per_node < 0:

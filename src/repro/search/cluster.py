@@ -34,6 +34,7 @@ candidate.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,7 +92,9 @@ class ClusterSpec:
             )
         for name in ("intra_node_gbytes_per_sec", "inter_node_gbytes_per_sec"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, (int, float)) or value <= 0):
+            if value is not None and (
+                not isinstance(value, (int, float)) or not 0 < value < math.inf
+            ):
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
 
     @property

@@ -273,8 +273,7 @@ def search_points(
     ) as obs_run:
         # Group points by priced configuration: every allocator/knob cell of
         # one (config, device, budgets, ranks, timing, fabric) shares a memory
-        # verdict and a throughput bound, and the timeline memoisation means
-        # evaluating them together reuses one simulation.
+        # verdict and a throughput bound.
         groups: dict[tuple, list[SweepPoint]] = {}
         for point in points:
             key = (

@@ -9,6 +9,8 @@ capacity-homogeneous.  Nothing here generates, plans or replays anything.
 
 from __future__ import annotations
 
+import math
+
 from repro.gpu.specs import GPU_SPECS
 from repro.workloads.parallelism import normalize_rank, rank_label
 from repro.workloads.training import TrainingConfig
@@ -32,7 +34,8 @@ def validate_capacity_gib(value, context: str = "device_capacity_gib") -> float 
     """
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value < math.inf:
         raise ValueError(f"{context} must be a positive GiB value, got {value!r}")
     return float(value)
 
@@ -60,7 +63,8 @@ def validate_budget_map(budgets, context: str) -> None:
             raise ValueError(
                 f"{context} key {key!r} is not a rank (expected an int, '2', or '2.1')"
             )
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0 < value < math.inf:
             raise ValueError(
                 f"{context}[{key!r}] must be a positive GiB value, got {value!r}"
             )

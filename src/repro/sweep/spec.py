@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -194,7 +195,8 @@ def _validate_fabric(fabric, context: str) -> None:
                 raise ValueError(
                     f"{context}[{key!r}] must be a non-negative int, got {value!r}"
                 )
-        elif isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0 < value < math.inf:
             raise ValueError(
                 f"{context}[{key!r}] must be a positive bandwidth (GB/s), got {value!r}"
             )

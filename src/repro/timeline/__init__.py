@@ -20,7 +20,6 @@ __getattr__, __dir__, __all__ = attach(
             "TimelineEvent",
             "TimelineResult",
             "TimelineSimulator",
-            "clear_timeline_memo",
             "simulate_timeline",
         ],
     },

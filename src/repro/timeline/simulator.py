@@ -60,8 +60,10 @@ Three cluster-shaped refinements (TIMELINE_VERSION 2):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from repro.core.events import PhaseKind
@@ -69,9 +71,9 @@ from repro.gpu.specs import GPUSpec, NodeTopology, get_gpu
 from repro.obs.tracer import span as _obs_span
 from repro.simulator.throughput import ThroughputEstimate, ThroughputModel
 from repro.version import TIMELINE_VERSION
-from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.memory_model import ACT_BYTES
 from repro.workloads.moe import ExpertRouter
+from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.schedule import PhaseSpec, build_schedule
 from repro.workloads.training import TrainingConfig
 
@@ -98,16 +100,6 @@ K_A2A_DISPATCH = 6
 K_A2A_COMBINE = 7
 K_STALL = 8
 K_DECODE = 9
-_COMPUTE_CODES = frozenset(
-    (K_FORWARD, K_BACKWARD, K_EXPERT_FORWARD, K_EXPERT_BACKWARD, K_DECODE)
-)
-_COMM_CODES = frozenset((K_A2A_DISPATCH, K_A2A_COMBINE))
-
-#: Compiled dense execution plans, keyed by ``(pp, chunks, num_microbatches,
-#: workload_kind, decode_steps)`` -- the only inputs the schedule's dataflow
-#: order depends on.
-_PLAN_CACHE: dict[tuple, tuple[list[tuple], int]] = {}
-_PLAN_CACHE_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -153,69 +145,45 @@ class RankTimeline:
 
     __slots__ = (
         "rank", "compute_seconds", "comm_seconds", "stall_seconds",
-        "finish_seconds", "_events", "_records",
+        "decode_seconds", "finish_seconds", "_events", "_records",
     )
 
     def __init__(
         self,
         rank: tuple,
-        events: list[TimelineEvent] | None = None,
+        records: list[tuple],
+        *,
         compute_seconds: float = 0.0,
         comm_seconds: float = 0.0,
         stall_seconds: float = 0.0,
+        decode_seconds: float = 0.0,
         finish_seconds: float = 0.0,
-        *,
-        records: list[tuple] | None = None,
     ):
-        if events is not None and records is not None:
-            raise ValueError("pass either events or records, not both")
         self.rank = rank
         self.compute_seconds = compute_seconds
         self.comm_seconds = comm_seconds
         self.stall_seconds = stall_seconds
+        #: Autoregressive decode time (a subset of :attr:`compute_seconds`).
+        self.decode_seconds = decode_seconds
         self.finish_seconds = finish_seconds
-        self._events: list[TimelineEvent] | None = events
-        self._records: list[tuple] | None = records
-        if self._events is None and self._records is None:
-            self._events = []
+        self._records = records
+        self._events: list[TimelineEvent] | None = None
 
     @property
     def num_events(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return len(self._events)
+        return len(self._records)
 
     def iter_records(self):
         """Yield ``(kind_name, start, duration, microbatch, chunk, layer)``."""
-        if self._records is not None:
-            names = KIND_NAMES
-            for kind, start, duration, microbatch, chunk, layer in self._records:
-                yield names[kind], start, duration, microbatch, chunk, layer
-        else:
-            for event in self._events:
-                yield (
-                    event.kind, event.start, event.duration,
-                    event.microbatch, event.chunk, event.layer,
-                )
+        names = KIND_NAMES
+        for kind, start, duration, microbatch, chunk, layer in self._records:
+            yield names[kind], start, duration, microbatch, chunk, layer
 
     @property
     def events(self) -> list[TimelineEvent]:
         """Object view of the event stream (materialized lazily, memoised)."""
         if self._events is None:
-            rank = self.rank
-            names = KIND_NAMES
-            self._events = [
-                TimelineEvent(
-                    rank=rank,
-                    kind=names[kind],
-                    start=start,
-                    duration=duration,
-                    microbatch=microbatch,
-                    chunk=chunk,
-                    layer=layer,
-                )
-                for kind, start, duration, microbatch, chunk, layer in self._records
-            ]
+            self._events = [TimelineEvent(self.rank, *record) for record in self.iter_records()]
         return self._events
 
 
@@ -264,19 +232,10 @@ class TimelineResult:
     def decode_seconds(self) -> float:
         """Autoregressive decode time of the most decode-bound rank.
 
-        Summed from the ``decode`` events (a subset of each rank's compute
-        time); 0.0 for training and inference simulations, whose event
-        streams contain no decode steps.
+        A subset of each rank's compute time; 0.0 for training and inference
+        simulations, whose event streams contain no decode steps.
         """
-        best = 0.0
-        for rank in self.ranks:
-            total = 0.0
-            for kind, _, duration, _, _, _ in rank.iter_records():
-                if kind == "decode":
-                    total += duration
-            if total > best:
-                best = total
-        return best
+        return max(rank.decode_seconds for rank in self.ranks)
 
     @property
     def bubble_fraction(self) -> float:
@@ -406,14 +365,18 @@ class TimelineResult:
 class TimelineSimulator:
     """Simulates one training iteration of every ``(pp, ep)`` rank coordinate.
 
-    The simulation advances *group phases*: expert-parallel peers of one
-    pipeline stage execute the identical schedule (only their routed loads
-    differ), so one phase of stage ``r`` is processed for all its EP ranks
-    together, with per-rank cursors that the synchronising collectives pull
-    back into lockstep.  Cross-stage dependencies (activation sends between
-    consecutive layer blocks, gradient sends on the way back) gate when a
-    group phase may start; phases are processed in dependency order, which is
-    exactly a discrete-event execution of the schedule.
+    Each ``(pp, ep)`` coordinate is one *lane* with its own clock.
+    Expert-parallel peers of one pipeline stage execute the identical
+    schedule (only their routed loads differ), so :meth:`run` makes one pass
+    over every stage's phases in dataflow order (:func:`_phase_order`), and
+    each phase advances the ``ep`` lanes of its stage; the synchronising
+    collectives of MoE layers pull those lanes back into lockstep.
+    Cross-stage dependencies (activation sends between consecutive layer
+    blocks, gradient sends on the way back) gate when a phase may start: a
+    lane stalls until the phase it depends on has ended on the same EP lane
+    of the producing stage.  The dataflow order depends only on the schedule
+    geometry, never on durations, so one pass in that order is exactly a
+    discrete-event execution of the schedule.
 
     One modelling note on interleaved (virtual-pipeline) schedules: the
     memory-oriented schedule in :mod:`repro.workloads.schedule` drains
@@ -436,7 +399,7 @@ class TimelineSimulator:
     ):
         if not 0.0 < scale <= 1.0:
             raise ValueError(f"scale must be in (0, 1], got {scale}")
-        if allocator_overhead_seconds < 0.0:
+        if not 0.0 <= allocator_overhead_seconds < math.inf:
             raise ValueError(
                 "allocator_overhead_seconds must be >= 0, "
                 f"got {allocator_overhead_seconds}"
@@ -643,10 +606,6 @@ class TimelineSimulator:
                 duration = seconds
         return duration
 
-    def _global_layer(self, stage: int, chunk: int, layer: int) -> int:
-        """Model-global layer id of one execution (same mapping as tracegen)."""
-        return (chunk * self.pp + stage) * self.layers + layer
-
     def _routed_loads(self, global_layer: int, microbatch: int) -> list[int]:
         """Per-EP-rank routed token assignments of one layer execution."""
         counts = self._router.route_global(
@@ -658,352 +617,95 @@ class TimelineSimulator:
         ]
 
     # ------------------------------------------------------------------ #
-    # Dependencies
-    # ------------------------------------------------------------------ #
-    def _dependency(self, stage: int, spec: PhaseSpec):
-        """Cross-stage phase this phase must wait for (None when unconstrained).
-
-        Layer blocks are numbered ``b = chunk * pp + stage`` (the Megatron
-        interleaving assignment).  A forward consumes the activations of
-        block ``b - 1``; a backward consumes the gradients of block ``b + 1``
-        along the within-chunk pipeline chain (see the class docstring for
-        why the interleaved wrap edge is cut).
-        """
-        if spec.kind is PhaseKind.FORWARD:
-            block = spec.chunk * self.pp + stage
-            if block == 0:
-                return None
-            src_stage = (block - 1) % self.pp
-            src_chunk = (block - 1) // self.pp
-            return (src_stage, "F", spec.microbatch, src_chunk)
-        if spec.kind is PhaseKind.BACKWARD:
-            block = spec.chunk * self.pp + stage
-            if block == self.chunks * self.pp - 1:
-                return None  # the loss block: its own forward precedes it in-schedule
-            if stage == self.pp - 1:
-                return None  # interleaved wrap edge (cut, see class docstring)
-            return (stage + 1, "B", spec.microbatch, spec.chunk)
-        if spec.kind is PhaseKind.DECODE:
-            # A decode step flows through the same block chain as a forward;
-            # block 0 additionally waits for the token the *previous* step
-            # (or the prefill, for step 1) sampled on the last block -- the
-            # autoregressive feedback edge.
-            block = spec.chunk * self.pp + stage
-            if block > 0:
-                src_stage = (block - 1) % self.pp
-                src_chunk = (block - 1) // self.pp
-                return (src_stage, "D", spec.microbatch, src_chunk, spec.step)
-            last_block = self.chunks * self.pp - 1
-            last_stage = last_block % self.pp
-            last_chunk = last_block // self.pp
-            if spec.step == 1:
-                return (last_stage, "F", spec.microbatch, last_chunk)
-            return (last_stage, "D", spec.microbatch, last_chunk, spec.step - 1)
-        return None
-
-    # ------------------------------------------------------------------ #
     # Simulation
     # ------------------------------------------------------------------ #
-    def run(self, *, force_general: bool = False) -> TimelineResult:
-        """Simulate the iteration.
+    def run(self) -> TimelineResult:
+        """Simulate the iteration: one pass over the schedule's dataflow order.
 
-        ``force_general`` routes a dense model through the general event loop
-        instead of the compiled fast path; the two are kept bit-identical
-        (totals and event streams) by a differential test, which is what lets
-        the fast path stay trustworthy as the general loop grows features.
+        Lane ``stage * ep + e`` is coordinate ``(stage, e)``.  A phase first
+        stalls each of its stage's lanes until the phase it depends on has
+        ended on that lane.  INIT / OPTIMIZER markers, dense forward/backward
+        units and decode steps then emit one event per lane; an MoE
+        forward/backward runs its layers through :meth:`_moe_layers`.
         """
-        if self._router is None and not force_general:
-            return self._run_dense()
-        return self._run_grouped()
-
-    # -- Dense fast path: compiled plan + tight scalar loop ------------- #
-    def _compiled_plan(self) -> tuple[list[tuple], int]:
-        """Topologically-ordered execution plan of the dense schedule.
-
-        The schedule, its cross-stage dependencies, and therefore the order
-        in which phases become executable depend only on ``(pp, chunks,
-        num_microbatches)`` -- never on durations (each phase starts when its
-        own stage is free *and* its dependency has ended, so the dataflow
-        order is fixed by the graph).  The plan is computed once per geometry
-        and cached; running it binds the config's actual durations.
-
-        Each entry is ``(stage, kind_code, duration_selector, dep_slot,
-        end_slot, microbatch, chunk)`` where slots index a flat array holding
-        phase end times (-1 when absent) and the duration selector picks
-        0.0 / forward / backward seconds at run time (selector ``2 + s``
-        picks the duration of decode step ``s``).
-        """
-        key = (
-            self.pp, self.chunks, self.num_microbatches,
-            self.config.workload_kind, self.config.decode_steps,
+        ep = self.ep
+        config = self.config
+        order, num_ends = _phase_order(
+            config.parallelism, ep, self.num_microbatches,
+            config.workload_kind, config.decode_steps,
         )
-        plan = _PLAN_CACHE.get(key)
-        if plan is None:
-            plan = self._build_plan()
-            if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-                _PLAN_CACHE.clear()
-            _PLAN_CACHE[key] = plan
-        return plan
-
-    def _build_plan(self) -> tuple[list[tuple], int]:
-        schedules = {
-            stage: build_schedule(
-                self.config.parallelism, self.num_microbatches, stage,
-                workload_kind=self.config.workload_kind,
-                decode_steps=self.config.decode_steps,
-            )
-            for stage in range(self.pp)
-        }
-        entries: list[tuple] = []
-        slot_ids: dict[tuple, int] = {}
-        next_index = [0] * self.pp
-        remaining = sum(len(schedule) for schedule in schedules.values())
-        while remaining:
-            progressed = False
-            for stage in range(self.pp):
-                index = next_index[stage]
-                if index >= len(schedules[stage]):
-                    continue
-                spec = schedules[stage][index]
-                dependency = self._dependency(stage, spec)
-                if dependency is not None and dependency not in slot_ids:
-                    continue
-                if spec.kind is PhaseKind.INIT or spec.kind is PhaseKind.OPTIMIZER:
-                    code = K_INIT if spec.kind is PhaseKind.INIT else K_OPTIMIZER
-                    entries.append((stage, code, 0, -1, -1, -1, 0))
-                elif spec.kind is PhaseKind.DECODE:
-                    end_key = (stage, "D", spec.microbatch, spec.chunk, spec.step)
-                    end_slot = slot_ids.setdefault(end_key, len(slot_ids))
-                    dep_slot = slot_ids[dependency] if dependency is not None else -1
-                    entries.append((
-                        stage,
-                        K_DECODE,
-                        2 + spec.step,
-                        dep_slot,
-                        end_slot,
-                        spec.microbatch,
-                        spec.chunk,
-                    ))
-                else:
-                    forward = spec.kind is PhaseKind.FORWARD
-                    end_key = (stage, "F" if forward else "B", spec.microbatch, spec.chunk)
-                    end_slot = slot_ids.setdefault(end_key, len(slot_ids))
-                    dep_slot = slot_ids[dependency] if dependency is not None else -1
-                    entries.append((
-                        stage,
-                        K_FORWARD if forward else K_BACKWARD,
-                        1 if forward else 2,
-                        dep_slot,
-                        end_slot,
-                        spec.microbatch,
-                        spec.chunk,
-                    ))
-                next_index[stage] += 1
-                remaining -= 1
-                progressed = True
-            if not progressed:  # pragma: no cover - guards future schedule changes
-                raise RuntimeError(
-                    "timeline deadlock: no executable phase left "
-                    f"(next indices {next_index})"
-                )
-        return entries, len(slot_ids)
-
-    def _run_dense(self) -> TimelineResult:
-        plan, num_slots = self._compiled_plan()
-        pp = self.pp
-        clocks = [0.0] * pp
-        ends = [0.0] * num_slots
-        buffers: list[list[tuple]] = [[] for _ in range(pp)]
-        # Accumulated in emission order, so the += chains are bit-identical
-        # to the previous per-event ``total += duration`` accumulation.
-        compute_totals = [0.0] * pp
-        stall_totals = [0.0] * pp
-        durations = (
-            0.0, self.dense_forward_seconds, self.dense_backward_seconds,
-            *self.decode_unit_durations,
-        )
-        for stage, code, selector, dep_slot, end_slot, microbatch, chunk in plan:
-            clock = clocks[stage]
-            buffer = buffers[stage]
-            if dep_slot >= 0:
-                ready = ends[dep_slot]
-                if ready > clock:
-                    buffer.append((K_STALL, clock, ready - clock, microbatch, chunk, -1))
-                    stall_totals[stage] += ready - clock
-                    clock = ready
+        num_lanes = self.pp * ep
+        clocks = [0.0] * num_lanes
+        ends = [0.0] * num_ends
+        records: list[list[tuple]] = [[] for _ in range(num_lanes)]
+        # Per-lane totals, accumulated in emission order (a float sum's bits
+        # depend on its order, and the golden digests pin them).
+        compute = [0.0] * num_lanes
+        comm = [0.0] * num_lanes
+        stall = [0.0] * num_lanes
+        decode = [0.0] * num_lanes
+        # Seconds of one phase by duration selector: markers take none, and
+        # an MoE model's forward/backward has no single duration (None) --
+        # its layers run through _moe_layers.  Decode steps re-read the cached
+        # context with dense single-token kernels and no routed dispatch, so
+        # EP peers neither synchronise nor diverge.
+        if self._router is None:
+            durations = (0.0, self.dense_forward_seconds, self.dense_backward_seconds)
+        else:
+            durations = (0.0, None, None)
+        durations += self.decode_unit_durations
+        for stage, lanes, code, selector, dep, end, microbatch, chunk in order:
             duration = durations[selector]
-            buffer.append((code, clock, duration, microbatch, chunk, -1))
-            if selector:
-                compute_totals[stage] += duration
-                clock += duration
-            if end_slot >= 0:
-                ends[end_slot] = clock
-            clocks[stage] = clock
-
-        rank_timelines = [
-            RankTimeline(
-                rank=(stage, 0),
-                compute_seconds=compute_totals[stage],
-                comm_seconds=0.0,
-                stall_seconds=stall_totals[stage],
-                finish_seconds=clocks[stage],
-                records=buffers[stage],
-            )
-            for stage in range(pp)
-        ]
-        return self._result(rank_timelines, max(clocks))
-
-    # -- Grouped (MoE) path: per-EP cursors + synchronising collectives - #
-    def _run_grouped(self) -> TimelineResult:
-        schedules = {
-            stage: build_schedule(
-                self.config.parallelism, self.num_microbatches, stage,
-                workload_kind=self.config.workload_kind,
-                decode_steps=self.config.decode_steps,
-            )
-            for stage in range(self.pp)
-        }
-        eps = range(self.ep)
-        clocks = {(stage, ep): 0.0 for stage in range(self.pp) for ep in eps}
-        events: dict[tuple, list[tuple]] = {coord: [] for coord in clocks}
-        totals = {coord: {"compute": 0.0, "comm": 0.0, "stall": 0.0} for coord in clocks}
-        ends: dict[tuple, dict[int, float]] = {}
-
-        next_index = [0] * self.pp
-        remaining = sum(len(schedule) for schedule in schedules.values())
-        while remaining:
-            progressed = False
-            for stage in range(self.pp):
-                index = next_index[stage]
-                if index >= len(schedules[stage]):
-                    continue
-                spec = schedules[stage][index]
-                dependency = self._dependency(stage, spec)
-                if dependency is not None and dependency not in ends:
-                    continue
-                self._run_phase(stage, spec, dependency, clocks, events, totals, ends)
-                next_index[stage] += 1
-                remaining -= 1
-                progressed = True
-            if not progressed:  # pragma: no cover - guards future schedule changes
-                raise RuntimeError(
-                    "timeline deadlock: no executable phase left "
-                    f"(next indices {next_index})"
+            moe = duration is None
+            for lane in lanes:
+                clock = clocks[lane]
+                if dep is not None and ends[dep + lane] > clock:
+                    ready = ends[dep + lane]
+                    records[lane].append((K_STALL, clock, ready - clock, microbatch, chunk, -1))
+                    stall[lane] += ready - clock
+                    clock = ready
+                if not moe:
+                    records[lane].append((code, clock, duration, microbatch, chunk, -1))
+                    if selector:
+                        compute[lane] += duration
+                        clock += duration
+                        if selector > 2:  # a decode step
+                            decode[lane] += duration
+                    if end is not None:
+                        ends[end + lane] = clock
+                clocks[lane] = clock
+            if moe:
+                self._moe_layers(
+                    stage, lanes, code == K_FORWARD, microbatch, chunk,
+                    clocks, records, compute, comm, stall,
                 )
+                for lane in lanes:
+                    ends[end + lane] = clocks[lane]
 
-        iteration = max(clocks.values())
         rank_timelines = [
             RankTimeline(
-                rank=coord,
-                compute_seconds=totals[coord]["compute"],
-                comm_seconds=totals[coord]["comm"],
-                stall_seconds=totals[coord]["stall"],
-                finish_seconds=clocks[coord],
-                records=events[coord],
+                (lane // ep, lane % ep),
+                records[lane],
+                compute_seconds=compute[lane],
+                comm_seconds=comm[lane],
+                stall_seconds=stall[lane],
+                decode_seconds=decode[lane],
+                finish_seconds=clocks[lane],
             )
-            for coord in sorted(clocks)
+            for lane in range(num_lanes)
         ]
-        return self._result(rank_timelines, iteration)
-
-    def _result(self, rank_timelines: list[RankTimeline], iteration: float) -> TimelineResult:
         return TimelineResult(
             gpu_name=self.gpu.name,
-            description=self.config.describe(),
+            description=config.describe(),
             ranks=rank_timelines,
-            iteration_seconds=iteration,
+            iteration_seconds=max(clocks),
             model_flops_per_iteration=self.model_flops,
-            num_gpus=self.config.parallelism.num_gpus,
-            tokens_per_iteration=self.config.tokens_per_iteration,
+            num_gpus=config.parallelism.num_gpus,
+            tokens_per_iteration=config.tokens_per_iteration,
             peak_tflops=self.gpu.peak_tflops,
             gpus_per_node=self.gpu.gpus_per_node,
             allocator_overhead_seconds=self.allocator_overhead_seconds,
         )
-
-    # ------------------------------------------------------------------ #
-    # Phase bodies
-    # ------------------------------------------------------------------ #
-    def _emit(self, events, totals, coord, kind, start, duration, spec=None, layer=-1):
-        if spec is not None:
-            events[coord].append(
-                (kind, start, duration, spec.microbatch, spec.chunk, layer)
-            )
-        else:
-            events[coord].append((kind, start, duration, -1, 0, layer))
-        if kind in _COMPUTE_CODES:
-            totals[coord]["compute"] += duration
-        elif kind in _COMM_CODES:
-            totals[coord]["comm"] += duration
-        elif kind == K_STALL:
-            totals[coord]["stall"] += duration
-
-    def _run_phase(self, stage, spec, dependency, clocks, events, totals, ends):
-        if spec.kind in (PhaseKind.INIT, PhaseKind.OPTIMIZER):
-            kind = K_INIT if spec.kind is PhaseKind.INIT else K_OPTIMIZER
-            for ep in range(self.ep):
-                coord = (stage, ep)
-                self._emit(events, totals, coord, kind, clocks[coord], 0.0)
-            return
-
-        if spec.kind is PhaseKind.DECODE:
-            # One dense decode event per EP rank: decode steps re-read the
-            # cached context and run dense single-token kernels, with no
-            # routed expert dispatch (MoE routing happened at prefill), so
-            # the EP group neither synchronises nor diverges here.
-            duration = self.decode_unit_durations[spec.step - 1]
-            cursors = {}
-            for ep in range(self.ep):
-                coord = (stage, ep)
-                start = clocks[coord]
-                if dependency is not None:
-                    start = max(start, ends[dependency][ep])
-                if start > clocks[coord]:
-                    self._emit(
-                        events, totals, coord, K_STALL, clocks[coord],
-                        start - clocks[coord], spec,
-                    )
-                self._emit(events, totals, coord, K_DECODE, start, duration, spec)
-                cursors[ep] = start + duration
-            ends[(stage, "D", spec.microbatch, spec.chunk, spec.step)] = dict(cursors)
-            for ep, cursor in cursors.items():
-                clocks[(stage, ep)] = cursor
-            return
-
-        forward = spec.kind is PhaseKind.FORWARD
-        cursors: dict[int, float] = {}
-        for ep in range(self.ep):
-            coord = (stage, ep)
-            start = clocks[coord]
-            if dependency is not None:
-                start = max(start, ends[dependency][ep])
-            if start > clocks[coord]:
-                self._emit(
-                    events, totals, coord, K_STALL, clocks[coord],
-                    start - clocks[coord], spec,
-                )
-            cursors[ep] = start
-
-        if self._router is None:
-            # Dense model through the general loop (force_general): one
-            # event of the full unit duration per phase, accumulated in the
-            # same order as the compiled plan so the two paths stay
-            # bit-identical.
-            duration = (
-                self.dense_forward_seconds if forward else self.dense_backward_seconds
-            )
-            dense_kind = K_FORWARD if forward else K_BACKWARD
-            for ep in cursors:
-                self._emit(
-                    events, totals, (stage, ep), dense_kind,
-                    cursors[ep], duration, spec,
-                )
-                cursors[ep] += duration
-        else:
-            self._run_moe_layers(stage, spec, forward, cursors, events, totals)
-
-        key = (stage, "F" if forward else "B", spec.microbatch, spec.chunk)
-        ends[key] = dict(cursors)
-        for ep, cursor in cursors.items():
-            clocks[(stage, ep)] = cursor
 
     def _layer_exec(self, stage: int, global_layer: int, microbatch: int):
         """Memoised ``(loads, balanced, a2a_duration)`` of one layer execution.
@@ -1025,7 +727,15 @@ class TimelineSimulator:
             self._layer_exec_cache[key] = cached
         return cached
 
-    def _run_moe_layers(self, stage, spec, forward, cursors, events, totals):
+    def _moe_layers(
+        self, stage, lanes, forward, microbatch, chunk, clocks, records, compute, comm, stall
+    ):
+        """Run the layers of one MoE forward/backward phase on ``lanes``.
+
+        Each layer runs its dense compute (forward), the synchronising
+        all-to-all, the expert FFN scaled by each lane's routed load, then
+        its dense gradient work (backward).
+        """
         unit = self.forward_unit_seconds if forward else self.backward_unit_seconds
         per_layer = unit / self.layers
         expert_base = per_layer * self.expert_share
@@ -1038,81 +748,187 @@ class TimelineSimulator:
         expert_kind = K_EXPERT_FORWARD if forward else K_EXPERT_BACKWARD
         a2a_kind = K_A2A_DISPATCH if forward else K_A2A_COMBINE
         layer_order = range(self.layers) if forward else reversed(range(self.layers))
+        # Model-global layer ids: the mapping tracegen keys router draws on.
+        first_layer = (chunk * self.pp + stage) * self.layers
+        base = lanes.start
 
         for layer in layer_order:
-            global_layer = self._global_layer(stage, spec.chunk, layer)
+            global_layer = first_layer + layer
             loads, balanced, a2a_duration = self._layer_exec(
-                stage, global_layer, spec.microbatch
+                stage, global_layer, microbatch
             )
-
             if forward:
                 # Dense compute produces the tokens the dispatch will route.
-                for ep in cursors:
-                    self._emit(
-                        events, totals, (stage, ep), dense_kind,
-                        cursors[ep], dense_part, spec, global_layer,
+                for lane in lanes:
+                    records[lane].append(
+                        (dense_kind, clocks[lane], dense_part, microbatch, chunk, global_layer)
                     )
-                    cursors[ep] += dense_part
+                    compute[lane] += dense_part
+                    clocks[lane] += dense_part
             # The collective synchronises the EP group: it begins when the
             # last peer arrives, and everyone resumes together when it ends.
             # With a zero comm factor the synchronisation (and its stalls)
             # still happens, but no zero-duration event is emitted -- the
             # comm-free event stream stays free of no-op markers.
-            begin = max(cursors.values())
-            for ep in cursors:
-                coord = (stage, ep)
-                if begin > cursors[ep]:
-                    self._emit(
-                        events, totals, coord, K_STALL, cursors[ep],
-                        begin - cursors[ep], spec, global_layer,
-                    )
+            begin = max(clocks[base:lanes.stop])
+            for lane in lanes:
+                append = records[lane].append
+                clock = clocks[lane]
+                if begin > clock:
+                    append((K_STALL, clock, begin - clock, microbatch, chunk, global_layer))
+                    stall[lane] += begin - clock
+                clock = begin + a2a_duration
                 if a2a_duration > 0:
-                    self._emit(
-                        events, totals, coord, a2a_kind, begin, a2a_duration,
-                        spec, global_layer,
-                    )
-                cursors[ep] = begin + a2a_duration
-            # Expert FFN (or its gradients): scales with the local load.
-            # ``comm_overlap_factor`` hides up to that fraction of the
-            # collective under the expert compute consuming its tokens: the
-            # expert starts early by ``min(factor * a2a, expert)`` seconds.
-            # The a2a event above keeps its full duration -- comm_seconds
-            # and the stall accounting stay honest -- only the cursor (the
-            # critical path) shortens.
-            for ep in cursors:
+                    append((a2a_kind, begin, a2a_duration, microbatch, chunk, global_layer))
+                    comm[lane] += a2a_duration
+                # Expert FFN (or its gradients): scales with the local load.
+                # ``comm_overlap_factor`` hides up to that fraction of the
+                # collective under the expert compute consuming its tokens:
+                # the expert starts early by ``min(factor * a2a, expert)``
+                # seconds.  The a2a event keeps its full duration --
+                # comm_seconds and the stall accounting stay honest -- only
+                # the clock (the critical path) shortens.
                 expert_duration = (
-                    expert_base * (loads[ep] / balanced) if balanced > 0 else 0.0
+                    expert_base * (loads[lane - base] / balanced) if balanced > 0 else 0.0
                 )
                 if expert_duration > 0:
-                    hidden = (
-                        min(overlap * a2a_duration, expert_duration)
-                        if overlap > 0.0 and a2a_duration > 0.0
-                        else 0.0
-                    )
-                    start = cursors[ep] - hidden
-                    self._emit(
-                        events, totals, (stage, ep), expert_kind,
-                        start, expert_duration, spec, global_layer,
-                    )
-                    cursors[ep] = start + expert_duration
-            if not forward:
-                # Dense gradient work follows the combine + expert gradients.
-                for ep in cursors:
-                    self._emit(
-                        events, totals, (stage, ep), dense_kind,
-                        cursors[ep], dense_part, spec, global_layer,
-                    )
-                    cursors[ep] += dense_part
+                    if overlap > 0.0 and a2a_duration > 0.0:
+                        clock -= min(overlap * a2a_duration, expert_duration)
+                    append((expert_kind, clock, expert_duration, microbatch, chunk, global_layer))
+                    compute[lane] += expert_duration
+                    clock += expert_duration
+                if not forward:
+                    # Dense gradient work follows the combine + expert gradients.
+                    append((dense_kind, clock, dense_part, microbatch, chunk, global_layer))
+                    compute[lane] += dense_part
+                    clock += dense_part
+                clocks[lane] = clock
 
 
 # ---------------------------------------------------------------------- #
-# Memoised entry point
+# Dataflow order
 # ---------------------------------------------------------------------- #
-#: Small in-process memo: a sweep point runs one configuration through
-#: several allocators, and the timeline (allocator-independent) would
-#: otherwise be recomputed for each of them.
-_MEMO: dict[tuple, TimelineResult] = {}
-_MEMO_MAX = 8
+def _dependency(pp: int, chunks: int, stage: int, spec: PhaseSpec):
+    """Cross-stage phase this phase must wait for (None when unconstrained).
+
+    Layer blocks are numbered ``b = chunk * pp + stage`` (the Megatron
+    interleaving assignment).  A forward consumes the activations of block
+    ``b - 1``; a backward consumes the gradients of block ``b + 1`` along the
+    within-chunk pipeline chain (see :class:`TimelineSimulator` for why the
+    interleaved wrap edge is cut).
+    """
+    if spec.kind is PhaseKind.FORWARD:
+        block = spec.chunk * pp + stage
+        if block == 0:
+            return None
+        src_stage = (block - 1) % pp
+        src_chunk = (block - 1) // pp
+        return (src_stage, "F", spec.microbatch, src_chunk)
+    if spec.kind is PhaseKind.BACKWARD:
+        block = spec.chunk * pp + stage
+        if block == chunks * pp - 1:
+            return None  # the loss block: its own forward precedes it in-schedule
+        if stage == pp - 1:
+            return None  # interleaved wrap edge (cut, see the simulator docstring)
+        return (stage + 1, "B", spec.microbatch, spec.chunk)
+    if spec.kind is PhaseKind.DECODE:
+        # A decode step flows through the same block chain as a forward;
+        # block 0 additionally waits for the token the *previous* step (or
+        # the prefill, for step 1) sampled on the last block -- the
+        # autoregressive feedback edge.
+        block = spec.chunk * pp + stage
+        if block > 0:
+            src_stage = (block - 1) % pp
+            src_chunk = (block - 1) // pp
+            return (src_stage, "D", spec.microbatch, src_chunk, spec.step)
+        last_block = chunks * pp - 1
+        last_stage = last_block % pp
+        last_chunk = last_block // pp
+        if spec.step == 1:
+            return (last_stage, "F", spec.microbatch, last_chunk)
+        return (last_stage, "D", spec.microbatch, last_chunk, spec.step - 1)
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_order(
+    parallelism: ParallelismConfig,
+    ep: int,
+    num_microbatches: int,
+    workload_kind: str,
+    decode_steps: int,
+) -> tuple[tuple[tuple, ...], int]:
+    """Every stage's phases in one dataflow order, plus the end-time list size.
+
+    Stages take turns (round-robin); a stage's next phase is taken once the
+    phase it depends on has been taken.  The order depends only on the
+    schedule geometry -- never on durations, because each phase starts when
+    its own lanes are free *and* its dependency has ended -- so it is built
+    once per geometry and every run binds its own durations.
+
+    Each entry is ``(stage, lanes, kind_code, duration_selector, dep, end,
+    microbatch, chunk)``.  ``lanes`` is the stage's ``range(stage * ep,
+    (stage + 1) * ep)``.  A phase owns ``ep`` consecutive slots of the flat
+    end-time list; ``dep + lane`` / ``end + lane`` index the slot of the
+    phase waited for / of this phase on that lane (None when absent).  The
+    selector picks 0.0 / forward / backward seconds at run time (``2 + s``
+    picks decode step ``s``).
+    """
+    pp = parallelism.pipeline_parallel
+    chunks = parallelism.virtual_pipeline_chunks
+    schedules = [
+        build_schedule(
+            parallelism, num_microbatches, stage,
+            workload_kind=workload_kind, decode_steps=decode_steps,
+        )
+        for stage in range(pp)
+    ]
+    order: list[tuple] = []
+    slots: dict[tuple, int] = {}
+    next_index = [0] * pp
+    remaining = sum(len(schedule) for schedule in schedules)
+    while remaining:
+        progressed = False
+        for stage, schedule in enumerate(schedules):
+            index = next_index[stage]
+            if index >= len(schedule):
+                continue
+            spec = schedule[index]
+            dependency = _dependency(pp, chunks, stage, spec)
+            if dependency is not None and dependency not in slots:
+                continue
+            base = stage * ep
+            lanes = range(base, base + ep)
+            if spec.kind is PhaseKind.INIT or spec.kind is PhaseKind.OPTIMIZER:
+                code = K_INIT if spec.kind is PhaseKind.INIT else K_OPTIMIZER
+                order.append((stage, lanes, code, 0, None, None, -1, 0))
+            else:
+                if spec.kind is PhaseKind.DECODE:
+                    code, selector = K_DECODE, 2 + spec.step
+                    key = (stage, "D", spec.microbatch, spec.chunk, spec.step)
+                elif spec.kind is PhaseKind.FORWARD:
+                    code, selector = K_FORWARD, 1
+                    key = (stage, "F", spec.microbatch, spec.chunk)
+                else:
+                    code, selector = K_BACKWARD, 2
+                    key = (stage, "B", spec.microbatch, spec.chunk)
+                slots[key] = len(slots) * ep
+                # Lane ``base + e`` uses slot ``s + e`` of a phase owning
+                # ``[s, s + ep)``, so the offset stored is ``s - base``.
+                dep = slots[dependency] - base if dependency is not None else None
+                order.append((
+                    stage, lanes, code, selector, dep, slots[key] - base,
+                    spec.microbatch, spec.chunk,
+                ))
+            next_index[stage] += 1
+            remaining -= 1
+            progressed = True
+        if not progressed:  # pragma: no cover - guards future schedule changes
+            raise RuntimeError(
+                "timeline deadlock: no executable phase left "
+                f"(next indices {next_index})"
+            )
+    return tuple(order), len(slots) * ep
 
 
 def simulate_timeline(
@@ -1123,46 +939,18 @@ def simulate_timeline(
     scale: float = 1.0,
     allocator_overhead_seconds: float = 0.0,
 ) -> TimelineResult:
-    """Simulate one iteration of ``config`` on ``gpu`` (memoised).
+    """Simulate one iteration of ``config`` on ``gpu`` under a ``timeline.simulate`` span.
 
     Returns the full :class:`TimelineResult`; callers needing the shared
-    estimate shape use :meth:`TimelineResult.to_estimate`.  Results are
-    treated as immutable -- the memo hands the same object to every caller.
+    estimate shape use :meth:`TimelineResult.to_estimate`.
     ``allocator_overhead_seconds`` injects the replay-measured allocator
-    overhead into the phase durations (see the class docs); it is part of
-    the memo key, so allocators with different overheads never alias.
+    overhead into the phase durations (see :class:`TimelineSimulator`).
     """
-    spec = get_gpu(gpu)
-    # The whole (frozen, hashable) spec is part of the key, not just its
-    # name: a caller passing a customised GPUSpec under a stock name must
-    # never be served a result computed for different hardware constants.
-    # The spec carries the fabric tier fields and node size, so a fabric
-    # customisation rotates the key automatically.
-    key = (
-        config_fingerprint(config, seed=seed, scale=scale),
-        spec,
-        float(allocator_overhead_seconds),
-        TIMELINE_VERSION,
-    )
-    cached = _MEMO.get(key)
-    if cached is not None:
-        return cached
-    # Span only on the memo-miss path: a memo hit is a dict lookup and must
-    # stay one.
     with _obs_span("timeline.simulate", model=config.model.name):
-        result = TimelineSimulator(
+        return TimelineSimulator(
             config,
-            gpu=spec,
+            gpu=gpu,
             seed=seed,
             scale=scale,
             allocator_overhead_seconds=allocator_overhead_seconds,
         ).run()
-    _MEMO[key] = result
-    while len(_MEMO) > _MEMO_MAX:
-        _MEMO.pop(next(iter(_MEMO)))
-    return result
-
-
-def clear_timeline_memo() -> None:
-    """Drop memoised timelines (tests use this to force fresh simulations)."""
-    _MEMO.clear()

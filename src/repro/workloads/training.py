@@ -8,6 +8,7 @@ x-axis of Figure 8: ``Naive``/``R``/``V``/``VR``/``ZR``/``ZOR``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.workloads.model_config import ModelConfig
@@ -79,7 +80,7 @@ class TrainingConfig:
             raise ValueError(f"unknown framework {self.framework!r}")
         if not 0.0 <= self.moe_imbalance <= 1.0:
             raise ValueError(f"moe_imbalance must be in [0, 1], got {self.moe_imbalance}")
-        if self.moe_comm_factor < 0.0:
+        if not 0.0 <= self.moe_comm_factor < math.inf:
             raise ValueError(
                 f"moe_comm_factor must be >= 0, got {self.moe_comm_factor}"
             )

@@ -36,11 +36,7 @@ from repro.core.columns import ALLOC, FREE, KINDS, TraceColumns
 from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent, pair_events
 from repro.gpu.device import GIB, Device
 from repro.simulator.replay import replay_trace
-from repro.timeline.simulator import (
-    TimelineSimulator,
-    clear_timeline_memo,
-    simulate_timeline,
-)
+from repro.timeline.simulator import TimelineSimulator, simulate_timeline
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.trace import Trace
@@ -376,9 +372,7 @@ def test_timeline_records_match_views_and_totals(draw):
 @pytest.mark.parametrize("draw", range(10))
 def test_timeline_rerun_is_digest_stable(draw):
     config, seed, ep_rank = _draw_config(random.Random(5000 + draw))
-    clear_timeline_memo()
     first = simulate_timeline(config, seed=seed, scale=0.5)
-    clear_timeline_memo()
     second = simulate_timeline(config, seed=seed, scale=0.5)
     assert first is not second
     assert first.digest() == second.digest()

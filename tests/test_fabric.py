@@ -1,6 +1,6 @@
 """Properties of the hierarchical network fabric (TIMELINE_VERSION=2).
 
-Four families of guarantees:
+Three families of guarantees:
 
 * **Degeneracy** -- a single-node or equal-tier topology with
   ``comm_overlap_factor=0`` and zero per-phase allocator overhead reproduces
@@ -16,8 +16,6 @@ Four families of guarantees:
   two allocators with different per-event overheads produce different
   ``iteration_seconds`` on the same config (the acceptance criterion: the
   allocator sits inside the critical path now).
-* **Differential** -- the compiled dense fast path and the general event loop
-  agree on all four per-rank second totals, not just ``iteration_seconds``.
 """
 
 from __future__ import annotations
@@ -369,59 +367,6 @@ class TestPerPhaseOverhead:
         for name, job in runs.items():
             assert job.throughput.iteration_seconds == iterations[name]
             assert job.throughput.allocator_overhead_seconds == 0.0
-
-
-# ---------------------------------------------------------------------- #
-# Differential: compiled dense plan vs general event loop
-# ---------------------------------------------------------------------- #
-class TestDenseDifferential:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            _dense_config(),
-            _dense_config(
-                recompute=True,
-                parallelism=ParallelismConfig(
-                    pipeline_parallel=2, data_parallel=2, virtual_pipeline_chunks=2
-                ),
-            ),
-            TrainingConfig(
-                model=get_model("gpt-tiny"),
-                parallelism=ParallelismConfig(data_parallel=2),
-                micro_batch_size=2,
-                num_microbatches=4,
-            ),
-        ],
-        ids=["pp2", "pp2-vpp2-recompute", "pp1"],
-    )
-    def test_fast_path_matches_general_loop(self, config):
-        fast = TimelineSimulator(config, gpu=GPU, seed=0).run()
-        general = TimelineSimulator(config, gpu=GPU, seed=0).run(force_general=True)
-        assert fast.iteration_seconds == general.iteration_seconds
-        for fast_rank, general_rank in zip(fast.ranks, general.ranks):
-            assert fast_rank.rank == general_rank.rank
-            # All four per-rank totals, not just the iteration: the dense
-            # fast path claims comm_seconds=0.0 and the general loop must
-            # agree event-by-event.
-            assert fast_rank.compute_seconds == general_rank.compute_seconds
-            assert fast_rank.comm_seconds == general_rank.comm_seconds
-            assert fast_rank.stall_seconds == general_rank.stall_seconds
-            assert fast_rank.finish_seconds == general_rank.finish_seconds
-
-    def test_fast_path_matches_general_loop_with_overhead(self):
-        config = _dense_config()
-        fast = TimelineSimulator(
-            config, gpu=GPU, seed=0, allocator_overhead_seconds=0.003
-        ).run()
-        general = TimelineSimulator(
-            config, gpu=GPU, seed=0, allocator_overhead_seconds=0.003
-        ).run(force_general=True)
-        assert fast.iteration_seconds == general.iteration_seconds
-        for fast_rank, general_rank in zip(fast.ranks, general.ranks):
-            assert fast_rank.compute_seconds == general_rank.compute_seconds
-            assert fast_rank.comm_seconds == general_rank.comm_seconds
-            assert fast_rank.stall_seconds == general_rank.stall_seconds
-            assert fast_rank.finish_seconds == general_rank.finish_seconds
 
 
 # ---------------------------------------------------------------------- #

@@ -11,21 +11,24 @@ single-source-of-truth satellite.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.cli import main as cli_main
 from repro.gpu.device import GIB, a800_80gb, device_from_spec, h200_141gb, mi210_64gb
 from repro.gpu.specs import GPU_SPECS, get_gpu
 from repro.simulator import throughput as throughput_module
 from repro.simulator.runner import run_job, run_workload
 from repro.simulator.throughput import ThroughputModel
+from repro.obs import BufferSink, Tracer
+from repro.obs.tracer import install, shutdown
+from repro.search.cluster import ClusterSpec
+from repro.simulator.ranks import validate_budget_map
 from repro.sweep.compare import compare_results
 from repro.sweep.engine import execute_point, run_sweep
 from repro.sweep.spec import SweepSpec, load_spec
-from repro.timeline import (
-    TimelineSimulator,
-    clear_timeline_memo,
-    simulate_timeline,
-)
+from repro.timeline import TimelineSimulator, simulate_timeline
 from repro.workloads.moe import ExpertRouter
 from repro.workloads.models import get_model
 from repro.workloads.tracegen import config_fingerprint
@@ -266,17 +269,25 @@ class TestEventStream:
         for key, starts in collectives.items():
             assert len(starts) == 1, f"collective {key} not synchronised: {starts}"
 
-    def test_memo_returns_same_object(self):
-        clear_timeline_memo()
-        config = moe_config()
-        assert simulate_timeline(config, gpu=GPU) is simulate_timeline(config, gpu=GPU)
+    def test_every_call_emits_one_span(self):
+        """Span counts equal call counts, which the e2e accounting assumes:
+        two identical calls simulate twice and emit two spans."""
+        buffer = BufferSink()
+        install(Tracer(sinks=[buffer]))
+        try:
+            config = moe_config()
+            first = simulate_timeline(config, gpu=GPU)
+            second = simulate_timeline(config, gpu=GPU)
+        finally:
+            shutdown()
+        names = [event["name"] for event in buffer.events]
+        assert names.count("timeline.simulate") == 2
+        assert first is not second
+        assert first.digest() == second.digest()
 
     def test_memo_keys_on_spec_contents_not_name(self):
         """A customised GPUSpec under a stock name must never be served a
-        memoised result computed for different hardware constants."""
-        import dataclasses
-
-        clear_timeline_memo()
+        result computed for different hardware constants."""
         config = moe_config()
         stock = simulate_timeline(config, gpu=GPU)
         slow_a2a = dataclasses.replace(GPU, a2a_gbytes_per_sec=GPU.a2a_gbytes_per_sec / 10)
@@ -296,6 +307,80 @@ class TestEventStream:
             timeline.rank_timeline((99, 99))
         lines = list(timeline.iter_jsonl())
         assert len(lines) == timeline.num_events + 1  # header + one per event
+
+
+# ---------------------------------------------------------------------- #
+# Non-finite inputs
+# ---------------------------------------------------------------------- #
+NAN = float("nan")
+INF = float("inf")
+MOE_TIMELINE = ["timeline", "moe-tiny", "--pp", "2", "--ep", "2", "--dp", "2"]
+#: A JSON sweep spec whose base carries a ``NaN`` literal (``json`` accepts it).
+NAN_SPEC = """{"name": "nan", "allocators": ["torch2.3"], "model": "moe-tiny",
+ "parallelism": {"pipeline_parallel": 2, "data_parallel": 2, "expert_parallel": 2},
+ "base": {"num_microbatches": 2, "moe_comm_factor": NaN}}"""
+
+#: case -> (API call that must raise, or CLI argv that must exit 2; message).
+#: A NaN passes every ``x < 0`` / ``x <= 0`` check, so before these were
+#: rejected a NaN comm factor printed ``iteration_seconds nan`` and a NaN
+#: bandwidth made a communicating job report ``comm_seconds 0``.
+NON_FINITE = {
+    "config-comm-nan": (lambda: moe_config(moe_comm_factor=NAN), "moe_comm_factor"),
+    "config-comm-inf": (lambda: moe_config(moe_comm_factor=INF), "moe_comm_factor"),
+    "spec-a2a-nan": (
+        lambda: dataclasses.replace(GPU, a2a_gbytes_per_sec=NAN), "a2a_gbytes_per_sec"
+    ),
+    "spec-hbm-inf": (
+        lambda: dataclasses.replace(GPU, hbm_gbytes_per_sec=INF), "hbm_gbytes_per_sec"
+    ),
+    "spec-intra-nan": (
+        lambda: dataclasses.replace(GPU, intra_node_gbytes_per_sec=NAN),
+        "intra_node_gbytes_per_sec",
+    ),
+    "spec-inter-inf": (
+        lambda: dataclasses.replace(GPU, inter_node_gbytes_per_sec=INF),
+        "inter_node_gbytes_per_sec",
+    ),
+    "overhead-nan": (
+        lambda: TimelineSimulator(dense_config(), allocator_overhead_seconds=NAN),
+        "allocator_overhead_seconds",
+    ),
+    "cluster-inter-inf": (
+        lambda: ClusterSpec.from_dict(
+            {"devices": "2x4xA800-80GB", "inter_node_gbytes_per_sec": INF}
+        ),
+        "inter_node_gbytes_per_sec",
+    ),
+    "sweep-fabric-nan": (
+        lambda: tiny_sweep_spec(fabric={"intra_node_gbytes_per_sec": NAN}),
+        "intra_node_gbytes_per_sec",
+    ),
+    "budget-nan": (lambda: validate_budget_map({"0": NAN}, "budgets"), "positive GiB"),
+    "cli-comm-nan": ([*MOE_TIMELINE, "--comm-factor", "nan"], "moe_comm_factor"),
+    "cli-comm-inf": ([*MOE_TIMELINE, "--comm-factor", "inf"], "moe_comm_factor"),
+    "cli-intra-nan": (
+        [*MOE_TIMELINE, "--intra-bw", "nan", "--gpus-per-node", "1", "--comm-factor", "1"],
+        "intra_node_gbytes_per_sec",
+    ),
+    "cli-sweep-json-nan": (["sweep", "{spec}", "--no-cache"], "moe_comm_factor"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_inputs_are_rejected(case, tmp_path, capsys):
+    target, message = NON_FINITE[case]
+    if callable(target):
+        with pytest.raises(ValueError, match=message):
+            target()
+        return
+    spec_path = tmp_path / "nan.json"
+    spec_path.write_text(NAN_SPEC)
+    argv = [str(spec_path) if arg == "{spec}" else arg for arg in target]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 # ---------------------------------------------------------------------- #
