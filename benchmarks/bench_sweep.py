@@ -25,10 +25,12 @@ it at another checkout's ``src/`` to record a "before" entry): the wall of
 search-smoke``, ``import numpy`` for scale, and -- machine-independent -- how
 many ``repro`` modules a warm sweep loaded, whether numpy was among them, and
 whether the cold ``job-smoke`` sweep that filled the cache loaded it (a dense
-run draws no MoE routing, the only thing numpy is imported for).  ``--check``
-fails when numpy appears on the warm or the cold dense path, or the module
-count exceeds the latest entry by more than 5; the walls are recorded, not
-gated.
+run draws no MoE routing, the only thing numpy is imported for).  The cold
+probe also records its peak RSS and the most traces alive at any replay (every
+``Trace`` is registered in a ``weakref.WeakSet`` that is counted as each replay
+starts).  ``--check`` fails when numpy appears on the warm or the cold dense
+path, more than one trace was alive at once, or the module count exceeds the
+latest entry by more than 5; the walls and the RSS are recorded, not gated.
 """
 
 from __future__ import annotations
@@ -161,6 +163,28 @@ def measure_obs_overhead(
 # ---------------------------------------------------------------------- #
 # CLI start-up (fresh children of the ``repro`` on PYTHONPATH)
 # ---------------------------------------------------------------------- #
+#: Runs a cold ``main(argv)`` silently with every trace counted, then reports
+#: ``[peak RSS KiB, most traces alive at one replay, numpy loaded]``.
+_COLD_CHILD = """
+import contextlib, io, json, resource, sys, weakref
+from repro.simulator import replay
+from repro.workloads.trace import Trace
+live, most = weakref.WeakSet(), [0]
+init, run = Trace.__init__, replay._replay_trace
+def counted_init(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    live.add(self)
+def counted_replay(*args, **kwargs):
+    most[0] = max(most[0], len(live))
+    return run(*args, **kwargs)
+Trace.__init__, replay._replay_trace = counted_init, counted_replay
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(json.loads(sys.argv[1]))
+print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, most[0],
+                  "numpy" in sys.modules]))
+"""
+
 #: Runs ``main(argv)`` silently, then reports what the process had imported.
 _MODULES_CHILD = """
 import contextlib, io, json, sys
@@ -187,10 +211,10 @@ def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
             walls.append(time.perf_counter() - started)
         return round(min(walls), 4)
 
-    def probe(argv: list[str]) -> list:
-        """``[repro modules loaded, numpy loaded]`` of one CLI child."""
+    def probe(child: str, argv: list[str]) -> list:
+        """The JSON list the last line of one CLI child prints."""
         done = subprocess.run(
-            [sys.executable, "-c", _MODULES_CHILD, json.dumps(argv)],
+            [sys.executable, "-c", child, json.dumps(argv)],
             check=True, env=env, cwd=scratch, capture_output=True, text=True,
         )
         return json.loads(done.stdout.splitlines()[-1])
@@ -198,12 +222,12 @@ def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
     sweep = ["sweep", "job-smoke", "--cache-dir", "cache", "--no-progress"]
     search = ["search", "search-smoke", "--cache-dir", "cache", "--no-progress"]
     # Cold runs fill the cache (and __pycache__); job-smoke is a dense model.
-    _, cold_numpy_loaded = probe(sweep)
+    cold_rss_kib, cold_max_live, cold_numpy_loaded = probe(_COLD_CHILD, sweep)
     subprocess.run(
         [sys.executable, "-m", "repro.cli", *search],
         check=True, env=env, cwd=scratch, capture_output=True,
     )
-    modules, numpy_loaded = probe(sweep)
+    modules, numpy_loaded = probe(_MODULES_CHILD, sweep)
     return {
         "reps": reps,
         "import_cli_s": best_wall("-c", "import repro.cli"),
@@ -213,6 +237,8 @@ def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
         "warm_modules_loaded": modules,
         "warm_numpy_loaded": numpy_loaded,
         "cold_dense_numpy_loaded": cold_numpy_loaded,
+        "cold_sweep_maxrss_mib": round(cold_rss_kib / 1024, 2),  # Linux reports KiB
+        "cold_sweep_max_live_traces": cold_max_live,
     }
 
 
@@ -225,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         type=Path,
         help="print the latest BENCH_sweep.json entry next to the measurement; "
-        f"fail if measured overhead exceeds {CHECK_MAX_OVERHEAD_PCT:g}%% or numpy loads "
-        "on the warm or the cold dense path",
+        f"fail if measured overhead exceeds {CHECK_MAX_OVERHEAD_PCT:g}%%, numpy loads "
+        "on the warm or the cold dense path, or a cold sweep holds two traces at once",
     )
     args = parser.parse_args(argv)
 
@@ -247,6 +273,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{startup['warm_modules_loaded']} repro modules, numpy "
         f"{'loaded' if startup['warm_numpy_loaded'] else 'absent'}, cold dense sweep numpy "
         f"{'loaded' if startup['cold_dense_numpy_loaded'] else 'absent'}"
+    )
+    print(
+        f"  cold sweep peak RSS {startup['cold_sweep_maxrss_mib']:.2f} MiB, at most "
+        f"{startup['cold_sweep_max_live_traces']} trace(s) alive at one replay"
     )
 
     if args.json:
@@ -269,6 +299,12 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         if startup["cold_dense_numpy_loaded"]:
             print("cli start-up smoke FAILED: a cold dense sweep imports numpy")
+            return 1
+        if startup["cold_sweep_max_live_traces"] > 1:
+            print(
+                f"cli start-up smoke FAILED: {startup['cold_sweep_max_live_traces']} traces "
+                "were alive at once in the cold sweep (one is the unit of work)"
+            )
             return 1
         recorded = latest.get(measured["spec"])
         if recorded is not None:

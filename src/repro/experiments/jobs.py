@@ -22,7 +22,7 @@ from repro.experiments.common import (
 from repro.gpu.specs import GPU_SPECS
 from repro.search.bounds import kv_cache_bytes_floor
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import run_job
+from repro.simulator.runner import JobSpec, run_job, run_jobs
 from repro.simulator.throughput import ThroughputModel
 from repro.timeline import simulate_timeline
 from repro.workloads.parallelism import rank_label
@@ -44,6 +44,22 @@ def _job_row(preset: str, job) -> dict:
     }
 
 
+def _lineup_jobs(
+    config, allocators: list[str], device_name: str, scale: float, ctx: ExecutionContext
+) -> list:
+    """Every rank of ``config`` under each allocator, in lineup order.
+
+    One :func:`run_jobs` call, so each rank's trace is fetched once for the
+    whole lineup.
+    """
+    jobs = [
+        (allocator, JobSpec(config, allocator, device_name=device_name, scale=scale))
+        for allocator in allocators
+    ]
+    done = {allocator: job for allocator, job, _ in run_jobs(jobs, ctx=ctx)}
+    return [done[allocator] for allocator in allocators]
+
+
 @register_experiment("job_table")
 def run_job_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Per-rank memory asymmetry of the GPT-2 job across presets."""
@@ -55,15 +71,7 @@ def run_job_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentRe
     binding_ranks = set()
     for preset in presets:
         config = workload.preset(preset, micro_batch_size=4 if quick else None)
-        for allocator in lineup:
-            job = run_job(
-                config,
-                allocator,
-                ranks="all",
-                device_name=workload.device_name,
-                scale=scale,
-                ctx=ctx,
-            )
+        for job in _lineup_jobs(config, lineup, workload.device_name, scale, ctx):
             rows.append(_job_row(preset, job))
             binding_ranks.add(job.binding_rank)
     return ExperimentResult(
@@ -98,15 +106,9 @@ def run_ep_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentRes
         config = workload.preset("Naive", micro_batch_size=1 if quick else None).with_(
             moe_imbalance=imbalance, num_microbatches=4
         )
-        for allocator in allocators:
-            job = run_job(
-                config,
-                allocator,
-                ranks="all",
-                device_name=workload.device_name,
-                scale=scale,
-                ctx=ctx,
-            )
+        for allocator, job in zip(
+            allocators, _lineup_jobs(config, allocators, workload.device_name, scale, ctx)
+        ):
             peaks = {
                 rank_label(rank): round(run.replay.metrics.peak_allocated_gib, 3)
                 for rank, run in job.runs_by_rank().items()

@@ -182,7 +182,11 @@ def run_table3(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResul
         peak_total = profile.peak_allocated_bytes()
         static_peak = profile.peak_static_bytes()
         runs = run_workload_suite(
-            config, [STALLOC_NO_REUSE, STALLOC], device_name=workload.device_name, ctx=ctx
+            config,
+            [STALLOC_NO_REUSE, STALLOC],
+            device_name=workload.device_name,
+            trace=trace,
+            ctx=ctx,
         )
         fallback_without = runs[STALLOC_NO_REUSE].replay.allocator_stats.get("fallback_peak_reserved", 0)
         fallback_with = runs[STALLOC].replay.allocator_stats.get("fallback_peak_reserved", 0)

@@ -10,8 +10,9 @@
    killed before any trace is generated.
 
 2. **Branch and bound** -- survivors are priced through the ordinary sweep
-   engine (:func:`~repro.sweep.engine.execute_point`, so the content-addressed
-   cache makes revisits free), in descending order of
+   engine (:func:`~repro.sweep.engine.execute_points`, one candidate group at
+   a time, so each rank trace of a group is fetched once and the
+   content-addressed cache makes revisits free), in descending order of
    :func:`~repro.search.bounds.throughput_upper_bound`.  Once a candidate's
    upper bound falls *strictly* below the best measured ``tokens_per_second``
    the remaining candidates cannot win and are pruned unevaluated.  The
@@ -43,7 +44,7 @@ from repro.search.bounds import memory_lower_bound, throughput_upper_bound
 from repro.search.space import SearchSpec
 from repro.simulator.execution import ExecutionContext
 from repro.simulator.ranks import default_capacity_gib, job_rank_classes
-from repro.sweep.engine import execute_point
+from repro.sweep.engine import execute_points
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import SweepPoint
 from repro.version import SEARCH_VERSION
@@ -351,8 +352,9 @@ def search_points(
                 _obs_counter("search.pruned_bound", dominated_total)
                 _progress_tick(dominated_total)
                 break
-            for point in group:
-                row = execute_point(point, ctx, reuse_results=reuse_results)
+            # The group's candidates run together: each rank trace they read
+            # is fetched once for all of them.
+            for row in execute_points(group, ctx, reuse_results=reuse_results):
                 rows.append(row)
                 result.evaluated += 1
                 _obs_counter("search.evaluated")

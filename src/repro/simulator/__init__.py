@@ -8,7 +8,15 @@ __getattr__, __dir__, __all__ = attach(
         "execution": ["ExecutionContext"],
         "metrics": ["MemoryMetrics"],
         "replay": ["ReplayResult", "replay_trace"],
-        "runner": ["JobRun", "WorkloadRun", "run_job", "run_workload", "run_workload_suite"],
+        "runner": [
+            "JobRun",
+            "JobSpec",
+            "WorkloadRun",
+            "run_job",
+            "run_jobs",
+            "run_workload",
+            "run_workload_suite",
+        ],
         "throughput": ["GPU_SPECS", "GPUSpec", "ThroughputModel", "VALID_TIMINGS"],
     },
 )

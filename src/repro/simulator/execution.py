@@ -1,13 +1,14 @@
 """The execution context: where a unit of work finds its caches and workers.
 
 Every orchestrator in the package -- the experiment runner, the sweep engine,
-the search planner -- runs the same unit of work ("replay this rank's trace
-through this allocator, taking the trace and the plan from a cache if one
-exists") many times.  :class:`ExecutionContext` is the one object that says
-where the on-disk cache is, holds the in-process trace memo, and owns the
-only process pool in ``repro``; it is passed explicitly, so nothing about
+the search planner -- runs the same unit of work ("fetch this rank's trace
+and replay it through the allocators that need it, taking the trace and the
+plans from a cache if one exists") many times.  :class:`ExecutionContext` is
+the one object that says where the on-disk cache is and owns the only
+process pool in ``repro``; it is passed explicitly, so nothing about
 execution lives in module state that a test or a second caller could leak
-into.
+into.  It keeps no trace in memory: a caller that replays a trace several
+times holds it for as long as it needs it, and no longer.
 
 Constructing a context imports nothing heavy: the trace generator, the
 planner and the process pool are each imported by the method that first needs
@@ -23,7 +24,6 @@ from typing import TYPE_CHECKING
 from repro.core.config import STAllocConfig
 from repro.obs.tracer import absorb as _obs_absorb
 from repro.obs.tracer import worker_observation, worker_spec
-from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.training import TrainingConfig
 
 if TYPE_CHECKING:
@@ -31,33 +31,8 @@ if TYPE_CHECKING:
     from repro.workloads.trace import Trace
 
 
-class _TraceCache:
-    """LRU memo of generated traces keyed by the full config fingerprint.
-
-    The fingerprint covers every field that shapes generation -- unlike
-    ``config.describe()``, which omits e.g. ``seq_length`` and the dtype
-    knobs and would let distinct configs alias each other's traces.  The memo
-    is bounded: a sweep over hundreds of configurations must not retain every
-    trace in RAM for the life of the context (points sharing a configuration
-    are adjacent in expansion order, so a small window captures the reuse).
-    """
-
-    def __init__(self, maxsize: int = 16) -> None:
-        self.maxsize = maxsize
-        self._traces: dict[str, Trace] = {}
-
-    def get(self, key: str, loader) -> Trace:
-        if key in self._traces:
-            self._traces[key] = self._traces.pop(key)  # refresh LRU position
-        else:
-            self._traces[key] = loader()
-            while len(self._traces) > self.maxsize:
-                self._traces.pop(next(iter(self._traces)))
-        return self._traces[key]
-
-
 class ExecutionContext:
-    """How work executes: the disk cache, the trace memo, the worker count.
+    """How work executes: the disk cache and the worker count.
 
     ``cache_dir`` names the persistent :class:`~repro.sweep.cache.SweepCache`
     directory (``None`` = no disk cache), ``cache_max_bytes`` caps it inline
@@ -80,7 +55,6 @@ class ExecutionContext:
         self.cache_max_bytes = cache_max_bytes
         self.jobs = jobs
         self._cache = None
-        self._traces = _TraceCache()
 
     @property
     def cache(self):
@@ -101,27 +75,19 @@ class ExecutionContext:
         rank: int = 0,
         ep_rank: int = 0,
     ) -> Trace:
-        """Generate (or fetch from cache) one rank's allocation trace.
+        """One rank's allocation trace: the disk cache, else the generator.
 
-        Lookup order: the in-process memo, then the on-disk cache (which
-        generates and stores on miss), then plain generation.  Every layer
-        keys on the full config fingerprint *including* both rank
-        coordinates, so per-(pp, ep)-rank traces of one job never alias each
-        other.
+        With a disk cache the trace is read back from it (generated and
+        stored on a miss, keyed on the full config fingerprint *including*
+        both rank coordinates, so per-(pp, ep)-rank traces of one job never
+        alias each other); without one it is generated.  Every call fetches
+        anew: nothing is memoised here.
         """
-        key = config_fingerprint(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
-        cache = self.cache
-        if cache is not None:
-            loader = lambda: cache.get_trace(  # noqa: E731
-                config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
-            )
-        else:
-            from repro.workloads.tracegen import TraceGenerator
+        if self.cache is not None:
+            return self.cache.get_trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
+        from repro.workloads.tracegen import TraceGenerator
 
-            loader = TraceGenerator(
-                config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
-            ).generate
-        return self._traces.get(key, loader)
+        return TraceGenerator(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank).generate()
 
     def stalloc(self, trace: Trace, stalloc_config: STAllocConfig) -> STAlloc:
         """A planned STAlloc for the trace: the plan cache, else the pipeline."""
@@ -164,8 +130,8 @@ class ExecutionContext:
 
 
 #: The serial context of this pool worker process, opened once by the pool
-#: initializer so the disk cache handle and the trace memo outlive one task
-#: (adjacent sweep points share a configuration).  None outside a worker.
+#: initializer so the disk cache handle outlives one task.  None outside a
+#: worker.
 _WORKER_CONTEXT: ExecutionContext | None = None
 
 

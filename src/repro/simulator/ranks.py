@@ -1,10 +1,11 @@
 """Which ranks a job simulates, and against which device budget each runs.
 
 Pure configuration logic shared by the job runner (what to replay), the sweep
-engine (which traces to pre-warm) and the search planner (which bound to
-compare with which budget): rank selections resolve to memory-equivalence
-classes, and heterogeneous per-rank budgets refine those classes until each is
-capacity-homogeneous.  Nothing here generates, plans or replays anything.
+engine (which rank traces a point's replays read) and the search planner
+(which bound to compare with which budget): rank selections resolve to
+memory-equivalence classes, and heterogeneous per-rank budgets refine those
+classes until each is capacity-homogeneous.  Nothing here generates, plans or
+replays anything.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The experiments in :mod:`repro.experiments` all follow the same recipe:
 
 1. build a :class:`TrainingConfig`,
 2. generate its allocation trace (stored columnar, see
-   :mod:`repro.core.columns`; traces cached here are shared by reference,
-   which is safe because traces are immutable once generated),
+   :mod:`repro.core.columns`; one trace object is shared by reference by
+   every replay of it, which is safe because traces are immutable once
+   generated),
 3. replay the trace through one or more allocators on a fresh device
    (batch-replayable allocators apply the whole trace in one batched
    step, see :meth:`repro.allocators.base.Allocator.batch_replay`),
@@ -14,17 +15,23 @@ The experiments in :mod:`repro.experiments` all follow the same recipe:
 This module implements that recipe once, including STAlloc's extra offline
 step (profile + plan synthesis before the replay).
 
-The pure per-run path is :func:`run_workload`; :func:`run_workload_suite` and
-:func:`run_job` are the orchestrators on top of it.  How they execute -- the
-on-disk trace/plan cache, the in-process trace memo (so sweeping five
-allocators over one configuration only generates the trace once), the number
-of worker processes -- is decided by the
-:class:`~repro.simulator.execution.ExecutionContext` they are handed (``ctx``);
-without one they run serially with no disk cache.
+The pure per-run path is :func:`run_workload`; :func:`run_workload_suite`,
+:func:`run_job` and :func:`run_jobs` are the orchestrators on top of it.  The
+job-level unit of work is one rank's trace (:func:`replay_rank`): it is
+fetched once, replayed through every allocator of every job that reads it,
+and dropped, so one trace is alive at a time; the sweep engine, the search
+planner and :func:`run_job` all run jobs this way.  A suite fetches its trace
+once and hands the same object to every in-process replay.  How they
+execute -- the on-disk trace/plan cache, the number of worker processes -- is
+decided by the :class:`~repro.simulator.execution.ExecutionContext` they are
+handed (``ctx``); without one they run serially with no disk cache.
 """
 
 from __future__ import annotations
 
+import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dataclass_replace
 
 from repro.allocators.base import Allocator
@@ -54,6 +61,7 @@ from repro.simulator.throughput import (  # noqa: F401
     ThroughputModel,
     validate_timing,
 )
+from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import normalize_rank, rank_label
 from repro.workloads.trace import Trace
 from repro.workloads.training import TrainingConfig
@@ -229,9 +237,10 @@ def run_workload(
     simulates the whole job, which :func:`run_job` amortises across
     allocators), or ``"timeline"`` for the discrete-event simulator.
     ``stalloc_overrides`` optionally overrides STAllocConfig knobs for the
-    STAlloc variants (ablation sweeps); other allocators ignore it.  ``ctx``
-    supplies the trace memo and the on-disk trace/plan cache (default: a fresh
-    serial context with no disk cache).
+    STAlloc variants (ablation sweeps); other allocators ignore it.  ``trace``
+    is the rank's trace when the caller already holds it; otherwise ``ctx``
+    fetches it, from its on-disk trace/plan cache when it has one (default: a
+    fresh serial context with no disk cache).
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     validate_timing(timing)
@@ -317,24 +326,29 @@ def run_workload_suite(
     ep_rank: int = 0,
     with_throughput: bool = False,
     timing: str = "analytical",
+    trace: Trace | None = None,
     ctx: ExecutionContext | None = None,
 ) -> dict[str, WorkloadRun]:
     """Run one configuration through several allocators, sharing the trace.
 
     ``rank``/``ep_rank`` select the simulated rank coordinate (shared by every
     allocator of the suite).  ``timing`` selects the throughput backend (see
-    :func:`run_workload`).  The allocators fan out over ``ctx``'s worker
-    processes (``ctx.jobs``; the default context is serial).
+    :func:`run_workload`).  ``trace`` is the rank's trace when the caller
+    already holds it (else it is fetched once here).  The allocators fan out
+    over ``ctx``'s worker processes (``ctx.jobs``; the default context is
+    serial).
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     validate_timing(timing)
     if not isinstance(rank, int):
         rank, ep_rank = normalize_rank(rank)
-    # Generate the trace once up front.  With a disk cache the workers read
-    # it back from there (and a serial run from the memo); without one it
-    # travels in the payload, so the trace is generated at most once per
-    # suite on every multiprocessing start method.
-    trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
+    if trace is None:
+        trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
+    # In-process replays share the suite's own trace.  Pool workers read it
+    # back from the disk cache when there is one (the fetch above stored it);
+    # without one it travels in the payload, so the trace is generated at
+    # most once per suite on every multiprocessing start method.
+    in_process = ctx.jobs == 1 or len(allocator_names) < 2
     kwargs = dict(
         device_name=device_name,
         device_capacity_gib=device_capacity_gib,
@@ -344,7 +358,7 @@ def run_workload_suite(
         ep_rank=ep_rank,
         with_throughput=with_throughput,
         timing=timing,
-        trace=trace if ctx.cache_dir is None else None,
+        trace=trace if in_process or ctx.cache_dir is None else None,
     )
     items = [(config, name, kwargs) for name in allocator_names]
     return dict(zip(allocator_names, ctx.map(_run_workload_item, items)))
@@ -582,6 +596,24 @@ class JobRun:
         return data
 
 
+@dataclass(frozen=True)
+class JobSpec:
+    """One whole-job measurement: the arguments of :func:`run_job` (see there)."""
+
+    config: TrainingConfig
+    allocator_name: str
+    ranks: object = "all"
+    device_name: str = "A800-80GB"
+    device_capacity_gib: float | None = None
+    device_memory_by_rank: dict | None = None
+    seed: int = 0
+    scale: float = 1.0
+    with_throughput: bool = True
+    timing: str = "timeline"
+    stalloc_overrides: dict | None = None
+    fabric: dict | None = None
+
+
 def run_job(
     config: TrainingConfig,
     allocator_name: str,
@@ -595,19 +627,17 @@ def run_job(
     with_throughput: bool = True,
     timing: str = "timeline",
     stalloc_overrides: dict | None = None,
-    traces: dict | None = None,
     fabric: dict | None = None,
     ctx: ExecutionContext | None = None,
 ) -> JobRun:
     """Run one whole-job measurement: every requested rank, one allocator.
 
     Ranks are deduplicated into memory-equivalence classes first (see
-    :func:`resolve_job_ranks`); each class representative is generated and
-    replayed once -- independently cached by ``ctx``'s content-addressed
+    :func:`resolve_job_ranks`); each class representative's trace is fetched
+    and replayed once -- independently cached by ``ctx``'s content-addressed
     trace/plan cache -- and the representatives fan out over ``ctx``'s worker
-    processes (default: a fresh serial context with no disk cache).
-    ``traces`` optionally supplies pre-generated traces by rank (the sweep
-    engine ships shared traces to workers this way).
+    processes (default: a fresh serial context with no disk cache).  This is
+    :func:`run_jobs` for one job.
 
     ``timing`` selects the throughput backend: ``"timeline"`` (the default)
     runs the discrete-event simulator over every (pp, ep) rank's schedule --
@@ -632,82 +662,184 @@ def run_job(
     2-node cluster prices its all-to-alls hierarchically.  Memory replay is
     fabric-independent; only the throughput backend sees the override.
     """
-    ctx = ctx if ctx is not None else ExecutionContext()
-    validate_timing(timing)
-    device_capacity_gib = validate_capacity_gib(device_capacity_gib)
-    with _obs_span("job.run", allocator=allocator_name, timing=timing):
-        classes_with_capacity = job_rank_classes(
-            config, ranks, device_memory_by_rank, device_capacity_gib
-        )
-        rank_classes = [cls for cls, _ in classes_with_capacity]
-        representatives = [cls[0] for cls in rank_classes]
-        capacities = [capacity for _, capacity in classes_with_capacity]
-        base_kwargs = dict(
-            device_name=device_name,
-            seed=seed,
-            scale=scale,
-            # Per-rank throughput estimates would all be recomputed (and
-            # discarded) below; only replay.overhead_seconds is needed from
-            # the per-rank runs, so the model is evaluated once at the job
-            # level.
-            with_throughput=False,
-            stalloc_overrides=stalloc_overrides,
-        )
-        traces = traces or {}
-        items = [
-            (
-                config,
-                allocator_name,
-                dict(
-                    base_kwargs,
-                    rank=rank,
-                    device_capacity_gib=capacity,
-                    trace=traces.get(rank),
-                ),
-            )
-            for rank, capacity in zip(representatives, capacities)
-        ]
-        class_runs = list(ctx.map(_run_workload_item, items))
-        # Record the concrete budget every class ran against (the device
-        # default when no explicit budget applied), so binding-by-utilization
-        # is well-defined whenever any heterogeneity is present.
-        default_capacity = default_capacity_gib(device_name, device_capacity_gib)
-        resolved_capacities = [
-            capacity if capacity is not None else default_capacity
-            for capacity in capacities
-        ]
-        throughput = None
-        timeline = None
-        if with_throughput:
-            gpu = GPU_SPECS.get(device_name)
-            if gpu is not None and fabric:
-                try:
-                    gpu = dataclass_replace(gpu, **dict(fabric))
-                except TypeError as error:
-                    raise ValueError(f"unknown fabric field: {error}") from None
-            if gpu is not None:
-                # The pipeline advances at the pace of its slowest rank, so
-                # the job-level estimate charges the worst per-rank allocator
-                # overhead.
-                overhead = max(run.replay.overhead_seconds for run in class_runs)
-                throughput, timeline = _estimate_throughput(
-                    config,
-                    gpu,
-                    timing,
-                    allocator_overhead_seconds=overhead,
+    spec = JobSpec(
+        config,
+        allocator_name,
+        ranks=ranks,
+        device_name=device_name,
+        device_capacity_gib=device_capacity_gib,
+        device_memory_by_rank=device_memory_by_rank,
+        seed=seed,
+        scale=scale,
+        with_throughput=with_throughput,
+        timing=timing,
+        stalloc_overrides=stalloc_overrides,
+        fabric=fabric,
+    )
+    ((_, job, _),) = run_jobs([(None, spec)], ctx=ctx)
+    return job
+
+
+@contextmanager
+def _attributed(tag, on_error):
+    """Raise ``on_error(tag, error)`` in place of an error of the block.
+
+    Without ``on_error`` the error passes through unchanged.
+    """
+    try:
+        yield
+    except Exception as error:
+        if on_error is None:
+            raise
+        raise on_error(tag, error) from error
+
+
+def replay_rank(ctx: ExecutionContext, item: tuple) -> list[tuple[WorkloadRun, float]]:
+    """:meth:`ExecutionContext.map` unit of work: one rank's trace, every replay of it.
+
+    ``item`` is ``((config, seed, scale, rank, ep_rank), requests, on_error)``,
+    each request a ``(tag, config, allocator_name, run_workload kwargs)``.
+    The trace is fetched once (the disk cache, else the generator), replayed
+    for every request and dropped when the item returns, so a process holds
+    one trace at a time.  Returns each request's ``(WorkloadRun, seconds)``;
+    the first request's seconds include the fetch.  A failing replay raises
+    ``on_error(tag, error)`` for its own request's tag (see :func:`run_jobs`).
+    """
+    (config, seed, scale, rank, ep_rank), requests, on_error = item
+    with _obs_span("job.rank", rank=rank, ep=ep_rank, replays=len(requests)):
+        started = time.perf_counter()
+        trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
+        runs = []
+        for tag, run_config, allocator_name, kwargs in requests:
+            with _attributed(tag, on_error):
+                run = run_workload(
+                    run_config,
+                    allocator_name,
                     seed=seed,
                     scale=scale,
+                    rank=rank,
+                    ep_rank=ep_rank,
+                    trace=trace,
+                    ctx=ctx,
+                    **kwargs,
                 )
-        return JobRun(
-            config=config,
-            allocator_name=allocator_name,
-            device_name=device_name,
-            rank_classes=rank_classes,
-            class_runs=class_runs,
-            throughput=throughput,
-            class_capacities=resolved_capacities,
-            timeline=timeline,
+            runs.append((run, time.perf_counter() - started))
+            started = time.perf_counter()
+        return runs
+
+
+def run_jobs(
+    jobs: list[tuple[object, JobSpec]],
+    *,
+    ctx: ExecutionContext | None = None,
+    on_error=None,
+) -> Iterator[tuple[object, JobRun, float]]:
+    """Run several whole-job measurements, fetching each rank trace once.
+
+    ``jobs`` pairs a caller's tag with each :class:`JobSpec`.  Every job's
+    replays -- one per rank class, see :func:`run_job` -- are grouped under
+    the trace they read (the fingerprint of the class representative), so
+    jobs that differ only in allocator, STAlloc knobs, budgets, fabric or
+    timing share one fetch of each rank's trace, and ``ctx.map`` fans out one
+    :func:`replay_rank` work item per trace.  Yields ``(tag, JobRun,
+    seconds)`` as each job's last rank returns; ``seconds`` is the host time
+    of its replays and pricing.  ``on_error(tag, error)``, when given, builds
+    the exception raised in place of any failure of that job (it must be
+    picklable: replays run in pool workers too).
+    """
+    ctx = ctx if ctx is not None else ExecutionContext()
+    specs: list[tuple] = []  # per job: (tag, validated spec, rank classes)
+    groups: dict[str, tuple] = {}  # trace fingerprint -> (trace args, requests)
+    owners: dict[str, list] = {}  # trace fingerprint -> [(job, class index)]
+    for position, (tag, spec) in enumerate(jobs):
+        with _attributed(tag, on_error):
+            validate_timing(spec.timing)
+            spec = dataclass_replace(
+                spec, device_capacity_gib=validate_capacity_gib(spec.device_capacity_gib)
+            )
+            classes = job_rank_classes(
+                spec.config, spec.ranks, spec.device_memory_by_rank, spec.device_capacity_gib
+            )
+        specs.append((tag, spec, classes))
+        # Per-rank throughput estimates would all be recomputed (and
+        # discarded) below; only replay.overhead_seconds is needed from the
+        # per-rank runs, so the model is evaluated once per job.
+        replay = dict(
+            device_name=spec.device_name,
+            with_throughput=False,
+            stalloc_overrides=spec.stalloc_overrides,
         )
+        for index, (members, capacity) in enumerate(classes):
+            pp, ep = normalize_rank(members[0])
+            key = config_fingerprint(
+                spec.config, seed=spec.seed, scale=spec.scale, rank=pp, ep_rank=ep
+            )
+            trace_args = (spec.config, spec.seed, spec.scale, pp, ep)
+            groups.setdefault(key, (trace_args, []))[1].append(
+                (tag, spec.config, spec.allocator_name, dict(replay, device_capacity_gib=capacity))
+            )
+            owners.setdefault(key, []).append((position, index))
+
+    class_runs = [[None] * len(classes) for _, _, classes in specs]
+    missing = [len(classes) for _, _, classes in specs]
+    seconds = [0.0] * len(specs)
+    items = [(trace_args, requests, on_error) for trace_args, requests in groups.values()]
+    for key, results in zip(groups, ctx.map(replay_rank, items)):
+        for (position, index), (run, elapsed) in zip(owners[key], results):
+            class_runs[position][index] = run
+            seconds[position] += elapsed
+            missing[position] -= 1
+            if missing[position]:
+                continue
+            tag, spec, classes = specs[position]
+            started = time.perf_counter()
+            with _attributed(tag, on_error):
+                with _obs_span("job.run", allocator=spec.allocator_name, timing=spec.timing):
+                    job = _assemble_job(spec, classes, class_runs[position])
+            yield tag, job, seconds[position] + time.perf_counter() - started
+
+
+def _assemble_job(
+    spec: JobSpec, classes: list[tuple[tuple, float | None]], class_runs: list[WorkloadRun]
+) -> JobRun:
+    """One job's :class:`JobRun` from its class replays, priced once per job."""
+    # Record the concrete budget every class ran against (the device default
+    # when no explicit budget applied), so binding-by-utilization is
+    # well-defined whenever any heterogeneity is present.
+    default_capacity = default_capacity_gib(spec.device_name, spec.device_capacity_gib)
+    throughput = None
+    timeline = None
+    if spec.with_throughput:
+        gpu = GPU_SPECS.get(spec.device_name)
+        if gpu is not None and spec.fabric:
+            try:
+                gpu = dataclass_replace(gpu, **dict(spec.fabric))
+            except TypeError as error:
+                raise ValueError(f"unknown fabric field: {error}") from None
+        if gpu is not None:
+            # The pipeline advances at the pace of its slowest rank, so the
+            # job-level estimate charges the worst per-rank allocator overhead.
+            overhead = max(run.replay.overhead_seconds for run in class_runs)
+            throughput, timeline = _estimate_throughput(
+                spec.config,
+                gpu,
+                spec.timing,
+                allocator_overhead_seconds=overhead,
+                seed=spec.seed,
+                scale=spec.scale,
+            )
+    return JobRun(
+        config=spec.config,
+        allocator_name=spec.allocator_name,
+        device_name=spec.device_name,
+        rank_classes=[members for members, _ in classes],
+        class_runs=class_runs,
+        throughput=throughput,
+        class_capacities=[
+            capacity if capacity is not None else default_capacity for _, capacity in classes
+        ],
+        timeline=timeline,
+    )
 
 
 def default_allocator_lineup(*, include_stalloc: bool = True) -> list[str]:

@@ -1,7 +1,7 @@
 """Process-parallel sweep execution.
 
 :func:`run_sweep` executes every point of a :class:`~repro.sweep.spec.SweepSpec`
-through the job-level runner (:func:`repro.simulator.runner.run_job`) and
+as a whole-job measurement (:class:`repro.simulator.runner.JobSpec`) and
 collects one flat result row per point.  A point may cover several pipeline
 ranks (``ranks`` in the spec); its row then aggregates the per-rank replays --
 job success, max/mean per-rank peak, the binding rank -- and every row carries
@@ -12,7 +12,13 @@ the analytical throughput estimates (``tflops_per_gpu``,
   the persistent result cache (checked in the parent, so a fully-warm sweep
   never even spawns workers), and cache-missing points still reuse on-disk
   per-rank traces and synthesized plans;
-* **parallel** -- cache-missing points fan out over ``jobs`` worker processes
+* **rank-granular** -- the unit of work is one rank's trace
+  (:func:`repro.simulator.runner.run_jobs`): the replays every cache-missing
+  point needs are grouped under the trace they read, each trace is fetched
+  once (disk cache, else the generator) and replayed through every allocator
+  that needs it, then dropped, so one trace is alive per process at a time;
+  the parent prices, builds and stores each point's row;
+* **parallel** -- those work items fan out over ``jobs`` worker processes
   through :meth:`repro.simulator.execution.ExecutionContext.map`; ``jobs=1``
   is the serial in-process fallback producing identical results.
 """
@@ -24,12 +30,11 @@ import time
 from repro.obs.tracer import counter as _obs_counter
 from repro.obs.tracer import span as _obs_span
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.ranks import resolve_job_ranks
 from repro.sweep.cache import SweepCache
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.workloads.fingerprint import config_fingerprint
-from repro.workloads.parallelism import normalize_rank, rank_label
+from repro.workloads.parallelism import rank_label
 
 
 class SweepPointError(RuntimeError):
@@ -173,108 +178,87 @@ def point_result_key(cache: SweepCache, point: SweepPoint) -> str:
     return cache.result_key(fingerprint, point.cache_payload())
 
 
-def execute_point(
-    point: SweepPoint,
+def _point_error(point: SweepPoint, error: Exception) -> SweepPointError:
+    """The :class:`SweepPointError` naming ``point``: ``run_jobs``'s ``on_error``."""
+    fingerprint = config_fingerprint(point.config, seed=point.seed, scale=point.scale)
+    return SweepPointError(point.row_label, fingerprint, f"{type(error).__name__}: {error}")
+
+
+def execute_points(
+    points: list[SweepPoint],
     ctx: ExecutionContext | None = None,
     *,
     reuse_results: bool = True,
-    traces: dict | None = None,
-) -> dict:
-    """Run one sweep point (the unit of work executed in worker processes).
+    on_row=None,
+) -> list[dict]:
+    """Run sweep points (distinct indices) and return their rows, in order.
 
-    ``ctx`` supplies the cache the point's row, per-rank traces and
-    synthesized STAlloc plans persist in (default: a fresh serial context
-    with no disk cache, so nothing is cached).  ``traces`` optionally
-    supplies pre-generated traces by rank (cache-less parallel sweeps ship
-    shared traces to workers this way).
+    ``ctx`` supplies the cache the rows, per-rank traces and synthesized
+    STAlloc plans persist in (default: a fresh serial context with no disk
+    cache, so nothing is cached).  With ``reuse_results`` a point whose row
+    is already cached is served from it.  The rest run together through
+    :func:`repro.simulator.runner.run_jobs`, so points that differ only in
+    allocator, knobs, budget, fabric or timing share one fetch of each rank's
+    trace; a point's row is built and stored as soon as its last rank
+    returns.  ``on_row()`` is called once per finished row, cached or
+    computed.
     """
     ctx = ctx if ctx is not None else ExecutionContext()
-    started = time.perf_counter()
-    fingerprint = config_fingerprint(point.config, seed=point.seed, scale=point.scale)
-    with _obs_span("sweep.point", point=point.index, label=point.row_label) as obs_point:
-        cache = ctx.cache
-        result_key = None
-        if cache is not None:
-            result_key = cache.result_key(fingerprint, point.cache_payload())
-            if reuse_results:
-                row = cache.load_result(result_key)
-                if row is not None:
-                    obs_point.set(cached=True)
-                    _obs_counter("sweep.rows_done")
-                    return _as_cached_row(row, point, time.perf_counter() - started)
+    cache = ctx.cache
+    rows: dict[int, dict] = {}
+    pending: list[SweepPoint] = []
+    for point in points:
+        if cache is not None and reuse_results:
+            started = time.perf_counter()
+            row = cache.load_result(point_result_key(cache, point))
+            if row is not None:
+                rows[point.index] = _as_cached_row(row, point, time.perf_counter() - started)
+                _obs_counter("sweep.rows_done")
+                if on_row is not None:
+                    on_row()
+                continue
+        pending.append(point)
+    if pending:
         # The first point that misses pays for the execution layer (the
         # generator, the planner, the allocators); a warm run never gets here.
-        from repro.simulator.runner import run_job
+        from repro.simulator.runner import JobSpec, run_jobs
 
-        try:
-            job = run_job(
-                point.config,
-                point.allocator,
-                ranks=point.ranks,
-                device_name=point.device_name,
-                device_capacity_gib=point.device_capacity_gib,
-                device_memory_by_rank=dict(point.device_memory_by_rank),
-                seed=point.seed,
-                scale=point.scale,
-                with_throughput=True,
-                timing=point.timing,
-                stalloc_overrides=dict(point.stalloc_overrides),
-                traces=traces,
-                fabric=dict(point.fabric),
-                ctx=ctx,
+        jobs = [
+            (
+                point,
+                JobSpec(
+                    point.config,
+                    point.allocator,
+                    ranks=point.ranks,
+                    device_name=point.device_name,
+                    device_capacity_gib=point.device_capacity_gib,
+                    device_memory_by_rank=dict(point.device_memory_by_rank),
+                    seed=point.seed,
+                    scale=point.scale,
+                    timing=point.timing,
+                    stalloc_overrides=dict(point.stalloc_overrides),
+                    fabric=dict(point.fabric),
+                ),
             )
-        except Exception as error:
-            raise SweepPointError(
-                point.row_label, fingerprint, f"{type(error).__name__}: {error}"
-            ) from error
-        row = _point_row(point, job, time.perf_counter() - started)
-        if result_key is not None:
-            cache.store_result(result_key, row)
-        _obs_counter("sweep.rows_done")
-        return row
+            for point in pending
+        ]
+        for point, job, seconds in run_jobs(jobs, ctx=ctx, on_error=_point_error):
+            with _obs_span("sweep.point", point=point.index, label=point.row_label):
+                row = _point_row(point, job, seconds)
+                if cache is not None:
+                    cache.store_result(point_result_key(cache, point), row)
+                _obs_counter("sweep.rows_done")
+            rows[point.index] = row
+            if on_row is not None:
+                on_row()
+    return [rows[point.index] for point in points]
 
 
-def _execute_pending(ctx: ExecutionContext, item: tuple) -> dict:
-    """:meth:`ExecutionContext.map` unit of work: one cache-missing point."""
-    point, traces = item
-    return execute_point(point, ctx, reuse_results=False, traces=traces)
-
-
-def _prewarm_shared_traces(
-    pending: list[SweepPoint], ctx: ExecutionContext
-) -> dict[int, dict]:
-    """Generate traces shared by several pending points once, in the parent.
-
-    Concurrent workers for the same configuration would otherwise all miss
-    the cache simultaneously and regenerate the identical per-rank traces.
-    With a persistent cache the pre-warmed traces are read back from disk by
-    the workers; without one they must travel in the task payload (worker
-    processes share no memory with the parent on spawn-style start methods),
-    so the returned mapping of point index -> {rank: trace} covers every
-    pending point whose configuration is shared.
-    """
-    firsts: dict[str, SweepPoint] = {}
-    seen: dict[str, int] = {}
-    keys: dict[int, str] = {}
-    for point in pending:
-        key = config_fingerprint(point.config, seed=point.seed, scale=point.scale)
-        keys[point.index] = key
-        firsts.setdefault(key, point)
-        seen[key] = seen.get(key, 0) + 1
-    shipped_by_key: dict[str, dict] = {}
-    for key, point in firsts.items():
-        if seen[key] < 2:
-            continue
-        for cls in resolve_job_ranks(point.config, point.ranks):
-            pp, ep = normalize_rank(cls[0])
-            trace = ctx.trace(
-                point.config, seed=point.seed, scale=point.scale, rank=pp, ep_rank=ep
-            )
-            if ctx.cache is None:
-                shipped_by_key.setdefault(key, {})[cls[0]] = trace
-    return {
-        index: shipped_by_key[key] for index, key in keys.items() if key in shipped_by_key
-    }
+def execute_point(
+    point: SweepPoint, ctx: ExecutionContext | None = None, *, reuse_results: bool = True
+) -> dict:
+    """Run one sweep point (see :func:`execute_points`)."""
+    return execute_points([point], ctx, reuse_results=reuse_results)[0]
 
 
 def _hit_rate_label(stats: dict) -> str:
@@ -328,34 +312,9 @@ def run_sweep(
                 )
                 progress.update(**info)
 
-        rows: dict[int, dict] = {}
-        pending: list[SweepPoint] = []
-        if cache is not None and reuse_results:
-            # Serve warm rows from the parent so a fully-cached sweep involves
-            # no worker processes at all (this makes reruns O(seconds)).
-            for point in points:
-                lookup_started = time.perf_counter()
-                row = cache.load_result(point_result_key(cache, point))
-                if row is not None:
-                    rows[point.index] = _as_cached_row(
-                        row, point, time.perf_counter() - lookup_started
-                    )
-                    _obs_counter("sweep.rows_done")
-                    _tick()
-                else:
-                    pending.append(point)
-        else:
-            pending = list(points)
-
-        # Pre-warm only when ctx.map will really fan out: a serial run reuses
-        # traces through the context's memo on its own.
-        shipped = (
-            _prewarm_shared_traces(pending, ctx) if jobs > 1 and len(pending) > 1 else {}
-        )
-        items = [(point, shipped.get(point.index)) for point in pending]
-        for point, row in zip(pending, ctx.map(_execute_pending, items)):
-            rows[point.index] = row
-            _tick()
+        # Warm rows are served in the parent, so a fully-cached sweep involves
+        # no worker processes at all (this makes reruns O(seconds)).
+        rows = execute_points(points, ctx, reuse_results=reuse_results, on_row=_tick)
 
         if cache is not None:
             # Workers enforce the cap after their own stores, but a store in
@@ -365,13 +324,13 @@ def run_sweep(
             cache.enforce_cap()
 
         cache_stats = cache.stats.as_dict() if cache is not None else {}
-        cache_stats["cached_rows"] = sum(1 for row in rows.values() if row.get("cached"))
+        cache_stats["cached_rows"] = sum(1 for row in rows if row.get("cached"))
         elapsed = time.perf_counter() - started
         if progress is not None:
             progress.finish()
         return SweepResult(
             spec_name=spec.name,
-            rows=[rows[index] for index in sorted(rows)],
+            rows=sorted(rows, key=lambda row: row["point"]),
             elapsed_seconds=elapsed,
             jobs=jobs,
             cache_dir=ctx.cache_dir,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import time
@@ -21,6 +22,7 @@ from repro.sweep import (
     load_spec,
     run_sweep,
 )
+from repro.sweep.engine import execute_point
 from repro.sweep.spec import SWEEP_PRESETS
 from repro.workloads.tracegen import TraceGenerator, config_fingerprint
 
@@ -401,8 +403,10 @@ def _listing(root: Path) -> dict:
     return {str(p.relative_to(root)): p.stat().st_mtime_ns for p in sorted(root.rglob("*"))}
 
 
-#: Names the single-context refactor deleted; none may come back.  Spelled in
-#: pieces so this file itself stays clean under a plain grep for them.
+#: Names the single-context refactor and the rank-granular work items deleted
+#: (process-global setters, the trace memo, the shared-trace pre-warm); none
+#: may come back.  Spelled in pieces so this file itself stays clean under a
+#: plain grep for them.
 _DELETED_NAMES = {
     "_".join(pieces)
     for pieces in (
@@ -417,6 +421,9 @@ _DELETED_NAMES = {
         ("", "suite", "worker"),
         ("", "job", "rank", "worker"),
         ("", "execute", "point", "job"),
+        ("", "Trace", "Cache"),
+        ("", "prewarm", "shared", "traces"),
+        ("", "execute", "pending"),
     )
 }
 
@@ -438,7 +445,6 @@ class TestRunnerIntegration:
     def test_second_context_is_served_the_trace_from_disk(self, tiny_dense_config, tmp_path):
         first_ctx = ExecutionContext(cache_dir=tmp_path / "cache")
         first = first_ctx.trace(tiny_dense_config, scale=0.25)
-        assert first_ctx.trace(tiny_dense_config, scale=0.25) is first  # the memo
         fingerprint = config_fingerprint(tiny_dense_config, seed=0, scale=0.25)
         assert (tmp_path / "cache" / "traces" / f"{fingerprint}.jsonl").exists()
         second_ctx = ExecutionContext(cache_dir=tmp_path / "cache")
@@ -486,7 +492,10 @@ class TestRunnerIntegration:
 
     def test_one_pool_and_no_deleted_names(self):
         """Structural guard: exactly one process pool in the package, and the
-        process-global execution setters stay deleted everywhere."""
+        deleted execution setters, memo and fan-out paths stay deleted
+        everywhere (run_job and execute_point take no per-rank traces)."""
+        for function in (runner.run_job, execute_point):
+            assert "traces" not in inspect.signature(function).parameters
         root = Path(__file__).resolve().parent.parent
         files = [
             path
