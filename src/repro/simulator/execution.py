@@ -97,19 +97,38 @@ class ExecutionContext:
 
         return STAlloc.from_trace(trace, stalloc_config)
 
+    def fans_out(self, count: int) -> bool:
+        """Whether :meth:`map` runs ``count`` items in worker processes.
+
+        It does with more than one worker and more than one item; otherwise
+        every item runs in-process on this context.
+        """
+        return self.jobs > 1 and count > 1
+
+    def shipped_trace(self, trace: Trace, count: int) -> Trace | None:
+        """What each of ``count`` work items for one held ``trace`` carries.
+
+        In-process items share the trace itself.  Pool workers read it back
+        from the disk cache when there is one (the caller's fetch stored it,
+        and the caller need not keep it alive); without one it travels in the
+        payload, so it is generated once on every multiprocessing start
+        method.  None means "fetch it with :meth:`trace`".
+        """
+        return trace if not self.fans_out(count) or self.cache_dir is None else None
+
     def map(self, fn, items):
         """Yield ``fn(ctx, item)`` for every item, in submission order.
 
-        The only fan-out in the package.  With ``jobs == 1`` or fewer than
-        two items, ``fn`` runs in-process on this context.  Otherwise the
-        items spread over worker processes; each worker calls ``fn`` on its
-        own serial context for the same cache directory (so pools cannot
-        nest), and every result's cache-statistics and observability deltas
-        are folded back into this context before the result is yielded.
-        ``fn`` must be picklable (a module-level function).
+        The only fan-out in the package.  Unless :meth:`fans_out` says so,
+        ``fn`` runs in-process on this context.  Otherwise the items spread
+        over worker processes; each worker calls ``fn`` on its own serial
+        context for the same cache directory (so pools cannot nest), and
+        every result's cache-statistics and observability deltas are folded
+        back into this context before the result is yielded.  ``fn`` must be
+        picklable (a module-level function).
         """
         items = list(items)
-        if self.jobs == 1 or len(items) < 2:
+        if not self.fans_out(len(items)):
             for item in items:
                 yield fn(self, item)
             return

@@ -20,8 +20,10 @@ The pure per-run path is :func:`run_workload`; :func:`run_workload_suite`,
 job-level unit of work is one rank's trace (:func:`replay_rank`): it is
 fetched once, replayed through every allocator of every job that reads it,
 and dropped, so one trace is alive at a time; the sweep engine, the search
-planner and :func:`run_job` all run jobs this way.  A suite fetches its trace
-once and hands the same object to every in-process replay.  How they
+planner and :func:`run_job` all run jobs this way.  With fewer traces than
+worker processes a trace's replays are split over several workers
+(:func:`_work_items`).  A suite fetches its trace once and hands the same
+object to every in-process replay.  How they
 execute -- the on-disk trace/plan cache, the number of worker processes -- is
 decided by the :class:`~repro.simulator.execution.ExecutionContext` they are
 handed (``ctx``); without one they run serially with no disk cache.
@@ -344,11 +346,6 @@ def run_workload_suite(
         rank, ep_rank = normalize_rank(rank)
     if trace is None:
         trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
-    # In-process replays share the suite's own trace.  Pool workers read it
-    # back from the disk cache when there is one (the fetch above stored it);
-    # without one it travels in the payload, so the trace is generated at
-    # most once per suite on every multiprocessing start method.
-    in_process = ctx.jobs == 1 or len(allocator_names) < 2
     kwargs = dict(
         device_name=device_name,
         device_capacity_gib=device_capacity_gib,
@@ -358,7 +355,7 @@ def run_workload_suite(
         ep_rank=ep_rank,
         with_throughput=with_throughput,
         timing=timing,
-        trace=trace if in_process or ctx.cache_dir is None else None,
+        trace=ctx.shipped_trace(trace, len(allocator_names)),
     )
     items = [(config, name, kwargs) for name in allocator_names]
     return dict(zip(allocator_names, ctx.map(_run_workload_item, items)))
@@ -598,46 +595,11 @@ class JobRun:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One whole-job measurement: the arguments of :func:`run_job` (see there)."""
-
-    config: TrainingConfig
-    allocator_name: str
-    ranks: object = "all"
-    device_name: str = "A800-80GB"
-    device_capacity_gib: float | None = None
-    device_memory_by_rank: dict | None = None
-    seed: int = 0
-    scale: float = 1.0
-    with_throughput: bool = True
-    timing: str = "timeline"
-    stalloc_overrides: dict | None = None
-    fabric: dict | None = None
-
-
-def run_job(
-    config: TrainingConfig,
-    allocator_name: str,
-    *,
-    ranks="all",
-    device_name: str = "A800-80GB",
-    device_capacity_gib: float | None = None,
-    device_memory_by_rank: dict | None = None,
-    seed: int = 0,
-    scale: float = 1.0,
-    with_throughput: bool = True,
-    timing: str = "timeline",
-    stalloc_overrides: dict | None = None,
-    fabric: dict | None = None,
-    ctx: ExecutionContext | None = None,
-) -> JobRun:
-    """Run one whole-job measurement: every requested rank, one allocator.
+    """One whole-job measurement: every requested rank, one allocator.
 
     Ranks are deduplicated into memory-equivalence classes first (see
-    :func:`resolve_job_ranks`); each class representative's trace is fetched
-    and replayed once -- independently cached by ``ctx``'s content-addressed
-    trace/plan cache -- and the representatives fan out over ``ctx``'s worker
-    processes (default: a fresh serial context with no disk cache).  This is
-    :func:`run_jobs` for one job.
+    :func:`resolve_job_ranks`); each class representative's trace is replayed
+    once and the job is priced once (see :func:`run_jobs`).
 
     ``timing`` selects the throughput backend: ``"timeline"`` (the default)
     runs the discrete-event simulator over every (pp, ep) rank's schedule --
@@ -662,21 +624,36 @@ def run_job(
     2-node cluster prices its all-to-alls hierarchically.  Memory replay is
     fabric-independent; only the throughput backend sees the override.
     """
-    spec = JobSpec(
-        config,
-        allocator_name,
-        ranks=ranks,
-        device_name=device_name,
-        device_capacity_gib=device_capacity_gib,
-        device_memory_by_rank=device_memory_by_rank,
-        seed=seed,
-        scale=scale,
-        with_throughput=with_throughput,
-        timing=timing,
-        stalloc_overrides=stalloc_overrides,
-        fabric=fabric,
-    )
-    ((_, job, _),) = run_jobs([(None, spec)], ctx=ctx)
+
+    config: TrainingConfig
+    allocator_name: str
+    ranks: object = "all"
+    device_name: str = "A800-80GB"
+    device_capacity_gib: float | None = None
+    device_memory_by_rank: dict | None = None
+    seed: int = 0
+    scale: float = 1.0
+    with_throughput: bool = True
+    timing: str = "timeline"
+    stalloc_overrides: dict | None = None
+    fabric: dict | None = None
+
+
+def run_job(
+    config: TrainingConfig,
+    allocator_name: str,
+    *,
+    ctx: ExecutionContext | None = None,
+    **options,
+) -> JobRun:
+    """Run one whole-job measurement: :func:`run_jobs` for one job.
+
+    ``options`` are the :class:`JobSpec` fields after the allocator name
+    (``ranks``, ``timing``, ``fabric``, ...); see there.  ``ctx`` supplies the
+    trace/plan cache and the worker processes the rank replays fan out over
+    (default: a fresh serial context with no disk cache).
+    """
+    ((_, job, _),) = run_jobs([(None, JobSpec(config, allocator_name, **options))], ctx=ctx)
     return job
 
 
@@ -697,18 +674,21 @@ def _attributed(tag, on_error):
 def replay_rank(ctx: ExecutionContext, item: tuple) -> list[tuple[WorkloadRun, float]]:
     """:meth:`ExecutionContext.map` unit of work: one rank's trace, every replay of it.
 
-    ``item`` is ``((config, seed, scale, rank, ep_rank), requests, on_error)``,
-    each request a ``(tag, config, allocator_name, run_workload kwargs)``.
-    The trace is fetched once (the disk cache, else the generator), replayed
+    ``item`` is ``((config, seed, scale, rank, ep_rank), trace, requests,
+    on_error)``, each request a ``(tag, config, allocator_name, run_workload
+    kwargs)``.  Unless the item carries the trace (see :func:`_work_items`),
+    it is fetched once (the disk cache, else the generator); it is replayed
     for every request and dropped when the item returns, so a process holds
     one trace at a time.  Returns each request's ``(WorkloadRun, seconds)``;
-    the first request's seconds include the fetch.  A failing replay raises
-    ``on_error(tag, error)`` for its own request's tag (see :func:`run_jobs`).
+    the first request's seconds include the fetch, if any.  A failing replay
+    raises ``on_error(tag, error)`` for its own request's tag (see
+    :func:`run_jobs`).
     """
-    (config, seed, scale, rank, ep_rank), requests, on_error = item
+    (config, seed, scale, rank, ep_rank), trace, requests, on_error = item
     with _obs_span("job.rank", rank=rank, ep=ep_rank, replays=len(requests)):
         started = time.perf_counter()
-        trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
+        if trace is None:
+            trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
         runs = []
         for tag, run_config, allocator_name, kwargs in requests:
             with _attributed(tag, on_error):
@@ -728,6 +708,35 @@ def replay_rank(ctx: ExecutionContext, item: tuple) -> list[tuple[WorkloadRun, f
         return runs
 
 
+def _work_items(groups: list[tuple], ctx: ExecutionContext, on_error) -> tuple[list, list]:
+    """:func:`replay_rank` items for ``groups`` and the (job, class) each fills.
+
+    ``groups`` holds one ``(trace args, [(owner, request)])`` per trace.  Each
+    trace is one item, unless there are fewer traces than ``ctx.jobs``
+    workers: then a trace's requests are split over up to ``ceil(jobs /
+    traces)`` items so every worker has work, and the trace is fetched here
+    once, so no two workers race to generate it.  The items read it back
+    from the disk cache, or carry it when there is none
+    (:meth:`ExecutionContext.shipped_trace`).
+    """
+    pieces = -(-ctx.jobs // len(groups)) if groups else 1
+    owners, items = [], []
+    for trace_args, requests in groups:
+        count = min(pieces, len(requests))
+        trace = None
+        if count > 1:
+            config, seed, scale, rank, ep_rank = trace_args
+            trace = ctx.shipped_trace(
+                ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank), count
+            )
+        size = len(requests)
+        for piece in range(count):
+            chunk = requests[size * piece // count : size * (piece + 1) // count]
+            owners.append([owner for owner, _ in chunk])
+            items.append((trace_args, trace, [request for _, request in chunk], on_error))
+    return owners, items
+
+
 def run_jobs(
     jobs: list[tuple[object, JobSpec]],
     *,
@@ -740,8 +749,9 @@ def run_jobs(
     replays -- one per rank class, see :func:`run_job` -- are grouped under
     the trace they read (the fingerprint of the class representative), so
     jobs that differ only in allocator, STAlloc knobs, budgets, fabric or
-    timing share one fetch of each rank's trace, and ``ctx.map`` fans out one
-    :func:`replay_rank` work item per trace.  Yields ``(tag, JobRun,
+    timing share one fetch of each rank's trace, and ``ctx.map`` fans out
+    :func:`replay_rank` work items, one per trace unless there are fewer
+    traces than workers (see :func:`_work_items`).  Yields ``(tag, JobRun,
     seconds)`` as each job's last rank returns; ``seconds`` is the host time
     of its replays and pricing.  ``on_error(tag, error)``, when given, builds
     the exception raised in place of any failure of that job (it must be
@@ -749,8 +759,8 @@ def run_jobs(
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     specs: list[tuple] = []  # per job: (tag, validated spec, rank classes)
-    groups: dict[str, tuple] = {}  # trace fingerprint -> (trace args, requests)
-    owners: dict[str, list] = {}  # trace fingerprint -> [(job, class index)]
+    # trace fingerprint -> (trace args, [((job, class index), request)])
+    groups: dict[str, tuple] = {}
     for position, (tag, spec) in enumerate(jobs):
         with _attributed(tag, on_error):
             validate_timing(spec.timing)
@@ -775,17 +785,20 @@ def run_jobs(
                 spec.config, seed=spec.seed, scale=spec.scale, rank=pp, ep_rank=ep
             )
             trace_args = (spec.config, spec.seed, spec.scale, pp, ep)
-            groups.setdefault(key, (trace_args, []))[1].append(
-                (tag, spec.config, spec.allocator_name, dict(replay, device_capacity_gib=capacity))
+            request = (
+                tag,
+                spec.config,
+                spec.allocator_name,
+                dict(replay, device_capacity_gib=capacity),
             )
-            owners.setdefault(key, []).append((position, index))
+            groups.setdefault(key, (trace_args, []))[1].append(((position, index), request))
 
     class_runs = [[None] * len(classes) for _, _, classes in specs]
     missing = [len(classes) for _, _, classes in specs]
     seconds = [0.0] * len(specs)
-    items = [(trace_args, requests, on_error) for trace_args, requests in groups.values()]
-    for key, results in zip(groups, ctx.map(replay_rank, items)):
-        for (position, index), (run, elapsed) in zip(owners[key], results):
+    owners, items = _work_items(list(groups.values()), ctx, on_error)
+    for item_owners, results in zip(owners, ctx.map(replay_rank, items)):
+        for (position, index), (run, elapsed) in zip(item_owners, results):
             class_runs[position][index] = run
             seconds[position] += elapsed
             missing[position] -= 1

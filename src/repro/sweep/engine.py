@@ -19,8 +19,10 @@ the analytical throughput estimates (``tflops_per_gpu``,
   that needs it, then dropped, so one trace is alive per process at a time;
   the parent prices, builds and stores each point's row;
 * **parallel** -- those work items fan out over ``jobs`` worker processes
-  through :meth:`repro.simulator.execution.ExecutionContext.map`; ``jobs=1``
-  is the serial in-process fallback producing identical results.
+  through :meth:`repro.simulator.execution.ExecutionContext.map` (a trace's
+  replays are split over several items when there are fewer traces than
+  workers); ``jobs=1`` is the serial in-process fallback producing identical
+  results.  A row is stored once every trace its point reads has returned.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro.search import load_search_spec, run_search
 from repro.simulator import ExecutionContext, JobSpec, run_job, run_jobs
 from repro.simulator import replay as replay_module
 from repro.simulator.ranks import job_rank_classes
+from repro.simulator.runner import _work_items
 from repro.sweep import SweepPointError, SweepSpec, load_spec, run_sweep
 from repro.sweep.engine import execute_points
 from repro.workloads.parallelism import normalize_rank
@@ -132,6 +133,47 @@ class TestEachTraceOnce:
         result = run_sweep(spec, jobs=2, cache_dir=tmp_path / "cache")
         assert result.cache_stats["trace_hits"] == 0
         assert result.cache_stats["trace_misses"] == len(_trace_fingerprints(spec.expand()))
+
+
+class TestFewerTracesThanWorkers:
+    def test_a_trace_is_split_over_the_workers_and_fetched_once(self, probe, tiny_dense_config):
+        trace_args = (tiny_dense_config, 0, 0.25, 0, 0)
+        requests = [((0, index), ("job", tiny_dense_config, "torch2.3", {})) for index in range(5)]
+        owners, items = _work_items([(trace_args, requests)], ExecutionContext(jobs=4), None)
+        assert probe["generated"] == 1
+        assert [len(chunk) for chunk in owners] == [1, 1, 1, 2]
+        assert [owner for chunk in owners for owner in chunk] == [owner for owner, _ in requests]
+        traces = {id(trace) for _, trace, _, _ in items}
+        assert len(traces) == 1 and None not in {trace for _, trace, _, _ in items}
+
+    def test_one_trace_per_item_when_workers_are_busy(self, probe, tiny_dense_config):
+        groups = [
+            ((tiny_dense_config, 0, 0.25, rank, 0), [((0, rank), ("job", None, "torch2.3", {}))] * 3)
+            for rank in range(2)
+        ]
+        owners, items = _work_items(groups, ExecutionContext(jobs=2), None)
+        assert len(items) == 2 and probe["generated"] == 0
+        assert all(trace is None for _, trace, _, _ in items)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_split_rows_match_serial(self, tmp_path, cached):
+        spec = _fabric_spec(ranks=[0])  # one trace read by four points
+        assert len(_trace_fingerprints(spec.expand())) == 1
+        serial = run_sweep(spec, jobs=1)
+        cache_dir = tmp_path / "cache" if cached else None
+        parallel = run_sweep(spec, jobs=2, cache_dir=cache_dir)
+        assert _comparable(parallel.rows) == _comparable(serial.rows)
+        if cached:  # generated once up front, read back by both items
+            assert parallel.cache_stats["trace_misses"] == 1
+            assert parallel.cache_stats["trace_hits"] == 2
+
+    def test_split_items_read_a_cached_trace_back(self, probe, tiny_dense_config, tmp_path):
+        trace_args = (tiny_dense_config, 0, 0.25, 0, 0)
+        requests = [((0, index), ("job", tiny_dense_config, "torch2.3", {})) for index in range(2)]
+        ctx = ExecutionContext(cache_dir=tmp_path / "cache", jobs=2)
+        _, items = _work_items([(trace_args, requests)], ctx, None)
+        assert len(items) == 2 and all(trace is None for _, trace, _, _ in items)
+        assert probe["generated"] == 1 and ctx.cache.stats.trace_misses == 1
 
 
 class TestFailureAttribution:

@@ -493,8 +493,9 @@ class TestRunnerIntegration:
     def test_one_pool_and_no_deleted_names(self):
         """Structural guard: exactly one process pool in the package, and the
         deleted execution setters, memo and fan-out paths stay deleted
-        everywhere (run_job and execute_point take no per-rank traces)."""
-        for function in (runner.run_job, execute_point):
+        everywhere (run_job, its JobSpec and execute_point take no per-rank
+        traces)."""
+        for function in (runner.run_job, runner.JobSpec, execute_point):
             assert "traces" not in inspect.signature(function).parameters
         root = Path(__file__).resolve().parent.parent
         files = [
