@@ -24,13 +24,14 @@ it at another checkout's ``src/`` to record a "before" entry): the wall of
 ``import repro.cli``, of a fully warm ``sweep job-smoke`` and ``search
 search-smoke``, ``import numpy`` for scale, and -- machine-independent -- how
 many ``repro`` modules a warm sweep loaded, whether numpy was among them, and
-whether the cold ``job-smoke`` sweep that filled the cache loaded it (a dense
-run draws no MoE routing, the only thing numpy is imported for).  The cold
-probe also records its peak RSS and the most traces alive at any replay (every
-``Trace`` is registered in a ``weakref.WeakSet`` that is counted as each replay
-starts).  ``--check`` fails when numpy appears on the warm or the cold dense
-path, more than one trace was alive at once, or the module count exceeds the
-latest entry by more than 5; the walls and the RSS are recorded, not gated.
+whether it was loaded by the cold ``job-smoke`` sweep that filled the cache or
+by a cold routed MoE sweep (``ep-comm-smoke``, whose router draws are a stdlib
+port of numpy's).  The cold probes also record their peak RSS and the most
+traces alive at any replay (every ``Trace`` is registered in a
+``weakref.WeakSet`` that is counted as each replay starts).  ``--check`` fails
+when numpy appears on the warm, the cold dense or the cold routed path, more
+than one trace was alive at once, or the module count exceeds the latest entry
+by more than 5; the walls and the RSS are recorded, not gated.
 """
 
 from __future__ import annotations
@@ -221,8 +222,10 @@ def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
 
     sweep = ["sweep", "job-smoke", "--cache-dir", "cache", "--no-progress"]
     search = ["search", "search-smoke", "--cache-dir", "cache", "--no-progress"]
+    routed = ["sweep", "ep-comm-smoke", "--cache-dir", "cache", "--no-progress"]
     # Cold runs fill the cache (and __pycache__); job-smoke is a dense model.
     cold_rss_kib, cold_max_live, cold_numpy_loaded = probe(_COLD_CHILD, sweep)
+    moe_rss_kib, moe_max_live, moe_numpy_loaded = probe(_COLD_CHILD, routed)
     subprocess.run(
         [sys.executable, "-m", "repro.cli", *search],
         check=True, env=env, cwd=scratch, capture_output=True,
@@ -237,9 +240,15 @@ def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
         "warm_modules_loaded": modules,
         "warm_numpy_loaded": numpy_loaded,
         "cold_dense_numpy_loaded": cold_numpy_loaded,
+        "cold_moe_numpy_loaded": moe_numpy_loaded,
         "cold_sweep_maxrss_mib": round(cold_rss_kib / 1024, 2),  # Linux reports KiB
-        "cold_sweep_max_live_traces": cold_max_live,
+        "cold_moe_sweep_maxrss_mib": round(moe_rss_kib / 1024, 2),
+        "cold_sweep_max_live_traces": max(cold_max_live, moe_max_live),
     }
+
+
+def _loaded(flag: bool) -> str:
+    return "loaded" if flag else "absent"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -252,7 +261,8 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         help="print the latest BENCH_sweep.json entry next to the measurement; "
         f"fail if measured overhead exceeds {CHECK_MAX_OVERHEAD_PCT:g}%%, numpy loads "
-        "on the warm or the cold dense path, or a cold sweep holds two traces at once",
+        "on the warm, the cold dense or the cold routed MoE path, or a cold sweep holds "
+        "two traces at once",
     )
     args = parser.parse_args(argv)
 
@@ -271,11 +281,13 @@ def main(argv: list[str] | None = None) -> int:
         f"{startup['warm_sweep_cli_s']:.3f}s | warm search {startup['warm_search_cli_s']:.3f}s"
         f" | import numpy {startup['numpy_import_s']:.3f}s | warm sweep loaded "
         f"{startup['warm_modules_loaded']} repro modules, numpy "
-        f"{'loaded' if startup['warm_numpy_loaded'] else 'absent'}, cold dense sweep numpy "
-        f"{'loaded' if startup['cold_dense_numpy_loaded'] else 'absent'}"
+        f"{_loaded(startup['warm_numpy_loaded'])}, cold dense sweep numpy "
+        f"{_loaded(startup['cold_dense_numpy_loaded'])}, cold routed MoE sweep numpy "
+        f"{_loaded(startup['cold_moe_numpy_loaded'])}"
     )
     print(
-        f"  cold sweep peak RSS {startup['cold_sweep_maxrss_mib']:.2f} MiB, at most "
+        f"  cold sweep peak RSS {startup['cold_sweep_maxrss_mib']:.2f} MiB (routed MoE "
+        f"{startup['cold_moe_sweep_maxrss_mib']:.2f} MiB), at most "
         f"{startup['cold_sweep_max_live_traces']} trace(s) alive at one replay"
     )
 
@@ -290,15 +302,18 @@ def main(argv: list[str] | None = None) -> int:
         limit = latest["cli_startup"]["warm_modules_loaded"] + CHECK_MAX_EXTRA_MODULES
         print(
             f"check cli_startup: warm sweep loaded {startup['warm_modules_loaded']} repro "
-            f"modules (limit {limit}), numpy {'loaded' if startup['warm_numpy_loaded'] else 'absent'}"
-            f"; cold dense sweep numpy "
-            f"{'loaded' if startup['cold_dense_numpy_loaded'] else 'absent'}"
+            f"modules (limit {limit}), numpy {_loaded(startup['warm_numpy_loaded'])}"
+            f"; cold dense sweep numpy {_loaded(startup['cold_dense_numpy_loaded'])}"
+            f"; cold routed MoE sweep numpy {_loaded(startup['cold_moe_numpy_loaded'])}"
         )
         if startup["warm_numpy_loaded"] or startup["warm_modules_loaded"] > limit:
             print("cli start-up smoke FAILED: the warm path imports the execution layer")
             return 1
         if startup["cold_dense_numpy_loaded"]:
             print("cli start-up smoke FAILED: a cold dense sweep imports numpy")
+            return 1
+        if startup["cold_moe_numpy_loaded"]:
+            print("cli start-up smoke FAILED: a cold routed MoE sweep imports numpy")
             return 1
         if startup["cold_sweep_max_live_traces"] > 1:
             print(

@@ -33,7 +33,7 @@ A command imports what it executes.  This module imports only ``argparse`` and
 the version; each handler imports its own subsystem, and the subsystems import
 the execution layer (the trace generator, the planner, the allocators, the
 timeline simulator, the experiments, the process pool) at the first cache
-miss or fan-out; numpy loads only at an MoE router's first routed draw.
+miss or fan-out.  Nothing imports numpy: the MoE router's draw is stdlib.
 ``--version``, ``sweep --list``, ``sweep --compare a b``, ``obs summarize``,
 ``cache prune`` and a ``sweep``/``search`` served entirely from the result
 cache therefore load none of it (README, "Layers and what a command imports";

@@ -41,7 +41,7 @@ from repro.sweep.spec import (
 )
 from repro.workloads.models import MODEL_REGISTRY, get_model
 from repro.workloads.parallelism import ParallelismConfig
-from repro.workloads.training import TrainingConfig
+from repro.workloads.training import TrainingConfig, validate_seed
 
 #: TrainingConfig fields the search owns; they cannot appear in ``base``.
 _SEARCH_OWNED = frozenset({"micro_batch_size", "num_microbatches", "recompute", "zero_stage"})
@@ -107,6 +107,7 @@ class SearchSpec:
                     f"{', '.join(sorted(known_allocators))}"
                 )
         validate_timing(self.timing)
+        validate_seed(self.seed)
         for name in ("tensor_parallel", "pipeline_parallel", "expert_parallel"):
             values = getattr(self, name)
             if values != "auto":

@@ -39,7 +39,12 @@ from repro.simulator.ranks import validate_budget_map
 from repro.simulator.throughput import validate_timing
 from repro.workloads.models import MODEL_REGISTRY, get_model
 from repro.workloads.parallelism import ParallelismConfig, normalize_rank
-from repro.workloads.training import OPTIMIZATION_PRESETS, TrainingConfig, preset_config
+from repro.workloads.training import (
+    OPTIMIZATION_PRESETS,
+    TrainingConfig,
+    preset_config,
+    validate_seed,
+)
 
 #: Grid axes that map onto ParallelismConfig fields.
 PARALLELISM_AXES = frozenset(f.name for f in dataclass_fields(ParallelismConfig))
@@ -260,6 +265,7 @@ class SweepSpec:
         if not self.allocators:
             raise ValueError("a sweep needs at least one allocator")
         validate_timing(self.timing)
+        validate_seed(self.seed)
         if self.ranks is not None:
             if isinstance(self.ranks, str):
                 if self.ranks != "all":
@@ -294,6 +300,9 @@ class SweepSpec:
                 )
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"grid axis {axis!r} must map to a non-empty list")
+            if axis == "seed":
+                for index, seed in enumerate(values):
+                    validate_seed(seed, f"grid seed[{index}]")
             if axis == "device_memory_by_rank":
                 for index, budgets in enumerate(values):
                     if budgets is None:

@@ -17,9 +17,9 @@ instead of being assumed:
   collective is *synchronising*: it starts when the last EP peer arrives and
   its duration scales with the **maximum** routed bytes across the group, so
   router imbalance turns directly into straggler time.  The routed loads come
-  from the same memoised :class:`~repro.workloads.moe.ExpertRouter` draws that
-  size the COMM_BUFFER transients in the allocation trace -- one gating
-  decision drives both the memory and the timing model;
+  from the same process-wide memoised :class:`~repro.workloads.moe.ExpertRouter`
+  draws that size the COMM_BUFFER transients in the allocation trace -- one
+  gating decision drives both the memory and the timing model;
 * **straggler ranks** -- each EP rank's expert FFN time scales with its local
   routed load, so the binding rank of an imbalanced job is the coordinate
   whose experts attract the most tokens.

@@ -26,15 +26,17 @@ alone, never from the order in which ``route`` was called.  Routers of
 different ranks execute their schedules in different orders (1F1B warm-up
 depth varies by stage), so a call-order-dependent stream would hand the same
 layer execution different gating decisions on different ranks -- breaking
-token conservation and the all-to-all transient sizes derived from it.  Draws
-are additionally memoised per execution, so asking twice (forward and the
-recomputed backward of one micro-batch, or the dispatch/combine pair) always
-returns identical counts.
+token conservation and the all-to-all transient sizes derived from it.  The
+draw itself is :func:`repro.workloads.routing_draw.routed_counts`, a stdlib
+port of numpy's, memoised per process: asking twice (forward and the
+recomputed backward of one micro-batch, the dispatch/combine pair, the trace
+generator and every timeline of the same job) returns the one draw.
 """
 
 from __future__ import annotations
 
 from repro.workloads.parallelism import balanced_split
+from repro.workloads.training import validate_seed
 
 
 class ExpertRouter:
@@ -56,6 +58,7 @@ class ExpertRouter:
             raise ValueError("num_local_experts cannot exceed num_experts")
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
+        validate_seed(seed)
         if not 0.0 <= imbalance <= 1.0:
             raise ValueError(f"imbalance must be in [0, 1], got {imbalance}")
         if ep_rank < 0:
@@ -71,11 +74,6 @@ class ExpertRouter:
         self.imbalance = imbalance
         self.ep_rank = ep_rank
         self.seed = seed
-        #: Memoised global draws keyed by (num_tokens, layer, microbatch):
-        #: one layer execution has exactly one gating decision, no matter how
-        #: often (forward, recomputed backward, dispatch and combine sizing)
-        #: or in which order the ranks ask for it.
-        self._draws: dict[tuple[int, int, int], list[int]] = {}
 
     @property
     def local_expert_slice(self) -> slice:
@@ -108,32 +106,16 @@ class ExpertRouter:
             return [0] * self.num_experts
         if self.imbalance == 0.0:
             return balanced_split(total_assignments, self.num_experts)
-        key = (num_tokens, layer, microbatch)
-        cached = self._draws.get(key)
-        if cached is not None:
-            return list(cached)
-        # numpy loads at the first routed draw: dense and balanced runs never
-        # pay for it.
-        import numpy as np
+        # The draw and its ziggurat tables load at the first routed draw:
+        # dense, generation and balanced runs never hold them.
+        from repro.workloads.routing_draw import routed_counts
 
-        # The RNG of one layer execution is a pure function of (seed, layer,
-        # microbatch), derived through a SeedSequence spawn key: nearby
-        # executions get statistically independent streams, while any two
-        # routers sharing a seed -- whatever their ep_rank or the order their
-        # schedules visit executions -- derive the identical stream.
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(int(layer), int(microbatch)))
+        return list(
+            routed_counts(
+                self.seed, layer, microbatch, self.num_experts, total_assignments,
+                self.imbalance,
+            )
         )
-        # Expected load per expert is uniform; the imbalance factor mixes in a
-        # random preference vector (a crude but effective stand-in for a real
-        # gating network's skew).
-        base = np.full(self.num_experts, 1.0 / self.num_experts)
-        preference = rng.dirichlet(np.full(self.num_experts, 2.0))
-        probabilities = (1.0 - self.imbalance) * base + self.imbalance * preference
-        probabilities = probabilities / probabilities.sum()
-        counts = [int(count) for count in rng.multinomial(total_assignments, probabilities)]
-        self._draws[key] = counts
-        return list(counts)
 
     def route(self, num_tokens: int, *, layer: int = 0, microbatch: int = 0) -> list[int]:
         """Tokens assigned to each *local* expert for one layer execution.

@@ -182,9 +182,9 @@ class TraceGenerator:
         )
 
     def _reset(self) -> None:
-        # Fresh router per generate() call: draws are keyed by execution (so
-        # repeated runs are byte-identical regardless), but the per-iteration
-        # memo of gating decisions must not leak across generations.
+        # Fresh router per generate() call.  Its draws are keyed by layer
+        # execution and memoised process-wide (routing_draw.routed_counts), so
+        # a regenerated trace and every timeline of the job reuse them.
         self._router: ExpertRouter | None = self._make_router()
         # Events are emitted straight into columnar storage; TraceEvent
         # objects are only materialized if a consumer touches trace.events.

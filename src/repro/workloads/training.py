@@ -245,3 +245,14 @@ def preset_config(
         label=preset,
         **options,
     )
+
+
+def validate_seed(seed, name: str = "seed") -> None:
+    """Reject a seed that is not a non-negative int (a bool is not one).
+
+    The seed is SeedSequence entropy for the MoE router's draws, which is
+    defined for non-negative ints only, so a spec must fail on it before
+    any point runs, whether or not its model routes.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {seed!r}")

@@ -5,8 +5,8 @@ cache keys, spec expansion, bounds, rows, compare, obs) whose modules import
 only the stdlib and each other, and an *execution layer* (the trace
 generator, the planner, the allocators, replay, the timeline simulator, the
 experiments, the process pool) imported at the first cache miss or fan-out.
-numpy is imported by the MoE router's first random draw alone, so a dense
-run never loads it, cold or warm.
+Nothing imports numpy: the MoE router's draw is a stdlib port, so no run
+loads it, cold or warm, routed or not.
 Every case here runs in a fresh interpreter and inspects ``sys.modules``, so
 the checks are structural and machine-independent: no timing is asserted.
 """
@@ -23,6 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "fixtures" / "golden_job_smoke_rows.json"
+NO_NUMPY_FIXTURE = ROOT / "tests" / "fixtures" / "golden_no_numpy_rows.json"
 
 #: What a warm or run-nothing command must never load.
 EXECUTION_LAYER = (
@@ -44,6 +45,7 @@ EXECUTION_LAYER = (
     "repro.simulator.runner",
     "repro.timeline.simulator",
     "repro.workloads.moe",
+    "repro.workloads.routing_draw",
     "repro.workloads.trace",
     "repro.workloads.tracegen",
 )
@@ -219,7 +221,7 @@ MOE_TINY = {"pipeline_parallel": 2, "data_parallel": 2, "expert_parallel": 2}
 
 
 @pytest.mark.parametrize(
-    "model, parallelism, base, numpy_loaded",
+    "model, parallelism, base, routed",
     [
         ("moe-tiny", MOE_TINY, {"moe_imbalance": 0.6}, True),
         ("moe-tiny", MOE_TINY, {"moe_imbalance": 0.0}, False),
@@ -227,9 +229,7 @@ MOE_TINY = {"pipeline_parallel": 2, "data_parallel": 2, "expert_parallel": 2}
     ],
     ids=["moe-routed", "moe-balanced", "generation"],
 )
-def test_cold_sweep_loads_numpy_only_for_a_routed_draw(
-    tmp_path, model, parallelism, base, numpy_loaded
-):
+def test_cold_sweep_never_loads_numpy(tmp_path, model, parallelism, base, routed):
     spec = {
         "name": "numpy-probe",
         "model": model,
@@ -241,7 +241,40 @@ def test_cold_sweep_loads_numpy_only_for_a_routed_draw(
     report = cli(["sweep", "spec.json", "--cache-dir", "cache", "--no-progress"], tmp_path)
     assert report["code"] == 0
     assert "repro.core.stalloc" in report["modules"]
-    assert ("numpy" in report["modules"]) is numpy_loaded
+    assert "numpy" not in report["modules"]
+    # The stdlib draw loads at the first routed draw and only then.
+    assert ("repro.workloads.routing_draw" in report["modules"]) is routed
+
+
+#: Runs each argv of a JSON list with ``import numpy`` made to fail.
+NO_NUMPY_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every later `import numpy` raises ImportError
+from repro.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exit:
+            codes.append(exit.code)
+print(json.dumps({"codes": codes}))
+"""
+
+
+def test_routed_sweep_and_search_run_without_numpy(tmp_path):
+    """A cold routed MoE sweep and a search reproduce the numpy-era rows with numpy blocked."""
+    commands = {
+        "sweep ep-comm-smoke": ["sweep", "ep-comm-smoke", "--output", "sweep.json"],
+        "search search-smoke": ["search", "search-smoke", "--output", "search.json"],
+    }
+    argvs = [argv + ["--no-cache", "--no-progress"] for argv in commands.values()]
+    report = child(NO_NUMPY_CHILD, json.dumps(argvs), cwd=tmp_path)
+    assert report["codes"] == [0, 0]
+    golden = json.loads(NO_NUMPY_FIXTURE.read_text(encoding="utf-8"))
+    for name, argv in commands.items():
+        rows = json.loads((tmp_path / argv[-1]).read_text(encoding="utf-8"))["rows"]
+        assert simulated(rows) == golden[name], name
 
 
 @pytest.mark.parametrize("command", ["sweep", "search"])
