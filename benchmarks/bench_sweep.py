@@ -26,12 +26,14 @@ search-smoke``, ``import numpy`` for scale, and -- machine-independent -- how
 many ``repro`` modules a warm sweep loaded, whether numpy was among them, and
 whether it was loaded by the cold ``job-smoke`` sweep that filled the cache or
 by a cold routed MoE sweep (``ep-comm-smoke``, whose router draws are a stdlib
-port of numpy's).  The cold probes also record their peak RSS and the most
-traces alive at any replay (every ``Trace`` is registered in a
-``weakref.WeakSet`` that is counted as each replay starts).  ``--check`` fails
-when numpy appears on the warm, the cold dense or the cold routed path, more
-than one trace was alive at once, or the module count exceeds the latest entry
-by more than 5; the walls and the RSS are recorded, not gated.
+port of numpy's).  The cold probes also record their peak RSS, whether they
+loaded OpenSSL (``_hashlib``; content addresses take the interpreter's own
+SHA-256) and the most traces alive at any replay (every ``Trace`` is
+registered in a ``weakref.WeakSet`` that is counted as each replay starts).
+``--check`` fails when numpy appears on the warm, the cold dense or the cold
+routed path, a cold probe loaded OpenSSL, more than one trace was alive at
+once, or the module count exceeds the latest entry by more than 5; the walls
+and the RSS are recorded, not gated.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def measure_obs_overhead(
 # CLI start-up (fresh children of the ``repro`` on PYTHONPATH)
 # ---------------------------------------------------------------------- #
 #: Runs a cold ``main(argv)`` silently with every trace counted, then reports
-#: ``[peak RSS KiB, most traces alive at one replay, numpy loaded]``.
+#: ``[peak RSS KiB, most traces alive at one replay, numpy loaded, OpenSSL loaded]``.
 _COLD_CHILD = """
 import contextlib, io, json, resource, sys, weakref
 from repro.simulator import replay
@@ -183,7 +185,7 @@ from repro.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     main(json.loads(sys.argv[1]))
 print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, most[0],
-                  "numpy" in sys.modules]))
+                  "numpy" in sys.modules, "_hashlib" in sys.modules]))
 """
 
 #: Runs ``main(argv)`` silently, then reports what the process had imported.
@@ -224,8 +226,8 @@ def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
     search = ["search", "search-smoke", "--cache-dir", "cache", "--no-progress"]
     routed = ["sweep", "ep-comm-smoke", "--cache-dir", "cache", "--no-progress"]
     # Cold runs fill the cache (and __pycache__); job-smoke is a dense model.
-    cold_rss_kib, cold_max_live, cold_numpy_loaded = probe(_COLD_CHILD, sweep)
-    moe_rss_kib, moe_max_live, moe_numpy_loaded = probe(_COLD_CHILD, routed)
+    cold_rss_kib, cold_max_live, cold_numpy_loaded, cold_openssl = probe(_COLD_CHILD, sweep)
+    moe_rss_kib, moe_max_live, moe_numpy_loaded, moe_openssl = probe(_COLD_CHILD, routed)
     subprocess.run(
         [sys.executable, "-m", "repro.cli", *search],
         check=True, env=env, cwd=scratch, capture_output=True,
@@ -241,6 +243,8 @@ def measure_cli_startup(*, reps: int = 5, scratch: Path | None = None) -> dict:
         "warm_numpy_loaded": numpy_loaded,
         "cold_dense_numpy_loaded": cold_numpy_loaded,
         "cold_moe_numpy_loaded": moe_numpy_loaded,
+        "cold_dense_openssl_loaded": cold_openssl,
+        "cold_moe_openssl_loaded": moe_openssl,
         "cold_sweep_maxrss_mib": round(cold_rss_kib / 1024, 2),  # Linux reports KiB
         "cold_moe_sweep_maxrss_mib": round(moe_rss_kib / 1024, 2),
         "cold_sweep_max_live_traces": max(cold_max_live, moe_max_live),
@@ -261,8 +265,8 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         help="print the latest BENCH_sweep.json entry next to the measurement; "
         f"fail if measured overhead exceeds {CHECK_MAX_OVERHEAD_PCT:g}%%, numpy loads "
-        "on the warm, the cold dense or the cold routed MoE path, or a cold sweep holds "
-        "two traces at once",
+        "on the warm, the cold dense or the cold routed MoE path, a cold sweep loads "
+        "OpenSSL, or a cold sweep holds two traces at once",
     )
     args = parser.parse_args(argv)
 
@@ -283,7 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{startup['warm_modules_loaded']} repro modules, numpy "
         f"{_loaded(startup['warm_numpy_loaded'])}, cold dense sweep numpy "
         f"{_loaded(startup['cold_dense_numpy_loaded'])}, cold routed MoE sweep numpy "
-        f"{_loaded(startup['cold_moe_numpy_loaded'])}"
+        f"{_loaded(startup['cold_moe_numpy_loaded'])}, OpenSSL cold dense "
+        f"{_loaded(startup['cold_dense_openssl_loaded'])} / cold routed MoE "
+        f"{_loaded(startup['cold_moe_openssl_loaded'])}"
     )
     print(
         f"  cold sweep peak RSS {startup['cold_sweep_maxrss_mib']:.2f} MiB (routed MoE "
@@ -314,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         if startup["cold_moe_numpy_loaded"]:
             print("cli start-up smoke FAILED: a cold routed MoE sweep imports numpy")
+            return 1
+        if startup["cold_dense_openssl_loaded"] or startup["cold_moe_openssl_loaded"]:
+            print("cli start-up smoke FAILED: a cold sweep loads OpenSSL (_hashlib)")
             return 1
         if startup["cold_sweep_max_live_traces"] > 1:
             print(

@@ -201,13 +201,6 @@ class Allocator(abc.ABC):
         """
         return None
 
-    def iteration_boundary(self) -> None:
-        """Hook invoked by the simulator between training iterations.
-
-        Baseline allocators ignore it; STAlloc's runtime allocator uses it to
-        rewind its plan cursor to the start of the next iteration.
-        """
-
     def overhead_seconds(self) -> float:
         """Extra wall-clock time this allocator added to one iteration.
 

@@ -159,16 +159,6 @@ class CachingAllocator(Allocator):
     def reserved_bytes(self) -> int:
         return self._reserved_bytes
 
-    @property
-    def cached_bytes(self) -> int:
-        """Bytes reserved but currently free (the fragmentation + cache)."""
-        return self.reserved_bytes - sum(
-            block.size
-            for segment in self._segments.values()
-            for block in segment.blocks.values()
-            if not block.free
-        )
-
     def segments(self) -> list[Segment]:
         """Live segments (exposed for white-box tests and statistics)."""
         return list(self._segments.values())

@@ -130,9 +130,6 @@ class TraceEvent:
     def is_alloc(self) -> bool:
         return self.kind is EventKind.ALLOC
 
-    def is_free(self) -> bool:
-        return self.kind is EventKind.FREE
-
 
 @dataclass(frozen=True)
 class MemoryRequest:

@@ -191,10 +191,6 @@ class SynthesizedPlan:
     def pool_size(self) -> int:
         return self.static_plan.pool_size
 
-    def reusable_space_for(self, alloc_module: str, free_module: str) -> IntervalSet:
-        """Reusable space for a dynamic request's HomoLayer group (may be empty)."""
-        return self.dynamic_reusable_spaces.get((alloc_module, free_module), IntervalSet())
-
     # ------------------------------------------------------------------ #
     # Serialization (used by the sweep engine's persistent plan cache)
     # ------------------------------------------------------------------ #

@@ -10,8 +10,8 @@ micro-batch, module name and the dynamicity flag.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import itemgetter
+from heapq import heappop, heappush
+from operator import le
 
 from repro.core.columns import HomoLayerGroup, RequestColumns, group_homolayers
 from repro.core.events import MemoryRequest, Phase
@@ -95,31 +95,45 @@ class ProfileResult:
     def _sweep(self) -> dict:
         """Counts, byte totals and both demand peaks, from one sweep (memoised).
 
-        The alloc/free ticks are ordered by time, frees before allocs at equal
-        time; the static peak is the same sweep with the dynamic requests
-        zeroed out.
+        One walk over the requests in alloc-time order.  A heap holds the live
+        ones' ``(free_time, size, static size)`` and is drained with ``<=``
+        before each alloc, so a free at time t lands before an alloc at t; the
+        static peak counts the dynamic requests as zero bytes.
         """
         if self._swept is None:
             columns = self.columns
-            size = columns.size
-            static = [0 if dyn else s for s, dyn in zip(size, columns.dyn)]
-            # (time, delta, static delta) ticks, stably sorted on (time, delta):
-            # a free's delta is negative, so it sorts first at equal time.
-            ticks = [
-                *zip(columns.alloc_time, size, static),
-                *zip(columns.free_time, [-s for s in size], [-s for s in static]),
-            ]
-            ticks.sort(key=itemgetter(0, 1))
-            num_dynamic = sum(columns.dyn)
-            static_bytes = sum(static)
+            alloc_time, size, free_time, dyn = (
+                columns.alloc_time, columns.size, columns.free_time, columns.dyn
+            )
+            order = range(len(size))
+            if not all(map(le, alloc_time, alloc_time[1:])):  # built from request objects
+                order = sorted(order, key=alloc_time.__getitem__)
+            live: list[tuple[int, int, int]] = []
+            allocated = static = peak = peak_static = static_bytes = 0
+            for i in order:
+                while live and live[0][0] <= alloc_time[i]:
+                    _, freed, freed_static = heappop(live)
+                    allocated -= freed
+                    static -= freed_static
+                nbytes = size[i]
+                static_nbytes = 0 if dyn[i] else nbytes
+                heappush(live, (free_time[i], nbytes, static_nbytes))
+                allocated += nbytes
+                static += static_nbytes
+                static_bytes += static_nbytes
+                if allocated > peak:
+                    peak = allocated
+                if static > peak_static:
+                    peak_static = static
+            num_dynamic = sum(dyn)
             self._swept = {
                 "num_requests": len(size),
                 "num_static_requests": len(size) - num_dynamic,
                 "num_dynamic_requests": num_dynamic,
                 "static_bytes": static_bytes,
                 "dynamic_bytes": sum(size) - static_bytes,
-                "peak_allocated_bytes": max(accumulate(map(itemgetter(1), ticks), initial=0)),
-                "peak_static_bytes": max(accumulate(map(itemgetter(2), ticks), initial=0)),
+                "peak_allocated_bytes": peak,
+                "peak_static_bytes": peak_static,
             }
         return self._swept
 
@@ -130,9 +144,6 @@ class ProfileResult:
     def peak_static_bytes(self) -> int:
         """Peak demand of the static requests alone: a lower bound for any plan."""
         return self._sweep()["peak_static_bytes"]
-
-    def total_allocated_bytes(self) -> int:
-        return sum(self.columns.size)
 
     def summary(self) -> dict:
         """Compact profiling report (used by Table 2 and the CLI)."""

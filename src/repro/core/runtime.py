@@ -73,11 +73,6 @@ class RuntimeAllocator(Allocator):
     def reserved_bytes(self) -> int:
         return self._pool_size + self.fallback.reserved_bytes
 
-    @property
-    def pool_free_bytes(self) -> int:
-        """Bytes of the static pool not currently backing any request."""
-        return self._available.total
-
     # ------------------------------------------------------------------ #
     # Request Matcher
     # ------------------------------------------------------------------ #

@@ -25,7 +25,7 @@ from repro.core.profiler import AllocationProfiler, ProfileResult
 from repro.core.runtime import RuntimeAllocator
 from repro.core.synthesizer import PlanSynthesizer
 from repro.gpu.device import Device
-from repro.version import PLAN_ENTRY_HEAD, PLAN_FORMAT_VERSION  # noqa: F401
+from repro.version import PLAN_FORMAT_VERSION
 from repro.workloads.trace import Trace
 
 

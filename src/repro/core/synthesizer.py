@@ -20,7 +20,7 @@ import time
 from repro.core.config import SynthesizerConfig
 from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.core.homophase import build_homophase_groups, fuse_adjacent_groups
-from repro.core.plan import StaticAllocationPlan, SynthesizedPlan
+from repro.core.plan import SynthesizedPlan
 from repro.core.planner import build_global_plan, plan_summary
 from repro.core.profiler import ProfileResult
 from repro.obs.tracer import span as _obs_span
@@ -83,10 +83,3 @@ class PlanSynthesizer:
             synthesis_info=info,
             synthesis_seconds=time.perf_counter() - started,
         )
-
-    # ------------------------------------------------------------------ #
-    # Convenience
-    # ------------------------------------------------------------------ #
-    def synthesize_static_only(self, profile: ProfileResult) -> StaticAllocationPlan:
-        """Plan only the static requests (used by unit tests and ablations)."""
-        return self.synthesize(profile).static_plan

@@ -27,7 +27,6 @@ The cache is safe to delete at any time -- every entry can be regenerated.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -37,6 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.config import STAllocConfig
+from repro.digest import sha256
 from repro.obs.tracer import counter as _obs_counter
 from repro.version import (
     PLAN_ENTRY_HEAD,
@@ -97,18 +97,18 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
 
-def _atomic_write(path: Path, chunks: Iterable[str]) -> int:
+def _atomic_write(path: Path, chunks: Iterable[bytes]) -> int:
     """Write the concatenated ``chunks`` to ``path``; readers never see partial content.
 
     The chunks are streamed into a temp file in the entry's directory, which
     replaces the entry only once the last one is written; if producing or
     writing a chunk raises, the temp file is removed and the entry is left
-    as it was.  Returns the number of bytes the entry occupies (UTF-8).
+    as it was.  Returns the number of bytes the entry occupies.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
             handle.flush()
             size = os.fstat(handle.fileno()).st_size
@@ -222,10 +222,10 @@ class SweepCache:
         trace = TraceGenerator(
             config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
         ).generate()
-        # Streamed line by line, the route Trace.save takes: the lines are
+        # Streamed chunk by chunk, the route Trace.save takes: the bytes are
         # hashed as they are written, so plan_key()'s trace.digest() on this
         # object is a lookup, not a second serialization.
-        self._note_store(_atomic_write(path, trace._hashed_lines()))
+        self._note_store(_atomic_write(path, trace._hashed_chunks()))
         return trace
 
     # ------------------------------------------------------------------ #
@@ -247,7 +247,7 @@ class SweepCache:
             sort_keys=True,
             separators=(",", ":"),
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
     def plan_path(self, key: str) -> Path:
         return self.plans_dir / f"{key}.json"
@@ -269,7 +269,7 @@ class SweepCache:
         self.stats.plan_misses += 1
         _obs_counter("cache.miss")
         stalloc = STAlloc.from_trace(trace, stalloc_config)
-        self._note_store(_atomic_write(path, (stalloc.dumps(),)))
+        self._note_store(_atomic_write(path, (stalloc.dumps().encode(),)))
         return stalloc
 
     # ------------------------------------------------------------------ #
@@ -295,7 +295,7 @@ class SweepCache:
             sort_keys=True,
             separators=(",", ":"),
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
     def result_path(self, key: str) -> Path:
         return self.results_dir / f"{key}.json"
@@ -323,7 +323,7 @@ class SweepCache:
     def store_result(self, key: str, row: dict) -> None:
         stored = dict(row)
         stored[_RESULT_VERSION_KEY] = RESULT_FORMAT_VERSION
-        self._note_store(_atomic_write(self.result_path(key), (json.dumps(stored),)))
+        self._note_store(_atomic_write(self.result_path(key), (json.dumps(stored).encode(),)))
 
     def cache_stats(self) -> dict:
         """This instance's lookup and eviction statistics, as a flat dict.

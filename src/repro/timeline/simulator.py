@@ -61,12 +61,12 @@ Three cluster-shaped refinements (TIMELINE_VERSION 2):
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 from dataclasses import dataclass
 
 from repro.core.events import PhaseKind
+from repro.digest import sha256
 from repro.gpu.specs import GPUSpec, NodeTopology, get_gpu
 from repro.obs.tracer import span as _obs_span
 from repro.simulator.throughput import ThroughputEstimate, ThroughputModel
@@ -340,7 +340,7 @@ class TimelineResult:
 
     def digest(self) -> str:
         """SHA-256 over the canonical serialization (content address)."""
-        hasher = hashlib.sha256()
+        hasher = sha256()
         for line in self.iter_jsonl():
             hasher.update(line.encode("utf-8"))
             hasher.update(b"\n")

@@ -8,10 +8,10 @@ without importing the generator.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict
 
+from repro.digest import sha256
 from repro.version import TRACEGEN_VERSION
 from repro.workloads.training import TrainingConfig
 
@@ -80,7 +80,7 @@ def config_fingerprint(
         "async_free_skew": skew,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    fingerprint = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    fingerprint = sha256(canonical.encode("utf-8")).hexdigest()
     if key is not None:
         if len(_FINGERPRINT_MEMO) >= _FINGERPRINT_MEMO_MAX:
             _FINGERPRINT_MEMO.clear()

@@ -440,9 +440,6 @@ class MemoryModel:
     # ------------------------------------------------------------------ #
     # Aggregates used by experiments
     # ------------------------------------------------------------------ #
-    def theoretical_persistent_bytes(self) -> int:
-        return sum(spec.size for spec in self.persistent_tensors())
-
     def saved_bytes_per_microbatch(self) -> int:
         """Scoped activation bytes one micro-batch keeps until its backward pass."""
         if self.config.recompute:

@@ -108,9 +108,6 @@ class ModelConfig:
         """Total parameter count of the full (unsharded) model."""
         return self.embedding_params() + self.num_layers * self.layer_params() + self.hidden_size
 
-    def total_params_billions(self) -> float:
-        return self.total_params() / 1e9
-
     def active_params(self) -> int:
         """Parameters used per token (differs from total only for MoE)."""
         if not self.is_moe:

@@ -25,10 +25,10 @@ constructed (the digest memo and the sweep cache rely on it).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -47,6 +47,10 @@ from repro.core.events import (
     phase_from_dict,
     phase_to_dict,
 )
+from repro.digest import sha256
+
+#: Lines of the serialization that are encoded, hashed and written as one chunk.
+_CHUNK_LINES = 1024
 
 
 @dataclass(frozen=True)
@@ -285,23 +289,27 @@ class Trace:
                 f'"tag":{tags[tag_index]},"time":{time}}}'
             )
 
-    def _hashed_lines(self) -> Iterator[str]:
-        """The newline-terminated lines of the serialization, hashed on the way.
+    def _hashed_chunks(self) -> Iterator[bytes]:
+        """The serialization as UTF-8 chunks of whole lines, hashed on the way.
 
         Once exhausted, the SHA-256 of exactly the bytes yielded is the
         trace's :meth:`digest`; everything that serializes goes through here,
-        so a trace is never rendered a second time only to be hashed.
+        so a trace is never rendered a second time only to be hashed.  Lines
+        are joined ``_CHUNK_LINES`` at a time, so each is encoded once and
+        the hash and the file see a few large buffers.
         """
-        hasher = hashlib.sha256()
-        for line in self.iter_jsonl():
-            line += "\n"
-            hasher.update(line.encode("utf-8"))
-            yield line
+        hasher = sha256()
+        lines = self.iter_jsonl()
+        while batch := list(islice(lines, _CHUNK_LINES)):
+            batch.append("")  # the chunk's last line ends in a newline too
+            chunk = "\n".join(batch).encode("utf-8")
+            hasher.update(chunk)
+            yield chunk
         self._digest_cache = hasher.hexdigest()
 
     def dumps(self) -> str:
         """Serialize to the JSON-lines format of :meth:`save` as one string."""
-        return "".join(self._hashed_lines())
+        return b"".join(self._hashed_chunks()).decode("utf-8")
 
     @classmethod
     def _from_lines(cls, lines) -> "Trace":
@@ -364,14 +372,14 @@ class Trace:
         reset ``_digest_cache`` to ``None``.
         """
         if self._digest_cache is None:
-            for _ in self._hashed_lines():
+            for _ in self._hashed_chunks():
                 pass
         return self._digest_cache
 
     def save(self, path: str | Path) -> None:
         """Write the trace as JSON-lines with a metadata header (streamed)."""
-        with Path(path).open("w", encoding="utf-8") as handle:
-            handle.writelines(self._hashed_lines())
+        with Path(path).open("wb") as handle:
+            handle.writelines(self._hashed_chunks())
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":

@@ -312,7 +312,7 @@ class TestTraceEntries:
     def test_a_write_that_fails_mid_stream_leaves_nothing_behind(
         self, tmp_path, tiny_dense_config, monkeypatch
     ):
-        real_lines = Trace._hashed_lines
+        real_lines = Trace.iter_jsonl
 
         def failing_lines(self):
             for index, line in enumerate(real_lines(self)):
@@ -320,7 +320,7 @@ class TestTraceEntries:
                     raise RuntimeError("generator failed mid-stream")
                 yield line
 
-        monkeypatch.setattr(Trace, "_hashed_lines", failing_lines)
+        monkeypatch.setattr(Trace, "iter_jsonl", failing_lines)
         cache = SweepCache(tmp_path)
         noted: list[int] = []
         monkeypatch.setattr(cache, "_note_store", noted.append)
@@ -402,7 +402,7 @@ class TestCachePrune:
     def test_stores_are_accounted_in_encoded_bytes(self, tmp_path):
         """The cap compares against file sizes, so stores count bytes, not characters."""
         path = tmp_path / "entry.json"
-        assert _atomic_write(path, ["\u00e9" * 10]) == path.stat().st_size == 20
+        assert _atomic_write(path, [("\u00e9" * 10).encode("utf-8")]) == path.stat().st_size == 20
 
     def test_prune_lru_evicts_oldest_first(self, tmp_path):
         cache = SweepCache(tmp_path)

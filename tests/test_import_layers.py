@@ -6,7 +6,8 @@ only the stdlib and each other, and an *execution layer* (the trace
 generator, the planner, the allocators, replay, the timeline simulator, the
 experiments, the process pool) imported at the first cache miss or fan-out.
 Nothing imports numpy: the MoE router's draw is a stdlib port, so no run
-loads it, cold or warm, routed or not.
+loads it, cold or warm, routed or not.  Nor does a cold run load OpenSSL
+(``_hashlib``): content addresses take the interpreter's built-in SHA-256.
 Every case here runs in a fresh interpreter and inspects ``sys.modules``, so
 the checks are structural and machine-independent: no timing is asserted.
 """
@@ -106,7 +107,7 @@ LEGACY_NAMES = {
     "repro.workloads.moe": ["balanced_split"],
     "repro.timeline": ["TIMELINE_VERSION"],
     "repro.timeline.simulator": ["TIMELINE_VERSION"],
-    "repro.core.stalloc": ["STAllocConfig", "PLAN_FORMAT_VERSION", "PLAN_ENTRY_HEAD"],
+    "repro.core.stalloc": ["STAllocConfig", "PLAN_FORMAT_VERSION"],
     "repro.core.synthesizer": ["SynthesizerConfig"],
     "repro.core.planner": ["GlobalPlannerConfig"],
     "repro.simulator.runner": [
@@ -180,8 +181,11 @@ def filled(tmp_path_factory) -> dict:
     sweep = ["sweep", "job-smoke", "--cache-dir", "cache", "--no-progress"]
     search = ["search", "search-smoke", "--cache-dir", "cache", "--no-progress"]
     cold = cli(sweep + ["--output", "a.json", "--obs-out", "obs.ndjson"], work)
-    assert cli(search + ["--output", "s.json"], work)["code"] == 0
-    return {"work": work, "sweep": sweep, "search": search, "cold": cold}
+    cold_search = cli(search + ["--output", "s.json"], work)
+    assert cold_search["code"] == 0
+    return {
+        "work": work, "sweep": sweep, "search": search, "cold": cold, "cold_search": cold_search,
+    }
 
 
 def test_importing_the_cli_loads_three_modules_and_no_execution_layer():
@@ -242,8 +246,17 @@ def test_cold_sweep_never_loads_numpy(tmp_path, model, parallelism, base, routed
     assert report["code"] == 0
     assert "repro.core.stalloc" in report["modules"]
     assert "numpy" not in report["modules"]
+    assert "_hashlib" not in report["modules"]  # content addresses hash without OpenSSL
     # The stdlib draw loads at the first routed draw and only then.
     assert ("repro.workloads.routing_draw" in report["modules"]) is routed
+
+
+@pytest.mark.parametrize("command", ["cold", "cold_search"])
+def test_cold_dense_sweep_and_search_never_load_openssl(filled, command):
+    """Trace digests, fingerprints and cache keys take the interpreter's own SHA-256."""
+    report = filled[command]
+    assert report["code"] == 0 and "repro.workloads.trace" in report["modules"]
+    assert "_hashlib" not in report["modules"]
 
 
 #: Runs each argv of a JSON list with ``import numpy`` made to fail.

@@ -140,7 +140,7 @@ class TestRuntimeAllocator:
             return summary(self)
 
         def counted_sweep(self):
-            """A call that finds no memo sorts and sweeps the ticks."""
+            """A call that finds no memo walks the requests."""
             calls["sweeps"] += self._swept is None
             return sweep(self)
 
@@ -149,7 +149,7 @@ class TestRuntimeAllocator:
         stalloc = STAlloc.from_trace(dense_trace)
         document = stalloc.to_json_dict()
         report = stalloc.planning_report()
-        # Static and total peak, counts and byte totals: one sort-and-sweep.
+        # Static and total peak, counts and byte totals: one sweep.
         assert calls == {"summary": 1, "sweeps": 1}
         assert stalloc.profile.peak_allocated_bytes() == report["peak_allocated_bytes"]
         assert stalloc.profile.peak_static_bytes() == report["peak_static_demand_bytes"]
