@@ -32,8 +32,9 @@ SHA-256) and the most traces alive at any replay (every ``Trace`` is
 registered in a ``weakref.WeakSet`` that is counted as each replay starts).
 ``--check`` fails when numpy appears on the warm, the cold dense or the cold
 routed path, a cold probe loaded OpenSSL, more than one trace was alive at
-once, or the module count exceeds the latest entry by more than 5; the walls
-and the RSS are recorded, not gated.
+once, the module count exceeds the latest entry by more than 5, or the cold
+routed MoE probe's peak RSS exceeds the latest entry's by more than 5%; the
+walls and the cold dense RSS are recorded, not gated.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ CHECK_MAX_OVERHEAD_PCT = 10.0
 #: latest recorded entry (a definition-layer module or two may be added; an
 #: execution-layer import drags in a dozen).
 CHECK_MAX_EXTRA_MODULES = 5
+#: ... or when the cold routed MoE sweep's peak RSS exceeds the latest entry's
+#: by this share (the probe sits near the import floor, so a new import or a
+#: larger per-event footprint shows).
+CHECK_MAX_RSS_GROWTH = 0.05
 
 
 def test_sweep_quick_grid_cold(benchmark, tmp_path):
@@ -266,7 +271,8 @@ def main(argv: list[str] | None = None) -> int:
         help="print the latest BENCH_sweep.json entry next to the measurement; "
         f"fail if measured overhead exceeds {CHECK_MAX_OVERHEAD_PCT:g}%%, numpy loads "
         "on the warm, the cold dense or the cold routed MoE path, a cold sweep loads "
-        "OpenSSL, or a cold sweep holds two traces at once",
+        "OpenSSL, a cold sweep holds two traces at once, or the cold routed MoE sweep's "
+        f"peak RSS exceeds the recorded one by more than {CHECK_MAX_RSS_GROWTH:.0%}",
     )
     args = parser.parse_args(argv)
 
@@ -328,6 +334,17 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"cli start-up smoke FAILED: {startup['cold_sweep_max_live_traces']} traces "
                 "were alive at once in the cold sweep (one is the unit of work)"
+            )
+            return 1
+        rss_limit = latest["cli_startup"]["cold_moe_sweep_maxrss_mib"] * (1 + CHECK_MAX_RSS_GROWTH)
+        print(
+            f"check cli_startup: cold routed MoE sweep peak RSS "
+            f"{startup['cold_moe_sweep_maxrss_mib']:.2f} MiB (limit {rss_limit:.2f})"
+        )
+        if startup["cold_moe_sweep_maxrss_mib"] > rss_limit:
+            print(
+                "cli start-up smoke FAILED: the cold routed MoE sweep's peak RSS grew more "
+                f"than {CHECK_MAX_RSS_GROWTH:.0%} over the recorded entry"
             )
             return 1
         recorded = latest.get(measured["spec"])

@@ -21,6 +21,14 @@ It measures four hot layers at three scales and reports events/sec:
                       evaluating many points of one geometry).
 * ``timeline_tiered`` -- the same on a 2-node tiered fabric with half the
                       all-to-all hidden under expert compute.
+* ``trace_store``  -- writing the trace's binary sweep-cache entry
+                      (``Trace.entry_chunks``: a JSON head line, then the raw
+                      bytes of the typed columns) to a file, digest memoised.
+* ``trace_load``   -- ``Trace.load`` of that binary entry (``array.fromfile``
+                      per column, digest from the head).
+* ``jsonl_load``   -- ``Trace.load`` of the same trace saved as JSON lines, the
+                      format the cache stored until 1.21.0: the reference
+                      ``trace_load`` is measured against.
 * ``gen_trace_build`` / ``gen_replay_native`` / ``gen_timeline`` -- the same
                       build, replay, and timeline layers on a *generation*
                       variant of the preset (prefill + 64 decode steps with
@@ -40,10 +48,10 @@ Usage::
 ``--check`` compares against the most recent trajectory entry in
 ``BENCH_trace_core.json`` and fails (exit 1) when
 
-* a ``replay_*`` or timeline column's best rep falls below 0.8x the
-  recorded best rep (best-of-k is steady enough for a ratio gate; the 3x
-  floor let ``replay_caching`` stand still for seven releases and gpt-tiny
-  ``timeline`` slide from 1.76M to 1.00M ev/s), or
+* a ``replay_*``, timeline, ``trace_store`` or ``trace_load`` column's best
+  rep falls below 0.8x the recorded best rep (best-of-k is steady enough for
+  a ratio gate; the 3x floor let ``replay_caching`` stand still for seven
+  releases and gpt-tiny ``timeline`` slide from 1.76M to 1.00M ev/s), or
 * any other column's mean rate drops more than 3x below the recorded one --
   loose enough for CI noise, tight enough to catch an accidental return to
   object-per-event hot paths.
@@ -55,7 +63,9 @@ import argparse
 import dataclasses
 import datetime
 import json
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -68,6 +78,7 @@ from repro.timeline.simulator import simulate_timeline
 from repro.version import __version__
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
+from repro.workloads.trace import Trace
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
 
@@ -77,7 +88,9 @@ CHECK_RATIO = 3.0
 #: the recorded best.
 BEST_RATIO = 0.8
 #: Columns gated on their best rep (besides every ``replay_*`` column).
-TIMELINE_COLUMNS = frozenset(("timeline", "timeline_tiered", "gen_timeline"))
+BEST_COLUMNS = frozenset(
+    ("timeline", "timeline_tiered", "gen_timeline", "trace_store", "trace_load")
+)
 
 #: Benchmark configurations.  "job-smoke" mirrors the sweep preset of the same
 #: name (gpt2-345m, pp=4 dp=2, mbs=4, m=4, scale 0.5); the tiny ones match the
@@ -199,6 +212,23 @@ def bench_preset(preset: str) -> dict:
     def run_timeline():
         simulate_timeline(config, seed=0, scale=scale)
 
+    # The sweep cache's binary entry and the JSON lines it replaced, in a
+    # temporary directory; the digest is memoised first, as in a cold run
+    # (the plan key needs it whatever the entry format).
+    workdir = Path(tempfile.mkdtemp(prefix="bench-trace-"))
+    entry_path, jsonl_path = workdir / "entry", workdir / "trace.jsonl"
+    trace.save(jsonl_path)
+
+    def run_store():
+        with entry_path.open("wb") as handle:
+            handle.writelines(trace.entry_chunks())
+
+    def run_load():
+        Trace.load(entry_path)
+
+    def run_jsonl_load():
+        Trace.load(jsonl_path)
+
     # Hierarchical pricing: a 2-node tiered fabric plus partial overlap takes
     # the per-rank tier-mix a2a path instead of the flat single-rate branch.
     tiered_gpu = dataclasses.replace(
@@ -245,12 +275,16 @@ def bench_preset(preset: str) -> dict:
         "replay_expandable": _measure(make_replay("torch_es"), num_events),
         "replay_gmlake": _measure(make_replay("gmlake"), num_events),
         "replay_stalloc": _measure(make_replay("stalloc"), num_events),
+        "trace_store": _measure(run_store, num_events),
+        "trace_load": _measure(run_load, num_events),
+        "jsonl_load": _measure(run_jsonl_load, num_events),
         "timeline": _measure(run_timeline, timeline_events),
         "timeline_tiered": _measure(run_timeline_tiered, tiered_events),
         "gen_trace_build": _measure(run_gen_build, gen_events),
         "gen_replay_native": _measure(run_gen_replay, gen_events),
         "gen_timeline": _measure(run_gen_timeline, gen_timeline_events),
     }
+    shutil.rmtree(workdir, ignore_errors=True)
     return results
 
 
@@ -268,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         type=Path,
         help="compare against the latest BENCH_trace_core.json entry; fail if a "
-        f"replay_* or timeline column's best rep is below {BEST_RATIO:g}x the "
+        f"replay_*, timeline or trace_store/_load column's best rep is below {BEST_RATIO:g}x the "
         f"recorded one or any other metric is >{CHECK_RATIO:g}x below the recorded floor",
     )
     parser.add_argument("--record", type=Path, help="append an entry to this trajectory file")
@@ -286,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"  best {row['best_events_per_sec']:>12,d}"
                 f"  ({row['events']} events x {row['reps']} reps in {row['seconds']}s)"
             )
+        rows = results[preset]
+        speedup = rows["trace_load"]["best_events_per_sec"] / rows["jsonl_load"]["best_events_per_sec"]
+        print(f"  binary entry loads {speedup:.1f}x faster than JSON lines (best reps)")
 
     if args.json:
         args.json.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
@@ -312,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
                 recorded = floor.get(metric)
                 if recorded is None:
                     continue
-                if metric.startswith("replay_") or metric in TIMELINE_COLUMNS:
+                if metric.startswith("replay_") or metric in BEST_COLUMNS:
                     measured = row["best_events_per_sec"]
                     bound = recorded["best_events_per_sec"] * BEST_RATIO
                     rule = f"best {recorded['best_events_per_sec']:,d} x {BEST_RATIO:g}"

@@ -4,36 +4,42 @@ The object event model (:class:`repro.core.events.TraceEvent`) is ergonomic
 but costs one Python object per event -- at production scale (millions of
 events per rank) that makes every analytics pass, replay, and serialization
 walk millions of attribute lookups.  This module stores one trace as nine
-parallel ``int`` lists instead -- the very lists the trace generator (or
-:meth:`repro.workloads.trace.Trace.load`) appended to, kept without a copy:
+fixed-width stdlib :class:`array.array` columns instead (39 bytes an event),
+filled by the trace generator (or :meth:`repro.workloads.trace.Trace.load`)
+through :class:`ColumnBuilder`:
 
-``kind``         0 = alloc, 1 = free (:data:`KIND_CODES`)
-``req_id``       the request id (tensor id)
-``size``         bytes requested
-``time``         logical timestamp
-``phase_index``  ``Phase.index`` of the emitting phase
-``module_index`` index into the interned :attr:`TraceColumns.modules` table
-``dyn``          1 when the size is only known at runtime
-``category``     index into :data:`CATEGORIES` (``TensorCategory`` order)
-``tag_index``    index into the interned :attr:`TraceColumns.tags` table
+``kind``         ``b``  0 = alloc, 1 = free (:data:`KIND_CODES`)
+``req_id``       ``q``  the request id (tensor id)
+``size``         ``q``  bytes requested
+``time``         ``q``  logical timestamp
+``phase_index``  ``i``  ``Phase.index`` of the emitting phase
+``module_index`` ``i``  index into the interned :attr:`TraceColumns.modules` table
+``dyn``          ``b``  1 when the size is only known at runtime
+``category``     ``b``  index into :data:`CATEGORIES` (``TensorCategory`` order)
+``tag_index``    ``i``  index into the interned :attr:`TraceColumns.tags` table
 
 Strings (module paths, tags) are interned into per-trace tables so the
-columns stay plain ints.  :class:`repro.workloads.trace.Trace` keeps its
+columns stay fixed-width ints.  :class:`repro.workloads.trace.Trace` keeps its
 object API as a thin lazy view over these columns: objects are materialized
 only when someone actually touches ``trace.events``.
 
-Analytics (peaks, histograms, byte totals) are single passes over the lists,
-and the alloc/free pairing and the peaks are memoised per instance; every
-reader sees plain Python ints and lists.
+Analytics (peaks, histograms, byte totals) are single passes over the columns,
+and the alloc/free pairing and the peaks are memoised per instance.  What is
+derived per request -- the pairing's positions, :class:`RequestColumns`, the
+HomoLayer member ids -- is typed the same way; reading an element yields a
+plain Python ``int``.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import le, lt
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import accumulate, compress
+from operator import itemgetter, le, lt, not_
+from struct import error as struct_error
+from struct import pack
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.events import EventKind, MemoryRequest, Phase, TensorCategory, TraceEvent
 
@@ -50,20 +56,67 @@ CATEGORY_CODES = {category: code for code, category in enumerate(CATEGORIES)}
 COMM_BUFFER_CODE = CATEGORY_CODES[TensorCategory.COMM_BUFFER]
 KV_CACHE_CODE = CATEGORY_CODES[TensorCategory.KV_CACHE]
 
+#: ``(column, array typecode)`` of every trace column, in stored order.
+COLUMN_TYPES: tuple[tuple[str, str], ...] = (
+    ("kind", "b"),
+    ("req_id", "q"),
+    ("size", "q"),
+    ("time", "q"),
+    ("phase_index", "i"),
+    ("module_index", "i"),
+    ("dyn", "b"),
+    ("category", "b"),
+    ("tag_index", "i"),
+)
+COLUMN_NAMES = tuple(name for name, _ in COLUMN_TYPES)
+
+#: Events a :class:`ColumnBuilder` buffers in lists before extending its arrays
+#: (``list.append`` is several times cheaper than ``array.append``).
+_FLUSH_EVENTS = 4096
+
+
+def _width_error(name: str, typecode: str, values: Sequence, first_event: int) -> ValueError:
+    """The one-line error for the first of ``values`` that ``typecode`` cannot hold."""
+    for offset, value in enumerate(values):
+        try:
+            array(typecode, (value,))
+        except (OverflowError, TypeError):
+            return ValueError(
+                f"trace column {name!r} (typecode {typecode!r}) cannot hold "
+                f"{value!r} at event {first_event + offset}"
+            )
+    return ValueError(f"trace column {name!r} (typecode {typecode!r}) rejected its values")
+
+
+def _typed_column(name: str, typecode: str, values: Sequence[int]) -> array:
+    """``values`` as an ``array(typecode)``; an array of that typecode is kept as is.
+
+    A value the column cannot hold raises a one-line :class:`ValueError`
+    naming the column and the event index.
+    """
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    try:
+        return array(typecode, values)
+    except (OverflowError, TypeError):
+        raise _width_error(name, typecode, list(values), 0) from None
+
 
 class ColumnBuilder:
     """Append-only accumulator the trace generator emits events into.
 
-    Appends are plain ``list.append``; :meth:`build` hands the lists to the
-    trace as they are, so nothing may append after it.
+    Appends go to plain lists, which are moved into the typed columns every
+    few thousand events; :meth:`build` flushes the rest and hands the arrays
+    to the trace, so nothing may append after it.
     """
 
     __slots__ = (
         "kind", "req_id", "size", "time", "phase_index", "module_index",
-        "dyn", "category", "tag_index", "_modules", "_tags",
+        "dyn", "category", "tag_index", "_modules", "_tags", "_columns",
     )
 
     def __init__(self) -> None:
+        # Pending (not yet flushed) values, one list per column.
         self.kind: list[int] = []
         self.req_id: list[int] = []
         self.size: list[int] = []
@@ -75,20 +128,7 @@ class ColumnBuilder:
         self.tag_index: list[int] = []
         self._modules: dict[str, int] = {}
         self._tags: dict[str, int] = {}
-
-    def intern_module(self, module: str) -> int:
-        index = self._modules.get(module)
-        if index is None:
-            index = len(self._modules)
-            self._modules[module] = index
-        return index
-
-    def intern_tag(self, tag: str) -> int:
-        index = self._tags.get(tag)
-        if index is None:
-            index = len(self._tags)
-            self._tags[tag] = index
-        return index
+        self._columns = tuple(array(typecode) for _, typecode in COLUMN_TYPES)
 
     def append(
         self,
@@ -102,51 +142,66 @@ class ColumnBuilder:
         category: int,
         tag: str,
     ) -> None:
+        # Strings are interned in first-seen order.
+        module_index = self._modules.get(module)
+        if module_index is None:
+            module_index = self._modules[module] = len(self._modules)
+        tag_index = self._tags.get(tag)
+        if tag_index is None:
+            tag_index = self._tags[tag] = len(self._tags)
         self.kind.append(kind)
         self.req_id.append(req_id)
         self.size.append(size)
         self.time.append(time)
         self.phase_index.append(phase_index)
-        self.module_index.append(self.intern_module(module))
+        self.module_index.append(module_index)
         self.dyn.append(1 if dyn else 0)
         self.category.append(category)
-        self.tag_index.append(self.intern_tag(tag))
+        self.tag_index.append(tag_index)
+        if len(self.kind) >= _FLUSH_EVENTS:
+            self._flush()
+
+    def _flush(self) -> None:
+        flushed = len(self._columns[0])
+        for (name, typecode), column in zip(COLUMN_TYPES, self._columns):
+            pending = getattr(self, name)
+            try:
+                # struct packs a list of ints into machine values (range
+                # checks included) several times faster than array() does.
+                column.frombytes(pack(f"{len(pending)}{typecode}", *pending))
+            except struct_error:
+                raise _width_error(name, typecode, pending, flushed) from None
+            pending.clear()
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self._columns[0]) + len(self.kind)
 
     def build(self) -> "TraceColumns":
+        self._flush()
         return TraceColumns(
-            kind=self.kind,
-            req_id=self.req_id,
-            size=self.size,
-            time=self.time,
-            phase_index=self.phase_index,
-            module_index=self.module_index,
-            dyn=self.dyn,
-            category=self.category,
-            tag_index=self.tag_index,
+            **dict(zip(COLUMN_NAMES, self._columns)),
             modules=tuple(self._modules),
             tags=tuple(self._tags),
         )
 
 
 class RequestColumns(NamedTuple):
-    """The paired requests of one trace as parallel int lists.
+    """The paired requests of one trace as parallel typed columns.
 
     Row ``i`` is the paper's ``m := (s, t_s, t_e, p_s, p_e, dyn)`` plus the
     request id, phases by ``Phase.index``; the first four columns are the
     planner's packing key.  A table read off a trace is sorted by
     ``(alloc_time, req_id)``; one built from request objects keeps their order.
+    Readers only index and iterate, so hand-built tables may hold lists.
     """
 
-    alloc_time: list[int]
-    req_id: list[int]
-    size: list[int]
-    free_time: list[int]
-    alloc_phase: list[int]
-    free_phase: list[int]
-    dyn: list[int]
+    alloc_time: array
+    req_id: array
+    size: array
+    free_time: array
+    alloc_phase: array
+    free_phase: array
+    dyn: array
 
     @classmethod
     def from_requests(cls, requests: Iterable[MemoryRequest]) -> "RequestColumns":
@@ -155,7 +210,12 @@ class RequestColumns(NamedTuple):
              m.alloc_phase.index, m.free_phase.index, int(m.dyn))
             for m in requests
         ]
-        return cls(*map(list, zip(*rows))) if rows else cls([], [], [], [], [], [], [])
+        columns = list(zip(*rows)) if rows else [()] * len(_REQUEST_TYPES)
+        return cls(*(array(typecode, column) for typecode, column in zip(_REQUEST_TYPES, columns)))
+
+
+#: Typecodes of :class:`RequestColumns`, in field order.
+_REQUEST_TYPES = ("q", "q", "q", "q", "i", "i", "b")
 
 
 class HomoLayerGroup(NamedTuple):
@@ -163,8 +223,8 @@ class HomoLayerGroup(NamedTuple):
 
     #: ``(alloc module, free module)``; every member's key is this one tuple.
     key: tuple[str, str]
-    #: Member request ids, in request order.
-    req_ids: list[int]
+    #: Member request ids (``array('q')``), in request order.
+    req_ids: array
     #: Earliest alloc time and latest free time of the members.
     first_alloc: int
     last_free: int
@@ -179,7 +239,7 @@ def group_homolayers(rows: Iterable[tuple[int, int, tuple[str, str], int]]) -> l
     for alloc_time, req_id, key, free_time in rows:
         group = groups.get(key)
         if group is None:
-            groups[key] = [key, [req_id], alloc_time, free_time]
+            groups[key] = [key, array("q", (req_id,)), alloc_time, free_time]
             continue
         group[1].append(req_id)
         if alloc_time < group[2]:
@@ -202,10 +262,10 @@ class Pairing:
     """
 
     ok: bool
-    #: Event position of each request's alloc event, by ordinal.
-    alloc_pos: list[int]
+    #: Event position of each request's alloc event, by ordinal (``array('q')``).
+    alloc_pos: array
     #: Event position of each request's free event, by ordinal (-1: never freed).
-    free_pos: list[int]
+    free_pos: array
     num_frees: int = 0
     #: Sum and minimum of the allocation sizes (0 without allocations).
     allocated_bytes: int = 0
@@ -215,18 +275,31 @@ class Pairing:
 
 
 #: The pairing of a trace that does not pair simply.
-NOT_SIMPLE = Pairing(ok=False, alloc_pos=[], free_pos=[])
+NOT_SIMPLE = Pairing(ok=False, alloc_pos=array("q"), free_pos=array("q"))
 
 
-def _take(column: list[int], positions: Iterable[int]) -> list[int]:
-    return list(map(column.__getitem__, positions))
+def _getter(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+    """A function from a column to the tuple of its values at ``positions``.
+
+    An ``itemgetter`` gathers in one C loop; build it once to read several
+    columns at the same positions.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda column: tuple(column[position] for position in positions)
+
+
+def _take(column: array, positions: Sequence[int]) -> array:
+    """``column[p]`` for every ``p`` in ``positions``, as an array of the column's type."""
+    return array(column.typecode, _getter(positions)(column))
 
 
 class TraceColumns:
-    """Immutable parallel int columns describing one trace.
+    """Immutable parallel typed columns describing one trace.
 
-    Derived quantities (peaks, pairing) are memoised: the lists are treated as
-    immutable once built, exactly like :class:`Trace` itself.
+    Derived quantities (peaks, pairing) are memoised: the columns are treated
+    as immutable once built, exactly like :class:`Trace` itself.  Columns
+    passed as other sequences are copied into arrays of their typecode.
     """
 
     __slots__ = (
@@ -238,27 +311,29 @@ class TraceColumns:
     def __init__(
         self,
         *,
-        kind: list[int],
-        req_id: list[int],
-        size: list[int],
-        time: list[int],
-        phase_index: list[int],
-        module_index: list[int],
-        dyn: list[int],
-        category: list[int],
-        tag_index: list[int],
+        kind: Sequence[int],
+        req_id: Sequence[int],
+        size: Sequence[int],
+        time: Sequence[int],
+        phase_index: Sequence[int],
+        module_index: Sequence[int],
+        dyn: Sequence[int],
+        category: Sequence[int],
+        tag_index: Sequence[int],
         modules: tuple[str, ...],
         tags: tuple[str, ...],
     ) -> None:
-        self.kind = kind
-        self.req_id = req_id
-        self.size = size
-        self.time = time
-        self.phase_index = phase_index
-        self.module_index = module_index
-        self.dyn = dyn
-        self.category = category
-        self.tag_index = tag_index
+        self.kind = _typed_column("kind", "b", kind)
+        self.req_id = _typed_column("req_id", "q", req_id)
+        self.size = _typed_column("size", "q", size)
+        self.time = _typed_column("time", "q", time)
+        self.phase_index = _typed_column("phase_index", "i", phase_index)
+        self.module_index = _typed_column("module_index", "i", module_index)
+        self.dyn = _typed_column("dyn", "b", dyn)
+        self.category = _typed_column("category", "b", category)
+        self.tag_index = _typed_column("tag_index", "i", tag_index)
+        if len({len(getattr(self, name)) for name in COLUMN_NAMES}) != 1:
+            raise ValueError("trace columns differ in length")
         self.modules = modules
         self.tags = tags
         #: Peak live bytes by category code (``None``: every category).
@@ -313,56 +388,59 @@ class TraceColumns:
             )
         ]
 
-    def _paired(
-        self, end_of_trace: int
-    ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-        """``(alloc_pos, free_pos, alloc_time, free_time, free_phase)`` per request.
+    def _paired(self, end_of_trace: int) -> tuple[array, array, array, array, array, Callable]:
+        """``(alloc_pos, free_pos, alloc_time, free_time, free_phase, at_allocs)`` per request.
 
         One entry per request of a trace whose :meth:`pairing` is ``ok``, in
         ``(alloc_time, req_id)`` order: alloc-ordinal order unless the alloc
         times are not strictly ascending.  Never-freed requests (weights,
         optimizer state) have ``free_pos`` -1 and close at the end of the
-        trace, in the phase of its last event.
+        trace, in the phase of its last event.  ``at_allocs`` reads any
+        column at ``alloc_pos`` (see :func:`_getter`).
         """
         pairing = self.pairing()
         if not pairing.ok:
             raise ValueError("trace does not pair simply; use pair_events")
         alloc_pos, free_pos = pairing.alloc_pos, pairing.free_pos
         time, phase = self.time, self.phase_index
-        alloc_time = _take(time, alloc_pos)
+        at_allocs = _getter(alloc_pos)
+        alloc_time = array("q", at_allocs(time))
+        never_freed = [ordinal for ordinal, _, _ in pairing.survivors]
         if not all(map(lt, alloc_time, alloc_time[1:])):
             req_id = self.req_id
             order = sorted(
                 range(len(alloc_pos)), key=lambda i: (alloc_time[i], req_id[alloc_pos[i]])
             )
             alloc_pos, free_pos = _take(alloc_pos, order), _take(free_pos, order)
-            alloc_time = _take(alloc_time, order)
-        last_phase = 0
-        if -1 in free_pos:
-            last = max(time)
-            last_phase = max(p for t, p in zip(time, phase) if t == last)
-        free_time = [
-            time[pos] if pos >= 0 else max(end_of_trace, alloc + 1)
-            for alloc, pos in zip(alloc_time, free_pos)
-        ]
-        free_phase = [phase[pos] if pos >= 0 else last_phase for pos in free_pos]
-        return alloc_pos, free_pos, alloc_time, free_time, free_phase
+            at_allocs = _getter(alloc_pos)
+            alloc_time = array("q", at_allocs(time))
+            never_freed = list(compress(range(len(free_pos)), map((-1).__eq__, free_pos)))
+        # Position -1 reads the last event; never-freed entries are then rewritten.
+        at_frees = _getter(free_pos)
+        free_time = array("q", at_frees(time))
+        free_phase = array("i", at_frees(phase))
+        if never_freed:
+            _, last_phase = max(zip(time, phase))  # the latest tick, its highest phase
+            for index in never_freed:
+                free_time[index] = max(end_of_trace, alloc_time[index] + 1)
+                free_phase[index] = last_phase
+        return alloc_pos, free_pos, alloc_time, free_time, free_phase, at_allocs
 
     def request_columns(self, *, end_of_trace: int) -> RequestColumns:
-        """The paired requests as int lists: what the planner reads."""
-        alloc_pos, _, alloc_time, free_time, free_phase = self._paired(end_of_trace)
-        size = _take(self.size, alloc_pos)
+        """The paired requests as typed columns: what the planner reads."""
+        _, _, alloc_time, free_time, free_phase, at_allocs = self._paired(end_of_trace)
+        size = array("q", at_allocs(self.size))
         # What MemoryRequest checks per object, over the columns.
         if min(size, default=1) <= 0 or any(map(le, free_time, alloc_time)):
             raise ValueError("a request needs a positive size and a free_time after its alloc_time")
         return RequestColumns(
             alloc_time=alloc_time,
-            req_id=_take(self.req_id, alloc_pos),
+            req_id=array("q", at_allocs(self.req_id)),
             size=size,
             free_time=free_time,
-            alloc_phase=_take(self.phase_index, alloc_pos),
+            alloc_phase=array("i", at_allocs(self.phase_index)),
             free_phase=free_phase,
-            dyn=_take(self.dyn, alloc_pos),
+            dyn=array("b", at_allocs(self.dyn)),
         )
 
     def homolayer_groups(self, *, end_of_trace: int) -> list[HomoLayerGroup]:
@@ -372,31 +450,42 @@ class TraceColumns:
         :meth:`to_requests` -- same keys, members and order, the same
         never-freed rule (closes at the end of the trace, in its own module)
         and the same empty-free-module rule (the alloc module) -- without
-        building a request object.
+        building a request object per request.  The dynamic requests are taken
+        in alloc-ordinal order, which is request order whenever their alloc
+        times strictly ascend (always, in a generator trace); otherwise they
+        are sorted by ``(alloc_time, req_id)`` first.
         """
         pairing = self.pairing()
         if not pairing.ok:
             raise ValueError("trace does not pair simply; use pair_events")
-        time, req_id, dyn = self.time, self.req_id, self.dyn
+        dynamic = _getter(pairing.alloc_pos)(self.dyn)
+        alloc_pos = list(compress(pairing.alloc_pos, dynamic))
+        free_pos = list(compress(pairing.free_pos, dynamic))
+        time, req_id = self.time, self.req_id
+        opened = _getter(alloc_pos)(time)
+        if not all(map(lt, opened, opened[1:])):
+            order = sorted(range(len(opened)), key=lambda i: (opened[i], req_id[alloc_pos[i]]))
+            alloc_pos, free_pos, opened = (
+                [column[i] for i in order] for column in (alloc_pos, free_pos, opened)
+            )
         module_index, modules = self.module_index, self.modules
         keys: dict[tuple[int, int], tuple[str, str]] = {}
-        rows = []
-        for alloc, free in zip(pairing.alloc_pos, pairing.free_pos):
-            if not dyn[alloc]:
-                continue
-            opened, module = time[alloc], module_index[alloc]
-            if free < 0:
-                closes, closing = max(end_of_trace, opened + 1), module
-            else:
-                closes, closing = time[free], module_index[free]
-            key = keys.get((module, closing))
-            if key is None:
-                key = keys[module, closing] = (
-                    modules[module], modules[closing] or modules[module]
-                )
-            rows.append((opened, req_id[alloc], key, closes))
-        rows.sort()  # request order; (alloc_time, req_id) is unique
-        return group_homolayers(rows)
+
+        def rows() -> Iterator[tuple[int, int, tuple[str, str], int]]:
+            for alloc, free, alloc_time in zip(alloc_pos, free_pos, opened):
+                module = module_index[alloc]
+                if free < 0:
+                    closes, closing = max(end_of_trace, alloc_time + 1), module
+                else:
+                    closes, closing = time[free], module_index[free]
+                key = keys.get((module, closing))
+                if key is None:
+                    key = keys[module, closing] = (
+                        modules[module], modules[closing] or modules[module]
+                    )
+                yield alloc_time, req_id[alloc], key, closes
+
+        return group_homolayers(rows())
 
     def to_requests(self, phases: Mapping[int, Phase], *, end_of_trace: int) -> list[MemoryRequest]:
         """Paired memory requests of a trace whose :meth:`pairing` is ``ok``.
@@ -405,11 +494,11 @@ class TraceColumns:
         (same field for field, same order, same never-freed closing rule),
         built from the pairing's positions without one event object.
         """
-        alloc_pos, free_pos, alloc_time, free_time, free_phase = self._paired(end_of_trace)
+        _, free_pos, alloc_time, free_time, free_phase, at_allocs = self._paired(end_of_trace)
         modules = self.modules
         tags = self.tags
         module_index = self.module_index
-        alloc_module = _take(module_index, alloc_pos)
+        alloc_module = at_allocs(module_index)
         # A never-freed request closes in its own module.
         free_module = [
             module_index[pos] if pos >= 0 else module
@@ -433,17 +522,17 @@ class TraceColumns:
                 req_id, size, alloc_time, closes, alloc_phase, closing_phase,
                 dyn, alloc_module, closing_module, category, tag,
             ) in zip(
-                _take(self.req_id, alloc_pos),
-                _take(self.size, alloc_pos),
+                at_allocs(self.req_id),
+                at_allocs(self.size),
                 alloc_time,
                 free_time,
-                _take(self.phase_index, alloc_pos),
+                at_allocs(self.phase_index),
                 free_phase,
-                _take(self.dyn, alloc_pos),
+                at_allocs(self.dyn),
                 alloc_module,
                 free_module,
-                _take(self.category, alloc_pos),
-                _take(self.tag_index, alloc_pos),
+                at_allocs(self.category),
+                at_allocs(self.tag_index),
             )
         ]
 
@@ -537,38 +626,50 @@ class TraceColumns:
         return self._pairing_cache
 
     def _compute_pairing(self) -> Pairing:
-        """One pass in trace order, with a dict from request id to alloc ordinal."""
-        sizes = self.size
-        ordinal_of: dict[int, int] = {}
-        alloc_pos: list[int] = []
-        free_pos: list[int] = []
-        for pos, (kind, req_id) in enumerate(zip(self.kind, self.req_id)):
-            if kind == ALLOC:
-                if req_id in ordinal_of:
-                    return NOT_SIMPLE  # allocated twice
-                ordinal_of[req_id] = len(alloc_pos)
-                alloc_pos.append(pos)
-                free_pos.append(-1)
-                continue
-            ordinal = ordinal_of.get(req_id)
+        """The alloc positions in one C-level pass, then one Python pass over the frees.
+
+        A generator trace numbers its requests in allocation order (the
+        ``k``-th alloc has request id ``k``), so there a request's ordinal is
+        its id; any other numbering goes through a dict from id to ordinal.
+        The allocations' positions, ids and sizes are gathered once and read
+        as Python ints until the positions are stored.
+        """
+        kinds, req_ids, sizes = self.kind, self.req_id, self.size
+        positions = range(len(kinds))
+        alloc_pos = list(compress(positions, map(not_, kinds)))
+        num_allocs = len(alloc_pos)
+        at_allocs = _getter(alloc_pos)
+        alloc_ids = at_allocs(req_ids)
+        ordinal_of: dict[int, int] | None = None
+        if alloc_ids != tuple(range(num_allocs)):
+            ordinal_of = dict(zip(alloc_ids, range(num_allocs)))
+            if len(ordinal_of) != num_allocs:
+                return NOT_SIMPLE  # allocated twice
+        alloc_sizes = at_allocs(sizes)
+        free_pos = [-1] * num_allocs
+        frees = zip(compress(positions, kinds), compress(req_ids, kinds), compress(sizes, kinds))
+        for pos, req_id, size in frees:
+            if ordinal_of is None:
+                ordinal = req_id if 0 <= req_id < num_allocs else None
+            else:
+                ordinal = ordinal_of.get(req_id)
             if (
-                ordinal is None  # freed without (or before) its allocation
+                ordinal is None  # freed without an allocation
+                or alloc_pos[ordinal] > pos  # freed before its allocation
                 or free_pos[ordinal] >= 0  # freed twice
-                or sizes[pos] != sizes[alloc_pos[ordinal]]
+                or size != alloc_sizes[ordinal]
             ):
                 return NOT_SIMPLE
             free_pos[ordinal] = pos
-        alloc_sizes = _take(sizes, alloc_pos)
-        req_ids = self.req_id
         return Pairing(
             ok=True,
-            alloc_pos=alloc_pos,
-            free_pos=free_pos,
-            num_frees=len(sizes) - len(alloc_pos),
+            alloc_pos=array("q", alloc_pos),
+            free_pos=array("q", free_pos),
+            num_frees=len(sizes) - num_allocs,
             allocated_bytes=sum(alloc_sizes),
             min_alloc_size=min(alloc_sizes, default=0),
             survivors=tuple(
-                (ordinal, req_ids[alloc_pos[ordinal]], alloc_sizes[ordinal])
+                (ordinal, alloc_ids[ordinal], alloc_sizes[ordinal])
                 for ordinal, pos in enumerate(free_pos)
                 if pos < 0
             ),

@@ -17,10 +17,12 @@ Allocator consumes.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.intervals import IntervalSet
 
@@ -169,6 +171,55 @@ class StaticAllocationPlan:
         return cls(*(data[name] for name in PLAN_COLUMNS), pool_size=data["pool_size"])
 
 
+class DynamicRouting(Mapping):
+    """Profiled dynamic request id -> its HomoLayer-group key, with no dict per request.
+
+    Holds the groups as ``(key, member ids)`` pairs in their order -- what a
+    plan entry stores -- and, for lookups, every member id in one sorted
+    ``array('q')`` beside the index of its group, searched by bisection.  A
+    request belongs to one group.  Compares equal to the ``dict`` it stands
+    for.
+    """
+
+    __slots__ = ("groups", "_ids", "_owners")
+
+    def __init__(self, groups: Iterable[tuple[tuple[str, str], Sequence[int]]] = ()) -> None:
+        #: ``(group key, array('q') of member ids)`` per group, in group order.
+        self.groups: list[tuple[tuple[str, str], array]] = []
+        ids, owners = array("q"), array("i")
+        for index, (key, members) in enumerate(groups):
+            if not (isinstance(members, array) and members.typecode == "q"):
+                try:
+                    members = array("q", members)
+                except OverflowError:
+                    raise ValueError(f"group {key!r} holds a request id wider than 64 bits") from None
+            self.groups.append((tuple(key), members))
+            ids.extend(members)
+            owners.extend(array("i", (index,)) * len(members))
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self._ids = array("q", [ids[i] for i in order])
+        self._owners = array("i", [owners[i] for i in order])
+
+    def get(self, req_id: int, default=None):
+        ids = self._ids
+        index = bisect_left(ids, req_id)
+        if index < len(ids) and ids[index] == req_id:
+            return self.groups[self._owners[index]][0]
+        return default
+
+    def __getitem__(self, req_id: int) -> tuple[str, str]:
+        key = self.get(req_id)
+        if key is None:
+            raise KeyError(req_id)
+        return key
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 @dataclass
 class SynthesizedPlan:
     """Everything the Runtime Allocator needs: static plan + dynamic spaces."""
@@ -178,7 +229,7 @@ class SynthesizedPlan:
     dynamic_reusable_spaces: dict[tuple[str, str], IntervalSet] = field(default_factory=dict)
     #: Profiled dynamic request id -> its HomoLayer-group key, used by the
     #: runtime Request Matcher to route dynamic requests to the right space.
-    dynamic_request_groups: dict[int, tuple[str, str]] = field(default_factory=dict)
+    dynamic_request_groups: DynamicRouting = field(default_factory=DynamicRouting)
     #: Statistics recorded during synthesis (group counts, pool size, ...):
     #: a function of the profile and the configuration, like the plan itself.
     synthesis_info: dict = field(default_factory=dict)
@@ -200,9 +251,6 @@ class SynthesizedPlan:
         The request routing is stored grouped, one ``[alloc_module,
         free_module, [req_id, ...]]`` entry per HomoLayer group.
         """
-        grouped: dict[tuple[str, str], list[int]] = {}
-        for req_id, group in self.dynamic_request_groups.items():
-            grouped.setdefault(group, []).append(req_id)
         return {
             "static_plan": self.static_plan.to_json_dict(),
             "dynamic_reusable_spaces": [
@@ -214,8 +262,8 @@ class SynthesizedPlan:
                 for (alloc_module, free_module), spaces in self.dynamic_reusable_spaces.items()
             ],
             "dynamic_request_groups": [
-                [alloc_module, free_module, req_ids]
-                for (alloc_module, free_module), req_ids in grouped.items()
+                [alloc_module, free_module, req_ids.tolist()]
+                for (alloc_module, free_module), req_ids in self.dynamic_request_groups.groups
             ],
             "synthesis_info": self.synthesis_info,
         }
@@ -228,12 +276,10 @@ class SynthesizedPlan:
             )
             for entry in data["dynamic_reusable_spaces"]
         }
-        groups = {
-            req_id: group
+        groups = DynamicRouting(
+            ((alloc_module, free_module), req_ids)
             for alloc_module, free_module, req_ids in data["dynamic_request_groups"]
-            for group in [(alloc_module, free_module)]
-            for req_id in req_ids
-        }
+        )
         return cls(
             static_plan=StaticAllocationPlan.from_json_dict(data["static_plan"]),
             dynamic_reusable_spaces=spaces,

@@ -11,7 +11,7 @@ micro-batch, module name and the dynamicity flag.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import le
+from operator import itemgetter, le
 
 from repro.core.columns import HomoLayerGroup, RequestColumns, group_homolayers
 from repro.core.events import MemoryRequest, Phase
@@ -102,22 +102,19 @@ class ProfileResult:
         """
         if self._swept is None:
             columns = self.columns
-            alloc_time, size, free_time, dyn = (
-                columns.alloc_time, columns.size, columns.free_time, columns.dyn
-            )
-            order = range(len(size))
+            alloc_time, size, dyn = columns.alloc_time, columns.size, columns.dyn
+            rows = zip(alloc_time, size, columns.free_time, dyn)
             if not all(map(le, alloc_time, alloc_time[1:])):  # built from request objects
-                order = sorted(order, key=alloc_time.__getitem__)
+                rows = sorted(rows, key=itemgetter(0))
             live: list[tuple[int, int, int]] = []
             allocated = static = peak = peak_static = static_bytes = 0
-            for i in order:
-                while live and live[0][0] <= alloc_time[i]:
+            for opened, nbytes, closes, is_dynamic in rows:
+                while live and live[0][0] <= opened:
                     _, freed, freed_static = heappop(live)
                     allocated -= freed
                     static -= freed_static
-                nbytes = size[i]
-                static_nbytes = 0 if dyn[i] else nbytes
-                heappush(live, (free_time[i], nbytes, static_nbytes))
+                static_nbytes = 0 if is_dynamic else nbytes
+                heappush(live, (closes, nbytes, static_nbytes))
                 allocated += nbytes
                 static += static_nbytes
                 static_bytes += static_nbytes

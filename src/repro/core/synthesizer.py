@@ -20,7 +20,7 @@ import time
 from repro.core.config import SynthesizerConfig
 from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.core.homophase import build_homophase_groups, fuse_adjacent_groups
-from repro.core.plan import SynthesizedPlan
+from repro.core.plan import DynamicRouting, SynthesizedPlan
 from repro.core.planner import build_global_plan, plan_summary
 from repro.core.profiler import ProfileResult
 from repro.obs.tracer import span as _obs_span
@@ -77,9 +77,9 @@ class PlanSynthesizer:
         return SynthesizedPlan(
             static_plan=static_plan,
             dynamic_reusable_spaces=reusable,
-            dynamic_request_groups={
-                req_id: group.key for group in dynamic_groups for req_id in group.req_ids
-            },
+            dynamic_request_groups=DynamicRouting(
+                (group.key, group.req_ids) for group in dynamic_groups
+            ),
             synthesis_info=info,
             synthesis_seconds=time.perf_counter() - started,
         )

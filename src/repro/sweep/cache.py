@@ -1,10 +1,22 @@
 """Persistent content-addressed cache for traces, plans and sweep results.
 
-Layout under the cache root (all entries are plain JSON / JSON-lines files)::
+Layout under the cache root::
 
     <root>/traces/<config-fingerprint>.jsonl   generated allocation traces
     <root>/plans/<trace+knobs-hash>.json       synthesized STAlloc plans
     <root>/results/<point-hash>.json           finished sweep-point rows
+
+A trace entry is binary (``Trace.entry_chunks``): one JSON head line --
+``trace_entry`` version, byte order, event count, each column's typecode, item
+size and length, the metadata, phases, module spans, interned module and tag
+tables, the trace digest and a CRC-32 of everything else -- followed by the
+raw bytes of the nine typed columns, ~39 bytes an event.  A hit reads the
+columns back with ``array.fromfile``, checks the CRC and takes the digest
+from the head.  The reader tells the format by the head line, not the file
+suffix (which predates the binary entry): a JSON-lines trace written there by
+``Trace.save`` is a hit too.  An entry cut short, of another entry version or
+byte order, whose head disagrees with its columns or whose bytes fail the
+CRC is a miss, regenerated and rewritten.
 
 A plan entry is one compact JSON document that opens with its
 ``format_version`` (so staleness is read off the head of the file) and holds
@@ -50,6 +62,8 @@ from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.training import TrainingConfig
 
 if TYPE_CHECKING:
+    from array import array
+
     from repro.core.stalloc import STAlloc
     from repro.workloads.trace import Trace
 
@@ -97,7 +111,7 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
 
-def _atomic_write(path: Path, chunks: Iterable[bytes]) -> int:
+def _atomic_write(path: Path, chunks: Iterable[bytes | array]) -> int:
     """Write the concatenated ``chunks`` to ``path``; readers never see partial content.
 
     The chunks are streamed into a temp file in the entry's directory, which
@@ -213,7 +227,7 @@ class SweepCache:
                 self.stats.trace_hits += 1
                 _obs_counter("cache.hit")
                 return trace
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError):
+            except (ValueError, KeyError, TypeError):
                 path.unlink(missing_ok=True)  # corrupt entry: fall through to regenerate
         self.stats.trace_misses += 1
         _obs_counter("cache.miss")
@@ -222,10 +236,10 @@ class SweepCache:
         trace = TraceGenerator(
             config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
         ).generate()
-        # Streamed chunk by chunk, the route Trace.save takes: the bytes are
-        # hashed as they are written, so plan_key()'s trace.digest() on this
-        # object is a lookup, not a second serialization.
-        self._note_store(_atomic_write(path, trace._hashed_chunks()))
+        # The entry's head holds the digest: the one render that computes it
+        # leaves the memo set, so plan_key()'s trace.digest() on this object
+        # is a lookup, not a second serialization.
+        self._note_store(_atomic_write(path, trace.entry_chunks()))
         return trace
 
     # ------------------------------------------------------------------ #
@@ -361,19 +375,27 @@ class SweepCache:
 
         Keys are opaque content hashes, so staleness is decided from each
         entry's *content*: traces carry the generator version in their
-        metadata header, plans open with their ``format_version`` (an entry
-        of another version is recognised by its first bytes; a current one is
-        loaded, to prove it readable), and result rows carry the version
-        :meth:`store_result` embeds.  Unreadable entries count as stale.
+        metadata header (a current binary entry is then loaded, to prove it
+        whole; a JSON-lines one is kept on its header), plans open with their
+        ``format_version`` (an entry of another version is recognised by its
+        first bytes; a current one is loaded, to prove it readable), and
+        result rows carry the version :meth:`store_result` embeds.
+        Unreadable entries count as stale.
         Entries keyed by an older version can never be served again (the
         current keys hash the current versions), so sweeping them only
         reclaims dead bytes.
         """
         try:
             if path.parent == self.traces_dir:
-                with path.open("r", encoding="utf-8") as handle:
+                with path.open("rb") as handle:
                     header = json.loads(handle.readline())
-                return header["metadata"].get("tracegen_version", 0) != TRACEGEN_VERSION
+                if header["metadata"].get("tracegen_version", 0) != TRACEGEN_VERSION:
+                    return True
+                if "trace_entry" in header:
+                    from repro.workloads.trace import Trace
+
+                    Trace.load(path)  # cut short, another version or byte order: raises
+                return False
             if path.parent == self.plans_dir:
                 with path.open("r", encoding="utf-8") as handle:
                     if handle.read(len(PLAN_ENTRY_HEAD)) != PLAN_ENTRY_HEAD:

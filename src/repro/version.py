@@ -6,7 +6,7 @@ execution-layer module whose output the version describes.  Each constant is
 re-exported from the module it describes.
 """
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 #: Bump whenever the generator's event stream changes for an unchanged
 #: configuration, so persistent caches keyed by ``config_fingerprint``
@@ -54,6 +54,11 @@ PLAN_FORMAT_VERSION = 3
 #: How every entry ``STAlloc.dumps`` writes begins: the version is read off
 #: the head of a stored plan without parsing it.
 PLAN_ENTRY_HEAD = f'{{"format_version":{PLAN_FORMAT_VERSION},'
+
+#: Version of the binary trace entry ``Trace.entry_chunks`` writes to the
+#: sweep cache (a JSON head line, then the raw bytes of the typed columns).
+#: An entry of any other version is a miss, regenerated and rewritten.
+TRACE_ENTRY_VERSION = 1
 
 #: Bump to invalidate every cached result row (e.g. when row fields change).
 #: Version 2: job-level rows (multi-rank aggregation, binding rank, default

@@ -7,34 +7,49 @@ generator produces traces, the profiler and plan synthesizer consume them, and
 the replay simulator feeds them to allocators.
 
 Storage is columnar (:class:`repro.core.columns.TraceColumns` -- nine
-parallel int lists, the ones the generator or :meth:`Trace.load` appended
-to).  The object API is a thin lazy view: ``trace.events`` materializes
-:class:`TraceEvent` objects on first access.  Nothing on a run's hot path
-asks for it: analytics and serialization are single passes over the columns,
+fixed-width stdlib ``array`` columns, filled by the generator or by
+:meth:`Trace.load` through a ``ColumnBuilder``).  The object API is a thin
+lazy view: ``trace.events`` materializes :class:`TraceEvent` objects on first
+access.  Nothing on a run's hot path asks for it: analytics and serialization
+are single passes over the columns,
 :func:`repro.simulator.replay.replay_trace` walks them as they are, and the
-profiler reads the paired requests
-off the columns' memoised ``Pairing`` as int lists
-(:meth:`TraceColumns.request_columns`; :meth:`Trace.to_requests` is the
-object view of the same pairing).
+profiler reads the paired requests off the columns' memoised ``Pairing`` as
+typed columns (:meth:`TraceColumns.request_columns`; :meth:`Trace.to_requests`
+is the object view of the same pairing).
 Event objects remain for hand-built traces, tests, and the diagnostics of
 :func:`repro.core.events.pair_events` on a trace that does not pair simply.
 A trace may be constructed from either representation; whichever side is
 missing is derived lazily and memoised.  Traces are treated as immutable once
 constructed (the digest memo and the sweep cache rely on it).
+
+A trace has two stored forms.  The canonical JSON lines of :meth:`dumps` /
+:meth:`save` define :meth:`digest` and every golden fixture.  The binary
+entry of :meth:`entry_chunks` is what the sweep cache stores: one JSON head
+line (entry version, byte order, event count, each column's typecode, item
+size and length, the metadata, phases, module spans, interned tables, the
+digest and a CRC-32 of the rest) followed by each column's raw bytes.
+:meth:`load` reads either, telling them apart by the head line.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import sys
+import zlib
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from repro.core.columns import (
     CATEGORIES,
     CATEGORY_CODES,
+    COLUMN_NAMES,
+    COLUMN_TYPES,
     ColumnBuilder,
     KINDS,
     TraceColumns,
@@ -48,9 +63,17 @@ from repro.core.events import (
     phase_to_dict,
 )
 from repro.digest import sha256
+from repro.version import TRACE_ENTRY_VERSION
 
 #: Lines of the serialization that are encoded, hashed and written as one chunk.
 _CHUNK_LINES = 1024
+
+#: The last field of a binary entry's head line; the CRC covers the bytes before it.
+_CRC_FIELD = b',"crc32":'
+
+#: ``[column, typecode, item size]`` of every column of a binary entry; the
+#: head appends each column's length.
+_ENTRY_COLUMNS = [[name, typecode, array(typecode).itemsize] for name, typecode in COLUMN_TYPES]
 
 
 @dataclass(frozen=True)
@@ -248,6 +271,13 @@ class Trace:
     # ------------------------------------------------------------------ #
     # Serialization (line-oriented JSON, mirroring the real profiler's logs)
     # ------------------------------------------------------------------ #
+    def _header(self) -> dict:
+        return {
+            "metadata": asdict(self.metadata),
+            "module_spans": self.module_spans,
+            "phases": [phase_to_dict(p) for p in self.phases],
+        }
+
     def iter_jsonl(self) -> Iterator[str]:
         """Yield the canonical JSON-lines serialization, one line at a time.
 
@@ -260,27 +290,14 @@ class Trace:
         are formatted in place, which yields the same bytes as
         ``json.dumps(row, sort_keys=True, separators=(",", ":"))`` per event.
         """
-        header = {
-            "metadata": asdict(self.metadata),
-            "module_spans": self.module_spans,
-            "phases": [phase_to_dict(p) for p in self.phases],
-        }
-        yield json.dumps(header, sort_keys=True, separators=(",", ":"))
+        yield json.dumps(self._header(), sort_keys=True, separators=(",", ":"))
         columns = self.columns
         modules = [json.dumps(module) for module in columns.modules]
         tags = [json.dumps(tag) for tag in columns.tags]
         kinds = [json.dumps(kind.value) for kind in KINDS]
         categories = [json.dumps(category.value) for category in CATEGORIES]
         for kind, req_id, size, time, phase_index, module_index, dyn, category, tag_index in zip(
-            columns.kind,
-            columns.req_id,
-            columns.size,
-            columns.time,
-            columns.phase_index,
-            columns.module_index,
-            columns.dyn,
-            columns.category,
-            columns.tag_index,
+            *(getattr(columns, name) for name in COLUMN_NAMES)
         ):
             yield (
                 f'{{"category":{categories[category]},"dyn":{"true" if dyn else "false"},'
@@ -312,17 +329,12 @@ class Trace:
         return b"".join(self._hashed_chunks()).decode("utf-8")
 
     @classmethod
-    def _from_lines(cls, lines) -> "Trace":
-        """Build a trace from an iterable of JSON lines (streaming parse).
+    def _from_lines(cls, header: dict, lines) -> "Trace":
+        """Build a trace from its parsed header line and the event lines after it.
 
         Parses straight into columns; event objects stay unmaterialized until
         someone touches ``trace.events``.
         """
-        lines = iter(lines)
-        try:
-            header = json.loads(next(lines))
-        except StopIteration:
-            raise ValueError("empty trace serialization") from None
         phases = [phase_from_dict(entry) for entry in header["phases"]]
         builder = ColumnBuilder()
         kind_codes = {kind.value: code for code, kind in enumerate(KINDS)}
@@ -344,12 +356,10 @@ class Trace:
                 category_codes[record["category"]],
                 record["tag"],
             )
-        metadata = TraceMetadata(**header["metadata"])
-        module_spans = {name: tuple(span) for name, span in header["module_spans"].items()}
         return cls(
-            metadata=metadata,
+            metadata=TraceMetadata(**header["metadata"]),
             phases=phases,
-            module_spans=module_spans,
+            module_spans=_module_spans(header["module_spans"]),
             columns=builder.build(),
         )
 
@@ -358,7 +368,8 @@ class Trace:
         """Parse a trace from the string produced by :meth:`dumps`."""
         if not text:
             raise ValueError("empty trace serialization")
-        return cls._from_lines(text.splitlines())
+        lines = iter(text.splitlines())
+        return cls._from_lines(json.loads(next(lines)), lines)
 
     def digest(self) -> str:
         """SHA-256 over the canonical serialization (content address of the trace).
@@ -366,7 +377,8 @@ class Trace:
         Memoised: traces are treated as immutable once generated, and the
         plan cache computes this once per (trace, knob-combination) pair.
         The memo is also set as a by-product of :meth:`dumps` / :meth:`save`
-        (they hash the bytes they produce), so storing a trace and then
+        (they hash the bytes they produce), and a trace read from a binary
+        entry takes it from the entry's head, so storing a trace and then
         keying a plan on it serializes once.  Anything that mutates the
         columns, phases, module spans or metadata of an existing trace must
         reset ``_digest_cache`` to ``None``.
@@ -381,8 +393,116 @@ class Trace:
         with Path(path).open("wb") as handle:
             handle.writelines(self._hashed_chunks())
 
+    # ------------------------------------------------------------------ #
+    # Binary entry (what the sweep cache stores)
+    # ------------------------------------------------------------------ #
+    def entry_chunks(self) -> Iterator[bytes | array]:
+        """The binary entry: one JSON head line, then each column's raw bytes.
+
+        The head carries the digest, so it is computed (by rendering the
+        canonical serialization once, if not yet memoised) before the first
+        chunk is yielded.  Its last field, ``crc32``, is a CRC-32 of the rest
+        of the head line and of every column's bytes, so a flipped byte
+        anywhere is caught on read.  The columns are yielded as the arrays
+        themselves, which a binary file writes without a copy.
+        """
+        columns = self.columns
+        head = {
+            "trace_entry": TRACE_ENTRY_VERSION,
+            "byteorder": sys.byteorder,
+            "events": columns.num_events,
+            "columns": [[*layout, columns.num_events] for layout in _ENTRY_COLUMNS],
+            "digest": self.digest(),
+            **self._header(),
+            "modules": columns.modules,
+            "tags": columns.tags,
+        }
+        stored = [getattr(columns, name) for name in COLUMN_NAMES]
+        covered = json.dumps(head, separators=(",", ":")).encode("utf-8")[:-1]  # open at the end
+        yield covered + b'%s%d}\n' % (_CRC_FIELD, _entry_crc(covered, stored))
+        yield from stored
+
+    @classmethod
+    def _from_entry(cls, head: dict, line: bytes, handle: IO[bytes]) -> "Trace":
+        """The rest of a binary entry whose head ``line`` has been read and parsed.
+
+        Anything but a whole entry of this version and byte order -- cut
+        short anywhere, a head whose count disagrees with a column, trailing
+        bytes, content that fails the head's CRC-32, an interned index out of
+        its table -- raises ``ValueError``.
+        """
+        version = head.get("trace_entry")
+        if version != TRACE_ENTRY_VERSION:
+            raise ValueError(f"trace entry version {version!r} is not {TRACE_ENTRY_VERSION}")
+        if head["byteorder"] != sys.byteorder:
+            raise ValueError(f"trace entry written {head['byteorder']}-endian")
+        count = head["events"]
+        if head["columns"] != [[*layout, count] for layout in _ENTRY_COLUMNS]:
+            raise ValueError("trace entry columns disagree with its event count")
+        # Checked before reading, so a damaged count never sizes a buffer.
+        body = os.fstat(handle.fileno()).st_size - handle.tell()
+        if body != count * sum(itemsize for _, _, itemsize in _ENTRY_COLUMNS):
+            raise ValueError(f"trace entry holds {body} column bytes, not {count} events' worth")
+        stored = {}
+        for name, typecode in COLUMN_TYPES:
+            column = stored[name] = array(typecode)
+            try:
+                column.fromfile(handle, count)
+            except EOFError:
+                raise ValueError(f"trace entry cut short in column {name!r}") from None
+        covered = line[: line.rindex(_CRC_FIELD)]  # no field: ValueError
+        if head.get("crc32") != _entry_crc(covered, stored.values()):
+            raise ValueError("trace entry fails its CRC-32")
+        columns = TraceColumns(**stored, modules=tuple(head["modules"]), tags=tuple(head["tags"]))
+        phases = [phase_from_dict(entry) for entry in head["phases"]]
+        bounds = (
+            ("kind", len(KINDS)), ("dyn", 2), ("category", len(CATEGORIES)),
+            ("module_index", len(columns.modules)), ("tag_index", len(columns.tags)),
+        )
+        for name, bound in bounds:
+            column = stored[name]
+            if column and not 0 <= min(column) <= max(column) < bound:
+                raise ValueError(f"trace entry column {name!r} holds an index out of range")
+        if count and not set(columns.phase_index) <= {phase.index for phase in phases}:
+            raise ValueError("trace entry refers to an undeclared phase")
+        digest = head["digest"]
+        if not (isinstance(digest, str) and len(digest) == 64):
+            raise ValueError("trace entry head holds no digest")
+        trace = cls(
+            metadata=TraceMetadata(**head["metadata"]),
+            phases=phases,
+            module_spans=_module_spans(head["module_spans"]),
+            columns=columns,
+        )
+        trace._digest_cache = digest
+        return trace
+
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
-        """Read a trace written by :meth:`save` (streamed)."""
-        with Path(path).open("r", encoding="utf-8") as handle:
-            return cls._from_lines(line.rstrip("\n") for line in handle)
+        """Read a trace written by :meth:`save` or stored by :meth:`entry_chunks`.
+
+        The first line tells which: a binary entry's head has a
+        ``trace_entry`` key, the JSON-lines header never does.  Either is
+        read in one streamed pass.
+        """
+        with Path(path).open("rb") as handle:
+            line = handle.readline()
+            header = json.loads(line)
+            if not isinstance(header, dict):
+                raise ValueError("a trace begins with a JSON object")
+            if "trace_entry" in header:
+                return cls._from_entry(header, line, handle)
+            lines = io.TextIOWrapper(handle, encoding="utf-8")
+            return cls._from_lines(header, (line.rstrip("\n") for line in lines))
+
+
+def _entry_crc(covered: bytes, columns: Iterable[array]) -> int:
+    """CRC-32 of a binary entry's head line up to its ``crc32`` field, then its columns."""
+    checksum = zlib.crc32(covered)
+    for column in columns:
+        checksum = zlib.crc32(column, checksum)
+    return checksum
+
+
+def _module_spans(stored: dict) -> dict[str, tuple[int, int]]:
+    return {name: tuple(span) for name, span in stored.items()}

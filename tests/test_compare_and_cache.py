@@ -6,15 +6,18 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.columns import COLUMN_NAMES
 from repro.core.stalloc import PLAN_FORMAT_VERSION, STAllocConfig
 from repro.simulator import runner
 from repro.sweep import SweepCache, SweepResult, compare_results
 from repro.sweep.cache import _RESULT_VERSION_KEY, RESULT_FORMAT_VERSION, _atomic_write
+from repro.version import TRACE_ENTRY_VERSION
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import TraceGenerator, config_fingerprint
 
@@ -308,6 +311,66 @@ class TestPlanEntries:
         assert cache.prune()["stale_removed"] == 1
 
 
+# ---------------------------------------------------------------------- #
+# Trace entries: a JSON head line, then the raw column bytes
+# ---------------------------------------------------------------------- #
+def _rehead(data: bytes, **changes) -> bytes:
+    line, _, body = data.partition(b"\n")
+    head = dict(json.loads(line), **changes)
+    return json.dumps(head, separators=(",", ":")).encode("utf-8") + b"\n" + body
+
+
+def _head(data: bytes) -> dict:
+    return json.loads(data.partition(b"\n")[0])
+
+
+def _without_last_column(data: bytes) -> bytes:
+    _, _, itemsize, length = _head(data)["columns"][-1]
+    return data[: len(data) - itemsize * length]
+
+
+def _cut_mid_column(data: bytes) -> bytes:
+    head_bytes = data.index(b"\n") + 1
+    return data[: head_bytes + (len(data) - head_bytes) // 2 + 3]
+
+
+def _flip_byte(data: bytes, column: str) -> bytes:
+    """``data`` with one bit flipped in the middle of ``column``'s bytes."""
+    offset = data.index(b"\n") + 1
+    for name, _, itemsize, length in _head(data)["columns"]:
+        if name == column:
+            offset += itemsize * (length // 2) + 1
+            return data[:offset] + bytes([data[offset] ^ 1]) + data[offset + 1 :]
+        offset += itemsize * length
+    raise KeyError(column)
+
+
+def _change_head_field(data: bytes) -> bytes:
+    """A module-span bound one off: the head still parses and agrees with the columns."""
+    line, _, body = data.partition(b"\n")
+    head = json.loads(line)
+    name = next(iter(head["module_spans"]))
+    head["module_spans"][name][1] += 1
+    return json.dumps(head, separators=(",", ":")).encode("utf-8") + b"\n" + body
+
+
+TRACE_DAMAGE = {
+    "cut-mid-column": _cut_mid_column,
+    "flipped-byte-in-size-column": lambda data: _flip_byte(data, "size"),
+    "flipped-byte-in-time-column": lambda data: _flip_byte(data, "time"),
+    "changed-head-field": _change_head_field,
+    "cut-at-column-boundary": _without_last_column,
+    "zero-byte": lambda data: b"",
+    "wrong-entry-version": lambda data: _rehead(data, trace_entry=TRACE_ENTRY_VERSION + 1),
+    "other-byte-order": lambda data: _rehead(
+        data, byteorder="big" if sys.byteorder == "little" else "little"
+    ),
+    "count-disagrees-with-columns": lambda data: _rehead(data, events=_head(data)["events"] - 1),
+    "non-json-head": lambda data: b"{not json" + data[data.index(b"\n"):],
+    "trailing-bytes": lambda data: data + b"\0",
+}
+
+
 class TestTraceEntries:
     def test_a_write_that_fails_mid_stream_leaves_nothing_behind(
         self, tmp_path, tiny_dense_config, monkeypatch
@@ -328,7 +391,7 @@ class TestTraceEntries:
             cache.get_trace(tiny_dense_config, seed=0, scale=0.25)
         assert list(cache.traces_dir.iterdir()) == [] and noted == []
 
-    def test_a_streamed_write_stores_the_canonical_bytes_and_counts_them(
+    def test_an_entry_is_a_json_head_then_the_raw_columns(
         self, tmp_path, tiny_dense_config, monkeypatch
     ):
         cache = SweepCache(tmp_path)
@@ -338,9 +401,59 @@ class TestTraceEntries:
         (path,) = cache.traces_dir.iterdir()
         data = path.read_bytes()
         assert noted == [len(data)]
-        # The digest memo was left behind by the write itself.
-        assert trace._digest_cache == hashlib.sha256(data).hexdigest()
-        assert data == trace.dumps().encode("utf-8")
+        line, _, body = data.partition(b"\n")
+        assert line.startswith(b'{"trace_entry":%d,' % TRACE_ENTRY_VERSION)
+        head = json.loads(line)
+        # The digest memo was left behind by the write itself, and the head holds it.
+        canonical = trace.dumps().encode("utf-8")
+        assert head["digest"] == trace._digest_cache == hashlib.sha256(canonical).hexdigest()
+        assert body == b"".join(getattr(trace.columns, name).tobytes() for name in COLUMN_NAMES)
+        assert len(body) == 39 * trace.num_events
+        assert len(data) < len(canonical) / 3
+
+    def test_a_jsonl_entry_written_by_save_is_a_hit(self, tmp_path, tiny_moe_config):
+        """``Trace.save`` at ``trace_path`` (how some callers fill the cache) is read as is."""
+        generated = TraceGenerator(tiny_moe_config, seed=0, scale=0.25).generate()
+        cache = SweepCache(tmp_path)
+        path = cache.trace_path(config_fingerprint(tiny_moe_config, seed=0, scale=0.25))
+        generated.save(path)
+        loaded = cache.get_trace(tiny_moe_config, seed=0, scale=0.25)
+        assert (cache.stats.trace_hits, cache.stats.trace_misses) == (1, 0)
+        for name in COLUMN_NAMES:
+            assert getattr(loaded.columns, name) == getattr(generated.columns, name), name
+        assert (loaded.columns.modules, loaded.columns.tags) == (
+            generated.columns.modules, generated.columns.tags
+        )
+        assert loaded.digest() == generated.digest()
+        assert path.read_bytes() == generated.dumps().encode("utf-8")  # left as it was
+        assert cache.prune()["stale_removed"] == 0
+
+    @pytest.mark.parametrize("damage", sorted(TRACE_DAMAGE))
+    def test_damaged_entry_is_regenerated_and_swept_never_raised(
+        self, damage, tmp_path, tiny_moe_config
+    ):
+        cache = SweepCache(tmp_path)
+        first = cache.get_trace(tiny_moe_config, seed=0, scale=0.25)
+        (path,) = cache.traces_dir.iterdir()
+        good = path.read_bytes()
+        damaged = TRACE_DAMAGE[damage](good)
+        assert damaged != good
+
+        # A lookup treats it as a miss and rewrites the entry ...
+        path.write_bytes(damaged)
+        again = SweepCache(tmp_path)
+        regenerated = again.get_trace(tiny_moe_config, seed=0, scale=0.25)
+        assert (again.stats.trace_hits, again.stats.trace_misses) == (0, 1)
+        assert regenerated.digest() == first.digest()
+        assert path.read_bytes() == good
+
+        # ... and prune sweeps it as stale, next to a healthy entry it keeps.
+        healthy = cache.traces_dir / "healthy.jsonl"
+        healthy.write_bytes(good)
+        path.write_bytes(damaged)
+        report = SweepCache(tmp_path).prune()
+        assert report["stale_removed"] == 1
+        assert not path.exists() and healthy.exists()
 
 
 # ---------------------------------------------------------------------- #

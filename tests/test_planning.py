@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -657,8 +658,8 @@ class TestDynamicSpace:
         ]
         groups = _groups(dynamic)
         assert groups == [
-            HomoLayerGroup(("l0", "l0"), [10, 11], 2, 6),
-            HomoLayerGroup(("l1", "l1"), [12], 22, 25),
+            HomoLayerGroup(("l0", "l0"), array("q", [10, 11]), 2, 6),
+            HomoLayerGroup(("l1", "l1"), array("q", [12]), 22, 25),
         ]
 
     def test_reusable_space_excludes_live_statics(self):
@@ -739,7 +740,7 @@ def _assert_groups_match_the_objects(trace: Trace) -> None:
     assert [group.key for group in groups] == list(oracle)
     for group in groups:
         members = oracle[group.key]
-        assert group.req_ids == [member.req_id for member in members]
+        assert group.req_ids.tolist() == [member.req_id for member in members]
         # With no module spans, the temporal range is the members' own extremes.
         assert object_temporal_range(group.key, members, {}) == (
             group.first_alloc, group.last_free

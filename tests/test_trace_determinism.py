@@ -206,10 +206,10 @@ def test_cold_trace_and_plan_key_serialize_once(tmp_path, monkeypatch):
     assert cache.plan_key(trace, STAllocConfig(enable_fusion=False)) != key
     assert calls == [id(trace)]
     assert cache.stats.trace_misses == 1
-    # A trace served from disk has not been rendered yet: exactly one more.
+    # A trace served from disk takes its digest from the entry's head: no render.
     loaded = SweepCache(tmp_path).get_trace(CONFIG_CASES["dense"], seed=5, scale=0.5)
     assert cache.plan_key(loaded, STAllocConfig()) == key
-    assert calls == [id(trace), id(loaded)]
+    assert calls == [id(trace)]
 
 
 class TestSeedSensitivity:
