@@ -5,8 +5,11 @@ It measures four hot layers at three scales and reports events/sec:
 
 * ``trace_build``  -- ``TraceGenerator.generate()`` (event emission).
 * ``analytics``    -- ``peak_allocated_bytes`` + ``comm_peak_bytes`` +
-                      ``size_histogram`` + ``allocation_sizes`` on a freshly
-                      constructed ``Trace`` view (cold caches each rep).
+                      ``distinct_sizes`` + ``allocation_sizes`` on a fresh
+                      ``Trace(columns=...)`` over the generated arrays (cold
+                      memos each rep).  Entries before 1.22.0 also timed
+                      building the columns from a list of event objects and
+                      a size histogram, so they are not comparable.
 * ``replay_native``-- ``replay_trace`` against the native allocator (the
                       profiler mode; batch-replayable).
 * ``replay_caching`` / ``replay_expandable`` / ``replay_gmlake`` /
@@ -70,6 +73,7 @@ import time
 from pathlib import Path
 
 from repro.allocators.registry import create_allocator
+from repro.core.columns import COLUMN_NAMES, TraceColumns
 from repro.core.stalloc import STAlloc
 from repro.gpu.device import GIB, Device
 from repro.gpu.specs import get_gpu
@@ -166,24 +170,27 @@ def bench_preset(preset: str) -> dict:
     generator = TraceGenerator(config, scale=scale)
     trace = generator.generate()
     num_events = trace.num_events
-    # Keep a plain object list around so analytics timing always starts from
-    # the object representation (cold column build included each rep).
-    events = list(trace.events)
-    metadata = trace.metadata
-    phases = trace.phases
-    spans = trace.module_spans
-    trace_cls = type(trace)
 
     def run_build():
         TraceGenerator(config, scale=scale).generate()
 
+    # Each rep reads a fresh view over the generated arrays (no copy), so the
+    # peaks memoised on a TraceColumns start cold every time.
+    columns = trace.columns
+    metadata = trace.metadata
+    phases = trace.phases
+    spans = trace.module_spans
+
     def run_analytics():
-        view = trace_cls(
-            events=events, metadata=metadata, phases=phases, module_spans=spans
+        fresh = TraceColumns(
+            **{name: getattr(columns, name) for name in COLUMN_NAMES},
+            modules=columns.modules,
+            tags=columns.tags,
         )
+        view = Trace(columns=fresh, metadata=metadata, phases=phases, module_spans=spans)
         view.peak_allocated_bytes()
         view.comm_peak_bytes()
-        view.size_histogram()
+        view.distinct_sizes()
         view.allocation_sizes()
 
     stalloc = STAlloc.from_trace(trace)

@@ -13,7 +13,8 @@ Run with:  python examples/config_rescue.py
 
 from repro.experiments.tables import _table1_configs
 from repro.simulator.runner import run_workload_suite
-from repro.simulator.throughput import GPU_SPECS, ThroughputModel
+from repro.gpu.specs import GPU_SPECS
+from repro.simulator.throughput import ThroughputModel
 
 
 def main() -> None:

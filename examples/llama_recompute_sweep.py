@@ -9,14 +9,14 @@ baseline allocator against STAlloc on a simulated 8x A800 node.
 Run with:  python examples/llama_recompute_sweep.py
 """
 
-from repro.simulator.runner import default_allocator_lineup, run_workload_suite
+from repro.simulator.runner import run_workload_suite
 from repro.workloads import ParallelismConfig, get_model, preset_config
 
 
 def main() -> None:
     model = get_model("llama2-7b")
     parallelism = ParallelismConfig(tensor_parallel=2, pipeline_parallel=4, data_parallel=1)
-    lineup = default_allocator_lineup()
+    lineup = ["torch2.0", "gmlake", "torch2.3", "torch_es", "stalloc"]  # Figure 8 order
 
     header = f"{'mbs':>4s} | " + " | ".join(f"{name:>9s}" for name in lineup)
     print("Memory efficiency (%) of Llama2-7B + recomputation on 8x A800")

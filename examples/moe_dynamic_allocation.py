@@ -24,7 +24,7 @@ def describe(label: str, trace, config: STAllocConfig) -> None:
     result = replay_trace(trace, allocator)
     stats = result.allocator_stats
     print(f"--- {label} ---")
-    print(f"  static pool            : {stalloc.static_pool_bytes / GIB:6.2f} GiB")
+    print(f"  static pool            : {stalloc.plan.pool_size / GIB:6.2f} GiB")
     print(f"  dynamic served in pool : {stats['dynamic_pool_bytes'] / GIB:6.2f} GiB")
     print(f"  fell back to caching   : {stats['fallback_bytes'] / GIB:6.2f} GiB "
           f"(peak reserved {stats.get('fallback_peak_reserved', 0) / GIB:.2f} GiB)")

@@ -39,7 +39,7 @@ def main() -> None:
     # 3. Synthesize the spatio-temporal allocation plan.
     stalloc = STAlloc.from_trace(trace)
     report = stalloc.planning_report()
-    print(f"Static allocation plan: {stalloc.static_pool_bytes / GIB:.2f} GiB pool, "
+    print(f"Static allocation plan: {stalloc.plan.pool_size / GIB:.2f} GiB pool, "
           f"{report['num_homophase_groups']} HomoPhase groups, "
           f"{report['num_fusions']} fusions, planned in {report['synthesis_seconds'] * 1e3:.0f} ms")
 
@@ -54,7 +54,8 @@ def main() -> None:
             f"{name:28s} reserved {result.metrics.peak_reserved_gib:6.2f} GiB for "
             f"{result.metrics.peak_allocated_gib:6.2f} GiB of tensors "
             f"-> efficiency {100 * result.memory_efficiency:5.1f}%, "
-            f"fragmentation {result.metrics.fragmentation_gib:4.2f} GiB"
+            f"fragmentation "
+            f"{result.metrics.peak_reserved_gib - result.metrics.peak_allocated_gib:4.2f} GiB"
         )
 
 

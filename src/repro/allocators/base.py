@@ -51,10 +51,6 @@ class Placement(NamedTuple):
     address: int
     size: int
 
-    @property
-    def end(self) -> int:
-        return self.address + self.size
-
 
 @dataclass
 class AllocatorStats:
@@ -103,7 +99,7 @@ class Allocator(abc.ABC):
 
     Subclasses must implement :meth:`allocate` and :meth:`free`, and report
     how much device memory they have reserved through :attr:`reserved_bytes`.
-    ``allocated_bytes`` (the sum of live *requested* sizes) is tracked here so
+    ``_allocated_bytes`` (the sum of live *requested* sizes) is tracked here so
     that the memory-efficiency metric is computed identically for every
     allocator.
     """
@@ -168,25 +164,8 @@ class Allocator(abc.ABC):
         self._allocated_bytes -= self._live_sizes.pop(req_id)
 
     # ------------------------------------------------------------------ #
-    # Accounting
+    # Replay hooks
     # ------------------------------------------------------------------ #
-    @property
-    def allocated_bytes(self) -> int:
-        """Sum of the requested sizes of live allocations (``M_a``)."""
-        return self._allocated_bytes
-
-    @property
-    def live_requests(self) -> int:
-        return len(self._live_sizes)
-
-    @property
-    def memory_efficiency(self) -> float:
-        """Instantaneous efficiency ``E = M_a / M_r`` (1.0 when nothing is reserved)."""
-        reserved = self.reserved_bytes
-        if reserved == 0:
-            return 1.0
-        return self._allocated_bytes / reserved
-
     def batch_replay(self, trace, *, stop_on_oom: bool = True) -> int | None:
         """Apply a whole trace in one batched step, when possible.
 

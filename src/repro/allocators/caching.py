@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.allocators.base import AllocationHints, Allocator, Placement
-from repro.gpu.device import Device, KIB, MIB, align_up
+from repro.gpu.device import Device, MIB, align_up
 from repro.gpu.errors import OutOfMemoryError
 
 #: PyTorch constants (names follow CUDACachingAllocator.cpp).
@@ -102,8 +102,9 @@ class Block:
     """A contiguous range inside a segment; either free or backing a request.
 
     Blocks tile their segment, so the right neighbour of a block is
-    ``segment.blocks.get(block.end)``; ``prev`` links the left one.  Together
-    they are the doubly-linked block list PyTorch's allocator coalesces over.
+    ``segment.blocks.get(block.offset + block.size)``; ``prev`` links the left
+    one.  Together they are the doubly-linked block list PyTorch's allocator
+    coalesces over.
     """
 
     segment_id: int
@@ -112,10 +113,6 @@ class Block:
     free: bool = True
     req_id: int | None = None
     prev: "Block | None" = field(default=None, repr=False, compare=False)
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.size
 
 
 @dataclass
@@ -127,10 +124,6 @@ class Segment:
     size: int
     device_allocation: object
     blocks: dict[int, Block] = field(default_factory=dict)  # keyed by offset
-
-    def sorted_blocks(self) -> list[Block]:
-        """Blocks in address order (introspection; no allocator path sorts)."""
-        return [self.blocks[offset] for offset in sorted(self.blocks)]
 
     def is_fully_free(self) -> bool:
         return all(block.free for block in self.blocks.values())
@@ -158,10 +151,6 @@ class CachingAllocator(Allocator):
     @property
     def reserved_bytes(self) -> int:
         return self._reserved_bytes
-
-    def segments(self) -> list[Segment]:
-        """Live segments (exposed for white-box tests and statistics)."""
-        return list(self._segments.values())
 
     # ------------------------------------------------------------------ #
     # Free-block index maintenance

@@ -87,10 +87,6 @@ class _Arena:
     free: IntervalSet = field(default_factory=IntervalSet)    # mapped and unallocated
     tail: int = 0  # first never-mapped offset (the growth point)
 
-    @property
-    def mapped_bytes(self) -> int:
-        return self.mapped.total
-
 
 class ExpandableSegmentsAllocator(Allocator):
     """Virtual-memory backed allocator emulating PyTorch expandable segments."""
@@ -130,17 +126,17 @@ class ExpandableSegmentsAllocator(Allocator):
         rounded = self.config.round_size(size)
         pool = self.config.pool_for(rounded)
         arena = self.arena(pool)
-        carved = arena.free.carve(rounded, policy="best_fit")
+        carved = arena.free.carve(rounded)
         if carved is None:
             self.stats.cache_misses += 1
             self._grow(arena, rounded)
-            carved = arena.free.carve(rounded, policy="best_fit")
+            carved = arena.free.carve(rounded)
             if carved is None:
                 # Reclaim under memory pressure may have punched a hole into
                 # the tail region we were counting on; grow by the full
                 # request size so the new tail run is contiguous.
                 self._grow(arena, rounded, count_tail_free=False)
-                carved = arena.free.carve(rounded, policy="best_fit")
+                carved = arena.free.carve(rounded)
             if carved is None:  # pragma: no cover - growth guarantees a fit
                 raise OutOfMemoryError(rounded, self.device.usable_capacity, self.device.in_use)
         else:

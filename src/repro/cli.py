@@ -646,15 +646,18 @@ def _cmd_search(args) -> int:
 
     def load():
         if args.cluster is None:
-            return load_search_spec(args.spec)
-        # Model + cluster form: build a default spec around the model.
-        return SearchSpec(
-            name=f"search-{args.spec}",
-            model=args.spec,
-            cluster=args.cluster,
-            global_batch=args.global_batch,
-            allocators=list(args.allocators),
-        )
+            spec = load_search_spec(args.spec)
+        else:
+            # Model + cluster form: build a default spec around the model.
+            spec = SearchSpec(
+                name=f"search-{args.spec}",
+                model=args.spec,
+                cluster=args.cluster,
+                global_batch=args.global_batch,
+                allocators=list(args.allocators),
+            )
+        spec.enumerate_candidates()  # builds every candidate's config: a bad field exits 2
+        return spec
 
     return _run_grid_command(
         args,

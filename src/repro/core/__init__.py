@@ -2,10 +2,11 @@
 
 This package contains the paper's primary contribution:
 
-* :mod:`repro.core.events` -- the memory-request event model
-  ``m := (s, t_s, t_e, p_s, p_e, dyn)`` (§4).
+* :mod:`repro.core.events` -- the vocabulary of the memory-request event model
+  ``m := (s, t_s, t_e, p_s, p_e, dyn)`` (§4): phases and tensor categories.
+* :mod:`repro.core.columns` -- traces and paired requests as typed columns.
 * :mod:`repro.core.profiler` -- the Allocation Profiler that pairs alloc/free
-  events from a trace into memory-request events (§4).
+  events from a trace into memory-request columns (§4).
 * :mod:`repro.core.homophase` / :mod:`repro.core.homosize` /
   :mod:`repro.core.planner` -- the Plan Synthesizer's static allocation
   planning: HomoPhase grouping with TMP-guided fusion, HomoSize grouping with
@@ -28,16 +29,9 @@ from repro._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        "events": [
-            "EventKind",
-            "MemoryRequest",
-            "Phase",
-            "PhaseKind",
-            "TensorCategory",
-            "TraceEvent",
-        ],
+        "events": ["EventKind", "Phase", "PhaseKind", "TensorCategory"],
         "intervals": ["Interval", "IntervalSet"],
-        "plan": ["AllocationDecision", "StaticAllocationPlan", "SynthesizedPlan"],
+        "plan": ["StaticAllocationPlan", "SynthesizedPlan"],
         "profiler": ["AllocationProfiler", "ProfileResult"],
         "synthesizer": ["PlanSynthesizer"],
         "runtime": ["RuntimeAllocator"],

@@ -1,14 +1,11 @@
 """Structure-of-arrays (columnar) storage for allocation-trace events.
 
-The object event model (:class:`repro.core.events.TraceEvent`) is ergonomic
-but costs one Python object per event -- at production scale (millions of
-events per rank) that makes every analytics pass, replay, and serialization
-walk millions of attribute lookups.  This module stores one trace as nine
-fixed-width stdlib :class:`array.array` columns instead (39 bytes an event),
-filled by the trace generator (or :meth:`repro.workloads.trace.Trace.load`)
-through :class:`ColumnBuilder`:
+A trace is stored as nine fixed-width stdlib :class:`array.array` columns
+(39 bytes an event), filled by the trace generator (or
+:meth:`repro.workloads.trace.Trace.load`) through :class:`ColumnBuilder`.
+This is the only representation of a trace: there is no event object.
 
-``kind``         ``b``  0 = alloc, 1 = free (:data:`KIND_CODES`)
+``kind``         ``b``  0 = alloc, 1 = free (order of :data:`KINDS`)
 ``req_id``       ``q``  the request id (tensor id)
 ``size``         ``q``  bytes requested
 ``time``         ``q``  logical timestamp
@@ -19,34 +16,31 @@ through :class:`ColumnBuilder`:
 ``tag_index``    ``i``  index into the interned :attr:`TraceColumns.tags` table
 
 Strings (module paths, tags) are interned into per-trace tables so the
-columns stay fixed-width ints.  :class:`repro.workloads.trace.Trace` keeps its
-object API as a thin lazy view over these columns: objects are materialized
-only when someone actually touches ``trace.events``.
+columns stay fixed-width ints.
 
 Analytics (peaks, histograms, byte totals) are single passes over the columns,
-and the alloc/free pairing and the peaks are memoised per instance.  What is
-derived per request -- the pairing's positions, :class:`RequestColumns`, the
-HomoLayer member ids -- is typed the same way; reading an element yields a
-plain Python ``int``.
+and the alloc/free pairing and the peaks are memoised per instance.  The
+paired memory requests -- the paper's ``m := (s, t_s, t_e, p_s, p_e, dyn)``
+(§4) -- are columns too (:class:`RequestColumns`), as are the pairing's
+positions and the HomoLayer member ids; reading an element yields a plain
+Python ``int``.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import itemgetter, le, lt, not_
 from struct import error as struct_error
 from struct import pack
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from repro.core.events import EventKind, MemoryRequest, Phase, TensorCategory, TraceEvent
+from repro.core.events import EventKind, TensorCategory
 
 #: Event-kind codes (column ``kind``).
 ALLOC = 0
 FREE = 1
-KIND_CODES = {EventKind.ALLOC: ALLOC, EventKind.FREE: FREE}
 KINDS = (EventKind.ALLOC, EventKind.FREE)
 
 #: Category codes follow the declaration order of :class:`TensorCategory`,
@@ -191,8 +185,8 @@ class RequestColumns(NamedTuple):
     Row ``i`` is the paper's ``m := (s, t_s, t_e, p_s, p_e, dyn)`` plus the
     request id, phases by ``Phase.index``; the first four columns are the
     planner's packing key.  A table read off a trace is sorted by
-    ``(alloc_time, req_id)``; one built from request objects keeps their order.
-    Readers only index and iterate, so hand-built tables may hold lists.
+    ``(alloc_time, req_id)``.  Readers only index and iterate, so hand-built
+    tables may hold lists.
     """
 
     alloc_time: array
@@ -202,20 +196,6 @@ class RequestColumns(NamedTuple):
     alloc_phase: array
     free_phase: array
     dyn: array
-
-    @classmethod
-    def from_requests(cls, requests: Iterable[MemoryRequest]) -> "RequestColumns":
-        rows = [
-            (m.alloc_time, m.req_id, m.size, m.free_time,
-             m.alloc_phase.index, m.free_phase.index, int(m.dyn))
-            for m in requests
-        ]
-        columns = list(zip(*rows)) if rows else [()] * len(_REQUEST_TYPES)
-        return cls(*(array(typecode, column) for typecode, column in zip(_REQUEST_TYPES, columns)))
-
-
-#: Typecodes of :class:`RequestColumns`, in field order.
-_REQUEST_TYPES = ("q", "q", "q", "q", "i", "i", "b")
 
 
 class HomoLayerGroup(NamedTuple):
@@ -257,8 +237,9 @@ class Pairing:
     freed at most once (after its allocation, with the same size), and every
     free has a matching allocation.  Generator traces always qualify;
     hand-built pathological traces (id reuse, mismatched sizes) fall back to
-    the event-by-event replay loop.  A request is numbered by its *alloc
-    ordinal*, the rank of its alloc event among the trace's allocations.
+    the event-by-event replay loop, and the profiler rejects them.  A request
+    is numbered by its *alloc ordinal*, the rank of its alloc event among the
+    trace's allocations.
     """
 
     ok: bool
@@ -340,67 +321,18 @@ class TraceColumns:
         self._peaks: dict[int | None, int] = {}
         self._pairing_cache: Pairing | None = None
 
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_events(cls, events: Sequence[TraceEvent]) -> "TraceColumns":
-        # ``dict.setdefault(key, len(dict))`` interns in insertion order
-        # (the length is evaluated before any insertion happens).
-        alloc = EventKind.ALLOC
-        codes = CATEGORY_CODES
-        modules: dict[str, int] = {}
-        tags: dict[str, int] = {}
-        return cls(
-            kind=[ALLOC if e.kind is alloc else FREE for e in events],
-            req_id=[e.req_id for e in events],
-            size=[e.size for e in events],
-            time=[e.time for e in events],
-            phase_index=[e.phase.index for e in events],
-            module_index=[modules.setdefault(e.module, len(modules)) for e in events],
-            dyn=[1 if e.dyn else 0 for e in events],
-            category=[codes[e.category] for e in events],
-            tag_index=[tags.setdefault(e.tag, len(tags)) for e in events],
-            modules=tuple(modules),
-            tags=tuple(tags),
-        )
+    def request_columns(self, *, end_of_trace: int) -> RequestColumns:
+        """The paired requests as typed columns: what the planner reads.
 
-    def to_events(self, phases: Iterable[Phase]) -> list[TraceEvent]:
-        """Materialize the object view (one ``TraceEvent`` per row)."""
-        phase_by_index = {phase.index: phase for phase in phases}
-        modules = self.modules
-        tags = self.tags
-        return [
-            TraceEvent(
-                kind=KINDS[kind],
-                req_id=req_id,
-                size=size,
-                time=time,
-                phase=phase_by_index[phase_index],
-                module=modules[module_index],
-                dyn=bool(dyn),
-                category=CATEGORIES[category],
-                tag=tags[tag_index],
-            )
-            for kind, req_id, size, time, phase_index, module_index, dyn, category, tag_index in zip(
-                self.kind, self.req_id, self.size, self.time, self.phase_index,
-                self.module_index, self.dyn, self.category, self.tag_index,
-            )
-        ]
-
-    def _paired(self, end_of_trace: int) -> tuple[array, array, array, array, array, Callable]:
-        """``(alloc_pos, free_pos, alloc_time, free_time, free_phase, at_allocs)`` per request.
-
-        One entry per request of a trace whose :meth:`pairing` is ``ok``, in
+        One row per request of a trace whose :meth:`pairing` is ``ok``, in
         ``(alloc_time, req_id)`` order: alloc-ordinal order unless the alloc
         times are not strictly ascending.  Never-freed requests (weights,
-        optimizer state) have ``free_pos`` -1 and close at the end of the
-        trace, in the phase of its last event.  ``at_allocs`` reads any
-        column at ``alloc_pos`` (see :func:`_getter`).
+        optimizer state) close at ``end_of_trace`` (at least one tick after
+        their alloc), in the phase of the trace's last event.
         """
         pairing = self.pairing()
         if not pairing.ok:
-            raise ValueError("trace does not pair simply; use pair_events")
+            raise ValueError("trace does not pair simply")
         alloc_pos, free_pos = pairing.alloc_pos, pairing.free_pos
         time, phase = self.time, self.phase_index
         at_allocs = _getter(alloc_pos)
@@ -424,13 +356,7 @@ class TraceColumns:
             for index in never_freed:
                 free_time[index] = max(end_of_trace, alloc_time[index] + 1)
                 free_phase[index] = last_phase
-        return alloc_pos, free_pos, alloc_time, free_time, free_phase, at_allocs
-
-    def request_columns(self, *, end_of_trace: int) -> RequestColumns:
-        """The paired requests as typed columns: what the planner reads."""
-        _, _, alloc_time, free_time, free_phase, at_allocs = self._paired(end_of_trace)
         size = array("q", at_allocs(self.size))
-        # What MemoryRequest checks per object, over the columns.
         if min(size, default=1) <= 0 or any(map(le, free_time, alloc_time)):
             raise ValueError("a request needs a positive size and a free_time after its alloc_time")
         return RequestColumns(
@@ -446,18 +372,17 @@ class TraceColumns:
     def homolayer_groups(self, *, end_of_trace: int) -> list[HomoLayerGroup]:
         """The HomoLayer groups of the ``dyn`` requests, from one pass over the pairing.
 
-        Equal to :func:`group_homolayers` over the ``dyn`` requests of
-        :meth:`to_requests` -- same keys, members and order, the same
-        never-freed rule (closes at the end of the trace, in its own module)
-        and the same empty-free-module rule (the alloc module) -- without
-        building a request object per request.  The dynamic requests are taken
-        in alloc-ordinal order, which is request order whenever their alloc
+        A request's key is ``(l_s, l_e)``: the module of its alloc event and
+        of its free event -- the alloc module when the free names none or the
+        request is never freed, in which case it closes as in
+        :meth:`request_columns`.  The dynamic requests are taken in
+        alloc-ordinal order, which is request order whenever their alloc
         times strictly ascend (always, in a generator trace); otherwise they
         are sorted by ``(alloc_time, req_id)`` first.
         """
         pairing = self.pairing()
         if not pairing.ok:
-            raise ValueError("trace does not pair simply; use pair_events")
+            raise ValueError("trace does not pair simply")
         dynamic = _getter(pairing.alloc_pos)(self.dyn)
         alloc_pos = list(compress(pairing.alloc_pos, dynamic))
         free_pos = list(compress(pairing.free_pos, dynamic))
@@ -487,55 +412,6 @@ class TraceColumns:
 
         return group_homolayers(rows())
 
-    def to_requests(self, phases: Mapping[int, Phase], *, end_of_trace: int) -> list[MemoryRequest]:
-        """Paired memory requests of a trace whose :meth:`pairing` is ``ok``.
-
-        Equal to :func:`repro.core.events.pair_events` over the object view
-        (same field for field, same order, same never-freed closing rule),
-        built from the pairing's positions without one event object.
-        """
-        _, free_pos, alloc_time, free_time, free_phase, at_allocs = self._paired(end_of_trace)
-        modules = self.modules
-        tags = self.tags
-        module_index = self.module_index
-        alloc_module = at_allocs(module_index)
-        # A never-freed request closes in its own module.
-        free_module = [
-            module_index[pos] if pos >= 0 else module
-            for pos, module in zip(free_pos, alloc_module)
-        ]
-        return [
-            MemoryRequest(
-                req_id=req_id,
-                size=size,
-                alloc_time=alloc_time,
-                free_time=closes,
-                alloc_phase=phases[alloc_phase],
-                free_phase=phases[closing_phase],
-                dyn=bool(dyn),
-                alloc_module=modules[alloc_module],
-                free_module=modules[closing_module] or modules[alloc_module],
-                category=CATEGORIES[category],
-                tag=tags[tag],
-            )
-            for (
-                req_id, size, alloc_time, closes, alloc_phase, closing_phase,
-                dyn, alloc_module, closing_module, category, tag,
-            ) in zip(
-                at_allocs(self.req_id),
-                at_allocs(self.size),
-                alloc_time,
-                free_time,
-                at_allocs(self.phase_index),
-                free_phase,
-                at_allocs(self.dyn),
-                alloc_module,
-                free_module,
-                at_allocs(self.category),
-                at_allocs(self.tag_index),
-            )
-        ]
-
     # ------------------------------------------------------------------ #
     # Analytics
     # ------------------------------------------------------------------ #
@@ -551,14 +427,9 @@ class TraceColumns:
             if category is None or code == category
         )
 
-    def live_bytes(self) -> list[int]:
-        """Running live bytes after each event (the allocation curve)."""
-        return list(accumulate(self._signed_sizes()))
-
     def _peak(self, category: int | None = None) -> int:
         # Positive steps only come from allocs, so the prefix maximum is
-        # always attained immediately after an alloc -- identical to the
-        # object loop that only samples the peak after allocations.
+        # always attained immediately after an alloc.
         peak = self._peaks.get(category)
         if peak is None:
             peak = self._peaks[category] = max(
@@ -575,9 +446,6 @@ class TraceColumns:
     def kv_peak_bytes(self) -> int:
         return self._peak(KV_CACHE_CODE)
 
-    def total_allocated_bytes(self) -> int:
-        return sum(self.allocation_sizes())
-
     @property
     def num_requests(self) -> int:
         return self.kind.count(ALLOC)
@@ -592,26 +460,6 @@ class TraceColumns:
 
     def distinct_sizes(self, *, min_size: int = 512) -> int:
         return len({size for size in self.allocation_sizes() if size > min_size})
-
-    def size_histogram_items(self, *, min_size: int = 0) -> list[tuple[int, int]]:
-        return sorted(Counter(self.allocation_sizes(min_size=min_size)).items())
-
-    def static_dynamic_split(self) -> tuple[int, int]:
-        static = dynamic = 0
-        for kind, size, dyn in zip(self.kind, self.size, self.dyn):
-            if kind == ALLOC:
-                if dyn:
-                    dynamic += size
-                else:
-                    static += size
-        return static, dynamic
-
-    def category_bytes(self) -> dict[str, int]:
-        totals: dict[int, int] = {}
-        for kind, size, code in zip(self.kind, self.size, self.category):
-            if kind == ALLOC:
-                totals[code] = totals.get(code, 0) + size
-        return {CATEGORIES[code].value: totals[code] for code in sorted(totals)}
 
     def end_time(self) -> int:
         return self.time[-1] + 1 if self.time else 0

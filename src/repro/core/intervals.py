@@ -6,16 +6,16 @@ free space, §6.2) operate on sets of half-open integer intervals
 ``[start, end)`` over the byte-address space of the static memory pool.
 
 :class:`IntervalSet` keeps its member intervals disjoint, non-empty and sorted
-by start address, and provides the union / difference / intersection /
-complement operations those components need, plus best-fit and first-fit
-carving used for actual allocation.
+by start address, and provides the operations those components and the
+expandable-segments arenas need: adding and removing ranges, the gaps between
+sorted spans, containment, and best-fit search and carving.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -28,19 +28,6 @@ class Interval:
     def __post_init__(self) -> None:
         if self.end <= self.start:
             raise ValueError(f"interval end ({self.end}) must exceed start ({self.start})")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def contains(self, other: "Interval") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
-    def contains_point(self, address: int) -> bool:
-        return self.start <= address < self.end
 
 
 class IntervalSet:
@@ -98,12 +85,6 @@ class IntervalSet:
             ends.append(end)
         return out
 
-    def copy(self) -> "IntervalSet":
-        out = IntervalSet()
-        out._starts = list(self._starts)
-        out._ends = list(self._ends)
-        return out
-
     # ------------------------------------------------------------------ #
     # Basic protocol
     # ------------------------------------------------------------------ #
@@ -126,22 +107,6 @@ class IntervalSet:
         spans = ", ".join(f"[{s}, {e})" for s, e in zip(self._starts, self._ends))
         return f"IntervalSet({spans})"
 
-    def intervals(self) -> Sequence[Interval]:
-        """Return the member intervals as a list."""
-        return list(self)
-
-    @property
-    def total(self) -> int:
-        """Total covered length in bytes."""
-        return sum(e - s for s, e in zip(self._starts, self._ends))
-
-    @property
-    def span(self) -> Interval | None:
-        """The bounding interval from the lowest start to the highest end."""
-        if not self._starts:
-            return None
-        return Interval(self._starts[0], self._ends[-1])
-
     def contains(self, start: int, end: int) -> bool:
         """True when the whole of ``[start, end)`` is covered by the set."""
         if end <= start:
@@ -150,10 +115,6 @@ class IntervalSet:
         if idx < 0:
             return False
         return self._ends[idx] >= end and self._starts[idx] <= start
-
-    def contains_point(self, address: int) -> bool:
-        idx = bisect.bisect_right(self._starts, address) - 1
-        return idx >= 0 and address < self._ends[idx]
 
     def length_ending_at(self, end: int) -> int:
         """Length of the member interval that ends exactly at ``end`` (0 if none)."""
@@ -205,53 +166,6 @@ class IntervalSet:
         self._ends[lo:hi] = new_ends
 
     # ------------------------------------------------------------------ #
-    # Non-mutating set algebra
-    # ------------------------------------------------------------------ #
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        out = self.copy()
-        for interval in other:
-            out.add(interval.start, interval.end)
-        return out
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        out = self.copy()
-        for interval in other:
-            out.remove(interval.start, interval.end)
-        return out
-
-    def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        """Intersect two sets with a linear merge over their intervals.
-
-        Both inputs are canonical (disjoint, sorted, adjacent members merged),
-        so consecutive output pieces are separated by a gap of one input or
-        the other: they come out sorted and never touch, and are appended as
-        they are found.
-        """
-        out = IntervalSet()
-        a_starts, a_ends = self._starts, self._ends
-        b_starts, b_ends = other._starts, other._ends
-        out_starts, out_ends = out._starts, out._ends
-        i = j = 0
-        a_len, b_len = len(a_starts), len(b_starts)
-        while i < a_len and j < b_len:
-            a_end, b_end = a_ends[i], b_ends[j]
-            start = a_starts[i] if a_starts[i] > b_starts[j] else b_starts[j]
-            end = a_end if a_end < b_end else b_end
-            if start < end:
-                out_starts.append(start)
-                out_ends.append(end)
-            if a_end < b_end:
-                i += 1
-            else:
-                j += 1
-        return out
-
-    def complement(self, start: int, end: int) -> "IntervalSet":
-        """Return ``[start, end)`` minus this set."""
-        out = IntervalSet.full(start, end)
-        return out.difference(self)
-
-    # ------------------------------------------------------------------ #
     # Allocation-style carving
     # ------------------------------------------------------------------ #
     def _best_fit_index(self, size: int) -> int:
@@ -267,26 +181,13 @@ class IntervalSet:
                 best_length = length
         return best
 
-    def _first_fit_index(self, size: int) -> int:
-        """Index of the lowest-addressed member that holds ``size`` bytes, or -1."""
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        for index, (start, end) in enumerate(zip(self._starts, self._ends)):
-            if end - start >= size:
-                return index
-        return -1
-
-    def best_fit(self, size: int) -> Interval | None:
-        """Smallest member interval that can hold ``size`` bytes (ties: lowest address)."""
-        index = self._best_fit_index(size)
-        return None if index < 0 else Interval(self._starts[index], self._ends[index])
-
     def best_fit_within(self, other: "IntervalSet", size: int) -> Interval | None:
-        """``self.intersection(other).best_fit(size)``, without building the intersection.
+        """The smallest piece of ``self`` inside ``other`` that holds ``size`` bytes.
 
-        The runtime Dynamic Allocator's one operation (Eq. 7): the smallest
-        piece of ``self`` (free space) inside ``other`` (a request's reusable
-        space) that holds ``size`` bytes, ties to the lowest address.
+        The runtime Dynamic Allocator's one operation (Eq. 7): free space
+        (``self``) intersected with a request's reusable space (``other``),
+        searched best-fit with ties to the lowest address, in one merge walk
+        that never builds the intersection.
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -307,19 +208,14 @@ class IntervalSet:
                 j += 1
         return None if best_length < 0 else Interval(best_start, best_start + best_length)
 
-    def first_fit(self, size: int) -> Interval | None:
-        """Lowest-addressed member interval that can hold ``size`` bytes."""
-        index = self._first_fit_index(size)
-        return None if index < 0 else Interval(self._starts[index], self._ends[index])
-
-    def carve(self, size: int, *, policy: str = "best_fit") -> Interval | None:
+    def carve(self, size: int) -> Interval | None:
         """Allocate ``size`` bytes out of the set and return the carved interval.
 
-        The carved bytes are removed from the set.  Returns ``None`` when no
-        member interval is large enough.
+        The carved bytes, the front of the smallest member interval that
+        holds them (ties: the lowest address), are removed from the set.
+        Returns ``None`` when no member interval is large enough.
         """
-        finder = self._best_fit_index if policy == "best_fit" else self._first_fit_index
-        index = finder(size)
+        index = self._best_fit_index(size)
         if index < 0:
             return None
         start = self._starts[index]

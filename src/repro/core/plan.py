@@ -6,7 +6,7 @@ The Plan Synthesizer's output consists of:
   address ``a`` it must be placed at (``d := m + (a)`` in §5.1), held as five
   parallel int columns (``req_id / size / alloc_time / free_time / address``)
   together with the total size of the static memory pool those addresses live
-  in; :class:`AllocationDecision` is the per-request view, built on demand;
+  in;
 * a set of *Dynamic Reusable Spaces* -- for every HomoLayer group of dynamic
   requests, the address intervals of the static pool that remain idle
   throughout that group's temporal range (§5.2).
@@ -22,35 +22,12 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import add
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.intervals import IntervalSet
 
 #: The columns of a static plan, in stored order.
 PLAN_COLUMNS = ("req_id", "size", "alloc_time", "free_time", "address")
-
-
-class AllocationDecision(NamedTuple):
-    """One row of a static plan: a request's planning fields and its address."""
-
-    req_id: int
-    size: int
-    alloc_time: int
-    free_time: int
-    address: int
-
-    @property
-    def end_address(self) -> int:
-        return self.address + self.size
-
-    def conflicts_with(self, other: "AllocationDecision") -> bool:
-        """True when the two decisions overlap in both space and time."""
-        return (
-            self.address < other.end_address
-            and other.address < self.end_address
-            and self.alloc_time < other.free_time
-            and other.alloc_time < self.free_time
-        )
 
 
 @dataclass
@@ -69,15 +46,8 @@ class StaticAllocationPlan:
             raise ValueError("static plan columns differ in length")
         if self.address and min(self.address) < 0:
             raise ValueError("planned addresses must be non-negative")
-        if self.pool_size == 0:
-            self.pool_size = self.peak_planned_bytes()
-
-    @classmethod
-    def from_decisions(
-        cls, decisions: Iterable[AllocationDecision], pool_size: int = 0
-    ) -> "StaticAllocationPlan":
-        columns = [list(column) for column in zip(*decisions)] or [[] for _ in PLAN_COLUMNS]
-        return cls(*columns, pool_size=pool_size)
+        if self.pool_size == 0:  # the highest end address any row uses
+            self.pool_size = max(map(add, self.address, self.size), default=0)
 
     @classmethod
     def from_rows(cls, rows: list[tuple], addresses: list[int], pool_size: int = 0):
@@ -87,20 +57,6 @@ class StaticAllocationPlan:
 
     def __len__(self) -> int:
         return len(self.req_id)
-
-    @property
-    def decisions(self) -> tuple[AllocationDecision, ...]:
-        """Row view of the columns (built per call; the columns are the plan)."""
-        return tuple(
-            map(
-                AllocationDecision,
-                self.req_id, self.size, self.alloc_time, self.free_time, self.address,
-            )
-        )
-
-    def peak_planned_bytes(self) -> int:
-        """Highest end address used by any decision (<= ``pool_size``)."""
-        return max(map(add, self.address, self.size), default=0)
 
     def validate(self) -> None:
         """Check the fundamental planning constraint: no spatio-temporal overlap.

@@ -3,89 +3,75 @@
 The profiler consumes the raw allocation/free event stream of one training
 iteration (in the real system: every torch-level malloc/free, executed through
 the native GPU APIs so fragmentation cannot cause spurious OOMs) and organises
-it into the memory-request events the Plan Synthesizer works on, preserving
-the training-level context needed for grouping: computation phase,
-micro-batch, module name and the dynamicity flag.
+it into the memory-request events ``m := (s, t_s, t_e, p_s, p_e, dyn)`` the
+Plan Synthesizer works on, preserving the training-level context needed for
+grouping: computation phase, micro-batch, module name and the dynamicity
+flag.  Both its input and its output are typed columns: a trace's
+:class:`~repro.core.columns.TraceColumns` in, one
+:class:`~repro.core.columns.RequestColumns` row per paired alloc/free and the
+dynamic requests' HomoLayer groups out.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import itemgetter, le
 
-from repro.core.columns import HomoLayerGroup, RequestColumns, group_homolayers
-from repro.core.events import MemoryRequest, Phase
+from repro.core.columns import ALLOC, HomoLayerGroup, RequestColumns, TraceColumns
 from repro.workloads.trace import Trace
+
+
+def _refuse_unpaired(columns: TraceColumns) -> None:
+    """Raise the ``ValueError`` naming the first request that does not pair simply.
+
+    Walks the events in order under :meth:`TraceColumns.pairing`'s rules:
+    a request id is allocated once, freed once after its allocation, and
+    freed with its allocation's size.
+    """
+    allocated: set[int] = set()
+    live: dict[int, int] = {}
+    for kind, req_id, size in zip(columns.kind, columns.req_id, columns.size):
+        if kind == ALLOC:
+            if req_id in allocated:
+                raise ValueError(f"request {req_id} allocated twice")
+            allocated.add(req_id)
+            live[req_id] = size
+            continue
+        opened = live.pop(req_id, None)
+        if opened is None:
+            raise ValueError(f"free of unknown request {req_id}")
+        if opened != size:
+            raise ValueError(f"request {req_id} freed with {size} bytes, allocated with {opened}")
 
 
 class ProfileResult:
     """Everything the Plan Synthesizer needs from a profiling run.
 
-    The requests are held as int-list :attr:`columns` and the dynamic ones'
-    HomoLayer groups as :attr:`dynamic_groups` -- read off the trace's
-    alloc/free pairing, or off the request objects a caller passes -- and
-    that is all planning touches.  ``MemoryRequest`` objects are a view: a
-    profile of a trace builds them only when asked (:attr:`requests`, for
-    tests and examples).
+    The requests are held as typed :attr:`columns` (one row per paired
+    alloc/free, :class:`RequestColumns`) and the dynamic ones' HomoLayer
+    groups as :attr:`dynamic_groups`, both read off the trace's alloc/free
+    pairing; that is all planning touches.  Without a trace the profile is
+    empty (a loaded plan's).  A trace that does not pair simply (a request id
+    allocated twice, a free with no live allocation or with another size)
+    raises ``ValueError`` naming the first offending request.
     """
 
-    def __init__(
-        self,
-        requests: list[MemoryRequest] | None = None,
-        module_spans: dict[str, tuple[int, int]] | None = None,
-        phases: list[Phase] | None = None,
-        end_time: int = 0,
-        metadata: dict | None = None,
-        *,
-        trace: Trace | None = None,
-    ):
-        # A trace that does not pair simply is profiled through its request
-        # objects: pair_events names what is malformed.
-        if trace is not None and not trace.columns.pairing().ok:
-            requests, trace = trace.to_requests(), None
+    def __init__(self, trace: Trace | None = None):
+        trace = trace if trace is not None else Trace()
+        if not trace.columns.pairing().ok:
+            _refuse_unpaired(trace.columns)
         self._trace = trace
-        self._requests = None if trace is not None else list(requests or ())
-        self.columns: RequestColumns = (
-            trace.columns.request_columns(end_of_trace=trace.end_time())
-            if trace is not None
-            else RequestColumns.from_requests(self._requests)
-        )
-        self.module_spans = module_spans if module_spans is not None else {}
-        self.phases = phases if phases is not None else []
-        self.end_time = end_time
-        self.metadata = metadata if metadata is not None else {}
+        self.end_time = trace.end_time()
+        self.columns: RequestColumns = trace.columns.request_columns(end_of_trace=self.end_time)
+        self.module_spans = dict(trace.module_spans)
+        self.phases = list(trace.phases)
         self._swept: dict | None = None
         self._dynamic_groups: list[HomoLayerGroup] | None = None
-
-    # ------------------------------------------------------------------ #
-    # Views
-    # ------------------------------------------------------------------ #
-    @property
-    def requests(self) -> list[MemoryRequest]:
-        """Object view of every request (built once, on first use)."""
-        if self._requests is None:
-            self._requests = self._trace.to_requests()
-        return self._requests
-
-    @property
-    def static_requests(self) -> list[MemoryRequest]:
-        """Requests with deterministic size and lifespan (``M_s``)."""
-        return [request for request in self.requests if not request.dyn]
 
     @property
     def dynamic_groups(self) -> list[HomoLayerGroup]:
         """HomoLayer groups of the dynamic (MoE expert) requests ``M_d`` (built once)."""
         if self._dynamic_groups is None:
-            trace = self._trace
-            self._dynamic_groups = (
-                trace.columns.homolayer_groups(end_of_trace=trace.end_time())
-                if trace is not None
-                else group_homolayers(
-                    (m.alloc_time, m.req_id, m.layer_pair, m.free_time)
-                    for m in self._requests
-                    if m.dyn
-                )
-            )
+            self._dynamic_groups = self._trace.columns.homolayer_groups(end_of_trace=self.end_time)
         return self._dynamic_groups
 
     @property
@@ -95,17 +81,15 @@ class ProfileResult:
     def _sweep(self) -> dict:
         """Counts, byte totals and both demand peaks, from one sweep (memoised).
 
-        One walk over the requests in alloc-time order.  A heap holds the live
-        ones' ``(free_time, size, static size)`` and is drained with ``<=``
-        before each alloc, so a free at time t lands before an alloc at t; the
-        static peak counts the dynamic requests as zero bytes.
+        One walk over the requests, which are in alloc-time order.  A heap
+        holds the live ones' ``(free_time, size, static size)`` and is drained
+        with ``<=`` before each alloc, so a free at time t lands before an
+        alloc at t; the static peak counts the dynamic requests as zero bytes.
         """
         if self._swept is None:
             columns = self.columns
-            alloc_time, size, dyn = columns.alloc_time, columns.size, columns.dyn
-            rows = zip(alloc_time, size, columns.free_time, dyn)
-            if not all(map(le, alloc_time, alloc_time[1:])):  # built from request objects
-                rows = sorted(rows, key=itemgetter(0))
+            size, dyn = columns.size, columns.dyn
+            rows = zip(columns.alloc_time, size, columns.free_time, dyn)
             live: list[tuple[int, int, int]] = []
             allocated = static = peak = peak_static = static_bytes = 0
             for opened, nbytes, closes, is_dynamic in rows:
@@ -162,14 +146,4 @@ class AllocationProfiler:
 
     def profile(self, trace: Trace) -> ProfileResult:
         """Pair the trace's events into memory-request columns."""
-        return ProfileResult(
-            trace=trace,
-            module_spans=dict(trace.module_spans),
-            phases=list(trace.phases),
-            end_time=trace.end_time(),
-            metadata={
-                "model_name": trace.metadata.model_name,
-                "config_label": trace.metadata.config_label,
-                "description": trace.metadata.description,
-            },
-        )
+        return ProfileResult(trace)

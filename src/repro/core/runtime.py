@@ -159,12 +159,6 @@ class RuntimeAllocator(Allocator):
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def release(self) -> None:
-        """Return the static pool and all cached fallback segments to the device."""
-        if self._pool_allocation is not None:
-            self.device.free(self._pool_allocation)
-            self._pool_allocation = None
-        self.fallback.release_cached_segments()
 
     def overhead_seconds(self) -> float:
         """STAlloc adds no per-request driver calls; only the fallback does."""

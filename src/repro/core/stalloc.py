@@ -54,14 +54,6 @@ class STAlloc:
         plan = synthesizer.synthesize(profile)
         return cls(profile=profile, plan=plan, config=config)
 
-    @classmethod
-    def from_profile(cls, profile: ProfileResult, config: STAllocConfig | None = None) -> "STAlloc":
-        """Synthesize a plan from an existing profiling result."""
-        config = config or STAllocConfig()
-        synthesizer = PlanSynthesizer(config.synthesizer_config())
-        plan = synthesizer.synthesize(profile)
-        return cls(profile=profile, plan=plan, config=config)
-
     # ------------------------------------------------------------------ #
     # Runtime
     # ------------------------------------------------------------------ #
@@ -76,10 +68,6 @@ class STAlloc:
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
-    @property
-    def static_pool_bytes(self) -> int:
-        return self.plan.pool_size
-
     def planning_report(self) -> dict:
         """Summary of the offline pipeline: group counts, pool size, timings.
 

@@ -63,9 +63,6 @@ class ExperimentResult:
             lines.append(self.notes)
         return "\n".join(lines)
 
-    def column(self, name: str) -> list:
-        return [row.get(name) for row in self.rows]
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):

@@ -12,7 +12,8 @@ from __future__ import annotations
 from repro.experiments.common import A800_WORKLOADS, ExperimentResult, register_experiment
 from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_workload_suite
-from repro.simulator.throughput import GPU_SPECS, ThroughputModel
+from repro.gpu.specs import GPU_SPECS
+from repro.simulator.throughput import ThroughputModel
 
 LINEUP = ["torch2.0", "gmlake", "torch2.3", "torch_es", "stalloc"]
 #: Which baseline each allocator is normalized against (paper's convention).

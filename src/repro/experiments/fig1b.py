@@ -14,7 +14,8 @@ from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import preset_config
 from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_workload_suite
-from repro.simulator.throughput import GPU_SPECS, ThroughputModel
+from repro.gpu.specs import GPU_SPECS
+from repro.simulator.throughput import ThroughputModel
 
 #: (label, preset, micro-batch size) of the plotted configurations.
 CONFIG_POINTS = [

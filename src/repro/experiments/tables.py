@@ -21,10 +21,11 @@ from repro.simulator.runner import (
     STALLOC_NO_REUSE,
     run_workload_suite,
 )
-from repro.simulator.throughput import GPU_SPECS, ThroughputModel
+from repro.gpu.specs import GPU_SPECS
+from repro.simulator.throughput import ThroughputModel
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
-from repro.workloads.training import TrainingConfig, preset_config
+from repro.workloads.training import TrainingConfig
 
 
 # ---------------------------------------------------------------------- #

@@ -9,7 +9,8 @@ package provides byte-accurate simulations of those interfaces:
 * :class:`~repro.gpu.virtual_memory.VirtualMemoryManager` -- the
   ``cuMemCreate`` / ``cuMemAddressReserve`` / ``cuMemMap`` analogue used by the
   expandable-segments and GMLake-style allocators.
-* Device presets matching the paper's testbeds (A800-80GB, H200-141GB,
+* :func:`~repro.gpu.device.device_from_spec` -- a device sized from the
+  shared GPU specs of the paper's testbeds (A800-80GB, H200-141GB,
   MI210-64GB).
 """
 
@@ -24,8 +25,6 @@ __getattr__, __dir__, __all__ = attach(
             "PhysicalAllocation",
             "a800_80gb",
             "device_from_spec",
-            "h200_141gb",
-            "mi210_64gb",
         ],
         "specs": ["GPU_SPECS", "GPUSpec", "get_gpu"],
         "errors": ["DeviceError", "DoubleFreeError", "InvalidAddressError", "OutOfMemoryError"],

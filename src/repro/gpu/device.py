@@ -44,10 +44,6 @@ class PhysicalAllocation:
     address: int
     size: int
 
-    @property
-    def end(self) -> int:
-        return self.address + self.size
-
 
 @dataclass
 class DeviceStats:
@@ -58,16 +54,6 @@ class DeviceStats:
     failed_mallocs: int = 0
     bytes_allocated_total: int = 0
     peak_in_use: int = 0
-
-    def snapshot(self) -> dict:
-        """Return the stats as a plain dictionary (useful for reports)."""
-        return {
-            "malloc_calls": self.malloc_calls,
-            "free_calls": self.free_calls,
-            "failed_mallocs": self.failed_mallocs,
-            "bytes_allocated_total": self.bytes_allocated_total,
-            "peak_in_use": self.peak_in_use,
-        }
 
 
 @dataclass
@@ -127,15 +113,6 @@ class Device:
         """Bytes still available for new driver allocations."""
         return self.usable_capacity - self._in_use
 
-    @property
-    def live_allocations(self) -> int:
-        """Number of outstanding driver allocations."""
-        return len(self._allocations) + self._run_allocations
-
-    def can_allocate(self, size: int) -> bool:
-        """Return True when a ``malloc(size)`` would succeed right now."""
-        return size >= 0 and size <= self.free_bytes
-
     # ------------------------------------------------------------------ #
     # cudaMalloc / cudaFree analogues
     # ------------------------------------------------------------------ #
@@ -178,7 +155,7 @@ class Device:
     def malloc_run(self, size: int, count: int) -> tuple[int, OutOfMemoryError | None]:
         """``count`` back-to-back ``malloc(size)`` calls, as one call.
 
-        Every counter, ``in_use``, ``live_allocations`` and the address
+        Every counter, ``in_use``, the live-allocation count and the address
         counter advance exactly as under ``count`` calls to :meth:`malloc`,
         but no allocation object is kept: the caller (a VMM granule run)
         knows where its granules are and returns them with :meth:`free_run`.
@@ -216,16 +193,10 @@ class Device:
         self._run_allocations -= count
         self._in_use -= count * size
 
-    def free_all(self) -> None:
-        """Release every outstanding allocation (used when tearing down runs)."""
-        self._allocations.clear()
-        self._run_allocations = 0
-        self._in_use = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Device(name={self.name!r}, capacity={self.capacity}, "
-            f"in_use={self._in_use}, live={self.live_allocations})"
+            f"in_use={self._in_use}, live={len(self._allocations) + self._run_allocations})"
         )
 
 
@@ -246,13 +217,3 @@ def device_from_spec(name: str, reserved_overhead: int = 0) -> Device:
 def a800_80gb(reserved_overhead: int = 4 * GIB) -> Device:
     """NVIDIA A800-80GB as used on the paper's first testbed."""
     return device_from_spec("A800-80GB", reserved_overhead)
-
-
-def h200_141gb(reserved_overhead: int = 5 * GIB) -> Device:
-    """NVIDIA H200-141GB as used for the scalability study."""
-    return device_from_spec("H200-141GB", reserved_overhead)
-
-
-def mi210_64gb(reserved_overhead: int = 4 * GIB) -> Device:
-    """AMD MI210-64GB as used on the AMD testbed."""
-    return device_from_spec("MI210-64GB", reserved_overhead)

@@ -128,16 +128,6 @@ class NodeTopology:
                 f"({self.pipeline_parallel}, {self.expert_parallel})"
             )
 
-    @property
-    def num_ranks(self) -> int:
-        return self.pipeline_parallel * self.expert_parallel
-
-    @property
-    def num_nodes(self) -> int:
-        if self.gpus_per_node <= 0:
-            return 1
-        return -(-self.num_ranks // self.gpus_per_node)
-
     def node_of(self, stage: int, ep: int) -> int:
         """Node index hosting coordinate ``(stage, ep)``."""
         if self.gpus_per_node <= 0:

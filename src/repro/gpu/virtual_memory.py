@@ -62,17 +62,6 @@ class VmmStats:
     map_calls: int = 0
     unmap_calls: int = 0
 
-    @property
-    def total_ops(self) -> int:
-        """Total driver-level VMM operations issued."""
-        return (
-            self.handles_created
-            + self.handles_released
-            + self.ranges_reserved
-            + self.map_calls
-            + self.unmap_calls
-        )
-
 
 class VirtualMemoryManager:
     """Driver-level virtual memory manager bound to one :class:`Device`.
@@ -91,7 +80,6 @@ class VirtualMemoryManager:
         self.granule = int(granule)
         self.stats = VmmStats()
         self._virtual_cursor = 1 << 40  # virtual addresses live far above physical ones
-        self._mapped_bytes = 0
         #: Reserved ranges in address order (the cursor only moves up) and
         #: their starts, for the bisect in :meth:`_check_mappable`.
         self._ranges: list[VirtualRange] = []
@@ -145,7 +133,6 @@ class VirtualMemoryManager:
         granted, error = self.device.malloc_run(granule, count)
         self.stats.handles_created += granted
         self.stats.map_calls += granted
-        self._mapped_bytes += granted * granule
         return granted, error
 
     def unmap_run(self, virtual_address: int, count: int) -> None:
@@ -159,9 +146,3 @@ class VirtualMemoryManager:
         self.device.free_run(granule, count)
         self.stats.unmap_calls += count
         self.stats.handles_released += count
-        self._mapped_bytes -= count * granule
-
-    @property
-    def mapped_bytes(self) -> int:
-        """Total physical bytes currently mapped into virtual space."""
-        return self._mapped_bytes

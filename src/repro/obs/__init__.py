@@ -40,7 +40,6 @@ __getattr__, __dir__, __all__ = attach(
             "absorb",
             "counter",
             "current_tracer",
-            "gauge",
             "install",
             "is_enabled",
             "observe",

@@ -1,11 +1,13 @@
 """Metrics registry: counters, gauges, and summary histograms.
 
 A :class:`MetricsRegistry` is a plain in-process accumulator -- instruments
-call :meth:`count` / :meth:`gauge` / :meth:`observe` and the registry keeps
-running totals.  Process safety comes from the *delta* protocol rather than
-shared memory: each worker process accumulates into its own registry and
-serializes a :meth:`snapshot` back with its result, which the orchestrating
-process folds in with :meth:`merge`.  Snapshots are additive for counters and
+call :meth:`count` / :meth:`observe` and the registry keeps running totals.
+No instrument sets a gauge today; the ``gauges`` map is kept in the snapshot
+format (and merged last-write-wins) so recordings keep one schema.  Process
+safety comes from the *delta* protocol rather than shared memory: each worker
+process accumulates into its own registry and serializes a :meth:`snapshot`
+back with its result, which the orchestrating process folds in with
+:meth:`merge`.  Snapshots are additive for counters and
 histograms and last-write-wins for gauges, so merging worker deltas in any
 order yields the same totals an in-process run would have produced.
 
@@ -73,10 +75,6 @@ class MetricsRegistry:
         """Add ``value`` (default 1) to the counter ``name``."""
         self.counters[name] = self.counters.get(name, 0) + value
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name`` to its latest ``value``."""
-        self.gauges[name] = value
-
     def observe(self, name: str, value: float) -> None:
         """Record one sample of the distribution ``name``."""
         stat = self.histograms.get(name)
@@ -106,11 +104,6 @@ class MetricsRegistry:
             if stat is None:
                 stat = self.histograms[name] = HistogramStat()
             stat.merge(payload)
-
-    def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
 
     def __bool__(self) -> bool:
         return bool(self.counters or self.gauges or self.histograms)

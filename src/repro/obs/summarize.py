@@ -85,13 +85,6 @@ class ObsSummary:
     #: Union of root-span wall intervals: total observed wall seconds.
     wall_seconds: float = 0.0
 
-    def stat(self, *path: str) -> PathStat | None:
-        """Aggregate for one exact name-path, e.g. ``stat("sweep.run", "sweep.point")``."""
-        for entry in self.tree:
-            if entry.path == path:
-                return entry
-        return None
-
     def to_text(self) -> str:
         lines = [f"== obs summary: {self.spans} spans, {self.wall_seconds:.3f}s wall =="]
         if self.tree:

@@ -189,13 +189,6 @@ def counter(name: str, value: float = 1) -> None:
         tracer.metrics.count(name, value)
 
 
-def gauge(name: str, value: float) -> None:
-    """Set a named gauge (no-op unless a tracer is installed)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.metrics.gauge(name, value)
-
-
 def observe(name: str, value: float) -> None:
     """Record a histogram sample (no-op unless a tracer is installed)."""
     tracer = _ACTIVE

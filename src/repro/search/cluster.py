@@ -231,17 +231,3 @@ class ClusterSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "ClusterSpec":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def to_dict(self) -> dict:
-        data = {
-            "device_name": self.device_name,
-            "num_devices": self.num_devices,
-            "device_capacity_gib": self.device_capacity_gib,
-            "device_memory_by_rank": self.budget_map(),
-            "num_nodes": self.num_nodes,
-        }
-        if self.intra_node_gbytes_per_sec is not None:
-            data["intra_node_gbytes_per_sec"] = self.intra_node_gbytes_per_sec
-        if self.inter_node_gbytes_per_sec is not None:
-            data["inter_node_gbytes_per_sec"] = self.inter_node_gbytes_per_sec
-        return data

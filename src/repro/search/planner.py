@@ -99,26 +99,6 @@ class SearchResult:
             "rows": list(self.rows),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchResult":
-        return cls(
-            name=data.get("spec", "search"),
-            rows=list(data.get("rows", [])),
-            candidates_total=data.get("candidates_total", 0),
-            pruned_by_memory=data.get("pruned_by_memory", 0),
-            pruned_by_bound=data.get("pruned_by_bound", 0),
-            evaluated=data.get("evaluated", 0),
-            pruned=list(data.get("pruned", [])),
-            elapsed_seconds=data.get("elapsed_seconds", 0.0),
-            cache_dir=data.get("cache_dir"),
-            cache_stats=dict(data.get("cache_stats", {})),
-            exhaustive=data.get("exhaustive", False),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SearchResult":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
     def as_sweep_result(self) -> SweepResult:
         """The rows as an ordinary :class:`SweepResult` (table/CSV/compare)."""
         return SweepResult(

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from repro.allocators.registry import available_allocators
 from repro.search.cluster import ClusterSpec
 from repro.simulator.throughput import validate_timing
 from repro.sweep.spec import (
@@ -38,6 +37,10 @@ from repro.sweep.spec import (
     STALLOC_ALLOCATORS,
     STALLOC_AXES,
     SweepPoint,
+    spec_document,
+    validate_allocators,
+    validate_mappings,
+    validate_scale,
 )
 from repro.workloads.models import MODEL_REGISTRY, get_model
 from repro.workloads.parallelism import ParallelismConfig
@@ -52,10 +55,13 @@ def _divisors(value: int, limit: int | None = None) -> list[int]:
     return [d for d in range(1, limit + 1) if value % d == 0]
 
 
-def _axis(values, name: str) -> list:
-    """Validate one explicit (non-auto) axis list."""
+def _axis(values, name: str, *, degrees: bool = False) -> list:
+    """Validate one explicit (non-auto) axis list; a ``degrees`` axis holds positive ints."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ValueError(f"search axis {name!r} must be a non-empty list, got {values!r}")
+    for value in values if degrees else ():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"search axis {name!r} must hold positive ints, got {value!r}")
     return list(values)
 
 
@@ -97,24 +103,18 @@ class SearchSpec:
         if not isinstance(self.global_batch, int) or isinstance(self.global_batch, bool) \
                 or self.global_batch < 1:
             raise ValueError(f"global_batch must be a positive int, got {self.global_batch!r}")
-        if not self.allocators:
-            raise ValueError("a search needs at least one allocator")
-        known_allocators = set(available_allocators()) | STALLOC_ALLOCATORS
-        for allocator in self.allocators:
-            if allocator not in known_allocators:
-                raise ValueError(
-                    f"unknown allocator {allocator!r}; available: "
-                    f"{', '.join(sorted(known_allocators))}"
-                )
+        validate_allocators(self.allocators, "search")
+        validate_mappings(self, ("base", "stalloc_grid"))
         validate_timing(self.timing)
         validate_seed(self.seed)
+        validate_scale(self.scale)
         for name in ("tensor_parallel", "pipeline_parallel", "expert_parallel"):
             values = getattr(self, name)
             if values != "auto":
-                setattr(self, name, _axis(values, name))
-        self.micro_batch_sizes = _axis(self.micro_batch_sizes, "micro_batch_sizes")
+                setattr(self, name, _axis(values, name, degrees=True))
+        self.micro_batch_sizes = _axis(self.micro_batch_sizes, "micro_batch_sizes", degrees=True)
         self.virtual_pipeline_chunks = _axis(
-            self.virtual_pipeline_chunks, "virtual_pipeline_chunks"
+            self.virtual_pipeline_chunks, "virtual_pipeline_chunks", degrees=True
         )
         self.recompute = _axis(self.recompute, "recompute")
         self.zero_stage = _axis(self.zero_stage, "zero_stage")
@@ -138,7 +138,7 @@ class SearchSpec:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpec":
-        data = dict(data)
+        data = spec_document(data, "search")
         known = {f.name for f in dataclass_fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -148,31 +148,6 @@ class SearchSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "SearchSpec":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "model": self.model,
-            "cluster": self.cluster.to_dict(),
-            "global_batch": self.global_batch,
-            "allocators": list(self.allocators),
-            "micro_batch_sizes": list(self.micro_batch_sizes),
-            "tensor_parallel": self._axis_dict("tensor_parallel"),
-            "pipeline_parallel": self._axis_dict("pipeline_parallel"),
-            "expert_parallel": self._axis_dict("expert_parallel"),
-            "virtual_pipeline_chunks": list(self.virtual_pipeline_chunks),
-            "recompute": list(self.recompute),
-            "zero_stage": list(self.zero_stage),
-            "base": dict(self.base),
-            "stalloc_grid": {axis: list(values) for axis, values in self.stalloc_grid.items()},
-            "seed": self.seed,
-            "scale": self.scale,
-            "timing": self.timing,
-        }
-
-    def _axis_dict(self, name: str):
-        values = getattr(self, name)
-        return values if values == "auto" else list(values)
 
     # ------------------------------------------------------------------ #
     # Enumeration

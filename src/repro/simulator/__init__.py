@@ -17,6 +17,6 @@ __getattr__, __dir__, __all__ = attach(
             "run_workload",
             "run_workload_suite",
         ],
-        "throughput": ["GPU_SPECS", "GPUSpec", "ThroughputModel", "VALID_TIMINGS"],
+        "throughput": ["ThroughputModel", "VALID_TIMINGS"],
     },
 )

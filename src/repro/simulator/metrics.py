@@ -37,35 +37,9 @@ class MemoryMetrics:
         return 1.0 - self.memory_efficiency
 
     @property
-    def fragmentation_bytes(self) -> int:
-        """Reserved-but-unusable bytes at the peak: ``M_r - M_a``."""
-        return max(0, self.peak_reserved_bytes - self.peak_allocated_bytes)
-
-    @property
     def peak_allocated_gib(self) -> float:
         return self.peak_allocated_bytes / GIB
 
     @property
     def peak_reserved_gib(self) -> float:
         return self.peak_reserved_bytes / GIB
-
-    @property
-    def fragmentation_gib(self) -> float:
-        return self.fragmentation_bytes / GIB
-
-    def as_dict(self) -> dict:
-        return {
-            "peak_allocated_gib": round(self.peak_allocated_gib, 3),
-            "peak_reserved_gib": round(self.peak_reserved_gib, 3),
-            "memory_efficiency": round(self.memory_efficiency, 4),
-            "fragmentation_ratio": round(self.fragmentation_ratio, 4),
-            "fragmentation_gib": round(self.fragmentation_gib, 3),
-        }
-
-
-def fragmentation_reduction(baseline: MemoryMetrics, improved: MemoryMetrics) -> float:
-    """Relative reduction of fragmentation bytes (the paper's "reduces by X%")."""
-    if baseline.fragmentation_bytes == 0:
-        return 0.0
-    saved = baseline.fragmentation_bytes - improved.fragmentation_bytes
-    return saved / baseline.fragmentation_bytes

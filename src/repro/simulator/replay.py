@@ -38,33 +38,6 @@ class ReplayResult:
     def fragmentation_ratio(self) -> float:
         return self.metrics.fragmentation_ratio
 
-    @property
-    def events_skipped(self) -> int:
-        """Events not applied to the allocator (failed allocs + their frees)."""
-        return self.failed_allocs + self.skipped_frees
-
-    def as_dict(self) -> dict:
-        data = {
-            "allocator": self.allocator_name,
-            "success": self.success,
-            "events_replayed": self.events_replayed,
-            # Full precision: as_dict feeds sweep rows and compare diffs, and
-            # rounding is display-only (results._fmt).  Sub-100us allocator
-            # overheads must survive the round trip.
-            "overhead_seconds": self.overhead_seconds,
-        }
-        data.update(self.metrics.as_dict())
-        if not self.success:
-            data["oom_at_event"] = self.oom_at_event
-            data["oom_request_bytes"] = self.oom_request_bytes
-        # Skip accounting is reported whenever events were skipped, not only
-        # on failure: a stop_on_oom=False replay can finish "successfully"
-        # while having dropped requests, and that must stay visible.
-        if not self.success or self.failed_allocs or self.skipped_frees:
-            data["failed_allocs"] = self.failed_allocs
-            data["skipped_frees"] = self.skipped_frees
-        return data
-
 
 def replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool = True) -> ReplayResult:
     """Feed every event of ``trace`` to ``allocator`` and collect peak metrics.

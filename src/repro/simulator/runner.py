@@ -40,31 +40,23 @@ from repro.allocators.base import Allocator
 from repro.allocators.registry import (
     STALLOC,
     STALLOC_NO_REUSE,
-    available_allocators,
     create_allocator,
 )
 from repro.core.config import STAllocConfig
 from repro.gpu.device import Device, GIB
 from repro.gpu.errors import OutOfMemoryError
+from repro.gpu.specs import GPU_SPECS
 from repro.obs.tracer import span as _obs_span
 from repro.simulator.execution import ExecutionContext
 from repro.simulator.metrics import MemoryMetrics
-from repro.simulator.ranks import (  # noqa: F401
-    default_capacity_gib,
-    job_rank_classes,
-    resolve_job_ranks,
-    validate_capacity_gib,
-)
+from repro.simulator.ranks import default_capacity_gib, job_rank_classes, validate_capacity_gib
+
+# Read from here by benchmarks/e2e/stages.py (its home is simulator.ranks).
+from repro.simulator.ranks import resolve_job_ranks  # noqa: F401
 from repro.simulator.replay import ReplayResult, replay_trace
-from repro.simulator.throughput import (  # noqa: F401
-    GPU_SPECS,
-    VALID_TIMINGS,
-    ThroughputEstimate,
-    ThroughputModel,
-    validate_timing,
-)
+from repro.simulator.throughput import ThroughputEstimate, ThroughputModel, validate_timing
 from repro.workloads.fingerprint import config_fingerprint
-from repro.workloads.parallelism import normalize_rank, rank_label
+from repro.workloads.parallelism import normalize_rank
 from repro.workloads.trace import Trace
 from repro.workloads.training import TrainingConfig
 
@@ -138,48 +130,6 @@ class WorkloadRun:
     @property
     def success(self) -> bool:
         return self.replay.success
-
-    @property
-    def tflops(self) -> float | None:
-        """Per-GPU model TFLOPS, when the throughput model was evaluated."""
-        return self.throughput.tflops_per_gpu if self.throughput is not None else None
-
-    @property
-    def tokens_per_second(self) -> float | None:
-        return self.throughput.tokens_per_second if self.throughput is not None else None
-
-    @property
-    def iteration_seconds(self) -> float | None:
-        """Modelled iteration time (excluding allocator overhead)."""
-        return self.throughput.iteration_seconds if self.throughput is not None else None
-
-    @property
-    def comm_seconds(self) -> float | None:
-        """All-to-all seconds of the most communication-bound rank (0 for the
-        analytical backend)."""
-        return self.throughput.comm_seconds if self.throughput is not None else None
-
-    @property
-    def bubble_fraction(self) -> float | None:
-        return self.throughput.bubble_fraction if self.throughput is not None else None
-
-    @property
-    def mfu(self) -> float | None:
-        return self.throughput.mfu if self.throughput is not None else None
-
-    def as_dict(self) -> dict:
-        data = {
-            "config": self.config.describe(),
-            "device": self.device_name,
-            "rank": self.rank,
-            "ep_rank": self.ep_rank,
-            "comm_peak_bytes": self.comm_peak_bytes,
-            "kv_peak_bytes": self.kv_peak_bytes,
-        }
-        data.update(self.replay.as_dict())
-        if self.throughput is not None:
-            data.update(self.throughput.row_columns())
-        return data
 
 
 def _stalloc_config(name: str, overrides: dict | None) -> STAllocConfig:
@@ -407,11 +357,6 @@ class JobRun:
     timeline: object = None
 
     @property
-    def ranks(self) -> list:
-        """Every simulated rank, ascending."""
-        return sorted(rank for cls in self.rank_classes for rank in cls)
-
-    @property
     def num_ranks(self) -> int:
         return sum(len(cls) for cls in self.rank_classes)
 
@@ -529,68 +474,6 @@ class JobRun:
     @property
     def tokens_per_second(self) -> float | None:
         return self.throughput.tokens_per_second if self.throughput is not None else None
-
-    @property
-    def iteration_seconds(self) -> float | None:
-        """Modelled iteration time of the job (excluding allocator overhead)."""
-        return self.throughput.iteration_seconds if self.throughput is not None else None
-
-    @property
-    def comm_seconds(self) -> float | None:
-        """All-to-all seconds of the most communication-bound rank."""
-        return self.throughput.comm_seconds if self.throughput is not None else None
-
-    @property
-    def bubble_fraction(self) -> float | None:
-        """Fraction of the iteration the busiest rank is not computing."""
-        return self.throughput.bubble_fraction if self.throughput is not None else None
-
-    @property
-    def mfu(self) -> float | None:
-        return self.throughput.mfu if self.throughput is not None else None
-
-    def as_dict(self) -> dict:
-        data = {
-            "config": self.config.describe(),
-            "device": self.device_name,
-            "allocator": self.allocator_name,
-            "ranks": [
-                rank if isinstance(rank, int) else rank_label(rank) for rank in self.ranks
-            ],
-            "num_ranks": self.num_ranks,
-            "unique_ranks": len(self.class_runs),
-            "success": self.success,
-            "binding_rank": (
-                self.binding_rank
-                if isinstance(self.binding_rank, int)
-                else rank_label(self.binding_rank)
-            ),
-            "peak_allocated_gib": self.peak_allocated_gib,
-            "mean_peak_allocated_gib": self.mean_peak_allocated_gib,
-            "peak_reserved_gib": self.peak_reserved_gib,
-            "comm_peak_bytes": self.comm_peak_bytes,
-            "kv_peak_bytes": self.kv_peak_bytes,
-            "per_rank_peak_allocated_gib": {
-                rank_label(rank): run.replay.metrics.peak_allocated_gib
-                for rank, run in self.runs_by_rank().items()
-            },
-        }
-        if self.heterogeneous_budgets:
-            data["per_rank_capacity_gib"] = {
-                rank_label(rank): capacity
-                for cls, capacity in zip(self.rank_classes, self.class_capacities)
-                for rank in cls
-            }
-            if self.binding_utilization is not None:
-                data["binding_utilization"] = self.binding_utilization
-        if self.oom_ranks:
-            data["oom_ranks"] = [
-                rank if isinstance(rank, int) else rank_label(rank)
-                for rank in self.oom_ranks
-            ]
-        if self.throughput is not None:
-            data.update(self.throughput.row_columns())
-        return data
 
 
 @dataclass(frozen=True)
@@ -853,16 +736,3 @@ def _assemble_job(
         ],
         timeline=timeline,
     )
-
-
-def default_allocator_lineup(*, include_stalloc: bool = True) -> list[str]:
-    """The Figure 8 allocator line-up in presentation order."""
-    lineup = ["torch2.0", "gmlake", "torch2.3", "torch_es"]
-    if include_stalloc:
-        lineup.append(STALLOC)
-    return lineup
-
-
-def all_known_allocators() -> list[str]:
-    """Registry allocators plus the STAlloc variants handled by this runner."""
-    return available_allocators() + [STALLOC, STALLOC_NO_REUSE]

@@ -20,10 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Re-exported for backwards compatibility: the accelerator specs moved to
-# repro.gpu.specs so the memory model (Device presets) and the timing models
-# share one definition per device.
-from repro.gpu.specs import GPU_SPECS, GPUSpec  # noqa: F401
+from repro.gpu.specs import GPUSpec
 from repro.workloads.training import TrainingConfig
 
 #: Accepted timing backends: the discrete-event simulator walking the real

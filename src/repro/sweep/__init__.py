@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = attach(
     {
         "cache": ["CacheStats", "SweepCache"],
         "compare": ["CompareReport", "compare_files", "compare_results"],
-        "engine": ["SweepPointError", "execute_point", "run_sweep"],
+        "engine": ["SweepPointError", "run_sweep"],
         "results": ["SweepResult"],
         "spec": ["SWEEP_PRESETS", "SweepPoint", "SweepSpec", "available_presets", "load_spec"],
     },

@@ -25,7 +25,7 @@ the static plan as five parallel int columns -- ``req_id``, ``size``,
 reusable spaces, the dynamic request ids grouped by HomoLayer group, the
 synthesis statistics and the planning report; no wall-clock is stored.
 
-Traces are keyed by :func:`repro.workloads.tracegen.config_fingerprint` (a
+Traces are keyed by :func:`repro.workloads.fingerprint.config_fingerprint` (a
 hash of everything that determines generation, which is deterministic), plans
 by the SHA-256 of the trace content plus the STAlloc pipeline configuration,
 and results by the trace fingerprint plus the sweep point's identity.  Because

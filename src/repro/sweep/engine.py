@@ -256,13 +256,6 @@ def execute_points(
     return [rows[point.index] for point in points]
 
 
-def execute_point(
-    point: SweepPoint, ctx: ExecutionContext | None = None, *, reuse_results: bool = True
-) -> dict:
-    """Run one sweep point (see :func:`execute_points`)."""
-    return execute_points([point], ctx, reuse_results=reuse_results)[0]
-
-
 def _hit_rate_label(stats: dict) -> str:
     """Render an aggregated cache-stats dict as e.g. ``"83% hit"``."""
     hits = stats.get("trace_hits", 0) + stats.get("plan_hits", 0) + stats.get("result_hits", 0)

@@ -35,7 +35,8 @@ from pathlib import Path
 
 from repro.allocators.registry import STALLOC, STALLOC_NO_REUSE, available_allocators
 from repro.core.config import STAllocConfig
-from repro.simulator.ranks import validate_budget_map
+from repro.gpu.specs import GPU_SPECS
+from repro.simulator.ranks import validate_budget_map, validate_capacity_gib
 from repro.simulator.throughput import validate_timing
 from repro.workloads.models import MODEL_REGISTRY, get_model
 from repro.workloads.parallelism import ParallelismConfig, normalize_rank
@@ -185,6 +186,41 @@ def _budget_label(budgets: dict | None) -> str:
     return f"mem={parts}"
 
 
+def validate_allocators(allocators, kind: str) -> None:
+    """A ``kind`` spec's allocators: a non-empty list of known allocator names."""
+    if isinstance(allocators, str) or not isinstance(allocators, (list, tuple)):
+        raise ValueError(f"allocators must be a list of allocator names, got {allocators!r}")
+    if not allocators:
+        raise ValueError(f"a {kind} needs at least one allocator")
+    known = set(available_allocators()) | STALLOC_ALLOCATORS
+    for allocator in allocators:
+        if allocator not in known:
+            raise ValueError(
+                f"unknown allocator {allocator!r}; available: {', '.join(sorted(known))}"
+            )
+
+
+def validate_scale(scale, name: str = "scale") -> None:
+    """A layer-count scale: a number in (0, 1]."""
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale <= 1:
+        raise ValueError(f"{name} must be a number in (0, 1], got {scale!r}")
+
+
+def validate_mappings(spec, names: tuple[str, ...]) -> None:
+    """Each named field of ``spec`` must be a JSON object (a dict)."""
+    for name in names:
+        value = getattr(spec, name)
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a JSON object, got {value!r}")
+
+
+def spec_document(data, kind: str) -> dict:
+    """A parsed spec document: a JSON object, copied."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {kind} spec must be a JSON object, got {type(data).__name__}")
+    return dict(data)
+
+
 def _validate_fabric(fabric, context: str) -> None:
     """Validate one ``{GPUSpec fabric field: value}`` override mapping."""
     if not isinstance(fabric, dict):
@@ -262,10 +298,17 @@ class SweepSpec:
     fabric: dict | None = None
 
     def __post_init__(self) -> None:
-        if not self.allocators:
-            raise ValueError("a sweep needs at least one allocator")
+        validate_allocators(self.allocators, "sweep")
+        validate_mappings(self, ("parallelism", "base", "grid", "stalloc_grid"))
         validate_timing(self.timing)
         validate_seed(self.seed)
+        validate_scale(self.scale)
+        if self.device_name not in GPU_SPECS:
+            raise ValueError(
+                f"device {self.device_name!r} is not a known GPU; available: "
+                f"{', '.join(sorted(GPU_SPECS))}"
+            )
+        validate_capacity_gib(self.device_capacity_gib)
         if self.ranks is not None:
             if isinstance(self.ranks, str):
                 if self.ranks != "all":
@@ -285,13 +328,6 @@ class SweepSpec:
             validate_budget_map(self.device_memory_by_rank, "device_memory_by_rank")
         if self.fabric is not None:
             _validate_fabric(self.fabric, "fabric")
-        known_allocators = set(available_allocators()) | STALLOC_ALLOCATORS
-        for allocator in self.allocators:
-            if allocator not in known_allocators:
-                raise ValueError(
-                    f"unknown allocator {allocator!r}; available: "
-                    f"{', '.join(sorted(known_allocators))}"
-                )
         for axis, values in self.grid.items():
             if axis not in CONFIG_AXES and axis not in PARALLELISM_AXES and axis not in SPECIAL_AXES:
                 raise ValueError(
@@ -303,6 +339,9 @@ class SweepSpec:
             if axis == "seed":
                 for index, seed in enumerate(values):
                     validate_seed(seed, f"grid seed[{index}]")
+            if axis == "scale":
+                for index, scale in enumerate(values):
+                    validate_scale(scale, f"grid scale[{index}]")
             if axis == "device_memory_by_rank":
                 for index, budgets in enumerate(values):
                     if budgets is None:
@@ -347,7 +386,7 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         """Build a spec from a parsed JSON document (``device`` aliases ``device_name``)."""
-        data = dict(data)
+        data = spec_document(data, "sweep")
         if "device" in data:
             data["device_name"] = data.pop("device")
         known = {f.name for f in dataclass_fields(cls)}
@@ -357,52 +396,12 @@ class SweepSpec:
         return cls(**data)
 
     @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "SweepSpec":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "allocators": list(self.allocators),
-            "model": self.model,
-            "parallelism": dict(self.parallelism),
-            "base": dict(self.base),
-            "grid": {axis: list(values) for axis, values in self.grid.items()},
-            "stalloc_grid": {axis: list(values) for axis, values in self.stalloc_grid.items()},
-            "device_name": self.device_name,
-            "device_capacity_gib": self.device_capacity_gib,
-            "seed": self.seed,
-            "scale": self.scale,
-            "ranks": list(self.ranks) if isinstance(self.ranks, (list, tuple)) else self.ranks,
-            "device_memory_by_rank": (
-                dict(self.device_memory_by_rank)
-                if self.device_memory_by_rank is not None
-                else None
-            ),
-            "timing": self.timing,
-            "fabric": dict(self.fabric) if self.fabric is not None else None,
-        }
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     # ------------------------------------------------------------------ #
     # Expansion
     # ------------------------------------------------------------------ #
-    @property
-    def num_points(self) -> int:
-        """Number of grid cells the spec expands to (without building configs)."""
-        combos = 1
-        for values in self.grid.values():
-            combos *= len(values)
-        stalloc_combos = 1
-        for values in self.stalloc_grid.values():
-            stalloc_combos *= len(values)
-        points = 0
-        for allocator in self.allocators:
-            points += stalloc_combos if allocator in STALLOC_ALLOCATORS else 1
-        return combos * points
 
     def expand(self) -> list[SweepPoint]:
         """Materialise the grid into the ordered list of sweep points."""

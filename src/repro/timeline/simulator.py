@@ -130,10 +130,6 @@ class TimelineEvent:
     #: matches the layer ids the trace generator keys router draws on.
     layer: int = -1
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
 
 class RankTimeline:
     """Event stream and time accounting of one simulated rank coordinate.
@@ -272,12 +268,6 @@ class TimelineResult:
             (rank for rank in self.ranks),
             key=lambda r: (-r.finish_seconds, r.rank),
         ).rank
-
-    def rank_timeline(self, rank: tuple) -> RankTimeline:
-        for timeline in self.ranks:
-            if timeline.rank == tuple(rank):
-                return timeline
-        raise KeyError(f"no timeline for rank {rank!r}")
 
     def to_estimate(self, *, allocator_overhead_seconds: float = 0.0) -> ThroughputEstimate:
         """Adapt the simulation into the shared throughput-estimate shape.

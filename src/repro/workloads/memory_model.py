@@ -440,15 +440,3 @@ class MemoryModel:
     # ------------------------------------------------------------------ #
     # Aggregates used by experiments
     # ------------------------------------------------------------------ #
-    def saved_bytes_per_microbatch(self) -> int:
-        """Scoped activation bytes one micro-batch keeps until its backward pass."""
-        if self.config.recompute:
-            per_layer = sum(s.size for s in self.recompute_checkpoint_tensors())
-        elif self.config.offload_activations:
-            per_layer = sum(s.size for s in self.recompute_checkpoint_tensors())
-        else:
-            per_layer = sum(s.size for s in self.saved_activation_tensors())
-            if self.model.is_moe:
-                per_layer += sum(s.size for s in self.moe_static_tensors())
-        layers = self.parallelism.layers_per_rank(self.model.num_layers)
-        return per_layer * layers + self.embedding_activation().size

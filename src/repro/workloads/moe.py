@@ -130,8 +130,3 @@ class ExpertRouter:
         return self.route_global(num_tokens, layer=layer, microbatch=microbatch)[
             self.local_expert_slice
         ]
-
-    def expected_local_tokens(self, num_tokens: int) -> int:
-        """Average number of token assignments landing on this rank's experts."""
-        per_expert = num_tokens * self.top_k / self.num_experts
-        return int(round(per_expert * self.num_local_experts))

@@ -36,9 +36,6 @@ class PhaseSpec:
     #: every other phase kind, so training schedules are unchanged).
     step: int = 0
 
-    def key(self) -> tuple:
-        return (self.kind, self.microbatch, self.chunk, self.step)
-
 
 def one_f_one_b(num_stages: int, num_microbatches: int, rank: int = 0) -> list[PhaseSpec]:
     """1F1B schedule for pipeline stage ``rank``.
@@ -196,13 +193,3 @@ def build_schedule(
     else:
         body = one_f_one_b(stages, num_microbatches, pipeline_rank)
     return [PhaseSpec(PhaseKind.INIT)] + body + [PhaseSpec(PhaseKind.OPTIMIZER)]
-
-
-def peak_in_flight_microbatches(
-    parallelism: ParallelismConfig, num_microbatches: int, rank: int = 0
-) -> int:
-    """Upper bound on concurrently-live (micro-batch, chunk) activation sets."""
-    pipeline_rank, _ = normalize_rank(rank)
-    stages = parallelism.pipeline_parallel
-    chunks = parallelism.virtual_pipeline_chunks
-    return min(num_microbatches * chunks, (stages - pipeline_rank) * chunks)

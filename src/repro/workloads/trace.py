@@ -6,20 +6,13 @@ interpret it.  It is the common currency of the repository: the workload
 generator produces traces, the profiler and plan synthesizer consume them, and
 the replay simulator feeds them to allocators.
 
-Storage is columnar (:class:`repro.core.columns.TraceColumns` -- nine
-fixed-width stdlib ``array`` columns, filled by the generator or by
-:meth:`Trace.load` through a ``ColumnBuilder``).  The object API is a thin
-lazy view: ``trace.events`` materializes :class:`TraceEvent` objects on first
-access.  Nothing on a run's hot path asks for it: analytics and serialization
-are single passes over the columns,
+Storage is columnar, and the columns are the trace: nine fixed-width stdlib
+``array`` columns (:class:`repro.core.columns.TraceColumns`), filled by the
+generator or by :meth:`Trace.load` through a ``ColumnBuilder``.  Analytics and
+serialization are single passes over them,
 :func:`repro.simulator.replay.replay_trace` walks them as they are, and the
-profiler reads the paired requests off the columns' memoised ``Pairing`` as
-typed columns (:meth:`TraceColumns.request_columns`; :meth:`Trace.to_requests`
-is the object view of the same pairing).
-Event objects remain for hand-built traces, tests, and the diagnostics of
-:func:`repro.core.events.pair_events` on a trace that does not pair simply.
-A trace may be constructed from either representation; whichever side is
-missing is derived lazily and memoised.  Traces are treated as immutable once
+profiler reads the paired requests off their memoised ``Pairing``
+(:meth:`TraceColumns.request_columns`).  Traces are treated as immutable once
 constructed (the digest memo and the sweep cache rely on it).
 
 A trace has two stored forms.  The canonical JSON lines of :meth:`dumps` /
@@ -39,7 +32,6 @@ import os
 import sys
 import zlib
 from array import array
-from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
@@ -54,14 +46,7 @@ from repro.core.columns import (
     KINDS,
     TraceColumns,
 )
-from repro.core.events import (
-    MemoryRequest,
-    Phase,
-    TraceEvent,
-    pair_events,
-    phase_from_dict,
-    phase_to_dict,
-)
+from repro.core.events import Phase, phase_from_dict, phase_to_dict
 from repro.digest import sha256
 from repro.version import TRACE_ENTRY_VERSION
 
@@ -114,50 +99,25 @@ class TraceMetadata:
 class Trace:
     """An ordered allocation/free event stream for one training iteration.
 
-    Construct with ``events=`` (object view) or ``columns=`` (columnar view);
-    the other representation is derived lazily on first access.
+    ``columns`` holds the events (an empty trace without them); ``phases``
+    declares every ``Phase.index`` the ``phase_index`` column refers to.
     """
 
     def __init__(
         self,
-        events: Sequence[TraceEvent] | None = None,
         metadata: TraceMetadata | None = None,
         phases: Sequence[Phase] | None = None,
         module_spans: dict[str, tuple[int, int]] | None = None,
         *,
         columns: TraceColumns | None = None,
     ):
-        if events is not None and columns is not None:
-            raise ValueError("pass either events or columns, not both")
-        self._events: list[TraceEvent] | None = (
-            list(events) if events is not None else None
-        )
-        self._columns: TraceColumns | None = columns
-        if self._events is None and self._columns is None:
-            self._events = []
+        self.columns = columns if columns is not None else ColumnBuilder().build()
         self.metadata = metadata if metadata is not None else TraceMetadata()
         self.phases: list[Phase] = list(phases) if phases is not None else []
         self.module_spans: dict[str, tuple[int, int]] = (
             dict(module_spans) if module_spans is not None else {}
         )
         self._digest_cache: str | None = None
-
-    # ------------------------------------------------------------------ #
-    # The two views
-    # ------------------------------------------------------------------ #
-    @property
-    def events(self) -> list[TraceEvent]:
-        """Object view of the event stream (materialized lazily, memoised)."""
-        if self._events is None:
-            self._events = self._columns.to_events(self.phases)
-        return self._events
-
-    @property
-    def columns(self) -> TraceColumns:
-        """Columnar view of the event stream (built lazily, memoised)."""
-        if self._columns is None:
-            self._columns = TraceColumns.from_events(self._events)
-        return self._columns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -171,9 +131,7 @@ class Trace:
     # ------------------------------------------------------------------ #
     @property
     def num_events(self) -> int:
-        if self._columns is not None:
-            return self._columns.num_events
-        return len(self._events)
+        return self.columns.num_events
 
     @property
     def num_requests(self) -> int:
@@ -192,17 +150,9 @@ class Trace:
         """Number of distinct allocation sizes (the Figure 3 statistic)."""
         return self.columns.distinct_sizes(min_size=min_size)
 
-    def size_histogram(self, *, min_size: int = 0) -> Counter:
-        """size -> number of allocations of that size."""
-        return Counter(dict(self.columns.size_histogram_items(min_size=min_size)))
-
     def peak_allocated_bytes(self) -> int:
         """Theoretical peak memory demand ``M_a`` of the trace."""
         return self.columns.peak_allocated_bytes()
-
-    def total_allocated_bytes(self) -> int:
-        """Sum of all allocation sizes over the iteration."""
-        return self.columns.total_allocated_bytes()
 
     def comm_peak_bytes(self) -> int:
         """Peak concurrently-live communication-buffer bytes.
@@ -228,45 +178,14 @@ class Trace:
         return self.columns.kv_peak_bytes()
 
     def end_time(self) -> int:
-        if self._columns is not None:
-            return self._columns.end_time()
-        return self._events[-1].time + 1 if self._events else 0
+        return self.columns.end_time()
 
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #
     def phase_table(self) -> dict[int, Phase]:
-        """``Phase.index`` -> phase, for readers of the ``phase_index`` column.
-
-        The declared :attr:`phases`, plus -- for a hand-built trace that was
-        given events but no phase list -- the phases its events carry.
-        """
-        table = {phase.index: phase for phase in self.phases}
-        if self._events is not None:
-            for event in self._events:
-                table[event.phase.index] = event.phase
-        return table
-
-    def to_requests(self) -> list[MemoryRequest]:
-        """Pair alloc/free events into memory-request events (profiler view).
-
-        Built from the columns' memoised alloc/free :class:`Pairing` when the
-        trace pairs simply (every generated trace does), without materializing
-        an event object; anything else -- id reuse, a free before its alloc --
-        goes through :func:`pair_events`, which names what is malformed.
-        """
-        columns = self.columns
-        if not columns.pairing().ok:
-            return pair_events(self.events, end_of_trace=self.end_time())
-        return columns.to_requests(self.phase_table(), end_of_trace=self.end_time())
-
-    def static_dynamic_split(self) -> tuple[int, int]:
-        """(static bytes, dynamic bytes) of the iteration's allocations."""
-        return self.columns.static_dynamic_split()
-
-    def category_bytes(self) -> dict[str, int]:
-        """Total allocated bytes per tensor category."""
-        return self.columns.category_bytes()
+        """``Phase.index`` -> phase, for readers of the ``phase_index`` column."""
+        return {phase.index: phase for phase in self.phases}
 
     # ------------------------------------------------------------------ #
     # Serialization (line-oriented JSON, mirroring the real profiler's logs)
@@ -284,11 +203,11 @@ class Trace:
         The encoding is canonical (sorted keys, fixed separators), so two
         traces serialize to the same bytes exactly when their contents are
         equal -- the property :meth:`digest` and the sweep cache rely on.
-        Rows are rendered straight from the columns (objects are never
-        materialized): every string a row can hold -- module, tag, kind,
-        category -- is JSON-encoded once per distinct value and the integers
-        are formatted in place, which yields the same bytes as
-        ``json.dumps(row, sort_keys=True, separators=(",", ":"))`` per event.
+        Rows are rendered straight from the columns: every string a row can
+        hold -- module, tag, kind, category -- is JSON-encoded once per
+        distinct value and the integers are formatted in place, which yields
+        the same bytes as ``json.dumps(row, sort_keys=True,
+        separators=(",", ":"))`` per event.
         """
         yield json.dumps(self._header(), sort_keys=True, separators=(",", ":"))
         columns = self.columns
@@ -330,11 +249,7 @@ class Trace:
 
     @classmethod
     def _from_lines(cls, header: dict, lines) -> "Trace":
-        """Build a trace from its parsed header line and the event lines after it.
-
-        Parses straight into columns; event objects stay unmaterialized until
-        someone touches ``trace.events``.
-        """
+        """Build a trace from its parsed header line and the event lines after it."""
         phases = [phase_from_dict(entry) for entry in header["phases"]]
         builder = ColumnBuilder()
         kind_codes = {kind.value: code for code, kind in enumerate(KINDS)}
@@ -362,14 +277,6 @@ class Trace:
             module_spans=_module_spans(header["module_spans"]),
             columns=builder.build(),
         )
-
-    @classmethod
-    def loads(cls, text: str) -> "Trace":
-        """Parse a trace from the string produced by :meth:`dumps`."""
-        if not text:
-            raise ValueError("empty trace serialization")
-        lines = iter(text.splitlines())
-        return cls._from_lines(json.loads(next(lines)), lines)
 
     def digest(self) -> str:
         """SHA-256 over the canonical serialization (content address of the trace).

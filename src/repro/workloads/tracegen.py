@@ -24,14 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.columns import ALLOC, CATEGORY_CODES, FREE, ColumnBuilder
-from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent
+from repro.core.events import Phase, PhaseKind, TensorCategory
 from repro.obs.tracer import span as _obs_span
 from repro.version import TRACEGEN_VERSION
-from repro.workloads.fingerprint import (  # noqa: F401
-    DEFAULT_ASYNC_FREE_SKEW,
-    DEFAULT_SIZE_JITTER,
-    config_fingerprint,
-)
+from repro.workloads.fingerprint import DEFAULT_ASYNC_FREE_SKEW, DEFAULT_SIZE_JITTER
+
+# Read from here by benchmarks/e2e/stages.py (its home is workloads.fingerprint).
+from repro.workloads.fingerprint import config_fingerprint  # noqa: F401
 from repro.workloads.memory_model import MemoryModel, TensorSpec
 from repro.workloads.moe import ExpertRouter
 from repro.workloads.schedule import PhaseSpec, build_schedule
@@ -186,8 +185,7 @@ class TraceGenerator:
         # execution and memoised process-wide (routing_draw.routed_counts), so
         # a regenerated trace and every timeline of the job reuse them.
         self._router: ExpertRouter | None = self._make_router()
-        # Events are emitted straight into columnar storage; TraceEvent
-        # objects are only materialized if a consumer touches trace.events.
+        # Events are emitted straight into the trace's typed columns.
         self._columns: ColumnBuilder = ColumnBuilder()
         self._phases: list[Phase] = []
         self._clock = 0

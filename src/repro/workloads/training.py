@@ -70,6 +70,14 @@ class TrainingConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("micro_batch_size", "num_microbatches", "zero_stage", "decode_steps",
+                     "max_new_tokens"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("recompute", "offload_activations"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.micro_batch_size < 1:
             raise ValueError("micro_batch_size must be >= 1")
         if self.num_microbatches < 1:

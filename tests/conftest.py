@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from typing import Iterable, NamedTuple
+
 import pytest
 
-from repro.core.events import MemoryRequest, Phase, PhaseKind
+from repro.core.events import Phase, PhaseKind
 from repro.core.homophase import LocalPlan, pack_requests
-from repro.core.plan import AllocationDecision
+from repro.core.plan import StaticAllocationPlan
 from repro.gpu.device import Device, GIB, MIB
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.trace_oracle import MemoryRequest
 
 
 def make_phase(index: int, kind: PhaseKind = PhaseKind.FORWARD, microbatch: int = 0) -> Phase:
@@ -51,6 +54,45 @@ def pack(requests, *, phase_span: tuple[int, int] | None = None) -> LocalPlan:
     """Pack request objects: the planner's sorted int rows, then the sweep."""
     rows = sorted((m.alloc_time, m.req_id, m.size, m.free_time) for m in requests)
     return pack_requests(rows, phase_span=phase_span)
+
+
+class AllocationDecision(NamedTuple):
+    """One row of a static plan: a request's planning fields and its address."""
+
+    req_id: int
+    size: int
+    alloc_time: int
+    free_time: int
+    address: int
+
+    @property
+    def end_address(self) -> int:
+        return self.address + self.size
+
+    def conflicts_with(self, other: "AllocationDecision") -> bool:
+        """True when the two decisions overlap in both space and time."""
+        return (
+            self.address < other.end_address
+            and other.address < self.end_address
+            and self.alloc_time < other.free_time
+            and other.alloc_time < self.free_time
+        )
+
+
+def decisions_of(plan: StaticAllocationPlan) -> tuple[AllocationDecision, ...]:
+    """The plan's rows as :class:`AllocationDecision` tuples."""
+    return tuple(
+        map(
+            AllocationDecision,
+            plan.req_id, plan.size, plan.alloc_time, plan.free_time, plan.address,
+        )
+    )
+
+
+def plan_of(decisions: Iterable[AllocationDecision], pool_size: int = 0) -> StaticAllocationPlan:
+    """A static plan holding ``decisions`` (pool size 0: the highest end address)."""
+    columns = [list(column) for column in zip(*decisions)] or [[] for _ in range(5)]
+    return StaticAllocationPlan(*columns, pool_size=pool_size)
 
 
 def decide(request: MemoryRequest, address: int) -> AllocationDecision:

@@ -108,9 +108,9 @@ class TestCachingAllocator:
         allocator = CachingAllocator(device)
         allocator.allocate(1, 10 * MIB)
         allocator.allocate(2, 5 * MIB)
-        assert allocator.allocated_bytes == 15 * MIB
+        assert allocator._allocated_bytes == 15 * MIB
         allocator.free(1)
-        assert allocator.allocated_bytes == 5 * MIB
+        assert allocator._allocated_bytes == 5 * MIB
 
     def test_release_cached_segments(self, device):
         allocator = CachingAllocator(device)
@@ -185,10 +185,10 @@ class TestCachingAllocator:
                 allocator.free(live.pop(0))
             assert allocator.reserved_bytes >= 0
             assert allocator.reserved_bytes == device.in_use
-            assert allocator.allocated_bytes <= allocator.reserved_bytes
+            assert allocator._allocated_bytes <= allocator.reserved_bytes
         for req_id in live:
             allocator.free(req_id)
-        assert allocator.allocated_bytes == 0
+        assert allocator._allocated_bytes == 0
 
 
 class TestExpandableSegmentsAllocator:
@@ -222,7 +222,7 @@ class TestExpandableSegmentsAllocator:
         allocator.free(1)
         # Without reclaiming the 40 MiB of mapped granules this would OOM.
         allocator.allocate(2, 50 * MIB)
-        assert allocator.allocated_bytes == 50 * MIB
+        assert allocator._allocated_bytes == 50 * MIB
 
     def test_oom_when_live_data_exceeds_device(self, small_device):
         allocator = ExpandableSegmentsAllocator(small_device)
@@ -291,7 +291,7 @@ class TestNativeAllocator:
         allocator = NativeAllocator(device)
         allocator.allocate(1, 10 * MIB)
         allocator.allocate(2, 6 * MIB)
-        assert allocator.reserved_bytes == allocator.allocated_bytes == 16 * MIB
+        assert allocator.reserved_bytes == allocator._allocated_bytes == 16 * MIB
         allocator.free(1)
         assert allocator.reserved_bytes == 6 * MIB
 

@@ -1,22 +1,22 @@
 """Seeded fuzz/property suite for the columnar trace core.
 
-The columnar refactor's contract is *observational equivalence*: the
-structure-of-arrays storage (:mod:`repro.core.columns`) plus its lazy object
-views must be indistinguishable from the old list-of-objects implementation
-everywhere it is consumed.  This suite locks that down across ~200 randomly
-drawn configurations in four layers:
+The columnar core's contract is *observational equivalence*: the
+structure-of-arrays storage (:mod:`repro.core.columns`) must be
+indistinguishable from a list of event objects everywhere it is consumed.
+This suite locks that down across ~200 randomly drawn configurations in four
+layers:
 
 * **analytics equivalence** -- every statistic on
   :class:`TraceColumns` matches a hand-rolled reference loop over the
-  materialized ``TraceEvent`` objects;
-* **view round-trips** -- columns -> events -> columns is lossless, and the
-  canonical serialization (and therefore the digest) is identical whichever
-  side a trace was constructed from;
+  trace's rows as ``TraceEvent`` objects (``tests/trace_oracle.py``);
+* **round-trips** -- columns -> event objects -> columns is lossless, and the
+  canonical serialization (and therefore the digest) of a trace rebuilt from
+  its event objects is identical;
 * **replay equivalence** -- the native allocator's
   ``batch_replay`` leaves allocator and device in exactly the state of the
   event-by-event loop (results, stats, live allocations, addresses, driver
   counter), and refuses pathological traces the loop handles differently,
-  which profile through :func:`pair_events` instead;
+  which the profiler rejects;
 * **timeline equivalence** -- the record-buffer emission of the timeline
   simulator agrees with its lazy event view, its accounted totals,
   and reruns bit-identically (digest-stable).
@@ -27,13 +27,12 @@ Configurations are drawn from fixed-seed RNGs, so failures reproduce.
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 import pytest
 
 from repro.allocators.native import NativeAllocator
-from repro.core.columns import ALLOC, FREE, KINDS, TraceColumns
-from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent, pair_events
+from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory
+from repro.core.profiler import ProfileResult
 from repro.gpu.device import GIB, Device
 from repro.simulator.replay import replay_trace
 from repro.timeline.simulator import TimelineSimulator, simulate_timeline
@@ -42,6 +41,7 @@ from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.trace_oracle import TraceEvent, events_of, make_trace, reload
 
 GPT_TINY = get_model("gpt-tiny")
 MOE_TINY = get_model("moe-tiny")
@@ -82,23 +82,12 @@ def _reference_analytics(events: list[TraceEvent]) -> dict:
     peak = 0
     comm_live = 0
     comm_peak = 0
-    total = 0
-    static = dynamic = 0
-    categories: dict[str, int] = {}
     sizes: list[int] = []
     for event in events:
         if event.kind is EventKind.ALLOC:
             live += event.size
             peak = max(peak, live)
-            total += event.size
             sizes.append(event.size)
-            if event.dyn:
-                dynamic += event.size
-            else:
-                static += event.size
-            categories[event.category.value] = (
-                categories.get(event.category.value, 0) + event.size
-            )
             if event.category is TensorCategory.COMM_BUFFER:
                 comm_live += event.size
                 comm_peak = max(comm_peak, comm_live)
@@ -109,13 +98,9 @@ def _reference_analytics(events: list[TraceEvent]) -> dict:
     return {
         "peak": peak,
         "comm_peak": comm_peak,
-        "total": total,
         "num_requests": len(sizes),
         "num_dynamic": sum(1 for e in events if e.kind is EventKind.ALLOC and e.dyn),
-        "static_dynamic": (static, dynamic),
-        "category_bytes": categories,
         "sizes": sizes,
-        "histogram": Counter(sizes),
         "distinct_gt_512": len({s for s in sizes if s > 512}),
         "end_time": events[-1].time + 1 if events else 0,
     }
@@ -125,34 +110,29 @@ def _reference_analytics(events: list[TraceEvent]) -> dict:
 def test_columnar_analytics_match_reference_loop(draw):
     config, seed, ep_rank = _draw_config(random.Random(1000 + draw))
     trace = _generate(config, seed, ep_rank)
-    reference = _reference_analytics(trace.events)
+    events = events_of(trace)
+    reference = _reference_analytics(events)
 
     assert trace.peak_allocated_bytes() == reference["peak"]
     assert trace.comm_peak_bytes() == reference["comm_peak"]
-    assert trace.total_allocated_bytes() == reference["total"]
     assert trace.num_requests == reference["num_requests"]
     assert trace.num_dynamic_requests == reference["num_dynamic"]
-    assert trace.static_dynamic_split() == reference["static_dynamic"]
-    assert trace.category_bytes() == reference["category_bytes"]
     assert trace.allocation_sizes() == reference["sizes"]
-    assert trace.size_histogram() == reference["histogram"]
     assert trace.distinct_sizes() == reference["distinct_gt_512"]
     assert trace.end_time() == reference["end_time"]
-    # The live-bytes curve itself matches the running sum.
-    running, curve = 0, trace.columns.live_bytes()
-    for event, value in zip(trace.events, curve):
-        running += event.size if event.kind is EventKind.ALLOC else -event.size
-        assert running == value
 
 
 @pytest.mark.parametrize("draw", range(40))
-def test_view_round_trips_and_digest_stability(draw):
+def test_view_round_trips_and_digest_stability(draw, tmp_path):
     config, seed, ep_rank = _draw_config(random.Random(2000 + draw))
     trace = _generate(config, seed, ep_rank)
 
     # columns -> events -> columns is lossless.
-    events = trace.events
-    rebuilt = TraceColumns.from_events(events)
+    events = events_of(trace)
+    twin = make_trace(
+        events, metadata=trace.metadata, phases=trace.phases, module_spans=trace.module_spans
+    )
+    rebuilt = twin.columns
     for name in ("kind", "req_id", "size", "time", "phase_index", "dyn", "category"):
         assert getattr(rebuilt, name) == getattr(trace.columns, name), name
     # Interned tables may permute; the decoded strings must not.
@@ -162,22 +142,15 @@ def test_view_round_trips_and_digest_stability(draw):
     assert [rebuilt.tags[i] for i in rebuilt.tag_index] == [
         trace.columns.tags[i] for i in trace.columns.tag_index
     ]
-
-    # An events-constructed twin serializes byte-identically.
-    twin = Trace(
-        events=events,
-        metadata=trace.metadata,
-        phases=trace.phases,
-        module_spans=trace.module_spans,
-    )
+    # The twin rebuilt from event objects serializes byte-identically.
     assert twin.digest() == trace.digest()
 
     # Serialization round-trips through the streaming parser.
-    loaded = Trace.loads(trace.dumps())
+    loaded = reload(trace.dumps(), tmp_path)
     assert loaded.digest() == trace.digest()
-    assert loaded.events == events
+    assert events_of(loaded) == events
     assert loaded.peak_allocated_bytes() == trace.peak_allocated_bytes()
-    assert loaded.to_requests() == trace.to_requests()
+    assert ProfileResult(loaded).columns == ProfileResult(trace).columns
 
 
 # ---------------------------------------------------------------------- #
@@ -226,7 +199,7 @@ def test_batch_replay_matches_event_loop(draw):
 
     assert fast_result.success and slow_result.success
     assert fast_result.events_replayed == trace.num_events
-    assert fast_result.as_dict() == slow_result.as_dict()
+    assert fast_result == slow_result
     assert _allocator_state(fast) == _allocator_state(slow)
 
 
@@ -239,7 +212,7 @@ def test_batch_replay_declines_oom_traces():
     fast_result = replay_trace(trace, fast)
     slow_result = replay_trace(trace, slow)
     assert not fast_result.success
-    assert fast_result.as_dict() == slow_result.as_dict()
+    assert fast_result == slow_result
 
 
 def test_batch_replay_requires_fresh_allocator():
@@ -278,47 +251,57 @@ def _event(kind: EventKind, req_id: int, size: int, time: int) -> TraceEvent:
     ids=["reused-id", "unmatched-free", "free-first", "size-mismatch"],
 )
 def test_batch_replay_declines_pathological_pairing(events):
-    trace = Trace(events=events, phases=[_phase()])
+    trace = make_trace(events, phases=[_phase()])
     assert not trace.columns.pairing().ok
     allocator = NativeAllocator(Device(name="d", capacity=GIB))
     assert allocator.batch_replay(trace) is None
 
 
 def test_batch_replay_declines_non_positive_sizes():
-    trace = Trace(events=[_event(EventKind.ALLOC, 1, 0, 0)], phases=[_phase()])
+    trace = make_trace([_event(EventKind.ALLOC, 1, 0, 0)], phases=[_phase()])
     allocator = NativeAllocator(Device(name="d", capacity=GIB))
     assert allocator.batch_replay(trace) is None
 
 
-#: One trace per way a pairing stops being simple.
+#: One trace per way a pairing stops being simple, and the profiler's error.
 NOT_SIMPLE_TRACES = {
-    "allocated-twice": [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.ALLOC, 1, 256, 1)],
-    "freed-twice": [
-        _event(EventKind.ALLOC, 1, 256, 0),
-        _event(EventKind.FREE, 1, 256, 1),
-        _event(EventKind.FREE, 1, 256, 2),
-    ],
-    "free-without-alloc": [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.FREE, 2, 256, 1)],
-    "free-before-alloc": [_event(EventKind.FREE, 1, 256, 0), _event(EventKind.ALLOC, 1, 256, 1)],
-    "size-mismatch": [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.FREE, 1, 128, 1)],
+    "allocated-twice": (
+        [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.ALLOC, 1, 256, 1)],
+        "request 1 allocated twice",
+    ),
+    "freed-twice": (
+        [
+            _event(EventKind.ALLOC, 1, 256, 0),
+            _event(EventKind.FREE, 1, 256, 1),
+            _event(EventKind.FREE, 1, 256, 2),
+        ],
+        "free of unknown request 1",
+    ),
+    "free-without-alloc": (
+        [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.FREE, 2, 256, 1)],
+        "free of unknown request 2",
+    ),
+    "free-before-alloc": (
+        [_event(EventKind.FREE, 1, 256, 0), _event(EventKind.ALLOC, 1, 256, 1)],
+        "free of unknown request 1",
+    ),
+    "size-mismatch": (
+        [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.FREE, 1, 128, 1)],
+        "request 1 freed with 128 bytes, allocated with 256",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NOT_SIMPLE_TRACES))
-def test_pairing_that_is_not_simple_profiles_through_pair_events(case):
-    events = NOT_SIMPLE_TRACES[case]
-    trace = Trace(events=events, phases=[_phase()])
+def test_pairing_that_is_not_simple_is_refused_by_the_profiler(case):
+    events, message = NOT_SIMPLE_TRACES[case]
+    trace = make_trace(events, phases=[_phase()])
     assert not trace.columns.pairing().ok
     with pytest.raises(ValueError, match="does not pair simply"):
         trace.columns.request_columns(end_of_trace=trace.end_time())
-    try:
-        expected = pair_events(events, end_of_trace=trace.end_time())
-    except ValueError as error:
-        with pytest.raises(ValueError) as raised:
-            trace.to_requests()
-        assert str(raised.value) == str(error)
-    else:
-        assert trace.to_requests() == expected
+    with pytest.raises(ValueError) as raised:
+        ProfileResult(trace)
+    assert str(raised.value) == message
 
 
 def test_pairing_accepts_generator_traces():
@@ -329,7 +312,7 @@ def test_pairing_accepts_generator_traces():
     num_allocs = len(pairing.alloc_pos)
     assert num_allocs == trace.num_requests == len(pairing.free_pos)
     assert pairing.num_frees + len(pairing.survivors) == num_allocs
-    assert pairing.allocated_bytes == trace.total_allocated_bytes()
+    assert pairing.allocated_bytes == sum(trace.allocation_sizes())
     assert pairing.min_alloc_size == min(trace.allocation_sizes())
     assert [ordinal for ordinal, _, _ in pairing.survivors] == [
         ordinal for ordinal, pos in enumerate(pairing.free_pos) if pos < 0

@@ -31,6 +31,7 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.trace_oracle import events_of
 
 MOE_TINY = get_model("moe-tiny")  # 8 layers, 8 experts, top_k=2, hidden 512
 
@@ -77,7 +78,7 @@ def _a2a_sizes(trace, tag: str) -> dict[tuple, int]:
     """Allocation size of every all-to-all buffer, keyed by its execution."""
     return {
         (event.phase.microbatch, event.phase.chunk, event.module): event.size
-        for event in trace.events
+        for event in events_of(trace)
         if event.is_alloc() and event.tag == tag
     }
 
@@ -87,7 +88,7 @@ def _event_keys(trace, *, drop_a2a: bool) -> list[tuple]:
     return [
         (event.kind.value, event.size, event.tag, event.category.value,
          event.module, event.dyn)
-        for event in trace.events
+        for event in events_of(trace)
         if not (drop_a2a and event.tag.startswith("a2a_"))
     ]
 
@@ -167,7 +168,7 @@ class TestTokenConservationFuzz:
         assert model.dispatch_send_tokens() == 0
         assert model.moe_dispatch_tensors(512) == []
         trace = TraceGenerator(config, seed=0).generate()
-        assert not any(event.tag.startswith("a2a_") for event in trace.events)
+        assert not any(event.tag.startswith("a2a_") for event in events_of(trace))
 
 
 # ---------------------------------------------------------------------- #
@@ -233,7 +234,7 @@ class TestLegacyEquivalence:
             pipeline=pipeline, expert=expert, imbalance=imbalance, comm_factor=0.0
         )
         trace = TraceGenerator(config, seed=seed).generate()
-        assert not any(event.tag.startswith("a2a_") for event in trace.events)
+        assert not any(event.tag.startswith("a2a_") for event in events_of(trace))
 
     @pytest.mark.parametrize("case", _draw_configs(10, rng_seed=43))
     def test_stripping_comm_events_recovers_the_zero_factor_trace(self, case):
@@ -344,8 +345,7 @@ class TestCommPeakSurfaces:
             with_throughput=False,
         )
         assert job.comm_peak_bytes > 0
-        assert job.as_dict()["comm_peak_bytes"] == job.comm_peak_bytes
-        assert all(run.as_dict()["comm_peak_bytes"] >= 0 for run in job.class_runs)
+        assert all(run.comm_peak_bytes >= 0 for run in job.class_runs)
         assert job.comm_peak_bytes == max(run.comm_peak_bytes for run in job.class_runs)
 
     def test_sweep_rows_carry_comm_peak_and_comm_axis_label(self):

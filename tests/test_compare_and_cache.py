@@ -19,7 +19,8 @@ from repro.sweep import SweepCache, SweepResult, compare_results
 from repro.sweep.cache import _RESULT_VERSION_KEY, RESULT_FORMAT_VERSION, _atomic_write
 from repro.version import TRACE_ENTRY_VERSION
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TraceGenerator, config_fingerprint
+from repro.workloads.fingerprint import config_fingerprint
+from repro.workloads.tracegen import TraceGenerator
 
 
 def _row(**overrides) -> dict:
@@ -193,17 +194,6 @@ class TestResultsSerialization:
         assert "inf" in text and "nan" in text
         header, sep, data = text.splitlines()[1:4]
         assert len(data) <= len(header)  # columns still aligned
-
-    def test_workload_run_serializes_full_precision(self, tiny_dense_config):
-        """Regression: as_dict used to round tflops_per_gpu to one decimal."""
-        run = runner.run_workload(
-            tiny_dense_config, "torch2.3", scale=0.25, with_throughput=True
-        )
-        data = run.as_dict()
-        assert data["tflops_per_gpu"] == run.tflops
-        assert data["tflops_per_gpu"] != round(data["tflops_per_gpu"], 1)
-        assert data["tokens_per_second"] == run.tokens_per_second
-        assert data["rank"] == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -1,72 +1,28 @@
-"""Tests for the memory-request event model and event pairing."""
+"""Tests for the phase model and for how the profiler pairs alloc/free events."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.events import (
-    EventKind,
-    MemoryRequest,
-    Phase,
-    PhaseKind,
-    TensorCategory,
-    TraceEvent,
-    pair_events,
-)
-from tests.conftest import make_phase, make_request
+from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory
+from repro.core.profiler import ProfileResult
+from tests.conftest import make_phase
+from tests.trace_oracle import TraceEvent, make_trace
 
 
 class TestPhase:
     def test_ordering_by_index(self):
         assert make_phase(0) < make_phase(1)
 
-    def test_label_forward(self):
-        phase = Phase(index=2, kind=PhaseKind.FORWARD, microbatch=3, chunk=1)
-        assert phase.label() == "F(mb=3, chunk=1)"
-
-    def test_label_init(self):
-        assert Phase(index=0, kind=PhaseKind.INIT).label() == "INIT"
+    def test_equality_is_by_index(self):
+        forward = Phase(index=2, kind=PhaseKind.FORWARD, microbatch=3, chunk=1)
+        assert forward == Phase(index=2, kind=PhaseKind.BACKWARD)
+        assert forward != Phase(index=3, kind=PhaseKind.FORWARD, microbatch=3, chunk=1)
 
 
-class TestMemoryRequest:
-    def test_lifespan(self):
-        request = make_request(1, 100, alloc_time=5, free_time=25)
-        assert request.lifespan == 20
-        assert request.memory_time() == 2000
+class TestPairing:
+    """:class:`ProfileResult` over hand-built traces: the request columns and groups."""
 
-    def test_rejects_non_positive_size(self):
-        with pytest.raises(ValueError):
-            make_request(1, 0, 0, 10)
-
-    def test_rejects_inverted_lifespan(self):
-        with pytest.raises(ValueError):
-            make_request(1, 100, 10, 10)
-
-    def test_overlaps(self):
-        a = make_request(1, 100, 0, 10)
-        b = make_request(2, 100, 5, 15)
-        c = make_request(3, 100, 10, 20)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)  # half-open: back-to-back is not an overlap
-
-    def test_overlaps_interval(self):
-        request = make_request(1, 100, 10, 20)
-        assert request.overlaps_interval(0, 11)
-        assert request.overlaps_interval(19, 25)
-        assert not request.overlaps_interval(20, 30)
-
-    def test_shifted(self):
-        request = make_request(1, 100, 10, 20)
-        shifted = request.shifted(5)
-        assert (shifted.alloc_time, shifted.free_time) == (15, 25)
-
-    def test_phase_pair_and_layer_pair(self):
-        request = make_request(1, 64, 0, 5, dyn=True, alloc_module="l0", free_module="l1")
-        assert request.layer_pair == ("l0", "l1")
-        assert request.phase_pair == (request.alloc_phase, request.free_phase)
-
-
-class TestPairEvents:
     def _alloc(self, req_id, size, time, phase, **kwargs):
         return TraceEvent(EventKind.ALLOC, req_id, size, time, phase, **kwargs)
 
@@ -75,30 +31,62 @@ class TestPairEvents:
 
     def test_simple_pairing(self):
         p0, p1 = make_phase(0), make_phase(1, PhaseKind.BACKWARD)
-        events = [self._alloc(1, 100, 0, p0), self._free(1, 100, 5, p1)]
-        requests = pair_events(events)
-        assert len(requests) == 1
-        request = requests[0]
-        assert (request.alloc_time, request.free_time) == (0, 5)
-        assert request.alloc_phase == p0 and request.free_phase == p1
+        trace = make_trace([self._alloc(1, 100, 0, p0), self._free(1, 100, 5, p1)])
+        columns = ProfileResult(trace).columns
+        assert list(zip(*columns)) == [(0, 1, 100, 5, p0.index, p1.index, 0)]
 
     def test_unfreed_allocations_are_closed_at_trace_end(self):
         p0 = make_phase(0, PhaseKind.INIT)
         p1 = make_phase(1)
         events = [self._alloc(1, 100, 0, p0), self._alloc(2, 50, 3, p1), self._free(2, 50, 8, p1)]
-        requests = pair_events(events)
-        persistent = next(r for r in requests if r.req_id == 1)
-        assert persistent.free_time == 9  # one tick past the last event
+        columns = ProfileResult(make_trace(events)).columns
+        persistent = list(columns.req_id).index(1)
+        assert columns.free_time[persistent] == 9  # one tick past the last event
+        assert columns.free_phase[persistent] == p1.index
 
-    def test_free_without_alloc_raises(self):
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            ([("free", 1, 100)], "free of unknown request 1"),
+            ([("alloc", 1, 100), ("alloc", 1, 100)], "request 1 allocated twice"),
+            ([("alloc", 1, 100), ("free", 1, 100), ("free", 1, 100)], "free of unknown request 1"),
+            ([("alloc", 1, 100), ("free", 1, 100), ("alloc", 1, 100)], "request 1 allocated twice"),
+            (
+                [("alloc", 1, 100), ("free", 1, 64)],
+                "request 1 freed with 64 bytes, allocated with 100",
+            ),
+        ],
+        ids=["free-without-alloc", "double-alloc", "double-free", "id-reuse", "size-mismatch"],
+    )
+    def test_traces_that_do_not_pair_simply_raise_naming_the_request(self, events, message):
         p0 = make_phase(0)
-        with pytest.raises(ValueError):
-            pair_events([self._free(1, 100, 0, p0)])
+        trace = make_trace(
+            TraceEvent(EventKind(kind), req_id, size, time, p0)
+            for time, (kind, req_id, size) in enumerate(events)
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProfileResult(trace)
 
-    def test_double_alloc_raises(self):
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [("alloc", 1, 0, 0), ("free", 1, 0, 1)],
+            [("alloc", 1, -8, 0), ("free", 1, -8, 1)],
+            [("alloc", 1, 0, 3)],
+            [("alloc", 1, 8, 3), ("free", 1, 8, 3)],
+            [("alloc", 1, 8, 3), ("free", 1, 8, 2)],
+        ],
+        ids=["zero-size", "negative-size", "zero-size-never-freed", "free-at-alloc-tick",
+             "free-before-alloc"],
+    )
+    def test_requests_need_a_positive_size_and_a_free_after_the_alloc(self, events):
         p0 = make_phase(0)
-        with pytest.raises(ValueError):
-            pair_events([self._alloc(1, 100, 0, p0), self._alloc(1, 100, 1, p0)])
+        trace = make_trace(
+            TraceEvent(EventKind(kind), req_id, size, time, p0)
+            for kind, req_id, size, time in events
+        )
+        with pytest.raises(ValueError, match="positive size and a free_time after its alloc_time"):
+            ProfileResult(trace)
 
     def test_dynamic_metadata_preserved(self):
         p0, p1 = make_phase(0), make_phase(1, PhaseKind.BACKWARD)
@@ -107,13 +95,16 @@ class TestPairEvents:
                         category=TensorCategory.EXPERT_ACTIVATION),
             self._free(1, 100, 4, p1, dyn=True, module="layer0.experts.grad"),
         ]
-        request = pair_events(events)[0]
-        assert request.dyn
-        assert request.layer_pair == ("layer0.experts", "layer0.experts.grad")
-        assert request.category is TensorCategory.EXPERT_ACTIVATION
+        profile = ProfileResult(make_trace(events))
+        assert list(profile.columns.dyn) == [1]
+        [group] = profile.dynamic_groups
+        assert group.key == ("layer0.experts", "layer0.experts.grad")
+        assert list(group.req_ids) == [1]
 
     def test_empty_trace(self):
-        assert pair_events([]) == []
+        profile = ProfileResult()
+        assert profile.num_requests == 0 and profile.dynamic_groups == []
+        assert profile.peak_allocated_bytes() == 0
 
     def test_requests_sorted_by_alloc_time(self):
         p0 = make_phase(0)
@@ -123,5 +114,4 @@ class TestPairEvents:
             self._free(1, 10, 2, p0),
             self._free(2, 10, 3, p0),
         ]
-        requests = pair_events(events)
-        assert [r.req_id for r in requests] == [1, 2]
+        assert list(ProfileResult(make_trace(events)).columns.req_id) == [1, 2]

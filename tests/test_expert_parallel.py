@@ -8,11 +8,8 @@ import itertools
 
 import pytest
 
-from repro.simulator.runner import (
-    resolve_job_ranks,
-    run_job,
-    run_workload,
-)
+from repro.simulator.ranks import resolve_job_ranks
+from repro.simulator.runner import run_job, run_workload
 from repro.sweep import SweepCache, SweepSpec, load_spec, run_sweep
 from repro.sweep.engine import _ranks_label, point_result_key
 from repro.workloads.moe import ExpertRouter, balanced_split
@@ -22,8 +19,10 @@ from repro.workloads.parallelism import (
     normalize_rank,
     rank_label,
 )
-from repro.workloads.tracegen import TraceGenerator, config_fingerprint
+from repro.workloads.fingerprint import config_fingerprint
+from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.trace_oracle import events_of
 
 
 def _moe_config(
@@ -206,7 +205,7 @@ class TestExecutionKeyedDraws:
                 recv_sizes.append(
                     {
                         (e.phase.microbatch, e.module): e.size
-                        for e in trace.events
+                        for e in events_of(trace)
                         if e.is_alloc() and e.tag == "a2a_dispatch_recv"
                     }
                 )
@@ -279,7 +278,7 @@ class TestExpertEquivalenceClasses:
         def signature(coord):
             pp, ep = coord
             trace = TraceGenerator(config, seed=0, rank=pp, ep_rank=ep).generate()
-            return tuple((e.kind, e.req_id, e.size, e.tag) for e in trace.events)
+            return tuple((e.kind, e.req_id, e.size, e.tag) for e in events_of(trace))
 
         classes = config.parallelism.rank_equivalence_classes(
             config.num_microbatches, expert_asymmetry=True
@@ -316,7 +315,7 @@ class TestDifferentialAgainstBaseline:
         config = _moe_config(imbalance=0.0)
         job = run_job(config, "torch2.3", ranks="all")
         assert job.num_ranks == 2  # pipeline ranks only: EP peers collapsed
-        assert all(isinstance(rank, int) for rank in job.ranks)
+        assert all(isinstance(rank, int) for rank in job.runs_by_rank())
 
     def test_resolve_job_ranks_expands_coordinates(self):
         config = _moe_config(imbalance=0.6)
@@ -354,11 +353,12 @@ class TestDifferentialAgainstBaseline:
 class TestAcceptance:
     def test_ep4_job_reports_distinct_per_rank_peaks_and_binding_rank(self):
         job = run_job(_moe_config(imbalance=0.6), "torch2.3", ranks="all")
-        data = job.as_dict()
-        per_rank = data["per_rank_peak_allocated_gib"]
-        assert set(per_rank) == {f"{pp}.{ep}" for pp in range(2) for ep in range(4)}
+        per_rank = {
+            rank: run.replay.metrics.peak_allocated_gib for rank, run in job.runs_by_rank().items()
+        }
+        assert set(per_rank) == {(pp, ep) for pp in range(2) for ep in range(4)}
         assert len(set(per_rank.values())) > 1, "EP ranks reported identical peaks"
-        assert data["binding_rank"] == max(per_rank, key=per_rank.get)
+        assert job.binding_rank == max(per_rank, key=per_rank.get)
 
     def test_fingerprint_distinguishes_ep_ranks(self):
         config = _moe_config()
@@ -420,7 +420,6 @@ class TestAcceptance:
     def test_workload_run_records_ep_rank(self):
         run = run_workload(_moe_config(imbalance=0.6), "torch2.3", rank=(1, 2))
         assert run.rank == 1 and run.ep_rank == 2
-        assert run.as_dict()["ep_rank"] == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -475,8 +474,7 @@ class TestHeterogeneousBudgets:
             device_memory_by_rank={rank_label(target): tight},
         )
         assert not job.success
-        assert target in job.oom_ranks
-        assert job.as_dict()["oom_ranks"] == [rank_label(target)]
+        assert job.oom_ranks == [target]
 
     def test_exact_coordinate_budget_overrides_stage_budget(self):
         config = _moe_config(imbalance=0.6)
@@ -598,7 +596,6 @@ class TestExpertSweeps:
         with pytest.raises(ValueError, match="device_memory_by_rank"):
             self._spec(device_memory_by_rank={"0": -1})
         spec = self._spec(device_memory_by_rank={"0.1": 40, 1: 96})
-        assert spec.to_dict()["device_memory_by_rank"] == {"0.1": 40, 1: 96}
         point = spec.expand()[0]
         assert point.device_memory_by_rank == (("0.1", 40.0), ("1", 96.0))
 

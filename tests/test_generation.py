@@ -45,6 +45,7 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.trace_oracle import events_of
 
 _LAYERS = {"gpt-tiny": 4, "moe-tiny": 8}
 
@@ -143,7 +144,7 @@ def _event_keys(trace) -> list[tuple]:
             event.module, event.dyn, event.phase.index, event.phase.kind.value,
             event.phase.microbatch, event.phase.chunk,
         )
-        for event in trace.events
+        for event in events_of(trace)
     ]
 
 
@@ -152,7 +153,7 @@ def _kv_live_at_phase_ends(trace) -> list[int]:
     series = []
     live = 0
     current = None
-    for event in trace.events:
+    for event in events_of(trace):
         if current is not None and event.phase.index != current:
             series.append(live)
         current = event.phase.index
@@ -166,7 +167,7 @@ def _alloc_multiset(trace, *, exclude: tuple = ()) -> Counter:
     """(tag, size, category) multiset of INIT+forward-phase allocations."""
     return Counter(
         (event.tag, event.size, event.category.value)
-        for event in trace.events
+        for event in events_of(trace)
         if event.is_alloc()
         and event.phase.kind in (PhaseKind.INIT, PhaseKind.FORWARD)
         and event.category not in exclude
@@ -182,13 +183,13 @@ def _check_kv_lifetime(case: tuple) -> None:
     if config.decode_steps == 0:
         assert trace.kv_peak_bytes() == 0
         assert not any(
-            event.category is TensorCategory.KV_CACHE for event in trace.events
+            event.category is TensorCategory.KV_CACHE for event in events_of(trace)
         )
         return
     # Per unit, the cache only grows: alloc sizes strictly increase until the
     # max_new_tokens cap stops the re-allocations.
     allocs: dict[tuple, list[int]] = {}
-    for event in trace.events:
+    for event in events_of(trace):
         if event.is_alloc() and event.category is TensorCategory.KV_CACHE:
             key = (event.tag, event.phase.microbatch, event.phase.chunk)
             allocs.setdefault(key, []).append(event.size)

@@ -28,6 +28,7 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.tracegen import TRACEGEN_VERSION, TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.trace_oracle import events_of
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_traces.json"
 
@@ -194,7 +195,7 @@ def test_comm_free_case_really_is_comm_free():
         case["config"], seed=case["seed"], rank=case["rank"], ep_rank=case["ep_rank"]
     ).generate()
     assert case["config"].moe_comm_factor == 0.0
-    assert not any(event.tag.startswith("a2a_") for event in trace.events)
+    assert not any(event.tag.startswith("a2a_") for event in events_of(trace))
     fixtures = _load_fixtures()
     assert fixtures["moe-tiny-comm-free"]["comm_peak_bytes"] == 0
     assert fixtures["moe-tiny-comm"]["comm_peak_bytes"] > 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,14 +111,7 @@ LEGACY_NAMES = {
     "repro.core.stalloc": ["STAllocConfig", "PLAN_FORMAT_VERSION"],
     "repro.core.synthesizer": ["SynthesizerConfig"],
     "repro.core.planner": ["GlobalPlannerConfig"],
-    "repro.simulator.runner": [
-        "STALLOC",
-        "STALLOC_NO_REUSE",
-        "VALID_TIMINGS",
-        "validate_timing",
-        "validate_capacity_gib",
-        "resolve_job_ranks",
-    ],
+    "repro.simulator.runner": ["resolve_job_ranks"],
     "repro.search.planner": ["SEARCH_VERSION"],
     "repro.search": ["SEARCH_VERSION"],
     "repro.sweep.cache": ["RESULT_FORMAT_VERSION"],
@@ -125,6 +119,25 @@ LEGACY_NAMES = {
     "repro.obs.tracer": ["OBS_FORMAT_VERSION"],
     "repro.obs": ["OBS_FORMAT_VERSION"],
 }
+
+#: Names deleted from the package: re-exports nothing reads any more, and the
+#: event-object view of a trace (its oracle lives in tests/trace_oracle.py).
+REMOVED_NAMES = {
+    "repro.simulator.runner": ["VALID_TIMINGS"],
+    "repro.simulator.throughput": ["GPU_SPECS"],
+    "repro.simulator": ["GPU_SPECS", "GPUSpec"],
+    "repro.workloads.tracegen": ["TraceEvent", "EventKind"],
+    "repro.core": ["TraceEvent", "MemoryRequest"],
+    "repro.core.events": ["TraceEvent", "MemoryRequest", "pair_events"],
+    "repro.core.columns": ["KIND_CODES", "MemoryRequest", "TraceEvent"],
+    "repro.core.profiler": ["MemoryRequest"],
+    "repro.workloads.trace": ["TraceEvent", "MemoryRequest", "pair_events"],
+}
+
+#: Identifiers of the event-object view that no source file may mention.
+REMOVED_IDENTIFIERS = (
+    "TraceEvent", "MemoryRequest", "pair_events", "from_events", "to_events", "to_requests",
+)
 
 #: Runs ``main(argv)`` silently and reports the exit code and ``sys.modules``.
 CLI_CHILD = """
@@ -370,23 +383,48 @@ print(json.dumps({{
 
 def test_moved_names_stay_importable_from_the_modules_they_describe():
     script = f"""
-import importlib, json
+import importlib, inspect, json
 missing = [
     module + "." + name
     for module, names in {LEGACY_NAMES!r}.items()
     for name in names
     if not hasattr(importlib.import_module(module), name)
 ]
+present = [
+    module + "." + name
+    for module, names in {REMOVED_NAMES!r}.items()
+    for name in names
+    if hasattr(importlib.import_module(module), name)
+]
+from repro.workloads.trace import Trace
+from repro.core.profiler import ProfileResult
+parameters = [
+    owner.__name__ + "(" + name + "=)"
+    for owner in (Trace, ProfileResult)
+    for name in inspect.signature(owner).parameters
+    if name in ("events", "requests")
+]
 from repro.allocators.registry import available_allocators, register_allocator
 from repro.sweep.spec import SweepSpec
 register_allocator("layer-test", lambda device: None)
 spec = SweepSpec(name="t", allocators=["layer-test", "stalloc"])
-print(json.dumps({{"missing": missing, "registered": "layer-test" in available_allocators(),
+print(json.dumps({{"missing": missing, "present": present, "parameters": parameters,
+                  "registered": "layer-test" in available_allocators(),
                   "allocators": spec.allocators}}))
 """
     report = child(script)
     assert report == {
         "missing": [],
+        "present": [],
+        "parameters": [],
         "registered": True,
         "allocators": ["layer-test", "stalloc"],
     }
+    pattern = re.compile(r"\b(" + "|".join(REMOVED_IDENTIFIERS) + r")\b")
+    mentions = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert mentions == []

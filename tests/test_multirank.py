@@ -7,16 +7,19 @@ import pytest
 
 from repro.core.events import PhaseKind
 from repro.simulator import ExecutionContext
-from repro.simulator.runner import JobRun, resolve_job_ranks, run_job, run_workload
+from repro.simulator.ranks import resolve_job_ranks
+from repro.simulator.runner import run_job, run_workload
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.engine import point_result_key
 from repro.sweep.cache import SweepCache
 from repro.workloads.memory_model import MemoryModel
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
-from repro.workloads.schedule import one_f_one_b, peak_in_flight_microbatches
-from repro.workloads.tracegen import TraceGenerator, config_fingerprint
+from repro.workloads.schedule import one_f_one_b
+from repro.workloads.fingerprint import config_fingerprint
+from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig, preset_config
+from tests.trace_oracle import events_of
 
 
 def _pp4_config(preset: str = "Naive", *, num_microbatches: int = 4) -> TrainingConfig:
@@ -31,7 +34,7 @@ def _pp4_config(preset: str = "Naive", *, num_microbatches: int = 4) -> Training
 
 def _events_signature(config, rank, *, seed=0, scale=0.25):
     trace = TraceGenerator(config, seed=seed, scale=scale, rank=rank).generate()
-    return tuple((e.kind, e.req_id, e.size, e.tag) for e in trace.events)
+    return tuple((e.kind, e.req_id, e.size, e.tag) for e in events_of(trace))
 
 
 # ---------------------------------------------------------------------- #
@@ -62,10 +65,6 @@ class TestRankSchedules:
         phases = one_f_one_b(4, 8, 3)
         assert phases[0].kind is PhaseKind.FORWARD
         assert phases[1].kind is PhaseKind.BACKWARD
-
-    def test_peak_in_flight_by_rank(self):
-        par = ParallelismConfig(pipeline_parallel=4)
-        assert [peak_in_flight_microbatches(par, 16, r) for r in range(4)] == [4, 3, 2, 1]
 
     def test_rank_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="rank"):
@@ -241,7 +240,7 @@ class TestRunJob:
         assert serial.peak_allocated_gib == pytest.approx(parallel.peak_allocated_gib)
         assert serial.binding_rank == parallel.binding_rank
         for left, right in zip(serial.class_runs, parallel.class_runs):
-            assert left.replay.as_dict() == right.replay.as_dict()
+            assert left.replay == right.replay
         assert len(parallel.class_runs) == 4
         assert ctx.cache.stats.trace_misses == 4
         assert ctx.cache.stats.trace_hits == 0
@@ -250,10 +249,7 @@ class TestRunJob:
         job = run_job(_pp4_config(), "torch2.3", ranks="all", scale=0.25)
         assert job.tflops > 0
         assert job.tokens_per_second > 0
-        data = job.as_dict()
-        assert data["tflops_per_gpu"] == job.tflops  # full precision
-        assert data["binding_rank"] == job.binding_rank
-        assert data["num_ranks"] == 4
+        assert job.num_ranks == 4
 
 
 # ---------------------------------------------------------------------- #

@@ -47,8 +47,8 @@ from repro.obs.tracer import (
 )
 from repro.simulator import ExecutionContext, run_job, run_workload_suite
 from repro.sweep import SweepCache, SweepPointError, SweepSpec, run_sweep
-from repro.sweep.engine import execute_point
-from repro.workloads.tracegen import config_fingerprint
+from repro.sweep.engine import execute_points
+from repro.workloads.fingerprint import config_fingerprint
 
 
 @pytest.fixture(autouse=True)
@@ -56,6 +56,11 @@ def _obs_isolation():
     """No test leaves a tracer installed."""
     yield
     shutdown()
+
+
+def _stat(summary, *path: str):
+    """The summary's aggregate for one exact name-path (``None`` when absent)."""
+    return next((entry for entry in summary.tree if entry.path == path), None)
 
 
 class FakeClock:
@@ -135,19 +140,17 @@ class TestSpans:
             entered.set(anything=1)
         counter("nope")
         obs.observe("nope", 1.0)
-        obs.gauge("nope", 1.0)
         assert current_tracer() is None
 
     def test_metrics_helpers_reach_installed_registry(self):
         install(Tracer(sinks=[], clock=FakeClock()))
         counter("cache.hit")
         counter("cache.hit", 2)
-        obs.gauge("depth", 7)
         obs.observe("rate", 10.0)
         obs.observe("rate", 30.0)
         snapshot = current_tracer().metrics.snapshot()
         assert snapshot["counters"] == {"cache.hit": 3}
-        assert snapshot["gauges"] == {"depth": 7}
+        assert snapshot["gauges"] == {}
         assert snapshot["histograms"]["rate"]["mean"] == pytest.approx(20.0)
 
 
@@ -168,9 +171,9 @@ class TestMetrics:
     def test_merge_is_additive_for_counters_last_write_for_gauges(self):
         parent, worker = MetricsRegistry(), MetricsRegistry()
         parent.count("rows", 2)
-        parent.gauge("depth", 1)
+        parent.gauges["depth"] = 1
         worker.count("rows", 3)
-        worker.gauge("depth", 9)
+        worker.gauges["depth"] = 9
         worker.observe("rate", 5.0)
         parent.merge(worker.snapshot())
         snapshot = parent.snapshot()
@@ -425,13 +428,13 @@ class TestSummarize:
         ]
         summary = summarize_events(events)
         assert summary.spans == 4
-        under_sweep = summary.stat("sweep.run", "replay.trace")
-        under_search = summary.stat("search.run", "replay.trace")
+        under_sweep = _stat(summary, "sweep.run", "replay.trace")
+        under_search = _stat(summary, "search.run", "replay.trace")
         assert under_sweep.total_seconds == pytest.approx(1.0)
         assert under_search.total_seconds == pytest.approx(0.5)
         # Two roots, disjoint intervals -> wall time is their sum.
         assert summary.wall_seconds == pytest.approx(6.0)
-        assert summary.stat("sweep.run").self_seconds == pytest.approx(3.0)
+        assert _stat(summary, "sweep.run").self_seconds == pytest.approx(3.0)
 
     def test_cross_process_parent_resolution(self):
         events = [
@@ -440,7 +443,7 @@ class TestSummarize:
             self._span(1, "sweep.point", parent=1, parent_pid=1, pid=77, depth=1, dur=1.0),
         ]
         summary = summarize_events(events)
-        assert summary.stat("sweep.run", "sweep.point").count == 1
+        assert _stat(summary, "sweep.run", "sweep.point").count == 1
 
     def test_parent_cycle_degrades_instead_of_recursing(self):
         events = [
@@ -455,7 +458,7 @@ class TestSummarize:
     def test_self_referencing_span_is_a_root(self):
         events = [meta_event(1, 0.0), self._span(1, "loop", parent=1, dur=2.0)]
         summary = summarize_events(events)
-        assert summary.stat("loop").count == 1
+        assert _stat(summary, "loop").count == 1
         assert summary.wall_seconds == pytest.approx(2.0)
 
     def test_wall_seconds_unions_overlapping_roots(self):
@@ -528,9 +531,9 @@ class TestSweepIntegration:
         counters = summary.metrics.counters
         assert counters["sweep.rows_done"] == len(result.rows) == 4
         assert counters["cache.miss"] > 0
-        run_stat = summary.stat("sweep.run")
+        run_stat = _stat(summary, "sweep.run")
         assert run_stat is not None and run_stat.count == 1
-        points = summary.stat("sweep.run", "sweep.point")
+        points = _stat(summary, "sweep.run", "sweep.point")
         assert points is not None and points.count == 4
         # Worker spans were absorbed: some spans come from other pids but
         # every one of them resolved under the parent's root.
@@ -709,7 +712,7 @@ class TestSweepPointError:
         point = _bad_points(1)[0]
         fingerprint = config_fingerprint(point.config, seed=point.seed, scale=point.scale)
         with pytest.raises(SweepPointError) as excinfo:
-            execute_point(point)
+            execute_points([point])
         assert excinfo.value.label == point.row_label
         assert excinfo.value.fingerprint == fingerprint
         assert "ValueError" in excinfo.value.cause

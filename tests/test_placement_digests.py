@@ -20,6 +20,7 @@ A change that moves a decision on purpose regenerates the file::
 
 from __future__ import annotations
 
+
 import hashlib
 import json
 import os
@@ -78,7 +79,7 @@ def _entry(allocator: Allocator, device: Device, recorder: _Recorder, outcome: d
         "placements": recorder.count,
         "placements_sha256": recorder.hasher.hexdigest(),
         "stats": allocator.stats.snapshot(),
-        "device": device.stats.snapshot(),
+        "device": asdict(device.stats),
         "outcome": outcome,
     }
     if isinstance(allocator, ExpandableSegmentsAllocator):

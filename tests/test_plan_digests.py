@@ -28,7 +28,7 @@ import pytest
 
 from repro.core.stalloc import STAlloc, STAllocConfig
 from repro.search.space import SearchSpec
-from repro.simulator.runner import resolve_job_ranks
+from repro.simulator.ranks import resolve_job_ranks
 from repro.sweep.spec import SweepSpec
 from repro.workloads.parallelism import normalize_rank
 from repro.workloads.tracegen import TraceGenerator

@@ -21,9 +21,9 @@ import random
 import pytest
 
 from repro.core import plan as plan_module
-from repro.core.events import MemoryRequest, Phase, PhaseKind
+from repro.core.events import Phase, PhaseKind
 from repro.core.intervals import IntervalSet
-from repro.core.plan import AllocationDecision, StaticAllocationPlan
+from repro.core.plan import StaticAllocationPlan
 from repro.core.profiler import AllocationProfiler, ProfileResult
 from repro.core.stalloc import STAllocConfig
 from repro.core.synthesizer import PlanSynthesizer
@@ -31,7 +31,8 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
-from tests.conftest import decide
+from tests.conftest import AllocationDecision, decide, decisions_of, plan_of
+from tests.trace_oracle import MemoryRequest, requests_of, trace_of_requests
 
 
 def _dense(**overrides) -> TrainingConfig:
@@ -76,6 +77,7 @@ CONFIG_CASES: dict[str, TrainingConfig] = {
 SEEDS = [0, 1]
 
 _SYNTH_CACHE: dict = {}
+_REQUESTS: dict = {}
 
 
 def synthesize(case: str, seed: int):
@@ -87,7 +89,14 @@ def synthesize(case: str, seed: int):
         profile = AllocationProfiler().profile(trace)
         plan = PlanSynthesizer(STAllocConfig().synthesizer_config()).synthesize(profile)
         _SYNTH_CACHE[key] = (profile, plan)
+        _REQUESTS[key] = requests_of(trace)
     return _SYNTH_CACHE[key]
+
+
+def case_requests(case: str, seed: int) -> list[MemoryRequest]:
+    """The case's requests as objects, paired by the oracle."""
+    synthesize(case, seed)
+    return _REQUESTS[case, seed]
 
 
 # ---------------------------------------------------------------------- #
@@ -118,17 +127,17 @@ def object_reusable_spaces(requests, static_plan, module_spans) -> dict:
     spaces = {}
     for key, members in object_homolayer_groups(requests).items():
         start, end = object_temporal_range(key, members, module_spans)
-        occupied = IntervalSet()
-        for decision in static_plan.decisions:
+        space = IntervalSet.full(0, static_plan.pool_size)
+        for decision in decisions_of(static_plan):
             if decision.size and decision.alloc_time <= end and decision.free_time > start:
-                occupied.add(decision.address, decision.end_address)
-        spaces[key] = occupied.complement(0, static_plan.pool_size)
+                space.remove(decision.address, decision.address + decision.size)
+        spaces[key] = space
     return spaces
 
 
 def assert_no_spatio_temporal_overlap(plan: StaticAllocationPlan) -> None:
     """Independent O(n^2) verifier for the no-memory-stomping property."""
-    decisions = sorted(plan.decisions, key=lambda d: d.address)
+    decisions = sorted(decisions_of(plan), key=lambda d: d.address)
     for i, a in enumerate(decisions):
         for b in decisions[i + 1 :]:
             if b.address >= a.end_address:
@@ -147,12 +156,12 @@ def assert_no_spatio_temporal_overlap(plan: StaticAllocationPlan) -> None:
 class TestStaticPlanInvariants:
     def test_no_spatio_temporal_overlap(self, case, seed):
         _, plan = synthesize(case, seed)
-        assert plan.static_plan.decisions
+        assert decisions_of(plan.static_plan)
         assert_no_spatio_temporal_overlap(plan.static_plan)
 
     def test_every_decision_fits_inside_pool(self, case, seed):
         _, plan = synthesize(case, seed)
-        for decision in plan.static_plan.decisions:
+        for decision in decisions_of(plan.static_plan):
             assert decision.address >= 0
             assert decision.end_address <= plan.pool_size
 
@@ -160,7 +169,7 @@ class TestStaticPlanInvariants:
         _, plan = synthesize(case, seed)
         layer_sizes = plan.synthesis_info["layers"]["layer_sizes"]
         assert plan.pool_size == sum(layer_sizes)
-        assert plan.static_plan.peak_planned_bytes() <= plan.pool_size
+        assert max(d.end_address for d in decisions_of(plan.static_plan)) <= plan.pool_size
 
     def test_pool_covers_peak_static_demand(self, case, seed):
         _, plan = synthesize(case, seed)
@@ -170,7 +179,8 @@ class TestStaticPlanInvariants:
         profile, plan = synthesize(case, seed)
         planned = plan.static_plan.req_id
         assert len(planned) == len(set(planned))
-        assert set(planned) == {r.req_id for r in profile.static_requests}
+        columns = profile.columns
+        assert set(planned) == {r for r, dyn in zip(columns.req_id, columns.dyn) if not dyn}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -186,13 +196,13 @@ class TestDynamicSpaceInvariants:
     def test_reusable_spaces_avoid_live_static_decisions(self, case, seed):
         """No reusable byte may belong to a static request live in the group's range."""
         profile, plan = synthesize(case, seed)
-        groups = object_homolayer_groups(profile.requests)
+        groups = object_homolayer_groups(case_requests(case, seed))
         for key, members in groups.items():
             spaces = plan.dynamic_reusable_spaces[key]
             if not spaces:
                 continue
             start, end = object_temporal_range(key, members, profile.module_spans)
-            for decision in plan.static_plan.decisions:
+            for decision in decisions_of(plan.static_plan):
                 if decision.alloc_time <= end and decision.free_time > start:
                     for interval in spaces:
                         assert not (
@@ -205,7 +215,7 @@ class TestDynamicSpaceInvariants:
 
     def test_every_dynamic_request_is_routed_to_its_group(self, case, seed):
         profile, plan = synthesize(case, seed)
-        routed = {r.req_id: r.layer_pair for r in profile.requests if r.dyn}
+        routed = {r.req_id: r.layer_pair for r in case_requests(case, seed) if r.dyn}
         assert plan.dynamic_request_groups == routed
 
 
@@ -228,7 +238,7 @@ class TestAblationSafety:
         stalloc_config = ABLATIONS[ablation]
         plan = PlanSynthesizer(stalloc_config.synthesizer_config()).synthesize(profile)
         assert_no_spatio_temporal_overlap(plan.static_plan)
-        for decision in plan.static_plan.decisions:
+        for decision in decisions_of(plan.static_plan):
             assert decision.end_address <= plan.pool_size
 
 
@@ -263,18 +273,17 @@ class TestRandomizedRequestStreams:
                     free_phase=free_phase,
                 )
             )
-        end_time = max(r.free_time for r in requests) + 1
-        return ProfileResult(requests=requests, phases=phases, end_time=end_time)
+        return ProfileResult(trace_of_requests(requests))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_streams_plan_safely(self, seed):
         profile = self._random_profile(seed)
         plan = PlanSynthesizer(STAllocConfig().synthesizer_config()).synthesize(profile)
         assert_no_spatio_temporal_overlap(plan.static_plan)
-        assert len(plan.static_plan) == len(profile.requests)
+        assert len(plan.static_plan) == profile.num_requests
         layer_sizes = plan.synthesis_info["layers"]["layer_sizes"]
         assert plan.pool_size == sum(layer_sizes)
-        for decision in plan.static_plan.decisions:
+        for decision in decisions_of(plan.static_plan):
             assert 0 <= decision.address and decision.end_address <= plan.pool_size
 
 
@@ -294,7 +303,7 @@ class TestValidateDetectsBrokenPlans:
         )
 
     def test_rejects_spatio_temporal_overlap(self):
-        plan = StaticAllocationPlan.from_decisions(
+        plan = plan_of(
             [decide(self._request(0, 1024, 0, 10), 0), decide(self._request(1, 1024, 5, 15), 512)],
             pool_size=4096,
         )
@@ -304,7 +313,7 @@ class TestValidateDetectsBrokenPlans:
             assert_no_spatio_temporal_overlap(plan)
 
     def test_accepts_time_disjoint_space_overlap(self):
-        plan = StaticAllocationPlan.from_decisions(
+        plan = plan_of(
             [decide(self._request(0, 1024, 0, 5), 0), decide(self._request(1, 1024, 5, 10), 0)],
             pool_size=1024,
         )
@@ -312,7 +321,7 @@ class TestValidateDetectsBrokenPlans:
         assert_no_spatio_temporal_overlap(plan)
 
     def test_rejects_decision_beyond_pool(self):
-        plan = StaticAllocationPlan.from_decisions(
+        plan = plan_of(
             [decide(self._request(0, 2048, 0, 5), 0)], pool_size=1024
         )
         with pytest.raises(ValueError, match="beyond the pool size"):
@@ -357,7 +366,7 @@ class TestValidateAgreesWithBruteForce:
             placed.append(AllocationDecision(req_id, size, alloc_time, free_time, address))
         rng.shuffle(placed)  # the verdict may not depend on decision order
         slack = rng.choice([0, 0, 512])
-        return StaticAllocationPlan.from_decisions(
+        return plan_of(
             placed, pool_size=max(d.end_address for d in placed) + slack
         )
 
@@ -366,7 +375,7 @@ class TestValidateAgreesWithBruteForce:
         cls, plan: StaticAllocationPlan, how: str, rng: random.Random
     ) -> StaticAllocationPlan:
         """The plan with one corruption applied to its row view."""
-        decisions = list(plan.decisions)
+        decisions = list(decisions_of(plan))
         victim = rng.randrange(len(decisions))
         target = decisions[victim]
         size, alloc_time, free_time = target.size, target.alloc_time, target.free_time
@@ -425,12 +434,12 @@ class TestValidateAgreesWithBruteForce:
             )
         else:  # pragma: no cover - guards the parametrization
             raise AssertionError(how)
-        return StaticAllocationPlan.from_decisions(decisions, pool_size=plan.pool_size)
+        return plan_of(decisions, pool_size=plan.pool_size)
 
     @staticmethod
     def _oracle_verdict(plan: StaticAllocationPlan) -> str:
         """ok / stomping / pool, decided without ``validate``."""
-        if any(d.end_address > plan.pool_size for d in plan.decisions):
+        if any(d.end_address > plan.pool_size for d in decisions_of(plan)):
             return "pool"
         try:
             assert_no_spatio_temporal_overlap(plan)
@@ -481,7 +490,7 @@ class TestValidateAgreesWithBruteForce:
             with pytest.raises(ValueError, match="memory stomping") as caught:
                 plan.validate()
             words = str(caught.value).split()
-            by_id = {decision.req_id: decision for decision in plan.decisions}
+            by_id = {decision.req_id: decision for decision in decisions_of(plan)}
             first, second = by_id[int(words[3])], by_id[int(words[5])]
             assert first is not second and first.conflicts_with(second)
 
@@ -495,7 +504,7 @@ class TestValidateAgreesWithBruteForce:
         decision.
         """
         n, lanes = 20_000, 4
-        plan = StaticAllocationPlan.from_decisions(
+        plan = plan_of(
             (
                 AllocationDecision(i, 1024, i // lanes, i // lanes + 1, 1024 * (i % lanes))
                 for i in range(n)

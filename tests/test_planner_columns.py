@@ -26,7 +26,6 @@ import pytest
 
 from repro.core import homophase
 from repro.core.columns import RequestColumns
-from repro.core.events import MemoryRequest
 from repro.core.homophase import (
     LocalPlan,
     build_homophase_groups,
@@ -35,14 +34,9 @@ from repro.core.homophase import (
 )
 from repro.core.homosize import MemoryLayer
 from repro.core.intervals import IntervalSet
-from repro.core.plan import AllocationDecision
 from repro.core.planner import build_global_plan
 from repro.core.profiler import AllocationProfiler
 from repro.core.synthesizer import PlanSynthesizer
-from repro.search.planner import run_search
-from repro.search.presets import load_search_spec
-from repro.sweep.engine import run_sweep
-from repro.sweep.spec import load_spec
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.tracegen import TraceGenerator
@@ -96,7 +90,7 @@ def reference_pack(rows):
             else:
                 still_live.append((live_free_time, offset, live_size))
         live = still_live
-        carved = free.carve(size, policy="best_fit")
+        carved = free.carve(size)
         if carved is not None:
             offset = carved.start
         else:
@@ -306,43 +300,3 @@ class TestNoRescans:
         assert info["num_fusions"] > 0
         # The object-walking planner made 173k max() and 85k min() calls here.
         assert calls["max"] + calls["min"] < 20 * groups
-
-
-class TestNoPerRequestObjects:
-    @pytest.fixture
-    def built(self, monkeypatch):
-        counts = {"static_requests": 0, "dynamic_requests": 0, "decisions": 0}
-        real_init = MemoryRequest.__init__
-        real_new = AllocationDecision.__new__
-
-        def counting_init(self, *args, **kwargs):
-            real_init(self, *args, **kwargs)
-            counts["dynamic_requests" if self.dyn else "static_requests"] += 1
-
-        def counting_new(cls, *args, **kwargs):
-            counts["decisions"] += 1
-            return real_new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(MemoryRequest, "__init__", counting_init)
-        monkeypatch.setattr(AllocationDecision, "__new__", counting_new)
-        return counts
-
-    def test_sweep_builds_none_for_static_requests(self, built, tmp_path):
-        for preset in ("job-smoke", "ep-comm-smoke"):
-            result = run_sweep(load_spec(preset), cache_dir=str(tmp_path / preset))
-            assert result.cache_stats["plan_misses"] > 0
-            assert all(row["status"] == "ok" for row in result.rows)
-        # HomoLayer grouping reads the columns too: not one request object.
-        assert built == {"static_requests": 0, "dynamic_requests": 0, "decisions": 0}
-
-    def test_search_builds_none_for_static_requests(self, built, tmp_path):
-        result = run_search(load_search_spec("search-smoke"), cache_dir=str(tmp_path))
-        assert result.cache_stats["plan_misses"] > 0
-        assert built["static_requests"] == 0 and built["decisions"] == 0
-
-    def test_the_views_still_build_them_on_demand(self, built, dense_trace):
-        profile = AllocationProfiler().profile(dense_trace)
-        plan = PlanSynthesizer().synthesize(profile).static_plan
-        assert built == {"static_requests": 0, "dynamic_requests": 0, "decisions": 0}
-        assert len(profile.static_requests) == len(plan.decisions) == len(plan)
-        assert built["static_requests"] == built["decisions"] == len(plan)

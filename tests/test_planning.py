@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from operator import add
 from array import array
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.core import homophase
-from repro.core.columns import HomoLayerGroup, RequestColumns
-from repro.core.events import EventKind, PhaseKind, TraceEvent, pair_events
+from repro.core.columns import HomoLayerGroup
+from repro.core.events import EventKind, PhaseKind
 from repro.core.homophase import (
     attempt_fusion,
     build_homophase_groups,
@@ -25,14 +26,14 @@ from repro.core.homosize import MemoryLayer, construct_memory_layers, group_by_s
 from repro.core.intervals import IntervalSet
 from repro.core.plan import StaticAllocationPlan
 from repro.core.planner import GlobalPlannerConfig, build_global_plan, plan_summary
-from repro.core.profiler import AllocationProfiler, ProfileResult
+from repro.core.profiler import AllocationProfiler
 from repro.core.synthesizer import PlanSynthesizer, SynthesizerConfig
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
-from tests.conftest import decide, make_phase, make_request, pack
+from tests.conftest import decide, decisions_of, make_phase, make_request, pack, plan_of
 from tests.test_placement_digests import _golden_trace
 from tests.test_plan_invariants import (
     assert_no_spatio_temporal_overlap,
@@ -41,6 +42,11 @@ from tests.test_plan_invariants import (
     object_temporal_range,
 )
 from tests.test_planner_columns import peak_demand
+from tests.trace_oracle import TraceEvent, make_trace, profile_of, requests_of
+
+
+def _num_static(profile) -> int:
+    return len(profile.columns.dyn) - sum(profile.columns.dyn)
 
 
 class TestPackRequests:
@@ -94,7 +100,7 @@ class TestHomoPhaseGrouping:
             make_request(1, 10, 1, 101, alloc_phase=f0, free_phase=b0),
             make_request(2, 10, 50, 150, alloc_phase=f1, free_phase=b1),
         ]
-        groups = build_homophase_groups(RequestColumns.from_requests(requests))
+        groups = build_homophase_groups(profile_of(requests).columns)
         assert len(groups) == 2
         assert {group.num_requests for group in groups} == {1, 2}
 
@@ -103,7 +109,7 @@ class TestHomoPhaseGrouping:
         groups = build_homophase_groups(profile.columns)
         for group in groups:
             group.validate()
-        assert sum(group.num_requests for group in groups) == len(profile.static_requests)
+        assert sum(group.num_requests for group in groups) == _num_static(profile)
 
 
 class TestFusion:
@@ -342,7 +348,7 @@ class TestGlobalPlanning:
         profile = AllocationProfiler().profile(dense_trace)
         groups = build_homophase_groups(profile.columns)
         plan, layers, _ = build_global_plan(groups)
-        assert len(plan.decisions) == len(profile.static_requests)
+        assert len(decisions_of(plan)) == _num_static(profile)
         plan.validate()
 
     def test_gap_insertion_reduces_pool(self):
@@ -367,19 +373,19 @@ class TestGlobalPlanning:
     def test_plan_validation_detects_conflicts(self):
         request_a = make_request(0, 100, 0, 10)
         request_b = make_request(1, 100, 5, 15)
-        plan = StaticAllocationPlan.from_decisions([decide(request_a, 0), decide(request_b, 50)])
+        plan = plan_of([decide(request_a, 0), decide(request_b, 50)])
         with pytest.raises(ValueError):
             plan.validate()
 
     def test_plan_validation_accepts_time_disjoint_overlap(self):
         request_a = make_request(0, 100, 0, 10)
         request_b = make_request(1, 100, 10, 20)
-        plan = StaticAllocationPlan.from_decisions([decide(request_a, 0), decide(request_b, 0)])
+        plan = plan_of([decide(request_a, 0), decide(request_b, 0)])
         plan.validate()
 
     def test_pool_size_bounds_every_decision(self):
         request = make_request(0, 100, 0, 10)
-        plan = StaticAllocationPlan.from_decisions([decide(request, 50)], pool_size=100)
+        plan = plan_of([decide(request, 50)], pool_size=100)
         with pytest.raises(ValueError):
             plan.validate()
 
@@ -554,7 +560,7 @@ class TestLongestLivedFirstCandidate:
             assert _placements(plan) == _placements(layered)
         else:
             (layer,) = layers
-            assert layer.size == plan.pool_size == plan.peak_planned_bytes()
+            assert layer.size == plan.pool_size == max(map(add, plan.address, plan.size))
             assert plan_summary(layers)["num_layers"] == 1
             assert 0 <= plan_summary(layers)["idle_share_per_layer"][0] < 1
         again, _, _ = build_global_plan(list(plans))
@@ -613,7 +619,7 @@ class TestLongestLivedFirstCandidate:
 
 def _groups(requests):
     """The HomoLayer groups of a profile of request objects."""
-    return ProfileResult(requests).dynamic_groups
+    return profile_of(requests).dynamic_groups
 
 
 def _hand_built_trace(seed: int) -> Trace:
@@ -638,7 +644,7 @@ def _hand_built_trace(seed: int) -> Trace:
         live.append((req_id, size, time))
         time += rng.choice([0, 1, 1, 2])  # 0: two allocs share a tick
     spans = {module: (rng.randrange(time + 1), time + rng.randrange(4)) for module in modules[:3]}
-    return Trace(events=events, phases=phases, module_spans=spans)
+    return make_trace(events, phases=phases, module_spans=spans)
 
 
 class TestDynamicSpace:
@@ -648,7 +654,7 @@ class TestDynamicSpace:
             make_request(1, 100, 20, 30),   # occupies [100, 200) during [20, 30)
         ]
         decisions = [decide(requests[0], 0), decide(requests[1], 100)]
-        return StaticAllocationPlan.from_decisions(decisions, pool_size=200)
+        return plan_of(decisions, pool_size=200)
 
     def test_homolayer_grouping(self):
         dynamic = [
@@ -669,7 +675,7 @@ class TestDynamicSpace:
         )
         space = spaces[("l0", "l0")]
         # Static request 0 is live during [2, 5); request 1 is not.
-        assert not space.contains_point(50)
+        assert not space.contains(50, 51)
         assert space.contains(100, 200)
 
     def test_reusable_space_full_when_statics_idle(self):
@@ -677,7 +683,7 @@ class TestDynamicSpace:
         spaces = locate_dynamic_reusable_spaces(
             _groups(dynamic), self._static_plan(), {"gap": (12, 18)}
         )
-        assert spaces[("gap", "gap")].total == 200
+        assert spaces[("gap", "gap")] == IntervalSet.full(0, 200)
 
     def test_temporal_range_falls_back_to_the_members(self):
         """An unseen module leaves the members' own [2, 5) as the range; a
@@ -692,7 +698,7 @@ class TestDynamicSpace:
 
     def test_routing_index(self):
         dynamic = [make_request(10, 64, 2, 5, dyn=True, alloc_module="a", free_module="b")]
-        plan = PlanSynthesizer().synthesize(ProfileResult(dynamic))
+        plan = PlanSynthesizer().synthesize(profile_of(dynamic))
         assert plan.dynamic_request_groups == {10: ("a", "b")}
 
     def test_empty_dynamic_set(self):
@@ -734,7 +740,7 @@ class TestDynamicSpace:
 
 def _assert_groups_match_the_objects(trace: Trace) -> None:
     """Columnar groups, routing and spaces equal the object oracle over ``pair_events``."""
-    requests = pair_events(trace.events, end_of_trace=trace.end_time())
+    requests = requests_of(trace)
     oracle = object_homolayer_groups(requests)
     groups = trace.columns.homolayer_groups(end_of_trace=trace.end_time())
     assert [group.key for group in groups] == list(oracle)
@@ -761,7 +767,7 @@ class TestColumnarHomoLayerGroups:
     @pytest.mark.parametrize("seed", range(30))
     def test_hand_built_traces(self, seed):
         trace = _hand_built_trace(seed)
-        requests = pair_events(trace.events, end_of_trace=trace.end_time())
+        requests = requests_of(trace)
         assert any(r.dyn for r in requests), "every stream has dynamic requests"
         _assert_groups_match_the_objects(trace)
 
@@ -770,7 +776,7 @@ class TestPlanSynthesizer:
     def test_static_plan_valid_and_complete(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
         plan = PlanSynthesizer().synthesize(profile)
-        assert len(plan.static_plan) == len(profile.static_requests)
+        assert len(plan.static_plan) == _num_static(profile)
         plan.static_plan.validate()
 
     def test_pool_size_close_to_peak_demand(self, dense_trace):
@@ -799,7 +805,7 @@ class TestPlanSynthesizer:
         profile = AllocationProfiler().profile(dense_trace)
         plan = PlanSynthesizer().synthesize(profile)
         info = plan.synthesis_info
-        assert info["num_static_requests"] == len(profile.static_requests)
+        assert info["num_static_requests"] == _num_static(profile)
         assert info["num_homophase_groups"] > 0
         assert "synthesis_seconds" not in info and plan.synthesis_seconds >= 0
         assert info["layers"]["num_layers"] >= 1
@@ -870,16 +876,16 @@ class TestPlanningProperties:
     @given(random_requests())
     @settings(max_examples=50, deadline=None)
     def test_global_plan_never_stomps_memory(self, requests):
-        groups = build_homophase_groups(RequestColumns.from_requests(requests))
+        groups = build_homophase_groups(profile_of(requests).columns)
         fused, _ = fuse_adjacent_groups(groups)
         plan, _, _ = build_global_plan(fused)
         plan.validate()  # raises on any spatio-temporal conflict
-        assert len(plan.decisions) == len(requests)
+        assert len(decisions_of(plan)) == len(requests)
 
     @given(random_requests())
     @settings(max_examples=50, deadline=None)
     def test_pool_size_at_least_peak_demand(self, requests):
-        groups = build_homophase_groups(RequestColumns.from_requests(requests))
+        groups = build_homophase_groups(profile_of(requests).columns)
         plan, _, _ = build_global_plan(groups)
         events = []
         for request in requests:

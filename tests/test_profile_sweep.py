@@ -5,8 +5,8 @@ frees.  The oracle is the plain definition: every alloc and free as a
 ``(time, delta)`` tick, sorted so that a free lands before an alloc at the
 same time, and the peak of the running sum.  Both peaks (all requests, and
 the static ones alone) and the counts and byte totals must agree on seeded
-random request columns: frees at the same time as other allocs, alloc times
-out of order, never-freed requests, and all-dynamic, no-dynamic and empty
+random requests: frees at the same time as other allocs, requests listed out
+of alloc order, never-freed requests, and all-dynamic, no-dynamic and empty
 profiles.
 """
 
@@ -18,11 +18,12 @@ from operator import itemgetter
 
 import pytest
 
-from repro.core.columns import ALLOC, FREE, ColumnBuilder
+from repro.core.columns import ALLOC, CATEGORIES, FREE, KINDS
 from repro.core.events import PhaseKind
 from repro.core.profiler import AllocationProfiler, ProfileResult
 from repro.workloads.trace import Trace
 from tests.conftest import make_phase, make_request
+from tests.trace_oracle import TraceEvent, make_trace, profile_of
 
 
 def tick_sort_peaks(columns) -> tuple[int, int]:
@@ -82,10 +83,11 @@ def random_trace(rng: random.Random, count: int, *, horizon: int, dyn_share: flo
         if rng.random() < 0.8:
             events.append((alloc + rng.randrange(1, horizon), 0, FREE, req_id, size, dyn))
     events.sort()
-    builder = ColumnBuilder()
-    for time, _, kind, req_id, size, dyn in events:
-        builder.append(kind, req_id, size, time, 0, "layers.0", dyn, 0, "")
-    return Trace(columns=builder.build(), phases=[make_phase(0, PhaseKind.FORWARD)])
+    phase = make_phase(0, PhaseKind.FORWARD)
+    return make_trace(
+        TraceEvent(KINDS[kind], req_id, size, time, phase, "layers.0", dyn, CATEGORIES[0])
+        for time, _, kind, req_id, size, dyn in events
+    )
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -94,7 +96,7 @@ def test_request_built_profiles_match_the_tick_sort(seed, dyn_share):
     rng = random.Random(seed)
     requests = random_requests(rng, rng.randrange(1, 200), horizon=rng.choice((5, 40, 1000)),
                                dyn_share=dyn_share)
-    swept = assert_matches_oracle(ProfileResult(requests=requests))
+    swept = assert_matches_oracle(profile_of(requests))
     if dyn_share == 1.0:
         assert swept["peak_static_bytes"] == 0
     if dyn_share == 0.0:
@@ -116,10 +118,10 @@ def test_a_free_lands_before_an_alloc_at_the_same_time():
     first = make_request(0, 10, alloc_time=0, free_time=2)
     second = make_request(1, 5, alloc_time=2, free_time=3)
     overlapping = make_request(2, 7, alloc_time=1, free_time=3)
-    assert ProfileResult(requests=[first, second]).peak_allocated_bytes() == 10
-    assert ProfileResult(requests=[second, overlapping, first]).peak_allocated_bytes() == 17
+    assert profile_of([first, second]).peak_allocated_bytes() == 10
+    assert profile_of([second, overlapping, first]).peak_allocated_bytes() == 17
 
 
 def test_an_empty_profile_peaks_at_zero():
-    swept = assert_matches_oracle(ProfileResult(requests=[]))
+    swept = assert_matches_oracle(ProfileResult())
     assert swept["peak_allocated_bytes"] == swept["peak_static_bytes"] == 0

@@ -23,7 +23,8 @@ from repro.sweep import SweepPointError, SweepSpec, load_spec, run_sweep
 from repro.sweep.engine import execute_points
 from repro.workloads.parallelism import normalize_rank
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TraceGenerator, config_fingerprint
+from repro.workloads.fingerprint import config_fingerprint
+from repro.workloads.tracegen import TraceGenerator
 
 
 @pytest.fixture

@@ -19,7 +19,8 @@ from repro.allocators.caching import CachingAllocator, torch20_config, torch23_c
 from repro.allocators.expandable import ExpandableSegmentsAllocator
 from repro.allocators.gmlake import GMLakeAllocator, GMLakeConfig
 from repro.core.columns import CATEGORIES
-from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent, pair_events
+from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory
+from repro.core.profiler import ProfileResult
 from repro.core.intervals import Interval, IntervalSet
 from repro.gpu.device import Device, KIB, MIB
 from repro.gpu.errors import OutOfMemoryError
@@ -27,6 +28,7 @@ from repro.simulator.replay import replay_trace
 from repro.workloads.trace import Trace
 from tests.test_golden_traces import _case_configs
 from tests.test_placement_digests import _golden_trace
+from tests.trace_oracle import TraceEvent, events_of, make_trace, requests_of
 
 
 # ---------------------------------------------------------------------- #
@@ -70,8 +72,8 @@ def _drive(allocator: Allocator, seed: int, operations: int, check) -> int:
 
 def _check_block_structure(allocator: CachingAllocator) -> None:
     free_by_pool: dict[str, list[tuple[int, int, int]]] = {"small": [], "large": []}
-    for segment in allocator.segments():
-        blocks = segment.sorted_blocks()
+    for segment in allocator._segments.values():
+        blocks = [segment.blocks[offset] for offset in sorted(segment.blocks)]
         cursor = 0
         previous = None
         for block in blocks:
@@ -84,12 +86,12 @@ def _check_block_structure(allocator: CachingAllocator) -> None:
             if block.free:
                 assert block.req_id is None
                 free_by_pool[segment.pool].append((block.size, block.segment_id, block.offset))
-            cursor = block.end
+            cursor = block.offset + block.size
             previous = block
         assert cursor == segment.size
     for pool, expected in free_by_pool.items():
         assert allocator._free_index[pool] == sorted(expected)
-    assert allocator.reserved_bytes == sum(s.size for s in allocator.segments())
+    assert allocator.reserved_bytes == sum(s.size for s in allocator._segments.values())
 
 
 BLOCK_ALLOCATORS = {
@@ -110,13 +112,17 @@ class TestBlockListInvariants:
         # some requests fail, so those paths are walked as well.
         allocator = BLOCK_ALLOCATORS[name](Device(name="inv", capacity=512 * MIB))
         failed = _drive(allocator, seed, 1200, _check_block_structure)
-        assert allocator.allocated_bytes == 0
-        for segment in allocator.segments():
+        assert allocator._allocated_bytes == 0
+        for segment in allocator._segments.values():
             assert len(segment.blocks) == 1 and segment.is_fully_free()
         if name == "gmlake-stitch":
             assert allocator.stats.stitches > 0
         if name.startswith("torch"):
             assert allocator.stats.device_free_calls > 0 and failed > 0
+
+
+def _total(interval_set: IntervalSet) -> int:
+    return sum(interval.end - interval.start for interval in interval_set)
 
 
 def _check_arena_accounting(allocator: ExpandableSegmentsAllocator) -> None:
@@ -128,18 +134,19 @@ def _check_arena_accounting(allocator: ExpandableSegmentsAllocator) -> None:
             assert arena.mapped.contains(interval.start, interval.end), "free must lie in mapped"
         for interval in arena.mapped:
             assert interval.start % granule == interval.end % granule == 0, "whole granules only"
-        assert not arena.mapped or arena.mapped.span.end <= arena.tail <= arena.virtual_size
-        mapped_total += arena.mapped.total
-    assert mapped_total == allocator.reserved_bytes == allocator.vmm.mapped_bytes
+        assert not arena.mapped or list(arena.mapped)[-1].end <= arena.tail <= arena.virtual_size
+        mapped_total += _total(arena.mapped)
+    assert mapped_total == allocator.reserved_bytes
     assert mapped_total == allocator.device.in_use
-    assert allocator.device.live_allocations == mapped_total // granule
+    device = allocator.device
+    assert len(device._allocations) + device._run_allocations == mapped_total // granule
     stats = allocator.vmm.stats
     assert stats.handles_created - stats.handles_released == mapped_total // granule
     assert allocator.stats.vmm_ops == (
         stats.handles_created + stats.map_calls + stats.unmap_calls + stats.handles_released
     )
     live = sum(size for _, _, size in allocator._placements.values())
-    free = sum(arena.free.total for arena in allocator._arenas.values())
+    free = sum(_total(arena.free) for arena in allocator._arenas.values())
     assert live + free == mapped_total
 
 
@@ -241,49 +248,39 @@ def _reference_intersection(a, b):
 
 class TestIntervalSearchOracles:
     @pytest.mark.parametrize("seed", range(40))
-    def test_fits_carve_and_intersection_match_reference(self, seed):
+    def test_fits_and_carve_match_reference(self, seed):
         rng = random.Random(seed)
         for _ in range(25):
             a, b = _random_set(rng), _random_set(rng)
             pairs_a, pairs_b = _pairs(a), _pairs(b)
             common = _reference_intersection(pairs_a, pairs_b)
-            intersection = a.intersection(b)
-            assert _pairs(intersection) == common
-            assert intersection == IntervalSet(common), "result must be canonical"
             for size in (1, 2, 5, 13, 39, 80):
                 best = _reference_best_fit(pairs_a, size)
-                assert a.best_fit(size) == best
-                first = next(
-                    (Interval(s, e) for s, e in pairs_a if e - s >= size), None
-                )
-                assert a.first_fit(size) == first
                 assert a.best_fit_within(b, size) == _reference_best_fit(common, size)
-                for policy, chosen in (("best_fit", best), ("first_fit", first)):
-                    carved_from = a.copy()
-                    carved = carved_from.carve(size, policy=policy)
-                    if chosen is None:
-                        assert carved is None and carved_from == a
-                    else:
-                        assert carved == Interval(chosen.start, chosen.start + size)
-                        expected = a.copy()
-                        expected.remove(carved.start, carved.end)
-                        assert carved_from == expected
+                carved_from = IntervalSet(pairs_a)
+                carved = carved_from.carve(size)
+                if best is None:
+                    assert carved is None and carved_from == a
+                else:
+                    assert carved == Interval(best.start, best.start + size)
+                    expected = IntervalSet(pairs_a)
+                    expected.remove(carved.start, carved.end)
+                    assert carved_from == expected
             for probe in range(0, 450, 7):
                 expected = next((e - s for s, e in pairs_a if e == probe), 0)
                 assert a.length_ending_at(probe) == expected
             for start, end in pairs_a:
                 assert a.length_ending_at(end) == end - start
 
-    @pytest.mark.parametrize("method", ["best_fit", "first_fit", "carve"])
-    def test_non_positive_size_is_rejected(self, method):
+    def test_non_positive_size_is_rejected(self):
         with pytest.raises(ValueError, match="size must be positive"):
-            getattr(IntervalSet.full(0, 8), method)(0)
+            IntervalSet.full(0, 8).carve(0)
         with pytest.raises(ValueError, match="size must be positive"):
             IntervalSet.full(0, 8).best_fit_within(IntervalSet.full(0, 8), -1)
 
 
 # ---------------------------------------------------------------------- #
-# Columnar request pairing vs pair_events
+# Columnar request pairing vs the object oracle
 # ---------------------------------------------------------------------- #
 def _event(kind, req_id, size, time, phase, module="m", dyn=False):
     return TraceEvent(
@@ -297,14 +294,22 @@ BACKWARD = Phase(index=1, kind=PhaseKind.BACKWARD, microbatch=0)
 ALLOC, FREE = EventKind.ALLOC, EventKind.FREE
 
 
+def _rows(requests) -> list[tuple]:
+    """Request objects as :class:`RequestColumns` rows."""
+    return [
+        (m.alloc_time, m.req_id, m.size, m.free_time, m.alloc_phase.index,
+         m.free_phase.index, int(m.dyn))
+        for m in requests
+    ]
+
+
 class TestColumnarPairing:
     @pytest.mark.parametrize("case_name", sorted(_case_configs()))
     def test_golden_traces_pair_like_the_object_loop(self, case_name):
         trace = _golden_trace(case_name)
         assert trace.columns.pairing().ok
-        requests = trace.to_requests()
-        assert trace._events is None, "pairing must not materialize event objects"
-        assert requests == pair_events(trace.events, end_of_trace=trace.end_time())
+        columns = ProfileResult(trace).columns
+        assert list(zip(*columns)) == _rows(requests_of(trace))
 
     def test_survivors_and_empty_free_modules(self):
         events = [
@@ -313,40 +318,43 @@ class TestColumnarPairing:
             _event(FREE, 3, 32, 2, BACKWARD, module=""),  # falls back to the alloc module
             _event(ALLOC, 9, 16, 3, BACKWARD, module="layer.2"),
         ]
-        trace = Trace(events=events)  # no declared phases: taken from the events
+        trace = make_trace(events)
         assert trace.columns.pairing().ok
-        requests = trace.to_requests()
-        assert requests == pair_events(events, end_of_trace=trace.end_time())
-        assert [r.req_id for r in requests] == [7, 3, 9]
-        assert requests[1].free_module == "layer.1" and requests[1].free_phase is BACKWARD
-        assert requests[0].free_time == requests[2].free_time == 4
-        assert requests[0].free_phase is BACKWARD
+        profile = ProfileResult(trace)
+        assert list(zip(*profile.columns)) == _rows(requests_of(trace)) == [
+            (0, 7, 64, 4, FORWARD.index, BACKWARD.index, 0),
+            (1, 3, 32, 2, FORWARD.index, BACKWARD.index, 1),
+            (3, 9, 16, 4, BACKWARD.index, BACKWARD.index, 0),
+        ]
+        [group] = profile.dynamic_groups
+        assert group.key == ("layer.1", "layer.1")
 
-    def test_id_reuse_takes_the_fallback(self):
+    def test_id_reuse_is_refused_by_the_profiler_and_replayed(self):
         events = [
             _event(ALLOC, 1, 64, 0, FORWARD),
             _event(FREE, 1, 64, 1, FORWARD),
             _event(ALLOC, 1, 32, 2, BACKWARD),
             _event(FREE, 1, 32, 3, BACKWARD),
         ]
-        trace = Trace(events=events)
+        trace = make_trace(events)
         assert not trace.columns.pairing().ok
-        assert trace.to_requests() == pair_events(events, end_of_trace=4)
-        assert [r.size for r in trace.to_requests()] == [64, 32]
+        with pytest.raises(ValueError, match="^request 1 allocated twice$"):
+            ProfileResult(trace)
+        assert replay_trace(trace, _HintRecorder()).events_replayed == 4
 
     def test_malformed_traces_keep_their_diagnostics(self):
-        free_first = Trace(events=[
+        free_first = make_trace([
             _event(FREE, 5, 8, 0, FORWARD), _event(ALLOC, 5, 8, 1, FORWARD),
         ])
         assert not free_first.columns.pairing().ok
         with pytest.raises(ValueError, match="free of unknown request 5"):
-            free_first.to_requests()
-        double = Trace(events=[
+            ProfileResult(free_first)
+        double = make_trace([
             _event(ALLOC, 5, 8, 0, FORWARD), _event(ALLOC, 5, 8, 1, FORWARD),
         ])
         with pytest.raises(ValueError, match="request 5 allocated twice"):
-            double.to_requests()
-        assert Trace(events=[]).to_requests() == []
+            ProfileResult(double)
+        assert ProfileResult(Trace()).num_requests == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -370,7 +378,7 @@ class _HintRecorder(Allocator):
 
     @property
     def reserved_bytes(self):
-        return self.allocated_bytes
+        return self._allocated_bytes
 
 
 class TestColumnarReplayLoop:
@@ -378,9 +386,8 @@ class TestColumnarReplayLoop:
         trace = _golden_trace("moe-tiny-comm")
         recorder = _HintRecorder()
         result = replay_trace(trace, recorder)
-        assert trace._events is None, "replay must not materialize event objects"
         assert result.events_replayed == trace.num_events
-        allocs = [event for event in trace.events if event.is_alloc()]
+        allocs = [event for event in events_of(trace) if event.is_alloc()]
         assert len(recorder.seen) == len(allocs)
         by_value: dict[AllocationHints, AllocationHints] = {}
         for event, (req_id, size, hints) in zip(allocs, recorder.seen):
@@ -393,20 +400,20 @@ class TestColumnarReplayLoop:
         assert 1 < len(by_value) < len(allocs) / 4
         assert any(hints.dyn for hints in by_value) and hints.category in CATEGORIES
 
-    def test_hand_built_trace_without_declared_phases(self):
+    def test_hand_built_trace(self):
         events = [
             _event(ALLOC, 1, 64, 0, FORWARD, module="a", dyn=True),
             _event(FREE, 1, 64, 1, BACKWARD),
             _event(ALLOC, 2, 32, 2, BACKWARD, module="b"),
         ]
         recorder = _HintRecorder()
-        result = replay_trace(Trace(events=events), recorder)
-        assert result.events_replayed == 3 and recorder.live_requests == 1
+        result = replay_trace(make_trace(events), recorder)
+        assert result.events_replayed == 3 and len(recorder._live_sizes) == 1
         assert [hints.phase for _, _, hints in recorder.seen] == [FORWARD, BACKWARD]
         assert recorder.seen[0][2].phase is FORWARD and recorder.seen[0][2].dyn is True
 
     def test_undeclared_phase_in_columns_is_an_error(self):
-        trace = Trace(events=[_event(ALLOC, 1, 64, 0, FORWARD)])
+        trace = make_trace([_event(ALLOC, 1, 64, 0, FORWARD)])
         columns_only = Trace(columns=trace.columns, phases=[])
         with pytest.raises(KeyError):
             replay_trace(columns_only, _HintRecorder())

@@ -29,15 +29,8 @@ from repro.search import (
 )
 from repro.search.planner import _rank_rows
 from repro.simulator.ranks import split_classes_by_capacity
-from repro.simulator.runner import (
-    JobRun,
-    WorkloadRun,
-    _budget_utilization,
-    resolve_job_ranks,
-    run_job,
-    run_workload,
-    validate_capacity_gib,
-)
+from repro.simulator.ranks import resolve_job_ranks, validate_capacity_gib
+from repro.simulator.runner import JobRun, WorkloadRun, _budget_utilization, run_job, run_workload
 from repro.sweep.compare import _is_regression, _values_differ, compare_results
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import load_spec
@@ -77,8 +70,6 @@ def test_cluster_from_dict_roundtrip():
         {"devices": "4xA800-80GB@40", "device_memory_by_rank": {"0": 30, "1.0": 20}}
     )
     assert dict(cluster.budget_map()) == {"0": 30.0, "1.0": 20.0}
-    again = ClusterSpec.from_dict(cluster.to_dict())
-    assert again == cluster
     # A ClusterSpec passes through unchanged.
     assert ClusterSpec.from_dict(cluster) is cluster
 
@@ -327,15 +318,10 @@ def test_rank_rows_orders_and_stamps():
 
 def test_search_result_roundtrip(tmp_path, search_smoke_pair):
     searched, _ = search_smoke_pair
-    doc = searched.as_dict()
-    again = SearchResult.from_dict(doc)
-    assert again.as_dict() == doc
-
     path = tmp_path / "search.json"
     searched.write(path)
-    loaded = SearchResult.load(path)
-    assert loaded.rows == searched.rows
-    assert loaded.pruned_by_memory == searched.pruned_by_memory
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc == json.loads(json.dumps(searched.as_dict()))
 
     # The compare gate consumes the same file as a plain sweep result.
     as_sweep = SweepResult.load(path)
@@ -354,7 +340,7 @@ def test_search_result_roundtrip(tmp_path, search_smoke_pair):
 def test_search_rank_regression_gates(search_smoke_pair):
     """A candidate slipping in the ranking is a compare-gate regression."""
     searched, _ = search_smoke_pair
-    worse = SearchResult.from_dict(searched.as_dict())
+    worse = dataclass_replace(searched)
     worse.rows = [dict(row) for row in searched.rows]
     worse.rows[0] = dict(worse.rows[0], search_rank=worse.rows[0]["search_rank"] + 1)
     report = compare_results(searched.as_sweep_result(), worse.as_sweep_result())

@@ -22,23 +22,26 @@ from repro.sweep import (
     load_spec,
     run_sweep,
 )
-from repro.sweep.engine import execute_point
+from repro.sweep.engine import execute_points
 from repro.sweep.spec import SWEEP_PRESETS
-from repro.workloads.tracegen import TraceGenerator, config_fingerprint
+from repro.workloads.fingerprint import config_fingerprint
+from repro.workloads.tracegen import TraceGenerator
+
+
+#: A small job-level spec document.
+TINY_SPEC = {
+    "name": "tiny",
+    "model": "gpt2-345m",
+    "parallelism": {"pipeline_parallel": 4, "data_parallel": 2},
+    "base": {"num_microbatches": 2},
+    "grid": {"micro_batch_size": [1, 2]},
+    "allocators": ["torch2.3", "stalloc"],
+    "scale": 0.25,
+}
 
 
 def _tiny_spec(**overrides) -> SweepSpec:
-    data = {
-        "name": "tiny",
-        "model": "gpt2-345m",
-        "parallelism": {"pipeline_parallel": 4, "data_parallel": 2},
-        "base": {"num_microbatches": 2},
-        "grid": {"micro_batch_size": [1, 2]},
-        "allocators": ["torch2.3", "stalloc"],
-        "scale": 0.25,
-    }
-    data.update(overrides)
-    return SweepSpec.from_dict(data)
+    return SweepSpec.from_dict({**TINY_SPEC, **overrides})
 
 
 # ---------------------------------------------------------------------- #
@@ -49,11 +52,11 @@ class TestSweepSpec:
     def test_presets_expand_to_declared_size(self, preset):
         spec = load_spec(preset)
         points = spec.expand()
-        assert len(points) == spec.num_points > 0
+        assert len(points) > 0
         assert [p.index for p in points] == list(range(len(points)))
 
     def test_quick_grid_preset_has_at_least_24_points(self):
-        assert load_spec("quick-grid").num_points >= 24
+        assert len(load_spec("quick-grid").expand()) >= 24
 
     def test_grid_values_reach_the_config(self):
         spec = _tiny_spec(grid={"micro_batch_size": [1, 2], "recompute": [False, True]})
@@ -130,9 +133,9 @@ class TestSweepSpec:
     def test_spec_file_roundtrip(self, tmp_path):
         spec = _tiny_spec()
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(TINY_SPEC), encoding="utf-8")
         loaded = load_spec(path)
-        assert loaded.to_dict() == spec.to_dict()
+        assert [p.row_label for p in loaded.expand()] == [p.row_label for p in spec.expand()]
 
     def test_load_spec_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="unknown sweep preset"):
@@ -435,7 +438,7 @@ class TestRunnerIntegration:
         ctx = ExecutionContext(cache_dir=tmp_path / "cache", jobs=3)
         parallel = runner.run_workload_suite(tiny_dense_config, lineup, ctx=ctx)
         for name, run in serial.items():
-            assert parallel[name].replay.as_dict() == run.replay.as_dict()
+            assert parallel[name].replay == run.replay
         # One representative, generated once in the parent; the workers' disk
         # lookups (trace hits, the plan miss) are folded back into the parent.
         assert ctx.cache.stats.trace_misses == 1
@@ -493,9 +496,9 @@ class TestRunnerIntegration:
     def test_one_pool_and_no_deleted_names(self):
         """Structural guard: exactly one process pool in the package, and the
         deleted execution setters, memo and fan-out paths stay deleted
-        everywhere (run_job, its JobSpec and execute_point take no per-rank
+        everywhere (run_job, its JobSpec and execute_points take no per-rank
         traces)."""
-        for function in (runner.run_job, runner.JobSpec, execute_point):
+        for function in (runner.run_job, runner.JobSpec, execute_points):
             assert "traces" not in inspect.signature(function).parameters
         root = Path(__file__).resolve().parent.parent
         files = [

@@ -12,13 +12,13 @@ single-source-of-truth satellite.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.gpu.device import GIB, a800_80gb, device_from_spec, h200_141gb, mi210_64gb
+from repro.gpu.device import GIB, device_from_spec
 from repro.gpu.specs import GPU_SPECS, get_gpu
-from repro.simulator import throughput as throughput_module
 from repro.simulator.runner import run_job, run_workload
 from repro.simulator.throughput import ThroughputModel
 from repro.obs import BufferSink, Tracer
@@ -26,12 +26,12 @@ from repro.obs.tracer import install, shutdown
 from repro.search.cluster import ClusterSpec
 from repro.simulator.ranks import validate_budget_map
 from repro.sweep.compare import compare_results
-from repro.sweep.engine import execute_point, run_sweep
+from repro.sweep.engine import execute_points, run_sweep
 from repro.sweep.spec import SweepSpec, load_spec
 from repro.timeline import TimelineSimulator, simulate_timeline
 from repro.workloads.moe import ExpertRouter
 from repro.workloads.models import get_model
-from repro.workloads.tracegen import config_fingerprint
+from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
 
@@ -232,7 +232,7 @@ class TestEventStream:
             for event in rank.events:
                 assert event.duration >= 0.0
                 assert event.start >= cursor - 1e-12
-                cursor = max(cursor, event.end)
+                cursor = max(cursor, event.start + event.duration)
             assert cursor <= timeline.iteration_seconds + 1e-12
             assert rank.finish_seconds <= timeline.iteration_seconds + 1e-12
 
@@ -301,10 +301,6 @@ class TestEventStream:
         assert summary["iteration_seconds"] == timeline.iteration_seconds
         assert summary["binding_rank"] == list(timeline.binding_rank)
         assert summary["num_events"] == timeline.num_events
-        per_rank = timeline.rank_timeline(timeline.binding_rank)
-        assert per_rank.rank == timeline.binding_rank
-        with pytest.raises(KeyError):
-            timeline.rank_timeline((99, 99))
         lines = list(timeline.iter_jsonl())
         assert len(lines) == timeline.num_events + 1  # header + one per event
 
@@ -383,6 +379,153 @@ def test_non_finite_inputs_are_rejected(case, tmp_path, capsys):
     assert message in captured.err
 
 
+#: A generation sweep spec and a tiered-cluster search spec, as the
+#: benchmark's gen-decode and search-wide workloads write them (seed 0).
+GEN_DECODE = {
+    "name": "gen-decode",
+    "model": "gpt2-345m",
+    "parallelism": {"pipeline_parallel": 2, "data_parallel": 2},
+    "base": {"num_microbatches": 4, "micro_batch_size": 4, "workload_kind": "generation"},
+    "grid": {"decode_steps": [8, 16]},
+    "allocators": ["torch2.3", "torch_es", "stalloc"],
+    "ranks": "all",
+    "seed": 0,
+}
+SEARCH_WIDE = {
+    "name": "search-wide",
+    "model": "moe-tiny",
+    "cluster": "2x4xA800-80GB@0.30",
+    "global_batch": 16,
+    "allocators": ["torch2.3", "stalloc"],
+    "micro_batch_sizes": [1],
+    "recompute": [True],
+    "zero_stage": [0, 1],
+    "tensor_parallel": [1],
+    "virtual_pipeline_chunks": [1],
+    "base": {"moe_imbalance": 0.6, "moe_comm_factor": 1.0},
+    "seed": 0,
+}
+
+
+#: A training sweep over the gen-decode model and layout, where the
+#: training-only fields (recompute, offload, ZeRO) are legal.
+TRAIN_SWEEP = dict(
+    GEN_DECODE,
+    name="train-recompute",
+    base={"num_microbatches": 4, "micro_batch_size": 2},
+    grid={"recompute": [False, True]},
+)
+
+
+def _with(spec: dict, **changes) -> dict:
+    """``spec`` with top-level fields replaced; ``base__X`` replaces ``base["X"]``."""
+    spec = dict(spec, base=dict(spec["base"]))
+    for key, value in changes.items():
+        if key.startswith("base__"):
+            spec["base"][key[len("base__"):]] = value
+        else:
+            spec[key] = value
+    return spec
+
+
+#: Malformed spec -> (command, document, what the one-line error must name).
+#: Each used to run anyway, crash with a traceback, fail one point at run
+#: time, or print an error that named no field or the wrong one.
+MALFORMED_SPECS = {
+    "sweep-mbs-float": (
+        "sweep", _with(GEN_DECODE, base__micro_batch_size=2.5), "micro_batch_size"
+    ),
+    "sweep-mbs-string": (
+        "sweep", _with(GEN_DECODE, base__micro_batch_size="2"), "micro_batch_size"
+    ),
+    "sweep-unknown-device": ("sweep", _with(GEN_DECODE, device="H100-xx"), "device 'H100-xx'"),
+    "sweep-negative-scale": ("sweep", _with(GEN_DECODE, scale=-1), "scale"),
+    "sweep-grid-list": ("sweep", _with(GEN_DECODE, grid=[1]), "grid"),
+    "sweep-allocators-string": ("sweep", _with(GEN_DECODE, allocators="stalloc"), "allocators"),
+    "sweep-top-level-list": ("sweep", [GEN_DECODE], "sweep spec must be a JSON object"),
+    "sweep-negative-capacity": (
+        "sweep", _with(GEN_DECODE, device_capacity_gib=-5), "device_capacity_gib"
+    ),
+    "search-zero-stage": ("search", _with(SEARCH_WIDE, zero_stage=[5]), "zero_stage"),
+    "search-recompute-string": ("search", _with(SEARCH_WIDE, recompute=["yes"]), "recompute"),
+    "search-allocators-string": (
+        "search", _with(SEARCH_WIDE, allocators="stalloc"), "allocators"
+    ),
+    "sweep-nmb-string": (
+        "sweep", _with(GEN_DECODE, base__num_microbatches="4"), "num_microbatches"
+    ),
+    "sweep-mbs-bool": ("sweep", _with(GEN_DECODE, base__micro_batch_size=True), "micro_batch_size"),
+    "sweep-decode-float": (
+        "sweep", _with(GEN_DECODE, grid={"decode_steps": [8, 16.0]}), "decode_steps"
+    ),
+    "sweep-max-new-string": (
+        "sweep", _with(GEN_DECODE, base__max_new_tokens="8"), "max_new_tokens"
+    ),
+    "sweep-zero-scale": ("sweep", _with(GEN_DECODE, scale=0), "scale"),
+    "sweep-bool-scale": ("sweep", _with(GEN_DECODE, scale=True), "scale"),
+    "sweep-grid-scale": (
+        "sweep", _with(GEN_DECODE, grid={"scale": [0.5, 1.5]}), "grid scale[1]"
+    ),
+    "sweep-base-list": (
+        "sweep", dict(GEN_DECODE, base=[1]), "base must be a JSON object"
+    ),
+    "sweep-parallelism-int": (
+        "sweep", _with(GEN_DECODE, parallelism=4), "parallelism must be a JSON object"
+    ),
+    "sweep-stalloc-grid-list": (
+        "sweep", _with(GEN_DECODE, stalloc_grid=[1]), "stalloc_grid must be a JSON object"
+    ),
+    "sweep-zero-capacity": (
+        "sweep", _with(GEN_DECODE, device_capacity_gib=0), "device_capacity_gib"
+    ),
+    "sweep-string-capacity": (
+        "sweep", _with(GEN_DECODE, device_capacity_gib="80"), "device_capacity_gib"
+    ),
+    "train-recompute-string": (
+        "sweep", _with(TRAIN_SWEEP, grid={"recompute": ["yes"]}), "recompute"
+    ),
+    "train-offload-int": (
+        "sweep", _with(TRAIN_SWEEP, base__offload_activations=1), "offload_activations"
+    ),
+    "train-zero-stage-float": ("sweep", _with(TRAIN_SWEEP, base__zero_stage=1.0), "zero_stage"),
+    "search-scale": ("search", _with(SEARCH_WIDE, scale=2), "scale"),
+    "search-top-level-list": ("search", [SEARCH_WIDE], "search spec must be a JSON object"),
+    "search-base-list": ("search", dict(SEARCH_WIDE, base=[1]), "base must be a JSON object"),
+    "search-stalloc-grid-list": (
+        "search", _with(SEARCH_WIDE, stalloc_grid=[1]), "stalloc_grid must be a JSON object"
+    ),
+    "search-zero-stage-string": ("search", _with(SEARCH_WIDE, zero_stage=["1"]), "zero_stage"),
+    "search-recompute-int": ("search", _with(SEARCH_WIDE, recompute=[1]), "recompute"),
+    "search-mbs-bool": (
+        "search", _with(SEARCH_WIDE, micro_batch_sizes=[True]), "micro_batch_sizes"
+    ),
+    "search-mbs-float": (
+        "search", _with(SEARCH_WIDE, micro_batch_sizes=[1.5]), "micro_batch_sizes"
+    ),
+    "search-mbs-zero": ("search", _with(SEARCH_WIDE, micro_batch_sizes=[0]), "micro_batch_sizes"),
+    "search-vpp-zero": (
+        "search", _with(SEARCH_WIDE, virtual_pipeline_chunks=[0]), "virtual_pipeline_chunks"
+    ),
+    "search-vpp-string": (
+        "search", _with(SEARCH_WIDE, virtual_pipeline_chunks=["1"]), "virtual_pipeline_chunks"
+    ),
+    "search-tp-float": ("search", _with(SEARCH_WIDE, tensor_parallel=[1.0]), "tensor_parallel"),
+    "search-ep-string": ("search", _with(SEARCH_WIDE, expert_parallel=["2"]), "expert_parallel"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_specs_exit_2_at_load_naming_the_field(case, tmp_path, capsys):
+    command, document, field = MALFORMED_SPECS[case]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(document), encoding="utf-8")
+    assert cli_main([command, str(spec_path), "--no-cache", "--no-progress"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+
+
 # ---------------------------------------------------------------------- #
 # Runner integration (timing backends)
 # ---------------------------------------------------------------------- #
@@ -391,11 +534,12 @@ class TestRunnerTiming:
         job = run_job(moe_config(), "torch2.3", ranks="all", scale=0.5)
         assert job.throughput is not None and job.throughput.source == "timeline"
         assert job.timeline is not None
-        assert job.iteration_seconds > 0
-        assert job.comm_seconds > 0
-        assert 0 < job.bubble_fraction < 1
-        assert 0 < job.mfu < 1
-        data = job.as_dict()
+        estimate = job.throughput
+        assert estimate.iteration_seconds > 0
+        assert estimate.comm_seconds > 0
+        assert 0 < estimate.bubble_fraction < 1
+        assert 0 < estimate.mfu < 1
+        data = estimate.row_columns()
         for key in ("iteration_seconds", "comm_seconds", "bubble_fraction", "mfu"):
             assert key in data
         assert data["timing"] == "timeline"
@@ -404,7 +548,7 @@ class TestRunnerTiming:
         job = run_job(moe_config(), "torch2.3", ranks="all", scale=0.5, timing="analytical")
         assert job.throughput is not None and job.throughput.source == "analytical"
         assert job.timeline is None
-        assert job.comm_seconds == 0.0
+        assert job.throughput.comm_seconds == 0.0
 
     def test_run_job_rejects_unknown_timing(self):
         with pytest.raises(ValueError, match="timing"):
@@ -417,7 +561,8 @@ class TestRunnerTiming:
         analytical_job = run_job(
             moe_config(), "torch2.3", ranks="all", scale=0.5, timing="analytical"
         )
-        assert timeline_job.iteration_seconds > analytical_job.iteration_seconds
+        timeline_seconds = timeline_job.throughput.iteration_seconds
+        assert timeline_seconds > analytical_job.throughput.iteration_seconds
         assert timeline_job.tflops < analytical_job.tflops
 
     def test_run_workload_accepts_timing(self, tiny_dense_config):
@@ -429,7 +574,7 @@ class TestRunnerTiming:
             scale=0.25,
         )
         assert run.throughput is not None and run.throughput.source == "timeline"
-        assert run.as_dict()["timing"] == "timeline"
+        assert run.throughput.row_columns()["timing"] == "timeline"
         with pytest.raises(ValueError, match="timing"):
             run_workload(tiny_dense_config, "torch2.3", timing="nope")
 
@@ -488,7 +633,7 @@ class TestSweepTiming:
     def test_timeline_smoke_preset_loads(self):
         spec = load_spec("timeline-smoke")
         assert spec.timing == "timeline"
-        assert spec.num_points == 3
+        assert len(spec.expand()) == 3
 
     def test_compare_flags_timing_regressions(self):
         result = run_sweep(tiny_sweep_spec())
@@ -567,7 +712,7 @@ class TestBudgetAxis:
 
     def test_axis_rows_report_their_budget(self):
         spec = self.budget_spec([None, {"0": 40}])
-        rows = [execute_point(point) for point in spec.expand()]
+        rows = execute_points(spec.expand())
         assert rows[0]["config"] == "mem=uniform"
         assert rows[1]["config"] == "mem=0:40"
         # The capped rank 0 binds at 40 GiB: utilization is only reported
@@ -603,7 +748,6 @@ class TestBudgetAxis:
     def test_axis_coexists_with_other_axes(self):
         spec = self.budget_spec([None, {"0": 40}])
         spec.grid["micro_batch_size"] = [1, 2]
-        spec = SweepSpec.from_dict(spec.to_dict())
         points = spec.expand()
         assert len(points) == 4
         labels = {point.row_label for point in points}
@@ -639,19 +783,10 @@ def test_result_key_invalidates_on_timeline_version(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------- #
 class TestGpuSpecs:
     def test_device_presets_match_specs(self):
-        for preset, name in [
-            (a800_80gb, "A800-80GB"),
-            (h200_141gb, "H200-141GB"),
-            (mi210_64gb, "MI210-64GB"),
-        ]:
-            device = preset()
+        for name in ("A800-80GB", "H200-141GB", "MI210-64GB"):
+            device = device_from_spec(name)
             assert device.name == name
             assert device.capacity == GPU_SPECS[name].memory_gib * GIB
-
-    def test_throughput_module_reexports_the_same_objects(self):
-        assert throughput_module.GPU_SPECS is GPU_SPECS
-        for name, spec in GPU_SPECS.items():
-            assert throughput_module.GPU_SPECS[name] is spec
 
     def test_device_from_spec_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown GPU"):

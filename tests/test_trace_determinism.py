@@ -13,14 +13,16 @@ import json
 
 import pytest
 
-from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent
+from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory
 from repro.core.stalloc import STAllocConfig
 from repro.sweep.cache import SweepCache
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TraceGenerator, config_fingerprint
+from repro.workloads.fingerprint import config_fingerprint
+from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.trace_oracle import TraceEvent, events_of, make_trace, reload
 
 
 def _dense(**overrides) -> TrainingConfig:
@@ -87,9 +89,9 @@ class TestSerializationRoundTrip:
         assert loaded.metadata == trace.metadata
         assert loaded.module_spans == trace.module_spans
 
-    def test_loads_rejects_empty_input(self):
+    def test_load_rejects_empty_input(self, tmp_path):
         with pytest.raises(ValueError):
-            Trace.loads("")
+            reload("", tmp_path)
 
 
 #: Module and tag names that exercise every JSON string escape: quotes,
@@ -125,7 +127,7 @@ def _hostile_trace() -> Trace:
         events.append(TraceEvent(kind=EventKind.ALLOC, time=time, phase=phases[0], **common))
         events.append(TraceEvent(kind=EventKind.FREE, time=time + 1, phase=phases[1], **common))
         time += 2
-    return Trace(events=events, phases=phases, module_spans={HOSTILE_NAMES[0]: (0, time)})
+    return make_trace(events, phases=phases, module_spans={HOSTILE_NAMES[0]: (0, time)})
 
 
 def _reference_lines(trace: Trace) -> list[str]:
@@ -146,7 +148,7 @@ def _reference_lines(trace: Trace) -> list[str]:
             sort_keys=True,
             separators=(",", ":"),
         )
-        for event in trace.events
+        for event in events_of(trace)
     ]
 
 
@@ -163,11 +165,11 @@ class TestCanonicalBytes:
         assert lines[1:-1] == _reference_lines(trace)
         assert json.loads(lines[0]).keys() == {"metadata", "module_spans", "phases"}
 
-    def test_hostile_names_survive_a_round_trip(self):
+    def test_hostile_names_survive_a_round_trip(self, tmp_path):
         trace = _hostile_trace()
-        loaded = Trace.loads(trace.dumps())
-        assert [(e.module, e.tag) for e in loaded.events] == [
-            (e.module, e.tag) for e in trace.events
+        loaded = reload(trace.dumps(), tmp_path)
+        assert [(e.module, e.tag) for e in events_of(loaded)] == [
+            (e.module, e.tag) for e in events_of(trace)
         ]
         assert loaded.dumps() == trace.dumps()
 
@@ -186,7 +188,7 @@ class TestCanonicalBytes:
         assert (tmp_path / "t.jsonl").read_bytes() == build().dumps().encode("utf-8")
 
         assert build().digest() == expected  # fresh trace: digest serializes
-        assert Trace.loads(build().dumps()).digest() == expected
+        assert reload(build().dumps(), tmp_path).digest() == expected
         assert Trace.load(tmp_path / "t.jsonl").digest() == expected
 
 
@@ -216,11 +218,11 @@ class TestSeedSensitivity:
     def test_moe_routing_depends_on_seed(self):
         config = CONFIG_CASES["moe"]
         sizes_a = sorted(
-            e.size for e in TraceGenerator(config, seed=0, scale=0.5).generate().events
+            e.size for e in events_of(TraceGenerator(config, seed=0, scale=0.5).generate())
             if e.dyn and e.is_alloc()
         )
         sizes_b = sorted(
-            e.size for e in TraceGenerator(config, seed=1, scale=0.5).generate().events
+            e.size for e in events_of(TraceGenerator(config, seed=1, scale=0.5).generate())
             if e.dyn and e.is_alloc()
         )
         assert sizes_a != sizes_b
@@ -229,7 +231,7 @@ class TestSeedSensitivity:
         config = CONFIG_CASES["dense"]
         a = TraceGenerator(config, seed=0, scale=0.5).generate()
         b = TraceGenerator(config, seed=1, scale=0.5).generate()
-        assert [e.size for e in a.events] == [e.size for e in b.events]
+        assert [e.size for e in events_of(a)] == [e.size for e in events_of(b)]
         assert a.metadata.seed != b.metadata.seed
         assert a.digest() != b.digest()  # seed is part of the content address
 

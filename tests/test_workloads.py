@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.events import PhaseKind, TensorCategory
+from repro.core.profiler import AllocationProfiler
 from repro.workloads.memory_model import MemoryModel, TensorSpec
 from repro.workloads.models import MODEL_REGISTRY, get_model
 from repro.workloads.moe import ExpertRouter
@@ -13,10 +14,10 @@ from repro.workloads.schedule import (
     build_schedule,
     interleaved_virtual_pipeline,
     one_f_one_b,
-    peak_in_flight_microbatches,
 )
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import OPTIMIZATION_PRESETS, TrainingConfig, preset_config
+from tests.trace_oracle import events_of
 
 
 class TestModelConfigs:
@@ -109,6 +110,24 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(model=get_model("gpt2-345m"), zero_stage=5)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("micro_batch_size", 2.5, "micro_batch_size must be an int, got 2.5"),
+            ("num_microbatches", "4", "num_microbatches must be an int, got '4'"),
+            ("zero_stage", True, "zero_stage must be an int, got True"),
+            ("decode_steps", 1.0, "decode_steps must be an int, got 1.0"),
+            ("max_new_tokens", None, "max_new_tokens must be an int, got None"),
+            ("recompute", 1, "recompute must be true or false, got 1"),
+            ("offload_activations", "no", "offload_activations must be true or false, got 'no'"),
+        ],
+        ids=["micro_batch_size", "num_microbatches", "zero_stage", "decode_steps",
+             "max_new_tokens", "recompute", "offload_activations"],
+    )
+    def test_typed_fields_reject_other_types(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainingConfig(model=get_model("gpt2-345m"), **{name: value})
+
     def test_invalid_framework(self):
         with pytest.raises(ValueError):
             TrainingConfig(model=get_model("gpt2-345m"), framework="jax")
@@ -192,11 +211,6 @@ class TestMemoryModel:
     def test_expert_tensors_empty_for_zero_tokens(self, tiny_moe_config):
         assert MemoryModel(tiny_moe_config).expert_tensors(0, 0) == []
 
-    def test_saved_bytes_per_microbatch_drops_with_recompute(self, tiny_dense_config):
-        plain = MemoryModel(tiny_dense_config)
-        recompute = MemoryModel(tiny_dense_config.with_(recompute=True))
-        assert recompute.saved_bytes_per_microbatch() < plain.saved_bytes_per_microbatch()
-
 
 class TestSchedules:
     def test_1f1b_phase_counts(self):
@@ -251,10 +265,6 @@ class TestSchedules:
         with pytest.raises(ValueError):
             one_f_one_b(0, 4)
 
-    def test_peak_in_flight_helper(self):
-        par = ParallelismConfig(1, 4, 1, virtual_pipeline_chunks=2)
-        assert peak_in_flight_microbatches(par, 16) == 8
-
 
 class TestExpertRouter:
     def test_route_conserves_nothing_negative(self):
@@ -288,16 +298,12 @@ class TestExpertRouter:
         with pytest.raises(ValueError):
             ExpertRouter(num_experts=4, num_local_experts=2, top_k=2, imbalance=2.0)
 
-    def test_expected_local_tokens(self):
-        router = ExpertRouter(num_experts=8, num_local_experts=2, top_k=2)
-        assert router.expected_local_tokens(1024) == 512
-
 
 class TestTraceGeneration:
     def test_trace_is_balanced(self, dense_trace):
         """Every free matches an alloc; nothing is freed twice."""
         live: set[int] = set()
-        for event in dense_trace.events:
+        for event in events_of(dense_trace):
             if event.is_alloc():
                 assert event.req_id not in live
                 live.add(event.req_id)
@@ -307,7 +313,7 @@ class TestTraceGeneration:
         # Only persistent tensors stay live at the end of the iteration.
         persistent = {
             e.req_id
-            for e in dense_trace.events
+            for e in events_of(dense_trace)
             if e.is_alloc() and e.category in (
                 TensorCategory.WEIGHT, TensorCategory.GRADIENT, TensorCategory.OPTIMIZER_STATE
             )
@@ -315,7 +321,7 @@ class TestTraceGeneration:
         assert live == persistent
 
     def test_times_strictly_increasing(self, dense_trace):
-        times = [event.time for event in dense_trace.events]
+        times = [event.time for event in events_of(dense_trace)]
         assert times == sorted(times)
         assert len(set(times)) == len(times)
 
@@ -327,8 +333,8 @@ class TestTraceGeneration:
     def test_deterministic_generation(self, tiny_dense_config):
         a = TraceGenerator(tiny_dense_config, seed=3).generate()
         b = TraceGenerator(tiny_dense_config, seed=3).generate()
-        assert [(e.kind, e.req_id, e.size) for e in a.events] == [
-            (e.kind, e.req_id, e.size) for e in b.events
+        assert [(e.kind, e.req_id, e.size) for e in events_of(a)] == [
+            (e.kind, e.req_id, e.size) for e in events_of(b)
         ]
 
     def test_recompute_reduces_peak_memory(self, tiny_dense_config):
@@ -339,14 +345,14 @@ class TestTraceGeneration:
 
     def test_moe_trace_has_dynamic_requests(self, moe_trace):
         assert moe_trace.num_dynamic_requests > 0
-        dynamic_events = [e for e in moe_trace.events if e.dyn]
+        dynamic_events = [e for e in events_of(moe_trace) if e.dyn]
         assert all(e.module for e in dynamic_events)
 
     def test_dense_trace_has_no_dynamic_requests(self, dense_trace):
         assert dense_trace.num_dynamic_requests == 0
 
     def test_module_spans_cover_dynamic_modules(self, moe_trace):
-        dynamic_modules = {e.module for e in moe_trace.events if e.dyn}
+        dynamic_modules = {e.module for e in events_of(moe_trace) if e.dyn}
         assert dynamic_modules
         for module in dynamic_modules:
             assert module in moe_trace.module_spans
@@ -366,14 +372,14 @@ class TestTraceGeneration:
         plain = TraceGenerator(tiny_dense_config, seed=0).generate()
         zero3 = TraceGenerator(tiny_dense_config.with_(zero_stage=3), seed=0).generate()
         weight_bytes = lambda trace: sum(  # noqa: E731
-            e.size for e in trace.events
+            e.size for e in events_of(trace)
             if e.is_alloc() and e.category is TensorCategory.WEIGHT
         )
         assert weight_bytes(zero3) < weight_bytes(plain)
 
     def test_requests_pairable(self, dense_trace):
-        requests = dense_trace.to_requests()
-        assert len(requests) == dense_trace.num_requests
+        profile = AllocationProfiler().profile(dense_trace)
+        assert profile.num_requests == dense_trace.num_requests
 
     def test_save_and_load_roundtrip(self, tmp_path, dense_trace):
         path = tmp_path / "trace.jsonl"
@@ -383,13 +389,3 @@ class TestTraceGeneration:
         assert loaded.metadata.model_name == dense_trace.metadata.model_name
         assert loaded.peak_allocated_bytes() == dense_trace.peak_allocated_bytes()
         assert loaded.module_spans == dense_trace.module_spans
-
-    def test_static_dynamic_split(self, moe_trace):
-        static, dynamic = moe_trace.static_dynamic_split()
-        assert static > 0 and dynamic > 0
-        assert static + dynamic == moe_trace.total_allocated_bytes()
-
-    def test_category_bytes(self, dense_trace):
-        categories = dense_trace.category_bytes()
-        assert categories.get("weight", 0) > 0
-        assert categories.get("activation", 0) > 0
