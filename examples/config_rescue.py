@@ -11,8 +11,8 @@ feasibility per allocator and reports the throughput cost of every fallback.
 Run with:  python examples/config_rescue.py
 """
 
+from repro.experiments.common import run_lineups
 from repro.experiments.tables import _table1_configs
-from repro.simulator.runner import run_workload_suite
 from repro.gpu.specs import GPU_SPECS
 from repro.simulator.throughput import ThroughputModel
 
@@ -20,10 +20,13 @@ from repro.simulator.throughput import ThroughputModel
 def main() -> None:
     throughput = ThroughputModel(GPU_SPECS["H200-141GB"])
     lineup = ["torch2.6", "torch_es", "stalloc"]
-    rows = []
-    for label, config in _table1_configs(micro_batch_size=2, num_microbatches=8):
-        runs = run_workload_suite(config, lineup, device_name="H200-141GB")
-        rows.append((label, config, runs))
+    configs = dict(_table1_configs(micro_batch_size=2, num_microbatches=8))
+    # One run_jobs call replays every (configuration, allocator) pair on rank 0.
+    jobs = run_lineups(configs, lineup, device_name="H200-141GB")
+    rows = [
+        (label, config, {name: jobs[label, name] for name in lineup})
+        for label, config in configs.items()
+    ]
 
     best_tflops = max(throughput.tflops(config) for _, config, _ in rows)
     print(f"{'configuration':<24s} {'PyTorch':>8s} {'ES':>8s} {'STAlloc':>8s} {'TFLOPS':>8s} {'slowdown':>9s}")

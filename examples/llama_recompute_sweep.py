@@ -9,7 +9,7 @@ baseline allocator against STAlloc on a simulated 8x A800 node.
 Run with:  python examples/llama_recompute_sweep.py
 """
 
-from repro.simulator.runner import run_workload_suite
+from repro.experiments.common import run_lineups
 from repro.workloads import ParallelismConfig, get_model, preset_config
 
 
@@ -22,14 +22,20 @@ def main() -> None:
     print("Memory efficiency (%) of Llama2-7B + recomputation on 8x A800")
     print(header)
     print("-" * len(header))
-    for micro_batch_size in (1, 2, 4, 8):
-        config = preset_config(
-            model, "R", parallelism=parallelism, micro_batch_size=micro_batch_size, num_microbatches=16
+    sizes = (1, 2, 4, 8)
+    configs = {
+        size: preset_config(
+            model, "R", parallelism=parallelism, micro_batch_size=size, num_microbatches=16
         )
-        runs = run_workload_suite(config, lineup, device_name="A800-80GB")
+        for size in sizes
+    }
+    # One run_jobs call: each size's trace is generated once and replayed on
+    # rank 0 through the whole lineup.
+    jobs = run_lineups(configs, lineup, device_name="A800-80GB")
+    for micro_batch_size in sizes:
         cells = []
         for name in lineup:
-            run = runs[name]
+            run = jobs[micro_batch_size, name].class_runs[0]
             cell = f"{100 * run.memory_efficiency:8.1f}" + ("!" if not run.success else " ")
             cells.append(cell)
         print(f"{micro_batch_size:>4d} | " + " | ".join(cells))

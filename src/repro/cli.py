@@ -149,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write results to PATH (.json or .csv); repeatable",
     )
     sweep_parser.add_argument(
-        "--with-throughput",
-        action="store_true",
-        help="deprecated no-op: throughput columns are part of the default rows now",
-    )
-    sweep_parser.add_argument(
         "--timing",
         choices=["timeline", "analytical"],
         default=None,

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: How the homophase stage lays out two fused plans (see
+#: :func:`repro.core.homophase.attempt_fusion`).
+FUSION_STRATEGIES = ("repack", "insertion")
+
 
 @dataclass
 class GlobalPlannerConfig:
@@ -55,6 +59,25 @@ class STAllocConfig:
     enable_dynamic_reuse: bool = True
     validate_plan: bool = True
     profiler_iterations: int = 3
+
+    def __post_init__(self) -> None:
+        for name in (
+            "enable_fusion",
+            "enable_gap_insertion",
+            "descending_size_order",
+            "enable_dynamic_reuse",
+            "validate_plan",
+        ):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if self.fusion_strategy not in FUSION_STRATEGIES:
+            raise ValueError(
+                f"fusion_strategy must be one of {', '.join(FUSION_STRATEGIES)}, "
+                f"got {self.fusion_strategy!r}"
+            )
+        iterations = self.profiler_iterations
+        if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 1:
+            raise ValueError(f"profiler_iterations must be an int >= 1, got {iterations!r}")
 
     def synthesizer_config(self) -> SynthesizerConfig:
         return SynthesizerConfig(

@@ -36,6 +36,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.core.columns import RequestColumns
+from repro.core.config import FUSION_STRATEGIES
 from repro.core.intervals import IntervalSet
 from repro.core.plan import StaticAllocationPlan
 
@@ -252,7 +253,7 @@ def attempt_fusion(a: LocalPlan, b: LocalPlan, *, strategy: str = "repack") -> L
     that height cannot beat the weighted average, the pair is rejected
     without being packed.
     """
-    if strategy not in ("repack", "insertion"):
+    if strategy not in FUSION_STRATEGIES:
         raise ValueError(f"unknown fusion strategy {strategy!r}")
     threshold = weighted_average_tmp(a, b)
     duration = max(a.end_time, b.end_time) - min(a.start_time, b.start_time)

@@ -118,10 +118,6 @@ class ProfileResult:
             }
         return self._swept
 
-    def peak_allocated_bytes(self) -> int:
-        """Theoretical peak demand of all requests."""
-        return self._sweep()["peak_allocated_bytes"]
-
     def peak_static_bytes(self) -> int:
         """Peak demand of the static requests alone: a lower bound for any plan."""
         return self._sweep()["peak_static_bytes"]

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.simulator.execution import ExecutionContext
+from repro.simulator.runner import JobRun, JobSpec, run_jobs
 from repro.workloads.model_config import ModelConfig
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
@@ -167,6 +168,33 @@ A800_WORKLOADS: dict[str, TestbedWorkload] = {
         num_microbatches=8,
     ),
 }
+
+
+def run_lineups(
+    configs: dict,
+    allocators: list[str],
+    *,
+    ctx: ExecutionContext | None = None,
+    ranks=None,
+    timing: str = "analytical",
+    **options,
+) -> dict[tuple, JobRun]:
+    """Every (configuration, allocator) job of an experiment in one :func:`run_jobs` call.
+
+    ``configs`` maps a row label to its configuration; ``options`` are the
+    :class:`JobSpec` fields all jobs share (``device_name``, ``scale``, ...).
+    By default a job is rank (0, 0) only (``job.class_runs[0]``), priced by
+    the closed-form estimate.  Each rank's trace is fetched once for every
+    allocator that reads it, and ``ctx``'s workers share the whole
+    experiment.  Returns ``{(label, allocator): JobRun}`` in label-major order.
+    """
+    jobs = [
+        ((label, allocator), JobSpec(config, allocator, ranks=ranks, timing=timing, **options))
+        for label, config in configs.items()
+        for allocator in allocators
+    ]
+    done = {tag: job for tag, job, _ in run_jobs(jobs, ctx=ctx)}
+    return {tag: done[tag] for tag, _ in jobs}
 
 
 def efficiency_row(config_label: str, allocator: str, run) -> dict:

@@ -14,9 +14,9 @@ from repro.experiments.common import (
     FULL_LINEUP,
     efficiency_row,
     register_experiment,
+    run_lineups,
 )
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import run_workload_suite
 
 MICRO_BATCH_SIZES = [1, 2, 4, 8, 16, 32, 64]
 
@@ -27,12 +27,9 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     workload = A800_WORKLOADS["llama2-7b"]
     sizes = [1, 4, 16] if quick else MICRO_BATCH_SIZES
     lineup = ["torch2.3", "stalloc"] if quick else FULL_LINEUP
-    rows = []
-    for micro_batch_size in sizes:
-        config = workload.preset("R", micro_batch_size=micro_batch_size)
-        runs = run_workload_suite(config, lineup, device_name=workload.device_name, ctx=ctx)
-        for allocator in lineup:
-            rows.append(efficiency_row(f"mbs={micro_batch_size}", allocator, runs[allocator]))
+    configs = {f"mbs={size}": workload.preset("R", micro_batch_size=size) for size in sizes}
+    jobs = run_lineups(configs, lineup, device_name=workload.device_name, ctx=ctx)
+    rows = [efficiency_row(*tag, job.class_runs[0]) for tag, job in jobs.items()]
     return ExperimentResult(
         experiment_id="fig10",
         title="Memory efficiency vs micro-batch size (Llama2-7B, recomputation)",

@@ -8,12 +8,17 @@ fragment the online baselines; STAlloc plans around them.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, FULL_LINEUP, efficiency_row, register_experiment
+from repro.experiments.common import (
+    ExperimentResult,
+    FULL_LINEUP,
+    efficiency_row,
+    register_experiment,
+    run_lineups,
+)
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import run_workload_suite
 
 
 def _colossalai_config(batch_size: int) -> TrainingConfig:
@@ -34,12 +39,9 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Memory efficiency on Colossal-AI (offload + ZeRO-3) at batch sizes 16 and 128."""
     batch_sizes = [16] if quick else [16, 128]
     lineup = ["torch2.3", "stalloc"] if quick else FULL_LINEUP
-    rows = []
-    for batch_size in batch_sizes:
-        config = _colossalai_config(batch_size)
-        runs = run_workload_suite(config, lineup, device_name="A800-80GB", ctx=ctx)
-        for allocator in lineup:
-            rows.append(efficiency_row(f"batch={batch_size}", allocator, runs[allocator]))
+    configs = {f"batch={size}": _colossalai_config(size) for size in batch_sizes}
+    jobs = run_lineups(configs, lineup, device_name="A800-80GB", ctx=ctx)
+    rows = [efficiency_row(*tag, job.class_runs[0]) for tag, job in jobs.items()]
     return ExperimentResult(
         experiment_id="fig11",
         title="Memory efficiency on Colossal-AI (GPT-2, offload + ZeRO-3)",

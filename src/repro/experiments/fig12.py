@@ -9,11 +9,13 @@ and STAlloc against PyTorch 2.3 (matching the paper's normalization).
 
 from __future__ import annotations
 
-from repro.experiments.common import A800_WORKLOADS, ExperimentResult, register_experiment
+from repro.experiments.common import (
+    A800_WORKLOADS,
+    ExperimentResult,
+    register_experiment,
+    run_lineups,
+)
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import run_workload_suite
-from repro.gpu.specs import GPU_SPECS
-from repro.simulator.throughput import ThroughputModel
 
 LINEUP = ["torch2.0", "gmlake", "torch2.3", "torch_es", "stalloc"]
 #: Which baseline each allocator is normalized against (paper's convention).
@@ -29,30 +31,25 @@ NORMALIZE_AGAINST = {
 @register_experiment("fig12")
 def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Normalized training throughput of every allocator on the three models."""
-    model_keys = ["gpt2-345m"] if quick else list(A800_WORKLOADS)
-    gpu = GPU_SPECS["A800-80GB"]
-    model = ThroughputModel(gpu)
+    configs = {
+        A800_WORKLOADS[key].model_name: A800_WORKLOADS[key].preset("R")
+        for key in (["gpt2-345m"] if quick else A800_WORKLOADS)
+    }
+    jobs = run_lineups(configs, LINEUP, device_name="A800-80GB", ctx=ctx)
     rows = []
-    for model_key in model_keys:
-        workload = A800_WORKLOADS[model_key]
-        config = workload.preset("R")
-        runs = run_workload_suite(config, LINEUP, device_name=workload.device_name, ctx=ctx)
-        tflops = {
-            name: model.tflops(config, allocator_overhead_seconds=run_.replay.overhead_seconds)
-            for name, run_ in runs.items()
-        }
-        for name in LINEUP:
-            reference = tflops[NORMALIZE_AGAINST[name]]
-            normalized = 100.0 * tflops[name] / reference if reference else 0.0
-            rows.append(
-                {
-                    "model": workload.model_name,
-                    "allocator": name,
-                    "tflops_per_gpu": round(tflops[name], 1),
-                    "normalized_throughput_pct": round(normalized, 2),
-                    "allocator_overhead_s": round(runs[name].replay.overhead_seconds, 3),
-                }
-            )
+    for (model_name, name), job in jobs.items():
+        reference = jobs[model_name, NORMALIZE_AGAINST[name]].tflops
+        rows.append(
+            {
+                "model": model_name,
+                "allocator": name,
+                "tflops_per_gpu": round(job.tflops, 1),
+                "normalized_throughput_pct": round(
+                    100.0 * job.tflops / reference if reference else 0.0, 2
+                ),
+                "allocator_overhead_s": round(job.class_runs[0].replay.overhead_seconds, 3),
+            }
+        )
     return ExperimentResult(
         experiment_id="fig12",
         title="Normalized training throughput by allocator (recomputation)",

@@ -9,9 +9,15 @@ static-pool space for dynamic requests contributes (§9.4).
 
 from __future__ import annotations
 
-from repro.experiments.common import A800_WORKLOADS, ExperimentResult, PRESETS, register_experiment
+from repro.experiments.common import (
+    A800_WORKLOADS,
+    ExperimentResult,
+    PRESETS,
+    register_experiment,
+    run_lineups,
+)
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import STALLOC, STALLOC_NO_REUSE, run_workload_suite
+from repro.simulator.runner import STALLOC, STALLOC_NO_REUSE
 
 BREAKDOWN_LINEUP = ["torch2.3", STALLOC_NO_REUSE, STALLOC]
 LABELS = {
@@ -26,23 +32,22 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Memory efficiency of the breakdown variants on the MoE model."""
     workload = A800_WORKLOADS["qwen1.5-moe-a2.7b"]
     presets = ["Naive", "R"] if quick else PRESETS
+    configs = {preset: workload.preset(preset) for preset in presets}
+    jobs = run_lineups(configs, BREAKDOWN_LINEUP, device_name=workload.device_name, ctx=ctx)
     rows = []
-    for preset in presets:
-        config = workload.preset(preset)
-        runs = run_workload_suite(config, BREAKDOWN_LINEUP, device_name=workload.device_name, ctx=ctx)
-        for allocator in BREAKDOWN_LINEUP:
-            run_ = runs[allocator]
-            rows.append(
-                {
-                    "config": preset,
-                    "allocator": LABELS[allocator],
-                    "memory_efficiency_pct": round(100 * run_.memory_efficiency, 1),
-                    "reserved_gib": round(run_.replay.metrics.peak_reserved_gib, 2),
-                    "fallback_gib": round(
-                        run_.replay.allocator_stats.get("fallback_peak_reserved", 0) / 2**30, 2
-                    ),
-                }
-            )
+    for (preset, allocator), job in jobs.items():
+        run_ = job.class_runs[0]
+        rows.append(
+            {
+                "config": preset,
+                "allocator": LABELS[allocator],
+                "memory_efficiency_pct": round(100 * run_.memory_efficiency, 1),
+                "reserved_gib": round(run_.replay.metrics.peak_reserved_gib, 2),
+                "fallback_gib": round(
+                    run_.replay.allocator_stats.get("fallback_peak_reserved", 0) / 2**30, 2
+                ),
+            }
+        )
     return ExperimentResult(
         experiment_id="fig13",
         title="STAlloc performance breakdown on Qwen1.5-MoE (static vs dynamic allocator)",

@@ -8,12 +8,11 @@ fast configurations actually fit -- several of them only run with STAlloc.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, register_experiment
+from repro.experiments.common import ExperimentResult, register_experiment, run_lineups
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import preset_config
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import run_workload_suite
 from repro.gpu.specs import GPU_SPECS
 from repro.simulator.throughput import ThroughputModel
 
@@ -35,25 +34,28 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     parallelism = ParallelismConfig(tensor_parallel=2, pipeline_parallel=4, data_parallel=1)
     points = CONFIG_POINTS[:3] if quick else CONFIG_POINTS
     throughput = ThroughputModel(GPU_SPECS["A800-80GB"])
-    rows = []
-    for label, preset, micro_batch_size in points:
-        config = preset_config(
+    configs = {
+        label: preset_config(
             model,
             preset,
             parallelism=parallelism,
             micro_batch_size=micro_batch_size,
             num_microbatches=16,
         )
-        runs = run_workload_suite(config, ["torch2.3", "stalloc"], device_name="A800-80GB", ctx=ctx)
-        torch_run, stalloc_run = runs["torch2.3"], runs["stalloc"]
+        for label, preset, micro_batch_size in points
+    }
+    jobs = run_lineups(configs, ["torch2.3", "stalloc"], device_name="A800-80GB", ctx=ctx)
+    rows = []
+    for label, config in configs.items():
+        torch_job, stalloc_job = jobs[label, "torch2.3"], jobs[label, "stalloc"]
         rows.append(
             {
                 "config": label,
                 "tflops_per_gpu": round(throughput.tflops(config), 1),
-                "torch_reserved_gib": round(torch_run.replay.metrics.peak_reserved_gib, 1),
-                "stalloc_reserved_gib": round(stalloc_run.replay.metrics.peak_reserved_gib, 1),
-                "torch_feasible": "yes" if torch_run.success else "OOM",
-                "stalloc_feasible": "yes" if stalloc_run.success else "OOM",
+                "torch_reserved_gib": round(torch_job.peak_reserved_gib, 1),
+                "stalloc_reserved_gib": round(stalloc_job.peak_reserved_gib, 1),
+                "torch_feasible": "yes" if torch_job.success else "OOM",
+                "stalloc_feasible": "yes" if stalloc_job.success else "OOM",
             }
         )
     only_with_stalloc = [

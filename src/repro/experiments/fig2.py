@@ -8,9 +8,13 @@ enabling virtual pipelining or recomputation -- techniques that *should* help
 
 from __future__ import annotations
 
-from repro.experiments.common import A800_WORKLOADS, ExperimentResult, register_experiment
+from repro.experiments.common import (
+    A800_WORKLOADS,
+    ExperimentResult,
+    register_experiment,
+    run_lineups,
+)
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import run_workload
 
 
 @register_experiment("fig2")
@@ -22,10 +26,11 @@ def run(
     presets = {"N (no optimization)": "Naive", "V (virtual pipeline)": "V", "R (recomputation)": "R"}
     if quick:
         presets = {"N (no optimization)": "Naive", "R (recomputation)": "R"}
+    configs = {label: workload.preset(preset) for label, preset in presets.items()}
+    jobs = run_lineups(configs, [allocator], device_name=workload.device_name, ctx=ctx)
     rows = []
-    for label, preset in presets.items():
-        config = workload.preset(preset)
-        run_ = run_workload(config, allocator, device_name=workload.device_name, ctx=ctx)
+    for (label, _), job in jobs.items():
+        run_ = job.class_runs[0]
         rows.append(
             {
                 "optimization": label,

@@ -15,10 +15,10 @@ from repro.experiments.common import (
     PRESETS,
     efficiency_row,
     register_experiment,
+    run_lineups,
 )
 from repro.gpu.device import MIB
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import run_workload_suite
 
 
 def _run_model(
@@ -30,16 +30,15 @@ def _run_model(
     rows = []
     stalloc_frag = []
     baseline_frag = []
-    for preset in presets:
-        config = workload.preset(preset)
-        runs = run_workload_suite(config, lineup, device_name=workload.device_name, ctx=ctx)
-        for allocator in lineup:
-            run_ = runs[allocator]
-            rows.append(efficiency_row(preset, allocator, run_))
-            if allocator == "stalloc":
-                stalloc_frag.append(run_.fragmentation_ratio)
-            elif allocator == "torch2.3":
-                baseline_frag.append(run_.fragmentation_ratio)
+    configs = {preset: workload.preset(preset) for preset in presets}
+    jobs = run_lineups(configs, lineup, device_name=workload.device_name, ctx=ctx)
+    for (preset, allocator), job in jobs.items():
+        run_ = job.class_runs[0]
+        rows.append(efficiency_row(preset, allocator, run_))
+        if allocator == "stalloc":
+            stalloc_frag.append(run_.fragmentation_ratio)
+        elif allocator == "torch2.3":
+            baseline_frag.append(run_.fragmentation_ratio)
     reduction = 0.0
     if baseline_frag and sum(baseline_frag) > 0:
         reduction = 100.0 * (1.0 - sum(stalloc_frag) / sum(baseline_frag))

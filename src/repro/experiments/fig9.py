@@ -17,12 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentResult, efficiency_row, register_experiment
+from repro.experiments.common import (
+    ExperimentResult,
+    efficiency_row,
+    register_experiment,
+    run_lineups,
+)
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import preset_config
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import run_workload_suite
 
 
 @dataclass(frozen=True)
@@ -65,21 +69,19 @@ def _h200_sweep(
     experiment_id: str, *, preset: str, quick: bool, ctx: ExecutionContext
 ) -> ExperimentResult:
     points = H200_SCALE_POINTS[:4] if quick else H200_SCALE_POINTS
-    rows = []
-    for point in points:
-        virtual_chunks = 2 if preset in ("V", "VR") else 1
-        parallelism = point.parallelism(virtual_chunks=virtual_chunks)
-        config = preset_config(
+    virtual_chunks = 2 if preset in ("V", "VR") else 1
+    configs = {
+        f"{point.model_name.replace('qwen2.5-', '')}@{point.num_gpus}GPU": preset_config(
             get_model(point.model_name),
             preset,
-            parallelism=parallelism,
+            parallelism=point.parallelism(virtual_chunks=virtual_chunks),
             micro_batch_size=point.micro_batch_size,
             num_microbatches=point.num_microbatches,
         )
-        runs = run_workload_suite(config, H200_LINEUP, device_name="H200-141GB", ctx=ctx)
-        label = f"{point.model_name.replace('qwen2.5-', '')}@{point.num_gpus}GPU"
-        for allocator in H200_LINEUP:
-            rows.append(efficiency_row(label, allocator, runs[allocator]))
+        for point in points
+    }
+    jobs = run_lineups(configs, H200_LINEUP, device_name="H200-141GB", ctx=ctx)
+    rows = [efficiency_row(*tag, job.class_runs[0]) for tag, job in jobs.items()]
     title = "Qwen2.5 scalability on H200 with " + (
         "recomputation" if preset == "R" else "virtual pipeline"
     )
@@ -118,12 +120,11 @@ def run_amd(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     ]
     if quick:
         jobs = jobs[:1]
-    lineup = ["torch2.3", "stalloc"]
-    rows = []
-    for label, config in jobs:
-        runs = run_workload_suite(config, lineup, device_name="MI210-64GB", ctx=ctx)
-        for allocator in lineup:
-            rows.append(efficiency_row(label, "torch" if allocator == "torch2.3" else allocator, runs[allocator]))
+    runs = run_lineups(dict(jobs), ["torch2.3", "stalloc"], device_name="MI210-64GB", ctx=ctx)
+    rows = [
+        efficiency_row(label, "torch" if name == "torch2.3" else name, job.class_runs[0])
+        for (label, name), job in runs.items()
+    ]
     return ExperimentResult(
         experiment_id="fig9a",
         title="Scalability on the AMD MI210 cluster (recomputation)",

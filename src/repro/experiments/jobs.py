@@ -18,11 +18,12 @@ from repro.experiments.common import (
     ExperimentResult,
     PRESETS,
     register_experiment,
+    run_lineups,
 )
 from repro.gpu.specs import GPU_SPECS
 from repro.search.bounds import kv_cache_bytes_floor
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import JobSpec, run_job, run_jobs
+from repro.simulator.runner import run_job
 from repro.simulator.throughput import ThroughputModel
 from repro.timeline import simulate_timeline
 from repro.workloads.parallelism import rank_label
@@ -44,22 +45,6 @@ def _job_row(preset: str, job) -> dict:
     }
 
 
-def _lineup_jobs(
-    config, allocators: list[str], device_name: str, scale: float, ctx: ExecutionContext
-) -> list:
-    """Every rank of ``config`` under each allocator, in lineup order.
-
-    One :func:`run_jobs` call, so each rank's trace is fetched once for the
-    whole lineup.
-    """
-    jobs = [
-        (allocator, JobSpec(config, allocator, device_name=device_name, scale=scale))
-        for allocator in allocators
-    ]
-    done = {allocator: job for allocator, job, _ in run_jobs(jobs, ctx=ctx)}
-    return [done[allocator] for allocator in allocators]
-
-
 @register_experiment("job_table")
 def run_job_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Per-rank memory asymmetry of the GPT-2 job across presets."""
@@ -67,13 +52,18 @@ def run_job_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentRe
     presets = ["Naive", "R"] if quick else PRESETS
     lineup = ["torch2.3", "stalloc"]
     scale = 0.25 if quick else 1.0
+    configs = {
+        preset: workload.preset(preset, micro_batch_size=4 if quick else None) for preset in presets
+    }
+    jobs = run_lineups(
+        configs, lineup, ranks="all", timing="timeline",
+        device_name=workload.device_name, scale=scale, ctx=ctx
+    )
     rows = []
     binding_ranks = set()
-    for preset in presets:
-        config = workload.preset(preset, micro_batch_size=4 if quick else None)
-        for job in _lineup_jobs(config, lineup, workload.device_name, scale, ctx):
-            rows.append(_job_row(preset, job))
-            binding_ranks.add(job.binding_rank)
+    for (preset, _), job in jobs.items():
+        rows.append(_job_row(preset, job))
+        binding_ranks.add(job.binding_rank)
     return ExperimentResult(
         experiment_id="job_table",
         title="Job-level (all-rank) peaks of the GPT-2 job: binding rank per preset",
@@ -101,31 +91,35 @@ def run_ep_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentRes
     scale = 0.25 if quick else 0.5
     imbalances = [0.0, 0.6]
     allocators = ["torch2.3"] if quick else ["torch2.3", "stalloc"]
-    rows = []
-    for imbalance in imbalances:
-        config = workload.preset("Naive", micro_batch_size=1 if quick else None).with_(
+    configs = {
+        imbalance: workload.preset("Naive", micro_batch_size=1 if quick else None).with_(
             moe_imbalance=imbalance, num_microbatches=4
         )
-        for allocator, job in zip(
-            allocators, _lineup_jobs(config, allocators, workload.device_name, scale, ctx)
-        ):
-            peaks = {
-                rank_label(rank): round(run.replay.metrics.peak_allocated_gib, 3)
-                for rank, run in job.runs_by_rank().items()
+        for imbalance in imbalances
+    }
+    jobs = run_lineups(
+        configs, allocators, ranks="all", timing="timeline",
+        device_name=workload.device_name, scale=scale, ctx=ctx
+    )
+    rows = []
+    for (imbalance, allocator), job in jobs.items():
+        peaks = {
+            rank_label(rank): round(run.replay.metrics.peak_allocated_gib, 3)
+            for rank, run in job.runs_by_rank().items()
+        }
+        rows.append(
+            {
+                "imbalance": imbalance,
+                "allocator": allocator,
+                "num_ranks": job.num_ranks,
+                "unique_ranks": len(job.class_runs),
+                "binding_rank": rank_label(job.binding_rank),
+                "job_peak_gib": round(job.peak_allocated_gib, 3),
+                "mean_rank_peak_gib": round(job.mean_peak_allocated_gib, 3),
+                "peak_spread_gib": round(max(peaks.values()) - min(peaks.values()), 3),
+                "status": "ok" if job.success else f"OOM@ranks{job.oom_ranks}",
             }
-            rows.append(
-                {
-                    "imbalance": imbalance,
-                    "allocator": allocator,
-                    "num_ranks": job.num_ranks,
-                    "unique_ranks": len(job.class_runs),
-                    "binding_rank": rank_label(job.binding_rank),
-                    "job_peak_gib": round(job.peak_allocated_gib, 3),
-                    "mean_rank_peak_gib": round(job.mean_peak_allocated_gib, 3),
-                    "peak_spread_gib": round(max(peaks.values()) - min(peaks.values()), 3),
-                    "status": "ok" if job.success else f"OOM@ranks{job.oom_ranks}",
-                }
-            )
+        )
     return ExperimentResult(
         experiment_id="ep_table",
         title="Expert-parallel asymmetry of the Qwen1.5-MoE job vs. router imbalance",

@@ -13,14 +13,16 @@ import time
 
 from repro.core.profiler import AllocationProfiler
 from repro.core.synthesizer import PlanSynthesizer
-from repro.experiments.common import A800_WORKLOADS, ExperimentResult, PRESETS, register_experiment
+from repro.experiments.common import (
+    A800_WORKLOADS,
+    ExperimentResult,
+    PRESETS,
+    register_experiment,
+    run_lineups,
+)
 from repro.gpu.device import GIB
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import (
-    STALLOC,
-    STALLOC_NO_REUSE,
-    run_workload_suite,
-)
+from repro.simulator.runner import STALLOC, STALLOC_NO_REUSE
 from repro.gpu.specs import GPU_SPECS
 from repro.simulator.throughput import ThroughputModel
 from repro.workloads.models import get_model
@@ -74,23 +76,24 @@ def run_table1(
         configs = configs[:2]
     lineup = ["torch2.6", "torch_es", STALLOC]
     throughput = ThroughputModel(GPU_SPECS["H200-141GB"])
+    runs = run_lineups(
+        dict(configs),
+        lineup,
+        device_name="H200-141GB",
+        device_capacity_gib=device_capacity_gib,
+        ctx=ctx,
+    )
     rows = []
     for label, config in configs:
-        runs = run_workload_suite(
-            config,
-            lineup,
-            device_name="H200-141GB",
-            device_capacity_gib=device_capacity_gib,
-            ctx=ctx,
-        )
+        torch_job, es_job, stalloc_job = (runs[label, name] for name in lineup)
         rows.append(
             {
                 "config": label,
-                "pytorch": "OK" if runs["torch2.6"].success else "OOM",
-                "pytorch_es": "OK" if runs["torch_es"].success else "OOM",
-                "stalloc": "OK" if runs[STALLOC].success else "OOM",
-                "reserved_torch_gib": round(runs["torch2.6"].replay.metrics.peak_reserved_gib, 1),
-                "reserved_stalloc_gib": round(runs[STALLOC].replay.metrics.peak_reserved_gib, 1),
+                "pytorch": "OK" if torch_job.success else "OOM",
+                "pytorch_es": "OK" if es_job.success else "OOM",
+                "stalloc": "OK" if stalloc_job.success else "OOM",
+                "reserved_torch_gib": round(torch_job.peak_reserved_gib, 1),
+                "reserved_stalloc_gib": round(stalloc_job.peak_reserved_gib, 1),
                 "throughput_tflops": round(throughput.tflops(config), 1),
             }
         )
@@ -175,27 +178,20 @@ def run_table3(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResul
     """Composition of allocation types for Qwen1.5-MoE under each preset."""
     workload = A800_WORKLOADS["qwen1.5-moe-a2.7b"]
     presets = ["Naive", "R"] if quick else PRESETS
+    configs = {preset: workload.preset(preset) for preset in presets}
+    lineup = [STALLOC_NO_REUSE, STALLOC]
+    runs = run_lineups(configs, lineup, device_name=workload.device_name, ctx=ctx)
     rows = []
     for preset in presets:
-        config = workload.preset(preset)
-        trace = ctx.trace(config)
-        profile = AllocationProfiler().profile(trace)
-        peak_total = profile.peak_allocated_bytes()
-        static_peak = profile.peak_static_bytes()
-        runs = run_workload_suite(
-            config,
-            [STALLOC_NO_REUSE, STALLOC],
-            device_name=workload.device_name,
-            trace=trace,
-            ctx=ctx,
-        )
-        fallback_without = runs[STALLOC_NO_REUSE].replay.allocator_stats.get("fallback_peak_reserved", 0)
-        fallback_with = runs[STALLOC].replay.allocator_stats.get("fallback_peak_reserved", 0)
+        without, with_reuse = (runs[preset, name].class_runs[0] for name in lineup)
+        report = with_reuse.planning_report
+        fallback_without = without.replay.allocator_stats.get("fallback_peak_reserved", 0)
+        fallback_with = with_reuse.replay.allocator_stats.get("fallback_peak_reserved", 0)
         rows.append(
             {
                 "config": preset,
-                "total_gib": round(peak_total / GIB, 2),
-                "static_gib": round(static_peak / GIB, 2),
+                "total_gib": round(report["peak_allocated_bytes"] / GIB, 2),
+                "static_gib": round(report["peak_static_demand_bytes"] / GIB, 2),
                 "dyn_fallback_no_reuse_gib": round(fallback_without / GIB, 2),
                 "dyn_fallback_with_reuse_gib": round(fallback_with / GIB, 2),
             }

@@ -35,12 +35,12 @@ from repro.simulator.throughput import validate_timing
 from repro.sweep.spec import (
     CONFIG_AXES,
     STALLOC_ALLOCATORS,
-    STALLOC_AXES,
     SweepPoint,
     spec_document,
     validate_allocators,
     validate_mappings,
     validate_scale,
+    validate_stalloc_grid,
 )
 from repro.workloads.models import MODEL_REGISTRY, get_model
 from repro.workloads.parallelism import ParallelismConfig
@@ -125,13 +125,7 @@ class SearchSpec:
                 raise ValueError(
                     f"base field {key!r} is a search axis; set it through the axis lists"
                 )
-        for axis, values in self.stalloc_grid.items():
-            if axis not in STALLOC_AXES:
-                raise ValueError(
-                    f"unknown stalloc_grid axis {axis!r}; expected one of {sorted(STALLOC_AXES)}"
-                )
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError(f"stalloc_grid axis {axis!r} must map to a non-empty list")
+        validate_stalloc_grid(self.stalloc_grid)
 
     # ------------------------------------------------------------------ #
     # Construction

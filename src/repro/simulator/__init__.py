@@ -15,7 +15,6 @@ __getattr__, __dir__, __all__ = attach(
             "run_job",
             "run_jobs",
             "run_workload",
-            "run_workload_suite",
         ],
         "throughput": ["ThroughputModel", "VALID_TIMINGS"],
     },

@@ -105,17 +105,6 @@ class ExecutionContext:
         """
         return self.jobs > 1 and count > 1
 
-    def shipped_trace(self, trace: Trace, count: int) -> Trace | None:
-        """What each of ``count`` work items for one held ``trace`` carries.
-
-        In-process items share the trace itself.  Pool workers read it back
-        from the disk cache when there is one (the caller's fetch stored it,
-        and the caller need not keep it alive); without one it travels in the
-        payload, so it is generated once on every multiprocessing start
-        method.  None means "fetch it with :meth:`trace`".
-        """
-        return trace if not self.fans_out(count) or self.cache_dir is None else None
-
     def map(self, fn, items):
         """Yield ``fn(ctx, item)`` for every item, in submission order.
 

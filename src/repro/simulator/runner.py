@@ -10,23 +10,22 @@ The experiments in :mod:`repro.experiments` all follow the same recipe:
 3. replay the trace through one or more allocators on a fresh device
    (batch-replayable allocators apply the whole trace in one batched
    step, see :meth:`repro.allocators.base.Allocator.batch_replay`),
-4. compute memory-efficiency metrics (and optionally throughput).
+4. compute memory-efficiency metrics, then price the job's throughput.
 
 This module implements that recipe once, including STAlloc's extra offline
 step (profile + plan synthesis before the replay).
 
-The pure per-run path is :func:`run_workload`; :func:`run_workload_suite`,
-:func:`run_job` and :func:`run_jobs` are the orchestrators on top of it.  The
-job-level unit of work is one rank's trace (:func:`replay_rank`): it is
-fetched once, replayed through every allocator of every job that reads it,
-and dropped, so one trace is alive at a time; the sweep engine, the search
-planner and :func:`run_job` all run jobs this way.  With fewer traces than
-worker processes a trace's replays are split over several workers
-(:func:`_work_items`).  A suite fetches its trace once and hands the same
-object to every in-process replay.  How they
-execute -- the on-disk trace/plan cache, the number of worker processes -- is
-decided by the :class:`~repro.simulator.execution.ExecutionContext` they are
-handed (``ctx``); without one they run serially with no disk cache.
+The pure per-run path is :func:`run_workload`; :func:`run_jobs` is the one
+orchestrator on top of it (:func:`run_job` runs one job through it).  Every
+figure, table, sweep and search replays through :func:`run_jobs`.  Its unit
+of work is one rank's trace (:func:`replay_rank`): it is fetched once,
+replayed through every allocator of every job that reads it, and dropped, so
+one trace is alive at a time.  With fewer traces than worker processes a
+trace's replays are split over several workers (:func:`_work_items`).  Each
+job is priced once, after its last rank's replay.  How they execute -- the
+on-disk trace/plan cache, the number of worker processes -- is decided by the
+:class:`~repro.simulator.execution.ExecutionContext` they are handed
+(``ctx``); without one they run serially with no disk cache.
 """
 
 from __future__ import annotations
@@ -61,43 +60,6 @@ from repro.workloads.trace import Trace
 from repro.workloads.training import TrainingConfig
 
 
-def _estimate_throughput(
-    config: TrainingConfig,
-    gpu,
-    timing: str,
-    *,
-    allocator_overhead_seconds: float,
-    seed: int = 0,
-    scale: float = 1.0,
-):
-    """One iteration's timing estimate from the selected backend.
-
-    Returns ``(estimate, timeline)`` where ``timeline`` is the full
-    :class:`~repro.timeline.TimelineResult` behind a timeline estimate and
-    None for the analytical backend.
-    """
-    if timing == "timeline":
-        # Imported lazily: repro.timeline consumes this package's throughput
-        # shapes, so a module-level import here would be circular.
-        from repro.timeline import simulate_timeline
-
-        # The overhead is injected into the simulated phase durations (so
-        # allocator cost rides the schedule's dependency structure); the
-        # estimate must therefore NOT add it again on top.
-        timeline = simulate_timeline(
-            config,
-            gpu=gpu,
-            seed=seed,
-            scale=scale,
-            allocator_overhead_seconds=allocator_overhead_seconds,
-        )
-        return timeline.to_estimate(), timeline
-    estimate = ThroughputModel(gpu).estimate(
-        config, allocator_overhead_seconds=allocator_overhead_seconds
-    )
-    return estimate, None
-
-
 @dataclass
 class WorkloadRun:
     """One (configuration, allocator, rank) measurement."""
@@ -108,7 +70,6 @@ class WorkloadRun:
     device_name: str
     rank: int = 0
     ep_rank: int = 0
-    throughput: ThroughputEstimate | None = None
     planning_report: dict = field(default_factory=dict)
     #: Peak concurrently-live COMM_BUFFER bytes of the replayed trace (the
     #: all-to-all dispatch/combine transients plus P2P/ZeRO buffers);
@@ -171,8 +132,6 @@ def run_workload(
     scale: float = 1.0,
     rank: int = 0,
     ep_rank: int = 0,
-    with_throughput: bool = False,
-    timing: str = "analytical",
     trace: Trace | None = None,
     stalloc_overrides: dict | None = None,
     ctx: ExecutionContext | None = None,
@@ -184,25 +143,21 @@ def run_workload(
     ``ep_rank`` select the (pipeline, expert-parallel) rank coordinate being
     simulated (rank (0, 0) by default, matching the single-rank behaviour of
     earlier releases; ``rank`` also accepts a ``(pp, ep)`` pair directly).
-    ``timing`` selects the backend behind ``with_throughput``: the cheap
-    closed form by default here (this is the single-rank path; the timeline
-    simulates the whole job, which :func:`run_job` amortises across
-    allocators), or ``"timeline"`` for the discrete-event simulator.
-    ``stalloc_overrides`` optionally overrides STAllocConfig knobs for the
-    STAlloc variants (ablation sweeps); other allocators ignore it.  ``trace``
+    It measures memory only: :func:`run_jobs` prices a whole job once from
+    its ranks' replays.  ``stalloc_overrides`` optionally overrides
+    STAllocConfig knobs for the STAlloc variants (ablation sweeps); other
+    allocators ignore it.  ``trace``
     is the rank's trace when the caller already holds it; otherwise ``ctx``
     fetches it, from its on-disk trace/plan cache when it has one (default: a
     fresh serial context with no disk cache).
     """
     ctx = ctx if ctx is not None else ExecutionContext()
-    validate_timing(timing)
     device_capacity_gib = validate_capacity_gib(device_capacity_gib)
     if not isinstance(rank, int):
         rank, ep_rank = normalize_rank(rank)
     with _obs_span("workload.run", allocator=allocator_name, rank=rank, ep=ep_rank):
         if trace is None:
             trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
-        gpu = GPU_SPECS.get(device_name)
         capacity_gib = default_capacity_gib(device_name, device_capacity_gib)
         device = Device(
             name=device_name, capacity=int(capacity_gib * GIB), reserved_overhead=0
@@ -236,16 +191,6 @@ def run_workload(
                 kv_peak_bytes=trace.kv_peak_bytes(),
             )
         replay = replay_trace(trace, allocator)
-        throughput = None
-        if with_throughput and gpu is not None:
-            throughput, _ = _estimate_throughput(
-                config,
-                gpu,
-                timing,
-                allocator_overhead_seconds=replay.overhead_seconds,
-                seed=seed,
-                scale=scale,
-            )
         return WorkloadRun(
             config=config,
             allocator_name=allocator_name,
@@ -253,62 +198,10 @@ def run_workload(
             device_name=device_name,
             rank=rank,
             ep_rank=ep_rank,
-            throughput=throughput,
             planning_report=planning_report,
             comm_peak_bytes=trace.comm_peak_bytes(),
             kv_peak_bytes=trace.kv_peak_bytes(),
         )
-
-
-def _run_workload_item(ctx: ExecutionContext, item: tuple) -> WorkloadRun:
-    """:meth:`ExecutionContext.map` unit of work: one ``run_workload`` call."""
-    config, allocator_name, kwargs = item
-    return run_workload(config, allocator_name, ctx=ctx, **kwargs)
-
-
-def run_workload_suite(
-    config: TrainingConfig,
-    allocator_names: list[str],
-    *,
-    device_name: str = "A800-80GB",
-    device_capacity_gib: float | None = None,
-    seed: int = 0,
-    scale: float = 1.0,
-    rank: int = 0,
-    ep_rank: int = 0,
-    with_throughput: bool = False,
-    timing: str = "analytical",
-    trace: Trace | None = None,
-    ctx: ExecutionContext | None = None,
-) -> dict[str, WorkloadRun]:
-    """Run one configuration through several allocators, sharing the trace.
-
-    ``rank``/``ep_rank`` select the simulated rank coordinate (shared by every
-    allocator of the suite).  ``timing`` selects the throughput backend (see
-    :func:`run_workload`).  ``trace`` is the rank's trace when the caller
-    already holds it (else it is fetched once here).  The allocators fan out
-    over ``ctx``'s worker processes (``ctx.jobs``; the default context is
-    serial).
-    """
-    ctx = ctx if ctx is not None else ExecutionContext()
-    validate_timing(timing)
-    if not isinstance(rank, int):
-        rank, ep_rank = normalize_rank(rank)
-    if trace is None:
-        trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
-    kwargs = dict(
-        device_name=device_name,
-        device_capacity_gib=device_capacity_gib,
-        seed=seed,
-        scale=scale,
-        rank=rank,
-        ep_rank=ep_rank,
-        with_throughput=with_throughput,
-        timing=timing,
-        trace=ctx.shipped_trace(trace, len(allocator_names)),
-    )
-    items = [(config, name, kwargs) for name in allocator_names]
-    return dict(zip(allocator_names, ctx.map(_run_workload_item, items)))
 
 
 # ---------------------------------------------------------------------- #
@@ -516,7 +409,6 @@ class JobSpec:
     device_memory_by_rank: dict | None = None
     seed: int = 0
     scale: float = 1.0
-    with_throughput: bool = True
     timing: str = "timeline"
     stalloc_overrides: dict | None = None
     fabric: dict | None = None
@@ -599,8 +491,9 @@ def _work_items(groups: list[tuple], ctx: ExecutionContext, on_error) -> tuple[l
     workers: then a trace's requests are split over up to ``ceil(jobs /
     traces)`` items so every worker has work, and the trace is fetched here
     once, so no two workers race to generate it.  The items read it back
-    from the disk cache, or carry it when there is none
-    (:meth:`ExecutionContext.shipped_trace`).
+    from the disk cache the fetch stored it in (so the parent need not keep
+    it alive), or carry it in their payload when there is none, so it is
+    generated once on every multiprocessing start method.
     """
     pieces = -(-ctx.jobs // len(groups)) if groups else 1
     owners, items = [], []
@@ -609,9 +502,9 @@ def _work_items(groups: list[tuple], ctx: ExecutionContext, on_error) -> tuple[l
         trace = None
         if count > 1:
             config, seed, scale, rank, ep_rank = trace_args
-            trace = ctx.shipped_trace(
-                ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank), count
-            )
+            trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
+            if ctx.cache_dir is not None:
+                trace = None  # each item fetches it from the disk cache
         size = len(requests)
         for piece in range(count):
             chunk = requests[size * piece // count : size * (piece + 1) // count]
@@ -654,14 +547,7 @@ def run_jobs(
                 spec.config, spec.ranks, spec.device_memory_by_rank, spec.device_capacity_gib
             )
         specs.append((tag, spec, classes))
-        # Per-rank throughput estimates would all be recomputed (and
-        # discarded) below; only replay.overhead_seconds is needed from the
-        # per-rank runs, so the model is evaluated once per job.
-        replay = dict(
-            device_name=spec.device_name,
-            with_throughput=False,
-            stalloc_overrides=spec.stalloc_overrides,
-        )
+        replay = dict(device_name=spec.device_name, stalloc_overrides=spec.stalloc_overrides)
         for index, (members, capacity) in enumerate(classes):
             pp, ep = normalize_rank(members[0])
             key = config_fingerprint(
@@ -705,24 +591,35 @@ def _assemble_job(
     default_capacity = default_capacity_gib(spec.device_name, spec.device_capacity_gib)
     throughput = None
     timeline = None
-    if spec.with_throughput:
-        gpu = GPU_SPECS.get(spec.device_name)
-        if gpu is not None and spec.fabric:
-            try:
-                gpu = dataclass_replace(gpu, **dict(spec.fabric))
-            except TypeError as error:
-                raise ValueError(f"unknown fabric field: {error}") from None
-        if gpu is not None:
-            # The pipeline advances at the pace of its slowest rank, so the
-            # job-level estimate charges the worst per-rank allocator overhead.
-            overhead = max(run.replay.overhead_seconds for run in class_runs)
-            throughput, timeline = _estimate_throughput(
+    gpu = GPU_SPECS.get(spec.device_name)
+    if gpu is not None and spec.fabric:
+        try:
+            gpu = dataclass_replace(gpu, **dict(spec.fabric))
+        except TypeError as error:
+            raise ValueError(f"unknown fabric field: {error}") from None
+    if gpu is not None:
+        # The pipeline advances at the pace of its slowest rank, so the
+        # job-level estimate charges the worst per-rank allocator overhead.
+        overhead = max(run.replay.overhead_seconds for run in class_runs)
+        if spec.timing == "timeline":
+            # Imported lazily: repro.timeline consumes this package's
+            # throughput shapes, so a module-level import here would be
+            # circular.  The overhead is injected into the simulated phase
+            # durations (so allocator cost rides the schedule's dependency
+            # structure); the estimate must therefore NOT add it again.
+            from repro.timeline import simulate_timeline
+
+            timeline = simulate_timeline(
                 spec.config,
-                gpu,
-                spec.timing,
-                allocator_overhead_seconds=overhead,
+                gpu=gpu,
                 seed=spec.seed,
                 scale=spec.scale,
+                allocator_overhead_seconds=overhead,
+            )
+            throughput = timeline.to_estimate()
+        else:
+            throughput = ThroughputModel(gpu).estimate(
+                spec.config, allocator_overhead_seconds=overhead
             )
     return JobRun(
         config=spec.config,

@@ -36,7 +36,11 @@ from pathlib import Path
 from repro.allocators.registry import STALLOC, STALLOC_NO_REUSE, available_allocators
 from repro.core.config import STAllocConfig
 from repro.gpu.specs import GPU_SPECS
-from repro.simulator.ranks import validate_budget_map, validate_capacity_gib
+from repro.simulator.ranks import (
+    normalize_capacity_map,
+    validate_budget_map,
+    validate_capacity_gib,
+)
 from repro.simulator.throughput import validate_timing
 from repro.workloads.models import MODEL_REGISTRY, get_model
 from repro.workloads.parallelism import ParallelismConfig, normalize_rank
@@ -206,6 +210,22 @@ def validate_scale(scale, name: str = "scale") -> None:
         raise ValueError(f"{name} must be a number in (0, 1], got {scale!r}")
 
 
+def validate_stalloc_grid(stalloc_grid: dict) -> None:
+    """Every ``stalloc_grid`` axis is an STAllocConfig knob with legal values."""
+    for axis, values in stalloc_grid.items():
+        if axis not in STALLOC_AXES:
+            raise ValueError(
+                f"unknown stalloc_grid axis {axis!r}; expected one of {sorted(STALLOC_AXES)}"
+            )
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"stalloc_grid axis {axis!r} must map to a non-empty list")
+        for index, value in enumerate(values):
+            try:
+                STAllocConfig(**{axis: value})
+            except ValueError as error:
+                raise ValueError(f"stalloc_grid {axis}[{index}]: {error}") from None
+
+
 def validate_mappings(spec, names: tuple[str, ...]) -> None:
     """Each named field of ``spec`` must be a JSON object (a dict)."""
     for name in names:
@@ -354,13 +374,7 @@ class SweepSpec:
                     if fabric is None:
                         continue  # null = the flat fabric for this cell
                     _validate_fabric(fabric, f"grid fabric[{index}]")
-        for axis, values in self.stalloc_grid.items():
-            if axis not in STALLOC_AXES:
-                raise ValueError(
-                    f"unknown stalloc_grid axis {axis!r}; expected one of {sorted(STALLOC_AXES)}"
-                )
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError(f"stalloc_grid axis {axis!r} must map to a non-empty list")
+        validate_stalloc_grid(self.stalloc_grid)
         for key in self.base:
             if key not in CONFIG_AXES:
                 raise ValueError(f"unknown base field {key!r}")
@@ -429,6 +443,7 @@ class SweepSpec:
                 assignment.pop("fabric") if fabric_axis else self.fabric
             )
             config = self._build_config(assignment)
+            normalize_capacity_map(cell_budgets, config)  # every key is one of the job's ranks
             ranks = self._resolve_ranks(config)
             budgets = tuple(
                 sorted(

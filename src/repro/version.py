@@ -6,7 +6,7 @@ execution-layer module whose output the version describes.  Each constant is
 re-exported from the module it describes.
 """
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 #: Bump whenever the generator's event stream changes for an unchanged
 #: configuration, so persistent caches keyed by ``config_fingerprint``

@@ -83,6 +83,8 @@ class ParallelismConfig:
             "virtual_pipeline_chunks",
         ):
             value = getattr(self, field_name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{field_name} must be an int, got {value!r}")
             if value < 1:
                 raise ValueError(f"{field_name} must be >= 1, got {value}")
         if self.virtual_pipeline_chunks > 1 and self.pipeline_parallel == 1:

@@ -17,7 +17,7 @@ from repro.gpu.device import Device, GIB, MIB
 from repro.gpu.errors import OutOfMemoryError
 from repro.simulator.replay import replay_trace
 from repro.allocators.registry import STALLOC, STALLOC_NO_REUSE
-from repro.simulator.runner import run_workload_suite
+from repro.simulator.runner import JobSpec, run_jobs
 from repro.workloads.trace import Trace, TraceMetadata
 from repro.workloads.tracegen import TraceGenerator
 from tests.trace_oracle import TraceEvent, events_of, make_trace
@@ -26,6 +26,15 @@ from tests.trace_oracle import TraceEvent, events_of, make_trace
 ALL_ALLOCATORS = available_allocators() + [STALLOC, STALLOC_NO_REUSE]
 
 BASELINES = available_allocators()
+
+
+def lineup_runs(config, ranks=None) -> dict:
+    """One rank of ``config`` under every allocator, through one ``run_jobs`` call."""
+    jobs = [
+        (name, JobSpec(config, name, ranks=ranks, timing="analytical"))
+        for name in ALL_ALLOCATORS
+    ]
+    return {name: job.class_runs[0] for name, job, _ in run_jobs(jobs)}
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +96,7 @@ class TestSuiteIncludingSTAlloc:
     def test_full_lineup_agrees_on_allocated(self, config_name, request):
         """The runner's full line-up (incl. stalloc variants) agrees on M_a."""
         config = request.getfixturevalue(config_name)
-        runs = run_workload_suite(config, ALL_ALLOCATORS, device_name="A800-80GB")
+        runs = lineup_runs(config)
         peaks = {name: run.replay.metrics.peak_allocated_bytes for name, run in runs.items()}
         assert len(set(peaks.values())) == 1, f"lineup disagrees on peak_allocated: {peaks}"
         for name, run in runs.items():
@@ -108,9 +117,7 @@ class TestCommHeavyDifferential:
     """
 
     def test_full_lineup_agrees_on_comm_heavy_peak(self, comm_heavy_config):
-        runs = run_workload_suite(
-            comm_heavy_config, ALL_ALLOCATORS, device_name="A800-80GB", ep_rank=1
-        )
+        runs = lineup_runs(comm_heavy_config, ranks=[(0, 1)])
         peaks = {name: run.replay.metrics.peak_allocated_bytes for name, run in runs.items()}
         assert len(set(peaks.values())) == 1, f"lineup disagrees on peak_allocated: {peaks}"
         comm_peaks = {name: run.comm_peak_bytes for name, run in runs.items()}

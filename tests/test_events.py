@@ -104,7 +104,7 @@ class TestPairing:
     def test_empty_trace(self):
         profile = ProfileResult()
         assert profile.num_requests == 0 and profile.dynamic_groups == []
-        assert profile.peak_allocated_bytes() == 0
+        assert profile.summary()["peak_allocated_bytes"] == 0
 
     def test_requests_sorted_by_alloc_time(self):
         p0 = make_phase(0)

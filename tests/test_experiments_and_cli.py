@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -27,6 +30,21 @@ ALL_EXPERIMENTS = [
     "table3",
 ]
 
+#: Every experiment's rows and notes, quick and full, recorded before the
+#: figures moved onto ``run_jobs``; table2's wall-clock ``t_plan_s`` is
+#: omitted (listed under ``omitted_columns``).
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "golden_experiment_rows.json").read_text()
+)
+
+
+def assert_matches_golden(result: ExperimentResult, mode: str) -> None:
+    omitted = GOLDEN["omitted_columns"].get(result.experiment_id, [])
+    rows = [{k: v for k, v in row.items() if k not in omitted} for row in result.rows]
+    # A JSON round trip turns tuples into lists, as the fixture stores them.
+    actual = json.loads(json.dumps({"rows": rows, "notes": result.notes}))
+    assert actual == GOLDEN[mode][result.experiment_id]
+
 
 class TestRegistry:
     def test_every_paper_artifact_is_registered(self):
@@ -39,10 +57,16 @@ class TestRegistry:
             run_experiment("fig99")
 
 
-@pytest.mark.parametrize("experiment_id", ALL_EXPERIMENTS)
+def test_golden_covers_every_experiment():
+    assert sorted(GOLDEN["quick"]) == sorted(GOLDEN["full"]) == available_experiments()
+
+
+@pytest.mark.parametrize("experiment_id", available_experiments())
 def test_experiment_quick_run(experiment_id):
-    """Every experiment runs in quick mode and produces well-formed rows."""
+    """Every experiment runs in quick mode, produces well-formed rows and
+    reproduces its recorded table value for value."""
     result = run_experiment(experiment_id, quick=True)
+    assert_matches_golden(result, "quick")
     assert isinstance(result, ExperimentResult)
     assert result.experiment_id == experiment_id
     assert result.rows, f"{experiment_id} produced no rows"
@@ -52,6 +76,12 @@ def test_experiment_quick_run(experiment_id):
     first_columns = set(result.rows[0])
     for row in result.rows:
         assert set(row) == first_columns
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("experiment_id", available_experiments())
+def test_experiment_full_run_matches_golden(experiment_id):
+    assert_matches_golden(run_experiment(experiment_id), "full")
 
 
 class TestExperimentContent:

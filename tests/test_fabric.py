@@ -357,7 +357,7 @@ class TestPerPhaseOverhead:
         config = _dense_config()
         runs = {
             name: run_job(
-                config, name, with_throughput=True, timing="timeline", scale=0.5
+                config, name, timing="timeline", scale=0.5
             )
             for name in ("torch2.0", "stalloc")
         }

@@ -45,7 +45,7 @@ from repro.obs.tracer import (
     worker_observation,
     worker_spec,
 )
-from repro.simulator import ExecutionContext, run_job, run_workload_suite
+from repro.simulator import ExecutionContext, run_job
 from repro.sweep import SweepCache, SweepPointError, SweepSpec, run_sweep
 from repro.sweep.engine import execute_points
 from repro.workloads.fingerprint import config_fingerprint
@@ -610,28 +610,18 @@ class TestSweepIntegration:
 
 
 # ---------------------------------------------------------------------- #
-# Runner fan-out: every pool in the package reports back
+# Runner fan-out: the package's one pool reports back
 # ---------------------------------------------------------------------- #
-def _suite(ctx):
-    config = _tiny_spec().expand()[0].config
-    run_workload_suite(config, ["torch2.0", "torch2.3", "stalloc"], scale=0.25, ctx=ctx)
-
-
-def _job(ctx):
-    config = _tiny_spec().expand()[0].config  # pp=4: four representatives
-    run_job(config, "stalloc", ranks="all", scale=0.25, ctx=ctx)
-
-
 class TestRunnerFanOut:
-    @pytest.mark.parametrize("work", [_suite, _job])
-    def test_worker_spans_and_metrics_survive_the_pool(self, work, tmp_path):
+    def test_worker_spans_and_metrics_survive_the_pool(self, tmp_path):
         """Regression: only the sweep pool shipped worker observations back,
         so ``run --jobs N --obs-out`` dropped every worker span and sample."""
+        config = _tiny_spec().expand()[0].config  # pp=4: four representatives
         recorded = {}
         for jobs in (1, 2):
             path = tmp_path / f"obs-{jobs}.ndjson"
             obs.configure(ndjson_path=path)
-            work(ExecutionContext(jobs=jobs))
+            run_job(config, "stalloc", ranks="all", scale=0.25, ctx=ExecutionContext(jobs=jobs))
             shutdown()
             spans = [event for event in load_events(path) if event["type"] == "span"]
             names = sorted(event["name"] for event in spans)

@@ -111,15 +111,15 @@ def test_trace_built_profiles_with_never_freed_requests_match_the_tick_sort(seed
     profile = AllocationProfiler().profile(trace)
     assert_matches_oracle(profile)
     # The trace's own event-order peak agrees: its frees come first at equal time.
-    assert profile.peak_allocated_bytes() == trace.peak_allocated_bytes()
+    assert profile.summary()["peak_allocated_bytes"] == trace.peak_allocated_bytes()
 
 
 def test_a_free_lands_before_an_alloc_at_the_same_time():
     first = make_request(0, 10, alloc_time=0, free_time=2)
     second = make_request(1, 5, alloc_time=2, free_time=3)
     overlapping = make_request(2, 7, alloc_time=1, free_time=3)
-    assert profile_of([first, second]).peak_allocated_bytes() == 10
-    assert profile_of([second, overlapping, first]).peak_allocated_bytes() == 17
+    assert profile_of([first, second]).summary()["peak_allocated_bytes"] == 10
+    assert profile_of([second, overlapping, first]).summary()["peak_allocated_bytes"] == 17
 
 
 def test_an_empty_profile_peaks_at_zero():

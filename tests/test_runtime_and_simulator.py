@@ -15,8 +15,10 @@ from repro.simulator.replay import replay_trace
 from repro.simulator.runner import (
     STALLOC,
     STALLOC_NO_REUSE,
+    JobSpec,
+    run_job,
+    run_jobs,
     run_workload,
-    run_workload_suite,
 )
 from repro.gpu.specs import GPU_SPECS
 from repro.simulator.throughput import ThroughputEstimate, ThroughputModel
@@ -24,6 +26,15 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
 from tests.trace_oracle import events_of
+
+
+def lineup_runs(config, allocators, **options) -> dict:
+    """Rank (0, 0) of ``config`` under each allocator, through one ``run_jobs`` call."""
+    jobs = [
+        (name, JobSpec(config, name, ranks=None, timing="analytical", **options))
+        for name in allocators
+    ]
+    return {name: job.class_runs[0] for name, job, _ in run_jobs(jobs)}
 
 
 # ---------------------------------------------------------------------- #
@@ -35,7 +46,7 @@ class TestProfiler:
         assert profile.num_requests == dense_trace.num_requests
         grouped = sum(len(group.req_ids) for group in profile.dynamic_groups)
         assert grouped == dense_trace.num_dynamic_requests
-        assert profile.peak_allocated_bytes() == dense_trace.peak_allocated_bytes()
+        assert profile.summary()["peak_allocated_bytes"] == dense_trace.peak_allocated_bytes()
 
     def test_summary_fields(self, moe_trace):
         summary = AllocationProfiler().profile(moe_trace).summary()
@@ -68,7 +79,7 @@ class TestRuntimeAllocator:
         assert allocator.reserved_bytes == stalloc.plan.pool_size
 
     def test_memory_efficiency_beats_caching(self, dense_trace, tiny_dense_config):
-        runs = run_workload_suite(tiny_dense_config, ["torch2.3", STALLOC], device_name="A800-80GB")
+        runs = lineup_runs(tiny_dense_config, ["torch2.3", STALLOC], device_name="A800-80GB")
         assert runs[STALLOC].memory_efficiency >= runs["torch2.3"].memory_efficiency
         assert runs[STALLOC].memory_efficiency > 0.95
 
@@ -144,7 +155,7 @@ class TestRuntimeAllocator:
         report = stalloc.planning_report()
         # Static and total peak, counts and byte totals: one sweep.
         assert calls == {"summary": 1, "sweeps": 1}
-        assert stalloc.profile.peak_allocated_bytes() == report["peak_allocated_bytes"]
+        assert dense_trace.peak_allocated_bytes() == report["peak_allocated_bytes"]
         assert stalloc.profile.peak_static_bytes() == report["peak_static_demand_bytes"]
         assert calls["sweeps"] == 1
         # Only the fresh instance knows how long synthesis took; it is not stored.
@@ -340,12 +351,13 @@ class TestRunner:
         run = run_workload(tiny_dense_config, STALLOC, device_name="A800-80GB")
         assert run.planning_report["static_pool_bytes"] > 0
 
-    def test_run_workload_with_throughput(self, tiny_dense_config):
-        run = run_workload(tiny_dense_config, "torch2.3", device_name="A800-80GB", with_throughput=True)
-        assert run.throughput is not None and run.throughput.tflops_per_gpu > 0
+    def test_run_job_with_analytical_throughput(self, tiny_dense_config):
+        job = run_job(tiny_dense_config, "torch2.3", ranks=None, timing="analytical")
+        assert job.throughput is not None and job.throughput.tflops_per_gpu > 0
+        assert job.throughput.source == "analytical"
 
-    def test_suite_shares_trace(self, tiny_dense_config):
-        runs = run_workload_suite(tiny_dense_config, ["torch2.0", "torch2.3"], device_name="A800-80GB")
+    def test_lineup_shares_trace(self, tiny_dense_config):
+        runs = lineup_runs(tiny_dense_config, ["torch2.0", "torch2.3"], device_name="A800-80GB")
         assert set(runs) == {"torch2.0", "torch2.3"}
         assert runs["torch2.0"].replay.metrics.peak_allocated_bytes == runs[
             "torch2.3"

@@ -473,5 +473,5 @@ def test_setup_oom_is_an_oom_result():
     assert run.replay.oom_request_bytes > 0
     assert run.replay.events_replayed == 0
     # ...and the planner surfaces it as an ordinary OOM row, not an exception.
-    job = run_job(config, "stalloc", device_capacity_gib=0.01, with_throughput=False)
+    job = run_job(config, "stalloc", device_capacity_gib=0.01, timing="analytical")
     assert job.success is False

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
+from repro.experiments.common import run_lineups
 from repro.core.stalloc import STAllocConfig
 from repro.simulator import ExecutionContext, runner
 from repro.sweep import (
@@ -432,18 +433,24 @@ _DELETED_NAMES = {
 
 
 class TestRunnerIntegration:
-    def test_suite_parallel_matches_serial(self, tiny_dense_config, tmp_path):
+    def test_figure_fan_out_matches_serial(self, tiny_dense_config, tmp_path):
+        """A figure's one ``run_jobs`` call fans its whole (configuration x
+        allocator) grid out over the workers, and matches the serial run."""
         lineup = ["torch2.0", "torch2.3", "stalloc"]
-        serial = runner.run_workload_suite(tiny_dense_config, lineup)
+        configs = {"mbs=4": tiny_dense_config, "mbs=2": tiny_dense_config.with_(micro_batch_size=2)}
+        serial = run_lineups(configs, lineup, ctx=ExecutionContext())
         ctx = ExecutionContext(cache_dir=tmp_path / "cache", jobs=3)
-        parallel = runner.run_workload_suite(tiny_dense_config, lineup, ctx=ctx)
-        for name, run in serial.items():
-            assert parallel[name].replay == run.replay
-        # One representative, generated once in the parent; the workers' disk
-        # lookups (trace hits, the plan miss) are folded back into the parent.
-        assert ctx.cache.stats.trace_misses == 1
-        assert ctx.cache.stats.trace_hits == len(lineup)
-        assert ctx.cache.stats.plan_misses == 1
+        parallel = run_lineups(configs, lineup, ctx=ctx)
+        tags = [(label, name) for label in configs for name in lineup]
+        assert list(parallel) == list(serial) == tags
+        for tag, job in serial.items():
+            assert parallel[tag].class_runs[0].replay == job.class_runs[0].replay
+        # Each trace is generated once, in the parent (fewer traces than
+        # workers split each over two items, which read it back from disk);
+        # the workers' disk lookups are folded back into the parent.
+        assert ctx.cache.stats.trace_misses == len(configs)
+        assert ctx.cache.stats.trace_hits == 2 * len(configs)
+        assert ctx.cache.stats.plan_misses == len(configs)
 
     def test_second_context_is_served_the_trace_from_disk(self, tiny_dense_config, tmp_path):
         first_ctx = ExecutionContext(cache_dir=tmp_path / "cache")

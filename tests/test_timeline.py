@@ -19,7 +19,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.gpu.device import GIB, device_from_spec
 from repro.gpu.specs import GPU_SPECS, get_gpu
-from repro.simulator.runner import run_job, run_workload
+from repro.simulator.runner import run_job
 from repro.simulator.throughput import ThroughputModel
 from repro.obs import BufferSink, Tracer
 from repro.obs.tracer import install, shutdown
@@ -27,7 +27,7 @@ from repro.search.cluster import ClusterSpec
 from repro.simulator.ranks import validate_budget_map
 from repro.sweep.compare import compare_results
 from repro.sweep.engine import execute_points, run_sweep
-from repro.sweep.spec import SweepSpec, load_spec
+from repro.sweep.spec import SWEEP_PRESETS, SweepSpec, load_spec
 from repro.timeline import TimelineSimulator, simulate_timeline
 from repro.workloads.moe import ExpertRouter
 from repro.workloads.models import get_model
@@ -417,6 +417,11 @@ TRAIN_SWEEP = dict(
 )
 
 
+#: The job-smoke preset (PP=4): the base of the parallelism, stalloc_grid and
+#: budget-map cases.
+JOB_SMOKE = SWEEP_PRESETS["job-smoke"]
+
+
 def _with(spec: dict, **changes) -> dict:
     """``spec`` with top-level fields replaced; ``base__X`` replaces ``base["X"]``."""
     spec = dict(spec, base=dict(spec["base"]))
@@ -511,6 +516,48 @@ MALFORMED_SPECS = {
     ),
     "search-tp-float": ("search", _with(SEARCH_WIDE, tensor_parallel=[1.0]), "tensor_parallel"),
     "search-ep-string": ("search", _with(SEARCH_WIDE, expert_parallel=["2"]), "expert_parallel"),
+    "sweep-pp-string": (
+        "sweep",
+        _with(JOB_SMOKE, parallelism={"pipeline_parallel": "4", "data_parallel": 2}),
+        "pipeline_parallel",
+    ),
+    "sweep-tp-string": (
+        "sweep",
+        _with(JOB_SMOKE, parallelism={"pipeline_parallel": 4, "tensor_parallel": "2"}),
+        "tensor_parallel",
+    ),
+    "sweep-pp-float": (
+        "sweep",
+        _with(JOB_SMOKE, parallelism={"pipeline_parallel": 4.0, "data_parallel": 2}),
+        "pipeline_parallel",
+    ),
+    "sweep-fusion-int": (
+        "sweep", _with(JOB_SMOKE, stalloc_grid={"enable_fusion": [2]}), "enable_fusion"
+    ),
+    "sweep-reuse-string": (
+        "sweep",
+        _with(JOB_SMOKE, stalloc_grid={"enable_dynamic_reuse": ["yes"]}),
+        "enable_dynamic_reuse",
+    ),
+    "sweep-profiler-iterations-zero": (
+        "sweep", _with(JOB_SMOKE, stalloc_grid={"profiler_iterations": [0]}), "profiler_iterations"
+    ),
+    "sweep-profiler-iterations-string": (
+        "sweep",
+        _with(JOB_SMOKE, stalloc_grid={"profiler_iterations": ["3"]}),
+        "profiler_iterations",
+    ),
+    "sweep-fusion-strategy-unknown": (
+        "sweep", _with(JOB_SMOKE, stalloc_grid={"fusion_strategy": ["bogus"]}), "fusion_strategy"
+    ),
+    "sweep-budget-rank-out-of-range": (
+        "sweep", _with(JOB_SMOKE, device_memory_by_rank={"9": 40}), "device_memory_by_rank"
+    ),
+    "sweep-grid-budget-rank-out-of-range": (
+        "sweep",
+        _with(JOB_SMOKE, grid=dict(JOB_SMOKE["grid"], device_memory_by_rank=[{"9": 40}])),
+        "device_memory_by_rank",
+    ),
 }
 
 
@@ -565,18 +612,12 @@ class TestRunnerTiming:
         assert timeline_seconds > analytical_job.throughput.iteration_seconds
         assert timeline_job.tflops < analytical_job.tflops
 
-    def test_run_workload_accepts_timing(self, tiny_dense_config):
-        run = run_workload(
-            tiny_dense_config,
-            "torch2.3",
-            with_throughput=True,
-            timing="timeline",
-            scale=0.25,
-        )
-        assert run.throughput is not None and run.throughput.source == "timeline"
-        assert run.throughput.row_columns()["timing"] == "timeline"
+    def test_run_job_accepts_timing_for_one_rank(self, tiny_dense_config):
+        job = run_job(tiny_dense_config, "torch2.3", ranks=None, timing="timeline", scale=0.25)
+        assert job.throughput is not None and job.throughput.source == "timeline"
+        assert job.throughput.row_columns()["timing"] == "timeline"
         with pytest.raises(ValueError, match="timing"):
-            run_workload(tiny_dense_config, "torch2.3", timing="nope")
+            run_job(tiny_dense_config, "torch2.3", ranks=None, timing="nope")
 
 
 # ---------------------------------------------------------------------- #
