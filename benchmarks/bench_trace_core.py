@@ -220,8 +220,8 @@ def bench_preset(preset: str) -> dict:
         simulate_timeline(config, seed=0, scale=scale)
 
     # The sweep cache's binary entry and the JSON lines it replaced, in a
-    # temporary directory; the digest is memoised first, as in a cold run
-    # (the plan key needs it whatever the entry format).
+    # temporary directory.  Storing an entry hashes nothing: the plan key
+    # hashes the columns on its own.
     workdir = Path(tempfile.mkdtemp(prefix="bench-trace-"))
     entry_path, jsonl_path = workdir / "entry", workdir / "trace.jsonl"
     trace.save(jsonl_path)

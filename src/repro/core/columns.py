@@ -259,7 +259,7 @@ class Pairing:
 NOT_SIMPLE = Pairing(ok=False, alloc_pos=array("q"), free_pos=array("q"))
 
 
-def _getter(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+def values_at(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
     """A function from a column to the tuple of its values at ``positions``.
 
     An ``itemgetter`` gathers in one C loop; build it once to read several
@@ -272,7 +272,7 @@ def _getter(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
 
 def _take(column: array, positions: Sequence[int]) -> array:
     """``column[p]`` for every ``p`` in ``positions``, as an array of the column's type."""
-    return array(column.typecode, _getter(positions)(column))
+    return array(column.typecode, values_at(positions)(column))
 
 
 class TraceColumns:
@@ -335,7 +335,7 @@ class TraceColumns:
             raise ValueError("trace does not pair simply")
         alloc_pos, free_pos = pairing.alloc_pos, pairing.free_pos
         time, phase = self.time, self.phase_index
-        at_allocs = _getter(alloc_pos)
+        at_allocs = values_at(alloc_pos)
         alloc_time = array("q", at_allocs(time))
         never_freed = [ordinal for ordinal, _, _ in pairing.survivors]
         if not all(map(lt, alloc_time, alloc_time[1:])):
@@ -344,11 +344,11 @@ class TraceColumns:
                 range(len(alloc_pos)), key=lambda i: (alloc_time[i], req_id[alloc_pos[i]])
             )
             alloc_pos, free_pos = _take(alloc_pos, order), _take(free_pos, order)
-            at_allocs = _getter(alloc_pos)
+            at_allocs = values_at(alloc_pos)
             alloc_time = array("q", at_allocs(time))
             never_freed = list(compress(range(len(free_pos)), map((-1).__eq__, free_pos)))
         # Position -1 reads the last event; never-freed entries are then rewritten.
-        at_frees = _getter(free_pos)
+        at_frees = values_at(free_pos)
         free_time = array("q", at_frees(time))
         free_phase = array("i", at_frees(phase))
         if never_freed:
@@ -369,6 +369,29 @@ class TraceColumns:
             dyn=array("b", at_allocs(self.dyn)),
         )
 
+    def request_keys(self, *, end_of_trace: int) -> tuple[tuple[int, ...], ...]:
+        """The ``req_id``, ``size``, ``alloc_time`` and ``free_time`` of every request.
+
+        Four tuples in request-id order, of a trace whose :meth:`pairing` is
+        ``ok``; a never-freed request closes at ``end_of_trace``.  What
+        :meth:`StaticAllocationPlan.request_keys` of a plan made for this
+        trace returns.
+        """
+        pairing = self.pairing()
+        if not pairing.ok:
+            raise ValueError("trace does not pair simply")
+        alloc_pos, free_pos = pairing.alloc_pos, pairing.free_pos
+        req_id = values_at(alloc_pos)(self.req_id)
+        if not all(map(lt, req_id, req_id[1:])):  # a generator numbers requests in alloc order
+            order = sorted(range(len(req_id)), key=req_id.__getitem__)
+            alloc_pos, free_pos = _take(alloc_pos, order), _take(free_pos, order)
+            req_id = values_at(alloc_pos)(self.req_id)
+        at_allocs = values_at(alloc_pos)
+        free_time = list(values_at(free_pos)(self.time))  # position -1 reads the last event
+        for index in compress(range(len(free_pos)), map((-1).__eq__, free_pos)):
+            free_time[index] = end_of_trace
+        return req_id, at_allocs(self.size), at_allocs(self.time), tuple(free_time)
+
     def homolayer_groups(self, *, end_of_trace: int) -> list[HomoLayerGroup]:
         """The HomoLayer groups of the ``dyn`` requests, from one pass over the pairing.
 
@@ -383,11 +406,11 @@ class TraceColumns:
         pairing = self.pairing()
         if not pairing.ok:
             raise ValueError("trace does not pair simply")
-        dynamic = _getter(pairing.alloc_pos)(self.dyn)
+        dynamic = values_at(pairing.alloc_pos)(self.dyn)
         alloc_pos = list(compress(pairing.alloc_pos, dynamic))
         free_pos = list(compress(pairing.free_pos, dynamic))
         time, req_id = self.time, self.req_id
-        opened = _getter(alloc_pos)(time)
+        opened = values_at(alloc_pos)(time)
         if not all(map(lt, opened, opened[1:])):
             order = sorted(range(len(opened)), key=lambda i: (opened[i], req_id[alloc_pos[i]]))
             alloc_pos, free_pos, opened = (
@@ -421,10 +444,12 @@ class TraceColumns:
 
     def _signed_sizes(self, category: int | None = None) -> Iterator[int]:
         """``+size`` per alloc and ``-size`` per free (of one category only)."""
+        if category is None:
+            return (size if kind == ALLOC else -size for kind, size in zip(self.kind, self.size))
         return (
             size if kind == ALLOC else -size
             for kind, size, code in zip(self.kind, self.size, self.category)
-            if category is None or code == category
+            if code == category
         )
 
     def _peak(self, category: int | None = None) -> int:
@@ -486,7 +511,7 @@ class TraceColumns:
         positions = range(len(kinds))
         alloc_pos = list(compress(positions, map(not_, kinds)))
         num_allocs = len(alloc_pos)
-        at_allocs = _getter(alloc_pos)
+        at_allocs = values_at(alloc_pos)
         alloc_ids = at_allocs(req_ids)
         ordinal_of: dict[int, int] | None = None
         if alloc_ids != tuple(range(num_allocs)):

@@ -21,6 +21,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -57,6 +58,21 @@ class StaticAllocationPlan:
 
     def __len__(self) -> int:
         return len(self.req_id)
+
+    def request_keys(self, *, end_of_trace: int) -> tuple[tuple[int, ...], ...]:
+        """The ``req_id``, ``size``, ``alloc_time`` and ``free_time`` columns, by request id.
+
+        A row closing after ``end_of_trace`` (a never-freed request) reads
+        ``end_of_trace``: equal to :meth:`TraceColumns.request_keys` exactly
+        when the plan's rows are the trace's requests.
+        """
+        from repro.core.columns import values_at
+
+        at = values_at(sorted(range(len(self.req_id)), key=self.req_id.__getitem__))
+        free_time = at(self.free_time)
+        if free_time and max(free_time) > end_of_trace:
+            free_time = tuple(map(min, free_time, repeat(end_of_trace)))
+        return at(self.req_id), at(self.size), at(self.alloc_time), free_time
 
     def validate(self) -> None:
         """Check the fundamental planning constraint: no spatio-temporal overlap.

@@ -16,9 +16,16 @@ the Static Allocation Plan and serves requests as follows:
   guaranteeing robustness for mismatches and overflow.
 
 Reserved memory is therefore ``static pool size + fallback reserved bytes``.
+
+A trace whose requests are exactly the validated plan's, all static, replays
+as a plan lookup (:meth:`RuntimeAllocator.batch_replay`): every static request
+finds its planned range free, so the end state is column arithmetic.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from operator import lt
 
 from repro.allocators.base import AllocationHints, Allocator, Placement
 from repro.allocators.caching import CachingAllocator, CachingAllocatorConfig
@@ -39,11 +46,15 @@ class RuntimeAllocator(Allocator):
         *,
         enable_dynamic_reuse: bool = True,
         fallback_config: CachingAllocatorConfig | None = None,
+        plan_validated: bool = False,
     ):
         super().__init__()
         self.device = device
         self.plan = plan
         self.enable_dynamic_reuse = enable_dynamic_reuse
+        #: ``StaticAllocationPlan.validate()`` passed on this plan at synthesis:
+        #: the batch replay rests on it.
+        self.plan_validated = plan_validated
         static_plan = plan.static_plan
         #: Profiled static request id -> its planned ``(address, size)``.
         self._planned = dict(zip(static_plan.req_id, zip(static_plan.address, static_plan.size)))
@@ -155,6 +166,71 @@ class RuntimeAllocator(Allocator):
             self.fallback.free(req_id)
             return
         self._available.add(*self._pool_placements.pop(req_id))
+
+    # ------------------------------------------------------------------ #
+    # Batch replay (the Static Allocator as a plan lookup)
+    # ------------------------------------------------------------------ #
+    def batch_replay(self, trace, *, stop_on_oom: bool = True) -> int | None:
+        """Replay an all-static trace the validated plan was made for in one step.
+
+        ``validate()`` proved that no two planned requests overlap in address
+        range and lifespan (half-open, frees first at a shared tick).  When
+        the trace's requests are exactly the plan's rows -- same ``(req_id,
+        size, alloc tick, free tick)``, a never-freed row closing after the
+        last tick -- and its ticks strictly ascend, every static request of
+        the event loop finds its planned range free: no mismatch, no
+        fallback, no device call.  The end state is then set from the
+        columns: alloc/free counts from the pairing, the peak live bytes,
+        the pool as the peak reserved, and the survivors at their planned
+        addresses.
+
+        Declines (returns ``None``) for an unvalidated plan, a subclass, an
+        allocator that has already served a request, any ``dyn`` request,
+        two events on one tick, and a trace whose requests are not the
+        plan's.  ``stop_on_oom`` is moot: the lookup calls no allocator that
+        can fail.
+        """
+        if type(self) is not RuntimeAllocator or not self.plan_validated:
+            return None
+        stats = self.stats
+        if self._live_sizes or stats.alloc_calls or stats.free_calls:
+            return None  # mid-stream state: replay event by event
+        columns = trace.columns
+        if 1 in columns.dyn:
+            return None
+        time = columns.time.tolist()  # plain ints compare faster than array reads
+        if not all(map(lt, time, islice(time, 1, None))):
+            return None
+        pairing = columns.pairing()
+        static_plan = self.plan.static_plan
+        if not pairing.ok or len(pairing.alloc_pos) != len(static_plan):
+            return None
+        if pairing.min_alloc_size <= 0:
+            return None  # no request (nothing to batch), or one the event loop refuses
+        end_of_trace = columns.end_time()
+        if static_plan.request_keys(end_of_trace=end_of_trace) != columns.request_keys(
+            end_of_trace=end_of_trace
+        ):
+            return None
+
+        # The end state of the event loop.  Survivors are live at once, so
+        # the plan keeps them disjoint; ``_planned`` maps each to its address.
+        addresses = self._planned
+        spans = []
+        for _, req_id, size in pairing.survivors:
+            address = addresses[req_id][0]
+            self._live_sizes[req_id] = size
+            self._pool_placements[req_id] = (address, address + size)
+            spans.append((address, address + size))
+        spans.sort()
+        self._available = IntervalSet.gaps(spans, self._pool_size)
+        self._allocated_bytes = sum(self._live_sizes.values())
+        stats.alloc_calls = len(pairing.alloc_pos)
+        stats.free_calls = pairing.num_frees
+        stats.peak_allocated = columns.peak_allocated_bytes()
+        stats.peak_reserved = self._pool_size
+        stats.extra["static_bytes"] = pairing.allocated_bytes
+        return columns.num_events
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -63,6 +63,7 @@ class STAlloc:
             device,
             self.plan,
             enable_dynamic_reuse=self.config.enable_dynamic_reuse,
+            plan_validated=self.config.validate_plan,
         )
 
     # ------------------------------------------------------------------ #

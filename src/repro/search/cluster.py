@@ -169,6 +169,8 @@ class ClusterSpec:
             )
         capacity = match.group("gib")
         nodes = int(match.group("nodes")) if match.group("nodes") else 1
+        if nodes < 1:
+            raise ValueError(f"cluster {text!r}: num_nodes must be a positive int, got {nodes}")
         per_node = int(match.group("count"))
         return cls(
             device_name=match.group("device"),
@@ -193,11 +195,19 @@ class ClusterSpec:
         if not isinstance(data, dict):
             raise ValueError(f"cluster must be a string or mapping, got {data!r}")
         data = dict(data)
-        budgets = data.pop("device_memory_by_rank", None) or {}
+        budgets = data.pop("device_memory_by_rank", None)
+        if budgets is None:
+            budgets = {}
+        validate_budget_map(budgets, "cluster device_memory_by_rank")
         intra = data.pop("intra_node_gbytes_per_sec", None)
         inter = data.pop("inter_node_gbytes_per_sec", None)
         if "devices" in data:
-            base = cls.parse(data.pop("devices"))
+            devices = data.pop("devices")
+            if not isinstance(devices, str):
+                raise ValueError(
+                    f"cluster devices must be a cluster string like '8xA800-80GB', got {devices!r}"
+                )
+            base = cls.parse(devices)
             if data:
                 raise ValueError(
                     f"unknown cluster fields next to 'devices': {', '.join(sorted(data))}"

@@ -57,18 +57,21 @@ def replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool = True
     pairing, per-event hints), so results are identical either way.
     """
     if not _obs_enabled():
-        return _replay_trace(trace, allocator, stop_on_oom=stop_on_oom)
+        return _replay_trace(trace, allocator, stop_on_oom=stop_on_oom)[0]
     started = time.perf_counter()
     with _obs_span("replay.trace", allocator=allocator.name) as obs_replay:
-        result = _replay_trace(trace, allocator, stop_on_oom=stop_on_oom)
-        obs_replay.set(events=result.events_replayed, success=result.success)
+        result, batched = _replay_trace(trace, allocator, stop_on_oom=stop_on_oom)
+        obs_replay.set(events=result.events_replayed, success=result.success, batched=batched)
     elapsed = time.perf_counter() - started
     if elapsed > 0:
         _obs_observe("replay.events_per_sec", result.events_replayed / elapsed)
     return result
 
 
-def _replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool) -> ReplayResult:
+def _replay_trace(
+    trace: Trace, allocator: Allocator, *, stop_on_oom: bool
+) -> tuple[ReplayResult, bool]:
+    """The replay's result, and whether the allocator applied it in one batched step."""
     batched = allocator.batch_replay(trace, stop_on_oom=stop_on_oom)
     if batched is not None:
         return ReplayResult(
@@ -81,7 +84,7 @@ def _replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool) -> R
             events_replayed=batched,
             allocator_stats=allocator.stats.snapshot(),
             overhead_seconds=allocator.overhead_seconds(),
-        )
+        ), True
     events_replayed = 0
     failed_allocs = 0
     skipped_frees = 0
@@ -154,4 +157,4 @@ def _replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool) -> R
         skipped_frees=skipped_frees,
         allocator_stats=allocator.stats.snapshot(),
         overhead_seconds=allocator.overhead_seconds(),
-    )
+    ), False

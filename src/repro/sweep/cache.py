@@ -9,12 +9,12 @@ Layout under the cache root::
 A trace entry is binary (``Trace.entry_chunks``): one JSON head line --
 ``trace_entry`` version, byte order, event count, each column's typecode, item
 size and length, the metadata, phases, module spans, interned module and tag
-tables, the trace digest and a CRC-32 of everything else -- followed by the
-raw bytes of the nine typed columns, ~39 bytes an event.  A hit reads the
-columns back with ``array.fromfile``, checks the CRC and takes the digest
-from the head.  The reader tells the format by the head line, not the file
-suffix (which predates the binary entry): a JSON-lines trace written there by
-``Trace.save`` is a hit too.  An entry cut short, of another entry version or
+tables and a CRC-32 of everything else -- followed by the raw bytes of the
+nine typed columns, ~39 bytes an event.  A hit reads the columns back with
+``array.fromfile`` and checks the CRC; the trace's digest, which keys its
+plans, is a hash of those columns, not stored.  The reader tells the format
+by the head line, not the file suffix (which predates the binary entry): a
+JSON-lines trace written there by ``Trace.save`` is a hit too.  An entry cut short, of another entry version or
 byte order, whose head disagrees with its columns or whose bytes fail the
 CRC is a miss, regenerated and rewritten.
 
@@ -236,9 +236,6 @@ class SweepCache:
         trace = TraceGenerator(
             config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank
         ).generate()
-        # The entry's head holds the digest: the one render that computes it
-        # leaves the memo set, so plan_key()'s trace.digest() on this object
-        # is a lookup, not a second serialization.
         self._note_store(_atomic_write(path, trace.entry_chunks()))
         return trace
 
@@ -246,7 +243,7 @@ class SweepCache:
     # STAlloc plans
     # ------------------------------------------------------------------ #
     def plan_key(self, trace: Trace, stalloc_config: STAllocConfig) -> str:
-        """Content address: hash of the trace bytes + the pipeline config."""
+        """Content address: hash of the trace's digest + the pipeline config."""
         payload = json.dumps(
             {
                 "format_version": PLAN_FORMAT_VERSION,

@@ -6,7 +6,7 @@ execution-layer module whose output the version describes.  Each constant is
 re-exported from the module it describes.
 """
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 #: Bump whenever the generator's event stream changes for an unchanged
 #: configuration, so persistent caches keyed by ``config_fingerprint``
@@ -58,7 +58,8 @@ PLAN_ENTRY_HEAD = f'{{"format_version":{PLAN_FORMAT_VERSION},'
 #: Version of the binary trace entry ``Trace.entry_chunks`` writes to the
 #: sweep cache (a JSON head line, then the raw bytes of the typed columns).
 #: An entry of any other version is a miss, regenerated and rewritten.
-TRACE_ENTRY_VERSION = 1
+#: Version 2: the head holds no digest; a loaded trace hashes its columns.
+TRACE_ENTRY_VERSION = 2
 
 #: Bump to invalidate every cached result row (e.g. when row fields change).
 #: Version 2: job-level rows (multi-rank aggregation, binding rank, default

@@ -15,13 +15,17 @@ profiler reads the paired requests off their memoised ``Pairing``
 (:meth:`TraceColumns.request_columns`).  Traces are treated as immutable once
 constructed (the digest memo and the sweep cache rely on it).
 
-A trace has two stored forms.  The canonical JSON lines of :meth:`dumps` /
-:meth:`save` define :meth:`digest` and every golden fixture.  The binary
-entry of :meth:`entry_chunks` is what the sweep cache stores: one JSON head
-line (entry version, byte order, event count, each column's typecode, item
-size and length, the metadata, phases, module spans, interned tables, the
-digest and a CRC-32 of the rest) followed by each column's raw bytes.
-:meth:`load` reads either, telling them apart by the head line.
+A trace's content address, :meth:`digest`, is a SHA-256 over its columns: a
+canonical head (metadata, phases, module spans, the interned module and tag
+tables, the event count, each column's typecode and item size) and then each
+column's little-endian bytes.  A trace has two stored forms.  The canonical
+JSON lines of :meth:`dumps` / :meth:`save` are the interchange format and
+what the golden trace fixtures hash.  The binary entry of
+:meth:`entry_chunks` is what the sweep cache stores: one JSON head line
+(entry version, byte order, event count, each column's typecode, item size
+and length, the metadata, phases, module spans, interned tables and a CRC-32
+of the rest) followed by each column's raw bytes.  :meth:`load` reads either,
+telling them apart by the head line.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from repro.core.events import Phase, phase_from_dict, phase_to_dict
 from repro.digest import sha256
 from repro.version import TRACE_ENTRY_VERSION
 
-#: Lines of the serialization that are encoded, hashed and written as one chunk.
+#: Lines of the JSON-lines serialization that are encoded and written as one chunk.
 _CHUNK_LINES = 1024
 
 #: The last field of a binary entry's head line; the CRC covers the bytes before it.
@@ -202,7 +206,7 @@ class Trace:
 
         The encoding is canonical (sorted keys, fixed separators), so two
         traces serialize to the same bytes exactly when their contents are
-        equal -- the property :meth:`digest` and the sweep cache rely on.
+        equal -- the property the golden trace fixtures rely on.
         Rows are rendered straight from the columns: every string a row can
         hold -- module, tag, kind, category -- is JSON-encoded once per
         distinct value and the integers are formatted in place, which yields
@@ -225,27 +229,20 @@ class Trace:
                 f'"tag":{tags[tag_index]},"time":{time}}}'
             )
 
-    def _hashed_chunks(self) -> Iterator[bytes]:
-        """The serialization as UTF-8 chunks of whole lines, hashed on the way.
+    def _jsonl_chunks(self) -> Iterator[bytes]:
+        """The serialization as UTF-8 chunks of whole lines.
 
-        Once exhausted, the SHA-256 of exactly the bytes yielded is the
-        trace's :meth:`digest`; everything that serializes goes through here,
-        so a trace is never rendered a second time only to be hashed.  Lines
-        are joined ``_CHUNK_LINES`` at a time, so each is encoded once and
-        the hash and the file see a few large buffers.
+        Lines are joined ``_CHUNK_LINES`` at a time, so each is encoded once
+        and the file sees a few large buffers.
         """
-        hasher = sha256()
         lines = self.iter_jsonl()
         while batch := list(islice(lines, _CHUNK_LINES)):
             batch.append("")  # the chunk's last line ends in a newline too
-            chunk = "\n".join(batch).encode("utf-8")
-            hasher.update(chunk)
-            yield chunk
-        self._digest_cache = hasher.hexdigest()
+            yield "\n".join(batch).encode("utf-8")
 
     def dumps(self) -> str:
         """Serialize to the JSON-lines format of :meth:`save` as one string."""
-        return b"".join(self._hashed_chunks()).decode("utf-8")
+        return b"".join(self._jsonl_chunks()).decode("utf-8")
 
     @classmethod
     def _from_lines(cls, header: dict, lines) -> "Trace":
@@ -279,26 +276,46 @@ class Trace:
         )
 
     def digest(self) -> str:
-        """SHA-256 over the canonical serialization (content address of the trace).
+        """SHA-256 over the trace's columns (its content address).
+
+        Hashed: one canonical JSON head line -- metadata, phases, module
+        spans, the interned module and tag tables, the event count and each
+        column's ``[name, typecode, item size]`` -- then every column's
+        bytes in little-endian order, whatever the host's byte order.  The
+        head's event count and the fixed item sizes delimit the columns, so
+        two traces share an address exactly when their contents are equal.
 
         Memoised: traces are treated as immutable once generated, and the
         plan cache computes this once per (trace, knob-combination) pair.
-        The memo is also set as a by-product of :meth:`dumps` / :meth:`save`
-        (they hash the bytes they produce), and a trace read from a binary
-        entry takes it from the entry's head, so storing a trace and then
-        keying a plan on it serializes once.  Anything that mutates the
-        columns, phases, module spans or metadata of an existing trace must
-        reset ``_digest_cache`` to ``None``.
+        Anything that mutates the columns, phases, module spans or metadata
+        of an existing trace must reset ``_digest_cache`` to ``None``.
         """
         if self._digest_cache is None:
-            for _ in self._hashed_chunks():
-                pass
+            columns = self.columns
+            head = {
+                **self._header(),
+                "events": columns.num_events,
+                "columns": _ENTRY_COLUMNS,
+                "modules": columns.modules,
+                "tags": columns.tags,
+            }
+            hasher = sha256(
+                json.dumps(head, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+            )
+            swap = sys.byteorder != "little"
+            for name in COLUMN_NAMES:
+                column = getattr(columns, name)
+                if swap and column.itemsize > 1:
+                    column = array(column.typecode, column)
+                    column.byteswap()
+                hasher.update(column)
+            self._digest_cache = hasher.hexdigest()
         return self._digest_cache
 
     def save(self, path: str | Path) -> None:
         """Write the trace as JSON-lines with a metadata header (streamed)."""
         with Path(path).open("wb") as handle:
-            handle.writelines(self._hashed_chunks())
+            handle.writelines(self._jsonl_chunks())
 
     # ------------------------------------------------------------------ #
     # Binary entry (what the sweep cache stores)
@@ -306,12 +323,11 @@ class Trace:
     def entry_chunks(self) -> Iterator[bytes | array]:
         """The binary entry: one JSON head line, then each column's raw bytes.
 
-        The head carries the digest, so it is computed (by rendering the
-        canonical serialization once, if not yet memoised) before the first
-        chunk is yielded.  Its last field, ``crc32``, is a CRC-32 of the rest
-        of the head line and of every column's bytes, so a flipped byte
-        anywhere is caught on read.  The columns are yielded as the arrays
-        themselves, which a binary file writes without a copy.
+        The head's last field, ``crc32``, is a CRC-32 of the rest of the head
+        line and of every column's bytes, so a flipped byte anywhere is
+        caught on read.  The columns are yielded as the arrays themselves,
+        which a binary file writes without a copy.  The entry stores no
+        digest: a loaded trace hashes its columns in milliseconds.
         """
         columns = self.columns
         head = {
@@ -319,7 +335,6 @@ class Trace:
             "byteorder": sys.byteorder,
             "events": columns.num_events,
             "columns": [[*layout, columns.num_events] for layout in _ENTRY_COLUMNS],
-            "digest": self.digest(),
             **self._header(),
             "modules": columns.modules,
             "tags": columns.tags,
@@ -372,17 +387,12 @@ class Trace:
                 raise ValueError(f"trace entry column {name!r} holds an index out of range")
         if count and not set(columns.phase_index) <= {phase.index for phase in phases}:
             raise ValueError("trace entry refers to an undeclared phase")
-        digest = head["digest"]
-        if not (isinstance(digest, str) and len(digest) == 64):
-            raise ValueError("trace entry head holds no digest")
-        trace = cls(
+        return cls(
             metadata=TraceMetadata(**head["metadata"]),
             phases=phases,
             module_spans=_module_spans(head["module_spans"]),
             columns=columns,
         )
-        trace._digest_cache = digest
-        return trace
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":

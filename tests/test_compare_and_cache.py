@@ -8,6 +8,7 @@ import math
 import os
 import sys
 import time
+import zlib
 
 import pytest
 
@@ -365,15 +366,15 @@ class TestTraceEntries:
     def test_a_write_that_fails_mid_stream_leaves_nothing_behind(
         self, tmp_path, tiny_dense_config, monkeypatch
     ):
-        real_lines = Trace.iter_jsonl
+        real_chunks = Trace.entry_chunks
 
-        def failing_lines(self):
-            for index, line in enumerate(real_lines(self)):
-                if index == 50:
+        def failing_chunks(self):
+            for index, chunk in enumerate(real_chunks(self)):
+                if index == 3:  # the head and two columns are written
                     raise RuntimeError("generator failed mid-stream")
-                yield line
+                yield chunk
 
-        monkeypatch.setattr(Trace, "iter_jsonl", failing_lines)
+        monkeypatch.setattr(Trace, "entry_chunks", failing_chunks)
         cache = SweepCache(tmp_path)
         noted: list[int] = []
         monkeypatch.setattr(cache, "_note_store", noted.append)
@@ -394,12 +395,37 @@ class TestTraceEntries:
         line, _, body = data.partition(b"\n")
         assert line.startswith(b'{"trace_entry":%d,' % TRACE_ENTRY_VERSION)
         head = json.loads(line)
-        # The digest memo was left behind by the write itself, and the head holds it.
+        # The head stores no digest, and writing the entry hashes nothing.
+        assert "digest" not in head and trace._digest_cache is None
         canonical = trace.dumps().encode("utf-8")
-        assert head["digest"] == trace._digest_cache == hashlib.sha256(canonical).hexdigest()
         assert body == b"".join(getattr(trace.columns, name).tobytes() for name in COLUMN_NAMES)
         assert len(body) == 39 * trace.num_events
         assert len(data) < len(canonical) / 3
+
+    def test_an_entry_written_by_1_23_is_a_miss_and_rewritten(self, tmp_path, tiny_moe_config):
+        """The 1.23.0 entry (version 1, a digest of the JSON lines in its head) is not read."""
+        cache = SweepCache(tmp_path)
+        trace = cache.get_trace(tiny_moe_config, seed=0, scale=0.25)
+        (path,) = cache.traces_dir.iterdir()
+        current = path.read_bytes()
+        line, _, body = current.partition(b"\n")
+        head = json.loads(line)
+        del head["crc32"]
+        old_head = {
+            "trace_entry": 1,
+            **{key: head[key] for key in ("byteorder", "events", "columns")},
+            "digest": hashlib.sha256(trace.dumps().encode("utf-8")).hexdigest(),
+            **{key: head[key] for key in ("metadata", "module_spans", "phases", "modules", "tags")},
+        }
+        covered = json.dumps(old_head, separators=(",", ":")).encode("utf-8")[:-1]
+        crc = zlib.crc32(body, zlib.crc32(covered))
+        path.write_bytes(covered + b',"crc32":%d}\n' % crc + body)
+
+        again = SweepCache(tmp_path)
+        reread = again.get_trace(tiny_moe_config, seed=0, scale=0.25)
+        assert (again.stats.trace_hits, again.stats.trace_misses) == (0, 1)
+        assert path.read_bytes() == current
+        assert reread.digest() == trace.digest()
 
     def test_a_jsonl_entry_written_by_save_is_a_hit(self, tmp_path, tiny_moe_config):
         """``Trace.save`` at ``trace_path`` (how some callers fill the cache) is read as is."""

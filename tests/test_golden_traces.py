@@ -1,7 +1,8 @@
 """Golden-trace regression fixtures.
 
-``tests/fixtures/golden_traces.json`` pins the content digest (plus a few
-readable statistics) of small canonical traces at fixed seeds.  Any change to
+``tests/fixtures/golden_traces.json`` pins the SHA-256 of the canonical
+JSON-lines text (``Trace.dumps``), plus a few readable statistics, of small
+canonical traces at fixed seeds.  Any change to
 the generator's event stream -- intentional or not -- flips a digest and fails
 these tests with a diff of what moved, so the memory model cannot silently
 shift underneath the planner.
@@ -18,6 +19,7 @@ a version bump without regenerated fixtures fails loudly too.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -100,7 +102,7 @@ def _generate_entry(case: dict) -> dict:
         case["config"], seed=case["seed"], rank=case["rank"], ep_rank=case["ep_rank"]
     ).generate()
     return {
-        "digest": trace.digest(),
+        "digest": hashlib.sha256(trace.dumps().encode("utf-8")).hexdigest(),
         "tracegen_version": TRACEGEN_VERSION,
         "num_events": trace.num_events,
         "peak_allocated_bytes": trace.peak_allocated_bytes(),

@@ -756,6 +756,22 @@ class TestCLIWiring:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["counters"]["sweep.rows_done"] == 1
 
+    @pytest.mark.parametrize("preset, stalloc_batched", [("job-smoke", True), ("ep-smoke", False)])
+    def test_replay_spans_say_which_path_ran(self, preset, stalloc_batched, tmp_path, capsys):
+        """Dense STAlloc replays are a plan lookup; MoE ones and the baselines walk events."""
+        obs_path = tmp_path / "obs.ndjson"
+        rc = cli_main([
+            "sweep", preset, "--no-cache", "--obs-out", str(obs_path), "--no-progress",
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        batched: dict[str, set] = {}
+        for event in load_events(obs_path):
+            if event["type"] == "span" and event["name"] == "replay.trace":
+                attrs = event["attrs"]
+                batched.setdefault(attrs["allocator"], set()).add(attrs["batched"])
+        assert batched == {"stalloc": {stalloc_batched}, "torch2.3": {False}}
+
     def test_summarize_missing_file_fails_cleanly(self, tmp_path, capsys):
         rc = cli_main(["obs", "summarize", str(tmp_path / "missing.ndjson")])
         assert rc == 2

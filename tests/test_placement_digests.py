@@ -72,6 +72,8 @@ class _Recorder:
             return placement
 
         allocator.allocate = allocate  # replay_trace goes through the instance
+        # A batched replay calls no allocate: record every event through the loop.
+        allocator.batch_replay = lambda trace, stop_on_oom=True: None
 
 
 def _entry(allocator: Allocator, device: Device, recorder: _Recorder, outcome: dict) -> dict:

@@ -558,6 +558,22 @@ MALFORMED_SPECS = {
         _with(JOB_SMOKE, grid=dict(JOB_SMOKE["grid"], device_memory_by_rank=[{"9": 40}])),
         "device_memory_by_rank",
     ),
+    "search-cluster-budget-list": (
+        "search",
+        _with(SEARCH_WIDE, cluster={"num_devices": 8, "device_memory_by_rank": [1]}),
+        "cluster device_memory_by_rank",
+    ),
+    "search-cluster-devices-int": (
+        "search", _with(SEARCH_WIDE, cluster={"devices": 8}), "cluster devices"
+    ),
+    "search-cluster-budget-string": (
+        "search",
+        _with(SEARCH_WIDE, cluster={"num_devices": 8, "device_memory_by_rank": {"0": "x"}}),
+        "cluster device_memory_by_rank['0']",
+    ),
+    "search-cluster-zero-nodes": (
+        "search", _with(SEARCH_WIDE, cluster="0x4xA800-80GB"), "num_nodes"
+    ),
 }
 
 

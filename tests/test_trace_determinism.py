@@ -8,11 +8,15 @@ cover the stability/sensitivity of :func:`config_fingerprint`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import sys
+from array import array
 
 import pytest
 
+from repro.core.columns import COLUMN_NAMES, TraceColumns
 from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory
 from repro.core.stalloc import STAllocConfig
 from repro.sweep.cache import SweepCache
@@ -175,43 +179,101 @@ class TestCanonicalBytes:
 
     @pytest.mark.parametrize("build", [_hostile_trace, lambda: _generated("dense")])
     def test_every_route_to_the_digest_agrees(self, build, tmp_path):
-        expected = hashlib.sha256(build().dumps().encode("utf-8")).hexdigest()
-
-        after_dumps = build()
-        after_dumps.dumps()
-        assert after_dumps._digest_cache == expected  # set by dumps itself
-        assert after_dumps.digest() == expected
-
-        after_save = build()
-        after_save.save(tmp_path / "t.jsonl")
-        assert after_save._digest_cache == expected  # set by save itself
-        assert (tmp_path / "t.jsonl").read_bytes() == build().dumps().encode("utf-8")
-
-        assert build().digest() == expected  # fresh trace: digest serializes
-        assert reload(build().dumps(), tmp_path).digest() == expected
+        """A fresh trace, a JSON-lines reload and a binary-entry reload share one address."""
+        expected = build().digest()
+        build().save(tmp_path / "t.jsonl")
+        entry = tmp_path / "entry"
+        entry.write_bytes(b"".join(bytes(chunk) for chunk in build().entry_chunks()))
         assert Trace.load(tmp_path / "t.jsonl").digest() == expected
+        assert reload(build().dumps(), tmp_path).digest() == expected
+        assert Trace.load(entry).digest() == expected
+        assert len(expected) == 64 and int(expected, 16) >= 0
 
 
-def test_cold_trace_and_plan_key_serialize_once(tmp_path, monkeypatch):
-    """Storing a trace and keying a plan on it renders the trace one time."""
-    calls = []
-    real_iter_jsonl = Trace.iter_jsonl
+def _rebuilt(trace: Trace, **columns) -> Trace:
+    """``trace`` with some columns (or the module / tag tables) replaced."""
+    stored = {name: getattr(trace.columns, name) for name in COLUMN_NAMES}
+    stored.update(modules=trace.columns.modules, tags=trace.columns.tags)
+    stored.update(columns)
+    return Trace(
+        metadata=trace.metadata,
+        phases=trace.phases,
+        module_spans=trace.module_spans,
+        columns=TraceColumns(**stored),
+    )
 
-    def counting_iter_jsonl(self):
-        calls.append(id(self))
-        return real_iter_jsonl(self)
 
-    monkeypatch.setattr(Trace, "iter_jsonl", counting_iter_jsonl)
+def _one_value_changed(trace: Trace, name: str) -> Trace:
+    column = array(getattr(trace.columns, name).typecode, getattr(trace.columns, name))
+    column[len(column) // 2] ^= 1
+    return _rebuilt(trace, **{name: column})
+
+
+HEADER_CHANGES = {
+    "metadata": lambda t: Trace(
+        dataclasses.replace(t.metadata, description="other"), t.phases, t.module_spans,
+        columns=t.columns,
+    ),
+    "phases": lambda t: Trace(
+        t.metadata, [*t.phases[:-1], dataclasses.replace(t.phases[-1], microbatch=99)],
+        t.module_spans, columns=t.columns,
+    ),
+    "module-spans": lambda t: Trace(
+        t.metadata, t.phases, {**t.module_spans, "extra": (0, 1)}, columns=t.columns
+    ),
+    "modules-table": lambda t: _rebuilt(t, modules=(*t.columns.modules[:-1], "renamed")),
+    "tags-table": lambda t: _rebuilt(t, tags=(*t.columns.tags[:-1], "renamed")),
+    "one-event-fewer": lambda t: _rebuilt(
+        t, **{name: getattr(t.columns, name)[:-1] for name in COLUMN_NAMES}
+    ),
+}
+
+
+class TestContentAddress:
+    """``Trace.digest`` hashes the columns, not the JSON-lines text."""
+
+    @pytest.mark.parametrize("name", COLUMN_NAMES)
+    def test_one_column_value_changes_the_address(self, name):
+        trace = _generated("moe")
+        assert _one_value_changed(trace, name).digest() != trace.digest()
+
+    @pytest.mark.parametrize("change", sorted(HEADER_CHANGES))
+    def test_one_header_field_changes_the_address(self, change):
+        trace = _generated("moe")
+        assert HEADER_CHANGES[change](trace).digest() != trace.digest()
+
+    def test_the_address_does_not_depend_on_the_host_byte_order(self, monkeypatch):
+        """A big-endian host holds each column byte-swapped; it hashes the same bytes."""
+        trace = _generated("moe")
+        expected = trace.digest()
+        swapped = {}
+        for name in COLUMN_NAMES:
+            column = array(getattr(trace.columns, name).typecode, getattr(trace.columns, name))
+            column.byteswap()
+            swapped[name] = column
+        foreign = _rebuilt(trace, **swapped) if sys.byteorder == "little" else trace
+        native = trace if sys.byteorder == "little" else _rebuilt(trace, **swapped)
+        monkeypatch.setattr(sys, "byteorder", "big")
+        assert foreign.digest() == expected
+        monkeypatch.setattr(sys, "byteorder", "little")
+        assert native.digest() == expected
+
+    def test_the_address_is_not_the_jsonl_text_hash(self):
+        trace = _generated("dense")
+        assert trace.digest() != hashlib.sha256(trace.dumps().encode("utf-8")).hexdigest()
+
+
+def test_cold_trace_and_plan_key_never_render_json_lines(tmp_path, monkeypatch):
+    """Storing a trace, loading it and keying plans on it render no JSON line."""
+    monkeypatch.setattr(Trace, "iter_jsonl", lambda self: pytest.fail("rendered"))
     cache = SweepCache(tmp_path)
     trace = cache.get_trace(CONFIG_CASES["dense"], seed=5, scale=0.5)
     key = cache.plan_key(trace, STAllocConfig())
     assert cache.plan_key(trace, STAllocConfig(enable_fusion=False)) != key
-    assert calls == [id(trace)]
     assert cache.stats.trace_misses == 1
-    # A trace served from disk takes its digest from the entry's head: no render.
     loaded = SweepCache(tmp_path).get_trace(CONFIG_CASES["dense"], seed=5, scale=0.5)
+    assert loaded._digest_cache is None  # the entry stores no digest
     assert cache.plan_key(loaded, STAllocConfig()) == key
-    assert calls == [id(trace)]
 
 
 class TestSeedSensitivity:

@@ -6,7 +6,7 @@ Three contracts:
   empty traces, never-freed requests, shared ticks, unicode module and tag
   names, sizes near 2**63 -- comes back from the binary entry with equal
   columns, interned tables, metadata, phases, module spans and digest, and
-  the digest stays the one the canonical JSON lines define.
+  renders the same canonical JSON lines.
 * **Width.**  A value a column cannot hold raises a one-line ``ValueError``
   naming the column and the event index, whichever way the columns are built.
 * **Structure.**  What a run keeps per event or per request -- the trace
@@ -18,7 +18,6 @@ Three contracts:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from array import array
 
@@ -87,9 +86,8 @@ def test_hand_built_traces_round_trip_through_the_binary_entry(seed, tmp_path):
     assert loaded.metadata == trace.metadata
     assert [phase_to_dict(p) for p in loaded.phases] == [phase_to_dict(p) for p in trace.phases]
     assert loaded.module_spans == trace.module_spans
-    # The head's digest is the one the canonical JSON lines define.
     canonical = trace.dumps().encode("utf-8")
-    assert loaded.digest() == trace.digest() == hashlib.sha256(canonical).hexdigest()
+    assert loaded.digest() == trace.digest()
     assert loaded.dumps().encode("utf-8") == canonical
     assert reload(canonical.decode("utf-8"), tmp_path).digest() == trace.digest()
 
@@ -136,7 +134,7 @@ def test_trace_entry_read_by_fromfile_never_parses_a_row(tmp_path, monkeypatch):
     parsed = []
     monkeypatch.setattr(Trace, "_from_lines", classmethod(lambda cls, *a: parsed.append(a)))
     monkeypatch.setattr(Trace, "iter_jsonl", lambda self: pytest.fail("rendered"))
-    assert Trace.load(path).digest() == trace._digest_cache
+    assert Trace.load(path).digest() == trace.digest()
     assert parsed == []
 
 
