@@ -13,12 +13,10 @@ Run with:  python examples/config_rescue.py
 
 from repro.experiments.common import run_lineups
 from repro.experiments.tables import _table1_configs
-from repro.gpu.specs import GPU_SPECS
-from repro.simulator.throughput import ThroughputModel
+from repro.timeline import simulate_timeline
 
 
 def main() -> None:
-    throughput = ThroughputModel(GPU_SPECS["H200-141GB"])
     lineup = ["torch2.6", "torch_es", "stalloc"]
     configs = dict(_table1_configs(micro_batch_size=2, num_microbatches=8))
     # One run_jobs call replays every (configuration, allocator) pair on rank 0.
@@ -28,10 +26,15 @@ def main() -> None:
         for label, config in configs.items()
     ]
 
-    best_tflops = max(throughput.tflops(config) for _, config, _ in rows)
+    # Each configuration's own throughput: its timeline, priced overhead-free.
+    throughput = {
+        label: simulate_timeline(config, gpu="H200-141GB").to_estimate().tflops_per_gpu
+        for label, config in configs.items()
+    }
+    best_tflops = max(throughput.values())
     print(f"{'configuration':<24s} {'PyTorch':>8s} {'ES':>8s} {'STAlloc':>8s} {'TFLOPS':>8s} {'slowdown':>9s}")
     for label, config, runs in rows:
-        tflops = throughput.tflops(config)
+        tflops = throughput[label]
         slowdown = 100.0 * (1.0 - tflops / best_tflops)
         print(
             f"{label:<24s} "

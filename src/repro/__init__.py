@@ -11,10 +11,11 @@ Efficiency in Large-Scale Model Training with Spatio-Temporal Planning"*
   generation (dense and MoE models, parallelism, recomputation, ZeRO, ...).
 * :mod:`repro.core` -- the STAlloc contribution: allocation profiler, plan
   synthesizer, and hybrid static/dynamic runtime allocator.
-* :mod:`repro.simulator` -- trace replay, memory metrics, and an analytical
-  throughput model.
+* :mod:`repro.simulator` -- trace replay, memory metrics, and the whole-job
+  runner.
 * :mod:`repro.timeline` -- discrete-event iteration-time simulation over the
-  per-rank schedules, with routed-load all-to-all communication costs.
+  per-rank schedules, with routed-load all-to-all communication costs: the
+  one model every throughput number comes from.
 * :mod:`repro.experiments` -- harnesses regenerating every table and figure of
   the paper's evaluation.
 """

@@ -11,7 +11,6 @@ Usage::
     stalloc-repro sweep --compare old.json new.json         # diff two saved results
     stalloc-repro sweep ep-comm-smoke --jobs 2              # all-to-all transients on/off
     stalloc-repro sweep timeline-smoke --jobs 2             # discrete-event timing vs comm factor
-    stalloc-repro sweep quick-grid --timing analytical      # closed-form timing fallback
     stalloc-repro sweep ep-smoke --cache-max-gib 1          # cap the cache inline
     stalloc-repro sweep --list
     stalloc-repro search gpt-tiny                           # preset search
@@ -149,17 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write results to PATH (.json or .csv); repeatable",
     )
     sweep_parser.add_argument(
-        "--timing",
-        choices=["timeline", "analytical"],
-        default=None,
-        help=(
-            "timing backend for the throughput columns: the discrete-event "
-            "timeline simulator (per-rank schedules, routed-load all-to-all "
-            "costs) or the closed-form analytical model (default: what the "
-            "spec selects, usually timeline)"
-        ),
-    )
-    sweep_parser.add_argument(
         "--max-rows",
         type=int,
         default=40,
@@ -264,12 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="PATH",
         help="write the search result to PATH (.json or .csv); repeatable",
-    )
-    search_parser.add_argument(
-        "--timing",
-        choices=["timeline", "analytical"],
-        default=None,
-        help="timing backend for the throughput columns (default: what the spec selects)",
     )
     search_parser.add_argument(
         "--max-rows",
@@ -578,8 +560,6 @@ def _run_grid_command(args, *, noun: str, spec_hint: str, presets, load, execute
     except (ValueError, FileNotFoundError, TypeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.timing is not None:
-        spec.timing = args.timing
     baseline = None
     if args.compare is not None:
         try:

@@ -176,20 +176,19 @@ def run_lineups(
     *,
     ctx: ExecutionContext | None = None,
     ranks=None,
-    timing: str = "analytical",
     **options,
 ) -> dict[tuple, JobRun]:
     """Every (configuration, allocator) job of an experiment in one :func:`run_jobs` call.
 
     ``configs`` maps a row label to its configuration; ``options`` are the
     :class:`JobSpec` fields all jobs share (``device_name``, ``scale``, ...).
-    By default a job is rank (0, 0) only (``job.class_runs[0]``), priced by
-    the closed-form estimate.  Each rank's trace is fetched once for every
+    By default a job is rank (0, 0) only (``job.class_runs[0]``); every job is
+    priced by the timeline simulator.  Each rank's trace is fetched once for every
     allocator that reads it, and ``ctx``'s workers share the whole
     experiment.  Returns ``{(label, allocator): JobRun}`` in label-major order.
     """
     jobs = [
-        ((label, allocator), JobSpec(config, allocator, ranks=ranks, timing=timing, **options))
+        ((label, allocator), JobSpec(config, allocator, ranks=ranks, **options))
         for label, config in configs.items()
         for allocator in allocators
     ]

@@ -2,9 +2,11 @@
 
 For the three §9.2 models trained with recomputation, the per-iteration
 allocator overhead observed during replay (driver calls, virtual-memory
-operations) is fed into the analytical throughput model and normalized against
-the vanilla caching allocator: GMLake against PyTorch 2.0, expandable segments
-and STAlloc against PyTorch 2.3 (matching the paper's normalization).
+operations) is injected into the timeline simulation's phases -- the same
+pricing every sweep and search row gets -- and the throughput is normalized
+against the vanilla caching allocator: GMLake against PyTorch 2.0, expandable
+segments and STAlloc against PyTorch 2.3 (matching the paper's
+normalization).
 """
 
 from __future__ import annotations

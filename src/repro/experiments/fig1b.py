@@ -13,8 +13,7 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import preset_config
 from repro.simulator.execution import ExecutionContext
-from repro.gpu.specs import GPU_SPECS
-from repro.simulator.throughput import ThroughputModel
+from repro.timeline import simulate_timeline
 
 #: (label, preset, micro-batch size) of the plotted configurations.
 CONFIG_POINTS = [
@@ -33,7 +32,6 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     model = get_model("llama2-7b")
     parallelism = ParallelismConfig(tensor_parallel=2, pipeline_parallel=4, data_parallel=1)
     points = CONFIG_POINTS[:3] if quick else CONFIG_POINTS
-    throughput = ThroughputModel(GPU_SPECS["A800-80GB"])
     configs = {
         label: preset_config(
             model,
@@ -51,7 +49,10 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
         rows.append(
             {
                 "config": label,
-                "tflops_per_gpu": round(throughput.tflops(config), 1),
+                # Priced overhead-free: the configuration's own throughput.
+                "tflops_per_gpu": round(
+                    simulate_timeline(config, gpu="A800-80GB").to_estimate().tflops_per_gpu, 1
+                ),
                 "torch_reserved_gib": round(torch_job.peak_reserved_gib, 1),
                 "stalloc_reserved_gib": round(stalloc_job.peak_reserved_gib, 1),
                 "torch_feasible": "yes" if torch_job.success else "OOM",

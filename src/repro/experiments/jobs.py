@@ -21,10 +21,9 @@ from repro.experiments.common import (
     run_lineups,
 )
 from repro.gpu.specs import GPU_SPECS
-from repro.search.bounds import kv_cache_bytes_floor
+from repro.search.bounds import kv_cache_bytes_floor, time_floor_seconds
 from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import run_job
-from repro.simulator.throughput import ThroughputModel
 from repro.timeline import simulate_timeline
 from repro.workloads.parallelism import rank_label
 
@@ -56,8 +55,7 @@ def run_job_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentRe
         preset: workload.preset(preset, micro_batch_size=4 if quick else None) for preset in presets
     }
     jobs = run_lineups(
-        configs, lineup, ranks="all", timing="timeline",
-        device_name=workload.device_name, scale=scale, ctx=ctx
+        configs, lineup, ranks="all", device_name=workload.device_name, scale=scale, ctx=ctx
     )
     rows = []
     binding_ranks = set()
@@ -98,8 +96,7 @@ def run_ep_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentRes
         for imbalance in imbalances
     }
     jobs = run_lineups(
-        configs, allocators, ranks="all", timing="timeline",
-        device_name=workload.device_name, scale=scale, ctx=ctx
+        configs, allocators, ranks="all", device_name=workload.device_name, scale=scale, ctx=ctx
     )
     rows = []
     for (imbalance, allocator), job in jobs.items():
@@ -270,8 +267,9 @@ def run_timeline_table(*, quick: bool = False, ctx: ExecutionContext) -> Experim
     whose duration follows the maximum routed load across the EP group -- the
     same router draws that size the trace's COMM_BUFFER transients.  Imbalance
     therefore costs time twice, through hot-expert compute and through the
-    collectives everyone must wait for, and the slowdown over the closed-form
-    analytical estimate quantifies what the closed form cannot see.
+    collectives everyone must wait for.  The slowdown over
+    :func:`~repro.search.bounds.time_floor_seconds` -- the admissible floor
+    the search prunes with -- measures how much of the iteration is waiting.
     """
     workload = A800_WORKLOADS["qwen1.5-moe-a2.7b"]
     gpu = GPU_SPECS[workload.device_name]
@@ -287,7 +285,7 @@ def run_timeline_table(*, quick: bool = False, ctx: ExecutionContext) -> Experim
                 num_microbatches=4,
             )
             timeline = simulate_timeline(config, gpu=gpu, scale=scale)
-            analytical = ThroughputModel(gpu).estimate(config)
+            floor = time_floor_seconds(config, gpu, scale=scale)
             rows.append(
                 {
                     "imbalance": imbalance,
@@ -298,10 +296,8 @@ def run_timeline_table(*, quick: bool = False, ctx: ExecutionContext) -> Experim
                     "bubble_pct": round(100 * timeline.bubble_fraction, 2),
                     "mfu_pct": round(100 * timeline.mfu, 2),
                     "binding_rank": rank_label(timeline.binding_rank),
-                    "analytical_ms": round(analytical.iteration_seconds * 1e3, 3),
-                    "slowdown_vs_analytical": round(
-                        timeline.iteration_seconds / analytical.iteration_seconds, 4
-                    ),
+                    "floor_ms": round(floor * 1e3, 3),
+                    "slowdown_vs_floor": round(timeline.iteration_seconds / floor, 4),
                 }
             )
     return ExperimentResult(
@@ -309,10 +305,12 @@ def run_timeline_table(*, quick: bool = False, ctx: ExecutionContext) -> Experim
         title="Timeline simulation: iteration time vs. router imbalance and comm factor",
         rows=rows,
         notes=(
-            "slowdown_vs_analytical is the simulated iteration over the closed-form "
-            "estimate: ~1.0 for a balanced comm-free job (the differential property "
-            "the tests pin), growing with imbalance (hot-expert stragglers at every "
-            "synchronising all-to-all) and with the comm factor (collective time on "
-            "the critical path)."
+            "slowdown_vs_floor is the simulated iteration over the admissible floor "
+            "the search prunes with (compute plus the all-to-all time no overlap "
+            "hides, no bubbles or stalls), so it never drops below 1. A balanced "
+            "job sits at the 1F1B bubble factor (m + pp - 1) / m; router imbalance "
+            "raises it (hot-expert stragglers at every synchronising all-to-all), "
+            "while the comm factor moves iteration_ms and floor_ms nearly together "
+            "(the floor already charges the collectives)."
         ),
     )

@@ -23,8 +23,7 @@ from repro.experiments.common import (
 from repro.gpu.device import GIB
 from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import STALLOC, STALLOC_NO_REUSE
-from repro.gpu.specs import GPU_SPECS
-from repro.simulator.throughput import ThroughputModel
+from repro.timeline import simulate_timeline
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
@@ -75,7 +74,6 @@ def run_table1(
     if quick:
         configs = configs[:2]
     lineup = ["torch2.6", "torch_es", STALLOC]
-    throughput = ThroughputModel(GPU_SPECS["H200-141GB"])
     runs = run_lineups(
         dict(configs),
         lineup,
@@ -94,7 +92,10 @@ def run_table1(
                 "stalloc": "OK" if stalloc_job.success else "OOM",
                 "reserved_torch_gib": round(torch_job.peak_reserved_gib, 1),
                 "reserved_stalloc_gib": round(stalloc_job.peak_reserved_gib, 1),
-                "throughput_tflops": round(throughput.tflops(config), 1),
+                # Priced overhead-free: the configuration's own throughput.
+                "throughput_tflops": round(
+                    simulate_timeline(config, gpu="H200-141GB").to_estimate().tflops_per_gpu, 1
+                ),
             }
         )
     best = max(rows, key=lambda row: row["throughput_tflops"])
@@ -131,8 +132,6 @@ def run_table2(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResul
     ]
     if quick:
         workloads = workloads[:2]
-    gpu = GPU_SPECS["A800-80GB"]
-    throughput = ThroughputModel(gpu)
     profiler = AllocationProfiler()
     synthesizer = PlanSynthesizer()
     rows = []
@@ -142,7 +141,7 @@ def run_table2(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResul
         trace = ctx.trace(config)
         # Profiling cost: the paper's profiler runs `iterations` iterations
         # through the native GPU APIs, paying one driver call per event.
-        iteration_seconds = throughput.estimate(config).iteration_seconds
+        iteration_seconds = simulate_timeline(config, gpu="A800-80GB").iteration_seconds
         native_overhead = trace.num_events * _NATIVE_DRIVER_CALL_SECONDS
         profile_seconds = profiler.iterations * (iteration_seconds + native_overhead)
         started = time.perf_counter()

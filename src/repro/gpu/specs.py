@@ -1,10 +1,9 @@
 """Canonical accelerator specifications (the single source of truth).
 
 Every layer that needs to know what a device *is* -- the memory capacity the
-:class:`~repro.gpu.device.Device` presets enforce, the compute ceiling the
-analytical :class:`~repro.simulator.throughput.ThroughputModel` divides by,
-and the all-to-all bandwidth the :mod:`repro.timeline` simulator charges for
-expert-parallel collectives -- reads it from :data:`GPU_SPECS` here, so a
+:class:`~repro.gpu.device.Device` presets enforce, the compute ceiling and
+all-to-all bandwidth the :mod:`repro.timeline` simulator prices phases and
+expert-parallel collectives with -- reads it from :data:`GPU_SPECS` here, so a
 testbed device cannot drift apart between the memory and timing models.
 
 Bandwidth is optionally *tiered*: a spec may carry distinct intra-node

@@ -12,14 +12,14 @@ Two bounds, both *sound* with respect to what the simulator would measure:
   peak_reserved`` for every allocator, and ``bound > capacity`` proves the
   candidate OOMs everywhere -- the pre-tracegen kill the tentpole asks for.
 
-* :func:`time_floor_seconds` -- the compute-bound step time of the analytical
-  model with the pipeline-bubble and straggler terms dropped.  Both timing
-  backends charge at least this much (the timeline simulator schedules the
-  same per-phase compute costs and can only *add* waiting), so
-  :func:`throughput_upper_bound` (tokens per iteration over the floor) is an
-  admissible branch-and-bound bound on ``tokens_per_second``.
+* :func:`time_floor_seconds` -- the compute-bound step time priced from the
+  closed-form cost inputs, plus the all-to-all seconds no overlap can hide,
+  with the pipeline-bubble and straggler terms dropped.  The timeline
+  simulator schedules the same per-phase compute costs and can only *add*
+  waiting, so :func:`throughput_upper_bound` (tokens per iteration over the
+  floor) is an admissible branch-and-bound bound on ``tokens_per_second``.
 
-Soundness of both bounds against the real backends is property-tested in
+Soundness of both bounds against the simulators is property-tested in
 ``tests/test_search.py``.
 """
 
@@ -168,7 +168,7 @@ def memory_lower_bound(
 def _comm_floor_seconds(
     config: TrainingConfig, gpu: GPUSpec, *, scale: float = 1.0
 ) -> float:
-    """Minimum all-to-all seconds the timeline backend charges one rank.
+    """Minimum all-to-all seconds the timeline simulator charges one rank.
 
     The timeline emits one dispatch/combine collective per MoE layer
     execution -- ``2 * num_microbatches * chunks * scaled_layers`` per rank --
@@ -198,27 +198,20 @@ def _comm_floor_seconds(
 
 
 def time_floor_seconds(
-    config: TrainingConfig,
-    gpu: GPUSpec | str,
-    *,
-    timing: str = "analytical",
-    scale: float = 1.0,
+    config: TrainingConfig, gpu: GPUSpec | str, *, scale: float = 1.0
 ) -> float:
-    """Seconds one iteration takes at best, for the given timing backend.
+    """Seconds one iteration takes at best under the timeline simulator.
 
-    The analytical model's compute term with its compute/communication
-    multipliers but *without* the pipeline-bubble divisor or allocator
-    overhead; the timeline backend schedules the same per-phase costs and can
-    only add stalls on top.  For ``timing="timeline"`` the floor additionally
-    charges the backend's explicit all-to-all collectives at the fastest
-    fabric tier (see :func:`_comm_floor_seconds`) -- the analytical backend
-    prices communication through its multiplier instead, so the extra term
-    must stay off its floor to remain admissible.  The compute term is
-    independent of ``scale``; the collective count is not (the timeline emits
-    one per *scaled* layer execution).
+    The closed-form compute term with its compute/communication multipliers
+    but *without* pipeline bubbles or allocator overhead -- the simulator
+    schedules the same per-phase costs and can only add stalls on top -- plus
+    its explicit all-to-all collectives at the fastest fabric tier (see
+    :func:`_comm_floor_seconds`).  The compute term is independent of
+    ``scale``; the collective count is not (the timeline emits one per
+    *scaled* layer execution).
     """
     gpu = get_gpu(gpu)
-    model = ThroughputModel(gpu)
+    model = ThroughputModel()
     per_gpu_flops = (
         model.model_flops_per_iteration(config)
         * model.workload_flops_fraction(config)
@@ -230,16 +223,14 @@ def time_floor_seconds(
         * model.communication_multiplier(config)
         / gpu.achievable_flops
     )
-    if timing == "timeline":
-        floor += _comm_floor_seconds(config, gpu, scale=scale)
-    return floor
+    return floor + _comm_floor_seconds(config, gpu, scale=scale)
 
 
 def throughput_upper_bound(
     config: TrainingConfig,
     gpu: GPUSpec | str,
     *,
-    timing: str = "analytical",
+    timing: str = "timeline",
     scale: float = 1.0,
 ) -> float:
     """Admissible upper bound on ``tokens_per_second`` for the candidate.
@@ -248,8 +239,12 @@ def throughput_upper_bound(
     device is unknown or the model somehow prices to a zero floor -- an
     unusable bound must fail open, not kill candidates.
     """
+    # ``timing`` is kept only for benchmarks/e2e/stages.py, which passes
+    # ``SweepPoint.timing``; the timeline is the one model there is.
+    if timing != "timeline":
+        raise ValueError(f"timing must be 'timeline', got {timing!r}")
     try:
-        floor = time_floor_seconds(config, gpu, timing=timing, scale=scale)
+        floor = time_floor_seconds(config, gpu, scale=scale)
     except ValueError:
         return float("inf")
     if floor <= 0:

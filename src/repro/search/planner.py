@@ -253,7 +253,7 @@ def search_points(
         "search.run", spec=name, candidates=len(points), exhaustive=exhaustive
     ) as obs_run:
         # Group points by priced configuration: every allocator/knob cell of
-        # one (config, device, budgets, ranks, timing, fabric) shares a memory
+        # one (config, device, budgets, ranks, fabric) shares a memory
         # verdict and a throughput bound.
         groups: dict[tuple, list[SweepPoint]] = {}
         for point in points:
@@ -263,7 +263,6 @@ def search_points(
                 point.device_capacity_gib,
                 point.device_memory_by_rank,
                 point.ranks,
-                point.timing,
                 point.fabric,
             )
             groups.setdefault(key, []).append(point)
@@ -283,8 +282,7 @@ def search_points(
                     continue
             # Bound against the fabric the candidate is actually timed on: the
             # tiered pricing must stay admissible (the floor charges the
-            # fastest tier), and the extra collective floor only applies to
-            # the backend that emits explicit collectives.
+            # fastest tier).
             try:
                 gpu = get_gpu(head.device_name)
                 if head.fabric:
@@ -292,9 +290,7 @@ def search_points(
             except (ValueError, TypeError):
                 bound = float("inf")  # unusable bound fails open, never prunes
             else:
-                bound = throughput_upper_bound(
-                    head.config, gpu, timing=head.timing, scale=head.scale
-                )
+                bound = throughput_upper_bound(head.config, gpu, scale=head.scale)
             survivors.append((bound, head.index, group))
 
         if exhaustive:

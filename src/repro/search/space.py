@@ -31,7 +31,6 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from repro.search.cluster import ClusterSpec
-from repro.simulator.throughput import validate_timing
 from repro.sweep.spec import (
     CONFIG_AXES,
     STALLOC_ALLOCATORS,
@@ -91,7 +90,6 @@ class SearchSpec:
     stalloc_grid: dict = field(default_factory=dict)
     seed: int = 0
     scale: float = 1.0
-    timing: str = "timeline"
 
     def __post_init__(self) -> None:
         self.cluster = ClusterSpec.from_dict(self.cluster)
@@ -105,7 +103,6 @@ class SearchSpec:
             raise ValueError(f"global_batch must be a positive int, got {self.global_batch!r}")
         validate_allocators(self.allocators, "search")
         validate_mappings(self, ("base", "stalloc_grid"))
-        validate_timing(self.timing)
         validate_seed(self.seed)
         validate_scale(self.scale)
         for name in ("tensor_parallel", "pipeline_parallel", "expert_parallel"):
@@ -295,7 +292,6 @@ class SearchSpec:
                                 ranks=ranks,
                                 stalloc_overrides=overrides,
                                 device_memory_by_rank=budgets,
-                                timing=self.timing,
                                 fabric=fabric,
                             )
                         )

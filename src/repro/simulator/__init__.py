@@ -1,4 +1,4 @@
-"""Trace replay, memory metrics, and the timing models (timeline + analytical)."""
+"""Trace replay, memory metrics, and the closed-form throughput cost inputs."""
 
 from repro._lazy import attach
 
@@ -16,6 +16,6 @@ __getattr__, __dir__, __all__ = attach(
             "run_jobs",
             "run_workload",
         ],
-        "throughput": ["ThroughputModel", "VALID_TIMINGS"],
+        "throughput": ["ThroughputModel"],
     },
 )

@@ -53,7 +53,7 @@ from repro.simulator.ranks import default_capacity_gib, job_rank_classes, valida
 # Read from here by benchmarks/e2e/stages.py (its home is simulator.ranks).
 from repro.simulator.ranks import resolve_job_ranks  # noqa: F401
 from repro.simulator.replay import ReplayResult, replay_trace
-from repro.simulator.throughput import ThroughputEstimate, ThroughputModel, validate_timing
+from repro.simulator.throughput import ThroughputEstimate
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import normalize_rank
 from repro.workloads.trace import Trace
@@ -244,9 +244,9 @@ class JobRun:
     class_runs: list[WorkloadRun]
     throughput: ThroughputEstimate | None = None
     class_capacities: list[float | None] = field(default_factory=list)
-    #: Full discrete-event simulation behind the throughput estimate when the
-    #: timeline backend produced it (None for the analytical backend); holds
-    #: the per-rank event streams for experiments, digests and debugging.
+    #: Full discrete-event simulation behind the throughput estimate (None
+    #: when the device is unknown); holds the per-rank event streams for
+    #: experiments, digests and debugging.
     timeline: object = None
 
     @property
@@ -375,14 +375,11 @@ class JobSpec:
 
     Ranks are deduplicated into memory-equivalence classes first (see
     :func:`resolve_job_ranks`); each class representative's trace is replayed
-    once and the job is priced once (see :func:`run_jobs`).
-
-    ``timing`` selects the throughput backend: ``"timeline"`` (the default)
-    runs the discrete-event simulator over every (pp, ep) rank's schedule --
-    pipeline bubbles and all-to-all straggler stalls emerge from the same
-    router draws that size the trace's communication transients -- while
-    ``"analytical"`` keeps the legacy closed-form
-    :class:`~repro.simulator.throughput.ThroughputModel` estimate.
+    once and the job is priced once (see :func:`run_jobs`) by the
+    discrete-event simulator over every (pp, ep) rank's schedule: pipeline
+    bubbles and all-to-all straggler stalls emerge from the same router draws
+    that size the trace's communication transients, and the worst rank's
+    allocator overhead rides inside the simulated phases.
 
     ``device_memory_by_rank`` optionally assigns heterogeneous device budgets
     (GiB) to individual ranks -- keys are pipeline ranks (``2``/``"2"``,
@@ -398,7 +395,7 @@ class JobSpec:
     overrides (``gpus_per_node``, ``intra_node_gbytes_per_sec``,
     ``inter_node_gbytes_per_sec``) applied over the stock spec, so a tiered
     2-node cluster prices its all-to-alls hierarchically.  Memory replay is
-    fabric-independent; only the throughput backend sees the override.
+    fabric-independent; only the timeline simulation sees the override.
     """
 
     config: TrainingConfig
@@ -409,7 +406,6 @@ class JobSpec:
     device_memory_by_rank: dict | None = None
     seed: int = 0
     scale: float = 1.0
-    timing: str = "timeline"
     stalloc_overrides: dict | None = None
     fabric: dict | None = None
 
@@ -424,9 +420,9 @@ def run_job(
     """Run one whole-job measurement: :func:`run_jobs` for one job.
 
     ``options`` are the :class:`JobSpec` fields after the allocator name
-    (``ranks``, ``timing``, ``fabric``, ...); see there.  ``ctx`` supplies the
-    trace/plan cache and the worker processes the rank replays fan out over
-    (default: a fresh serial context with no disk cache).
+    (``ranks``, ``device_name``, ``fabric``, ...); see there.  ``ctx``
+    supplies the trace/plan cache and the worker processes the rank replays
+    fan out over (default: a fresh serial context with no disk cache).
     """
     ((_, job, _),) = run_jobs([(None, JobSpec(config, allocator_name, **options))], ctx=ctx)
     return job
@@ -524,8 +520,8 @@ def run_jobs(
     ``jobs`` pairs a caller's tag with each :class:`JobSpec`.  Every job's
     replays -- one per rank class, see :func:`run_job` -- are grouped under
     the trace they read (the fingerprint of the class representative), so
-    jobs that differ only in allocator, STAlloc knobs, budgets, fabric or
-    timing share one fetch of each rank's trace, and ``ctx.map`` fans out
+    jobs that differ only in allocator, STAlloc knobs, budgets or fabric
+    share one fetch of each rank's trace, and ``ctx.map`` fans out
     :func:`replay_rank` work items, one per trace unless there are fewer
     traces than workers (see :func:`_work_items`).  Yields ``(tag, JobRun,
     seconds)`` as each job's last rank returns; ``seconds`` is the host time
@@ -539,7 +535,6 @@ def run_jobs(
     groups: dict[str, tuple] = {}
     for position, (tag, spec) in enumerate(jobs):
         with _attributed(tag, on_error):
-            validate_timing(spec.timing)
             spec = dataclass_replace(
                 spec, device_capacity_gib=validate_capacity_gib(spec.device_capacity_gib)
             )
@@ -576,7 +571,7 @@ def run_jobs(
             tag, spec, classes = specs[position]
             started = time.perf_counter()
             with _attributed(tag, on_error):
-                with _obs_span("job.run", allocator=spec.allocator_name, timing=spec.timing):
+                with _obs_span("job.run", allocator=spec.allocator_name):
                     job = _assemble_job(spec, classes, class_runs[position])
             yield tag, job, seconds[position] + time.perf_counter() - started
 
@@ -601,26 +596,21 @@ def _assemble_job(
         # The pipeline advances at the pace of its slowest rank, so the
         # job-level estimate charges the worst per-rank allocator overhead.
         overhead = max(run.replay.overhead_seconds for run in class_runs)
-        if spec.timing == "timeline":
-            # Imported lazily: repro.timeline consumes this package's
-            # throughput shapes, so a module-level import here would be
-            # circular.  The overhead is injected into the simulated phase
-            # durations (so allocator cost rides the schedule's dependency
-            # structure); the estimate must therefore NOT add it again.
-            from repro.timeline import simulate_timeline
+        # Imported lazily: repro.timeline consumes this package's throughput
+        # shapes, so a module-level import here would be circular.  The
+        # overhead is injected into the simulated phase durations (so
+        # allocator cost rides the schedule's dependency structure); the
+        # estimate must therefore NOT add it again.
+        from repro.timeline import simulate_timeline
 
-            timeline = simulate_timeline(
-                spec.config,
-                gpu=gpu,
-                seed=spec.seed,
-                scale=spec.scale,
-                allocator_overhead_seconds=overhead,
-            )
-            throughput = timeline.to_estimate()
-        else:
-            throughput = ThroughputModel(gpu).estimate(
-                spec.config, allocator_overhead_seconds=overhead
-            )
+        timeline = simulate_timeline(
+            spec.config,
+            gpu=gpu,
+            seed=spec.seed,
+            scale=spec.scale,
+            allocator_overhead_seconds=overhead,
+        )
+        throughput = timeline.to_estimate()
     return JobRun(
         config=spec.config,
         allocator_name=spec.allocator_name,

@@ -1,4 +1,4 @@
-"""Analytical training-throughput model.
+"""Per-iteration throughput: the estimate shape and the closed-form cost inputs.
 
 The paper's throughput results come from two effects:
 
@@ -8,11 +8,16 @@ The paper's throughput results come from two effects:
 2. the *allocator's own runtime overhead* (driver calls, virtual-memory
    operations) added to every iteration.
 
-This module models both analytically: model FLOPs per iteration, a per-GPU
-achievable-FLOPS ceiling, pipeline-bubble and parallelism penalties, plus the
-allocator overhead measured during replay.  Absolute TFLOPS numbers are
-indicative; what the reproduction preserves is the ordering and rough
-magnitude of the differences between configurations and allocators.
+Both are priced by one model, the discrete-event simulator in
+:mod:`repro.timeline`, which walks every rank's schedule with the allocator
+overhead injected into its phases and reports a :class:`ThroughputEstimate`.
+:class:`ThroughputModel` holds the closed-form cost inputs that simulator
+calibrates its phase durations against -- model FLOPs per iteration and the
+recompute / parallelism multipliers -- and that
+:func:`repro.search.bounds.time_floor_seconds` prices its admissible floor
+from.  Absolute TFLOPS numbers are indicative; what the reproduction preserves
+is the ordering and rough magnitude of the differences between configurations
+and allocators.
 """
 
 from __future__ import annotations
@@ -20,32 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.gpu.specs import GPUSpec
 from repro.workloads.training import TrainingConfig
-
-#: Accepted timing backends: the discrete-event simulator walking the real
-#: per-rank schedules (``"timeline"``, the job-level default) or the legacy
-#: closed-form model (``"analytical"``, kept as a fallback and cross-check).
-VALID_TIMINGS = ("timeline", "analytical")
-
-
-def validate_timing(timing: str) -> str:
-    """Reject unknown timing backends (shared with sweep-spec validation)."""
-    if timing not in VALID_TIMINGS:
-        raise ValueError(
-            f"timing must be one of {', '.join(VALID_TIMINGS)}, got {timing!r}"
-        )
-    return timing
-
 
 @dataclass
 class ThroughputEstimate:
     """Per-iteration timing and the derived per-GPU TFLOPS.
 
-    Produced by both timing backends: :class:`ThroughputModel` (closed-form,
-    ``source="analytical"``) and the discrete-event simulator in
-    :mod:`repro.timeline` (``source="timeline"``), so everything downstream
-    (runner aggregation, sweep rows, ``--compare``) consumes one shape.
+    Produced by :meth:`repro.timeline.TimelineResult.to_estimate`, so
+    everything downstream (runner aggregation, sweep rows, ``--compare``)
+    consumes one shape.
     """
 
     iteration_seconds: float
@@ -54,21 +42,17 @@ class ThroughputEstimate:
     allocator_overhead_seconds: float = 0.0
     tokens_per_iteration: int = 0
     #: Seconds the binding rank spends in expert-parallel all-to-all
-    #: collectives (0 for the analytical backend, which has no routed load).
+    #: collectives (0 for jobs without routed load).
     comm_seconds: float = 0.0
-    #: Fraction of the iteration the busiest rank is not computing -- the
-    #: closed-form pipeline-bubble fraction for the analytical backend, the
-    #: emergent (bubbles + straggler stalls) fraction for the timeline.
+    #: Fraction of the iteration the busiest rank is not computing: the
+    #: emergent pipeline bubbles plus straggler stalls.
     bubble_fraction: float = 0.0
     #: Seconds the binding rank spends in autoregressive decode steps (0 for
-    #: training/inference workloads and for the analytical backend, which
-    #: folds decode into the closed-form iteration time).
+    #: training/inference workloads).
     decode_seconds: float = 0.0
     #: Dense peak TFLOPS of the device the estimate was made for (0 when
     #: unknown; enables the :attr:`mfu` property).
     peak_tflops: float = 0.0
-    #: Which timing backend produced this estimate.
-    source: str = "analytical"
 
     @property
     def total_seconds(self) -> float:
@@ -122,12 +106,11 @@ class ThroughputEstimate:
             "decode_seconds": self.decode_seconds,
             "bubble_fraction": self.bubble_fraction,
             "mfu": self.mfu,
-            "timing": self.source,
         }
 
 
 class ThroughputModel:
-    """Analytical step-time model for one training configuration."""
+    """Closed-form cost inputs of one training configuration's step time."""
 
     #: Extra compute fraction from full activation recomputation (~1 forward).
     RECOMPUTE_OVERHEAD = 1.0 / 3.0
@@ -137,9 +120,6 @@ class ThroughputModel:
     OFFLOAD_PENALTY = 1.30
     #: Multiplier for the distributed optimizer's extra communication.
     ZERO_PENALTY = 1.02
-
-    def __init__(self, gpu: GPUSpec):
-        self.gpu = gpu
 
     # ------------------------------------------------------------------ #
     # FLOPs accounting
@@ -174,17 +154,8 @@ class ThroughputModel:
         return 1.0 if config.is_training else 1.0 / 3.0
 
     # ------------------------------------------------------------------ #
-    # Step-time model
+    # Cost multipliers
     # ------------------------------------------------------------------ #
-    def pipeline_bubble_fraction(self, config: TrainingConfig) -> float:
-        """Fraction of the iteration the first stage idles in pipeline bubbles."""
-        stages = config.parallelism.pipeline_parallel
-        if stages <= 1:
-            return 0.0
-        chunks = config.parallelism.virtual_pipeline_chunks
-        microbatches = config.num_microbatches
-        return (stages - 1) / (chunks * microbatches + stages - 1)
-
     def compute_multiplier(self, config: TrainingConfig) -> float:
         """Extra hardware compute relative to model FLOPs (recompute etc.)."""
         multiplier = 1.0
@@ -203,37 +174,3 @@ class ThroughputModel:
         if config.offload_activations:
             multiplier *= self.OFFLOAD_PENALTY
         return multiplier
-
-    def estimate(
-        self,
-        config: TrainingConfig,
-        *,
-        allocator_overhead_seconds: float = 0.0,
-        num_gpus: int | None = None,
-    ) -> ThroughputEstimate:
-        """Estimate one iteration's duration and throughput."""
-        num_gpus = num_gpus or config.parallelism.num_gpus
-        model_flops = self.model_flops_per_iteration(config) * self.workload_flops_fraction(config)
-        per_gpu_flops = model_flops / num_gpus
-        compute_seconds = (
-            per_gpu_flops * self.compute_multiplier(config) / self.gpu.achievable_flops
-        )
-        bubble = self.pipeline_bubble_fraction(config)
-        pipeline_seconds = compute_seconds / max(1e-9, (1.0 - bubble))
-        iteration_seconds = pipeline_seconds * self.communication_multiplier(config)
-        return ThroughputEstimate(
-            iteration_seconds=iteration_seconds,
-            model_flops_per_iteration=model_flops,
-            num_gpus=num_gpus,
-            allocator_overhead_seconds=allocator_overhead_seconds,
-            tokens_per_iteration=config.tokens_per_iteration,
-            bubble_fraction=bubble,
-            peak_tflops=self.gpu.peak_tflops,
-            source="analytical",
-        )
-
-    def tflops(self, config: TrainingConfig, *, allocator_overhead_seconds: float = 0.0) -> float:
-        """Convenience wrapper returning per-GPU model TFLOPS."""
-        return self.estimate(
-            config, allocator_overhead_seconds=allocator_overhead_seconds
-        ).tflops_per_gpu

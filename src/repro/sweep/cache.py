@@ -287,19 +287,15 @@ class SweepCache:
     # Sweep-point results
     # ------------------------------------------------------------------ #
     def result_key(self, trace_fingerprint: str, point_payload: dict) -> str:
-        # Timeline rows carry timing columns computed by the discrete-event
+        # Rows carry throughput columns computed by the discrete-event
         # simulator; a TIMELINE_VERSION bump (changed event model) must
         # invalidate them just like TRACEGEN_VERSION -- which rides inside
-        # the trace fingerprint -- invalidates traces.  Analytical rows
-        # never touch the simulator, so they keep their keys across bumps
-        # ("timing" is absent only in pre-v5 payloads, whose keys the format
-        # version already rotated).
-        timeline_row = point_payload.get("timing", "timeline") == "timeline"
+        # the trace fingerprint -- invalidates traces.
         payload = json.dumps(
             {
                 "format_version": RESULT_FORMAT_VERSION,
                 "version": __version__,
-                "timeline_version": TIMELINE_VERSION if timeline_row else None,
+                "timeline_version": TIMELINE_VERSION,
                 "trace": trace_fingerprint,
                 "point": point_payload,
             },

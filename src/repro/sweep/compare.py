@@ -3,7 +3,7 @@
 Compares the rows of a freshly-executed sweep against a previously saved
 results file -- or, via :func:`compare_files`, two saved results files
 against each other without re-running anything -- point by point.  Points are matched on their identity columns
-(model, config, allocator, seed, scale, device, ranks, timing) rather than on
+(model, config, allocator, seed, scale, device, ranks, workload kind) rather than on
 the ``point`` index, so reordered or extended grids still line up.  A *regression*
 is something that makes the new run strictly worse:
 
@@ -24,9 +24,12 @@ from dataclasses import dataclass, field
 from repro.sweep.results import SweepResult, _fmt
 
 #: Row keys identifying a sweep point across runs (everything that names the
-#: measurement, nothing that is measured).  ``timing`` is identity, not a
-#: metric: an analytical baseline must never be diffed against a timeline
-#: run's numbers -- the backends model different things.
+#: measurement, nothing that is measured).  Current rows carry no ``timing``
+#: column: every row is timeline-priced, so :func:`row_identity` reads a
+#: missing ``timing`` as ``"timeline"``.  A results file from before 1.25.0
+#: names the backend that priced each row; its timeline rows still match, and
+#: its rows priced by the removed closed form never match a current row, so
+#: they are reported as an unmatched baseline instead of diffed.
 IDENTITY_COLUMNS = (
     "model", "config", "allocator", "seed", "scale", "device", "ranks", "timing",
     "workload_kind",
@@ -58,7 +61,10 @@ METRIC_DIRECTIONS: dict[str, int] = {
 
 def row_identity(row: dict) -> tuple:
     """Hashable cross-run identity of one result row."""
-    return tuple(row.get(column) for column in IDENTITY_COLUMNS)
+    return tuple(
+        row.get(column, "timeline" if column == "timing" else None)
+        for column in IDENTITY_COLUMNS
+    )
 
 
 @dataclass

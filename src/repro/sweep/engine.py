@@ -5,8 +5,8 @@ as a whole-job measurement (:class:`repro.simulator.runner.JobSpec`) and
 collects one flat result row per point.  A point may cover several pipeline
 ranks (``ranks`` in the spec); its row then aggregates the per-rank replays --
 job success, max/mean per-rank peak, the binding rank -- and every row carries
-the analytical throughput estimates (``tflops_per_gpu``,
-``tokens_per_second``) by default.  Execution is:
+the timeline simulator's throughput columns (``tflops_per_gpu``,
+``tokens_per_second``, ``iteration_seconds``, ...).  Execution is:
 
 * **cached** -- with a cache directory, finished rows are served straight from
   the persistent result cache (checked in the parent, so a fully-warm sweep
@@ -109,7 +109,6 @@ def _point_row(point: SweepPoint, job, elapsed: float) -> dict:
         "seed": point.seed,
         "scale": point.scale,
         "device": point.device_name,
-        "timing": point.timing,
         "workload_kind": point.config.workload_kind,
         "decode_steps": point.config.decode_steps,
         "ranks": _ranks_label(point.ranks),
@@ -132,8 +131,6 @@ def _point_row(point: SweepPoint, job, elapsed: float) -> dict:
         "description": point.config.describe(),
     }
     if job.throughput is not None:
-        # "timing" is already in the row's identity block above; the estimate
-        # repeats the identical value (run_job validated they agree).
         row.update(job.throughput.row_columns())
     if job.heterogeneous_budgets and job.binding_utilization is not None:
         row["binding_utilization"] = job.binding_utilization
@@ -200,7 +197,7 @@ def execute_points(
     cache, so nothing is cached).  With ``reuse_results`` a point whose row
     is already cached is served from it.  The rest run together through
     :func:`repro.simulator.runner.run_jobs`, so points that differ only in
-    allocator, knobs, budget, fabric or timing share one fetch of each rank's
+    allocator, knobs, budget or fabric share one fetch of each rank's
     trace; a point's row is built and stored as soon as its last rank
     returns.  ``on_row()`` is called once per finished row, cached or
     computed.
@@ -237,7 +234,6 @@ def execute_points(
                     device_memory_by_rank=dict(point.device_memory_by_rank),
                     seed=point.seed,
                     scale=point.scale,
-                    timing=point.timing,
                     stalloc_overrides=dict(point.stalloc_overrides),
                     fabric=dict(point.fabric),
                 ),

@@ -41,7 +41,6 @@ from repro.simulator.ranks import (
     validate_budget_map,
     validate_capacity_gib,
 )
-from repro.simulator.throughput import validate_timing
 from repro.workloads.models import MODEL_REGISTRY, get_model
 from repro.workloads.parallelism import ParallelismConfig, normalize_rank
 from repro.workloads.training import (
@@ -103,10 +102,6 @@ class SweepPoint:
     #: Heterogeneous per-rank device budgets: ``(rank label, GiB)`` pairs
     #: sorted by label (hashable + picklable); empty means a uniform device.
     device_memory_by_rank: tuple[tuple[str, float], ...] = ()
-    #: Timing backend for the throughput columns: the discrete-event
-    #: ``"timeline"`` simulator (default) or the closed-form ``"analytical"``
-    #: model.
-    timing: str = "timeline"
     #: Network-fabric overrides applied onto the device's GPUSpec when timing
     #: this point: sorted ``(field, value)`` pairs over
     #: :data:`FABRIC_FIELDS` (hashable + picklable); empty keeps the device's
@@ -123,6 +118,9 @@ class SweepPoint:
     #: the same reason as ``budget_label``: fabric shapes timing, never trace
     #: content.
     fabric_label: str = ""
+    # Read by benchmarks/e2e/stages.py, which passes it to
+    # ``throughput_upper_bound``; unannotated, so a constant and not a field.
+    timing = "timeline"
 
     @property
     def row_label(self) -> str:
@@ -160,7 +158,6 @@ class SweepPoint:
             "device_memory_by_rank": {
                 label: gib for label, gib in self.device_memory_by_rank
             },
-            "timing": self.timing,
             "fabric": {name: value for name, value in self.fabric},
         }
 
@@ -306,9 +303,6 @@ class SweepSpec:
     #: [{"0": 40}, {"0": 80}]}`` sweeps over whole budget maps (null = the
     #: uniform device), overriding this spec-level value per cell.
     device_memory_by_rank: dict | None = None
-    #: Timing backend for the throughput columns: ``"timeline"`` (the
-    #: discrete-event simulator, default) or ``"analytical"`` (closed form).
-    timing: str = "timeline"
     #: Network-fabric overrides applied onto the device spec when timing every
     #: point, e.g. ``{"gpus_per_node": 8, "inter_node_gbytes_per_sec": 25}``;
     #: ``None`` keeps the device's flat single-tier fabric.  Also available
@@ -320,7 +314,6 @@ class SweepSpec:
     def __post_init__(self) -> None:
         validate_allocators(self.allocators, "sweep")
         validate_mappings(self, ("parallelism", "base", "grid", "stalloc_grid"))
-        validate_timing(self.timing)
         validate_seed(self.seed)
         validate_scale(self.scale)
         if self.device_name not in GPU_SPECS:
@@ -466,7 +459,6 @@ class SweepSpec:
                             ranks=ranks,
                             stalloc_overrides=overrides,
                             device_memory_by_rank=budgets,
-                            timing=self.timing,
                             fabric=fabric,
                             # Swept budget/fabric maps label the row, not
                             # the config: the config label feeds the trace
@@ -675,8 +667,8 @@ SWEEP_PRESETS: dict[str, dict] = {
         "allocators": ["torch2.3", "stalloc"],
         "ranks": "all",
     },
-    # Timeline smoke: the skewed MoE job with the discrete-event timing model
-    # (the default backend) swept over the all-to-all comm factor.  The a2a
+    # Timeline smoke: the skewed MoE job, timed by the discrete-event
+    # simulator, swept over the all-to-all comm factor.  The a2a
     # collectives sit on every rank's critical path, so iteration_seconds and
     # comm_seconds must grow monotonically with the factor while the router
     # skew keeps a coordinate-valued binding rank; runs in the CI compare
@@ -689,7 +681,6 @@ SWEEP_PRESETS: dict[str, dict] = {
         "grid": {"moe_comm_factor": [0.0, 0.5, 1.0]},
         "allocators": ["torch2.3"],
         "ranks": "all",
-        "timing": "timeline",
     },
     # Hierarchical-fabric smoke: the skewed MoE job timed on a flat device
     # versus a tiered 2-node cluster (4 GPUs/node, NVLink-class intra at 160
@@ -722,7 +713,6 @@ SWEEP_PRESETS: dict[str, dict] = {
         },
         "allocators": ["torch2.3"],
         "ranks": "all",
-        "timing": "timeline",
     },
     # Generation smoke: a forward-only prefill/decode job swept over the
     # decode-step count.  Each decode step re-allocates every micro-batch's
@@ -744,7 +734,6 @@ SWEEP_PRESETS: dict[str, dict] = {
         "allocators": ["torch2.3", "stalloc"],
         "ranks": "all",
         "scale": 0.25,
-        "timing": "timeline",
     },
     # STAlloc ablations (the §9.4 knobs) on a dense and a recompute config.
     "stalloc-ablation": {

@@ -1,9 +1,9 @@
 """Discrete-event iteration-time simulator with routed-load all-to-all costs.
 
-The analytical :class:`~repro.simulator.throughput.ThroughputModel` collapses
-an iteration into one closed-form expression: a pipeline-bubble *fraction*, a
-tensor-parallel *multiplier*, and no notion of which rank binds.  This module
-instead *executes* the iteration: every ``(pp, ep)`` rank coordinate walks its
+A closed-form step-time model collapses an iteration into one expression: a
+pipeline-bubble *fraction*, a tensor-parallel *multiplier*, and no notion of
+which rank binds.  This module instead *executes* the iteration, and is the
+one model every throughput number in the package comes from: every ``(pp, ep)`` rank coordinate walks its
 real 1F1B/interleaved schedule (:func:`repro.workloads.schedule.build_schedule`
 -- the exact phase order the allocation traces are generated from) and emits
 timestamped compute and communication events.  Three things then *emerge*
@@ -24,13 +24,14 @@ instead of being assumed:
   routed load, so the binding rank of an imbalanced job is the coordinate
   whose experts attract the most tokens.
 
-Compute durations are calibrated against the analytical model's FLOPs
-accounting (the forward/backward of one (micro-batch, chunk) unit gets its
-share of ``model_flops / num_gpus``, with the same recomputation and
-tensor-parallel multipliers), so with a balanced router and no communication
-the simulated iteration converges to the closed-form estimate -- the
-differential property the test suite pins.  INIT and OPTIMIZER phases are
-zero-duration markers, mirroring the analytical model's scope.
+Compute durations are calibrated against the closed-form cost inputs of
+:class:`~repro.simulator.throughput.ThroughputModel` (the forward/backward of
+one (micro-batch, chunk) unit gets its share of ``model_flops / num_gpus``,
+with the recomputation and tensor-parallel multipliers), so with a balanced
+router and no communication the simulated iteration converges to the
+closed-form step time -- the differential property the test suite pins
+against a reference kept in the tests.  INIT and OPTIMIZER phases are
+zero-duration markers.
 
 Three cluster-shaped refinements (TIMELINE_VERSION 2):
 
@@ -288,7 +289,6 @@ class TimelineResult:
             bubble_fraction=self.bubble_fraction,
             decode_seconds=self.decode_seconds,
             peak_tflops=self.peak_tflops,
-            source="timeline",
         )
 
     # ------------------------------------------------------------------ #
@@ -419,24 +419,24 @@ class TimelineSimulator:
         self.tokens = config.micro_batch_size * config.sequence_length
 
         # -------------------------------------------------------------- #
-        # Durations, calibrated against the analytical FLOPs accounting
+        # Durations, calibrated against the closed-form FLOPs accounting
         # -------------------------------------------------------------- #
-        analytical = ThroughputModel(self.gpu)
+        costs = ThroughputModel()
         #: Workload-executed model FLOPs: the full train-step accounting for
         #: training (fraction 1.0 -- multiplying is a bit-exact no-op), its
         #: forward third for inference/generation.
-        self.model_flops = analytical.model_flops_per_iteration(
+        self.model_flops = costs.model_flops_per_iteration(
             config
-        ) * analytical.workload_flops_fraction(config)
+        ) * costs.workload_flops_fraction(config)
         per_gpu_flops = self.model_flops / parallelism.num_gpus
         seconds_per_flop = (
-            analytical.communication_multiplier(config) / self.gpu.achievable_flops
+            costs.communication_multiplier(config) / self.gpu.achievable_flops
         )
         unit_flops = per_gpu_flops / (self.num_microbatches * self.chunks)
         #: Forward / backward seconds of one (micro-batch, chunk) unit.  The
         #: classical 1:2 forward:backward split, plus one extra forward in
         #: the backward under recomputation -- summed over all units this
-        #: reproduces the analytical compute_multiplier exactly.  Forward-only
+        #: reproduces the closed-form compute_multiplier exactly.  Forward-only
         #: workloads spend the whole (already workload-scaled) unit in the
         #: forward and never schedule a backward.
         if config.is_training:

@@ -6,7 +6,7 @@ execution-layer module whose output the version describes.  Each constant is
 re-exported from the module it describes.
 """
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 #: Bump whenever the generator's event stream changes for an unchanged
 #: configuration, so persistent caches keyed by ``config_fingerprint``
@@ -74,13 +74,15 @@ TRACE_ENTRY_VERSION = 2
 #: ``mfu`` columns, and ``timing`` in the point payload.
 #: Version 6: generation workloads -- the ``workload_kind`` identity column
 #: and the ``decode_steps``/``kv_peak_bytes``/``decode_seconds`` columns.
-RESULT_FORMAT_VERSION = 6
+#: Version 7: one timing model -- no ``timing`` column in the row and no
+#: ``timing`` in the point payload.
+RESULT_FORMAT_VERSION = 7
 
 #: Version of the search algorithm + result schema; bump when prune logic or
 #: the SearchResult serialization changes so stale goldens fail loudly.
 #: Version 2: the timeline backend injects per-phase allocator overhead into
 #: phase durations (shifting measured throughput) and the upper bound prices
-#: the timing backend's fabric (fastest tier + collective floor).
+#: the timeline's fabric (fastest tier + collective floor).
 SEARCH_VERSION = 2
 
 #: Schema version stamped into every NDJSON meta line; bump whenever the

@@ -3,7 +3,7 @@
 The paper evaluates STAlloc on traces produced by Megatron-LM / Colossal-AI
 training real models on real GPUs.  The allocator, however, only ever sees the
 stream of ``malloc``/``free`` requests; this package generates that stream
-analytically from a model configuration, a parallelism configuration and the
+from a model configuration, a parallelism configuration and the
 chosen training optimizations, reproducing the spatial regularity (a few dozen
 distinct sizes), temporal regularity (persistent / scoped / transient
 lifespans) and the perturbations introduced by virtual pipelining,

@@ -313,13 +313,11 @@ class TestPeakMonotonicity:
             _moe_config(imbalance=0.6, comm_factor=0.0),
             "torch2.3",
             ranks="all",
-            timing="analytical",
         )
         with_comm = run_job(
             _moe_config(imbalance=0.6, comm_factor=1.0),
             "torch2.3",
             ranks="all",
-            timing="analytical",
         )
         assert with_comm.peak_allocated_gib > baseline.peak_allocated_gib
         assert with_comm.comm_peak_bytes > baseline.comm_peak_bytes
@@ -342,7 +340,6 @@ class TestCommPeakSurfaces:
             _moe_config(imbalance=0.6, comm_factor=1.0),
             "torch2.3",
             ranks="all",
-            timing="analytical",
         )
         assert job.comm_peak_bytes > 0
         assert all(run.comm_peak_bytes >= 0 for run in job.class_runs)

@@ -30,10 +30,7 @@ BASELINES = available_allocators()
 
 def lineup_runs(config, ranks=None) -> dict:
     """One rank of ``config`` under every allocator, through one ``run_jobs`` call."""
-    jobs = [
-        (name, JobSpec(config, name, ranks=ranks, timing="analytical"))
-        for name in ALL_ALLOCATORS
-    ]
+    jobs = [(name, JobSpec(config, name, ranks=ranks)) for name in ALL_ALLOCATORS]
     return {name: job.class_runs[0] for name, job, _ in run_jobs(jobs)}
 
 

@@ -76,7 +76,7 @@ def _content_addresses(config, tmp_path) -> dict:
         "config_fingerprint": fingerprint,
         "trace_digest": trace.digest(),
         "plan_key": cache.plan_key(trace, STAllocConfig()),
-        "result_key": cache.result_key(fingerprint, {"allocator": "stalloc", "timing": "timeline"}),
+        "result_key": cache.result_key(fingerprint, {"allocator": "stalloc"}),
         "timeline_digest": timeline.digest(),
     }
 

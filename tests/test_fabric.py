@@ -356,9 +356,7 @@ class TestPerPhaseOverhead:
 
         config = _dense_config()
         runs = {
-            name: run_job(
-                config, name, timing="timeline", scale=0.5
-            )
+            name: run_job(config, name, scale=0.5)
             for name in ("torch2.0", "stalloc")
         }
         iterations = {
@@ -387,14 +385,19 @@ class TestBoundAdmissibility:
         config = _moe_config(moe_comm_factor=1.0, comm_overlap_factor=overlap)
         result = TimelineSimulator(config, gpu=gpu, seed=0).run()
         measured = config.tokens_per_iteration / result.iteration_seconds
-        bound = throughput_upper_bound(config, gpu, timing="timeline")
+        bound = throughput_upper_bound(config, gpu)
         assert bound >= measured
 
-    def test_timeline_bound_tighter_than_analytical_for_comm_jobs(self):
+    def test_bound_accepts_only_the_timeline(self):
+        # The keyword survives for one caller; anything but "timeline" is an
+        # error, raised before the unknown-device fail-open could hide it.
         config = _moe_config(moe_comm_factor=1.0)
-        loose = throughput_upper_bound(config, TIERED, timing="analytical")
-        tight = throughput_upper_bound(config, TIERED, timing="timeline")
-        assert tight < loose
+        assert throughput_upper_bound(config, TIERED, timing="timeline") == (
+            throughput_upper_bound(config, TIERED)
+        )
+        assert throughput_upper_bound(config, "NOT-A-GPU") == float("inf")
+        with pytest.raises(ValueError, match="timing"):
+            throughput_upper_bound(config, "NOT-A-GPU", timing="analytical")
 
     def test_bound_prices_fastest_tier(self):
         # A faster intra tier raises the bound even while the slow inter tier
@@ -408,9 +411,7 @@ class TestBoundAdmissibility:
             GPU, gpus_per_node=4,
             intra_node_gbytes_per_sec=400.0, inter_node_gbytes_per_sec=25.0,
         )
-        assert throughput_upper_bound(
-            config, fast, timing="timeline"
-        ) >= throughput_upper_bound(config, slow, timing="timeline")
+        assert throughput_upper_bound(config, fast) >= throughput_upper_bound(config, slow)
 
 
 # ---------------------------------------------------------------------- #

@@ -123,9 +123,11 @@ LEGACY_NAMES = {
 #: Names deleted from the package: re-exports nothing reads any more, and the
 #: event-object view of a trace (its oracle lives in tests/trace_oracle.py).
 REMOVED_NAMES = {
-    "repro.simulator.runner": ["VALID_TIMINGS"],
-    "repro.simulator.throughput": ["GPU_SPECS"],
-    "repro.simulator": ["GPU_SPECS", "GPUSpec"],
+    "repro.simulator.runner": ["VALID_TIMINGS", "validate_timing"],
+    "repro.simulator.throughput": ["GPU_SPECS", "VALID_TIMINGS", "validate_timing"],
+    "repro.simulator": ["GPU_SPECS", "GPUSpec", "VALID_TIMINGS", "validate_timing"],
+    "repro.sweep.spec": ["validate_timing"],
+    "repro.search.space": ["validate_timing"],
     "repro.workloads.tracegen": ["TraceEvent", "EventKind"],
     "repro.core": ["TraceEvent", "MemoryRequest"],
     "repro.core.events": ["TraceEvent", "MemoryRequest", "pair_events"],

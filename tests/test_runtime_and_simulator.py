@@ -22,18 +22,17 @@ from repro.simulator.runner import (
 )
 from repro.gpu.specs import GPU_SPECS
 from repro.simulator.throughput import ThroughputEstimate, ThroughputModel
+from repro.timeline import simulate_timeline
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
+from tests import throughput_oracle
 from tests.trace_oracle import events_of
 
 
 def lineup_runs(config, allocators, **options) -> dict:
     """Rank (0, 0) of ``config`` under each allocator, through one ``run_jobs`` call."""
-    jobs = [
-        (name, JobSpec(config, name, ranks=None, timing="analytical", **options))
-        for name in allocators
-    ]
+    jobs = [(name, JobSpec(config, name, ranks=None, **options)) for name in allocators]
     return {name: job.class_runs[0] for name, job, _ in run_jobs(jobs)}
 
 
@@ -236,27 +235,32 @@ class TestThroughputModel:
         defaults.update(kwargs)
         return TrainingConfig(**defaults)
 
+    @staticmethod
+    def _estimate(config, gpu="H200-141GB", overhead=0.0):
+        return simulate_timeline(
+            config, gpu=gpu, allocator_overhead_seconds=overhead
+        ).to_estimate()
+
+    def _tflops(self, config, **kwargs) -> float:
+        return self._estimate(config, **kwargs).tflops_per_gpu
+
     def test_recompute_lowers_reported_tflops(self):
-        model = ThroughputModel(GPU_SPECS["H200-141GB"])
-        assert model.tflops(self._config(recompute=True)) < model.tflops(self._config())
+        assert self._tflops(self._config(recompute=True)) < self._tflops(self._config())
 
     def test_vpp_raises_tflops(self):
-        model = ThroughputModel(GPU_SPECS["H200-141GB"])
-        assert model.tflops(self._config(vpp=2)) > model.tflops(self._config())
+        assert self._tflops(self._config(vpp=2)) > self._tflops(self._config())
 
     def test_larger_tp_lowers_tflops(self):
-        model = ThroughputModel(GPU_SPECS["H200-141GB"])
         tp4 = self._config()
         tp4 = tp4.with_(parallelism=ParallelismConfig(tensor_parallel=4, pipeline_parallel=2, data_parallel=2))
-        assert model.tflops(tp4) < model.tflops(self._config())
+        assert self._tflops(tp4) < self._tflops(self._config())
 
     def test_table1_ordering(self):
         """Original (VPP) > disable VPP > TP=4 and recompute (Table 1)."""
-        model = ThroughputModel(GPU_SPECS["H200-141GB"])
-        original = model.tflops(self._config(vpp=2))
-        no_vpp = model.tflops(self._config())
-        recompute = model.tflops(self._config(recompute=True))
-        tp4 = model.tflops(
+        original = self._tflops(self._config(vpp=2))
+        no_vpp = self._tflops(self._config())
+        recompute = self._tflops(self._config(recompute=True))
+        tp4 = self._tflops(
             self._config().with_(
                 parallelism=ParallelismConfig(tensor_parallel=4, pipeline_parallel=2, data_parallel=2)
             )
@@ -265,34 +269,31 @@ class TestThroughputModel:
         assert original > tp4 > recompute
 
     def test_allocator_overhead_reduces_throughput(self):
-        model = ThroughputModel(GPU_SPECS["A800-80GB"])
         config = self._config()
-        assert model.tflops(config, allocator_overhead_seconds=5.0) < model.tflops(config)
+        assert self._tflops(config, gpu="A800-80GB", overhead=5.0) < self._tflops(
+            config, gpu="A800-80GB"
+        )
 
     def test_bubble_fraction_shrinks_with_vpp(self):
-        model = ThroughputModel(GPU_SPECS["A800-80GB"])
-        assert model.pipeline_bubble_fraction(self._config(vpp=2)) < model.pipeline_bubble_fraction(
-            self._config()
+        assert (
+            self._estimate(self._config(vpp=2), gpu="A800-80GB").bubble_fraction
+            < self._estimate(self._config(), gpu="A800-80GB").bubble_fraction
         )
 
     def test_tflops_below_peak(self):
-        model = ThroughputModel(GPU_SPECS["H200-141GB"])
-        assert model.tflops(self._config()) < GPU_SPECS["H200-141GB"].peak_tflops
+        assert self._tflops(self._config()) < GPU_SPECS["H200-141GB"].peak_tflops
 
     # ------------------------------------------------------------------ #
     # Edge cases
     # ------------------------------------------------------------------ #
     def test_pp1_has_zero_bubble(self):
-        model = ThroughputModel(GPU_SPECS["A800-80GB"])
         config = self._config().with_(
             parallelism=ParallelismConfig(tensor_parallel=2, data_parallel=4)
         )
-        assert model.pipeline_bubble_fraction(config) == 0.0
-        estimate = model.estimate(config)
-        assert estimate.bubble_fraction == 0.0
+        assert self._estimate(config, gpu="A800-80GB").bubble_fraction < 1e-12
 
     def test_tp1_has_no_communication_penalty(self):
-        model = ThroughputModel(GPU_SPECS["A800-80GB"])
+        model = ThroughputModel()
         config = self._config().with_(
             parallelism=ParallelismConfig(pipeline_parallel=2, data_parallel=4)
         )
@@ -326,14 +327,12 @@ class TestThroughputModel:
         assert with_peak.mfu == pytest.approx(0.01)
         assert without_peak.mfu == 0.0
 
-    def test_estimate_records_backend_and_bubble(self):
-        model = ThroughputModel(GPU_SPECS["A800-80GB"])
+    def test_estimate_records_bubble_and_peak(self):
         config = self._config()
-        estimate = model.estimate(config)
-        assert estimate.source == "analytical"
+        estimate = self._estimate(config, gpu="A800-80GB")
         assert estimate.comm_seconds == 0.0
         assert estimate.bubble_fraction == pytest.approx(
-            model.pipeline_bubble_fraction(config)
+            throughput_oracle.pipeline_bubble_fraction(config)
         )
         assert estimate.peak_tflops == GPU_SPECS["A800-80GB"].peak_tflops
 
@@ -351,10 +350,9 @@ class TestRunner:
         run = run_workload(tiny_dense_config, STALLOC, device_name="A800-80GB")
         assert run.planning_report["static_pool_bytes"] > 0
 
-    def test_run_job_with_analytical_throughput(self, tiny_dense_config):
-        job = run_job(tiny_dense_config, "torch2.3", ranks=None, timing="analytical")
+    def test_run_job_with_throughput(self, tiny_dense_config):
+        job = run_job(tiny_dense_config, "torch2.3", ranks=None)
         assert job.throughput is not None and job.throughput.tflops_per_gpu > 0
-        assert job.throughput.source == "analytical"
 
     def test_lineup_shares_trace(self, tiny_dense_config):
         runs = lineup_runs(tiny_dense_config, ["torch2.0", "torch2.3"], device_name="A800-80GB")

@@ -97,7 +97,6 @@ def _spec(**overrides) -> SearchSpec:
         {"allocators": ["no-such-allocator"]},
         {"global_batch": 0},
         {"global_batch": True},
-        {"timing": "psychic"},
         {"micro_batch_sizes": []},
         {"base": {"no_such_field": 1}},
         {"base": {"micro_batch_size": 2}},  # search-owned axis
@@ -197,8 +196,8 @@ def test_memory_lower_bound_is_admissible(preset):
 def test_throughput_upper_bound_is_admissible(preset_pairs, preset):
     """No measured throughput ever beats the bound used to prune.
 
-    The bound is asked the way the planner asks it: with the timing backend
-    the row was priced by and the fabric the candidate was timed on.
+    The bound is asked the way the planner asks it: with the fabric the
+    candidate was timed on.
     """
     _, exhaustive = preset_pairs[preset]
     candidates = {point.index: point for point in load_search_spec(preset).enumerate_candidates()}
@@ -206,9 +205,9 @@ def test_throughput_upper_bound_is_admissible(preset_pairs, preset):
     assert measured
     for row in measured:
         point = candidates[row["point"]]
-        assert (point.config.label, point.timing) == (row["config"], row["timing"])
+        assert point.config.label == row["config"]
         gpu = dataclass_replace(get_gpu(row["device"]), **dict(point.fabric))
-        bound = throughput_upper_bound(point.config, gpu, timing=row["timing"], scale=row["scale"])
+        bound = throughput_upper_bound(point.config, gpu, scale=row["scale"])
         assert row["tokens_per_second"] <= bound * (1.0 + 1e-9), (
             f"{preset}: measured {row['tokens_per_second']} beats bound {bound} "
             f"for {row['config']}"
@@ -473,5 +472,5 @@ def test_setup_oom_is_an_oom_result():
     assert run.replay.oom_request_bytes > 0
     assert run.replay.events_replayed == 0
     # ...and the planner surfaces it as an ordinary OOM row, not an exception.
-    job = run_job(config, "stalloc", device_capacity_gib=0.01, timing="analytical")
+    job = run_job(config, "stalloc", device_capacity_gib=0.01)
     assert job.success is False

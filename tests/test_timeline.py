@@ -1,11 +1,11 @@
 """Tests for the discrete-event timeline simulator and its plumbing.
 
-Covers the subsystem's defining properties -- convergence to the analytical
-model when nothing dynamic is happening, emergent pipeline bubbles, strictly
-worse iterations under router imbalance and communication (monotone in the
-comm factor), determinism -- plus the integration surface: the runner's
-``timing`` backends, the new sweep columns and their ``--compare`` regression
-directions, the ``device_memory_by_rank`` grid axis, and the GPU-spec
+Covers the subsystem's defining properties -- convergence to the closed-form
+reference (``tests/throughput_oracle.py``) when nothing dynamic is happening,
+emergent pipeline bubbles, strictly worse iterations under router imbalance
+and communication (monotone in the comm factor), determinism -- plus the
+integration surface: the runner's pricing, the sweep columns and their
+``--compare`` regression directions, the ``device_memory_by_rank`` grid axis, and the GPU-spec
 single-source-of-truth satellite.
 """
 
@@ -20,7 +20,6 @@ from repro.cli import main as cli_main
 from repro.gpu.device import GIB, device_from_spec
 from repro.gpu.specs import GPU_SPECS, get_gpu
 from repro.simulator.runner import run_job
-from repro.simulator.throughput import ThroughputModel
 from repro.obs import BufferSink, Tracer
 from repro.obs.tracer import install, shutdown
 from repro.search.cluster import ClusterSpec
@@ -34,6 +33,7 @@ from repro.workloads.models import get_model
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
+from tests import throughput_oracle
 
 GPU = GPU_SPECS["A800-80GB"]
 
@@ -69,7 +69,7 @@ def rel_diff(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------- #
-# Differential: timeline vs analytical
+# Differential: timeline vs the closed-form reference
 # ---------------------------------------------------------------------- #
 class TestAnalyticalConvergence:
     @pytest.mark.parametrize(
@@ -93,18 +93,18 @@ class TestAnalyticalConvergence:
         same bubble fraction as the closed form, to float precision."""
         config = dense_config(**overrides)
         timeline = simulate_timeline(config, gpu=GPU)
-        analytical = ThroughputModel(GPU).estimate(config)
-        assert rel_diff(timeline.iteration_seconds, analytical.iteration_seconds) < 1e-9
-        assert abs(timeline.bubble_fraction - analytical.bubble_fraction) < 1e-9
+        closed_form = throughput_oracle.estimate(config, GPU)
+        assert rel_diff(timeline.iteration_seconds, closed_form.iteration_seconds) < 1e-9
+        assert abs(timeline.bubble_fraction - closed_form.bubble_fraction) < 1e-9
 
     def test_moe_balanced_comm_free_converges(self):
         """The acceptance-criteria differential: a balanced router and zero
         comm factor make every EP rank identical, so the simulated iteration
-        lands on the analytical estimate (within balanced-split rounding)."""
+        lands on the closed form (within balanced-split rounding)."""
         config = moe_config(moe_imbalance=0.0, moe_comm_factor=0.0)
         timeline = simulate_timeline(config, gpu=GPU)
-        analytical = ThroughputModel(GPU).estimate(config)
-        assert rel_diff(timeline.iteration_seconds, analytical.iteration_seconds) < 0.01
+        closed_form = throughput_oracle.estimate(config, GPU)
+        assert rel_diff(timeline.iteration_seconds, closed_form.iteration_seconds) < 0.01
         assert timeline.comm_seconds == 0.0
 
     def test_pp1_has_no_bubble(self):
@@ -574,6 +574,10 @@ MALFORMED_SPECS = {
     "search-cluster-zero-nodes": (
         "search", _with(SEARCH_WIDE, cluster="0x4xA800-80GB"), "num_nodes"
     ),
+    # The closed-form pricing backend is gone; a spec that still selects it
+    # must not run priced by the timeline as if it had asked for that.
+    "sweep-timing-analytical": ("sweep", _with(GEN_DECODE, timing="analytical"), "timing"),
+    "search-timing-analytical": ("search", _with(SEARCH_WIDE, timing="analytical"), "timing"),
 }
 
 
@@ -590,12 +594,12 @@ def test_malformed_specs_exit_2_at_load_naming_the_field(case, tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------- #
-# Runner integration (timing backends)
+# Runner integration (timeline pricing)
 # ---------------------------------------------------------------------- #
 class TestRunnerTiming:
     def test_run_job_timeline_backend(self):
         job = run_job(moe_config(), "torch2.3", ranks="all", scale=0.5)
-        assert job.throughput is not None and job.throughput.source == "timeline"
+        assert job.throughput is not None
         assert job.timeline is not None
         estimate = job.throughput
         assert estimate.iteration_seconds > 0
@@ -605,35 +609,26 @@ class TestRunnerTiming:
         data = estimate.row_columns()
         for key in ("iteration_seconds", "comm_seconds", "bubble_fraction", "mfu"):
             assert key in data
-        assert data["timing"] == "timeline"
-
-    def test_run_job_analytical_fallback(self):
-        job = run_job(moe_config(), "torch2.3", ranks="all", scale=0.5, timing="analytical")
-        assert job.throughput is not None and job.throughput.source == "analytical"
-        assert job.timeline is None
-        assert job.throughput.comm_seconds == 0.0
-
-    def test_run_job_rejects_unknown_timing(self):
-        with pytest.raises(ValueError, match="timing"):
-            run_job(moe_config(), "torch2.3", timing="psychic")
+        assert "timing" not in data
 
     def test_timeline_slower_than_analytical_under_skew(self):
         """The closed form cannot see stragglers, so the timeline's iteration
-        must be the longer one for an imbalanced communicating job."""
+        must be the longer one for an imbalanced communicating job.  Both
+        sides carry the job's allocator overhead, so the TFLOPS comparison is
+        like for like."""
         timeline_job = run_job(moe_config(), "torch2.3", ranks="all", scale=0.5)
-        analytical_job = run_job(
-            moe_config(), "torch2.3", ranks="all", scale=0.5, timing="analytical"
+        overhead = max(run.replay.overhead_seconds for run in timeline_job.class_runs)
+        closed_form = throughput_oracle.estimate(
+            moe_config(), GPU, allocator_overhead_seconds=overhead
         )
         timeline_seconds = timeline_job.throughput.iteration_seconds
-        assert timeline_seconds > analytical_job.throughput.iteration_seconds
-        assert timeline_job.tflops < analytical_job.tflops
+        assert timeline_seconds > closed_form.iteration_seconds
+        assert timeline_job.tflops < closed_form.tflops_per_gpu
 
     def test_run_job_accepts_timing_for_one_rank(self, tiny_dense_config):
-        job = run_job(tiny_dense_config, "torch2.3", ranks=None, timing="timeline", scale=0.25)
-        assert job.throughput is not None and job.throughput.source == "timeline"
-        assert job.throughput.row_columns()["timing"] == "timeline"
-        with pytest.raises(ValueError, match="timing"):
-            run_job(tiny_dense_config, "torch2.3", ranks=None, timing="nope")
+        job = run_job(tiny_dense_config, "torch2.3", ranks=None, scale=0.25)
+        assert job.throughput is not None and job.timeline is not None
+        assert "timing" not in job.throughput.row_columns()
 
 
 # ---------------------------------------------------------------------- #
@@ -654,30 +649,27 @@ def tiny_sweep_spec(**overrides) -> SweepSpec:
 
 
 class TestSweepTiming:
-    def test_spec_validates_timing(self):
-        assert tiny_sweep_spec(timing="analytical").timing == "analytical"
-        with pytest.raises(ValueError, match="timing"):
-            tiny_sweep_spec(timing="vibes")
+    def test_points_keep_timing_only_as_a_constant(self):
+        """``SweepPoint.timing`` survives for the benchmark's stage walker; it
+        is no field, so it can neither be set nor reach a cache key."""
+        for point in tiny_sweep_spec().expand():
+            assert point.timing == "timeline"
+            assert "timing" not in point.cache_payload()
+            assert "timing" not in {field.name for field in dataclasses.fields(point)}
 
-    def test_points_carry_timing_into_cache_payload(self):
-        spec = tiny_sweep_spec(timing="analytical")
-        points = spec.expand()
-        assert all(point.timing == "analytical" for point in points)
-        assert all(
-            point.cache_payload()["timing"] == "analytical" for point in points
-        )
-        # Same grid at the default backend must key differently.
-        default_points = tiny_sweep_spec().expand()
-        assert (
-            default_points[0].cache_payload() != points[0].cache_payload()
-        )
+    @pytest.mark.parametrize("command, spec", [("sweep", "quick-grid"), ("search", "gpt-tiny")])
+    def test_timing_flag_is_gone(self, command, spec, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main([command, spec, "--timing", "analytical", "--no-cache"])
+        assert exited.value.code == 2
+        assert "--timing" in capsys.readouterr().err
 
     def test_rows_have_timing_columns_and_monotone_comm(self):
         result = run_sweep(tiny_sweep_spec())
         assert result.num_points == 2
         by_factor = {row["config"]: row for row in result.rows}
         for row in result.rows:
-            assert row["timing"] == "timeline"
+            assert "timing" not in row
             for key in ("iteration_seconds", "comm_seconds", "bubble_fraction", "mfu"):
                 assert key in row
         assert (
@@ -689,7 +681,6 @@ class TestSweepTiming:
 
     def test_timeline_smoke_preset_loads(self):
         spec = load_spec("timeline-smoke")
-        assert spec.timing == "timeline"
         assert len(spec.expand()) == 3
 
     def test_compare_flags_timing_regressions(self):
@@ -713,15 +704,78 @@ class TestSweepTiming:
         assert report.has_regressions
 
     def test_compare_never_matches_across_timing_backends(self):
-        """An analytical baseline must not be silently diffed against a
-        timeline run: the identity includes the backend, so the gate reports
-        the schema mismatch instead of bogus metric regressions."""
-        timeline_result = run_sweep(tiny_sweep_spec()).as_dict()
-        analytical_result = run_sweep(tiny_sweep_spec(timing="analytical")).as_dict()
-        report = compare_results(analytical_result, timeline_result)
+        """A 1.24.0 baseline priced by the removed closed form must not be
+        silently diffed against a current run: its rows name their backend,
+        current rows name none, so the gate reports the schema mismatch
+        instead of bogus metric regressions."""
+        current = run_sweep(tiny_sweep_spec()).as_dict()
+        baseline = _closed_form_baseline(current)
+        report = compare_results(baseline, current)
         assert report.num_matched == 0
         assert report.baseline_unmatched
         assert report.exit_code == 1
+
+    def test_cli_compare_reports_closed_form_baseline_unmatched(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(dict(SWEEP_PRESETS["timeline-smoke"], grid={"moe_comm_factor": [0.0]})),
+            encoding="utf-8",
+        )
+        current = tmp_path / "current.json"
+        args = [str(spec_path), "--no-cache", "--no-progress"]
+        assert cli_main(["sweep", *args, "--output", str(current)]) == 0
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(
+            json.dumps(_closed_form_baseline(json.loads(current.read_text(encoding="utf-8")))),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert cli_main(["sweep", *args, "--compare", str(baseline)]) == 1
+        out = capsys.readouterr().out
+        assert "0 matched points" in out and "no baseline point matched" in out
+        assert "[REGRESSION]" not in out and "[changed]" not in out
+        assert cli_main(["sweep", "--compare", str(baseline), str(current)]) == 1
+
+    def test_cli_compare_matches_timeline_baseline_from_before_the_column_left(
+        self, tmp_path, capsys
+    ):
+        """A 1.24.0 baseline the timeline priced carries ``"timing":
+        "timeline"``; its numbers are still current, so it must match a
+        current run point for point, not be reported unmatched."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(dict(SWEEP_PRESETS["timeline-smoke"], grid={"moe_comm_factor": [0.0]})),
+            encoding="utf-8",
+        )
+        current = tmp_path / "current.json"
+        args = [str(spec_path), "--no-cache", "--no-progress"]
+        assert cli_main(["sweep", *args, "--output", str(current)]) == 0
+        result = json.loads(current.read_text(encoding="utf-8"))
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(
+            json.dumps(_tagged_baseline(result, "timeline")), encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert cli_main(["sweep", "--compare", str(baseline), str(current)]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(result['rows'])} matched points" in out
+        assert "no baseline point matched" not in out and "[REGRESSION]" not in out
+
+
+def _tagged_baseline(result: dict, timing: str) -> dict:
+    """``result`` as a 1.24.0 results file: the same measurements, each row
+    tagged with the ``timing`` backend that priced it."""
+    rows = []
+    for row in result["rows"]:
+        row = dict(row)
+        row["timing"] = timing
+        rows.append(row)
+    return dict(result, rows=rows)
+
+
+def _closed_form_baseline(result: dict) -> dict:
+    """``result`` as a 1.24.0 results file whose rows the closed form priced."""
+    return _tagged_baseline(result, "analytical")
 
 
 # ---------------------------------------------------------------------- #
@@ -823,16 +877,12 @@ def test_result_key_invalidates_on_timeline_version(tmp_path, monkeypatch):
     from repro.sweep import cache as cache_module
 
     cache = cache_module.SweepCache(tmp_path)
-    timeline_payload = {"allocator": "torch2.3", "timing": "timeline"}
-    analytical_payload = {"allocator": "torch2.3", "timing": "analytical"}
-    before = cache.result_key("fingerprint", timeline_payload)
-    analytical_before = cache.result_key("fingerprint", analytical_payload)
+    payload = {"allocator": "torch2.3"}
+    before = cache.result_key("fingerprint", payload)
     monkeypatch.setattr(
         cache_module, "TIMELINE_VERSION", cache_module.TIMELINE_VERSION + 1
     )
-    assert cache.result_key("fingerprint", timeline_payload) != before
-    # Analytical rows never touch the simulator: their keys must survive.
-    assert cache.result_key("fingerprint", analytical_payload) == analytical_before
+    assert cache.result_key("fingerprint", payload) != before
 
 
 # ---------------------------------------------------------------------- #
