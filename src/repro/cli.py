@@ -75,6 +75,69 @@ def _add_obs_arguments(parser: argparse.ArgumentParser, *, progress: bool = Fals
         )
 
 
+def _add_run_arguments(parser: argparse.ArgumentParser, noun: str) -> None:
+    """The cache, output and compare-gate flags ``sweep`` and ``search`` share."""
+    parser.add_argument(
+        "--cache-dir",
+        default=".stalloc-repro-cache",
+        metavar="DIR",
+        help="persistent trace/plan/result cache directory (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help=f"disable the persistent cache for this {noun}",
+    )
+    parser.add_argument(
+        "--fresh",
+        action="store_true",
+        help="recompute result rows even when cached (traces/plans are still reused)",
+    )
+    parser.add_argument(
+        "--output",
+        action="append",
+        default=[],
+        metavar="PATH",
+        help=f"write the {noun} results to PATH (.json or .csv); repeatable",
+    )
+    parser.add_argument(
+        "--max-rows",
+        type=int,
+        default=40,
+        metavar="N",
+        help="rows to print to stdout (default: %(default)s; outputs always get all rows)",
+    )
+    parser.add_argument(
+        "--cache-max-gib",
+        type=float,
+        default=None,
+        metavar="X",
+        help=(
+            f"cap the persistent cache during the {noun}: stores that push it past "
+            "X GiB LRU-evict inline (default: unbounded; see 'cache prune')"
+        ),
+    )
+    parser.add_argument(
+        "--compare",
+        nargs="+",
+        default=None,
+        metavar="RESULTS.json",
+        help=(
+            f"with one file: diff the {noun}'s rows against that previous results "
+            "JSON file; with two files: diff them against each other without "
+            f"running any {noun} (no spec argument). Exits non-zero on regressions "
+            "(peak memory up, throughput down, ok -> OOM; search rank shifts)"
+        ),
+    )
+    parser.add_argument(
+        "--tolerance-pct",
+        type=float,
+        default=0.0,
+        metavar="PCT",
+        help="relative change a metric may move before --compare flags it (default: 0)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stalloc-repro",
@@ -124,65 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes executing sweep points (default: 1, serial)",
     )
-    sweep_parser.add_argument(
-        "--cache-dir",
-        default=".stalloc-repro-cache",
-        metavar="DIR",
-        help="persistent trace/plan/result cache directory (default: %(default)s)",
-    )
-    sweep_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent cache for this sweep",
-    )
-    sweep_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="recompute result rows even when cached (traces/plans are still reused)",
-    )
-    sweep_parser.add_argument(
-        "--output",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="write results to PATH (.json or .csv); repeatable",
-    )
-    sweep_parser.add_argument(
-        "--max-rows",
-        type=int,
-        default=40,
-        metavar="N",
-        help="rows to print to stdout (default: %(default)s; outputs always get all rows)",
-    )
-    sweep_parser.add_argument(
-        "--cache-max-gib",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "cap the persistent cache during the sweep: stores that push it past "
-            "X GiB LRU-evict inline (default: unbounded; see 'cache prune')"
-        ),
-    )
-    sweep_parser.add_argument(
-        "--compare",
-        nargs="+",
-        default=None,
-        metavar="RESULTS.json",
-        help=(
-            "with one file: diff the sweep's rows against that previous results "
-            "JSON file; with two files: diff them against each other without "
-            "running any sweep (no spec argument). Exits non-zero if any point "
-            "regressed (peak memory up, throughput down, ok -> OOM)"
-        ),
-    )
-    sweep_parser.add_argument(
-        "--tolerance-pct",
-        type=float,
-        default=0.0,
-        metavar="PCT",
-        help="relative change a metric may move before --compare flags it (default: 0)",
-    )
+    _add_run_arguments(sweep_parser, "sweep")
     _add_obs_arguments(sweep_parser, progress=True)
 
     search_parser = subparsers.add_parser(
@@ -230,62 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable both prunes and evaluate the full candidate grid (the oracle)",
     )
-    search_parser.add_argument(
-        "--cache-dir",
-        default=".stalloc-repro-cache",
-        metavar="DIR",
-        help="persistent trace/plan/result cache directory (default: %(default)s)",
-    )
-    search_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent cache for this search",
-    )
-    search_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="recompute result rows even when cached (traces/plans are still reused)",
-    )
-    search_parser.add_argument(
-        "--output",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="write the search result to PATH (.json or .csv); repeatable",
-    )
-    search_parser.add_argument(
-        "--max-rows",
-        type=int,
-        default=40,
-        metavar="N",
-        help="rows to print to stdout (default: %(default)s; outputs always get all rows)",
-    )
-    search_parser.add_argument(
-        "--cache-max-gib",
-        type=float,
-        default=None,
-        metavar="X",
-        help="cap the persistent cache during the search (LRU-evict past X GiB)",
-    )
-    search_parser.add_argument(
-        "--compare",
-        nargs="+",
-        default=None,
-        metavar="RESULTS.json",
-        help=(
-            "with one file: diff the search's ranked rows against that previous "
-            "results JSON file; with two files: diff them against each other "
-            "without running any search. Exits non-zero on regressions "
-            "(rank shifts, peak memory up, throughput down, ok -> OOM)"
-        ),
-    )
-    search_parser.add_argument(
-        "--tolerance-pct",
-        type=float,
-        default=0.0,
-        metavar="PCT",
-        help="relative change a metric may move before --compare flags it (default: 0)",
-    )
+    _add_run_arguments(search_parser, "search")
     _add_obs_arguments(search_parser, progress=True)
 
     timeline_parser = subparsers.add_parser(

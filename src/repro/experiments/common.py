@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import JobRun, JobSpec, run_jobs
+from repro.simulator.runner import JobRun, run_jobs
+from repro.sweep.spec import SweepPoint
 from repro.workloads.model_config import ModelConfig
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
@@ -181,14 +182,15 @@ def run_lineups(
     """Every (configuration, allocator) job of an experiment in one :func:`run_jobs` call.
 
     ``configs`` maps a row label to its configuration; ``options`` are the
-    :class:`JobSpec` fields all jobs share (``device_name``, ``scale``, ...).
+    :meth:`SweepPoint.build` keywords all jobs share (``device_name``,
+    ``scale``, ...).
     By default a job is rank (0, 0) only (``job.class_runs[0]``); every job is
     priced by the timeline simulator.  Each rank's trace is fetched once for every
     allocator that reads it, and ``ctx``'s workers share the whole
     experiment.  Returns ``{(label, allocator): JobRun}`` in label-major order.
     """
     jobs = [
-        ((label, allocator), JobSpec(config, allocator, ranks=ranks, **options))
+        ((label, allocator), SweepPoint.build(config, allocator, ranks=ranks, **options))
         for label, config in configs.items()
         for allocator in allocators
     ]

@@ -23,7 +23,6 @@ from repro.experiments.common import (
 from repro.gpu.specs import GPU_SPECS
 from repro.search.bounds import kv_cache_bytes_floor, time_floor_seconds
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.runner import run_job
 from repro.timeline import simulate_timeline
 from repro.workloads.parallelism import rank_label
 
@@ -145,38 +144,32 @@ def run_comm_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentR
     scale = 0.25 if quick else 0.5
     imbalances = [0.0, 0.6] if quick else [0.0, 0.3, 0.6]
     comm_factors = [0.0, 1.0]
-    allocator = "torch2.3"
+    configs = {
+        (imbalance, comm_factor): workload.preset(
+            "Naive", micro_batch_size=1 if quick else None
+        ).with_(moe_imbalance=imbalance, moe_comm_factor=comm_factor, num_microbatches=4)
+        for imbalance in imbalances
+        for comm_factor in comm_factors
+    }
+    jobs = run_lineups(
+        configs, ["torch2.3"], ranks="all", device_name=workload.device_name, scale=scale, ctx=ctx
+    )
     rows = []
-    for imbalance in imbalances:
-        peaks: dict[float, float] = {}
-        for comm_factor in comm_factors:
-            config = workload.preset("Naive", micro_batch_size=1 if quick else None).with_(
-                moe_imbalance=imbalance,
-                moe_comm_factor=comm_factor,
-                num_microbatches=4,
-            )
-            job = run_job(
-                config,
-                allocator,
-                ranks="all",
-                device_name=workload.device_name,
-                scale=scale,
-                ctx=ctx,
-            )
-            peaks[comm_factor] = job.peak_allocated_gib
-            rows.append(
-                {
-                    "imbalance": imbalance,
-                    "comm_factor": comm_factor,
-                    "binding_rank": rank_label(job.binding_rank),
-                    "job_peak_gib": round(job.peak_allocated_gib, 3),
-                    "comm_peak_gib": round(job.comm_peak_bytes / (1 << 30), 3),
-                    "comm_delta_gib": round(
-                        job.peak_allocated_gib - peaks[comm_factors[0]], 3
-                    ),
-                    "status": "ok" if job.success else f"OOM@ranks{job.oom_ranks}",
-                }
-            )
+    for ((imbalance, comm_factor), _), job in jobs.items():
+        comm_free = jobs[(imbalance, comm_factors[0]), "torch2.3"]
+        rows.append(
+            {
+                "imbalance": imbalance,
+                "comm_factor": comm_factor,
+                "binding_rank": rank_label(job.binding_rank),
+                "job_peak_gib": round(job.peak_allocated_gib, 3),
+                "comm_peak_gib": round(job.comm_peak_bytes / (1 << 30), 3),
+                "comm_delta_gib": round(
+                    job.peak_allocated_gib - comm_free.peak_allocated_gib, 3
+                ),
+                "status": "ok" if job.success else f"OOM@ranks{job.oom_ranks}",
+            }
+        )
     return ExperimentResult(
         experiment_id="comm_table",
         title="All-to-all transients: job peak vs. router imbalance and comm factor",
@@ -206,24 +199,20 @@ def run_gen_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentRe
     gpu = GPU_SPECS[workload.device_name]
     scale = 0.25 if quick else 0.5
     step_counts = [0, 8] if quick else [0, 8, 32]
-    allocator = "torch2.3"
-    rows = []
-    baseline_peak: float | None = None
-    for steps in step_counts:
-        config = workload.preset("Naive", micro_batch_size=4 if quick else None).with_(
+    configs = {
+        steps: workload.preset("Naive", micro_batch_size=4 if quick else None).with_(
             workload_kind="generation", decode_steps=steps
         )
-        job = run_job(
-            config,
-            allocator,
-            ranks="all",
-            device_name=workload.device_name,
-            scale=scale,
-            ctx=ctx,
-        )
+        for steps in step_counts
+    }
+    jobs = run_lineups(
+        configs, ["torch2.3"], ranks="all", device_name=workload.device_name, scale=scale, ctx=ctx
+    )
+    baseline_peak = jobs[step_counts[0], "torch2.3"].peak_allocated_gib
+    rows = []
+    for (steps, _), job in jobs.items():
+        config = configs[steps]
         timeline = simulate_timeline(config, gpu=gpu, scale=scale)
-        if baseline_peak is None:
-            baseline_peak = job.peak_allocated_gib
         rows.append(
             {
                 "decode_steps": steps,

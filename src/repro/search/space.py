@@ -25,17 +25,14 @@ The legality rules, in the order they prune:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
-from pathlib import Path
 
 from repro.search.cluster import ClusterSpec
 from repro.sweep.spec import (
     CONFIG_AXES,
-    STALLOC_ALLOCATORS,
+    JsonSpec,
     SweepPoint,
-    spec_document,
+    grid_points,
     validate_allocators,
     validate_mappings,
     validate_scale,
@@ -65,8 +62,10 @@ def _axis(values, name: str, *, degrees: bool = False) -> list:
 
 
 @dataclass
-class SearchSpec:
+class SearchSpec(JsonSpec):
     """What to search: a model, a cluster, and the axes of the config space."""
+
+    kind = "search"
 
     name: str
     model: str
@@ -123,22 +122,6 @@ class SearchSpec:
                     f"base field {key!r} is a search axis; set it through the axis lists"
                 )
         validate_stalloc_grid(self.stalloc_grid)
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchSpec":
-        data = spec_document(data, "search")
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown search spec fields: {', '.join(sorted(unknown))}")
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SearchSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     # ------------------------------------------------------------------ #
     # Enumeration
@@ -211,14 +194,6 @@ class SearchSpec:
             bits.append(f"zero={zero}")
         return "/".join(bits)
 
-    def _resolve_ranks(self, config: TrainingConfig) -> tuple:
-        """Job-level rank coverage, mirroring ``SweepSpec._resolve_ranks("all")``."""
-        pipeline = config.parallelism.pipeline_parallel
-        if config.expert_asymmetry:
-            expert = config.parallelism.expert_parallel
-            return tuple((pp, ep) for pp in range(pipeline) for ep in range(expert))
-        return tuple(range(pipeline))
-
     def _candidate_budgets(
         self, parallelism: ParallelismConfig
     ) -> tuple[tuple[str, float], ...]:
@@ -242,19 +217,7 @@ class SearchSpec:
     def enumerate_candidates(self) -> list[SweepPoint]:
         """The full candidate grid as ordered, ready-to-execute sweep points."""
         model = get_model(self.model)
-        stalloc_axes = sorted(self.stalloc_grid)
-        stalloc_combos: list[tuple[tuple[str, object], ...]] = [
-            tuple(zip(stalloc_axes, combo))
-            for combo in itertools.product(
-                *(self.stalloc_grid[axis] for axis in stalloc_axes)
-            )
-        ] or [()]
-
         points: list[SweepPoint] = []
-        # Every candidate is timed on the cluster's network fabric: multi-node
-        # clusters set gpus_per_node (plus any tier-bandwidth overrides), so
-        # tiered all-to-all pricing flows into the throughput ranking.
-        fabric = tuple(sorted(self.cluster.fabric.items()))
         for parallelism in self._layouts():
             dp = parallelism.data_parallel
             budgets = self._candidate_budgets(parallelism)
@@ -275,24 +238,20 @@ class SearchSpec:
                     zero_stage=zero,
                     **self.base,
                 )
-                ranks = self._resolve_ranks(config)
-                for allocator in self.allocators:
-                    for overrides in (
-                        stalloc_combos if allocator in STALLOC_ALLOCATORS else [()]
-                    ):
-                        points.append(
-                            SweepPoint(
-                                index=len(points),
-                                config=config,
-                                allocator=allocator,
-                                seed=self.seed,
-                                scale=self.scale,
-                                device_name=self.cluster.device_name,
-                                device_capacity_gib=self.cluster.device_capacity_gib,
-                                ranks=ranks,
-                                stalloc_overrides=overrides,
-                                device_memory_by_rank=budgets,
-                                fabric=fabric,
-                            )
-                        )
+                grid_points(
+                    points,
+                    config,
+                    self.allocators,
+                    self.stalloc_grid,
+                    seed=self.seed,
+                    scale=self.scale,
+                    device_name=self.cluster.device_name,
+                    device_capacity_gib=self.cluster.device_capacity_gib,
+                    device_memory_by_rank=budgets,
+                    # Every candidate is timed on the cluster's network
+                    # fabric: multi-node clusters set gpus_per_node (plus any
+                    # tier-bandwidth overrides), so tiered all-to-all pricing
+                    # flows into the throughput ranking.
+                    fabric=self.cluster.fabric,
+                )
         return points

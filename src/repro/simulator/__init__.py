@@ -10,7 +10,6 @@ __getattr__, __dir__, __all__ = attach(
         "replay": ["ReplayResult", "replay_trace"],
         "runner": [
             "JobRun",
-            "JobSpec",
             "WorkloadRun",
             "run_job",
             "run_jobs",

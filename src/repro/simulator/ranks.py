@@ -71,78 +71,79 @@ def validate_budget_map(budgets, context: str) -> None:
             )
 
 
-def resolve_job_ranks(config: TrainingConfig, ranks=None) -> list[tuple]:
-    """Resolve a rank selection into memory-equivalence classes to simulate.
+def requested_ranks(config: TrainingConfig, ranks=None) -> tuple:
+    """The sorted ranks a selection requests: the ``ranks`` of a point.
 
     ``ranks`` is ``None`` (rank (0, 0) only -- the single-rank behaviour of
     earlier releases), the string ``"all"`` (every rank of the job), or an
     iterable whose entries are pipeline ranks (ints) or explicit ``(pp, ep)``
-    pairs.  The returned classes partition the requested ranks so that
-    simulating one representative per class (its first member) covers every
-    requested rank: class members generate event-identical traces, so a PP=8
-    job needs at most 8 -- and with few micro-batches far fewer -- trace
-    generations and replays.
+    pairs.
 
     For a job with expert-parallel asymmetry (see
-    :attr:`TrainingConfig.expert_asymmetry`) the classes partition the full
-    ``(pp, ep)`` coordinate grid and their members are coordinate pairs: every
-    EP rank routes a different token load, so EP peers stop being
-    interchangeable.  A plain int entry then selects *all* EP ranks of that
-    pipeline stage.  Without asymmetry the classes stay plain pipeline-rank
-    ints and EP peers collapse into their stage's class, exactly as before.
+    :attr:`TrainingConfig.expert_asymmetry`) the ranks are ``(pp, ep)``
+    coordinate pairs: every EP rank routes a different token load, so EP
+    peers stop being interchangeable, and a plain int entry selects *all* EP
+    ranks of that pipeline stage.  Without asymmetry they stay plain
+    pipeline-rank ints and an explicit coordinate collapses onto its stage.
     """
     pipeline = config.parallelism.pipeline_parallel
     asymmetric = config.expert_asymmetry
     expert = config.parallelism.expert_parallel if asymmetric else 1
-
-    def _validate(pp: int, ep: int) -> None:
+    if ranks is None:
+        return ((0, 0),) if asymmetric else (0,)
+    if isinstance(ranks, str):
+        if ranks != "all":
+            raise ValueError(f"ranks must be 'all' or a list of ints, got {ranks!r}")
+        if asymmetric:
+            return tuple((pp, ep) for pp in range(pipeline) for ep in range(expert))
+        return tuple(range(pipeline))
+    entries = list(ranks)
+    if not entries:
+        raise ValueError("ranks must not be empty")
+    requested: set = set()
+    for entry in entries:
+        pp, ep = normalize_rank(entry)
         if not 0 <= pp < pipeline:
-            raise ValueError(f"rank {pp} out of range for pipeline_parallel={pipeline}")
+            raise ValueError(
+                f"rank {pp} out of range for pipeline_parallel={pipeline} "
+                f"(config {config.describe()!r})"
+            )
         # Bounds come from the parallelism layout, not the asymmetry flag: a
         # typo'd ep must fail whether or not the router is currently skewed.
         if not 0 <= ep < config.parallelism.expert_parallel:
             raise ValueError(
                 f"ep_rank {ep} out of range for expert_parallel="
-                f"{config.parallelism.expert_parallel}"
+                f"{config.parallelism.expert_parallel} (config {config.describe()!r})"
             )
-
-    requested: set = set()
-    if ranks is None:
-        requested = {(0, 0)} if asymmetric else {0}
-    elif isinstance(ranks, str):
-        if ranks != "all":
-            raise ValueError(f"ranks must be 'all' or a list of ints, got {ranks!r}")
-        if asymmetric:
-            requested = {(pp, ep) for pp in range(pipeline) for ep in range(expert)}
+        if not asymmetric:
+            requested.add(pp)  # EP peers are memory-identical: the stage
+        elif isinstance(entry, int):
+            requested.update((pp, ep) for ep in range(expert))  # the whole stage
         else:
-            requested = set(range(pipeline))
-    else:
-        entries = list(ranks)
-        if not entries:
-            raise ValueError("ranks must not be empty")
-        for entry in entries:
-            if isinstance(entry, int) and not isinstance(entry, bool):
-                _validate(entry, 0)
-                if asymmetric:
-                    requested.update((entry, ep) for ep in range(expert))
-                else:
-                    requested.add(entry)
-            else:
-                pp, ep = normalize_rank(entry)
-                _validate(pp, ep)
-                if asymmetric:
-                    requested.add((pp, ep))
-                else:
-                    # EP ranks are memory-identical here, so an explicit
-                    # coordinate collapses onto its pipeline stage.
-                    requested.add(pp)
+            requested.add((pp, ep))
+    return tuple(sorted(requested))
+
+
+def partition_ranks(config: TrainingConfig, ranks: tuple) -> list[tuple]:
+    """Partition requested ranks into the memory-equivalence classes to simulate.
+
+    ``ranks`` is :func:`requested_ranks`' output.  Simulating one
+    representative per class (its first member) covers every requested rank:
+    class members generate event-identical traces, so a PP=8 job needs at
+    most 8 -- and with few micro-batches far fewer -- trace generations and
+    replays.
+    """
+    requested = set(ranks)
     classes = config.parallelism.rank_equivalence_classes(
-        config.num_microbatches, expert_asymmetry=asymmetric
+        config.num_microbatches, expert_asymmetry=config.expert_asymmetry
     )
-    restricted = [
-        tuple(rank for rank in cls if rank in requested) for cls in classes
-    ]
+    restricted = [tuple(rank for rank in cls if rank in requested) for cls in classes]
     return [cls for cls in restricted if cls]
+
+
+def resolve_job_ranks(config: TrainingConfig, ranks=None) -> list[tuple]:
+    """Resolve a rank selection into memory-equivalence classes to simulate."""
+    return partition_ranks(config, requested_ranks(config, ranks))
 
 
 def normalize_capacity_map(
@@ -252,19 +253,20 @@ def split_classes_by_capacity(
 
 def job_rank_classes(
     config: TrainingConfig,
-    ranks,
-    device_memory_by_rank: dict | None,
+    ranks: tuple,
+    capacity_map: dict[str, float],
     device_capacity_gib: float | None,
 ) -> list[tuple[tuple, float | None]]:
     """The ``(members, budget GiB or None)`` classes one job replays.
 
-    :func:`resolve_job_ranks` refined by the per-rank budgets: a budget that
-    addresses an individual ``(pp, ep)`` coordinate exposes the coordinates
-    even when the traces are EP-symmetric (they are distinct devices), and
-    every class is then split until it is capacity-homogeneous.
+    ``ranks`` and ``capacity_map`` are a point's :func:`requested_ranks` and
+    :func:`normalize_capacity_map` output.  The ranks' :func:`partition_ranks`
+    classes are refined by the per-rank budgets: a budget that addresses an
+    individual ``(pp, ep)`` coordinate exposes the coordinates even when the
+    traces are EP-symmetric (they are distinct devices), and every class is
+    then split until it is capacity-homogeneous.
     """
-    capacity_map = normalize_capacity_map(device_memory_by_rank, config)
-    classes = resolve_job_ranks(config, ranks)
+    classes = partition_ranks(config, ranks)
     if any("." in label for label in capacity_map):
         classes = expand_classes_to_coordinates(classes, config.parallelism.expert_parallel)
     return split_classes_by_capacity(classes, capacity_map, device_capacity_gib)

@@ -17,7 +17,10 @@ step (profile + plan synthesis before the replay).
 
 The pure per-run path is :func:`run_workload`; :func:`run_jobs` is the one
 orchestrator on top of it (:func:`run_job` runs one job through it).  Every
-figure, table, sweep and search replays through :func:`run_jobs`.  Its unit
+figure, table, sweep and search replays through :func:`run_jobs`, and each
+describes a job the same way: a :class:`~repro.sweep.spec.SweepPoint` built by
+:meth:`~repro.sweep.spec.SweepPoint.build`, whose ranks are already resolved
+and whose knobs, budgets and fabric are sorted pairs.  Its unit
 of work is one rank's trace (:func:`replay_rank`): it is fetched once,
 replayed through every allocator of every job that reads it, and dropped, so
 one trace is alive at a time.  With fewer traces than worker processes a
@@ -54,6 +57,7 @@ from repro.simulator.ranks import default_capacity_gib, job_rank_classes, valida
 from repro.simulator.ranks import resolve_job_ranks  # noqa: F401
 from repro.simulator.replay import ReplayResult, replay_trace
 from repro.simulator.throughput import ThroughputEstimate
+from repro.sweep.spec import SweepPoint
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import normalize_rank
 from repro.workloads.trace import Trace
@@ -369,47 +373,6 @@ class JobRun:
         return self.throughput.tokens_per_second if self.throughput is not None else None
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One whole-job measurement: every requested rank, one allocator.
-
-    Ranks are deduplicated into memory-equivalence classes first (see
-    :func:`resolve_job_ranks`); each class representative's trace is replayed
-    once and the job is priced once (see :func:`run_jobs`) by the
-    discrete-event simulator over every (pp, ep) rank's schedule: pipeline
-    bubbles and all-to-all straggler stalls emerge from the same router draws
-    that size the trace's communication transients, and the worst rank's
-    allocator overhead rides inside the simulated phases.
-
-    ``device_memory_by_rank`` optionally assigns heterogeneous device budgets
-    (GiB) to individual ranks -- keys are pipeline ranks (``2``/``"2"``,
-    applying to every EP coordinate of the stage) or exact coordinates
-    (``"2.1"``/``(2, 1)``); unlisted ranks fall back to
-    ``device_capacity_gib``/the device default.  Classes spanning several
-    budgets are split so every replay runs against its own rank's device, and
-    the binding rank becomes the rank with the highest utilization of its
-    budget rather than the raw peak-memory rank.
-
-    ``fabric`` optionally customises the device's network fabric for the
-    timing estimate: a mapping of :class:`~repro.gpu.specs.GPUSpec` field
-    overrides (``gpus_per_node``, ``intra_node_gbytes_per_sec``,
-    ``inter_node_gbytes_per_sec``) applied over the stock spec, so a tiered
-    2-node cluster prices its all-to-alls hierarchically.  Memory replay is
-    fabric-independent; only the timeline simulation sees the override.
-    """
-
-    config: TrainingConfig
-    allocator_name: str
-    ranks: object = "all"
-    device_name: str = "A800-80GB"
-    device_capacity_gib: float | None = None
-    device_memory_by_rank: dict | None = None
-    seed: int = 0
-    scale: float = 1.0
-    stalloc_overrides: dict | None = None
-    fabric: dict | None = None
-
-
 def run_job(
     config: TrainingConfig,
     allocator_name: str,
@@ -419,12 +382,14 @@ def run_job(
 ) -> JobRun:
     """Run one whole-job measurement: :func:`run_jobs` for one job.
 
-    ``options`` are the :class:`JobSpec` fields after the allocator name
-    (``ranks``, ``device_name``, ``fabric``, ...); see there.  ``ctx``
-    supplies the trace/plan cache and the worker processes the rank replays
-    fan out over (default: a fresh serial context with no disk cache).
+    ``options`` are :meth:`SweepPoint.build`'s keywords (``ranks`` --
+    ``"all"`` by default --, ``device_name``, ``device_memory_by_rank``,
+    ``fabric``, ...); see there.  ``ctx`` supplies the trace/plan cache and
+    the worker processes the rank replays fan out over (default: a fresh
+    serial context with no disk cache).
     """
-    ((_, job, _),) = run_jobs([(None, JobSpec(config, allocator_name, **options))], ctx=ctx)
+    point = SweepPoint.build(config, allocator_name, **options)
+    ((_, job, _),) = run_jobs([(None, point)], ctx=ctx)
     return job
 
 
@@ -510,55 +475,56 @@ def _work_items(groups: list[tuple], ctx: ExecutionContext, on_error) -> tuple[l
 
 
 def run_jobs(
-    jobs: list[tuple[object, JobSpec]],
+    jobs: list[tuple[object, SweepPoint]],
     *,
     ctx: ExecutionContext | None = None,
     on_error=None,
 ) -> Iterator[tuple[object, JobRun, float]]:
     """Run several whole-job measurements, fetching each rank trace once.
 
-    ``jobs`` pairs a caller's tag with each :class:`JobSpec`.  Every job's
-    replays -- one per rank class, see :func:`run_job` -- are grouped under
-    the trace they read (the fingerprint of the class representative), so
-    jobs that differ only in allocator, STAlloc knobs, budgets or fabric
-    share one fetch of each rank's trace, and ``ctx.map`` fans out
-    :func:`replay_rank` work items, one per trace unless there are fewer
-    traces than workers (see :func:`_work_items`).  Yields ``(tag, JobRun,
-    seconds)`` as each job's last rank returns; ``seconds`` is the host time
-    of its replays and pricing.  ``on_error(tag, error)``, when given, builds
+    ``jobs`` pairs a caller's tag with each job's :class:`SweepPoint` (see
+    :meth:`SweepPoint.build`), read as it is.  Every job's replays -- one per
+    rank class of :func:`~repro.simulator.ranks.job_rank_classes` -- are
+    grouped under the trace they read (the fingerprint of the class
+    representative), so jobs that differ only in allocator, STAlloc knobs,
+    budgets or fabric share one fetch of each rank's trace, and ``ctx.map``
+    fans out :func:`replay_rank` work items, one per trace unless there are
+    fewer traces than workers (see :func:`_work_items`).  Yields ``(tag,
+    JobRun, seconds)`` as each job's last rank returns; ``seconds`` is the
+    host time of its replays and pricing.  ``on_error(tag, error)``, when given, builds
     the exception raised in place of any failure of that job (it must be
     picklable: replays run in pool workers too).
     """
     ctx = ctx if ctx is not None else ExecutionContext()
-    specs: list[tuple] = []  # per job: (tag, validated spec, rank classes)
+    specs: list[tuple] = []  # per job: (tag, point, its budget GiB, rank classes)
     # trace fingerprint -> (trace args, [((job, class index), request)])
     groups: dict[str, tuple] = {}
-    for position, (tag, spec) in enumerate(jobs):
+    for position, (tag, point) in enumerate(jobs):
         with _attributed(tag, on_error):
-            spec = dataclass_replace(
-                spec, device_capacity_gib=validate_capacity_gib(spec.device_capacity_gib)
-            )
+            capacity_gib = validate_capacity_gib(point.device_capacity_gib)
             classes = job_rank_classes(
-                spec.config, spec.ranks, spec.device_memory_by_rank, spec.device_capacity_gib
+                point.config, point.ranks, dict(point.device_memory_by_rank), capacity_gib
             )
-        specs.append((tag, spec, classes))
-        replay = dict(device_name=spec.device_name, stalloc_overrides=spec.stalloc_overrides)
+        specs.append((tag, point, capacity_gib, classes))
+        replay = dict(
+            device_name=point.device_name, stalloc_overrides=dict(point.stalloc_overrides)
+        )
         for index, (members, capacity) in enumerate(classes):
             pp, ep = normalize_rank(members[0])
             key = config_fingerprint(
-                spec.config, seed=spec.seed, scale=spec.scale, rank=pp, ep_rank=ep
+                point.config, seed=point.seed, scale=point.scale, rank=pp, ep_rank=ep
             )
-            trace_args = (spec.config, spec.seed, spec.scale, pp, ep)
+            trace_args = (point.config, point.seed, point.scale, pp, ep)
             request = (
                 tag,
-                spec.config,
-                spec.allocator_name,
+                point.config,
+                point.allocator,
                 dict(replay, device_capacity_gib=capacity),
             )
             groups.setdefault(key, (trace_args, []))[1].append(((position, index), request))
 
-    class_runs = [[None] * len(classes) for _, _, classes in specs]
-    missing = [len(classes) for _, _, classes in specs]
+    class_runs = [[None] * len(classes) for *_, classes in specs]
+    missing = [len(classes) for *_, classes in specs]
     seconds = [0.0] * len(specs)
     owners, items = _work_items(list(groups.values()), ctx, on_error)
     for item_owners, results in zip(owners, ctx.map(replay_rank, items)):
@@ -568,28 +534,31 @@ def run_jobs(
             missing[position] -= 1
             if missing[position]:
                 continue
-            tag, spec, classes = specs[position]
+            tag, point, capacity_gib, classes = specs[position]
             started = time.perf_counter()
             with _attributed(tag, on_error):
-                with _obs_span("job.run", allocator=spec.allocator_name):
-                    job = _assemble_job(spec, classes, class_runs[position])
+                with _obs_span("job.run", allocator=point.allocator):
+                    job = _assemble_job(point, capacity_gib, classes, class_runs[position])
             yield tag, job, seconds[position] + time.perf_counter() - started
 
 
 def _assemble_job(
-    spec: JobSpec, classes: list[tuple[tuple, float | None]], class_runs: list[WorkloadRun]
+    point: SweepPoint,
+    capacity_gib: float | None,
+    classes: list[tuple[tuple, float | None]],
+    class_runs: list[WorkloadRun],
 ) -> JobRun:
     """One job's :class:`JobRun` from its class replays, priced once per job."""
     # Record the concrete budget every class ran against (the device default
     # when no explicit budget applied), so binding-by-utilization is
     # well-defined whenever any heterogeneity is present.
-    default_capacity = default_capacity_gib(spec.device_name, spec.device_capacity_gib)
+    default_capacity = default_capacity_gib(point.device_name, capacity_gib)
     throughput = None
     timeline = None
-    gpu = GPU_SPECS.get(spec.device_name)
-    if gpu is not None and spec.fabric:
+    gpu = GPU_SPECS.get(point.device_name)
+    if gpu is not None and point.fabric:
         try:
-            gpu = dataclass_replace(gpu, **dict(spec.fabric))
+            gpu = dataclass_replace(gpu, **dict(point.fabric))
         except TypeError as error:
             raise ValueError(f"unknown fabric field: {error}") from None
     if gpu is not None:
@@ -604,17 +573,17 @@ def _assemble_job(
         from repro.timeline import simulate_timeline
 
         timeline = simulate_timeline(
-            spec.config,
+            point.config,
             gpu=gpu,
-            seed=spec.seed,
-            scale=spec.scale,
+            seed=point.seed,
+            scale=point.scale,
             allocator_overhead_seconds=overhead,
         )
         throughput = timeline.to_estimate()
     return JobRun(
-        config=spec.config,
-        allocator_name=spec.allocator_name,
-        device_name=spec.device_name,
+        config=point.config,
+        allocator_name=point.allocator,
+        device_name=point.device_name,
         rank_classes=[members for members, _ in classes],
         class_runs=class_runs,
         throughput=throughput,

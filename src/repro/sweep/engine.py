@@ -1,12 +1,14 @@
 """Process-parallel sweep execution.
 
 :func:`run_sweep` executes every point of a :class:`~repro.sweep.spec.SweepSpec`
-as a whole-job measurement (:class:`repro.simulator.runner.JobSpec`) and
-collects one flat result row per point.  A point may cover several pipeline
-ranks (``ranks`` in the spec); its row then aggregates the per-rank replays --
-job success, max/mean per-rank peak, the binding rank -- and every row carries
-the timeline simulator's throughput columns (``tflops_per_gpu``,
-``tokens_per_second``, ``iteration_seconds``, ...).  Execution is:
+as a whole-job measurement -- the :class:`~repro.sweep.spec.SweepPoint` is the
+job description :func:`repro.simulator.runner.run_jobs` reads, with no copy
+into a second type -- and collects one flat result row per point.  A point
+may cover several pipeline ranks (``ranks`` in the spec); its row then
+aggregates the per-rank replays -- job success, max/mean per-rank peak, the
+binding rank -- and every row carries the timeline simulator's throughput
+columns (``tflops_per_gpu``, ``tokens_per_second``, ``iteration_seconds``,
+...).  Execution is:
 
 * **cached** -- with a cache directory, finished rows are served straight from
   the persistent result cache (checked in the parent, so a fully-warm sweep
@@ -220,26 +222,9 @@ def execute_points(
     if pending:
         # The first point that misses pays for the execution layer (the
         # generator, the planner, the allocators); a warm run never gets here.
-        from repro.simulator.runner import JobSpec, run_jobs
+        from repro.simulator.runner import run_jobs
 
-        jobs = [
-            (
-                point,
-                JobSpec(
-                    point.config,
-                    point.allocator,
-                    ranks=point.ranks,
-                    device_name=point.device_name,
-                    device_capacity_gib=point.device_capacity_gib,
-                    device_memory_by_rank=dict(point.device_memory_by_rank),
-                    seed=point.seed,
-                    scale=point.scale,
-                    stalloc_overrides=dict(point.stalloc_overrides),
-                    fabric=dict(point.fabric),
-                ),
-            )
-            for point in pending
-        ]
+        jobs = [(point, point) for point in pending]  # each point tags itself
         for point, job, seconds in run_jobs(jobs, ctx=ctx, on_error=_point_error):
             with _obs_span("sweep.point", point=point.index, label=point.row_label):
                 row = _point_row(point, job, seconds)

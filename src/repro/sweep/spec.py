@@ -38,11 +38,12 @@ from repro.core.config import STAllocConfig
 from repro.gpu.specs import GPU_SPECS
 from repro.simulator.ranks import (
     normalize_capacity_map,
+    requested_ranks,
     validate_budget_map,
     validate_capacity_gib,
 )
 from repro.workloads.models import MODEL_REGISTRY, get_model
-from repro.workloads.parallelism import ParallelismConfig, normalize_rank
+from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import (
     OPTIMIZATION_PRESETS,
     TrainingConfig,
@@ -81,9 +82,18 @@ STALLOC_AXES = frozenset(f.name for f in dataclass_fields(STAllocConfig))
 STALLOC_ALLOCATORS = frozenset({STALLOC, STALLOC_NO_REUSE})
 
 
+def _pairs(mapping) -> tuple:
+    """A mapping (or its ``(key, value)`` pairs) as pairs sorted by key."""
+    return tuple(sorted(dict(mapping or ()).items()))
+
+
 @dataclass(frozen=True)
 class SweepPoint:
-    """One fully-resolved (configuration, allocator) cell of a sweep grid."""
+    """One fully-resolved (configuration, allocator) job: what ``run_jobs`` runs.
+
+    Build points with :meth:`build`, which normalizes every field; sweeps,
+    searches, experiments and :func:`~repro.simulator.runner.run_job` all do.
+    """
 
     index: int
     config: TrainingConfig
@@ -121,6 +131,45 @@ class SweepPoint:
     # Read by benchmarks/e2e/stages.py, which passes it to
     # ``throughput_upper_bound``; unannotated, so a constant and not a field.
     timing = "timeline"
+
+    @classmethod
+    def build(
+        cls,
+        config: TrainingConfig,
+        allocator: str,
+        *,
+        index: int = 0,
+        ranks="all",
+        device_capacity_gib: float | None = None,
+        device_memory_by_rank=None,
+        stalloc_overrides=None,
+        fabric=None,
+        **fields,
+    ) -> "SweepPoint":
+        """The point of one job, every field normalized.
+
+        ``ranks`` is a selection :func:`~repro.simulator.ranks.requested_ranks`
+        resolves (``None``, ``"all"``, or a list of ints and ``(pp, ep)``
+        pairs).  ``device_memory_by_rank`` maps ranks to GiB budgets -- keys
+        are pipeline ranks (``2``/``"2"``, applying to every EP coordinate of
+        the stage) or exact coordinates (``"2.1"``/``(2, 1)``), canonicalized
+        by :func:`~repro.simulator.ranks.normalize_capacity_map`.
+        ``stalloc_overrides`` (STAllocConfig knobs) and ``fabric`` (GPUSpec
+        fabric fields) are mappings or their pairs.  ``fields`` are the
+        remaining point fields (``seed``, ``scale``, ``device_name``, ...).
+        """
+        budgets = normalize_capacity_map(dict(device_memory_by_rank or ()), config)
+        return cls(
+            index=index,
+            config=config,
+            allocator=allocator,
+            ranks=requested_ranks(config, ranks),
+            device_capacity_gib=device_capacity_gib,
+            device_memory_by_rank=tuple(sorted(budgets.items())),
+            stalloc_overrides=_pairs(stalloc_overrides),
+            fabric=_pairs(fabric),
+            **fields,
+        )
 
     @property
     def row_label(self) -> str:
@@ -231,11 +280,62 @@ def validate_mappings(spec, names: tuple[str, ...]) -> None:
             raise ValueError(f"{name} must be a JSON object, got {value!r}")
 
 
-def spec_document(data, kind: str) -> dict:
-    """A parsed spec document: a JSON object, copied."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a {kind} spec must be a JSON object, got {type(data).__name__}")
-    return dict(data)
+class JsonSpec:
+    """``from_dict``/``from_file`` of a dataclass spec read from JSON.
+
+    Subclasses set ``kind`` (the noun of error messages) and may map
+    document ``aliases`` onto field names.
+    """
+
+    kind: str
+    aliases: dict = {}
+
+    @classmethod
+    def from_dict(cls, data):
+        """Build a spec from a parsed JSON document."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a {cls.kind} spec must be a JSON object, got {type(data).__name__}"
+            )
+        data = dict(data)
+        for alias, name in cls.aliases.items():
+            if alias in data:
+                data[name] = data.pop(alias)
+        unknown = set(data) - {f.name for f in dataclass_fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.kind} spec fields: {', '.join(sorted(unknown))}")
+        return cls(**data)
+
+    @classmethod
+    def from_file(cls, path: str | Path):
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def grid_points(
+    points: list[SweepPoint],
+    config: TrainingConfig,
+    allocators: list[str],
+    stalloc_grid: dict,
+    **fields,
+) -> None:
+    """Append one grid cell's points to ``points``, indexed in order.
+
+    One point per allocator; the STAlloc variants are crossed with every
+    ``stalloc_grid`` knob combination.  ``fields`` are :meth:`SweepPoint.build`
+    keywords shared by the cell.
+    """
+    axes = sorted(stalloc_grid)
+    combos = [
+        tuple(zip(axes, combo))
+        for combo in itertools.product(*(stalloc_grid[axis] for axis in axes))
+    ]
+    for allocator in allocators:
+        for overrides in combos if allocator in STALLOC_ALLOCATORS else [()]:
+            points.append(
+                SweepPoint.build(
+                    config, allocator, index=len(points), stalloc_overrides=overrides, **fields
+                )
+            )
 
 
 def _validate_fabric(fabric, context: str) -> None:
@@ -276,8 +376,11 @@ def _fabric_label(fabric: dict | None) -> str:
 
 
 @dataclass
-class SweepSpec:
+class SweepSpec(JsonSpec):
     """A declarative grid of TrainingConfig fields x allocators x STAlloc knobs."""
+
+    kind = "sweep"
+    aliases = {"device": "device_name"}
 
     name: str
     allocators: list[str]
@@ -387,43 +490,13 @@ class SweepSpec:
                     f"{', '.join(sorted(MODEL_REGISTRY))}"
                 )
 
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        """Build a spec from a parsed JSON document (``device`` aliases ``device_name``)."""
-        data = spec_document(data, "sweep")
-        if "device" in data:
-            data["device_name"] = data.pop("device")
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown sweep spec fields: {', '.join(sorted(unknown))}")
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SweepSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    # ------------------------------------------------------------------ #
-    # Expansion
-    # ------------------------------------------------------------------ #
-
     def expand(self) -> list[SweepPoint]:
         """Materialise the grid into the ordered list of sweep points."""
         axes = list(self.grid)
-        value_lists = [self.grid[axis] for axis in axes]
-        stalloc_axes = sorted(self.stalloc_grid)
-        stalloc_combos: list[tuple[tuple[str, object], ...]] = [
-            tuple(zip(stalloc_axes, combo))
-            for combo in itertools.product(*(self.stalloc_grid[axis] for axis in stalloc_axes))
-        ] or [()]
-
         points: list[SweepPoint] = []
         budget_axis = "device_memory_by_rank" in self.grid
         fabric_axis = "fabric" in self.grid
-        for combo in itertools.product(*value_lists):
+        for combo in itertools.product(*(self.grid[axis] for axis in axes)):
             assignment = dict(zip(axes, combo))
             seed = assignment.pop("seed", self.seed)
             scale = assignment.pop("scale", self.scale)
@@ -432,97 +505,26 @@ class SweepSpec:
                 if budget_axis
                 else self.device_memory_by_rank
             )
-            cell_fabric = (
-                assignment.pop("fabric") if fabric_axis else self.fabric
+            cell_fabric = assignment.pop("fabric") if fabric_axis else self.fabric
+            grid_points(
+                points,
+                self._build_config(assignment),
+                self.allocators,
+                self.stalloc_grid,
+                ranks=self.ranks,
+                seed=seed,
+                scale=scale,
+                device_name=self.device_name,
+                device_capacity_gib=self.device_capacity_gib,
+                device_memory_by_rank=cell_budgets,
+                fabric=cell_fabric,
+                # Swept budget/fabric maps label the row, not the config: the
+                # config label feeds the trace fingerprint and neither shapes
+                # trace content.
+                budget_label=_budget_label(cell_budgets) if budget_axis else "",
+                fabric_label=_fabric_label(cell_fabric) if fabric_axis else "",
             )
-            config = self._build_config(assignment)
-            normalize_capacity_map(cell_budgets, config)  # every key is one of the job's ranks
-            ranks = self._resolve_ranks(config)
-            budgets = tuple(
-                sorted(
-                    (str(key), float(value))
-                    for key, value in (cell_budgets or {}).items()
-                )
-            )
-            fabric = tuple(sorted((cell_fabric or {}).items()))
-            for allocator in self.allocators:
-                for overrides in stalloc_combos if allocator in STALLOC_ALLOCATORS else [()]:
-                    points.append(
-                        SweepPoint(
-                            index=len(points),
-                            config=config,
-                            allocator=allocator,
-                            seed=seed,
-                            scale=scale,
-                            device_name=self.device_name,
-                            device_capacity_gib=self.device_capacity_gib,
-                            ranks=ranks,
-                            stalloc_overrides=overrides,
-                            device_memory_by_rank=budgets,
-                            fabric=fabric,
-                            # Swept budget/fabric maps label the row, not
-                            # the config: the config label feeds the trace
-                            # fingerprint and neither shapes trace content.
-                            budget_label=_budget_label(cell_budgets) if budget_axis else "",
-                            fabric_label=_fabric_label(cell_fabric) if fabric_axis else "",
-                        )
-                    )
         return points
-
-    def _resolve_ranks(self, config: TrainingConfig) -> tuple:
-        """Concrete rank tuple for one grid cell (``"all"`` needs the config's grid).
-
-        For configs with expert-parallel asymmetry the resolved ranks are
-        ``(pp, ep)`` coordinates -- ``"all"`` covers the full (deduplicated at
-        execution time) coordinate grid, int entries select every EP
-        coordinate of that stage and ``[pp, ep]`` pairs select one
-        coordinate.  Symmetric configs keep plain pipeline-rank ints.
-        """
-        pipeline = config.parallelism.pipeline_parallel
-        asymmetric = config.expert_asymmetry
-        expert = config.parallelism.expert_parallel if asymmetric else 1
-        if self.ranks is None:
-            # Single-rank default: one coordinate, never a whole stage.
-            return ((0, 0),) if asymmetric else (0,)
-        if self.ranks == "all":
-            if asymmetric:
-                return tuple(
-                    (pp, ep) for pp in range(pipeline) for ep in range(expert)
-                )
-            return tuple(range(pipeline))
-        resolved: set = set()
-        for entry in self.ranks:
-            if isinstance(entry, int):
-                if entry >= pipeline:
-                    raise ValueError(
-                        f"rank {entry} out of range for pipeline_parallel={pipeline} "
-                        f"(config {config.describe()!r})"
-                    )
-                if asymmetric:
-                    resolved.update((entry, ep) for ep in range(expert))
-                else:
-                    resolved.add(entry)
-            else:
-                pp, ep = normalize_rank(entry)
-                if pp >= pipeline:
-                    raise ValueError(
-                        f"rank {pp} out of range for pipeline_parallel={pipeline} "
-                        f"(config {config.describe()!r})"
-                    )
-                # Bounds come from the layout, not the asymmetry flag: a
-                # typo'd ep must fail even while the router is balanced.
-                if ep >= config.parallelism.expert_parallel:
-                    raise ValueError(
-                        f"ep_rank {ep} out of range for expert_parallel="
-                        f"{config.parallelism.expert_parallel} "
-                        f"(config {config.describe()!r})"
-                    )
-                if not asymmetric:
-                    # EP ranks are interchangeable here; collapse to the stage.
-                    resolved.add(pp)
-                    continue
-                resolved.add((pp, ep))
-        return tuple(sorted(resolved))
 
     def _build_config(self, assignment: dict) -> TrainingConfig:
         """Resolve one grid assignment into a TrainingConfig."""

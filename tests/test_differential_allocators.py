@@ -17,7 +17,8 @@ from repro.gpu.device import Device, GIB, MIB
 from repro.gpu.errors import OutOfMemoryError
 from repro.simulator.replay import replay_trace
 from repro.allocators.registry import STALLOC, STALLOC_NO_REUSE
-from repro.simulator.runner import JobSpec, run_jobs
+from repro.simulator.runner import run_jobs
+from repro.sweep.spec import SweepPoint
 from repro.workloads.trace import Trace, TraceMetadata
 from repro.workloads.tracegen import TraceGenerator
 from tests.trace_oracle import TraceEvent, events_of, make_trace
@@ -30,7 +31,7 @@ BASELINES = available_allocators()
 
 def lineup_runs(config, ranks=None) -> dict:
     """One rank of ``config`` under every allocator, through one ``run_jobs`` call."""
-    jobs = [(name, JobSpec(config, name, ranks=ranks)) for name in ALL_ALLOCATORS]
+    jobs = [(name, SweepPoint.build(config, name, ranks=ranks)) for name in ALL_ALLOCATORS]
     return {name: job.class_runs[0] for name, job, _ in run_jobs(jobs)}
 
 

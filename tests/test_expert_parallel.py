@@ -462,6 +462,42 @@ class TestHeterogeneousBudgets:
         assert capacities[(1,)] == 40.0
         assert capacities[(2,)] == 80  # the A800 default
 
+    @pytest.mark.parametrize(
+        "key, classes",
+        [
+            (2, [(0,), (2,), (1,), (3,)]),
+            ("2", [(0,), (2,), (1,), (3,)]),
+            (
+                "2.1",
+                [
+                    ((0, 0), (0, 1), (0, 2), (0, 3)),
+                    ((2, 1),),
+                    ((1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 2), (2, 3)),
+                    ((3, 0), (3, 1), (3, 2), (3, 3)),
+                ],
+            ),
+            (
+                (2, 1),
+                [
+                    ((0, 0), (0, 1), (0, 2), (0, 3)),
+                    ((2, 1),),
+                    ((1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 2), (2, 3)),
+                    ((3, 0), (3, 1), (3, 2), (3, 3)),
+                ],
+            ),
+        ],
+    )
+    def test_every_budget_key_form_splits_the_same_classes(self, key, classes):
+        """A stage key (``2``/``"2"``) splits stage 2 off its collapsed class;
+        a coordinate key (``"2.1"``/``(2, 1)``) exposes the coordinates and
+        splits (2, 1) alone.  Pinned from the release before points became
+        the one job description."""
+        config = _moe_config(imbalance=0.0, pipeline=4, num_microbatches=2)
+        job = run_job(config, "native", ranks="all", device_memory_by_rank={key: 40})
+        assert job.rank_classes == classes
+        assert job.class_capacities == [80, 40.0, 80, 80]
+        assert job.binding_rank == classes[1][0]
+
     def test_tight_budget_ooms_only_that_rank(self):
         config = _moe_config(imbalance=0.6)
         probe = run_job(config, "native", ranks="all")

@@ -120,14 +120,16 @@ LEGACY_NAMES = {
     "repro.obs": ["OBS_FORMAT_VERSION"],
 }
 
-#: Names deleted from the package: re-exports nothing reads any more, and the
-#: event-object view of a trace (its oracle lives in tests/trace_oracle.py).
+#: Names deleted from the package: re-exports nothing reads any more, the
+#: event-object view of a trace (its oracle lives in tests/trace_oracle.py),
+#: and the second job type and rank resolvers a ``SweepPoint`` replaced.  A
+#: dotted name is an attribute of a class of the module.
 REMOVED_NAMES = {
-    "repro.simulator.runner": ["VALID_TIMINGS", "validate_timing"],
+    "repro.simulator.runner": ["VALID_TIMINGS", "validate_timing", "JobSpec"],
     "repro.simulator.throughput": ["GPU_SPECS", "VALID_TIMINGS", "validate_timing"],
-    "repro.simulator": ["GPU_SPECS", "GPUSpec", "VALID_TIMINGS", "validate_timing"],
-    "repro.sweep.spec": ["validate_timing"],
-    "repro.search.space": ["validate_timing"],
+    "repro.simulator": ["GPU_SPECS", "GPUSpec", "VALID_TIMINGS", "validate_timing", "JobSpec"],
+    "repro.sweep.spec": ["validate_timing", "spec_document", "SweepSpec._resolve_ranks"],
+    "repro.search.space": ["validate_timing", "SearchSpec._resolve_ranks"],
     "repro.workloads.tracegen": ["TraceEvent", "EventKind"],
     "repro.core": ["TraceEvent", "MemoryRequest"],
     "repro.core.events": ["TraceEvent", "MemoryRequest", "pair_events"],
@@ -136,9 +138,11 @@ REMOVED_NAMES = {
     "repro.workloads.trace": ["TraceEvent", "MemoryRequest", "pair_events"],
 }
 
-#: Identifiers of the event-object view that no source file may mention.
+#: Identifiers of the event-object view and of the second job type that no
+#: source file may mention.
 REMOVED_IDENTIFIERS = (
     "TraceEvent", "MemoryRequest", "pair_events", "from_events", "to_events", "to_requests",
+    "JobSpec", "_resolve_ranks",
 )
 
 #: Runs ``main(argv)`` silently and reports the exit code and ``sys.modules``.
@@ -392,11 +396,17 @@ missing = [
     for name in names
     if not hasattr(importlib.import_module(module), name)
 ]
+def defined(owner, dotted):
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
 present = [
     module + "." + name
     for module, names in {REMOVED_NAMES!r}.items()
     for name in names
-    if hasattr(importlib.import_module(module), name)
+    if defined(importlib.import_module(module), name)
 ]
 from repro.workloads.trace import Trace
 from repro.core.profiler import ProfileResult

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.search import load_search_spec, run_search
-from repro.simulator import ExecutionContext, JobSpec, run_job, run_jobs
+from repro.simulator import ExecutionContext, run_job, run_jobs
 from repro.simulator import replay as replay_module
-from repro.simulator.ranks import job_rank_classes
+from repro.search.presets import SEARCH_PRESETS
+from repro.search.space import SearchSpec
+from repro.simulator.ranks import job_rank_classes, resolve_job_ranks
 from repro.simulator.runner import _work_items
 from repro.sweep import SweepPointError, SweepSpec, load_spec, run_sweep
 from repro.sweep.engine import execute_points
+from repro.sweep.spec import SWEEP_PRESETS, SweepPoint
 from repro.workloads.parallelism import normalize_rank
 from repro.workloads.trace import Trace
 from repro.workloads.fingerprint import config_fingerprint
@@ -108,7 +111,7 @@ class TestOneTraceAlive:
 
     def test_job_lineup_replays_with_one_trace_alive(self, probe, tiny_dense_config):
         jobs = [
-            (name, JobSpec(tiny_dense_config, name, scale=0.25))
+            (name, SweepPoint.build(tiny_dense_config, name, scale=0.25))
             for name in ("torch2.3", "stalloc")
         ]
         done = {tag: job for tag, job, _ in run_jobs(jobs)}
@@ -224,3 +227,78 @@ class TestPartlyCachedGroup:
         assert _comparable(rows) == _comparable(reference)
         assert [row["cached"] for row in rows] == [point is stored for point in points]
         assert probe["replays"] == sum(row["unique_ranks"] for row in rows[1:])
+
+
+class TestOnePointType:
+    """Sweeps, searches, experiments and ``run_job`` hand ``run_jobs`` one type."""
+
+    @staticmethod
+    def _preset_points():
+        """Every sweep and search preset point, with the selection it resolved."""
+        for document in SWEEP_PRESETS.values():
+            spec = SweepSpec.from_dict(document)
+            yield from ((point, spec.ranks) for point in spec.expand())
+        for document in SEARCH_PRESETS.values():
+            yield from (
+                (point, "all") for point in SearchSpec.from_dict(document).enumerate_candidates()
+            )
+
+    def test_point_ranks_are_the_resolved_selection(self):
+        count = 0
+        for point, selection in self._preset_points():
+            classes = resolve_job_ranks(point.config, selection)
+            assert tuple(sorted(rank for cls in classes for rank in cls)) == point.ranks
+            count += 1
+        assert count > 200
+
+    def test_build_is_idempotent_on_every_preset_point(self):
+        for point, _ in self._preset_points():
+            values = {f.name: getattr(point, f.name) for f in fields(point)}
+            assert SweepPoint.build(**values) == point
+
+    def test_build_accepts_mappings_and_pairs(self, tiny_dense_config):
+        as_dicts = SweepPoint.build(
+            tiny_dense_config,
+            "stalloc",
+            stalloc_overrides={"enable_fusion": False, "descending_size_order": True},
+            fabric={"inter_node_gbytes_per_sec": 25, "gpus_per_node": 2},
+            device_memory_by_rank={3: 40, "1": 60},
+        )
+        as_pairs = SweepPoint.build(
+            tiny_dense_config,
+            "stalloc",
+            stalloc_overrides=(("descending_size_order", True), ("enable_fusion", False)),
+            fabric=(("gpus_per_node", 2), ("inter_node_gbytes_per_sec", 25)),
+            device_memory_by_rank=(("1", 60.0), ("3", 40.0)),
+        )
+        assert as_dicts == as_pairs
+        assert as_dicts.ranks == (0, 1, 2, 3)  # "all" by default, as run_job's
+        assert as_dicts.device_memory_by_rank == (("1", 60.0), ("3", 40.0))
+        assert SweepPoint.build(tiny_dense_config, "stalloc", ranks=None).ranks == (0,)
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_job_smoke_point_matches_run_job(self, index):
+        point = load_spec("job-smoke").expand()[index]
+        (row,) = execute_points([point])
+        job = run_job(
+            point.config,
+            point.allocator,
+            ranks=point.ranks,
+            seed=point.seed,
+            scale=point.scale,
+            device_name=point.device_name,
+            device_capacity_gib=point.device_capacity_gib,
+            device_memory_by_rank=dict(point.device_memory_by_rank),
+            stalloc_overrides=dict(point.stalloc_overrides),
+            fabric=dict(point.fabric),
+        )
+        assert row["status"] == ("ok" if job.success else "OOM")
+        assert row["num_ranks"] == job.num_ranks
+        assert row["unique_ranks"] == len(job.class_runs)
+        assert row["binding_rank"] == job.binding_rank
+        assert row["allocated_gib"] == job.peak_allocated_gib
+        assert row["allocated_mean_gib"] == job.mean_peak_allocated_gib
+        assert row["reserved_gib"] == job.peak_reserved_gib
+        assert row["memory_efficiency_pct"] == 100 * job.binding_run.memory_efficiency
+        assert row["tflops_per_gpu"] == job.tflops
+        assert row["tokens_per_second"] == job.tokens_per_second

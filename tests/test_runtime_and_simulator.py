@@ -15,11 +15,11 @@ from repro.simulator.replay import replay_trace
 from repro.simulator.runner import (
     STALLOC,
     STALLOC_NO_REUSE,
-    JobSpec,
     run_job,
     run_jobs,
     run_workload,
 )
+from repro.sweep.spec import SweepPoint
 from repro.gpu.specs import GPU_SPECS
 from repro.simulator.throughput import ThroughputEstimate, ThroughputModel
 from repro.timeline import simulate_timeline
@@ -32,7 +32,7 @@ from tests.trace_oracle import events_of
 
 def lineup_runs(config, allocators, **options) -> dict:
     """Rank (0, 0) of ``config`` under each allocator, through one ``run_jobs`` call."""
-    jobs = [(name, JobSpec(config, name, ranks=None, **options)) for name in allocators]
+    jobs = [(name, SweepPoint.build(config, name, ranks=None, **options)) for name in allocators]
     return {name: job.class_runs[0] for name, job, _ in run_jobs(jobs)}
 
 

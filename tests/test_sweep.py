@@ -24,7 +24,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.engine import execute_points
-from repro.sweep.spec import SWEEP_PRESETS
+from repro.sweep.spec import SWEEP_PRESETS, SweepPoint
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.tracegen import TraceGenerator
 
@@ -503,9 +503,9 @@ class TestRunnerIntegration:
     def test_one_pool_and_no_deleted_names(self):
         """Structural guard: exactly one process pool in the package, and the
         deleted execution setters, memo and fan-out paths stay deleted
-        everywhere (run_job, its JobSpec and execute_points take no per-rank
-        traces)."""
-        for function in (runner.run_job, runner.JobSpec, execute_points):
+        everywhere (run_job, the point builder and execute_points take no
+        per-rank traces)."""
+        for function in (runner.run_job, SweepPoint.build, execute_points):
             assert "traces" not in inspect.signature(function).parameters
         root = Path(__file__).resolve().parent.parent
         files = [
