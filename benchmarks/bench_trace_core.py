@@ -51,8 +51,8 @@ Usage::
 ``--check`` compares against the most recent trajectory entry in
 ``BENCH_trace_core.json`` and fails (exit 1) when
 
-* a ``replay_*``, timeline, ``trace_store`` or ``trace_load`` column's best
-  rep falls below 0.8x the recorded best rep (best-of-k is steady enough for
+* a ``replay_*``, timeline, ``trace_store``, ``trace_load``, ``trace_build``
+  or ``gen_trace_build`` column's best rep falls below 0.8x the recorded best rep (best-of-k is steady enough for
   a ratio gate; the 3x floor let ``replay_caching`` stand still for seven
   releases and gpt-tiny ``timeline`` slide from 1.76M to 1.00M ev/s), or
 * any other column's mean rate drops more than 3x below the recorded one --
@@ -88,12 +88,15 @@ from repro.workloads.training import TrainingConfig
 
 #: Regression gate for --check: fail when measured < recorded / 3.
 CHECK_RATIO = 3.0
-#: Tighter gate for the ``replay_*`` and timeline columns: best rep >= 0.8x
-#: the recorded best.
+#: Tighter gate for the ``replay_*``, timeline, trace I/O and trace build
+#: columns: best rep >= 0.8x the recorded best.
 BEST_RATIO = 0.8
 #: Columns gated on their best rep (besides every ``replay_*`` column).
 BEST_COLUMNS = frozenset(
-    ("timeline", "timeline_tiered", "gen_timeline", "trace_store", "trace_load")
+    (
+        "timeline", "timeline_tiered", "gen_timeline", "trace_store", "trace_load",
+        "trace_build", "gen_trace_build",
+    )
 )
 
 #: Benchmark configurations.  "job-smoke" mirrors the sweep preset of the same
@@ -309,8 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         type=Path,
         help="compare against the latest BENCH_trace_core.json entry; fail if a "
-        f"replay_*, timeline or trace_store/_load column's best rep is below {BEST_RATIO:g}x the "
-        f"recorded one or any other metric is >{CHECK_RATIO:g}x below the recorded floor",
+        f"replay_*, timeline, trace_store/_load or (gen_)trace_build column's best rep is "
+        f"below {BEST_RATIO:g}x the recorded one or any other metric is >{CHECK_RATIO:g}x "
+        "below the recorded floor",
     )
     parser.add_argument("--record", type=Path, help="append an entry to this trajectory file")
     parser.add_argument("--note", default="", help="what changed (stored with --record)")

@@ -97,16 +97,21 @@ def _typed_column(name: str, typecode: str, values: Sequence[int]) -> array:
 
 
 class ColumnBuilder:
-    """Append-only accumulator the trace generator emits events into.
+    """Append-only accumulator that events are emitted into, as plain ints.
 
-    Appends go to plain lists, which are moved into the typed columns every
-    few thousand events; :meth:`build` flushes the rest and hands the arrays
-    to the trace, so nothing may append after it.
+    The one writer of trace columns: the trace generator and
+    :meth:`repro.workloads.trace.Trace.load`'s JSON-lines reader both append
+    through :meth:`append`.  Module paths and tags reach it as indices into
+    :attr:`modules` and :attr:`tags`, which the caller fills in first-seen
+    order (``table.setdefault(name, len(table))``); the order is part of the
+    trace's content.  Appends go to plain lists, which are moved into the
+    typed columns every few thousand events; :meth:`build` flushes the rest
+    and hands the arrays to the trace, so nothing may append after it.
     """
 
     __slots__ = (
         "kind", "req_id", "size", "time", "phase_index", "module_index",
-        "dyn", "category", "tag_index", "_modules", "_tags", "_columns",
+        "dyn", "category", "tag_index", "modules", "tags", "_columns",
     )
 
     def __init__(self) -> None:
@@ -120,8 +125,9 @@ class ColumnBuilder:
         self.dyn: list[int] = []
         self.category: list[int] = []
         self.tag_index: list[int] = []
-        self._modules: dict[str, int] = {}
-        self._tags: dict[str, int] = {}
+        #: Interning tables: string -> index, in first-seen order.
+        self.modules: dict[str, int] = {}
+        self.tags: dict[str, int] = {}
         self._columns = tuple(array(typecode) for _, typecode in COLUMN_TYPES)
 
     def append(
@@ -131,25 +137,18 @@ class ColumnBuilder:
         size: int,
         time: int,
         phase_index: int,
-        module: str,
-        dyn: bool,
+        module_index: int,
+        dyn: int,
         category: int,
-        tag: str,
+        tag_index: int,
     ) -> None:
-        # Strings are interned in first-seen order.
-        module_index = self._modules.get(module)
-        if module_index is None:
-            module_index = self._modules[module] = len(self._modules)
-        tag_index = self._tags.get(tag)
-        if tag_index is None:
-            tag_index = self._tags[tag] = len(self._tags)
         self.kind.append(kind)
         self.req_id.append(req_id)
         self.size.append(size)
         self.time.append(time)
         self.phase_index.append(phase_index)
         self.module_index.append(module_index)
-        self.dyn.append(1 if dyn else 0)
+        self.dyn.append(dyn)
         self.category.append(category)
         self.tag_index.append(tag_index)
         if len(self.kind) >= _FLUSH_EVENTS:
@@ -174,8 +173,8 @@ class ColumnBuilder:
         self._flush()
         return TraceColumns(
             **dict(zip(COLUMN_NAMES, self._columns)),
-            modules=tuple(self._modules),
-            tags=tuple(self._tags),
+            modules=tuple(self.modules),
+            tags=tuple(self.tags),
         )
 
 

@@ -34,6 +34,8 @@ import heapq
 from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
 from repro.core.columns import RequestColumns
 from repro.core.config import FUSION_STRATEGIES
@@ -149,15 +151,37 @@ def pack_requests(rows: list[Row], *, phase_span: tuple[int, int] | None = None)
 
 
 def build_homophase_groups(requests: RequestColumns) -> list[LocalPlan]:
-    """Partition the static requests into HomoPhase groups and plan each locally."""
+    """Partition the static requests into HomoPhase groups and plan each locally.
+
+    Groups repeat phase after phase, and a packing depends only on the
+    sizes and the relative times of its sorted rows.  So each group is keyed
+    on its rows shifted to its first alloc time, ``(alloc - t0, size, free -
+    t0)``, and only the first group of a key is packed.  A repeat keeps its
+    own ``rows`` and ``phase_span``, shares the packed plan's ``offsets``
+    (local plans are never mutated), and shifts its start and end times.
+    """
     grouped: dict[tuple[int, int], list[Row]] = defaultdict(list)
-    for row in zip(*requests):  # (*packing key, alloc_phase, free_phase, dyn)
-        if not row[6]:
-            grouped[row[4:6]].append(row[:4])
-    plans = [
-        pack_requests(sorted(rows), phase_span=phase_pair)
-        for phase_pair, rows in grouped.items()
-    ]
+    static = list(map(not_, requests.dyn))
+    phase_pairs = zip(compress(requests.alloc_phase, static), compress(requests.free_phase, static))
+    static_rows = zip(*(compress(column, static) for column in requests[:4]))
+    for phase_pair, row in zip(phase_pairs, static_rows):
+        grouped[phase_pair].append(row)
+    packed: dict[tuple, LocalPlan] = {}
+    plans = []
+    for phase_pair, rows in grouped.items():
+        rows.sort()  # a hand-built table may be unsorted; a trace's sorts in linear time
+        allocs, _, sizes, frees = zip(*rows)
+        start = allocs[0]
+        key = (tuple(map(start.__rsub__, allocs)), sizes, tuple(map(start.__rsub__, frees)))
+        first = packed.get(key)
+        if first is None:
+            plan = packed[key] = pack_requests(rows, phase_span=phase_pair)
+        else:
+            plan = LocalPlan(
+                rows, first.offsets, first.size, start, max(0, max(frees)),
+                first.memory_time, phase_pair, first.demand_floor,
+            )
+        plans.append(plan)
     plans.sort(key=lambda plan: (plan.start_time, plan.end_time))
     return plans
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 
+from repro.allocators.native import DRIVER_CALL_SECONDS
 from repro.core.profiler import AllocationProfiler
 from repro.core.synthesizer import PlanSynthesizer
 from repro.experiments.common import (
@@ -114,11 +115,6 @@ def run_table1(
 # ---------------------------------------------------------------------- #
 # Table 2
 # ---------------------------------------------------------------------- #
-#: Modelled slowdown of running one iteration through the native profiler
-#: (driver call per tensor) relative to the caching allocator.
-_NATIVE_DRIVER_CALL_SECONDS = 1e-4
-
-
 @register_experiment("table2")
 def run_table2(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     """Profiling and plan-synthesis time for traces of increasing complexity."""
@@ -142,7 +138,7 @@ def run_table2(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResul
         # Profiling cost: the paper's profiler runs `iterations` iterations
         # through the native GPU APIs, paying one driver call per event.
         iteration_seconds = simulate_timeline(config, gpu="A800-80GB").iteration_seconds
-        native_overhead = trace.num_events * _NATIVE_DRIVER_CALL_SECONDS
+        native_overhead = trace.num_events * DRIVER_CALL_SECONDS
         profile_seconds = profiler.iterations * (iteration_seconds + native_overhead)
         started = time.perf_counter()
         profile = profiler.profile(trace)

@@ -249,6 +249,7 @@ class Trace:
         """Build a trace from its parsed header line and the event lines after it."""
         phases = [phase_from_dict(entry) for entry in header["phases"]]
         builder = ColumnBuilder()
+        modules, tags = builder.modules, builder.tags
         kind_codes = {kind.value: code for code, kind in enumerate(KINDS)}
         category_codes = {
             category.value: CATEGORY_CODES[category] for category in CATEGORIES
@@ -263,10 +264,10 @@ class Trace:
                 record["size"],
                 record["time"],
                 record["phase"],
-                record["module"],
-                record["dyn"],
+                modules.setdefault(record["module"], len(modules)),
+                1 if record["dyn"] else 0,
                 category_codes[record["category"]],
-                record["tag"],
+                tags.setdefault(record["tag"], len(tags)),
             )
         return cls(
             metadata=TraceMetadata(**header["metadata"]),

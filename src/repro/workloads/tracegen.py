@@ -17,14 +17,27 @@ classes the paper identifies (§2.3):
 
 The resulting event stream is what every allocator in this repository is
 evaluated on.
+
+Cost: what does not depend on the event is computed once per generator.  The
+memory model's tensor lists are pure functions of the config and the rank, so
+each is turned into *entries* up front: an entry holds the tensor's size at
+every jitter slot (the micro-batch's index into ``size_jitter``), its category
+code and its tag.  An event then costs a tuple index, two interning-table
+probes and one :meth:`ColumnBuilder.append` of plain ints.  Routed expert
+tensors and KV caches, whose sizes change from layer to layer, become entries
+where they are emitted.  A module's span is the time of its first event and of
+its last, since the clock only rises.
 """
 
 from __future__ import annotations
 
+import time as _time
 from dataclasses import dataclass, field
 
 from repro.core.columns import ALLOC, CATEGORY_CODES, FREE, ColumnBuilder
 from repro.core.events import Phase, PhaseKind, TensorCategory
+from repro.obs.tracer import is_enabled as _obs_enabled
+from repro.obs.tracer import observe as _obs_observe
 from repro.obs.tracer import span as _obs_span
 from repro.version import TRACEGEN_VERSION
 from repro.workloads.fingerprint import DEFAULT_ASYNC_FREE_SKEW, DEFAULT_SIZE_JITTER
@@ -37,27 +50,28 @@ from repro.workloads.schedule import PhaseSpec, build_schedule
 from repro.workloads.trace import Trace, TraceMetadata
 from repro.workloads.training import TrainingConfig
 
+#: Categories whose sizes vary with the micro-batch (``size_jitter``).
+_JITTERED = frozenset(
+    (TensorCategory.ACTIVATION, TensorCategory.TEMPORARY, TensorCategory.EXPERT_ACTIVATION)
+)
 
-@dataclass
-class _LiveTensor:
-    """Book-keeping for an allocation that is waiting to be freed."""
+#: One tensor as the generator emits it: ``(size by jitter slot, category code,
+#: tag)``.  Slot ``len(size_jitter)`` holds the unjittered size, used by phases
+#: outside any micro-batch (initialisation, the optimizer step).
+_Entry = tuple[tuple[int, ...], int, str]
 
-    req_id: int
-    spec: TensorSpec
-    module: str = ""
-    dyn: bool = False
-    free_module: str = ""
+#: An allocation waiting to be freed: ``(req_id, size, category code, tag
+#: index, dyn, alloc module, free module)``; an empty free module means the
+#: free names the alloc module.
+_Live = tuple[int, int, int, int, int, str, str]
 
 
 @dataclass
 class _ScopedSet:
     """Scoped tensors of one (micro-batch, chunk), grouped by layer."""
 
-    by_layer: dict[int, list[_LiveTensor]] = field(default_factory=dict)
-    boundary: list[_LiveTensor] = field(default_factory=list)  # embedding / pp buffers
-
-    def add(self, layer: int, tensor: _LiveTensor) -> None:
-        self.by_layer.setdefault(layer, []).append(tensor)
+    by_layer: dict[int, list[_Live]] = field(default_factory=dict)
+    boundary: list[_Live] = field(default_factory=list)  # embedding / pp buffers
 
 
 class TraceGenerator:
@@ -90,8 +104,58 @@ class TraceGenerator:
         )
         if self.async_free_skew < 0:
             raise ValueError("async_free_skew must be non-negative")
+        self._build_entries()
         # Mutable generation state (re-initialised on every generate() call).
         self._reset()
+
+    def _build_entries(self) -> None:
+        """The entries of every tensor whose size is fixed for the whole trace."""
+        memory, entry = self.memory, self._entry
+        dense_saved = memory.saved_activation_tensors()
+        if self.config.model.is_moe:
+            dense_saved = [s for s in dense_saved if not s.tag.startswith("mlp")]
+        self._dense_saved = [entry(s) for s in dense_saved]
+        self._moe_static = [entry(s) for s in memory.moe_static_tensors()]
+        #: What one forward layer saves: the dense activations, then MoE's static ones.
+        self._saved = self._dense_saved + self._moe_static
+        self._checkpoint = [entry(s) for s in memory.recompute_checkpoint_tensors()]
+        self._forward_workspaces = [entry(s) for s in memory.forward_transient_tensors()]
+        self._backward_workspaces = [entry(s) for s in memory.backward_transient_tensors()]
+        self._decode_workspaces = [entry(s) for s in memory.decode_transient_tensors()]
+        self._zero3_gathered = entry(
+            TensorSpec("zero3_gathered_params", memory.layer_weight_bytes(),
+                       TensorCategory.COMM_BUFFER)
+        )
+        self._boundary = entry(
+            memory.embedding_activation() if memory.is_first_stage
+            else memory.pipeline_recv_buffer()
+        )
+        self._logits = entry(memory.logits_activation())
+        self._decode_logits = entry(memory.decode_logits_tensor())
+        self._optimizer_scratch = entry(
+            TensorSpec("optimizer_scratch", 4 * 1024 * 1024, TensorCategory.TEMPORARY)
+        )
+        if self.config.uses_distributed_optimizer:
+            self._grad_bucket = entry(
+                TensorSpec("grad_rs_bucket", memory.grad_bucket_bytes(),
+                           TensorCategory.COMM_BUFFER)
+            )
+            self._param_gather = entry(
+                TensorSpec("param_allgather", memory.param_gather_bytes(),
+                           TensorCategory.COMM_BUFFER)
+            )
+
+    def _entry(self, spec: TensorSpec) -> _Entry:
+        """``spec`` at every jitter slot, with its category code and tag."""
+        size = spec.size
+        if spec.category in _JITTERED:
+            sizes = tuple(
+                size if factor == 1.0 else max(512, ((int(size * factor) + 511) // 512) * 512)
+                for factor in self.size_jitter
+            )
+        else:
+            sizes = (size,) * len(self.size_jitter)
+        return sizes + (size,), CATEGORY_CODES[spec.category], spec.tag
 
     # ------------------------------------------------------------------ #
     # Derived geometry
@@ -106,13 +170,20 @@ class TraceGenerator:
     # ------------------------------------------------------------------ #
     def generate(self) -> Trace:
         """Produce the allocation trace of one full training iteration."""
+        if not _obs_enabled():
+            return self._generate()
+        started = _time.perf_counter()
         with _obs_span(
             "tracegen.generate",
             model=self.config.model.name,
             rank=self.rank,
             ep=self.ep_rank,
         ):
-            return self._generate()
+            trace = self._generate()
+        elapsed = _time.perf_counter() - started
+        if elapsed > 0:
+            _obs_observe("tracegen.events_per_sec", trace.num_events / elapsed)
+        return trace
 
     def _generate(self) -> Trace:
         self._reset()
@@ -123,18 +194,21 @@ class TraceGenerator:
             workload_kind=self.config.workload_kind,
             decode_steps=self.config.decode_steps,
         )
+        slots = len(self.size_jitter)
         for spec in schedule:
             phase = self._new_phase(spec)
+            self._phase_index = phase.index
+            self._slot = spec.microbatch % slots if spec.microbatch >= 0 else slots
             if spec.kind is PhaseKind.INIT:
-                self._emit_init(phase)
+                self._emit_init()
             elif spec.kind is PhaseKind.FORWARD:
-                self._emit_forward(phase, spec)
+                self._emit_forward(spec)
             elif spec.kind is PhaseKind.BACKWARD:
-                self._emit_backward(phase, spec)
+                self._emit_backward(spec)
             elif spec.kind is PhaseKind.DECODE:
-                self._emit_decode(phase, spec)
+                self._emit_decode(spec)
             elif spec.kind is PhaseKind.OPTIMIZER:
-                self._emit_optimizer(phase)
+                self._emit_optimizer()
         metadata = TraceMetadata(
             model_name=self.config.model.name,
             config_label=self.config.label or "custom",
@@ -152,7 +226,11 @@ class TraceGenerator:
             decode_steps=self.config.decode_steps,
             max_new_tokens=self.config.max_new_tokens,
         )
-        module_spans = {name: (span[0], span[1]) for name, span in self._module_spans.items()}
+        module_spans = {
+            module: tuple(self._module_spans[index])
+            for module, index in self._columns.modules.items()
+            if module
+        }
         return Trace(
             metadata=metadata,
             phases=self._phases,
@@ -188,36 +266,39 @@ class TraceGenerator:
         # Events are emitted straight into the trace's typed columns.
         self._columns: ColumnBuilder = ColumnBuilder()
         self._phases: list[Phase] = []
+        self._phase_index = 0
+        self._slot = len(self.size_jitter)
         self._clock = 0
         self._next_req_id = 0
         self._scoped: dict[tuple[int, int], _ScopedSet] = {}
-        self._offloaded: dict[tuple[int, int], dict[int, list[TensorSpec]]] = {}
         self._expert_routing: dict[tuple[int, int, int], list[int]] = {}
-        self._module_spans: dict[str, list[int]] = {}
-        self._deferred: list[tuple[int, _LiveTensor]] = []
+        #: ``[first, last]`` event time of each module, by module index.
+        self._module_spans: list[list[int]] = []
+        #: ``(release step, tensors)`` per deferred batch, in deferral order.
+        self._deferred: list[tuple[int, list[_Live]]] = []
         self._phase_step = 0
         # Live KV caches of generation workloads, keyed (microbatch, chunk,
         # layer); re-bound on every decode-step re-allocation, popped when the
         # micro-batch's sequence completes.
-        self._kv: dict[tuple[int, int, int], _LiveTensor] = {}
+        self._kv: dict[tuple[int, int, int], _Live] = {}
 
     # ------------------------------------------------------------------ #
     # Deferred (asynchronously skewed) transient frees
     # ------------------------------------------------------------------ #
-    def _defer_frees(self, tensors: list[_LiveTensor]) -> None:
+    def _defer_frees(self, tensors: list[_Live]) -> None:
         """Queue transient frees to be issued ``async_free_skew`` layers later."""
-        release_step = self._phase_step + self.async_free_skew
-        for tensor in reversed(tensors):
-            self._deferred.append((release_step, tensor))
+        self._deferred.append((self._phase_step + self.async_free_skew, tensors[::-1]))
 
-    def _flush_deferred(self, phase: Phase, *, everything: bool = False) -> None:
+    def _flush_deferred(self, *, everything: bool = False) -> None:
         """Issue queued frees whose release step has been reached."""
-        remaining: list[tuple[int, _LiveTensor]] = []
-        for release_step, tensor in self._deferred:
+        remaining: list[tuple[int, list[_Live]]] = []
+        free = self._free
+        for release_step, tensors in self._deferred:
             if everything or release_step <= self._phase_step:
-                self._free(tensor, phase)
+                for tensor in tensors:
+                    free(tensor)
             else:
-                remaining.append((release_step, tensor))
+                remaining.append((release_step, tensors))
         self._deferred = remaining
 
     def _new_phase(self, spec: PhaseSpec) -> Phase:
@@ -230,80 +311,42 @@ class TraceGenerator:
         self._phases.append(phase)
         return phase
 
-    def _tick(self) -> int:
+    def _emit(
+        self, kind: int, req_id: int, size: int, module: str, dyn: int, category: int, tag: int
+    ) -> None:
+        """Append one event at the next tick of the current phase."""
         time = self._clock
-        self._clock += 1
-        return time
+        self._clock = time + 1
+        columns = self._columns
+        modules = columns.modules
+        module_index = modules.setdefault(module, len(modules))
+        spans = self._module_spans
+        if module_index < len(spans):
+            spans[module_index][1] = time
+        else:
+            spans.append([time, time])
+        columns.append(kind, req_id, size, time, self._phase_index, module_index, dyn, category, tag)
 
-    def _touch_module(self, module: str, time: int) -> None:
-        if not module:
-            return
-        span = self._module_spans.setdefault(module, [time, time])
-        span[0] = min(span[0], time)
-        span[1] = max(span[1], time)
-
-    def _jitter(self, spec: TensorSpec, microbatch: int) -> TensorSpec:
-        """Apply the per-micro-batch size variation to activation-like tensors."""
-        if spec.category not in (
-            TensorCategory.ACTIVATION,
-            TensorCategory.TEMPORARY,
-            TensorCategory.EXPERT_ACTIVATION,
-        ):
-            return spec
-        factor = self.size_jitter[microbatch % len(self.size_jitter)]
-        if factor == 1.0:
-            return spec
-        size = max(512, ((int(spec.size * factor) + 511) // 512) * 512)
-        return TensorSpec(spec.tag, size, spec.category, spec.saved_for_backward)
-
-    def _alloc(
-        self,
-        spec: TensorSpec,
-        phase: Phase,
-        *,
-        module: str = "",
-        dyn: bool = False,
-        free_module: str = "",
-    ) -> _LiveTensor:
-        if phase.microbatch >= 0:
-            spec = self._jitter(spec, phase.microbatch)
+    def _alloc(self, entry: _Entry, module: str = "", dyn: int = 0, free_module: str = "") -> _Live:
+        sizes, category, tag = entry
+        size = sizes[self._slot]
+        tags = self._columns.tags
+        tag_index = tags.setdefault(tag, len(tags))
         req_id = self._next_req_id
-        self._next_req_id += 1
-        time = self._tick()
-        self._columns.append(
-            ALLOC,
-            req_id,
-            spec.size,
-            time,
-            phase.index,
-            module,
-            dyn,
-            CATEGORY_CODES[spec.category],
-            spec.tag,
-        )
-        self._touch_module(module, time)
-        return _LiveTensor(req_id=req_id, spec=spec, module=module, dyn=dyn, free_module=free_module)
+        self._next_req_id = req_id + 1
+        self._emit(ALLOC, req_id, size, module, dyn, category, tag_index)
+        return req_id, size, category, tag_index, dyn, module, free_module
 
-    def _free(self, tensor: _LiveTensor, phase: Phase, *, module: str | None = None) -> None:
-        free_module = module if module is not None else (tensor.free_module or tensor.module)
-        time = self._tick()
-        self._columns.append(
-            FREE,
-            tensor.req_id,
-            tensor.spec.size,
-            time,
-            phase.index,
-            free_module,
-            tensor.dyn,
-            CATEGORY_CODES[tensor.spec.category],
-            tensor.spec.tag,
-        )
-        self._touch_module(free_module, time)
+    def _free(self, tensor: _Live, module: str | None = None) -> None:
+        req_id, size, category, tag_index, dyn, alloc_module, free_module = tensor
+        if module is None:
+            module = free_module or alloc_module
+        self._emit(FREE, req_id, size, module, dyn, category, tag_index)
 
     # ------------------------------------------------------------------ #
     # Phase bodies
     # ------------------------------------------------------------------ #
-    def _emit_init(self, phase: Phase) -> None:
+    def _emit_init(self) -> None:
         """Persistent tensors: weights, gradients, optimizer states.
 
         Forward-only workloads (inference, generation) materialise weights
@@ -327,14 +370,12 @@ class TraceGenerator:
                 if layer_index >= scale_layers and full_layers > scale_layers:
                     continue
             if self.config.zero_stage >= 3 and spec.category is TensorCategory.WEIGHT:
-                sharded = TensorSpec(
+                spec = TensorSpec(
                     spec.tag,
                     max(512, spec.size // self.memory.dp),
                     spec.category,
                 )
-                self._alloc(sharded, phase)
-                continue
-            self._alloc(spec, phase)
+            self._alloc(self._entry(spec))
 
     def _global_layer(self, spec: PhaseSpec, layer: int) -> int:
         """Model-global layer id of one (chunk, layer) execution on this rank.
@@ -350,52 +391,31 @@ class TraceGenerator:
         pipeline = self.config.parallelism.pipeline_parallel
         return (spec.chunk * pipeline + self.rank) * self.layers_per_chunk + layer
 
-    def _dense_saved_specs(self) -> list[TensorSpec]:
-        """Saved activations of the non-expert part of one layer."""
-        specs = self.memory.saved_activation_tensors()
-        if self.config.model.is_moe:
-            specs = [s for s in specs if not s.tag.startswith("mlp")]
-        return specs
-
-    def _forward_layer(
-        self,
-        phase: Phase,
-        spec: PhaseSpec,
-        layer: int,
-        scoped: _ScopedSet,
-    ) -> None:
-        key = (spec.microbatch, spec.chunk)
+    def _forward_layer(self, spec: PhaseSpec, layer: int, scoped: _ScopedSet) -> None:
         module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
-        transients: list[_LiveTensor] = []
+        alloc = self._alloc
+        transients: list[_Live] = []
 
         # ZeRO-3 gathers the layer's full parameters just-in-time.
         if self.config.zero_stage >= 3:
-            gathered = TensorSpec("zero3_gathered_params", self.memory.layer_weight_bytes(),
-                                  TensorCategory.COMM_BUFFER)
-            transients.append(self._alloc(gathered, phase))
+            transients.append(alloc(self._zero3_gathered))
 
         # Operator workspaces.
-        for workspace in self.memory.forward_transient_tensors():
-            transients.append(self._alloc(workspace, phase))
+        transients += map(alloc, self._forward_workspaces)
 
         # Saved activations (their fate depends on recomputation / offload).
-        saved_specs = self._dense_saved_specs()
-        if self.config.model.is_moe:
-            saved_specs = saved_specs + self.memory.moe_static_tensors()
+        kept = scoped.by_layer.setdefault(layer, [])
         if self.config.recompute or self.config.offload_activations:
-            checkpoint = self.memory.recompute_checkpoint_tensors()
-            for ckpt in checkpoint:
-                scoped.add(layer, self._alloc(ckpt, phase, module=module))
+            kept += [alloc(ckpt, module) for ckpt in self._checkpoint]
             # The full activations still materialise during the forward pass,
             # but are released (recompute) or offloaded before it ends.
-            for act in saved_specs:
-                transients.append(self._alloc(act, phase, module=module))
+            transients += [alloc(act, module) for act in self._saved]
         else:
-            for act in saved_specs:
-                scoped.add(layer, self._alloc(act, phase, module=module))
+            kept += [alloc(act, module) for act in self._saved]
 
         # MoE expert activations: dynamic sizes decided by token routing.
         if self.config.model.is_moe and self._router is not None:
+            entry = self._entry
             routing = self._router.route(
                 self.memory.tokens,
                 layer=self._global_layer(spec, layer),
@@ -411,57 +431,35 @@ class TraceGenerator:
             # memory imbalance-sensitive through communication, not just
             # through the expert activations themselves).
             for comm_spec in self.memory.moe_dispatch_tensors(sum(routing)):
-                transients.append(
-                    self._alloc(
-                        comm_spec,
-                        phase,
-                        module=expert_module,
-                        dyn=comm_spec.tag == "a2a_dispatch_recv",
-                    )
-                )
+                dyn = 1 if comm_spec.tag == "a2a_dispatch_recv" else 0
+                transients.append(alloc(entry(comm_spec), expert_module, dyn))
             for expert_index, expert_tokens in enumerate(routing):
-                for expert_spec in self.memory.expert_tensors(expert_index, expert_tokens):
-                    if self.config.recompute or self.config.offload_activations:
-                        transients.append(
-                            self._alloc(expert_spec, phase, module=expert_module, dyn=True)
-                        )
-                    else:
-                        scoped.add(
-                            layer,
-                            self._alloc(
-                                expert_spec,
-                                phase,
-                                module=expert_module,
-                                dyn=True,
-                                free_module=grad_module,
-                            ),
-                        )
+                experts = map(entry, self.memory.expert_tensors(expert_index, expert_tokens))
+                if self.config.recompute or self.config.offload_activations:
+                    transients += [alloc(expert, expert_module, 1) for expert in experts]
+                else:
+                    kept += [alloc(expert, expert_module, 1, grad_module) for expert in experts]
 
         # Transients die shortly after the layer finishes; the skewed release
         # models asynchronous kernel / communication overlap.
         self._defer_frees(transients)
 
-    def _emit_forward(self, phase: Phase, spec: PhaseSpec) -> None:
+    def _emit_forward(self, spec: PhaseSpec) -> None:
         key = (spec.microbatch, spec.chunk)
         scoped = self._scoped.setdefault(key, _ScopedSet())
         self._phase_step = 0
 
         # Pipeline-boundary activations only exist on chunk 0 of the stage.
         if spec.chunk == 0:
-            boundary_spec = (
-                self.memory.embedding_activation()
-                if self.memory.is_first_stage
-                else self.memory.pipeline_recv_buffer()
-            )
-            scoped.boundary.append(self._alloc(boundary_spec, phase))
+            scoped.boundary.append(self._alloc(self._boundary))
 
         generation_kv = (
             self.config.workload_kind == "generation" and self.config.decode_steps > 0
         )
         for layer in range(self.layers_per_chunk):
             self._phase_step = layer
-            self._flush_deferred(phase)
-            self._forward_layer(phase, spec, layer, scoped)
+            self._flush_deferred()
+            self._forward_layer(spec, layer, scoped)
             if generation_kv:
                 # Prefill fills the KV cache of the prompt context; the cache
                 # outlives the forward pass (it is what decode steps read),
@@ -471,9 +469,9 @@ class TraceGenerator:
                 )
                 module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
                 self._kv[(spec.microbatch, spec.chunk, layer)] = self._alloc(
-                    kv_spec, phase, module=module
+                    self._entry(kv_spec), module
                 )
-        self._flush_deferred(phase, everything=True)
+        self._flush_deferred(everything=True)
 
         # The last stage projects to the (sharded) vocabulary at the end of
         # its final chunk; the fp32 logits live until the micro-batch's
@@ -482,7 +480,7 @@ class TraceGenerator:
             self.memory.is_last_stage
             and spec.chunk == self.config.parallelism.virtual_pipeline_chunks - 1
         ):
-            scoped.boundary.append(self._alloc(self.memory.logits_activation(), phase))
+            scoped.boundary.append(self._alloc(self._logits))
 
         # Forward-only workloads retain nothing for a backward pass: the
         # micro-batch's scoped activations (and boundary tensors, logits
@@ -491,12 +489,12 @@ class TraceGenerator:
         if self.config.workload_kind != "training":
             for layer in reversed(range(self.layers_per_chunk)):
                 for tensor in reversed(scoped.by_layer.pop(layer, [])):
-                    self._free(tensor, phase, module=tensor.free_module or "")
+                    self._free(tensor, tensor[6])
             for tensor in reversed(scoped.boundary):
-                self._free(tensor, phase)
+                self._free(tensor)
             scoped.boundary.clear()
 
-    def _emit_decode(self, phase: Phase, spec: PhaseSpec) -> None:
+    def _emit_decode(self, spec: PhaseSpec) -> None:
         """One autoregressive decode step of one (micro-batch, chunk).
 
         Each step processes one new token per sequence over the cached
@@ -510,22 +508,20 @@ class TraceGenerator:
         dense path even for MoE models.
         """
         config = self.config
+        alloc, free = self._alloc, self._free
         old_context = config.context_tokens_at(spec.step - 1)
         new_context = config.context_tokens_at(spec.step)
         for layer in range(self.layers_per_chunk):
             key = (spec.microbatch, spec.chunk, layer)
-            module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
             live = self._kv.get(key)
             if live is not None and new_context > old_context:
+                module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
                 grown = self.memory.kv_cache_tensor(layer, new_context)
-                self._kv[key] = self._alloc(grown, phase, module=module)
-                self._free(live, phase, module=module)
-            transients = [
-                self._alloc(workspace, phase)
-                for workspace in self.memory.decode_transient_tensors()
-            ]
+                self._kv[key] = alloc(self._entry(grown), module)
+                free(live, module)
+            transients = [alloc(workspace) for workspace in self._decode_workspaces]
             for tensor in reversed(transients):
-                self._free(tensor, phase)
+                free(tensor)
 
         # The last stage samples the next token from one vocabulary row per
         # sequence; the logits die within the step.
@@ -533,26 +529,23 @@ class TraceGenerator:
             self.memory.is_last_stage
             and spec.chunk == config.parallelism.virtual_pipeline_chunks - 1
         ):
-            logits = self._alloc(self.memory.decode_logits_tensor(), phase)
-            self._free(logits, phase)
+            free(alloc(self._decode_logits))
 
         # Sequence complete: release the micro-batch's KV caches.
         if spec.step == config.decode_steps:
             for layer in reversed(range(self.layers_per_chunk)):
                 tensor = self._kv.pop((spec.microbatch, spec.chunk, layer), None)
                 if tensor is not None:
-                    self._free(tensor, phase)
+                    free(tensor)
 
-    def _backward_layer(
-        self,
-        phase: Phase,
-        spec: PhaseSpec,
-        layer: int,
-        scoped: _ScopedSet,
-    ) -> None:
+    def _backward_layer(self, spec: PhaseSpec, layer: int, scoped: _ScopedSet) -> None:
         module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
         grad_module = f"{module}.experts.grad"
-        transients: list[_LiveTensor] = []
+        alloc, entry = self._alloc, self._entry
+        is_moe = self.config.model.is_moe
+        rematerialise = self.config.recompute or self.config.offload_activations
+        routing = self._expert_routing.get((spec.microbatch, spec.chunk, layer), []) if is_moe else []
+        transients: list[_Live] = []
 
         # All-to-all combine: the backward-facing mirror of the forward
         # dispatch.  Expert output gradients of the locally-processed tokens
@@ -560,45 +553,29 @@ class TraceGenerator:
         # the staging buffers allocate before the expert gradient work and
         # overlap it through the skewed transient frees, exactly like the
         # dispatch pair overlaps the forward expert FFN.
-        if self.config.model.is_moe:
-            routing = self._expert_routing.get((spec.microbatch, spec.chunk, layer), [])
+        if is_moe:
             for comm_spec in self.memory.moe_combine_tensors(sum(routing)):
-                transients.append(
-                    self._alloc(
-                        comm_spec,
-                        phase,
-                        module=grad_module,
-                        dyn=comm_spec.tag == "a2a_combine_send",
-                    )
-                )
+                dyn = 1 if comm_spec.tag == "a2a_combine_send" else 0
+                transients.append(alloc(entry(comm_spec), grad_module, dyn))
 
         # ZeRO-3 re-gathers parameters for the backward pass.
         if self.config.zero_stage >= 3:
-            gathered = TensorSpec("zero3_gathered_params", self.memory.layer_weight_bytes(),
-                                  TensorCategory.COMM_BUFFER)
-            transients.append(self._alloc(gathered, phase))
+            transients.append(alloc(self._zero3_gathered))
 
         # Recomputation / offload re-materialises the layer's activations.
-        if self.config.recompute or self.config.offload_activations:
-            for act in self._dense_saved_specs():
-                transients.append(self._alloc(act, phase, module=module))
-            if self.config.model.is_moe:
-                for static_spec in self.memory.moe_static_tensors():
-                    transients.append(self._alloc(static_spec, phase, module=module))
-                routing = self._expert_routing.get((spec.microbatch, spec.chunk, layer), [])
+        if rematerialise:
+            transients += [alloc(act, module) for act in self._dense_saved]
+            if is_moe:
+                transients += [alloc(static, module) for static in self._moe_static]
                 for expert_index, expert_tokens in enumerate(routing):
-                    for expert_spec in self.memory.expert_tensors(expert_index, expert_tokens):
-                        transients.append(
-                            self._alloc(expert_spec, phase, module=grad_module, dyn=True)
-                        )
+                    experts = map(entry, self.memory.expert_tensors(expert_index, expert_tokens))
+                    transients += [alloc(expert, grad_module, 1) for expert in experts]
 
         # Gradient temporaries.
-        for workspace in self.memory.backward_transient_tensors():
-            transients.append(self._alloc(workspace, phase))
+        transients += map(alloc, self._backward_workspaces)
 
         # Dynamic gradient temporaries of expert layers (sizes follow routing).
-        if self.config.model.is_moe and not (self.config.recompute or self.config.offload_activations):
-            routing = self._expert_routing.get((spec.microbatch, spec.chunk, layer), [])
+        if is_moe and not rematerialise:
             for expert_index, expert_tokens in enumerate(routing):
                 if expert_tokens <= 0:
                     continue
@@ -607,49 +584,40 @@ class TraceGenerator:
                     max(512, expert_tokens * self.config.model.hidden_size * 2),
                     TensorCategory.EXPERT_ACTIVATION,
                 )
-                transients.append(self._alloc(grad_spec, phase, module=grad_module, dyn=True))
+                transients.append(alloc(entry(grad_spec), grad_module, 1))
 
         self._defer_frees(transients)
 
         # Finally release the scoped activations this layer saved in forward.
         for tensor in reversed(scoped.by_layer.pop(layer, [])):
-            free_module = tensor.free_module or ""
-            self._free(tensor, phase, module=free_module)
+            self._free(tensor, tensor[6])
 
-    def _emit_backward(self, phase: Phase, spec: PhaseSpec) -> None:
+    def _emit_backward(self, spec: PhaseSpec) -> None:
         key = (spec.microbatch, spec.chunk)
         scoped = self._scoped.get(key, _ScopedSet())
         self._phase_step = 0
 
         for step, layer in enumerate(reversed(range(self.layers_per_chunk))):
             self._phase_step = step
-            self._flush_deferred(phase)
-            self._backward_layer(phase, spec, layer, scoped)
-        self._flush_deferred(phase, everything=True)
+            self._flush_deferred()
+            self._backward_layer(spec, layer, scoped)
+        self._flush_deferred(everything=True)
 
         # Pipeline-boundary activations die once the whole chunk is done.
         for tensor in reversed(scoped.boundary):
-            self._free(tensor, phase)
+            self._free(tensor)
         scoped.boundary.clear()
 
         # ZeRO overlaps gradient reduce-scatter buckets with the last
         # micro-batch's backward pass.
         if self.config.uses_distributed_optimizer and spec.microbatch == self.config.num_microbatches - 1:
-            bucket = TensorSpec("grad_rs_bucket", self.memory.grad_bucket_bytes(),
-                                TensorCategory.COMM_BUFFER)
             for _ in range(4):
-                tensor = self._alloc(bucket, phase)
-                self._free(tensor, phase)
+                self._free(self._alloc(self._grad_bucket))
 
-    def _emit_optimizer(self, phase: Phase) -> None:
+    def _emit_optimizer(self) -> None:
         if self.config.uses_distributed_optimizer:
-            gather = TensorSpec("param_allgather", self.memory.param_gather_bytes(),
-                                TensorCategory.COMM_BUFFER)
             for _ in range(4):
-                tensor = self._alloc(gather, phase)
-                self._free(tensor, phase)
+                self._free(self._alloc(self._param_gather))
         # Small step temporaries (grad-norm scalars, LR state, ...).
         for _ in range(2):
-            scratch = TensorSpec("optimizer_scratch", 4 * 1024 * 1024, TensorCategory.TEMPORARY)
-            tensor = self._alloc(scratch, phase)
-            self._free(tensor, phase)
+            self._free(self._alloc(self._optimizer_scratch))

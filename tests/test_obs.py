@@ -49,6 +49,7 @@ from repro.simulator import ExecutionContext, run_job
 from repro.sweep import SweepCache, SweepPointError, SweepSpec, run_sweep
 from repro.sweep.engine import execute_points
 from repro.workloads.fingerprint import config_fingerprint
+from repro.workloads.tracegen import TraceGenerator
 
 
 @pytest.fixture(autouse=True)
@@ -607,6 +608,22 @@ class TestSweepIntegration:
         shutdown()
         stat = summarize_file(path).metrics.histograms["replay.events_per_sec"]
         assert stat.count > 0 and stat.max > 0
+
+    def test_tracegen_histogram_recorded(self, tmp_path):
+        """One ``tracegen.events_per_sec`` sample per generated trace, same trace either way."""
+        spec = _tiny_spec(grid={"micro_batch_size": [1]}, allocators=["torch2.3"])
+        point = spec.expand()[0]
+        untraced = TraceGenerator(point.config, scale=point.scale).generate()
+        path = tmp_path / "obs.ndjson"
+        obs.configure(ndjson_path=path)
+        traced = TraceGenerator(point.config, scale=point.scale).generate()
+        run_sweep(spec, jobs=1, cache_dir=None)
+        shutdown()
+        assert traced.digest() == untraced.digest()
+        summary = summarize_file(path)
+        generated = sum(stat.count for stat in summary.tree if stat.name == "tracegen.generate")
+        stat = summary.metrics.histograms["tracegen.events_per_sec"]
+        assert stat.count == generated > 1 and stat.max > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -59,9 +59,11 @@ def _random_trace(rng: random.Random) -> Trace:
             live.append((freed, size, dyn, category))
             req_id += rng.randrange(1, 3)
             kind = ALLOC
+        phase, module, tag = rng.choice(phases).index, rng.choice(NAMES), rng.choice(NAMES)
         builder.append(
-            kind, freed, size, time, rng.choice(phases).index, rng.choice(NAMES), dyn, category,
-            rng.choice(NAMES),
+            kind, freed, size, time, phase,
+            builder.modules.setdefault(module, len(builder.modules)), 1 if dyn else 0, category,
+            builder.tags.setdefault(tag, len(builder.tags)),
         )
         time += rng.choice([0, 0, 1, 7])  # shared ticks
     metadata = TraceMetadata(model_name=rng.choice(NAMES), seed=rng.randrange(100), scale=0.5)
@@ -114,7 +116,7 @@ def test_a_value_wider_than_its_column_names_the_column_and_the_event(column, va
             values[column] = value
         builder.append(
             values["kind"], values["req_id"], values["size"], values["time"],
-            values["phase_index"], "m", False, values["category"], "",
+            values["phase_index"], 0, 0, values["category"], 0,
         )
     with pytest.raises(ValueError, match=rf"^trace column '{column}' .* at event 4321$") as raised:
         builder.build()

@@ -69,11 +69,13 @@ def make_trace(
     """A trace of ``events``, in order; phases default to the ones the events carry."""
     events = list(events)
     builder = ColumnBuilder()
+    modules, tags = builder.modules, builder.tags
     kind_codes = {kind: code for code, kind in enumerate(KINDS)}
     for event in events:
         builder.append(
             kind_codes[event.kind], event.req_id, event.size, event.time, event.phase.index,
-            event.module, event.dyn, CATEGORY_CODES[event.category], event.tag,
+            modules.setdefault(event.module, len(modules)), 1 if event.dyn else 0,
+            CATEGORY_CODES[event.category], tags.setdefault(event.tag, len(tags)),
         )
     if phases is None:
         phases = sorted({event.phase.index: event.phase for event in events}.values())
