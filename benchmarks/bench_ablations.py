@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import STAllocConfig
 from repro.core.profiler import AllocationProfiler
-from repro.core.synthesizer import PlanSynthesizer, SynthesizerConfig
+from repro.core.synthesizer import PlanSynthesizer
 from repro.gpu.device import GIB
 from repro.simulator import ExecutionContext
 from repro.experiments.common import A800_WORKLOADS
@@ -53,21 +54,21 @@ def test_default_design(benchmark, llama_profile, capsys, default_pool_size):
 
 
 def test_without_fusion(benchmark, llama_profile, capsys, default_pool_size):
-    synthesizer = PlanSynthesizer(SynthesizerConfig(enable_fusion=False))
+    synthesizer = PlanSynthesizer(STAllocConfig(enable_fusion=False))
     plan = benchmark(lambda: synthesizer.synthesize(llama_profile))
     _report(capsys, "no HomoPhase fusion", plan.pool_size, default_pool_size)
     assert plan.pool_size >= default_pool_size * 0.999
 
 
 def test_ascending_size_order(benchmark, llama_profile, capsys, default_pool_size):
-    synthesizer = PlanSynthesizer(SynthesizerConfig(descending_size_order=False))
+    synthesizer = PlanSynthesizer(STAllocConfig(descending_size_order=False))
     plan = benchmark(lambda: synthesizer.synthesize(llama_profile))
     _report(capsys, "ascending HomoSize order", plan.pool_size, default_pool_size)
     assert plan.pool_size >= default_pool_size * 0.999
 
 
 def test_without_gap_insertion(benchmark, llama_profile, capsys, default_pool_size):
-    synthesizer = PlanSynthesizer(SynthesizerConfig(enable_gap_insertion=False))
+    synthesizer = PlanSynthesizer(STAllocConfig(enable_gap_insertion=False))
     plan = benchmark(lambda: synthesizer.synthesize(llama_profile))
     _report(capsys, "no gap insertion", plan.pool_size, default_pool_size)
     assert plan.pool_size >= default_pool_size * 0.999
@@ -75,7 +76,7 @@ def test_without_gap_insertion(benchmark, llama_profile, capsys, default_pool_si
 
 def test_generation_gap_insertion_pair(benchmark, generation_profile, capsys):
     default = PlanSynthesizer().synthesize(generation_profile)
-    synthesizer = PlanSynthesizer(SynthesizerConfig(enable_gap_insertion=False))
+    synthesizer = PlanSynthesizer(STAllocConfig(enable_gap_insertion=False))
     plan = benchmark(lambda: synthesizer.synthesize(generation_profile))
     _report(capsys, "generation, no gap insertion", plan.pool_size, default.pool_size)
     assert default.synthesis_info["subrange_insertions"] > 0
@@ -84,6 +85,6 @@ def test_generation_gap_insertion_pair(benchmark, generation_profile, capsys):
 
 
 def test_insertion_fusion_strategy(benchmark, llama_profile, capsys, default_pool_size):
-    synthesizer = PlanSynthesizer(SynthesizerConfig(fusion_strategy="insertion"))
+    synthesizer = PlanSynthesizer(STAllocConfig(fusion_strategy="insertion"))
     plan = benchmark(lambda: synthesizer.synthesize(llama_profile))
     _report(capsys, "paper insertion-greedy fusion", plan.pool_size, default_pool_size)

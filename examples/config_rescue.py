@@ -28,7 +28,7 @@ def main() -> None:
 
     # Each configuration's own throughput: its timeline, priced overhead-free.
     throughput = {
-        label: simulate_timeline(config, gpu="H200-141GB").to_estimate().tflops_per_gpu
+        label: simulate_timeline(config, gpu="H200-141GB").tflops_per_gpu
         for label, config in configs.items()
     }
     best_tflops = max(throughput.values())

@@ -1,13 +1,13 @@
 """Configuration of the STAlloc pipeline, importable without the pipeline.
 
 Sweep specs, cache keys and the CLI validate and hash these knobs without
-planning anything, so they live apart from the modules that act on them; each
-class is re-exported from the module it configures.
+planning anything, so they live apart from the modules that act on them;
+:class:`STAllocConfig` is re-exported from :mod:`repro.core.stalloc`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: How the homophase stage lays out two fused plans (see
 #: :func:`repro.core.homophase.attempt_fusion`).
@@ -15,46 +15,22 @@ FUSION_STRATEGIES = ("repack", "insertion")
 
 
 @dataclass
-class GlobalPlannerConfig:
-    """Policy knobs of the global planner (exposed for ablation benchmarks)."""
+class STAllocConfig:
+    """End-to-end configuration of the STAlloc pipeline.
 
-    #: Process HomoSize groups from largest to smallest (the paper's order).
-    #: Ascending order is only useful to demonstrate why descending wins.
-    descending_size_order: bool = True
-    #: Allow smaller plans to reuse idle windows of larger layers.
-    enable_gap_insertion: bool = True
-
-
-@dataclass
-class SynthesizerConfig:
-    """Tunable behaviour of the Plan Synthesizer.
-
-    The defaults reproduce the paper's design; the switches exist for the
-    ablation studies (fusion on/off, gap insertion on/off, planning order).
+    The profiler, the plan synthesizer and the global planner each read the
+    fields they need.  The defaults reproduce the paper's design; the
+    switches exist for the ablation studies (fusion on/off, gap insertion
+    on/off, planning order).
     """
 
     enable_fusion: bool = True
+    #: How the homophase stage lays out two fused plans.
     fusion_strategy: str = "repack"
+    #: Allow smaller plans to reuse idle windows of larger layers.
     enable_gap_insertion: bool = True
-    descending_size_order: bool = True
-    enable_dynamic_reuse: bool = True
-    validate_plan: bool = True
-    planner: GlobalPlannerConfig = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.planner = GlobalPlannerConfig(
-            descending_size_order=self.descending_size_order,
-            enable_gap_insertion=self.enable_gap_insertion,
-        )
-
-
-@dataclass
-class STAllocConfig:
-    """End-to-end configuration of the STAlloc pipeline."""
-
-    enable_fusion: bool = True
-    fusion_strategy: str = "repack"
-    enable_gap_insertion: bool = True
+    #: Process HomoSize groups from largest to smallest (the paper's order).
+    #: Ascending order is only useful to demonstrate why descending wins.
     descending_size_order: bool = True
     enable_dynamic_reuse: bool = True
     validate_plan: bool = True
@@ -79,12 +55,7 @@ class STAllocConfig:
         if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 1:
             raise ValueError(f"profiler_iterations must be an int >= 1, got {iterations!r}")
 
-    def synthesizer_config(self) -> SynthesizerConfig:
-        return SynthesizerConfig(
-            enable_fusion=self.enable_fusion,
-            fusion_strategy=self.fusion_strategy,
-            enable_gap_insertion=self.enable_gap_insertion,
-            descending_size_order=self.descending_size_order,
-            enable_dynamic_reuse=self.enable_dynamic_reuse,
-            validate_plan=self.validate_plan,
-        )
+    # Read by benchmarks/e2e/stages.py, which hands the result to
+    # ``PlanSynthesizer``; the synthesizer reads this config itself.
+    def synthesizer_config(self) -> "STAllocConfig":
+        return self

@@ -34,7 +34,7 @@ is the sum of the layer sizes.
 
 from __future__ import annotations
 
-from repro.core.config import GlobalPlannerConfig
+from repro.core.config import STAllocConfig
 from repro.core.homophase import LocalPlan, Row
 from repro.core.homosize import MemoryLayer, construct_memory_layers, group_by_size
 from repro.core.plan import StaticAllocationPlan
@@ -42,7 +42,7 @@ from repro.core.plan import StaticAllocationPlan
 
 def build_global_plan(
     plans: list[LocalPlan],
-    config: GlobalPlannerConfig | None = None,
+    config: STAllocConfig | None = None,
     *,
     idle_space_reused: bool = False,
 ) -> tuple[StaticAllocationPlan, list[MemoryLayer], int]:
@@ -54,7 +54,7 @@ def build_global_plan(
     groups will be served from the plan's idle space at runtime (section 5.2):
     the tighter candidate leaves them less, so it is not considered.
     """
-    config = config or GlobalPlannerConfig()
+    config = config or STAllocConfig()
     groups = group_by_size(plans)
     sizes = sorted(groups, reverse=config.descending_size_order)
 

@@ -50,7 +50,7 @@ class STAlloc:
         config = config or STAllocConfig()
         profiler = AllocationProfiler(iterations=config.profiler_iterations)
         profile = profiler.profile(trace)
-        synthesizer = PlanSynthesizer(config.synthesizer_config())
+        synthesizer = PlanSynthesizer(config)
         plan = synthesizer.synthesize(profile)
         return cls(profile=profile, plan=plan, config=config)
 

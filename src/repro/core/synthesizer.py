@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.config import SynthesizerConfig
+from repro.core.config import STAllocConfig
 from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.core.homophase import build_homophase_groups, fuse_adjacent_groups
 from repro.core.plan import DynamicRouting, SynthesizedPlan
@@ -29,8 +29,8 @@ from repro.obs.tracer import span as _obs_span
 class PlanSynthesizer:
     """Generates the ahead-of-time allocation plan from a profiling result."""
 
-    def __init__(self, config: SynthesizerConfig | None = None):
-        self.config = config or SynthesizerConfig()
+    def __init__(self, config: STAllocConfig | None = None):
+        self.config = config or STAllocConfig()
 
     def synthesize(self, profile: ProfileResult) -> SynthesizedPlan:
         """Produce the static plan and dynamic reusable spaces for one profile."""
@@ -46,7 +46,7 @@ class PlanSynthesizer:
         dynamic_groups = profile.dynamic_groups
         reuse_idle_space = bool(self.config.enable_dynamic_reuse and dynamic_groups)
         static_plan, layers, layered_pool = build_global_plan(
-            fused_groups, self.config.planner, idle_space_reused=reuse_idle_space
+            fused_groups, self.config, idle_space_reused=reuse_idle_space
         )
         if self.config.validate_plan:
             with _obs_span("plan.validate", decisions=len(static_plan)):

@@ -51,7 +51,7 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
                 "config": label,
                 # Priced overhead-free: the configuration's own throughput.
                 "tflops_per_gpu": round(
-                    simulate_timeline(config, gpu="A800-80GB").to_estimate().tflops_per_gpu, 1
+                    simulate_timeline(config, gpu="A800-80GB").tflops_per_gpu, 1
                 ),
                 "torch_reserved_gib": round(torch_job.peak_reserved_gib, 1),
                 "stalloc_reserved_gib": round(stalloc_job.peak_reserved_gib, 1),

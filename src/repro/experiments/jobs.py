@@ -20,7 +20,7 @@ from repro.experiments.common import (
     register_experiment,
     run_lineups,
 )
-from repro.gpu.specs import GPU_SPECS
+from repro.gpu.specs import get_gpu
 from repro.search.bounds import kv_cache_bytes_floor, time_floor_seconds
 from repro.simulator.execution import ExecutionContext
 from repro.timeline import simulate_timeline
@@ -196,7 +196,7 @@ def run_gen_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentRe
     iteration) -- the provisioning picture a static planner must get right.
     """
     workload = A800_WORKLOADS["gpt2-345m"]
-    gpu = GPU_SPECS[workload.device_name]
+    gpu = get_gpu(workload.device_name)
     scale = 0.25 if quick else 0.5
     step_counts = [0, 8] if quick else [0, 8, 32]
     configs = {
@@ -261,7 +261,7 @@ def run_timeline_table(*, quick: bool = False, ctx: ExecutionContext) -> Experim
     the search prunes with -- measures how much of the iteration is waiting.
     """
     workload = A800_WORKLOADS["qwen1.5-moe-a2.7b"]
-    gpu = GPU_SPECS[workload.device_name]
+    gpu = get_gpu(workload.device_name)
     scale = 0.25 if quick else 0.5
     imbalances = [0.0, 0.6] if quick else [0.0, 0.3, 0.6]
     comm_factors = [0.0, 1.0]

@@ -95,7 +95,7 @@ def run_table1(
                 "reserved_stalloc_gib": round(stalloc_job.peak_reserved_gib, 1),
                 # Priced overhead-free: the configuration's own throughput.
                 "throughput_tflops": round(
-                    simulate_timeline(config, gpu="H200-141GB").to_estimate().tflops_per_gpu, 1
+                    simulate_timeline(config, gpu="H200-141GB").tflops_per_gpu, 1
                 ),
             }
         )

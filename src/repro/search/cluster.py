@@ -33,15 +33,11 @@ candidate.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from dataclasses import replace as dataclass_replace
-
-from repro.gpu.specs import GPU_SPECS, GPUSpec, get_gpu
+from repro.gpu.specs import get_gpu
 from repro.simulator.ranks import validate_budget_map, validate_capacity_gib
 
 #: ``8xA800-80GB`` / ``2x8xA800-80GB@40`` -- optional node count, per-node (or
@@ -98,20 +94,6 @@ class ClusterSpec:
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
 
     @property
-    def gpu(self) -> GPUSpec:
-        return GPU_SPECS[self.device_name]
-
-    @property
-    def capacity_gib(self) -> float:
-        """Per-device budget in GiB the search prunes against (the uniform one)."""
-        if self.device_capacity_gib is not None:
-            return self.device_capacity_gib
-        return float(self.gpu.memory_gib)
-
-    def budget_map(self) -> dict[str, float]:
-        return {label: gib for label, gib in self.device_memory_by_rank}
-
-    @property
     def gpus_per_node(self) -> int:
         """Devices per node; 0 for the degenerate single-node topology."""
         if self.num_nodes <= 1:
@@ -134,25 +116,6 @@ class ClusterSpec:
         if self.inter_node_gbytes_per_sec is not None:
             overrides["inter_node_gbytes_per_sec"] = self.inter_node_gbytes_per_sec
         return overrides
-
-    @property
-    def fabric_gpu(self) -> GPUSpec:
-        """The device spec with this cluster's fabric overrides applied."""
-        fabric = self.fabric
-        if not fabric:
-            return self.gpu
-        return dataclass_replace(self.gpu, **fabric)
-
-    @property
-    def label(self) -> str:
-        """The compact ``[<nodes>x]<N>x<DEVICE>[@<GiB>]`` rendering."""
-        if self.num_nodes > 1:
-            text = f"{self.num_nodes}x{self.gpus_per_node}x{self.device_name}"
-        else:
-            text = f"{self.num_devices}x{self.device_name}"
-        if self.device_capacity_gib is not None:
-            text += f"@{self.device_capacity_gib:g}"
-        return text
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -238,6 +201,3 @@ class ClusterSpec:
             inter_node_gbytes_per_sec=inter,
         )
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ClusterSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

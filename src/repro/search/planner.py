@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.gpu.device import GIB
-from repro.gpu.specs import get_gpu
 from repro.obs.tracer import counter as _obs_counter
 from repro.obs.tracer import span as _obs_span
 from repro.search.bounds import memory_lower_bound, throughput_upper_bound
@@ -283,14 +282,7 @@ def search_points(
             # Bound against the fabric the candidate is actually timed on: the
             # tiered pricing must stay admissible (the floor charges the
             # fastest tier).
-            try:
-                gpu = get_gpu(head.device_name)
-                if head.fabric:
-                    gpu = dataclass_replace(gpu, **dict(head.fabric))
-            except (ValueError, TypeError):
-                bound = float("inf")  # unusable bound fails open, never prunes
-            else:
-                bound = throughput_upper_bound(head.config, gpu, scale=head.scale)
+            bound = throughput_upper_bound(head.config, head.gpu, scale=head.scale)
             survivors.append((bound, head.index, group))
 
         if exhaustive:

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import math
 
-from repro.gpu.specs import GPU_SPECS
+from repro.gpu.specs import get_gpu
 from repro.workloads.parallelism import normalize_rank, rank_label
 from repro.workloads.training import TrainingConfig
 
 
 def default_capacity_gib(device_name: str, device_capacity_gib: float | None) -> float:
-    """Device budget in GiB: explicit override, the GPU spec, or 80 GiB."""
+    """Device budget in GiB: the explicit override, else the GPU spec's.
+
+    An unknown ``device_name`` raises ``ValueError`` listing the known ones.
+    """
     if device_capacity_gib is not None:
         return device_capacity_gib
-    gpu = GPU_SPECS.get(device_name)
-    return gpu.memory_gib if gpu else 80
+    return get_gpu(device_name).memory_gib
 
 
 def validate_capacity_gib(value, context: str = "device_capacity_gib") -> float | None:

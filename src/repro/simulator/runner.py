@@ -36,7 +36,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field
 
 from repro.allocators.base import Allocator
 from repro.allocators.registry import (
@@ -47,7 +47,6 @@ from repro.allocators.registry import (
 from repro.core.config import STAllocConfig
 from repro.gpu.device import Device, GIB
 from repro.gpu.errors import OutOfMemoryError
-from repro.gpu.specs import GPU_SPECS
 from repro.obs.tracer import span as _obs_span
 from repro.simulator.execution import ExecutionContext
 from repro.simulator.metrics import MemoryMetrics
@@ -56,8 +55,8 @@ from repro.simulator.ranks import default_capacity_gib, job_rank_classes, valida
 # Read from here by benchmarks/e2e/stages.py (its home is simulator.ranks).
 from repro.simulator.ranks import resolve_job_ranks  # noqa: F401
 from repro.simulator.replay import ReplayResult, replay_trace
-from repro.simulator.throughput import ThroughputEstimate
 from repro.sweep.spec import SweepPoint
+from repro.timeline.simulator import TimelineResult, simulate_timeline
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import normalize_rank
 from repro.workloads.trace import Trace
@@ -246,12 +245,11 @@ class JobRun:
     device_name: str
     rank_classes: list[tuple]
     class_runs: list[WorkloadRun]
-    throughput: ThroughputEstimate | None = None
+    #: The job's priced iteration: its throughput columns
+    #: (:meth:`~repro.timeline.simulator.TimelineResult.row_columns`) and the
+    #: per-rank event streams behind them.
+    timeline: TimelineResult
     class_capacities: list[float | None] = field(default_factory=list)
-    #: Full discrete-event simulation behind the throughput estimate (None
-    #: when the device is unknown); holds the per-rank event streams for
-    #: experiments, digests and debugging.
-    timeline: object = None
 
     @property
     def num_ranks(self) -> int:
@@ -365,12 +363,12 @@ class JobRun:
         )
 
     @property
-    def tflops(self) -> float | None:
-        return self.throughput.tflops_per_gpu if self.throughput is not None else None
+    def tflops(self) -> float:
+        return self.timeline.tflops_per_gpu
 
     @property
-    def tokens_per_second(self) -> float | None:
-        return self.throughput.tokens_per_second if self.throughput is not None else None
+    def tokens_per_second(self) -> float:
+        return self.timeline.tokens_per_second
 
 
 def run_job(
@@ -553,42 +551,25 @@ def _assemble_job(
     # when no explicit budget applied), so binding-by-utilization is
     # well-defined whenever any heterogeneity is present.
     default_capacity = default_capacity_gib(point.device_name, capacity_gib)
-    throughput = None
-    timeline = None
-    gpu = GPU_SPECS.get(point.device_name)
-    if gpu is not None and point.fabric:
-        try:
-            gpu = dataclass_replace(gpu, **dict(point.fabric))
-        except TypeError as error:
-            raise ValueError(f"unknown fabric field: {error}") from None
-    if gpu is not None:
-        # The pipeline advances at the pace of its slowest rank, so the
-        # job-level estimate charges the worst per-rank allocator overhead.
-        overhead = max(run.replay.overhead_seconds for run in class_runs)
-        # Imported lazily: repro.timeline consumes this package's throughput
-        # shapes, so a module-level import here would be circular.  The
-        # overhead is injected into the simulated phase durations (so
-        # allocator cost rides the schedule's dependency structure); the
-        # estimate must therefore NOT add it again.
-        from repro.timeline import simulate_timeline
-
-        timeline = simulate_timeline(
-            point.config,
-            gpu=gpu,
-            seed=point.seed,
-            scale=point.scale,
-            allocator_overhead_seconds=overhead,
-        )
-        throughput = timeline.to_estimate()
+    # The pipeline advances at the pace of its slowest rank, so the job is
+    # priced with the worst per-rank allocator overhead, injected into the
+    # simulated phase durations (allocator cost rides the schedule's
+    # dependency structure).
+    timeline = simulate_timeline(
+        point.config,
+        gpu=point.gpu,
+        seed=point.seed,
+        scale=point.scale,
+        allocator_overhead_seconds=max(run.replay.overhead_seconds for run in class_runs),
+    )
     return JobRun(
         config=point.config,
         allocator_name=point.allocator,
         device_name=point.device_name,
         rank_classes=[members for members, _ in classes],
         class_runs=class_runs,
-        throughput=throughput,
+        timeline=timeline,
         class_capacities=[
             capacity if capacity is not None else default_capacity for _, capacity in classes
         ],
-        timeline=timeline,
     )

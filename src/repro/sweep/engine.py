@@ -131,9 +131,8 @@ def _point_row(point: SweepPoint, job, elapsed: float) -> dict:
         "elapsed_seconds": round(elapsed, 4),
         "cached": False,
         "description": point.config.describe(),
+        **job.timeline.row_columns(),
     }
-    if job.throughput is not None:
-        row.update(job.throughput.row_columns())
     if job.heterogeneous_budgets and job.binding_utilization is not None:
         row["binding_utilization"] = job.binding_utilization
     if not job.success:

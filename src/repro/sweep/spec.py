@@ -29,13 +29,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dataclass_replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from repro.allocators.registry import STALLOC, STALLOC_NO_REUSE, available_allocators
 from repro.core.config import STAllocConfig
-from repro.gpu.specs import GPU_SPECS
+from repro.gpu.specs import GPU_SPECS, GPUSpec, get_gpu
 from repro.simulator.ranks import (
     normalize_capacity_map,
     requested_ranks,
@@ -140,6 +140,7 @@ class SweepPoint:
         *,
         index: int = 0,
         ranks="all",
+        device_name: str = "A800-80GB",
         device_capacity_gib: float | None = None,
         device_memory_by_rank=None,
         stalloc_overrides=None,
@@ -156,20 +157,31 @@ class SweepPoint:
         by :func:`~repro.simulator.ranks.normalize_capacity_map`.
         ``stalloc_overrides`` (STAllocConfig knobs) and ``fabric`` (GPUSpec
         fabric fields) are mappings or their pairs.  ``fields`` are the
-        remaining point fields (``seed``, ``scale``, ``device_name``, ...).
+        remaining point fields (``seed``, ``scale``, ...).  An unknown
+        ``device_name`` or a malformed ``fabric`` raises ``ValueError`` here,
+        before anything is generated or replayed.
         """
+        get_gpu(device_name)
+        fabric = dict(fabric or ())
+        _validate_fabric(fabric, "fabric")
         budgets = normalize_capacity_map(dict(device_memory_by_rank or ()), config)
         return cls(
             index=index,
             config=config,
             allocator=allocator,
             ranks=requested_ranks(config, ranks),
+            device_name=device_name,
             device_capacity_gib=device_capacity_gib,
             device_memory_by_rank=tuple(sorted(budgets.items())),
             stalloc_overrides=_pairs(stalloc_overrides),
             fabric=_pairs(fabric),
             **fields,
         )
+
+    @property
+    def gpu(self) -> GPUSpec:
+        """The device's spec with this point's fabric overrides applied."""
+        return dataclass_replace(get_gpu(self.device_name), **dict(self.fabric))
 
     @property
     def row_label(self) -> str:

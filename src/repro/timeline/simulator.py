@@ -70,7 +70,7 @@ from repro.core.events import PhaseKind
 from repro.digest import sha256
 from repro.gpu.specs import GPUSpec, NodeTopology, get_gpu
 from repro.obs.tracer import span as _obs_span
-from repro.simulator.throughput import ThroughputEstimate, ThroughputModel
+from repro.simulator.throughput import ThroughputModel
 from repro.version import TIMELINE_VERSION
 from repro.workloads.memory_model import ACT_BYTES
 from repro.workloads.moe import ExpertRouter
@@ -248,19 +248,29 @@ class TimelineResult:
         return max(0.0, 1.0 - self.compute_seconds / self.iteration_seconds)
 
     @property
-    def mfu(self) -> float:
-        """Model-FLOPs utilisation implied by the simulated iteration time.
+    def tflops_per_gpu(self) -> float:
+        """Model-FLOPs throughput per GPU (the number frameworks report).
 
-        When the simulation ran with injected allocator overhead (see
-        :attr:`allocator_overhead_seconds`) the iteration already charges it
-        -- in its scheduled position, not as a constant -- so this matches
-        what the estimate's :attr:`ThroughputEstimate.mfu` reports; an
-        overhead-free simulation yields the pure zero-overhead MFU.
+        Charges the allocator overhead the simulation injected into its
+        phases (see :attr:`allocator_overhead_seconds`), as every number here.
         """
-        if self.peak_tflops <= 0 or self.iteration_seconds <= 0:
+        if self.iteration_seconds <= 0:
             return 0.0
-        achieved = self.model_flops_per_iteration / self.num_gpus / self.iteration_seconds
-        return achieved / (self.peak_tflops * 1e12)
+        return self.model_flops_per_iteration / self.num_gpus / self.iteration_seconds / 1e12
+
+    @property
+    def tokens_per_second(self) -> float:
+        """Training tokens consumed per second across the whole job."""
+        if self.iteration_seconds <= 0:
+            return 0.0
+        return self.tokens_per_iteration / self.iteration_seconds
+
+    @property
+    def mfu(self) -> float:
+        """Model-FLOPs utilisation: achieved TFLOPS over the device peak (0 without one)."""
+        if self.peak_tflops <= 0:
+            return 0.0
+        return self.tflops_per_gpu / self.peak_tflops
 
     @property
     def binding_rank(self) -> tuple:
@@ -270,26 +280,24 @@ class TimelineResult:
             key=lambda r: (-r.finish_seconds, r.rank),
         ).rank
 
-    def to_estimate(self, *, allocator_overhead_seconds: float = 0.0) -> ThroughputEstimate:
-        """Adapt the simulation into the shared throughput-estimate shape.
+    def row_columns(self) -> dict:
+        """The throughput columns of one result row, in presentation order.
 
-        ``allocator_overhead_seconds`` here is *additional* overhead to add
-        on top of the iteration -- a simulation that already had its overhead
-        injected into the phase durations (see
-        :attr:`allocator_overhead_seconds`) must be adapted with the default
-        0, otherwise the overhead would be charged twice.
+        The single definition the sweep engine's row builder reads -- adding
+        a column here is the whole change (plus its
+        ``repro.sweep.compare.METRIC_DIRECTIONS`` entry).  Full precision on
+        purpose: rounding is display-only (``repro.sweep.results._fmt``), so
+        result diffs compare real values.  Key order is output bytes.
         """
-        return ThroughputEstimate(
-            iteration_seconds=self.iteration_seconds,
-            model_flops_per_iteration=self.model_flops_per_iteration,
-            num_gpus=self.num_gpus,
-            allocator_overhead_seconds=allocator_overhead_seconds,
-            tokens_per_iteration=self.tokens_per_iteration,
-            comm_seconds=self.comm_seconds,
-            bubble_fraction=self.bubble_fraction,
-            decode_seconds=self.decode_seconds,
-            peak_tflops=self.peak_tflops,
-        )
+        return {
+            "tflops_per_gpu": self.tflops_per_gpu,
+            "tokens_per_second": self.tokens_per_second,
+            "iteration_seconds": self.iteration_seconds,
+            "comm_seconds": self.comm_seconds,
+            "decode_seconds": self.decode_seconds,
+            "bubble_fraction": self.bubble_fraction,
+            "mfu": self.mfu,
+        }
 
     # ------------------------------------------------------------------ #
     # Canonical serialization (golden-fixture digests)
@@ -931,8 +939,8 @@ def simulate_timeline(
 ) -> TimelineResult:
     """Simulate one iteration of ``config`` on ``gpu`` under a ``timeline.simulate`` span.
 
-    Returns the full :class:`TimelineResult`; callers needing the shared
-    estimate shape use :meth:`TimelineResult.to_estimate`.
+    Returns the full :class:`TimelineResult`, which is also the job's
+    throughput (:meth:`TimelineResult.row_columns`).
     ``allocator_overhead_seconds`` injects the replay-measured allocator
     overhead into the phase durations (see :class:`TimelineSimulator`).
     """

@@ -21,12 +21,14 @@ Three families of guarantees:
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
 from repro.gpu.specs import GPU_SPECS, GPUSpec, NodeTopology
 from repro.search.bounds import throughput_upper_bound
 from repro.search.cluster import ClusterSpec
+from repro.sweep.spec import SweepPoint
 from repro.timeline.simulator import TimelineSimulator, simulate_timeline
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
@@ -368,11 +370,14 @@ class TestPerPhaseOverhead:
         }
         assert overheads["torch2.0"] != overheads["stalloc"]
         assert iterations["torch2.0"] != iterations["stalloc"]
-        # The estimate comes straight from the injected simulation -- the
-        # overhead must not be added a second time downstream.
+        # The job's throughput comes straight from the injected simulation --
+        # the overhead must not be added a second time downstream.
         for name, job in runs.items():
-            assert job.throughput.iteration_seconds == iterations[name]
-            assert job.throughput.allocator_overhead_seconds == 0.0
+            timeline = job.timeline
+            assert job.tflops == (
+                timeline.model_flops_per_iteration / timeline.num_gpus / iterations[name] / 1e12
+            )
+            assert job.tokens_per_second == timeline.tokens_per_iteration / iterations[name]
 
 
 # ---------------------------------------------------------------------- #
@@ -424,7 +429,7 @@ class TestClusterFabric:
         assert cluster.num_devices == 16
         assert cluster.gpus_per_node == 8
         assert cluster.device_capacity_gib == 40.0
-        assert cluster.label == "2x8xA800-80GB@40"
+        assert cluster.device_name == "A800-80GB"
         assert cluster.fabric == {"gpus_per_node": 8}
 
     def test_parse_flat_form_unchanged(self):
@@ -433,7 +438,8 @@ class TestClusterFabric:
         assert cluster.num_devices == 8
         assert cluster.gpus_per_node == 0
         assert cluster.fabric == {}
-        assert cluster.fabric_gpu == cluster.gpu
+        point = SweepPoint.build(_dense_config(), "torch2.3", fabric=cluster.fabric)
+        assert point.gpu == GPU_SPECS[cluster.device_name]
 
     def test_malformed_capacity_gets_documented_message(self):
         with pytest.raises(ValueError, match="cannot parse cluster"):
@@ -456,7 +462,10 @@ class TestClusterFabric:
             "intra_node_gbytes_per_sec": 160,
             "inter_node_gbytes_per_sec": 25,
         }
-        assert cluster.fabric_gpu.is_tiered
+        point = SweepPoint.build(
+            _dense_config(), "torch2.3", device_name=cluster.device_name, fabric=cluster.fabric
+        )
+        assert point.gpu.is_tiered and point.gpu.gpus_per_node == 4
 
     def test_search_candidates_carry_cluster_fabric(self):
         from repro.search.space import SearchSpec
@@ -478,6 +487,64 @@ class TestClusterFabric:
         assert points
         for point in points:
             assert dict(point.fabric) == spec.cluster.fabric
+
+
+# ---------------------------------------------------------------------- #
+# A point's device is resolved when the point is built
+# ---------------------------------------------------------------------- #
+class TestPointDevice:
+    @pytest.fixture
+    def no_traces(self, monkeypatch):
+        """Fail the test if anything fetches or generates a trace."""
+        from repro.simulator.execution import ExecutionContext
+
+        def fetch(*args, **kwargs):
+            raise AssertionError("a trace was fetched for an invalid point")
+
+        monkeypatch.setattr(ExecutionContext, "trace", fetch)
+
+    def test_unknown_device_fails_at_build(self, no_traces):
+        from repro.simulator.runner import run_job
+
+        for build in (
+            lambda: SweepPoint.build(_dense_config(), "torch2.3", device_name="B200-999GB"),
+            lambda: run_job(_dense_config(), "torch2.3", device_name="B200-999GB"),
+        ):
+            with pytest.raises(ValueError, match="B200-999GB") as excinfo:
+                build()
+            message = str(excinfo.value)
+            assert "\n" not in message
+            assert all(name in message for name in GPU_SPECS)
+
+    @pytest.mark.parametrize(
+        "fabric, named",
+        [
+            ({"nvlink_gbytes_per_sec": 300}, "'nvlink_gbytes_per_sec'"),
+            ({"intra_node_gbytes_per_sec": "fast"}, "fabric['intra_node_gbytes_per_sec']"),
+            ({"gpus_per_node": -4}, "fabric['gpus_per_node']"),
+        ],
+    )
+    def test_malformed_fabric_fails_at_build(self, no_traces, fabric, named):
+        from repro.simulator.runner import run_job
+
+        with pytest.raises(ValueError) as excinfo:
+            SweepPoint.build(_dense_config(), "torch2.3", fabric=fabric)
+        assert named in str(excinfo.value) and "\n" not in str(excinfo.value)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            run_job(_dense_config(), "torch2.3", fabric=fabric)
+
+    def test_gpu_applies_the_fabric(self):
+        fabric = {"gpus_per_node": 2, "intra_node_gbytes_per_sec": 160}
+        point = SweepPoint.build(_dense_config(), "torch2.3", fabric=fabric)
+        assert point.gpu == dataclasses.replace(GPU_SPECS["A800-80GB"], **fabric)
+        assert SweepPoint.build(_dense_config(), "torch2.3").gpu == GPU_SPECS["A800-80GB"]
+
+    def test_every_returned_job_is_priced(self):
+        from repro.simulator.runner import run_job
+
+        job = run_job(_dense_config(), "torch2.3", device_name="H200-141GB", scale=0.5)
+        assert job.timeline.gpu_name == "H200-141GB"
+        assert job.tflops == job.timeline.tflops_per_gpu > 0
 
 
 # ---------------------------------------------------------------------- #

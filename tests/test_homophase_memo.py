@@ -16,13 +16,14 @@ from dataclasses import fields
 import pytest
 
 from repro.core.columns import RequestColumns
+from repro.core.config import STAllocConfig
 from repro.core.homophase import (
     LocalPlan,
     build_homophase_groups,
     fuse_adjacent_groups,
     pack_requests,
 )
-from repro.core.planner import GlobalPlannerConfig, build_global_plan
+from repro.core.planner import build_global_plan
 from repro.core.profiler import AllocationProfiler
 from repro.search.space import SearchSpec
 from repro.simulator.ranks import resolve_job_ranks
@@ -144,6 +145,6 @@ def test_fusion_and_global_planning_never_mutate_a_local_plans_offsets(profiles,
         before = [(plan.offsets, list(plan.offsets)) for plan in plans]
         fused, _ = fuse_adjacent_groups(plans, strategy=strategy)
         for idle_space_reused in (False, True):
-            build_global_plan(fused, GlobalPlannerConfig(), idle_space_reused=idle_space_reused)
+            build_global_plan(fused, STAllocConfig(), idle_space_reused=idle_space_reused)
         for offsets, copy in before:
             assert offsets == copy, name

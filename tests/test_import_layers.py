@@ -109,8 +109,6 @@ LEGACY_NAMES = {
     "repro.timeline": ["TIMELINE_VERSION"],
     "repro.timeline.simulator": ["TIMELINE_VERSION"],
     "repro.core.stalloc": ["STAllocConfig", "PLAN_FORMAT_VERSION"],
-    "repro.core.synthesizer": ["SynthesizerConfig"],
-    "repro.core.planner": ["GlobalPlannerConfig"],
     "repro.simulator.runner": ["resolve_job_ranks"],
     "repro.search.planner": ["SEARCH_VERSION"],
     "repro.search": ["SEARCH_VERSION"],
@@ -122,11 +120,27 @@ LEGACY_NAMES = {
 
 #: Names deleted from the package: re-exports nothing reads any more, the
 #: event-object view of a trace (its oracle lives in tests/trace_oracle.py),
-#: and the second job type and rank resolvers a ``SweepPoint`` replaced.  A
+#: the second job type and rank resolvers a ``SweepPoint`` replaced, the
+#: second pricing result a ``TimelineResult`` replaced, the per-stage configs
+#: ``STAllocConfig`` replaced and ``ClusterSpec``'s test-only accessors.  A
 #: dotted name is an attribute of a class of the module.
 REMOVED_NAMES = {
-    "repro.simulator.runner": ["VALID_TIMINGS", "validate_timing", "JobSpec"],
-    "repro.simulator.throughput": ["GPU_SPECS", "VALID_TIMINGS", "validate_timing"],
+    "repro.simulator.runner": ["VALID_TIMINGS", "validate_timing", "JobSpec", "JobRun.throughput"],
+    "repro.simulator.throughput": [
+        "GPU_SPECS", "VALID_TIMINGS", "validate_timing", "ThroughputEstimate",
+    ],
+    "repro.timeline.simulator": ["TimelineResult.to_estimate"],
+    "repro.search.cluster": [
+        "ClusterSpec.gpu",
+        "ClusterSpec.capacity_gib",
+        "ClusterSpec.budget_map",
+        "ClusterSpec.fabric_gpu",
+        "ClusterSpec.label",
+        "ClusterSpec.from_file",
+    ],
+    "repro.core.config": ["SynthesizerConfig", "GlobalPlannerConfig"],
+    "repro.core.synthesizer": ["SynthesizerConfig"],
+    "repro.core.planner": ["GlobalPlannerConfig"],
     "repro.simulator": ["GPU_SPECS", "GPUSpec", "VALID_TIMINGS", "validate_timing", "JobSpec"],
     "repro.sweep.spec": ["validate_timing", "spec_document", "SweepSpec._resolve_ranks"],
     "repro.search.space": ["validate_timing", "SearchSpec._resolve_ranks"],
@@ -138,11 +152,12 @@ REMOVED_NAMES = {
     "repro.workloads.trace": ["TraceEvent", "MemoryRequest", "pair_events"],
 }
 
-#: Identifiers of the event-object view and of the second job type that no
-#: source file may mention.
+#: Identifiers of the event-object view, the second job type, the second
+#: pricing result and the per-stage configs that no source file may mention.
 REMOVED_IDENTIFIERS = (
     "TraceEvent", "MemoryRequest", "pair_events", "from_events", "to_events", "to_requests",
-    "JobSpec", "_resolve_ranks",
+    "JobSpec", "_resolve_ranks", "ThroughputEstimate", "to_estimate", "SynthesizerConfig",
+    "GlobalPlannerConfig",
 )
 
 #: Runs ``main(argv)`` silently and reports the exit code and ``sys.modules``.

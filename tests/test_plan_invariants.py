@@ -87,7 +87,7 @@ def synthesize(case: str, seed: int):
         config = CONFIG_CASES[case]
         trace = TraceGenerator(config, seed=seed, scale=0.5).generate()
         profile = AllocationProfiler().profile(trace)
-        plan = PlanSynthesizer(STAllocConfig().synthesizer_config()).synthesize(profile)
+        plan = PlanSynthesizer(STAllocConfig()).synthesize(profile)
         _SYNTH_CACHE[key] = (profile, plan)
         _REQUESTS[key] = requests_of(trace)
     return _SYNTH_CACHE[key]
@@ -236,7 +236,7 @@ class TestAblationSafety:
         trace = TraceGenerator(config, seed=0, scale=0.5).generate()
         profile = AllocationProfiler().profile(trace)
         stalloc_config = ABLATIONS[ablation]
-        plan = PlanSynthesizer(stalloc_config.synthesizer_config()).synthesize(profile)
+        plan = PlanSynthesizer(stalloc_config).synthesize(profile)
         assert_no_spatio_temporal_overlap(plan.static_plan)
         for decision in decisions_of(plan.static_plan):
             assert decision.end_address <= plan.pool_size
@@ -278,7 +278,7 @@ class TestRandomizedRequestStreams:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_streams_plan_safely(self, seed):
         profile = self._random_profile(seed)
-        plan = PlanSynthesizer(STAllocConfig().synthesizer_config()).synthesize(profile)
+        plan = PlanSynthesizer(STAllocConfig()).synthesize(profile)
         assert_no_spatio_temporal_overlap(plan.static_plan)
         assert len(plan.static_plan) == profile.num_requests
         layer_sizes = plan.synthesis_info["layers"]["layer_sizes"]

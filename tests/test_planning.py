@@ -22,12 +22,13 @@ from repro.core.homophase import (
     fuse_plans_by_repack,
     weighted_average_tmp,
 )
+from repro.core.config import STAllocConfig
 from repro.core.homosize import MemoryLayer, construct_memory_layers, group_by_size
 from repro.core.intervals import IntervalSet
 from repro.core.plan import StaticAllocationPlan
-from repro.core.planner import GlobalPlannerConfig, build_global_plan, plan_summary
+from repro.core.planner import build_global_plan, plan_summary
 from repro.core.profiler import AllocationProfiler
-from repro.core.synthesizer import PlanSynthesizer, SynthesizerConfig
+from repro.core.synthesizer import PlanSynthesizer
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.trace import Trace
@@ -356,9 +357,9 @@ class TestGlobalPlanning:
         big_a = pack([make_request(0, 1000, 0, 10)])
         big_b = pack([make_request(1, 1000, 20, 30)])
         small = pack([make_request(2, 100, 12, 18)])
-        with_insertion, _, _ = build_global_plan([big_a, big_b, small], GlobalPlannerConfig())
+        with_insertion, _, _ = build_global_plan([big_a, big_b, small], STAllocConfig())
         without_insertion, _, _ = build_global_plan(
-            [big_a, big_b, small], GlobalPlannerConfig(enable_gap_insertion=False)
+            [big_a, big_b, small], STAllocConfig(enable_gap_insertion=False)
         )
         assert with_insertion.pool_size == 1000
         assert without_insertion.pool_size == 1100
@@ -366,8 +367,8 @@ class TestGlobalPlanning:
     def test_descending_order_never_worse_on_trace(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
         groups = build_homophase_groups(profile.columns)
-        descending = build_global_plan(groups, GlobalPlannerConfig(descending_size_order=True))[0]
-        ascending = build_global_plan(groups, GlobalPlannerConfig(descending_size_order=False))[0]
+        descending = build_global_plan(groups, STAllocConfig(descending_size_order=True))[0]
+        ascending = build_global_plan(groups, STAllocConfig(descending_size_order=False))[0]
         assert descending.pool_size <= ascending.pool_size
 
     def test_plan_validation_detects_conflicts(self):
@@ -455,7 +456,7 @@ class TestRequestsInsertionOnArbitraryPlans:
     @pytest.mark.parametrize("seed", range(60))
     def test_the_ablation_switch_turns_both_insertion_tests_off(self, seed):
         plans = self._random_plans(random.Random(f"insertion/{seed}"))
-        plan, layers, _ = build_global_plan(plans, GlobalPlannerConfig(enable_gap_insertion=False))
+        plan, layers, _ = build_global_plan(plans, STAllocConfig(enable_gap_insertion=False))
         plan.validate()
         assert not any(offset for layer in layers for offset in layer.offsets)
         assert not any(layer.subrange_insertions for layer in layers)
@@ -488,7 +489,7 @@ class TestRequestsInsertionOnArbitraryPlans:
         _, layers, _ = build_global_plan([tall, *short, extra])
         assert [layer.size for layer in layers] == ([1600, 200] if count == 8 else [1600])
         # Without Requests Insertion every short plan gets a layer.
-        no_insertion = GlobalPlannerConfig(enable_gap_insertion=False)
+        no_insertion = STAllocConfig(enable_gap_insertion=False)
         off, _, _ = build_global_plan([tall, *short], no_insertion)
         assert off.pool_size == 1600 + 200 * count
 
@@ -510,7 +511,7 @@ def _layered_reference(plans, config=None):
     """``build_global_plan`` as it was while the paper's order was the only candidate."""
     from repro.core.planner import _insert_into_existing_layer
 
-    config = config or GlobalPlannerConfig()
+    config = config or STAllocConfig()
     groups = group_by_size(plans)
     layers = []
     for size in sorted(groups, reverse=config.descending_size_order):
@@ -570,9 +571,9 @@ class TestLongestLivedFirstCandidate:
     @pytest.mark.parametrize(
         "config, reused",
         [
-            (GlobalPlannerConfig(), True),
-            (GlobalPlannerConfig(enable_gap_insertion=False), False),
-            (GlobalPlannerConfig(descending_size_order=False), False),
+            (STAllocConfig(), True),
+            (STAllocConfig(enable_gap_insertion=False), False),
+            (STAllocConfig(descending_size_order=False), False),
         ],
         ids=["dynamic-reuse", "no-gap-insertion", "ascending"],
     )
@@ -798,7 +799,7 @@ class TestPlanSynthesizer:
 
     def test_dynamic_reuse_can_be_disabled(self, moe_trace):
         profile = AllocationProfiler().profile(moe_trace)
-        plan = PlanSynthesizer(SynthesizerConfig(enable_dynamic_reuse=False)).synthesize(profile)
+        plan = PlanSynthesizer(STAllocConfig(enable_dynamic_reuse=False)).synthesize(profile)
         assert plan.dynamic_reusable_spaces == {}
 
     def test_synthesis_info_populated(self, dense_trace):
@@ -814,7 +815,7 @@ class TestPlanSynthesizer:
         self, dense_trace, moe_trace, monkeypatch
     ):
         from repro.core import synthesizer
-        from repro.core.stalloc import STAlloc, STAllocConfig
+        from repro.core.stalloc import STAlloc
 
         seen = []
 
@@ -842,8 +843,8 @@ class TestPlanSynthesizer:
 
     def test_fusion_improves_or_matches_pool_size(self, dense_trace):
         profile = AllocationProfiler().profile(dense_trace)
-        fused = PlanSynthesizer(SynthesizerConfig(enable_fusion=True)).synthesize(profile)
-        unfused = PlanSynthesizer(SynthesizerConfig(enable_fusion=False)).synthesize(profile)
+        fused = PlanSynthesizer(STAllocConfig(enable_fusion=True)).synthesize(profile)
+        unfused = PlanSynthesizer(STAllocConfig(enable_fusion=False)).synthesize(profile)
         assert fused.pool_size <= unfused.pool_size * 1.01
 
 

@@ -21,8 +21,8 @@ from repro.simulator.runner import (
 )
 from repro.sweep.spec import SweepPoint
 from repro.gpu.specs import GPU_SPECS
-from repro.simulator.throughput import ThroughputEstimate, ThroughputModel
-from repro.timeline import simulate_timeline
+from repro.simulator.throughput import ThroughputModel
+from repro.timeline import TimelineResult, simulate_timeline
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
@@ -237,9 +237,7 @@ class TestThroughputModel:
 
     @staticmethod
     def _estimate(config, gpu="H200-141GB", overhead=0.0):
-        return simulate_timeline(
-            config, gpu=gpu, allocator_overhead_seconds=overhead
-        ).to_estimate()
+        return simulate_timeline(config, gpu=gpu, allocator_overhead_seconds=overhead)
 
     def _tflops(self, config, **kwargs) -> float:
         return self._estimate(config, **kwargs).tflops_per_gpu
@@ -299,33 +297,46 @@ class TestThroughputModel:
         )
         assert model.communication_multiplier(config) == 1.0
 
-    def test_zero_time_guards(self):
-        """A degenerate estimate (zero iteration time) must report zero
-        throughput instead of dividing by zero."""
-        estimate = ThroughputEstimate(
-            iteration_seconds=0.0,
+    @staticmethod
+    def _result(iteration_seconds: float, peak_tflops: float) -> TimelineResult:
+        return TimelineResult(
+            gpu_name="A800-80GB",
+            description="",
+            ranks=[],
+            iteration_seconds=iteration_seconds,
             model_flops_per_iteration=1e12,
             num_gpus=8,
             tokens_per_iteration=1024,
+            peak_tflops=peak_tflops,
         )
-        assert estimate.tflops_per_gpu == 0.0
-        assert estimate.tokens_per_second == 0.0
-        assert estimate.mfu == 0.0
+
+    def test_zero_time_guards(self):
+        """A degenerate result (zero iteration time) must report zero
+        throughput instead of dividing by zero."""
+        result = self._result(0.0, peak_tflops=100.0)
+        assert result.tflops_per_gpu == 0.0
+        assert result.tokens_per_second == 0.0
+        assert result.mfu == 0.0
 
     def test_mfu_requires_a_known_peak(self):
-        with_peak = ThroughputEstimate(
-            iteration_seconds=1.0,
-            model_flops_per_iteration=1e12,
-            num_gpus=1,
-            peak_tflops=100.0,
-        )
-        without_peak = ThroughputEstimate(
-            iteration_seconds=1.0,
-            model_flops_per_iteration=1e12,
-            num_gpus=1,
-        )
-        assert with_peak.mfu == pytest.approx(0.01)
-        assert without_peak.mfu == 0.0
+        assert self._result(1.0, peak_tflops=100.0).mfu == pytest.approx(1.25e-3)
+        assert self._result(1.0, peak_tflops=0.0).mfu == 0.0
+
+    @pytest.mark.parametrize("overhead", [0.0, 0.0123, 0.5])
+    def test_row_mfu_is_tflops_over_peak_bit_for_bit(self, overhead):
+        result = self._estimate(self._config(), gpu="A800-80GB", overhead=overhead)
+        columns = result.row_columns()
+        assert columns["mfu"] == columns["tflops_per_gpu"] / result.peak_tflops
+        assert result.mfu == columns["mfu"]
+        assert list(columns) == [
+            "tflops_per_gpu",
+            "tokens_per_second",
+            "iteration_seconds",
+            "comm_seconds",
+            "decode_seconds",
+            "bubble_fraction",
+            "mfu",
+        ]
 
     def test_estimate_records_bubble_and_peak(self):
         config = self._config()
@@ -352,7 +363,7 @@ class TestRunner:
 
     def test_run_job_with_throughput(self, tiny_dense_config):
         job = run_job(tiny_dense_config, "torch2.3", ranks=None)
-        assert job.throughput is not None and job.throughput.tflops_per_gpu > 0
+        assert job.tflops > 0 and job.tflops == job.timeline.tflops_per_gpu
 
     def test_lineup_shares_trace(self, tiny_dense_config):
         runs = lineup_runs(tiny_dense_config, ["torch2.0", "torch2.3"], device_name="A800-80GB")

@@ -29,11 +29,12 @@ from repro.search import (
 )
 from repro.search.planner import _rank_rows
 from repro.simulator.ranks import split_classes_by_capacity
-from repro.simulator.ranks import resolve_job_ranks, validate_capacity_gib
+from repro.simulator.ranks import default_capacity_gib, resolve_job_ranks, validate_capacity_gib
 from repro.simulator.runner import JobRun, WorkloadRun, _budget_utilization, run_job, run_workload
 from repro.sweep.compare import _is_regression, _values_differ, compare_results
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import load_spec
+from repro.timeline.simulator import simulate_timeline
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig, normalize_rank
 from repro.workloads.tracegen import TraceGenerator
@@ -53,7 +54,7 @@ def test_cluster_parse():
     bare = ClusterSpec.parse("4xA800-80GB")
     assert bare.num_devices == 4
     assert bare.device_capacity_gib is None
-    assert bare.capacity_gib == bare.gpu.memory_gib
+    assert default_capacity_gib(bare.device_name, bare.device_capacity_gib) == 80
 
 
 @pytest.mark.parametrize(
@@ -69,7 +70,7 @@ def test_cluster_from_dict_roundtrip():
     cluster = ClusterSpec.from_dict(
         {"devices": "4xA800-80GB@40", "device_memory_by_rank": {"0": 30, "1.0": 20}}
     )
-    assert dict(cluster.budget_map()) == {"0": 30.0, "1.0": 20.0}
+    assert dict(cluster.device_memory_by_rank) == {"0": 30.0, "1.0": 20.0}
     # A ClusterSpec passes through unchanged.
     assert ClusterSpec.from_dict(cluster) is cluster
 
@@ -405,15 +406,16 @@ def test_binding_rank_honors_zero_budget():
     """A zero-budget class is maximally binding, not invisible (the old
     truthiness check made ``binding_utilization`` return None for it and
     ``binding_class_index`` fall back to the raw-peak rank)."""
+    config = TrainingConfig(
+        model=get_model("gpt-tiny"), parallelism=ParallelismConfig(pipeline_parallel=2)
+    )
     job = JobRun(
-        config=TrainingConfig(
-            model=get_model("gpt-tiny"),
-            parallelism=ParallelismConfig(pipeline_parallel=2),
-        ),
+        config=config,
         allocator_name="torch2.3",
         device_name="A800-80GB",
         rank_classes=[(0,), (1,)],
         class_runs=[_fake_run(50.0), _fake_run(1.0)],
+        timeline=simulate_timeline(config, gpu="A800-80GB"),
         class_capacities=[80.0, 0.0],
     )
     assert job.binding_class_index == 1

@@ -12,9 +12,22 @@ simulator's event loop.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.gpu.specs import GPUSpec
-from repro.simulator.throughput import ThroughputEstimate, ThroughputModel
+from repro.simulator.throughput import ThroughputModel
 from repro.workloads.training import TrainingConfig
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """The closed form's iteration: what the differential tests compare."""
+
+    #: Step time without the allocator's overhead.
+    iteration_seconds: float
+    bubble_fraction: float
+    #: Per-GPU TFLOPS with the allocator's overhead added to the step.
+    tflops_per_gpu: float
 
 
 def pipeline_bubble_fraction(config: TrainingConfig) -> float:
@@ -29,7 +42,7 @@ def pipeline_bubble_fraction(config: TrainingConfig) -> float:
 
 def estimate(
     config: TrainingConfig, gpu: GPUSpec, allocator_overhead_seconds: float = 0.0
-) -> ThroughputEstimate:
+) -> ClosedForm:
     """The closed-form estimate of one iteration, plus an allocator's overhead."""
     costs = ThroughputModel()
     num_gpus = config.parallelism.num_gpus
@@ -39,12 +52,11 @@ def estimate(
     )
     bubble = pipeline_bubble_fraction(config)
     pipeline_seconds = compute_seconds / max(1e-9, (1.0 - bubble))
-    return ThroughputEstimate(
-        iteration_seconds=pipeline_seconds * costs.communication_multiplier(config),
-        model_flops_per_iteration=model_flops,
-        num_gpus=num_gpus,
-        tokens_per_iteration=config.tokens_per_iteration,
+    iteration_seconds = pipeline_seconds * costs.communication_multiplier(config)
+    return ClosedForm(
+        iteration_seconds=iteration_seconds,
         bubble_fraction=bubble,
-        peak_tflops=gpu.peak_tflops,
-        allocator_overhead_seconds=allocator_overhead_seconds,
+        tflops_per_gpu=(
+            model_flops / num_gpus / (iteration_seconds + allocator_overhead_seconds) / 1e12
+        ),
     )
