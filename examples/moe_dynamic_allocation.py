@@ -28,7 +28,7 @@ def describe(label: str, trace, config: STAllocConfig) -> None:
     print(f"  dynamic served in pool : {stats['dynamic_pool_bytes'] / GIB:6.2f} GiB")
     print(f"  fell back to caching   : {stats['fallback_bytes'] / GIB:6.2f} GiB "
           f"(peak reserved {stats.get('fallback_peak_reserved', 0) / GIB:.2f} GiB)")
-    print(f"  peak reserved          : {result.metrics.peak_reserved_gib:6.2f} GiB")
+    print(f"  peak reserved          : {result.peak_reserved_gib:6.2f} GiB")
     print(f"  memory efficiency      : {100 * result.memory_efficiency:6.1f}%")
 
 

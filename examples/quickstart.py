@@ -51,11 +51,10 @@ def main() -> None:
     ):
         result = replay_trace(trace, allocator)
         print(
-            f"{name:28s} reserved {result.metrics.peak_reserved_gib:6.2f} GiB for "
-            f"{result.metrics.peak_allocated_gib:6.2f} GiB of tensors "
+            f"{name:28s} reserved {result.peak_reserved_gib:6.2f} GiB for "
+            f"{result.peak_allocated_gib:6.2f} GiB of tensors "
             f"-> efficiency {100 * result.memory_efficiency:5.1f}%, "
-            f"fragmentation "
-            f"{result.metrics.peak_reserved_gib - result.metrics.peak_allocated_gib:4.2f} GiB"
+            f"fragmentation {result.peak_reserved_gib - result.peak_allocated_gib:4.2f} GiB"
         )
 
 

@@ -205,7 +205,7 @@ def efficiency_row(config_label: str, allocator: str, run) -> dict:
         "allocator": allocator,
         "memory_efficiency_pct": round(100 * run.memory_efficiency, 1),
         "fragmentation_pct": round(100 * run.fragmentation_ratio, 1),
-        "allocated_gib": round(run.replay.metrics.peak_allocated_gib, 2),
-        "reserved_gib": round(run.replay.metrics.peak_reserved_gib, 2),
+        "allocated_gib": round(run.peak_allocated_gib, 2),
+        "reserved_gib": round(run.peak_reserved_gib, 2),
         "status": "ok" if run.success else "OOM",
     }

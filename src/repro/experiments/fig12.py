@@ -49,7 +49,7 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
                 "normalized_throughput_pct": round(
                     100.0 * job.tflops / reference if reference else 0.0, 2
                 ),
-                "allocator_overhead_s": round(job.class_runs[0].replay.overhead_seconds, 3),
+                "allocator_overhead_s": round(job.class_runs[0].overhead_seconds, 3),
             }
         )
     return ExperimentResult(

@@ -42,9 +42,9 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
                 "config": preset,
                 "allocator": LABELS[allocator],
                 "memory_efficiency_pct": round(100 * run_.memory_efficiency, 1),
-                "reserved_gib": round(run_.replay.metrics.peak_reserved_gib, 2),
+                "reserved_gib": round(run_.peak_reserved_gib, 2),
                 "fallback_gib": round(
-                    run_.replay.allocator_stats.get("fallback_peak_reserved", 0) / 2**30, 2
+                    run_.allocator_stats.get("fallback_peak_reserved", 0) / 2**30, 2
                 ),
             }
         )

@@ -34,8 +34,8 @@ def run(
         rows.append(
             {
                 "optimization": label,
-                "allocated_gib": round(run_.replay.metrics.peak_allocated_gib, 2),
-                "reserved_gib": round(run_.replay.metrics.peak_reserved_gib, 2),
+                "allocated_gib": round(run_.peak_allocated_gib, 2),
+                "reserved_gib": round(run_.peak_reserved_gib, 2),
                 "memory_efficiency_pct": round(100 * run_.memory_efficiency, 1),
             }
         )

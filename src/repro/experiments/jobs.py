@@ -100,7 +100,7 @@ def run_ep_table(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentRes
     rows = []
     for (imbalance, allocator), job in jobs.items():
         peaks = {
-            rank_label(rank): round(run.replay.metrics.peak_allocated_gib, 3)
+            rank_label(rank): round(run.peak_allocated_gib, 3)
             for rank, run in job.runs_by_rank().items()
         }
         rows.append(

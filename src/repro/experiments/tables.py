@@ -180,8 +180,8 @@ def run_table3(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResul
     for preset in presets:
         without, with_reuse = (runs[preset, name].class_runs[0] for name in lineup)
         report = with_reuse.planning_report
-        fallback_without = without.replay.allocator_stats.get("fallback_peak_reserved", 0)
-        fallback_with = with_reuse.replay.allocator_stats.get("fallback_peak_reserved", 0)
+        fallback_without = without.allocator_stats.get("fallback_peak_reserved", 0)
+        fallback_with = with_reuse.allocator_stats.get("fallback_peak_reserved", 0)
         rows.append(
             {
                 "config": preset,

@@ -1,4 +1,4 @@
-"""Trace replay, memory metrics, and the closed-form throughput cost inputs."""
+"""Trace replay, its memory metrics, and the closed-form throughput cost inputs."""
 
 from repro._lazy import attach
 
@@ -6,11 +6,9 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         "execution": ["ExecutionContext"],
-        "metrics": ["MemoryMetrics"],
         "replay": ["ReplayResult", "replay_trace"],
         "runner": [
             "JobRun",
-            "WorkloadRun",
             "run_job",
             "run_jobs",
             "run_workload",

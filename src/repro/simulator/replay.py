@@ -1,4 +1,10 @@
-"""Replay an allocation trace against an allocator on a simulated device."""
+"""Replay an allocation trace against an allocator on a simulated device.
+
+One replay's result carries the paper's memory-efficiency metric (§2.2):
+``E = M_a / M_r``, where ``M_a`` is the peak allocated (theoretically
+required) memory and ``M_r`` the peak memory reserved by the allocator.  The
+fragmentation ratio is ``1 - E``.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +13,23 @@ from dataclasses import dataclass, field
 
 from repro.allocators.base import AllocationHints, Allocator
 from repro.core.columns import ALLOC, CATEGORIES
+from repro.gpu.device import GIB
 from repro.gpu.errors import OutOfMemoryError
 from repro.obs.tracer import is_enabled as _obs_enabled
 from repro.obs.tracer import observe as _obs_observe
 from repro.obs.tracer import span as _obs_span
-from repro.simulator.metrics import MemoryMetrics
 from repro.workloads.trace import Trace
 
 
 @dataclass
 class ReplayResult:
-    """Outcome of replaying one trace through one allocator."""
+    """Outcome of replaying one trace through one allocator (one rank's replay)."""
 
     allocator_name: str
-    metrics: MemoryMetrics
-    success: bool = True
+    peak_allocated_bytes: int
+    peak_reserved_bytes: int
+    #: Index of the event that ran out of memory (``-1``: the allocator's
+    #: own setup did); ``None`` when the whole trace fit.
     oom_at_event: int | None = None
     oom_request_bytes: int = 0
     events_replayed: int = 0
@@ -29,14 +37,44 @@ class ReplayResult:
     skipped_frees: int = 0
     allocator_stats: dict = field(default_factory=dict)
     overhead_seconds: float = 0.0
+    #: The STAlloc variants' planning report; empty for other allocators.
+    planning_report: dict = field(default_factory=dict)
+    #: Peak concurrently-live COMM_BUFFER bytes of the replayed trace (the
+    #: all-to-all dispatch/combine transients plus P2P/ZeRO buffers);
+    #: trace-determined, identical for every allocator.
+    comm_peak_bytes: int = 0
+    #: Peak concurrently-live KV_CACHE bytes of the replayed trace (the
+    #: per-layer key/value caches of a generation workload; 0 for training
+    #: and inference); trace-determined, identical for every allocator.
+    kv_peak_bytes: int = 0
+
+    def __post_init__(self) -> None:
+        if self.peak_allocated_bytes < 0 or self.peak_reserved_bytes < 0:
+            raise ValueError("peak byte counts must be non-negative")
+
+    @property
+    def success(self) -> bool:
+        return self.oom_at_event is None
 
     @property
     def memory_efficiency(self) -> float:
-        return self.metrics.memory_efficiency
+        """``E = M_a / M_r`` (defined as 1.0 when nothing was reserved)."""
+        if self.peak_reserved_bytes == 0:
+            return 1.0
+        return min(1.0, self.peak_allocated_bytes / self.peak_reserved_bytes)
 
     @property
     def fragmentation_ratio(self) -> float:
-        return self.metrics.fragmentation_ratio
+        """Fraction of reserved memory wasted: ``1 - E``."""
+        return 1.0 - self.memory_efficiency
+
+    @property
+    def peak_allocated_gib(self) -> float:
+        return self.peak_allocated_bytes / GIB
+
+    @property
+    def peak_reserved_gib(self) -> float:
+        return self.peak_reserved_bytes / GIB
 
 
 def replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool = True) -> ReplayResult:
@@ -74,17 +112,7 @@ def _replay_trace(
     """The replay's result, and whether the allocator applied it in one batched step."""
     batched = allocator.batch_replay(trace, stop_on_oom=stop_on_oom)
     if batched is not None:
-        return ReplayResult(
-            allocator_name=allocator.name,
-            metrics=MemoryMetrics(
-                peak_allocated_bytes=allocator.stats.peak_allocated,
-                peak_reserved_bytes=allocator.stats.peak_reserved,
-            ),
-            success=True,
-            events_replayed=batched,
-            allocator_stats=allocator.stats.snapshot(),
-            overhead_seconds=allocator.overhead_seconds(),
-        ), True
+        return _result(trace, allocator, events_replayed=batched), True
     events_replayed = 0
     failed_allocs = 0
     skipped_frees = 0
@@ -142,19 +170,26 @@ def _replay_trace(
             free(req_id)
         events_replayed += 1
 
-    metrics = MemoryMetrics(
-        peak_allocated_bytes=allocator.stats.peak_allocated,
-        peak_reserved_bytes=allocator.stats.peak_reserved,
-    )
-    return ReplayResult(
-        allocator_name=allocator.name,
-        metrics=metrics,
-        success=oom_at_event is None,
+    return _result(
+        trace,
+        allocator,
         oom_at_event=oom_at_event,
         oom_request_bytes=oom_request_bytes,
         events_replayed=events_replayed,
         failed_allocs=failed_allocs,
         skipped_frees=skipped_frees,
+    ), False
+
+
+def _result(trace: Trace, allocator: Allocator, **outcome) -> ReplayResult:
+    """The result of a finished replay: ``outcome`` plus what the allocator and trace hold."""
+    return ReplayResult(
+        allocator_name=allocator.name,
+        peak_allocated_bytes=allocator.stats.peak_allocated,
+        peak_reserved_bytes=allocator.stats.peak_reserved,
         allocator_stats=allocator.stats.snapshot(),
         overhead_seconds=allocator.overhead_seconds(),
-    ), False
+        comm_peak_bytes=trace.comm_peak_bytes(),
+        kv_peak_bytes=trace.kv_peak_bytes(),
+        **outcome,
+    )

@@ -10,14 +10,17 @@ The experiments in :mod:`repro.experiments` all follow the same recipe:
 3. replay the trace through one or more allocators on a fresh device
    (batch-replayable allocators apply the whole trace in one batched
    step, see :meth:`repro.allocators.base.Allocator.batch_replay`),
-4. compute memory-efficiency metrics, then price the job's throughput.
+4. read each replay's memory efficiency off its
+   :class:`~repro.simulator.replay.ReplayResult`, then price the job's
+   throughput.
 
 This module implements that recipe once, including STAlloc's extra offline
 step (profile + plan synthesis before the replay).
 
-The pure per-run path is :func:`run_workload`; :func:`run_jobs` is the one
-orchestrator on top of it (:func:`run_job` runs one job through it).  Every
-figure, table, sweep and search replays through :func:`run_jobs`, and each
+The pure per-run path is :func:`run_workload`: one rank's replay, returned
+as its :class:`~repro.simulator.replay.ReplayResult`.  :func:`run_jobs` is
+the one orchestrator on top of it (:func:`run_job` runs one job through
+it).  Every figure, table, sweep and search replays through :func:`run_jobs`, and each
 describes a job the same way: a :class:`~repro.sweep.spec.SweepPoint` built by
 :meth:`~repro.sweep.spec.SweepPoint.build`, whose ranks are already resolved
 and whose knobs, budgets and fabric are sorted pairs.  Its unit
@@ -49,7 +52,6 @@ from repro.gpu.device import Device, GIB
 from repro.gpu.errors import OutOfMemoryError
 from repro.obs.tracer import span as _obs_span
 from repro.simulator.execution import ExecutionContext
-from repro.simulator.metrics import MemoryMetrics
 from repro.simulator.ranks import default_capacity_gib, job_rank_classes, validate_capacity_gib
 
 # Read from here by benchmarks/e2e/stages.py (its home is simulator.ranks).
@@ -61,39 +63,6 @@ from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import normalize_rank
 from repro.workloads.trace import Trace
 from repro.workloads.training import TrainingConfig
-
-
-@dataclass
-class WorkloadRun:
-    """One (configuration, allocator, rank) measurement."""
-
-    config: TrainingConfig
-    allocator_name: str
-    replay: ReplayResult
-    device_name: str
-    rank: int = 0
-    ep_rank: int = 0
-    planning_report: dict = field(default_factory=dict)
-    #: Peak concurrently-live COMM_BUFFER bytes of the replayed trace (the
-    #: all-to-all dispatch/combine transients plus P2P/ZeRO buffers);
-    #: trace-determined, identical for every allocator.
-    comm_peak_bytes: int = 0
-    #: Peak concurrently-live KV_CACHE bytes of the replayed trace (the
-    #: per-layer key/value caches of a generation workload; 0 for training
-    #: and inference); trace-determined, identical for every allocator.
-    kv_peak_bytes: int = 0
-
-    @property
-    def memory_efficiency(self) -> float:
-        return self.replay.memory_efficiency
-
-    @property
-    def fragmentation_ratio(self) -> float:
-        return self.replay.fragmentation_ratio
-
-    @property
-    def success(self) -> bool:
-        return self.replay.success
 
 
 def _stalloc_config(name: str, overrides: dict | None) -> STAllocConfig:
@@ -138,21 +107,22 @@ def run_workload(
     trace: Trace | None = None,
     stalloc_overrides: dict | None = None,
     ctx: ExecutionContext | None = None,
-) -> WorkloadRun:
-    """Run one configuration through one allocator and collect metrics.
+) -> ReplayResult:
+    """Run one configuration through one allocator: one rank's replay.
 
     This is the pure per-run worker: it has no side effects beyond ``ctx``'s
     caches and is what the sweep engine executes in worker processes.  ``rank`` and
     ``ep_rank`` select the (pipeline, expert-parallel) rank coordinate being
     simulated (rank (0, 0) by default, matching the single-rank behaviour of
     earlier releases; ``rank`` also accepts a ``(pp, ep)`` pair directly).
-    It measures memory only: :func:`run_jobs` prices a whole job once from
-    its ranks' replays.  ``stalloc_overrides`` optionally overrides
-    STAllocConfig knobs for the STAlloc variants (ablation sweeps); other
-    allocators ignore it.  ``trace``
-    is the rank's trace when the caller already holds it; otherwise ``ctx``
-    fetches it, from its on-disk trace/plan cache when it has one (default: a
-    fresh serial context with no disk cache).
+    It measures memory only, returning the replay's :class:`ReplayResult`
+    (with the STAlloc variants' planning report): :func:`run_jobs` prices a
+    whole job once from its ranks' replays.  ``stalloc_overrides`` optionally
+    overrides STAllocConfig knobs for the STAlloc variants (ablation sweeps);
+    other allocators ignore it.  ``trace`` is the rank's trace when the
+    caller already holds it; otherwise ``ctx`` fetches it, from its on-disk
+    trace/plan cache when it has one (default: a fresh serial context with no
+    disk cache).
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     device_capacity_gib = validate_capacity_gib(device_capacity_gib)
@@ -175,36 +145,18 @@ def run_workload(
             # mid-step, so this is an OOM *result* (failed before any event
             # replayed, ``oom_at_event=-1``), not an orchestration error to
             # propagate.
-            replay = ReplayResult(
+            return ReplayResult(
                 allocator_name=allocator_name,
-                metrics=MemoryMetrics(peak_allocated_bytes=0, peak_reserved_bytes=0),
-                success=False,
+                peak_allocated_bytes=0,
+                peak_reserved_bytes=0,
                 oom_at_event=-1,
                 oom_request_bytes=oom.requested,
-            )
-            return WorkloadRun(
-                config=config,
-                allocator_name=allocator_name,
-                replay=replay,
-                device_name=device_name,
-                rank=rank,
-                ep_rank=ep_rank,
-                planning_report={},
                 comm_peak_bytes=trace.comm_peak_bytes(),
                 kv_peak_bytes=trace.kv_peak_bytes(),
             )
-        replay = replay_trace(trace, allocator)
-        return WorkloadRun(
-            config=config,
-            allocator_name=allocator_name,
-            replay=replay,
-            device_name=device_name,
-            rank=rank,
-            ep_rank=ep_rank,
-            planning_report=planning_report,
-            comm_peak_bytes=trace.comm_peak_bytes(),
-            kv_peak_bytes=trace.kv_peak_bytes(),
-        )
+        result = replay_trace(trace, allocator)
+        result.planning_report = planning_report
+        return result
 
 
 # ---------------------------------------------------------------------- #
@@ -229,7 +181,7 @@ class JobRun:
     """One (configuration, allocator) measurement across a job's ranks.
 
     ``rank_classes`` partitions the simulated ranks into memory-equivalence
-    classes; ``class_runs`` holds one :class:`WorkloadRun` per class (its
+    classes; ``class_runs`` holds one :class:`ReplayResult` per class (its
     representative rank's replay), in the same order.  Aggregates weight each
     class by its member count, so deduplicated execution reports exactly what
     an exhaustive per-rank run would.  Class members are pipeline-rank ints
@@ -244,7 +196,7 @@ class JobRun:
     allocator_name: str
     device_name: str
     rank_classes: list[tuple]
-    class_runs: list[WorkloadRun]
+    class_runs: list[ReplayResult]
     #: The job's priced iteration: its throughput columns
     #: (:meth:`~repro.timeline.simulator.TimelineResult.row_columns`) and the
     #: per-rank event streams behind them.
@@ -282,7 +234,7 @@ class JobRun:
         *utilization* of its own budget (peak / capacity) -- a 30 GiB peak on
         a 40 GiB device binds harder than a 50 GiB peak on a 96 GiB one.
         """
-        peaks = [run.replay.metrics.peak_allocated_gib for run in self.class_runs]
+        peaks = [run.peak_allocated_gib for run in self.class_runs]
         if self.heterogeneous_budgets:
             utilizations = [
                 _budget_utilization(peak, capacity)
@@ -297,7 +249,7 @@ class JobRun:
         return self.rank_classes[self.binding_class_index][0]
 
     @property
-    def binding_run(self) -> WorkloadRun:
+    def binding_run(self) -> ReplayResult:
         return self.class_runs[self.binding_class_index]
 
     @property
@@ -308,27 +260,25 @@ class JobRun:
         capacity = capacities[index] if index < len(capacities) else None
         if capacity is None:
             return None
-        return _budget_utilization(
-            self.class_runs[index].replay.metrics.peak_allocated_gib, capacity
-        )
+        return _budget_utilization(self.class_runs[index].peak_allocated_gib, capacity)
 
     @property
     def peak_allocated_gib(self) -> float:
         """Job peak: the max over per-rank peaks (the binding rank's peak)."""
-        return max(run.replay.metrics.peak_allocated_gib for run in self.class_runs)
+        return max(run.peak_allocated_gib for run in self.class_runs)
 
     @property
     def mean_peak_allocated_gib(self) -> float:
         """Per-rank peak averaged over every requested rank (class-weighted)."""
         total = sum(
-            len(cls) * run.replay.metrics.peak_allocated_gib
+            len(cls) * run.peak_allocated_gib
             for cls, run in zip(self.rank_classes, self.class_runs)
         )
         return total / self.num_ranks
 
     @property
     def peak_reserved_gib(self) -> float:
-        return max(run.replay.metrics.peak_reserved_gib for run in self.class_runs)
+        return max(run.peak_reserved_gib for run in self.class_runs)
 
     @property
     def comm_peak_bytes(self) -> int:
@@ -405,7 +355,7 @@ def _attributed(tag, on_error):
         raise on_error(tag, error) from error
 
 
-def replay_rank(ctx: ExecutionContext, item: tuple) -> list[tuple[WorkloadRun, float]]:
+def replay_rank(ctx: ExecutionContext, item: tuple) -> list[tuple[ReplayResult, float]]:
     """:meth:`ExecutionContext.map` unit of work: one rank's trace, every replay of it.
 
     ``item`` is ``((config, seed, scale, rank, ep_rank), trace, requests,
@@ -413,7 +363,7 @@ def replay_rank(ctx: ExecutionContext, item: tuple) -> list[tuple[WorkloadRun, f
     kwargs)``.  Unless the item carries the trace (see :func:`_work_items`),
     it is fetched once (the disk cache, else the generator); it is replayed
     for every request and dropped when the item returns, so a process holds
-    one trace at a time.  Returns each request's ``(WorkloadRun, seconds)``;
+    one trace at a time.  Returns each request's ``(ReplayResult, seconds)``;
     the first request's seconds include the fetch, if any.  A failing replay
     raises ``on_error(tag, error)`` for its own request's tag (see
     :func:`run_jobs`).
@@ -544,7 +494,7 @@ def _assemble_job(
     point: SweepPoint,
     capacity_gib: float | None,
     classes: list[tuple[tuple, float | None]],
-    class_runs: list[WorkloadRun],
+    class_runs: list[ReplayResult],
 ) -> JobRun:
     """One job's :class:`JobRun` from its class replays, priced once per job."""
     # Record the concrete budget every class ran against (the device default
@@ -560,7 +510,7 @@ def _assemble_job(
         gpu=point.gpu,
         seed=point.seed,
         scale=point.scale,
-        allocator_overhead_seconds=max(run.replay.overhead_seconds for run in class_runs),
+        allocator_overhead_seconds=max(run.overhead_seconds for run in class_runs),
     )
     return JobRun(
         config=point.config,

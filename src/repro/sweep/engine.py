@@ -101,7 +101,6 @@ def _point_row(point: SweepPoint, job, elapsed: float) -> dict:
     (``repro.sweep.results._fmt``) so ``--compare`` diffs real values.
     """
     binding = job.binding_run
-    metrics = binding.replay.metrics
     binding_rank = job.binding_rank
     row = {
         "point": point.index,
@@ -120,14 +119,14 @@ def _point_row(point: SweepPoint, job, elapsed: float) -> dict:
         "binding_rank": (
             binding_rank if isinstance(binding_rank, int) else rank_label(binding_rank)
         ),
-        "memory_efficiency_pct": 100 * metrics.memory_efficiency,
-        "fragmentation_pct": 100 * metrics.fragmentation_ratio,
+        "memory_efficiency_pct": 100 * binding.memory_efficiency,
+        "fragmentation_pct": 100 * binding.fragmentation_ratio,
         "allocated_gib": job.peak_allocated_gib,
         "allocated_mean_gib": job.mean_peak_allocated_gib,
         "reserved_gib": job.peak_reserved_gib,
         "comm_peak_bytes": job.comm_peak_bytes,
         "kv_peak_bytes": job.kv_peak_bytes,
-        "events_replayed": sum(run.replay.events_replayed for run in job.class_runs),
+        "events_replayed": sum(run.events_replayed for run in job.class_runs),
         "elapsed_seconds": round(elapsed, 4),
         "cached": False,
         "description": point.config.describe(),
@@ -140,10 +139,8 @@ def _point_row(point: SweepPoint, job, elapsed: float) -> dict:
             rank if isinstance(rank, int) else rank_label(rank) for rank in job.oom_ranks
         ]
         failed = next(run for run in job.class_runs if not run.success)
-        row["oom_at_event"] = failed.replay.oom_at_event
-    pool_bytes = (
-        binding.planning_report.get("static_pool_bytes") if binding.planning_report else None
-    )
+        row["oom_at_event"] = failed.oom_at_event
+    pool_bytes = binding.planning_report.get("static_pool_bytes")
     if pool_bytes:
         row["static_pool_gib"] = round(pool_bytes / (1 << 30), 3)
     return row

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace as dataclass_replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -82,9 +83,12 @@ STALLOC_AXES = frozenset(f.name for f in dataclass_fields(STAllocConfig))
 STALLOC_ALLOCATORS = frozenset({STALLOC, STALLOC_NO_REUSE})
 
 
-def _pairs(mapping) -> tuple:
-    """A mapping (or its ``(key, value)`` pairs) as pairs sorted by key."""
-    return tuple(sorted(dict(mapping or ()).items()))
+def _mapping(value, name: str) -> dict:
+    """Field ``name``'s mapping (or its ``(key, value)`` pairs, or ``None``) as a dict."""
+    if not isinstance(value, str):
+        with suppress(TypeError, ValueError):
+            return dict(() if value is None else value)
+    raise ValueError(f"{name} must be a mapping or (key, value) pairs, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,13 +162,21 @@ class SweepPoint:
         ``stalloc_overrides`` (STAllocConfig knobs) and ``fabric`` (GPUSpec
         fabric fields) are mappings or their pairs.  ``fields`` are the
         remaining point fields (``seed``, ``scale``, ...).  An unknown
-        ``device_name`` or a malformed ``fabric`` raises ``ValueError`` here,
-        before anything is generated or replayed.
+        ``device_name``, or a malformed ``fabric``, ``device_memory_by_rank``
+        or ``stalloc_overrides``, raises ``ValueError`` here, before anything
+        is generated or replayed.
         """
         get_gpu(device_name)
-        fabric = dict(fabric or ())
+        fabric = _mapping(fabric, "fabric")
         _validate_fabric(fabric, "fabric")
-        budgets = normalize_capacity_map(dict(device_memory_by_rank or ()), config)
+        budgets = normalize_capacity_map(
+            _mapping(device_memory_by_rank, "device_memory_by_rank"), config
+        )
+        overrides = _mapping(stalloc_overrides, "stalloc_overrides")
+        try:
+            STAllocConfig(**overrides)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"stalloc_overrides: {error}") from None
         return cls(
             index=index,
             config=config,
@@ -173,8 +185,8 @@ class SweepPoint:
             device_name=device_name,
             device_capacity_gib=device_capacity_gib,
             device_memory_by_rank=tuple(sorted(budgets.items())),
-            stalloc_overrides=_pairs(stalloc_overrides),
-            fabric=_pairs(fabric),
+            stalloc_overrides=tuple(sorted(overrides.items())),
+            fabric=tuple(sorted(fabric.items())),
             **fields,
         )
 

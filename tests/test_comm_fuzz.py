@@ -323,10 +323,7 @@ class TestPeakMonotonicity:
         assert with_comm.comm_peak_bytes > baseline.comm_peak_bytes
         binding = with_comm.binding_run
         baseline_same_rank = baseline.runs_by_rank()[with_comm.binding_rank]
-        assert (
-            binding.replay.metrics.peak_allocated_bytes
-            > baseline_same_rank.replay.metrics.peak_allocated_bytes
-        )
+        assert binding.peak_allocated_bytes > baseline_same_rank.peak_allocated_bytes
 
 
 # ---------------------------------------------------------------------- #

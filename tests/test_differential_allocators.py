@@ -70,9 +70,9 @@ class TestReservedDominatesAllocated:
         result = replay_trace(trace, allocator)
         assert result.success
         # peak_allocated is trace-determined...
-        assert result.metrics.peak_allocated_bytes == trace.peak_allocated_bytes()
+        assert result.peak_allocated_bytes == trace.peak_allocated_bytes()
         # ...and reservations can never undercut what is live.
-        assert result.metrics.peak_reserved_bytes >= result.metrics.peak_allocated_bytes
+        assert result.peak_reserved_bytes >= result.peak_allocated_bytes
         assert 0.0 < result.memory_efficiency <= 1.0
 
 
@@ -85,7 +85,7 @@ class TestAllAllocatorsAgree:
             allocator = create_allocator(name, Device(name="big", capacity=400 * GIB))
             result = replay_trace(trace, allocator)
             assert result.success, f"{name} unexpectedly OOMed"
-            peaks[name] = result.metrics.peak_allocated_bytes
+            peaks[name] = result.peak_allocated_bytes
         assert len(set(peaks.values())) == 1, f"allocators disagree on peak_allocated: {peaks}"
 
 
@@ -95,10 +95,10 @@ class TestSuiteIncludingSTAlloc:
         """The runner's full line-up (incl. stalloc variants) agrees on M_a."""
         config = request.getfixturevalue(config_name)
         runs = lineup_runs(config)
-        peaks = {name: run.replay.metrics.peak_allocated_bytes for name, run in runs.items()}
+        peaks = {name: run.peak_allocated_bytes for name, run in runs.items()}
         assert len(set(peaks.values())) == 1, f"lineup disagrees on peak_allocated: {peaks}"
         for name, run in runs.items():
-            reserved = run.replay.metrics.peak_reserved_bytes
+            reserved = run.peak_reserved_bytes
             assert reserved >= peaks[name], f"{name} reserved less than allocated"
 
 
@@ -116,7 +116,7 @@ class TestCommHeavyDifferential:
 
     def test_full_lineup_agrees_on_comm_heavy_peak(self, comm_heavy_config):
         runs = lineup_runs(comm_heavy_config, ranks=[(0, 1)])
-        peaks = {name: run.replay.metrics.peak_allocated_bytes for name, run in runs.items()}
+        peaks = {name: run.peak_allocated_bytes for name, run in runs.items()}
         assert len(set(peaks.values())) == 1, f"lineup disagrees on peak_allocated: {peaks}"
         comm_peaks = {name: run.comm_peak_bytes for name, run in runs.items()}
         assert len(set(comm_peaks.values())) == 1, comm_peaks
@@ -310,7 +310,7 @@ class TestReservedCounterMatchesRecomputedSum:
         cached memory is handed back and the request retried (or refused)."""
         trace = _trace_for(trace_name, request)
         probe = create_allocator(allocator_name, Device(name="big", capacity=400 * GIB))
-        unconstrained = replay_trace(trace, probe).metrics.peak_reserved_bytes
+        unconstrained = replay_trace(trace, probe).peak_reserved_bytes
         demand = trace.peak_allocated_bytes()
         device = Device(
             name="tight", capacity=demand + (unconstrained - demand) // 2, reserved_overhead=0

@@ -8,7 +8,11 @@ import itertools
 
 import pytest
 
+from repro.allocators.registry import create_allocator
+from repro.gpu.device import Device, GIB
+from repro.simulator import ExecutionContext
 from repro.simulator.ranks import resolve_job_ranks
+from repro.simulator.replay import replay_trace
 from repro.simulator.runner import run_job, run_workload
 from repro.sweep import SweepCache, SweepSpec, load_spec, run_sweep
 from repro.sweep.engine import _ranks_label, point_result_key
@@ -301,13 +305,13 @@ class TestDifferentialAgainstBaseline:
         config = _moe_config(imbalance=0.0)
         assert not config.expert_asymmetry
         baseline = {
-            pp: run_workload(config, "torch2.3", rank=pp).replay.metrics.peak_allocated_gib
+            pp: run_workload(config, "torch2.3", rank=pp).peak_allocated_gib
             for pp in range(2)
         }
         for pp in range(2):
             for ep in range(4):
                 explicit = run_workload(config, "torch2.3", rank=pp, ep_rank=ep)
-                assert explicit.replay.metrics.peak_allocated_gib == baseline[pp], (
+                assert explicit.peak_allocated_gib == baseline[pp], (
                     f"coordinate ({pp}, {ep}) diverged from the EP-collapsed baseline"
                 )
 
@@ -339,7 +343,7 @@ class TestDifferentialAgainstBaseline:
         for pp in range(2):
             for ep in range(4):
                 run = run_workload(config, "torch2.3", rank=pp, ep_rank=ep)
-                peaks[(pp, ep)] = run.replay.metrics.peak_allocated_gib
+                peaks[(pp, ep)] = run.peak_allocated_gib
         assert job.peak_allocated_gib == pytest.approx(max(peaks.values()))
         assert job.mean_peak_allocated_gib == pytest.approx(
             sum(peaks.values()) / len(peaks)
@@ -353,9 +357,7 @@ class TestDifferentialAgainstBaseline:
 class TestAcceptance:
     def test_ep4_job_reports_distinct_per_rank_peaks_and_binding_rank(self):
         job = run_job(_moe_config(imbalance=0.6), "torch2.3", ranks="all")
-        per_rank = {
-            rank: run.replay.metrics.peak_allocated_gib for rank, run in job.runs_by_rank().items()
-        }
+        per_rank = {rank: run.peak_allocated_gib for rank, run in job.runs_by_rank().items()}
         assert set(per_rank) == {(pp, ep) for pp in range(2) for ep in range(4)}
         assert len(set(per_rank.values())) > 1, "EP ranks reported identical peaks"
         assert job.binding_rank == max(per_rank, key=per_rank.get)
@@ -417,9 +419,15 @@ class TestAcceptance:
         keys = {point_result_key(cache, p) for p in (full, single, stage)}
         assert len(keys) == 3
 
-    def test_workload_run_records_ep_rank(self):
-        run = run_workload(_moe_config(imbalance=0.6), "torch2.3", rank=(1, 2))
-        assert run.rank == 1 and run.ep_rank == 2
+    def test_run_workload_replays_the_requested_coordinate(self):
+        config = _moe_config(imbalance=0.6)
+        ctx = ExecutionContext()
+        run = run_workload(config, "torch2.3", rank=(1, 2), ctx=ctx)
+        device = Device(name="A800-80GB", capacity=80 * GIB, reserved_overhead=0)
+        trace = ctx.trace(config, rank=1, ep_rank=2)
+        assert run == replay_trace(trace, create_allocator("torch2.3", device))
+        other = ctx.trace(config, rank=1, ep_rank=0)
+        assert run != replay_trace(other, create_allocator("torch2.3", device))
 
 
 # ---------------------------------------------------------------------- #
@@ -435,10 +443,8 @@ class TestHeterogeneousBudgets:
         per_rank = probe.runs_by_rank()
         # Pick the lightest rank and give it a budget tight enough that its
         # utilization exceeds the peak rank's.
-        light_rank = min(
-            per_rank, key=lambda r: per_rank[r].replay.metrics.peak_allocated_gib
-        )
-        light_peak = per_rank[light_rank].replay.metrics.peak_allocated_gib
+        light_rank = min(per_rank, key=lambda r: per_rank[r].peak_allocated_gib)
+        light_peak = per_rank[light_rank].peak_allocated_gib
         budgets = {rank_label(light_rank): light_peak * 1.01}
         job = run_job(
             config, "native", ranks="all", device_memory_by_rank=budgets
@@ -546,7 +552,7 @@ class TestHeterogeneousBudgets:
         coordinate grid so the budget splits them instead of vanishing."""
         config = _moe_config(imbalance=0.0)
         probe = run_job(config, "native", ranks="all")
-        tight = probe.runs_by_rank()[0].replay.metrics.peak_allocated_gib * 0.5
+        tight = probe.runs_by_rank()[0].peak_allocated_gib * 0.5
         job = run_job(
             config, "native", ranks="all", device_memory_by_rank={"0.1": tight}
         )

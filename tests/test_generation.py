@@ -373,7 +373,7 @@ def _check_allocator_verdicts_agree(case: tuple) -> None:
             name: run_workload(
                 config, name, device_capacity_gib=capacity_gib,
                 seed=seed, trace=trace,
-            ).replay.success
+            ).success
             for name in ("native", "stalloc")
         }
         assert verdicts["native"] is expect_fit, (case, capacity_gib, verdicts)
@@ -414,7 +414,7 @@ def test_gen_decode_plan_reserves_its_demand_and_no_more_than_expandable_segment
     config = _config("gpt2-345m", pipeline=2, mbs=4, m=4, decode_steps=decode_steps)
     run = run_workload(config, "stalloc", rank=rank)
     report = run.planning_report
-    assert run.replay.success
+    assert run.success
     assert report["placement_order"] == "lifetime"
     assert report["static_pool_bytes"] < report["layered_pool_bytes"]
     assert report["layers"]["num_layers"] == 1 and report["subrange_insertions"] > 0
@@ -425,8 +425,8 @@ def test_gen_decode_plan_reserves_its_demand_and_no_more_than_expandable_segment
     assert 100 * run.fragmentation_ratio <= (0.5, 3.0)[rank]
     # The paper's ordering: offline planning reserves no more than any baseline.
     for baseline in ("torch_es", "torch2.3"):
-        reserved = run_workload(config, baseline, rank=rank).replay.metrics.peak_reserved_bytes
-        assert run.replay.metrics.peak_reserved_bytes <= reserved, baseline
+        reserved = run_workload(config, baseline, rank=rank).peak_reserved_bytes
+        assert run.peak_reserved_bytes <= reserved, baseline
 
 
 def test_gpt_tiny_generation_pool_is_no_larger_than_before_sub_layer_insertion():

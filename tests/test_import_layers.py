@@ -72,7 +72,6 @@ DEFINITION_LAYER = (
     "repro.search.presets",
     "repro.search.space",
     "repro.simulator.execution",
-    "repro.simulator.metrics",
     "repro.simulator.ranks",
     "repro.simulator.throughput",
     "repro.sweep.cache",
@@ -122,10 +121,14 @@ LEGACY_NAMES = {
 #: event-object view of a trace (its oracle lives in tests/trace_oracle.py),
 #: the second job type and rank resolvers a ``SweepPoint`` replaced, the
 #: second pricing result a ``TimelineResult`` replaced, the per-stage configs
-#: ``STAllocConfig`` replaced and ``ClusterSpec``'s test-only accessors.  A
-#: dotted name is an attribute of a class of the module.
+#: ``STAllocConfig`` replaced, ``ClusterSpec``'s test-only accessors and the
+#: two wrappers of one rank's replay a ``ReplayResult`` absorbed.  A dotted
+#: name is an attribute of a class of the module.
 REMOVED_NAMES = {
-    "repro.simulator.runner": ["VALID_TIMINGS", "validate_timing", "JobSpec", "JobRun.throughput"],
+    "repro.simulator.runner": [
+        "VALID_TIMINGS", "validate_timing", "JobSpec", "JobRun.throughput", "WorkloadRun",
+    ],
+    "repro.simulator.replay": ["ReplayResult.metrics"],
     "repro.simulator.throughput": [
         "GPU_SPECS", "VALID_TIMINGS", "validate_timing", "ThroughputEstimate",
     ],
@@ -141,7 +144,10 @@ REMOVED_NAMES = {
     "repro.core.config": ["SynthesizerConfig", "GlobalPlannerConfig"],
     "repro.core.synthesizer": ["SynthesizerConfig"],
     "repro.core.planner": ["GlobalPlannerConfig"],
-    "repro.simulator": ["GPU_SPECS", "GPUSpec", "VALID_TIMINGS", "validate_timing", "JobSpec"],
+    "repro.simulator": [
+        "GPU_SPECS", "GPUSpec", "VALID_TIMINGS", "validate_timing", "JobSpec", "WorkloadRun",
+        "MemoryMetrics",
+    ],
     "repro.sweep.spec": ["validate_timing", "spec_document", "SweepSpec._resolve_ranks"],
     "repro.search.space": ["validate_timing", "SearchSpec._resolve_ranks"],
     "repro.workloads.tracegen": ["TraceEvent", "EventKind"],
@@ -153,11 +159,12 @@ REMOVED_NAMES = {
 }
 
 #: Identifiers of the event-object view, the second job type, the second
-#: pricing result and the per-stage configs that no source file may mention.
+#: pricing result, the per-stage configs and the replay wrappers that no
+#: source file may mention.
 REMOVED_IDENTIFIERS = (
     "TraceEvent", "MemoryRequest", "pair_events", "from_events", "to_events", "to_requests",
     "JobSpec", "_resolve_ranks", "ThroughputEstimate", "to_estimate", "SynthesizerConfig",
-    "GlobalPlannerConfig",
+    "GlobalPlannerConfig", "WorkloadRun", "MemoryMetrics",
 )
 
 #: Runs ``main(argv)`` silently and reports the exit code and ``sys.modules``.

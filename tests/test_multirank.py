@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.allocators.registry import create_allocator
 from repro.core.events import PhaseKind
+from repro.gpu.device import Device, GIB
 from repro.simulator import ExecutionContext
 from repro.simulator.ranks import resolve_job_ranks
+from repro.simulator.replay import replay_trace
 from repro.simulator.runner import run_job, run_workload
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.engine import point_result_key
@@ -152,11 +155,11 @@ class TestRankPlumbing:
         ctx = ExecutionContext(cache_dir=tmp_path)
         rank0 = run_workload(config, "torch2.3", scale=0.25, rank=0, ctx=ctx)
         rank3 = run_workload(config, "torch2.3", scale=0.25, rank=3, ctx=ctx)
-        assert rank0.rank == 0 and rank3.rank == 3
-        assert (
-            rank0.replay.metrics.peak_allocated_gib
-            != rank3.replay.metrics.peak_allocated_gib
-        )
+        for rank, run in ((0, rank0), (3, rank3)):
+            device = Device(name="A800-80GB", capacity=80 * GIB, reserved_overhead=0)
+            trace = ctx.trace(config, scale=0.25, rank=rank)
+            assert run == replay_trace(trace, create_allocator("torch2.3", device))
+        assert rank0.peak_allocated_gib != rank3.peak_allocated_gib
 
 
 # ---------------------------------------------------------------------- #
@@ -182,10 +185,10 @@ class TestRunJob:
             rank: run_workload(config, "torch2.3", scale=0.25, rank=rank)
             for rank in range(4)
         }
-        peaks = [r.replay.metrics.peak_allocated_gib for r in per_rank.values()]
+        peaks = [r.peak_allocated_gib for r in per_rank.values()]
         assert job.peak_allocated_gib == pytest.approx(max(peaks))
         assert job.mean_peak_allocated_gib == pytest.approx(sum(peaks) / len(peaks))
-        assert job.binding_rank == max(per_rank, key=lambda r: per_rank[r].replay.metrics.peak_allocated_gib)
+        assert job.binding_rank == max(per_rank, key=lambda r: per_rank[r].peak_allocated_gib)
 
     def test_dedup_matches_exhaustive_ranks(self):
         """Deduplicated execution must report exactly what exhaustive would."""
@@ -196,13 +199,13 @@ class TestRunJob:
         exhaustive = [
             run_workload(config, "torch2.3", scale=0.25, rank=rank) for rank in range(4)
         ]
-        peaks = [r.replay.metrics.peak_allocated_gib for r in exhaustive]
+        peaks = [r.peak_allocated_gib for r in exhaustive]
         assert job.peak_allocated_gib == pytest.approx(max(peaks))
         assert job.mean_peak_allocated_gib == pytest.approx(sum(peaks) / 4)
         expanded = job.runs_by_rank()
         assert sorted(expanded) == [0, 1, 2, 3]
         for rank, run in expanded.items():
-            assert run.replay.metrics.peak_allocated_gib == pytest.approx(peaks[rank])
+            assert run.peak_allocated_gib == pytest.approx(peaks[rank])
 
     def test_binding_rank_differs_from_rank0_under_recompute(self):
         """Acceptance: with recomputation the last stage's logits bind the job."""
@@ -215,7 +218,7 @@ class TestRunJob:
         # device between rank 0's peak and the binding rank's peak: rank 0
         # alone fits, the whole job must not.
         probe = run_job(config, "native", ranks="all", scale=0.25)
-        rank0_peak = probe.runs_by_rank()[0].replay.metrics.peak_allocated_gib
+        rank0_peak = probe.runs_by_rank()[0].peak_allocated_gib
         assert rank0_peak < probe.peak_allocated_gib
         capacity = (rank0_peak + probe.peak_allocated_gib) / 2
         job = run_job(
@@ -240,7 +243,7 @@ class TestRunJob:
         assert serial.peak_allocated_gib == pytest.approx(parallel.peak_allocated_gib)
         assert serial.binding_rank == parallel.binding_rank
         for left, right in zip(serial.class_runs, parallel.class_runs):
-            assert left.replay == right.replay
+            assert left == right
         assert len(parallel.class_runs) == 4
         assert ctx.cache.stats.trace_misses == 4
         assert ctx.cache.stats.trace_hits == 0

@@ -210,9 +210,13 @@ class TestFailureAttribution:
         if jobs == 1:
             assert isinstance(excinfo.value.__cause__, TypeError)
 
-    def test_run_job_lets_the_error_itself_through(self, tiny_dense_config):
+    def test_run_jobs_lets_the_error_itself_through(self):
+        # ``SweepPoint.build`` rejects the knob up front; a point that skips
+        # it fails inside the replay, and without ``on_error`` that error
+        # passes through unchanged.
+        _, bad = self._points()
         with pytest.raises(TypeError, match="no_such_knob"):
-            run_job(tiny_dense_config, "stalloc", scale=0.25, stalloc_overrides={"no_such_knob": 1})
+            list(run_jobs([(None, bad)]))
 
 
 class TestPartlyCachedGroup:
@@ -275,6 +279,31 @@ class TestOnePointType:
         assert as_dicts.ranks == (0, 1, 2, 3)  # "all" by default, as run_job's
         assert as_dicts.device_memory_by_rank == (("1", 60.0), ("3", 40.0))
         assert SweepPoint.build(tiny_dense_config, "stalloc", ranks=None).ranks == (0,)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            *(
+                (field, value, field)
+                for field in ("fabric", "stalloc_overrides", "device_memory_by_rank")
+                for value in ("fast", 5)
+            ),
+            ("stalloc_overrides", {"bogus": 1}, "bogus"),
+            ("stalloc_overrides", {"enable_fusion": "yes"}, "enable_fusion"),
+        ],
+    )
+    def test_build_rejects_a_malformed_field_before_any_trace(
+        self, monkeypatch, tiny_dense_config, field, value, named
+    ):
+        def generate(self):
+            raise AssertionError("a trace was generated for an invalid point")
+
+        monkeypatch.setattr(TraceGenerator, "generate", generate)
+        for build in (SweepPoint.build, run_job):
+            with pytest.raises(ValueError) as excinfo:
+                build(tiny_dense_config, "stalloc", **{field: value})
+            message = str(excinfo.value)
+            assert field in message and named in message and "\n" not in message
 
     @pytest.mark.parametrize("index", [0, 3])
     def test_job_smoke_point_matches_run_job(self, index):

@@ -10,8 +10,7 @@ from repro.allocators.base import AllocationHints
 from repro.core.profiler import AllocationProfiler
 from repro.core.stalloc import STAlloc, STAllocConfig
 from repro.gpu.device import Device, GIB
-from repro.simulator.metrics import MemoryMetrics
-from repro.simulator.replay import replay_trace
+from repro.simulator.replay import ReplayResult, replay_trace
 from repro.simulator.runner import (
     STALLOC,
     STALLOC_NO_REUSE,
@@ -104,7 +103,7 @@ class TestRuntimeAllocator:
             result_with.allocator_stats["fallback_bytes"]
             <= result_without.allocator_stats["fallback_bytes"]
         )
-        assert result_with.metrics.peak_reserved_bytes <= result_without.metrics.peak_reserved_bytes
+        assert result_with.peak_reserved_bytes <= result_without.peak_reserved_bytes
 
     def test_unexpected_request_falls_back(self, dense_trace):
         stalloc = STAlloc.from_trace(dense_trace)
@@ -176,18 +175,76 @@ class TestRuntimeAllocator:
 # ---------------------------------------------------------------------- #
 # Metrics / replay
 # ---------------------------------------------------------------------- #
-class TestMetrics:
+class TestReplayResult:
     def test_efficiency_and_fragmentation(self):
-        metrics = MemoryMetrics(peak_allocated_bytes=80, peak_reserved_bytes=100)
-        assert metrics.memory_efficiency == pytest.approx(0.8)
-        assert metrics.fragmentation_ratio == pytest.approx(0.2)
+        result = ReplayResult("torch2.3", peak_allocated_bytes=80, peak_reserved_bytes=100)
+        assert result.memory_efficiency == pytest.approx(0.8)
+        assert result.fragmentation_ratio == pytest.approx(0.2)
 
     def test_zero_reserved_is_perfect(self):
-        assert MemoryMetrics(0, 0).memory_efficiency == 1.0
+        assert ReplayResult("torch2.3", 0, 0).memory_efficiency == 1.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryMetrics(-1, 0)
+        for peaks in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                ReplayResult("torch2.3", *peaks)
+
+    def test_success_is_no_oom_on_every_path(self, dense_trace):
+        from repro.allocators.caching import CachingAllocator
+
+        big = Device(name="big", capacity=200 * GIB)
+        tiny = Device(name="tiny", capacity=1 * GIB)
+        runtime = STAlloc.from_trace(dense_trace).build_runtime_allocator(big)
+        answers = []
+        batch_replay = runtime.batch_replay
+
+        def spy(trace, stop_on_oom=True):
+            answers.append(batch_replay(trace, stop_on_oom=stop_on_oom))
+            return answers[-1]
+
+        runtime.batch_replay = spy
+        batched = replay_trace(dense_trace, runtime)
+        assert answers == [dense_trace.num_events]
+        results = {
+            "batch": batched,
+            "event loop": replay_trace(dense_trace, CachingAllocator(big)),
+            "event loop OOM": replay_trace(dense_trace, CachingAllocator(tiny)),
+            "stop_on_oom=False": replay_trace(
+                dense_trace, CachingAllocator(tiny), stop_on_oom=False
+            ),
+        }
+        config = TrainingConfig(model=get_model("gpt-tiny"), parallelism=ParallelismConfig())
+        results["setup OOM"] = run_workload(config, STALLOC, device_capacity_gib=0.01)
+        for path, result in results.items():
+            assert result.success == (result.oom_at_event is None), path
+        assert [result.success for result in results.values()] == [
+            True, True, False, False, False
+        ]
+        setup = results["setup OOM"]
+        assert setup.oom_at_event == -1
+        assert setup.peak_allocated_bytes == setup.peak_reserved_bytes == 0
+        assert setup.planning_report == {}
+
+    @pytest.mark.parametrize("preset", ["ep-comm-smoke", "gen-smoke"])
+    def test_trace_peaks_ride_on_every_class_run(self, preset):
+        from repro.simulator import ExecutionContext
+        from repro.sweep.spec import load_spec
+        from repro.workloads.parallelism import normalize_rank
+
+        ctx = ExecutionContext()
+        peaks = {"comm": 0, "kv": 0}
+        for point, job, _ in run_jobs([(p, p) for p in load_spec(preset).expand()], ctx=ctx):
+            assert bool(job.class_runs[0].planning_report) == (point.allocator == STALLOC)
+            for members, run in zip(job.rank_classes, job.class_runs):
+                pp, ep = normalize_rank(members[0])
+                trace = ctx.trace(
+                    point.config, seed=point.seed, scale=point.scale, rank=pp, ep_rank=ep
+                )
+                assert run.comm_peak_bytes == trace.comm_peak_bytes()
+                assert run.kv_peak_bytes == trace.kv_peak_bytes()
+                peaks["comm"] = max(peaks["comm"], run.comm_peak_bytes)
+                peaks["kv"] = max(peaks["kv"], run.kv_peak_bytes)
+        assert peaks["comm" if preset == "ep-comm-smoke" else "kv"] > 0
 
 
 class TestReplay:
@@ -198,7 +255,7 @@ class TestReplay:
         result = replay_trace(dense_trace, allocator)
         assert result.success
         assert result.events_replayed == dense_trace.num_events
-        assert result.metrics.peak_allocated_bytes == dense_trace.peak_allocated_bytes()
+        assert result.peak_allocated_bytes == dense_trace.peak_allocated_bytes()
 
     def test_replay_detects_oom(self, dense_trace):
         from repro.allocators.caching import CachingAllocator
@@ -368,9 +425,9 @@ class TestRunner:
     def test_lineup_shares_trace(self, tiny_dense_config):
         runs = lineup_runs(tiny_dense_config, ["torch2.0", "torch2.3"], device_name="A800-80GB")
         assert set(runs) == {"torch2.0", "torch2.3"}
-        assert runs["torch2.0"].replay.metrics.peak_allocated_bytes == runs[
+        assert runs["torch2.0"].peak_allocated_bytes == runs[
             "torch2.3"
-        ].replay.metrics.peak_allocated_bytes
+        ].peak_allocated_bytes
 
     def test_custom_capacity_forces_oom(self, tiny_dense_config):
         run = run_workload(tiny_dense_config, "torch2.3", device_name="A800-80GB", device_capacity_gib=1)

@@ -30,7 +30,8 @@ from repro.search import (
 from repro.search.planner import _rank_rows
 from repro.simulator.ranks import split_classes_by_capacity
 from repro.simulator.ranks import default_capacity_gib, resolve_job_ranks, validate_capacity_gib
-from repro.simulator.runner import JobRun, WorkloadRun, _budget_utilization, run_job, run_workload
+from repro.simulator.replay import ReplayResult
+from repro.simulator.runner import JobRun, _budget_utilization, run_job, run_workload
 from repro.sweep.compare import _is_regression, _values_differ, compare_results
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import load_spec
@@ -383,23 +384,9 @@ def test_budget_utilization_distinguishes_zero_from_unbudgeted():
     assert _budget_utilization(30.0, 40.0) == pytest.approx(0.75)
 
 
-def _fake_run(peak_gib: float) -> WorkloadRun:
-    from repro.simulator.metrics import MemoryMetrics
-    from repro.simulator.replay import ReplayResult
-
-    config = TrainingConfig(model=get_model("gpt-tiny"), parallelism=ParallelismConfig())
-    replay = ReplayResult(
-        allocator_name="torch2.3",
-        metrics=MemoryMetrics(
-            peak_allocated_bytes=int(peak_gib * GIB),
-            peak_reserved_bytes=int(peak_gib * GIB),
-        ),
-        success=True,
-    )
-    return WorkloadRun(
-        config=config, allocator_name="torch2.3", replay=replay,
-        device_name="A800-80GB", rank=0,
-    )
+def _fake_run(peak_gib: float) -> ReplayResult:
+    peak = int(peak_gib * GIB)
+    return ReplayResult("torch2.3", peak_allocated_bytes=peak, peak_reserved_bytes=peak)
 
 
 def test_binding_rank_honors_zero_budget():
@@ -470,9 +457,9 @@ def test_setup_oom_is_an_oom_result():
     config = TrainingConfig(model=get_model("gpt-tiny"), parallelism=ParallelismConfig())
     run = run_workload(config, "stalloc", device_capacity_gib=0.01)
     assert run.success is False
-    assert run.replay.oom_at_event == -1
-    assert run.replay.oom_request_bytes > 0
-    assert run.replay.events_replayed == 0
+    assert run.oom_at_event == -1
+    assert run.oom_request_bytes > 0
+    assert run.events_replayed == 0
     # ...and the planner surfaces it as an ordinary OOM row, not an exception.
     job = run_job(config, "stalloc", device_capacity_gib=0.01)
     assert job.success is False

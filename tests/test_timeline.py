@@ -615,7 +615,7 @@ class TestRunnerTiming:
         sides carry the job's allocator overhead, so the TFLOPS comparison is
         like for like."""
         timeline_job = run_job(moe_config(), "torch2.3", ranks="all", scale=0.5)
-        overhead = max(run.replay.overhead_seconds for run in timeline_job.class_runs)
+        overhead = max(run.overhead_seconds for run in timeline_job.class_runs)
         closed_form = throughput_oracle.estimate(
             moe_config(), GPU, allocator_overhead_seconds=overhead
         )
