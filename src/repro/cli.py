@@ -29,10 +29,12 @@ Usage::
     stalloc-repro obs summarize obs.ndjson                  # span-tree time breakdown
 
 A command imports what it executes.  This module imports only ``argparse`` and
-the version; each handler imports its own subsystem, and the subsystems import
-the execution layer (the trace generator, the planner, the allocators, the
-timeline simulator, the experiments, the process pool) at the first cache
-miss or fan-out.  Nothing imports numpy: the MoE router's draw is stdlib.
+the version; the parser imports the definition-layer config classes the
+``timeline`` flags are declared on, each handler imports its own subsystem,
+and the subsystems import the execution layer (the trace generator, the
+planner, the allocators, the timeline simulator, the experiments, the process
+pool) at the first cache miss or fan-out.  Nothing imports numpy: the MoE
+router's draw is stdlib.
 ``--version``, ``sweep --list``, ``sweep --compare a b``, ``obs summarize``,
 ``cache prune`` and a ``sweep``/``search`` served entirely from the result
 cache therefore load none of it (README, "Layers and what a command imports";
@@ -73,6 +75,37 @@ def _add_obs_arguments(parser: argparse.ArgumentParser, *, progress: bool = Fals
             action="store_true",
             help="silence the stderr progress line (rows done, ETA, cache hit rate)",
         )
+
+
+def _add_knob_arguments(parser: argparse.ArgumentParser) -> None:
+    """One ``timeline`` flag per config or fabric field whose metadata declares one.
+
+    Name, help and any metavar or choices come from the field's metadata,
+    type and default from the field itself; a fabric flag defaults to
+    ``None``, which keeps the ``--gpu`` spec's own value.
+    """
+    from dataclasses import fields
+    from typing import get_args, get_type_hints
+
+    from repro.gpu.specs import GPUSpec
+    from repro.workloads.parallelism import ParallelismConfig
+    from repro.workloads.training import TrainingConfig
+
+    for owner in (ParallelismConfig, TrainingConfig, GPUSpec):
+        hints = get_type_hints(owner)
+        for spec in fields(owner):
+            if "flag" not in spec.metadata:
+                continue
+            kind = (get_args(hints[spec.name]) or (hints[spec.name],))[0]  # float | None: float
+            parser.add_argument(
+                spec.metadata["flag"],
+                dest=spec.name,
+                type=kind,
+                default=None if owner is GPUSpec else spec.default,
+                metavar=spec.metadata.get("metavar", {int: "N", float: "X"}.get(kind)),
+                choices=spec.metadata.get("choices"),
+                help=spec.metadata["help"],
+            )
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser, noun: str) -> None:
@@ -245,105 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_parser.add_argument(
         "model", help="model preset name (see 'stalloc-repro sweep --list' presets)"
     )
-    timeline_parser.add_argument(
-        "--pp", type=int, default=1, metavar="N", help="pipeline-parallel degree (default: 1)"
-    )
-    timeline_parser.add_argument(
-        "--dp", type=int, default=1, metavar="N", help="data-parallel degree (default: 1)"
-    )
-    timeline_parser.add_argument(
-        "--ep", type=int, default=1, metavar="N", help="expert-parallel degree (default: 1)"
-    )
-    timeline_parser.add_argument(
-        "--chunks",
-        type=int,
-        default=1,
-        metavar="N",
-        help="virtual-pipeline chunks (default: 1)",
-    )
-    timeline_parser.add_argument(
-        "--microbatches",
-        type=int,
-        default=8,
-        metavar="N",
-        help="micro-batches per iteration (default: %(default)s)",
-    )
-    timeline_parser.add_argument(
-        "--micro-batch-size",
-        type=int,
-        default=1,
-        metavar="N",
-        help="sequences per micro-batch (default: %(default)s)",
-    )
-    timeline_parser.add_argument(
-        "--comm-factor",
-        type=float,
-        default=0.0,
-        metavar="X",
-        help="MoE all-to-all comm factor (default: 0, comm-free)",
-    )
-    timeline_parser.add_argument(
-        "--overlap",
-        type=float,
-        default=0.0,
-        metavar="X",
-        help=(
-            "fraction of each all-to-all hidden under expert compute, in "
-            "[0, 1] (default: 0, fully serialised)"
-        ),
-    )
-    timeline_parser.add_argument(
-        "--workload",
-        default="training",
-        choices=["training", "inference", "generation"],
-        help="workload kind to simulate (default: %(default)s)",
-    )
-    timeline_parser.add_argument(
-        "--decode-steps",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "autoregressive decode passes per micro-batch "
-            "(generation workloads only; default: 0)"
-        ),
-    )
-    timeline_parser.add_argument(
-        "--max-new-tokens",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "cap on generated tokens per sequence -- the KV cache stops "
-            "growing at the cap (generation workloads only; default: 0, no cap)"
-        ),
-    )
+    _add_knob_arguments(timeline_parser)
     timeline_parser.add_argument(
         "--gpu", default="A800-80GB", metavar="NAME", help="GPU spec (default: %(default)s)"
-    )
-    timeline_parser.add_argument(
-        "--gpus-per-node",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "ranks per node for the hierarchical fabric (default: the GPU "
-            "spec's; 0 = single node)"
-        ),
-    )
-    timeline_parser.add_argument(
-        "--intra-bw",
-        type=float,
-        default=None,
-        metavar="GBPS",
-        help="intra-node all-to-all bandwidth in GB/s (default: the GPU spec's)",
-    )
-    timeline_parser.add_argument(
-        "--inter-bw",
-        type=float,
-        default=None,
-        metavar="GBPS",
-        help="inter-node all-to-all bandwidth in GB/s (default: the GPU spec's)",
     )
     timeline_parser.add_argument(
         "--seed", type=int, default=0, metavar="N", help="router seed (default: 0)"
@@ -602,43 +539,28 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    from dataclasses import replace as dataclass_replace
+    from dataclasses import fields
 
-    from repro.gpu.specs import get_gpu
+    from repro.gpu.specs import GPUSpec, get_gpu
     from repro.timeline import simulate_timeline, write_chrome_trace
     from repro.workloads.models import get_model
     from repro.workloads.parallelism import ParallelismConfig
     from repro.workloads.training import TrainingConfig
 
+    def parsed(owner) -> dict:
+        """The parsed values of ``owner``'s flag-declaring fields."""
+        return {
+            spec.name: getattr(args, spec.name) for spec in fields(owner) if "flag" in spec.metadata
+        }
+
     try:
         config = TrainingConfig(
             model=get_model(args.model),
-            parallelism=ParallelismConfig(
-                pipeline_parallel=args.pp,
-                data_parallel=args.dp,
-                expert_parallel=args.ep,
-                virtual_pipeline_chunks=args.chunks,
-            ),
-            micro_batch_size=args.micro_batch_size,
-            num_microbatches=args.microbatches,
-            moe_comm_factor=args.comm_factor,
-            comm_overlap_factor=args.overlap,
-            workload_kind=args.workload,
-            decode_steps=args.decode_steps,
-            max_new_tokens=args.max_new_tokens,
+            parallelism=ParallelismConfig(**parsed(ParallelismConfig)),
+            **parsed(TrainingConfig),
         )
-        gpu = get_gpu(args.gpu)
-        fabric = {
-            name: value
-            for name, value in (
-                ("gpus_per_node", args.gpus_per_node),
-                ("intra_node_gbytes_per_sec", args.intra_bw),
-                ("inter_node_gbytes_per_sec", args.inter_bw),
-            )
-            if value is not None
-        }
-        if fabric:
-            gpu = dataclass_replace(gpu, **fabric)
+        fabric = {name: value for name, value in parsed(GPUSpec).items() if value is not None}
+        gpu = get_gpu(args.gpu, fabric)
         result = simulate_timeline(config, gpu=gpu, seed=args.seed, scale=args.scale)
     except (KeyError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)

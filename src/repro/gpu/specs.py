@@ -18,7 +18,7 @@ timeline can price each participant's tier mix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,23 @@ class GPUSpec:
     a2a_gbytes_per_sec: float = 25.0
     #: Intra-node all-to-all bandwidth (GB/s, NVLink-class); ``None`` falls
     #: back to the flat :attr:`a2a_gbytes_per_sec`.
-    intra_node_gbytes_per_sec: float | None = None
+    intra_node_gbytes_per_sec: float | None = field(default=None, metadata={
+        "label": "intra", "flag": "--intra-bw", "metavar": "GBPS",
+        "help": "intra-node all-to-all bandwidth in GB/s (default: the GPU spec's)",
+    })
     #: Inter-node all-to-all bandwidth (GB/s, IB-class); ``None`` falls back
     #: to the flat :attr:`a2a_gbytes_per_sec`.
-    inter_node_gbytes_per_sec: float | None = None
+    inter_node_gbytes_per_sec: float | None = field(default=None, metadata={
+        "label": "inter", "flag": "--inter-bw", "metavar": "GBPS",
+        "help": "inter-node all-to-all bandwidth in GB/s (default: the GPU spec's)",
+    })
     #: Ranks per node for the hierarchical fabric; ``0`` means "one node"
     #: (every rank co-located -- the degenerate single-tier topology).
-    gpus_per_node: int = 0
+    gpus_per_node: int = field(default=0, metadata={
+        "label": "gpn", "flag": "--gpus-per-node",
+        "help": "ranks per node for the hierarchical fabric (default: the GPU spec's; "
+        "0 = single node)",
+    })
     #: HBM read bandwidth (GB/s).  Decode steps of generation workloads are
     #: KV-read bound -- each step streams the whole cached context through the
     #: attention kernels -- so the timeline prices a decode step's memory term
@@ -57,8 +67,13 @@ class GPUSpec:
             "intra_node_gbytes_per_sec", "inter_node_gbytes_per_sec",
         ):
             value = getattr(self, field_name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{field_name} must be positive, got {value}")
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value < math.inf
+            ):
+                raise ValueError(
+                    f"{field_name} must be a positive bandwidth (GB/s), got {value!r}"
+                )
         if not isinstance(self.gpus_per_node, int) or isinstance(self.gpus_per_node, bool) \
                 or self.gpus_per_node < 0:
             raise ValueError(
@@ -103,6 +118,15 @@ class GPUSpec:
             self.gpus_per_node > 0
             and self.intra_tier_gbytes_per_sec != self.inter_tier_gbytes_per_sec
         )
+
+
+#: Row-label abbreviation of each fabric field -- the GPUSpec fields a
+#: ``fabric`` override map may set (a sweep's ``fabric`` axis, a cluster's
+#: node layout and tier bandwidths, the ``timeline`` fabric flags).
+FABRIC_LABELS = {
+    spec.name: spec.metadata["label"] for spec in fields(GPUSpec) if "label" in spec.metadata
+}
+FABRIC_FIELDS = frozenset(FABRIC_LABELS)
 
 
 @dataclass(frozen=True)
@@ -173,13 +197,15 @@ GPU_SPECS: dict[str, GPUSpec] = {
 }
 
 
-def get_gpu(name_or_spec: str | GPUSpec) -> GPUSpec:
-    """Resolve a device name (or pass an explicit spec through) to a GPUSpec."""
-    if isinstance(name_or_spec, GPUSpec):
-        return name_or_spec
-    try:
-        return GPU_SPECS[name_or_spec]
-    except KeyError:
+def get_gpu(name_or_spec: str | GPUSpec, fabric=()) -> GPUSpec:
+    """Resolve a device name (or pass an explicit spec through) to a GPUSpec.
+
+    ``fabric`` (a mapping or pairs over :data:`FABRIC_FIELDS`) overrides the
+    spec's fabric fields; the result's ``__post_init__`` checks their values.
+    """
+    spec = name_or_spec if isinstance(name_or_spec, GPUSpec) else GPU_SPECS.get(name_or_spec)
+    if spec is None:
         raise ValueError(
             f"unknown GPU {name_or_spec!r}; available: {', '.join(sorted(GPU_SPECS))}"
-        ) from None
+        )
+    return replace(spec, **dict(fabric)) if fabric else spec

@@ -33,7 +33,6 @@ candidate.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -86,12 +85,10 @@ class ClusterSpec:
                 f"num_devices ({self.num_devices}) must divide evenly into "
                 f"num_nodes ({self.num_nodes})"
             )
-        for name in ("intra_node_gbytes_per_sec", "inter_node_gbytes_per_sec"):
-            value = getattr(self, name)
-            if value is not None and (
-                not isinstance(value, (int, float)) or not 0 < value < math.inf
-            ):
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
+        try:
+            get_gpu(self.device_name, self.fabric)
+        except ValueError as error:
+            raise ValueError(f"cluster {error}") from None
 
     @property
     def gpus_per_node(self) -> int:

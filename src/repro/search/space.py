@@ -33,6 +33,7 @@ from repro.sweep.spec import (
     JsonSpec,
     SweepPoint,
     grid_points,
+    label_bits,
     validate_allocators,
     validate_mappings,
     validate_scale,
@@ -178,21 +179,21 @@ class SearchSpec(JsonSpec):
     def _candidate_label(
         self, parallelism: ParallelismConfig, mbs: int, recompute: bool, zero: int
     ) -> str:
-        bits = [
-            f"tp={parallelism.tensor_parallel}",
-            f"pp={parallelism.pipeline_parallel}",
-            f"dp={parallelism.data_parallel}",
-        ]
-        if parallelism.expert_parallel > 1:
-            bits.append(f"ep={parallelism.expert_parallel}")
-        if parallelism.virtual_pipeline_chunks > 1:
-            bits.append(f"vpp={parallelism.virtual_pipeline_chunks}")
-        bits.append(f"mbs={mbs}")
+        """``tp=1/pp=2/dp=4/mbs=1/R``: the grid-label bits of the layout (ep and
+        vpp only above 1), the micro-batch size, ``R`` for recomputation and
+        a non-zero ZeRO stage."""
+        layout = {
+            "tensor_parallel": parallelism.tensor_parallel,
+            "pipeline_parallel": parallelism.pipeline_parallel,
+            "data_parallel": parallelism.data_parallel,
+        }
+        for name in ("expert_parallel", "virtual_pipeline_chunks"):
+            if getattr(parallelism, name) > 1:
+                layout[name] = getattr(parallelism, name)
+        bits = label_bits({**layout, "micro_batch_size": mbs})
         if recompute:
             bits.append("R")
-        if zero:
-            bits.append(f"zero={zero}")
-        return "/".join(bits)
+        return "/".join(bits + label_bits({"zero_stage": zero} if zero else {}))
 
     def _candidate_budgets(
         self, parallelism: ParallelismConfig

@@ -28,15 +28,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from contextlib import suppress
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from repro.allocators.registry import STALLOC, STALLOC_NO_REUSE, available_allocators
 from repro.core.config import STAllocConfig
-from repro.gpu.specs import GPU_SPECS, GPUSpec, get_gpu
+from repro.gpu.specs import FABRIC_FIELDS, FABRIC_LABELS, GPU_SPECS, GPUSpec, get_gpu
 from repro.simulator.ranks import (
     normalize_capacity_map,
     requested_ranks,
@@ -71,10 +70,14 @@ SPECIAL_AXES = frozenset(
     {"model", "preset", "seed", "scale", "device_memory_by_rank", "fabric"}
 )
 
-#: GPUSpec fields a ``fabric`` override map may set (see repro.gpu.specs).
-FABRIC_FIELDS = frozenset(
-    {"gpus_per_node", "intra_node_gbytes_per_sec", "inter_node_gbytes_per_sec"}
-)
+#: Row-label abbreviation of each labelled config axis (the rest show by
+#: name), declared in the TrainingConfig / ParallelismConfig field metadata.
+AXIS_LABELS = {
+    spec.name: spec.metadata["label"]
+    for cls in (TrainingConfig, ParallelismConfig)
+    for spec in dataclass_fields(cls)
+    if "label" in spec.metadata
+}
 
 #: STAlloc ablation knobs accepted in ``stalloc_grid``.
 STALLOC_AXES = frozenset(f.name for f in dataclass_fields(STAllocConfig))
@@ -144,6 +147,8 @@ class SweepPoint:
         *,
         index: int = 0,
         ranks="all",
+        seed: int = 0,
+        scale: float = 1.0,
         device_name: str = "A800-80GB",
         device_capacity_gib: float | None = None,
         device_memory_by_rank=None,
@@ -161,14 +166,19 @@ class SweepPoint:
         by :func:`~repro.simulator.ranks.normalize_capacity_map`.
         ``stalloc_overrides`` (STAllocConfig knobs) and ``fabric`` (GPUSpec
         fabric fields) are mappings or their pairs.  ``fields`` are the
-        remaining point fields (``seed``, ``scale``, ...).  An unknown
-        ``device_name``, or a malformed ``fabric``, ``device_memory_by_rank``
-        or ``stalloc_overrides``, raises ``ValueError`` here, before anything
-        is generated or replayed.
+        remaining point fields (the row-label bits).  An unknown
+        ``allocator`` or ``device_name``, a malformed ``seed``, ``scale``,
+        ``device_capacity_gib``, ``fabric``, ``device_memory_by_rank`` or
+        ``stalloc_overrides``, raises ``ValueError`` here, before anything is
+        generated or replayed.
         """
+        validate_allocators([allocator], "point")
+        validate_seed(seed)
+        validate_scale(scale)
+        validate_capacity_gib(device_capacity_gib)
         get_gpu(device_name)
         fabric = _mapping(fabric, "fabric")
-        _validate_fabric(fabric, "fabric")
+        _validate_fabric(fabric, "fabric", device_name)
         budgets = normalize_capacity_map(
             _mapping(device_memory_by_rank, "device_memory_by_rank"), config
         )
@@ -182,6 +192,8 @@ class SweepPoint:
             config=config,
             allocator=allocator,
             ranks=requested_ranks(config, ranks),
+            seed=seed,
+            scale=scale,
             device_name=device_name,
             device_capacity_gib=device_capacity_gib,
             device_memory_by_rank=tuple(sorted(budgets.items())),
@@ -193,7 +205,7 @@ class SweepPoint:
     @property
     def gpu(self) -> GPUSpec:
         """The device's spec with this point's fabric overrides applied."""
-        return dataclass_replace(get_gpu(self.device_name), **dict(self.fabric))
+        return get_gpu(self.device_name, self.fabric)
 
     @property
     def row_label(self) -> str:
@@ -362,39 +374,30 @@ def grid_points(
             )
 
 
-def _validate_fabric(fabric, context: str) -> None:
-    """Validate one ``{GPUSpec fabric field: value}`` override mapping."""
+def _validate_fabric(fabric, context: str, device_name: str) -> None:
+    """One ``{GPUSpec fabric field: value}`` override mapping: fabric fields only,
+    with values the device's spec accepts (its ``__post_init__`` checks them)."""
     if not isinstance(fabric, dict):
         raise ValueError(f"{context} must map fabric fields to values, got {fabric!r}")
-    for key, value in fabric.items():
+    for key in fabric:
         if key not in FABRIC_FIELDS:
             raise ValueError(
                 f"{context} key {key!r} is not a fabric field; expected one of "
                 f"{sorted(FABRIC_FIELDS)}"
             )
-        if key == "gpus_per_node":
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"{context}[{key!r}] must be a non-negative int, got {value!r}"
-                )
-        elif isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not 0 < value < math.inf:
-            raise ValueError(
-                f"{context}[{key!r}] must be a positive bandwidth (GB/s), got {value!r}"
-            )
+    try:
+        get_gpu(device_name, fabric)
+    except ValueError as error:
+        raise ValueError(f"{context}: {error}") from None
 
 
 def _fabric_label(fabric: dict | None) -> str:
     """Compact row label of one swept fabric map, e.g. ``fabric=gpn4,intra160``."""
     if not fabric:
         return "fabric=flat"
-    short = {
-        "gpus_per_node": "gpn",
-        "intra_node_gbytes_per_sec": "intra",
-        "inter_node_gbytes_per_sec": "inter",
-    }
     parts = ",".join(
-        f"{short[key]}{fabric[key]:g}" for key in sorted(fabric, key=short.__getitem__)
+        f"{FABRIC_LABELS[key]}{fabric[key]:g}"
+        for key in sorted(fabric, key=FABRIC_LABELS.__getitem__)
     )
     return f"fabric={parts}"
 
@@ -467,7 +470,7 @@ class SweepSpec(JsonSpec):
         if self.device_memory_by_rank is not None:
             validate_budget_map(self.device_memory_by_rank, "device_memory_by_rank")
         if self.fabric is not None:
-            _validate_fabric(self.fabric, "fabric")
+            _validate_fabric(self.fabric, "fabric", self.device_name)
         for axis, values in self.grid.items():
             if axis not in CONFIG_AXES and axis not in PARALLELISM_AXES and axis not in SPECIAL_AXES:
                 raise ValueError(
@@ -493,7 +496,7 @@ class SweepSpec(JsonSpec):
                 for index, fabric in enumerate(values):
                     if fabric is None:
                         continue  # null = the flat fabric for this cell
-                    _validate_fabric(fabric, f"grid fabric[{index}]")
+                    _validate_fabric(fabric, f"grid fabric[{index}]", self.device_name)
         validate_stalloc_grid(self.stalloc_grid)
         for key in self.base:
             if key not in CONFIG_AXES:
@@ -581,36 +584,22 @@ class SweepSpec(JsonSpec):
         return TrainingConfig(model=model, parallelism=parallelism, label=label, **config_fields)
 
 
+def label_bits(assignment: dict) -> list[str]:
+    """Row-label bits of config axis values, in order: ``mbs=2`` for a value,
+    the bare name for a true bool, nothing for a false one."""
+    bits = []
+    for axis, value in assignment.items():
+        name = AXIS_LABELS.get(axis, axis)
+        if not isinstance(value, bool):
+            bits.append(f"{name}={value}")
+        elif value:
+            bits.append(name)
+    return bits
+
+
 def _grid_label(preset: str | None, assignment: dict) -> str:
     """Compact per-point label like ``R/mbs=2`` used in result rows."""
-    bits = []
-    if preset is not None:
-        bits.append(preset)
-    short = {
-        "micro_batch_size": "mbs",
-        "num_microbatches": "m",
-        "zero_stage": "zero",
-        "tensor_parallel": "tp",
-        "pipeline_parallel": "pp",
-        "data_parallel": "dp",
-        "expert_parallel": "ep",
-        "virtual_pipeline_chunks": "vpp",
-        "moe_imbalance": "imb",
-        "moe_comm_factor": "comm",
-        "comm_overlap_factor": "ovl",
-        "workload_kind": "kind",
-        "decode_steps": "dec",
-        "max_new_tokens": "tok",
-    }
-    for axis in assignment:
-        name = short.get(axis, axis)
-        value = assignment[axis]
-        if isinstance(value, bool):
-            if value:
-                bits.append(name)
-        else:
-            bits.append(f"{name}={value}")
-    return "/".join(bits)
+    return "/".join(([] if preset is None else [preset]) + label_bits(assignment))
 
 
 # ---------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ matters through ZeRO-style optimizer-state sharding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 #: A simulated rank coordinate: ``(pipeline rank, expert-parallel rank)``.
 RankCoord = tuple[int, int]
@@ -67,11 +67,23 @@ def balanced_split(total: int, bins: int) -> list[int]:
 class ParallelismConfig:
     """Parallelism degrees for one training job."""
 
-    tensor_parallel: int = 1
-    pipeline_parallel: int = 1
-    data_parallel: int = 1
-    expert_parallel: int = 1
-    virtual_pipeline_chunks: int = 1
+    # Field metadata declares a knob once: ``label`` abbreviates it in row
+    # labels, ``flag`` and ``help`` (with optional ``metavar`` / ``choices``)
+    # make it a ``timeline`` option typed and defaulted by the field.
+    tensor_parallel: int = field(default=1, metadata={"label": "tp"})
+    pipeline_parallel: int = field(default=1, metadata={
+        "label": "pp", "flag": "--pp", "help": "pipeline-parallel degree (default: %(default)s)",
+    })
+    data_parallel: int = field(default=1, metadata={
+        "label": "dp", "flag": "--dp", "help": "data-parallel degree (default: %(default)s)",
+    })
+    expert_parallel: int = field(default=1, metadata={
+        "label": "ep", "flag": "--ep", "help": "expert-parallel degree (default: %(default)s)",
+    })
+    virtual_pipeline_chunks: int = field(default=1, metadata={
+        "label": "vpp", "flag": "--chunks",
+        "help": "virtual-pipeline chunks (default: %(default)s)",
+    })
     sequence_parallel: bool = False
 
     def __post_init__(self) -> None:

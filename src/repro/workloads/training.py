@@ -14,6 +14,9 @@ from dataclasses import dataclass, field, replace
 from repro.workloads.model_config import ModelConfig
 from repro.workloads.parallelism import ParallelismConfig
 
+#: The workload classes a config can describe (see ``workload_kind``).
+WORKLOAD_KINDS = ("training", "inference", "generation")
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -21,12 +24,19 @@ class TrainingConfig:
 
     model: ModelConfig
     parallelism: ParallelismConfig = field(default_factory=ParallelismConfig)
-    micro_batch_size: int = 1
-    num_microbatches: int = 8
+    # Field metadata declares a knob once (see ParallelismConfig).
+    micro_batch_size: int = field(default=1, metadata={
+        "label": "mbs", "flag": "--micro-batch-size",
+        "help": "sequences per micro-batch (default: %(default)s)",
+    })
+    num_microbatches: int = field(default=8, metadata={
+        "label": "m", "flag": "--microbatches",
+        "help": "micro-batches per iteration (default: %(default)s)",
+    })
     seq_length: int | None = None
     recompute: bool = False
     offload_activations: bool = False
-    zero_stage: int = 0
+    zero_stage: int = field(default=0, metadata={"label": "zero"})
     framework: str = "megatron"
     param_dtype_bytes: int = 2
     grad_dtype_bytes: int = 4
@@ -35,7 +45,7 @@ class TrainingConfig:
     #: (every expert-parallel rank sees the same load), larger values mix in a
     #: random per-expert preference so EP ranks diverge at runtime.  Ignored
     #: for dense models.
-    moe_imbalance: float = 0.3
+    moe_imbalance: float = field(default=0.3, metadata={"label": "imb"})
     #: Scale of the expert-parallel all-to-all communication transients: the
     #: dispatch (forward) and combine (backward) send/recv buffers are sized
     #: ``moe_comm_factor * routed_tokens * hidden_size`` activation bytes and
@@ -44,29 +54,47 @@ class TrainingConfig:
     #: same config's comm-free trace (the golden-fixture baseline); 1 models
     #: unfused all-to-all staging buffers holding one full copy of the routed
     #: activations per direction.  Ignored for dense models.
-    moe_comm_factor: float = 0.0
+    moe_comm_factor: float = field(default=0.0, metadata={
+        "label": "comm", "flag": "--comm-factor",
+        "help": "MoE all-to-all comm factor (default: 0, comm-free)",
+    })
     #: Fraction of each all-to-all collective hidden under the expert compute
     #: that follows it, in [0, 1].  Priced inside the timeline simulator (the
     #: expert FFN starts early by ``min(factor * a2a, expert)`` seconds), not
     #: subtracted after the fact, so ``comm_seconds`` and stall events stay
     #: honest; 0 (the default) serialises communication and compute exactly
     #: like the pre-overlap simulator.  Ignored for dense models.
-    comm_overlap_factor: float = 0.0
+    comm_overlap_factor: float = field(default=0.0, metadata={
+        "label": "ovl", "flag": "--overlap",
+        "help": "fraction of each all-to-all hidden under expert compute, in [0, 1] "
+        "(default: 0, fully serialised)",
+    })
     #: Workload class: ``"training"`` (the default, one forward + backward +
     #: optimizer iteration), ``"inference"`` (forward-only pipeline, no
     #: gradients or optimizer state), or ``"generation"`` (one prefill pass
     #: followed by ``decode_steps`` autoregressive decode passes per
     #: micro-batch, with per-layer KV caches growing every step).
-    workload_kind: str = "training"
+    workload_kind: str = field(default="training", metadata={
+        "label": "kind", "flag": "--workload", "choices": WORKLOAD_KINDS,
+        "help": "workload kind to simulate (default: %(default)s)",
+    })
     #: Decode passes per micro-batch for generation workloads.  Each step
     #: appends one token per sequence to the cached context.  0 with
     #: ``workload_kind="generation"`` degenerates to prefill-only (the trace
     #: is event-identical to the inference workload's).
-    decode_steps: int = 0
+    decode_steps: int = field(default=0, metadata={
+        "label": "dec", "flag": "--decode-steps",
+        "help": "autoregressive decode passes per micro-batch (generation workloads only; "
+        "default: 0)",
+    })
     #: Cap on generated tokens per sequence: the KV cache stops growing once
     #: the context reaches ``sequence_length + max_new_tokens`` (decode steps
     #: beyond the cap still run, over the capped context).  0 means no cap.
-    max_new_tokens: int = 0
+    max_new_tokens: int = field(default=0, metadata={
+        "label": "tok", "flag": "--max-new-tokens",
+        "help": "cap on generated tokens per sequence -- the KV cache stops growing at the "
+        "cap (generation workloads only; default: 0, no cap)",
+    })
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -96,7 +124,7 @@ class TrainingConfig:
             raise ValueError(
                 f"comm_overlap_factor must be in [0, 1], got {self.comm_overlap_factor}"
             )
-        if self.workload_kind not in ("training", "inference", "generation"):
+        if self.workload_kind not in WORKLOAD_KINDS:
             raise ValueError(
                 f"workload_kind must be training, inference or generation, "
                 f"got {self.workload_kind!r}"

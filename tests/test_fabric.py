@@ -520,8 +520,8 @@ class TestPointDevice:
         "fabric, named",
         [
             ({"nvlink_gbytes_per_sec": 300}, "'nvlink_gbytes_per_sec'"),
-            ({"intra_node_gbytes_per_sec": "fast"}, "fabric['intra_node_gbytes_per_sec']"),
-            ({"gpus_per_node": -4}, "fabric['gpus_per_node']"),
+            ({"intra_node_gbytes_per_sec": "fast"}, "fabric: intra_node_gbytes_per_sec"),
+            ({"gpus_per_node": -4}, "fabric: gpus_per_node"),
         ],
     )
     def test_malformed_fabric_fails_at_build(self, no_traces, fabric, named):

@@ -290,6 +290,13 @@ class TestOnePointType:
             ),
             ("stalloc_overrides", {"bogus": 1}, "bogus"),
             ("stalloc_overrides", {"enable_fusion": "yes"}, "enable_fusion"),
+            ("allocator", "no-such", "no-such"),
+            ("seed", -1, "-1"),
+            ("seed", True, "True"),
+            ("scale", 0, "(0, 1]"),
+            ("scale", 1.5, "1.5"),
+            ("device_capacity_gib", -5, "-5"),
+            ("device_capacity_gib", 0, "positive GiB"),
         ],
     )
     def test_build_rejects_a_malformed_field_before_any_trace(
@@ -299,9 +306,11 @@ class TestOnePointType:
             raise AssertionError("a trace was generated for an invalid point")
 
         monkeypatch.setattr(TraceGenerator, "generate", generate)
+        allocator = value if field == "allocator" else "stalloc"
+        options = {} if field == "allocator" else {field: value}
         for build in (SweepPoint.build, run_job):
             with pytest.raises(ValueError) as excinfo:
-                build(tiny_dense_config, "stalloc", **{field: value})
+                build(tiny_dense_config, allocator, **options)
             message = str(excinfo.value)
             assert field in message and named in message and "\n" not in message
 

@@ -337,6 +337,11 @@ NON_FINITE = {
         lambda: dataclasses.replace(GPU, inter_node_gbytes_per_sec=INF),
         "inter_node_gbytes_per_sec",
     ),
+    # A bool is an int to Python but no bandwidth.
+    "spec-inter-bool": (
+        lambda: dataclasses.replace(GPU, inter_node_gbytes_per_sec=True),
+        "inter_node_gbytes_per_sec must be a positive bandwidth .* got True",
+    ),
     "overhead-nan": (
         lambda: TimelineSimulator(dense_config(), allocator_overhead_seconds=NAN),
         "allocator_overhead_seconds",
@@ -573,6 +578,14 @@ MALFORMED_SPECS = {
     ),
     "search-cluster-zero-nodes": (
         "search", _with(SEARCH_WIDE, cluster="0x4xA800-80GB"), "num_nodes"
+    ),
+    "search-cluster-bool-bandwidth": (
+        "search",
+        _with(
+            SEARCH_WIDE,
+            cluster={"devices": "2x4xA800-80GB@0.30", "inter_node_gbytes_per_sec": True},
+        ),
+        "cluster inter_node_gbytes_per_sec",
     ),
     # The closed-form pricing backend is gone; a spec that still selects it
     # must not run priced by the timeline as if it had asked for that.
