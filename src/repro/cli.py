@@ -85,18 +85,17 @@ def _add_knob_arguments(parser: argparse.ArgumentParser) -> None:
     ``None``, which keeps the ``--gpu`` spec's own value.
     """
     from dataclasses import fields
-    from typing import get_args, get_type_hints
 
+    from repro.domain import KINDS
     from repro.gpu.specs import GPUSpec
     from repro.workloads.parallelism import ParallelismConfig
     from repro.workloads.training import TrainingConfig
 
     for owner in (ParallelismConfig, TrainingConfig, GPUSpec):
-        hints = get_type_hints(owner)
         for spec in fields(owner):
             if "flag" not in spec.metadata:
                 continue
-            kind = (get_args(hints[spec.name]) or (hints[spec.name],))[0]  # float | None: float
+            kind = KINDS[spec.type.removesuffix(" | None")][0][0]  # float | None: float
             parser.add_argument(
                 spec.metadata["flag"],
                 dest=spec.name,

@@ -7,7 +7,9 @@ planning anything, so they live apart from the modules that act on them;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from repro.domain import check_fields
 
 #: How the homophase stage lays out two fused plans (see
 #: :func:`repro.core.homophase.attempt_fusion`).
@@ -26,7 +28,7 @@ class STAllocConfig:
 
     enable_fusion: bool = True
     #: How the homophase stage lays out two fused plans.
-    fusion_strategy: str = "repack"
+    fusion_strategy: str = field(default="repack", metadata={"choices": FUSION_STRATEGIES})
     #: Allow smaller plans to reuse idle windows of larger layers.
     enable_gap_insertion: bool = True
     #: Process HomoSize groups from largest to smallest (the paper's order).
@@ -34,26 +36,10 @@ class STAllocConfig:
     descending_size_order: bool = True
     enable_dynamic_reuse: bool = True
     validate_plan: bool = True
-    profiler_iterations: int = 3
+    profiler_iterations: int = field(default=3, metadata={"min": 1})
 
     def __post_init__(self) -> None:
-        for name in (
-            "enable_fusion",
-            "enable_gap_insertion",
-            "descending_size_order",
-            "enable_dynamic_reuse",
-            "validate_plan",
-        ):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if self.fusion_strategy not in FUSION_STRATEGIES:
-            raise ValueError(
-                f"fusion_strategy must be one of {', '.join(FUSION_STRATEGIES)}, "
-                f"got {self.fusion_strategy!r}"
-            )
-        iterations = self.profiler_iterations
-        if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 1:
-            raise ValueError(f"profiler_iterations must be an int >= 1, got {iterations!r}")
+        check_fields(self)
 
     # Read by benchmarks/e2e/stages.py, which hands the result to
     # ``PlanSynthesizer``; the synthesizer reads this config itself.

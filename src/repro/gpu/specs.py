@@ -17,8 +17,9 @@ timeline can price each participant's tier mix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
+
+from repro.domain import check_fields
 
 
 @dataclass(frozen=True)
@@ -26,31 +27,31 @@ class GPUSpec:
     """Compute and memory capability of one accelerator."""
 
     name: str
-    peak_tflops: float       # dense BF16 peak
-    achievable_mfu: float    # model FLOPs utilisation of a well-tuned run
-    memory_gib: int
+    peak_tflops: float = field(metadata={"above": 0})  # dense BF16 peak
+    achievable_mfu: float = field(metadata={"above": 0, "max": 1})  # MFU of a tuned run
+    memory_gib: int = field(metadata={"min": 1})
     #: Effective per-GPU all-to-all bandwidth (GB/s) for expert-parallel
     #: dispatch/combine collectives -- the NVLink/IB mix a well-tuned MoE job
     #: achieves, not the link peak.  Used by the timeline simulator to turn
     #: routed bytes into communication seconds, and as the single flat tier
     #: when the hierarchical fields below are unset.
-    a2a_gbytes_per_sec: float = 25.0
+    a2a_gbytes_per_sec: float = field(default=25.0, metadata={"above": 0})
     #: Intra-node all-to-all bandwidth (GB/s, NVLink-class); ``None`` falls
     #: back to the flat :attr:`a2a_gbytes_per_sec`.
     intra_node_gbytes_per_sec: float | None = field(default=None, metadata={
-        "label": "intra", "flag": "--intra-bw", "metavar": "GBPS",
+        "label": "intra", "flag": "--intra-bw", "metavar": "GBPS", "above": 0,
         "help": "intra-node all-to-all bandwidth in GB/s (default: the GPU spec's)",
     })
     #: Inter-node all-to-all bandwidth (GB/s, IB-class); ``None`` falls back
     #: to the flat :attr:`a2a_gbytes_per_sec`.
     inter_node_gbytes_per_sec: float | None = field(default=None, metadata={
-        "label": "inter", "flag": "--inter-bw", "metavar": "GBPS",
+        "label": "inter", "flag": "--inter-bw", "metavar": "GBPS", "above": 0,
         "help": "inter-node all-to-all bandwidth in GB/s (default: the GPU spec's)",
     })
     #: Ranks per node for the hierarchical fabric; ``0`` means "one node"
     #: (every rank co-located -- the degenerate single-tier topology).
     gpus_per_node: int = field(default=0, metadata={
-        "label": "gpn", "flag": "--gpus-per-node",
+        "label": "gpn", "flag": "--gpus-per-node", "min": 0,
         "help": "ranks per node for the hierarchical fabric (default: the GPU spec's; "
         "0 = single node)",
     })
@@ -58,27 +59,10 @@ class GPUSpec:
     #: KV-read bound -- each step streams the whole cached context through the
     #: attention kernels -- so the timeline prices a decode step's memory term
     #: as ``kv_bytes(context) / hbm_gbytes_per_sec``.
-    hbm_gbytes_per_sec: float = 2000.0
+    hbm_gbytes_per_sec: float = field(default=2000.0, metadata={"above": 0})
 
     def __post_init__(self) -> None:
-        # ``0 < x < inf`` also rejects NaN, which every comparison fails.
-        for field_name in (
-            "a2a_gbytes_per_sec", "hbm_gbytes_per_sec",
-            "intra_node_gbytes_per_sec", "inter_node_gbytes_per_sec",
-        ):
-            value = getattr(self, field_name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 < value < math.inf
-            ):
-                raise ValueError(
-                    f"{field_name} must be a positive bandwidth (GB/s), got {value!r}"
-                )
-        if not isinstance(self.gpus_per_node, int) or isinstance(self.gpus_per_node, bool) \
-                or self.gpus_per_node < 0:
-            raise ValueError(
-                f"gpus_per_node must be a non-negative int, got {self.gpus_per_node!r}"
-            )
+        check_fields(self)
 
     @property
     def achievable_flops(self) -> float:
@@ -140,16 +124,12 @@ class NodeTopology:
     co-located), the degenerate topology the flat fabric prices.
     """
 
-    pipeline_parallel: int
-    expert_parallel: int
+    pipeline_parallel: int = field(metadata={"min": 1})
+    expert_parallel: int = field(metadata={"min": 1})
     gpus_per_node: int = 0
 
     def __post_init__(self) -> None:
-        if self.pipeline_parallel < 1 or self.expert_parallel < 1:
-            raise ValueError(
-                "pipeline_parallel and expert_parallel must be >= 1, got "
-                f"({self.pipeline_parallel}, {self.expert_parallel})"
-            )
+        check_fields(self)
 
     def node_of(self, stage: int, ep: int) -> int:
         """Node index hosting coordinate ``(stage, ep)``."""

@@ -61,7 +61,6 @@ Three cluster-shaped refinements (TIMELINE_VERSION 2):
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -848,7 +847,6 @@ def _dependency(pp: int, chunks: int, stage: int, spec: PhaseSpec):
     return None
 
 
-@functools.lru_cache(maxsize=64)
 def _phase_order(
     parallelism: ParallelismConfig,
     ep: int,
@@ -862,7 +860,7 @@ def _phase_order(
     phase it depends on has been taken.  The order depends only on the
     schedule geometry -- never on durations, because each phase starts when
     its own lanes are free *and* its dependency has ended -- so it is built
-    once per geometry and every run binds its own durations.
+    from the geometry alone and the run binds its own durations.
 
     Each entry is ``(stage, lanes, kind_code, duration_selector, dep, end,
     microbatch, chunk)``.  ``lanes`` is the stage's ``range(stage * ep,

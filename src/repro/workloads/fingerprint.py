@@ -9,7 +9,7 @@ without importing the generator.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import fields
 
 from repro.digest import sha256
 from repro.version import TRACEGEN_VERSION
@@ -31,13 +31,6 @@ DEFAULT_SIZE_JITTER: tuple[float, ...] = (1.0, 0.9, 0.95, 0.85)
 #: than strict nesting would suggest; this skew produces the interleaved
 #: allocate/free pattern of Figure 1(a) that online allocators fragment on.
 DEFAULT_ASYNC_FREE_SKEW = 2
-
-#: Fingerprints are pure functions of hashable frozen dataclasses, and they
-#: sit on hot paths (every memoised timeline lookup and sweep-cache probe
-#: re-derives one), so they are memoised.  Bounded: cleared wholesale when
-#: full -- a sweep touches far fewer distinct configs than the cap.
-_FINGERPRINT_MEMO: dict[tuple, str] = {}
-_FINGERPRINT_MEMO_MAX = 1024
 
 
 def config_fingerprint(
@@ -61,17 +54,9 @@ def config_fingerprint(
     """
     jitter = DEFAULT_SIZE_JITTER if size_jitter is None else tuple(size_jitter)
     skew = DEFAULT_ASYNC_FREE_SKEW if async_free_skew is None else int(async_free_skew)
-    try:
-        key = (config, int(seed), float(scale), int(rank), int(ep_rank), jitter, skew)
-        cached = _FINGERPRINT_MEMO.get(key)
-    except TypeError:  # unhashable custom config -- compute uncached
-        key = None
-        cached = None
-    if cached is not None:
-        return cached
     payload = {
         "tracegen_version": TRACEGEN_VERSION,
-        "config": asdict(config),
+        "config": config,
         "seed": int(seed),
         "scale": float(scale),
         "rank": int(rank),
@@ -79,10 +64,11 @@ def config_fingerprint(
         "size_jitter": [float(f) for f in jitter],
         "async_free_skew": skew,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    fingerprint = sha256(canonical.encode("utf-8")).hexdigest()
-    if key is not None:
-        if len(_FINGERPRINT_MEMO) >= _FINGERPRINT_MEMO_MAX:
-            _FINGERPRINT_MEMO.clear()
-        _FINGERPRINT_MEMO[key] = fingerprint
-    return fingerprint
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_fields)
+    return sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _fields(config) -> dict:
+    """A (nested) config dataclass as ``json`` writes it: its fields by name,
+    the text ``asdict`` gives without its deep copy."""
+    return {spec.name: getattr(config, spec.name) for spec in fields(config)}

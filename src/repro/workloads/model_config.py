@@ -8,7 +8,9 @@ allocation sizes dynamic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from repro.domain import check_fields
 
 
 @dataclass(frozen=True)
@@ -16,24 +18,23 @@ class ModelConfig:
     """Architecture of one transformer language model."""
 
     name: str
-    hidden_size: int
-    num_layers: int
-    num_attention_heads: int
-    ffn_hidden_size: int
-    vocab_size: int
-    seq_length: int = 4096
-    num_query_groups: int | None = None
+    hidden_size: int = field(metadata={"min": 1})
+    num_layers: int = field(metadata={"min": 1})
+    num_attention_heads: int = field(metadata={"min": 1})
+    ffn_hidden_size: int = field(metadata={"min": 1})
+    vocab_size: int = field(metadata={"min": 1})
+    seq_length: int = field(default=4096, metadata={"min": 1})
+    num_query_groups: int | None = field(default=None, metadata={"min": 1})
     gated_mlp: bool = True
     tie_embeddings: bool = True
-    # Mixture-of-Experts configuration (None/0 for dense models).
-    num_experts: int = 0
-    moe_top_k: int = 2
-    expert_ffn_hidden_size: int = 0
-    moe_shared_expert_ffn: int = 0
+    # Mixture-of-Experts configuration (0 for dense models).
+    num_experts: int = field(default=0, metadata={"min": 0})
+    moe_top_k: int = field(default=2, metadata={"min": 1})
+    expert_ffn_hidden_size: int = field(default=0, metadata={"min": 0})
+    moe_shared_expert_ffn: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self) -> None:
-        if self.hidden_size <= 0 or self.num_layers <= 0:
-            raise ValueError("hidden_size and num_layers must be positive")
+        check_fields(self)
         if self.hidden_size % self.num_attention_heads:
             raise ValueError(
                 f"hidden_size ({self.hidden_size}) must be divisible by "

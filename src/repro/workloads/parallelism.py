@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.domain import check_fields
 #: A simulated rank coordinate: ``(pipeline rank, expert-parallel rank)``.
 RankCoord = tuple[int, int]
 
@@ -69,36 +70,30 @@ class ParallelismConfig:
 
     # Field metadata declares a knob once: ``label`` abbreviates it in row
     # labels, ``flag`` and ``help`` (with optional ``metavar`` / ``choices``)
-    # make it a ``timeline`` option typed and defaulted by the field.
-    tensor_parallel: int = field(default=1, metadata={"label": "tp"})
+    # make it a ``timeline`` option typed and defaulted by the field, and
+    # ``min`` / ``max`` / ``above`` / ``choices`` bound the values
+    # :func:`~repro.domain.check_fields` admits.
+    tensor_parallel: int = field(default=1, metadata={"label": "tp", "min": 1})
     pipeline_parallel: int = field(default=1, metadata={
-        "label": "pp", "flag": "--pp", "help": "pipeline-parallel degree (default: %(default)s)",
+        "label": "pp", "flag": "--pp", "min": 1,
+        "help": "pipeline-parallel degree (default: %(default)s)",
     })
     data_parallel: int = field(default=1, metadata={
-        "label": "dp", "flag": "--dp", "help": "data-parallel degree (default: %(default)s)",
+        "label": "dp", "flag": "--dp", "min": 1,
+        "help": "data-parallel degree (default: %(default)s)",
     })
     expert_parallel: int = field(default=1, metadata={
-        "label": "ep", "flag": "--ep", "help": "expert-parallel degree (default: %(default)s)",
+        "label": "ep", "flag": "--ep", "min": 1,
+        "help": "expert-parallel degree (default: %(default)s)",
     })
     virtual_pipeline_chunks: int = field(default=1, metadata={
-        "label": "vpp", "flag": "--chunks",
+        "label": "vpp", "flag": "--chunks", "min": 1,
         "help": "virtual-pipeline chunks (default: %(default)s)",
     })
     sequence_parallel: bool = False
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "tensor_parallel",
-            "pipeline_parallel",
-            "data_parallel",
-            "expert_parallel",
-            "virtual_pipeline_chunks",
-        ):
-            value = getattr(self, field_name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{field_name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{field_name} must be >= 1, got {value}")
+        check_fields(self)
         if self.virtual_pipeline_chunks > 1 and self.pipeline_parallel == 1:
             raise ValueError("virtual pipeline requires pipeline_parallel > 1")
 

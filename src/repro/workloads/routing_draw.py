@@ -21,9 +21,10 @@ drew.  The repository defines them now, not whichever numpy is installed:
 ``tests/test_routing_draw.py`` pins golden counts recorded with numpy and
 runs a numpy differential when numpy is present.
 
-:func:`routed_counts` is the one entry point.  Its bounded memo holds one
-draw per layer execution for the whole process, so the trace generator and
-every timeline simulation of the same job share it.
+:func:`routed_counts` is the one entry point.  Its ``lru_cache``, one draw
+per layer execution, is the one process-wide memo the package keeps: the
+trace generator and every timeline of a job share each slow draw, and a
+draw is a pure function of canonical scalars, so no call order shows.
 """
 
 from __future__ import annotations
@@ -367,6 +368,11 @@ def routed_counts(
     imbalance: float,
 ) -> tuple[int, ...]:
     """Global per-expert counts of one routed layer execution (memoised).
+
+    The memo stays process-wide: a hit returns exactly what a fresh draw
+    would (an int ``imbalance`` draws as its float), it saves most draws of a
+    routed job, and on the execution context it would only be threaded
+    through ``TraceGenerator``, ``ExpertRouter`` and the timeline's router.
 
     The stream is a pure function of ``(seed, layer, microbatch)`` through a
     SeedSequence spawn key, so nearby executions draw independent streams and

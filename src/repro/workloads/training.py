@@ -8,9 +8,9 @@ x-axis of Figure 8: ``Naive``/``R``/``V``/``VR``/``ZR``/``ZOR``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
+from repro.domain import check_fields
 from repro.workloads.model_config import ModelConfig
 from repro.workloads.parallelism import ParallelismConfig
 
@@ -26,26 +26,27 @@ class TrainingConfig:
     parallelism: ParallelismConfig = field(default_factory=ParallelismConfig)
     # Field metadata declares a knob once (see ParallelismConfig).
     micro_batch_size: int = field(default=1, metadata={
-        "label": "mbs", "flag": "--micro-batch-size",
+        "label": "mbs", "flag": "--micro-batch-size", "min": 1,
         "help": "sequences per micro-batch (default: %(default)s)",
     })
     num_microbatches: int = field(default=8, metadata={
-        "label": "m", "flag": "--microbatches",
+        "label": "m", "flag": "--microbatches", "min": 1,
         "help": "micro-batches per iteration (default: %(default)s)",
     })
-    seq_length: int | None = None
+    #: Tokens per sequence; ``None`` takes the model's.
+    seq_length: int | None = field(default=None, metadata={"min": 1})
     recompute: bool = False
     offload_activations: bool = False
-    zero_stage: int = field(default=0, metadata={"label": "zero"})
-    framework: str = "megatron"
-    param_dtype_bytes: int = 2
-    grad_dtype_bytes: int = 4
-    optimizer_bytes_per_param: int = 12
+    zero_stage: int = field(default=0, metadata={"label": "zero", "min": 0, "max": 3})
+    framework: str = field(default="megatron", metadata={"choices": ("megatron", "colossalai")})
+    param_dtype_bytes: int = field(default=2, metadata={"min": 1})
+    grad_dtype_bytes: int = field(default=4, metadata={"min": 1})
+    optimizer_bytes_per_param: int = field(default=12, metadata={"min": 0})
     #: MoE router skew in [0, 1]: 0 routes tokens in an exact balanced split
     #: (every expert-parallel rank sees the same load), larger values mix in a
     #: random per-expert preference so EP ranks diverge at runtime.  Ignored
     #: for dense models.
-    moe_imbalance: float = field(default=0.3, metadata={"label": "imb"})
+    moe_imbalance: float = field(default=0.3, metadata={"label": "imb", "min": 0, "max": 1})
     #: Scale of the expert-parallel all-to-all communication transients: the
     #: dispatch (forward) and combine (backward) send/recv buffers are sized
     #: ``moe_comm_factor * routed_tokens * hidden_size`` activation bytes and
@@ -55,7 +56,7 @@ class TrainingConfig:
     #: unfused all-to-all staging buffers holding one full copy of the routed
     #: activations per direction.  Ignored for dense models.
     moe_comm_factor: float = field(default=0.0, metadata={
-        "label": "comm", "flag": "--comm-factor",
+        "label": "comm", "flag": "--comm-factor", "min": 0,
         "help": "MoE all-to-all comm factor (default: 0, comm-free)",
     })
     #: Fraction of each all-to-all collective hidden under the expert compute
@@ -65,7 +66,7 @@ class TrainingConfig:
     #: honest; 0 (the default) serialises communication and compute exactly
     #: like the pre-overlap simulator.  Ignored for dense models.
     comm_overlap_factor: float = field(default=0.0, metadata={
-        "label": "ovl", "flag": "--overlap",
+        "label": "ovl", "flag": "--overlap", "min": 0, "max": 1,
         "help": "fraction of each all-to-all hidden under expert compute, in [0, 1] "
         "(default: 0, fully serialised)",
     })
@@ -83,7 +84,7 @@ class TrainingConfig:
     #: ``workload_kind="generation"`` degenerates to prefill-only (the trace
     #: is event-identical to the inference workload's).
     decode_steps: int = field(default=0, metadata={
-        "label": "dec", "flag": "--decode-steps",
+        "label": "dec", "flag": "--decode-steps", "min": 0,
         "help": "autoregressive decode passes per micro-batch (generation workloads only; "
         "default: 0)",
     })
@@ -91,48 +92,14 @@ class TrainingConfig:
     #: the context reaches ``sequence_length + max_new_tokens`` (decode steps
     #: beyond the cap still run, over the capped context).  0 means no cap.
     max_new_tokens: int = field(default=0, metadata={
-        "label": "tok", "flag": "--max-new-tokens",
+        "label": "tok", "flag": "--max-new-tokens", "min": 0,
         "help": "cap on generated tokens per sequence -- the KV cache stops growing at the "
         "cap (generation workloads only; default: 0, no cap)",
     })
     label: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("micro_batch_size", "num_microbatches", "zero_stage", "decode_steps",
-                     "max_new_tokens"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("recompute", "offload_activations"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if self.micro_batch_size < 1:
-            raise ValueError("micro_batch_size must be >= 1")
-        if self.num_microbatches < 1:
-            raise ValueError("num_microbatches must be >= 1")
-        if self.zero_stage not in (0, 1, 2, 3):
-            raise ValueError(f"zero_stage must be 0-3, got {self.zero_stage}")
-        if self.framework not in ("megatron", "colossalai"):
-            raise ValueError(f"unknown framework {self.framework!r}")
-        if not 0.0 <= self.moe_imbalance <= 1.0:
-            raise ValueError(f"moe_imbalance must be in [0, 1], got {self.moe_imbalance}")
-        if not 0.0 <= self.moe_comm_factor < math.inf:
-            raise ValueError(
-                f"moe_comm_factor must be >= 0, got {self.moe_comm_factor}"
-            )
-        if not 0.0 <= self.comm_overlap_factor <= 1.0:
-            raise ValueError(
-                f"comm_overlap_factor must be in [0, 1], got {self.comm_overlap_factor}"
-            )
-        if self.workload_kind not in WORKLOAD_KINDS:
-            raise ValueError(
-                f"workload_kind must be training, inference or generation, "
-                f"got {self.workload_kind!r}"
-            )
-        if self.decode_steps < 0:
-            raise ValueError(f"decode_steps must be >= 0, got {self.decode_steps}")
-        if self.max_new_tokens < 0:
-            raise ValueError(f"max_new_tokens must be >= 0, got {self.max_new_tokens}")
+        check_fields(self)
         if self.workload_kind != "generation" and (self.decode_steps or self.max_new_tokens):
             raise ValueError(
                 "decode_steps/max_new_tokens only apply to workload_kind='generation'"

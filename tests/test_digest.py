@@ -66,8 +66,7 @@ def test_sha256_equals_hashlib_at_random_chunk_boundaries(seed):
 
 
 def _content_addresses(config, tmp_path) -> dict:
-    """Every call site's address of fixed inputs (memos cleared first)."""
-    fingerprint_module._FINGERPRINT_MEMO.clear()
+    """Every call site's address of fixed inputs."""
     cache = SweepCache(tmp_path)
     trace = TraceGenerator(config, seed=3).generate()
     fingerprint = config_fingerprint(config, seed=3, rank=1)
@@ -86,7 +85,6 @@ def test_every_call_site_hashes_to_its_hashlib_value(tiny_dense_config, tmp_path
     for module in (fingerprint_module, trace_module, cache_module, timeline_module):
         monkeypatch.setattr(module, "sha256", hashlib.sha256)
     theirs = _content_addresses(tiny_dense_config, tmp_path / "b")
-    fingerprint_module._FINGERPRINT_MEMO.clear()
     assert ours == theirs
 
 

@@ -14,6 +14,7 @@ the checks are structural and machine-independent: no timing is asserted.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -60,6 +61,7 @@ DEFINITION_LAYER = (
     "repro.core.events",
     "repro.core.intervals",
     "repro.core.plan",
+    "repro.domain",
     "repro.gpu.device",
     "repro.gpu.specs",
     "repro.obs.progress",
@@ -121,9 +123,10 @@ LEGACY_NAMES = {
 #: event-object view of a trace (its oracle lives in tests/trace_oracle.py),
 #: the second job type and rank resolvers a ``SweepPoint`` replaced, the
 #: second pricing result a ``TimelineResult`` replaced, the per-stage configs
-#: ``STAllocConfig`` replaced, ``ClusterSpec``'s test-only accessors and the
-#: two wrappers of one rank's replay a ``ReplayResult`` absorbed.  A dotted
-#: name is an attribute of a class of the module.
+#: ``STAllocConfig`` replaced, ``ClusterSpec``'s test-only accessors, the
+#: two wrappers of one rank's replay a ``ReplayResult`` absorbed and the
+#: process-wide memos of fingerprints and phase orders.  A dotted name is an
+#: attribute of a class (or function) of the module.
 REMOVED_NAMES = {
     "repro.simulator.runner": [
         "VALID_TIMINGS", "validate_timing", "JobSpec", "JobRun.throughput", "WorkloadRun",
@@ -132,7 +135,8 @@ REMOVED_NAMES = {
     "repro.simulator.throughput": [
         "GPU_SPECS", "VALID_TIMINGS", "validate_timing", "ThroughputEstimate",
     ],
-    "repro.timeline.simulator": ["TimelineResult.to_estimate"],
+    "repro.timeline.simulator": ["TimelineResult.to_estimate", "_phase_order.cache_info"],
+    "repro.workloads.fingerprint": ["_FINGERPRINT_MEMO", "_FINGERPRINT_MEMO_MAX"],
     "repro.search.cluster": [
         "ClusterSpec.gpu",
         "ClusterSpec.capacity_gib",
@@ -462,3 +466,42 @@ print(json.dumps({{"missing": missing, "present": present, "parameters": paramet
         if pattern.search(line)
     ]
     assert mentions == []
+
+
+#: The one process-wide memo ``src/repro`` keeps, with why it stays.
+MEMO_ALLOWLIST = {
+    "repro/workloads/routing_draw.py::routed_counts": (
+        "a pure function of canonical scalars whose draws are slow and repeat "
+        "across a routed job's forward/backward, dispatch/combine, traces and "
+        "timelines; on the context it would thread through three classes"
+    ),
+}
+
+
+def test_no_module_memo_but_the_allowlisted_one():
+    """No ``functools.lru_cache`` / ``cache`` decorator and no module-level
+    ``*_MEMO`` dict: a result must not depend on what the process ran before."""
+    package = ROOT / "src" / "repro"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package.parent).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                        target, "id", ""
+                    )
+                    if name in ("lru_cache", "cache"):
+                        found.append(f"{relative}::{node.name}")
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            )
+            found += [
+                f"{relative}::{target.id}"
+                for target in targets
+                if isinstance(target, ast.Name) and target.id.endswith("_MEMO")
+            ]
+    assert sorted(found) == sorted(MEMO_ALLOWLIST)

@@ -1,13 +1,18 @@
-"""Knob declarations: every label, flag and identity derived from one field.
+"""Knob declarations: every label, flag, domain and identity derived from one field.
 
 A knob's row-label abbreviation, ``timeline`` flag and help text are
 declared once, as metadata on its dataclass field (``TrainingConfig``,
 ``ParallelismConfig`` and the fabric fields of ``GPUSpec``); the grid and
 candidate labels, the fabric labels and the ``timeline`` command read them
-from there.  ``tests/fixtures/golden_point_identity.json`` pins what that
-must never move: for every sweep-preset point and search-preset candidate,
-its row label, config description, trace fingerprint and result-cache
-payload, plus one grid label that names every labelled axis.  When a move
+from there.  So is every config field's domain (its annotation's type and
+a ``min`` / ``max`` / ``above`` / ``choices`` in its metadata), which one
+loop, :func:`repro.domain.check_fields`, enforces for every config
+class; the domain tests below are derived from the declarations.
+
+``tests/fixtures/golden_point_identity.json`` pins what must never move:
+for every sweep-preset point and search-preset candidate, its row label,
+config description, trace fingerprint and result-cache payload, plus one
+grid label that names every labelled axis.  When a move
 is intentional, regenerate it with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_knobs.py
@@ -19,16 +24,28 @@ and commit the fixture with the change (a cache-key move also needs a
 from __future__ import annotations
 
 import json
+import math
 import os
 import shlex
-from dataclasses import fields
+import subprocess
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import repro.timeline
 from repro.cli import build_parser, main
-from repro.gpu.specs import FABRIC_FIELDS, FABRIC_LABELS, GPUSpec, get_gpu
+from repro.core.config import STAllocConfig
+from repro.domain import KINDS
+from repro.gpu.specs import (
+    FABRIC_FIELDS,
+    FABRIC_LABELS,
+    GPU_SPECS,
+    GPUSpec,
+    NodeTopology,
+    get_gpu,
+)
 from repro.search.presets import SEARCH_PRESETS, load_search_spec
 from repro.sweep.spec import (
     AXIS_LABELS,
@@ -38,6 +55,8 @@ from repro.sweep.spec import (
     load_spec,
 )
 from repro.workloads.fingerprint import config_fingerprint
+from repro.workloads.model_config import ModelConfig
+from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
 
@@ -252,3 +271,149 @@ timeline: gpt-tiny TP1 PP2 DP1 VPP2 mbs=2 m=4 generation dec=4 tok=2 on A800-80G
 def test_timeline_stdout_is_pinned(command, capsys):
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out == TIMELINE_STDOUT[command]
+
+
+# ---------------------------------------------------------------------- #
+# Domains: every config field's type and range, checked by one loop
+# ---------------------------------------------------------------------- #
+#: One instance per config class from which every declared edge value of
+#: every field builds alone (one attention head, so any hidden size divides).
+DOMAIN_BASES = {
+    TrainingConfig: TrainingConfig(model=get_model("gpt-tiny")),
+    ParallelismConfig: ParallelismConfig(),
+    ModelConfig: replace(get_model("gpt-tiny"), num_attention_heads=1),
+    GPUSpec: GPU_SPECS["A800-80GB"],
+    NodeTopology: NodeTopology(pipeline_parallel=1, expert_parallel=1),
+    STAllocConfig: STAllocConfig(),
+}
+#: Fields that declare no domain: nested configs check themselves, a name or
+#: label may be any string, and any node size up to 0 means one node.
+DOMAIN_FREE = {
+    TrainingConfig: {"model", "parallelism", "label"},
+    ParallelismConfig: set(),
+    ModelConfig: {"name"},
+    GPUSpec: {"name"},
+    NodeTopology: {"gpus_per_node"},
+    STAllocConfig: set(),
+}
+BOUNDS = ("min", "max", "above", "choices")
+
+
+def _kind(spec) -> str | None:
+    kind = spec.type.removesuffix(" | None")
+    return kind if kind in KINDS else None
+
+
+def _declares_a_domain(spec) -> bool:
+    return _kind(spec) == "bool" or (
+        _kind(spec) is not None and any(key in spec.metadata for key in BOUNDS)
+    )
+
+
+@pytest.mark.parametrize("owner", list(DOMAIN_FREE), ids=lambda owner: owner.__name__)
+def test_every_config_field_declares_a_domain_or_is_named_free(owner):
+    undeclared = {spec.name for spec in fields(owner) if not _declares_a_domain(spec)}
+    assert undeclared == DOMAIN_FREE[owner]
+
+
+def _step(kind: str, value, direction: int):
+    """The next value of ``kind`` past ``value`` in ``direction`` (+1 or -1)."""
+    return math.nextafter(value, direction * math.inf) if kind == "float" else value + direction
+
+
+def _edges():
+    """``(owner, field, value, builds)`` at and one step past every declared bound,
+    plus one value of the wrong type per typed field (a bool is not an int,
+    and an int is no bool)."""
+    for owner in DOMAIN_BASES:
+        for spec in fields(owner):
+            kind, meta = _kind(spec), spec.metadata
+            if kind is None:
+                continue
+            if "min" in meta:
+                yield owner, spec.name, meta["min"], True
+                yield owner, spec.name, _step(kind, meta["min"], -1), False
+            if "above" in meta:
+                yield owner, spec.name, meta["above"], False
+                yield owner, spec.name, _step(kind, meta["above"], +1), True
+            if "max" in meta:
+                yield owner, spec.name, meta["max"], True
+                yield owner, spec.name, _step(kind, meta["max"], +1), False
+            for choice in meta.get("choices", ()):
+                yield owner, spec.name, choice, True
+            if "choices" in meta:
+                yield owner, spec.name, "no-such", False
+            yield owner, spec.name, 1 if kind == "bool" else True, False
+            if kind == "float":
+                yield owner, spec.name, math.inf, False
+                yield owner, spec.name, math.nan, False
+
+
+EDGES = list(_edges())
+
+
+@pytest.mark.parametrize(
+    "owner, name, value, builds", EDGES,
+    ids=[f"{owner.__name__}.{name}={value!r}" for owner, name, value, _ in EDGES],
+)
+def test_a_value_at_a_declared_edge_builds_and_one_past_it_names_the_field(
+    owner, name, value, builds
+):
+    base = DOMAIN_BASES[owner]
+    if builds:
+        assert getattr(replace(base, **{name: value}), name) == value
+        return
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got ") as error:
+        replace(base, **{name: value})
+    assert "\n" not in str(error.value)
+
+
+def test_an_int_given_for_a_float_is_stored_as_a_float():
+    config = TrainingConfig(model=get_model("moe-tiny"), moe_comm_factor=1, moe_imbalance=0)
+    assert type(config.moe_comm_factor) is float and type(config.moe_imbalance) is float
+    gpu = get_gpu("A800-80GB", {"intra_node_gbytes_per_sec": 160})
+    assert type(gpu.intra_node_gbytes_per_sec) is float
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("num_attention_heads", "num_attention_heads must be an int >= 1, got 0"),
+        ("seq_length", "seq_length must be an int >= 1, got 0"),
+    ],
+)
+def test_a_model_with_a_zero_field_names_it(name, message):
+    # Models are picked by name, so no spec reaches ModelConfig: this is the
+    # library's refusal, before a zero head count divides by zero.
+    with pytest.raises(ValueError) as error:
+        replace(get_model("gpt-tiny"), **{name: 0})
+    assert str(error.value) == message
+
+
+#: Fingerprints a config and its float-given twin in the order argv names.
+FINGERPRINT_CHILD = """
+import json, sys
+from repro.workloads.fingerprint import config_fingerprint
+from repro.workloads.models import get_model
+from repro.workloads.training import TrainingConfig
+configs = {
+    "int": TrainingConfig(model=get_model("moe-tiny"), moe_comm_factor=1),
+    "float": TrainingConfig(model=get_model("moe-tiny"), moe_comm_factor=1.0),
+}
+print(json.dumps({name: config_fingerprint(configs[name]) for name in sys.argv[1:]}))
+"""
+
+
+def test_a_fingerprint_does_not_depend_on_call_order():
+    def fingerprints(*order: str) -> dict:
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", FINGERPRINT_CHILD, *order],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        return json.loads(done.stdout)
+
+    int_first, float_first = fingerprints("int", "float"), fingerprints("float", "int")
+    assert int_first == float_first
+    # An int given for a float field is stored as a float: one address.
+    assert int_first["int"] == int_first["float"]

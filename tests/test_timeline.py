@@ -340,7 +340,7 @@ NON_FINITE = {
     # A bool is an int to Python but no bandwidth.
     "spec-inter-bool": (
         lambda: dataclasses.replace(GPU, inter_node_gbytes_per_sec=True),
-        "inter_node_gbytes_per_sec must be a positive bandwidth .* got True",
+        "inter_node_gbytes_per_sec must be a number > 0 or None, got True",
     ),
     "overhead-nan": (
         lambda: TimelineSimulator(dense_config(), allocator_overhead_seconds=NAN),
@@ -586,6 +586,22 @@ MALFORMED_SPECS = {
             cluster={"devices": "2x4xA800-80GB@0.30", "inter_node_gbytes_per_sec": True},
         ),
         "cluster inter_node_gbytes_per_sec",
+    ),
+    # Each ran before a knob's domain lived on its field: a negative
+    # sequence priced negative tokens/s, a zero one priced no tokens, a float
+    # dtype width gave one config two trace addresses, a bool router skew
+    # routed as 1.0.
+    "sweep-seq-length-negative": (
+        "sweep", _with(GEN_DECODE, base__seq_length=-8), "seq_length must be an int >= 1"
+    ),
+    "sweep-seq-length-zero": (
+        "sweep", _with(GEN_DECODE, base__seq_length=0), "seq_length must be an int >= 1"
+    ),
+    "sweep-param-dtype-float": (
+        "sweep", _with(GEN_DECODE, base__param_dtype_bytes=2.0), "param_dtype_bytes"
+    ),
+    "sweep-moe-imbalance-bool": (
+        "sweep", _with(GEN_DECODE, base__moe_imbalance=True), "moe_imbalance"
     ),
     # The closed-form pricing backend is gone; a spec that still selects it
     # must not run priced by the timeline as if it had asked for that.

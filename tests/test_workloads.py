@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.events import PhaseKind, TensorCategory
@@ -113,11 +115,11 @@ class TestTrainingConfig:
     @pytest.mark.parametrize(
         "name, value, message",
         [
-            ("micro_batch_size", 2.5, "micro_batch_size must be an int, got 2.5"),
-            ("num_microbatches", "4", "num_microbatches must be an int, got '4'"),
-            ("zero_stage", True, "zero_stage must be an int, got True"),
-            ("decode_steps", 1.0, "decode_steps must be an int, got 1.0"),
-            ("max_new_tokens", None, "max_new_tokens must be an int, got None"),
+            ("micro_batch_size", 2.5, "micro_batch_size must be an int >= 1, got 2.5"),
+            ("num_microbatches", "4", "num_microbatches must be an int >= 1, got '4'"),
+            ("zero_stage", True, "zero_stage must be an int in [0, 3], got True"),
+            ("decode_steps", 1.0, "decode_steps must be an int >= 0, got 1.0"),
+            ("max_new_tokens", None, "max_new_tokens must be an int >= 0, got None"),
             ("recompute", 1, "recompute must be true or false, got 1"),
             ("offload_activations", "no", "offload_activations must be true or false, got 'no'"),
         ],
@@ -125,7 +127,7 @@ class TestTrainingConfig:
              "max_new_tokens", "recompute", "offload_activations"],
     )
     def test_typed_fields_reject_other_types(self, name, value, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainingConfig(model=get_model("gpt2-345m"), **{name: value})
 
     def test_invalid_framework(self):
