@@ -1,7 +1,7 @@
 """Field domains: the values a config field admits, declared on the field.
 
-A field's annotation is its exact type: one of :data:`KINDS`, optionally
-``| None``.  Its ``field(metadata=...)`` may bound it (``min`` or ``above``,
+A field's annotation is its exact type: one of :data:`KINDS` or a config
+class, optionally ``| None``.  Its ``field(metadata=...)`` may bound it (``min`` or ``above``,
 with an optional ``max``) or list its ``choices``.  :func:`check_fields` is
 the one loop that enforces them, called first by the ``__post_init__`` of
 ``TrainingConfig``, ``ParallelismConfig``, ``ModelConfig``, ``GPUSpec``,
@@ -27,15 +27,18 @@ KINDS = {
 
 def check_fields(config) -> None:
     """Raise a one-line ``ValueError`` naming the first field of ``config``
-    outside its domain (a float must also be finite); fields of another
-    annotation, such as a nested config, check themselves."""
+    outside its domain (a float must also be finite); a field annotated with
+    another class, such as a nested config, must hold an instance of it, which
+    checks its own fields."""
     for spec in fields(config):  # postponed annotations: ``spec.type`` is text
         kind = spec.type.removesuffix(" | None")
-        if kind not in KINDS:
-            continue
         value = getattr(config, spec.name)
         optional = kind != spec.type
         if value is None and optional:
+            continue
+        if kind not in KINDS:
+            if kind not in {cls.__name__ for cls in type(value).__mro__}:
+                raise ValueError(f"{spec.name} must be a {kind}, got {value!r}")
             continue
         types, noun = KINDS[kind]
         meta = spec.metadata

@@ -13,6 +13,7 @@ from typing import Callable
 
 from repro.simulator.execution import ExecutionContext
 from repro.simulator.runner import JobRun, run_jobs
+from repro.sweep.results import column_union, table_lines
 from repro.sweep.spec import SweepPoint
 from repro.workloads.model_config import ModelConfig
 from repro.workloads.models import get_model
@@ -36,40 +37,14 @@ class ExperimentResult:
     rows: list[dict] = field(default_factory=list)
     notes: str = ""
 
-    def columns(self) -> list[str]:
-        columns: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-        return columns
-
     def to_text(self) -> str:
         """Column-aligned plain-text rendering (what the CLI prints)."""
         lines = [f"== {self.experiment_id}: {self.title} =="]
-        columns = self.columns()
-        if columns:
-            widths = {
-                column: max(len(column), *(len(_fmt(row.get(column, ""))) for row in self.rows))
-                for column in columns
-            }
-            header = "  ".join(column.ljust(widths[column]) for column in columns)
-            lines.append(header)
-            lines.append("-" * len(header))
-            for row in self.rows:
-                lines.append(
-                    "  ".join(_fmt(row.get(column, "")).ljust(widths[column]) for column in columns)
-                )
+        lines += table_lines(self.rows, column_union(self.rows))
         if self.notes:
             lines.append("")
             lines.append(self.notes)
         return "\n".join(lines)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
 
 
 # ---------------------------------------------------------------------- #

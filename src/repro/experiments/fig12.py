@@ -40,14 +40,14 @@ def run(*, quick: bool = False, ctx: ExecutionContext) -> ExperimentResult:
     jobs = run_lineups(configs, LINEUP, device_name="A800-80GB", ctx=ctx)
     rows = []
     for (model_name, name), job in jobs.items():
-        reference = jobs[model_name, NORMALIZE_AGAINST[name]].tflops
+        reference = jobs[model_name, NORMALIZE_AGAINST[name]].timeline.tflops_per_gpu
         rows.append(
             {
                 "model": model_name,
                 "allocator": name,
-                "tflops_per_gpu": round(job.tflops, 1),
+                "tflops_per_gpu": round(job.timeline.tflops_per_gpu, 1),
                 "normalized_throughput_pct": round(
-                    100.0 * job.tflops / reference if reference else 0.0, 2
+                    100.0 * job.timeline.tflops_per_gpu / reference if reference else 0.0, 2
                 ),
                 "allocator_overhead_s": round(job.class_runs[0].overhead_seconds, 3),
             }

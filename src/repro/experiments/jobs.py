@@ -37,8 +37,8 @@ def _job_row(preset: str, job) -> dict:
         "job_peak_gib": round(job.peak_allocated_gib, 3),
         "mean_rank_peak_gib": round(job.mean_peak_allocated_gib, 3),
         "reserved_gib": round(job.peak_reserved_gib, 3),
-        "tflops_per_gpu": job.tflops,
-        "tokens_per_second": job.tokens_per_second,
+        "tflops_per_gpu": job.timeline.tflops_per_gpu,
+        "tokens_per_second": job.timeline.tokens_per_second,
         "status": "ok" if job.success else f"OOM@ranks{job.oom_ranks}",
     }
 

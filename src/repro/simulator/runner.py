@@ -197,9 +197,8 @@ class JobRun:
     device_name: str
     rank_classes: list[tuple]
     class_runs: list[ReplayResult]
-    #: The job's priced iteration: its throughput columns
-    #: (:meth:`~repro.timeline.simulator.TimelineResult.row_columns`) and the
-    #: per-rank event streams behind them.
+    #: The job's priced iteration: its throughput (``tflops_per_gpu``,
+    #: ``tokens_per_second``, ...) and the per-rank event streams behind it.
     timeline: TimelineResult
     class_capacities: list[float | None] = field(default_factory=list)
 
@@ -311,14 +310,6 @@ class JobRun:
             if not run.success
             for rank in cls
         )
-
-    @property
-    def tflops(self) -> float:
-        return self.timeline.tflops_per_gpu
-
-    @property
-    def tokens_per_second(self) -> float:
-        return self.timeline.tokens_per_second
 
 
 def run_job(

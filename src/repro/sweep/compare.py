@@ -2,10 +2,11 @@
 
 Compares the rows of a freshly-executed sweep against a previously saved
 results file -- or, via :func:`compare_files`, two saved results files
-against each other without re-running anything -- point by point.  Points are matched on their identity columns
-(model, config, allocator, seed, scale, device, ranks, workload kind) rather than on
-the ``point`` index, so reordered or extended grids still line up.  A *regression*
-is something that makes the new run strictly worse:
+against each other without re-running anything -- point by point.  Points are
+matched on the identity columns :data:`~repro.sweep.results.ROW_COLUMNS`
+declares (model, config, allocator, seed, scale, device, workload kind, ranks)
+rather than on the ``point`` index, so reordered or extended grids still line
+up.  A *regression* is something that makes the new run strictly worse:
 
 * a point that fit before and OOMs now,
 * a job peak (``allocated_gib``) that grew beyond the tolerance,
@@ -21,46 +22,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.sweep.results import SweepResult, _fmt
+from repro.sweep.results import ROW_COLUMNS, SweepResult, _fmt
 
 #: Row keys identifying a sweep point across runs (everything that names the
-#: measurement, nothing that is measured).  Current rows carry no ``timing``
-#: column: every row is timeline-priced, so :func:`row_identity` reads a
-#: missing ``timing`` as ``"timeline"``.  A results file from before 1.25.0
-#: names the backend that priced each row; its timeline rows still match, and
-#: its rows priced by the removed closed form never match a current row, so
-#: they are reported as an unmatched baseline instead of diffed.
-IDENTITY_COLUMNS = (
-    "model", "config", "allocator", "seed", "scale", "device", "ranks", "timing",
-    "workload_kind",
-)
-
-#: Metric columns worth diffing, with the direction in which a change is a
-#: regression: +1 means "bigger is worse", -1 means "smaller is worse",
-#: 0 means "report the delta but never flag it".
+#: measurement, nothing that is measured), and the metric columns worth
+#: diffing with their regression direction: both read off the declaration.
+IDENTITY_COLUMNS = tuple(column.name for column in ROW_COLUMNS if column.identity)
 METRIC_DIRECTIONS: dict[str, int] = {
-    "allocated_gib": +1,
-    "allocated_mean_gib": 0,
-    "reserved_gib": +1,
-    "comm_peak_bytes": +1,
-    "kv_peak_bytes": +1,
-    "fragmentation_pct": 0,
-    "memory_efficiency_pct": 0,
-    "tflops_per_gpu": -1,
-    "tokens_per_second": -1,
-    "iteration_seconds": +1,
-    "comm_seconds": +1,
-    "decode_seconds": +1,
-    "decode_steps": 0,
-    "bubble_fraction": +1,
-    "mfu": -1,
-    "binding_rank": 0,
-    "search_rank": +1,
+    column.name: column.direction for column in ROW_COLUMNS if column.direction is not None
 }
 
 
 def row_identity(row: dict) -> tuple:
-    """Hashable cross-run identity of one result row."""
+    """Hashable cross-run identity of one result row.
+
+    A row without ``timing`` is timeline-priced, as every current row is; a
+    pre-1.25.0 row priced by the removed closed form matches none of them.
+    """
     return tuple(
         row.get(column, "timeline" if column == "timing" else None)
         for column in IDENTITY_COLUMNS

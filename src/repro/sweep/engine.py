@@ -3,7 +3,8 @@
 :func:`run_sweep` executes every point of a :class:`~repro.sweep.spec.SweepSpec`
 as a whole-job measurement -- the :class:`~repro.sweep.spec.SweepPoint` is the
 job description :func:`repro.simulator.runner.run_jobs` reads, with no copy
-into a second type -- and collects one flat result row per point.  A point
+into a second type -- and collects one flat result row per point, holding
+the columns :data:`~repro.sweep.results.ROW_COLUMNS` declares.  A point
 may cover several pipeline ranks (``ranks`` in the spec); its row then
 aggregates the per-rank replays -- job success, max/mean per-rank peak, the
 binding rank -- and every row carries the timeline simulator's throughput
@@ -35,10 +36,9 @@ from repro.obs.tracer import counter as _obs_counter
 from repro.obs.tracer import span as _obs_span
 from repro.simulator.execution import ExecutionContext
 from repro.sweep.cache import SweepCache
-from repro.sweep.results import SweepResult
+from repro.sweep.results import ROW_COLUMNS, SweepResult
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.workloads.fingerprint import config_fingerprint
-from repro.workloads.parallelism import rank_label
 
 
 class SweepPointError(RuntimeError):
@@ -65,84 +65,14 @@ class SweepPointError(RuntimeError):
         return (SweepPointError, (self.label, self.fingerprint, self.cause))
 
 
-def _int_ranks_label(ranks) -> str:
-    """Compact rendering of an int rank tuple: ``0``, ``0-3`` or ``0,2,5``."""
-    if len(ranks) == 1:
-        return str(ranks[0])
-    if list(ranks) == list(range(ranks[0], ranks[-1] + 1)):
-        return f"{ranks[0]}-{ranks[-1]}"
-    return ",".join(str(rank) for rank in ranks)
-
-
-def _ranks_label(ranks: tuple) -> str:
-    """Compact rendering of a rank selection.
-
-    Int tuples keep the historical forms (``0``, ``0-3``, ``0,2,5``) so rows
-    of non-EP sweeps stay identical to earlier releases.  Coordinate tuples
-    render as a cross product when they form a full grid (``0-1x ep0-3``) and
-    as an explicit ``pp.ep`` list otherwise.
-    """
-    if not ranks or isinstance(ranks[0], int):
-        return _int_ranks_label(ranks)
-    pps = sorted({pp for pp, _ in ranks})
-    eps = sorted({ep for _, ep in ranks})
-    if len(ranks) == len(pps) * len(eps):
-        return f"{_int_ranks_label(pps)}xep{_int_ranks_label(eps)}"
-    return ",".join(rank_label(rank) for rank in ranks)
-
-
 def _point_row(point: SweepPoint, job, elapsed: float) -> dict:
-    """Flatten one JobRun into the sweep's row format.
-
-    Memory-efficiency and fragmentation report the *binding* rank (the rank
-    whose peak decides whether the job fits); ``allocated_gib`` is the job
-    peak (max over ranks) and ``allocated_mean_gib`` the class-weighted mean.
-    Float metrics are stored at full precision -- rounding is display-only
-    (``repro.sweep.results._fmt``) so ``--compare`` diffs real values.
-    """
-    binding = job.binding_run
-    binding_rank = job.binding_rank
-    row = {
-        "point": point.index,
-        "model": point.config.model.name,
-        "config": point.row_label,
-        "allocator": point.allocator_label,
-        "seed": point.seed,
-        "scale": point.scale,
-        "device": point.device_name,
-        "workload_kind": point.config.workload_kind,
-        "decode_steps": point.config.decode_steps,
-        "ranks": _ranks_label(point.ranks),
-        "num_ranks": job.num_ranks,
-        "unique_ranks": len(job.class_runs),
-        "status": "ok" if job.success else "OOM",
-        "binding_rank": (
-            binding_rank if isinstance(binding_rank, int) else rank_label(binding_rank)
-        ),
-        "memory_efficiency_pct": 100 * binding.memory_efficiency,
-        "fragmentation_pct": 100 * binding.fragmentation_ratio,
-        "allocated_gib": job.peak_allocated_gib,
-        "allocated_mean_gib": job.mean_peak_allocated_gib,
-        "reserved_gib": job.peak_reserved_gib,
-        "comm_peak_bytes": job.comm_peak_bytes,
-        "kv_peak_bytes": job.kv_peak_bytes,
-        "events_replayed": sum(run.events_replayed for run in job.class_runs),
-        "elapsed_seconds": round(elapsed, 4),
-        "cached": False,
-        "description": point.config.describe(),
-        **job.timeline.row_columns(),
-    }
-    if job.heterogeneous_budgets and job.binding_utilization is not None:
-        row["binding_utilization"] = job.binding_utilization
-    if not job.success:
-        row["oom_ranks"] = [
-            rank if isinstance(rank, int) else rank_label(rank) for rank in job.oom_ranks
-        ]
-        failed = next(run for run in job.class_runs if not run.success)
-        row["oom_at_event"] = failed.oom_at_event
-    pool_bytes = binding.planning_report.get("static_pool_bytes")
-    if pool_bytes:
-        row["static_pool_gib"] = round(pool_bytes / (1 << 30), 3)
+    """Flatten one JobRun into the row :data:`~repro.sweep.results.ROW_COLUMNS` declares."""
+    stamped = {"elapsed_seconds": round(elapsed, 4)}
+    row = {}
+    for column in ROW_COLUMNS:
+        value = column.value(point, job) if column.value else stamped.get(column.name)
+        if value is not None:
+            row[column.name] = value
     return row
 
 

@@ -279,25 +279,6 @@ class TimelineResult:
             key=lambda r: (-r.finish_seconds, r.rank),
         ).rank
 
-    def row_columns(self) -> dict:
-        """The throughput columns of one result row, in presentation order.
-
-        The single definition the sweep engine's row builder reads -- adding
-        a column here is the whole change (plus its
-        ``repro.sweep.compare.METRIC_DIRECTIONS`` entry).  Full precision on
-        purpose: rounding is display-only (``repro.sweep.results._fmt``), so
-        result diffs compare real values.  Key order is output bytes.
-        """
-        return {
-            "tflops_per_gpu": self.tflops_per_gpu,
-            "tokens_per_second": self.tokens_per_second,
-            "iteration_seconds": self.iteration_seconds,
-            "comm_seconds": self.comm_seconds,
-            "decode_seconds": self.decode_seconds,
-            "bubble_fraction": self.bubble_fraction,
-            "mfu": self.mfu,
-        }
-
     # ------------------------------------------------------------------ #
     # Canonical serialization (golden-fixture digests)
     # ------------------------------------------------------------------ #
@@ -938,7 +919,7 @@ def simulate_timeline(
     """Simulate one iteration of ``config`` on ``gpu`` under a ``timeline.simulate`` span.
 
     Returns the full :class:`TimelineResult`, which is also the job's
-    throughput (:meth:`TimelineResult.row_columns`).
+    throughput.
     ``allocator_overhead_seconds`` injects the replay-measured allocator
     overhead into the phase durations (see :class:`TimelineSimulator`).
     """

@@ -42,6 +42,10 @@ class ModelConfig:
             )
         if self.num_experts and self.expert_ffn_hidden_size <= 0:
             raise ValueError("MoE models must set expert_ffn_hidden_size")
+        if self.num_experts and self.moe_top_k > self.num_experts:
+            raise ValueError(
+                f"moe_top_k ({self.moe_top_k}) must not exceed num_experts ({self.num_experts})"
+            )
 
     # ------------------------------------------------------------------ #
     # Derived quantities

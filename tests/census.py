@@ -12,10 +12,11 @@ directly to print the census of the working tree::
 The commands are ``list``, every experiment as ``run X --quick``, every sweep
 preset cold with ``--obs-out`` / ``--obs-trace`` and then again with
 ``--compare`` against its own rows, one sweep at ``--jobs 2`` (with
-``--obs-out``, so worker spans are folded back), every search preset (then
-``--compare``), two ``timeline --trace-out`` exports, ``obs summarize`` and
-``cache prune``.  Pool workers are other processes, so what runs only there
-counts as never called.
+``--obs-out``, so worker spans are folded back) and a two-file ``--compare``
+of its rows against the serial run's, a warm sweep written ``--output`` to
+CSV, every search preset (then ``--compare``), two ``timeline --trace-out``
+exports, ``obs summarize`` and ``cache prune``.  Pool workers are other
+processes, so what runs only there counts as never called.
 """
 
 from __future__ import annotations
@@ -99,7 +100,13 @@ def product_commands(workdir: Path) -> list[list[str]]:
         commands.append(common + ["--compare", rows])
     commands.append([
         "sweep", "job-smoke", "--jobs", "2", "--no-cache",
-        "--obs-out", str(workdir / "jobs2.ndjson"),
+        "--obs-out", str(workdir / "jobs2.ndjson"), "--output", str(workdir / "jobs2.json"),
+    ])
+    commands.append(
+        ["sweep", "smoke", "--cache-dir", cache, "--output", str(workdir / "rows.csv")]
+    )
+    commands.append([
+        "sweep", "--compare", str(workdir / "job-smoke.json"), str(workdir / "jobs2.json"),
     ])
     for name in sorted(SEARCH_PRESETS):
         rows = str(workdir / f"search-{name}.json")

@@ -15,7 +15,8 @@ from repro.simulator.ranks import resolve_job_ranks
 from repro.simulator.replay import replay_trace
 from repro.simulator.runner import run_job, run_workload
 from repro.sweep import SweepCache, SweepSpec, load_spec, run_sweep
-from repro.sweep.engine import _ranks_label, point_result_key
+from repro.sweep.engine import point_result_key
+from repro.sweep.results import _ranks_label
 from repro.workloads.moe import ExpertRouter, balanced_split
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import (

@@ -390,6 +390,33 @@ def test_a_model_with_a_zero_field_names_it(name, message):
     assert str(error.value) == message
 
 
+def test_a_model_routing_to_more_experts_than_it_has_names_both():
+    with pytest.raises(ValueError) as error:
+        replace(get_model("moe-tiny"), moe_top_k=100)
+    assert str(error.value) == "moe_top_k (100) must not exceed num_experts (8)"
+    # Every expert may be picked, and a dense model never reads its top-k.
+    assert replace(get_model("moe-tiny"), moe_top_k=8).moe_top_k == 8
+    assert replace(get_model("gpt-tiny"), moe_top_k=100).moe_top_k == 100
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("model", "gpt-tiny", "model must be a ModelConfig, got 'gpt-tiny'"),
+        (
+            "parallelism",
+            {"pipeline_parallel": 2},
+            "parallelism must be a ParallelismConfig, got {'pipeline_parallel': 2}",
+        ),
+    ],
+)
+def test_a_training_config_names_a_nested_config_of_another_type(name, value, message):
+    # The library's refusal at construction, not an AttributeError at first use.
+    with pytest.raises(ValueError) as error:
+        TrainingConfig(**{"model": get_model("gpt-tiny"), name: value})
+    assert str(error.value) == message
+
+
 #: Fingerprints a config and its float-given twin in the order argv names.
 FINGERPRINT_CHILD = """
 import json, sys

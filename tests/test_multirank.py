@@ -250,8 +250,8 @@ class TestRunJob:
 
     def test_throughput_estimates_attached(self):
         job = run_job(_pp4_config(), "torch2.3", ranks="all", scale=0.25)
-        assert job.tflops > 0
-        assert job.tokens_per_second > 0
+        assert job.timeline.tflops_per_gpu > 0
+        assert job.timeline.tokens_per_second > 0
         assert job.num_ranks == 4
 
 

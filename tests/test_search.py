@@ -40,6 +40,7 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig, normalize_rank
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.test_sweep import assert_declared_row
 
 SEARCH_PRESETS = ("gpt-tiny", "moe-tiny", "search-smoke")
 
@@ -261,6 +262,13 @@ def test_search_evaluates_at_most_half_the_grid(preset_pairs, preset):
     )
     assert len(searched.pruned) == searched.pruned_by_memory + searched.pruned_by_bound
     assert searched.evaluated == len(searched.rows)
+
+
+def test_every_search_row_follows_the_declaration(preset_pairs):
+    rows = [row for pair in preset_pairs.values() for result in pair for row in result.rows]
+    for row in rows:
+        assert_declared_row(row)
+    assert any(row["status"] != "ok" for row in rows)  # the OOM columns are exercised
 
 
 def test_both_prune_kinds_fire_across_presets(preset_pairs):

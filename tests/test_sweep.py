@@ -24,7 +24,9 @@ from repro.sweep import (
     load_spec,
     run_sweep,
 )
+from repro.sweep.compare import IDENTITY_COLUMNS, METRIC_DIRECTIONS
 from repro.sweep.engine import execute_points
+from repro.sweep.results import ROW_COLUMNS
 from repro.sweep.spec import SWEEP_PRESETS, SweepPoint
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.tracegen import TraceGenerator
@@ -297,6 +299,76 @@ class TestSweepEngine:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_sweep(_tiny_spec(), jobs=0)
+
+
+# ---------------------------------------------------------------------- #
+# Row schema: one declaration, read by the engine and by --compare
+# ---------------------------------------------------------------------- #
+#: The declared columns, pinned: an edit to the declaration is an edit here.
+DECLARED_COLUMNS = [
+    "point", "model", "config", "allocator", "seed", "scale", "device", "workload_kind",
+    "decode_steps", "ranks", "num_ranks", "unique_ranks", "status", "binding_rank",
+    "memory_efficiency_pct", "fragmentation_pct", "allocated_gib", "allocated_mean_gib",
+    "reserved_gib", "comm_peak_bytes", "kv_peak_bytes", "events_replayed", "elapsed_seconds",
+    "cached", "description", "tflops_per_gpu", "tokens_per_second", "iteration_seconds",
+    "comm_seconds", "decode_seconds", "bubble_fraction", "mfu", "binding_utilization",
+    "oom_ranks", "oom_at_event", "static_pool_gib", "search_rank", "timing",
+]
+
+
+def assert_declared_row(row: dict, *, heterogeneous: bool = False) -> None:
+    """``row`` holds declared columns only, in declared order, and each
+    conditional column exactly when its condition holds."""
+    assert list(row) == [name for name in DECLARED_COLUMNS if name in row], list(row)
+    failed = row["status"] != "ok"
+    assert ("oom_ranks" in row, "oom_at_event" in row) == (failed, failed), row
+    # A STAlloc row reports its pool unless the pool itself did not fit.
+    pool_missed = failed and row["allocated_gib"] == 0
+    stalloc = row["allocator"].startswith("stalloc")
+    assert ("static_pool_gib" in row) == (stalloc and not pool_missed), row
+    assert ("binding_utilization" in row) == heterogeneous, row
+    assert "timing" not in row
+
+
+class TestRowSchema:
+    def test_the_declaration_is_pinned(self):
+        assert [column.name for column in ROW_COLUMNS] == DECLARED_COLUMNS
+        assert set(IDENTITY_COLUMNS) == {
+            "model", "config", "allocator", "seed", "scale", "device", "ranks", "timing",
+            "workload_kind",
+        }
+        assert METRIC_DIRECTIONS == {
+            "allocated_gib": +1,
+            "allocated_mean_gib": 0,
+            "reserved_gib": +1,
+            "comm_peak_bytes": +1,
+            "kv_peak_bytes": +1,
+            "fragmentation_pct": 0,
+            "memory_efficiency_pct": 0,
+            "tflops_per_gpu": -1,
+            "tokens_per_second": -1,
+            "iteration_seconds": +1,
+            "comm_seconds": +1,
+            "decode_seconds": +1,
+            "decode_steps": 0,
+            "bubble_fraction": +1,
+            "mfu": -1,
+            "binding_rank": 0,
+            "search_rank": +1,
+        }
+
+    @pytest.mark.parametrize("preset", sorted(SWEEP_PRESETS))
+    def test_every_preset_row_and_csv_header_follow_the_declaration(self, preset, tmp_path):
+        spec = load_spec(preset)
+        assert not any(point.device_memory_by_rank for point in spec.expand())
+        result = run_sweep(spec)
+        assert result.rows
+        for row in result.rows:
+            assert_declared_row(row)
+        result.write(tmp_path / "rows.csv")
+        with (tmp_path / "rows.csv").open(encoding="utf-8", newline="") as handle:
+            header = next(csv.reader(handle))
+        assert header == [name for name in DECLARED_COLUMNS if name in header]
 
 
 class TestSweepResultOutputs:

@@ -34,6 +34,7 @@ from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
 from tests import throughput_oracle
+from tests.test_sweep import assert_declared_row
 
 GPU = GPU_SPECS["A800-80GB"]
 
@@ -633,10 +634,6 @@ class TestRunnerTiming:
         assert timeline.comm_seconds > 0
         assert 0 < timeline.bubble_fraction < 1
         assert 0 < timeline.mfu < 1
-        data = timeline.row_columns()
-        for key in ("iteration_seconds", "comm_seconds", "bubble_fraction", "mfu"):
-            assert key in data
-        assert "timing" not in data
 
     def test_timeline_slower_than_analytical_under_skew(self):
         """The closed form cannot see stragglers, so the timeline's iteration
@@ -650,12 +647,11 @@ class TestRunnerTiming:
         )
         timeline_seconds = timeline_job.timeline.iteration_seconds
         assert timeline_seconds > closed_form.iteration_seconds
-        assert timeline_job.tflops < closed_form.tflops_per_gpu
+        assert timeline_job.timeline.tflops_per_gpu < closed_form.tflops_per_gpu
 
     def test_run_job_accepts_timing_for_one_rank(self, tiny_dense_config):
         job = run_job(tiny_dense_config, "torch2.3", ranks=None, scale=0.25)
-        assert job.tflops > 0
-        assert "timing" not in job.timeline.row_columns()
+        assert job.timeline.tflops_per_gpu > 0
 
 
 # ---------------------------------------------------------------------- #
@@ -857,6 +853,8 @@ class TestBudgetAxis:
         # under heterogeneous budgets.
         assert "binding_utilization" in rows[1]
         assert "binding_utilization" not in rows[0]
+        assert_declared_row(rows[0])
+        assert_declared_row(rows[1], heterogeneous=True)
 
     def test_cached_rows_relabel_for_the_current_point(self, tmp_path):
         """A spec-level budget map and the same map swept as a grid axis share
