@@ -34,17 +34,17 @@ class AllocationHints:
 
 
 #: The hints of a request that carries none (immutable, so one is enough).
-_DEFAULT_HINTS = AllocationHints()
+DEFAULT_HINTS = AllocationHints()
 
 
 class Placement(NamedTuple):
     """Where a live request currently resides.
 
     ``pool`` identifies the backing region (e.g. ``"static"``, ``"caching"``,
-    ``"segment:3"``); ``address`` is the byte offset inside that pool.  The
-    replay simulator uses placements only for consistency checking and
-    reporting -- allocators are the source of truth.  One is built per
-    allocation, so it is the cheapest immutable record Python has.
+    ``"segment:3"``); ``address`` is the byte offset inside that pool.
+    Allocators keep their own plain records and build one only when asked,
+    through :meth:`Allocator.placement`: the public :meth:`Allocator.allocate`
+    returns it, while a trace replay never builds one.
     """
 
     pool: str
@@ -97,36 +97,49 @@ class AllocatorStats:
 class Allocator(abc.ABC):
     """Abstract GPU memory allocator driven by the replay simulator.
 
-    Subclasses must implement :meth:`allocate` and :meth:`free`, and report
-    how much device memory they have reserved through :attr:`reserved_bytes`.
-    ``_allocated_bytes`` (the sum of live *requested* sizes) is tracked here so
-    that the memory-efficiency metric is computed identically for every
-    allocator.
+    A subclass implements the placement step -- :meth:`_do_allocate` and
+    :meth:`_do_free` -- and :meth:`placement`, and keeps ``_reserved_bytes``
+    (the device memory it holds, ``M_r``) current as a plain int.  The public
+    :meth:`allocate` / :meth:`free` wrap the placement step in the checks and
+    the bookkeeping shared by every allocator: ``_live_sizes``, the running
+    ``_allocated_bytes`` (the sum of live *requested* sizes, so the
+    memory-efficiency metric is computed identically for every allocator)
+    and the call counters and peaks of :attr:`stats`.  A trace replay whose
+    requests pair simply calls the placement step directly and takes that
+    bookkeeping from the trace (:mod:`repro.simulator.replay`).
     """
 
     #: Short identifier used in experiment tables (subclasses override).
     name: str = "allocator"
+    #: Whether :meth:`_do_allocate` reads its hints.  A replay hands an
+    #: allocator that does not one constant :class:`AllocationHints`.
+    reads_hints: bool = False
 
     def __init__(self) -> None:
         self.stats = AllocatorStats()
         self._live_sizes: dict[int, int] = {}
         self._allocated_bytes = 0
+        self._reserved_bytes = 0
 
     # ------------------------------------------------------------------ #
     # Interface
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
-        """Allocate ``size`` bytes for request ``req_id`` and return its placement."""
+    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> None:
+        """Place ``size`` bytes for request ``req_id`` (``size`` positive, ``req_id`` not live)."""
 
     @abc.abstractmethod
     def _do_free(self, req_id: int) -> None:
-        """Free the memory backing request ``req_id``."""
+        """Free the memory backing live request ``req_id``."""
+
+    @abc.abstractmethod
+    def placement(self, req_id: int) -> Placement:
+        """Where live request ``req_id`` resides."""
 
     @property
-    @abc.abstractmethod
     def reserved_bytes(self) -> int:
         """Device memory currently reserved by this allocator (``M_r``)."""
+        return self._reserved_bytes
 
     # ------------------------------------------------------------------ #
     # Template methods (bookkeeping shared by all allocators)
@@ -143,17 +156,16 @@ class Allocator(abc.ABC):
         if req_id in live_sizes:
             raise ValueError(f"request {req_id} is already live")
         size = int(size)
-        placement = self._do_allocate(req_id, size, hints or _DEFAULT_HINTS)
+        self._do_allocate(req_id, size, hints or DEFAULT_HINTS)
         stats = self.stats
         stats.alloc_calls += 1
         live_sizes[req_id] = size
         allocated = self._allocated_bytes = self._allocated_bytes + size
         if allocated > stats.peak_allocated:
             stats.peak_allocated = allocated
-        reserved = self.reserved_bytes
-        if reserved > stats.peak_reserved:
-            stats.peak_reserved = reserved
-        return placement
+        if self._reserved_bytes > stats.peak_reserved:
+            stats.peak_reserved = self._reserved_bytes
+        return self.placement(req_id)
 
     def free(self, req_id: int) -> None:
         """Free a previously allocated request."""

@@ -21,8 +21,7 @@ property STAlloc exploits to beat it.
 
 from __future__ import annotations
 
-import bisect
-import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from repro.allocators.base import AllocationHints, Allocator, Placement
@@ -46,6 +45,8 @@ class CachingAllocatorConfig:
     blocks larger than the limit are never split, which keeps huge blocks
     intact and is the standard fragmentation mitigation recommended for newer
     PyTorch releases.  ``None`` means unlimited splitting (PyTorch default).
+    The rounding, pool and split rules that read these knobs are inlined in
+    :meth:`CachingAllocator._do_allocate`, the replay's per-event step.
     """
 
     small_size_threshold: int = K_SMALL_SIZE
@@ -58,12 +59,6 @@ class CachingAllocatorConfig:
     release_cached_on_oom: bool = True
     label: str = "caching"
 
-    def round_size(self, size: int) -> int:
-        """Round a request to the allocator's block granularity."""
-        if size < self.min_block_size:
-            return self.min_block_size
-        return align_up(size, self.min_block_size)
-
     def segment_size_for(self, rounded: int) -> int:
         """Size of the device segment to request for a cache miss."""
         if rounded <= self.small_size_threshold:
@@ -71,20 +66,6 @@ class CachingAllocatorConfig:
         if rounded < self.min_large_alloc:
             return self.large_segment_size
         return align_up(rounded, self.round_large)
-
-    def pool_for(self, rounded: int) -> str:
-        return "small" if rounded <= self.small_size_threshold else "large"
-
-    def should_split(self, block_size: int, rounded: int, pool: str) -> bool:
-        """Whether the remainder after carving ``rounded`` is worth keeping."""
-        remaining = block_size - rounded
-        if pool == "small":
-            return remaining >= self.min_block_size
-        if remaining <= self.small_size_threshold:
-            return False
-        if self.max_split_size is not None and block_size > self.max_split_size:
-            return False
-        return True
 
 
 def torch20_config() -> CachingAllocatorConfig:
@@ -97,6 +78,39 @@ def torch23_config() -> CachingAllocatorConfig:
     return CachingAllocatorConfig(max_split_size=512 * MIB, label="torch2.3")
 
 
+#: The free-block index's key.  A free block's ``(size, segment_id, offset)``
+#: packs into one int, size in the high bits, so that the ints sort exactly
+#: like the tuples and a best fit is one ``bisect`` over plain ints.  A segment
+#: is checked against the widths when it is created (:func:`free_key`), so
+#: every offset inside it fits too.  The per-event paths inline the two
+#: functions below with these constants; ``Block.position`` holds the
+#: ``(segment_id, offset)`` half of a block's key.
+OFFSET_BITS = 40   # offsets and segment sizes up to 1 TiB
+SEGMENT_BITS = 24  # 16M segments per allocator
+_SEGMENT_SHIFT = OFFSET_BITS
+_SIZE_SHIFT = OFFSET_BITS + SEGMENT_BITS
+_OFFSET_MASK = (1 << OFFSET_BITS) - 1
+_SEGMENT_MASK = (1 << SEGMENT_BITS) - 1
+
+
+def free_key(size: int, segment_id: int, offset: int) -> int:
+    """The free-index key of a block: ints that sort like ``(size, segment_id, offset)``.
+
+    Raises ``ValueError`` for a segment id or offset beyond its field's width,
+    which would otherwise sort the key into the wrong place.
+    """
+    fields = (("segment id", segment_id, SEGMENT_BITS), ("offset", offset, OFFSET_BITS))
+    for name, value, bits in fields:
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"{name} {value} does not fit the free index's {bits} bits")
+    return size << _SIZE_SHIFT | segment_id << _SEGMENT_SHIFT | offset
+
+
+def free_key_fields(key: int) -> tuple[int, int, int]:
+    """``(size, segment_id, offset)`` of a free-index key."""
+    return key >> _SIZE_SHIFT, key >> _SEGMENT_SHIFT & _SEGMENT_MASK, key & _OFFSET_MASK
+
+
 @dataclass(slots=True)
 class Block:
     """A contiguous range inside a segment; either free or backing a request.
@@ -104,12 +118,14 @@ class Block:
     Blocks tile their segment, so the right neighbour of a block is
     ``segment.blocks.get(block.offset + block.size)``; ``prev`` links the left
     one.  Together they are the doubly-linked block list PyTorch's allocator
-    coalesces over.
+    coalesces over.  ``position`` is ``free_key(0, segment_id, offset)``, so a
+    free block's key is ``size << _SIZE_SHIFT | position``.
     """
 
     segment_id: int
     offset: int
     size: int
+    position: int
     free: bool = True
     req_id: int | None = None
     prev: "Block | None" = field(default=None, repr=False, compare=False)
@@ -137,83 +153,75 @@ class CachingAllocator(Allocator):
         self.device = device
         self.config = config or CachingAllocatorConfig()
         self.name = self.config.label
-        self._segment_ids = itertools.count(1)
+        self._last_segment_id = 0
         self._segments: dict[int, Segment] = {}
-        # Free-block index per pool: sorted list of (size, segment_id, offset).
-        self._free_index: dict[str, list[tuple[int, int, int]]] = {"small": [], "large": []}
+        # Free-block index per pool: a sorted list of free_key ints.
+        self._free_index: dict[str, list[int]] = {"small": [], "large": []}
         self._placements: dict[int, Block] = {}  # req_id -> the block backing it
-        #: Running sum of the live segments' sizes (read on every event).
-        self._reserved_bytes = 0
 
-    # ------------------------------------------------------------------ #
-    # Reserved-memory accounting
-    # ------------------------------------------------------------------ #
-    @property
-    def reserved_bytes(self) -> int:
-        return self._reserved_bytes
-
-    # ------------------------------------------------------------------ #
-    # Free-block index maintenance
-    # ------------------------------------------------------------------ #
-    def _index_insert(self, pool: str, block: Block) -> None:
-        bisect.insort(self._free_index[pool], (block.size, block.segment_id, block.offset))
-
-    def _index_remove(self, pool: str, block: Block) -> None:
-        key = (block.size, block.segment_id, block.offset)
-        index = self._free_index[pool]
-        pos = bisect.bisect_left(index, key)
-        if pos < len(index) and index[pos] == key:
-            del index[pos]
-        else:  # pragma: no cover - defensive, indicates an index bug
-            raise RuntimeError(f"free-block index out of sync for {key}")
-
-    def _take_best_fit(self, pool: str, rounded: int) -> Block | None:
-        """Take the smallest free block in ``pool`` that fits ``rounded`` bytes.
-
-        The block leaves the free index (its position is already known here);
-        ``None`` leaves the index untouched.
-
-        When ``max_split_size`` is configured the PyTorch rules for oversize
-        blocks apply: requests below the limit never take an oversize block
-        (they would waste it, since it cannot be split), and requests above
-        the limit only take an oversize block when the leftover is below one
-        large-buffer's worth.
-        """
-        index = self._free_index[pool]
-        pos = bisect.bisect_left(index, (rounded, -1, -1))
-        if pos >= len(index):
-            return None
-        size, segment_id, offset = index[pos]
-        limit = self.config.max_split_size
-        if limit is not None and pool == "large":
-            if rounded < limit and size >= limit:
-                return None
-            if rounded >= limit and size >= rounded + self.config.large_segment_size:
-                return None
-        del index[pos]
-        return self._segments[segment_id].blocks[offset]
+    def placement(self, req_id: int) -> Placement:
+        block = self._placements[req_id]
+        return Placement(pool=f"segment:{block.segment_id}", address=block.offset, size=block.size)
 
     # ------------------------------------------------------------------ #
     # Allocation
     # ------------------------------------------------------------------ #
-    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
-        rounded = self.config.round_size(size)
-        pool = self.config.pool_for(rounded)
-        return self._place(req_id, rounded, pool, self._take_best_fit(pool, rounded))
+    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> None:
+        """Round, pick the pool, take the best fit (or a new segment), and split it.
 
-    def _place(self, req_id: int, rounded: int, pool: str, block: Block | None) -> Placement:
-        """Serve a request from ``block`` (its best fit, taken), or from a new segment."""
-        if block is not None:
-            self.stats.cache_hits += 1
+        The best fit is the smallest free block in the pool that holds the
+        rounded size, ties to the lowest ``(segment_id, offset)``.  With
+        ``max_split_size`` configured, PyTorch's rules for oversize blocks
+        apply: a request below the limit never takes an oversize block (it
+        could not be split, so it would be wasted), and one above the limit
+        takes an oversize block only when the leftover is below one
+        large-buffer's worth.
+        """
+        config = self.config
+        granule = config.min_block_size
+        rounded = (size + granule - 1) // granule * granule
+        small = rounded <= config.small_size_threshold
+        pool = "small" if small else "large"
+        index = self._free_index[pool]
+        pos = bisect_left(index, rounded << _SIZE_SHIFT)
+        block = None
+        if pos < len(index):
+            key = index[pos]
+            limit = config.max_split_size
+            found = key >> _SIZE_SHIFT
+            if small or limit is None or (
+                found < limit if rounded < limit else found < rounded + config.large_segment_size
+            ):
+                del index[pos]
+                segment = self._segments[key >> _SEGMENT_SHIFT & _SEGMENT_MASK]
+                block = segment.blocks[key & _OFFSET_MASK]
+        if block is None:
+            block = self._miss(req_id, rounded, pool)
+            if block is None:
+                return
         else:
-            self.stats.cache_misses += 1
-            block = self._allocate_segment(pool, rounded)
-        if block.size > rounded and self.config.should_split(block.size, rounded, pool):
-            self._split(self._segments[block.segment_id], block, rounded)
+            self.stats.cache_hits += 1
+        block_size = block.size
+        if block_size > rounded:
+            remaining = block_size - rounded
+            if (
+                remaining >= granule
+                if small
+                else remaining > config.small_size_threshold
+                and (config.max_split_size is None or block_size <= config.max_split_size)
+            ):
+                self._split(self._segments[block.segment_id], block, rounded)
         block.free = False
         block.req_id = req_id
         self._placements[req_id] = block
-        return Placement(pool=f"segment:{block.segment_id}", address=block.offset, size=block.size)
+
+    def _miss(self, req_id: int, rounded: int, pool: str) -> Block | None:
+        """Serve a request no free block fits: a new segment's block, not yet indexed.
+
+        ``None`` means the request was placed some other way (GMLake stitches).
+        """
+        self.stats.cache_misses += 1
+        return self._allocate_segment(pool, rounded)
 
     def _allocate_segment(self, pool: str, rounded: int) -> Block:
         """Request a new segment from the device, releasing caches on OOM.
@@ -222,6 +230,10 @@ class CachingAllocator(Allocator):
         about to carve the request out of it.
         """
         segment_size = self.config.segment_size_for(rounded)
+        segment_id = self._last_segment_id + 1  # ids count successful mallocs only
+        # Raises unless the id and the segment's last offset fit the free
+        # index's widths, so every block of the segment has a valid key.
+        free_key(0, segment_id, segment_size - 1)
         try:
             device_allocation = self._device_malloc(segment_size)
         except OutOfMemoryError:
@@ -229,15 +241,16 @@ class CachingAllocator(Allocator):
                 raise
             self.release_cached_segments()
             device_allocation = self._device_malloc(segment_size)
+        self._last_segment_id = segment_id
         segment = Segment(
-            segment_id=next(self._segment_ids),
+            segment_id=segment_id,
             pool=pool,
             size=segment_size,
             device_allocation=device_allocation,
         )
-        block = Block(segment_id=segment.segment_id, offset=0, size=segment_size, free=True)
+        block = Block(segment_id, 0, segment_size, segment_id << _SEGMENT_SHIFT)
         segment.blocks[0] = block
-        self._segments[segment.segment_id] = segment
+        self._segments[segment_id] = segment
         self._reserved_bytes += segment_size
         return block
 
@@ -248,11 +261,13 @@ class CachingAllocator(Allocator):
 
     def _split(self, segment: Segment, block: Block, keep: int) -> None:
         """Shrink ``block`` to ``keep`` bytes; the tail becomes an indexed free block."""
+        size = block.size - keep
+        position = block.position + keep
         remainder = Block(
             segment_id=block.segment_id,
             offset=block.offset + keep,
-            size=block.size - keep,
-            free=True,
+            size=size,
+            position=position,
             prev=block,
         )
         following = segment.blocks.get(block.offset + block.size)
@@ -260,7 +275,7 @@ class CachingAllocator(Allocator):
             following.prev = remainder
         block.size = keep
         segment.blocks[remainder.offset] = remainder
-        self._index_insert(segment.pool, remainder)
+        insort(self._free_index[segment.pool], size << _SIZE_SHIFT | position)
         self.stats.splits += 1
 
     # ------------------------------------------------------------------ #
@@ -274,25 +289,25 @@ class CachingAllocator(Allocator):
 
     def _merge_with_neighbours(self, segment: Segment, block: Block) -> None:
         """Coalesce ``block`` with free neighbours, then (re)index it."""
-        pool = segment.pool
+        index = self._free_index[segment.pool]
         blocks = segment.blocks
         following = blocks.get(block.offset + block.size)
         if following is not None and following.free:
-            self._index_remove(pool, following)
+            del index[bisect_left(index, following.size << _SIZE_SHIFT | following.position)]
             del blocks[following.offset]
             block.size += following.size
             following = blocks.get(block.offset + block.size)
             self.stats.merges += 1
         previous = block.prev
         if previous is not None and previous.free:
-            self._index_remove(pool, previous)
+            del index[bisect_left(index, previous.size << _SIZE_SHIFT | previous.position)]
             del blocks[block.offset]
             previous.size += block.size
             block = previous
             self.stats.merges += 1
         if following is not None:
             following.prev = block
-        self._index_insert(pool, block)
+        insort(index, block.size << _SIZE_SHIFT | block.position)
 
     # ------------------------------------------------------------------ #
     # Cache management
@@ -306,8 +321,9 @@ class CachingAllocator(Allocator):
         for segment in list(self._segments.values()):
             if not segment.is_fully_free():
                 continue
+            index = self._free_index[segment.pool]
             for block in segment.blocks.values():
-                self._index_remove(segment.pool, block)
+                del index[bisect_left(index, block.size << _SIZE_SHIFT | block.position)]
             self.device.free(segment.device_allocation)
             self.stats.device_free_calls += 1
             released += segment.size

@@ -17,22 +17,22 @@ The simulation models each pool as a single expandable arena:
   unmapped (returned to the device) and the growth is retried;
 * reserved bytes = currently mapped physical bytes.
 
-What a replayed event costs here.  Up to 1.9.0 this allocator replayed at
-2.4x the caching allocator's cost per event, none of it policy: best-fit
-built a frozen ``Interval`` per free interval per request, growth spliced
-both interval sets once per 2 MiB granule, and every growth walked all of
-``arena.free`` to find the interval touching the tail.  Best-fit now compares
-ints and the tail interval is one bisect (:meth:`IntervalSet.length_ending_at`).
-No object is kept per granule: the arena's ``mapped`` and ``free`` interval
-sets are the only record of which granules exist.  A growth
-run is one :meth:`VirtualMemoryManager.map_run` (one range check, one
+What a replayed event costs here.  An event builds no object beyond its
+placement record (the pool name and two ints): rounding and the pool choice
+are inline, :meth:`IntervalSet.carve` compares ints and returns the start
+address, and the interval touching the tail is one bisect
+(:meth:`IntervalSet.length_ending_at`).  A :class:`Placement` is built only
+when the public :meth:`allocate` asks for one.  No object is kept per
+granule: the arena's ``mapped`` and ``free`` interval sets are the only
+record of which granules exist.  A growth run is one
+:meth:`VirtualMemoryManager.map_run` (one range check, one
 :meth:`Device.malloc_run`) and one splice per set; a reclaim unmaps each free
 interval's granule-aligned core as one :meth:`~VirtualMemoryManager.unmap_run`.
 The counters still see every granule individually -- ``vmm_ops``,
 ``VmmStats`` and ``Device.stats`` advance per granule, exactly as one driver
 call per granule would -- because they feed :meth:`overhead_seconds` and the
-paper's throughput comparison.  The free search is still linear in the number
-of free intervals (a handful per arena on the paper's workloads).
+paper's throughput comparison.  The free search is linear in the number of
+free intervals (about a dozen per arena on the paper's MoE workload).
 
 Each arena reserves ``4 x`` the device capacity of virtual space once, and
 reclaimed virtual space is never mapped again: the tail only moves up.  A
@@ -67,14 +67,6 @@ class ExpandableSegmentsConfig:
     min_block_size: int = 512
     label: str = "torch_es"
 
-    def round_size(self, size: int) -> int:
-        if size < self.min_block_size:
-            return self.min_block_size
-        return align_up(size, self.min_block_size)
-
-    def pool_for(self, rounded: int) -> str:
-        return "small" if rounded <= self.small_pool_threshold else "large"
-
 
 @dataclass
 class _Arena:
@@ -101,15 +93,10 @@ class ExpandableSegmentsAllocator(Allocator):
         self.vmm = VirtualMemoryManager(device, granule=self.config.granule)
         self._arenas: dict[str, _Arena] = {}
         self._placements: dict[int, tuple[str, int, int]] = {}  # req_id -> (pool, offset, size)
-        #: Running sum of the arenas' mapped bytes (read on every event).
-        self._reserved_bytes = 0
 
-    # ------------------------------------------------------------------ #
-    # Accounting
-    # ------------------------------------------------------------------ #
-    @property
-    def reserved_bytes(self) -> int:
-        return self._reserved_bytes
+    def placement(self, req_id: int) -> Placement:
+        pool, offset, rounded = self._placements[req_id]
+        return Placement(pool=f"es:{pool}", address=offset, size=rounded)
 
     def arena(self, pool: str) -> _Arena:
         """Return (creating on first use) the arena backing ``pool``."""
@@ -122,27 +109,29 @@ class ExpandableSegmentsAllocator(Allocator):
     # ------------------------------------------------------------------ #
     # Allocation
     # ------------------------------------------------------------------ #
-    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
-        rounded = self.config.round_size(size)
-        pool = self.config.pool_for(rounded)
-        arena = self.arena(pool)
-        carved = arena.free.carve(rounded)
-        if carved is None:
+    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> None:
+        """Round to the block size, pick the pool, and carve best-fit (growing on a miss)."""
+        config = self.config
+        granule = config.min_block_size
+        rounded = (size + granule - 1) // granule * granule
+        pool = "small" if rounded <= config.small_pool_threshold else "large"
+        arena = self._arenas.get(pool) or self.arena(pool)
+        start = arena.free.carve(rounded)
+        if start is None:
             self.stats.cache_misses += 1
             self._grow(arena, rounded)
-            carved = arena.free.carve(rounded)
-            if carved is None:
+            start = arena.free.carve(rounded)
+            if start is None:
                 # Reclaim under memory pressure may have punched a hole into
                 # the tail region we were counting on; grow by the full
                 # request size so the new tail run is contiguous.
                 self._grow(arena, rounded, count_tail_free=False)
-                carved = arena.free.carve(rounded)
-            if carved is None:  # pragma: no cover - growth guarantees a fit
+                start = arena.free.carve(rounded)
+            if start is None:  # pragma: no cover - growth guarantees a fit
                 raise OutOfMemoryError(rounded, self.device.usable_capacity, self.device.in_use)
         else:
             self.stats.cache_hits += 1
-        self._placements[req_id] = (pool, carved.start, rounded)
-        return Placement(pool=f"es:{pool}", address=carved.start, size=rounded)
+        self._placements[req_id] = (pool, start, rounded)
 
     def _grow(self, arena: _Arena, rounded: int, *, count_tail_free: bool = True) -> None:
         """Map enough granules at the arena tail to fit a ``rounded`` request.

@@ -22,10 +22,17 @@ The simulation composes the behaviour on top of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from repro.allocators.base import AllocationHints, Placement
-from repro.allocators.caching import Block, CachingAllocator, CachingAllocatorConfig
+from repro.allocators.base import Placement
+from repro.allocators.caching import (
+    Block,
+    CachingAllocator,
+    CachingAllocatorConfig,
+    free_key,
+    free_key_fields,
+)
 from repro.gpu.device import Device, MIB, align_up
 from repro.gpu.virtual_memory import DEFAULT_GRANULE
 
@@ -67,38 +74,43 @@ class GMLakeAllocator(CachingAllocator):
         super().__init__(device, gmlake_caching)
         self.gmlake_config = config or GMLakeConfig()
         self.name = self.gmlake_config.label
-        #: req_id -> list of stitched (segment_id, offset) pieces.
-        self._stitched: dict[int, list[tuple[int, int]]] = {}
+        #: req_id -> its rounded size and stitched ``(segment_id, offset)`` pieces.
+        self._stitched: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+
+    def placement(self, req_id: int) -> Placement:
+        stitched = self._stitched.get(req_id)
+        if stitched is None:
+            return super().placement(req_id)
+        rounded, pieces = stitched
+        segment_id, offset = pieces[0]
+        return Placement(pool=f"stitched:{segment_id}", address=offset, size=rounded)
 
     # ------------------------------------------------------------------ #
     # Allocation
     # ------------------------------------------------------------------ #
-    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
-        rounded = self.config.round_size(size)
-        pool = self.config.pool_for(rounded)
-        block = self._take_best_fit(pool, rounded)
+    def _miss(self, req_id: int, rounded: int, pool: str) -> Block | None:
+        """A large-pool miss first tries to stitch; only then a new segment."""
         if (
-            block is None
-            and pool == "large"
+            pool == "large"
             and rounded >= self.gmlake_config.min_stitch_request
+            and self._try_stitch(req_id, rounded)
         ):
-            placement = self._try_stitch(req_id, rounded)
-            if placement is not None:
-                return placement
-        return self._place(req_id, rounded, pool, block)
+            return None
+        return super()._miss(req_id, rounded, pool)
 
-    def _try_stitch(self, req_id: int, rounded: int) -> Placement | None:
+    def _try_stitch(self, req_id: int, rounded: int) -> bool:
         """Assemble ``rounded`` bytes from free blocks >= ``frag_limit``."""
         candidates = self._stitch_candidates()
         if sum(block.size for block in candidates) < rounded:
-            return None
+            return False
+        index = self._free_index["large"]
         pieces: list[tuple[int, int]] = []
         remaining = rounded
         for block in candidates:
             if remaining <= 0:
                 break
             segment = self._segments[block.segment_id]
-            self._index_remove(segment.pool, block)
+            del index[bisect_left(index, free_key(block.size, block.segment_id, block.offset))]
             # Stitched pieces are mapped at granule granularity; a partially
             # used block is split so the tail stays reusable.
             take = min(block.size, align_up(remaining, self.gmlake_config.granule))
@@ -111,14 +123,14 @@ class GMLakeAllocator(CachingAllocator):
         self.stats.stitches += 1
         # Reserve + map/unmap per piece: GMLake's per-stitch driver cost.
         self.stats.vmm_ops += 1 + 2 * len(pieces)
-        self._stitched[req_id] = pieces
-        first_segment, first_offset = pieces[0]
-        return Placement(pool=f"stitched:{first_segment}", address=first_offset, size=rounded)
+        self._stitched[req_id] = (rounded, pieces)
+        return True
 
     def _stitch_candidates(self) -> list[Block]:
         """Free blocks eligible for stitching, largest first."""
         candidates: list[Block] = []
-        for size, segment_id, offset in self._free_index["large"]:
+        for key in self._free_index["large"]:
+            size, segment_id, offset = free_key_fields(key)
             if size >= self.gmlake_config.frag_limit:
                 candidates.append(self._segments[segment_id].blocks[offset])
         candidates.sort(key=lambda block: block.size, reverse=True)
@@ -128,10 +140,11 @@ class GMLakeAllocator(CachingAllocator):
     # Free
     # ------------------------------------------------------------------ #
     def _do_free(self, req_id: int) -> None:
-        pieces = self._stitched.pop(req_id, None)
-        if pieces is None:
+        stitched = self._stitched.pop(req_id, None)
+        if stitched is None:
             super()._do_free(req_id)
             return
+        _, pieces = stitched
         self.stats.vmm_ops += len(pieces)
         for segment_id, offset in pieces:
             segment = self._segments[segment_id]
@@ -139,7 +152,6 @@ class GMLakeAllocator(CachingAllocator):
             block.free = True
             block.req_id = None
             self._merge_with_neighbours(segment, block)
-        self._placements.pop(req_id, None)
 
     def overhead_seconds(self) -> float:
         driver = super().overhead_seconds()

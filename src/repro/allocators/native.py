@@ -31,19 +31,16 @@ class NativeAllocator(Allocator):
         super().__init__()
         self.device = device
         self._allocations: dict[int, PhysicalAllocation] = {}
-        #: Running sum of the live allocations' sizes (read on every event).
-        self._reserved_bytes = 0
 
-    @property
-    def reserved_bytes(self) -> int:
-        return self._reserved_bytes
+    def placement(self, req_id: int) -> Placement:
+        allocation = self._allocations[req_id]
+        return Placement(pool="device", address=allocation.address, size=allocation.size)
 
-    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
+    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> None:
         allocation = self.device.malloc(size)
         self.stats.device_malloc_calls += 1
         self._allocations[req_id] = allocation
         self._reserved_bytes += allocation.size
-        return Placement(pool="device", address=allocation.address, size=allocation.size)
 
     def _do_free(self, req_id: int) -> None:
         allocation = self._allocations.pop(req_id)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import itemgetter, le, lt, not_
 from struct import error as struct_error
 from struct import pack
@@ -461,8 +461,11 @@ class TraceColumns:
             )
         return peak
 
-    def peak_allocated_bytes(self) -> int:
-        return self._peak()
+    def peak_allocated_bytes(self, events: int | None = None) -> int:
+        """Peak live bytes over the whole trace, or over its first ``events`` events."""
+        if events is None:
+            return self._peak()
+        return max(accumulate(islice(self._signed_sizes(), events), initial=0))
 
     def comm_peak_bytes(self) -> int:
         return self._peak(COMM_BUFFER_CODE)

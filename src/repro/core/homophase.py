@@ -130,10 +130,8 @@ def pack_requests(rows: list[Row], *, phase_span: tuple[int, int] | None = None)
             _, offset, freed = heapq.heappop(live)
             free.add(offset, offset + freed)
             live_bytes -= freed
-        carved = free.carve(size) if free else None
-        if carved is not None:
-            offset = carved.start
-        else:
+        offset = free.carve(size) if free else None
+        if offset is None:
             offset = top
             top += size
         offsets.append(offset)

@@ -181,13 +181,13 @@ class IntervalSet:
                 best_length = length
         return best
 
-    def best_fit_within(self, other: "IntervalSet", size: int) -> Interval | None:
-        """The smallest piece of ``self`` inside ``other`` that holds ``size`` bytes.
+    def best_fit_within(self, other: "IntervalSet", size: int) -> int | None:
+        """Where the smallest piece of ``self`` inside ``other`` that holds ``size`` bytes starts.
 
         The runtime Dynamic Allocator's one operation (Eq. 7): free space
         (``self``) intersected with a request's reusable space (``other``),
         searched best-fit with ties to the lowest address, in one merge walk
-        that never builds the intersection.
+        that never builds the intersection.  ``None`` when no piece fits.
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -206,10 +206,10 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return None if best_length < 0 else Interval(best_start, best_start + best_length)
+        return None if best_length < 0 else best_start
 
-    def carve(self, size: int) -> Interval | None:
-        """Allocate ``size`` bytes out of the set and return the carved interval.
+    def carve(self, size: int) -> int | None:
+        """Allocate ``size`` bytes out of the set and return where they start.
 
         The carved bytes, the front of the smallest member interval that
         holds them (ties: the lowest address), are removed from the set.
@@ -225,4 +225,4 @@ class IntervalSet:
             del self._ends[index]
         else:
             self._starts[index] = carved_end
-        return Interval(start, carved_end)
+        return start

@@ -38,6 +38,9 @@ class RuntimeAllocator(Allocator):
     """STAlloc's runtime allocator, driven by a synthesized plan."""
 
     name = "stalloc"
+    #: The Request Matcher routes on ``hints.dyn`` and the Dynamic Allocator
+    #: reads ``hints.module``.
+    reads_hints = True
 
     def __init__(
         self,
@@ -61,12 +64,13 @@ class RuntimeAllocator(Allocator):
         self._pool_size = plan.pool_size
         self._pool_allocation = device.malloc(self._pool_size) if self._pool_size else None
         self.stats.device_malloc_calls += 1 if self._pool_allocation else 0
+        #: The pool plus the fallback's segments, updated after every fallback call.
+        self._reserved_bytes = self._pool_size
         #: Currently free address intervals of the static pool (``A_a``).
         self._available = IntervalSet.full(0, self._pool_size) if self._pool_size else IntervalSet()
         #: Live request id -> the ``[start, end)`` it occupies in the static pool.
         self._pool_placements: dict[int, tuple[int, int]] = {}
         self.fallback = CachingAllocator(device, fallback_config or CachingAllocatorConfig(label="stalloc-fallback"))
-        self._fallback_requests: set[int] = set()
         self.stats.extra.update(
             {
                 "static_pool_bytes": self._pool_size,
@@ -77,17 +81,17 @@ class RuntimeAllocator(Allocator):
             }
         )
 
-    # ------------------------------------------------------------------ #
-    # Accounting
-    # ------------------------------------------------------------------ #
-    @property
-    def reserved_bytes(self) -> int:
-        return self._pool_size + self.fallback.reserved_bytes
+    def placement(self, req_id: int) -> Placement:
+        span = self._pool_placements.get(req_id)
+        if span is None:
+            return self.fallback.placement(req_id)
+        start, end = span
+        return Placement(pool="static", address=start, size=end - start)
 
     # ------------------------------------------------------------------ #
     # Request Matcher
     # ------------------------------------------------------------------ #
-    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
+    def _do_allocate(self, req_id: int, size: int, hints: AllocationHints) -> None:
         if hints.dyn:
             return self._allocate_dynamic(req_id, size, hints)
         return self._allocate_static(req_id, size, hints)
@@ -95,7 +99,7 @@ class RuntimeAllocator(Allocator):
     # ------------------------------------------------------------------ #
     # Static Allocator
     # ------------------------------------------------------------------ #
-    def _allocate_static(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
+    def _allocate_static(self, req_id: int, size: int, hints: AllocationHints) -> None:
         address, planned_size = self._planned.get(req_id, (0, None))
         if planned_size != size:
             # The runtime request does not match the profiled plan.
@@ -110,12 +114,11 @@ class RuntimeAllocator(Allocator):
         self._available.remove(address, end)
         self._pool_placements[req_id] = (address, end)
         self.stats.extra["static_bytes"] += size
-        return Placement(pool="static", address=address, size=size)
 
     # ------------------------------------------------------------------ #
     # Dynamic Allocator
     # ------------------------------------------------------------------ #
-    def _allocate_dynamic(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
+    def _allocate_dynamic(self, req_id: int, size: int, hints: AllocationHints) -> None:
         if not self.enable_dynamic_reuse or self._pool_size == 0:
             self.stats.extra["dynamic_fallback_bytes"] += size
             return self._allocate_fallback(req_id, size, hints)
@@ -131,41 +134,40 @@ class RuntimeAllocator(Allocator):
                 if alloc_module == hints.module:
                     reusable = space
                     break
-        if not reusable:
+        address = self._available.best_fit_within(reusable, size) if reusable else None
+        if address is None:
             self.stats.extra["dynamic_fallback_bytes"] += size
             return self._allocate_fallback(req_id, size, hints)
-        carved = self._available.best_fit_within(reusable, size)
-        if carved is None:
-            self.stats.extra["dynamic_fallback_bytes"] += size
-            return self._allocate_fallback(req_id, size, hints)
-        address = carved.start
         self._available.remove(address, address + size)
         self._pool_placements[req_id] = (address, address + size)
         self.stats.extra["dynamic_pool_bytes"] += size
-        return Placement(pool="static", address=address, size=size)
 
     # ------------------------------------------------------------------ #
     # Fallback caching allocator
     # ------------------------------------------------------------------ #
-    def _allocate_fallback(self, req_id: int, size: int, hints: AllocationHints) -> Placement:
-        self.stats.fallback_allocs += 1
-        self.stats.extra["fallback_bytes"] += size
-        placement = self.fallback.allocate(req_id, size, hints)
-        self._fallback_requests.add(req_id)
-        self.stats.extra["fallback_peak_reserved"] = max(
-            self.stats.extra.get("fallback_peak_reserved", 0), self.fallback.reserved_bytes
+    def _allocate_fallback(self, req_id: int, size: int, hints: AllocationHints) -> None:
+        """Place through the fallback's placement step: its books are this allocator's stats."""
+        stats = self.stats
+        stats.fallback_allocs += 1
+        stats.extra["fallback_bytes"] += size
+        fallback = self.fallback
+        try:
+            fallback._do_allocate(req_id, size, hints)
+        finally:  # a failed call may still have released cached segments
+            self._reserved_bytes = self._pool_size + fallback._reserved_bytes
+        stats.extra["fallback_peak_reserved"] = max(
+            stats.extra.get("fallback_peak_reserved", 0), fallback._reserved_bytes
         )
-        return placement
 
     # ------------------------------------------------------------------ #
     # Free
     # ------------------------------------------------------------------ #
     def _do_free(self, req_id: int) -> None:
-        if req_id in self._fallback_requests:
-            self._fallback_requests.remove(req_id)
-            self.fallback.free(req_id)
-            return
-        self._available.add(*self._pool_placements.pop(req_id))
+        span = self._pool_placements.pop(req_id, None)
+        if span is None:  # the fallback serves every request the pool does not
+            self.fallback._do_free(req_id)
+        else:
+            self._available.add(*span)
 
     # ------------------------------------------------------------------ #
     # Batch replay (the Static Allocator as a plan lookup)

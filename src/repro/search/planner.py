@@ -135,14 +135,15 @@ class SearchResult:
         return "\n".join(lines)
 
     def write(self, path: str | Path) -> None:
-        """Write ``.json`` (the full search document) or ``.csv`` (rows only)."""
+        """Write ``.json`` (the full search document) or ``.csv`` (rows only).
+
+        Keys keep their order, so each JSON row lists its columns in
+        :data:`~repro.sweep.results.ROW_COLUMNS` order, like a sweep's rows.
+        """
         path = Path(path)
         suffix = path.suffix.lower()
         if suffix == ".json":
-            path.write_text(
-                json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            path.write_text(json.dumps(self.as_dict(), indent=2) + "\n", encoding="utf-8")
         elif suffix == ".csv":
             self.as_sweep_result().write(path)
         else:

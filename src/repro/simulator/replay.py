@@ -9,10 +9,13 @@ fragmentation ratio is ``1 - E``.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from typing import Iterator
 
-from repro.allocators.base import AllocationHints, Allocator
-from repro.core.columns import ALLOC, CATEGORIES
+from repro.allocators.base import DEFAULT_HINTS, AllocationHints, Allocator
+from repro.core.columns import ALLOC, CATEGORIES, Pairing
 from repro.gpu.device import GIB
 from repro.gpu.errors import OutOfMemoryError
 from repro.obs.tracer import is_enabled as _obs_enabled
@@ -90,9 +93,20 @@ def replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool = True
     ``events_replayed + events_skipped`` equals the trace's event count.
 
     Allocators that can apply a whole trace in one batched step (see
-    :meth:`Allocator.batch_replay`) skip the per-event loop entirely; they
-    fall back to it whenever the outcome could differ (OOM, pathological
-    pairing, per-event hints), so results are identical either way.
+    :meth:`Allocator.batch_replay`) skip the event loop entirely; they fall
+    back to it whenever the outcome could differ (OOM, pathological pairing,
+    per-event hints), so results are identical either way.
+
+    The event loop asks the allocator only to place.  When the replay stops
+    on the first OOM, no request is live yet and the trace pairs simply
+    (which proves every size positive and every id allocated and freed
+    once), it calls :meth:`Allocator._do_allocate` / ``_do_free`` directly,
+    samples ``_reserved_bytes`` after each allocation, and takes the counts,
+    peak allocated bytes and live requests from the replayed prefix of the
+    trace.  Otherwise it calls the checked :meth:`Allocator.allocate` /
+    ``free``.  An allocator that does not read hints gets one constant
+    :class:`AllocationHints`, the others one interned object per distinct
+    (phase, module, dyn, category).
     """
     if not _obs_enabled():
         return _replay_trace(trace, allocator, stop_on_oom=stop_on_oom)[0]
@@ -113,63 +127,54 @@ def _replay_trace(
     batched = allocator.batch_replay(trace, stop_on_oom=stop_on_oom)
     if batched is not None:
         return _result(trace, allocator, events_replayed=batched), True
-    events_replayed = 0
+    columns = trace.columns
+    pairing = columns.pairing()
+    direct = (
+        stop_on_oom and pairing.ok and pairing.min_alloc_size > 0 and not allocator._live_sizes
+    )
+    if direct:
+        allocate, free = allocator._do_allocate, allocator._do_free
+    else:
+        allocate, free = allocator.allocate, allocator.free
+    hints_of = _hints(trace) if allocator.reads_hints else repeat(DEFAULT_HINTS)
     failed_allocs = 0
     skipped_frees = 0
     oom_at_event: int | None = None
     oom_request_bytes = 0
     failed_requests: set[int] = set()
-    # The loop reads plain ints off the columns; the hints an allocator sees
-    # are interned, one object per distinct (phase, module, dyn, category).
-    columns = trace.columns
-    phases = trace.phase_table()
-    modules = columns.modules
-    interned: dict[tuple[int, int, int, int], AllocationHints] = {}
-    allocate = allocator.allocate
-    free = allocator.free
-    for index, (kind, req_id, size, phase_index, module_index, dyn, category) in enumerate(
-        zip(
-            columns.kind,
-            columns.req_id,
-            columns.size,
-            columns.phase_index,
-            columns.module_index,
-            columns.dyn,
-            columns.category,
-        )
+    peak_reserved = allocator.stats.peak_reserved
+    end = columns.num_events
+    for index, (kind, req_id, size, hints) in enumerate(
+        zip(columns.kind, columns.req_id, columns.size, hints_of)
     ):
         if kind == ALLOC:
-            key = (phase_index, module_index, dyn, category)
-            hints = interned.get(key)
-            if hints is None:
-                hints = interned[key] = AllocationHints(
-                    phase=phases[phase_index],
-                    module=modules[module_index],
-                    dyn=bool(dyn),
-                    category=CATEGORIES[category],
-                )
             try:
                 allocate(req_id, size, hints)
             except OutOfMemoryError:
                 if oom_at_event is None:
                     oom_at_event = index
                     oom_request_bytes = size
-                failed_requests.add(req_id)
                 failed_allocs += 1
                 if stop_on_oom:
+                    end = index + 1
                     break
+                failed_requests.add(req_id)
                 continue
+            reserved = allocator._reserved_bytes
+            if reserved > peak_reserved:
+                peak_reserved = reserved
+        elif req_id in failed_requests:
+            # The matching allocation never happened; drop the request from
+            # the failed set so the bookkeeping stays bounded and a
+            # (pathological) re-use of the id is not swallowed too.
+            failed_requests.discard(req_id)
+            skipped_frees += 1
         else:
-            if req_id in failed_requests:
-                # The matching allocation never happened; drop the request
-                # from the failed set so the bookkeeping stays bounded and
-                # a (pathological) re-use of the id is not swallowed too.
-                failed_requests.discard(req_id)
-                skipped_frees += 1
-                continue
             free(req_id)
-        events_replayed += 1
-
+    events_replayed = end - failed_allocs - skipped_frees
+    allocator.stats.peak_reserved = peak_reserved
+    if direct:
+        _settle_books(allocator, trace, pairing, events_replayed)
     return _result(
         trace,
         allocator,
@@ -179,6 +184,54 @@ def _replay_trace(
         failed_allocs=failed_allocs,
         skipped_frees=skipped_frees,
     ), False
+
+
+def _hints(trace: Trace) -> Iterator[AllocationHints]:
+    """Each event's hints, one object per distinct (phase, module, dyn, category)."""
+    columns = trace.columns
+    phases = trace.phase_table()
+    modules = columns.modules
+    interned: dict[tuple[int, int, int, int], AllocationHints] = {}
+    for key in zip(columns.phase_index, columns.module_index, columns.dyn, columns.category):
+        hints = interned.get(key)
+        if hints is None:
+            phase_index, module_index, dyn, category = key
+            hints = interned[key] = AllocationHints(
+                phase=phases[phase_index],
+                module=modules[module_index],
+                dyn=bool(dyn),
+                category=CATEGORIES[category],
+            )
+        yield hints
+
+
+def _settle_books(allocator: Allocator, trace: Trace, pairing: Pairing, events: int) -> None:
+    """Book what the checked loop would have for the trace's first ``events`` events.
+
+    No request was live before the replay and every one of those events was
+    applied: their allocations are counted, the rest are frees, and the
+    requests they leave live are the allocator's.
+    """
+    columns = trace.columns
+    if events == columns.num_events:
+        allocs = len(pairing.alloc_pos)
+        live = {req_id: size for _, req_id, size in pairing.survivors}
+        peak = trace.peak_allocated_bytes()
+    else:
+        allocs = bisect_left(pairing.alloc_pos, events)
+        alloc_pos = islice(pairing.alloc_pos, allocs)
+        live = {
+            columns.req_id[pos]: columns.size[pos]
+            for pos, free in zip(alloc_pos, pairing.free_pos)
+            if free < 0 or free >= events
+        }
+        peak = columns.peak_allocated_bytes(events)
+    stats = allocator.stats
+    stats.alloc_calls += allocs
+    stats.free_calls += events - allocs
+    stats.peak_allocated = max(stats.peak_allocated, peak)
+    allocator._live_sizes.update(live)
+    allocator._allocated_bytes = sum(live.values())
 
 
 def _result(trace: Trace, allocator: Allocator, **outcome) -> ReplayResult:

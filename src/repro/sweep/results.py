@@ -144,6 +144,18 @@ def column_union(rows: list[dict]) -> list[str]:
     return list(dict.fromkeys(key for row in rows for key in row))
 
 
+_DECLARED = {column.name: place for place, column in enumerate(ROW_COLUMNS)}
+
+
+def row_columns(rows: list[dict]) -> list[str]:
+    """The rows' columns in :data:`ROW_COLUMNS` order, undeclared ones after in first-seen order.
+
+    A column only some rows carry (``oom_ranks`` on an OOM row) keeps its
+    declared place even when the first row lacks it.
+    """
+    return sorted(column_union(rows), key=lambda name: _DECLARED.get(name, len(_DECLARED)))
+
+
 def table_lines(rows: list[dict], columns: list[str]) -> list[str]:
     """``rows`` as column-aligned text: a header, a rule, then one line a row."""
     if not rows or not columns:
@@ -197,7 +209,7 @@ class SweepResult:
         Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n", encoding="utf-8")
 
     def write_csv(self, path: str | Path) -> None:
-        columns = column_union(self.rows)
+        columns = row_columns(self.rows)
         with Path(path).open("w", encoding="utf-8", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=columns, restval="")
             writer.writeheader()
@@ -246,7 +258,7 @@ class SweepResult:
             f"== sweep {self.spec_name}: {self.num_points} points, "
             f"{self.num_cached} cached, {self.elapsed_seconds:.2f}s with jobs={self.jobs} =="
         ]
-        lines += table_lines(shown, [c for c in column_union(self.rows) if c != "description"])
+        lines += table_lines(shown, [c for c in row_columns(self.rows) if c != "description"])
         if max_rows is not None and len(self.rows) > max_rows:
             lines.append(f"... ({len(self.rows) - max_rows} more rows)")
         return "\n".join(lines)

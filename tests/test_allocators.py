@@ -24,16 +24,21 @@ from repro.gpu.errors import OutOfMemoryError
 
 
 class TestCachingAllocatorConfig:
-    def test_round_size_minimum(self):
-        assert CachingAllocatorConfig().round_size(1) == 512
+    # Rounding and the pool choice are inlined in the allocator's placement
+    # step, so they are observed through the block a request gets.
+    def test_round_size_minimum(self, device):
+        assert CachingAllocator(device).allocate(1, 1).size == 512
 
-    def test_round_size_multiple(self):
-        assert CachingAllocatorConfig().round_size(513) == 1024
+    def test_round_size_multiple(self, device):
+        assert CachingAllocator(device).allocate(1, 513).size == 1024
 
-    def test_pool_selection(self):
-        config = CachingAllocatorConfig()
-        assert config.pool_for(512 * KIB) == "small"
-        assert config.pool_for(2 * MIB) == "large"
+    def test_pool_selection(self, device):
+        allocator = CachingAllocator(device)
+        allocator.allocate(1, 512 * KIB)
+        assert allocator.reserved_bytes == K_SMALL_BUFFER  # a small-pool segment
+        allocator.allocate(2, 2 * MIB)
+        assert allocator.reserved_bytes == K_SMALL_BUFFER + K_LARGE_BUFFER
+        assert [segment.pool for segment in allocator._segments.values()] == ["small", "large"]
 
     def test_segment_sizes(self):
         config = CachingAllocatorConfig()

@@ -114,14 +114,13 @@ class TestIntervalSetAlgebra:
 class TestIntervalSetCarving:
     def test_carve_removes_bytes(self):
         s = IntervalSet([(0, 100)])
-        carved = s.carve(30)
-        assert carved == Interval(0, 30)
+        assert s.carve(30) == 0
         assert list(s) == [Interval(30, 100)]
 
     def test_carve_picks_the_smallest_fit(self):
         s = IntervalSet([(0, 100), (200, 232)])
-        carved = s.carve(32)
-        assert carved == Interval(200, 232)
+        assert s.carve(32) == 200
+        assert list(s) == [Interval(0, 100)]
 
     def test_carve_returns_none_when_no_fit(self):
         s = IntervalSet([(0, 10)])
@@ -178,10 +177,11 @@ class TestIntervalSetProperties:
     @settings(max_examples=75)
     def test_carve_preserves_total(self, s, size):
         total_before = _total(s)
-        carved = s.carve(size)
-        if carved is None:
+        before = _covered(s)
+        start = s.carve(size)
+        if start is None:
             assert _total(s) == total_before
             assert all(interval.end - interval.start < size for interval in s)
         else:
-            assert carved.end - carved.start == size
+            assert _covered(s) == before - set(range(start, start + size))
             assert _total(s) == total_before - size

@@ -56,27 +56,34 @@ SCENARIOS = {
 
 
 class _Recorder:
-    """Hashes every placement an allocator hands out, in order."""
+    """Hashes every placement an allocator hands out, in order.
+
+    It hooks the placement step, ``_do_allocate``: a trace replay binds it
+    directly when the trace pairs simply and stops on the first OOM, and the
+    checked ``allocate`` (every other replay, and the synthetic stream) calls
+    it too.  Each placement is read back through ``placement(req_id)``.
+    """
 
     def __init__(self, allocator: Allocator):
         self.hasher = hashlib.sha256()
         self.count = 0
-        inner = allocator.allocate
+        inner = allocator._do_allocate
 
-        def allocate(req_id, size, hints=None):
-            placement = inner(req_id, size, hints)
+        def do_allocate(req_id, size, hints):
+            inner(req_id, size, hints)
+            placement = allocator.placement(req_id)
             self.hasher.update(
                 f"{req_id},{placement.pool},{placement.address},{placement.size}\n".encode()
             )
             self.count += 1
-            return placement
 
-        allocator.allocate = allocate  # replay_trace goes through the instance
-        # A batched replay calls no allocate: record every event through the loop.
+        allocator._do_allocate = do_allocate  # the replay binds it off the instance
+        # A batched replay places nothing: record every event through the loop.
         allocator.batch_replay = lambda trace, stop_on_oom=True: None
 
 
 def _entry(allocator: Allocator, device: Device, recorder: _Recorder, outcome: dict) -> dict:
+    assert recorder.count == allocator.stats.alloc_calls, "a placement went unrecorded"
     entry = {
         "placements": recorder.count,
         "placements_sha256": recorder.hasher.hexdigest(),

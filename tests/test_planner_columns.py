@@ -90,10 +90,8 @@ def reference_pack(rows):
             else:
                 still_live.append((live_free_time, offset, live_size))
         live = still_live
-        carved = free.carve(size)
-        if carved is not None:
-            offset = carved.start
-        else:
+        offset = free.carve(size)
+        if offset is None:
             offset = top
             top += size
         offsets.append(offset)

@@ -15,7 +15,12 @@ import random
 import pytest
 
 from repro.allocators.base import AllocationHints, Allocator, Placement
-from repro.allocators.caching import CachingAllocator, torch20_config, torch23_config
+from repro.allocators.caching import (
+    CachingAllocator,
+    free_key_fields,
+    torch20_config,
+    torch23_config,
+)
 from repro.allocators.expandable import ExpandableSegmentsAllocator
 from repro.allocators.gmlake import GMLakeAllocator, GMLakeConfig
 from repro.core.columns import CATEGORIES
@@ -90,7 +95,9 @@ def _check_block_structure(allocator: CachingAllocator) -> None:
             previous = block
         assert cursor == segment.size
     for pool, expected in free_by_pool.items():
-        assert allocator._free_index[pool] == sorted(expected)
+        index = allocator._free_index[pool]
+        assert index == sorted(index)
+        assert [free_key_fields(key) for key in index] == sorted(expected)
     assert allocator.reserved_bytes == sum(s.size for s in allocator._segments.values())
 
 
@@ -256,15 +263,16 @@ class TestIntervalSearchOracles:
             common = _reference_intersection(pairs_a, pairs_b)
             for size in (1, 2, 5, 13, 39, 80):
                 best = _reference_best_fit(pairs_a, size)
-                assert a.best_fit_within(b, size) == _reference_best_fit(common, size)
+                within = _reference_best_fit(common, size)
+                assert a.best_fit_within(b, size) == (None if within is None else within.start)
                 carved_from = IntervalSet(pairs_a)
                 carved = carved_from.carve(size)
                 if best is None:
                     assert carved is None and carved_from == a
                 else:
-                    assert carved == Interval(best.start, best.start + size)
+                    assert carved == best.start
                     expected = IntervalSet(pairs_a)
-                    expected.remove(carved.start, carved.end)
+                    expected.remove(carved, carved + size)
                     assert carved_from == expected
             for probe in range(0, 450, 7):
                 expected = next((e - s for s, e in pairs_a if e == probe), 0)
@@ -364,6 +372,7 @@ class _HintRecorder(Allocator):
     """Accepts everything and remembers the hints object of every request."""
 
     name = "hint-recorder"
+    reads_hints = True
 
     def __init__(self):
         super().__init__()
@@ -371,14 +380,12 @@ class _HintRecorder(Allocator):
 
     def _do_allocate(self, req_id, size, hints):
         self.seen.append((req_id, size, hints))
-        return Placement(pool="none", address=0, size=size)
 
     def _do_free(self, req_id):
         pass
 
-    @property
-    def reserved_bytes(self):
-        return self._allocated_bytes
+    def placement(self, req_id):
+        return Placement(pool="none", address=0, size=0)
 
 
 class TestColumnarReplayLoop:

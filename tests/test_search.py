@@ -10,6 +10,7 @@ the binding-rank / compare-gate bugfix sweep that rode along.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import replace as dataclass_replace
 
@@ -40,7 +41,7 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig, normalize_rank
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
-from tests.test_sweep import assert_declared_row
+from tests.test_sweep import DECLARED_COLUMNS, assert_declared_row
 
 SEARCH_PRESETS = ("gpt-tiny", "moe-tiny", "search-smoke")
 
@@ -344,6 +345,37 @@ def test_search_result_roundtrip(tmp_path, search_smoke_pair):
 
     with pytest.raises(ValueError, match="unsupported output format"):
         searched.write(tmp_path / "search.txt")
+
+
+def test_csv_and_table_columns_follow_the_declaration_past_a_fitting_first_row(
+    tmp_path, preset_pairs
+):
+    """Rows that OOM carry ``oom_ranks`` / ``oom_at_event``; when the first
+    row fits, those columns still take their declared place, before
+    ``static_pool_gib`` and ``search_rank``, not the end of the header."""
+    searched, _ = preset_pairs["moe-tiny"]
+    statuses = [row["status"] for row in searched.rows]
+    assert statuses[0] == "ok" and "OOM" in statuses[1:]
+    assert "oom_ranks" not in searched.rows[0]
+    path = tmp_path / "search.csv"
+    searched.write(path)
+    with path.open(encoding="utf-8", newline="") as handle:
+        header = next(csv.reader(handle))
+    assert header == [name for name in DECLARED_COLUMNS if name in header]
+    assert header[-4:] == ["oom_ranks", "oom_at_event", "static_pool_gib", "search_rank"]
+    table_header = searched.to_text().splitlines()[2].split()
+    assert table_header == [name for name in header if name != "description"]
+
+
+def test_search_json_rows_keep_the_declared_key_order(tmp_path, preset_pairs):
+    searched, _ = preset_pairs["moe-tiny"]
+    path = tmp_path / "search.json"
+    searched.write(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert list(doc) == list(searched.as_dict())
+    for row in doc["rows"]:
+        assert list(row) == [name for name in DECLARED_COLUMNS if name in row]
+    assert list(doc["rows"][0])[:4] == ["point", "model", "config", "allocator"]
 
 
 def test_search_rank_regression_gates(search_smoke_pair):
