@@ -7,8 +7,7 @@ of STAlloc's design against the ablated variants:
 * descending vs ascending HomoSize planning order;
 * gap insertion of smaller groups into larger layers on vs off, on the dense
   profile and on a generation profile (gpt2-345m, 16 decode steps), where the
-  concurrent KV plans share the idle prefill layer side by side;
-* the paper's insertion-based fusion greedy vs the repack-based fusion.
+  concurrent KV plans share the idle prefill layer side by side.
 """
 
 from __future__ import annotations
@@ -83,8 +82,3 @@ def test_generation_gap_insertion_pair(benchmark, generation_profile, capsys):
     assert plan.synthesis_info["subrange_insertions"] == 0
     assert plan.pool_size >= default.pool_size
 
-
-def test_insertion_fusion_strategy(benchmark, llama_profile, capsys, default_pool_size):
-    synthesizer = PlanSynthesizer(STAllocConfig(fusion_strategy="insertion"))
-    plan = benchmark(lambda: synthesizer.synthesize(llama_profile))
-    _report(capsys, "paper insertion-greedy fusion", plan.pool_size, default_pool_size)

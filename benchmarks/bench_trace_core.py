@@ -214,7 +214,7 @@ def bench_preset(preset: str) -> dict:
 
         return run_replay
 
-    if trace.num_dynamic_requests:
+    if any(trace.columns.dyn):
         served = make_replay("stalloc")().stats.extra["dynamic_pool_bytes"]
         if not served:
             raise RuntimeError(f"{preset}: the STAlloc replay never took the dynamic path")

@@ -12,15 +12,18 @@ breakdown).
 Run with:  python examples/moe_dynamic_allocation.py
 """
 
+from repro.core.profiler import AllocationProfiler
 from repro.core.stalloc import STAlloc, STAllocConfig
-from repro.gpu.device import GIB, a800_80gb
+from repro.gpu.device import GIB, Device
 from repro.simulator.replay import replay_trace
 from repro.workloads import ParallelismConfig, TraceGenerator, get_model, preset_config
 
 
 def describe(label: str, trace, config: STAllocConfig) -> None:
     stalloc = STAlloc.from_trace(trace, config)
-    allocator = stalloc.build_runtime_allocator(a800_80gb())
+    # An A800-80GB, 4 GiB of which the CUDA context and communication buffers hold.
+    device = Device(name="A800-80GB", capacity=80 * GIB, reserved_overhead=4 * GIB)
+    allocator = stalloc.build_runtime_allocator(device)
     result = replay_trace(trace, allocator)
     stats = result.allocator_stats
     print(f"--- {label} ---")
@@ -44,8 +47,9 @@ def main() -> None:
         num_microbatches=8,
     )
     trace = TraceGenerator(config, seed=0).generate()
+    profile = AllocationProfiler().profile(trace).summary()
     print(f"Qwen1.5-MoE iteration: {trace.num_requests} requests, "
-          f"{trace.num_dynamic_requests} dynamic (expert) requests")
+          f"{profile['num_dynamic_requests']} dynamic (expert) requests")
     describe("STAlloc (full: static plan + dynamic reuse)", trace, STAllocConfig())
     describe("STAlloc without dynamic reuse", trace, STAllocConfig(enable_dynamic_reuse=False))
 

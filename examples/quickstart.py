@@ -13,7 +13,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.core.stalloc import STAlloc
-from repro.gpu.device import GIB, a800_80gb
+from repro.gpu.device import GIB, Device
 from repro.simulator.replay import replay_trace
 from repro.simulator.runner import create_allocator
 from repro.workloads import ParallelismConfig, TraceGenerator, TrainingConfig, get_model
@@ -45,9 +45,14 @@ def main() -> None:
 
     # 4. Replay the iteration through STAlloc and through PyTorch's caching
     #    allocator, and compare peak memory efficiency E = M_a / M_r.
+    #    Each runs on its own A800-80GB, 4 GiB of which the CUDA context and
+    #    communication buffers hold.
+    def a800() -> Device:
+        return Device(name="A800-80GB", capacity=80 * GIB, reserved_overhead=4 * GIB)
+
     for name, allocator in (
-        ("PyTorch caching allocator", create_allocator("torch2.3", a800_80gb())),
-        ("STAlloc", stalloc.build_runtime_allocator(a800_80gb())),
+        ("PyTorch caching allocator", create_allocator("torch2.3", a800())),
+        ("STAlloc", stalloc.build_runtime_allocator(a800())),
     ):
         result = replay_trace(trace, allocator)
         print(

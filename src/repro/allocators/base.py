@@ -192,10 +192,10 @@ class Allocator(abc.ABC):
         """
         return None
 
+    @abc.abstractmethod
     def overhead_seconds(self) -> float:
         """Extra wall-clock time this allocator added to one iteration.
 
-        Used by the throughput model.  The default charges nothing; allocators
-        that issue virtual-memory or driver calls override this.
+        Used by the throughput model: each allocator prices the device and
+        virtual-memory calls it issued.
         """
-        return 0.0

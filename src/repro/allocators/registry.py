@@ -13,6 +13,8 @@ names live here.
 from __future__ import annotations
 
 import importlib
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -40,26 +42,20 @@ def _builtin(submodule: str, class_name: str, config_name: str | None = None) ->
     return factory
 
 
-_REGISTRY: dict[str, AllocatorFactory] = {
+#: Read-only: the allocators a spec may name are fixed.
+_REGISTRY: Mapping[str, AllocatorFactory] = MappingProxyType({
     "native": _builtin("native", "NativeAllocator"),
     "torch2.0": _builtin("caching", "CachingAllocator", "torch20_config"),
     "torch2.3": _builtin("caching", "CachingAllocator", "torch23_config"),
     "torch2.6": _builtin("caching", "CachingAllocator", "torch23_config"),
     "torch_es": _builtin("expandable", "ExpandableSegmentsAllocator"),
     "gmlake": _builtin("gmlake", "GMLakeAllocator"),
-}
+})
 
 
 def available_allocators() -> list[str]:
     """Names accepted by :func:`create_allocator`."""
     return sorted(_REGISTRY)
-
-
-def register_allocator(name: str, factory: AllocatorFactory, *, overwrite: bool = False) -> None:
-    """Register a custom allocator factory under ``name``."""
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(f"allocator {name!r} is already registered")
-    _REGISTRY[name] = factory
 
 
 def create_allocator(name: str, device: Device) -> Allocator:

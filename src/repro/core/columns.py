@@ -269,11 +269,6 @@ def values_at(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
     return lambda column: tuple(column[position] for position in positions)
 
 
-def _take(column: array, positions: Sequence[int]) -> array:
-    """``column[p]`` for every ``p`` in ``positions``, as an array of the column's type."""
-    return array(column.typecode, values_at(positions)(column))
-
-
 class TraceColumns:
     """Immutable parallel typed columns describing one trace.
 
@@ -324,10 +319,11 @@ class TraceColumns:
         """The paired requests as typed columns: what the planner reads.
 
         One row per request of a trace whose :meth:`pairing` is ``ok``, in
-        ``(alloc_time, req_id)`` order: alloc-ordinal order unless the alloc
-        times are not strictly ascending.  Never-freed requests (weights,
-        optimizer state) close at ``end_of_trace`` (at least one tick after
-        their alloc), in the phase of the trace's last event.
+        alloc-ordinal order, which must be ``(alloc_time, req_id)`` order
+        (a ``ValueError`` otherwise): a generated trace gives each event its
+        own ascending tick.  Never-freed requests (weights, optimizer state)
+        close at ``end_of_trace`` (at least one tick after their alloc), in the
+        phase of the trace's last event.
         """
         pairing = self.pairing()
         if not pairing.ok:
@@ -338,14 +334,9 @@ class TraceColumns:
         alloc_time = array("q", at_allocs(time))
         never_freed = [ordinal for ordinal, _, _ in pairing.survivors]
         if not all(map(lt, alloc_time, alloc_time[1:])):
-            req_id = self.req_id
-            order = sorted(
-                range(len(alloc_pos)), key=lambda i: (alloc_time[i], req_id[alloc_pos[i]])
-            )
-            alloc_pos, free_pos = _take(alloc_pos, order), _take(free_pos, order)
-            at_allocs = values_at(alloc_pos)
-            alloc_time = array("q", at_allocs(time))
-            never_freed = list(compress(range(len(free_pos)), map((-1).__eq__, free_pos)))
+            keys = list(zip(alloc_time, at_allocs(self.req_id)))
+            if keys != sorted(keys):
+                raise ValueError("a trace's allocations are not in (time, request id) order")
         # Position -1 reads the last event; never-freed entries are then rewritten.
         at_frees = values_at(free_pos)
         free_time = array("q", at_frees(time))
@@ -371,21 +362,18 @@ class TraceColumns:
     def request_keys(self, *, end_of_trace: int) -> tuple[tuple[int, ...], ...]:
         """The ``req_id``, ``size``, ``alloc_time`` and ``free_time`` of every request.
 
-        Four tuples in request-id order, of a trace whose :meth:`pairing` is
-        ``ok``; a never-freed request closes at ``end_of_trace``.  What
+        Four tuples in alloc-ordinal order, of a trace whose :meth:`pairing`
+        is ``ok``; a never-freed request closes at ``end_of_trace``.  What
         :meth:`StaticAllocationPlan.request_keys` of a plan made for this
-        trace returns.
+        trace returns when the trace numbers its requests in allocation order,
+        as a generated trace does; for any other numbering the two differ.
         """
         pairing = self.pairing()
         if not pairing.ok:
             raise ValueError("trace does not pair simply")
         alloc_pos, free_pos = pairing.alloc_pos, pairing.free_pos
-        req_id = values_at(alloc_pos)(self.req_id)
-        if not all(map(lt, req_id, req_id[1:])):  # a generator numbers requests in alloc order
-            order = sorted(range(len(req_id)), key=req_id.__getitem__)
-            alloc_pos, free_pos = _take(alloc_pos, order), _take(free_pos, order)
-            req_id = values_at(alloc_pos)(self.req_id)
         at_allocs = values_at(alloc_pos)
+        req_id = at_allocs(self.req_id)
         free_time = list(values_at(free_pos)(self.time))  # position -1 reads the last event
         for index in compress(range(len(free_pos)), map((-1).__eq__, free_pos)):
             free_time[index] = end_of_trace
@@ -398,9 +386,8 @@ class TraceColumns:
         of its free event -- the alloc module when the free names none or the
         request is never freed, in which case it closes as in
         :meth:`request_columns`.  The dynamic requests are taken in
-        alloc-ordinal order, which is request order whenever their alloc
-        times strictly ascend (always, in a generator trace); otherwise they
-        are sorted by ``(alloc_time, req_id)`` first.
+        alloc-ordinal order, which :meth:`request_columns` requires to be
+        ``(alloc_time, req_id)`` order.
         """
         pairing = self.pairing()
         if not pairing.ok:
@@ -410,11 +397,6 @@ class TraceColumns:
         free_pos = list(compress(pairing.free_pos, dynamic))
         time, req_id = self.time, self.req_id
         opened = values_at(alloc_pos)(time)
-        if not all(map(lt, opened, opened[1:])):
-            order = sorted(range(len(opened)), key=lambda i: (opened[i], req_id[alloc_pos[i]]))
-            alloc_pos, free_pos, opened = (
-                [column[i] for i in order] for column in (alloc_pos, free_pos, opened)
-            )
         module_index, modules = self.module_index, self.modules
         keys: dict[tuple[int, int], tuple[str, str]] = {}
 
@@ -476,10 +458,6 @@ class TraceColumns:
     @property
     def num_requests(self) -> int:
         return self.kind.count(ALLOC)
-
-    @property
-    def num_dynamic_requests(self) -> int:
-        return sum(dyn for kind, dyn in zip(self.kind, self.dyn) if kind == ALLOC)
 
     def allocation_sizes(self, *, min_size: int = 0) -> list[int]:
         sizes = [size for kind, size in zip(self.kind, self.size) if kind == ALLOC]

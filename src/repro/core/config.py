@@ -11,10 +11,6 @@ from dataclasses import dataclass, field
 
 from repro.domain import check_fields
 
-#: How the homophase stage lays out two fused plans (see
-#: :func:`repro.core.homophase.attempt_fusion`).
-FUSION_STRATEGIES = ("repack", "insertion")
-
 
 @dataclass
 class STAllocConfig:
@@ -26,9 +22,10 @@ class STAllocConfig:
     on/off, planning order).
     """
 
+    #: Fuse adjacent HomoPhase groups.  A fusion repacks both groups'
+    #: requests; the paper's insertion greedy (Figure 6) left because its
+    #: pools were never smaller (see ``core/homophase.py``).
     enable_fusion: bool = True
-    #: How the homophase stage lays out two fused plans.
-    fusion_strategy: str = field(default="repack", metadata={"choices": FUSION_STRATEGIES})
     #: Allow smaller plans to reuse idle windows of larger layers.
     enable_gap_insertion: bool = True
     #: Process HomoSize groups from largest to smallest (the paper's order).

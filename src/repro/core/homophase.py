@@ -12,13 +12,12 @@ phase -- are then *fused* so memory can be reused across the phase boundary.
 A fusion is kept only when it raises the time-memory product (TMP, Eq. 2)
 above the size-time weighted average of the two original plans (Figure 7).
 
-Two fusion strategies are provided:
-
-* ``"repack"`` (default): re-run the sweep over the union of both groups;
-* ``"insertion"``: the paper's explicit greedy that walks the larger plan's
-  member offsets and slots in the smaller plan's requests.
-
-Both respect the same acceptance test; the ablation benchmark compares them.
+Fusion repacks: it re-runs the sweep over the union of both groups.  The
+paper's explicit greedy (Figure 6), which walks the larger plan's member
+offsets and slots in the smaller plan's requests, was measured against it on
+the end-to-end benchmark's STAlloc traces and removed: its pools were never
+smaller (equal on dense and MoE training, 1.04--1.10x on generation) and it
+took longer to plan.
 
 Cost: the planner works on int rows ``(alloc_time, req_id, size, free_time)``
 read off the profiler's columns, no object per request.  Packing ``n`` rows
@@ -38,7 +37,6 @@ from itertools import compress
 from operator import not_
 
 from repro.core.columns import RequestColumns
-from repro.core.config import FUSION_STRATEGIES
 from repro.core.intervals import IntervalSet
 from repro.core.plan import StaticAllocationPlan
 
@@ -71,26 +69,6 @@ class LocalPlan:
     #: A lower bound on the height of *any* layout of these rows: bytes that
     #: are live at one instant (the packer records the peak; 0 = not known).
     demand_floor: int = 0
-
-    @classmethod
-    def from_placement(
-        cls,
-        rows: list[Row],
-        offsets: list[int],
-        phase_span: tuple[int, int] | None = None,
-        demand_floor: int = 0,
-    ) -> "LocalPlan":
-        """A plan for rows already placed at ``offsets`` (any row order)."""
-        return cls(
-            rows=rows,
-            offsets=offsets,
-            size=max((offset + row[2] for row, offset in zip(rows, offsets)), default=0),
-            start_time=min((row[0] for row in rows), default=0),
-            end_time=max((row[3] for row in rows), default=0),
-            memory_time=sum(row[2] * (row[3] - row[0]) for row in rows),
-            phase_span=phase_span,
-            demand_floor=demand_floor,
-        )
 
     @property
     def num_requests(self) -> int:
@@ -184,58 +162,6 @@ def build_homophase_groups(requests: RequestColumns) -> list[LocalPlan]:
     return plans
 
 
-def _conflicts(rows: list[Row], offsets: list[int], offset: int, row: Row) -> bool:
-    """Would placing ``row`` at ``offset`` overlap a placed row in space and time?"""
-    end_offset = offset + row[2]
-    for placed_offset, placed in zip(offsets, rows):
-        if placed_offset < end_offset and offset < placed_offset + placed[2]:
-            if placed[0] < row[3] and row[0] < placed[3]:
-                return True
-    return False
-
-
-def fuse_plans_by_insertion(larger: LocalPlan, smaller: LocalPlan) -> LocalPlan:
-    """The paper's explicit fusion greedy (Figure 6, upper left).
-
-    Walk candidate addresses starting from the lowest member offset of the
-    larger plan, repeatedly placing the earliest-starting unplaced request of
-    the smaller plan that fits without a spatio-temporal conflict; when
-    nothing fits at the current address, jump to the next member offset.
-    Requests that cannot be slotted anywhere are stacked on top, so fusion
-    never loses requests.
-    """
-    rows = list(larger.rows)
-    offsets = list(larger.offsets)
-    pending = sorted(smaller.rows, key=lambda row: row[0])
-    candidate_offsets = sorted(set(larger.offsets)) or [0]
-    address = candidate_offsets[0]
-    max_height = max(larger.size, smaller.size)
-
-    while pending and address < max_height:
-        placed_any = False
-        for row in pending:
-            if address + row[2] <= max_height and not _conflicts(rows, offsets, address, row):
-                rows.append(row)
-                offsets.append(address)
-                pending.remove(row)
-                address += row[2]
-                placed_any = True
-                break
-        if not placed_any:
-            next_offsets = [offset for offset in candidate_offsets if offset > address]
-            if not next_offsets:
-                break
-            address = next_offsets[0]
-
-    top = max((offset + row[2] for row, offset in zip(rows, offsets)), default=0)
-    for row in pending:
-        rows.append(row)
-        offsets.append(top)
-        top += row[2]
-    floor = max(larger.demand_floor, smaller.demand_floor)
-    return LocalPlan.from_placement(rows, offsets, _merge_phase_span(larger, smaller), floor)
-
-
 def fuse_plans_by_repack(a: LocalPlan, b: LocalPlan) -> LocalPlan:
     """Fusion by re-running the sweep packer over both groups' requests.
 
@@ -267,7 +193,7 @@ def weighted_average_tmp(a: LocalPlan, b: LocalPlan) -> float:
     ) / (weight_a + weight_b)
 
 
-def attempt_fusion(a: LocalPlan, b: LocalPlan, *, strategy: str = "repack") -> LocalPlan | None:
+def attempt_fusion(a: LocalPlan, b: LocalPlan) -> LocalPlan | None:
     """Fuse two plans; return the fused plan if the TMP test accepts it.
 
     The fused plan's TMP numerator and duration are known before it is laid
@@ -275,25 +201,18 @@ def attempt_fusion(a: LocalPlan, b: LocalPlan, *, strategy: str = "repack") -> L
     that height cannot beat the weighted average, the pair is rejected
     without being packed.
     """
-    if strategy not in FUSION_STRATEGIES:
-        raise ValueError(f"unknown fusion strategy {strategy!r}")
     threshold = weighted_average_tmp(a, b)
     duration = max(a.end_time, b.end_time) - min(a.start_time, b.start_time)
     least_area = max(a.demand_floor, b.demand_floor) * duration
     if least_area > 0 and (a.memory_time + b.memory_time) / least_area <= threshold:
         return None
-    if strategy == "repack":
-        fused = fuse_plans_by_repack(a, b)
-    else:
-        larger, smaller = (a, b) if a.size >= b.size else (b, a)
-        fused = fuse_plans_by_insertion(larger, smaller)
+    fused = fuse_plans_by_repack(a, b)
     return fused if fused.time_memory_product() > threshold else None
 
 
 def fuse_adjacent_groups(
     plans: list[LocalPlan],
     *,
-    strategy: str = "repack",
     enable_fusion: bool = True,
     max_group_requests: int = 20000,
 ) -> tuple[list[LocalPlan], int]:
@@ -336,7 +255,7 @@ def fuse_adjacent_groups(
                     continue
                 if (id(plan), id(other)) in rejected:
                     continue
-                fused = attempt_fusion(plan, other, strategy=strategy)
+                fused = attempt_fusion(plan, other)
                 if fused is not None:
                     break
                 rejected[(id(plan), id(other))] = (plan, other)

@@ -39,9 +39,7 @@ class PlanSynthesizer:
         # --- Static allocation planning (§5.1) -------------------------- #
         phase_groups = build_homophase_groups(profile.columns)
         fused_groups, fusion_count = fuse_adjacent_groups(
-            phase_groups,
-            strategy=self.config.fusion_strategy,
-            enable_fusion=self.config.enable_fusion,
+            phase_groups, enable_fusion=self.config.enable_fusion
         )
         dynamic_groups = profile.dynamic_groups
         reuse_idle_space = bool(self.config.enable_dynamic_reuse and dynamic_groups)

@@ -9,9 +9,8 @@ package provides byte-accurate simulations of those interfaces:
 * :class:`~repro.gpu.virtual_memory.VirtualMemoryManager` -- the
   ``cuMemCreate`` / ``cuMemAddressReserve`` / ``cuMemMap`` analogue used by the
   expandable-segments and GMLake-style allocators.
-* :func:`~repro.gpu.device.device_from_spec` -- a device sized from the
-  shared GPU specs of the paper's testbeds (A800-80GB, H200-141GB,
-  MI210-64GB).
+* :data:`~repro.gpu.specs.GPU_SPECS` -- the shared GPU specs of the paper's
+  testbeds (A800-80GB, H200-141GB, MI210-64GB), which size every device.
 """
 
 from repro._lazy import attach
@@ -23,8 +22,6 @@ __getattr__, __dir__, __all__ = attach(
             "Device",
             "DeviceStats",
             "PhysicalAllocation",
-            "a800_80gb",
-            "device_from_spec",
         ],
         "specs": ["GPU_SPECS", "GPUSpec", "get_gpu"],
         "errors": ["DeviceError", "DoubleFreeError", "InvalidAddressError", "OutOfMemoryError"],

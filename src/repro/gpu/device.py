@@ -198,22 +198,3 @@ class Device:
             f"Device(name={self.name!r}, capacity={self.capacity}, "
             f"in_use={self._in_use}, live={len(self._allocations) + self._run_allocations})"
         )
-
-
-# ---------------------------------------------------------------------- #
-# Testbed presets (capacities from the shared specs in repro.gpu.specs, the
-# single source of truth for per-device constants)
-# ---------------------------------------------------------------------- #
-def device_from_spec(name: str, reserved_overhead: int = 0) -> Device:
-    """Build a Device whose capacity comes from :data:`repro.gpu.specs.GPU_SPECS`."""
-    from repro.gpu.specs import get_gpu
-
-    spec = get_gpu(name)
-    return Device(
-        name=spec.name, capacity=spec.memory_gib * GIB, reserved_overhead=reserved_overhead
-    )
-
-
-def a800_80gb(reserved_overhead: int = 4 * GIB) -> Device:
-    """NVIDIA A800-80GB as used on the paper's first testbed."""
-    return device_from_spec("A800-80GB", reserved_overhead)

@@ -102,7 +102,7 @@ class ClusterSpec:
         """GPUSpec field overrides describing this cluster's network fabric.
 
         Empty for a flat single-node cluster with no bandwidth overrides --
-        the form :func:`repro.simulator.runner.run_job` accepts as its
+        the form :meth:`repro.sweep.spec.SweepPoint.build` accepts as its
         ``fabric`` argument, and the payload a sweep's ``fabric`` axis sets.
         """
         overrides: dict = {}

@@ -4,7 +4,7 @@
 
 1. **Memory pruning** -- every candidate *configuration* gets the admissible
    :func:`~repro.search.bounds.memory_lower_bound` evaluated per
-   capacity-refined rank class (the same class structure ``run_job`` would
+   capacity-refined rank class (the same class structure ``run_jobs`` would
    replay).  A class whose bound already exceeds its device budget proves the
    whole configuration OOMs under *every* allocator, so all of its points are
    killed before any trace is generated.
@@ -163,7 +163,7 @@ def _prune_record(point: SweepPoint, reason: str, **detail) -> dict:
 def _memory_verdict(point: SweepPoint) -> dict | None:
     """Evidence that ``point``'s configuration cannot fit, or None if it might.
 
-    Takes exactly the capacity-refined rank classes ``run_job`` would replay
+    Takes exactly the capacity-refined rank classes ``run_jobs`` would replay
     (:func:`~repro.simulator.ranks.job_rank_classes`) and compares each
     class's admissible memory lower bound against the budget its replay would
     run under; any violation proves an OOM for every allocator (the bound

@@ -9,7 +9,6 @@ __getattr__, __dir__, __all__ = attach(
         "replay": ["ReplayResult", "replay_trace"],
         "runner": [
             "JobRun",
-            "run_job",
             "run_jobs",
             "run_workload",
         ],

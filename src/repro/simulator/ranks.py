@@ -32,7 +32,7 @@ def validate_capacity_gib(value, context: str = "device_capacity_gib") -> float 
 
     The sweep-spec loader already enforces this for budgets arriving through
     JSON specs (``spec.py``); this guards the direct-API entry points so
-    ``run_job(device_capacity_gib=0)`` fails loudly instead of producing a
+    ``run_workload(device_capacity_gib=0)`` fails loudly instead of producing a
     zero-byte device that every allocator trivially OOMs against.
     """
     if value is None:

@@ -19,8 +19,8 @@ step (profile + plan synthesis before the replay).
 
 The pure per-run path is :func:`run_workload`: one rank's replay, returned
 as its :class:`~repro.simulator.replay.ReplayResult`.  :func:`run_jobs` is
-the one orchestrator on top of it (:func:`run_job` runs one job through
-it).  Every figure, table, sweep and search replays through :func:`run_jobs`, and each
+the one orchestrator on top of it; one job is a one-element list.  Every
+figure, table, sweep and search replays through :func:`run_jobs`, and each
 describes a job the same way: a :class:`~repro.sweep.spec.SweepPoint` built by
 :meth:`~repro.sweep.spec.SweepPoint.build`, whose ranks are already resolved
 and whose knobs, budgets and fabric are sorted pairs.  Its unit
@@ -310,26 +310,6 @@ class JobRun:
             if not run.success
             for rank in cls
         )
-
-
-def run_job(
-    config: TrainingConfig,
-    allocator_name: str,
-    *,
-    ctx: ExecutionContext | None = None,
-    **options,
-) -> JobRun:
-    """Run one whole-job measurement: :func:`run_jobs` for one job.
-
-    ``options`` are :meth:`SweepPoint.build`'s keywords (``ranks`` --
-    ``"all"`` by default --, ``device_name``, ``device_memory_by_rank``,
-    ``fabric``, ...); see there.  ``ctx`` supplies the trace/plan cache and
-    the worker processes the rank replays fan out over (default: a fresh
-    serial context with no disk cache).
-    """
-    point = SweepPoint.build(config, allocator_name, **options)
-    ((_, job, _),) = run_jobs([(None, point)], ctx=ctx)
-    return job
 
 
 @contextmanager

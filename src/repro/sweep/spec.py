@@ -99,7 +99,7 @@ class SweepPoint:
     """One fully-resolved (configuration, allocator) job: what ``run_jobs`` runs.
 
     Build points with :meth:`build`, which normalizes every field; sweeps,
-    searches, experiments and :func:`~repro.simulator.runner.run_job` all do.
+    searches and experiments all do.
     """
 
     index: int

@@ -50,7 +50,9 @@ TIMELINE_VERSION = 3
 #: Version 3: the dynamic request routing is stored grouped, one
 #: ``[alloc_module, free_module, [req_id, ...]]`` entry per HomoLayer group
 #: instead of one ``[req_id, alloc_module, free_module]`` triple per request.
-PLAN_FORMAT_VERSION = 3
+#: Version 4: the stored ``config`` has no ``fusion_strategy`` (fusion always
+#: repacks); plan and report are unchanged.
+PLAN_FORMAT_VERSION = 4
 #: How every entry ``STAlloc.dumps`` writes begins: the version is read off
 #: the head of a stored plan without parsing it.
 PLAN_ENTRY_HEAD = f'{{"format_version":{PLAN_FORMAT_VERSION},'

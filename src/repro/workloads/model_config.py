@@ -86,22 +86,19 @@ class ModelConfig:
         down = f * h
         return up + down
 
-    def moe_layer_params(self) -> int:
-        """Parameters of one MoE layer (router + all experts + shared expert)."""
-        if not self.is_moe:
-            return 0
-        router = self.hidden_size * self.num_experts
-        shared = 0
-        if self.moe_shared_expert_ffn:
-            h, f = self.hidden_size, self.moe_shared_expert_ffn
-            shared = (2 if self.gated_mlp else 1) * h * f + f * h
-        return router + self.num_experts * self.expert_params() + shared
-
     def layer_params(self) -> int:
-        """Parameters of one transformer layer (attention + MLP/MoE + norms)."""
-        norms = 2 * self.hidden_size
-        mlp = self.moe_layer_params() if self.is_moe else self.mlp_params()
-        return self.attention_params() + mlp + norms
+        """Parameters of one transformer layer (attention + MLP/MoE + norms).
+
+        An MoE layer's MLP is its router, every expert and its shared expert.
+        """
+        h = self.hidden_size
+        if not self.is_moe:
+            return self.attention_params() + self.mlp_params() + 2 * h
+        mlp = h * self.num_experts + self.num_experts * self.expert_params()
+        if self.moe_shared_expert_ffn:
+            f = self.moe_shared_expert_ffn
+            mlp += (2 if self.gated_mlp else 1) * h * f + f * h
+        return self.attention_params() + mlp + 2 * h
 
     def embedding_params(self) -> int:
         embeddings = self.vocab_size * self.hidden_size
@@ -114,16 +111,10 @@ class ModelConfig:
         return self.embedding_params() + self.num_layers * self.layer_params() + self.hidden_size
 
     def active_params(self) -> int:
-        """Parameters used per token (differs from total only for MoE)."""
-        if not self.is_moe:
-            return self.total_params()
-        per_layer = (
-            self.attention_params()
-            + 2 * self.hidden_size
-            + self.hidden_size * self.num_experts
-            + self.moe_top_k * self.expert_params()
-        )
-        if self.moe_shared_expert_ffn:
-            h, f = self.hidden_size, self.moe_shared_expert_ffn
-            per_layer += (2 if self.gated_mlp else 1) * h * f + f * h
-        return self.embedding_params() + self.num_layers * per_layer + self.hidden_size
+        """Parameters used per token: all but the experts a token skips.
+
+        Equal to :meth:`total_params` for a dense model, whose
+        ``expert_params`` is 0.
+        """
+        skipped = self.num_experts - self.moe_top_k
+        return self.total_params() - self.num_layers * skipped * self.expert_params()

@@ -142,10 +142,6 @@ class Trace:
         """Number of allocation requests (the paper's ``Num`` column in Table 2)."""
         return self.columns.num_requests
 
-    @property
-    def num_dynamic_requests(self) -> int:
-        return self.columns.num_dynamic_requests
-
     def allocation_sizes(self, *, min_size: int = 0) -> list[int]:
         """Sizes of every allocation request at least ``min_size`` bytes."""
         return self.columns.allocation_sizes(min_size=min_size)

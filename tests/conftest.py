@@ -102,6 +102,16 @@ def decide(request: MemoryRequest, address: int) -> AllocationDecision:
     )
 
 
+def run_job(config: TrainingConfig, allocator_name: str, *, ctx=None, **options):
+    """One whole job through ``run_jobs``; ``options`` are ``SweepPoint.build``'s."""
+    from repro.simulator.runner import run_jobs
+    from repro.sweep.spec import SweepPoint
+
+    point = SweepPoint.build(config, allocator_name, **options)
+    ((_, job, _),) = run_jobs([(None, point)], ctx=ctx)
+    return job
+
+
 @pytest.fixture
 def device() -> Device:
     """A 16 GiB test device."""

@@ -116,7 +116,7 @@ def test_columnar_analytics_match_reference_loop(draw):
     assert trace.peak_allocated_bytes() == reference["peak"]
     assert trace.comm_peak_bytes() == reference["comm_peak"]
     assert trace.num_requests == reference["num_requests"]
-    assert trace.num_dynamic_requests == reference["num_dynamic"]
+    assert ProfileResult(trace).summary()["num_dynamic_requests"] == reference["num_dynamic"]
     assert trace.allocation_sizes() == reference["sizes"]
     assert trace.distinct_sizes() == reference["distinct_gt_512"]
     assert trace.end_time() == reference["end_time"]

@@ -307,7 +307,7 @@ class TestPeakMonotonicity:
         """The acceptance property: with a skewed router and a non-zero comm
         factor, the binding EP rank's peak strictly exceeds the comm-free
         baseline job peak."""
-        from repro.simulator.runner import run_job
+        from tests.conftest import run_job
 
         baseline = run_job(
             _moe_config(imbalance=0.6, comm_factor=0.0),
@@ -331,7 +331,7 @@ class TestPeakMonotonicity:
 # ---------------------------------------------------------------------- #
 class TestCommPeakSurfaces:
     def test_job_run_exposes_comm_peak(self):
-        from repro.simulator.runner import run_job
+        from tests.conftest import run_job
 
         job = run_job(
             _moe_config(imbalance=0.6, comm_factor=1.0),

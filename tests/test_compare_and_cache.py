@@ -222,6 +222,16 @@ def _v2_document(document: dict) -> dict:
     return dict(document, format_version=2, plan=plan)
 
 
+def _with_fusion_strategy(document: dict, version: int) -> dict:
+    """The entry with the removed ``fusion_strategy`` knob in its stored config.
+
+    Format 3 stored it, so a format-3 entry is this with ``version=3``.
+    """
+    config = dict(document["config"])
+    config = dict(enable_fusion=config.pop("enable_fusion"), fusion_strategy="repack", **config)
+    return dict(document, format_version=version, config=config)
+
+
 def _ragged(document: dict) -> dict:
     static = dict(document["plan"]["static_plan"])
     static["address"] = static["address"][:-1]
@@ -235,6 +245,12 @@ PLAN_DAMAGE = {
     "v2-format": lambda text: json.dumps(_v2_document(json.loads(text)), separators=(",", ":")),
     "wrong-length-column": lambda text: json.dumps(_ragged(json.loads(text)), separators=(",", ":")),
     "not-an-object": lambda text: "[]",
+    "v3-fusion-strategy": lambda text: json.dumps(
+        _with_fusion_strategy(json.loads(text), 3), separators=(",", ":")
+    ),
+    "current-head-removed-knob": lambda text: json.dumps(
+        _with_fusion_strategy(json.loads(text), PLAN_FORMAT_VERSION), separators=(",", ":")
+    ),
 }
 
 

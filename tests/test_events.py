@@ -106,7 +106,7 @@ class TestPairing:
         assert profile.num_requests == 0 and profile.dynamic_groups == []
         assert profile.summary()["peak_allocated_bytes"] == 0
 
-    def test_requests_sorted_by_alloc_time(self):
+    def test_allocations_out_of_time_order_are_refused(self):
         p0 = make_phase(0)
         events = [
             self._alloc(2, 10, 1, p0),
@@ -114,4 +114,13 @@ class TestPairing:
             self._free(1, 10, 2, p0),
             self._free(2, 10, 3, p0),
         ]
-        assert list(ProfileResult(make_trace(events)).columns.req_id) == [1, 2]
+        with pytest.raises(ValueError, match=r"not in \(time, request id\) order"):
+            ProfileResult(make_trace(events))
+
+    def test_allocations_on_one_tick_are_taken_by_request_id(self):
+        p0 = make_phase(0)
+        shared = [self._alloc(1, 10, 0, p0), self._alloc(2, 10, 0, p0)]
+        frees = [self._free(1, 10, 2, p0), self._free(2, 10, 3, p0)]
+        assert list(ProfileResult(make_trace(shared + frees)).columns.req_id) == [1, 2]
+        with pytest.raises(ValueError, match="request id"):
+            ProfileResult(make_trace(shared[::-1] + frees))

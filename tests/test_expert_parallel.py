@@ -13,7 +13,7 @@ from repro.gpu.device import Device, GIB
 from repro.simulator import ExecutionContext
 from repro.simulator.ranks import resolve_job_ranks
 from repro.simulator.replay import replay_trace
-from repro.simulator.runner import run_job, run_workload
+from repro.simulator.runner import run_workload
 from repro.sweep import SweepCache, SweepSpec, load_spec, run_sweep
 from repro.sweep.engine import point_result_key
 from repro.sweep.results import _ranks_label
@@ -27,6 +27,7 @@ from repro.workloads.parallelism import (
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.conftest import run_job
 from tests.trace_oracle import events_of
 
 

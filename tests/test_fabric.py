@@ -354,7 +354,7 @@ class TestPerPhaseOverhead:
         # The acceptance criterion: two allocators with different per-event
         # overheads produce different iteration_seconds on the same config,
         # through the ordinary run_job path.
-        from repro.simulator.runner import run_job
+        from tests.conftest import run_job
 
         config = _dense_config()
         runs = {
@@ -504,7 +504,7 @@ class TestPointDevice:
         monkeypatch.setattr(ExecutionContext, "trace", fetch)
 
     def test_unknown_device_fails_at_build(self, no_traces):
-        from repro.simulator.runner import run_job
+        from tests.conftest import run_job
 
         for build in (
             lambda: SweepPoint.build(_dense_config(), "torch2.3", device_name="B200-999GB"),
@@ -525,7 +525,7 @@ class TestPointDevice:
         ],
     )
     def test_malformed_fabric_fails_at_build(self, no_traces, fabric, named):
-        from repro.simulator.runner import run_job
+        from tests.conftest import run_job
 
         with pytest.raises(ValueError) as excinfo:
             SweepPoint.build(_dense_config(), "torch2.3", fabric=fabric)
@@ -540,7 +540,7 @@ class TestPointDevice:
         assert SweepPoint.build(_dense_config(), "torch2.3").gpu == GPU_SPECS["A800-80GB"]
 
     def test_every_returned_job_is_priced(self):
-        from repro.simulator.runner import run_job
+        from tests.conftest import run_job
 
         job = run_job(_dense_config(), "torch2.3", device_name="H200-141GB", scale=0.5)
         assert job.timeline.gpu_name == "H200-141GB"

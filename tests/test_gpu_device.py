@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpu.device import Device, GIB, MIB, a800_80gb, align_up
+from repro.gpu.device import Device, GIB, MIB, align_up
 from repro.gpu.errors import DoubleFreeError, InvalidAddressError, OutOfMemoryError
 from repro.gpu.virtual_memory import VirtualMemoryManager
+from repro.simulator.ranks import default_capacity_gib
 
 
 class TestAlignUp:
@@ -102,7 +103,11 @@ def _live(device: Device) -> int:
 
 class TestDevicePresets:
     def test_a800(self):
-        assert a800_80gb().capacity == 80 * GIB
+        """The paper's first testbed GPU sizes an 80 GiB device from the shared specs."""
+        capacity = int(default_capacity_gib("A800-80GB", None) * GIB)
+        device = Device(name="A800-80GB", capacity=capacity, reserved_overhead=4 * GIB)
+        assert device.capacity == 80 * GIB
+        assert device.usable_capacity == device.free_bytes == 76 * GIB
 
 
 class TestVirtualMemoryManager:

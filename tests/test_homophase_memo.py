@@ -138,12 +138,11 @@ def test_groups_differing_in_the_order_of_one_free_and_one_alloc_do_not_share():
     assert (stacked.offsets, stacked.size) == ([0, 100], 160)
 
 
-@pytest.mark.parametrize("strategy", ["repack", "insertion"])
-def test_fusion_and_global_planning_never_mutate_a_local_plans_offsets(profiles, strategy):
+def test_fusion_and_global_planning_never_mutate_a_local_plans_offsets(profiles):
     for name, profile in profiles.items():
         plans = build_homophase_groups(profile.columns)
         before = [(plan.offsets, list(plan.offsets)) for plan in plans]
-        fused, _ = fuse_adjacent_groups(plans, strategy=strategy)
+        fused, _ = fuse_adjacent_groups(plans)
         for idle_space_reused in (False, True):
             build_global_plan(fused, STAllocConfig(), idle_space_reused=idle_space_reused)
         for offsets, copy in before:

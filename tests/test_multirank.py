@@ -11,7 +11,7 @@ from repro.gpu.device import Device, GIB
 from repro.simulator import ExecutionContext
 from repro.simulator.ranks import resolve_job_ranks
 from repro.simulator.replay import replay_trace
-from repro.simulator.runner import run_job, run_workload
+from repro.simulator.runner import run_workload
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.engine import point_result_key
 from repro.sweep.cache import SweepCache
@@ -22,6 +22,7 @@ from repro.workloads.schedule import one_f_one_b
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig, preset_config
+from tests.conftest import run_job
 from tests.trace_oracle import events_of
 
 

@@ -45,11 +45,12 @@ from repro.obs.tracer import (
     worker_observation,
     worker_spec,
 )
-from repro.simulator import ExecutionContext, run_job
+from repro.simulator import ExecutionContext
 from repro.sweep import SweepCache, SweepPointError, SweepSpec, run_sweep
 from repro.sweep.engine import execute_points
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.tracegen import TraceGenerator
+from tests.conftest import run_job
 
 
 @pytest.fixture(autouse=True)

@@ -1,9 +1,9 @@
 """Planner decisions, pinned independently of the code that makes them.
 
 ``tests/fixtures/plan_digests.json`` records, for the golden dense, MoE-comm
-and generation traces under every :class:`STAllocConfig` ablation -- fusion by
-repack and by insertion, fusion off, gap insertion off, ascending size order,
-dynamic reuse off -- and for one rank of each of the four end-to-end benchmark
+and generation traces under every :class:`STAllocConfig` ablation -- the
+default, fusion off, gap insertion off, ascending size order, dynamic reuse
+off -- and for one rank of each of the four end-to-end benchmark
 shapes at reduced scale: the SHA-256 of the sorted ``(req_id, address)`` pairs,
 the pool size, the memory-layer sizes and occupancy, the fusion and group
 counts, and the SHA-256 of the dynamic reusable spaces.
@@ -39,7 +39,6 @@ FIXTURE_PATH = Path(__file__).parent / "fixtures" / "plan_digests.json"
 GOLDEN_CASES = ("gpt-tiny", "moe-tiny-comm", "gpt-tiny-generation")
 ABLATIONS = {
     "repack": STAllocConfig(),
-    "insertion": STAllocConfig(fusion_strategy="insertion"),
     "no-fusion": STAllocConfig(enable_fusion=False),
     "no-gap-insertion": STAllocConfig(enable_gap_insertion=False),
     "ascending-order": STAllocConfig(descending_size_order=False),
@@ -209,7 +208,6 @@ def test_fixture_exercises_the_planner_paths(fixtures):
     """The ablations are only worth pinning if they change the plan."""
     entries = [entry for case in ALL_CASES for entry in fixtures[case].values()]
     assert fixtures["gen-decode"]["point0/rank1.0/repack"]["num_fusions"]
-    assert fixtures["gen-decode"]["point0/rank1.0/insertion"]["num_fusions"]
     assert not fixtures["gen-decode"]["point0/rank1.0/no-fusion"]["num_fusions"]
     assert any(entry["dynamic_groups"] for entry in entries)
     assert any(

@@ -139,9 +139,6 @@ class TestPackAgainstReference:
             extents = reference_extents(rows, plan.offsets)
             assert {name: getattr(plan, name) for name in extents} == extents
             assert plan.demand_floor == peak_demand(rows) <= plan.size
-            assert LocalPlan.from_placement(rows, plan.offsets, (0, 1)) == LocalPlan(
-                **{**vars(plan), "demand_floor": 0}
-            )
             if shape != "zero_length":  # an empty lifespan occupies nothing
                 plan.validate()
 
@@ -159,19 +156,18 @@ class TestPackAgainstReference:
                 free_phase=[phase + rng.randrange(2) for phase in phases],
                 dyn=[0] * len(rows),
             )
-            for strategy in ("repack", "insertion"):
-                fused, _ = fuse_adjacent_groups(build_homophase_groups(columns), strategy=strategy)
-                plan, layers, _ = build_global_plan(fused)
-                assert sorted(plan.req_id) == sorted(columns.req_id)
-                assert plan.pool_size == sum(layer.size for layer in layers)
-                assert_no_spatio_temporal_overlap(plan)
-                plan.validate()
+            fused, _ = fuse_adjacent_groups(build_homophase_groups(columns))
+            plan, layers, _ = build_global_plan(fused)
+            assert sorted(plan.req_id) == sorted(columns.req_id)
+            assert plan.pool_size == sum(layer.size for layer in layers)
+            assert_no_spatio_temporal_overlap(plan)
+            plan.validate()
 
 
 class TestCanHoldAgainstReference:
     @staticmethod
     def _window(req_id: int, size: int, start: int, end: int) -> LocalPlan:
-        return LocalPlan.from_placement([(start, req_id, size, end)], [0])
+        return LocalPlan([(start, req_id, size, end)], [0], size, start, end, size * (end - start))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_same_answer_for_every_probe(self, seed):
@@ -232,17 +228,16 @@ class TestNoRescans:
         with pytest.raises(AttributeError):  # frozen: never mutated after packing
             plan.size = 0
 
-    @pytest.mark.parametrize("strategy", ["repack", "insertion"])
-    def test_one_pack_per_attempt_and_no_sort_over_a_union(self, strategy, monkeypatch):
+    def test_one_pack_per_attempt_and_no_sort_over_a_union(self, monkeypatch):
         profile = _generation_profile()
         groups = build_homophase_groups(profile.columns)
         calls = {"attempts": 0, "packs": 0, "built": 0, "sorted": []}
         real_attempt, real_pack = homophase.attempt_fusion, homophase.pack_requests
         real_init = LocalPlan.__init__
 
-        def counting_attempt(a, b, *, strategy):
+        def counting_attempt(a, b):
             calls["attempts"] += 1
-            return real_attempt(a, b, strategy=strategy)
+            return real_attempt(a, b)
 
         def counting_pack(rows, *, phase_span=None):
             calls["packs"] += 1
@@ -261,20 +256,14 @@ class TestNoRescans:
         monkeypatch.setattr(homophase, "pack_requests", counting_pack)
         monkeypatch.setattr(LocalPlan, "__init__", counting_init)
         monkeypatch.setattr(homophase, "sorted", recording_sorted, raising=False)
-        fused, count = fuse_adjacent_groups(groups, strategy=strategy)
+        fused, count = fuse_adjacent_groups(groups)
 
         assert count > 0 and len(fused) == len(groups) - count
         # A bound rejects some pairs unpacked; nothing is packed twice, and a
         # plan's extents are computed when it is built and at no other time.
         assert calls["built"] < calls["attempts"]
-        if strategy == "repack":
-            assert calls["packs"] == calls["built"]
-            assert calls["sorted"] == []  # two sorted orders are merged, never re-sorted
-        else:
-            # Insertion orders the smaller plan's rows, never the union.
-            assert calls["packs"] == 0 and len(calls["sorted"]) == 2 * calls["built"]
-        largest = max(plan.num_requests for plan in groups)
-        assert all(length <= largest for length in calls["sorted"])
+        assert calls["packs"] == calls["built"]
+        assert calls["sorted"] == []  # two sorted orders are merged, never re-sorted
 
     def test_synthesis_reads_each_extent_from_the_plan(self, monkeypatch):
         """min()/max() calls stay proportional to the plans, not to the reads."""

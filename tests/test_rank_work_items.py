@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.search import load_search_spec, run_search
-from repro.simulator import ExecutionContext, run_job, run_jobs
+from repro.simulator import ExecutionContext, run_jobs
 from repro.simulator import replay as replay_module
 from repro.search.presets import SEARCH_PRESETS
 from repro.search.space import SearchSpec
@@ -28,6 +28,7 @@ from repro.workloads.parallelism import normalize_rank
 from repro.workloads.trace import Trace
 from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.tracegen import TraceGenerator
+from tests.conftest import run_job
 
 
 @pytest.fixture
@@ -234,7 +235,7 @@ class TestPartlyCachedGroup:
 
 
 class TestOnePointType:
-    """Sweeps, searches, experiments and ``run_job`` hand ``run_jobs`` one type."""
+    """Sweeps, searches and experiments hand ``run_jobs`` one type."""
 
     @staticmethod
     def _preset_points():
@@ -276,7 +277,7 @@ class TestOnePointType:
             device_memory_by_rank=(("1", 60.0), ("3", 40.0)),
         )
         assert as_dicts == as_pairs
-        assert as_dicts.ranks == (0, 1, 2, 3)  # "all" by default, as run_job's
+        assert as_dicts.ranks == (0, 1, 2, 3)  # "all" by default
         assert as_dicts.device_memory_by_rank == (("1", 60.0), ("3", 40.0))
         assert SweepPoint.build(tiny_dense_config, "stalloc", ranks=None).ranks == (0,)
 
@@ -308,11 +309,10 @@ class TestOnePointType:
         monkeypatch.setattr(TraceGenerator, "generate", generate)
         allocator = value if field == "allocator" else "stalloc"
         options = {} if field == "allocator" else {field: value}
-        for build in (SweepPoint.build, run_job):
-            with pytest.raises(ValueError) as excinfo:
-                build(tiny_dense_config, allocator, **options)
-            message = str(excinfo.value)
-            assert field in message and named in message and "\n" not in message
+        with pytest.raises(ValueError) as excinfo:
+            SweepPoint.build(tiny_dense_config, allocator, **options)
+        message = str(excinfo.value)
+        assert field in message and named in message and "\n" not in message
 
     @pytest.mark.parametrize("index", [0, 3])
     def test_job_smoke_point_matches_run_job(self, index):

@@ -387,6 +387,9 @@ class _HintRecorder(Allocator):
     def placement(self, req_id):
         return Placement(pool="none", address=0, size=0)
 
+    def overhead_seconds(self):
+        return 0.0
+
 
 class TestColumnarReplayLoop:
     def test_hints_equal_the_events_and_are_interned(self):

@@ -14,7 +14,6 @@ from repro.simulator.replay import ReplayResult, replay_trace
 from repro.simulator.runner import (
     STALLOC,
     STALLOC_NO_REUSE,
-    run_job,
     run_jobs,
     run_workload,
 )
@@ -26,6 +25,7 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
 from tests import throughput_oracle
+from tests.conftest import run_job
 from tests.trace_oracle import events_of
 
 
@@ -43,7 +43,7 @@ class TestProfiler:
         profile = AllocationProfiler().profile(dense_trace)
         assert profile.num_requests == dense_trace.num_requests
         grouped = sum(len(group.req_ids) for group in profile.dynamic_groups)
-        assert grouped == dense_trace.num_dynamic_requests
+        assert grouped == sum(event.dyn for event in events_of(dense_trace) if event.is_alloc())
         assert profile.summary()["peak_allocated_bytes"] == dense_trace.peak_allocated_bytes()
 
     def test_summary_fields(self, moe_trace):

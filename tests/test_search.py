@@ -32,7 +32,7 @@ from repro.search.planner import _rank_rows
 from repro.simulator.ranks import split_classes_by_capacity
 from repro.simulator.ranks import default_capacity_gib, resolve_job_ranks, validate_capacity_gib
 from repro.simulator.replay import ReplayResult
-from repro.simulator.runner import JobRun, _budget_utilization, run_job, run_workload
+from repro.simulator.runner import JobRun, _budget_utilization, run_workload
 from repro.sweep.compare import _is_regression, _values_differ, compare_results
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import load_spec
@@ -41,6 +41,7 @@ from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig, normalize_rank
 from repro.workloads.tracegen import TraceGenerator
 from repro.workloads.training import TrainingConfig
+from tests.conftest import run_job
 from tests.test_sweep import DECLARED_COLUMNS, assert_declared_row
 
 SEARCH_PRESETS = ("gpt-tiny", "moe-tiny", "search-smoke")

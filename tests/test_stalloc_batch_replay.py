@@ -219,6 +219,15 @@ def _two_events_on_one_tick(trace, rng):
     return shared, shared, STAllocConfig()
 
 
+def _two_requests_numbered_out_of_alloc_order(trace, rng):
+    """A plan keyed by request id cannot be matched against alloc order: decline."""
+    req_id = trace.columns.req_id
+    a, b = rng.sample(sorted(set(req_id)), 2)
+    swapped = array("q", (b if rid == a else a if rid == b else rid for rid in req_id))
+    renumbered = _with_columns(trace, req_id=swapped)
+    return renumbered, renumbered, STAllocConfig()
+
+
 def _unvalidated_plan(trace, rng):
     return trace, trace, STAllocConfig(validate_plan=False)
 
@@ -228,6 +237,7 @@ CASES = {
     "one-size-off-its-plan-row": _one_size_off_its_plan_row,
     "one-free-moved-a-tick": _one_free_moved_a_tick,
     "two-events-on-one-tick": _two_events_on_one_tick,
+    "two-requests-numbered-out-of-alloc-order": _two_requests_numbered_out_of_alloc_order,
     "validate-plan-off": _unvalidated_plan,
 }
 

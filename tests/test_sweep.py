@@ -579,9 +579,9 @@ class TestRunnerIntegration:
     def test_one_pool_and_no_deleted_names(self):
         """Structural guard: exactly one process pool in the package, and the
         deleted execution setters, memo and fan-out paths stay deleted
-        everywhere (run_job, the point builder and execute_points take no
-        per-rank traces)."""
-        for function in (runner.run_job, SweepPoint.build, execute_points):
+        everywhere (the point builder and execute_points take no per-rank
+        traces)."""
+        for function in (SweepPoint.build, execute_points):
             assert "traces" not in inspect.signature(function).parameters
         root = Path(__file__).resolve().parent.parent
         files = [

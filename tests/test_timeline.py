@@ -17,13 +17,11 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.gpu.device import GIB, device_from_spec
 from repro.gpu.specs import GPU_SPECS, get_gpu
-from repro.simulator.runner import run_job
 from repro.obs import BufferSink, Tracer
 from repro.obs.tracer import install, shutdown
 from repro.search.cluster import ClusterSpec
-from repro.simulator.ranks import validate_budget_map
+from repro.simulator.ranks import default_capacity_gib, validate_budget_map
 from repro.sweep.compare import compare_results
 from repro.sweep.engine import execute_points, run_sweep
 from repro.sweep.spec import SWEEP_PRESETS, SweepSpec, load_spec
@@ -34,6 +32,7 @@ from repro.workloads.fingerprint import config_fingerprint
 from repro.workloads.parallelism import ParallelismConfig
 from repro.workloads.training import TrainingConfig
 from tests import throughput_oracle
+from tests.conftest import run_job
 from tests.test_sweep import assert_declared_row
 
 GPU = GPU_SPECS["A800-80GB"]
@@ -553,8 +552,8 @@ MALFORMED_SPECS = {
         _with(JOB_SMOKE, stalloc_grid={"profiler_iterations": ["3"]}),
         "profiler_iterations",
     ),
-    "sweep-fusion-strategy-unknown": (
-        "sweep", _with(JOB_SMOKE, stalloc_grid={"fusion_strategy": ["bogus"]}), "fusion_strategy"
+    "sweep-fusion-strategy-removed": (
+        "sweep", _with(JOB_SMOKE, stalloc_grid={"fusion_strategy": ["repack"]}), "fusion_strategy"
     ),
     "sweep-budget-rank-out-of-range": (
         "sweep", _with(JOB_SMOKE, device_memory_by_rank={"9": 40}), "device_memory_by_rank"
@@ -914,15 +913,14 @@ def test_result_key_invalidates_on_timeline_version(tmp_path, monkeypatch):
 # GPU spec single source of truth
 # ---------------------------------------------------------------------- #
 class TestGpuSpecs:
-    def test_device_presets_match_specs(self):
+    def test_device_budgets_match_specs(self):
         for name in ("A800-80GB", "H200-141GB", "MI210-64GB"):
-            device = device_from_spec(name)
-            assert device.name == name
-            assert device.capacity == GPU_SPECS[name].memory_gib * GIB
+            assert default_capacity_gib(name, None) == GPU_SPECS[name].memory_gib
+            assert default_capacity_gib(name, 12.5) == 12.5
 
-    def test_device_from_spec_rejects_unknown_names(self):
+    def test_device_budget_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown GPU"):
-            device_from_spec("TPU-v9")
+            default_capacity_gib("TPU-v9", None)
         with pytest.raises(ValueError, match="unknown GPU"):
             get_gpu("TPU-v9")
 

@@ -61,6 +61,26 @@ class TestModelConfigs:
         dense = get_model("llama2-7b")
         assert dense.active_params() == dense.total_params()
 
+    def test_moe_active_params_match_the_published_size(self):
+        # Qwen1.5-MoE-A2.7B activates ~2.7B of its ~14.3B parameters a token.
+        assert 2.6e9 <= get_model("qwen1.5-moe-a2.7b").active_params() <= 2.8e9
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_active_params_count_each_part_a_token_uses(self, name):
+        model = get_model(name)
+        h = model.hidden_size
+        mlp = model.mlp_params()
+        if model.is_moe:
+            # The router, the top-k routed experts and the shared expert.
+            mlp = h * model.num_experts + model.moe_top_k * model.expert_params()
+            if model.moe_shared_expert_ffn:
+                f = model.moe_shared_expert_ffn
+                mlp += (2 if model.gated_mlp else 1) * h * f + f * h
+        per_layer = model.attention_params() + mlp + 2 * h
+        expected = model.embedding_params() + model.num_layers * per_layer + h
+        assert model.active_params() == expected
+        assert (model.active_params() == model.total_params()) == (not model.is_moe)
+
     def test_invalid_head_divisibility(self):
         with pytest.raises(ValueError):
             get_model("llama2-7b").__class__(
@@ -346,12 +366,12 @@ class TestTraceGeneration:
         assert recompute.num_requests > plain.num_requests  # more (transient) requests
 
     def test_moe_trace_has_dynamic_requests(self, moe_trace):
-        assert moe_trace.num_dynamic_requests > 0
+        assert any(moe_trace.columns.dyn)
         dynamic_events = [e for e in events_of(moe_trace) if e.dyn]
         assert all(e.module for e in dynamic_events)
 
     def test_dense_trace_has_no_dynamic_requests(self, dense_trace):
-        assert dense_trace.num_dynamic_requests == 0
+        assert not any(dense_trace.columns.dyn)
 
     def test_module_spans_cover_dynamic_modules(self, moe_trace):
         dynamic_modules = {e.module for e in events_of(moe_trace) if e.dyn}

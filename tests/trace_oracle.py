@@ -93,7 +93,9 @@ def trace_of_requests(requests: Iterable[MemoryRequest]) -> Trace:
                                  module=m.alloc_module, **common))
         events.append(TraceEvent(EventKind.FREE, time=m.free_time, phase=m.free_phase,
                                  module=m.free_module, **common))
-    events.sort(key=lambda event: event.time)
+    # At a shared tick frees come first, as the profile's peak counts them, and
+    # allocations by request id, the order the profiler requires.
+    events.sort(key=lambda event: (event.time, event.is_alloc(), event.req_id))
     phases = {event.phase.index: event.phase for event in events}
     return make_trace(events, phases=sorted(phases.values()))
 
