@@ -15,12 +15,16 @@ It measures four hot layers at three scales and reports events/sec:
 * ``replay_caching`` / ``replay_expandable`` / ``replay_gmlake`` /
   ``replay_stalloc``-- ``replay_trace`` against torch2.3, torch_es, gmlake and
                       STAlloc's runtime allocator (plan synthesized once,
-                      outside the timing): the four sequential state machines
-                      of the paper's comparison, driven event by event from
-                      the columns.  On the MoE preset the STAlloc replay must
-                      serve dynamic requests from the pool (checked).
-* ``timeline``     -- ``simulate_timeline`` each rep (steady state: the cached
-                      dataflow order stays warm, exactly like a sweep
+                      outside the timing): the four state machines of the
+                      paper's comparison.  The baselines are driven event by
+                      event from the columns; STAlloc replays the trace its
+                      plan was profiled on as a plan lookup (dense) or in one
+                      pass over its dynamic events (MoE).  On the MoE preset
+                      the STAlloc replay must serve dynamic requests from the
+                      pool (checked).
+* ``timeline``     -- ``simulate_timeline`` each rep (steady state: the
+                      dataflow order, memoised per schedule geometry by
+                      ``_phase_order``, stays warm, exactly like a sweep
                       evaluating many points of one geometry).
 * ``timeline_tiered`` -- the same on a 2-node tiered fabric with half the
                       all-to-all hidden under expert compute.

@@ -10,7 +10,9 @@ allocator-agnostic.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from repro.core.events import Phase, TensorCategory
@@ -181,16 +183,49 @@ class Allocator(abc.ABC):
     def batch_replay(self, trace, *, stop_on_oom: bool = True) -> int | None:
         """Apply a whole trace in one batched step, when possible.
 
-        Returns the number of events applied (``trace.num_events``) after
-        mutating this allocator and its device into *exactly* the end state
-        the event-by-event replay loop would have produced -- same stats,
-        same live allocations, same peaks -- or ``None`` when the trace needs
-        per-event replay: the allocator was already used, an allocation would
-        fail (failures must be modelled event by event), per-event hints
-        drive the allocator's decisions, or the trace's alloc/free pairing is
-        not simple.  The default can never batch-replay.
+        Returns the number of events applied after mutating this allocator
+        and its device into *exactly* the end state the event-by-event
+        replay loop would have produced -- same stats, same live
+        allocations, same peaks -- or ``None`` when the trace needs per-event
+        replay: the allocator was already used, an allocation would fail in
+        a way the batch cannot model, per-event hints drive the allocator's
+        decisions, or the trace's alloc/free pairing is not simple.  Fewer
+        events than the trace holds means the allocation at that position
+        ran out of memory and, ``stop_on_oom`` holding, the batch stopped
+        there as the loop does: the events before it are applied.  The
+        default can never batch-replay.
         """
         return None
+
+    def _settle_books(self, trace, events: int) -> None:
+        """Book what the checked loop would have for the trace's first ``events`` events.
+
+        The trace pairs simply, no request was live before the replay and
+        every one of those events was applied: their allocations are
+        counted, the rest are frees, and the requests they leave live are
+        this allocator's.
+        """
+        columns = trace.columns
+        pairing = columns.pairing()
+        if events == columns.num_events:
+            allocs = len(pairing.alloc_pos)
+            live = {req_id: size for _, req_id, size in pairing.survivors}
+            peak = columns.peak_allocated_bytes()
+        else:
+            allocs = bisect_left(pairing.alloc_pos, events)
+            alloc_pos = islice(pairing.alloc_pos, allocs)
+            live = {
+                columns.req_id[pos]: columns.size[pos]
+                for pos, free in zip(alloc_pos, pairing.free_pos)
+                if free < 0 or free >= events
+            }
+            peak = columns.peak_allocated_bytes(events)
+        stats = self.stats
+        stats.alloc_calls += allocs
+        stats.free_calls += events - allocs
+        stats.peak_allocated = max(stats.peak_allocated, peak)
+        self._live_sizes.update(live)
+        self._allocated_bytes = sum(live.values())
 
     @abc.abstractmethod
     def overhead_seconds(self) -> float:

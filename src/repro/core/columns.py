@@ -99,12 +99,13 @@ def _typed_column(name: str, typecode: str, values: Sequence[int]) -> array:
 class ColumnBuilder:
     """Append-only accumulator that events are emitted into, as plain ints.
 
-    The one writer of trace columns: the trace generator and
-    :meth:`repro.workloads.trace.Trace.load`'s JSON-lines reader both append
-    through :meth:`append`.  Module paths and tags reach it as indices into
+    The one writer of trace columns: the trace generator extends it a phase
+    at a time (:meth:`extend`), and :meth:`repro.workloads.trace.Trace.load`'s
+    JSON-lines reader appends an event at a time (:meth:`append`).  Module
+    paths and tags reach it as indices into
     :attr:`modules` and :attr:`tags`, which the caller fills in first-seen
     order (``table.setdefault(name, len(table))``); the order is part of the
-    trace's content.  Appends go to plain lists, which are moved into the
+    trace's content.  Events go to plain lists, which are moved into the
     typed columns every few thousand events; :meth:`build` flushes the rest
     and hands the arrays to the trace, so nothing may append after it.
     """
@@ -151,6 +152,31 @@ class ColumnBuilder:
         self.dyn.append(dyn)
         self.category.append(category)
         self.tag_index.append(tag_index)
+        if len(self.kind) >= _FLUSH_EVENTS:
+            self._flush()
+
+    def extend(
+        self,
+        kind: Iterable[int],
+        req_id: Iterable[int],
+        size: Iterable[int],
+        time: Iterable[int],
+        phase_index: Iterable[int],
+        module_index: Iterable[int],
+        dyn: Iterable[int],
+        category: Iterable[int],
+        tag_index: Iterable[int],
+    ) -> None:
+        """Append a run of events, one iterable per column, all of one length."""
+        self.kind.extend(kind)
+        self.req_id.extend(req_id)
+        self.size.extend(size)
+        self.time.extend(time)
+        self.phase_index.extend(phase_index)
+        self.module_index.extend(module_index)
+        self.dyn.extend(dyn)
+        self.category.extend(category)
+        self.tag_index.extend(tag_index)
         if len(self.kind) >= _FLUSH_EVENTS:
             self._flush()
 
@@ -252,6 +278,8 @@ class Pairing:
     min_alloc_size: int = 0
     #: ``(ordinal, req_id, size)`` of the requests never freed, by ordinal.
     survivors: tuple[tuple[int, int, int], ...] = ()
+    #: Every event has a tick of its own: the ticks strictly ascend.
+    ticks_ascend: bool = False
 
 
 #: The pairing of a trace that does not pair simply.
@@ -499,6 +527,7 @@ class TraceColumns:
             if len(ordinal_of) != num_allocs:
                 return NOT_SIMPLE  # allocated twice
         alloc_sizes = at_allocs(sizes)
+        time = self.time.tolist()  # plain ints compare faster than array reads
         free_pos = [-1] * num_allocs
         frees = zip(compress(positions, kinds), compress(req_ids, kinds), compress(sizes, kinds))
         for pos, req_id, size in frees:
@@ -526,4 +555,5 @@ class TraceColumns:
                 for ordinal, pos in enumerate(free_pos)
                 if pos < 0
             ),
+            ticks_ascend=all(map(lt, time, islice(time, 1, None))),
         )

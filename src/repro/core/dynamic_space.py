@@ -18,6 +18,11 @@ object is built to locate the spaces.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
+from itertools import compress
+from operator import itemgetter
+
 from repro.core.columns import HomoLayerGroup
 from repro.core.intervals import IntervalSet
 from repro.core.plan import StaticAllocationPlan
@@ -36,9 +41,16 @@ def locate_dynamic_reusable_spaces(
     that only issues frees).  The occupied address set ``A_o`` is the union
     of the address ranges of every static decision whose lifespan intersects
     ``T`` (Eq. 4); the reusable space is its complement within the static
-    pool (Eq. 5-6).  The decisions are sorted by address once; each group
-    then walks them in that order and emits the gaps between the ones it
-    overlaps, so the cost is one sort plus ``O(k * N)`` comparisons.
+    pool (Eq. 5-6).
+
+    A decision (half-open lifespan ``[alloc, free)``) intersects ``[start,
+    end]`` when it is live at ``start`` or allocated in ``(start, end]``.
+    One time-ordered sweep visits the groups by start and keeps the
+    decisions live at the current start; the ones allocated inside a range
+    are a slice of the decisions sorted by alloc time.  So each group visits
+    only the decisions that occupy it, and the cost is two sorts, one pass
+    over the decisions and, per group, a sort of its occupied spans by
+    address before :meth:`IntervalSet.gaps` walks them.
     """
     if not groups:
         return {}
@@ -46,27 +58,43 @@ def locate_dynamic_reusable_spaces(
     if not len(static_plan) or pool_size == 0:
         return {group.key: IntervalSet() for group in groups}
 
-    by_address = sorted(
-        (address, address + size, alloc_time, free_time)
+    decisions = sorted(
+        (alloc_time, free_time, address, address + size)
         for address, size, alloc_time, free_time in zip(
             static_plan.address, static_plan.size, static_plan.alloc_time, static_plan.free_time
         )
         if size > 0
     )
-    spaces: dict[tuple[str, str], IntervalSet] = {}
+    alloc_times, free_times, starts, ends = zip(*decisions)
+    spans = list(zip(starts, ends))
+    by_free = sorted(range(len(decisions)), key=free_times.__getitem__)
+    closing_times = [free_times[index] for index in by_free]
+    ranges = []
     for key, _, first_alloc, last_free in groups:
         start_span = module_spans.get(key[0])
         end_span = module_spans.get(key[1])
         start = min(start_span[0], first_alloc) if start_span else first_alloc
         end = max(end_span[1], last_free) if end_span else last_free
-        # A static decision overlaps [start, end] when it is live at any
-        # instant of the range (half-open lifespan [alloc, free)).
-        spaces[key] = IntervalSet.gaps(
-            (
-                (address, end_address)
-                for address, end_address, alloc_time, free_time in by_address
-                if alloc_time <= end and free_time > start
-            ),
-            pool_size,
+        ranges.append((start, end, key))
+    ranges.sort(key=itemgetter(0))
+
+    live: dict[int, tuple[int, int]] = {}  # decision index -> address span
+    opened = closed = 0
+    spaces: dict[tuple[str, str], IntervalSet] = {}
+    for start, end, key in ranges:
+        # Decisions allocated up to ``start`` join, those freed by it leave.
+        first_inside = bisect_right(alloc_times, start, opened)
+        live.update(zip(range(opened, first_inside), spans[opened:first_inside]))
+        opened = first_inside
+        freed = bisect_right(closing_times, start, closed)
+        deque(map(live.pop, by_free[closed:freed]), maxlen=0)
+        closed = freed
+        occupied = list(live.values())
+        last_inside = bisect_right(alloc_times, end, first_inside)
+        occupied += compress(
+            spans[first_inside:last_inside],
+            [free_time > start for free_time in free_times[first_inside:last_inside]],
         )
-    return spaces
+        occupied.sort(key=itemgetter(0))
+        spaces[key] = IntervalSet.gaps(occupied, pool_size)
+    return {group.key: spaces[group.key] for group in groups}

@@ -8,7 +8,7 @@ free space, §6.2) operate on sets of half-open integer intervals
 :class:`IntervalSet` keeps its member intervals disjoint, non-empty and sorted
 by start address, and provides the operations those components and the
 expandable-segments arenas need: adding and removing ranges, the gaps between
-sorted spans, containment, and best-fit search and carving.
+sorted spans, containment, and best-fit carving.
 """
 
 from __future__ import annotations
@@ -181,13 +181,15 @@ class IntervalSet:
                 best_length = length
         return best
 
-    def best_fit_within(self, other: "IntervalSet", size: int) -> int | None:
-        """Where the smallest piece of ``self`` inside ``other`` that holds ``size`` bytes starts.
+    def carve_within(self, other: "IntervalSet", size: int) -> int | None:
+        """Carve ``size`` bytes out of the smallest piece of ``self`` inside ``other``.
 
         The runtime Dynamic Allocator's one operation (Eq. 7): free space
         (``self``) intersected with a request's reusable space (``other``),
         searched best-fit with ties to the lowest address, in one merge walk
-        that never builds the intersection.  ``None`` when no piece fits.
+        that never builds the intersection.  The carved bytes, the front of
+        that piece, leave ``self``; returns where they start, or ``None``
+        (``self`` unchanged) when no piece fits.
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -195,18 +197,32 @@ class IntervalSet:
         b_starts, b_ends = other._starts, other._ends
         i = j = 0
         a_len, b_len = len(a_starts), len(b_starts)
-        best_start = best_length = -1
+        best = best_start = best_length = -1
         while i < a_len and j < b_len:
             a_end, b_end = a_ends[i], b_ends[j]
             start = a_starts[i] if a_starts[i] > b_starts[j] else b_starts[j]
             length = (a_end if a_end < b_end else b_end) - start
             if length >= size and (best_length < 0 or length < best_length):
-                best_start, best_length = start, length
+                best, best_start, best_length = i, start, length
             if a_end < b_end:
                 i += 1
             else:
                 j += 1
-        return None if best_length < 0 else best_start
+        if best < 0:
+            return None
+        # The piece lies inside member ``best``: cut the carved bytes out of it.
+        end = best_start + size
+        if best_start > a_starts[best]:
+            if end < a_ends[best]:
+                a_starts.insert(best + 1, end)
+                a_ends.insert(best + 1, a_ends[best])
+            a_ends[best] = best_start
+        elif end < a_ends[best]:
+            a_starts[best] = end
+        else:
+            del a_starts[best]
+            del a_ends[best]
+        return best_start
 
     def carve(self, size: int) -> int | None:
         """Allocate ``size`` bytes out of the set and return where they start.

@@ -172,12 +172,27 @@ class DynamicRouting(Mapping):
         self._ids = array("q", [ids[i] for i in order])
         self._owners = array("i", [owners[i] for i in order])
 
-    def get(self, req_id: int, default=None):
+    def group_index(self, req_id: int) -> int:
+        """The index in :attr:`groups` of ``req_id``'s group, or -1."""
         ids = self._ids
         index = bisect_left(ids, req_id)
         if index < len(ids) and ids[index] == req_id:
-            return self.groups[self._owners[index]][0]
-        return default
+            return self._owners[index]
+        return -1
+
+    def group_indices(self, req_ids: array) -> Sequence[int]:
+        """The group index of each of ``req_ids`` (-1 for an id no group holds).
+
+        The members themselves in id order -- how a trace whose ids rise with
+        its allocations allocates them -- read the owner column as it is.
+        """
+        if req_ids == self._ids:
+            return self._owners
+        return [self.group_index(req_id) for req_id in req_ids]
+
+    def get(self, req_id: int, default=None):
+        index = self.group_index(req_id)
+        return default if index < 0 else self.groups[index][0]
 
     def __getitem__(self, req_id: int) -> tuple[str, str]:
         key = self.get(req_id)

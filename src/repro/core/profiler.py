@@ -59,7 +59,8 @@ class ProfileResult:
         trace = trace if trace is not None else Trace()
         if not trace.columns.pairing().ok:
             _refuse_unpaired(trace.columns)
-        self._trace = trace
+        #: The profiled trace (empty for a loaded plan's profile).
+        self.trace = trace
         self.end_time = trace.end_time()
         self.columns: RequestColumns = trace.columns.request_columns(end_of_trace=self.end_time)
         self.module_spans = dict(trace.module_spans)
@@ -71,7 +72,7 @@ class ProfileResult:
     def dynamic_groups(self) -> list[HomoLayerGroup]:
         """HomoLayer groups of the dynamic (MoE expert) requests ``M_d`` (built once)."""
         if self._dynamic_groups is None:
-            self._dynamic_groups = self._trace.columns.homolayer_groups(end_of_trace=self.end_time)
+            self._dynamic_groups = self.trace.columns.homolayer_groups(end_of_trace=self.end_time)
         return self._dynamic_groups
 
     @property

@@ -64,6 +64,7 @@ class STAlloc:
             self.plan,
             enable_dynamic_reuse=self.config.enable_dynamic_reuse,
             plan_validated=self.config.validate_plan,
+            profiled=self.profile.trace.columns,
         )
 
     # ------------------------------------------------------------------ #

@@ -9,13 +9,12 @@ fragmentation ratio is ``1 - E``.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterator
 
 from repro.allocators.base import DEFAULT_HINTS, AllocationHints, Allocator
-from repro.core.columns import ALLOC, CATEGORIES, Pairing
+from repro.core.columns import ALLOC, CATEGORIES
 from repro.gpu.device import GIB
 from repro.gpu.errors import OutOfMemoryError
 from repro.obs.tracer import is_enabled as _obs_enabled
@@ -80,6 +79,21 @@ class ReplayResult:
         return self.peak_reserved_bytes / GIB
 
 
+def price_trace(trace: Trace) -> None:
+    """Compute what every replay of ``trace`` reads, under its own ``replay.analytics`` span.
+
+    A replay reads the trace's alloc/free pairing, its peak live bytes and
+    its COMM_BUFFER and KV_CACHE peaks.  Each is memoised on the trace, so
+    whichever replay ran first used to pay for all of them; priced here,
+    before the replays, they are charged to no allocator's ``replay.trace``.
+    """
+    with _obs_span("replay.analytics", events=trace.num_events):
+        trace.columns.pairing()
+        trace.peak_allocated_bytes()
+        trace.comm_peak_bytes()
+        trace.kv_peak_bytes()
+
+
 def replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool = True) -> ReplayResult:
     """Feed every event of ``trace`` to ``allocator`` and collect peak metrics.
 
@@ -94,8 +108,10 @@ def replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool = True
 
     Allocators that can apply a whole trace in one batched step (see
     :meth:`Allocator.batch_replay`) skip the event loop entirely; they fall
-    back to it whenever the outcome could differ (OOM, pathological pairing,
-    per-event hints), so results are identical either way.
+    back to it whenever the outcome could differ (an OOM the batch cannot
+    model, pathological pairing, per-event hints), so results are identical
+    either way.  A batch that applied fewer events than the trace holds
+    stopped on an OOM at the next one, as the loop does.
 
     The event loop asks the allocator only to place.  When the replay stops
     on the first OOM, no request is live yet and the trace pairs simply
@@ -124,10 +140,19 @@ def _replay_trace(
     trace: Trace, allocator: Allocator, *, stop_on_oom: bool
 ) -> tuple[ReplayResult, bool]:
     """The replay's result, and whether the allocator applied it in one batched step."""
+    columns = trace.columns
     batched = allocator.batch_replay(trace, stop_on_oom=stop_on_oom)
+    if batched is not None and batched < columns.num_events:  # stopped on an OOM there
+        return _result(
+            trace,
+            allocator,
+            oom_at_event=batched,
+            oom_request_bytes=columns.size[batched],
+            events_replayed=batched,
+            failed_allocs=1,
+        ), True
     if batched is not None:
         return _result(trace, allocator, events_replayed=batched), True
-    columns = trace.columns
     pairing = columns.pairing()
     direct = (
         stop_on_oom and pairing.ok and pairing.min_alloc_size > 0 and not allocator._live_sizes
@@ -174,7 +199,7 @@ def _replay_trace(
     events_replayed = end - failed_allocs - skipped_frees
     allocator.stats.peak_reserved = peak_reserved
     if direct:
-        _settle_books(allocator, trace, pairing, events_replayed)
+        allocator._settle_books(trace, events_replayed)
     return _result(
         trace,
         allocator,
@@ -203,35 +228,6 @@ def _hints(trace: Trace) -> Iterator[AllocationHints]:
                 category=CATEGORIES[category],
             )
         yield hints
-
-
-def _settle_books(allocator: Allocator, trace: Trace, pairing: Pairing, events: int) -> None:
-    """Book what the checked loop would have for the trace's first ``events`` events.
-
-    No request was live before the replay and every one of those events was
-    applied: their allocations are counted, the rest are frees, and the
-    requests they leave live are the allocator's.
-    """
-    columns = trace.columns
-    if events == columns.num_events:
-        allocs = len(pairing.alloc_pos)
-        live = {req_id: size for _, req_id, size in pairing.survivors}
-        peak = trace.peak_allocated_bytes()
-    else:
-        allocs = bisect_left(pairing.alloc_pos, events)
-        alloc_pos = islice(pairing.alloc_pos, allocs)
-        live = {
-            columns.req_id[pos]: columns.size[pos]
-            for pos, free in zip(alloc_pos, pairing.free_pos)
-            if free < 0 or free >= events
-        }
-        peak = columns.peak_allocated_bytes(events)
-    stats = allocator.stats
-    stats.alloc_calls += allocs
-    stats.free_calls += events - allocs
-    stats.peak_allocated = max(stats.peak_allocated, peak)
-    allocator._live_sizes.update(live)
-    allocator._allocated_bytes = sum(live.values())
 
 
 def _result(trace: Trace, allocator: Allocator, **outcome) -> ReplayResult:

@@ -56,7 +56,7 @@ from repro.simulator.ranks import default_capacity_gib, job_rank_classes, valida
 
 # Read from here by benchmarks/e2e/stages.py (its home is simulator.ranks).
 from repro.simulator.ranks import resolve_job_ranks  # noqa: F401
-from repro.simulator.replay import ReplayResult, replay_trace
+from repro.simulator.replay import ReplayResult, price_trace, replay_trace
 from repro.sweep.spec import SweepPoint
 from repro.timeline.simulator import TimelineResult, simulate_timeline
 from repro.workloads.fingerprint import config_fingerprint
@@ -332,10 +332,11 @@ def replay_rank(ctx: ExecutionContext, item: tuple) -> list[tuple[ReplayResult, 
     ``item`` is ``((config, seed, scale, rank, ep_rank), trace, requests,
     on_error)``, each request a ``(tag, config, allocator_name, run_workload
     kwargs)``.  Unless the item carries the trace (see :func:`_work_items`),
-    it is fetched once (the disk cache, else the generator); it is replayed
-    for every request and dropped when the item returns, so a process holds
-    one trace at a time.  Returns each request's ``(ReplayResult, seconds)``;
-    the first request's seconds include the fetch, if any.  A failing replay
+    it is fetched once (the disk cache, else the generator), priced once
+    (:func:`price_trace`), replayed for every request and dropped when the
+    item returns, so a process holds one trace at a time.  Returns each
+    request's ``(ReplayResult, seconds)``; the first request's seconds
+    include the fetch and the pricing.  A failing replay
     raises ``on_error(tag, error)`` for its own request's tag (see
     :func:`run_jobs`).
     """
@@ -344,6 +345,7 @@ def replay_rank(ctx: ExecutionContext, item: tuple) -> list[tuple[ReplayResult, 
         started = time.perf_counter()
         if trace is None:
             trace = ctx.trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
+        price_trace(trace)
         runs = []
         for tag, run_config, allocator_name, kwargs in requests:
             with _attributed(tag, on_error):

@@ -61,6 +61,7 @@ Three cluster-shaped refinements (TIMELINE_VERSION 2):
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -828,6 +829,9 @@ def _dependency(pp: int, chunks: int, stage: int, spec: PhaseSpec):
     return None
 
 
+#: Bounded: one entry per schedule geometry, a tuple of a few hundred to a
+#: few thousand phase entries (a sweep or search touches a few dozen).
+@functools.lru_cache(maxsize=64)
 def _phase_order(
     parallelism: ParallelismConfig,
     ep: int,
@@ -841,7 +845,10 @@ def _phase_order(
     phase it depends on has been taken.  The order depends only on the
     schedule geometry -- never on durations, because each phase starts when
     its own lanes are free *and* its dependency has ended -- so it is built
-    from the geometry alone and the run binds its own durations.
+    once per geometry and every run binds its own durations.  The memo is
+    process-wide: its key is five canonical values, a hit is exactly what a
+    rebuild returns, and the build (the stage schedules and the round-robin
+    walk) costs several times the run that reads it.
 
     Each entry is ``(stage, lanes, kind_code, duration_selector, dep, end,
     microbatch, chunk)``.  ``lanes`` is the stage's ``range(stage * ep,

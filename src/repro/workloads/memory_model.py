@@ -21,6 +21,7 @@ is exactly the spatial regularity STAlloc exploits (Figure 3 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.events import TensorCategory
 from repro.workloads.parallelism import balanced_split
@@ -28,6 +29,9 @@ from repro.workloads.training import TrainingConfig
 
 #: bytes per element for activations (bf16).
 ACT_BYTES = 2
+
+#: The activations a routed expert saves, in emission order (its tag suffixes).
+EXPERT_ACTIVATIONS = ("input", "up", "act", "out")
 
 
 @dataclass(frozen=True)
@@ -347,24 +351,28 @@ class MemoryModel:
             )
         return specs
 
-    def expert_tensors(self, expert_index: int, expert_tokens: int) -> list[TensorSpec]:
-        """Dynamic tensors of one expert given the tokens routed to it."""
-        if expert_tokens <= 0:
-            return []
+    def expert_activation_sizes(self, routing: Sequence[int]) -> list[int]:
+        """Sizes of one routed layer's expert activations, as one flat vector.
+
+        ``routing`` holds the tokens routed to each local expert.  An expert
+        with tokens contributes its :data:`EXPERT_ACTIVATIONS` in that order
+        (``expert{i}_input``, ``_up``, ``_act``, ``_out``), sized by its token
+        count; an idle expert contributes none.
+        """
         h = self.model.hidden_size
         f = self.model.expert_ffn_hidden_size
-        gated = 2 if self.model.gated_mlp else 1
-        prefix = f"expert{expert_index}"
-        return [
-            TensorSpec(f"{prefix}_input", _round512(expert_tokens * h * ACT_BYTES),
-                       TensorCategory.EXPERT_ACTIVATION, True),
-            TensorSpec(f"{prefix}_up", _round512(gated * expert_tokens * f * ACT_BYTES),
-                       TensorCategory.EXPERT_ACTIVATION, True),
-            TensorSpec(f"{prefix}_act", _round512(expert_tokens * f * ACT_BYTES),
-                       TensorCategory.EXPERT_ACTIVATION, True),
-            TensorSpec(f"{prefix}_out", _round512(expert_tokens * h * ACT_BYTES),
-                       TensorCategory.EXPERT_ACTIVATION, True),
-        ]
+        up = (2 if self.model.gated_mlp else 1) * f * ACT_BYTES
+        sizes: list[int] = []
+        for tokens in routing:
+            if tokens > 0:
+                io = max(512, (tokens * h * ACT_BYTES + 511) // 512 * 512)
+                sizes += (
+                    io,
+                    max(512, (tokens * up + 511) // 512 * 512),
+                    max(512, (tokens * f * ACT_BYTES + 511) // 512 * 512),
+                    io,
+                )
+        return sizes
 
     # ------------------------------------------------------------------ #
     # Expert-parallel all-to-all communication transients
@@ -383,12 +391,16 @@ class MemoryModel:
             return 0
         return balanced_split(self.tokens * self.model.moe_top_k, self.ep)[self.ep_rank]
 
-    def _a2a_buffer(self, tag: str, token_count: int) -> list[TensorSpec]:
+    def a2a_bytes(self, token_count: int) -> int:
+        """One all-to-all staging buffer for ``token_count`` assignments (0: no buffer)."""
         factor = self.config.moe_comm_factor
         if token_count <= 0 or factor <= 0:
-            return []
-        size = _round512(factor * token_count * self.model.hidden_size * ACT_BYTES)
-        return [TensorSpec(tag, size, TensorCategory.COMM_BUFFER)]
+            return 0
+        return _round512(factor * token_count * self.model.hidden_size * ACT_BYTES)
+
+    def _a2a_buffer(self, tag: str, token_count: int) -> list[TensorSpec]:
+        size = self.a2a_bytes(token_count)
+        return [TensorSpec(tag, size, TensorCategory.COMM_BUFFER)] if size else []
 
     def moe_dispatch_tensors(self, recv_tokens: int) -> list[TensorSpec]:
         """All-to-all staging buffers of one layer's forward dispatch.

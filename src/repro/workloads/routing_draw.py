@@ -22,9 +22,10 @@ drew.  The repository defines them now, not whichever numpy is installed:
 runs a numpy differential when numpy is present.
 
 :func:`routed_counts` is the one entry point.  Its ``lru_cache``, one draw
-per layer execution, is the one process-wide memo the package keeps: the
-trace generator and every timeline of a job share each slow draw, and a
-draw is a pure function of canonical scalars, so no call order shows.
+per layer execution, is one of the package's two process-wide memos (the
+other is the timeline's dataflow order): the trace generator and every
+timeline of a job share each slow draw, and a draw is a pure function of
+canonical scalars, so no call order shows.
 """
 
 from __future__ import annotations

@@ -18,23 +18,30 @@ classes the paper identifies (§2.3):
 The resulting event stream is what every allocator in this repository is
 evaluated on.
 
-Cost: what does not depend on the event is computed once per generator.  The
-memory model's tensor lists are pure functions of the config and the rank, so
-each is turned into *entries* up front: an entry holds the tensor's size at
-every jitter slot (the micro-batch's index into ``size_jitter``), its category
-code and its tag.  An event then costs a tuple index, two interning-table
-probes and one :meth:`ColumnBuilder.append` of plain ints.  Routed expert
-tensors and KV caches, whose sizes change from layer to layer, become entries
-where they are emitted.  A module's span is the time of its first event and of
-its last, since the clock only rises.
+Cost: what does not depend on the event is computed once per generator, and
+what does is paid a phase at a time.  The memory model's tensor lists are pure
+functions of the config and the rank, so each is turned into *entries* up
+front: a list's sizes at every jitter slot (the micro-batch's index into
+``size_jitter``), its category codes and its tags.  A routed layer's expert
+activations are sized as one vector from its token counts
+(:meth:`MemoryModel.expert_activation_sizes`), and nothing of them is kept
+past the layer.  A tensor's event is one tuple appended to the phase's event
+list (the allocation's tuple is also the tensor's handle until its free); at
+the end of the phase the list is transposed into columns, its module paths
+and tags are interned in first-seen order, and :meth:`ColumnBuilder.extend`
+takes the phase in one call.  An event's time is its position in the trace,
+so a module's span, the time of its first event and of its last, is read off
+the module column once the trace is complete.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from typing import Iterable, Sequence
 
-from repro.core.columns import ALLOC, CATEGORY_CODES, FREE, ColumnBuilder
+from repro.core.columns import ALLOC, CATEGORY_CODES, FREE, KV_CACHE_CODE, ColumnBuilder
 from repro.core.events import Phase, PhaseKind, TensorCategory
 from repro.obs.tracer import is_enabled as _obs_enabled
 from repro.obs.tracer import observe as _obs_observe
@@ -44,7 +51,7 @@ from repro.workloads.fingerprint import DEFAULT_ASYNC_FREE_SKEW, DEFAULT_SIZE_JI
 
 # Read from here by benchmarks/e2e/stages.py (its home is workloads.fingerprint).
 from repro.workloads.fingerprint import config_fingerprint  # noqa: F401
-from repro.workloads.memory_model import MemoryModel, TensorSpec
+from repro.workloads.memory_model import EXPERT_ACTIVATIONS, MemoryModel, TensorSpec
 from repro.workloads.moe import ExpertRouter
 from repro.workloads.schedule import PhaseSpec, build_schedule
 from repro.workloads.trace import Trace, TraceMetadata
@@ -55,23 +62,29 @@ _JITTERED = frozenset(
     (TensorCategory.ACTIVATION, TensorCategory.TEMPORARY, TensorCategory.EXPERT_ACTIVATION)
 )
 
-#: One tensor as the generator emits it: ``(size by jitter slot, category code,
-#: tag)``.  Slot ``len(size_jitter)`` holds the unjittered size, used by phases
-#: outside any micro-batch (initialisation, the optimizer step).
-_Entry = tuple[tuple[int, ...], int, str]
+_JITTERED_CODES = frozenset(CATEGORY_CODES[category] for category in _JITTERED)
+_EXPERT_CODE = CATEGORY_CODES[TensorCategory.EXPERT_ACTIVATION]
+_COMM_CODE = CATEGORY_CODES[TensorCategory.COMM_BUFFER]
 
-#: An allocation waiting to be freed: ``(req_id, size, category code, tag
-#: index, dyn, alloc module, free module)``; an empty free module means the
-#: free names the alloc module.
-_Live = tuple[int, int, int, int, int, str, str]
+#: A list of tensors as the generator emits them: ``(sizes by jitter slot,
+#: category codes, tags)``.  ``sizes[slot]`` holds every tensor's size at one
+#: jitter slot; slot ``len(size_jitter)`` holds the unjittered sizes, used by
+#: phases outside any micro-batch (initialisation, the optimizer step).
+_Entries = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[str, ...]]
+
+#: One event of the current phase: ``(kind, req_id, size, module, dyn,
+#: category code, tag, free module)``.  An allocation's event is also the
+#: tensor's handle until its free: an empty free module means the free names
+#: the alloc module.  A free's own free module is empty.
+_Event = tuple[int, int, int, str, int, int, str, str]
 
 
 @dataclass
 class _ScopedSet:
     """Scoped tensors of one (micro-batch, chunk), grouped by layer."""
 
-    by_layer: dict[int, list[_Live]] = field(default_factory=dict)
-    boundary: list[_Live] = field(default_factory=list)  # embedding / pp buffers
+    by_layer: dict[int, list[_Event]] = field(default_factory=dict)
+    boundary: list[_Event] = field(default_factory=list)  # embedding / pp buffers
 
 
 class TraceGenerator:
@@ -110,52 +123,78 @@ class TraceGenerator:
 
     def _build_entries(self) -> None:
         """The entries of every tensor whose size is fixed for the whole trace."""
-        memory, entry = self.memory, self._entry
+        memory, entries = self.memory, self._entries
         dense_saved = memory.saved_activation_tensors()
         if self.config.model.is_moe:
             dense_saved = [s for s in dense_saved if not s.tag.startswith("mlp")]
-        self._dense_saved = [entry(s) for s in dense_saved]
-        self._moe_static = [entry(s) for s in memory.moe_static_tensors()]
         #: What one forward layer saves: the dense activations, then MoE's static ones.
-        self._saved = self._dense_saved + self._moe_static
-        self._checkpoint = [entry(s) for s in memory.recompute_checkpoint_tensors()]
-        self._forward_workspaces = [entry(s) for s in memory.forward_transient_tensors()]
-        self._backward_workspaces = [entry(s) for s in memory.backward_transient_tensors()]
-        self._decode_workspaces = [entry(s) for s in memory.decode_transient_tensors()]
-        self._zero3_gathered = entry(
-            TensorSpec("zero3_gathered_params", memory.layer_weight_bytes(),
-                       TensorCategory.COMM_BUFFER)
+        self._saved = entries(dense_saved + memory.moe_static_tensors())
+        self._checkpoint = entries(memory.recompute_checkpoint_tensors())
+        self._forward_workspaces = entries(memory.forward_transient_tensors())
+        self._backward_workspaces = entries(memory.backward_transient_tensors())
+        self._decode_workspaces = entries(memory.decode_transient_tensors())
+        self._zero3_gathered = entries(
+            [TensorSpec("zero3_gathered_params", memory.layer_weight_bytes(),
+                        TensorCategory.COMM_BUFFER)]
         )
-        self._boundary = entry(
-            memory.embedding_activation() if memory.is_first_stage
-            else memory.pipeline_recv_buffer()
+        self._boundary = entries(
+            [memory.embedding_activation() if memory.is_first_stage
+             else memory.pipeline_recv_buffer()]
         )
-        self._logits = entry(memory.logits_activation())
-        self._decode_logits = entry(memory.decode_logits_tensor())
-        self._optimizer_scratch = entry(
-            TensorSpec("optimizer_scratch", 4 * 1024 * 1024, TensorCategory.TEMPORARY)
+        self._logits = entries([memory.logits_activation()])
+        self._decode_logits = entries([memory.decode_logits_tensor()])
+        self._optimizer_scratch = entries(
+            [TensorSpec("optimizer_scratch", 4 * 1024 * 1024, TensorCategory.TEMPORARY)]
         )
         if self.config.uses_distributed_optimizer:
-            self._grad_bucket = entry(
-                TensorSpec("grad_rs_bucket", memory.grad_bucket_bytes(),
-                           TensorCategory.COMM_BUFFER)
+            self._grad_bucket = entries(
+                [TensorSpec("grad_rs_bucket", memory.grad_bucket_bytes(),
+                            TensorCategory.COMM_BUFFER)]
             )
-            self._param_gather = entry(
-                TensorSpec("param_allgather", memory.param_gather_bytes(),
-                           TensorCategory.COMM_BUFFER)
+            self._param_gather = entries(
+                [TensorSpec("param_allgather", memory.param_gather_bytes(),
+                            TensorCategory.COMM_BUFFER)]
             )
+        # The all-to-all buffers routing does not size: the dispatch's send
+        # side and the combine's receive side (the rank's balanced origin
+        # share).  The other side of each is sized per layer from the tokens
+        # routed to the local experts.
+        self._dispatch_send = entries(memory.moe_dispatch_tensors(0))
+        self._combine_recv = entries(memory.moe_combine_tensors(0))
+        #: Each local expert's activation tags and its gradient tag, by expert index.
+        self._expert_tags = [
+            tuple(f"expert{index}_{name}" for name in EXPERT_ACTIVATIONS)
+            for index in range(memory.num_local_experts)
+        ]
+        self._dgrad_tags = [f"expert{index}_dgrad" for index in range(memory.num_local_experts)]
 
-    def _entry(self, spec: TensorSpec) -> _Entry:
-        """``spec`` at every jitter slot, with its category code and tag."""
-        size = spec.size
-        if spec.category in _JITTERED:
+    def _sizes(self, size: int, code: int) -> tuple[int, ...]:
+        """A tensor of category ``code`` at every jitter slot, then unjittered."""
+        if code in _JITTERED_CODES:
             sizes = tuple(
                 size if factor == 1.0 else max(512, ((int(size * factor) + 511) // 512) * 512)
                 for factor in self.size_jitter
             )
         else:
             sizes = (size,) * len(self.size_jitter)
-        return sizes + (size,), CATEGORY_CODES[spec.category], spec.tag
+        return sizes + (size,)
+
+    def _entries(self, specs: list[TensorSpec]) -> _Entries:
+        """``specs`` at every jitter slot, with their category codes and tags."""
+        codes = tuple(CATEGORY_CODES[spec.category] for spec in specs)
+        by_spec = [self._sizes(spec.size, code) for spec, code in zip(specs, codes)]
+        return (
+            tuple(zip(*by_spec)) if by_spec else ((),) * (len(self.size_jitter) + 1),
+            codes,
+            tuple(spec.tag for spec in specs),
+        )
+
+    def _jittered(self, sizes: list[int]) -> list[int]:
+        """Dynamic sizes at the current phase's jitter slot."""
+        factor = self._factor
+        if factor == 1.0:
+            return sizes
+        return [max(512, ((int(size * factor) + 511) // 512) * 512) for size in sizes]
 
     # ------------------------------------------------------------------ #
     # Derived geometry
@@ -197,8 +236,8 @@ class TraceGenerator:
         slots = len(self.size_jitter)
         for spec in schedule:
             phase = self._new_phase(spec)
-            self._phase_index = phase.index
             self._slot = spec.microbatch % slots if spec.microbatch >= 0 else slots
+            self._factor = self.size_jitter[self._slot] if self._slot < slots else 1.0
             if spec.kind is PhaseKind.INIT:
                 self._emit_init()
             elif spec.kind is PhaseKind.FORWARD:
@@ -209,6 +248,7 @@ class TraceGenerator:
                 self._emit_decode(spec)
             elif spec.kind is PhaseKind.OPTIMIZER:
                 self._emit_optimizer()
+            self._end_phase(phase.index)
         metadata = TraceMetadata(
             model_name=self.config.model.name,
             config_label=self.config.label or "custom",
@@ -226,16 +266,23 @@ class TraceGenerator:
             decode_steps=self.config.decode_steps,
             max_new_tokens=self.config.max_new_tokens,
         )
+        builder = self._columns
+        columns = builder.build()
+        # An event's time is its position: a module's last event is the last
+        # position holding its index, its first the last one reading backwards.
+        modules = columns.module_index
+        last = dict(zip(modules, range(len(modules))))
+        first = dict(zip(reversed(modules), range(len(modules) - 1, -1, -1)))
         module_spans = {
-            module: tuple(self._module_spans[index])
-            for module, index in self._columns.modules.items()
+            module: (first[index], last[index])
+            for module, index in builder.modules.items()
             if module
         }
         return Trace(
             metadata=metadata,
             phases=self._phases,
             module_spans=module_spans,
-            columns=self._columns.build(),
+            columns=columns,
         )
 
     # ------------------------------------------------------------------ #
@@ -263,40 +310,38 @@ class TraceGenerator:
         # execution and memoised process-wide (routing_draw.routed_counts), so
         # a regenerated trace and every timeline of the job reuse them.
         self._router: ExpertRouter | None = self._make_router()
-        # Events are emitted straight into the trace's typed columns.
+        # Each phase's events are collected here, then moved into the trace's
+        # typed columns at the end of the phase.
         self._columns: ColumnBuilder = ColumnBuilder()
+        self._events: list[_Event] = []
         self._phases: list[Phase] = []
-        self._phase_index = 0
         self._slot = len(self.size_jitter)
-        self._clock = 0
+        self._factor = 1.0
         self._next_req_id = 0
         self._scoped: dict[tuple[int, int], _ScopedSet] = {}
         self._expert_routing: dict[tuple[int, int, int], list[int]] = {}
-        #: ``[first, last]`` event time of each module, by module index.
-        self._module_spans: list[list[int]] = []
         #: ``(release step, tensors)`` per deferred batch, in deferral order.
-        self._deferred: list[tuple[int, list[_Live]]] = []
+        self._deferred: list[tuple[int, list[_Event]]] = []
         self._phase_step = 0
         # Live KV caches of generation workloads, keyed (microbatch, chunk,
         # layer); re-bound on every decode-step re-allocation, popped when the
         # micro-batch's sequence completes.
-        self._kv: dict[tuple[int, int, int], _Live] = {}
+        self._kv: dict[tuple[int, int, int], _Event] = {}
 
     # ------------------------------------------------------------------ #
     # Deferred (asynchronously skewed) transient frees
     # ------------------------------------------------------------------ #
-    def _defer_frees(self, tensors: list[_Live]) -> None:
+    def _defer_frees(self, tensors: list[_Event]) -> None:
         """Queue transient frees to be issued ``async_free_skew`` layers later."""
         self._deferred.append((self._phase_step + self.async_free_skew, tensors[::-1]))
 
     def _flush_deferred(self, *, everything: bool = False) -> None:
         """Issue queued frees whose release step has been reached."""
-        remaining: list[tuple[int, list[_Live]]] = []
-        free = self._free
+        remaining: list[tuple[int, list[_Event]]] = []
+        free_all = self._free_all
         for release_step, tensors in self._deferred:
             if everything or release_step <= self._phase_step:
-                for tensor in tensors:
-                    free(tensor)
+                free_all(tensors)
             else:
                 remaining.append((release_step, tensors))
         self._deferred = remaining
@@ -311,37 +356,102 @@ class TraceGenerator:
         self._phases.append(phase)
         return phase
 
-    def _emit(
-        self, kind: int, req_id: int, size: int, module: str, dyn: int, category: int, tag: int
-    ) -> None:
-        """Append one event at the next tick of the current phase."""
-        time = self._clock
-        self._clock = time + 1
-        columns = self._columns
-        modules = columns.modules
-        module_index = modules.setdefault(module, len(modules))
-        spans = self._module_spans
-        if module_index < len(spans):
-            spans[module_index][1] = time
-        else:
-            spans.append([time, time])
-        columns.append(kind, req_id, size, time, self._phase_index, module_index, dyn, category, tag)
+    def _end_phase(self, phase_index: int) -> None:
+        """Move the phase's events into the trace's columns, in one call.
 
-    def _alloc(self, entry: _Entry, module: str = "", dyn: int = 0, free_module: str = "") -> _Live:
-        sizes, category, tag = entry
-        size = sizes[self._slot]
-        tags = self._columns.tags
-        tag_index = tags.setdefault(tag, len(tags))
+        Module paths and tags are interned in the order the phase first names
+        them, so the tables keep the trace's first-seen order.
+        """
+        events = self._events
+        if not events:
+            return
+        kinds, req_ids, sizes, modules, dyns, categories, tags, _ = zip(*events)
+        builder = self._columns
+        module_table, tag_table = builder.modules, builder.tags
+        for name in dict.fromkeys(modules):
+            module_table.setdefault(name, len(module_table))
+        for name in dict.fromkeys(tags):
+            tag_table.setdefault(name, len(tag_table))
+        start, count_ = len(builder), len(events)
+        builder.extend(
+            kinds, req_ids, sizes, range(start, start + count_), repeat(phase_index, count_),
+            map(module_table.__getitem__, modules), dyns, categories,
+            map(tag_table.__getitem__, tags),
+        )
+        events.clear()
+
+    def _allocs(
+        self,
+        sizes: Iterable[int],
+        categories: Iterable[int],
+        tags: Iterable[str],
+        module: str = "",
+        dyn: int = 0,
+        free_module: str = "",
+    ) -> list[_Event]:
+        """Allocate one tensor per ``(size, category, tag)``, in order; their handles."""
+        first = self._next_req_id
+        tensors = [
+            (ALLOC, req_id, size, module, dyn, category, tag, free_module)
+            for req_id, size, category, tag in zip(count(first), sizes, categories, tags)
+        ]
+        self._next_req_id = first + len(tensors)
+        self._events += tensors
+        return tensors
+
+    def _alloc(self, entries: _Entries, module: str = "", dyn: int = 0,
+               free_module: str = "") -> list[_Event]:
+        """Allocate ``entries`` at the current jitter slot; their handles."""
+        sizes, categories, tags = entries
+        return self._allocs(sizes[self._slot], categories, tags, module, dyn, free_module)
+
+    def _alloc_one(self, size: int, category: int, tag: str, module: str, dyn: int = 0) -> _Event:
+        """Allocate one tensor sized where it is emitted; its handle."""
         req_id = self._next_req_id
         self._next_req_id = req_id + 1
-        self._emit(ALLOC, req_id, size, module, dyn, category, tag_index)
-        return req_id, size, category, tag_index, dyn, module, free_module
+        tensor = (ALLOC, req_id, size, module, dyn, category, tag, "")
+        self._events.append(tensor)
+        return tensor
 
-    def _free(self, tensor: _Live, module: str | None = None) -> None:
-        req_id, size, category, tag_index, dyn, alloc_module, free_module = tensor
+    def _a2a(self, tag: str, token_count: int, module: str) -> list[_Event]:
+        """Allocate the all-to-all buffer ``token_count`` routed tokens need (dynamic), if any."""
+        size = self.memory.a2a_bytes(token_count)
+        return [self._alloc_one(size, _COMM_CODE, tag, module, 1)] if size else []
+
+    def _kv_cache(self, spec: PhaseSpec, layer: int, context_tokens: int) -> _Event:
+        """Allocate one layer's KV cache for ``context_tokens`` (a KV cache is never jittered)."""
+        kv = self.memory.kv_cache_tensor(layer, context_tokens)
+        module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
+        return self._alloc_one(kv.size, KV_CACHE_CODE, kv.tag, module)
+
+    def _free(self, tensor: _Event, module: str | None = None) -> None:
+        _, req_id, size, alloc_module, dyn, category, tag, free_module = tensor
         if module is None:
             module = free_module or alloc_module
-        self._emit(FREE, req_id, size, module, dyn, category, tag_index)
+        self._events.append((FREE, req_id, size, module, dyn, category, tag, ""))
+
+    def _free_all(self, tensors: Iterable[_Event]) -> None:
+        """Free ``tensors`` in order, each naming its free module (else its alloc module)."""
+        self._events += [
+            (FREE, req_id, size, free_module or alloc_module, dyn, category, tag, "")
+            for _, req_id, size, alloc_module, dyn, category, tag, free_module in tensors
+        ]
+
+    def _free_scoped(self, tensors: Sequence[_Event]) -> None:
+        """Free saved activations in reverse order, each naming its free module (maybe none)."""
+        self._events += [
+            (FREE, req_id, size, free_module, dyn, category, tag, "")
+            for _, req_id, size, _, dyn, category, tag, free_module in reversed(tensors)
+        ]
+
+    def _routed_experts(
+        self, routing: list[int], module: str, free_module: str = ""
+    ) -> list[_Event]:
+        """Allocate one routed layer's expert activations (dynamic); their handles."""
+        sizes = self._jittered(self.memory.expert_activation_sizes(routing))
+        names = self._expert_tags
+        tags = [tag for index, tokens in enumerate(routing) if tokens > 0 for tag in names[index]]
+        return self._allocs(sizes, repeat(_EXPERT_CODE), tags, module, 1, free_module)
 
     # ------------------------------------------------------------------ #
     # Phase bodies
@@ -356,6 +466,7 @@ class TraceGenerator:
         scale_layers = self.layers_per_chunk * self.config.parallelism.virtual_pipeline_chunks
         full_layers = self.config.parallelism.layers_per_rank(self.config.model.num_layers)
         forward_only = self.config.workload_kind != "training"
+        specs = []
         for spec in self.memory.persistent_tensors():
             if forward_only and spec.category in (
                 TensorCategory.GRADIENT,
@@ -375,7 +486,8 @@ class TraceGenerator:
                     max(512, spec.size // self.memory.dp),
                     spec.category,
                 )
-            self._alloc(self._entry(spec))
+            specs.append(spec)
+        self._alloc(self._entries(specs))
 
     def _global_layer(self, spec: PhaseSpec, layer: int) -> int:
         """Model-global layer id of one (chunk, layer) execution on this rank.
@@ -394,28 +506,28 @@ class TraceGenerator:
     def _forward_layer(self, spec: PhaseSpec, layer: int, scoped: _ScopedSet) -> None:
         module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
         alloc = self._alloc
-        transients: list[_Live] = []
+        transients: list[_Event] = []
 
         # ZeRO-3 gathers the layer's full parameters just-in-time.
         if self.config.zero_stage >= 3:
-            transients.append(alloc(self._zero3_gathered))
+            transients += alloc(self._zero3_gathered)
 
         # Operator workspaces.
-        transients += map(alloc, self._forward_workspaces)
+        transients += alloc(self._forward_workspaces)
 
         # Saved activations (their fate depends on recomputation / offload).
         kept = scoped.by_layer.setdefault(layer, [])
-        if self.config.recompute or self.config.offload_activations:
-            kept += [alloc(ckpt, module) for ckpt in self._checkpoint]
+        rematerialise = self.config.recompute or self.config.offload_activations
+        if rematerialise:
+            kept += alloc(self._checkpoint, module)
             # The full activations still materialise during the forward pass,
             # but are released (recompute) or offloaded before it ends.
-            transients += [alloc(act, module) for act in self._saved]
+            transients += alloc(self._saved, module)
         else:
-            kept += [alloc(act, module) for act in self._saved]
+            kept += alloc(self._saved, module)
 
         # MoE expert activations: dynamic sizes decided by token routing.
         if self.config.model.is_moe and self._router is not None:
-            entry = self._entry
             routing = self._router.route(
                 self.memory.tokens,
                 layer=self._global_layer(spec, layer),
@@ -423,22 +535,18 @@ class TraceGenerator:
             )
             self._expert_routing[(spec.microbatch, spec.chunk, layer)] = routing
             expert_module = f"{module}.experts"
-            grad_module = f"{module}.experts.grad"
             # All-to-all dispatch: tokens travel to their experts before the
             # expert FFN runs, so the staging buffers allocate first and stay
             # live across it (their skewed transient frees land layers later,
             # overlapping the expert activations -- which is what makes peak
             # memory imbalance-sensitive through communication, not just
             # through the expert activations themselves).
-            for comm_spec in self.memory.moe_dispatch_tensors(sum(routing)):
-                dyn = 1 if comm_spec.tag == "a2a_dispatch_recv" else 0
-                transients.append(alloc(entry(comm_spec), expert_module, dyn))
-            for expert_index, expert_tokens in enumerate(routing):
-                experts = map(entry, self.memory.expert_tensors(expert_index, expert_tokens))
-                if self.config.recompute or self.config.offload_activations:
-                    transients += [alloc(expert, expert_module, 1) for expert in experts]
-                else:
-                    kept += [alloc(expert, expert_module, 1, grad_module) for expert in experts]
+            transients += alloc(self._dispatch_send, expert_module)
+            transients += self._a2a("a2a_dispatch_recv", sum(routing), expert_module)
+            if rematerialise:
+                transients += self._routed_experts(routing, expert_module)
+            else:
+                kept += self._routed_experts(routing, expert_module, f"{module}.experts.grad")
 
         # Transients die shortly after the layer finishes; the skewed release
         # models asynchronous kernel / communication overlap.
@@ -451,7 +559,7 @@ class TraceGenerator:
 
         # Pipeline-boundary activations only exist on chunk 0 of the stage.
         if spec.chunk == 0:
-            scoped.boundary.append(self._alloc(self._boundary))
+            scoped.boundary += self._alloc(self._boundary)
 
         generation_kv = (
             self.config.workload_kind == "generation" and self.config.decode_steps > 0
@@ -464,12 +572,8 @@ class TraceGenerator:
                 # Prefill fills the KV cache of the prompt context; the cache
                 # outlives the forward pass (it is what decode steps read),
                 # so it is tracked separately from the scoped activations.
-                kv_spec = self.memory.kv_cache_tensor(
-                    layer, self.config.context_tokens_at(0)
-                )
-                module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
-                self._kv[(spec.microbatch, spec.chunk, layer)] = self._alloc(
-                    self._entry(kv_spec), module
+                self._kv[(spec.microbatch, spec.chunk, layer)] = self._kv_cache(
+                    spec, layer, self.config.context_tokens_at(0)
                 )
         self._flush_deferred(everything=True)
 
@@ -480,7 +584,7 @@ class TraceGenerator:
             self.memory.is_last_stage
             and spec.chunk == self.config.parallelism.virtual_pipeline_chunks - 1
         ):
-            scoped.boundary.append(self._alloc(self._logits))
+            scoped.boundary += self._alloc(self._logits)
 
         # Forward-only workloads retain nothing for a backward pass: the
         # micro-batch's scoped activations (and boundary tensors, logits
@@ -488,10 +592,8 @@ class TraceGenerator:
         # survive into the decode steps.
         if self.config.workload_kind != "training":
             for layer in reversed(range(self.layers_per_chunk)):
-                for tensor in reversed(scoped.by_layer.pop(layer, [])):
-                    self._free(tensor, tensor[6])
-            for tensor in reversed(scoped.boundary):
-                self._free(tensor)
+                self._free_scoped(scoped.by_layer.pop(layer, []))
+            self._free_all(reversed(scoped.boundary))
             scoped.boundary.clear()
 
     def _emit_decode(self, spec: PhaseSpec) -> None:
@@ -515,13 +617,9 @@ class TraceGenerator:
             key = (spec.microbatch, spec.chunk, layer)
             live = self._kv.get(key)
             if live is not None and new_context > old_context:
-                module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
-                grown = self.memory.kv_cache_tensor(layer, new_context)
-                self._kv[key] = alloc(self._entry(grown), module)
-                free(live, module)
-            transients = [alloc(workspace) for workspace in self._decode_workspaces]
-            for tensor in reversed(transients):
-                free(tensor)
+                self._kv[key] = grown = self._kv_cache(spec, layer, new_context)
+                free(live, grown[3])
+            self._free_all(alloc(self._decode_workspaces)[::-1])
 
         # The last stage samples the next token from one vocabulary row per
         # sequence; the logits die within the step.
@@ -529,7 +627,7 @@ class TraceGenerator:
             self.memory.is_last_stage
             and spec.chunk == config.parallelism.virtual_pipeline_chunks - 1
         ):
-            free(alloc(self._decode_logits))
+            self._free_all(alloc(self._decode_logits))
 
         # Sequence complete: release the micro-batch's KV caches.
         if spec.step == config.decode_steps:
@@ -541,11 +639,11 @@ class TraceGenerator:
     def _backward_layer(self, spec: PhaseSpec, layer: int, scoped: _ScopedSet) -> None:
         module = f"mb{spec.microbatch}.c{spec.chunk}.layer{layer}"
         grad_module = f"{module}.experts.grad"
-        alloc, entry = self._alloc, self._entry
+        alloc = self._alloc
         is_moe = self.config.model.is_moe
         rematerialise = self.config.recompute or self.config.offload_activations
         routing = self._expert_routing.get((spec.microbatch, spec.chunk, layer), []) if is_moe else []
-        transients: list[_Live] = []
+        transients: list[_Event] = []
 
         # All-to-all combine: the backward-facing mirror of the forward
         # dispatch.  Expert output gradients of the locally-processed tokens
@@ -554,43 +652,39 @@ class TraceGenerator:
         # overlap it through the skewed transient frees, exactly like the
         # dispatch pair overlaps the forward expert FFN.
         if is_moe:
-            for comm_spec in self.memory.moe_combine_tensors(sum(routing)):
-                dyn = 1 if comm_spec.tag == "a2a_combine_send" else 0
-                transients.append(alloc(entry(comm_spec), grad_module, dyn))
+            transients += self._a2a("a2a_combine_send", sum(routing), grad_module)
+            transients += alloc(self._combine_recv, grad_module)
 
         # ZeRO-3 re-gathers parameters for the backward pass.
         if self.config.zero_stage >= 3:
-            transients.append(alloc(self._zero3_gathered))
+            transients += alloc(self._zero3_gathered)
 
-        # Recomputation / offload re-materialises the layer's activations.
+        # Recomputation / offload re-materialises the layer's activations:
+        # the dense ones, MoE's static ones, then the routed experts.
         if rematerialise:
-            transients += [alloc(act, module) for act in self._dense_saved]
+            transients += alloc(self._saved, module)
             if is_moe:
-                transients += [alloc(static, module) for static in self._moe_static]
-                for expert_index, expert_tokens in enumerate(routing):
-                    experts = map(entry, self.memory.expert_tensors(expert_index, expert_tokens))
-                    transients += [alloc(expert, grad_module, 1) for expert in experts]
+                transients += self._routed_experts(routing, grad_module)
 
         # Gradient temporaries.
-        transients += map(alloc, self._backward_workspaces)
+        transients += alloc(self._backward_workspaces)
 
         # Dynamic gradient temporaries of expert layers (sizes follow routing).
         if is_moe and not rematerialise:
-            for expert_index, expert_tokens in enumerate(routing):
-                if expert_tokens <= 0:
-                    continue
-                grad_spec = TensorSpec(
-                    f"expert{expert_index}_dgrad",
-                    max(512, expert_tokens * self.config.model.hidden_size * 2),
-                    TensorCategory.EXPERT_ACTIVATION,
-                )
-                transients.append(alloc(entry(grad_spec), grad_module, 1))
+            h2 = self.config.model.hidden_size * 2
+            names = self._dgrad_tags
+            transients += self._allocs(
+                self._jittered([max(512, tokens * h2) for tokens in routing if tokens > 0]),
+                repeat(_EXPERT_CODE),
+                [names[index] for index, tokens in enumerate(routing) if tokens > 0],
+                grad_module,
+                1,
+            )
 
         self._defer_frees(transients)
 
         # Finally release the scoped activations this layer saved in forward.
-        for tensor in reversed(scoped.by_layer.pop(layer, [])):
-            self._free(tensor, tensor[6])
+        self._free_scoped(scoped.by_layer.pop(layer, []))
 
     def _emit_backward(self, spec: PhaseSpec) -> None:
         key = (spec.microbatch, spec.chunk)
@@ -604,20 +698,19 @@ class TraceGenerator:
         self._flush_deferred(everything=True)
 
         # Pipeline-boundary activations die once the whole chunk is done.
-        for tensor in reversed(scoped.boundary):
-            self._free(tensor)
+        self._free_all(reversed(scoped.boundary))
         scoped.boundary.clear()
 
         # ZeRO overlaps gradient reduce-scatter buckets with the last
         # micro-batch's backward pass.
         if self.config.uses_distributed_optimizer and spec.microbatch == self.config.num_microbatches - 1:
             for _ in range(4):
-                self._free(self._alloc(self._grad_bucket))
+                self._free_all(self._alloc(self._grad_bucket))
 
     def _emit_optimizer(self) -> None:
         if self.config.uses_distributed_optimizer:
             for _ in range(4):
-                self._free(self._alloc(self._param_gather))
+                self._free_all(self._alloc(self._param_gather))
         # Small step temporaries (grad-norm scalars, LR state, ...).
         for _ in range(2):
-            self._free(self._alloc(self._optimizer_scratch))
+            self._free_all(self._alloc(self._optimizer_scratch))

@@ -15,8 +15,9 @@ preset cold with ``--obs-out`` / ``--obs-trace`` and then again with
 ``--obs-out``, so worker spans are folded back) and a two-file ``--compare``
 of its rows against the serial run's, a warm sweep written ``--output`` to
 CSV, every search preset (then ``--compare``), two ``timeline --trace-out``
-exports, a sweep and a search read from JSON spec files (the sweep with
-``--cache-max-gib``), ``sweep --list`` and ``search --list``, a model plus
+exports, two sweeps and a search read from JSON spec files (one sweep with
+``--cache-max-gib``, one replaying cached MoE plans at (pp, ep)
+coordinates), ``sweep --list`` and ``search --list``, a model plus
 tiered-cluster search, ``obs summarize`` and ``cache prune``.  Pool workers
 are other processes, so what runs only there counts as never called.
 """
@@ -122,12 +123,18 @@ def product_commands(workdir: Path) -> list[list[str]]:
     ])
     # The shapes the README and the end-to-end benchmark use beyond presets:
     # spec files (warm: the presets ran above; the sweep names its ranks as a
-    # list), a capped cache, the preset lists and a model + tiered-cluster
-    # search.
+    # list, the MoE one as (pp, ep) coordinates, so its rows are new while
+    # its traces and plans come from the cache), a capped cache, the preset
+    # lists and a model + tiered-cluster search.
     sweep_file, search_file = workdir / "sweep-spec.json", workdir / "search-spec.json"
+    moe_file = workdir / "moe-spec.json"
     sweep_file.write_text(json.dumps(dict(SWEEP_PRESETS["smoke"], ranks=[0])), encoding="utf-8")
     search_file.write_text(json.dumps(SEARCH_PRESETS["gpt-tiny"]), encoding="utf-8")
+    moe_file.write_text(
+        json.dumps(dict(SWEEP_PRESETS["ep-comm-smoke"], ranks=[[0, 1], [1, 3]])), encoding="utf-8"
+    )
     commands.append(["sweep", str(sweep_file), "--cache-dir", cache, "--cache-max-gib", "1"])
+    commands.append(["sweep", str(moe_file), "--cache-dir", cache])
     commands.append(["search", str(search_file), "--cache-dir", cache])
     commands += [["sweep", "--list"], ["search", "--list"]]
     commands.append(["search", "moe-tiny", "2x2xA800-80GB@0.3", "--no-cache"])

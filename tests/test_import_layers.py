@@ -125,7 +125,7 @@ LEGACY_NAMES = {
 #: second pricing result a ``TimelineResult`` replaced, the per-stage configs
 #: ``STAllocConfig`` replaced, ``ClusterSpec``'s test-only accessors, the
 #: two wrappers of one rank's replay a ``ReplayResult`` absorbed and the
-#: process-wide memos of fingerprints and phase orders.  A dotted name is an
+#: process-wide memo of fingerprints.  A dotted name is an
 #: attribute of a class (or function) of the module.
 REMOVED_NAMES = {
     "repro.simulator.runner": [
@@ -136,7 +136,7 @@ REMOVED_NAMES = {
     "repro.simulator.throughput": [
         "GPU_SPECS", "VALID_TIMINGS", "validate_timing", "ThroughputEstimate",
     ],
-    "repro.timeline.simulator": ["TimelineResult.to_estimate", "_phase_order.cache_info"],
+    "repro.timeline.simulator": ["TimelineResult.to_estimate"],
     "repro.workloads.fingerprint": ["_FINGERPRINT_MEMO", "_FINGERPRINT_MEMO_MAX"],
     "repro.search.cluster": [
         "ClusterSpec.gpu",
@@ -472,12 +472,18 @@ print(json.dumps({{"missing": missing, "present": present, "parameters": paramet
     assert mentions == []
 
 
-#: The one process-wide memo ``src/repro`` keeps, with why it stays.
+#: The process-wide memos ``src/repro`` keeps, with why each stays.
 MEMO_ALLOWLIST = {
     "repro/workloads/routing_draw.py::routed_counts": (
         "a pure function of canonical scalars whose draws are slow and repeat "
         "across a routed job's forward/backward, dispatch/combine, traces and "
         "timelines; on the context it would thread through three classes"
+    ),
+    "repro/timeline/simulator.py::_phase_order": (
+        "a pure function of five canonical values whose build costs several "
+        "times the timeline run that reads it, repeated by every point of one "
+        "geometry; on the context it would thread through every caller of "
+        "simulate_timeline, the benchmarks included"
     ),
 }
 

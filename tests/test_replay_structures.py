@@ -31,6 +31,7 @@ from repro.gpu.device import Device, KIB, MIB
 from repro.gpu.errors import OutOfMemoryError
 from repro.simulator.replay import replay_trace
 from repro.workloads.trace import Trace
+from tests.carve_oracle import best_fit_within
 from tests.test_golden_traces import _case_configs
 from tests.test_placement_digests import _golden_trace
 from tests.trace_oracle import TraceEvent, events_of, make_trace, requests_of
@@ -264,7 +265,14 @@ class TestIntervalSearchOracles:
             for size in (1, 2, 5, 13, 39, 80):
                 best = _reference_best_fit(pairs_a, size)
                 within = _reference_best_fit(common, size)
-                assert a.best_fit_within(b, size) == (None if within is None else within.start)
+                carved_within = IntervalSet(pairs_a)
+                start = carved_within.carve_within(b, size)
+                assert start == (None if within is None else within.start)
+                assert start == best_fit_within(a, b, size)
+                expected = IntervalSet(pairs_a)
+                if start is not None:
+                    expected.remove(start, start + size)
+                assert carved_within == expected
                 carved_from = IntervalSet(pairs_a)
                 carved = carved_from.carve(size)
                 if best is None:
@@ -284,7 +292,7 @@ class TestIntervalSearchOracles:
         with pytest.raises(ValueError, match="size must be positive"):
             IntervalSet.full(0, 8).carve(0)
         with pytest.raises(ValueError, match="size must be positive"):
-            IntervalSet.full(0, 8).best_fit_within(IntervalSet.full(0, 8), -1)
+            IntervalSet.full(0, 8).carve_within(IntervalSet.full(0, 8), -1)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,16 +1,20 @@
-"""STAlloc's static replay as a plan lookup: the batch path against the event loop.
+"""STAlloc's batch replays against the event loop.
 
 ``RuntimeAllocator.batch_replay`` sets the end state of an all-static trace
-from its columns, on the strength of ``StaticAllocationPlan.validate()``.
+from its columns, on the strength of ``StaticAllocationPlan.validate()``, and
+replays the trace a plan was profiled on, dynamic requests included, in one
+pass that carves dynamic requests beside the live dynamic placements alone.
 The contract is bit-identity with the event loop: the ``ReplayResult``, the
 allocator's stats snapshot, its live sizes, pool placements, free pool
 intervals and allocated bytes, and the device, on
 
 * every trace of every sweep and search preset that replays STAlloc, and of
-  the golden trace cases -- the all-static ones take the batch path,
-  the rest decline;
+  the golden trace cases -- each takes a batch path when its plan was
+  validated;
 * a seeded fuzz that breaks one precondition per case, where the batch path
-  must decline and the loop's result stay what it is.
+  must decline and the loop's result stay what it is;
+* budgets tight enough that the fallback runs out of memory mid-trace, where
+  the one-pass replay must stop where the loop stops.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.allocators.registry import STALLOC_NO_REUSE
 from repro.core.columns import ALLOC, COLUMN_NAMES, FREE, TraceColumns
 from repro.core.config import STAllocConfig
 from repro.core.stalloc import STAlloc
-from repro.gpu.device import GIB, Device
+from repro.gpu.device import GIB, MIB, Device, align_up
 from repro.search.presets import available_search_presets, load_search_spec
 from repro.simulator.ranks import job_rank_classes
 from repro.simulator.replay import replay_trace
@@ -51,15 +55,15 @@ def _state(allocator) -> dict:
     }
 
 
-def _both_paths(trace: Trace, stalloc: STAlloc, prepare=None):
+def _both_paths(trace: Trace, stalloc: STAlloc, prepare=None, capacity: int = CAPACITY):
     """Replay ``trace`` with the batch path allowed and with the loop forced.
 
     Returns what ``batch_replay`` answered, and each path's result and state.
     ``prepare`` runs on both allocators first.
     """
     answers = []
-    fast = stalloc.build_runtime_allocator(Device(name="fast", capacity=CAPACITY))
-    slow = stalloc.build_runtime_allocator(Device(name="slow", capacity=CAPACITY))
+    fast = stalloc.build_runtime_allocator(Device(name="fast", capacity=capacity))
+    slow = stalloc.build_runtime_allocator(Device(name="slow", capacity=capacity))
     batch_replay = fast.batch_replay
 
     def spy(trace, stop_on_oom=True):
@@ -125,9 +129,7 @@ def test_every_preset_trace_replays_identically(label):
     config, seed, scale, rank, ep_rank, stalloc_config = PRESET_CASES[label]
     trace = TraceGenerator(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank).generate()
     stalloc = STAlloc.from_trace(trace, stalloc_config)
-    _assert_identical(
-        trace, stalloc, batched=_all_static(trace) and stalloc_config.validate_plan
-    )
+    _assert_identical(trace, stalloc, batched=stalloc_config.validate_plan)
 
 
 def _golden_trace(name: str) -> Trace:
@@ -142,16 +144,35 @@ def _golden_trace(name: str) -> Trace:
 def test_every_golden_trace_replays_identically(name, reuse):
     trace = _golden_trace(name)
     stalloc = STAlloc.from_trace(trace, STAllocConfig(enable_dynamic_reuse=reuse))
-    _assert_identical(trace, stalloc, batched=_all_static(trace))
+    _assert_identical(trace, stalloc, batched=True)
 
 
 def test_the_all_static_golden_cases_are_the_dense_ones():
-    """The lookup covers dense training and generation; every MoE case declines."""
+    """The lookup covers dense training and generation; the MoE cases take the one-pass replay."""
     static = {name for name in _case_configs() if _all_static(_golden_trace(name))}
     assert static == {
         "gpt-tiny", "gpt-tiny-recompute-last-stage",
         "gpt-tiny-generation", "gpt-tiny-generation-capped",
     }
+
+
+@pytest.mark.parametrize(
+    "name", ["moe-tiny-comm", "moe-tiny-comm-free", "moe-tiny-generation-comm"]
+)
+def test_an_oom_stops_the_one_pass_where_the_loop_stops(name):
+    """Budgets from the pool alone upwards: the fallback runs dry mid-trace, then fits."""
+    trace = _golden_trace(name)
+    stalloc = STAlloc.from_trace(trace)
+    pool, peak = stalloc.plan.pool_size, trace.peak_allocated_bytes()
+    outcomes = set()
+    for step in range(16):
+        capacity = align_up(pool + (peak * step) // 10, 2 * MIB)
+        answer, fast, slow = _both_paths(trace, stalloc, capacity=capacity)
+        assert fast == slow
+        result = fast[0]
+        assert answer == (trace.num_events if result.success else result.oom_at_event)
+        outcomes.add(result.success)
+    assert outcomes == {True, False}
 
 
 def test_a_plan_loaded_from_its_stored_form_takes_the_batch_path():

@@ -226,12 +226,18 @@ class TestMemoryModel:
 
     def test_expert_tensors_scale_with_tokens(self, tiny_moe_config):
         memory = MemoryModel(tiny_moe_config)
-        small = sum(s.size for s in memory.expert_tensors(0, 128))
-        large = sum(s.size for s in memory.expert_tensors(0, 1024))
-        assert large > small
+        small = memory.expert_activation_sizes([128])
+        large = memory.expert_activation_sizes([1024])
+        assert len(small) == len(large) == 4
+        assert sum(large) > sum(small)
 
     def test_expert_tensors_empty_for_zero_tokens(self, tiny_moe_config):
-        assert MemoryModel(tiny_moe_config).expert_tensors(0, 0) == []
+        memory = MemoryModel(tiny_moe_config)
+        assert memory.expert_activation_sizes([0]) == []
+        # One routed layer's vector is its experts' vectors, idle experts left out.
+        assert memory.expert_activation_sizes([128, 0, 64]) == (
+            memory.expert_activation_sizes([128]) + memory.expert_activation_sizes([64])
+        )
 
 
 class TestSchedules:
