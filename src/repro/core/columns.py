@@ -99,15 +99,15 @@ def _typed_column(name: str, typecode: str, values: Sequence[int]) -> array:
 class ColumnBuilder:
     """Append-only accumulator that events are emitted into, as plain ints.
 
-    The one writer of trace columns: the trace generator extends it a phase
-    at a time (:meth:`extend`), and :meth:`repro.workloads.trace.Trace.load`'s
-    JSON-lines reader appends an event at a time (:meth:`append`).  Module
-    paths and tags reach it as indices into
+    The one writer of trace columns, fed a run of events at a time by
+    :meth:`extend`: the trace generator a phase at a time,
+    :meth:`repro.workloads.trace.Trace.load`'s JSON-lines reader a chunk of
+    lines at a time.  Module paths and tags reach it as indices into
     :attr:`modules` and :attr:`tags`, which the caller fills in first-seen
     order (``table.setdefault(name, len(table))``); the order is part of the
     trace's content.  Events go to plain lists, which are moved into the
     typed columns every few thousand events; :meth:`build` flushes the rest
-    and hands the arrays to the trace, so nothing may append after it.
+    and hands the arrays to the trace, so nothing may extend it after that.
     """
 
     __slots__ = (
@@ -130,30 +130,6 @@ class ColumnBuilder:
         self.modules: dict[str, int] = {}
         self.tags: dict[str, int] = {}
         self._columns = tuple(array(typecode) for _, typecode in COLUMN_TYPES)
-
-    def append(
-        self,
-        kind: int,
-        req_id: int,
-        size: int,
-        time: int,
-        phase_index: int,
-        module_index: int,
-        dyn: int,
-        category: int,
-        tag_index: int,
-    ) -> None:
-        self.kind.append(kind)
-        self.req_id.append(req_id)
-        self.size.append(size)
-        self.time.append(time)
-        self.phase_index.append(phase_index)
-        self.module_index.append(module_index)
-        self.dyn.append(dyn)
-        self.category.append(category)
-        self.tag_index.append(tag_index)
-        if len(self.kind) >= _FLUSH_EVENTS:
-            self._flush()
 
     def extend(
         self,

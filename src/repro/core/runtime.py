@@ -209,8 +209,14 @@ class RuntimeAllocator(Allocator):
 
         A trace with ``dyn`` requests replays in one pass when it is the
         trace the plan was profiled on (:meth:`_replay_profiled`) and the
-        replay stops on the first OOM.  An all-static trace replays as a plan
-        lookup, as follows.
+        replay stops on the first OOM.  That trace is known by identity: its
+        columns are the ``profiled`` ones :meth:`STAlloc.build_runtime_allocator`
+        hands in.  A plan loaded from the cache has no profiled trace, so
+        only a cold run, whose plan was just synthesized, takes the pass; a
+        warm one walks events.  A content check cannot stand in for the
+        identity cheaply: the plan stores no group's temporal range, so
+        proving the invariant for another trace would redo the reusable-space
+        search.  An all-static trace replays as a plan lookup, as follows.
 
         ``validate()`` proved that no two planned requests overlap in address
         range and lifespan (half-open, frees first at a shared tick).  When

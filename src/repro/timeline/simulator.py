@@ -484,20 +484,22 @@ class TimelineSimulator:
         # -------------------------------------------------------------- #
         # Fabric: node topology and per-(stage, ep) fast-tier fractions
         # -------------------------------------------------------------- #
-        self.topology = NodeTopology(
-            pipeline_parallel=self.pp,
-            expert_parallel=self.ep,
-            gpus_per_node=self.gpu.gpus_per_node,
-        )
         #: Whether the hierarchical pricing path is active.  Single-node or
         #: equal-tier specs use the flat formula -- bit-identical to the
         #: single-tier simulator -- at the effective fast-tier rate (which
         #: falls back to the stock ``a2a_gbytes_per_sec``).
         self._tiered = self.gpu.is_tiered
         self._flat_rate = self.gpu.intra_tier_gbytes_per_sec
-        if self._tiered:
+        #: Per-(stage, ep) fast-tier fractions, read only by a routed layer's
+        #: all-to-all: a dense model never builds the topology.
+        if self._tiered and model.is_moe:
+            topology = NodeTopology(
+                pipeline_parallel=self.pp,
+                expert_parallel=self.ep,
+                gpus_per_node=self.gpu.gpus_per_node,
+            )
             self._intra_fracs = [
-                [self.topology.intra_fraction(stage, ep) for ep in range(self.ep)]
+                [topology.intra_fraction(stage, ep) for ep in range(self.ep)]
                 for stage in range(self.pp)
             ]
         else:

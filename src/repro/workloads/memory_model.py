@@ -48,7 +48,7 @@ class TensorSpec:
             raise ValueError(f"tensor {self.tag!r} has non-positive size {self.size}")
 
 
-def _round512(size: float) -> int:
+def round512(size: float) -> int:
     """Tensor allocations surface as 512-byte aligned requests in PyTorch."""
     size = int(size)
     return max(512, ((size + 511) // 512) * 512)
@@ -134,7 +134,7 @@ class MemoryModel:
         else:
             mlp = self.model.mlp_params() / self.tp
         params = attention + mlp + norms
-        return _round512(params * self.config.param_dtype_bytes)
+        return round512(params * self.config.param_dtype_bytes)
 
     def layer_grad_bytes(self) -> int:
         """Main-gradient bytes of one layer (fp32, optionally ZeRO-2 sharded)."""
@@ -142,7 +142,7 @@ class MemoryModel:
         grads = weight_params * self.config.grad_dtype_bytes
         if self.config.zero_stage >= 2:
             grads /= self.dp
-        return _round512(grads)
+        return round512(grads)
 
     def layer_optimizer_bytes(self) -> int:
         """Adam state bytes of one layer (sharded under the distributed optimizer)."""
@@ -150,19 +150,19 @@ class MemoryModel:
         states = weight_params * self.config.optimizer_bytes_per_param
         if self.config.uses_distributed_optimizer:
             states /= self.dp
-        return _round512(states)
+        return round512(states)
 
     def embedding_bytes(self) -> int:
         """Embedding parameter bytes on the first pipeline stage."""
         params = self.model.vocab_size * self.model.hidden_size / self.tp
-        return _round512(params * self.config.param_dtype_bytes)
+        return round512(params * self.config.param_dtype_bytes)
 
     def persistent_tensors(self) -> list[TensorSpec]:
         """Weights, gradients and optimizer states allocated at start-up."""
         specs: list[TensorSpec] = []
         layers = self.parallelism.layers_per_rank(self.model.num_layers)
         embedding = self.embedding_bytes()
-        embedding_grad = _round512(
+        embedding_grad = round512(
             embedding * self.config.grad_dtype_bytes / self.config.param_dtype_bytes
         )
         if self.is_first_stage:
@@ -192,20 +192,20 @@ class MemoryModel:
         n, h, f, t = self.tokens, self.model.hidden_size, self.model.ffn_hidden_size, self.tp
         gated = 2 if self.model.gated_mlp else 1
         specs = [
-            TensorSpec("ln1_out", _round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
-            TensorSpec("qkv_proj", _round512(3 * n * h * ACT_BYTES / t), TensorCategory.ACTIVATION, True),
-            TensorSpec("attn_context", _round512(n * h * ACT_BYTES / t), TensorCategory.ACTIVATION, True),
-            TensorSpec("attn_proj_out", _round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
-            TensorSpec("ln2_out", _round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
-            TensorSpec("mlp_up", _round512(gated * n * f * ACT_BYTES / t), TensorCategory.ACTIVATION, True),
-            TensorSpec("mlp_act", _round512(n * f * ACT_BYTES / t), TensorCategory.ACTIVATION, True),
-            TensorSpec("mlp_down_out", _round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
-            TensorSpec("dropout_mask", _round512(n * h), TensorCategory.ACTIVATION, True),
+            TensorSpec("ln1_out", round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
+            TensorSpec("qkv_proj", round512(3 * n * h * ACT_BYTES / t), TensorCategory.ACTIVATION, True),
+            TensorSpec("attn_context", round512(n * h * ACT_BYTES / t), TensorCategory.ACTIVATION, True),
+            TensorSpec("attn_proj_out", round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
+            TensorSpec("ln2_out", round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
+            TensorSpec("mlp_up", round512(gated * n * f * ACT_BYTES / t), TensorCategory.ACTIVATION, True),
+            TensorSpec("mlp_act", round512(n * f * ACT_BYTES / t), TensorCategory.ACTIVATION, True),
+            TensorSpec("mlp_down_out", round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
+            TensorSpec("dropout_mask", round512(n * h), TensorCategory.ACTIVATION, True),
             # Flash-attention softmax statistics (log-sum-exp), small but kept
             # until backward -- a classic "pinning" tensor for online allocators.
             TensorSpec(
                 "attn_softmax_lse",
-                _round512(n * self.model.num_attention_heads * 4 / t),
+                round512(n * self.model.num_attention_heads * 4 / t),
                 TensorCategory.ACTIVATION,
                 True,
             ),
@@ -216,26 +216,26 @@ class MemoryModel:
         """What survives the forward pass under full recomputation: the layer input."""
         n, h = self.tokens, self.model.hidden_size
         return [
-            TensorSpec("layer_input_ckpt", _round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True)
+            TensorSpec("layer_input_ckpt", round512(n * h * ACT_BYTES), TensorCategory.ACTIVATION, True)
         ]
 
     def forward_transient_tensors(self) -> list[TensorSpec]:
         """Operator workspaces freed within the forward pass of a layer."""
         n, h, f, t = self.tokens, self.model.hidden_size, self.model.ffn_hidden_size, self.tp
         return [
-            TensorSpec("attn_tmp", _round512(n * h * ACT_BYTES / t), TensorCategory.TEMPORARY),
-            TensorSpec("mlp_tmp", _round512(n * f * ACT_BYTES / t), TensorCategory.TEMPORARY),
-            TensorSpec("residual_tmp", _round512(n * h * ACT_BYTES), TensorCategory.TEMPORARY),
+            TensorSpec("attn_tmp", round512(n * h * ACT_BYTES / t), TensorCategory.TEMPORARY),
+            TensorSpec("mlp_tmp", round512(n * f * ACT_BYTES / t), TensorCategory.TEMPORARY),
+            TensorSpec("residual_tmp", round512(n * h * ACT_BYTES), TensorCategory.TEMPORARY),
         ]
 
     def backward_transient_tensors(self) -> list[TensorSpec]:
         """Gradient temporaries freed within the backward pass of a layer."""
         n, h, f, t = self.tokens, self.model.hidden_size, self.model.ffn_hidden_size, self.tp
         return [
-            TensorSpec("dgrad_hidden", _round512(n * h * ACT_BYTES), TensorCategory.TEMPORARY),
-            TensorSpec("dgrad_ffn", _round512(n * f * ACT_BYTES / t), TensorCategory.TEMPORARY),
-            TensorSpec("dgrad_qkv", _round512(3 * n * h * ACT_BYTES / t), TensorCategory.TEMPORARY),
-            TensorSpec("wgrad_tmp", _round512(n * h * ACT_BYTES), TensorCategory.TEMPORARY),
+            TensorSpec("dgrad_hidden", round512(n * h * ACT_BYTES), TensorCategory.TEMPORARY),
+            TensorSpec("dgrad_ffn", round512(n * f * ACT_BYTES / t), TensorCategory.TEMPORARY),
+            TensorSpec("dgrad_qkv", round512(3 * n * h * ACT_BYTES / t), TensorCategory.TEMPORARY),
+            TensorSpec("wgrad_tmp", round512(n * h * ACT_BYTES), TensorCategory.TEMPORARY),
         ]
 
     # ------------------------------------------------------------------ #
@@ -243,12 +243,12 @@ class MemoryModel:
     # ------------------------------------------------------------------ #
     def embedding_activation(self) -> TensorSpec:
         """Output of the embedding lookup on the first stage (per micro-batch)."""
-        size = _round512(self.tokens * self.model.hidden_size * ACT_BYTES)
+        size = round512(self.tokens * self.model.hidden_size * ACT_BYTES)
         return TensorSpec("embedding_out", size, TensorCategory.ACTIVATION, True)
 
     def pipeline_recv_buffer(self) -> TensorSpec:
         """P2P activation receive buffer between pipeline stages."""
-        size = _round512(self.tokens * self.model.hidden_size * ACT_BYTES)
+        size = round512(self.tokens * self.model.hidden_size * ACT_BYTES)
         return TensorSpec("pp_recv_buffer", size, TensorCategory.COMM_BUFFER)
 
     def logits_activation(self) -> TensorSpec:
@@ -260,7 +260,7 @@ class MemoryModel:
         the reason the binding rank of a job is often the final pipeline stage
         once recomputation has shrunk everyone else's activations.
         """
-        size = _round512(self.tokens * self.model.vocab_size * 4 / self.tp)
+        size = round512(self.tokens * self.model.vocab_size * 4 / self.tp)
         return TensorSpec("lm_head_logits", size, TensorCategory.ACTIVATION, True)
 
     # ------------------------------------------------------------------ #
@@ -283,7 +283,7 @@ class MemoryModel:
         a deterministic function of sequence position, which is what lets the
         search planner's KV floor stay exact.
         """
-        size = _round512(
+        size = round512(
             self.kv_bytes_per_token() * self.config.micro_batch_size * context_tokens
         )
         return TensorSpec(f"layer{layer}.kv_cache", size, TensorCategory.KV_CACHE)
@@ -302,9 +302,9 @@ class MemoryModel:
             self.tp,
         )
         return [
-            TensorSpec("decode_attn_tmp", _round512(b * h * ACT_BYTES / t), TensorCategory.TEMPORARY),
-            TensorSpec("decode_mlp_tmp", _round512(b * f * ACT_BYTES / t), TensorCategory.TEMPORARY),
-            TensorSpec("decode_residual_tmp", _round512(b * h * ACT_BYTES), TensorCategory.TEMPORARY),
+            TensorSpec("decode_attn_tmp", round512(b * h * ACT_BYTES / t), TensorCategory.TEMPORARY),
+            TensorSpec("decode_mlp_tmp", round512(b * f * ACT_BYTES / t), TensorCategory.TEMPORARY),
+            TensorSpec("decode_residual_tmp", round512(b * h * ACT_BYTES), TensorCategory.TEMPORARY),
         ]
 
     def decode_logits_tensor(self) -> TensorSpec:
@@ -314,7 +314,7 @@ class MemoryModel:
         freed within the step -- unlike training's ``lm_head_logits`` nothing
         pins it until a backward pass.
         """
-        size = _round512(self.config.micro_batch_size * self.model.vocab_size * 4 / self.tp)
+        size = round512(self.config.micro_batch_size * self.model.vocab_size * 4 / self.tp)
         return TensorSpec("decode_logits", size, TensorCategory.TEMPORARY)
 
     # ------------------------------------------------------------------ #
@@ -326,9 +326,9 @@ class MemoryModel:
             return []
         n, h, e, k = self.tokens, self.model.hidden_size, self.model.num_experts, self.model.moe_top_k
         specs = [
-            TensorSpec("router_logits", _round512(n * e * ACT_BYTES), TensorCategory.ACTIVATION, True),
-            TensorSpec("router_probs", _round512(n * k * 4), TensorCategory.ACTIVATION, True),
-            TensorSpec("dispatch_perm", _round512(n * k * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
+            TensorSpec("router_logits", round512(n * e * ACT_BYTES), TensorCategory.ACTIVATION, True),
+            TensorSpec("router_probs", round512(n * k * 4), TensorCategory.ACTIVATION, True),
+            TensorSpec("dispatch_perm", round512(n * k * h * ACT_BYTES), TensorCategory.ACTIVATION, True),
         ]
         if self.model.moe_shared_expert_ffn:
             f = self.model.moe_shared_expert_ffn
@@ -336,7 +336,7 @@ class MemoryModel:
             specs.append(
                 TensorSpec(
                     "shared_expert_up",
-                    _round512(gated * n * f * ACT_BYTES / self.tp),
+                    round512(gated * n * f * ACT_BYTES / self.tp),
                     TensorCategory.ACTIVATION,
                     True,
                 )
@@ -344,7 +344,7 @@ class MemoryModel:
             specs.append(
                 TensorSpec(
                     "shared_expert_out",
-                    _round512(n * h * ACT_BYTES),
+                    round512(n * h * ACT_BYTES),
                     TensorCategory.ACTIVATION,
                     True,
                 )
@@ -359,19 +359,14 @@ class MemoryModel:
         (``expert{i}_input``, ``_up``, ``_act``, ``_out``), sized by its token
         count; an idle expert contributes none.
         """
-        h = self.model.hidden_size
-        f = self.model.expert_ffn_hidden_size
-        up = (2 if self.model.gated_mlp else 1) * f * ACT_BYTES
+        h = self.model.hidden_size * ACT_BYTES
+        f = self.model.expert_ffn_hidden_size * ACT_BYTES
+        up = (2 if self.model.gated_mlp else 1) * f
         sizes: list[int] = []
         for tokens in routing:
             if tokens > 0:
-                io = max(512, (tokens * h * ACT_BYTES + 511) // 512 * 512)
-                sizes += (
-                    io,
-                    max(512, (tokens * up + 511) // 512 * 512),
-                    max(512, (tokens * f * ACT_BYTES + 511) // 512 * 512),
-                    io,
-                )
+                io = round512(tokens * h)
+                sizes += (io, round512(tokens * up), round512(tokens * f), io)
         return sizes
 
     # ------------------------------------------------------------------ #
@@ -396,41 +391,34 @@ class MemoryModel:
         factor = self.config.moe_comm_factor
         if token_count <= 0 or factor <= 0:
             return 0
-        return _round512(factor * token_count * self.model.hidden_size * ACT_BYTES)
+        return round512(factor * token_count * self.model.hidden_size * ACT_BYTES)
 
-    def _a2a_buffer(self, tag: str, token_count: int) -> list[TensorSpec]:
-        size = self.a2a_bytes(token_count)
-        return [TensorSpec(tag, size, TensorCategory.COMM_BUFFER)] if size else []
+    def a2a_buffers(self, direction: str) -> tuple[tuple[str, int | None], ...]:
+        """One routed layer's all-to-all staging buffers, as ``(tag, size)`` in allocation order.
 
-    def moe_dispatch_tensors(self, recv_tokens: int) -> list[TensorSpec]:
-        """All-to-all staging buffers of one layer's forward dispatch.
-
-        ``a2a_dispatch_send`` holds the activations of the assignments leaving
-        this rank (the balanced origin share); ``a2a_dispatch_recv`` holds the
-        activations landing on the local experts (``recv_tokens``, the sum of
-        the router's local slice -- the load-imbalance-sensitive side).  Both
-        are sized ``moe_comm_factor`` copies of the routed activations and
-        empty when the factor is 0 (the comm-free baseline trace).
+        ``"dispatch"``: ``a2a_dispatch_send`` holds the activations of the
+        assignments leaving this rank (the balanced origin share,
+        :meth:`dispatch_send_tokens`), then ``a2a_dispatch_recv`` those
+        landing on the local experts.  ``"combine"`` mirrors it with the
+        directions swapped: ``a2a_combine_send`` sends the locally processed
+        assignments back, then ``a2a_combine_recv`` brings the origin share
+        home, so combine conserves the routed load across the EP group
+        exactly like dispatch does.  The origin side's size is fixed; the
+        local side's is ``None``, because routing sizes it per layer:
+        :meth:`a2a_bytes` of the tokens routed to the local experts, a
+        dynamic request (the load-imbalance-sensitive side).  A dense model,
+        or a ``moe_comm_factor`` of 0 (the comm-free baseline trace), has none.
         """
-        if not self.model.is_moe:
-            return []
-        return self._a2a_buffer("a2a_dispatch_send", self.dispatch_send_tokens()) + \
-            self._a2a_buffer("a2a_dispatch_recv", recv_tokens)
-
-    def moe_combine_tensors(self, recv_tokens: int) -> list[TensorSpec]:
-        """All-to-all staging buffers of the backward-facing combine.
-
-        The combine path mirrors dispatch with the directions swapped: the
-        expert outputs/gradients of the ``recv_tokens`` processed locally are
-        sent back (``a2a_combine_send``), and the rank's balanced origin
-        share comes home (``a2a_combine_recv``).  Sizes are therefore
-        symmetric to the dispatch pair, so combine conserves the routed load
-        across the EP group exactly like dispatch does.
-        """
-        if not self.model.is_moe:
-            return []
-        return self._a2a_buffer("a2a_combine_send", recv_tokens) + \
-            self._a2a_buffer("a2a_combine_recv", self.dispatch_send_tokens())
+        if direction not in ("dispatch", "combine"):
+            raise ValueError(f"direction must be dispatch or combine, got {direction!r}")
+        if not self.model.is_moe or self.config.moe_comm_factor <= 0:
+            return ()
+        origin = self.a2a_bytes(self.dispatch_send_tokens())
+        if direction == "dispatch":
+            buffers = (("a2a_dispatch_send", origin), ("a2a_dispatch_recv", None))
+        else:
+            buffers = (("a2a_combine_send", None), ("a2a_combine_recv", origin))
+        return tuple(buffer for buffer in buffers if buffer[1] != 0)
 
     # ------------------------------------------------------------------ #
     # ZeRO / distributed-optimizer communication buffers
@@ -440,14 +428,14 @@ class MemoryModel:
         layers = self.parallelism.layers_per_rank(self.model.num_layers)
         layer_params = self.layer_weight_bytes() / self.config.param_dtype_bytes
         bucket_layers = max(1, layers // 4)
-        return _round512(layer_params * bucket_layers * self.config.grad_dtype_bytes)
+        return round512(layer_params * bucket_layers * self.config.grad_dtype_bytes)
 
     def param_gather_bytes(self) -> int:
         """All-gather buffer used at the optimizer step under ZeRO."""
         layers = self.parallelism.layers_per_rank(self.model.num_layers)
         layer_params = self.layer_weight_bytes() / self.config.param_dtype_bytes
         bucket_layers = max(1, layers // 4)
-        return _round512(layer_params * bucket_layers * self.config.param_dtype_bytes)
+        return round512(layer_params * bucket_layers * self.config.param_dtype_bytes)
 
     # ------------------------------------------------------------------ #
     # Aggregates used by experiments

@@ -250,11 +250,8 @@ class Trace:
         category_codes = {
             category.value: CATEGORY_CODES[category] for category in CATEGORIES
         }
-        for line in lines:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            builder.append(
+        rows = (
+            (
                 kind_codes[record["kind"]],
                 record["req_id"],
                 record["size"],
@@ -265,6 +262,10 @@ class Trace:
                 category_codes[record["category"]],
                 tags.setdefault(record["tag"], len(tags)),
             )
+            for record in map(json.loads, filter(str.strip, lines))
+        )
+        while chunk := list(islice(rows, _CHUNK_LINES)):
+            builder.extend(*zip(*chunk))
         return cls(
             metadata=TraceMetadata(**header["metadata"]),
             phases=phases,

@@ -51,7 +51,7 @@ from repro.workloads.fingerprint import DEFAULT_ASYNC_FREE_SKEW, DEFAULT_SIZE_JI
 
 # Read from here by benchmarks/e2e/stages.py (its home is workloads.fingerprint).
 from repro.workloads.fingerprint import config_fingerprint  # noqa: F401
-from repro.workloads.memory_model import EXPERT_ACTIVATIONS, MemoryModel, TensorSpec
+from repro.workloads.memory_model import EXPERT_ACTIVATIONS, MemoryModel, TensorSpec, round512
 from repro.workloads.moe import ExpertRouter
 from repro.workloads.schedule import PhaseSpec, build_schedule
 from repro.workloads.trace import Trace, TraceMetadata
@@ -65,6 +65,12 @@ _JITTERED = frozenset(
 _JITTERED_CODES = frozenset(CATEGORY_CODES[category] for category in _JITTERED)
 _EXPERT_CODE = CATEGORY_CODES[TensorCategory.EXPERT_ACTIVATION]
 _COMM_CODE = CATEGORY_CODES[TensorCategory.COMM_BUFFER]
+
+
+def _jitter(size: int, factor: float) -> int:
+    """``size`` at a jitter factor, rounded as the allocator sees it (1.0: unchanged)."""
+    return size if factor == 1.0 else round512(size * factor)
+
 
 #: A list of tensors as the generator emits them: ``(sizes by jitter slot,
 #: category codes, tags)``.  ``sizes[slot]`` holds every tensor's size at one
@@ -155,12 +161,10 @@ class TraceGenerator:
                 [TensorSpec("param_allgather", memory.param_gather_bytes(),
                             TensorCategory.COMM_BUFFER)]
             )
-        # The all-to-all buffers routing does not size: the dispatch's send
-        # side and the combine's receive side (the rank's balanced origin
-        # share).  The other side of each is sized per layer from the tokens
-        # routed to the local experts.
-        self._dispatch_send = entries(memory.moe_dispatch_tensors(0))
-        self._combine_recv = entries(memory.moe_combine_tensors(0))
+        #: Each direction's all-to-all buffers, ``(tag, size)`` in allocation
+        #: order; routing sizes the one whose size is ``None``, per layer.
+        self._dispatch = memory.a2a_buffers("dispatch")
+        self._combine = memory.a2a_buffers("combine")
         #: Each local expert's activation tags and its gradient tag, by expert index.
         self._expert_tags = [
             tuple(f"expert{index}_{name}" for name in EXPERT_ACTIVATIONS)
@@ -171,10 +175,7 @@ class TraceGenerator:
     def _sizes(self, size: int, code: int) -> tuple[int, ...]:
         """A tensor of category ``code`` at every jitter slot, then unjittered."""
         if code in _JITTERED_CODES:
-            sizes = tuple(
-                size if factor == 1.0 else max(512, ((int(size * factor) + 511) // 512) * 512)
-                for factor in self.size_jitter
-            )
+            sizes = tuple(_jitter(size, factor) for factor in self.size_jitter)
         else:
             sizes = (size,) * len(self.size_jitter)
         return sizes + (size,)
@@ -194,7 +195,7 @@ class TraceGenerator:
         factor = self._factor
         if factor == 1.0:
             return sizes
-        return [max(512, ((int(size * factor) + 511) // 512) * 512) for size in sizes]
+        return [_jitter(size, factor) for size in sizes]
 
     # ------------------------------------------------------------------ #
     # Derived geometry
@@ -413,10 +414,21 @@ class TraceGenerator:
         self._events.append(tensor)
         return tensor
 
-    def _a2a(self, tag: str, token_count: int, module: str) -> list[_Event]:
-        """Allocate the all-to-all buffer ``token_count`` routed tokens need (dynamic), if any."""
-        size = self.memory.a2a_bytes(token_count)
-        return [self._alloc_one(size, _COMM_CODE, tag, module, 1)] if size else []
+    def _a2a(
+        self, buffers: tuple[tuple[str, int | None], ...], token_count: int, module: str
+    ) -> list[_Event]:
+        """Allocate one direction's all-to-all buffers; their handles.
+
+        The origin side has its fixed size; the side routing sizes is the
+        buffer ``token_count`` local tokens need (dynamic), if any.
+        """
+        tensors = []
+        for tag, size in buffers:
+            if size is not None:
+                tensors.append(self._alloc_one(size, _COMM_CODE, tag, module))
+            elif routed := self.memory.a2a_bytes(token_count):
+                tensors.append(self._alloc_one(routed, _COMM_CODE, tag, module, 1))
+        return tensors
 
     def _kv_cache(self, spec: PhaseSpec, layer: int, context_tokens: int) -> _Event:
         """Allocate one layer's KV cache for ``context_tokens`` (a KV cache is never jittered)."""
@@ -541,8 +553,7 @@ class TraceGenerator:
             # overlapping the expert activations -- which is what makes peak
             # memory imbalance-sensitive through communication, not just
             # through the expert activations themselves).
-            transients += alloc(self._dispatch_send, expert_module)
-            transients += self._a2a("a2a_dispatch_recv", sum(routing), expert_module)
+            transients += self._a2a(self._dispatch, sum(routing), expert_module)
             if rematerialise:
                 transients += self._routed_experts(routing, expert_module)
             else:
@@ -652,8 +663,7 @@ class TraceGenerator:
         # overlap it through the skewed transient frees, exactly like the
         # dispatch pair overlaps the forward expert FFN.
         if is_moe:
-            transients += self._a2a("a2a_combine_send", sum(routing), grad_module)
-            transients += alloc(self._combine_recv, grad_module)
+            transients += self._a2a(self._combine, sum(routing), grad_module)
 
         # ZeRO-3 re-gathers parameters for the backward pass.
         if self.config.zero_stage >= 3:

@@ -83,6 +83,15 @@ def _a2a_sizes(trace, tag: str) -> dict[tuple, int]:
     }
 
 
+def _buffer_sizes(model: MemoryModel, direction: str, recv_tokens: int) -> dict[str, int]:
+    """One direction's buffers by tag, the routed side sized for ``recv_tokens``,
+    as the generator sizes them."""
+    return {
+        tag: model.a2a_bytes(recv_tokens) if size is None else size
+        for tag, size in model.a2a_buffers(direction)
+    }
+
+
 def _event_keys(trace, *, drop_a2a: bool) -> list[tuple]:
     """Time/req_id-free view of the event stream (stable under renumbering)."""
     return [
@@ -143,8 +152,17 @@ class TestTokenConservationFuzz:
             model = MemoryModel(config, rank=0, ep_rank=ep_rank)
             recv_tokens = 137 + ep_rank
             per_token = factor * MOE_TINY.hidden_size * ACT_BYTES
-            dispatch = {spec.tag: spec.size for spec in model.moe_dispatch_tensors(recv_tokens)}
-            combine = {spec.tag: spec.size for spec in model.moe_combine_tensors(recv_tokens)}
+            dispatch = _buffer_sizes(model, "dispatch", recv_tokens)
+            combine = _buffer_sizes(model, "combine", recv_tokens)
+            # Allocation order, and routing sizes the side at the local experts.
+            assert [tag for tag, size in model.a2a_buffers("dispatch")] == [
+                "a2a_dispatch_send", "a2a_dispatch_recv",
+            ]
+            assert [size is None for _, size in model.a2a_buffers("dispatch")] == [False, True]
+            assert [tag for tag, size in model.a2a_buffers("combine")] == [
+                "a2a_combine_send", "a2a_combine_recv",
+            ]
+            assert [size is None for _, size in model.a2a_buffers("combine")] == [True, False]
             assert dispatch["a2a_dispatch_recv"] == int(recv_tokens * per_token)
             assert dispatch["a2a_dispatch_send"] == int(
                 model.dispatch_send_tokens() * per_token
@@ -155,8 +173,8 @@ class TestTokenConservationFuzz:
 
     def test_comm_factor_zero_produces_no_buffers(self):
         model = MemoryModel(_moe_config(comm_factor=0.0), rank=0, ep_rank=1)
-        assert model.moe_dispatch_tensors(512) == []
-        assert model.moe_combine_tensors(512) == []
+        assert model.a2a_buffers("dispatch") == model.a2a_buffers("combine") == ()
+        assert model.a2a_bytes(512) == 0
 
     def test_dense_model_produces_no_buffers(self):
         config = TrainingConfig(
@@ -166,7 +184,7 @@ class TestTokenConservationFuzz:
         )
         model = MemoryModel(config)
         assert model.dispatch_send_tokens() == 0
-        assert model.moe_dispatch_tensors(512) == []
+        assert model.a2a_buffers("dispatch") == model.a2a_buffers("combine") == ()
         trace = TraceGenerator(config, seed=0).generate()
         assert not any(event.tag.startswith("a2a_") for event in events_of(trace))
 

@@ -46,6 +46,7 @@ def _random_trace(rng: random.Random) -> Trace:
         for index in range(rng.randrange(1, 5))
     ]
     builder = ColumnBuilder()
+    rows = []
     live: list[tuple[int, int, bool, int]] = []
     time = rng.randrange(0, 2**40) if rng.random() < 0.2 else 0
     req_id = rng.randrange(0, 2**50) if rng.random() < 0.2 else 0
@@ -60,12 +61,14 @@ def _random_trace(rng: random.Random) -> Trace:
             req_id += rng.randrange(1, 3)
             kind = ALLOC
         phase, module, tag = rng.choice(phases).index, rng.choice(NAMES), rng.choice(NAMES)
-        builder.append(
+        rows.append((
             kind, freed, size, time, phase,
             builder.modules.setdefault(module, len(builder.modules)), 1 if dyn else 0, category,
             builder.tags.setdefault(tag, len(builder.tags)),
-        )
+        ))
         time += rng.choice([0, 0, 1, 7])  # shared ticks
+    if rows:
+        builder.extend(*zip(*rows))
     metadata = TraceMetadata(model_name=rng.choice(NAMES), seed=rng.randrange(100), scale=0.5)
     spans = {name: (rng.randrange(9), rng.randrange(9, 99)) for name in rng.sample(NAMES, 3)}
     return Trace(metadata=metadata, phases=phases, module_spans=spans, columns=builder.build())
@@ -114,9 +117,9 @@ def test_a_value_wider_than_its_column_names_the_column_and_the_event(column, va
         values = dict(row, req_id=index, time=index)
         if index == 4321:
             values[column] = value
-        builder.append(
-            values["kind"], values["req_id"], values["size"], values["time"],
-            values["phase_index"], 0, 0, values["category"], 0,
+        builder.extend(
+            (values["kind"],), (values["req_id"],), (values["size"],), (values["time"],),
+            (values["phase_index"],), (0,), (0,), (values["category"],), (0,),
         )
     with pytest.raises(ValueError, match=rf"^trace column '{column}' .* at event 4321$") as raised:
         builder.build()

@@ -71,12 +71,16 @@ def make_trace(
     builder = ColumnBuilder()
     modules, tags = builder.modules, builder.tags
     kind_codes = {kind: code for code, kind in enumerate(KINDS)}
-    for event in events:
-        builder.append(
+    rows = [
+        (
             kind_codes[event.kind], event.req_id, event.size, event.time, event.phase.index,
             modules.setdefault(event.module, len(modules)), 1 if event.dyn else 0,
             CATEGORY_CODES[event.category], tags.setdefault(event.tag, len(tags)),
         )
+        for event in events
+    ]
+    if rows:
+        builder.extend(*zip(*rows))
     if phases is None:
         phases = sorted({event.phase.index: event.phase for event in events}.values())
     return Trace(
