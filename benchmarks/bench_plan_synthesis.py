@@ -35,10 +35,13 @@ may cost at most ``CHECK_MAX_VALIDATE_SHARE`` of the cold plan it guards
 (``profile_s + synthesize_s + store_s``, all timed in this process, so load
 moves them together), a cold ``get_trace`` + ``plan_key`` must render no
 JSON line of the trace (a trace's content address hashes its columns, and its
-cache entry is binary), and the four quality values must equal the latest
-entry's -- and what does, the way ``bench_trace_core.py`` gates ``replay_*``:
-the best ``synthesize_s`` and ``global_plan_s`` reps may not fall below
-``SYNTHESIZE_RATIO`` of the latest entry's rates.
+cache entry is binary), the EP ranks of one pipeline stage of the MoE preset,
+replayed through one ``ExecutionContext``, must build one global plan between
+them (``syntheses_per_shape == 1``: they differ only in routed-expert sizes,
+which the planner never reads), and the four quality values must equal the
+latest entry's -- and what does, the way ``bench_trace_core.py`` gates
+``replay_*``: the best ``synthesize_s`` and ``global_plan_s`` reps may not fall
+below ``SYNTHESIZE_RATIO`` of the latest entry's rates.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.synthesizer as synthesizer_module
 from repro.core.dynamic_space import locate_dynamic_reusable_spaces
 from repro.core.homophase import build_homophase_groups, fuse_adjacent_groups
 from repro.core.planner import build_global_plan
@@ -63,6 +67,7 @@ from repro.experiments.common import A800_WORKLOADS
 from repro.gpu.device import Device, GIB
 from repro.simulator.replay import replay_trace
 from repro.simulator import ExecutionContext
+from repro.simulator.runner import run_workload
 from repro.sweep.cache import SweepCache
 from repro.version import __version__
 from repro.workloads.models import get_model
@@ -186,6 +191,29 @@ def _iter_jsonl_calls_per_cold_trace(config: TrainingConfig) -> int:
     return calls
 
 
+def _syntheses_per_shape(config: TrainingConfig) -> int:
+    """``build_global_plan`` calls for every EP rank of pipeline stage 0, through one context.
+
+    The ranks differ only in routed-expert sizes: one plan shape between them.
+    """
+    calls = 0
+    real_build = synthesizer_module.build_global_plan
+
+    def counting_build(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_build(*args, **kwargs)
+
+    synthesizer_module.build_global_plan = counting_build
+    try:
+        ctx = ExecutionContext()
+        for ep_rank in range(config.parallelism.expert_parallel):
+            run_workload(config, "stalloc", rank=0, ep_rank=ep_rank, ctx=ctx)
+    finally:
+        synthesizer_module.build_global_plan = real_build
+    return calls
+
+
 def measure_preset(name: str, *, reps: int = 5) -> dict:
     """Best-of-``reps`` seconds of each layer of one cold plan."""
     config = PRESETS[name]()
@@ -211,6 +239,7 @@ def measure_preset(name: str, *, reps: int = 5) -> dict:
         view.digest()
 
     info = plan.synthesis_info
+    routed = config.parallelism.expert_parallel > 1
     with store_dir:
         return {
             "events": trace.num_events,
@@ -241,6 +270,7 @@ def measure_preset(name: str, *, reps: int = 5) -> dict:
             "plan_bytes": entry.stat().st_size,
             "dumps_digest_s": round(_best_seconds(serialize, reps), 4),
             "iter_jsonl_calls_per_cold_trace": _iter_jsonl_calls_per_cold_trace(config),
+            **({"syntheses_per_shape": _syntheses_per_shape(config)} if routed else {}),
         }
 
 
@@ -254,7 +284,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         type=Path,
         help="gate validate_s / (profile_s + synthesize_s + store_s) <= "
-        f"{CHECK_MAX_VALIDATE_SHARE:g}, one serialisation per cold trace, the latest "
+        f"{CHECK_MAX_VALIDATE_SHARE:g}, no serialisation per cold trace, one synthesis "
+        "per plan shape, the latest "
         f"entry's {' / '.join(QUALITY)} exactly, and best {' / '.join(GATED_RATES)} reps "
         f">= {SYNTHESIZE_RATIO:g}x the latest entry's requests/s",
     )
@@ -269,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  plan entry: {row['plan_bytes']} bytes")
         print("  " + ", ".join(f"{name} {row[name]}" for name in QUALITY))
         print(f"  iter_jsonl calls per cold trace: {row['iter_jsonl_calls_per_cold_trace']}")
+        if "syntheses_per_shape" in row:
+            print(f"  syntheses per plan shape (EP ranks of stage 0): {row['syntheses_per_shape']}")
 
     if args.record:
         data = json.loads(args.record.read_text())
@@ -299,9 +332,11 @@ def main(argv: list[str] | None = None) -> int:
             moved = {
                 key: (recorded[key], row[key]) for key in QUALITY if row[key] != recorded[key]
             }
+            syntheses = row.get("syntheses_per_shape", 1)
             ok = (
                 share <= CHECK_MAX_VALIDATE_SHARE
                 and row["iter_jsonl_calls_per_cold_trace"] == 0
+                and syntheses == 1
                 and all(rate >= floor for rate, floor in rates.values())
                 and not moved
             )
@@ -311,6 +346,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"(gate {CHECK_MAX_VALIDATE_SHARE:g}), "
                 f"{row['iter_jsonl_calls_per_cold_trace']} JSON-lines render(s) per cold trace "
                 f"(gate == 0), "
+                + (
+                    f"{syntheses} synthesis(es) per plan shape (gate == 1), "
+                    if "syntheses_per_shape" in row
+                    else ""
+                )
                 + ", ".join(
                     f"{layer} {rate:,.0f} requests/s vs {latest['version']}'s best "
                     f"x {SYNTHESIZE_RATIO:g} = {floor:,.0f}"

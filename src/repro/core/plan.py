@@ -17,6 +17,7 @@ Allocator consumes.
 
 from __future__ import annotations
 
+import json
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -224,6 +225,9 @@ class SynthesizedPlan:
     #: plan loaded from its stored form, which holds no timing (entries of the
     #: content-addressed plan cache are byte-identical across writers).
     synthesis_seconds: float | None = None
+    #: :meth:`dumps`' text once derived.  A plan is not changed after
+    #: synthesis, and the copies a plan shape's later traces get carry it.
+    stored_text: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def pool_size(self) -> int:
@@ -254,6 +258,12 @@ class SynthesizedPlan:
             ],
             "synthesis_info": self.synthesis_info,
         }
+
+    def dumps(self) -> str:
+        """:meth:`to_json_dict` as one compact JSON document (derived once)."""
+        if self.stored_text is None:
+            self.stored_text = json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return self.stored_text
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SynthesizedPlan":

@@ -14,7 +14,9 @@ dynamic requests' HomoLayer groups out.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from array import array
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter, mul, neg, not_
 
 from repro.core.columns import ALLOC, HomoLayerGroup, RequestColumns, TraceColumns
 from repro.workloads.trace import Trace
@@ -43,6 +45,11 @@ def _refuse_unpaired(columns: TraceColumns) -> None:
             raise ValueError(f"request {req_id} freed with {size} bytes, allocated with {opened}")
 
 
+def static_sizes(columns: RequestColumns) -> list[int]:
+    """The requests' sizes with every dynamic request's zeroed."""
+    return list(map(mul, columns.size, map(not_, columns.dyn)))
+
+
 class ProfileResult:
     """Everything the Plan Synthesizer needs from a profiling run.
 
@@ -65,7 +72,8 @@ class ProfileResult:
         self.columns: RequestColumns = trace.columns.request_columns(end_of_trace=self.end_time)
         self.module_spans = dict(trace.module_spans)
         self.phases = list(trace.phases)
-        self._swept: dict | None = None
+        self._counted: dict | None = None
+        self._peak_static: int | None = None
         self._dynamic_groups: list[HomoLayerGroup] | None = None
 
     @property
@@ -79,55 +87,66 @@ class ProfileResult:
     def num_requests(self) -> int:
         return len(self.columns.req_id)
 
-    def _sweep(self) -> dict:
-        """Counts, byte totals and both demand peaks, from one sweep (memoised).
-
-        One walk over the requests, which are in alloc-time order.  A heap
-        holds the live ones' ``(free_time, size, static size)`` and is drained
-        with ``<=`` before each alloc, so a free at time t lands before an
-        alloc at t; the static peak counts the dynamic requests as zero bytes.
-        """
-        if self._swept is None:
-            columns = self.columns
-            size, dyn = columns.size, columns.dyn
-            rows = zip(columns.alloc_time, size, columns.free_time, dyn)
-            live: list[tuple[int, int, int]] = []
-            allocated = static = peak = peak_static = static_bytes = 0
-            for opened, nbytes, closes, is_dynamic in rows:
-                while live and live[0][0] <= opened:
-                    _, freed, freed_static = heappop(live)
-                    allocated -= freed
-                    static -= freed_static
-                static_nbytes = 0 if is_dynamic else nbytes
-                heappush(live, (closes, nbytes, static_nbytes))
-                allocated += nbytes
-                static += static_nbytes
-                static_bytes += static_nbytes
-                if allocated > peak:
-                    peak = allocated
-                if static > peak_static:
-                    peak_static = static
+    def _counts(self) -> dict:
+        """Counts, byte totals and the peak live bytes of all requests (memoised)."""
+        if self._counted is None:
+            size, dyn = self.columns.size, self.columns.dyn
             num_dynamic = sum(dyn)
-            self._swept = {
+            static_bytes = sum(static_sizes(self.columns))
+            self._counted = {
                 "num_requests": len(size),
                 "num_static_requests": len(size) - num_dynamic,
                 "num_dynamic_requests": num_dynamic,
                 "static_bytes": static_bytes,
                 "dynamic_bytes": sum(size) - static_bytes,
-                "peak_allocated_bytes": peak,
-                "peak_static_bytes": peak_static,
+                "peak_allocated_bytes": self._peak(static=False),
             }
-        return self._swept
+        return self._counted
+
+    def _peak(self, *, static: bool) -> int:
+        """Peak live bytes of all requests, or of the static ones alone.
+
+        A prefix maximum over the alloc/free ticks in order, a free before an
+        alloc at an equal tick.  On a trace whose ticks strictly ascend that
+        order is the event order: the all-bytes peak is the trace's own
+        (memoised on its columns), and the static one sums the same events
+        with each dynamic request's size zeroed on its alloc and its free, the
+        flag read off the paired alloc.  Otherwise the requests' ticks are
+        sorted first.
+        """
+        columns, events = self.columns, self.trace.columns
+        dynamic = static and 1 in columns.dyn
+        pairing = events.pairing()
+        if not pairing.ticks_ascend:
+            sizes = static_sizes(columns) if dynamic else columns.size
+            ticks = [
+                *zip(columns.alloc_time, repeat(1), sizes),
+                *zip(columns.free_time, repeat(0), map(neg, sizes)),
+            ]
+            ticks.sort(key=itemgetter(0, 1))
+            return max(accumulate(map(itemgetter(2), ticks), initial=0))
+        if not dynamic:
+            return events.peak_allocated_bytes()
+        deltas = array(
+            "q", (size if kind == ALLOC else -size for kind, size in zip(events.kind, events.size))
+        )
+        dynamic_events = chain(
+            compress(pairing.alloc_pos, columns.dyn), compress(pairing.free_pos, columns.dyn)
+        )
+        for position in dynamic_events:
+            if position >= 0:  # -1: never freed
+                deltas[position] = 0
+        return max(accumulate(deltas, initial=0))
 
     def peak_static_bytes(self) -> int:
-        """Peak demand of the static requests alone: a lower bound for any plan."""
-        return self._sweep()["peak_static_bytes"]
+        """Peak demand of the static requests alone: a lower bound for any plan (memoised)."""
+        if self._peak_static is None:
+            self._peak_static = self._peak(static=True)
+        return self._peak_static
 
     def summary(self) -> dict:
         """Compact profiling report (used by Table 2 and the CLI)."""
-        report = dict(self._sweep(), num_phases=len(self.phases), num_modules=len(self.module_spans))
-        del report["peak_static_bytes"]  # reported by the synthesizer, as its lower bound
-        return report
+        return dict(self._counts(), num_phases=len(self.phases), num_modules=len(self.module_spans))
 
 
 class AllocationProfiler:

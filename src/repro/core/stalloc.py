@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.core.config import STAllocConfig
 from repro.core.plan import SynthesizedPlan
 from repro.core.profiler import AllocationProfiler, ProfileResult
 from repro.core.runtime import RuntimeAllocator
-from repro.core.synthesizer import PlanSynthesizer
+from repro.core.synthesizer import LastPlan, PlanSynthesizer
 from repro.gpu.device import Device
 from repro.version import PLAN_FORMAT_VERSION
 from repro.workloads.trace import Trace
@@ -45,13 +46,25 @@ class STAlloc:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_trace(cls, trace: Trace, config: STAllocConfig | None = None) -> "STAlloc":
-        """Run the full offline pipeline (profiler + plan synthesizer) on a trace."""
+    def from_trace(
+        cls,
+        trace: Trace,
+        config: STAllocConfig | None = None,
+        *,
+        last_plan: LastPlan | None = None,
+    ) -> "STAlloc":
+        """Run the full offline pipeline (profiler + plan synthesizer) on a trace.
+
+        With ``last_plan`` the plan comes through that one-entry memo: a trace
+        of the shape it remembers shares the remembered plan.
+        """
         config = config or STAllocConfig()
         profiler = AllocationProfiler(iterations=config.profiler_iterations)
         profile = profiler.profile(trace)
-        synthesizer = PlanSynthesizer(config)
-        plan = synthesizer.synthesize(profile)
+        if last_plan is None:
+            plan = PlanSynthesizer(config).synthesize(profile)
+        else:
+            plan = last_plan.synthesize(profile, config)
         return cls(profile=profile, plan=plan, config=config)
 
     # ------------------------------------------------------------------ #
@@ -95,28 +108,9 @@ class STAlloc:
     # ------------------------------------------------------------------ #
     # Serialization (plans are cached on disk by the sweep engine)
     # ------------------------------------------------------------------ #
-    def to_json_dict(self) -> dict:
-        """JSON-safe snapshot: plan + pipeline config + precomputed report.
-
-        ``format_version`` is the first key, so the head of a stored entry
-        tells which format wrote it.  The profiling result itself is not
-        serialized -- the runtime allocator only needs the synthesized plan,
-        and the parts of the profile that feed reporting are captured in the
-        stored planning report.  Nothing stored depends on when or where the
-        plan was synthesized.
-        """
-        report = self.planning_report()
-        report.pop("synthesis_seconds", None)
-        return {
-            "format_version": PLAN_FORMAT_VERSION,
-            "config": asdict(self.config),
-            "plan": self.plan.to_json_dict(),
-            "report": report,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "STAlloc":
-        """Rebuild a planned STAlloc instance from :meth:`to_json_dict` output."""
+        """Rebuild a planned STAlloc instance from the JSON document :meth:`dumps` writes."""
         version = data.get("format_version") if isinstance(data, dict) else None
         if version != PLAN_FORMAT_VERSION:
             raise ValueError(
@@ -130,8 +124,25 @@ class STAlloc:
         )
 
     def dumps(self) -> str:
-        """The stored form: :meth:`to_json_dict` as one compact JSON document."""
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """The stored form: plan, pipeline config and precomputed report as compact JSON.
+
+        ``format_version`` is the first key, so the head of a stored entry
+        tells which format wrote it.  The profiling result itself is not
+        serialized -- the runtime allocator only needs the synthesized plan,
+        and the parts of the profile that feed reporting are captured in the
+        stored planning report.  Nothing stored depends on when or where the
+        plan was synthesized.  The plan's own text is derived once per plan
+        (:meth:`SynthesizedPlan.dumps`), and the traces of one plan shape
+        share it.
+        """
+        report = self.planning_report()
+        report.pop("synthesis_seconds", None)
+        compact = partial(json.dumps, separators=(",", ":"))
+        return (
+            f'{{"format_version":{compact(PLAN_FORMAT_VERSION)},'
+            f'"config":{compact(asdict(self.config))},'
+            f'"plan":{self.plan.dumps()},"report":{compact(report)}}}'
+        )
 
     def save_plan(self, path: str | Path) -> None:
         """Write the serialized plan to ``path`` as JSON."""

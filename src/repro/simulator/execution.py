@@ -8,7 +8,15 @@ the one object that says where the on-disk cache is and owns the only
 process pool in ``repro``; it is passed explicitly, so nothing about
 execution lives in module state that a test or a second caller could leak
 into.  It keeps no trace in memory: a caller that replays a trace several
-times holds it for as long as it needs it, and no longer.
+times holds it for as long as it needs it, and no longer.  What it does keep
+is the last *plan shape* it synthesized and that plan (a
+:class:`~repro.core.synthesizer.LastPlan`): the EP ranks of one pipeline
+stage differ only in routed-expert sizes, which the planner never reads, and
+arrive back to back, so each shares the first one's synthesis.  One entry
+gets every such repeat; a memo of every plan raised a search's peak RSS by
+over a tenth.  Nor is the one entry kept past its stage: fetching a trace of
+another stage, config, seed or scale forgets it, so a run whose traces never
+repeat a shape holds no plan its replays no longer read.
 
 Constructing a context imports nothing heavy: the trace generator, the
 planner and the process pool are each imported by the method that first needs
@@ -28,6 +36,7 @@ from repro.workloads.training import TrainingConfig
 
 if TYPE_CHECKING:
     from repro.core.stalloc import STAlloc
+    from repro.core.synthesizer import LastPlan
     from repro.workloads.trace import Trace
 
 
@@ -38,7 +47,8 @@ class ExecutionContext:
     directory (``None`` = no disk cache), ``cache_max_bytes`` caps it inline
     (see :meth:`SweepCache.prune`), and ``jobs`` is the number of worker
     processes :meth:`map` fans out over.  ``ExecutionContext()`` is serial
-    with no disk cache.
+    with no disk cache.  :meth:`stalloc` plans through the context's one-entry
+    memo of the last plan shape it synthesized (see the module docstring).
     """
 
     def __init__(
@@ -55,6 +65,10 @@ class ExecutionContext:
         self.cache_max_bytes = cache_max_bytes
         self.jobs = jobs
         self._cache = None
+        self._last_plan: LastPlan | None = None
+        #: ``(config, seed, scale, rank)`` of the last trace fetched: its
+        #: stage, whose EP ranks may share the last plan.
+        self._stage: tuple | None = None
 
     @property
     def cache(self):
@@ -81,8 +95,12 @@ class ExecutionContext:
         stored on a miss, keyed on the full config fingerprint *including*
         both rank coordinates, so per-(pp, ep)-rank traces of one job never
         alias each other); without one it is generated.  Every call fetches
-        anew: nothing is memoised here.
+        anew: nothing is memoised here.  A trace of another stage than the
+        last one's forgets the last plan (see the module docstring).
         """
+        stage = (config, seed, scale, rank)
+        if stage != self._stage:
+            self._stage, self._last_plan = stage, None
         if self.cache is not None:
             return self.cache.get_trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
         from repro.workloads.tracegen import TraceGenerator
@@ -90,12 +108,19 @@ class ExecutionContext:
         return TraceGenerator(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank).generate()
 
     def stalloc(self, trace: Trace, stalloc_config: STAllocConfig) -> STAlloc:
-        """A planned STAlloc for the trace: the plan cache, else the pipeline."""
-        if self.cache is not None:
-            return self.cache.get_stalloc(trace, stalloc_config)
-        from repro.core.stalloc import STAlloc
+        """A planned STAlloc for the trace: the plan cache, else the pipeline.
 
-        return STAlloc.from_trace(trace, stalloc_config)
+        The pipeline's synthesis goes through the context's last plan shape:
+        a trace of that shape shares its plan and keeps its own profile.
+        """
+        from repro.core.stalloc import STAlloc
+        from repro.core.synthesizer import LastPlan
+
+        if self._last_plan is None:
+            self._last_plan = LastPlan()
+        if self.cache is not None:
+            return self.cache.get_stalloc(trace, stalloc_config, last_plan=self._last_plan)
+        return STAlloc.from_trace(trace, stalloc_config, last_plan=self._last_plan)
 
     def fans_out(self, count: int) -> bool:
         """Whether :meth:`map` runs ``count`` items in worker processes.

@@ -65,6 +65,7 @@ if TYPE_CHECKING:
     from array import array
 
     from repro.core.stalloc import STAlloc
+    from repro.core.synthesizer import LastPlan
     from repro.workloads.trace import Trace
 
 #: Key under which :meth:`SweepCache.store_result` embeds the writer's result
@@ -263,8 +264,18 @@ class SweepCache:
     def plan_path(self, key: str) -> Path:
         return self.plans_dir / f"{key}.json"
 
-    def get_stalloc(self, trace: Trace, stalloc_config: STAllocConfig | None = None) -> STAlloc:
-        """Load a planned STAlloc for the trace, running the pipeline on miss."""
+    def get_stalloc(
+        self,
+        trace: Trace,
+        stalloc_config: STAllocConfig | None = None,
+        *,
+        last_plan: LastPlan | None = None,
+    ) -> STAlloc:
+        """Load a planned STAlloc for the trace, running the pipeline on miss.
+
+        A miss plans through ``last_plan`` when one is given (see
+        :meth:`STAlloc.from_trace`).
+        """
         from repro.core.stalloc import STAlloc
 
         stalloc_config = stalloc_config or STAllocConfig()
@@ -279,7 +290,7 @@ class SweepCache:
                 path.unlink(missing_ok=True)  # corrupt or older format: regenerate
         self.stats.plan_misses += 1
         _obs_counter("cache.miss")
-        stalloc = STAlloc.from_trace(trace, stalloc_config)
+        stalloc = STAlloc.from_trace(trace, stalloc_config, last_plan=last_plan)
         self._note_store(_atomic_write(path, (stalloc.dumps().encode(),)))
         return stalloc
 

@@ -90,6 +90,20 @@ def _tiny_spec(**overrides) -> SweepSpec:
     return SweepSpec.from_dict(data)
 
 
+def _routed_spec(**overrides) -> SweepSpec:
+    """Every rank of a routed job: the EP ranks of a stage share one plan shape."""
+    return _tiny_spec(
+        **{
+            "model": "moe-tiny",
+            "parallelism": {"pipeline_parallel": 2, "data_parallel": 4, "expert_parallel": 2},
+            "base": {"num_microbatches": 2},
+            "ranks": "all",
+            "scale": 1.0,
+            **overrides,
+        }
+    )
+
+
 # ---------------------------------------------------------------------- #
 # Spans (fake clock)
 # ---------------------------------------------------------------------- #
@@ -583,23 +597,47 @@ class TestSweepIntegration:
         shutdown()
         assert self._comparable(traced.rows) == self._comparable(baseline.rows)
 
+    def test_observability_does_not_change_routed_results(self, tmp_path):
+        """The ``plan.reused`` counter, like every span, leaves the rows alone.
+
+        Serial, so that one context sees a stage's EP ranks back to back.
+        """
+        baseline = run_sweep(_routed_spec(), jobs=1, cache_dir=str(tmp_path / "cache-off"))
+        obs.configure(ndjson_path=tmp_path / "obs.ndjson")
+        traced = run_sweep(_routed_spec(), jobs=1, cache_dir=str(tmp_path / "cache-on"))
+        shutdown()
+        assert summarize_file(tmp_path / "obs.ndjson").metrics.counters["plan.reused"] > 0
+        assert self._comparable(traced.rows) == self._comparable(baseline.rows)
+
     def test_plan_validation_has_its_own_span(self, tmp_path):
-        """Every synthesis reports its self-check as a ``plan.validate`` child."""
+        """One ``plan.validate`` per distinct plan shape, always directly under
+        ``plan.synthesize``; every other synthesis is a ``plan.reused`` hit.
+
+        The EP ranks of one pipeline stage differ only in routed-expert sizes,
+        so each (grid point, stage) is one shape (``test_plan_shape_memo.py``
+        pins that); the context plans its first rank and reuses the plan for
+        the rest.
+        """
+        spec = _routed_spec(allocators=["stalloc"])
+        points = spec.expand()
+        shapes = sum(point.config.parallelism.pipeline_parallel for point in points)
         path = tmp_path / "obs.ndjson"
         obs.configure(ndjson_path=path)
-        run_sweep(_tiny_spec(), jobs=1, cache_dir=None)
+        run_sweep(spec, jobs=1, cache_dir=None)
         shutdown()
         summary = summarize_file(path)
         by_name: dict[str, list] = {}
         for stat in summary.tree:
             by_name.setdefault(stat.name, []).append(stat)
         synthesized = sum(stat.count for stat in by_name["plan.synthesize"])
-        assert synthesized == sum(stat.count for stat in by_name["plan.validate"]) > 0
+        validated = sum(stat.count for stat in by_name["plan.validate"])
+        assert synthesized == 2 * shapes  # two EP ranks a stage
+        assert validated == shapes == synthesized - summary.metrics.counters["plan.reused"]
         # Only ever directly under the synthesis it belongs to.
         assert all(stat.path[-2] == "plan.synthesize" for stat in by_name["plan.validate"])
         spans = [e for e in load_events(path) if e["type"] == "span"]
         decisions = [e["attrs"]["decisions"] for e in spans if e["name"] == "plan.validate"]
-        assert len(decisions) == synthesized and all(count > 0 for count in decisions)
+        assert len(decisions) == validated and all(count > 0 for count in decisions)
 
     def test_replay_histogram_recorded(self, tmp_path):
         spec = _tiny_spec(grid={"micro_batch_size": [1]}, allocators=["torch2.3"])

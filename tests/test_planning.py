@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from operator import add
 from array import array
@@ -819,7 +820,7 @@ class TestPlanSynthesizer:
             assert info["placement_order"] == (
                 "lifetime" if info["static_pool_bytes"] < info["layered_pool_bytes"] else "size"
             )
-            for report in (stalloc.planning_report(), stalloc.to_json_dict()["report"]):
+            for report in (stalloc.planning_report(), json.loads(stalloc.dumps())["report"]):
                 assert report["placement_order"] == info["placement_order"]
                 assert report["layered_pool_bytes"] == info["layered_pool_bytes"]
         # Only dynamic groups that will be served from the plan hold the planner back.

@@ -130,32 +130,32 @@ class TestRuntimeAllocator:
         assert report["plan_overhead_ratio"] >= 1.0
 
     def test_planning_report_is_derived_once_per_instance(self, dense_trace, monkeypatch):
-        """The cache write and the result row share one derivation and one sweep."""
+        """The cache write and the result row share one derivation and one count."""
         from repro.core.profiler import ProfileResult
 
-        calls = {"summary": 0, "sweeps": 0}
+        calls = {"summary": 0, "counts": 0}
         summary = ProfileResult.summary
-        sweep = ProfileResult._sweep
+        counts = ProfileResult._counts
 
         def counted_summary(self):
             calls["summary"] += 1
             return summary(self)
 
-        def counted_sweep(self):
+        def counted_counts(self):
             """A call that finds no memo walks the requests."""
-            calls["sweeps"] += self._swept is None
-            return sweep(self)
+            calls["counts"] += self._counted is None
+            return counts(self)
 
         monkeypatch.setattr(ProfileResult, "summary", counted_summary)
-        monkeypatch.setattr(ProfileResult, "_sweep", counted_sweep)
+        monkeypatch.setattr(ProfileResult, "_counts", counted_counts)
         stalloc = STAlloc.from_trace(dense_trace)
-        document = stalloc.to_json_dict()
+        document = json.loads(stalloc.dumps())
         report = stalloc.planning_report()
-        # Static and total peak, counts and byte totals: one sweep.
-        assert calls == {"summary": 1, "sweeps": 1}
+        # Total peak, counts and byte totals: one pass.
+        assert calls == {"summary": 1, "counts": 1}
         assert dense_trace.peak_allocated_bytes() == report["peak_allocated_bytes"]
         assert stalloc.profile.peak_static_bytes() == report["peak_static_demand_bytes"]
-        assert calls["sweeps"] == 1
+        assert calls["counts"] == 1
         # Only the fresh instance knows how long synthesis took; it is not stored.
         assert report.pop("synthesis_seconds") == stalloc.plan.synthesis_seconds
         assert "synthesis_seconds" not in json.dumps(document)
